@@ -22,18 +22,20 @@ engine underneath:
   few arrays instead of a million task objects;
 * the event log becomes a :class:`~repro.core.events.CountingEventLog`;
 * the protocol hot paths -- batched ``File Add`` placement, the
-  ``CheckAlloc`` and ``CheckProof`` rounds -- are overridden with
-  vectorised sweeps over the tables that dispatch into
+  ``CheckAlloc``, ``CheckProof`` and ``CheckRefresh`` rounds -- are
+  overridden with vectorised sweeps over the tables that dispatch into
   :mod:`repro.kernels`.
 
 **Equivalence contract.**  :class:`ColumnarProtocol` must be
 bit-equivalent to the object model: same PRNG consumption order, same
 kernel-call sequence, same ledger operations in the same order, same
-per-row state.  The vectorised sweeps therefore only take over when they
-can prove the object model would have performed the same independent
-per-file transitions (healthy network, no fees in the sweep, no
-corruption so far); anything else falls back to the inherited per-file
-methods, which operate on the views and are equivalent by construction.
+per-row state.  The vectorised sweeps therefore only take over the
+files and tasks for which the columns prove the object model would have
+performed the same independent transitions (no fees in the sweep; a
+normal, not-lost file whose live replicas all sit on healthy sectors; a
+confirmed refresh); every other file of the same run takes the inherited
+per-file method in task order, which operates on the views and is
+equivalent by construction.
 The differential suites in ``tests/test_core_columnar.py`` and the
 hypothesis pack enforce this the same way
 ``tests/test_kernels_equivalence.py`` pins the kernel backends.
@@ -57,7 +59,7 @@ from repro.core.protocol import FileInsurerProtocol, ProtocolError
 from repro.core.sector import SectorRecord, SectorState
 from repro.crypto.prng import DeterministicPRNG
 from repro.kernels import KernelBackend
-from repro.telemetry import traced
+from repro.telemetry import counter, metrics, traced
 
 __all__ = [
     "ColumnarProtocol",
@@ -105,6 +107,16 @@ def _grow(array: np.ndarray, needed: int, fill: Any = 0) -> np.ndarray:
     grown = np.full(max(needed, 2 * len(array), 16), fill, dtype=array.dtype)
     grown[: len(array)] = array
     return grown
+
+
+def _appears_once(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries of ``values`` that occur exactly once."""
+    if len(np.unique(values)) == len(values):
+        return np.ones(len(values), dtype=bool)
+    _, inverse, multiplicity = np.unique(
+        values, return_inverse=True, return_counts=True
+    )
+    return multiplicity[inverse] == 1
 
 
 # ======================================================================
@@ -942,10 +954,10 @@ class ColumnarProtocol(FileInsurerProtocol):
 
     Inherits every protocol rule; swaps the storage engine for columnar
     tables served through views, and overrides the hot paths (batched
-    File Add placement, the CheckAlloc/CheckProof rounds) with vectorised
-    sweeps that bail out to the inherited per-file code whenever the
-    sweep's preconditions do not hold.  See the module docstring for the
-    equivalence contract.
+    File Add placement, the CheckAlloc/CheckProof/CheckRefresh rounds)
+    with vectorised sweeps that leave to the inherited per-file code
+    whatever their preconditions do not cover.  See the module docstring
+    for the equivalence contract.
     """
 
     def __init__(
@@ -989,8 +1001,10 @@ class ColumnarProtocol(FileInsurerProtocol):
         for task in seeded_tasks:
             self.pending.schedule(task.time, task.kind, **task.payload)
         self.events = CountingEventLog()
-        #: Sampler slot -> sector table row (vectorised placement lookup).
+        #: Sampler slot -> sector table row (vectorised placement lookup)
+        #: and its inverse (vectorised release on a selectable sector).
         self._slot_to_row = np.empty(0, dtype=np.int64)
+        self._row_to_slot = np.empty(0, dtype=np.int64)
         #: Cache of ``params.replica_count`` per distinct value.
         self._replica_count_cache: Dict[int, int] = {}
 
@@ -1002,7 +1016,10 @@ class ColumnarProtocol(FileInsurerProtocol):
         if self.selector.kernel_mode:
             slot = self.selector.slot_of(sector_id)
             self._slot_to_row = _grow(self._slot_to_row, slot + 1, fill=-1)
-            self._slot_to_row[slot] = self.sectors.row_of(sector_id)
+            row = self.sectors.row_of(sector_id)
+            self._slot_to_row[slot] = row
+            self._row_to_slot = _grow(self._row_to_slot, row + 1, fill=-1)
+            self._row_to_slot[row] = slot
         return sector_id
 
     # ------------------------------------------------------------------
@@ -1178,20 +1195,19 @@ class ColumnarProtocol(FileInsurerProtocol):
     # Time: run-grouped task execution with vectorised sweeps
     # ------------------------------------------------------------------
     def advance_time(self, until: float) -> None:
-        from repro.telemetry import metrics
-
         if until < self.now:
             raise ValueError("time cannot move backwards")
+        kind_codes = self.pending._kind_codes
+        kind_alloc = kind_codes[self.TASK_CHECK_ALLOC]
+        kind_proof = kind_codes[self.TASK_CHECK_PROOF]
+        kind_refresh = kind_codes[self.TASK_CHECK_REFRESH]
+        kind_rent = kind_codes[self.TASK_RENT_PERIOD]
         while True:
             next_time = self.pending.peek_time()
             if next_time is None or next_time > until:
                 break
             self.now = max(self.now, next_time)
             _, kinds, a0, a1 = self.pending.pop_due_arrays(self.now)
-            kind_alloc = self.pending._kind_codes[self.TASK_CHECK_ALLOC]
-            kind_proof = self.pending._kind_codes[self.TASK_CHECK_PROOF]
-            kind_refresh = self.pending._kind_codes[self.TASK_CHECK_REFRESH]
-            kind_rent = self.pending._kind_codes[self.TASK_RENT_PERIOD]
             i, n = 0, len(kinds)
             while i < n:
                 j = i
@@ -1203,10 +1219,7 @@ class ColumnarProtocol(FileInsurerProtocol):
                 elif kind == kind_alloc:
                     self._check_alloc_run(a0[i:j])
                 elif kind == kind_refresh:
-                    for position in range(i, j):
-                        self._auto_check_refresh(
-                            int(a0[position]), int(a1[position])
-                        )
+                    self._check_refresh_run(a0[i:j], a1[i:j])
                 elif kind == kind_rent:
                     for _ in range(i, j):
                         self._auto_rent_period()
@@ -1263,65 +1276,139 @@ class ColumnarProtocol(FileInsurerProtocol):
         for _ in range(len(file_ids)):
             self.events.emit(EventType.FILE_STORED, self.now, "")
 
+    @traced("protocol.check_proof_run", category="protocol")
     def _check_proof_run(self, file_ids: np.ndarray) -> None:
-        """A run of same-time CheckProof tasks, vectorised when healthy.
+        """A run of same-time CheckProof tasks: one masked sweep.
 
-        Fast path preconditions (otherwise: inherited per-file method in
-        task order): placement-only mode (no fees), automatic proving with
-        a health oracle, no corruption so far, every file in the run still
-        normal, and every hosting sector healthy.  The oracle is then
-        consulted once per distinct hosting sector instead of once per
-        replica -- the documented purity contract for vectorised sweeps.
+        The run is processed in task order as alternating *[vector
+        stretch] [one scalar file]*: files :meth:`_proof_sweep_mask` clears
+        are swept with column writes, every other file goes through the
+        inherited :meth:`_auto_check_proof`.  Only that scalar call can
+        corrupt a sector (``proof deadline exceeded``), so the mask of the
+        remaining tail is re-derived exactly when ``_corruption_events``
+        -- an epoch counter -- moved during it.
         """
-        eligible = (
-            self._corruption_events == 0
-            and not self.charge_fees
-            and self.auto_prove
-            and self.health_oracle is not None
-            and len(file_ids) > 0
-            and len(np.unique(file_ids)) == len(file_ids)
-            and bool(np.all(file_ids >= 0))
-            and bool(np.all(file_ids < len(self.files)))
-            and bool(np.all(file_ids < len(self.alloc.block_start)))
-            and bool(
-                np.all(self.files.state[file_ids] == _FILE_CODE[FileState.NORMAL])
-            )
-            and bool(np.all(self.alloc.block_start[file_ids] >= 0))
-        )
-        rows = hosts = None
-        if eligible:
-            rows = self.alloc.block_rows(file_ids)
-            hosts = self.alloc.prev[rows]
-            hosted = hosts >= 0
-            for sector_row in np.unique(hosts[hosted]):
-                if not self.health_oracle(self.sectors.sector_ids[int(sector_row)]):
-                    eligible = False
+        scalar_files = 0
+        start, total = 0, len(file_ids)
+        while start < total:
+            tail = file_ids[start:]
+            vector, proof_rows, offsets = self._proof_sweep_mask(tail)
+            epoch = self._corruption_events
+            cursor = 0
+            for scalar in np.nonzero(~vector)[0].tolist():
+                self._proof_stretch(
+                    tail[cursor:scalar], proof_rows[offsets[cursor] : offsets[scalar]]
+                )
+                self._auto_check_proof(int(tail[scalar]))
+                scalar_files += 1
+                cursor = scalar + 1
+                if self._corruption_events != epoch:
                     break
-        if not eligible:
-            for file_id in file_ids:
-                self._auto_check_proof(int(file_id))
+            else:
+                self._proof_stretch(tail[cursor:], proof_rows[offsets[cursor] :])
+                cursor = len(tail)
+            start += cursor
+        counter(
+            "protocol.proof_sweep.vector_files",
+            total - scalar_files,
+            category="protocol",
+        )
+        counter("protocol.proof_sweep.scalar_files", scalar_files, category="protocol")
+
+    def _proof_sweep_mask(
+        self, file_ids: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-file vector eligibility of a CheckProof run, from the columns.
+
+        A file is swept when it appears once in the run, is ``NORMAL``, not
+        lost (some present row not ``CORRUPTED``), and every live row
+        (present, not ``CORRUPTED``, hosted) sits on a sector that is not
+        corrupted and that the health oracle calls healthy.  For such a
+        file Figure 8 reduces to independent writes: every live row is
+        credited a proof at ``now`` (which can breach no deadline),
+        ``CORRUPTED`` rows are skipped, the file is neither discarded nor
+        lost.  The sweep needs placement-only mode (no rent per cycle) and
+        automatic proving; the oracle is consulted once per distinct live
+        host instead of once per replica, so it must be pure within one
+        ``advance_time`` -- the purity contract of the vectorised sweeps.
+
+        Returns ``(vector, proof_rows, offsets)``: the mask, the live rows
+        of the swept files in task order, and the ``len + 1`` offsets that
+        slice ``proof_rows`` by run position.
+        """
+        count = len(file_ids)
+        vector = np.zeros(count, dtype=bool)
+        offsets = np.zeros(count + 1, dtype=np.int64)
+        no_rows = np.empty(0, dtype=np.int64)
+        limit = min(len(self.files), len(self.alloc.block_start))
+        if (
+            self.charge_fees
+            or not self.auto_prove
+            or self.health_oracle is None
+            or limit == 0
+        ):
+            return vector, no_rows, offsets
+        known = (file_ids >= 0) & (file_ids < limit)
+        ids = np.where(known, file_ids, 0)
+        candidate = (
+            known
+            & (self.files.state[ids] == _FILE_CODE[FileState.NORMAL])
+            & (self.alloc.block_start[ids] >= 0)
+            & _appears_once(ids)
+        )
+        positions = np.nonzero(candidate)[0]
+        if len(positions) == 0:
+            return vector, no_rows, offsets
+        candidates = file_ids[positions]
+        rows = self.alloc.block_rows(candidates)
+        replicas = self.files.replica_count[candidates].astype(np.int64)
+        starts = np.cumsum(replicas) - replicas
+        states = self.alloc.state[rows]
+        hosts = self.alloc.prev[rows]
+        available = (states != _ABSENT) & (
+            states != _ALLOC_CODE[AllocState.CORRUPTED]
+        )
+        live = available & (hosts >= 0)
+        live_hosts = hosts[live]
+        distinct = np.unique(live_hosts)
+        standing = distinct[
+            self.sectors.state[distinct] != _SECTOR_CODE[SectorState.CORRUPTED]
+        ]
+        healthy = np.zeros(len(self.sectors), dtype=bool)
+        healthy[
+            [
+                sector_row
+                for sector_row in standing.tolist()
+                if self.health_oracle(self.sectors.sector_ids[sector_row])
+            ]
+        ] = True
+        sick = np.zeros(len(rows), dtype=bool)
+        sick[live] = ~healthy[live_hosts]
+        swept = (np.add.reduceat(available, starts) > 0) & (
+            np.add.reduceat(sick, starts) == 0
+        )
+        vector[positions] = swept
+        credited = live & np.repeat(swept, replicas)
+        offsets[positions + 1] = np.add.reduceat(credited, starts)
+        np.cumsum(offsets, out=offsets)
+        return vector, rows[credited], offsets
+
+    def _proof_stretch(self, file_ids: np.ndarray, proof_rows: np.ndarray) -> None:
+        """Sweep one stretch of mask-cleared files with column writes.
+
+        The reschedule order interleaves with refresh scheduling exactly
+        as the per-file loop would: files up to and including a refreshing
+        file are rescheduled before that file's ``prng.randint`` +
+        ``_auto_refresh`` run.
+        """
+        if len(file_ids) == 0:
             return
-        # Credit proofs for every hosted, non-corrupted replica; with no
-        # corruption events so far there are no corrupted entries, and a
-        # fresh proof at `now` can never breach a deadline.
-        proof_rows = rows[(hosts >= 0) & (self.alloc.state[rows] != _ALLOC_CODE[AllocState.CORRUPTED])]
         self.alloc.last_proof[proof_rows] = self.now
-        # Schedule the next checkpoint and drive refresh countdowns.  The
-        # reschedule order interleaves with refresh scheduling exactly as
-        # the per-file loop would: files up to and including a refreshing
-        # file are rescheduled before that file's refresh runs.
         countdowns = self.files.countdown[file_ids] - 1
         self.files.countdown[file_ids] = countdowns
-        refreshing = np.nonzero(countdowns <= 0)[0]
         next_checkpoint = self.now + self.params.proof_cycle
-        if len(refreshing) == 0:
-            self.pending.schedule_batch(
-                next_checkpoint, self.TASK_CHECK_PROOF, file_ids
-            )
-            return
         cursor = 0
-        for position in refreshing:
-            position = int(position)
+        for position in np.nonzero(countdowns <= 0)[0].tolist():
             self.pending.schedule_batch(
                 next_checkpoint,
                 self.TASK_CHECK_PROOF,
@@ -1336,6 +1423,90 @@ class ColumnarProtocol(FileInsurerProtocol):
         self.pending.schedule_batch(
             next_checkpoint, self.TASK_CHECK_PROOF, file_ids[cursor:]
         )
+
+    @traced("protocol.check_refresh_run", category="protocol")
+    def _check_refresh_run(self, file_ids: np.ndarray, indexes: np.ndarray) -> None:
+        """A run of same-time CheckRefresh tasks, completions vectorised.
+
+        Maximal stretches of plain completions -- ``NORMAL`` file,
+        ``CONFIRM`` entry, old host not ``DISABLED`` (draining a disabled
+        sector may remove it and refund its deposit) -- are applied with
+        column writes; every other task takes the inherited
+        :meth:`_auto_check_refresh` in task order.  No task can change
+        another task's eligibility (each touches only its own row, and
+        nothing here disables a sector), so one mask serves the whole run.
+        """
+        total = len(file_ids)
+        vector = np.zeros(total, dtype=bool)
+        rows = np.zeros(total, dtype=np.int64)
+        limit = min(len(self.files), len(self.alloc.block_start))
+        if limit and self.alloc._rows:
+            known = (file_ids >= 0) & (file_ids < limit) & (indexes >= 0)
+            ids = np.where(known, file_ids, 0)
+            known &= (
+                (self.files.state[ids] == _FILE_CODE[FileState.NORMAL])
+                & (self.alloc.block_start[ids] >= 0)
+                & (indexes < self.files.replica_count[ids])
+            )
+            rows = np.where(known, self.alloc.block_start[ids] + indexes, 0)
+            old = self.alloc.prev[rows]
+            vector = (
+                known
+                & (self.alloc.state[rows] == _ALLOC_CODE[AllocState.CONFIRM])
+                & (self.alloc.next[rows] >= 0)
+                & (
+                    (old < 0)
+                    | (
+                        self.sectors.state[np.maximum(old, 0)]
+                        != _SECTOR_CODE[SectorState.DISABLED]
+                    )
+                )
+                & _appears_once(rows)
+            )
+        scalar_tasks = np.nonzero(~vector)[0].tolist()
+        cursor = 0
+        for scalar in scalar_tasks:
+            self._refresh_stretch(file_ids[cursor:scalar], rows[cursor:scalar])
+            self._auto_check_refresh(int(file_ids[scalar]), int(indexes[scalar]))
+            cursor = scalar + 1
+        self._refresh_stretch(file_ids[cursor:], rows[cursor:])
+        counter(
+            "protocol.refresh_check.vector_tasks",
+            total - len(scalar_tasks),
+            category="protocol",
+        )
+        counter(
+            "protocol.refresh_check.scalar_tasks",
+            len(scalar_tasks),
+            category="protocol",
+        )
+
+    def _refresh_stretch(self, file_ids: np.ndarray, rows: np.ndarray) -> None:
+        """Complete one stretch of confirmed swaps (Figure 9) in columns."""
+        if len(rows) == 0:
+            return
+        old = self.alloc.prev[rows]
+        self.alloc.prev[rows] = self.alloc.next[rows]
+        self.alloc.next[rows] = -1
+        self.alloc.last_proof[rows] = self.now
+        self.alloc.state[rows] = _ALLOC_CODE[AllocState.NORMAL]
+        # Release the old hosts; corrupted or removed ones keep no books.
+        releasing = old >= 0
+        releasing[releasing] = (
+            self.sectors.state[old[releasing]] == _SECTOR_CODE[SectorState.NORMAL]
+        )
+        released = old[releasing]
+        sizes = self.files.size[file_ids[releasing]]
+        np.add.at(self.sectors.free, released, sizes)
+        np.subtract.at(self.sectors.stored, released, 1)
+        self.sectors.stored[released] = np.maximum(self.sectors.stored[released], 0)
+        self._agg_used -= int(sizes.sum())
+        if self.selector.track_free:
+            # A normal sector is always selectable, hence has a slot.
+            self.selector.debit_slots(self._row_to_slot[released], -sizes)
+        for file_id in file_ids.tolist():
+            self.files.countdown[file_id] = self._sample_refresh_countdown()
+            self.events.emit(EventType.FILE_REFRESH_COMPLETED, self.now, "")
 
     # ------------------------------------------------------------------
     # Vectorised aggregate queries

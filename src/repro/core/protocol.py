@@ -142,8 +142,9 @@ class FileInsurerProtocol:
         # suite pins the two against each other.
         self._agg_capacity = 0
         self._agg_used = 0
-        #: Sector corruptions seen so far (the columnar engine's
-        #: vectorised sweeps only apply while this stays zero).
+        #: Sector corruptions seen so far: the epoch of every sector and
+        #: allocation state a vectorised sweep derived (the columnar engine
+        #: re-derives its proof-sweep mask whenever this moves mid-run).
         self._corruption_events = 0
 
         if self.charge_fees:

@@ -207,7 +207,8 @@ def entries_from_artifact(
 
     if data.get("kind") == "protocol_columnar_bench":
         # ``benchmarks/test_bench_protocol_columnar.py``: File Add
-        # throughput and proof-round wall per engine.  Walls are
+        # throughput and proof-round wall (healthy, and after 2 % of the
+        # sectors crashed) per engine.  Walls are
         # normalised to seconds per 1000 files so the columnar full run
         # and the object capped slice land on comparable scales.
         deployment = {
@@ -222,6 +223,7 @@ def entries_from_artifact(
             for bench, field in (
                 ("protocol.file_add", "add_wall_s"),
                 ("protocol.proof_round", "proof_wall_s"),
+                ("protocol.degraded_round", "degraded_wall_s"),
             ):
                 files = row.get("files") or 0
                 if field in row and files:

@@ -4,7 +4,8 @@
 protocol state with the object engine for every operation stream.  These
 tests drive both engines through the same scripted scenarios -- batched
 fills, proof cycles with refreshes, crashes, discards, fee-charging runs,
-placement failures -- and compare full state fingerprints (sectors, files,
+placement failures, a degraded network (lost files, sick sectors, refreshes
+dying in flight) -- and compare full state fingerprints (sectors, files,
 allocation table, pending list, aggregates, ledger, event counts).
 """
 
@@ -12,7 +13,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro import telemetry
 from repro.chain.ledger import Ledger
+from repro.core.allocation import AllocState
 from repro.core.columnar import ColumnarPending, ColumnarProtocol
 from repro.core.events import EventType
 from repro.core.file_descriptor import FileState
@@ -35,14 +38,17 @@ def make_protocol(
     charge_fees=False,
     draw_batch=1,
     seed=11,
+    sick=frozenset(),
 ):
+    """``sick`` is the set of sector ids the health oracle stops vouching
+    for; tests mutate it between ``advance_time`` calls only."""
     params = ProtocolParams.small_test()
     ledger = Ledger()
     protocol = ENGINES[engine](
         params=params,
         ledger=ledger,
         prng=DeterministicPRNG.from_int(seed, domain="columnar-diff"),
-        health_oracle=lambda sector_id: True,
+        health_oracle=lambda sector_id: sector_id not in sick,
         auto_prove=True,
         charge_fees=charge_fees,
         backend=backend,
@@ -152,8 +158,81 @@ def scripted_run(protocol, checkpoints):
     return checkpoints
 
 
+def confirm_refreshes(protocol):
+    """The target providers' part of every refresh still in flight."""
+    confirmed = []
+    for notice in protocol.refresh_notices:
+        entry = protocol.alloc.try_get(notice.file_id, notice.replica_index)
+        if (
+            entry is not None
+            and entry.state == AllocState.ALLOC
+            and entry.next == notice.target_sector
+        ):
+            owner = protocol.sectors[notice.target_sector].owner
+            protocol.file_confirm(
+                owner, notice.file_id, notice.replica_index, notice.target_sector
+            )
+            confirmed.append(notice)
+    return confirmed
+
+
+def degraded_run(protocol, sick, checkpoints):
+    """The degraded regime, stage by stage: half the sectors crash (files
+    are lost), one survivor stops proving (late-proof punishment, then
+    `proof deadline exceeded` in the middle of a CheckProof run), and
+    confirmed refreshes complete while another one loses its target in
+    flight."""
+    stage = lambda: checkpoints.append(fingerprint(protocol))
+    ids = protocol.file_add_batch("client", [64 * 1024] * 30, [1] * 30, ROOT)
+    protocol.confirm_batch(ids)
+    protocol.advance_time(130.0)
+    stage()
+    sectors = sorted(protocol.sectors)
+    for sector_id in sectors[:4]:
+        protocol.crash_sector(sector_id)
+    stage()
+    protocol.advance_time(190.0)
+    assert protocol.files_lost > 0
+    stage()
+    # One proof cycle per stage, the providers confirming every refresh,
+    # while a survivor stays silent past proof_due, then proof_deadline.
+    sick.add(sectors[4])
+    punished = protocol.events.count(EventType.PROVIDER_PUNISHED)
+    for _ in range(7):
+        confirm_refreshes(protocol)
+        protocol.advance_time(protocol.now + 60.0)
+        stage()
+    assert protocol.events.count(EventType.PROVIDER_PUNISHED) > punished
+    assert protocol.sectors[sectors[4]].is_corrupted
+    # A confirmed refresh whose target dies before CheckRefresh.
+    in_flight = confirm_refreshes(protocol)
+    assert in_flight
+    protocol.crash_sector(in_flight[0].target_sector)
+    stage()
+    protocol.advance_time(protocol.now + 120.0)
+    stage()
+    return checkpoints
+
+
 class TestDifferentialScripted:
     """Same op stream on both engines => byte-identical state."""
+
+    def test_degraded_flow_matches_on_every_backend(self):
+        """Both engines on both kernel backends, fingerprinted after every
+        stage of the degraded regime (the masked sweep's reason to exist)."""
+        prints = {}
+        for engine in ENGINES:
+            for backend in ("reference", "vectorized"):
+                sick = set()
+                protocol = make_protocol(
+                    engine, providers=8, backend=backend, sick=sick
+                )
+                prints[(engine, backend)] = degraded_run(protocol, sick, [])
+        baseline = prints[("object", "reference")]
+        for key, checkpoints in prints.items():
+            assert len(checkpoints) == len(baseline), key
+            for stage, (want, got) in enumerate(zip(baseline, checkpoints)):
+                assert got == want, f"{key} diverges at stage {stage}"
 
     @pytest.mark.parametrize("backend", ["reference", "vectorized"])
     def test_scripted_flow_matches(self, backend):
@@ -383,6 +462,87 @@ class TestAggregateMaintenance:
         ids = protocol.file_add_batch("client", [64 * 1024] * 20, [1] * 20, ROOT)
         assert len(ids) == 20
         assert calls["n"] == 0
+
+
+def traced_advance(protocol, until):
+    """``advance_time`` with telemetry on; returns the counter totals."""
+    telemetry.enable()
+    try:
+        with telemetry.capture() as events:
+            protocol.advance_time(until)
+    finally:
+        telemetry.disable()
+        telemetry.drain()
+    return telemetry.summarize_events(events)["counters"]
+
+
+class TestMaskedSweepVisibility:
+    """The proof sweep and the refresh completions report how much of each
+    run left the columns -- and after a crash that is the lost and the
+    sick-hosted files, not the run (the regression this guards against:
+    one corrupted sector used to send every later sweep down the per-file
+    path)."""
+
+    def _stored(self, sick, files=40):
+        protocol = make_protocol(
+            "columnar", providers=8, backend="vectorized", sick=sick
+        )
+        ids = protocol.file_add_batch("client", [64 * 1024] * files, [1] * files, ROOT)
+        protocol.confirm_batch(ids)
+        protocol.advance_time(130.0)
+        return protocol, ids
+
+    def test_post_crash_sweep_is_scalar_only_for_lost_and_sick_hosted_files(self):
+        sick = set()
+        protocol, ids = self._stored(sick)
+        sectors = sorted(protocol.sectors)
+        for sector_id in sectors[:4]:
+            protocol.crash_sector(sector_id)
+        sick.add(sectors[4])
+        expected = 0
+        for file_id in ids:
+            hosts = [
+                entry.prev
+                for _, entry in protocol.alloc.entries_for_file(file_id)
+                if entry.state != AllocState.CORRUPTED
+            ]
+            expected += not hosts or sectors[4] in hosts
+        assert 0 < expected < len(ids)
+        totals = traced_advance(protocol, 190.0)
+        assert protocol.files_lost > 0
+        assert totals["protocol.proof_sweep.scalar_files"] == expected
+        assert totals["protocol.proof_sweep.vector_files"] == len(ids) - expected
+
+    def test_mask_is_rederived_when_a_sector_is_corrupted_mid_run(self):
+        """A silent sector breaches the proof deadline at the first file it
+        hosts; the epoch moved, so the rest of the run is re-masked and
+        its other files -- their rows there now corrupted, the remaining
+        hosts healthy -- go back to the columns."""
+        sick = set()
+        protocol, ids = self._stored(sick)
+        silent = sorted(protocol.sectors)[0]
+        sick.add(silent)
+        hosted = sum(
+            silent in protocol.alloc.replica_locations(file_id) for file_id in ids
+        )
+        assert hosted > 1
+        protocol.advance_time(protocol.now + 300.0)  # late, not yet past the deadline
+        assert not protocol.sectors[silent].is_corrupted
+        totals = traced_advance(protocol, protocol.now + 60.0)
+        assert protocol.sectors[silent].is_corrupted
+        assert protocol.files_lost == 0
+        assert totals["protocol.proof_sweep.scalar_files"] == 1
+        assert totals["protocol.proof_sweep.vector_files"] == len(ids) - 1
+
+    def test_confirmed_refreshes_complete_in_the_columns(self):
+        protocol, _ = self._stored(set())
+        while not protocol.refresh_notices:
+            protocol.advance_time(protocol.now + 60.0)
+        confirmed = confirm_refreshes(protocol)
+        totals = traced_advance(protocol, max(n.deadline for n in confirmed))
+        assert totals["protocol.refresh_check.vector_tasks"] == len(confirmed)
+        assert totals["protocol.refresh_check.scalar_tasks"] == 0
+        assert protocol.events.count(EventType.FILE_REFRESH_COMPLETED) == len(confirmed)
 
 
 class TestColumnarFacades:

@@ -503,6 +503,18 @@ def _protocol_fingerprint(protocol):
     }
 
 
+class _ToggleOracle:
+    """Health oracle over a mutable sick set.  Ops flip the set between
+    ``advance_time`` calls only, so it is pure within each sweep -- the
+    contract the columnar engine's once-per-host consultation relies on."""
+
+    def __init__(self):
+        self.sick = set()
+
+    def __call__(self, sector_id):
+        return sector_id not in self.sick
+
+
 def _build_engine_pair(seed, backend, charge_fees):
     from repro.core.columnar import ColumnarProtocol
     from repro.core.params import ProtocolParams
@@ -515,7 +527,7 @@ def _build_engine_pair(seed, backend, charge_fees):
             params=ProtocolParams.small_test(),
             ledger=ledger,
             prng=DeterministicPRNG.from_int(seed, domain="columnar-hyp"),
-            health_oracle=lambda sector_id: True,
+            health_oracle=_ToggleOracle(),
             auto_prove=True,
             charge_fees=charge_fees,
             backend=backend,
@@ -529,6 +541,17 @@ def _build_engine_pair(seed, backend, charge_fees):
     return pair
 
 
+_HYP_ADVANCE = st.tuples(
+    st.just("advance"), st.sampled_from([30.0, 65.0, 140.0, 400.0])
+)
+#: Sector faults.  Beyond the detected crash: a sector that stops proving
+#: ("sick": late-proof punishment, then `proof deadline exceeded`
+#: corruption in the middle of a CheckProof run), proves again ("heal"),
+#: or collapses without the network noticing ("crash_silent").
+_HYP_FAULT = st.tuples(
+    st.sampled_from(["crash", "sick", "heal", "crash_silent"]),
+    st.integers(min_value=0, max_value=3),
+)
 _HYP_OP = st.one_of(
     st.tuples(
         st.just("batch"),
@@ -536,15 +559,17 @@ _HYP_OP = st.one_of(
         st.integers(min_value=1, max_value=3),
     ),
     st.tuples(st.just("add"), st.integers(min_value=1, max_value=16)),
-    st.tuples(st.just("advance"), st.sampled_from([30.0, 65.0, 140.0])),
-    st.tuples(st.just("crash"), st.integers(min_value=0, max_value=3)),
+    _HYP_ADVANCE,
+    _HYP_FAULT,
     st.tuples(st.just("discard"), st.integers(min_value=0, max_value=40)),
     st.tuples(st.just("disable"), st.integers(min_value=0, max_value=3)),
+    st.just(("confirm_refreshes",)),
 )
 
 
 def _apply_protocol_op(protocol, op):
     """Run one generated op; returns the error message if it was refused."""
+    from repro.core.allocation import AllocState
     from repro.core.protocol import ProtocolError
 
     root = b"\x06" * 32
@@ -566,6 +591,30 @@ def _apply_protocol_op(protocol, op):
             target = targets[op[1] % len(targets)]
             if not protocol.sectors[target].is_corrupted:
                 protocol.crash_sector(target)
+        elif op[0] in ("sick", "heal", "crash_silent"):
+            targets = sorted(protocol.sectors)
+            target = targets[op[1] % len(targets)]
+            if op[0] == "heal":
+                protocol.health_oracle.sick.discard(target)
+            else:
+                protocol.health_oracle.sick.add(target)
+            if op[0] == "crash_silent":
+                protocol.crash_sector(target, detected=False)
+        elif op[0] == "confirm_refreshes":
+            # The target providers' part of every refresh still in flight.
+            for notice in protocol.refresh_notices:
+                entry = protocol.alloc.try_get(notice.file_id, notice.replica_index)
+                if (
+                    entry is not None
+                    and entry.state == AllocState.ALLOC
+                    and entry.next == notice.target_sector
+                ):
+                    protocol.file_confirm(
+                        protocol.sectors[notice.target_sector].owner,
+                        notice.file_id,
+                        notice.replica_index,
+                        notice.target_sector,
+                    )
         elif op[0] == "discard":
             if op[1] in protocol.files:
                 protocol.file_discard("client", op[1])
@@ -617,3 +666,26 @@ def test_columnar_engine_matches_across_kernel_backends(ops, seed):
     assert _protocol_fingerprint(protocols["vectorized"]) == _protocol_fingerprint(
         protocols["reference"]
     )
+
+
+@settings(DIFF_SETTINGS, max_examples=100)
+@given(
+    ops=st.lists(
+        st.one_of(_HYP_ADVANCE, _HYP_FAULT, _HYP_OP), min_size=2, max_size=14
+    ),
+    seed=st.integers(min_value=0, max_value=7),
+    backend=st.sampled_from(["reference", "vectorized"]),
+)
+def test_columnar_engine_matches_through_degraded_sweeps(ops, seed, backend):
+    """The regime the masked proof sweep exists for: a stored, fee-free
+    deployment whose sectors then fall sick, crash or heal between sweeps.
+    Fault-heavy streams reach late-proof punishment, deadline corruption
+    mid-run (the epoch re-mask), lost files and refreshes whose source or
+    target dies in flight; state -- including ``last_proof`` of rows
+    corrupted mid-run -- must stay byte-identical to the object engine."""
+    reference, columnar = _build_engine_pair(seed, backend, False)
+    for op in [("batch", [1] * 8, 1), ("advance", 65.0)] + ops:
+        refused_ref = _apply_protocol_op(reference, op)
+        refused_col = _apply_protocol_op(columnar, op)
+        assert refused_col == refused_ref, op
+        assert _protocol_fingerprint(columnar) == _protocol_fingerprint(reference), op
