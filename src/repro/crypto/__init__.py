@@ -31,7 +31,7 @@ from repro.crypto.hashing import ContentId, hash_bytes, hash_concat
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.crypto.porep import PoRepParams, PoRepProver, PoRepVerifier, SealedReplica
 from repro.crypto.post import PoStChallenge, PoStProof, WindowPoSt, WinningPoSt
-from repro.crypto.prng import DeterministicPRNG
+from repro.crypto.prng import DeterministicPRNG, xor_bytes
 
 __all__ = [
     "ContentId",
@@ -50,4 +50,5 @@ __all__ = [
     "WinningPoSt",
     "hash_bytes",
     "hash_concat",
+    "xor_bytes",
 ]

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 __all__ = ["GF256", "ReedSolomonCode", "Shard"]
 
 
@@ -26,6 +28,7 @@ class GF256:
 
     _EXP: List[int] = []
     _LOG: List[int] = []
+    _MUL_ROWS: Dict[int, bytes] = {}
 
     @classmethod
     def _ensure_tables(cls) -> None:
@@ -60,6 +63,14 @@ class GF256:
         if a == 0 or b == 0:
             return 0
         return cls._EXP[cls._LOG[a] + cls._LOG[b]]
+
+    @classmethod
+    def mul_row(cls, a: int) -> bytes:
+        """The 256-byte table ``b -> a * b``, for ``bytes.translate``."""
+        row = cls._MUL_ROWS.get(a)
+        if row is None:
+            row = cls._MUL_ROWS[a] = bytes(cls.mul(a, b) for b in range(256))
+        return row
 
     @classmethod
     def inv(cls, a: int) -> int:
@@ -108,22 +119,27 @@ class ReedSolomonCode:
     # Lagrange interpolation helpers
     # ------------------------------------------------------------------
     @staticmethod
-    def _interpolate(points: Sequence[tuple], x: int) -> int:
-        """Evaluate at ``x`` the polynomial through ``points`` [(xi, yi)]."""
-        result = 0
-        for i, (xi, yi) in enumerate(points):
-            if yi == 0:
-                continue
+    def _lagrange_weights(xs: Sequence[int], x: int) -> List[int]:
+        """Weights ``w`` with ``p(x) = sum(w[i] * p(xs[i]))`` for ``deg p < len(xs)``."""
+        weights = []
+        for i, xi in enumerate(xs):
             numerator = 1
             denominator = 1
-            for j, (xj, _) in enumerate(points):
+            for j, xj in enumerate(xs):
                 if i == j:
                     continue
                 numerator = GF256.mul(numerator, GF256.add(x, xj))
                 denominator = GF256.mul(denominator, GF256.add(xi, xj))
-            term = GF256.mul(yi, GF256.div(numerator, denominator))
-            result = GF256.add(result, term)
-        return result
+            weights.append(GF256.div(numerator, denominator))
+        return weights
+
+    @staticmethod
+    def _combine(weights: Sequence[int], blocks: Sequence[bytes]) -> bytes:
+        """The GF(2^8) linear combination ``sum(weights[i] * blocks[i])``, bytewise."""
+        total = np.zeros(len(blocks[0]), dtype=np.uint8)
+        for weight, block in zip(weights, blocks):
+            total ^= np.frombuffer(block.translate(GF256.mul_row(weight)), dtype=np.uint8)
+        return total.tobytes()
 
     # ------------------------------------------------------------------
     # Encoding
@@ -141,16 +157,10 @@ class ReedSolomonCode:
             padded[i * shard_len : (i + 1) * shard_len] for i in range(self.data_shards)
         ]
         shards = [Shard(index=i, data=data_blocks[i]) for i in range(self.data_shards)]
-        if self.parity_shards == 0:
-            return shards
-        parity_blocks = [bytearray(shard_len) for _ in range(self.parity_shards)]
-        for column in range(shard_len):
-            points = [(i + 1, data_blocks[i][column]) for i in range(self.data_shards)]
-            for p in range(self.parity_shards):
-                x = self.data_shards + p + 1
-                parity_blocks[p][column] = self._interpolate(points, x)
-        for p in range(self.parity_shards):
-            shards.append(Shard(index=self.data_shards + p, data=bytes(parity_blocks[p])))
+        xs = range(1, self.data_shards + 1)
+        for index in range(self.data_shards, self.total_shards):
+            weights = self._lagrange_weights(xs, index + 1)
+            shards.append(Shard(index=index, data=self._combine(weights, data_blocks)))
         return shards
 
     # ------------------------------------------------------------------
@@ -177,15 +187,14 @@ class ReedSolomonCode:
             return self._unframe(framed)
 
         chosen = sorted(available)[: self.data_shards]
-        data_blocks = [bytearray(shard_len) for _ in range(self.data_shards)]
-        for column in range(shard_len):
-            points = [(index + 1, available[index][column]) for index in chosen]
-            for i in range(self.data_shards):
-                if i in available:
-                    data_blocks[i][column] = available[i][column]
-                else:
-                    data_blocks[i][column] = self._interpolate(points, i + 1)
-        framed = b"".join(bytes(block) for block in data_blocks)
+        xs = [index + 1 for index in chosen]
+        blocks = [available[index] for index in chosen]
+        framed = b"".join(
+            available[i]
+            if i in available
+            else self._combine(self._lagrange_weights(xs, i + 1), blocks)
+            for i in range(self.data_shards)
+        )
         return self._unframe(framed)
 
     @staticmethod

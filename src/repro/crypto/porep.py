@@ -24,11 +24,12 @@ proving would take, so higher layers can charge realistic time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from repro.crypto.hashing import ContentId, derive_key, hash_concat
 from repro.crypto.merkle import MerkleTree, chunk_bytes
-from repro.crypto.prng import DeterministicPRNG
+from repro.crypto.prng import DeterministicPRNG, xor_bytes
 
 __all__ = [
     "PoRepParams",
@@ -115,8 +116,10 @@ def _keystream(key: bytes, length: int) -> bytes:
     return DeterministicPRNG(key, domain="porep-seal").random_bytes(length)
 
 
-def _xor(data: bytes, stream: bytes) -> bytes:
-    return bytes(a ^ b for a, b in zip(data, stream))
+@lru_cache(maxsize=16)
+def _zero_data_root(size: int, chunk_size: int) -> bytes:
+    """Merkle root of ``size`` zero bytes: the ``data_root`` of every such CR."""
+    return MerkleTree.from_data(bytes(size), chunk_size).root
 
 
 class PoRepProver:
@@ -132,18 +135,24 @@ class PoRepProver:
         2), key-dependent (property 1) and deterministic so a lost replica
         can be recomputed bit-for-bit from the raw data (DRep recovery).
         """
-        sealed = _xor(data, _keystream(encryption_key, len(data)))
+        sealed = xor_bytes(data, _keystream(encryption_key, len(data)))
+        data_root = MerkleTree.from_data(data, self.params.chunk_size).root
+        return self._commit(sealed, data_root, encryption_key)
+
+    def _commit(
+        self, sealed: bytes, data_root: bytes, encryption_key: bytes
+    ) -> SealedReplica:
         commitment = ReplicaCommitment(
-            data_root=MerkleTree.from_data(data, self.params.chunk_size).root,
+            data_root=data_root,
             replica_root=MerkleTree.from_data(sealed, self.params.chunk_size).root,
             encryption_key_id=hash_concat(b"porep-key", encryption_key),
-            size=len(data),
+            size=len(sealed),
         )
         return SealedReplica(data=sealed, commitment=commitment)
 
     def unseal(self, replica: SealedReplica, encryption_key: bytes) -> bytes:
         """Recover the raw data from a sealed replica."""
-        return _xor(replica.data, _keystream(encryption_key, len(replica.data)))
+        return xor_bytes(replica.data, _keystream(encryption_key, len(replica.data)))
 
     def prove(self, replica: SealedReplica, encryption_key: bytes) -> PoRepProof:
         """Produce the (simulated) SNARK binding replica, data and key."""
@@ -159,9 +168,15 @@ class PoRepProver:
         """Seal an all-zeros region of ``size`` bytes (a Capacity Replica).
 
         CRs prove that free sector space is really available.  Because the
-        raw data is all zeros, a discarded CR can always be regenerated.
+        raw data is all zeros, a discarded CR can always be regenerated --
+        and the sealed bytes are the keystream itself, with a ``data_root``
+        that depends only on ``(size, chunk_size)``.
         """
-        return self.setup(bytes(size), encryption_key)
+        return self._commit(
+            _keystream(encryption_key, size),
+            _zero_data_root(size, self.params.chunk_size),
+            encryption_key,
+        )
 
 
 class PoRepVerifier:

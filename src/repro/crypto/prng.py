@@ -10,13 +10,28 @@ that every node derives the same sector choices.
 
 from __future__ import annotations
 
+import hashlib
+import math
 from typing import Iterator, Optional, Sequence, TypeVar
+
+import numpy as np
 
 from repro.crypto.hashing import hash_concat
 
-__all__ = ["DeterministicPRNG"]
+__all__ = ["DeterministicPRNG", "xor_bytes"]
 
 T = TypeVar("T")
+
+
+def xor_bytes(data: bytes, stream: bytes) -> bytes:
+    """XOR ``data`` with an equally long ``stream`` in one buffer operation."""
+    if len(stream) != len(data):
+        raise ValueError(
+            f"stream is {len(stream)} bytes, data is {len(data)}: lengths must match"
+        )
+    return np.bitwise_xor(
+        np.frombuffer(data, dtype=np.uint8), np.frombuffer(stream, dtype=np.uint8)
+    ).tobytes()
 
 
 class DeterministicPRNG:
@@ -34,26 +49,37 @@ class DeterministicPRNG:
             raise TypeError("seed must be bytes")
         self._seed = bytes(seed)
         self._domain = domain.encode("utf-8")
+        # Block ``i`` is ``hash_concat(seed, domain, i.to_bytes(8, "big"))``;
+        # everything before the counter's own 8 bytes is hashed once here.
+        prefix = hashlib.sha256()
+        for part in (self._seed, self._domain):
+            prefix.update(len(part).to_bytes(8, "big"))
+            prefix.update(part)
+        prefix.update((8).to_bytes(8, "big"))
+        self._prefix = prefix
         self._counter = 0
         self._buffer = b""
 
     # ------------------------------------------------------------------
     # Raw byte stream
     # ------------------------------------------------------------------
-    def _refill(self) -> None:
-        block = hash_concat(
-            self._seed, self._domain, self._counter.to_bytes(8, "big")
-        )
-        self._counter += 1
-        self._buffer += block
-
     def random_bytes(self, length: int) -> bytes:
         """Return ``length`` pseudorandom bytes."""
         if length < 0:
             raise ValueError("length must be non-negative")
-        while len(self._buffer) < length:
-            self._refill()
-        out, self._buffer = self._buffer[:length], self._buffer[length:]
+        buffer = self._buffer
+        missing = length - len(buffer)
+        if missing > 0:
+            prefix = self._prefix
+            start = self._counter
+            self._counter = start + -(-missing // prefix.digest_size)
+            parts = [buffer]
+            for counter in range(start, self._counter):
+                block = prefix.copy()
+                block.update(counter.to_bytes(8, "big"))
+                parts.append(block.digest())
+            buffer = b"".join(parts)
+        out, self._buffer = buffer[:length], buffer[length:]
         return out
 
     # ------------------------------------------------------------------
@@ -95,8 +121,6 @@ class DeterministicPRNG:
         """
         if mean <= 0:
             raise ValueError("mean must be positive")
-        import math
-
         u = self.random()
         # Guard against log(0); random() < 1 so 1-u > 0 always holds.
         return -mean * math.log(1.0 - u)

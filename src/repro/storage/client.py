@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 
 from repro.crypto.hashing import ContentId, derive_key
 from repro.crypto.merkle import MerkleTree
-from repro.crypto.prng import DeterministicPRNG
+from repro.crypto.prng import DeterministicPRNG, xor_bytes
 from repro.storage.bitswap import BitSwapNetwork, BitSwapNode
 from repro.storage.content_store import ContentStore
 from repro.storage.dag import MerkleDag
@@ -92,8 +92,7 @@ class StorageClient:
 
     def _encrypt(self, data: bytes) -> bytes:
         stream = DeterministicPRNG(self._encryption_key, domain="client-encrypt")
-        pad = stream.random_bytes(len(data))
-        return bytes(a ^ b for a, b in zip(data, pad))
+        return xor_bytes(data, stream.random_bytes(len(data)))
 
     def decrypt(self, payload: bytes) -> bytes:
         """Invert client-side encryption (XOR pad is an involution)."""

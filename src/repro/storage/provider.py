@@ -66,6 +66,10 @@ class ProviderSector:
         self._files: Dict[bytes, _StoredReplica] = {}
         self._capacity_replicas: List[_StoredReplica] = []
         self._next_cr_index = 0
+        # Running totals of the two collections above, kept in step by
+        # store_file / remove_file / refill / evict.
+        self._file_bytes = 0
+        self._cr_bytes = 0
 
     # ------------------------------------------------------------------
     # Capacity accounting
@@ -73,7 +77,7 @@ class ProviderSector:
     @property
     def used_by_files(self) -> int:
         """Bytes of file replicas stored."""
-        return sum(item.size for item in self._files.values())
+        return self._file_bytes
 
     @property
     def free_capacity(self) -> int:
@@ -91,8 +95,7 @@ class ProviderSector:
         DRep requires this to stay below one CR size; :meth:`refill_capacity_replicas`
         maintains the invariant.
         """
-        cr_bytes = sum(item.size for item in self._capacity_replicas)
-        return self.capacity - self.used_by_files - cr_bytes
+        return self.capacity - self._file_bytes - self._cr_bytes
 
     # ------------------------------------------------------------------
     # Capacity replicas (DRep)
@@ -126,6 +129,7 @@ class ProviderSector:
                     is_capacity_replica=True,
                 )
             )
+            self._cr_bytes += self.capacity_replica_size
             created += 1
         return created
 
@@ -135,6 +139,7 @@ class ProviderSector:
             self.provider.disk.free < needed or self.unsealed_space() < needed
         ):
             victim = self._capacity_replicas.pop()
+            self._cr_bytes -= victim.size
             self.provider.disk.delete(victim.region)
 
     # ------------------------------------------------------------------
@@ -152,6 +157,10 @@ class ProviderSector:
         replica = self.provider.porep.setup(data, key)
         self._evict_capacity_replicas(len(data))
         self.provider.disk.write(region, replica.data)
+        replaced = self._files.get(file_root)
+        if replaced is not None:
+            self._file_bytes -= replaced.size
+        self._file_bytes += len(data)
         self._files[file_root] = _StoredReplica(
             region=region,
             replica=replica,
@@ -167,6 +176,7 @@ class ProviderSector:
         stored = self._files.pop(file_root, None)
         if stored is None:
             return False
+        self._file_bytes -= stored.size
         self.provider.disk.delete(stored.region)
         self.refill_capacity_replicas()
         return True

@@ -107,6 +107,31 @@ class TestProviderSectors:
         cr_bytes = sector.capacity_replica_count * 16 * KIB
         assert sector.used_by_files + cr_bytes <= sector.capacity
 
+    def test_running_totals_match_the_stored_replicas(self):
+        provider = make_provider()
+        sector = provider.create_sector("s0", 128 * KIB, capacity_replica_size=16 * KIB)
+
+        def check():
+            file_bytes = sum(item.size for item in sector._files.values())
+            cr_bytes = sum(item.size for item in sector._capacity_replicas)
+            assert sector.used_by_files == file_bytes
+            assert sector.free_capacity == sector.capacity - file_bytes
+            assert sector.unsealed_space() == sector.capacity - file_bytes - cr_bytes
+            assert provider.disk.used == file_bytes + cr_bytes
+
+        check()
+        blobs = [bytes([i]) * size for i, size in enumerate((20 * KIB, 3 * KIB, 40 * KIB))]
+        roots = [MerkleTree.from_data(blob, 1024).root for blob in blobs]
+        for root, blob in zip(roots, blobs):
+            sector.store_file(root, blob)
+            check()
+        sector.store_file(roots[0], blobs[0])  # re-storing replaces, not double counts
+        check()
+        for root in (roots[2], roots[0], roots[0]):
+            sector.remove_file(root)
+            check()
+        assert sector.used_by_files == 3 * KIB
+
     def test_sector_capacity_enforced(self):
         provider = make_provider()
         sector = provider.create_sector("s0", 64 * KIB, capacity_replica_size=16 * KIB)
