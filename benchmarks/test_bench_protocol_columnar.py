@@ -52,6 +52,9 @@ ADD_BATCH = 10_000
 #: and degraded) must be at least this multiple of the object engine's.
 MIN_SPEEDUP = 5.0
 
+#: Timed runs per engine; the gates compare the fastest of each.
+ROUNDS = 3
+
 #: The degraded round crashes every ``CRASH_STRIDE``-th sector (2 %).
 CRASH_STRIDE = 50
 
@@ -135,12 +138,31 @@ def run_engine(engine: str, providers: int, files: int):
     }
 
 
+def fastest(runs):
+    """One engine's runs folded to the fastest wall of each phase."""
+    best = dict(runs[0], max_rss_mb=max(run["max_rss_mb"] for run in runs))
+    for phase in ("add", "proof", "degraded"):
+        wall = min(run[f"{phase}_wall_s"] for run in runs)
+        best[f"{phase}_wall_s"] = wall
+        best[f"{phase}_files_per_s"] = round(best["files"] / wall, 1)
+    return best
+
+
 def run_bench(scale: str = "default"):
-    """Both engines at ``scale``; the object engine on its capped slice."""
+    """Both engines at ``scale``; the object engine on its capped slice.
+
+    Each engine is timed ``ROUNDS`` times, the two interleaved, and the
+    speedups are ratios of the per-phase minima: the object side of File
+    Add is a 0.1 s window, and one stall of a shared host inside it used
+    to read as a missed gate.
+    """
     shape = SCALES[scale]
-    columnar = run_engine("columnar", shape["providers"], shape["files"])
     object_files = min(shape["object_cap"], shape["files"])
-    reference = run_engine("object", shape["providers"], object_files)
+    columnar_runs, object_runs = [], []
+    for _ in range(ROUNDS):
+        columnar_runs.append(run_engine("columnar", shape["providers"], shape["files"]))
+        object_runs.append(run_engine("object", shape["providers"], object_files))
+    columnar, reference = fastest(columnar_runs), fastest(object_runs)
     speedup = {
         "file_add": round(
             columnar["add_files_per_s"] / reference["add_files_per_s"], 2
@@ -159,6 +181,7 @@ def run_bench(scale: str = "default"):
         "k": 3,
         "add_batch": ADD_BATCH,
         "file_size": FILE_SIZE,
+        "rounds": ROUNDS,
         "columnar": columnar,
         "object": reference,
         "speedup": speedup,
@@ -166,17 +189,6 @@ def run_bench(scale: str = "default"):
         "platform": platform.platform(),
         "python": platform.python_version(),
     }
-
-
-def _gated_speedups(scale: str):
-    """Measure; on a gate miss, re-measure once and keep the better run
-    (shared CI runners stall individual timings, not both attempts)."""
-    artifact = run_bench(scale)
-    if min(artifact["speedup"].values()) < MIN_SPEEDUP:
-        retry = run_bench(scale)
-        if min(retry["speedup"].values()) > min(artifact["speedup"].values()):
-            artifact = retry
-    return artifact
 
 
 def bench_scale():
@@ -187,7 +199,7 @@ def bench_scale():
 # pytest gates
 # ----------------------------------------------------------------------
 def test_columnar_speedup_gates(record):
-    artifact = _gated_speedups(bench_scale())
+    artifact = run_bench(bench_scale())
     columnar, reference = artifact["columnar"], artifact["object"]
     record(
         f"columnar File Add [{artifact['scale']}]",
@@ -269,7 +281,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    artifact = _gated_speedups(args.scale)
+    artifact = run_bench(args.scale)
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(artifact, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -201,12 +201,25 @@ class WeightedSampler(Generic[K]):
         """
         if self._total <= 0:
             raise ValueError("cannot sample from an empty or zero-weight sampler")
-        target = prng.randint(0, self._total - 1)
-        slot = self._find_slot(target)
+        return self.key_at_offset(prng.randint(0, self._total - 1))
+
+    def key_at_offset(self, offset: int) -> K:
+        """Key owning ``offset`` on the cumulative-weight line.
+
+        Slots are laid end to end in slot order, each ``weight`` units
+        long; ``offset`` must lie in ``[0, total_weight)``.  This is the
+        deterministic half of :meth:`sample`, for callers that turn their
+        own random draw into an offset.
+        """
+        if not 0 <= offset < self._total:
+            raise ValueError(
+                f"offset {offset} outside the weight line [0, {self._total})"
+            )
+        slot = self._find_slot(offset)
         key = self._keys[slot]
         if key is None:
             raise SamplerInvariantError(
-                slot=slot, target=target, weight=self._weights[slot], total=self._total
+                slot=slot, target=offset, weight=self._weights[slot], total=self._total
             )
         return key
 

@@ -41,19 +41,24 @@ class SimulationEngine:
     """Priority-queue driven event loop over simulated time."""
 
     def __init__(self) -> None:
-        self._queue: List[Event] = []
+        #: Heap of ``(time, priority, sequence, event)``.  ``sequence`` is
+        #: unique, so tuple comparison -- done in C -- settles every
+        #: ordering before it could reach the event itself.
+        self._queue: List[Tuple[float, int, int, Event]] = []
         self._sequence = itertools.count()
+        #: Sequences of live events; a heap entry whose sequence is not in
+        #: here is a tombstone left behind by :meth:`cancel`.
         self._pending: Set[int] = set()
-        self._cancelled: Set[int] = set()
         self.now = 0.0
         self.events_processed = 0
         self.events_cancelled = 0
         self._stopped = False
         #: Observability hook: when set, called as ``probe(now)`` after
-        #: every event :meth:`run` processes.  The lifecycle layer points
-        #: it at a gauge snapshotter while :mod:`repro.telemetry.metrics`
-        #: is recording; it must never schedule events or touch seeded
-        #: RNG streams (``events_processed`` is part of the rows).
+        #: every event processed, by :meth:`run` or :meth:`step` (they
+        #: share one loop).  The lifecycle layer points it at a gauge
+        #: snapshotter while :mod:`repro.telemetry.metrics` is recording;
+        #: it must never schedule events or touch seeded RNG streams
+        #: (``events_processed`` is part of the rows).
         self.metrics_probe: Optional[Callable[[float], None]] = None
 
     # ------------------------------------------------------------------
@@ -79,17 +84,14 @@ class SimulationEngine:
         label: str = "",
     ) -> Event:
         """Schedule ``callback`` at an absolute simulation time."""
-        if time < self.now:
+        # Written as "not >=" so a NaN time, which would silently corrupt
+        # the heap order, is refused along with times in the past.
+        if not time >= self.now:
             raise ValueError("cannot schedule an event in the past")
-        event = Event(
-            time=time,
-            priority=priority,
-            sequence=next(self._sequence),
-            callback=callback,
-            label=label,
-        )
-        heapq.heappush(self._queue, event)
-        self._pending.add(event.sequence)
+        sequence = next(self._sequence)
+        event = Event(time, priority, sequence, callback, label)
+        heapq.heappush(self._queue, (time, priority, sequence, event))
+        self._pending.add(sequence)
         return event
 
     def cancel(self, event: Event) -> bool:
@@ -104,54 +106,65 @@ class SimulationEngine:
         if event.sequence not in self._pending:
             return False
         self._pending.discard(event.sequence)
-        self._cancelled.add(event.sequence)
         self.events_cancelled += 1
         return True
-
-    def _purge_cancelled_head(self) -> None:
-        """Drop tombstoned events sitting at the front of the heap."""
-        while self._queue and self._queue[0].sequence in self._cancelled:
-            dropped = heapq.heappop(self._queue)
-            self._cancelled.discard(dropped.sequence)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    def _run(
+        self, until: Optional[float], max_events: Optional[int]
+    ) -> Tuple[int, Optional[Event]]:
+        """The one event loop behind :meth:`step` and :meth:`run`.
+
+        Runs live events in order until the queue drains, the next one
+        lies past ``until``, ``max_events`` have run or :meth:`stop` is
+        called; returns how many ran and the last of them.  Tombstones
+        are reclaimed as they surface, without advancing the clock or
+        counting as processed.
+        """
+        queue = self._queue
+        pending = self._pending
+        heappop = heapq.heappop
+        processed = 0
+        last: Optional[Event] = None
+        while queue:
+            time, _, sequence, event = queue[0]
+            if sequence not in pending:
+                heappop(queue)
+                continue
+            if until is not None and time > until:
+                break
+            if max_events is not None and processed >= max_events:
+                break
+            heappop(queue)
+            pending.discard(sequence)
+            self.now = time
+            event.callback()
+            self.events_processed += 1
+            processed += 1
+            last = event
+            if self.metrics_probe is not None:
+                self.metrics_probe(self.now)
+            if self._stopped:
+                break
+        return processed, last
+
     def step(self) -> Optional[Event]:
         """Run the next live event; returns it, or None if none remain.
 
         Cancelled events are skipped (and reclaimed) without advancing
         the clock or counting as processed.
         """
-        self._purge_cancelled_head()
-        if not self._queue:
-            return None
-        event = heapq.heappop(self._queue)
-        self._pending.discard(event.sequence)
-        self.now = event.time
-        event.callback()
-        self.events_processed += 1
-        return event
+        return self._run(None, 1)[1]
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run events until the queue drains, ``until`` passes, or a cap hits.
 
         Returns the number of events processed by this call.
         """
-        processed = 0
         self._stopped = False
-        while not self._stopped:
-            self._purge_cancelled_head()
-            if not self._queue:
-                break
-            if until is not None and self._queue[0].time > until:
-                break
-            if max_events is not None and processed >= max_events:
-                break
-            self.step()
-            processed += 1
-            if self.metrics_probe is not None:
-                self.metrics_probe(self.now)
+        processed, _ = self._run(until, max_events)
         if until is not None and until > self.now:
             self.now = until
         if processed:
@@ -171,5 +184,7 @@ class SimulationEngine:
 
     def next_event_time(self) -> Optional[float]:
         """Time of the next live event, or None if nothing is queued."""
-        self._purge_cancelled_head()
-        return self._queue[0].time if self._queue else None
+        queue = self._queue
+        while queue and queue[0][2] not in self._pending:
+            heapq.heappop(queue)
+        return queue[0][0] if queue else None

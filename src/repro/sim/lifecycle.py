@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+from repro.core.selector import WeightedSampler
 from repro.crypto.prng import DeterministicPRNG
 from repro.sim.engine import Event, SimulationEngine
 from repro.sim.network import LatencyModel
@@ -179,6 +180,9 @@ class LifecycleMachine:
     TRANSITIONS: Mapping[Tuple[Enum, Enum], Enum] = {}
     INITIAL: Enum
     TERMINAL: frozenset = frozenset()
+    #: Telemetry counter name per event, spelled out once per machine
+    #: class instead of once per applied transition.
+    COUNTERS: Mapping[Enum, str] = {}
 
     __slots__ = ("subject", "state", "history")
 
@@ -208,17 +212,10 @@ class LifecycleMachine:
     def apply(self, event: Enum, time: float = 0.0) -> TransitionRecord:
         """Apply ``event``, record the transition, bump its counter."""
         to_state = self.peek(event)
-        record = TransitionRecord(
-            time=time,
-            machine=self.MACHINE,
-            subject=self.subject,
-            from_state=self.state,
-            event=event,
-            to_state=to_state,
-        )
+        record = TransitionRecord(time, self.MACHINE, self.subject, self.state, event, to_state)
         self.state = to_state
         self.history.append(record)
-        counter(f"lifecycle.{self.MACHINE}.{event.value}", category="lifecycle")
+        counter(self.COUNTERS[event], category="lifecycle")
         return record
 
     def apply_if_valid(self, event: Enum, time: float = 0.0) -> Optional[TransitionRecord]:
@@ -240,6 +237,7 @@ class FileMachine(LifecycleMachine):
     MACHINE = "file"
     TRANSITIONS = FILE_TRANSITIONS
     INITIAL = FileLifecycleState.PENDING
+    COUNTERS = {event: f"lifecycle.file.{event.value}" for event in FileLifecycleEvent}
     TERMINAL = frozenset({FileLifecycleState.LOST})
 
 
@@ -250,6 +248,7 @@ class ProviderMachine(LifecycleMachine):
     MACHINE = "provider"
     TRANSITIONS = PROVIDER_TRANSITIONS
     INITIAL = ProviderLifecycleState.JOINED
+    COUNTERS = {event: f"lifecycle.provider.{event.value}" for event in ProviderLifecycleEvent}
     TERMINAL = frozenset({ProviderLifecycleState.DEPARTED})
 
 
@@ -430,6 +429,13 @@ class LifecycleSimulation:
         }
         self.capacity = {name: cfg.slots_per_provider for name in self.provider_names}
         self.used: Dict[str, int] = {name: 0 for name in self.provider_names}
+        #: Refresh-target weight per provider: its free slots while it is
+        #: ``ACTIVE``, else 0.  Kept in step by :meth:`_sync_refresh_weight`
+        #: so a draw walks the Fenwick tree instead of every provider;
+        #: slot order is ``provider_names`` order (nothing is ever removed).
+        self._refresh_weights: WeightedSampler[str] = WeightedSampler()
+        for name in self.provider_names:
+            self._refresh_weights.add(name, 0)
         #: Replica sets per file and the reverse hosting index.
         self.replicas_of: Dict[int, Set[str]] = {}
         self.hosted_files: Dict[str, Set[int]] = {name: set() for name in self.provider_names}
@@ -460,6 +466,7 @@ class LifecycleSimulation:
         self.unserved = 0
         self.deadline_misses = 0
         self.refresh_failures = 0
+        self.regional_failures_fired = 0
         self.placement_failures = 0
         self.refreshes_cancelled_degradation = 0
         self.min_free_slots = cfg.slots_per_provider
@@ -479,10 +486,22 @@ class LifecycleSimulation:
         if free < 0:
             raise RuntimeError(f"negative free capacity on {provider}")
         self.min_free_slots = min(self.min_free_slots, free)
+        self._sync_refresh_weight(provider)
 
     def _release_all(self, provider: str) -> None:
-        """A crash wipes the provider's disk: every slot frees."""
+        """A crash or departure empties the provider: every slot frees."""
         self.used[provider] = 0
+        self._sync_refresh_weight(provider)
+
+    def _sync_refresh_weight(self, provider: str) -> None:
+        """Re-derive the provider's refresh-target weight.
+
+        Called wherever ``used`` or the provider's state changes.
+        """
+        active = self.registry.provider(provider).state is ProviderLifecycleState.ACTIVE
+        self._refresh_weights.update_weight(
+            provider, self.capacity[provider] - self.used[provider] if active else 0
+        )
 
     # ------------------------------------------------------------------
     # Setup: providers
@@ -500,6 +519,7 @@ class LifecycleSimulation:
         for name in self.provider_names:
             machine = self.registry.provider(name)
             machine.apply(ProviderLifecycleEvent.ACTIVATED, time=0.0)
+            self._sync_refresh_weight(name)
             self._arm_crash_clock(name, 0.0)
             if name in departing:
                 when = self._prng.random() * cfg.horizon_s
@@ -557,6 +577,7 @@ class LifecycleSimulation:
         now = self.engine.now
         machine.apply(ProviderLifecycleEvent.RECOVERED, time=now)
         machine.apply(ProviderLifecycleEvent.ACTIVATED, time=now)
+        self._sync_refresh_weight(name)
         self._arm_crash_clock(name, now)
 
     def _on_departure(self, name: str) -> None:
@@ -569,6 +590,7 @@ class LifecycleSimulation:
         clock = self._crash_clock.pop(name, None)
         if clock is not None:
             self.engine.cancel(clock)
+        self._release_all(name)
         for file_id in sorted(self._inbound_refresh[name]):
             self._abort_inbound_refresh(file_id, now)
         self._inbound_refresh[name].clear()
@@ -577,7 +599,6 @@ class LifecycleSimulation:
             self.replicas_of[file_id].discard(name)
             self._on_replica_lost(file_id, now)
         self.hosted_files[name] = set()
-        self.used[name] = 0
 
     def _schedule_regional_failures(self) -> None:
         cfg = self.config
@@ -592,7 +613,7 @@ class LifecycleSimulation:
             )
 
     def _on_regional_failure(self, region: int) -> None:
-        self.regional_failures_fired = getattr(self, "regional_failures_fired", 0) + 1
+        self.regional_failures_fired += 1
         for name in self.provider_names:
             if self.region_of[name] != region:
                 continue
@@ -760,18 +781,32 @@ class LifecycleSimulation:
         self._refresh_complete[file_id] = (event, target)
 
     def _pick_refresh_target(self, file_id: int) -> Optional[str]:
-        """Capacity-weighted draw over healthy providers not yet hosting."""
-        candidates = [
-            name
-            for name in self.provider_names
-            if self.registry.provider(name).state is ProviderLifecycleState.ACTIVE
-            and self.used[name] < self.capacity[name]
-            and name not in self.replicas_of.get(file_id, set())
+        """Free-slot-weighted draw over healthy providers not yet hosting.
+
+        The file's current holders are zeroed in the sampler for the
+        length of the draw.  The draw is the one ``weighted_index`` makes
+        over the candidates' free slots -- a single ``random() * total``
+        -- and lands on the same provider: the prefix sums are integers,
+        so ``target < prefix`` and ``int(target) < prefix`` agree.
+        """
+        weights = self._refresh_weights
+        holders = [
+            (name, weights.weight(name)) for name in self.replicas_of.get(file_id, ())
         ]
-        if not candidates:
-            return None
-        free = [self.capacity[name] - self.used[name] for name in candidates]
-        return candidates[self._prng.weighted_index(free)]
+        for name, _ in holders:
+            weights.update_weight(name, 0)
+        total = weights.total_weight
+        target = None
+        if total > 0:
+            # min() is weighted_index's "last candidate" fallback, should
+            # the float product ever round up to the total.
+            offset = min(int(self._prng.random() * total), total - 1)
+            target = weights.key_at_offset(offset)
+        for name, weight in holders:
+            weights.update_weight(name, weight)
+        outcome = "none" if target is None else "picked"
+        counter(f"lifecycle.refresh_target.{outcome}", category="lifecycle")
+        return target
 
     def _on_refresh_complete(self, file_id: int, target: str) -> None:
         now = self.engine.now
@@ -1001,7 +1036,7 @@ class LifecycleSimulation:
             "provider_crashes": counts.get("provider.crashed", 0),
             "provider_recoveries": counts.get("provider.recovered", 0),
             "provider_departures": counts.get("provider.departed", 0),
-            "regional_failures": getattr(self, "regional_failures_fired", 0),
+            "regional_failures": self.regional_failures_fired,
             "retrievals": self.retrievals,
             "flash_retrievals": self.flash_retrievals,
             "served": served,

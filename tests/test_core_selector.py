@@ -83,6 +83,17 @@ class TestWeightedSampler:
         for _ in range(100):
             assert sampler.sample(sampler_prng) == "b"
 
+    def test_key_at_offset_walks_the_weight_line_in_slot_order(self):
+        sampler = WeightedSampler()
+        for key, weight in [("a", 2), ("b", 0), ("c", 3), ("d", 1)]:
+            sampler.add(key, weight)
+        assert [sampler.key_at_offset(o) for o in range(6)] == list("aacccd")
+        sampler.update_weight("c", 0)
+        assert [sampler.key_at_offset(o) for o in range(3)] == list("aad")
+        for offset in (-1, 3):
+            with pytest.raises(ValueError):
+                sampler.key_at_offset(offset)
+
     def test_large_population_uniformity(self, sampler_prng):
         sampler = WeightedSampler()
         for i in range(200):

@@ -131,6 +131,111 @@ class TestSimulationEngine:
         assert engine.pending_count() == 0
 
 
+    def test_equal_time_and_priority_run_in_schedule_order_without_comparing_callbacks(self):
+        """Ordering is settled by (time, priority, sequence) alone."""
+
+        class Opaque:
+            """A callback that refuses every comparison."""
+
+            def __init__(self, log, name):
+                self.log, self.name = log, name
+
+            def __call__(self):
+                self.log.append(self.name)
+
+            def _refuse(self, other):
+                raise AssertionError("the engine compared two callbacks")
+
+            __lt__ = __le__ = __gt__ = __ge__ = __eq__ = _refuse
+            __hash__ = object.__hash__
+
+        engine = SimulationEngine()
+        order = []
+        for name in "abcdefgh":
+            engine.schedule_at(1.0, Opaque(order, name), priority=3, label=name)
+        engine.run()
+        assert order == list("abcdefgh")
+
+    def test_cancel_is_false_once_the_event_ran_or_was_cancelled(self):
+        engine = SimulationEngine()
+        ran = engine.schedule(1.0, lambda: None)
+        dropped = engine.schedule(2.0, lambda: None)
+        assert engine.step() is ran
+        assert engine.cancel(ran) is False
+        assert engine.cancel(dropped) is True
+        assert engine.cancel(dropped) is False
+        assert engine.events_cancelled == 1
+        assert engine.step() is None  # only the tombstone was left
+        assert engine.cancel(dropped) is False  # still False once reclaimed
+        assert (engine.events_processed, engine.events_cancelled) == (1, 1)
+
+    def test_accounting_across_tombstones_at_the_head_and_in_the_middle(self):
+        engine = SimulationEngine()
+        fired = []
+        events = [
+            engine.schedule_at(float(t), lambda t=t: fired.append(t)) for t in range(1, 7)
+        ]
+        for index in (0, 1, 3):  # the head twice over, and one in the middle
+            assert engine.cancel(events[index])
+        assert engine.pending_count() == 3
+        assert engine.events_cancelled == 3
+        assert engine.next_event_time() == 3.0
+        assert engine.pending_count() == 3  # peeking reclaims tombstones only
+        assert engine.step() is events[2]
+        assert engine.next_event_time() == 5.0  # past the middle tombstone
+        assert engine.cancel(events[5])
+        assert engine.run() == 1
+        assert fired == [3, 5]
+        assert engine.now == 5.0
+        assert engine.pending_count() == 0
+        assert engine.next_event_time() is None
+        assert (engine.events_processed, engine.events_cancelled) == (2, 4)
+
+    def test_run_until_and_max_events_together(self):
+        engine = SimulationEngine()
+        fired = []
+        for t in range(1, 9):
+            engine.schedule_at(float(t), lambda t=t: fired.append(t))
+        assert engine.run(until=6.0, max_events=4) == 4  # the cap binds first
+        assert engine.now == 6.0  # ... and the clock still moves to until
+        assert engine.run(until=6.5, max_events=4) == 2  # now until binds
+        assert fired == [1, 2, 3, 4, 5, 6]
+        assert engine.run(max_events=0) == 0
+        assert engine.pending_count() == 2
+
+    def test_stop_applies_to_the_current_run_only(self):
+        engine = SimulationEngine()
+        fired = []
+        engine.schedule(1.0, lambda: (fired.append(1), engine.stop()))
+        engine.schedule(2.0, lambda: fired.append(2))
+        engine.schedule(3.0, lambda: fired.append(3))
+        assert engine.run(until=10.0) == 1
+        engine.stop()  # between runs: forgotten by the next run
+        assert engine.run() == 2
+        assert fired == [1, 2, 3]
+
+    def test_probe_sees_every_event_whether_stepped_or_run(self):
+        """step() and run() are one loop, so the probe cannot miss an event."""
+        engine = SimulationEngine()
+        probed = []
+        engine.metrics_probe = probed.append
+        first = engine.schedule(2.0, lambda: None, label="first")
+        engine.cancel(engine.schedule(3.0, lambda: None))
+        engine.schedule(4.0, lambda: None)
+        assert engine.step() is first
+        assert engine.now == 2.0
+        engine.run()
+        assert probed == [2.0, 4.0]
+
+    def test_nan_times_rejected(self):
+        engine = SimulationEngine()
+        with pytest.raises(ValueError):
+            engine.schedule_at(float("nan"), lambda: None)
+        with pytest.raises(ValueError):
+            engine.schedule(float("nan"), lambda: None)
+        assert engine.pending_count() == 0
+
+
 class TestNetwork:
     def test_transfer_time_scales_with_size(self):
         latency = LatencyModel(base_latency_s=0.1, bandwidth_bytes_per_s=1000, jitter_fraction=0)

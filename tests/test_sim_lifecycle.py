@@ -13,6 +13,7 @@ integration.
 
 from __future__ import annotations
 
+import collections
 import itertools
 
 import numpy as np
@@ -398,6 +399,10 @@ class TestLifecycleSimulation:
         names = {e["name"] for e in lifecycle_events}
         assert "lifecycle.provider.crashed" in names
         assert "lifecycle.file.placement_confirmed" in names
+        # Every started refresh drew a target exactly once, found or not.
+        count = collections.Counter(e["name"] for e in lifecycle_events)
+        draws = count["lifecycle.refresh_target.picked"] + count["lifecycle.refresh_target.none"]
+        assert draws == count["lifecycle.file.refresh_started"] > 0
 
     def test_rejects_degenerate_configs(self):
         with pytest.raises(ValueError):
