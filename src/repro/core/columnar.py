@@ -1013,13 +1013,12 @@ class ColumnarProtocol(FileInsurerProtocol):
     # ------------------------------------------------------------------
     def sector_register(self, owner: str, capacity: int) -> str:
         sector_id = super().sector_register(owner, capacity)
-        if self.selector.kernel_mode:
-            slot = self.selector.slot_of(sector_id)
-            self._slot_to_row = _grow(self._slot_to_row, slot + 1, fill=-1)
-            row = self.sectors.row_of(sector_id)
-            self._slot_to_row[slot] = row
-            self._row_to_slot = _grow(self._row_to_slot, row + 1, fill=-1)
-            self._row_to_slot[row] = slot
+        slot = self.selector.slot_of(sector_id)
+        self._slot_to_row = _grow(self._slot_to_row, slot + 1, fill=-1)
+        row = self.sectors.row_of(sector_id)
+        self._slot_to_row[slot] = row
+        self._row_to_slot = _grow(self._row_to_slot, row + 1, fill=-1)
+        self._row_to_slot[row] = slot
         return sector_id
 
     # ------------------------------------------------------------------
@@ -1036,7 +1035,7 @@ class ColumnarProtocol(FileInsurerProtocol):
         # The vectorised sweep covers the placement-only regime (no fee
         # bookkeeping per replica); everything else inherits the generic
         # batch, which produces identical state through the views.
-        if not self.selector.kernel_mode or self.charge_fees:
+        if self.charge_fees:
             return super().file_add_batch(owner, sizes, values, merkle_root)
         if len(sizes) != len(values):
             raise ProtocolError("file_add_batch: sizes and values must align")
@@ -1124,7 +1123,7 @@ class ColumnarProtocol(FileInsurerProtocol):
             self.alloc.last_proof[rows] = -1.0
             self.alloc.state[rows] = _ALLOC_CODE[AllocState.ALLOC]
             self.alloc._live += len(rows)
-            # Sector reservations, aggregates and the selector's tracked
+            # Sector reservations, aggregates and the selector's
             # free table -- one vectorised debit each.
             np.subtract.at(self.sectors.free, ok_rows, ok_sizes)
             np.add.at(self.sectors.stored, ok_rows, 1)
@@ -1501,9 +1500,8 @@ class ColumnarProtocol(FileInsurerProtocol):
         np.subtract.at(self.sectors.stored, released, 1)
         self.sectors.stored[released] = np.maximum(self.sectors.stored[released], 0)
         self._agg_used -= int(sizes.sum())
-        if self.selector.track_free:
-            # A normal sector is always selectable, hence has a slot.
-            self.selector.debit_slots(self._row_to_slot[released], -sizes)
+        # A normal sector is always selectable, hence has a slot.
+        self.selector.debit_slots(self._row_to_slot[released], -sizes)
         for file_id in file_ids.tolist():
             self.files.countdown[file_id] = self._sample_refresh_countdown()
             self.events.emit(EventType.FILE_REFRESH_COMPLETED, self.now, "")

@@ -38,7 +38,6 @@ class PendingList:
     def __init__(self) -> None:
         self._heap: List[Tuple[float, int, PendingTask]] = []
         self._sequence = itertools.count()
-        self._cancelled: set = set()
 
     def schedule(self, time: float, kind: str, **payload: Any) -> PendingTask:
         """Schedule ``kind`` with ``payload`` to execute at ``time``."""
@@ -48,47 +47,28 @@ class PendingList:
         heapq.heappush(self._heap, (time, task.sequence, task))
         return task
 
-    def cancel(self, task: PendingTask) -> None:
-        """Cancel a scheduled task (it is skipped when popped)."""
-        self._cancelled.add(task.sequence)
-
     def peek_time(self) -> Optional[float]:
         """Time of the earliest pending task, or None when empty."""
-        self._drop_cancelled()
         return self._heap[0][0] if self._heap else None
 
     def pop_due(self, now: float) -> List[PendingTask]:
         """Remove and return all tasks due at or before ``now`` in order."""
         due: List[PendingTask] = []
         while self._heap and self._heap[0][0] <= now:
-            _, sequence, task = heapq.heappop(self._heap)
-            if sequence in self._cancelled:
-                self._cancelled.discard(sequence)
-                continue
-            due.append(task)
+            due.append(heapq.heappop(self._heap)[2])
         return due
 
-    def _drop_cancelled(self) -> None:
-        while self._heap and self._heap[0][1] in self._cancelled:
-            _, sequence, _ = heapq.heappop(self._heap)
-            self._cancelled.discard(sequence)
-
     def __len__(self) -> int:
-        return len(self._heap) - len(self._cancelled)
+        return len(self._heap)
 
     def count_kind(self, kind: str) -> int:
-        """Live tasks of one kind still queued (observability helper)."""
-        return sum(
-            1
-            for _, sequence, task in self._heap
-            if task.kind == kind and sequence not in self._cancelled
-        )
+        """Tasks of one kind still queued (observability helper)."""
+        return sum(1 for _, _, task in self._heap if task.kind == kind)
 
     def is_empty(self) -> bool:
-        """True when no live task remains."""
-        return len(self) == 0
+        """True when no task remains."""
+        return not self._heap
 
     def tasks(self) -> List[PendingTask]:
         """Snapshot of pending tasks in execution order (for inspection)."""
-        live = [item for item in self._heap if item[1] not in self._cancelled]
-        return [task for _, _, task in sorted(live)]
+        return [task for _, _, task in sorted(self._heap)]

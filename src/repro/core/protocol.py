@@ -87,20 +87,17 @@ class FileInsurerProtocol:
         self.ledger = ledger or Ledger()
         self.prng = prng or DeterministicPRNG.from_int(2022, domain="fileinsurer-protocol")
         self.events = EventLog()
-        #: ``backend`` routes ``RandomSector()`` draws through the
-        #: backend-dispatched ``batch_weighted_draw`` kernel
-        #: (:mod:`repro.kernels`): sector choices stay deterministic in
-        #: the protocol seed and bit-identical across backends.  ``None``
-        #: keeps the original one-draw-at-a-time SHA-256 path.  In kernel
-        #: mode the selector also tracks per-slot free capacities
-        #: incrementally (every reservation/release below reports to it),
-        #: so kernel calls stop rebuilding the free table by scanning all
-        #: sectors; ``draw_batch`` > 1 additionally prefetches that many
-        #: plain refresh-target draws per kernel call.
+        #: ``RandomSector()`` draws go through the backend-dispatched
+        #: ``batch_weighted_draw`` kernel (:mod:`repro.kernels`): sector
+        #: choices are deterministic in the protocol seed and bit-identical
+        #: across backends (``backend=None`` resolves like ``"auto"``).
+        #: The selector keeps its per-slot free table incrementally (every
+        #: reservation/release below reports to it), so no kernel call
+        #: scans the sector records; ``draw_batch`` > 1 prefetches that
+        #: many plain refresh-target draws per kernel call.
         self.selector = CapacitySelector(
             self.prng.spawn("sector-selection"),
             backend=backend,
-            track_free=backend is not None,
             draw_batch=draw_batch,
         )
         self.backend = self.selector.backend
@@ -309,65 +306,10 @@ class FileInsurerProtocol:
         if self.charge_fees:
             self.fees.charge_gas(owner, "file_add")
 
-        file_id = self._next_file_id
-        self._next_file_id += 1
-        self.files[file_id] = FileDescriptor(
-            file_id=file_id,
-            owner=owner,
-            size=size,
-            value=value,
-            merkle_root=merkle_root,
-            replica_count=replica_count,
-            created_at=self.now,
+        return self._place_file(
+            owner, size, value, merkle_root,
+            self.selector.select_batch([size] * replica_count),
         )
-        # Re-fetch so mutations below go through the storage engine (a
-        # plain dict returns the same object; the columnar engine returns
-        # a view over its tables).
-        descriptor = self.files[file_id]
-        self.events.emit(
-            EventType.FILE_ADD_REQUESTED,
-            self.now,
-            f"file#{file_id}",
-            owner=owner,
-            size=size,
-            value=value,
-            replicas=replica_count,
-        )
-
-        # In kernel mode the whole replica set is placed with one
-        # batched kernel call; the kernel's private free-table debits
-        # mirror the record.reserve() below, so the batch is equivalent
-        # to drawing one replica at a time.
-        batched: Optional[List[Optional[str]]] = None
-        if self.selector.kernel_mode:
-            batched = self.selector.select_batch([size] * replica_count)
-        for index in range(replica_count):
-            sector_id = (
-                batched[index] if batched is not None
-                else self._select_sector_with_space(size)
-            )
-            if sector_id is None:
-                # Cannot place the replica anywhere: fail the upload.
-                self._remove_file(descriptor, reason="no capacity")
-                descriptor.state = FileState.FAILED
-                self.events.emit(
-                    EventType.FILE_UPLOAD_FAILED,
-                    self.now,
-                    f"file#{file_id}",
-                    reason="no sector with sufficient free capacity",
-                )
-                return file_id
-            record = self.sectors[sector_id]
-            self._reserve_space(record, size)
-            entry = AllocEntry(prev=None, next=sector_id, last_proof=-1.0, state=AllocState.ALLOC)
-            self.alloc.set(file_id, index, entry)
-            if self.charge_fees:
-                escrow = self.fees.commit_traffic_fee(owner, record.owner, size)
-                self._traffic_escrows[(file_id, index)] = escrow
-
-        deadline = self.now + self.params.transfer_deadline(size)
-        self.pending.schedule(deadline, self.TASK_CHECK_ALLOC, file_id=file_id)
-        return file_id
 
     @traced("protocol.file_add_batch", category="protocol")
     def file_add_batch(
@@ -390,17 +332,14 @@ class FileInsurerProtocol:
           placed; the first file that would exceed a limit truncates the
           batch there (if that is the very first file, the batch raises
           exactly like per-file ``File Add`` would);
-        * in kernel mode, gas for the admitted prefix is charged first and
-          all replica placements run as a single ``batch_weighted_draw``
-          call; per-file bookkeeping then replays in order and stops after
-          the first file whose placement failed (its descriptor is kept in
-          state ``failed``, matching per-file semantics).
+        * gas for the admitted prefix is charged first and all replica
+          placements run as a single ``batch_weighted_draw`` call; per-file
+          bookkeeping then replays in order and stops after the first file
+          whose placement failed (its descriptor is kept in state
+          ``failed``, matching per-file semantics).
 
         Returns the ids of every descriptor created; the last id may name
         a failed upload, which callers treat as the fill stopping point.
-        Without a kernel backend this degrades to sequential
-        :meth:`file_add` calls with the same stop-at-first-failure
-        contract (one kernel call per file is meaningless in legacy mode).
         """
         if len(sizes) != len(values):
             raise ProtocolError("file_add_batch: sizes and values must align")
@@ -419,20 +358,6 @@ class FileInsurerProtocol:
                 raise ProtocolError("file value must be positive")
         if not sizes:
             return []
-        if not self.selector.kernel_mode:
-            ids: List[int] = []
-            for size, value in zip(sizes, values):
-                try:
-                    file_id = self.file_add(owner, size, value, merkle_root)
-                except ProtocolError:
-                    if not ids:
-                        raise
-                    break
-                ids.append(file_id)
-                if self.files[file_id].state == FileState.FAILED:
-                    break
-            return ids
-
         replica_counts = [self.params.replica_count(value) for value in values]
         admitted = self._admitted_prefix(sizes, values, replica_counts)
         gas_ok = admitted
@@ -451,68 +376,78 @@ class FileInsurerProtocol:
             sizes[i] for i in range(gas_ok) for _ in range(replica_counts[i])
         ]
         placements = self.selector.select_batch(expanded)
-        ids = []
+        ids: List[int] = []
         cursor = 0
         for i in range(gas_ok):
-            size, value, replica_count = sizes[i], values[i], replica_counts[i]
-            file_id = self._next_file_id
-            self._next_file_id += 1
-            self.files[file_id] = FileDescriptor(
-                file_id=file_id,
-                owner=owner,
-                size=size,
-                value=value,
-                merkle_root=merkle_root,
-                replica_count=replica_count,
-                created_at=self.now,
-            )
-            descriptor = self.files[file_id]
-            ids.append(file_id)
-            self.events.emit(
-                EventType.FILE_ADD_REQUESTED,
-                self.now,
-                f"file#{file_id}",
-                owner=owner,
-                size=size,
-                value=value,
-                replicas=replica_count,
-            )
-            failed = False
-            for index in range(replica_count):
-                sector_id = placements[cursor]
-                cursor += 1
-                if sector_id is None:
-                    self._remove_file(descriptor, reason="no capacity")
-                    descriptor.state = FileState.FAILED
-                    self.events.emit(
-                        EventType.FILE_UPLOAD_FAILED,
-                        self.now,
-                        f"file#{file_id}",
-                        reason="no sector with sufficient free capacity",
-                    )
-                    failed = True
-                    break
-                record = self.sectors[sector_id]
-                self._reserve_space(record, size)
-                self.alloc.set(
-                    file_id,
-                    index,
-                    AllocEntry(
-                        prev=None, next=sector_id, last_proof=-1.0,
-                        state=AllocState.ALLOC,
-                    ),
-                )
-                if self.charge_fees:
-                    escrow = self.fees.commit_traffic_fee(owner, record.owner, size)
-                    self._traffic_escrows[(file_id, index)] = escrow
-            if failed:
-                break  # remaining placements of the batch are discarded
-            self.pending.schedule(
-                self.now + self.params.transfer_deadline(size),
-                self.TASK_CHECK_ALLOC,
-                file_id=file_id,
-            )
+            drawn = placements[cursor : cursor + replica_counts[i]]
+            cursor += replica_counts[i]
+            ids.append(self._place_file(owner, sizes[i], values[i], merkle_root, drawn))
+            if None in drawn:
+                break  # failed upload: the batch's remaining placements are discarded
         return ids
+
+    def _place_file(
+        self,
+        owner: str,
+        size: int,
+        value: int,
+        merkle_root: bytes,
+        placements: List[Optional[str]],
+    ) -> int:
+        """The per-file body of ``File Add`` (Figure 4), after admission.
+
+        ``placements`` holds the sector drawn for each replica (``None``
+        where every attempt collided).  Creates the descriptor, reserves
+        each replica's space and schedules ``Auto CheckAlloc``; on the
+        first ``None`` the upload fails and its reservations are undone.
+        Returns the file id.
+        """
+        file_id = self._next_file_id
+        self._next_file_id += 1
+        self.files[file_id] = FileDescriptor(
+            file_id=file_id,
+            owner=owner,
+            size=size,
+            value=value,
+            merkle_root=merkle_root,
+            replica_count=len(placements),
+            created_at=self.now,
+        )
+        # Re-fetch so mutations below go through the storage engine (a
+        # plain dict returns the same object; the columnar engine returns
+        # a view over its tables).
+        descriptor = self.files[file_id]
+        self.events.emit(
+            EventType.FILE_ADD_REQUESTED,
+            self.now,
+            f"file#{file_id}",
+            owner=owner,
+            size=size,
+            value=value,
+            replicas=len(placements),
+        )
+        for index, sector_id in enumerate(placements):
+            if sector_id is None:
+                # Cannot place the replica anywhere: fail the upload.
+                self._remove_file(descriptor, reason="no capacity")
+                descriptor.state = FileState.FAILED
+                self.events.emit(
+                    EventType.FILE_UPLOAD_FAILED,
+                    self.now,
+                    f"file#{file_id}",
+                    reason="no sector with sufficient free capacity",
+                )
+                return file_id
+            record = self.sectors[sector_id]
+            self._reserve_space(record, size)
+            entry = AllocEntry(prev=None, next=sector_id, last_proof=-1.0, state=AllocState.ALLOC)
+            self.alloc.set(file_id, index, entry)
+            if self.charge_fees:
+                escrow = self.fees.commit_traffic_fee(owner, record.owner, size)
+                self._traffic_escrows[(file_id, index)] = escrow
+        deadline = self.now + self.params.transfer_deadline(size)
+        self.pending.schedule(deadline, self.TASK_CHECK_ALLOC, file_id=file_id)
+        return file_id
 
     def _admitted_prefix(
         self, sizes: List[int], values: List[int], replica_counts: List[int]
@@ -1074,32 +1009,13 @@ class FileInsurerProtocol:
                 f"would exceed the redundant-capacity budget of {replica_budget:.0f}"
             )
 
-    def _select_sector_with_space(self, size: int) -> Optional[str]:
-        """``RandomSector()`` with the free-capacity retry loop of Figure 4.
-
-        With a tracked-free selector (kernel mode) the free table is the
-        selector's own columnar array -- no per-call scan; otherwise the
-        per-sector callable reproduces the original lookup.
-        """
-        if self.selector.track_free:
-            return self.selector.select_with_space(size)
-        return self.selector.select_with_space(
-            size, lambda sector_id: self._free_capacity_if_accepting(sector_id)
-        )
-
-    def _free_capacity_if_accepting(self, sector_id: str) -> int:
-        record = self.sectors.get(sector_id)
-        if record is None or not record.accepts_new_files:
-            return -1
-        return record.free_capacity
-
     def _sample_refresh_countdown(self) -> int:
         """``SampleExp(AvgRefresh)`` rounded up to at least one checkpoint."""
         return max(1, int(math.ceil(self.prng.expovariate(self.params.avg_refresh))))
 
     def _reserve_space(self, record: SectorRecord, size: int) -> None:
         """Reserve replica space, keeping the running aggregates and the
-        selector's tracked free table in sync with the record."""
+        selector's free table in sync with the record."""
         record.reserve(size)
         self._agg_used += size
         self.selector.set_free(record.sector_id, record.free_capacity)

@@ -11,7 +11,7 @@ experiments (hundreds of millions of placements) feasible.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generic, Hashable, List, Optional, Sequence, TypeVar, Union
+from typing import Dict, Generic, Hashable, List, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -233,37 +233,28 @@ class CapacitySelector:
     Table III experiments bound.  Collisions are counted so experiments can
     report them.
 
-    Two draw engines share the Fenwick membership bookkeeping:
+    Every draw goes through the backend-dispatched ``batch_weighted_draw``
+    kernel (:mod:`repro.kernels`) on dedicated per-call uint32 streams
+    whose entropy is derived once from ``prng``, so a deployment is fully
+    reproducible from its seed and *bit-identical across backends*.
+    :meth:`select_batch` amortises one kernel call over a whole replica
+    set.
 
-    * **legacy** (``backend=None``): every draw hashes the protocol's
-      SHA-256 :class:`DeterministicPRNG` stream through
-      :meth:`WeightedSampler.sample` -- the original, one-at-a-time path;
-    * **kernel mode** (``backend`` given): draws go through the
-      backend-dispatched ``batch_weighted_draw`` kernel
-      (:mod:`repro.kernels`) on dedicated per-call uint32 streams whose
-      entropy is derived once from ``prng``, so a deployment is still
-      fully reproducible from its seed and *bit-identical across
-      backends*.  ``select_batch`` amortises one kernel call over a whole
-      replica set.
+    The per-slot free table the kernels accept placements against is a
+    columnar ``int64`` array maintained incrementally: the caller reports
+    every reservation/release via :meth:`set_free` / :meth:`debit_slots`,
+    so no call scans the sector records.
 
-    Two further amortisations back the million-file protocol paths:
-
-    * **tracked free capacities** (``track_free=True``): the caller keeps
-      the selector informed of every reservation/release via
-      :meth:`set_free` / :meth:`debit_slots`, and the per-slot free table
-      handed to the kernels is a columnar ``int64`` array maintained
-      incrementally -- no per-call Python scan over every slot;
-    * **draw prefetching** (``draw_batch > 1``): plain ``random_sector``
-      draws are served from a buffer filled ``draw_batch`` at a time by a
-      single kernel call, so refresh-target selection stops paying the
-      per-draw stream-derivation + cumsum overhead.  The buffer is
-      flushed whenever membership or weights change, which keeps every
-      served draw consistent with the live sector set; the draw
-      *sequence* is a function of the op stream and ``draw_batch`` only,
-      so it stays bit-identical across backends.
+    Plain :meth:`random_sector` draws are served from a buffer filled
+    ``draw_batch`` at a time by a single kernel call, so refresh-target
+    selection stops paying the per-draw stream-derivation + cumsum
+    overhead.  The buffer is flushed whenever membership or weights
+    change, which keeps every served draw consistent with the live sector
+    set; the draw *sequence* is a function of the op stream and
+    ``draw_batch`` only, so it stays bit-identical across backends.
     """
 
-    #: Stream label under which kernel-mode entropy is derived from the
+    #: Stream label under which the draw entropy is derived from the
     #: selector's PRNG (consumed exactly once, at construction).
     _KERNEL_ENTROPY_LABEL = "sampler-kernel-entropy"
 
@@ -272,40 +263,31 @@ class CapacitySelector:
         prng: DeterministicPRNG,
         max_attempts: int = 1000,
         backend: Optional[Union[str, "KernelBackend"]] = None,
-        track_free: bool = False,
         draw_batch: int = 1,
     ) -> None:
         if draw_batch < 1:
             raise ValueError("draw_batch must be at least 1")
-        self.prng = prng
+        # Imported lazily so repro.kernels.reference can import this
+        # module (for the Fenwick oracle) without a cycle.
+        from repro.kernels import get_backend
+
         self.max_attempts = max_attempts
         self._sampler: WeightedSampler[str] = WeightedSampler()
         self.collisions = 0
         self.samples = 0
-        self.kernels = None
-        self.backend: Optional[str] = None
-        self.track_free = track_free
+        self.kernels = get_backend(backend)
+        self.backend: str = self.kernels.name
         self.draw_batch = draw_batch
-        #: Tracked per-slot free capacities (int64; -1 for recycled slots).
+        #: Per-slot free capacities (int64; -1 for recycled slots, which
+        #: carry weight 0 and are never drawn, so the value only has to be
+        #: *some* rejection).
         self._free = np.empty(0, dtype=np.int64)
-        #: Prefetched plain-draw slots (kernel mode, ``draw_batch > 1``).
+        #: Prefetched plain-draw slots, served in draw order via pop().
         self._draw_buffer: List[int] = []
-        if backend is not None:
-            # Imported lazily so repro.kernels.reference can import this
-            # module (for the Fenwick oracle) without a cycle.
-            from repro.kernels import get_backend
-
-            self.kernels = get_backend(backend)
-            self.backend = self.kernels.name
-            self._entropy = int.from_bytes(
-                prng.spawn(self._KERNEL_ENTROPY_LABEL).random_bytes(16), "big"
-            )
-            self._draw_calls = 0
-
-    @property
-    def kernel_mode(self) -> bool:
-        """True when draws are dispatched through ``batch_weighted_draw``."""
-        return self.kernels is not None
+        self._entropy = int.from_bytes(
+            prng.spawn(self._KERNEL_ENTROPY_LABEL).random_bytes(16), "big"
+        )
+        self._draw_calls = 0
 
     def _next_stream(self) -> "np.random.Generator":
         """A fresh dedicated uint32 stream for one kernel call."""
@@ -315,40 +297,6 @@ class CapacitySelector:
         self._draw_calls += 1
         return stream
 
-    def _free_table(
-        self, free_space_of: Optional[Callable[[str], int]]
-    ) -> np.ndarray:
-        """Per-slot free capacities for the kernel's place acceptance.
-
-        With ``free_space_of`` given, the table is rebuilt by querying the
-        callable per slot (the original, O(slots)-per-call path).  With
-        ``free_space_of=None`` the selector must be tracking free
-        capacities (:attr:`track_free`) and the incrementally maintained
-        columnar table is used directly -- the kernels take a defensive
-        copy, so handing them the live array is safe.
-
-        Recycled slots report ``-1``; they carry weight 0 and are never
-        drawn, so the value only has to be *some* rejection.
-        """
-        if free_space_of is None:
-            if not self.track_free:
-                raise RuntimeError(
-                    "free_space_of=None requires a track_free selector"
-                )
-            return self._free[: self._sampler.slot_count]
-        free = np.full(self._sampler.slot_count, -1, dtype=np.int64)
-        for slot in range(self._sampler.slot_count):
-            key = self._sampler.key_at(slot)
-            if key is not None:
-                free[slot] = int(free_space_of(key))
-        return free
-
-    def _ensure_free_capacity(self, slots: int) -> None:
-        if len(self._free) < slots:
-            grown = np.full(max(slots, 2 * len(self._free)), -1, dtype=np.int64)
-            grown[: len(self._free)] = self._free
-            self._free = grown
-
     # ------------------------------------------------------------------
     # Membership management (driven by the protocol)
     # ------------------------------------------------------------------
@@ -357,48 +305,45 @@ class CapacitySelector:
     ) -> None:
         """Make a sector eligible for selection.
 
-        With :attr:`track_free`, the sector's tracked free capacity starts
-        at ``free`` (default: its full ``capacity``).
+        Its free capacity starts at ``free`` (default: the full
+        ``capacity``).
         """
         self._sampler.add(sector_id, capacity)
         self._draw_buffer.clear()
-        if self.track_free:
-            slot = self._sampler.slot_of(sector_id)
-            self._ensure_free_capacity(slot + 1)
-            self._free[slot] = capacity if free is None else int(free)
+        slot = self._sampler.slot_of(sector_id)
+        if len(self._free) <= slot:
+            grown = np.full(max(slot + 1, 2 * len(self._free)), -1, dtype=np.int64)
+            grown[: len(self._free)] = self._free
+            self._free = grown
+        self._free[slot] = capacity if free is None else int(free)
 
     def remove_sector(self, sector_id: str) -> None:
         """Remove a sector (disabled, corrupted or deregistered)."""
         if self._sampler.contains(sector_id):
-            slot = self._sampler.slot_of(sector_id)
+            self._free[self._sampler.slot_of(sector_id)] = -1
             self._sampler.remove(sector_id)
             self._draw_buffer.clear()
-            if self.track_free and slot < len(self._free):
-                self._free[slot] = -1
 
     def set_free(self, sector_id: str, free: int) -> None:
-        """Update a tracked sector's free capacity (no-op when untracked).
+        """Update a sector's free capacity.
 
         Callers invoke this after every reservation or release on a
         selectable sector; sectors outside the sampler are ignored (they
         can no longer be drawn, so their free space is irrelevant).
         """
-        if not self.track_free or not self._sampler.contains(sector_id):
-            return
-        self._free[self._sampler.slot_of(sector_id)] = int(free)
+        if self._sampler.contains(sector_id):
+            self._free[self._sampler.slot_of(sector_id)] = int(free)
 
     def debit_slots(self, slots: np.ndarray, amounts: np.ndarray) -> None:
-        """Vectorised tracked-free debit: ``free[slots] -= amounts``.
+        """Vectorised free-table debit: ``free[slots] -= amounts``.
 
         Used by the columnar protocol engine to mirror a whole batch of
         replica reservations in one call; duplicate slots accumulate.
         """
-        if not self.track_free:
-            return
         np.subtract.at(self._free, slots, amounts)
 
     def tracked_free(self, sector_id: str) -> int:
-        """Tracked free capacity of a selectable sector (-1 if absent)."""
+        """Free capacity of a selectable sector (-1 if absent)."""
         if not self._sampler.contains(sector_id):
             return -1
         return int(self._free[self._sampler.slot_of(sector_id)])
@@ -430,89 +375,30 @@ class CapacitySelector:
     def random_sector(self) -> str:
         """One capacity-proportional draw (no free-space check).
 
-        In kernel mode with ``draw_batch > 1``, draws are prefetched
-        ``draw_batch`` at a time from a single kernel call and served from
-        a buffer that membership changes flush, so a burst of refresh
-        targets costs one stream derivation + cumsum instead of one per
-        draw.
+        Draws are prefetched ``draw_batch`` at a time from a single kernel
+        call and served from a buffer that membership changes flush, so a
+        burst of refresh targets costs one stream derivation + cumsum
+        instead of one per draw.
         """
-        if self.kernels is None:
-            self.samples += 1
-            return self._sampler.sample(self.prng)
-        if self.draw_batch > 1:
-            if not self._draw_buffer:
-                result = self.kernels.batch_weighted_draw(
-                    self._next_stream(),
-                    self._sampler.slot_weights(),
-                    [("draw", self.draw_batch)],
-                )
-                self.samples += result.attempts
-                self._draw_buffer = [int(slot) for slot in result.keys]
-                self._draw_buffer.reverse()  # serve in draw order via pop()
-            return self._sampler.key_at(self._draw_buffer.pop())
-        result = self.kernels.batch_weighted_draw(
-            self._next_stream(), self._sampler.slot_weights(), [("draw", 1)]
-        )
-        self.samples += result.attempts
-        return self._sampler.key_at(int(result.keys[0]))
+        if not self._draw_buffer:
+            result = self.kernels.batch_weighted_draw(
+                self._next_stream(),
+                self._sampler.slot_weights(),
+                [("draw", self.draw_batch)],
+            )
+            self.samples += result.attempts
+            self._draw_buffer = [int(slot) for slot in result.keys]
+            self._draw_buffer.reverse()
+        return self._sampler.key_at(self._draw_buffer.pop())
 
-    def select_with_space(
-        self,
-        required_space: int,
-        free_space_of: Optional[Callable[[str], int]] = None,
-    ) -> Optional[str]:
-        """Sample until a sector with ``required_space`` free is found.
-
-        ``free_space_of`` maps a sector id to its current free capacity.
-        Returns ``None`` if ``max_attempts`` draws all collide, which the
-        paper notes "almost never happens" under the redundant-capacity
-        assumption.
-
-        In kernel mode the whole retry loop is one ``("place", ...)``
-        kernel operation; ``free_space_of`` is snapshotted across the
-        current sector set up front (it cannot change mid-loop -- the
-        loop only reads).  ``free_space_of=None`` uses the tracked
-        columnar free table instead (requires ``track_free``).
-        """
-        if len(self._sampler) == 0:
-            return None
-        if self.kernels is None:
-            lookup = self.tracked_free if free_space_of is None else free_space_of
-            if free_space_of is None and not self.track_free:
-                raise RuntimeError(
-                    "free_space_of=None requires a track_free selector"
-                )
-            for _ in range(self.max_attempts):
-                sector_id = self.random_sector()
-                if lookup(sector_id) >= required_space:
-                    return sector_id
-                self.collisions += 1
-            return None
-        result = self.kernels.batch_weighted_draw(
-            self._next_stream(),
-            self._sampler.slot_weights(),
-            [("place", int(required_space), self.max_attempts)],
-            free=self._free_table(free_space_of),
-        )
-        self.samples += result.attempts
-        self.collisions += result.collisions
-        slot = int(result.keys[0])
-        return None if slot < 0 else self._sampler.key_at(slot)
-
-    def select_batch_slots(
-        self,
-        sizes: Sequence[int],
-        free_space_of: Optional[Callable[[str], int]] = None,
-    ) -> np.ndarray:
-        """Kernel mode only: place a replica set, returning raw slot ids.
+    def select_batch_slots(self, sizes: Sequence[int]) -> np.ndarray:
+        """Place a replica set, returning raw slot ids.
 
         The slot-level variant of :meth:`select_batch` used by the
         columnar protocol engine, which maps slots to sector table rows
         with its own vectorised lookup instead of materialising one key
         string per replica.  Failed placements come back as ``-1``.
         """
-        if self.kernels is None:
-            raise RuntimeError("select_batch requires a kernel-mode selector")
         if len(sizes) == 0:
             return np.empty(0, dtype=np.int64)
         if len(self._sampler) == 0:
@@ -521,37 +407,31 @@ class CapacitySelector:
             self._next_stream(),
             self._sampler.slot_weights(),
             [("place", int(size), self.max_attempts) for size in sizes],
-            free=self._free_table(free_space_of),
+            # The kernels take a defensive copy, so the live table is safe.
+            free=self._free[: self._sampler.slot_count],
         )
         self.samples += result.attempts
         self.collisions += result.collisions
         return np.asarray(result.keys, dtype=np.int64)
 
-    def select_batch(
-        self,
-        sizes: Sequence[int],
-        free_space_of: Optional[Callable[[str], int]] = None,
-    ) -> List[Optional[str]]:
-        """Kernel mode only: place a whole replica set with one kernel call.
+    def select_batch(self, sizes: Sequence[int]) -> List[Optional[str]]:
+        """Place a whole replica set with one kernel call.
 
-        Acceptance-wise equivalent to calling :meth:`select_with_space`
-        once per entry of ``sizes`` while reserving each selected
-        sector's space in between: the kernel debits its private free
-        table after every successful placement, exactly mirroring the
-        ``record.reserve`` the caller performs afterwards.  Entries that
-        exhaust ``max_attempts`` come back as ``None``.
-
-        ``free_space_of=None`` snapshots the tracked columnar free table
-        (requires ``track_free``) instead of scanning a callable per slot.
+        Each entry is the resample-on-full loop of Figure 4: draw (at most
+        ``max_attempts`` times) until a sector with ``size`` free is hit.
+        The kernel debits its private copy of the free table after every
+        successful placement, exactly mirroring the ``record.reserve`` the
+        caller performs afterwards, so one batch equals placing the
+        entries one at a time.  Entries that exhaust ``max_attempts`` --
+        which the paper notes "almost never happens" under the
+        redundant-capacity assumption -- come back as ``None``.
 
         Statistics caveat: the batch always runs to completion, so
         ``samples``/``collisions`` cover every entry even when the caller
-        (like ``File Add``) aborts at the first ``None`` -- unlike the
-        legacy loop, which stops drawing at the first failure.  The
-        counters stay deterministic and backend-identical either way.
+        (like ``File Add``) aborts at the first ``None``.  The counters
+        stay deterministic and backend-identical either way.
         """
-        slots = self.select_batch_slots(sizes, free_space_of)
         return [
             None if slot < 0 else self._sampler.key_at(int(slot))
-            for slot in slots
+            for slot in self.select_batch_slots(sizes)
         ]

@@ -18,7 +18,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.chain.ledger import Ledger
 from repro.core.analysis import theorem4_deposit_ratio_bound
-from repro.core.columnar import ColumnarProtocol
 from repro.core.params import ProtocolParams
 from repro.core.protocol import FileInsurerProtocol
 from repro.crypto.prng import DeterministicPRNG
@@ -48,9 +47,6 @@ def run_bound_sweep(
     return rows
 
 
-_ENGINES = {"object": FileInsurerProtocol, "columnar": ColumnarProtocol}
-
-
 def run_protocol_check(
     n_providers: int = 30,
     files: int = 60,
@@ -59,24 +55,23 @@ def run_protocol_check(
     k: int = 4,
     seed: int = 1,
     backend: Optional[str] = None,
-    engine: str = "object",
 ) -> Dict[str, object]:
     """End-to-end compensation check on the real protocol state machine.
 
     Uses a small deployment (one sector per provider, equal capacities) and
     a deposit ratio prescribed by Theorem 4 *for the scaled parameters*, so
-    full compensation should hold except with tiny probability.  ``engine``
-    selects the state layout (``object`` or ``columnar``) and ``backend`` a
-    :mod:`repro.kernels` backend for sector draws; neither appears in the
-    result row, so ``repro diff`` can assert row identity across backends.
+    full compensation should hold except with tiny probability.  Files are
+    added one at a time with fees charged -- the object engine's call
+    pattern, so that is the engine it runs on.  ``backend`` picks the
+    :mod:`repro.kernels` backend for sector draws and does not appear in
+    the result row, so ``repro diff`` can assert row identity across
+    backends.
     """
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown protocol engine {engine!r}")
     params = ProtocolParams.small_test().scaled(
         k=k, deposit_ratio=deposit_ratio, cap_para=float(files) / n_providers * 2
     )
     ledger = Ledger()
-    protocol = _ENGINES[engine](
+    protocol = FileInsurerProtocol(
         params=params,
         ledger=ledger,
         prng=DeterministicPRNG.from_int(seed, domain="deposit-exp"),
@@ -142,7 +137,6 @@ _SCENARIO_PARAMS = {
     "backend": ParamSpec(
         "auto", "simulation-kernel backend (auto, reference or vectorized)"
     ),
-    "engine": ParamSpec("columnar", "protocol storage engine (object or columnar)"),
 }
 
 
@@ -156,7 +150,6 @@ def _build_trials(params):
             "deposit_ratio": params["deposit_ratio"],
             "k": params["k"],
             "backend": params["backend"],
-            "engine": params["engine"],
         }
         for _ in range(params["checks"])
     ]
@@ -201,7 +194,6 @@ def _deposit_trial(task) -> Dict[str, object]:
         k=task["k"],
         seed=task["seed"],
         backend=task["backend"],
-        engine=task["engine"],
     )
 
 

@@ -29,7 +29,7 @@ from repro.core.analysis import (
 from repro.core.columnar import ColumnarProtocol
 from repro.core.file_descriptor import FileState
 from repro.core.params import ProtocolParams
-from repro.core.protocol import FileInsurerProtocol, ProtocolError
+from repro.core.protocol import ProtocolError
 from repro.crypto.prng import DeterministicPRNG
 from repro.runner.registry import ParamSpec, scenario
 from repro.sim.metrics import format_table
@@ -89,34 +89,27 @@ def run_bound_sweep(
     return rows
 
 
-_ENGINES = {"object": FileInsurerProtocol, "columnar": ColumnarProtocol}
-
-
 def run_fill_experiment(
     n_providers: int = 20,
     k: int = 3,
     file_size_fraction: float = 0.02,
     seed: int = 3,
     backend: Optional[str] = None,
-    engine: str = "object",
     add_batch: int = 256,
     max_files: int = 100_000,
 ) -> Dict[str, object]:
     """Fill a real deployment until allocation fails; compare with Theorem 1.
 
-    ``engine`` selects the protocol state layout (``object`` dataclasses or
-    the ``columnar`` structure-of-arrays engine) and ``backend`` a
-    :mod:`repro.kernels` backend for sector draws.  With a backend the fill
-    drives batched ``File Add`` (``add_batch`` files per kernel call);
-    without one it submits files one at a time through the legacy draw
-    path.  The result row never records engine/backend/batch choices, so
-    ``repro diff`` can assert row identity across kernel backends.
+    The fill drives batched, fee-free ``File Add`` (``add_batch`` files per
+    kernel call) -- the call pattern the columnar engine is built for, so
+    that is the engine it runs on; ``backend`` picks the :mod:`repro.kernels`
+    backend for the sector draws.  The result row never records backend or
+    batch choices, so ``repro diff`` can assert row identity across kernel
+    backends.
     """
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown protocol engine {engine!r}")
     params = ProtocolParams.small_test().scaled(k=k, cap_para=1000.0)
     ledger = Ledger()
-    protocol = _ENGINES[engine](
+    protocol = ColumnarProtocol(
         params=params,
         ledger=ledger,
         prng=DeterministicPRNG.from_int(seed, domain="scalability-exp"),
@@ -131,45 +124,27 @@ def run_fill_experiment(
     file_size = int(params.min_capacity * file_size_fraction)
     stored_raw_bytes = 0
     stored_files = 0
-    if backend is not None:
-        while stored_files < max_files:
-            batch = min(add_batch, max_files - stored_files)
-            try:
-                file_ids = protocol.file_add_batch(
-                    "client", [file_size] * batch, [1] * batch, b"\x00" * 32
-                )
-            except ProtocolError:
-                break
-            protocol.confirm_batch(file_ids)
-            placed = [
-                fid for fid in file_ids
-                if protocol.files[fid].state != FileState.FAILED
-            ]
-            stored_files += len(placed)
-            stored_raw_bytes += len(placed) * file_size
-            if len(placed) < batch:
-                # Admission truncated the batch or placement failed: the
-                # network is full.
-                break
-    else:
-        while True:
-            try:
-                file_id = protocol.file_add("client", file_size, 1, b"\x00" * 32)
-            except ProtocolError:
-                # The network refused the file: a design limit (value cap or
-                # the redundant-capacity budget) has been reached.
-                break
-            descriptor = protocol.files[file_id]
-            if descriptor.state == FileState.FAILED:
-                break
-            for index, entry in protocol.alloc.entries_for_file(file_id):
-                if entry.next is not None:
-                    owner = protocol.sectors[entry.next].owner
-                    protocol.file_confirm(owner, file_id, index, entry.next)
-            stored_raw_bytes += file_size
-            stored_files += 1
-            if stored_files >= max_files:  # pragma: no cover - safety stop
-                break
+    while stored_files < max_files:
+        batch = min(add_batch, max_files - stored_files)
+        try:
+            file_ids = protocol.file_add_batch(
+                "client", [file_size] * batch, [1] * batch, b"\x00" * 32
+            )
+        except ProtocolError:
+            # The network refused the file: a design limit (value cap or
+            # the redundant-capacity budget) has been reached.
+            break
+        protocol.confirm_batch(file_ids)
+        placed = [
+            fid for fid in file_ids
+            if protocol.files[fid].state != FileState.FAILED
+        ]
+        stored_files += len(placed)
+        stored_raw_bytes += len(placed) * file_size
+        if len(placed) < batch:
+            # Admission truncated the batch or placement failed: the
+            # network is full.
+            break
 
     # Every stored file is identical, and r1/r2 are ratios of per-file sums,
     # so a single-element population evaluates to exactly the same constants
@@ -202,8 +177,7 @@ _SCENARIO_PARAMS = {
     "backend": ParamSpec(
         "auto", "simulation-kernel backend (auto, reference or vectorized)"
     ),
-    "engine": ParamSpec("columnar", "protocol storage engine (object or columnar)"),
-    "add_batch": ParamSpec(256, "files per batched File Add on the kernel path"),
+    "add_batch": ParamSpec(256, "files per batched File Add"),
     "max_files": ParamSpec(100_000, "stop each fill after this many stored files"),
 }
 
@@ -216,7 +190,6 @@ def _build_trials(params):
             "k": params["k"],
             "file_size_fraction": params["file_size_fraction"],
             "backend": params["backend"],
-            "engine": params["engine"],
             "add_batch": params["add_batch"],
             "max_files": params["max_files"],
         }
@@ -254,7 +227,6 @@ def _scalability_trial(task) -> Dict[str, object]:
         file_size_fraction=task["file_size_fraction"],
         seed=task["seed"],
         backend=task["backend"],
-        engine=task["engine"],
         add_batch=task["add_batch"],
         max_files=task["max_files"],
     )

@@ -14,7 +14,7 @@ one small, numerically pinned API:
 * :meth:`KernelBackend.batch_weighted_draw` -- a batch of Fenwick-style
   weighted draws with interleaved weight updates and resample-on-full
   placement, the engine behind
-  :class:`~repro.core.selector.CapacitySelector`'s kernel mode.
+  :class:`~repro.core.selector.CapacitySelector`.
 
 Backends must be **bit-equivalent**: for identical inputs (including the
 shared RNG draws, which happen *outside* the kernels so every backend
@@ -142,7 +142,7 @@ class KernelBackend(ABC):
         * ``("draw", count)`` -- append ``count`` weighted draws to the
           result keys;
         * ``("place", size, max_attempts)`` -- the resample-on-full loop
-          of :meth:`CapacitySelector.select_with_space`: draw repeatedly
+          of :meth:`CapacitySelector.select_batch`: draw repeatedly
           (at most ``max_attempts`` times) until a slot with
           ``free[slot] >= size`` is hit, then debit ``free[slot] -=
           size`` and append the slot; append ``-1`` when every attempt

@@ -128,7 +128,7 @@ class ReferenceKernels(KernelBackend):
         free: Optional[Sequence[int]] = None,
     ) -> BatchDrawResult:
         # Imported lazily: repro.core.selector imports repro.kernels for
-        # its kernel mode, so a module-level import here would cycle.
+        # its draws, so a module-level import here would cycle.
         from repro.core.selector import WeightedSampler
 
         weight_table, op_list, free_table = normalize_draw_request(weights, ops, free)

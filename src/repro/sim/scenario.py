@@ -46,9 +46,15 @@ from repro.sim.lifecycle import (
 )
 from repro.sim.network import LatencyModel, SimulatedNetwork
 from repro.storage.client import PreparedFile, StorageClient
-from repro.storage.provider import ProviderSector, StorageProvider
+from repro.storage.disk import DiskCorruptedError, DiskFullError
+from repro.storage.provider import ProviderSector, SectorFullError, StorageProvider
+from repro.telemetry import counter
 
 __all__ = ["ScenarioConfig", "DSNScenario"]
+
+#: What ``store_file`` raises when physical storage *refuses* a replica;
+#: anything else is a bug and propagates.
+_STORAGE_REFUSED = (SectorFullError, DiskFullError, DiskCorruptedError)
 
 
 @dataclass(frozen=True)
@@ -64,10 +70,9 @@ class ScenarioConfig:
     client_funds: int = 1_000_000
     seed: int = 42
     #: Simulation-kernel backend for the protocol's sector selection
-    #: (``"reference"`` / ``"vectorized"`` / ``"auto"``); ``None`` keeps
-    #: the legacy one-draw-at-a-time SHA-256 path.  Either way the
-    #: deployment is deterministic in ``seed``, and kernel-mode draws are
-    #: bit-identical across backends.
+    #: (``"reference"`` / ``"vectorized"`` / ``"auto"``; ``None`` resolves
+    #: like ``"auto"``).  The deployment is deterministic in ``seed`` and
+    #: its draws are bit-identical across backends.
     backend: Optional[str] = None
     latency: LatencyModel = field(
         default_factory=lambda: LatencyModel(
@@ -243,10 +248,11 @@ class DSNScenario:
                 continue
             try:
                 physical.store_file(prepared.merkle_root, prepared.data)
-            except Exception:
+            except _STORAGE_REFUSED:
                 # The physical sector/disk could not take the replica (e.g. a
                 # transient double-copy during churn); the provider simply
                 # never confirms and CheckAlloc fails the upload.
+                counter("scenario.replica_refused", category="sim")
                 continue
             self.protocol.file_confirm(provider_name, file_id, index, sector_id)
 
@@ -415,9 +421,10 @@ class DSNScenario:
         if not target_sector.holds_file(descriptor.merkle_root):
             try:
                 target_sector.store_file(descriptor.merkle_root, raw)
-            except Exception:
+            except _STORAGE_REFUSED:
                 # Physical storage refused the replica; the swap simply is
                 # not confirmed and CheckRefresh retries elsewhere.
+                counter("scenario.replica_refused", category="sim")
                 return
         self.protocol.file_confirm(
             target_provider_name, notice.file_id, notice.replica_index, notice.target_sector

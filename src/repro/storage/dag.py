@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.crypto.hashing import ContentId, hash_concat
-from repro.storage.content_store import ContentStore
+from repro.storage.content_store import BlockNotFoundError, ContentStore
 
 __all__ = ["DagNode", "MerkleDag"]
 
@@ -134,6 +134,6 @@ class MerkleDag:
         """Check that the whole DAG under ``root`` is present and intact."""
         try:
             self.read_file(root)
-        except Exception:
+        except (BlockNotFoundError, ValueError):  # missing / malformed node
             return False
         return True

@@ -11,6 +11,7 @@ allocation table, pending list, aggregates, ledger, event counts).
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import telemetry
@@ -39,10 +40,11 @@ def make_protocol(
     draw_batch=1,
     seed=11,
     sick=frozenset(),
+    **param_overrides,
 ):
     """``sick`` is the set of sector ids the health oracle stops vouching
     for; tests mutate it between ``advance_time`` calls only."""
-    params = ProtocolParams.small_test()
+    params = ProtocolParams.small_test().scaled(**param_overrides)
     ledger = Ledger()
     protocol = ENGINES[engine](
         params=params,
@@ -158,6 +160,36 @@ def scripted_run(protocol, checkpoints):
     return checkpoints
 
 
+def fill_until_refused(protocol):
+    """The ``scalability`` shape: batched fee-free File Add until the
+    network refuses (admission raises or truncates the batch)."""
+    size = protocol.params.min_capacity // 20
+    stored = 0
+    while True:
+        try:
+            ids = protocol.file_add_batch("client", [size] * 16, [1] * 16, ROOT)
+        except ProtocolError:
+            break
+        stored += len(protocol.confirm_batch(ids))
+        if len(ids) < 16 or protocol.files[ids[-1]].state == FileState.FAILED:
+            break
+    assert stored > 0
+    return fingerprint(protocol)
+
+
+def compensation_run(protocol):
+    """The ``deposit`` shape: fee-charged File Add one file at a time, half
+    the sectors crash, CheckProof compensates the owners of lost files."""
+    for _ in range(20):
+        confirm_all(protocol, protocol.file_add("client", 8 * 1024, 1, ROOT))
+    protocol.run_until_idle(max_time=protocol.now + 10.0)
+    for sector_id in sorted(protocol.sectors)[:5]:
+        protocol.crash_sector(sector_id)
+    protocol.advance_time(protocol.now + 2 * protocol.params.proof_cycle)
+    assert 0 < protocol.total_value_lost <= protocol.total_value_compensated
+    return fingerprint(protocol)
+
+
 def confirm_refreshes(protocol):
     """The target providers' part of every refresh still in flight."""
     confirmed = []
@@ -242,12 +274,44 @@ class TestDifferentialScripted:
         for stage, (want, got) in enumerate(zip(reference, columnar)):
             assert got == want, f"engines diverge at stage {stage}"
 
-    def test_legacy_draw_path_matches(self):
-        """Without a kernel backend the batch degrades to sequential adds."""
-        reference, columnar = [], []
-        scripted_run(make_protocol("object", backend=None), reference)
-        scripted_run(make_protocol("columnar", backend=None), columnar)
-        assert columnar == reference
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_no_backend_named_means_auto(self, engine):
+        """``backend=None`` is the ``"auto"`` kernel backend, not a second
+        draw path."""
+        default, auto = [], []
+        scripted_run(make_protocol(engine, backend=None), default)
+        scripted_run(make_protocol(engine, backend="auto"), auto)
+        assert default == auto
+
+    def test_fill_until_refused_matches_on_every_backend(self):
+        prints = {
+            (engine, backend): fill_until_refused(
+                make_protocol(
+                    engine, providers=8, capacity_mb=1, backend=backend,
+                    cap_para=1000.0,
+                )
+            )
+            for engine in ENGINES
+            for backend in ("reference", "vectorized")
+        }
+        baseline = prints[("object", "reference")]
+        for key, print_ in prints.items():
+            assert print_ == baseline, key
+
+    def test_compensation_after_crash_matches_on_every_backend(self):
+        prints = {
+            (engine, backend): compensation_run(
+                make_protocol(
+                    engine, providers=10, capacity_mb=1, backend=backend,
+                    charge_fees=True, deposit_ratio=0.3, cap_para=4.0,
+                )
+            )
+            for engine in ENGINES
+            for backend in ("reference", "vectorized")
+        }
+        baseline = prints[("object", "reference")]
+        for key, print_ in prints.items():
+            assert print_ == baseline, key
 
     def test_fee_charging_run_matches(self):
         """charge_fees forces the generic inherited paths over the views."""
@@ -380,8 +444,6 @@ class TestColumnarPending:
         assert got == want == [4, 2, 9, 0, 7]
 
     def test_schedule_batch_matches_loop(self):
-        import numpy as np
-
         loop, batch = ColumnarPending(self.KINDS), ColumnarPending(self.KINDS)
         for fid in range(6):
             loop.schedule(7.0, "auto_check_proof", file_id=fid)
@@ -419,8 +481,8 @@ class TestColumnarPending:
 
 
 class TestAggregateMaintenance:
-    """O(1) aggregates and the tracked free table never drift (the old
-    linear scans in _select_sector_with_space are gone for good)."""
+    """O(1) aggregates and the selector's free table never drift from the
+    sector records (no placement scans them)."""
 
     @pytest.mark.parametrize("engine", ["object", "columnar"])
     def test_aggregates_match_scan_oracles(self, engine):
@@ -438,7 +500,6 @@ class TestAggregateMaintenance:
         protocol = make_protocol(engine, backend="vectorized")
         checkpoints = []
         scripted_run(protocol, checkpoints)
-        assert protocol.selector.track_free
         for sector_id, record in protocol.sectors.items():
             if record.accepts_new_files:
                 assert (
@@ -447,21 +508,23 @@ class TestAggregateMaintenance:
                 ), sector_id
 
     def test_kernel_placement_never_scans_sector_records(self):
-        """With track_free the per-sector free callable is never consulted:
-        placement reads the selector's columnar table instead of scanning
-        every SectorRecord per draw (the regression this guards against)."""
+        """Placement hands the kernel the selector's own columnar free
+        table, not one rebuilt by scanning every SectorRecord per call (the
+        regression this guards against)."""
         protocol = make_protocol("columnar", backend="reference")
-        calls = {"n": 0}
-        original = protocol._free_capacity_if_accepting
+        selector = protocol.selector
+        draw = selector.kernels.batch_weighted_draw
+        seen = []
 
-        def spy(sector_id):
-            calls["n"] += 1
-            return original(sector_id)
+        class SpyKernels:
+            def batch_weighted_draw(self, rng, weights, ops, free=None):
+                seen.append(free)
+                return draw(rng, weights, ops, free=free)
 
-        protocol._free_capacity_if_accepting = spy
+        selector.kernels = SpyKernels()
         ids = protocol.file_add_batch("client", [64 * 1024] * 20, [1] * 20, ROOT)
         assert len(ids) == 20
-        assert calls["n"] == 0
+        assert seen and all(np.shares_memory(free, selector._free) for free in seen)
 
 
 def traced_advance(protocol, until):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.allocation import AllocState
+from repro.core.columnar import ColumnarProtocol
 from repro.core.events import EventType
 from repro.core.file_descriptor import FileState
 from repro.core.params import ProtocolParams
@@ -14,10 +15,13 @@ from repro.crypto.prng import DeterministicPRNG
 ROOT = b"\x07" * 32
 
 
-def make_protocol(params=None, providers=3, health=None, charge_fees=True, seed=7):
+def make_protocol(
+    params=None, providers=3, health=None, charge_fees=True, seed=7,
+    engine=FileInsurerProtocol,
+):
     params = params or ProtocolParams.small_test()
     ledger = Ledger()
-    protocol = FileInsurerProtocol(
+    protocol = engine(
         params=params,
         ledger=ledger,
         prng=DeterministicPRNG.from_int(seed, domain="proto-test"),
@@ -374,27 +378,42 @@ class TestRefresh:
         assert protocol.events.count(EventType.PROVIDER_PUNISHED) >= 1
         assert protocol.files[file_id].state == FileState.NORMAL
 
-    def test_crash_of_refresh_target_does_not_lose_the_replica(self):
-        """If the *target* sector of an in-flight swap collapses, the
-        predecessor still holds the replica and the entry stays normal."""
+    @staticmethod
+    def _in_flight_refresh(engine, onto_own_sector):
+        """A stored file advanced until one replica is mid-refresh (state
+        ALLOC with a target).  RandomSector() may re-draw the replica's
+        current sector, so the caller says which kind of swap it wants."""
         params = ProtocolParams.small_test().scaled(avg_refresh=1.0)
-        protocol = make_protocol(params=params, providers=4)
+        protocol = make_protocol(params=params, providers=4, engine=engine)
         file_id = store_file(protocol)
-        # Advance until some replica is mid-refresh (state ALLOC with a target).
-        target_entry = None
-        for _ in range(30):
+        for _ in range(60):
             protocol.advance_time(protocol.now + params.proof_cycle)
             for _, entry in protocol.alloc.entries_for_file(file_id):
-                if entry.state == AllocState.ALLOC and entry.next is not None:
-                    target_entry = entry
-                    break
-            if target_entry is not None:
-                break
-        assert target_entry is not None, "no refresh started within 30 cycles"
-        protocol.crash_sector(target_entry.next)
-        assert target_entry.state == AllocState.NORMAL
-        assert target_entry.next is None
+                if (
+                    entry.state == AllocState.ALLOC
+                    and entry.next is not None
+                    and (entry.next == entry.prev) == onto_own_sector
+                ):
+                    return protocol, file_id, entry
+        raise AssertionError("no such refresh started within 60 cycles")
+
+    @pytest.mark.parametrize("engine", [FileInsurerProtocol, ColumnarProtocol])
+    def test_crash_of_refresh_target_does_not_lose_the_replica(self, engine):
+        """If the *target* sector of an in-flight swap collapses, the
+        predecessor still holds the replica and the entry stays normal."""
+        protocol, file_id, entry = self._in_flight_refresh(engine, False)
+        protocol.crash_sector(entry.next)
+        assert entry.state == AllocState.NORMAL
+        assert entry.next is None
         assert protocol.files[file_id].state == FileState.NORMAL
+
+    @pytest.mark.parametrize("engine", [FileInsurerProtocol, ColumnarProtocol])
+    def test_crash_of_a_refresh_onto_its_own_sector_corrupts_the_replica(self, engine):
+        """When the drawn target *is* the current host, its collapse takes
+        the only copy of that replica with it."""
+        protocol, _, entry = self._in_flight_refresh(engine, True)
+        protocol.crash_sector(entry.next)
+        assert entry.state == AllocState.CORRUPTED
 
     def test_refresh_releases_space_on_old_sector(self):
         params = ProtocolParams.small_test().scaled(avg_refresh=1.0)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.selector import CapacitySelector, SamplerInvariantError, WeightedSampler
 from repro.crypto.prng import DeterministicPRNG
+from repro.kernels import resolve_backend_name
 
 
 @pytest.fixture
@@ -145,14 +146,15 @@ class TestSlotViews:
         assert sampler.key_at(1) == "b"
 
 
-class TestCapacitySelectorKernelMode:
+class TestCapacitySelectorBackends:
     BACKENDS = ("reference", "vectorized")
 
     def test_backend_name_recorded(self):
         assert _kernel_selector("reference").backend == "reference"
-        assert _kernel_selector("vectorized").kernel_mode is True
-        legacy = CapacitySelector(DeterministicPRNG.from_int(0, domain="x"))
-        assert legacy.backend is None and legacy.kernel_mode is False
+        assert _kernel_selector("vectorized").backend == "vectorized"
+        # No backend named: resolved like "auto", never a second draw path.
+        default = CapacitySelector(DeterministicPRNG.from_int(0, domain="x"))
+        assert default.backend == resolve_backend_name(None)
 
     def test_random_sector_identical_across_backends(self):
         draws = {}
@@ -164,54 +166,52 @@ class TestCapacitySelectorKernelMode:
         assert draws["reference"] == draws["vectorized"]
         assert draws["reference"].count("big") > draws["reference"].count("small") * 4
 
-    def test_select_with_space_identical_and_counts(self):
+    def test_single_placements_identical_and_counts(self):
         outcomes = {}
         for backend in self.BACKENDS:
             selector = _kernel_selector(backend, max_attempts=50)
-            selector.add_sector("full", 1000)
-            selector.add_sector("open", 1000)
-            free = {"full": 0, "open": 500}
-            chosen = [
-                selector.select_with_space(100, lambda s: free[s]) for _ in range(20)
-            ]
+            selector.add_sector("full", 1000, free=0)
+            selector.add_sector("open", 1000, free=500)
+            # The caller never reports a reservation, so "open" keeps its
+            # 500 free across the twenty one-replica calls.
+            chosen = [selector.select_batch([100])[0] for _ in range(20)]
             outcomes[backend] = (chosen, selector.samples, selector.collisions)
         assert outcomes["reference"] == outcomes["vectorized"]
         chosen, samples, collisions = outcomes["reference"]
         assert set(chosen) == {"open"}
         assert samples == 20 + collisions
 
-    def test_select_with_space_gives_up_after_max_attempts(self):
-        for backend in self.BACKENDS:
+    def test_placement_gives_up_after_max_attempts(self):
+        for backend in (None,) + self.BACKENDS:
             selector = _kernel_selector(backend, max_attempts=50)
-            selector.add_sector("full", 1000)
-            assert selector.select_with_space(10, lambda s: 0) is None
+            selector.add_sector("full", 1000, free=0)
+            assert selector.select_batch([10]) == [None]
             assert selector.collisions == 50
             assert selector.samples == 50
 
-    def test_select_with_space_empty_selector(self):
-        for backend in self.BACKENDS:
-            assert _kernel_selector(backend).select_with_space(1, lambda s: 9) is None
+    def test_placement_on_empty_selector(self):
+        for backend in (None,) + self.BACKENDS:
+            assert _kernel_selector(backend).select_batch([1]) == [None]
 
     def test_select_batch_debits_free_space_between_picks(self):
         """The kernel's private free table mirrors the reserve() calls the
         protocol performs after a batched File Add selection."""
         for backend in self.BACKENDS:
             selector = _kernel_selector(backend)
-            selector.add_sector("only", 100)
-            free = {"only": 150}
-            batch = selector.select_batch([100, 100], lambda s: free[s])
+            selector.add_sector("only", 100, free=150)
+            batch = selector.select_batch([100, 100])
             # The first replica fits; the second must collide out even
-            # though the *caller's* free map still says 150.
+            # though the selector's own table still says 150.
             assert batch == ["only", None]
+            assert selector.tracked_free("only") == 150
 
     def test_select_batch_identical_across_backends(self):
         outcomes = {}
         for backend in self.BACKENDS:
             selector = _kernel_selector(backend)
-            selector.add_sector("a", 600)
-            selector.add_sector("b", 400)
-            free = {"a": 128, "b": 64}
-            picks = selector.select_batch([64, 64, 64], lambda s: free[s])
+            selector.add_sector("a", 600, free=128)
+            selector.add_sector("b", 400, free=64)
+            picks = selector.select_batch([64, 64, 64])
             outcomes[backend] = (picks, selector.samples, selector.collisions)
         assert outcomes["reference"] == outcomes["vectorized"]
         picks = outcomes["reference"][0]
@@ -219,10 +219,6 @@ class TestCapacitySelectorKernelMode:
         # each sector only has room for its own share (2x64 / 1x64).
         assert None not in picks
         assert sorted(picks) == ["a", "a", "b"]
-
-    def test_select_batch_requires_kernel_mode(self, sampler_prng):
-        with pytest.raises(RuntimeError, match="kernel-mode"):
-            CapacitySelector(sampler_prng).select_batch([1], lambda s: 1)
 
     def test_removal_excludes_sector_from_kernel_draws(self):
         for backend in self.BACKENDS:
@@ -243,24 +239,18 @@ class TestCapacitySelector:
             counts[selector.random_sector()] += 1
         assert counts["big"] > counts["small"] * 4
 
-    def test_select_with_space_skips_full_sectors(self, sampler_prng):
+    def test_placement_skips_full_sectors(self, sampler_prng):
         selector = CapacitySelector(sampler_prng)
         selector.add_sector("full", 500)
         selector.add_sector("empty", 500)
-        free = {"full": 0, "empty": 500}
-        chosen = selector.select_with_space(100, lambda s: free[s])
-        assert chosen == "empty"
-        assert selector.collisions >= 0
+        selector.set_free("full", 0)
+        assert selector.select_batch([100]) == ["empty"]
+        assert selector.samples == 1 + selector.collisions
 
-    def test_select_with_space_counts_collisions(self, sampler_prng):
-        selector = CapacitySelector(sampler_prng, max_attempts=50)
-        selector.add_sector("full", 1000)
-        assert selector.select_with_space(10, lambda s: 0) is None
-        assert selector.collisions == 50
-
-    def test_select_with_space_empty_selector(self, sampler_prng):
+    def test_set_free_ignores_unselectable_sectors(self, sampler_prng):
         selector = CapacitySelector(sampler_prng)
-        assert selector.select_with_space(10, lambda s: 100) is None
+        selector.set_free("gone", 10**6)
+        assert selector.tracked_free("gone") == -1
 
     def test_remove_sector_idempotent(self, sampler_prng):
         selector = CapacitySelector(sampler_prng)

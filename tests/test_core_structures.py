@@ -148,13 +148,6 @@ class TestPendingList:
         assert [t.kind for t in pending.pop_due(2.0)] == ["early"]
         assert len(pending) == 1
 
-    def test_cancel_skips_task(self):
-        pending = PendingList()
-        task = pending.schedule(1.0, "cancelled")
-        pending.schedule(2.0, "kept")
-        pending.cancel(task)
-        assert [t.kind for t in pending.pop_due(5.0)] == ["kept"]
-
     def test_peek_time_and_is_empty(self):
         pending = PendingList()
         assert pending.peek_time() is None

@@ -121,9 +121,11 @@ class TestScalabilityDriver:
         assert result["replica_fill_fraction"] <= 0.55
 
 
-class TestEngineBackendThreading:
-    """``backend``/``engine`` select the execution path only: result rows
-    stay identical, so ``repro diff`` can gate backend drift in CI."""
+class TestBackendThreading:
+    """``backend`` selects the execution path only: result rows stay
+    identical, so ``repro diff`` can gate backend drift in CI.  (Engine
+    identity on the same two shapes is pinned by the scripted fingerprint
+    cases in ``tests/test_core_columnar.py``.)"""
 
     def test_fill_rows_identical_across_backends(self):
         rows = {
@@ -134,41 +136,18 @@ class TestEngineBackendThreading:
         }
         assert rows["reference"] == rows["vectorized"]
         assert "backend" not in rows["reference"]
-        assert "engine" not in rows["reference"]
-
-    def test_fill_rows_identical_across_engines(self):
-        rows = {
-            engine: scalability.run_fill_experiment(
-                n_providers=8,
-                k=3,
-                file_size_fraction=0.05,
-                backend="reference",
-                engine=engine,
-            )
-            for engine in ("object", "columnar")
-        }
-        assert rows["object"] == rows["columnar"]
-        assert rows["object"]["stored_files"] > 0
+        assert rows["reference"]["stored_files"] > 0
 
     def test_fill_batched_driver_respects_max_files(self):
         row = scalability.run_fill_experiment(
             n_providers=8, k=3, file_size_fraction=0.01,
-            backend="reference", engine="columnar", add_batch=7, max_files=20,
+            backend="reference", add_batch=7, max_files=20,
         )
         assert row["stored_files"] == 20
 
-    def test_deposit_rows_identical_across_backends_and_engines(self):
-        # Kernel-mode draws consume the PRNG differently from the legacy
-        # path, so identity is promised across backends and engines *within*
-        # kernel mode (what the CI cross-backend diff exercises).
-        variants = [
-            ("reference", "object"),
-            ("reference", "columnar"),
-            ("vectorized", "object"),
-            ("vectorized", "columnar"),
-        ]
+    def test_deposit_rows_identical_across_backends(self):
         rows = {
-            (backend, engine): deposit.run_protocol_check(
+            backend: deposit.run_protocol_check(
                 n_providers=10,
                 files=20,
                 corrupt_fraction=0.5,
@@ -176,18 +155,16 @@ class TestEngineBackendThreading:
                 k=3,
                 seed=2,
                 backend=backend,
-                engine=engine,
             )
-            for backend, engine in variants
+            for backend in ("reference", "vectorized")
         }
-        baseline = rows[("reference", "object")]
-        for key, row in rows.items():
-            assert row == baseline, key
-        assert "backend" not in baseline and "engine" not in baseline
-        assert baseline["full_compensation"]
+        assert rows["reference"] == rows["vectorized"]
+        assert "backend" not in rows["reference"]
+        assert rows["reference"]["full_compensation"]
 
-    def test_unknown_engine_is_an_error(self):
-        with pytest.raises(ValueError, match="unknown protocol engine"):
-            scalability.run_fill_experiment(engine="rowwise")
-        with pytest.raises(ValueError, match="unknown protocol engine"):
-            deposit.run_protocol_check(engine="rowwise")
+    @pytest.mark.parametrize("name", ["scalability", "deposit"])
+    def test_engine_is_not_a_parameter(self, name, capsys):
+        from repro.runner.cli import main
+
+        assert main(["run", name, "--quiet", "--set", "engine=object"]) == 2
+        assert f"scenario {name!r} has no parameter 'engine'" in capsys.readouterr().err

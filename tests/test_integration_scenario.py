@@ -6,6 +6,7 @@ from repro.core.events import EventType
 from repro.core.file_descriptor import FileState
 from repro.core.params import ProtocolParams
 from repro.sim.scenario import DSNScenario, ScenarioConfig
+from repro.storage.provider import ProviderSector, SectorFullError
 
 
 def make_scenario(providers=4, sectors=2, clients=1, seed=42, **param_overrides):
@@ -88,6 +89,43 @@ class TestRefreshEndToEnd:
         assert initial != final or scenario.protocol.events.count(
             EventType.FILE_REFRESH_COMPLETED
         ) >= 1
+
+
+class TestStorageRefusal:
+    """Only the storage errors that mean "refused" are swallowed around
+    ``store_file``; anything else is a bug and must surface."""
+
+    @staticmethod
+    def _refuse_with(monkeypatch, error):
+        def store_file(self, file_root, data):
+            raise error
+
+        monkeypatch.setattr(ProviderSector, "store_file", store_file)
+
+    def test_refused_initial_replica_fails_the_upload(self, monkeypatch):
+        scenario = make_scenario()
+        self._refuse_with(monkeypatch, SectorFullError("no room"))
+        file_id = scenario.store_file("client-0", "f", b"x" * 500, value=1)
+        scenario.settle_uploads()
+        assert scenario.protocol.files[file_id].state == FileState.FAILED
+
+    def test_unexpected_error_on_initial_delivery_propagates(self, monkeypatch):
+        scenario = make_scenario()
+        self._refuse_with(monkeypatch, TypeError("bug in the storage layer"))
+        with pytest.raises(TypeError, match="bug in the storage layer"):
+            scenario.store_file("client-0", "f", b"x" * 500, value=1)
+
+    def test_refresh_swallows_refusals_only(self, monkeypatch):
+        scenario = make_scenario(providers=5, avg_refresh=2.0)
+        file_id = scenario.store_file("client-0", "mv", b"moving" * 100, value=1)
+        scenario.settle_uploads()
+        self._refuse_with(monkeypatch, SectorFullError("no room"))
+        scenario.run_cycles(25)
+        assert scenario.protocol.events.count(EventType.FILE_REFRESH_FAILED) >= 1
+        assert scenario.protocol.files[file_id].state == FileState.NORMAL
+        self._refuse_with(monkeypatch, TypeError("bug in the storage layer"))
+        with pytest.raises(TypeError, match="bug in the storage layer"):
+            scenario.run_cycles(25)
 
 
 class TestCrashAndCompensation:

@@ -107,6 +107,12 @@ class TestMerkleDag:
         store.delete(leaf)
         assert not dag.verify(root)
 
+    def test_verify_detects_malformed_node(self):
+        store = ContentStore()
+        dag = MerkleDag(store)
+        assert not dag.verify(store.put(b"neither a leaf nor a node"))
+        assert not dag.verify(store.put(b"N" + bytes(8) + b"short child"))
+
     def test_dag_node_encode_decode(self):
         children = (ContentId.of(b"a"), ContentId.of(b"b"))
         node = DagNode(children=children, total_size=123)
