@@ -1,7 +1,7 @@
 """Telemetry overhead gate: traced vs untraced churn, as JSON.
 
 Runs the pinned churn benchmark shape with telemetry disabled and
-enabled (spans *and* metrics recorders together -- the full ``--trace
+enabled (the spans *and* metrics channels together -- the full ``--trace
 --metrics`` observability surface), verifies the two runs' per-trial
 rows are byte-identical (the inertness contract from
 ``docs/observability.md``), and gates the enabled-path overhead at
@@ -31,7 +31,6 @@ import time
 from repro import telemetry
 from repro.runner.executor import run_scenario
 from repro.runner.registry import load_builtin_scenarios
-from repro.telemetry import metrics
 
 #: The pinned churn shape: ~1 s per run, crossing every instrumented
 #: layer (executor trials, protocol adds/refreshes, kernel draws).
@@ -41,16 +40,12 @@ CHURN_SEED = 0
 
 def one_run(enabled: bool):
     """One timed churn run; returns (wall, manifest)."""
-    telemetry.reset()
-    metrics.reset()
-    if enabled:
-        telemetry.enable()
-        metrics.enable()
+    telemetry.reset_channels()
+    telemetry.arm(("spans", "metrics") if enabled else ())
     started = time.perf_counter()
     manifest = run_scenario("churn", overrides=CHURN_PARAMS, seed=CHURN_SEED)
     wall = time.perf_counter() - started
-    telemetry.reset()
-    metrics.reset()
+    telemetry.reset_channels()
     return wall, manifest
 
 

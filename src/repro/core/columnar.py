@@ -59,7 +59,7 @@ from repro.core.protocol import FileInsurerProtocol, ProtocolError
 from repro.core.sector import SectorRecord, SectorState
 from repro.crypto.prng import DeterministicPRNG
 from repro.kernels import KernelBackend
-from repro.telemetry import counter, metrics, traced
+from repro.telemetry import counter, is_enabled, metrics, traced
 
 __all__ = [
     "ColumnarProtocol",
@@ -1157,6 +1157,7 @@ class ColumnarProtocol(FileInsurerProtocol):
             self._replica_count_cache[value] = cached
         return cached
 
+    @traced("protocol.confirm_batch", category="protocol")
     def confirm_batch(self, file_ids: List[int]) -> List[int]:
         if self.charge_fees:
             return super().confirm_batch(file_ids)
@@ -1193,6 +1194,7 @@ class ColumnarProtocol(FileInsurerProtocol):
     # ------------------------------------------------------------------
     # Time: run-grouped task execution with vectorised sweeps
     # ------------------------------------------------------------------
+    @traced("protocol.advance_time", category="protocol")
     def advance_time(self, until: float) -> None:
         if until < self.now:
             raise ValueError("time cannot move backwards")
@@ -1231,7 +1233,17 @@ class ColumnarProtocol(FileInsurerProtocol):
         self.now = until
         if metrics.is_enabled():
             self._record_gauges()
+        if is_enabled():
+            # Refresh-target draws only happen inside CheckProof runs, so
+            # once per advance covers them -- never once per draw.
+            names = ("hits", "refills", "flushed")
+            for name, amount in zip(names, self.selector.take_prefetch_counts()):
+                if amount:
+                    counter(
+                        f"protocol.prefetch.{name}", amount, category="protocol"
+                    )
 
+    @traced("protocol.check_alloc_run", category="protocol")
     def _check_alloc_run(self, file_ids: np.ndarray) -> None:
         """A run of same-time CheckAlloc tasks, vectorised when uniform.
 

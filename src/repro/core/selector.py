@@ -284,6 +284,11 @@ class CapacitySelector:
         self._free = np.empty(0, dtype=np.int64)
         #: Prefetched plain-draw slots, served in draw order via pop().
         self._draw_buffer: List[int] = []
+        #: Kernel calls that filled the buffer, prefetched draws a flush
+        #: discarded, and the totals :meth:`take_prefetch_counts` last saw.
+        self._refills = 0
+        self._flushed = 0
+        self._prefetch_taken = (0, 0, 0)
         self._entropy = int.from_bytes(
             prng.spawn(self._KERNEL_ENTROPY_LABEL).random_bytes(16), "big"
         )
@@ -309,7 +314,7 @@ class CapacitySelector:
         ``capacity``).
         """
         self._sampler.add(sector_id, capacity)
-        self._draw_buffer.clear()
+        self._flush_draws()
         slot = self._sampler.slot_of(sector_id)
         if len(self._free) <= slot:
             grown = np.full(max(slot + 1, 2 * len(self._free)), -1, dtype=np.int64)
@@ -322,7 +327,11 @@ class CapacitySelector:
         if self._sampler.contains(sector_id):
             self._free[self._sampler.slot_of(sector_id)] = -1
             self._sampler.remove(sector_id)
-            self._draw_buffer.clear()
+            self._flush_draws()
+
+    def _flush_draws(self) -> None:
+        self._flushed += len(self._draw_buffer)
+        self._draw_buffer.clear()
 
     def set_free(self, sector_id: str, free: int) -> None:
         """Update a sector's free capacity.
@@ -387,9 +396,25 @@ class CapacitySelector:
                 [("draw", self.draw_batch)],
             )
             self.samples += result.attempts
+            self._refills += 1
             self._draw_buffer = [int(slot) for slot in result.keys]
             self._draw_buffer.reverse()
         return self._sampler.key_at(self._draw_buffer.pop())
+
+    def take_prefetch_counts(self) -> tuple[int, ...]:
+        """Plain-draw prefetch ``(hits, refills, flushed)`` since the last call.
+
+        Of the draws :meth:`random_sector` served, ``refills`` needed a
+        kernel call and ``hits`` came out of an already filled buffer;
+        ``flushed`` prefetched draws were discarded by a membership change
+        before they could be served.
+        """
+        served = (
+            self._refills * self.draw_batch - self._flushed - len(self._draw_buffer)
+        )
+        totals = (served - self._refills, self._refills, self._flushed)
+        taken, self._prefetch_taken = self._prefetch_taken, totals
+        return tuple(now - before for now, before in zip(totals, taken))
 
     def select_batch_slots(self, sizes: Sequence[int]) -> np.ndarray:
         """Place a replica set, returning raw slot ids.

@@ -27,54 +27,13 @@ diff`` for comparing saved manifests)::
     python -m repro run robustness --resume results.json --out results.json
     python -m repro diff results.json other.json
 
-``python -m repro.experiments.<name>`` still works: every module's
-``__main__`` guard delegates to the shared :func:`_cli_main`, which calls
-the module's ``main()`` -- itself routed through
-:func:`repro.runner.run_scenario` -- so the full paper-style report
-(analytic bound sweeps, paper-point lines, Monte-Carlo tables) is printed
-and trials can be parallelised with ``--workers N``.  Scenario parameter
-overrides (``--set key=value``) are available through the unified CLI.
+The modules have no entry points of their own: ``repro run <name>`` is
+the one way to execute a scenario (``--workers N``, ``--seed S``, ``--set
+key=value``), and the analytic ``run_bound_sweep`` helpers stay
+importable for the closed-form tables.
 """
-
-from typing import Callable, Optional, Sequence
 
 from repro.experiments import collision, deposit, robustness, scalability, table3, table4
 
 __all__ = ["collision", "deposit", "robustness", "scalability", "table3", "table4"]
 
-
-def _cli_main(
-    main_fn: Callable[..., object], argv: Optional[Sequence[str]] = None
-) -> int:
-    """Shared ``python -m repro.experiments.<name>`` guard.
-
-    Parses the runner-wide flags (``--workers``, ``--seed``) and invokes
-    the module's ``main()``, which executes its grid through
-    :func:`repro.runner.run_scenario` and prints the full report.  Returns
-    a process exit code (callers should ``raise SystemExit`` on it).
-    """
-    import argparse
-
-    from repro.runner.registry import ScenarioError
-
-    parser = argparse.ArgumentParser(
-        description=(main_fn.__doc__ or "experiment driver").splitlines()[0]
-    )
-    parser.add_argument(
-        "--workers", type=int, default=1, help="worker processes (default 1)"
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="root seed (default: the driver's own)"
-    )
-    args = parser.parse_args(list(argv) if argv is not None else None)
-    if args.workers < 1:
-        parser.error("--workers must be >= 1")
-    kwargs = {"workers": args.workers}
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    try:
-        main_fn(**kwargs)
-    except ScenarioError as error:
-        print(f"error: {error}")
-        return 2
-    return 0

@@ -18,9 +18,8 @@ import numpy as np
 
 from repro.core.analysis import theorem2_collision_probability_bound
 from repro.runner.registry import ParamSpec, scenario
-from repro.sim.metrics import format_table
 
-__all__ = ["run_bound_sweep", "run_monte_carlo", "main"]
+__all__ = ["run_bound_sweep", "run_monte_carlo"]
 
 
 def run_bound_sweep(
@@ -160,32 +159,3 @@ def _collision_trial(task) -> Dict[str, object]:
         "trials": task["trials"],
         "hits": hits,
     }
-
-
-def main(workers: int = 1, seed: int = 0) -> Dict[str, List[Dict[str, object]]]:
-    """Print the analytic sweep and the Monte-Carlo check.
-
-    The Monte-Carlo trials route through :func:`repro.runner.run_scenario`
-    (scenario ``collision``), so ``workers`` fans them out in parallel.
-    """
-    from repro.runner.executor import run_scenario
-
-    bound_rows = run_bound_sweep()
-    print("\nTheorem 2 bound: Pr[exists s with freeCap <= capacity/8]")
-    print(format_table(bound_rows))
-    paper_point = theorem2_collision_probability_bound(10**12, 1000, 1)
-    print(
-        f"paper's operating point (capacity/size=1000, Ns=1e12): bound = "
-        f"{paper_point:.3e} (< 1e-50 as claimed)"
-    )
-    manifest = run_scenario("collision", workers=workers, seed=seed)
-    print("\nMonte-Carlo check at small capacity/size ratios "
-          f"({manifest.trial_count} batches, {workers} workers)")
-    print(format_table(manifest.summary))
-    return {"bound": bound_rows, "monte_carlo": manifest.summary}
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    from repro.experiments import _cli_main
-
-    raise SystemExit(_cli_main(main))

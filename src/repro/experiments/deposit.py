@@ -22,9 +22,8 @@ from repro.core.params import ProtocolParams
 from repro.core.protocol import FileInsurerProtocol
 from repro.crypto.prng import DeterministicPRNG
 from repro.runner.registry import ParamSpec, scenario
-from repro.sim.metrics import format_table
 
-__all__ = ["run_bound_sweep", "run_protocol_check", "main"]
+__all__ = ["run_bound_sweep", "run_protocol_check"]
 
 PAPER_PARAMS = {"k": 20, "ns": 10**6, "cap_para": 10**3}
 PAPER_DEPOSIT_RATIO = 0.0046
@@ -195,32 +194,3 @@ def _deposit_trial(task) -> Dict[str, object]:
         seed=task["seed"],
         backend=task["backend"],
     )
-
-
-def main(workers: int = 1, seed: int = 1) -> Dict[str, object]:
-    """Print the bound sweep and the end-to-end protocol checks.
-
-    The protocol checks route through :func:`repro.runner.run_scenario`
-    (scenario ``deposit``), so ``workers`` fans them out in parallel.
-    """
-    from repro.runner.executor import run_scenario
-
-    rows = run_bound_sweep(**PAPER_PARAMS)  # type: ignore[arg-type]
-    print("\nTheorem 4 deposit-ratio bound at the paper's parameters")
-    print(format_table(rows))
-    paper_point = theorem4_deposit_ratio_bound(lam=0.5, **PAPER_PARAMS)  # type: ignore[arg-type]
-    print(
-        f"paper's example: lambda=0.5 -> gamma_deposit = {paper_point:.4f} "
-        f"(paper reports {PAPER_DEPOSIT_RATIO})"
-    )
-    manifest = run_scenario("deposit", workers=workers, seed=seed)
-    print("\nEnd-to-end compensation checks on the protocol state machine")
-    print(format_table(manifest.rows))
-    print(format_table(manifest.summary))
-    return {"bound": rows, "protocol_checks": manifest.rows, "manifest": manifest}
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    from repro.experiments import _cli_main
-
-    raise SystemExit(_cli_main(main))

@@ -26,14 +26,12 @@ from repro.core.analysis import expected_lost_value_fraction, theorem3_loss_rati
 from repro.runner.aggregate import summarize
 from repro.runner.registry import ParamSpec, scenario
 from repro.sim.adversary import GreedyCapacityAdversary, RandomCapacityAdversary, evaluate_loss
-from repro.sim.metrics import format_table
 
 __all__ = [
     "run_bound_sweep",
     "simulate_loss",
     "run_monte_carlo",
     "run_placement_contrast",
-    "main",
 ]
 
 PAPER_PARAMS = {"k": 20, "ns": 10**6, "cap_para": 10**3, "gamma_m_v": 0.005}
@@ -251,42 +249,3 @@ def _robustness_trial(task) -> Dict[str, object]:
         "adversary": "targeted" if task["targeted"] else "random",
         "loss": round(loss, 6),
     }
-
-
-def main(workers: int = 1, seed: int = 0) -> Dict[str, object]:
-    """Print the bound sweep, the Monte-Carlo check and the placement contrast.
-
-    The Monte-Carlo check routes through :func:`repro.runner.run_scenario`
-    (scenario ``robustness``), so ``workers`` fans trials out in parallel.
-    """
-    from repro.runner.executor import run_scenario
-
-    bound_rows = run_bound_sweep(**PAPER_PARAMS)  # type: ignore[arg-type]
-    print("\nTheorem 3 bound at the paper's parameters (k=20, Ns=1e6, capPara=1e3)")
-    print(format_table(bound_rows))
-    paper_point = theorem3_loss_ratio_bound(lam=0.5, **PAPER_PARAMS)  # type: ignore[arg-type]
-    print(
-        f"paper's example: lambda=0.5 -> gamma_lost <= {paper_point:.2e} "
-        "(paper: no more than 0.1% of stored value)"
-    )
-
-    manifest = run_scenario("robustness", workers=workers, seed=seed)
-    print("\nMonte-Carlo loss ratios at scaled parameters "
-          f"({manifest.trial_count} trials, {workers} workers)")
-    print(format_table(manifest.summary))
-
-    contrast = run_placement_contrast()
-    print("\nStorage randomness ablation (targeted adversary, lambda=0.5)")
-    print(format_table([contrast]))
-    return {
-        "bound": bound_rows,
-        "monte_carlo": manifest.summary,
-        "contrast": contrast,
-        "manifest": manifest,
-    }
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    from repro.experiments import _cli_main
-
-    raise SystemExit(_cli_main(main))

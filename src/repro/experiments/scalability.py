@@ -32,9 +32,8 @@ from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolError
 from repro.crypto.prng import DeterministicPRNG
 from repro.runner.registry import ParamSpec, scenario
-from repro.sim.metrics import format_table
 
-__all__ = ["synthetic_population", "run_bound_sweep", "run_fill_experiment", "main"]
+__all__ = ["synthetic_population", "run_bound_sweep", "run_fill_experiment"]
 
 
 def synthetic_population(
@@ -230,27 +229,3 @@ def _scalability_trial(task) -> Dict[str, object]:
         add_batch=task["add_batch"],
         max_files=task["max_files"],
     )
-
-
-def main(workers: int = 1, seed: int = 3) -> Dict[str, object]:
-    """Print the Ns sweep and the deployment fill experiments.
-
-    The fill experiments route through :func:`repro.runner.run_scenario`
-    (scenario ``scalability``), so ``workers`` fans them out in parallel.
-    """
-    from repro.runner.executor import run_scenario
-
-    rows = run_bound_sweep()
-    print("\nTheorem 1: maximum storable raw file size vs network capacity")
-    print(format_table(rows))
-    manifest = run_scenario("scalability", workers=workers, seed=seed)
-    print("\nFill-until-failure checks on the protocol state machine")
-    print(format_table(manifest.rows))
-    print(format_table(manifest.summary))
-    return {"bound": rows, "fill": manifest.rows, "manifest": manifest}
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    from repro.experiments import _cli_main
-
-    raise SystemExit(_cli_main(main))

@@ -22,11 +22,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.runner.registry import ParamSpec, scenario
-from repro.sim.metrics import format_table
 from repro.sim.placement import PlacementExperiment, PlacementResult
 from repro.sim.workload import FileSizeDistribution
 
-__all__ = ["default_grid", "paper_grid", "run_table3", "rows_to_table", "main"]
+__all__ = ["default_grid", "paper_grid", "run_table3", "rows_to_table"]
 
 #: Paper value: the claimed maximum usage across all rows is below this.
 PAPER_MAX_USAGE = 0.64
@@ -165,53 +164,3 @@ def _table3_trial(task) -> Dict[str, object]:
         row[result.distribution.paper_label] = round(result.max_usage, 3)
     row["cell_max_usage"] = round(max(result.max_usage for result in results), 3)
     return row
-
-
-def main(
-    scale: str = "default",
-    rounds: int = 100,
-    refresh_multiplier: int = 100,
-    seed: int = 0,
-    workers: int = 1,
-    backend: str = "auto",
-) -> Dict[str, List[Dict[str, object]]]:
-    """Run both settings through the runner and print paper-style tables."""
-    from repro.runner.executor import run_scenario
-
-    manifest = run_scenario(
-        "table3",
-        overrides={
-            "scale": scale,
-            "rounds": rounds,
-            "refresh_multiplier": refresh_multiplier,
-            "backend": backend,
-        },
-        workers=workers,
-        seed=seed,
-    )
-    output: Dict[str, List[Dict[str, object]]] = {}
-    for mode, header in (
-        ("reallocate", f"reallocate all file backups {rounds} times"),
-        ("refresh", f"refresh the location of a file backup {refresh_multiplier}*Ncp times"),
-    ):
-        rows = [
-            {key: value for key, value in row.items()
-             if key not in ("trial", "seed", "mode", "cell_max_usage")}
-            for row in manifest.rows
-            if row["mode"] == mode
-        ]
-        output[mode] = rows
-        print(f"\nTable III ({header}) -- maximum capacity usage of sectors")
-        print(format_table(rows))
-    for row in manifest.summary:
-        print(
-            f"{row['mode']}: observed maximum usage = {row['observed_max_usage']} "
-            f"(paper reports all values < {row['paper_max_usage']})"
-        )
-    return output
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    from repro.experiments import _cli_main
-
-    raise SystemExit(_cli_main(main))

@@ -13,9 +13,8 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.baselines.comparison import ComparisonHarness, ProtocolProperties
 from repro.runner.registry import ParamSpec, scenario
-from repro.sim.metrics import format_table
 
-__all__ = ["run_table4", "paper_expectations", "main"]
+__all__ = ["run_table4", "paper_expectations"]
 
 
 def paper_expectations() -> Dict[str, Dict[str, bool]]:
@@ -157,44 +156,3 @@ def _table4_trial(task) -> Dict[str, object]:
         seed=harness_seed,
     )
     return harness.evaluate_protocol(task["protocol"]).as_row()
-
-
-def main(
-    n_sectors: int = 200,
-    n_files: int = 500,
-    corruption_fraction: float = 0.3,
-    seed: int = 0,
-    workers: int = 1,
-):
-    """Run the comparison through the runner, print Table IV, return the manifest."""
-    from repro.runner.executor import run_scenario
-
-    manifest = run_scenario(
-        "table4",
-        overrides={
-            "n_sectors": n_sectors,
-            "n_files": n_files,
-            "corruption_fraction": corruption_fraction,
-        },
-        workers=workers,
-        seed=seed,
-    )
-    print("\nTable IV -- comparison of DSN protocols "
-          f"(corrupting {corruption_fraction:.0%} of sectors)")
-    print(format_table(
-        [{key: value for key, value in row.items() if key not in ("trial", "seed")}
-         for row in manifest.rows]
-    ))
-    mismatching = [row for row in manifest.summary if not row["matches_paper"]]
-    if mismatching:
-        print("\nMISMATCHES vs paper Table IV:")
-        print(format_table(mismatching))
-    else:
-        print("\nAll Yes/No entries match the paper's Table IV.")
-    return manifest
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    from repro.experiments import _cli_main
-
-    raise SystemExit(_cli_main(main))

@@ -39,6 +39,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro import telemetry
 from repro.kernels.base import KernelBackend
 from repro.kernels.sampling import (
     BatchDrawResult,
@@ -584,6 +585,8 @@ class VectorizedKernels(KernelBackend):
         parts: List[np.ndarray] = []
         attempts = 0
         collisions = 0
+        prefix_accepted = 0  # placements committed as part of a prefix
+        scalar_fallback = 0  # placements resolved by the retry loop
         index = 0
         n_ops = len(op_list)
         while index < n_ops:
@@ -628,6 +631,7 @@ class VectorizedKernels(KernelBackend):
                     placed_run[at : at + first_bad] = accepted
                     engine.consume(first_bad)
                     attempts += first_bad
+                    prefix_accepted += first_bad
                     at += first_bad
                     continue
                 # Head draw collides: resolve it alone, honouring its
@@ -644,9 +648,13 @@ class VectorizedKernels(KernelBackend):
                         break
                     collisions += 1
                 placed_run[at] = placed
+                scalar_fallback += 1
                 at += 1
             parts.append(placed_run)
             index = run_end
+        if telemetry.is_enabled() and (prefix_accepted or scalar_fallback):
+            telemetry.counter("kernel.place.prefix_accepted", prefix_accepted, "kernel")
+            telemetry.counter("kernel.place.scalar_fallback", scalar_fallback, "kernel")
         keys = np.concatenate(parts) if parts else _EMPTY_I64.copy()
         return BatchDrawResult(
             keys=keys.astype(np.int64, copy=False), attempts=attempts, collisions=collisions

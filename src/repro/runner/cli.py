@@ -67,8 +67,10 @@ import logging
 import os
 import sys
 import time
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from repro import telemetry
 from repro.runner.aggregate import format_table
 from repro.runner.executor import default_workers, run_scenario
 from repro.runner.registry import (
@@ -475,18 +477,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
             raise ScenarioError(
                 f"cannot load resume manifest {args.resume!r}: {error}"
             ) from None
-    if args.trace:
-        from repro import telemetry
-
-        telemetry.enable()
-    if args.metrics:
-        from repro.telemetry import metrics
-
-        metrics.enable()
-    if args.profile:
-        from repro.telemetry import profile as profiling
-
-        profiling.enable()
+    flagged = [
+        (channel, report)
+        for flag, channel, report in _RUN_RECORDERS
+        if getattr(args, flag)
+    ]
+    telemetry.arm([channel for channel, _ in flagged])
     try:
         manifest = run_scenario(
             args.scenario,
@@ -495,21 +491,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             seed=args.seed,
             resume=resume,
         )
-    except BaseException:
-        # Do not leak half-recorded buffers into a later command.
-        if args.trace:
-            from repro import telemetry
-
-            telemetry.reset()
-        if args.metrics:
-            from repro.telemetry import metrics
-
-            metrics.reset()
-        if args.profile:
-            from repro.telemetry import profile as profiling
-
-            profiling.reset()
-        raise
+        recorded = {
+            channel: telemetry.CHANNELS[channel].drain() for channel, _ in flagged
+        }
+    finally:
+        # Leak neither armed flags nor half-recorded buffers into a later
+        # command, whichever channels the failed run had armed.
+        telemetry.reset_channels()
     print(
         f"scenario={manifest.scenario} seed={manifest.seed} "
         f"workers={manifest.workers} trials={manifest.trial_count} "
@@ -524,63 +512,54 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.out:
         path = manifest.save(args.out)
         print(f"\nmanifest written to {path}")
-    if args.trace:
-        _write_trace_artifacts(args, manifest)
-    if args.metrics:
-        _print_metrics_report(manifest)
-    if args.profile:
-        _write_profile_artifacts(args.profile)
+    for channel, report in flagged:
+        report(args, manifest, recorded[channel])
     return 0
 
 
-def _print_metrics_report(manifest) -> None:
-    """Print the histogram/gauge breakdown of a ``--metrics`` run."""
-    from repro.telemetry import metrics
+def _print_tables(*tables) -> None:
+    """Print each non-empty ``(title, rows)`` table under its title."""
+    for title, rows in tables:
+        if rows:
+            print(title)
+            print(format_table(rows))
 
-    metrics.reset()  # the summary is in the manifest; drop the raw buffer
-    summary = manifest.metrics or {}
-    histograms = metrics.histogram_table(summary)
-    series = metrics.series_table(summary)
-    print(
-        f"\nmetrics: {len(histograms)} histograms, {len(series)} gauge series "
-        "(embedded in the manifest's 'metrics' field)"
+
+def _metric_tables(summary, histogram_title: str):
+    metrics = telemetry.metrics
+    return (
+        (f"\n{histogram_title}", metrics.histogram_table(summary)),
+        ("\ngauge series (over simulated time)", metrics.series_table(summary)),
     )
-    if histograms:
-        print("\nhistograms")
-        print(format_table(histograms))
-    if series:
-        print("\ngauge series (over simulated time)")
-        print(format_table(series))
 
 
-def _write_profile_artifacts(profile_dir: str) -> None:
+def _print_metrics_report(args: argparse.Namespace, manifest, samples) -> None:
+    """Print the histogram/gauge breakdown of a ``--metrics`` run.
+
+    The summary is in the manifest; the raw ``samples`` are dropped.
+    """
+    tables = _metric_tables(manifest.metrics or {}, "histograms")
+    print(
+        f"\nmetrics: {len(tables[0][1])} histograms, {len(tables[1][1])} gauge "
+        "series (embedded in the manifest's 'metrics' field)"
+    )
+    _print_tables(*tables)
+
+
+def _write_profile_artifacts(args: argparse.Namespace, manifest, tables) -> None:
     """Merge the per-trial cProfile tables and write ``profile.pstats``."""
-    from pathlib import Path
-
-    from repro.telemetry import profile as profiling
-
-    profiling.disable()
-    tables = profiling.drain()
+    profiling = telemetry.profile
     merged = profiling.merge_stats(tables)
-    path = profiling.write_pstats(Path(profile_dir) / "profile.pstats", merged)
+    path = profiling.write_pstats(Path(args.profile) / "profile.pstats", merged)
     print(
         f"\nprofile: {len(tables)} trial profiles merged -> {path} "
         "(open with python -m pstats)"
     )
-    rows = profiling.top_table(merged)
-    if rows:
-        print("top functions by cumulative time")
-        print(format_table(rows))
+    _print_tables(("top functions by cumulative time", profiling.top_table(merged)))
 
 
-def _write_trace_artifacts(args: argparse.Namespace, manifest) -> int:
+def _write_trace_artifacts(args: argparse.Namespace, manifest, events) -> None:
     """Export the Chrome trace + telemetry summary of a ``--trace`` run."""
-    from pathlib import Path
-
-    from repro import telemetry
-
-    telemetry.disable()
-    events = telemetry.drain()
     trace_path = telemetry.write_chrome_trace(
         args.trace,
         events,
@@ -600,20 +579,25 @@ def _write_trace_artifacts(args: argparse.Namespace, manifest) -> int:
     )
     print(f"telemetry summary written to {summary_path}")
     _print_telemetry_summary(summary)
-    return 0
+
+
+#: ``repro run`` flag -> the telemetry channel it arms and the report
+#: that turns what the channel recorded into artifacts and tables.
+_RUN_RECORDERS = (
+    ("trace", "spans", _write_trace_artifacts),
+    ("metrics", "metrics", _print_metrics_report),
+    ("profile", "profile", _write_profile_artifacts),
+)
 
 
 def _print_telemetry_summary(summary) -> None:
-    from repro.telemetry import counter_table, phase_table
-
-    spans = phase_table(summary)
-    if spans:
-        print("\nphase breakdown (spans; nested spans overlap)")
-        print(format_table(spans))
-    counters = counter_table(summary)
-    if counters:
-        print("\ncounters")
-        print(format_table(counters))
+    _print_tables(
+        (
+            "\nphase breakdown (spans; nested spans overlap)",
+            telemetry.phase_table(summary),
+        ),
+        ("\ncounters", telemetry.counter_table(summary)),
+    )
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -655,24 +639,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         f"wall={manifest.duration_seconds:.2f}s"
     )
     _print_telemetry_summary(manifest.telemetry)
-    if manifest.metrics:
-        from repro.telemetry import metrics as metrics_mod
+    from repro.runner.diff import straggler_rows
 
-        histograms = metrics_mod.histogram_table(manifest.metrics)
-        if histograms:
-            print("\nmetric histograms")
-            print(format_table(histograms))
-        series = metrics_mod.series_table(manifest.metrics)
-        if series:
-            print("\ngauge series (over simulated time)")
-            print(format_table(series))
-    if manifest.trial_stats:
-        from repro.runner.diff import straggler_rows
-
-        stragglers = straggler_rows(manifest)
-        if stragglers:
-            print("\nstraggler trials (vs the run's median trial wall)")
-            print(format_table(stragglers))
+    stragglers = straggler_rows(manifest)
+    _print_tables(
+        *_metric_tables(manifest.metrics or {}, "metric histograms"),
+        ("\nstraggler trials (vs the run's median trial wall)", stragglers),
+    )
     return 0
 
 
@@ -888,8 +861,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 def _history_target(args: argparse.Namespace):
     """The perf-history path for ``--history``, or ``None`` when disabled."""
-    from pathlib import Path
-
     from repro.telemetry import history
 
     if args.history is not None:
@@ -937,8 +908,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
                 raise ScenarioError(
                     f"cannot load bench artifact {artifact!r}: {error}"
                 ) from None
-            from pathlib import Path
-
             try:
                 entries = history.entries_from_artifact(
                     data, source=Path(artifact).name

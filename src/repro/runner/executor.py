@@ -23,7 +23,6 @@ merged row set is byte-identical to an uninterrupted run's
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import multiprocessing
 import multiprocessing.pool
@@ -34,8 +33,9 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro import telemetry
-from repro.telemetry import metrics
 from repro.telemetry import profile as profiling
+from repro.telemetry.metrics import summarize_metrics
+from repro.telemetry.summary import summarize_events
 from repro.crypto.prng import DeterministicPRNG
 from repro.runner.registry import (
     ScenarioError,
@@ -102,62 +102,38 @@ def create_worker_pool(workers: int) -> multiprocessing.pool.Pool:
 
 
 def _execute_trial(
-    payload: Tuple[TrialFn, Dict[str, object], Optional[float]]
+    payload: Tuple[TrialFn, Dict[str, object], Tuple[str, ...], float]
 ) -> Dict[str, object]:
     """Run one trial (module-level so it pickles into worker processes).
 
     Returns a result *envelope*: the trial's row plus per-trial
-    observability (wall time, worker pid, and -- when the corresponding
-    recorder is enabled -- the telemetry events, metric samples and raw
-    cProfile stats collected during the trial, each captured in an
-    isolated buffer so they can be shipped back to the parent process).
+    observability -- wall time, worker pid, and ``recorded``, what each
+    armed telemetry channel collected during the trial, captured in an
+    isolated buffer so it can be shipped back to the parent process.
+    ``armed`` is the parent's armed-channel names: the worker's own
+    flags date from its fork and are overwritten, not trusted.
     ``enqueued`` is the parent's ``perf_counter`` at submission; Linux's
     monotonic clock is system-wide, so the queue-wait span it implies is
     meaningful even inside a forked worker.
     """
-    trial_fn, task, enqueued = payload
+    trial_fn, task, armed, enqueued = payload
     started = time.perf_counter()
-    events: Optional[List[Dict[str, object]]] = None
-    metric_samples: Optional[List[Dict[str, object]]] = None
-    profile_stats = None
-    if telemetry.is_enabled() or metrics.is_enabled() or profiling.is_enabled():
-        with contextlib.ExitStack() as stack:
-            if telemetry.is_enabled():
-                events = stack.enter_context(telemetry.capture())
-                if enqueued is not None:
-                    telemetry.emit_span(
-                        "trial.queue",
-                        enqueued,
-                        started,
-                        category="executor",
-                        trial=task["trial"],
-                    )
-                stack.enter_context(
-                    telemetry.span(
-                        "trial.run",
-                        category="executor",
-                        trial=task["trial"],
-                        seed=task["seed"],
-                    )
-                )
-            if metrics.is_enabled():
-                metric_samples = stack.enter_context(metrics.capture())
-            if profiling.is_enabled():
-                row, profile_stats = profiling.profiled_call(trial_fn, task)
-                row = dict(row)
-            else:
-                row = dict(trial_fn(task))
-    else:
-        row = dict(trial_fn(task))
+    telemetry.arm(armed)
+    with telemetry.capture_channels(armed) as recorded:
+        telemetry.emit_span(
+            "trial.queue", enqueued, started, category="executor", trial=task["trial"]
+        )
+        with telemetry.span(
+            "trial.run", category="executor", trial=task["trial"], seed=task["seed"]
+        ):
+            row = dict(profiling.run(trial_fn, task))
     wall = time.perf_counter() - started
     # Trial index and seed lead every row so runs are diffable by eye.
     return {
         "row": {"trial": task["trial"], "seed": task["seed"], **row},
         "wall_seconds": wall,
         "pid": os.getpid(),
-        "events": events,
-        "metric_samples": metric_samples,
-        "profile": profile_stats,
+        "recorded": recorded,
     }
 
 
@@ -221,20 +197,17 @@ def match_resume_rows(
 class TrialBatch:
     """The executed trials' rows plus their observability side channel.
 
-    ``rows`` is the deterministic payload (identical with telemetry,
-    metrics or profiling on or off, serial or pooled); ``trial_stats``
-    carries one ``{"trial", "wall_seconds", "pid"}`` entry per
-    *executed* trial so stragglers are inspectable after the fact;
-    ``events``, ``metric_samples`` and ``profiles`` hold the telemetry
-    events, histogram/gauge samples and raw cProfile tables shipped back
-    from workers (empty while the respective recorder is disabled).
+    ``rows`` is the deterministic payload (identical with any telemetry
+    channel on or off, serial or pooled); ``trial_stats`` carries one
+    ``{"trial", "wall_seconds", "pid"}`` entry per *executed* trial so
+    stragglers are inspectable after the fact; ``recorded`` maps each
+    armed channel's name to what the trials recorded on it, in trial
+    order (no key for a channel that was off).
     """
 
     rows: List[Dict[str, object]] = field(default_factory=list)
     trial_stats: List[Dict[str, object]] = field(default_factory=list)
-    events: List[Dict[str, object]] = field(default_factory=list)
-    metric_samples: List[Dict[str, object]] = field(default_factory=list)
-    profiles: List[Dict] = field(default_factory=list)
+    recorded: Dict[str, List] = field(default_factory=dict)
 
 
 def execute_trials(
@@ -261,8 +234,8 @@ def execute_trials(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     cached = dict(cached_rows or {})
-    recording = telemetry.is_enabled()
-    payloads: List[Tuple[TrialFn, Dict[str, object], Optional[float]]] = []
+    armed = telemetry.armed()
+    payloads: List[Tuple[TrialFn, Dict[str, object], Tuple[str, ...], float]] = []
     for index, trial in enumerate(trials):
         if index in cached:
             continue
@@ -272,9 +245,7 @@ def execute_trials(
         # The undivided root seed, for scenarios whose trials must share
         # one stream (e.g. a common workload across protocols).
         task["root_seed"] = seed
-        payloads.append(
-            (spec.trial_fn, task, time.perf_counter() if recording else None)
-        )
+        payloads.append((spec.trial_fn, task, armed, time.perf_counter()))
     logger.debug(
         "scenario %s: executing %d/%d trials (%d cached) with %d workers",
         spec.name, len(payloads), len(trials), len(cached), workers,
@@ -292,7 +263,7 @@ def execute_trials(
             with create_worker_pool(min(workers, len(payloads))) as own_pool:
                 envelopes = own_pool.map(_execute_trial, payloads)
 
-    batch = TrialBatch()
+    batch = TrialBatch(recorded={name: [] for name in armed})
     for envelope in envelopes:
         batch.rows.append(envelope["row"])
         batch.trial_stats.append(
@@ -302,18 +273,9 @@ def execute_trials(
                 "pid": envelope["pid"],
             }
         )
-        if envelope["events"]:
-            batch.events.extend(envelope["events"])
-        if envelope["metric_samples"]:
-            batch.metric_samples.extend(envelope["metric_samples"])
-        if envelope["profile"] is not None:
-            batch.profiles.append(envelope["profile"])
-    if recording:
-        telemetry.extend(batch.events)
-    if metrics.is_enabled():
-        metrics.extend(batch.metric_samples)
-    if profiling.is_enabled():
-        profiling.extend(batch.profiles)
+        for name, items in envelope["recorded"].items():
+            batch.recorded[name].extend(items)
+    telemetry.extend_channels(batch.recorded)
 
     if cached:
         merged: Dict[int, Dict[str, object]] = {
@@ -357,14 +319,15 @@ def run_scenario(
     :func:`run_trials` so many scenarios can share one set of workers
     (the campaign orchestrator's path); the caller closes it.
 
-    With telemetry enabled (:mod:`repro.telemetry`), the manifest's
-    ``telemetry`` field carries this run's phase-breakdown summary and
-    the raw events stay in the process buffer for the CLI's ``--trace``
-    exporter; with metrics enabled (:mod:`repro.telemetry.metrics`) the
-    ``metrics`` field likewise carries the histogram/gauge summary; rows
-    are byte-identical either way.  Per-trial wall time
-    and worker pid always land in ``trial_stats`` (cached/resumed trials
-    keep the stats of the run that actually executed them).
+    What the armed telemetry channels (:mod:`repro.telemetry`) record
+    during the run stays in their process buffers for the caller (the
+    CLI's ``--trace`` / ``--profile`` exporters) and is summarised into
+    the manifest: the ``telemetry`` field carries the spans channel's
+    phase breakdown, the ``metrics`` field the metrics channel's
+    histogram/gauge summary; rows are byte-identical either way.
+    Per-trial wall time and worker pid always land in ``trial_stats``
+    (cached/resumed trials keep the stats of the run that actually
+    executed them).
     """
     spec = (
         name_or_spec
@@ -383,29 +346,22 @@ def run_scenario(
         with telemetry.span("executor.resume_match", category="executor"):
             cached_rows = match_resume_rows(spec, trials, seed, params, prior)
 
-    recording = telemetry.is_enabled()
-    recording_metrics = metrics.is_enabled()
-    run_events: List[Dict[str, object]] = []
-    run_samples: List[Dict[str, object]] = []
     started = time.perf_counter()
-    with contextlib.ExitStack() as stack:
-        if recording:
-            run_events = stack.enter_context(telemetry.capture())
-        if recording_metrics:
-            run_samples = stack.enter_context(metrics.capture())
-        batch, summary = _execute_and_aggregate(
-            spec, trials, params, workers, seed, cached_rows, pool
+    summary: List[Dict[str, object]] = []
+    armed = telemetry.armed()
+    with telemetry.capture_channels(armed) as recorded:
+        batch = execute_trials(
+            spec, trials, workers=workers, seed=seed, cached_rows=cached_rows, pool=pool
         )
-    if recording:
-        telemetry.extend(run_events)
-    if recording_metrics:
-        metrics.extend(run_samples)
+        if spec.aggregate is not None:
+            with telemetry.span(
+                "executor.aggregate", category="executor", scenario=spec.name
+            ):
+                summary = [dict(row) for row in spec.aggregate(batch.rows, params)]
+    telemetry.extend_channels(recorded)
     duration = time.perf_counter() - started
 
     trial_stats = _merge_trial_stats(batch.trial_stats, prior)
-    from repro.telemetry.metrics import summarize_metrics
-    from repro.telemetry.summary import summarize_events
-
     return RunManifest(
         scenario=spec.name,
         params=jsonify(params),
@@ -416,31 +372,10 @@ def run_scenario(
         rows=jsonify(batch.rows),
         summary=jsonify(summary),
         trial_stats=jsonify(trial_stats),
-        telemetry=summarize_events(run_events) if recording else None,
-        metrics=summarize_metrics(run_samples) if recording_metrics else None,
+        # The two channels whose payload has a manifest field of its own.
+        telemetry=summarize_events(recorded["spans"]) if "spans" in armed else None,
+        metrics=summarize_metrics(recorded["metrics"]) if "metrics" in armed else None,
     )
-
-
-def _execute_and_aggregate(
-    spec: ScenarioSpec,
-    trials: Sequence[Mapping[str, object]],
-    params: Mapping[str, object],
-    workers: int,
-    seed: int,
-    cached_rows: Optional[Mapping[int, Mapping[str, object]]],
-    pool: Optional[multiprocessing.pool.Pool],
-) -> Tuple[TrialBatch, List[Dict[str, object]]]:
-    """The timed core of :func:`run_scenario`: fan out, then aggregate."""
-    batch = execute_trials(
-        spec, trials, workers=workers, seed=seed, cached_rows=cached_rows, pool=pool
-    )
-    summary: List[Dict[str, object]] = []
-    if spec.aggregate is not None:
-        with telemetry.span(
-            "executor.aggregate", category="executor", scenario=spec.name
-        ):
-            summary = [dict(row) for row in spec.aggregate(batch.rows, params)]
-    return batch, summary
 
 
 def _merge_trial_stats(

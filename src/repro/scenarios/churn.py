@@ -46,7 +46,7 @@ from repro.runner.registry import ParamSpec, scenario
 from repro.sim.adversary import GreedyCapacityAdversary
 from repro.sim.scenario import DSNScenario, ScenarioConfig
 
-__all__ = ["run_churn_trial", "main"]
+__all__ = ["run_churn_trial"]
 
 #: Scaled-down protocol constants so one trial stays in the sub-second
 #: range: 256 KiB sectors with 64 KiB capacity replicas keep DRep sealing
@@ -242,20 +242,3 @@ scenario(
     aggregate=_aggregate,
     tags=("workload", "end-to-end", "churn"),
 )(run_churn_trial)
-
-
-def main(workers: int = 1, seed: int = 0) -> Dict[str, object]:
-    """Run the churn scenario at defaults and print its report."""
-    from repro.runner.aggregate import format_table
-    from repro.runner.executor import run_scenario
-
-    manifest = run_scenario("churn", workers=workers, seed=seed)
-    print(f"churn: {manifest.trial_count} trials, wall={manifest.duration_seconds:.2f}s")
-    print(format_table(manifest.rows))
-    print("\nsummary")
-    print(format_table(manifest.summary))
-    return {"manifest": manifest}
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    raise SystemExit(0 if main() else 1)

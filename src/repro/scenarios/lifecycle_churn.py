@@ -50,7 +50,7 @@ from repro.runner.aggregate import compact_summary, summarize
 from repro.runner.registry import ParamSpec, scenario
 from repro.sim.lifecycle import LifecycleConfig, LifecycleSimulation
 
-__all__ = ["run_lifecycle_churn_trial", "main"]
+__all__ = ["run_lifecycle_churn_trial"]
 
 _SCENARIO_PARAMS = {
     "providers": ParamSpec(12, "providers active at time zero"),
@@ -135,23 +135,3 @@ scenario(
     aggregate=_aggregate,
     tags=("workload", "lifecycle", "event-driven", "churn"),
 )(run_lifecycle_churn_trial)
-
-
-def main(workers: int = 1, seed: int = 0) -> Dict[str, object]:
-    """Run the lifecycle_churn scenario at defaults and print its report."""
-    from repro.runner.aggregate import format_table
-    from repro.runner.executor import run_scenario
-
-    manifest = run_scenario("lifecycle_churn", workers=workers, seed=seed)
-    print(
-        f"lifecycle_churn: {manifest.trial_count} trials, "
-        f"wall={manifest.duration_seconds:.2f}s"
-    )
-    print(format_table(manifest.rows))
-    print("\nsummary")
-    print(format_table(manifest.summary))
-    return {"manifest": manifest}
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    raise SystemExit(0 if main() else 1)

@@ -42,7 +42,7 @@ from repro.storage.dag import MerkleDag
 from repro.storage.dht import DHTNetwork
 from repro.telemetry import metrics
 
-__all__ = ["run_retrieval_trial", "main"]
+__all__ = ["run_retrieval_trial"]
 
 #: Default per-byte deadline (seconds); matches ``ProtocolParams.small_test``
 #: scaled to the toy bandwidths used here.
@@ -280,23 +280,3 @@ scenario(
     aggregate=_aggregate,
     tags=("workload", "retrieval", "bitswap", "dht"),
 )(run_retrieval_trial)
-
-
-def main(workers: int = 1, seed: int = 0) -> Dict[str, object]:
-    """Run the retrieval_load scenario at defaults and print its report."""
-    from repro.runner.aggregate import format_table
-    from repro.runner.executor import run_scenario
-
-    manifest = run_scenario("retrieval_load", workers=workers, seed=seed)
-    print(
-        f"retrieval_load: {manifest.trial_count} trials, "
-        f"wall={manifest.duration_seconds:.2f}s"
-    )
-    print(format_table(manifest.rows))
-    print("\nsummary (per arrival rate)")
-    print(format_table(manifest.summary))
-    return {"manifest": manifest}
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    raise SystemExit(0 if main() else 1)

@@ -51,7 +51,7 @@ from repro.runner.aggregate import compact_summary, summarize
 from repro.runner.registry import ParamSpec, scenario
 from repro.sim.workload import FileSizeDistribution, WorkloadGenerator
 
-__all__ = ["run_segmentation_trial", "main"]
+__all__ = ["run_segmentation_trial"]
 
 _SCENARIO_PARAMS = {
     "size_ratios": ParamSpec(
@@ -249,23 +249,3 @@ scenario(
     aggregate=_aggregate,
     tags=("workload", "large-files", "erasure"),
 )(run_segmentation_trial)
-
-
-def main(workers: int = 1, seed: int = 0) -> Dict[str, object]:
-    """Run the segmentation scenario at defaults and print its report."""
-    from repro.runner.aggregate import format_table
-    from repro.runner.executor import run_scenario
-
-    manifest = run_scenario("segmentation", workers=workers, seed=seed)
-    print(
-        f"segmentation: {manifest.trial_count} trials, "
-        f"wall={manifest.duration_seconds:.2f}s"
-    )
-    print(format_table(manifest.rows))
-    print("\nsummary (per grid cell)")
-    print(format_table(manifest.summary))
-    return {"manifest": manifest}
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    raise SystemExit(0 if main() else 1)

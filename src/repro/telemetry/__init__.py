@@ -1,15 +1,18 @@
-"""``repro.telemetry``: spans, counters and trace artifacts.
+"""``repro.telemetry``: one recorder, three channels, and their artifacts.
 
 The observability layer threaded through the runner, the kernel seam,
 the protocol and the campaign orchestrator:
 
-* :mod:`repro.telemetry.core` -- the zero-dependency recorder:
-  ``span("protocol.file_add")`` context managers, ``counter()``
-  accumulators, a ``traced`` decorator, and per-scope ``capture()`` for
-  shipping worker events back through the executor's result envelopes.
-  Disabled (the default) everything is a no-op costing one boolean
-  check, and recording never touches seeded RNG streams -- scenario rows
-  are byte-identical with telemetry on or off.
+* :mod:`repro.telemetry.core` -- the zero-dependency recorder: one
+  :class:`Channel` (an ``enabled`` flag, a buffer, ``capture()`` /
+  ``extend()`` / ``drain()``) with three instances in ``CHANNELS`` --
+  spans+counters, metric samples, cProfile tables -- and the span API
+  (``span()`` context managers, ``counter()``, the ``traced``
+  decorator).  Disabled (the default) a recording call costs one
+  attribute check, and recording never touches seeded RNG streams:
+  scenario rows are byte-identical with any channel on or off.  The
+  executor ships what a trial records back in its result envelope,
+  armed by the channel names in the trial payload (``armed()``/``arm()``).
 * :mod:`repro.telemetry.trace` -- Chrome trace-event-format JSON export
   (``repro run <scenario> --trace out.json``; open in Perfetto or
   ``chrome://tracing``) with structural validation on load.
@@ -18,16 +21,15 @@ the protocol and the campaign orchestrator:
   ``repro trace <manifest>``.
 * :mod:`repro.telemetry.metrics` -- fixed-bucket log-scaled histograms
   (retrieval latency, refresh lag, replica counts) and gauge time-series
-  sampled at sim-time checkpoints (``repro run --metrics``), with the
-  same null-object no-op path and worker-envelope merge discipline as
-  spans.
+  sampled at sim-time checkpoints (``repro run --metrics``), recorded on
+  the ``metrics`` channel.
 * :mod:`repro.telemetry.history` -- the append-only JSONL perf-history
   store behind ``repro perf record|report|check``: bench walls keyed by
   (bench, shape, backend, host), trended against a rolling-median
   baseline.
 * :mod:`repro.telemetry.profile` -- per-trial cProfile hooks
-  (``repro run --profile <dir>``): stats collected inside pool workers,
-  shipped back in result envelopes and merged into one ``.pstats``.
+  (``repro run --profile <dir>``): stats tables recorded on the
+  ``profile`` channel and merged into one ``.pstats``.
 
 See ``docs/observability.md`` for the span inventory and workflows.
 """
@@ -36,7 +38,12 @@ from __future__ import annotations
 
 from repro.telemetry import history, metrics, profile
 from repro.telemetry.core import (
+    CHANNELS,
+    Channel,
+    arm,
+    armed,
     capture,
+    capture_channels,
     counter,
     disable,
     drain,
@@ -44,8 +51,10 @@ from repro.telemetry.core import (
     enable,
     events,
     extend,
+    extend_channels,
     is_enabled,
     reset,
+    reset_channels,
     span,
     traced,
 )
@@ -63,8 +72,13 @@ from repro.telemetry.trace import (
 )
 
 __all__ = [
+    "CHANNELS",
+    "Channel",
     "SUMMARY_FORMAT",
+    "arm",
+    "armed",
     "capture",
+    "capture_channels",
     "counter",
     "counter_table",
     "disable",
@@ -73,6 +87,7 @@ __all__ = [
     "enable",
     "events",
     "extend",
+    "extend_channels",
     "history",
     "is_enabled",
     "load_chrome_trace",
@@ -80,6 +95,7 @@ __all__ = [
     "phase_table",
     "profile",
     "reset",
+    "reset_channels",
     "span",
     "summarize_events",
     "to_chrome_trace",

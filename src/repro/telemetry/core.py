@@ -1,40 +1,67 @@
-"""The span/counter recorder: one process-global event buffer.
+"""The recorder: one :class:`Channel` state machine, three instances.
 
-Design constraints, in priority order:
+A *channel* is an ``enabled`` flag plus a process-global buffer:
+:data:`SPANS` (spans and counters, this module), :data:`METRICS`
+(histogram/gauge samples, :mod:`.metrics`) and :data:`PROFILES` (raw
+cProfile tables, :mod:`.profile`).  Each module's public ``enable`` /
+``disable`` / ``is_enabled`` / ``reset`` / ``capture`` / ``extend`` /
+``drain`` are its channel's bound methods.  The design constraints,
+stated once for all three:
 
-1. **Inert by default.**  Instrumented code must cost ~nothing when
-   telemetry is disabled: :func:`span` returns one shared no-op context
-   manager after a single module-global boolean check, and
-   :func:`counter` returns immediately.  Nothing here ever touches a
-   seeded RNG stream, so scenario rows are byte-identical with telemetry
-   on or off -- the property ``tests/test_telemetry_integration.py``
-   enforces across both kernel backends.
+1. **Inert by default.**  A recording function (:func:`span`,
+   :func:`counter`, ``metrics.observe`` ...) costs one module-global
+   lookup plus one attribute check while its channel is disabled, and
+   recording never touches a seeded RNG stream, so scenario rows are
+   byte-identical with any channel on or off
+   (``tests/test_telemetry_integration.py`` enforces it).
 2. **Zero dependencies.**  Timestamps come from
    :func:`time.perf_counter` (monotonic, and on Linux shared across
    forked pool workers, so parent and worker events align on one
    timeline); events are plain dictionaries already shaped like Chrome
    trace events (see :mod:`repro.telemetry.trace`).
-3. **Multiprocessing-aware.**  Events recorded inside a forked pool
-   worker stay in that worker's buffer; the executor isolates them per
-   trial with :func:`capture` and ships them back to the parent in the
-   trial's result envelope, where :func:`extend` merges them (their
-   original ``pid``/``tid``/timestamps intact) into the parent's buffer.
+3. **Multiprocessing-aware.**  The executor isolates what one trial
+   records with :func:`capture_channels`, ships it to the parent in the
+   trial's result envelope and merges it with :func:`extend_channels`,
+   original pids/timestamps intact.  Which channels a worker records is
+   decided by the names in the trial payload (:func:`armed` /
+   :func:`arm`), never by the flags it inherited at fork.
 
-The buffer is process-global rather than threaded through call sites
-because the instrumented layers (protocol, kernels, sim engine) must not
-grow a telemetry parameter on every signature -- the whole point of the
-no-op path is that instrumentation is ambient and free.
+The buffers are process-global, not threaded through call sites: the
+instrumented layers must not grow a telemetry parameter on every
+signature -- ambient and free is the point of the no-op path.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import threading
 import time
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import (
+    Any,
+    Callable,
+    Collection,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 __all__ = [
+    "Channel",
+    "CHANNELS",
+    "SPANS",
+    "METRICS",
+    "PROFILES",
+    "armed",
+    "arm",
+    "reset_channels",
+    "capture_channels",
+    "extend_channels",
     "enable",
     "disable",
     "is_enabled",
@@ -50,38 +77,127 @@ __all__ = [
 ]
 
 
-class _State:
-    """Mutable module state (a class so tests can snapshot/restore it)."""
+class _Capture:
+    """Fresh buffers for ``channels`` during a ``with`` block.
 
-    __slots__ = ("enabled", "buffer")
+    Yields ``{name: items}``; restores the previous buffers on exit.  (A
+    slotted class, not a generator: the executor enters one per trial,
+    armed or not.)
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("_channels", "_saved")
+
+    def __init__(self, channels: Collection["Channel"]) -> None:
+        self._channels = channels
+
+    def __enter__(self) -> Dict[str, List[Any]]:
+        self._saved = [channel.buffer for channel in self._channels]
+        recorded: Dict[str, List[Any]] = {}
+        for channel in self._channels:
+            channel.buffer = recorded[channel.name] = []
+        return recorded
+
+    def __exit__(self, *exc: object) -> bool:
+        for channel, buffer in zip(self._channels, self._saved):
+            channel.buffer = buffer
+        return False
+
+
+class Channel:
+    """One recorder: an ``enabled`` flag and the buffer it guards."""
+
+    __slots__ = ("name", "enabled", "buffer")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
         self.enabled = False
-        self.buffer: List[Dict[str, Any]] = []
+        self.buffer: List[Any] = []
+
+    def enable(self) -> None:
+        """Start recording into the process buffer."""
+        self.enabled = True
+
+    def disable(self) -> None:
+        """Stop recording; already-buffered items are kept until drained."""
+        self.enabled = False
+
+    def is_enabled(self) -> bool:
+        """True while this channel records."""
+        return self.enabled
+
+    def reset(self) -> None:
+        """Disable and discard everything."""
+        self.enabled = False
+        self.buffer = []
+
+    @contextlib.contextmanager
+    def capture(self) -> Iterator[List[Any]]:
+        """Record into an isolated buffer for a ``with`` block: yields the
+        list of what is recorded inside; the previous buffer is restored
+        (unmodified) on exit, also when the block raises."""
+        with _Capture((self,)) as recorded:
+            yield recorded[self.name]
+
+    def extend(self, items: Iterable[Any]) -> None:
+        """Merge already-recorded items (e.g. shipped back from a worker)."""
+        self.buffer.extend(items)
+
+    def pending(self) -> List[Any]:
+        """The current buffer (live reference; prefer :meth:`drain`)."""
+        return self.buffer
+
+    def drain(self) -> List[Any]:
+        """Return all buffered items and clear the buffer."""
+        drained, self.buffer = self.buffer, []
+        return drained
 
 
-_STATE = _State()
+SPANS = Channel("spans")
+METRICS = Channel("metrics")
+PROFILES = Channel("profile")
+
+#: Every channel by name -- what the executor and the CLI iterate over.
+CHANNELS: Dict[str, Channel] = {
+    channel.name: channel for channel in (SPANS, METRICS, PROFILES)
+}
 
 
-def enable() -> None:
-    """Start recording spans and counters into the process buffer."""
-    _STATE.enabled = True
+def armed() -> Tuple[str, ...]:
+    """Names of the channels that are recording right now."""
+    return tuple([name for name, channel in CHANNELS.items() if channel.enabled])
 
 
-def disable() -> None:
-    """Stop recording; already-buffered events are kept until drained."""
-    _STATE.enabled = False
+def arm(names: Collection[str]) -> None:
+    """Enable exactly the named channels and disable every other one."""
+    for name, channel in CHANNELS.items():
+        channel.enabled = name in names
 
 
-def is_enabled() -> bool:
-    """True while spans/counters are being recorded."""
-    return _STATE.enabled
+def reset_channels() -> None:
+    """Disable and empty every channel."""
+    for channel in CHANNELS.values():
+        channel.reset()
 
 
-def reset() -> None:
-    """Disable and discard everything (test isolation helper)."""
-    _STATE.enabled = False
-    _STATE.buffer = []
+def capture_channels(names: Iterable[str]) -> _Capture:
+    """:meth:`Channel.capture` over the named channels: ``{name: items}``."""
+    return _Capture([CHANNELS[name] for name in names])
+
+
+def extend_channels(recorded: Mapping[str, Iterable[Any]]) -> None:
+    """Merge a ``{name: items}`` mapping back into the named channels."""
+    for name, items in recorded.items():
+        CHANNELS[name].extend(items)
+
+
+enable = SPANS.enable
+disable = SPANS.disable
+is_enabled = SPANS.is_enabled
+reset = SPANS.reset
+capture = SPANS.capture
+extend = SPANS.extend
+events = SPANS.pending
+drain = SPANS.drain
 
 
 # ----------------------------------------------------------------------
@@ -119,7 +235,7 @@ class _Span:
 
     def __exit__(self, *exc: object) -> bool:
         end = time.perf_counter()
-        _STATE.buffer.append(
+        SPANS.buffer.append(
             {
                 "name": self.name,
                 "cat": self.category,
@@ -142,7 +258,7 @@ def span(name: str, category: str = "app", **args: Any):
     disabled this returns one shared no-op object; the only residual cost
     at the call site is building the ``args`` dict.
     """
-    if not _STATE.enabled:
+    if not SPANS.enabled:
         return _NULL_SPAN
     return _Span(name, category, args)
 
@@ -162,9 +278,9 @@ def emit_span(
     existed -- e.g. a trial's queue wait, timed from the parent's enqueue
     timestamp inside the worker.
     """
-    if not _STATE.enabled:
+    if not SPANS.enabled:
         return
-    _STATE.buffer.append(
+    SPANS.buffer.append(
         {
             "name": name,
             "cat": category,
@@ -180,9 +296,9 @@ def emit_span(
 
 def counter(name: str, value: float = 1, category: str = "app") -> None:
     """Accumulate ``value`` onto a named counter (Chrome "C" event)."""
-    if not _STATE.enabled:
+    if not SPANS.enabled:
         return
-    _STATE.buffer.append(
+    SPANS.buffer.append(
         {
             "name": name,
             "cat": category,
@@ -205,7 +321,7 @@ def traced(name: str, category: str = "app") -> Callable:
     def decorate(fn: Callable) -> Callable:
         @functools.wraps(fn)
         def wrapper(*fn_args: Any, **fn_kwargs: Any) -> Any:
-            if not _STATE.enabled:
+            if not SPANS.enabled:
                 return fn(*fn_args, **fn_kwargs)
             with _Span(name, category, {}):
                 return fn(*fn_args, **fn_kwargs)
@@ -213,51 +329,3 @@ def traced(name: str, category: str = "app") -> Callable:
         return wrapper
 
     return decorate
-
-
-# ----------------------------------------------------------------------
-# Buffer management
-# ----------------------------------------------------------------------
-class _Capture:
-    """Context manager swapping in a fresh buffer; yields the events."""
-
-    __slots__ = ("_saved", "_events")
-
-    def __enter__(self) -> List[Dict[str, Any]]:
-        self._saved = _STATE.buffer
-        self._events: List[Dict[str, Any]] = []
-        _STATE.buffer = self._events
-        return self._events
-
-    def __exit__(self, *exc: object) -> bool:
-        _STATE.buffer = self._saved
-        return False
-
-
-def capture() -> _Capture:
-    """Record into an isolated buffer for the duration of a ``with`` block.
-
-    The yielded list holds exactly the events emitted inside the block;
-    the previous buffer is restored (unmodified) on exit.  The executor
-    uses this to keep each trial's events separate -- both in forked pool
-    workers (whose inherited buffer copy must not leak into envelopes)
-    and in the serial path.
-    """
-    return _Capture()
-
-
-def extend(new_events: Iterable[Dict[str, Any]]) -> None:
-    """Merge already-recorded events (e.g. shipped back from a worker)."""
-    _STATE.buffer.extend(new_events)
-
-
-def events() -> List[Dict[str, Any]]:
-    """The current buffer (live reference; prefer :func:`drain`)."""
-    return _STATE.buffer
-
-
-def drain() -> List[Dict[str, Any]]:
-    """Return all buffered events and clear the buffer."""
-    drained = _STATE.buffer
-    _STATE.buffer = []
-    return drained

@@ -1,33 +1,19 @@
 """Metrics: fixed-bucket histograms and gauge time-series.
 
-The second half of the observability layer: where :mod:`.core` answers
-"where did the wall clock go?", this module answers "how did the system's
-*state* evolve over simulated time?" -- replica counts, refresh lag,
-retrieval latency distributions, files per lifecycle state, deposit
-totals.
+Where :mod:`.core`'s spans answer "where did the wall clock go?", this
+module answers "how did the system's *state* evolve over simulated
+time?" -- replica counts, refresh lag, retrieval latency distributions,
+files per lifecycle state, deposit totals.  Samples go to the
+:data:`~repro.telemetry.core.METRICS` channel (see :mod:`.core` for the
+recorder's design constraints), a buffer of its own rather than the span
+buffer: samples carry simulated time, not ``perf_counter`` time, and
+must not leak into ``--trace`` artifacts, whose loader validates event
+phases strictly.
 
-The recorder follows :mod:`repro.telemetry.core`'s design exactly, and
-for the same reasons:
-
-1. **Inert by default.**  :func:`observe` and :func:`gauge` return after
-   one module-global boolean check while disabled, and recording never
-   touches a seeded RNG stream -- scenario rows stay byte-identical with
-   metrics on or off, on both kernel backends, serial or pooled
-   (``tests/test_telemetry_metrics.py`` enforces it).
-2. **Fixed log-scaled buckets.**  Every histogram shares one global
-   power-of-two bucket table (:data:`BUCKET_BOUNDS`), so two runs'
-   histograms are mergeable bucket-by-bucket without rebinning and a
-   sample costs one ``bisect`` -- no per-histogram configuration to
-   drift.
-3. **Multiprocessing-aware.**  Samples recorded inside a forked pool
-   worker are isolated per trial with :func:`capture`, shipped back in
-   the executor's result envelope, and merged with :func:`extend` --
-   the same discipline spans use.
-
-Metrics keep their *own* buffer rather than sharing the span buffer:
-samples are not Chrome trace events (they carry simulated time, not
-``perf_counter`` time) and must not leak into ``--trace`` artifacts,
-whose loader validates event phases strictly.
+Every histogram shares one global power-of-two bucket table
+(:data:`BUCKET_BOUNDS`), so two runs' histograms are mergeable
+bucket-by-bucket without rebinning and a sample costs one ``bisect`` --
+no per-histogram configuration to drift.
 """
 
 from __future__ import annotations
@@ -35,6 +21,8 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 from typing import Any, Dict, Iterable, List, Mapping, Tuple
+
+from repro.telemetry.core import METRICS
 
 __all__ = [
     "METRICS_FORMAT",
@@ -68,38 +56,14 @@ BUCKET_BOUNDS: Tuple[float, ...] = tuple(float(2.0**k) for k in range(-20, 21))
 _OVERFLOW_INDEX = len(BUCKET_BOUNDS)
 
 
-class _State:
-    """Mutable module state (a class so tests can snapshot/restore it)."""
-
-    __slots__ = ("enabled", "buffer")
-
-    def __init__(self) -> None:
-        self.enabled = False
-        self.buffer: List[Dict[str, Any]] = []
-
-
-_STATE = _State()
-
-
-def enable() -> None:
-    """Start recording histogram/gauge samples into the process buffer."""
-    _STATE.enabled = True
-
-
-def disable() -> None:
-    """Stop recording; already-buffered samples are kept until drained."""
-    _STATE.enabled = False
-
-
-def is_enabled() -> bool:
-    """True while metric samples are being recorded."""
-    return _STATE.enabled
-
-
-def reset() -> None:
-    """Disable and discard everything (test isolation helper)."""
-    _STATE.enabled = False
-    _STATE.buffer = []
+enable = METRICS.enable
+disable = METRICS.disable
+is_enabled = METRICS.is_enabled
+reset = METRICS.reset
+capture = METRICS.capture
+extend = METRICS.extend
+samples = METRICS.pending
+drain = METRICS.drain
 
 
 # ----------------------------------------------------------------------
@@ -107,9 +71,9 @@ def reset() -> None:
 # ----------------------------------------------------------------------
 def observe(name: str, value: float, category: str = "app") -> None:
     """Record one histogram sample (a latency, a lag, a replica count)."""
-    if not _STATE.enabled:
+    if not METRICS.enabled:
         return
-    _STATE.buffer.append(
+    METRICS.buffer.append(
         {
             "kind": "hist",
             "name": name,
@@ -122,9 +86,9 @@ def observe(name: str, value: float, category: str = "app") -> None:
 
 def gauge(name: str, t: float, value: float, category: str = "app") -> None:
     """Record one gauge sample: ``value`` at simulated time ``t``."""
-    if not _STATE.enabled:
+    if not METRICS.enabled:
         return
-    _STATE.buffer.append(
+    METRICS.buffer.append(
         {
             "kind": "gauge",
             "name": name,
@@ -134,52 +98,6 @@ def gauge(name: str, t: float, value: float, category: str = "app") -> None:
             "pid": os.getpid(),
         }
     )
-
-
-# ----------------------------------------------------------------------
-# Buffer management (mirrors telemetry.core)
-# ----------------------------------------------------------------------
-class _Capture:
-    """Context manager swapping in a fresh buffer; yields the samples."""
-
-    __slots__ = ("_saved", "_samples")
-
-    def __enter__(self) -> List[Dict[str, Any]]:
-        self._saved = _STATE.buffer
-        self._samples: List[Dict[str, Any]] = []
-        _STATE.buffer = self._samples
-        return self._samples
-
-    def __exit__(self, *exc: object) -> bool:
-        _STATE.buffer = self._saved
-        return False
-
-
-def capture() -> _Capture:
-    """Record into an isolated buffer for the duration of a ``with`` block.
-
-    The executor wraps each trial in one so a forked pool worker's
-    samples can be shipped back in the trial's result envelope without
-    leaking the worker's inherited buffer copy.
-    """
-    return _Capture()
-
-
-def extend(new_samples: Iterable[Dict[str, Any]]) -> None:
-    """Merge already-recorded samples (e.g. shipped back from a worker)."""
-    _STATE.buffer.extend(new_samples)
-
-
-def samples() -> List[Dict[str, Any]]:
-    """The current buffer (live reference; prefer :func:`drain`)."""
-    return _STATE.buffer
-
-
-def drain() -> List[Dict[str, Any]]:
-    """Return all buffered samples and clear the buffer."""
-    drained = _STATE.buffer
-    _STATE.buffer = []
-    return drained
 
 
 # ----------------------------------------------------------------------

@@ -1,21 +1,18 @@
 """Per-trial profiling: cProfile inside pool workers, merged via pstats.
 
-``repro run <scenario> --profile <dir>`` wraps every trial function in a
-:class:`cProfile.Profile`.  The raw stats table (``profiler.stats``, a
+``repro run <scenario> --profile <dir>`` runs every trial function under
+a :class:`cProfile.Profile`.  The raw stats table (``profiler.stats``, a
 plain dict of ``(file, line, func) -> (cc, nc, tt, ct, callers)``) is
-picklable, so a forked pool worker ships its trial's profile back to the
-parent in the result envelope -- the same path telemetry events take --
-where the tables are summed into one run-wide profile, written as a
-standard ``.pstats`` file (loadable with :class:`pstats.Stats`) and
-printed as a top-N cumulative table.
+picklable, so :func:`run` appends it to the
+:data:`~repro.telemetry.core.PROFILES` channel like any other sample and
+a forked pool worker's tables reach the parent the way its spans do;
+there they are summed into one run-wide profile, written as a standard
+``.pstats`` file (loadable with :class:`pstats.Stats`) and printed as a
+top-N cumulative table.
 
-Like spans and metrics, profiling is **off by default and free when
-off**: the executor consults :func:`is_enabled` once per trial and the
-profiler object is never even constructed.  Unlike them it is *not*
-cheap when on (cProfile's tracing hook multiplies Python-call cost), so
-it never participates in the <5% overhead gate -- only the disabled
-path must be inert, and rows remain byte-identical either way because
-profiling never touches a seeded RNG stream.
+Unlike spans and metrics, profiling is *not* cheap when on (cProfile's
+tracing hook multiplies Python-call cost), so it never participates in
+the <5% overhead gate -- only the disabled path must be inert.
 """
 
 from __future__ import annotations
@@ -25,12 +22,15 @@ import marshal
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Tuple, Union
 
+from repro.telemetry.core import PROFILES
+
 __all__ = [
     "enable",
     "disable",
     "is_enabled",
     "reset",
     "profiled_call",
+    "run",
     "extend",
     "stats_buffer",
     "drain",
@@ -44,38 +44,13 @@ __all__ = [
 StatsTable = Dict[Tuple[str, int, str], tuple]
 
 
-class _State:
-    """Mutable module state (a class so tests can snapshot/restore it)."""
-
-    __slots__ = ("enabled", "buffer")
-
-    def __init__(self) -> None:
-        self.enabled = False
-        self.buffer: List[StatsTable] = []
-
-
-_STATE = _State()
-
-
-def enable() -> None:
-    """Profile every subsequent trial execution."""
-    _STATE.enabled = True
-
-
-def disable() -> None:
-    """Stop profiling; already-collected tables are kept until drained."""
-    _STATE.enabled = False
-
-
-def is_enabled() -> bool:
-    """True while per-trial profiling is requested."""
-    return _STATE.enabled
-
-
-def reset() -> None:
-    """Disable and discard everything (test isolation helper)."""
-    _STATE.enabled = False
-    _STATE.buffer = []
+enable = PROFILES.enable
+disable = PROFILES.disable
+is_enabled = PROFILES.is_enabled
+reset = PROFILES.reset
+extend = PROFILES.extend
+stats_buffer = PROFILES.pending
+drain = PROFILES.drain
 
 
 def profiled_call(fn: Callable, *args: Any, **kwargs: Any) -> Tuple[Any, StatsTable]:
@@ -86,21 +61,17 @@ def profiled_call(fn: Callable, *args: Any, **kwargs: Any) -> Tuple[Any, StatsTa
     return result, profiler.stats  # type: ignore[attr-defined]
 
 
-def extend(tables: Iterable[StatsTable]) -> None:
-    """Add stats tables (e.g. shipped back from workers) to the buffer."""
-    _STATE.buffer.extend(tables)
+def run(fn: Callable, *args: Any, **kwargs: Any) -> Any:
+    """Call ``fn``; while the channel is armed, under cProfile.
 
-
-def stats_buffer() -> List[StatsTable]:
-    """The collected per-trial tables (live reference; prefer drain)."""
-    return _STATE.buffer
-
-
-def drain() -> List[StatsTable]:
-    """Return all collected tables and clear the buffer."""
-    drained = _STATE.buffer
-    _STATE.buffer = []
-    return drained
+    The profiled call's stats table is appended to the channel's buffer;
+    disabled, the profiler object is never even constructed.
+    """
+    if not PROFILES.enabled:
+        return fn(*args, **kwargs)
+    result, table = profiled_call(fn, *args, **kwargs)
+    PROFILES.buffer.append(table)
+    return result
 
 
 def merge_stats(tables: Iterable[StatsTable]) -> StatsTable:

@@ -608,6 +608,66 @@ class TestMaskedSweepVisibility:
         assert protocol.events.count(EventType.FILE_REFRESH_COMPLETED) == len(confirmed)
 
 
+class TestFastPathCounters:
+    """Spans on the batch entry points, and the two fast paths that used
+    to be invisible: the kernel's optimistic place prefix and the
+    selector's prefetched refresh-target draws."""
+
+    def test_batch_spans_and_fast_path_counters(self):
+        protocol = make_protocol(
+            "columnar", providers=8, backend="vectorized", draw_batch=8
+        )
+        telemetry.enable()
+        try:
+            with telemetry.capture() as events:
+                ids = protocol.file_add_batch(
+                    "client", [64 * 1024] * 40, [1] * 40, ROOT
+                )
+                protocol.confirm_batch(ids)
+                protocol.advance_time(400.0)
+                protocol.crash_sector(sorted(protocol.sectors)[0])  # flushes
+                protocol.advance_time(800.0)
+        finally:
+            telemetry.reset()
+        summary = telemetry.summarize_events(events)
+        assert {
+            "protocol.file_add_batch",
+            "protocol.confirm_batch",
+            "protocol.advance_time",
+            "protocol.check_alloc_run",
+        } <= set(summary["spans"])
+        totals = summary["counters"]
+        # Every replica of the fill was placed by one of the two paths.
+        replicas = int(protocol.files.replica_count[: len(ids)].sum())
+        assert (
+            totals["kernel.place.prefix_accepted"]
+            + totals.get("kernel.place.scalar_fallback", 0)
+            == replicas
+        )
+        # Every refresh-target draw was a refill or a prefetch hit, and
+        # every prefetched draw was served, flushed or is still buffered.
+        draws = protocol.events.count(
+            EventType.FILE_REFRESH_STARTED
+        ) + protocol.events.count(EventType.COLLISION_RESAMPLED)
+        hits, refills, flushed = (
+            totals.get(f"protocol.prefetch.{name}", 0)
+            for name in ("hits", "refills", "flushed")
+        )
+        assert hits > 0 and refills > 0 and flushed > 0
+        assert hits + refills == draws
+        assert refills * 8 == draws + flushed + len(protocol.selector._draw_buffer)
+        assert protocol.selector.take_prefetch_counts() == (0, 0, 0)
+
+    def test_disabled_advance_leaves_the_prefetch_tally_untaken(self):
+        protocol = make_protocol("columnar", providers=8, draw_batch=4)
+        ids = protocol.file_add_batch("client", [64 * 1024] * 40, [1] * 40, ROOT)
+        protocol.confirm_batch(ids)
+        protocol.advance_time(400.0)
+        _, refills, flushed = protocol.selector.take_prefetch_counts()
+        assert refills > 0 and flushed == 0
+        assert protocol.selector.take_prefetch_counts() == (0, 0, 0)
+
+
 class TestColumnarFacades:
     """The SoA tables must honour the dict/object APIs cold paths use."""
 

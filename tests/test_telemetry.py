@@ -1,10 +1,13 @@
 """Unit tests for :mod:`repro.telemetry` -- recorder, exporter, summary.
 
-The recorder's contract has three legs, each pinned here:
+The recorder's contract has four legs, each pinned here:
 
-* **API** -- spans/counters/captures record exactly the events their
-  docstrings promise, in Chrome trace-event shape, and ``traced``
-  functions behave identically instrumented or not;
+* **channel** -- the one ``Channel`` state machine (enable / disable /
+  reset / capture / extend / drain) behind spans, metrics and profiles,
+  and the module-level names each of the three binds to its channel;
+* **API** -- spans/counters record exactly the events their docstrings
+  promise, in Chrome trace-event shape, and ``traced`` functions behave
+  identically instrumented or not;
 * **trace schema** -- a written artifact round-trips through
   :func:`~repro.telemetry.load_chrome_trace`'s structural validation,
   and malformed shapes are rejected loudly;
@@ -21,8 +24,12 @@ import time
 import pytest
 
 from repro import telemetry
+from repro.telemetry import metrics
+from repro.telemetry import profile as profiling
 from repro.telemetry import (
+    CHANNELS,
     SUMMARY_FORMAT,
+    Channel,
     counter_table,
     load_chrome_trace,
     phase_table,
@@ -35,10 +42,116 @@ from repro.telemetry import (
 
 @pytest.fixture(autouse=True)
 def clean_telemetry():
-    """Every test starts and ends with telemetry disabled and empty."""
-    telemetry.reset()
+    """Every test starts and ends with every channel disabled and empty."""
+    telemetry.reset_channels()
     yield
-    telemetry.reset()
+    telemetry.reset_channels()
+
+
+class TestChannel:
+    def test_starts_disabled_and_empty(self):
+        channel = Channel("unit")
+        assert not channel.is_enabled()
+        assert channel.pending() == []
+
+    def test_disable_keeps_buffer_reset_disarms_and_empties(self):
+        channel = Channel("unit")
+        channel.enable()
+        channel.extend(["kept"])
+        channel.disable()
+        assert not channel.is_enabled()
+        assert channel.pending() == ["kept"]
+        channel.enable()
+        channel.reset()
+        assert not channel.is_enabled()
+        assert channel.pending() == []
+
+    def test_extend_drain_round_trip(self):
+        channel = Channel("unit")
+        channel.extend(["a", "b"])
+        channel.extend(iter(["c"]))
+        assert channel.drain() == ["a", "b", "c"]
+        assert channel.pending() == []
+        assert channel.drain() == []
+
+    def test_capture_isolates_and_restores_buffer(self):
+        channel = Channel("unit")
+        channel.extend(["outer"])
+        with channel.capture() as inner:
+            channel.extend(["inner"])
+            assert inner == ["inner"]
+        assert channel.pending() == ["outer"]  # inner items did not leak
+        channel.extend(inner)  # ... until merged back, envelope-style
+        assert channel.pending() == ["outer", "inner"]
+
+    def test_nested_capture_restores_the_outer_buffer(self):
+        channel = Channel("unit")
+        with channel.capture() as outer:
+            channel.extend(["o1"])
+            with channel.capture() as inner:
+                channel.extend(["i"])
+            channel.extend(["o2"])
+        assert (outer, inner) == (["o1", "o2"], ["i"])
+        assert channel.pending() == []
+
+    def test_nested_capture_restores_the_outer_buffer_when_the_block_raises(self):
+        channel = Channel("unit")
+        channel.extend(["before"])
+        with channel.capture() as outer:
+            with pytest.raises(RuntimeError):
+                with channel.capture():
+                    channel.extend(["doomed"])
+                    raise RuntimeError("boom")
+            channel.extend(["after"])
+        assert outer == ["after"]
+        assert channel.pending() == ["before"]
+
+    def test_three_registered_channels(self):
+        assert list(CHANNELS) == ["spans", "metrics", "profile"]
+        assert all(CHANNELS[name].name == name for name in CHANNELS)
+
+    @pytest.mark.parametrize(
+        "module, channel, pending",
+        [
+            (telemetry, "spans", "events"),
+            (metrics, "metrics", "samples"),
+            (profiling, "profile", "stats_buffer"),
+        ],
+    )
+    def test_module_names_are_bound_to_their_channel(self, module, channel, pending):
+        """No module re-implements the state machine: each name *is* the
+        channel's method, so the ``Channel`` tests above cover all three."""
+        bound = CHANNELS[channel]
+        for name in ("enable", "disable", "is_enabled", "reset", "extend", "drain"):
+            assert getattr(module, name) == getattr(bound, name)
+        assert getattr(module, pending) == bound.pending
+        if module is not profiling:  # run() appends; nothing captures alone
+            assert module.capture == bound.capture
+
+    def test_arm_sets_exactly_the_named_channels(self):
+        assert telemetry.armed() == ()
+        telemetry.arm(["metrics", "profile"])
+        assert telemetry.armed() == ("metrics", "profile")
+        assert not telemetry.is_enabled()
+        telemetry.arm(("spans",))
+        assert telemetry.armed() == ("spans",)
+        assert not metrics.is_enabled() and not profiling.is_enabled()
+
+    def test_capture_and_extend_channels_cover_the_named_channels_only(self):
+        telemetry.arm(["spans", "metrics"])
+        with telemetry.capture_channels(["spans", "metrics"]) as recorded:
+            telemetry.counter("c")
+            metrics.observe("h", 1.0)
+        assert sorted(recorded) == ["metrics", "spans"]
+        assert [event["name"] for event in recorded["spans"]] == ["c"]
+        assert [sample["name"] for sample in recorded["metrics"]] == ["h"]
+        assert telemetry.events() == [] and metrics.samples() == []
+        telemetry.extend_channels(recorded)
+        assert telemetry.events() == recorded["spans"]
+        assert metrics.samples() == recorded["metrics"]
+        telemetry.reset_channels()
+        assert telemetry.armed() == ()
+        assert all(channel.pending() == [] for channel in CHANNELS.values())
 
 
 class TestRecorder:
@@ -118,43 +231,6 @@ class TestRecorder:
 
         assert documented.__name__ == "documented"
         assert "survives" in documented.__doc__
-
-    def test_capture_isolates_and_restores_buffer(self):
-        telemetry.enable()
-        telemetry.counter("outer")
-        with telemetry.capture() as inner:
-            telemetry.counter("inner")
-            assert [event["name"] for event in inner] == ["inner"]
-        names = [event["name"] for event in telemetry.events()]
-        assert names == ["outer"]  # inner events did not leak
-        telemetry.extend(inner)
-        names = [event["name"] for event in telemetry.events()]
-        assert names == ["outer", "inner"]
-
-    def test_capture_restores_buffer_on_exception(self):
-        telemetry.enable()
-        telemetry.counter("before")
-        with pytest.raises(RuntimeError):
-            with telemetry.capture():
-                telemetry.counter("doomed")
-                raise RuntimeError("boom")
-        assert [event["name"] for event in telemetry.events()] == ["before"]
-
-    def test_drain_empties_buffer(self):
-        telemetry.enable()
-        telemetry.counter("a")
-        drained = telemetry.drain()
-        assert [event["name"] for event in drained] == ["a"]
-        assert telemetry.events() == []
-
-    def test_disable_keeps_buffer_reset_clears_it(self):
-        telemetry.enable()
-        telemetry.counter("kept")
-        telemetry.disable()
-        assert not telemetry.is_enabled()
-        assert len(telemetry.events()) == 1
-        telemetry.reset()
-        assert telemetry.events() == []
 
 
 class TestTraceSchema:

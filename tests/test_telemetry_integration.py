@@ -1,19 +1,27 @@
 """Telemetry end-to-end: inertness, worker shipping, CLI artifacts.
 
-The load-bearing property is **inertness**: enabling telemetry must not
-perturb a single deterministic byte.  Scenario rows are produced from
-seeded PRNG streams the recorder never touches, so a traced run and an
-untraced run of the same (scenario, params, seed) emit byte-identical
-rows -- on both kernel backends, serial or pooled.  Everything else here
-pins the plumbing on top: events shipped back from forked pool workers,
-per-trial stats in the manifest, straggler detection in ``repro diff``,
-the ``--trace``/``repro trace`` CLI surface, and the campaign report's
+The load-bearing property is **inertness**: arming a telemetry channel
+must not perturb a single deterministic byte.  Scenario rows are
+produced from seeded PRNG streams no recorder ever touches, so an armed
+run and a plain run of the same (scenario, params, seed) emit
+byte-identical rows -- for each of the three channels and all of them
+together, on both kernel backends, serial, through a private pool and
+through an injected one.  ``TestInertness`` is the one proof of that
+(the sharpest corner is the lifecycle engine's gauge sampling: it runs
+through a ``metrics_probe`` hook on the event loop, never through
+scheduled events, because ``events_processed`` is part of the rows).
+Everything else here pins the plumbing on top: which channels a worker
+records (the parent's, at run time -- not its own at fork), per-trial
+stats in the manifest, straggler detection in ``repro diff``, the
+``repro run`` / ``repro trace`` CLI surface, and the campaign report's
 timing columns.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import pstats
 
 import pytest
 
@@ -21,22 +29,62 @@ from repro import telemetry
 from repro.kernels import BACKEND_ENV_VAR, InstrumentedBackend, get_backend
 from repro.runner.cli import main
 from repro.runner.diff import straggler_rows
-from repro.runner.executor import run_scenario
-from repro.runner.registry import load_builtin_scenarios
+from repro.runner.executor import create_worker_pool, run_scenario
+from repro.runner.registry import (
+    ScenarioSpec,
+    load_builtin_scenarios,
+    register,
+    unregister,
+)
 from repro.runner.results import RunManifest
-from repro.telemetry import load_chrome_trace
+from repro.telemetry import CHANNELS, load_chrome_trace, metrics
 
-#: A churn shape small enough for test time but large enough to cross
-#: every instrumented layer (protocol file adds, refresh rounds, kernel
-#: draws, executor trials).
-CHURN_PARAMS = {"trials": 2, "cycles": 2, "files": 4}
+#: The smallest churn that still crosses every span-instrumented layer
+#: (protocol file adds, refresh rounds, kernel draws, executor trials).
+CHURN_PARAMS = {
+    "trials": 2, "cycles": 2, "files": 3, "file_kib": 2,
+    "providers": 3, "sectors_per_provider": 1,
+}
+
+#: The inertness matrix's shapes: that churn, and a lifecycle_churn that
+#: crosses every instrumented metric (retrieval latency, refresh lag and
+#: replica-count histograms, the per-state gauges).
+MATRIX_SHAPES = {
+    "churn": CHURN_PARAMS,
+    "lifecycle_churn": {"trials": 2, "files": 6, "horizon_s": 120.0},
+}
+
+ALL_CHANNELS = ("spans", "metrics", "profile")
 
 
 @pytest.fixture(autouse=True)
 def clean_telemetry():
-    telemetry.reset()
+    telemetry.reset_channels()
     yield
-    telemetry.reset()
+    telemetry.reset_channels()
+
+
+def run_shape(scenario: str, mode: str = "serial", seed: int = 7) -> RunManifest:
+    """One ``MATRIX_SHAPES`` run: serial, private pool or injected pool.
+
+    The injected pool is forked here, i.e. *before* the caller's armed
+    channels could have been inherited any other way than through the
+    trial payload -- and after the caller set the backend variable.
+    """
+    load_builtin_scenarios()
+    overrides = MATRIX_SHAPES[scenario]
+    if mode != "injected_pool":
+        workers = 1 if mode == "serial" else 2
+        return run_scenario(scenario, overrides=overrides, workers=workers, seed=seed)
+    armed = telemetry.armed()
+    telemetry.arm(())
+    pool = create_worker_pool(2)
+    try:
+        telemetry.arm(armed)
+        return run_scenario(scenario, overrides=overrides, seed=seed, pool=pool)
+    finally:
+        pool.close()
+        pool.join()
 
 
 def run_churn(seed: int = 7, workers: int = 1) -> RunManifest:
@@ -45,31 +93,130 @@ def run_churn(seed: int = 7, workers: int = 1) -> RunManifest:
 
 
 class TestInertness:
+    """Rows byte-identical with every channel on vs off, everywhere."""
+
+    @pytest.mark.parametrize("mode", ["serial", "private_pool", "injected_pool"])
     @pytest.mark.parametrize("backend", ["reference", "vectorized"])
-    def test_rows_byte_identical_on_vs_off(self, monkeypatch, backend):
+    @pytest.mark.parametrize(
+        "armed", [("spans",), ("metrics",), ("profile",), ALL_CHANNELS], ids="+".join
+    )
+    @pytest.mark.parametrize("scenario", sorted(MATRIX_SHAPES))
+    def test_rows_byte_identical_on_vs_off(
+        self, monkeypatch, scenario, armed, backend, mode
+    ):
         monkeypatch.setenv(BACKEND_ENV_VAR, backend)
-        plain = run_churn()
-        telemetry.enable()
-        traced = run_churn()
-        telemetry.disable()
-        assert json.dumps(traced.rows, sort_keys=True) == json.dumps(
+        plain = self.plain_run(scenario, backend)
+        assert plain.telemetry is None and plain.metrics is None
+        telemetry.arm(armed)
+        recorded_run = run_shape(scenario, mode)
+        assert telemetry.armed() == armed  # a run leaves the flags alone
+        recorded = {name: channel.drain() for name, channel in CHANNELS.items()}
+
+        assert json.dumps(recorded_run.rows, sort_keys=True) == json.dumps(
             plain.rows, sort_keys=True
         )
-        assert traced.trial_rows_equal(plain)
-        # The traced run really did record: its manifest carries a summary
-        # with spans from the executor, kernel and protocol layers.
-        assert plain.telemetry is None
-        categories = {
-            entry["category"] for entry in traced.telemetry["spans"].values()
-        }
-        assert {"executor", "kernel", "protocol"} <= categories
+        # Summaries are observability metadata, excluded from identity.
+        assert recorded_run.trial_rows_equal(plain)
 
-    def test_summary_excluded_from_identity(self):
-        plain = run_churn()
-        telemetry.enable()
-        traced = run_churn()
-        assert traced.telemetry != plain.telemetry
-        assert traced.trial_rows_equal(plain)
+        # Every armed channel really recorded, every other stayed empty,
+        # and what pool workers recorded reached the parent.
+        for name in ALL_CHANNELS:
+            assert bool(recorded[name]) == (name in armed)
+        worker_pids = {stat["pid"] for stat in recorded_run.trial_stats}
+        assert (os.getpid() in worker_pids) == (mode == "serial")
+        trials = recorded_run.trial_count
+        if "spans" in armed:
+            for name in ("trial.run", "trial.queue"):
+                shipped = [e for e in recorded["spans"] if e["name"] == name]
+                assert {e["args"]["trial"] for e in shipped} == set(range(trials))
+                assert {e["pid"] for e in shipped} == worker_pids
+            categories = {
+                entry["category"] for entry in recorded_run.telemetry["spans"].values()
+            }
+            layers = {"churn": {"protocol"}, "lifecycle_churn": set()}[scenario]
+            assert {"executor", "kernel"} | layers <= categories
+        else:
+            assert recorded_run.telemetry is None
+        if "metrics" in armed:
+            self.check_metrics(scenario, recorded_run)
+        else:
+            assert recorded_run.metrics is None
+        if "profile" in armed:
+            assert len(recorded["profile"]) == trials
+            functions = {func[2] for table in recorded["profile"] for func in table}
+            assert f"run_{scenario}_trial" in functions
+
+    _plain_runs: dict = {}
+
+    @classmethod
+    def plain_run(cls, scenario: str, backend: str) -> RunManifest:
+        """The serial, nothing-armed run every matrix cell compares to
+        (call with ``backend`` already in the environment)."""
+        key = (scenario, backend)
+        if key not in cls._plain_runs:
+            assert telemetry.armed() == ()
+            cls._plain_runs[key] = run_shape(scenario)
+        return cls._plain_runs[key]
+
+    @staticmethod
+    def check_metrics(scenario: str, manifest: RunManifest) -> None:
+        summary = manifest.metrics
+        if scenario == "churn":
+            assert "protocol.total_deposit" in summary["series"]
+            return
+        histograms = summary["histograms"]
+        assert "lifecycle.refresh_lag_s" in histograms
+        assert "lifecycle.replica_count" in histograms
+        assert "lifecycle.active_providers" in summary["series"]
+        assert any(name.startswith("lifecycle.files.") for name in summary["series"])
+        # Every trial's latency samples arrived: the histogram count is
+        # the served retrievals summed over the rows.
+        served = sum(row["served"] for row in manifest.rows)
+        assert histograms["lifecycle.retrieval_latency_s"]["count"] == served > 0
+
+
+class TestInjectedPoolArming:
+    """A worker records what the parent asks for when the trial is
+    submitted, not what happened to be armed when the pool was forked."""
+
+    ARMED = ("spans", "metrics")
+
+    @pytest.mark.parametrize("armed_at_run", [False, True])
+    @pytest.mark.parametrize("armed_at_fork", [False, True])
+    def test_workers_follow_the_payload_not_the_fork(self, armed_at_fork, armed_at_run):
+        load_builtin_scenarios()
+        overrides = MATRIX_SHAPES["lifecycle_churn"]
+        plain = run_scenario("lifecycle_churn", overrides=overrides, seed=0)
+        telemetry.arm(self.ARMED if armed_at_fork else ())
+        pool = create_worker_pool(2)
+        try:
+            telemetry.arm(self.ARMED if armed_at_run else ())
+            manifest = run_scenario(
+                "lifecycle_churn", overrides=overrides, seed=0, pool=pool
+            )
+        finally:
+            pool.close()
+            pool.join()
+        events = telemetry.drain()
+        samples = metrics.drain()
+
+        assert manifest.rows == plain.rows
+        if not armed_at_run:
+            assert events == [] and samples == []
+            assert manifest.telemetry is None and manifest.metrics is None
+            return
+        worker_pids = {stat["pid"] for stat in manifest.trial_stats}
+        assert os.getpid() not in worker_pids
+        for name in ("trial.run", "trial.queue"):
+            shipped = [event for event in events if event["name"] == name]
+            assert len(shipped) == manifest.trial_count
+            assert {event["pid"] for event in shipped} == worker_pids
+        assert {sample["pid"] for sample in samples} == worker_pids
+        assert sorted(manifest.metrics["histograms"]) == [
+            "lifecycle.refresh_lag_s",
+            "lifecycle.replica_count",
+            "lifecycle.retrieval_latency_s",
+        ]
 
 
 class TestBackendInstrumentation:
@@ -89,32 +236,6 @@ class TestBackendInstrumentation:
         names = {event["name"] for event in telemetry.events()}
         assert "kernel.batch_weighted_draw" in names
         assert "kernel.draws" in names
-
-
-class TestWorkerShipping:
-    def test_pooled_run_ships_worker_events(self, campaign_scenarios):
-        telemetry.enable()
-        manifest = run_scenario(
-            "camp-alpha", overrides={"trials": 4}, workers=2, seed=3
-        )
-        events = telemetry.events()
-        runs = [event for event in events if event["name"] == "trial.run"]
-        queues = [event for event in events if event["name"] == "trial.queue"]
-        assert len(runs) == 4
-        assert len(queues) == 4
-        # Events carry the worker pids they were recorded in, matching
-        # the manifest's per-trial stats.
-        stat_pids = {stat["pid"] for stat in manifest.trial_stats}
-        assert {event["pid"] for event in runs} == stat_pids
-        assert {event["args"]["trial"] for event in runs} == {0, 1, 2, 3}
-
-    def test_pooled_rows_match_serial_untraced(self, campaign_scenarios):
-        serial = run_scenario("camp-alpha", overrides={"trials": 4}, seed=3)
-        telemetry.enable()
-        pooled = run_scenario(
-            "camp-alpha", overrides={"trials": 4}, workers=2, seed=3
-        )
-        assert pooled.trial_rows_equal(serial)
 
 
 class TestTrialStats:
@@ -195,11 +316,6 @@ class TestCLI:
         manifest = json.loads(out_path.read_text())
         assert manifest["telemetry"]["spans"] == summary["spans"]
 
-    def test_run_trace_leaves_global_state_clean(self, tmp_path, capsys):
-        self._run_traced(tmp_path, capsys)
-        assert not telemetry.is_enabled()
-        assert telemetry.events() == []
-
     def test_trace_verb_prints_phase_breakdown(self, tmp_path, capsys):
         _, out_path = self._run_traced(tmp_path, capsys)
         assert main(["trace", str(out_path)]) == 0
@@ -218,16 +334,87 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "telemetry" in err.lower()
 
-    def test_traced_rows_match_untraced(self, tmp_path, capsys):
-        _, traced_path = self._run_traced(tmp_path, capsys)
-        plain_path = tmp_path / "plain.json"
-        args = ["run", "churn", "--quiet", "--seed", "7", "--out", str(plain_path)]
+    @pytest.mark.parametrize(
+        "flags, workers",
+        [
+            (("trace",), 1),
+            (("metrics",), 1),
+            (("profile",), 1),
+            (("trace", "metrics", "profile"), 1),
+            (("trace", "metrics", "profile"), 2),
+        ],
+    )
+    def test_flagged_run_matches_plain_rows_and_cleans_up(
+        self, tmp_path, capsys, flags, workers
+    ):
+        args = ["run", "churn", "--quiet", "--seed", "7", "--workers", str(workers)]
         for key, value in CHURN_PARAMS.items():
             args += ["--set", f"{key}={value}"]
-        assert main(args) == 0
-        traced = json.loads(traced_path.read_text())
+        plain_path, flagged_path = tmp_path / "plain.json", tmp_path / "flagged.json"
+        assert main(args + ["--out", str(plain_path)]) == 0
+        extra = {
+            "trace": ["--trace", str(tmp_path / "trace.json")],
+            "metrics": ["--metrics"],
+            "profile": ["--profile", str(tmp_path / "prof")],
+        }
+        flagged_args = args + ["--out", str(flagged_path)]
+        for flag in flags:
+            flagged_args += extra[flag]
+        assert main(flagged_args) == 0
         plain = json.loads(plain_path.read_text())
-        assert traced["rows"] == plain["rows"]
+        flagged = json.loads(flagged_path.read_text())
+        assert flagged["rows"] == plain["rows"]
+        assert plain["telemetry"] is None and plain["metrics"] is None
+        # Each flag produced its artifact; each other field stayed empty.
+        assert bool(flagged["telemetry"]) == ("trace" in flags)
+        assert (tmp_path / "trace.json").exists() == ("trace" in flags)
+        assert (tmp_path / "flagged.telemetry.json").exists() == ("trace" in flags)
+        assert bool(flagged["metrics"]) == ("metrics" in flags)
+        assert (tmp_path / "prof" / "profile.pstats").exists() == ("profile" in flags)
+        if "trace" in flags:
+            trace = load_chrome_trace(tmp_path / "trace.json")
+            pids = {event["pid"] for event in trace["traceEvents"]}
+            assert (len(pids) > 1) == (workers > 1)
+        if "metrics" in flags:
+            assert flagged["metrics"]["series"]
+        if "profile" in flags:
+            table = pstats.Stats(str(tmp_path / "prof" / "profile.pstats"))
+            functions = {func[2] for func in table.stats}  # type: ignore[attr-defined]
+            assert "run_churn_trial" in functions
+        # Global recorder state is clean for the next command.
+        assert telemetry.armed() == ()
+        assert all(channel.pending() == [] for channel in CHANNELS.values())
+
+    def test_failed_run_leaves_every_channel_disarmed_and_empty(self, tmp_path):
+        """Not just the flagged ones: a raising trial must not leak the
+        flags or half-recorded buffers of *any* channel into a later
+        command of the same process."""
+
+        def exploding_trial(task):
+            telemetry.counter("recorded.before.the.crash")
+            raise RuntimeError("trial blew up")
+
+        spec = ScenarioSpec(
+            name="exploding",
+            description="records, then raises",
+            trial_fn=exploding_trial,
+            build_trials=lambda params: [{}],
+        )
+        register(spec, replace=True)
+        # Left over from an earlier library call in this process.
+        metrics.enable()
+        metrics.observe("stale", 1.0)
+        try:
+            with pytest.raises(RuntimeError, match="blew up"):
+                main(
+                    ["run", "exploding", "--trace", str(tmp_path / "t.json"),
+                     "--profile", str(tmp_path / "prof")]
+                )
+        finally:
+            unregister("exploding")
+        assert telemetry.armed() == ()
+        assert all(channel.pending() == [] for channel in CHANNELS.values())
+        assert not (tmp_path / "t.json").exists()
 
     def test_log_level_flag_configures_root_logging(self, capsys):
         import logging

@@ -1,13 +1,9 @@
-"""Metrics recorder: bucket math, summaries, inertness, CLI surface.
+"""Metrics channel: sample shapes, bucket math, summaries, CLI surface.
 
-The load-bearing property mirrors the span recorder's: enabling metrics
-must not perturb a single deterministic byte.  The sharpest corner is
-the lifecycle engine's gauge sampling -- it runs through a
-``metrics_probe`` hook on the event loop, *never* through scheduled
-events, because ``events_processed`` / ``events_cancelled`` are part of
-the per-trial rows and observability must not move them.  The row
-byte-identity assertions here would catch any regression to scheduled
-sampling immediately.
+Inertness (rows byte-identical with the channel on or off, serial and
+pooled, both kernel backends) is proven once for all three channels in
+``tests/test_telemetry_integration.py::TestInertness``; the recorder
+state machine once in ``tests/test_telemetry.py::TestChannel``.
 """
 
 from __future__ import annotations
@@ -22,7 +18,6 @@ from repro.runner.cli import main
 from repro.runner.executor import run_scenario
 from repro.runner.registry import load_builtin_scenarios
 from repro.runner.results import RunManifest
-from repro.kernels import BACKEND_ENV_VAR
 
 #: A lifecycle_churn shape small enough for test time but crossing every
 #: instrumented metric: retrievals (latency histogram), degradations and
@@ -58,24 +53,6 @@ class TestRecorder:
         hist, series = metrics.drain()
         assert hist["kind"] == "hist" and hist["value"] == 0.25
         assert series["kind"] == "gauge" and series["t"] == 10.0
-        assert metrics.samples() == []
-
-    def test_capture_isolates_and_extend_merges(self):
-        metrics.enable()
-        metrics.observe("outer", 1.0)
-        with metrics.capture() as inner:
-            metrics.observe("inner", 2.0)
-        # The outer buffer never saw the captured sample ...
-        assert [s["name"] for s in metrics.samples()] == ["outer"]
-        # ... until it is merged back explicitly, envelope-style.
-        metrics.extend(inner)
-        assert [s["name"] for s in metrics.samples()] == ["outer", "inner"]
-
-    def test_reset_disables_and_clears(self):
-        metrics.enable()
-        metrics.observe("x", 1.0)
-        metrics.reset()
-        assert not metrics.is_enabled()
         assert metrics.samples() == []
 
 
@@ -161,45 +138,7 @@ class TestSummaries:
         assert metrics.series_table({}) == []
 
 
-class TestInertness:
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
-    def test_rows_byte_identical_on_vs_off(self, monkeypatch, backend):
-        monkeypatch.setenv(BACKEND_ENV_VAR, backend)
-        plain = run_lifecycle()
-        metrics.enable()
-        metered = run_lifecycle()
-        metrics.disable()
-        assert json.dumps(metered.rows, sort_keys=True) == json.dumps(
-            plain.rows, sort_keys=True
-        )
-        assert metered.trial_rows_equal(plain)
-        # Especially: the gauge probe must not have consumed engine events.
-        for metered_row, plain_row in zip(metered.rows, plain.rows):
-            assert metered_row["events_processed"] == plain_row["events_processed"]
-            assert metered_row["events_cancelled"] == plain_row["events_cancelled"]
-        # The metered run really recorded: histograms and gauges present.
-        assert plain.metrics is None
-        assert "lifecycle.retrieval_latency_s" in metered.metrics["histograms"]
-        assert "lifecycle.refresh_lag_s" in metered.metrics["histograms"]
-        assert "lifecycle.replica_count" in metered.metrics["histograms"]
-        assert "lifecycle.active_providers" in metered.metrics["series"]
-        assert any(
-            name.startswith("lifecycle.files.") for name in metered.metrics["series"]
-        )
-
-    def test_pooled_samples_ship_back_and_rows_match_serial(self):
-        serial = run_lifecycle(workers=1)
-        metrics.enable()
-        pooled = run_lifecycle(workers=2)
-        metrics.disable()
-        assert pooled.trial_rows_equal(serial)
-        summary = pooled.metrics
-        # Both workers' latency samples arrived in the parent's summary:
-        # the histogram count equals the served retrievals across trials.
-        total = sum(row["served"] for row in pooled.rows)
-        assert total > 0
-        assert summary["histograms"]["lifecycle.retrieval_latency_s"]["count"] == total
-
+class TestManifest:
     def test_manifest_metrics_field_round_trips(self):
         metrics.enable()
         manifest = run_lifecycle()
@@ -238,18 +177,6 @@ class TestCLI:
         # Global recorder state is clean for the next command.
         assert not metrics.is_enabled()
         assert metrics.samples() == []
-
-    def test_metrics_rows_match_plain_rows(self, tmp_path, capsys):
-        metered_path, _ = self._run(tmp_path, capsys, extra=["--metrics"])
-        metered = json.loads(metered_path.read_text())
-        plain_path = tmp_path / "plain.json"
-        args = ["run", "lifecycle_churn", "--quiet", "--seed", "7"]
-        for key, value in LIFECYCLE_PARAMS.items():
-            args += ["--set", f"{key}={value}"]
-        assert main(args + ["--out", str(plain_path)]) == 0
-        plain = json.loads(plain_path.read_text())
-        assert metered["rows"] == plain["rows"]
-        assert plain["metrics"] is None
 
     def test_trace_verb_prints_and_dumps_metrics(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.json"

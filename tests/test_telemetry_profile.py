@@ -1,10 +1,11 @@
-"""Per-trial profiling: raw-stats merging, pstats artifacts, CLI, inertness.
+"""Per-trial profiling: raw-stats merging, pstats artifacts, CLI.
 
 Profiling is the one observability layer that is allowed to cost wall
-time while on (cProfile's tracing hook is not free) -- but rows must
-stay byte-identical, the disabled path must stay free, and the merged
-artifact must be a *standard* pstats file so the whole Python profiling
-toolbox opens it.
+time while on (cProfile's tracing hook is not free) -- but the disabled
+path must stay free and the merged artifact must be a *standard* pstats
+file so the whole Python profiling toolbox opens it.  That rows stay
+byte-identical with it on, alone or with the other two channels, is
+proven in ``tests/test_telemetry_integration.py::TestInertness``.
 """
 
 from __future__ import annotations
@@ -44,6 +45,14 @@ class TestProfiledCall:
     def test_disabled_by_default(self):
         assert not profiling.is_enabled()
         assert profiling.stats_buffer() == []
+
+    def test_run_profiles_only_while_armed(self):
+        assert profiling.run(busy, 100) == busy(100)
+        assert profiling.stats_buffer() == []
+        profiling.enable()
+        assert profiling.run(busy, 100) == busy(100)
+        (table,) = profiling.drain()
+        assert any(func[2] == "busy" for func in table)
 
 
 class TestMergeStats:
@@ -110,34 +119,3 @@ class TestCLI:
         # Global recorder state is clean for the next command.
         assert not profiling.is_enabled()
         assert profiling.stats_buffer() == []
-
-    def test_profiled_rows_match_plain_rows(self, tmp_path, capsys):
-        profiled_path = self._run(tmp_path, extra=["--profile", str(tmp_path / "p")])
-        profiled = json.loads(profiled_path.read_text())
-        plain_path = tmp_path / "plain.json"
-        args = ["run", "churn", "--quiet", "--seed", "7", "--out", str(plain_path)]
-        for key, value in CHURN_PARAMS.items():
-            args += ["--set", f"{key}={value}"]
-        assert main(args) == 0
-        plain = json.loads(plain_path.read_text())
-        assert profiled["rows"] == plain["rows"]
-
-    def test_profile_composes_with_trace_and_metrics(self, tmp_path, capsys):
-        from repro import telemetry
-        from repro.telemetry import metrics
-
-        out_path = self._run(
-            tmp_path,
-            extra=[
-                "--profile", str(tmp_path / "p"),
-                "--trace", str(tmp_path / "trace.json"),
-                "--metrics",
-            ],
-        )
-        manifest = json.loads(out_path.read_text())
-        assert manifest["telemetry"]["spans"]
-        assert manifest["metrics"]["series"]
-        assert (tmp_path / "p" / "profile.pstats").exists()
-        assert not telemetry.is_enabled()
-        assert not metrics.is_enabled()
-        assert not profiling.is_enabled()
