@@ -22,9 +22,10 @@ engine underneath:
   few arrays instead of a million task objects;
 * the event log becomes a :class:`~repro.core.events.CountingEventLog`;
 * the protocol hot paths -- batched ``File Add`` placement, the
-  ``CheckAlloc``, ``CheckProof`` and ``CheckRefresh`` rounds -- are
-  overridden with vectorised sweeps over the tables that dispatch into
-  :mod:`repro.kernels`.
+  ``CheckAlloc``, ``CheckProof`` and ``CheckRefresh`` rounds, the
+  ``Auto Refresh`` starts of a proof round -- are overridden with
+  vectorised sweeps over the tables that dispatch into
+  :mod:`repro.kernels`, and ``File Confirm`` with row arithmetic.
 
 **Equivalence contract.**  :class:`ColumnarProtocol` must be
 bit-equivalent to the object model: same PRNG consumption order, same
@@ -55,7 +56,7 @@ from repro.core.events import CountingEventLog, EventType
 from repro.core.file_descriptor import FileDescriptor, FileState
 from repro.core.params import ProtocolParams
 from repro.core.pending import PendingTask
-from repro.core.protocol import FileInsurerProtocol, ProtocolError
+from repro.core.protocol import FileInsurerProtocol, ProtocolError, RefreshNotice
 from repro.core.sector import SectorRecord, SectorState
 from repro.crypto.prng import DeterministicPRNG
 from repro.kernels import KernelBackend
@@ -110,13 +111,8 @@ def _grow(array: np.ndarray, needed: int, fill: Any = 0) -> np.ndarray:
 
 
 def _appears_once(values: np.ndarray) -> np.ndarray:
-    """Mask of the entries of ``values`` that occur exactly once."""
-    if len(np.unique(values)) == len(values):
-        return np.ones(len(values), dtype=bool)
-    _, inverse, multiplicity = np.unique(
-        values, return_inverse=True, return_counts=True
-    )
-    return multiplicity[inverse] == 1
+    """Mask of the entries of ``values`` (non-negative ids) occurring once."""
+    return np.bincount(values)[values] == 1
 
 
 # ======================================================================
@@ -695,14 +691,19 @@ class ColumnarAllocationTable:
             raise KeyError((file_id, index))
         return entry
 
+    def row_of(self, file_id: int, index: int) -> int:
+        """Table row of a present replica entry, ``-1`` if there is none."""
+        if not 0 <= file_id < len(self.block_start):
+            return -1
+        start = int(self.block_start[file_id])
+        if start < 0 or not 0 <= index < self.files.replica_count[file_id]:
+            return -1
+        row = start + index
+        return -1 if self.state[row] == _ABSENT else row
+
     def try_get(self, file_id: int, index: int) -> Optional[AllocEntryView]:
-        block = self._block(file_id)
-        if block is None:
-            return None
-        start, count = block
-        if not 0 <= index < count or self.state[start + index] == _ABSENT:
-            return None
-        return AllocEntryView(self, start + index)
+        row = self.row_of(file_id, index)
+        return None if row < 0 else AllocEntryView(self, row)
 
     def has(self, file_id: int, index: int) -> bool:
         return self.try_get(file_id, index) is not None
@@ -842,6 +843,25 @@ class ColumnarPending:
         self._a1[self._n : self._n + count] = -1
         self._n += count
         self._tail_min = min(self._tail_min, time)
+
+    def schedule_columns(
+        self,
+        times: np.ndarray,
+        kinds: np.ndarray,
+        file_ids: np.ndarray,
+        indexes: np.ndarray,
+    ) -> None:
+        """Append one task per row, in row order (``kinds`` holds codes)."""
+        count = len(times)
+        if count == 0:
+            return
+        self._ensure(self._n + count)
+        self._time[self._n : self._n + count] = times
+        self._kind[self._n : self._n + count] = kinds
+        self._a0[self._n : self._n + count] = file_ids
+        self._a1[self._n : self._n + count] = indexes
+        self._n += count
+        self._tail_min = min(self._tail_min, float(times.min()))
 
     # -- ordering ------------------------------------------------------
     def _live_indices(self) -> np.ndarray:
@@ -1100,8 +1120,7 @@ class ColumnarProtocol(FileInsurerProtocol):
         self._next_file_id += created
         if created:
             self.alloc._ensure_blocks(int(file_ids[-1]))
-        for _ in range(created):
-            self.events.emit(EventType.FILE_ADD_REQUESTED, self.now, "")
+        self.events.emit_many(EventType.FILE_ADD_REQUESTED, created)
         if truncated:
             # The failed upload keeps its descriptor (state failed) but no
             # allocations or reservations, matching per-file semantics.
@@ -1191,6 +1210,26 @@ class ColumnarProtocol(FileInsurerProtocol):
         complete = (ok_entries == counts) & (any_present > 0)
         return [int(file_id) for file_id in candidates[complete]]
 
+    def file_confirm(self, provider: str, file_id: int, index: int, sector_id: str) -> None:
+        """``File Confirm`` on table rows: same rules, no view constructed."""
+        sector_row = self.sectors._rows.get(sector_id)
+        if sector_row is None:
+            raise ProtocolError(f"unknown sector {sector_id}")
+        if self.sectors.owners[sector_row] != provider:
+            raise ProtocolError(f"{provider} does not own sector {sector_id}")
+        row = self.alloc.row_of(file_id, index)
+        if row < 0:
+            raise ProtocolError(f"no allocation for file#{file_id} replica {index}")
+        if (
+            self.alloc.next[row] != sector_row
+            or self.alloc.state[row] != _ALLOC_CODE[AllocState.ALLOC]
+        ):
+            raise ProtocolError(
+                f"allocation of file#{file_id}[{index}] is not awaiting {sector_id}"
+            )
+        self.alloc.state[row] = _ALLOC_CODE[AllocState.CONFIRM]
+        self._release_traffic_escrow(provider, file_id, index)
+
     # ------------------------------------------------------------------
     # Time: run-grouped task execution with vectorised sweeps
     # ------------------------------------------------------------------
@@ -1249,15 +1288,15 @@ class ColumnarProtocol(FileInsurerProtocol):
 
         Fast path: every file is still pending with a live block whose
         entries are all confirmed -- the common case after a batched fill.
-        The per-file refresh-countdown draws stay a sequential loop in
-        task order (the PRNG stream is part of the equivalence contract).
+        The refresh countdowns are one batched draw, in task order (the
+        PRNG stream is part of the equivalence contract).
         """
         eligible = (
             len(file_ids) > 0
-            and len(np.unique(file_ids)) == len(file_ids)
             and bool(np.all(file_ids >= 0))
             and bool(np.all(file_ids < len(self.files)))
             and bool(np.all(file_ids < len(self.alloc.block_start)))
+            and bool(np.all(_appears_once(file_ids)))
             and bool(
                 np.all(self.files.state[file_ids] == _FILE_CODE[FileState.PENDING])
             )
@@ -1277,15 +1316,13 @@ class ColumnarProtocol(FileInsurerProtocol):
         self.alloc.last_proof[rows] = self.now
         self.alloc.state[rows] = _ALLOC_CODE[AllocState.NORMAL]
         self.files.state[file_ids] = _FILE_CODE[FileState.NORMAL]
-        for file_id in file_ids:
-            self.files.countdown[file_id] = self._sample_refresh_countdown()
+        self.files.countdown[file_ids] = self._sample_refresh_countdowns(len(file_ids))
         self.files_stored += len(file_ids)
         self.total_value_stored += int(self.files.value[file_ids].sum())
         self.pending.schedule_batch(
             self.now + self.params.proof_cycle, self.TASK_CHECK_PROOF, file_ids
         )
-        for _ in range(len(file_ids)):
-            self.events.emit(EventType.FILE_STORED, self.now, "")
+        self.events.emit_many(EventType.FILE_STORED, len(file_ids))
 
     @traced("protocol.check_proof_run", category="protocol")
     def _check_proof_run(self, file_ids: np.ndarray) -> None:
@@ -1381,7 +1418,7 @@ class ColumnarProtocol(FileInsurerProtocol):
         )
         live = available & (hosts >= 0)
         live_hosts = hosts[live]
-        distinct = np.unique(live_hosts)
+        distinct = np.nonzero(np.bincount(live_hosts, minlength=len(self.sectors)))[0]
         standing = distinct[
             self.sectors.state[distinct] != _SECTOR_CODE[SectorState.CORRUPTED]
         ]
@@ -1407,10 +1444,11 @@ class ColumnarProtocol(FileInsurerProtocol):
     def _proof_stretch(self, file_ids: np.ndarray, proof_rows: np.ndarray) -> None:
         """Sweep one stretch of mask-cleared files with column writes.
 
-        The reschedule order interleaves with refresh scheduling exactly
-        as the per-file loop would: files up to and including a refreshing
-        file are rescheduled before that file's ``prng.randint`` +
-        ``_auto_refresh`` run.
+        Files whose countdown ran out start a refresh
+        (:meth:`_start_refreshes`).  The next checkpoints and the
+        CheckRefresh tasks are one append, interleaved as the per-file
+        loop schedules them: the CheckProof tasks up to and including a
+        refreshing file, then that file's CheckRefresh.
         """
         if len(file_ids) == 0:
             return
@@ -1418,28 +1456,143 @@ class ColumnarProtocol(FileInsurerProtocol):
         countdowns = self.files.countdown[file_ids] - 1
         self.files.countdown[file_ids] = countdowns
         next_checkpoint = self.now + self.params.proof_cycle
-        cursor = 0
-        for position in np.nonzero(countdowns <= 0)[0].tolist():
-            self.pending.schedule_batch(
-                next_checkpoint,
-                self.TASK_CHECK_PROOF,
-                file_ids[cursor : position + 1],
+        due = np.nonzero(countdowns <= 0)[0]
+        if len(due) == 0:
+            self.pending.schedule_batch(next_checkpoint, self.TASK_CHECK_PROOF, file_ids)
+            return
+        picked, indexes, deadlines = self._start_refreshes(file_ids[due])
+        started = due[picked]
+        codes = self.pending._kind_codes
+        total = len(file_ids) + len(started)
+        refresh = np.zeros(total, dtype=bool)
+        refresh[started + np.arange(1, len(started) + 1)] = True
+        times = np.full(total, next_checkpoint)
+        times[refresh] = deadlines
+        kinds = np.full(total, codes[self.TASK_CHECK_PROOF], dtype=np.int64)
+        kinds[refresh] = codes[self.TASK_CHECK_REFRESH]
+        tasks = np.empty(total, dtype=np.int64)
+        tasks[~refresh] = file_ids
+        tasks[refresh] = file_ids[started]
+        replica = np.full(total, -1, dtype=np.int64)
+        replica[refresh] = indexes
+        self.pending.schedule_columns(times, kinds, tasks, replica)
+
+    def _start_refreshes(
+        self, file_ids: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``Auto Refresh`` (Figure 9) for the due files of one proof stretch.
+
+        Sequential decisions, columnar effects.  What one file decides
+        depends on the files before it -- the PRNG stream, the selector's
+        prefetch buffer, the room earlier refreshes of this stretch left on
+        a target -- so the decisions are one loop in task order over plain
+        ints, consuming both random streams exactly as per-file
+        :meth:`_auto_refresh` calls would: the replica index; then, unless
+        that replica is mid-transfer or corrupted or no sector is
+        selectable (postponed: new countdown), the next prefetched target;
+        a target without room is a collision (new countdown).  What was
+        decided is then written at once.  The mask guarantees ``NORMAL``
+        files that appear once, so every file owns the rows it touches.
+
+        Returns the started refreshes: positions in ``file_ids``, replica
+        indexes, CheckRefresh deadlines.
+        """
+        randint = self.prng.randint
+        resample = self._sample_refresh_countdown
+        random_slot = self.selector.random_slot
+        selectable = len(self.selector) > 0
+        replica_state = self.alloc.state
+        slot_to_row = self._slot_to_row
+        free = self.sectors.free
+        sector_state = self.sectors.state
+        normal_replica = _ALLOC_CODE[AllocState.NORMAL]
+        normal_sector = _SECTOR_CODE[SectorState.NORMAL]
+        room: Dict[int, int] = {}  # target row -> bytes free after this stretch's reservations
+        picked: List[int] = []
+        indexes: List[int] = []
+        slots: List[int] = []
+        resampled: List[int] = []
+        countdowns: List[int] = []
+        collided = 0
+        for position, (replicas, block, size) in enumerate(
+            zip(
+                self.files.replica_count[file_ids].tolist(),
+                self.alloc.block_start[file_ids].tolist(),
+                self.files.size[file_ids].tolist(),
             )
-            cursor = position + 1
-            file_id = int(file_ids[position])
-            index = self.prng.randint(
-                0, int(self.files.replica_count[file_id]) - 1
+        ):
+            index = randint(0, replicas - 1)
+            if selectable and replica_state[block + index] == normal_replica:
+                slot = random_slot()
+                target = slot_to_row.item(slot)
+                left = room[target] if target in room else free.item(target)
+                if left >= size and sector_state[target] == normal_sector:
+                    room[target] = left - size
+                    picked.append(position)
+                    indexes.append(index)
+                    slots.append(slot)
+                    continue
+                collided += 1
+            resampled.append(position)
+            countdowns.append(resample())
+
+        self.files.countdown[file_ids[resampled]] = countdowns
+        self.events.emit_many(EventType.COLLISION_RESAMPLED, collided)
+        started = file_ids[picked]
+        index_array = np.asarray(indexes, dtype=np.int64)
+        slot_array = np.asarray(slots, dtype=np.int64)
+        rows = self.alloc.block_start[started] + index_array
+        targets = slot_to_row[slot_array]
+        sizes = self.files.size[started]
+        self.alloc.next[rows] = targets
+        self.alloc.state[rows] = _ALLOC_CODE[AllocState.ALLOC]
+        np.subtract.at(free, targets, sizes)
+        np.add.at(self.sectors.stored, targets, 1)
+        self._agg_used += int(sizes.sum())
+        self.selector.debit_slots(slot_array, sizes)
+        size_list = sizes.tolist()
+        deadline_of = {
+            size: self.now + self.params.transfer_deadline(size)
+            for size in set(size_list)
+        }
+        deadlines = [deadline_of[size] for size in size_list]
+        sector_ids = self.sectors.sector_ids
+        self.refresh_notices.extend(
+            RefreshNotice(
+                file_id,
+                index,
+                None if source < 0 else sector_ids[source],
+                sector_ids[target],
+                deadline,
             )
-            self._auto_refresh(file_id, index)
-        self.pending.schedule_batch(
-            next_checkpoint, self.TASK_CHECK_PROOF, file_ids[cursor:]
+            for file_id, index, source, target, deadline in zip(
+                started.tolist(),
+                indexes,
+                self.alloc.prev[rows].tolist(),
+                targets.tolist(),
+                deadlines,
+            )
+        )
+        self.events.emit_many(EventType.FILE_REFRESH_STARTED, len(picked))
+        for name, amount in (
+            ("protocol.refresh_start.vector_files", len(file_ids)),
+            ("protocol.refresh_start.postponed", len(resampled) - collided),
+            ("protocol.refresh_start.collided", collided),
+            ("protocol.refresh_notices", len(picked)),
+        ):
+            counter(name, amount, category="protocol")
+        return (
+            np.asarray(picked, dtype=np.int64),
+            index_array,
+            np.asarray(deadlines, dtype=np.float64),
         )
 
     @traced("protocol.check_refresh_run", category="protocol")
     def _check_refresh_run(self, file_ids: np.ndarray, indexes: np.ndarray) -> None:
         """A run of same-time CheckRefresh tasks, completions vectorised.
 
-        Maximal stretches of plain completions -- ``NORMAL`` file,
+        Maximal stretches of plain completions -- ``NORMAL`` file with one
+        task in the run (so its new countdown is one column write),
         ``CONFIRM`` entry, old host not ``DISABLED`` (draining a disabled
         sector may remove it and refund its deposit) -- are applied with
         column writes; every other task takes the inherited
@@ -1472,7 +1625,7 @@ class ColumnarProtocol(FileInsurerProtocol):
                         != _SECTOR_CODE[SectorState.DISABLED]
                     )
                 )
-                & _appears_once(rows)
+                & _appears_once(ids)
             )
         scalar_tasks = np.nonzero(~vector)[0].tolist()
         cursor = 0
@@ -1514,9 +1667,8 @@ class ColumnarProtocol(FileInsurerProtocol):
         self._agg_used -= int(sizes.sum())
         # A normal sector is always selectable, hence has a slot.
         self.selector.debit_slots(self._row_to_slot[released], -sizes)
-        for file_id in file_ids.tolist():
-            self.files.countdown[file_id] = self._sample_refresh_countdown()
-            self.events.emit(EventType.FILE_REFRESH_COMPLETED, self.now, "")
+        self.files.countdown[file_ids] = self._sample_refresh_countdowns(len(file_ids))
+        self.events.emit_many(EventType.FILE_REFRESH_COMPLETED, len(file_ids))
 
     # ------------------------------------------------------------------
     # Vectorised aggregate queries

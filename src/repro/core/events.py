@@ -128,6 +128,11 @@ class CountingEventLog:
         """Count an event (the payload is discarded)."""
         self._counts[event_type] = self._counts.get(event_type, 0) + 1
 
+    def emit_many(self, event_type: EventType, count: int) -> None:
+        """Count ``count`` events of one type (one update, not ``count``)."""
+        if count:
+            self._counts[event_type] = self._counts.get(event_type, 0) + count
+
     def count(self, event_type: EventType) -> int:
         """Number of events of a given type."""
         return self._counts.get(event_type, 0)

@@ -556,6 +556,10 @@ class FileInsurerProtocol:
                 f"allocation of file#{file_id}[{index}] is not awaiting {sector_id}"
             )
         entry.state = AllocState.CONFIRM
+        self._release_traffic_escrow(provider, file_id, index)
+
+    def _release_traffic_escrow(self, provider: str, file_id: int, index: int) -> None:
+        """Pay the confirmed replica's traffic fee out of escrow, if any."""
         escrow = self._traffic_escrows.pop((file_id, index), None)
         if escrow is not None:
             self.fees.release_traffic_fee(escrow)
@@ -1012,6 +1016,14 @@ class FileInsurerProtocol:
     def _sample_refresh_countdown(self) -> int:
         """``SampleExp(AvgRefresh)`` rounded up to at least one checkpoint."""
         return max(1, int(math.ceil(self.prng.expovariate(self.params.avg_refresh))))
+
+    def _sample_refresh_countdowns(self, count: int) -> List[int]:
+        """``count`` :meth:`_sample_refresh_countdown` draws, one stream read."""
+        ceil = math.ceil
+        return [
+            max(1, ceil(sample))
+            for sample in self.prng.expovariates(self.params.avg_refresh, count)
+        ]
 
     def _reserve_space(self, record: SectorRecord, size: int) -> None:
         """Reserve replica space, keeping the running aggregates and the

@@ -381,13 +381,16 @@ class CapacitySelector:
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
-    def random_sector(self) -> str:
-        """One capacity-proportional draw (no free-space check).
+    def random_slot(self) -> int:
+        """One capacity-proportional draw (no free-space check), as a slot.
 
         Draws are prefetched ``draw_batch`` at a time from a single kernel
         call and served from a buffer that membership changes flush, so a
         burst of refresh targets costs one stream derivation + cumsum
-        instead of one per draw.
+        instead of one per draw.  The buffer is refilled only when a draw
+        finds it empty, never ahead of one: refills share the kernel-call
+        numbering of :meth:`select_batch_slots`, so *when* they happen is
+        part of the draw sequence.
         """
         if not self._draw_buffer:
             result = self.kernels.batch_weighted_draw(
@@ -397,9 +400,13 @@ class CapacitySelector:
             )
             self.samples += result.attempts
             self._refills += 1
-            self._draw_buffer = [int(slot) for slot in result.keys]
+            self._draw_buffer = result.keys.tolist()
             self._draw_buffer.reverse()
-        return self._sampler.key_at(self._draw_buffer.pop())
+        return self._draw_buffer.pop()
+
+    def random_sector(self) -> str:
+        """:meth:`random_slot`, as the sector id the slot holds."""
+        return self._sampler.key_at(self.random_slot())
 
     def take_prefetch_counts(self) -> tuple[int, ...]:
         """Plain-draw prefetch ``(hits, refills, flushed)`` since the last call.

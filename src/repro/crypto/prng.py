@@ -125,6 +125,24 @@ class DeterministicPRNG:
         # Guard against log(0); random() < 1 so 1-u > 0 always holds.
         return -mean * math.log(1.0 - u)
 
+    def expovariates(self, mean: float, count: int) -> list[float]:
+        """``count`` successive :meth:`expovariate` draws from one stream read.
+
+        Equal, value for value and in the state it leaves behind, to
+        calling :meth:`expovariate` ``count`` times: each draw is the top
+        53 bits of the next 7 stream bytes.  The logarithm stays
+        ``math.log`` per element -- ``np.log`` does not round like libm.
+        """
+        if mean <= 0:
+            raise ValueError("mean must be positive")
+        words = np.zeros((count, 8), dtype=np.uint8)
+        words[:, 1:] = np.frombuffer(
+            self.random_bytes(7 * count), dtype=np.uint8
+        ).reshape(count, 7)
+        uniform = (words.view(">u8").ravel() >> 3) / float(1 << 53)
+        log = math.log
+        return [-mean * log(u) for u in (1.0 - uniform).tolist()]
+
     # ------------------------------------------------------------------
     # Sequences
     # ------------------------------------------------------------------

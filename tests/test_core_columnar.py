@@ -13,11 +13,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.chain.ledger import Ledger
 from repro.core.allocation import AllocState
-from repro.core.columnar import ColumnarPending, ColumnarProtocol
+from repro.core.columnar import (
+    AllocEntryView,
+    ColumnarPending,
+    ColumnarProtocol,
+    FileView,
+    SectorView,
+    _appears_once,
+)
 from repro.core.events import EventType
 from repro.core.file_descriptor import FileState
 from repro.core.params import ProtocolParams
@@ -190,9 +199,10 @@ def compensation_run(protocol):
     return fingerprint(protocol)
 
 
-def confirm_refreshes(protocol):
-    """The target providers' part of every refresh still in flight."""
-    confirmed = []
+def confirm_refreshes(protocol, every=1):
+    """The target providers' part of every refresh still in flight (of
+    every ``every``-th one: the other providers stay silent)."""
+    confirmed, awaiting = [], 0
     for notice in protocol.refresh_notices:
         entry = protocol.alloc.try_get(notice.file_id, notice.replica_index)
         if (
@@ -200,6 +210,9 @@ def confirm_refreshes(protocol):
             and entry.state == AllocState.ALLOC
             and entry.next == notice.target_sector
         ):
+            awaiting += 1
+            if (awaiting - 1) % every:
+                continue
             owner = protocol.sectors[notice.target_sector].owner
             protocol.file_confirm(
                 owner, notice.file_id, notice.replica_index, notice.target_sector
@@ -527,8 +540,8 @@ class TestAggregateMaintenance:
         assert seen and all(np.shares_memory(free, selector._free) for free in seen)
 
 
-def traced_advance(protocol, until):
-    """``advance_time`` with telemetry on; returns the counter totals."""
+def traced_events(protocol, until):
+    """``advance_time`` with telemetry on; returns the raw events."""
     telemetry.enable()
     try:
         with telemetry.capture() as events:
@@ -536,7 +549,12 @@ def traced_advance(protocol, until):
     finally:
         telemetry.disable()
         telemetry.drain()
-    return telemetry.summarize_events(events)["counters"]
+    return events
+
+
+def traced_advance(protocol, until):
+    """``advance_time`` with telemetry on; returns the counter totals."""
+    return telemetry.summarize_events(traced_events(protocol, until))["counters"]
 
 
 class TestMaskedSweepVisibility:
@@ -546,9 +564,9 @@ class TestMaskedSweepVisibility:
     one corrupted sector used to send every later sweep down the per-file
     path)."""
 
-    def _stored(self, sick, files=40):
+    def _stored(self, sick, files=40, **overrides):
         protocol = make_protocol(
-            "columnar", providers=8, backend="vectorized", sick=sick
+            "columnar", providers=8, backend="vectorized", sick=sick, **overrides
         )
         ids = protocol.file_add_batch("client", [64 * 1024] * files, [1] * files, ROOT)
         protocol.confirm_batch(ids)
@@ -607,6 +625,29 @@ class TestMaskedSweepVisibility:
         assert totals["protocol.refresh_check.scalar_tasks"] == 0
         assert protocol.events.count(EventType.FILE_REFRESH_COMPLETED) == len(confirmed)
 
+    def test_refresh_starts_split_like_the_sweep(self):
+        """Every file is due at every checkpoint (avg_refresh -> countdown
+        1): the swept files start their refreshes in the columns, counted
+        once per stretch, and only the files of the silent sector -- scalar
+        in the sweep -- go through per-file ``_auto_refresh`` and its span."""
+        sick = set()
+        protocol, ids = self._stored(sick, avg_refresh=0.01)
+        sick.add(sorted(protocol.sectors)[0])
+        before = len(protocol.refresh_notices)
+        summary = telemetry.summarize_events(
+            traced_events(protocol, protocol.now + 60.0)
+        )
+        totals = summary["counters"]
+        scalar = totals["protocol.proof_sweep.scalar_files"]
+        assert 0 < scalar < len(ids)
+        assert summary["spans"]["protocol.refresh"]["count"] == scalar
+        assert (
+            totals["protocol.refresh_start.vector_files"]
+            == totals["protocol.proof_sweep.vector_files"]
+            == len(ids) - scalar
+        )
+        assert totals["protocol.refresh_notices"] == len(protocol.refresh_notices) - before
+
 
 class TestFastPathCounters:
     """Spans on the batch entry points, and the two fast paths that used
@@ -657,6 +698,72 @@ class TestFastPathCounters:
         assert hits + refills == draws
         assert refills * 8 == draws + flushed + len(protocol.selector._draw_buffer)
         assert protocol.selector.take_prefetch_counts() == (0, 0, 0)
+
+    @pytest.mark.parametrize("files", [10, 80])
+    def test_a_stretch_reports_its_refresh_starts_once(self, files):
+        """One stretch, however many files refresh in it: one counter event
+        per name (``protocol.refresh_notices`` carrying its amount) and no
+        per-file ``protocol.refresh`` span."""
+        protocol = make_protocol(
+            "columnar", providers=8, backend="vectorized", draw_batch=8,
+            avg_refresh=0.01, cap_para=100.0,
+        )
+        ids = protocol.file_add_batch("client", [64 * 1024] * files, [1] * files, ROOT)
+        protocol.confirm_batch(ids)
+        protocol.advance_time(protocol.pending.peek_time())  # CheckAlloc: stored
+        events = traced_events(protocol, protocol.pending.peek_time())
+        names = [event["name"] for event in events]
+        assert "protocol.refresh" not in names
+        for name in ("vector_files", "postponed", "collided"):
+            assert names.count(f"protocol.refresh_start.{name}") == 1
+        assert names.count("protocol.refresh_notices") == 1
+        totals = telemetry.summarize_events(events)["counters"]
+        started = protocol.events.count(EventType.FILE_REFRESH_STARTED)
+        assert totals["protocol.refresh_start.vector_files"] == files
+        assert totals["protocol.refresh_notices"] == started == len(protocol.refresh_notices)
+        assert totals["protocol.refresh_start.collided"] == protocol.events.count(
+            EventType.COLLISION_RESAMPLED
+        )
+        assert (
+            started
+            + totals["protocol.refresh_start.collided"]
+            + totals["protocol.refresh_start.postponed"]
+            == files
+        )
+
+    def test_healthy_refresh_cycle_constructs_no_view(self, monkeypatch):
+        """refresh_storm's healthy op sequence -- one proof cycle, then
+        ``file_confirm`` of every live notice -- stays on table rows."""
+        protocol = make_protocol(
+            "columnar", providers=20, backend="vectorized", draw_batch=64,
+            avg_refresh=4.0, cap_para=100.0,
+        )
+        ids = protocol.file_add_batch("client", [64 * 1024] * 200, [1] * 200, ROOT)
+        protocol.confirm_batch(ids)
+        protocol.advance_time(protocol.pending.peek_time())
+        built = []
+        for view in (SectorView, FileView, AllocEntryView):
+            def counting(self, table, row, _init=view.__init__, _name=view.__name__):
+                built.append(_name)
+                _init(self, table, row)
+            monkeypatch.setattr(view, "__init__", counting)
+        sectors = protocol.sectors
+        seen = 0
+        for _ in range(6):
+            protocol.advance_time(protocol.now + protocol.params.proof_cycle)
+            for notice in protocol.refresh_notices[seen:]:
+                assert notice.deadline >= protocol.now
+                protocol.file_confirm(
+                    sectors.owners[sectors.row_of(notice.target_sector)],
+                    notice.file_id,
+                    notice.replica_index,
+                    notice.target_sector,
+                )
+            seen = len(protocol.refresh_notices)
+        assert seen > 100
+        assert protocol.events.count(EventType.FILE_REFRESH_COMPLETED) > 100
+        assert protocol.events.count(EventType.FILE_REFRESH_FAILED) == 0
+        assert built == []
 
     def test_disabled_advance_leaves_the_prefetch_tally_untaken(self):
         protocol = make_protocol("columnar", providers=8, draw_batch=4)
@@ -716,3 +823,342 @@ class TestColumnarFacades:
         )
         assert hosted == len(ids) * k
         assert not protocol.alloc.file_is_lost(ids[0])
+
+
+# ----------------------------------------------------------------------
+# Refresh in columns: the identity contract of the batched refresh start
+# ----------------------------------------------------------------------
+DRAW_BATCHES = (1, 8, 64)
+
+
+def identity(protocol):
+    """What the batched refresh start must leave exactly as the per-file
+    path does: the state, the notices in order, where the next sampler
+    draw comes from, and both random streams."""
+    selector = protocol.selector
+    return {
+        "state": fingerprint(protocol),
+        "notices": list(protocol.refresh_notices),
+        "sampler": (
+            selector._draw_calls,
+            selector.samples,
+            selector.collisions,
+            list(selector._draw_buffer),
+        ),
+        "prng": protocol.prng.state_fingerprint(),
+    }
+
+
+def step(protocol):
+    """Execute exactly the tasks of the next pending time."""
+    protocol.advance_time(protocol.pending.peek_time())
+
+
+def stored(protocol, files, size=64 * 1024):
+    ids = protocol.file_add_batch("client", [size] * files, [1] * files, ROOT)
+    protocol.confirm_batch(ids)
+    step(protocol)  # CheckAlloc
+    assert protocol.files_stored == files
+    return ids
+
+
+def on_both_engines(scenario, **build):
+    """Run ``scenario(protocol, stage)`` on both engines at every
+    ``draw_batch``; the identities staged along the way must be equal.
+
+    Yields ``(draw_batch, object outcome, columnar outcome, columnar
+    telemetry summary)`` for the case-specific assertions, an outcome
+    being ``(protocol, scenario's return value)``.
+    """
+    for draw_batch in DRAW_BATCHES:
+        outcomes, stages, traces = {}, {}, {}
+        telemetry.enable()
+        try:
+            for engine in ENGINES:
+                protocol = make_protocol(
+                    engine, backend="vectorized", draw_batch=draw_batch, **build
+                )
+                stages[engine] = []
+                with telemetry.capture() as traces[engine]:
+                    result = scenario(
+                        protocol, lambda: stages[engine].append(identity(protocol))
+                    )
+                outcomes[engine] = (protocol, result)
+        finally:
+            telemetry.reset()
+        assert len(stages["columnar"]) == len(stages["object"]) > 0
+        for number, (want, got) in enumerate(zip(stages["object"], stages["columnar"])):
+            for part in want:
+                assert got[part] == want[part], (
+                    f"draw_batch={draw_batch}: {part} diverges at stage {number}"
+                )
+        yield (
+            draw_batch,
+            outcomes["object"],
+            outcomes["columnar"],
+            telemetry.summarize_events(traces["columnar"]),
+        )
+
+
+class TestRefreshInColumns:
+    """Sequential decisions, columnar effects: each case is one the batched
+    start could get wrong while every ordinary run still matched."""
+
+    def test_second_refresh_of_a_stretch_collides_on_a_sector_the_first_filled(self):
+        size = 100 * 1024
+
+        def scenario(protocol, stage):
+            stored(protocol, 12, size)
+            in_stretch = 0
+            for _ in range(30):
+                free = {sid: rec.free_capacity for sid, rec in protocol.sectors.items()}
+                seen = len(protocol.events.of_type(EventType.COLLISION_RESAMPLED))
+                step(protocol)
+                stage()
+                # Only the object engine keeps the event payloads.
+                for event in protocol.events.of_type(EventType.COLLISION_RESAMPLED)[seen:]:
+                    in_stretch += free[event.details["target"]] >= size
+                confirm_refreshes(protocol)
+            return in_stretch
+
+        # Four 1 MiB sectors hold ten replicas each; 36 of the 40 places
+        # are taken, and every file is due at every checkpoint.
+        for _, (_, in_stretch), (columnar, _), summary in on_both_engines(
+            scenario, providers=4, capacity_mb=1, redundancy_factor=1.0,
+            cap_para=100.0, avg_refresh=0.01,
+        ):
+            assert in_stretch > 0  # room at the start of the step, none at the draw
+            assert "protocol.refresh" not in summary["spans"]
+            assert summary["counters"]["protocol.refresh_start.collided"] == (
+                columnar.events.count(EventType.COLLISION_RESAMPLED)
+            )
+
+    @pytest.mark.parametrize("blocker", ["alloc", "confirm", "corrupted"])
+    def test_unavailable_replica_postpones_without_a_draw(self, blocker):
+        # A 64 KiB transfer outlasts a proof cycle, so a refresh is still in
+        # flight (ALLOC, or CONFIRM once the provider answered) when its
+        # file is due again; a 1 KiB one is long over, and only the
+        # replicas of the crashed sector are unavailable.
+        size = 1024 if blocker == "corrupted" else 64 * 1024
+
+        def scenario(protocol, stage):
+            stored(protocol, 20, size)
+            if blocker == "corrupted":
+                protocol.crash_sector(sorted(protocol.sectors)[0])
+            for _ in range(12):
+                step(protocol)
+                stage()
+                if blocker != "alloc":
+                    confirm_refreshes(protocol)
+
+        for _, _, (columnar, _), summary in on_both_engines(
+            scenario, providers=6, avg_refresh=0.01
+        ):
+            totals = summary["counters"]
+            assert columnar.files_lost == 0
+            assert totals["protocol.refresh_start.postponed"] > 0
+            # A draw was consumed for the started and the collided only.
+            assert (
+                totals.get("protocol.prefetch.hits", 0) + totals["protocol.prefetch.refills"]
+                == columnar.events.count(EventType.FILE_REFRESH_STARTED)
+                + columnar.events.count(EventType.COLLISION_RESAMPLED)
+            )
+
+    def test_empty_selector_postpones_every_due_file(self):
+        def scenario(protocol, stage):
+            stored(protocol, 20)
+            for sector_id, record in list(protocol.sectors.items()):
+                protocol.sector_disable(record.owner, sector_id)
+            assert len(protocol.selector) == 0
+            draws = protocol.selector._draw_calls
+            for _ in range(3):
+                step(protocol)
+                stage()
+            assert protocol.selector._draw_calls == draws
+            assert protocol.refresh_notices == []
+
+        for _, _, _, summary in on_both_engines(scenario, providers=4, avg_refresh=0.01):
+            totals = summary["counters"]
+            assert (
+                totals["protocol.refresh_start.postponed"]
+                == totals["protocol.refresh_start.vector_files"]
+                == 3 * 20
+            )
+
+    def test_file_add_between_sweeps_sees_the_same_prefetch_state(self):
+        """File Add shares the sampler's kernel-call numbering: a refill
+        made ahead of need would renumber its stream."""
+
+        def scenario(protocol, stage):
+            stored(protocol, 30)
+            partly_consumed = 0
+            for _ in range(8):
+                step(protocol)
+                stage()
+                confirm_refreshes(protocol)
+                buffered = len(protocol.selector._draw_buffer)
+                partly_consumed += 0 < buffered < protocol.selector.draw_batch
+                protocol.confirm_batch(
+                    protocol.file_add_batch("client", [32 * 1024] * 2, [1] * 2, ROOT)
+                )
+                stage()
+            return partly_consumed
+
+        for draw_batch, _, (_, partly_consumed), _ in on_both_engines(
+            scenario, providers=8, avg_refresh=2.0
+        ):
+            assert partly_consumed > 0 or draw_batch == 1
+
+    def test_refresh_deadline_on_the_next_checkpoint_keeps_append_order(self):
+        """transfer_deadline == proof_cycle: CheckRefresh and the next
+        CheckProof tasks tie on time, so the append order decides."""
+        size = 60 * 1024
+
+        def scenario(protocol, stage):
+            assert protocol.params.transfer_deadline(size) == protocol.params.proof_cycle
+            stored(protocol, 20, size)
+            ties = 0
+            for _ in range(10):
+                step(protocol)
+                stage()
+                kinds_at = {}
+                for task in protocol.pending.tasks():
+                    kinds_at.setdefault(task.time, set()).add(task.kind)
+                ties += any(len(kinds) > 1 for kinds in kinds_at.values())
+                # Every other swap is never answered: its CheckRefresh
+                # fails and retries in the middle of the tied run.
+                confirm_refreshes(protocol, every=2)
+            return ties
+
+        for _, _, (columnar, ties), summary in on_both_engines(
+            scenario, providers=10, avg_refresh=1.0, delay_per_size=2.0**-10
+        ):
+            assert ties > 0
+            assert columnar.events.count(EventType.FILE_REFRESH_FAILED) > 0
+            assert summary["counters"]["protocol.refresh_check.vector_tasks"] > 0
+
+    def test_stretches_cut_by_scalar_files_after_a_crash(self):
+        def scenario(protocol, stage):
+            stored(protocol, 40)
+            step(protocol)
+            confirm_refreshes(protocol)
+            stage()
+            for sector_id in sorted(protocol.sectors)[:4]:
+                protocol.crash_sector(sector_id)
+            stage()
+            for _ in range(10):
+                step(protocol)
+                stage()
+                confirm_refreshes(protocol)
+
+        for _, _, (columnar, _), summary in on_both_engines(
+            scenario, providers=8, avg_refresh=1.0
+        ):
+            totals = summary["counters"]
+            assert 0 < columnar.files_lost < 40
+            assert totals["protocol.proof_sweep.scalar_files"] > 0
+            assert totals["protocol.refresh_start.vector_files"] > 0
+            assert totals["protocol.refresh_notices"] == len(columnar.refresh_notices)
+
+
+class TestFileConfirmOnRows:
+    """The row-arithmetic ``File Confirm`` refuses what the object engine
+    refuses, in the same words, and a refusal changes nothing."""
+
+    def _awaiting(self, engine):
+        protocol = make_protocol(engine, providers=6, avg_refresh=0.01)
+        stored(protocol, 10)
+        step(protocol)  # first checkpoint: refreshes start
+        notice = protocol.refresh_notices[0]
+        return protocol, notice, protocol.sectors[notice.target_sector].owner
+
+    def _refusals(self, protocol, notice, owner):
+        file_id, index, target = notice.file_id, notice.replica_index, notice.target_sector
+        elsewhere = next(sid for sid in sorted(protocol.sectors) if sid != target)
+        return {
+            "unknown sector": (owner, file_id, index, "nobody#0"),
+            "wrong owner": ("mallory", file_id, index, target),
+            "unknown file": (owner, 10_000, index, target),
+            "negative file": (owner, -1, index, target),
+            "replica out of range": (owner, file_id, 99, target),
+            "another sector's swap": (
+                protocol.sectors[elsewhere].owner, file_id, index, elsewhere
+            ),
+            "replica not in transfer": (owner, file_id, (index + 1) % 3, target),
+        }
+
+    def test_refusals_match_the_object_engine_and_mutate_nothing(self):
+        messages = {}
+        for engine in ENGINES:
+            protocol, notice, owner = self._awaiting(engine)
+            before = identity(protocol)
+            for case, call in self._refusals(protocol, notice, owner).items():
+                with pytest.raises(ProtocolError) as refusal:
+                    protocol.file_confirm(*call)
+                messages[(engine, case)] = str(refusal.value)
+                assert identity(protocol) == before, (engine, case)
+            protocol.file_confirm(
+                owner, notice.file_id, notice.replica_index, notice.target_sector
+            )
+            with pytest.raises(ProtocolError) as refusal:  # already confirmed
+                protocol.file_confirm(
+                    owner, notice.file_id, notice.replica_index, notice.target_sector
+                )
+            messages[(engine, "confirmed twice")] = str(refusal.value)
+        cases = {case for _, case in messages}
+        assert len(cases) == 8
+        for case in cases:
+            assert messages[("columnar", case)] == messages[("object", case)], case
+        assert len({messages[("object", case)] for case in cases}) >= 4
+
+    def test_confirm_releases_the_traffic_escrow(self):
+        """The fee-charging File Add holds one escrow per replica."""
+        prints = {}
+        for engine in ENGINES:
+            protocol = make_protocol(engine, charge_fees=True)
+            file_id = protocol.file_add("client", 32 * 1024, 1, ROOT)
+            assert len(protocol._traffic_escrows) == 3
+            confirm_all(protocol, file_id)
+            assert protocol._traffic_escrows == {}
+            assert protocol.events.count(EventType.TRAFFIC_FEE_PAID) == 3
+            prints[engine] = fingerprint(protocol)
+        assert prints["columnar"] == prints["object"]
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(0, 70),
+    st.sampled_from([0, 1, 5, 1000]),
+    st.sampled_from([0.01, 4.0, 50.0]),
+)
+def test_batched_countdowns_are_the_scalar_draws(seed, consumed, count, avg_refresh):
+    """One ``random_bytes(7 * n)`` read == n scalar draws: same values,
+    same block counter, same leftover buffer -- from an empty or a
+    non-empty leftover, across 32-byte block boundaries."""
+    loop, batch = (
+        ColumnarProtocol(
+            params=ProtocolParams.small_test().scaled(avg_refresh=avg_refresh),
+            prng=DeterministicPRNG.from_int(seed, domain="countdowns"),
+            charge_fees=False,
+        )
+        for _ in range(2)
+    )
+    loop.prng.random_bytes(consumed)
+    batch.prng.random_bytes(consumed)
+    want = [loop._sample_refresh_countdown() for _ in range(count)]
+    got = batch._sample_refresh_countdowns(count)
+    assert got == want
+    assert all(type(value) is int and value >= 1 for value in got)
+    assert batch.prng._counter == loop.prng._counter
+    assert batch.prng._buffer == loop.prng._buffer
+    assert batch.prng.state_fingerprint() == loop.prng.state_fingerprint()
+
+
+@pytest.mark.parametrize(
+    "values, once",
+    [([], []), ([4], [True]), ([3, 1, 3, 0], [False, True, False, True])],
+)
+def test_appears_once(values, once):
+    mask = _appears_once(np.asarray(values, dtype=np.int64))
+    assert mask.dtype == bool and mask.tolist() == once

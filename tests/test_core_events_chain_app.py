@@ -5,7 +5,7 @@ import pytest
 from repro.chain.blockchain import Blockchain, ConsensusConfig
 from repro.chain.ledger import Ledger
 from repro.core.chain_app import FileInsurerChainApp
-from repro.core.events import EventLog, EventType
+from repro.core.events import CountingEventLog, EventLog, EventType
 from repro.core.file_descriptor import FileState
 from repro.core.params import ProtocolParams
 
@@ -40,6 +40,16 @@ class TestEventLog:
             log.emit(EventType.RENT_CHARGED, float(i), f"file#{i}")
         times = [event.time for event in log]
         assert times == sorted(times)
+
+    def test_counting_log_emit_many_is_emit_repeated(self):
+        loop, batch = CountingEventLog(), CountingEventLog()
+        for _ in range(5):
+            loop.emit(EventType.FILE_STORED, 1.0, "")
+        batch.emit_many(EventType.FILE_STORED, 2)
+        batch.emit_many(EventType.FILE_STORED, 3)
+        batch.emit_many(EventType.FILE_LOST, 0)  # no counter springs up
+        assert batch.counts() == loop.counts() == {EventType.FILE_STORED: 5}
+        assert len(batch) == len(loop) == 5
 
 
 def build_chain_app():

@@ -166,6 +166,27 @@ class TestCapacitySelectorBackends:
         assert draws["reference"] == draws["vectorized"]
         assert draws["reference"].count("big") > draws["reference"].count("small") * 4
 
+    def test_random_sector_is_random_slot_by_name(self):
+        """One draw body: the slot-level pop serves the same sequence, and
+        refills only when a draw finds the buffer empty."""
+        by_name, by_slot = (
+            CapacitySelector(
+                DeterministicPRNG.from_int(7, domain="selector-test"),
+                backend="vectorized",
+                draw_batch=4,
+            )
+            for _ in range(2)
+        )
+        for selector in (by_name, by_slot):
+            selector.add_sector("big", 900)
+            selector.add_sector("small", 100)
+        for served in range(1, 11):
+            slot = by_slot.random_slot()
+            assert type(slot) is int
+            assert by_name.random_sector() == ("big", "small")[slot]
+            assert by_slot._draw_calls == by_name._draw_calls == -(-served // 4)
+            assert len(by_slot._draw_buffer) == -served % 4
+
     def test_single_placements_identical_and_counts(self):
         outcomes = {}
         for backend in self.BACKENDS:

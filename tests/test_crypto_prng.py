@@ -70,6 +70,25 @@ class TestDistributions:
         with pytest.raises(ValueError):
             prng.expovariate(0)
 
+    @pytest.mark.parametrize("consumed", [0, 3, 31, 32])
+    @pytest.mark.parametrize("count", [0, 1, 5, 1000])
+    def test_expovariates_is_the_scalar_draw_repeated(self, consumed, count):
+        loop, batch = DeterministicPRNG(b"seed"), DeterministicPRNG(b"seed")
+        loop.random_bytes(consumed)
+        batch.random_bytes(consumed)
+        assert batch.expovariates(2.5, count) == [
+            loop.expovariate(2.5) for _ in range(count)
+        ]
+        assert batch.state_fingerprint() == loop.state_fingerprint()
+
+    def test_expovariates_rejects_bad_arguments(self):
+        prng = DeterministicPRNG(b"seed")
+        with pytest.raises(ValueError):
+            prng.expovariates(0, 3)
+        with pytest.raises(ValueError):
+            prng.expovariates(1.0, -1)
+        assert prng.state_fingerprint() == DeterministicPRNG(b"seed").state_fingerprint()
+
     def test_weighted_index_respects_weights(self):
         prng = DeterministicPRNG(b"seed")
         counts = [0, 0]
