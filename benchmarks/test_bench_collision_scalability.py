@@ -13,7 +13,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.analysis import theorem2_collision_probability_bound
-from repro.experiments import collision, scalability
+from repro.runner import run_scenario
+from repro.scenarios import scalability
 
 
 def test_theorem2_paper_operating_point(benchmark, record):
@@ -31,7 +32,9 @@ def test_theorem2_monte_carlo_consistency(benchmark, record):
     """Empirical collision frequency respects the bound where it is checkable."""
 
     def run():
-        return collision.run_monte_carlo(ratios=(16, 32, 64), n_sectors=150, trials=60)
+        return run_scenario(
+            "collision", dict(ratios=(16, 32, 64), n_sectors=150, trials=60), seed=0
+        ).summary
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     loose = [row for row in rows if row["capacity/size"] in (16, 32)]

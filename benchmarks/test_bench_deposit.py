@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.analysis import theorem4_deposit_ratio_bound
-from repro.experiments import deposit
+from repro.scenarios import deposit
 
 
 def test_theorem4_paper_example(benchmark, record):

@@ -12,7 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.analysis import expected_lost_value_fraction, theorem3_loss_ratio_bound
-from repro.experiments import robustness
+from repro.runner import run_scenario
+from repro.scenarios import robustness
 
 
 def test_theorem3_bound_at_paper_parameters(benchmark, record):
@@ -44,18 +45,21 @@ def test_monte_carlo_loss_vs_bound(benchmark, record):
     """Simulated loss at scaled parameters stays below the analytic bound."""
 
     def run():
-        return robustness.run_monte_carlo(
-            lambdas=(0.3, 0.5), n_sectors=1000, n_files=1000, k=8, trials=3
-        )
+        return run_scenario(
+            "robustness",
+            dict(lambdas=(0.3, 0.5), n_sectors=1000, n_files=1000, k=8, trials=3),
+            seed=0,
+        ).summary
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    assert len(rows) == 4  # (lambda, adversary) pairs
     for row in rows:
-        assert float(row["sim_loss_random(max)"]) <= float(row["theorem3_bound"]) + 1e-9
-        assert float(row["sim_loss_targeted(max)"]) <= float(row["theorem3_bound"]) + 1e-9
-    half = next(row for row in rows if row["lambda"] == 0.5)
+        assert row["loss_max"] <= row["theorem3_bound"] + 1e-9
+    half = {row["adversary"]: row for row in rows if row["lambda"] == 0.5}
     record(
         "Robustness Monte-Carlo (lambda=0.5, k=8): loss random/targeted/bound",
-        f"{half['sim_loss_random(max)']}/{half['sim_loss_targeted(max)']}/{half['theorem3_bound']}",
+        f"{half['random']['loss_max']}/{half['targeted']['loss_max']}"
+        f"/{half['random']['theorem3_bound']}",
         "loss stays below the Theorem 3 bound",
     )
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import table3
+from repro.scenarios import table3
 from repro.sim.placement import PlacementExperiment
 from repro.sim.workload import FileSizeDistribution
 

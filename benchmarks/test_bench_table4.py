@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.comparison import ComparisonHarness
-from repro.experiments.table4 import paper_expectations
+from repro.scenarios.table4 import paper_expectations
 
 
 def test_table4_protocol_comparison(benchmark, record):

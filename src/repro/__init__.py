@@ -13,10 +13,9 @@ The package is organised as:
   the end-to-end scenario harness.
 * :mod:`repro.baselines` -- Filecoin/Storj/Sia/Arweave baseline models for
   the Table IV comparison.
-* :mod:`repro.experiments` -- drivers regenerating every table and figure
-  of the paper's evaluation.
-* :mod:`repro.scenarios` -- the dynamic workload pack (provider churn,
-  retrieval-market load, large-file segmentation sweeps).
+* :mod:`repro.scenarios` -- the ten registered scenarios: every table and
+  theorem of the paper's evaluation plus the dynamic workloads (provider
+  churn, retrieval-market load, large-file segmentation, lifecycle churn).
 * :mod:`repro.runner` -- scenario registry, parallel trial executor, run
   manifests, resume/diff, and the ``python -m repro`` CLI.
 

@@ -12,8 +12,8 @@
   compensation with probability at least ``1 - c``.
 
 Every function mirrors the paper's notation so the benchmark output can be
-compared line-by-line with Section V; the Monte-Carlo experiments in
-:mod:`repro.experiments` check the simulated system against these bounds.
+compared line-by-line with Section V; the Monte-Carlo scenarios in
+:mod:`repro.scenarios` check the simulated system against these bounds.
 """
 
 from __future__ import annotations

@@ -375,22 +375,6 @@ class FileView:
     def needs_storage(self) -> bool:
         return self.state == FileState.NORMAL
 
-    def to_descriptor(self) -> FileDescriptor:
-        """Materialise a plain :class:`FileDescriptor` (tests/digests)."""
-        return FileDescriptor(
-            file_id=self.file_id,
-            owner=self.owner,
-            size=self.size,
-            value=self.value,
-            merkle_root=self.merkle_root,
-            replica_count=self.replica_count,
-            countdown=self.countdown,
-            state=self.state,
-            created_at=self.created_at,
-            rent_paid=self.rent_paid,
-            compensation_received=self.compensation_received,
-        )
-
     def describe(self) -> str:
         return (
             f"file#{self.file_id} owner={self.owner} size={self.size} "

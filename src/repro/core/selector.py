@@ -68,14 +68,6 @@ class WeightedSampler(Generic[K]):
             self._tree[index] += delta
             index += index & (-index)
 
-    def _prefix_sum(self, slot: int) -> int:
-        index = slot + 1
-        total = 0
-        while index > 0:
-            total += self._tree[index]
-            index -= index & (-index)
-        return total
-
     def _find_slot(self, target: int) -> int:
         """Find the smallest slot whose prefix sum exceeds ``target``."""
         index = 0

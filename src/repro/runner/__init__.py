@@ -1,7 +1,7 @@
 """Parallel, config-driven experiment orchestration.
 
-The runner turns the ad-hoc drivers in :mod:`repro.experiments` into
-registered, parallelizable, resumable *scenarios*:
+The runner executes the trial functions :mod:`repro.scenarios` registers
+as parallelizable, resumable *scenarios*:
 
 * :mod:`repro.runner.registry` -- :class:`ScenarioSpec` plus a global
   decorator-based registry mapping scenario names to trial functions,

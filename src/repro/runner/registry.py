@@ -33,6 +33,8 @@ __all__ = [
     "list_scenarios",
     "load_builtin_scenarios",
     "resolve_params",
+    "BACKEND_PARAM",
+    "repeated_trials",
 ]
 
 TrialFn = Callable[[Mapping[str, object]], Mapping[str, object]]
@@ -157,15 +159,20 @@ def unregister(name: str) -> None:
 
 
 def load_builtin_scenarios() -> List[ScenarioSpec]:
-    """Import the built-in scenario providers so they self-register.
-
-    Covers both the paper-experiment drivers (:mod:`repro.experiments`) and
-    the dynamic workload pack (:mod:`repro.scenarios`).
-    """
-    import repro.experiments  # noqa: F401  (import populates the registry)
-    import repro.scenarios  # noqa: F401  (churn / retrieval_load / segmentation / lifecycle_churn)
+    """Import :mod:`repro.scenarios` so the ten built-in scenarios self-register."""
+    import repro.scenarios  # noqa: F401  (import populates the registry)
 
     return list_scenarios()
+
+
+def repeated_trials(params: Mapping[str, object]) -> List[Dict[str, object]]:
+    """``params["trials"]`` independent copies of every other parameter.
+
+    The trial builder of scenarios whose repetitions differ only in the
+    seed the executor derives for them.
+    """
+    template = {key: value for key, value in params.items() if key != "trials"}
+    return [dict(template) for _ in range(int(params["trials"]))]  # type: ignore[call-overload]
 
 
 # ----------------------------------------------------------------------
@@ -230,6 +237,13 @@ def _conform_typed(scenario: str, key: str, default: object, value: object) -> o
     return value
 
 
+#: The reserved ``backend`` parameter, as every scenario that dispatches
+#: into :mod:`repro.kernels` declares it (see :func:`resolve_params`).
+BACKEND_PARAM = ParamSpec(
+    "auto", "simulation-kernel backend (auto, reference or vectorized)"
+)
+
+
 def resolve_params(
     spec: ScenarioSpec, overrides: Optional[Mapping[str, object]] = None
 ) -> Dict[str, object]:
@@ -241,7 +255,7 @@ def resolve_params(
     every entry point fails fast on a mistyped value.
 
     ``backend`` is a *reserved* parameter name: scenarios that dispatch
-    into :mod:`repro.kernels` declare it with default ``"auto"``, and the
+    into :mod:`repro.kernels` declare it as :data:`BACKEND_PARAM`, and the
     resolved dictionary always carries the **concrete** backend name
     (``"auto"`` defers to ``$REPRO_KERNEL_BACKEND``, else the built-in
     default).  Run manifests and campaign cache keys therefore record

@@ -12,6 +12,7 @@ count used.
 
 from __future__ import annotations
 
+import functools
 import json
 import subprocess
 import time
@@ -43,12 +44,15 @@ def jsonify(value: Any) -> Any:
     return str(value)
 
 
+@functools.lru_cache(maxsize=None)
 def repo_version() -> str:
     """A git-describable version string for the manifest.
 
     Prefers ``git describe --always --dirty``; falls back to the package
     version when the repository metadata is unavailable (e.g. an installed
-    wheel).
+    wheel).  Asked of git once per process: every manifest defaults its
+    ``version`` to this, and a spawn per manifest is most of a small
+    campaign cell's cost.
     """
     try:
         described = subprocess.run(

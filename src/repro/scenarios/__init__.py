@@ -1,34 +1,57 @@
-"""Workload pack: dynamic scenarios beyond the paper's six experiments.
+"""The ten registered scenarios: one module each, one package.
 
-The modules here register additional :mod:`repro.runner` scenarios that
-exercise the end-to-end deployment (:class:`repro.sim.scenario.DSNScenario`)
-and the IPFS substrate under workloads the paper's evaluation only touches
-implicitly:
+Every module defines its ``ParamSpec`` table, a trial builder, the
+registered trial function and an aggregator.  Importing this package
+registers all ten with :mod:`repro.runner`
+(:func:`repro.runner.load_builtin_scenarios` does exactly that), so
+``python -m repro list|run|bench|diff`` is the one front door;
+``docs/scenarios.md`` is the index mapping each to its paper artefact.
 
-* :mod:`repro.scenarios.churn` -- the ``churn`` scenario: continuous
-  provider join / graceful-leave / crash over simulated proof cycles, with
-  refresh-loop recovery metrics (Section V robustness, made dynamic).
-* :mod:`repro.scenarios.retrieval` -- the ``retrieval_load`` scenario: a
-  read-heavy Retrieval-Market request stream over
-  :mod:`repro.storage.bitswap` / :mod:`repro.storage.dht`, measuring
-  latency and misses against the protocol's ``DelayPerSize`` transfer
-  bound (Sections III-E, VI-F).
-* :mod:`repro.scenarios.segmentation` -- the ``segmentation`` scenario: a
-  grid over the file-size / sector-capacity ratio and Reed-Solomon
-  ``(k, n)`` geometry via :class:`repro.core.large_files.LargeFileCodec`,
-  measuring allocation-failure rates and compensation coverage
-  (Section VI-C).
-* :mod:`repro.scenarios.lifecycle_churn` -- the ``lifecycle_churn``
-  scenario: the purely event-driven heavy-traffic deployment
-  (:class:`repro.sim.lifecycle.LifecycleSimulation`) with Poisson
-  arrivals, exponential failure/recovery clocks, flash crowds,
-  correlated regional failures and refresh-vs-degradation cancel races.
+The paper's evaluation -- these six also keep what no scenario computes,
+the closed-form ``run_bound_sweep`` tables at the paper's own parameters
+and the ``PAPER_*`` constants:
 
-Importing this package registers all four scenarios;
-:func:`repro.runner.load_builtin_scenarios` does so automatically, making
-them first-class citizens of ``python -m repro list|run|bench|diff``.
+* :mod:`~repro.scenarios.table3` -- Table III capacity usage.
+* :mod:`~repro.scenarios.table4` -- Table IV protocol comparison.
+* :mod:`~repro.scenarios.collision` -- Theorem 2 collision probability.
+* :mod:`~repro.scenarios.robustness` -- Theorem 3 loss ratio ("0.1%").
+* :mod:`~repro.scenarios.deposit` -- Theorem 4 deposit ratio ("0.0046").
+* :mod:`~repro.scenarios.scalability` -- Theorem 1 storable size.
+
+Dynamic workloads the paper's evaluation only touches implicitly:
+
+* :mod:`~repro.scenarios.churn` -- provider join / leave / crash over
+  proof cycles on :class:`repro.sim.scenario.DSNScenario`.
+* :mod:`~repro.scenarios.retrieval` -- ``retrieval_load``: a Retrieval
+  Market request stream over BitSwap / the DHT against ``DelayPerSize``.
+* :mod:`~repro.scenarios.segmentation` -- large files through
+  :class:`repro.core.large_files.LargeFileCodec`.
+* :mod:`~repro.scenarios.lifecycle_churn` -- the event-driven deployment
+  (:class:`repro.sim.lifecycle.LifecycleSimulation`).
 """
 
-from repro.scenarios import churn, lifecycle_churn, retrieval, segmentation
+from repro.scenarios import (
+    churn,
+    collision,
+    deposit,
+    lifecycle_churn,
+    retrieval,
+    robustness,
+    scalability,
+    segmentation,
+    table3,
+    table4,
+)
 
-__all__ = ["churn", "lifecycle_churn", "retrieval", "segmentation"]
+__all__ = [
+    "churn",
+    "collision",
+    "deposit",
+    "lifecycle_churn",
+    "retrieval",
+    "robustness",
+    "scalability",
+    "segmentation",
+    "table3",
+    "table4",
+]

@@ -37,12 +37,12 @@ Registered with :mod:`repro.runner` as ``churn``; run it with::
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping
+from typing import Dict, Mapping
 
 from repro.core.params import ProtocolParams
 from repro.crypto.prng import DeterministicPRNG
 from repro.runner.aggregate import compact_summary, summarize
-from repro.runner.registry import ParamSpec, scenario
+from repro.runner.registry import BACKEND_PARAM, ParamSpec, repeated_trials, scenario
 from repro.sim.adversary import GreedyCapacityAdversary
 from repro.sim.scenario import DSNScenario, ScenarioConfig
 
@@ -70,17 +70,9 @@ _SCENARIO_PARAMS = {
     "adversary_lambda": ParamSpec(
         0.3, "healthy-capacity fraction the post-churn greedy adversary corrupts"
     ),
-    "backend": ParamSpec(
-        "auto", "simulation-kernel backend (auto, reference or vectorized)"
-    ),
+    "backend": BACKEND_PARAM,
     "trials": ParamSpec(3, "independent repetitions"),
 }
-
-
-def _build_trials(params: Mapping[str, object]) -> List[Dict[str, object]]:
-    """One independent deployment per repetition."""
-    template = {key: params[key] for key in _SCENARIO_PARAMS if key != "trials"}
-    return [dict(template) for _ in range(int(params["trials"]))]  # type: ignore[call-overload]
 
 
 def run_churn_trial(task: Mapping[str, object]) -> Dict[str, object]:
@@ -237,7 +229,7 @@ def _aggregate(rows, params):
 scenario(
     "churn",
     "Provider churn: join/leave/crash over proof cycles with refresh recovery metrics",
-    build_trials=_build_trials,
+    build_trials=repeated_trials,
     params=_SCENARIO_PARAMS,
     aggregate=_aggregate,
     tags=("workload", "end-to-end", "churn"),

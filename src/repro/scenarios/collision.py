@@ -3,23 +3,23 @@
 The paper shows, for equal-size files under the redundant-capacity
 assumption, ``Pr[exists s: freeCap <= capacity/8] <= Ns *
 exp(-0.144*capacity/size)`` and notes that for ``capacity/size >= 1000``
-and ``Ns <= 1e12`` the bound is below 1e-50.  This driver evaluates the
-bound across a sweep of capacity/size ratios and checks it against a
-Monte-Carlo placement at small ratios (where events are actually
-observable), demonstrating both the bound's validity and how quickly the
-collision probability vanishes.
+and ``Ns <= 1e12`` the bound is below 1e-50.  The ``collision`` scenario
+checks the bound against a Monte-Carlo placement at small ratios (where
+events are actually observable); :func:`run_bound_sweep` evaluates it
+across a sweep of capacity/size ratios, showing how quickly the collision
+probability vanishes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.core.analysis import theorem2_collision_probability_bound
 from repro.runner.registry import ParamSpec, scenario
 
-__all__ = ["run_bound_sweep", "run_monte_carlo"]
+__all__ = ["run_bound_sweep"]
 
 
 def run_bound_sweep(
@@ -37,47 +37,6 @@ def run_bound_sweep(
                 "capacity/size": ratio,
                 "Ns": int(ns),
                 "theorem2_bound": f"{bound:.3e}",
-            }
-        )
-    return rows
-
-
-def run_monte_carlo(
-    ratios: Sequence[int] = (8, 16, 32, 64),
-    n_sectors: int = 200,
-    trials: int = 200,
-    seed: int = 0,
-) -> List[Dict[str, object]]:
-    """Empirical frequency of the Theorem 2 event at small ratios.
-
-    Places ``n_sectors * ratio / 2`` equal-size backups (redundant capacity
-    = 2x) uniformly into ``n_sectors`` sectors of capacity ``ratio`` files
-    and counts trials in which some sector ends with free capacity at or
-    below 1/8 of its capacity.
-    """
-    rng = np.random.default_rng(seed)
-    rows: List[Dict[str, object]] = []
-    for ratio in ratios:
-        backups = n_sectors * ratio // 2
-        threshold = ratio - ratio / 8.0  # used space making freeCap <= capacity/8
-        hits = 0
-        for _ in range(trials):
-            assignment = rng.integers(0, n_sectors, backups)
-            usage = np.bincount(assignment, minlength=n_sectors)
-            if usage.max() >= threshold:
-                hits += 1
-        empirical = hits / trials
-        bound = theorem2_collision_probability_bound(
-            ns=n_sectors, sector_capacity=ratio, file_size=1
-        )
-        rows.append(
-            {
-                "capacity/size": ratio,
-                "Ns": n_sectors,
-                "trials": trials,
-                "empirical_prob": round(empirical, 4),
-                "theorem2_bound": f"{min(bound, 1.0):.3e}",
-                "bound_holds": empirical <= min(bound, 1.0) + 1e-12,
             }
         )
     return rows
@@ -141,12 +100,18 @@ def _aggregate(rows, params):
     tags=("theorem2", "monte-carlo"),
 )
 def _collision_trial(task) -> Dict[str, object]:
-    """Count Theorem 2 events in one batch of random placements."""
+    """Count Theorem 2 events in one batch of random placements.
+
+    Each placement puts ``n_sectors * ratio / 2`` equal-size backups
+    (redundant capacity = 2x) uniformly into ``n_sectors`` sectors of
+    capacity ``ratio`` files; it is a hit when some sector ends with free
+    capacity at or below 1/8 of its capacity.
+    """
     rng = np.random.default_rng(task["seed"])
     ratio = task["ratio"]
     n_sectors = task["n_sectors"]
     backups = n_sectors * ratio // 2
-    threshold = ratio - ratio / 8.0
+    threshold = ratio - ratio / 8.0  # used space making freeCap <= capacity/8
     hits = 0
     for _ in range(task["trials"]):
         assignment = rng.integers(0, n_sectors, backups)

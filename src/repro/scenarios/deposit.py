@@ -21,7 +21,7 @@ from repro.core.analysis import theorem4_deposit_ratio_bound
 from repro.core.params import ProtocolParams
 from repro.core.protocol import FileInsurerProtocol
 from repro.crypto.prng import DeterministicPRNG
-from repro.runner.registry import ParamSpec, scenario
+from repro.runner.registry import BACKEND_PARAM, ParamSpec, scenario
 
 __all__ = ["run_bound_sweep", "run_protocol_check"]
 
@@ -133,25 +133,17 @@ _SCENARIO_PARAMS = {
     "deposit_ratio": ParamSpec(0.2, "deposit ratio prescribed for the scaled run"),
     "k": ParamSpec(4, "replicas per file"),
     "lambdas": ParamSpec((0.1, 0.25, 0.5, 0.75, 0.9), "bound-sweep lambdas"),
-    "backend": ParamSpec(
-        "auto", "simulation-kernel backend (auto, reference or vectorized)"
-    ),
+    "backend": BACKEND_PARAM,
 }
+
+
+#: The parameters every check hands to :func:`run_protocol_check`.
+_CHECK_ARGS = ("n_providers", "files", "corrupt_fraction", "deposit_ratio", "k", "backend")
 
 
 def _build_trials(params):
     """One independent protocol deployment + crash per check."""
-    return [
-        {
-            "n_providers": params["n_providers"],
-            "files": params["files"],
-            "corrupt_fraction": params["corrupt_fraction"],
-            "deposit_ratio": params["deposit_ratio"],
-            "k": params["k"],
-            "backend": params["backend"],
-        }
-        for _ in range(params["checks"])
-    ]
+    return [{key: params[key] for key in _CHECK_ARGS} for _ in range(params["checks"])]
 
 
 def _aggregate(rows, params):
@@ -185,12 +177,4 @@ def _aggregate(rows, params):
 )
 def _deposit_trial(task) -> Dict[str, object]:
     """One full deploy/store/crash/compensate cycle on the state machine."""
-    return run_protocol_check(
-        n_providers=task["n_providers"],
-        files=task["files"],
-        corrupt_fraction=task["corrupt_fraction"],
-        deposit_ratio=task["deposit_ratio"],
-        k=task["k"],
-        seed=task["seed"],
-        backend=task["backend"],
-    )
+    return run_protocol_check(seed=task["seed"], **{key: task[key] for key in _CHECK_ARGS})

@@ -44,10 +44,10 @@ Registered with :mod:`repro.runner` as ``lifecycle_churn``; run it with::
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping
+from typing import Dict, Mapping
 
 from repro.runner.aggregate import compact_summary, summarize
-from repro.runner.registry import ParamSpec, scenario
+from repro.runner.registry import BACKEND_PARAM, ParamSpec, repeated_trials, scenario
 from repro.sim.lifecycle import LifecycleConfig, LifecycleSimulation
 
 __all__ = ["run_lifecycle_churn_trial"]
@@ -68,17 +68,9 @@ _SCENARIO_PARAMS = {
     "regional_failures": ParamSpec(1, "correlated whole-region failure events"),
     "degrade_timeout_s": ParamSpec(180.0, "degradation deadline a refresh races"),
     "delay_per_size": ParamSpec(5e-5, "DelayPerSize retrieval deadline (s/byte)"),
-    "backend": ParamSpec(
-        "auto", "simulation-kernel backend (auto, reference or vectorized)"
-    ),
+    "backend": BACKEND_PARAM,
     "trials": ParamSpec(3, "independent repetitions"),
 }
-
-
-def _build_trials(params: Mapping[str, object]) -> List[Dict[str, object]]:
-    """One independent event-driven deployment per repetition."""
-    template = {key: params[key] for key in _SCENARIO_PARAMS if key != "trials"}
-    return [dict(template) for _ in range(int(params["trials"]))]  # type: ignore[call-overload]
 
 
 def run_lifecycle_churn_trial(task: Mapping[str, object]) -> Dict[str, object]:
@@ -130,7 +122,7 @@ def _aggregate(rows, params):
 scenario(
     "lifecycle_churn",
     "Event-driven lifecycle churn: Poisson arrivals, failure clocks, flash crowds, refresh races",
-    build_trials=_build_trials,
+    build_trials=repeated_trials,
     params=_SCENARIO_PARAMS,
     aggregate=_aggregate,
     tags=("workload", "lifecycle", "event-driven", "churn"),

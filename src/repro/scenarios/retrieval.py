@@ -32,7 +32,7 @@ from typing import Dict, List, Mapping, Tuple
 from repro.crypto.prng import DeterministicPRNG
 from repro.kernels import get_backend, sampler_stream
 from repro.runner.aggregate import compact_summary, summarize
-from repro.runner.registry import ParamSpec, scenario
+from repro.runner.registry import BACKEND_PARAM, ParamSpec, scenario
 from repro.sim.metrics import MetricSeries
 from repro.sim.network import LatencyModel
 from repro.sim.workload import FileSizeDistribution, WorkloadGenerator
@@ -70,9 +70,7 @@ _SCENARIO_PARAMS = {
     "bandwidth_kibps": ParamSpec(64.0, "per-provider service bandwidth (KiB/s)"),
     "delay_per_size": ParamSpec(_DELAY_PER_SIZE, "deadline seconds per byte (DelayPerSize)"),
     "zipf_popularity": ParamSpec(True, "rank-weighted (1/rank) file popularity"),
-    "backend": ParamSpec(
-        "auto", "simulation-kernel backend (auto, reference or vectorized)"
-    ),
+    "backend": BACKEND_PARAM,
     "trials": ParamSpec(2, "independent repetitions per rate"),
 }
 

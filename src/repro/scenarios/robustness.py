@@ -24,15 +24,10 @@ import numpy as np
 
 from repro.core.analysis import expected_lost_value_fraction, theorem3_loss_ratio_bound
 from repro.runner.aggregate import summarize
-from repro.runner.registry import ParamSpec, scenario
-from repro.sim.adversary import GreedyCapacityAdversary, RandomCapacityAdversary, evaluate_loss
+from repro.runner.registry import BACKEND_PARAM, ParamSpec, scenario
+from repro.sim.adversary import GreedyCapacityAdversary, RandomCapacityAdversary
 
-__all__ = [
-    "run_bound_sweep",
-    "simulate_loss",
-    "run_monte_carlo",
-    "run_placement_contrast",
-]
+__all__ = ["run_bound_sweep", "simulate_loss", "run_placement_contrast"]
 
 PAPER_PARAMS = {"k": 20, "ns": 10**6, "cap_para": 10**3, "gamma_m_v": 0.005}
 
@@ -89,54 +84,6 @@ def simulate_loss(
     return outcome.value_loss_ratio
 
 
-def run_monte_carlo(
-    lambdas: Sequence[float] = (0.3, 0.5, 0.7),
-    n_sectors: int = 2000,
-    n_files: int = 2000,
-    k: int = 10,
-    trials: int = 5,
-    seed: int = 0,
-    cap_para: float = 10.0,
-) -> List[Dict[str, object]]:
-    """Simulated loss ratios (random and targeted adversaries) vs the bound.
-
-    The simulation uses a scaled ``Ns`` and a smaller ``k`` so the targeted
-    adversary remains affordable; the bound is evaluated at the *same*
-    scaled parameters so the comparison is apples-to-apples.
-    """
-    gamma_m_v = n_files / (cap_para * n_sectors)
-    rows: List[Dict[str, object]] = []
-    for lam in lambdas:
-        random_losses = [
-            simulate_loss(n_sectors, n_files, k, lam, seed=seed + t, targeted=False)
-            for t in range(trials)
-        ]
-        targeted_losses = [
-            simulate_loss(n_sectors, n_files, k, lam, seed=seed + t, targeted=True)
-            for t in range(trials)
-        ]
-        bound = theorem3_loss_ratio_bound(
-            lam=lam,
-            k=k,
-            ns=n_sectors,
-            cap_para=cap_para,
-            gamma_m_v=max(gamma_m_v, 1e-9),
-            security_c=1e-9,
-        )
-        rows.append(
-            {
-                "lambda": lam,
-                "k": k,
-                "Ns": n_sectors,
-                "sim_loss_random(max)": f"{max(random_losses):.4f}",
-                "sim_loss_targeted(max)": f"{max(targeted_losses):.4f}",
-                "expected (lambda^k)": f"{expected_lost_value_fraction(lam, k):.2e}",
-                "theorem3_bound": f"{min(bound, 1.0):.4f}",
-            }
-        )
-    return rows
-
-
 def run_placement_contrast(
     lam: float = 0.5,
     n_sectors: int = 1000,
@@ -182,9 +129,7 @@ _SCENARIO_PARAMS = {
     "k": ParamSpec(10, "replicas per file"),
     "trials": ParamSpec(5, "Monte-Carlo repetitions per (lambda, adversary)"),
     "cap_para": ParamSpec(10.0, "capacity parameter for the bound"),
-    "backend": ParamSpec(
-        "auto", "simulation-kernel backend (auto, reference or vectorized)"
-    ),
+    "backend": BACKEND_PARAM,
 }
 
 
@@ -206,7 +151,12 @@ def _build_trials(params):
 
 
 def _aggregate(rows, params):
-    """Per-(lambda, adversary) loss statistics next to the Theorem 3 bound."""
+    """Per-(lambda, adversary) loss statistics next to the Theorem 3 bound.
+
+    The simulation uses a scaled ``Ns`` and a smaller ``k`` so the targeted
+    adversary remains affordable; the bound is evaluated at the *same*
+    scaled parameters so the comparison is apples-to-apples.
+    """
     summary = summarize(rows, group_by=("lambda", "adversary"), values=("loss",))
     gamma_m_v = params["n_files"] / (params["cap_para"] * params["n_sectors"])
     for row in summary:

@@ -15,7 +15,7 @@ failing and comparing the achieved raw size with the bound.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from repro.core.file_descriptor import FileState
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolError
 from repro.crypto.prng import DeterministicPRNG
-from repro.runner.registry import ParamSpec, scenario
+from repro.runner.registry import BACKEND_PARAM, ParamSpec, scenario
 
 __all__ = ["synthetic_population", "run_bound_sweep", "run_fill_experiment"]
 
@@ -173,9 +173,7 @@ _SCENARIO_PARAMS = {
     "providers": ParamSpec((10, 20), "network sizes for the fill experiment"),
     "k": ParamSpec(3, "replicas per file"),
     "file_size_fraction": ParamSpec(0.02, "file size as a fraction of minCapacity"),
-    "backend": ParamSpec(
-        "auto", "simulation-kernel backend (auto, reference or vectorized)"
-    ),
+    "backend": BACKEND_PARAM,
     "add_batch": ParamSpec(256, "files per batched File Add"),
     "max_files": ParamSpec(100_000, "stop each fill after this many stored files"),
 }

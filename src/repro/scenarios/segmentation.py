@@ -48,7 +48,7 @@ from repro.crypto.erasure import ReedSolomonCode
 from repro.crypto.prng import DeterministicPRNG
 from repro.kernels import KernelBackend, get_backend, sampler_stream
 from repro.runner.aggregate import compact_summary, summarize
-from repro.runner.registry import ParamSpec, scenario
+from repro.runner.registry import BACKEND_PARAM, ParamSpec, scenario
 from repro.sim.workload import FileSizeDistribution, WorkloadGenerator
 
 __all__ = ["run_segmentation_trial"]
@@ -66,9 +66,7 @@ _SCENARIO_PARAMS = {
     "replicas": ParamSpec(3, "replicas placed per (segment or whole-file) unit"),
     "retries": ParamSpec(3, "re-draws allowed when a placement collides"),
     "value": ParamSpec(4, "value of each sampled file (token units)"),
-    "backend": ParamSpec(
-        "auto", "simulation-kernel backend (auto, reference or vectorized)"
-    ),
+    "backend": BACKEND_PARAM,
     "trials": ParamSpec(2, "independent repetitions per grid cell"),
 }
 

@@ -13,19 +13,18 @@ The paper's grid runs ``Ncp`` from 1e5 to 1e8 with ``Ncp/Ns`` ratios of
 placements, so :func:`default_grid` keeps the two ratios and the smaller
 ``Ncp`` rows; the paper's qualitative findings -- usage never exceeds
 ~0.64, grows slowly with Ns at a fixed ratio, and is slightly higher in the
-refresh setting -- are reproduced at this scale.  Pass ``scale="paper"``
-for the full grid if you have the time budget.
+refresh setting -- are reproduced at this scale.  Run the ``table3``
+scenario with ``scale=paper`` for the full grid if you have the time budget.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from repro.runner.registry import ParamSpec, scenario
-from repro.sim.placement import PlacementExperiment, PlacementResult
-from repro.sim.workload import FileSizeDistribution
+from repro.runner.registry import BACKEND_PARAM, ParamSpec, ScenarioError, scenario
+from repro.sim.placement import PlacementExperiment
 
-__all__ = ["default_grid", "paper_grid", "run_table3", "rows_to_table"]
+__all__ = ["default_grid", "paper_grid"]
 
 #: Paper value: the claimed maximum usage across all rows is below this.
 PAPER_MAX_USAGE = 0.64
@@ -46,43 +45,8 @@ def paper_grid() -> List[Tuple[int, int]]:
 
 
 def default_grid() -> List[Tuple[int, int]]:
-    """A scaled grid keeping the paper's Ncp/Ns ratios (5000 and 1000)."""
-    return [
-        (10**5, 20),
-        (10**5, 100),
-        (10**6, 200),
-        (10**6, 1000),
-    ]
-
-
-def run_table3(
-    mode: str = "reallocate",
-    grid: Optional[Sequence[Tuple[int, int]]] = None,
-    distributions: Optional[Sequence[FileSizeDistribution]] = None,
-    rounds: int = 100,
-    refresh_multiplier: int = 100,
-    seed: int = 0,
-    backend: Optional[str] = None,
-) -> List[PlacementResult]:
-    """Run one setting of Table III and return the per-cell results."""
-    experiment = PlacementExperiment(seed=seed, backend=backend)
-    return experiment.sweep(
-        grid=list(grid or default_grid()),
-        distributions=distributions,
-        mode=mode,
-        rounds=rounds,
-        refresh_multiplier=refresh_multiplier,
-    )
-
-
-def rows_to_table(results: Sequence[PlacementResult]) -> List[Dict[str, object]]:
-    """Pivot per-cell results into paper-shaped rows (one row per Ncp, Ns)."""
-    table: Dict[Tuple[int, int], Dict[str, object]] = {}
-    for result in results:
-        key = (result.n_backups, result.n_sectors)
-        row = table.setdefault(key, {"Ncp": result.n_backups, "Ns": result.n_sectors})
-        row[result.distribution.paper_label] = round(result.max_usage, 3)
-    return [table[key] for key in sorted(table)]
+    """The Ncp <= 1e6 rows of the paper's grid: both Ncp/Ns ratios (5000 and 1000)."""
+    return paper_grid()[:4]
 
 
 # ----------------------------------------------------------------------
@@ -94,19 +58,28 @@ _SCENARIO_PARAMS = {
     "rounds": ParamSpec(100, "reallocation rounds per cell"),
     "refresh_multiplier": ParamSpec(100, "refreshes per backup in refresh mode"),
     "max_ncp": ParamSpec(10**8, "drop grid cells with more than this many backups"),
-    "backend": ParamSpec(
-        "auto", "simulation-kernel backend (auto, reference or vectorized)"
-    ),
+    "backend": BACKEND_PARAM,
 }
+_GRIDS = {"default": default_grid, "paper": paper_grid}
+_MODES = ("reallocate", "refresh")
 
 
 def _build_trials(params):
     """One independent trial per (mode, Ncp, Ns) grid cell."""
+    if params["scale"] not in _GRIDS:
+        raise ScenarioError(
+            f"scenario 'table3' parameter 'scale' must be 'default' or 'paper', "
+            f"got {params['scale']!r}"
+        )
+    unknown = [mode for mode in params["modes"] if mode not in _MODES]
+    if unknown:
+        raise ScenarioError(
+            f"scenario 'table3' parameter 'modes' takes 'reallocate' and 'refresh', "
+            f"got {', '.join(map(repr, unknown))}"
+        )
     grid = [
         (n_backups, n_sectors)
-        for n_backups, n_sectors in (
-            paper_grid() if params["scale"] == "paper" else default_grid()
-        )
+        for n_backups, n_sectors in _GRIDS[params["scale"]]()
         if n_backups <= params["max_ncp"]
     ]
     return [

@@ -9,12 +9,12 @@ empirical columns: value-loss ratio under random and targeted corruption of
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
-from repro.baselines.comparison import ComparisonHarness, ProtocolProperties
-from repro.runner.registry import ParamSpec, scenario
+from repro.baselines.comparison import ComparisonHarness
+from repro.runner.registry import ParamSpec, ScenarioError, scenario
 
-__all__ = ["run_table4", "paper_expectations"]
+__all__ = ["paper_expectations"]
 
 
 def paper_expectations() -> Dict[str, Dict[str, bool]]:
@@ -53,23 +53,6 @@ def paper_expectations() -> Dict[str, Dict[str, bool]]:
     }
 
 
-def run_table4(
-    n_sectors: int = 200,
-    n_files: int = 500,
-    corruption_fraction: float = 0.3,
-    seed: int = 0,
-    protocols: Optional[Sequence[str]] = None,
-) -> List[ProtocolProperties]:
-    """Evaluate every protocol under the shared workload and adversary."""
-    harness = ComparisonHarness(
-        n_sectors=n_sectors,
-        n_files=n_files,
-        corruption_fraction=corruption_fraction,
-        seed=seed,
-    )
-    return harness.run(protocols)
-
-
 # ----------------------------------------------------------------------
 # Runner scenario: one parallel trial per protocol
 # ----------------------------------------------------------------------
@@ -103,6 +86,13 @@ def _build_trials(params):
     makes the Table IV comparison apples-to-apples.  By default it follows
     the run's root seed; setting ``harness_seed`` pins it explicitly.
     """
+    known = paper_expectations()
+    unknown = [name for name in params["protocols"] if name not in known]
+    if unknown:
+        raise ScenarioError(
+            f"scenario 'table4' has no protocol {', '.join(map(repr, unknown))}; "
+            f"known: {', '.join(known)}"
+        )
     return [
         {
             "protocol": name,

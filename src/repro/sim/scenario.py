@@ -158,15 +158,6 @@ class DSNScenario:
         for _ in range(sectors):
             self.register_sector(name, self.config.sector_capacity)
 
-    def add_client(self, name: str, funds: Optional[int] = None) -> StorageClient:
-        """Add a client mid-run."""
-        if name in self.clients:
-            raise ValueError(f"client {name!r} already exists")
-        self.ledger.mint(name, funds if funds is not None else self.config.client_funds)
-        client = StorageClient(name)
-        self.clients[name] = client
-        return client
-
     # ------------------------------------------------------------------
     # Health oracle used by the protocol's automatic proof crediting
     # ------------------------------------------------------------------

@@ -147,10 +147,6 @@ class WorkloadGenerator:
         multiples = self._rng.integers(1, max_multiple + 1, count)
         return [int(m) * min_capacity for m in multiples]
 
-    def equal_sector_capacities(self, count: int, capacity: int) -> List[int]:
-        """``count`` sectors of identical ``capacity``."""
-        return [capacity] * count
-
     # ------------------------------------------------------------------
     # Arrival processes
     # ------------------------------------------------------------------

@@ -8,7 +8,7 @@ from repro.baselines.filecoin import FilecoinModel
 from repro.baselines.fileinsurer_model import FileInsurerModel
 from repro.baselines.sia import SiaModel
 from repro.baselines.storj import StorjModel
-from repro.experiments.table4 import paper_expectations
+from repro.scenarios.table4 import paper_expectations
 
 
 def load(model, n_files=200, size=1.0, value=1.0):

@@ -233,17 +233,9 @@ class TestBackendFlag:
         assert "no parameter 'backend'" in capsys.readouterr().err
 
 
+@pytest.mark.usefixtures("campaign_scenarios")
 class TestCampaignMatrix:
-    def _register_toy(self):
-        from repro.runner.registry import register
-
-        from campaign_testlib import campaign_test_specs
-
-        for spec in campaign_test_specs():
-            register(spec, replace=True)
-
     def test_matrix_expands_and_runs(self, tmp_path, capsys):
-        self._register_toy()
         code = main(
             ["campaign", "run", "--matrix", "camp-alpha:scale=1,2,3",
              "--store", str(tmp_path / "store")]
@@ -255,7 +247,6 @@ class TestCampaignMatrix:
         assert out.count("[run ]") == 3
 
     def test_matrix_with_seed_and_cache_hits(self, tmp_path, capsys):
-        self._register_toy()
         store = str(tmp_path / "store")
         args = ["campaign", "run", "--matrix", "camp-alpha:scale=2,4",
                 "--seed", "9", "--store", store]

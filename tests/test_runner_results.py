@@ -104,3 +104,19 @@ class TestComparison:
 def test_repo_version_is_nonempty_string():
     version = repo_version()
     assert isinstance(version, str) and version
+
+
+def test_manifests_ask_git_for_the_version_once(monkeypatch):
+    import subprocess
+
+    real_run, calls = subprocess.run, []
+
+    def counting_run(*args, **kwargs):
+        calls.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counting_run)
+    repo_version.cache_clear()
+    versions = {_manifest().version for _ in range(5)}
+    assert versions == {repo_version()}
+    assert len(calls) == 1
