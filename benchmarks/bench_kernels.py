@@ -2,14 +2,16 @@
 
 Times the three extracted hot loops -- Table III refresh churn, the
 Section V-C greedy adversary, and ``RandomSector()`` batched weighted
-draws -- on both :mod:`repro.kernels` backends at the pinned benchmark
+draws (a mixed op stream, and File Add's one long place run) -- on both
+:mod:`repro.kernels` backends at the pinned benchmark
 shapes (defined once in :mod:`kernel_shapes`, shared with the pytest
 gates), verifies the backends agree (identical ``PlacementResult`` /
 identical chosen sector sets / identical drawn-key sequences), and
 writes a machine-readable ``BENCH_kernels.json`` for the CI
 `bench-smoke` job to upload.  Exits non-zero when the vectorized backend
 is not faster than reference on any kernel, or when the refresh or
-sampler speedup misses its acceptance bar.
+sampler speedup misses its acceptance bar; the File Add run's draws/s
+are recorded, not gated.
 
 Usage::
 
@@ -34,6 +36,9 @@ from kernel_shapes import (  # noqa: E402
     ADVERSARY_N_FILES,
     ADVERSARY_N_SECTORS,
     ADVERSARY_REPLICAS,
+    FILE_ADD_N_SLOTS,
+    FILE_ADD_PLACES,
+    FILE_ADD_SIZE,
     MIN_REFRESH_SPEEDUP,
     MIN_SAMPLER_SPEEDUP,
     REFRESH_MULTIPLIER,
@@ -44,6 +49,7 @@ from kernel_shapes import (  # noqa: E402
     SAMPLER_PLACES,
     SAMPLER_SEGMENTS,
     best_wall,
+    run_file_add,
     run_greedy,
     run_refresh,
     run_sampler,
@@ -75,12 +81,16 @@ def main(argv=None) -> int:
     assert run_sampler("reference") == run_sampler("vectorized"), (
         "batch_weighted_draw kernels disagree between backends"
     )
+    assert run_file_add("reference") == run_file_add("vectorized"), (
+        "the File Add place run disagrees between backends"
+    )
 
     results: Dict[str, Dict[str, float]] = {}
     for kernel, run in (
         ("refresh", run_refresh),
         ("greedy_adversary", run_greedy),
         ("batch_weighted_draw", run_sampler),
+        ("file_add_place_run", run_file_add),
     ):
         walls = {
             backend: best_wall(lambda: run(backend), args.repeats)
@@ -91,6 +101,11 @@ def main(argv=None) -> int:
             "vectorized_seconds": round(walls["vectorized"], 6),
             "speedup": round(walls["reference"] / walls["vectorized"], 2),
         }
+    for backend in ("reference", "vectorized"):
+        seconds = results["file_add_place_run"][f"{backend}_seconds"]
+        results["file_add_place_run"][f"{backend}_draws_per_s"] = round(
+            FILE_ADD_PLACES / seconds
+        )
 
     artifact = {
         "shapes": {
@@ -110,6 +125,11 @@ def main(argv=None) -> int:
                 "draws": SAMPLER_DRAWS,
                 "weight_updates": SAMPLER_SEGMENTS,
                 "places": SAMPLER_PLACES,
+            },
+            "file_add_place_run": {
+                "n_slots": FILE_ADD_N_SLOTS,
+                "places": FILE_ADD_PLACES,
+                "size": FILE_ADD_SIZE,
             },
         },
         "results": results,

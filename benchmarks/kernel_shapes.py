@@ -52,6 +52,14 @@ SAMPLER_PLACES = 2_000
 #: beat the Fenwick oracle by at least this factor at the pinned shape.
 MIN_SAMPLER_SPEEDUP = 2.0
 
+#: File Add shape: ``fill_prove``'s replica stream -- 10^5 files x 3
+#: replicas of one size over 10^4 equal sectors -- as one place run.
+#: Recorded as draws/s, never ratio-gated.
+FILE_ADD_N_SLOTS = 10_000
+FILE_ADD_PLACES = 300_000
+FILE_ADD_SIZE = 8 * 1024
+FILE_ADD_SLOT_CAPACITY = 1 << 20
+
 
 def run_refresh(backend: str) -> PlacementResult:
     """One measured round of the pinned refresh workload."""
@@ -109,6 +117,18 @@ def run_sampler(backend: str) -> tuple:
     weights, ops, free = sampler_workload()
     result = get_backend(backend).batch_weighted_draw(
         sampler_stream(17, 0), weights, ops, free=free
+    )
+    return result.keys.tobytes(), result.attempts, result.collisions
+
+
+def run_file_add(backend: str) -> tuple:
+    """The pinned File Add place run: one op, sizes as an int64 column."""
+    from repro.kernels import get_backend, sampler_stream
+
+    capacity = np.full(FILE_ADD_N_SLOTS, FILE_ADD_SLOT_CAPACITY, dtype=np.int64)
+    sizes = np.full(FILE_ADD_PLACES, FILE_ADD_SIZE, dtype=np.int64)
+    result = get_backend(backend).batch_weighted_draw(
+        sampler_stream(29, 0), capacity, [("place", sizes, 1000)], free=capacity
     )
     return result.keys.tobytes(), result.attempts, result.collisions
 

@@ -100,6 +100,9 @@ _ALLOC_STATES = (
 _ALLOC_CODE = {state: code for code, state in enumerate(_ALLOC_STATES)}
 _ABSENT = -1
 
+#: Integers below this bound convert to float64 without rounding.
+_EXACT_FLOAT_INT = 1 << 53
+
 
 def _grow(array: np.ndarray, needed: int, fill: Any = 0) -> np.ndarray:
     """Return ``array`` grown (amortised doubling) to hold ``needed`` rows."""
@@ -1069,11 +1072,7 @@ class ColumnarProtocol(FileInsurerProtocol):
             [self._replica_count_of(int(value)) for value in unique_values],
             dtype=np.int64,
         )[value_index]
-        admitted = self._admitted_prefix(
-            [int(s) for s in size_arr],
-            [int(v) for v in value_arr],
-            [int(r) for r in replica_counts],
-        )
+        admitted = self._admitted_prefix_columns(size_arr, value_arr, replica_counts)
         size_arr = size_arr[:admitted]
         value_arr = value_arr[:admitted]
         replica_counts = replica_counts[:admitted]
@@ -1132,26 +1131,56 @@ class ColumnarProtocol(FileInsurerProtocol):
             np.add.at(self.sectors.stored, ok_rows, 1)
             self._agg_used += int(ok_sizes.sum())
             self.selector.debit_slots(ok_slots, ok_sizes)
-            # One CheckAlloc per stored file.  Transfer deadlines depend
-            # only on the file size; group identical sizes to keep the
-            # append vectorised.
-            deadlines = {}
-            for file_id, size in zip(ok_ids, size_arr[:complete]):
-                deadline = self.now + self.params.transfer_deadline(int(size))
-                deadlines.setdefault(deadline, []).append(int(file_id))
-            if len(deadlines) == 1:
-                deadline, ids = next(iter(deadlines.items()))
-                self.pending.schedule_batch(
-                    deadline, self.TASK_CHECK_ALLOC, np.asarray(ids)
-                )
-            else:
-                for file_id, size in zip(ok_ids, size_arr[:complete]):
-                    self.pending.schedule(
-                        self.now + self.params.transfer_deadline(int(size)),
-                        self.TASK_CHECK_ALLOC,
-                        file_id=int(file_id),
-                    )
-        return [int(file_id) for file_id in file_ids]
+            # One CheckAlloc per stored file, one append in file order.
+            # Transfer deadlines depend only on the file size: compute one
+            # per distinct size.
+            distinct, size_index = np.unique(size_arr[:complete], return_inverse=True)
+            transfer_deadline = self.params.transfer_deadline
+            deadline_of = np.array(
+                [self.now + transfer_deadline(size) for size in distinct.tolist()]
+            )
+            self.pending.schedule_columns(
+                deadline_of[size_index],
+                np.full(complete, self.pending._kind_codes[self.TASK_CHECK_ALLOC]),
+                ok_ids,
+                np.full(complete, -1),
+            )
+        return file_ids.tolist()
+
+    def _admitted_prefix_columns(
+        self, sizes: np.ndarray, values: np.ndarray, replica_counts: np.ndarray
+    ) -> int:
+        """:meth:`_admitted_prefix` as two cumulative-sum comparisons.
+
+        Exact while every running total stays below 2**53 -- no int64 sum
+        wraps and the int64 -> float64 step of the byte-budget comparison
+        loses nothing, so each comparison is the Python int / float one.
+        Larger totals, and a batch refused at its first file (which raises
+        per-file ``File Add``'s message), take the scalar loop.
+        """
+        total_capacity = self.total_capacity()
+        base_value = self.total_value_stored - self.total_value_lost
+        base_bytes = self.stored_replica_bytes()
+        count = len(sizes)
+        largest_replica_set = int(sizes.max()) * int(replica_counts.max())
+        if (
+            total_capacity > 0
+            and base_value + int(values.max()) * count < _EXACT_FLOAT_INT
+            and base_bytes + largest_replica_set * count < _EXACT_FLOAT_INT
+        ):
+            max_value = min(
+                self.params.max_value_capacity(total_capacity), _EXACT_FLOAT_INT
+            )
+            replica_budget = total_capacity / self.params.redundancy_factor
+            refused = (base_value + np.cumsum(values) > max_value) | (
+                base_bytes + np.cumsum(sizes * replica_counts) > replica_budget
+            )
+            admitted = int(np.argmax(refused)) if refused.any() else count
+            if admitted:
+                return admitted
+        return self._admitted_prefix(
+            sizes.tolist(), values.tolist(), replica_counts.tolist()
+        )
 
     def _replica_count_of(self, value: int) -> int:
         cached = self._replica_count_cache.get(value)

@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.chain.gas import GasSchedule
 from repro.chain.ledger import InsufficientFundsError, Ledger
 from repro.core.allocation import AllocEntry, AllocState, AllocationTable
@@ -1017,13 +1019,10 @@ class FileInsurerProtocol:
         """``SampleExp(AvgRefresh)`` rounded up to at least one checkpoint."""
         return max(1, int(math.ceil(self.prng.expovariate(self.params.avg_refresh))))
 
-    def _sample_refresh_countdowns(self, count: int) -> List[int]:
+    def _sample_refresh_countdowns(self, count: int) -> np.ndarray:
         """``count`` :meth:`_sample_refresh_countdown` draws, one stream read."""
-        ceil = math.ceil
-        return [
-            max(1, ceil(sample))
-            for sample in self.prng.expovariates(self.params.avg_refresh, count)
-        ]
+        samples = self.prng.expovariates(self.params.avg_refresh, count)
+        return np.maximum(np.ceil(samples), 1.0).astype(np.int64)
 
     def _reserve_space(self, record: SectorRecord, size: int) -> None:
         """Reserve replica space, keeping the running aggregates and the

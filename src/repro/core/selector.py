@@ -430,7 +430,8 @@ class CapacitySelector:
         result = self.kernels.batch_weighted_draw(
             self._next_stream(),
             self._sampler.slot_weights(),
-            [("place", int(size), self.max_attempts) for size in sizes],
+            # One place run: the sizes travel as a column, never as tuples.
+            [("place", np.asarray(sizes), self.max_attempts)],
             # The kernels take a defensive copy, so the live table is safe.
             free=self._free[: self._sampler.slot_count],
         )

@@ -147,7 +147,19 @@ class KernelBackend(ABC):
           ``free[slot] >= size`` is hit, then debit ``free[slot] -=
           size`` and append the slot; append ``-1`` when every attempt
           collides.  Requires ``free``, a per-slot capacity table the
-          kernel updates privately as it places.
+          kernel updates privately as it places.  The same op carries a
+          *run*: ``("place", sizes, max_attempts)`` with ``sizes`` a 1-D
+          integer ``numpy`` array is exactly one scalar ``place`` per
+          size, in order, sharing ``max_attempts`` -- how ``File Add``
+          hands over a whole batch's replica column without building a
+          tuple per replica.
+
+        Sizes, counts, slots, weights and ``max_attempts`` must be
+        integers (``operator.index``; an integer dtype for a run);
+        floats and booleans raise ``ValueError`` naming the op instead of
+        being truncated, and a size must fit ``int64``.  A malformed
+        request raises before any word of ``rng`` is consumed, with the
+        same text on every backend.
 
         **Draw protocol.**  ``rng`` is a *dedicated* uint32 stream for
         this one call (see

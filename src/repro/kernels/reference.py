@@ -154,18 +154,19 @@ class ReferenceKernels(KernelBackend):
                 for _ in range(op[1]):
                     keys.append(sampler.sample(draws))
                     attempts += 1
-            else:  # place
-                size, max_attempts = op[1], op[2]
-                placed = -1
-                for _ in range(max_attempts):
-                    slot = sampler.sample(draws)
-                    attempts += 1
-                    if free_list[slot] >= size:
-                        free_list[slot] -= size
-                        placed = slot
-                        break
-                    collisions += 1
-                keys.append(placed)
+            else:  # place: every size of the run, with one attempt budget
+                max_attempts = op[2]
+                for size in op[1].tolist():
+                    placed = -1
+                    for _ in range(max_attempts):
+                        slot = sampler.sample(draws)
+                        attempts += 1
+                        if free_list[slot] >= size:
+                            free_list[slot] -= size
+                            placed = slot
+                            break
+                        collisions += 1
+                    keys.append(placed)
         return BatchDrawResult(
             keys=np.asarray(keys, dtype=np.int64), attempts=attempts, collisions=collisions
         )

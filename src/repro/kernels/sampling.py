@@ -27,6 +27,7 @@ full contract):
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -47,6 +48,8 @@ __all__ = [
 #: ``uint64``; both backends raise ``ValueError`` at the first draw whose
 #: total reaches this bound so the contract cannot silently diverge.
 MAX_TOTAL_WEIGHT = 1 << 62
+
+_INT64_MAX = (1 << 63) - 1
 
 #: Words generated per refill of a :class:`U32Stream`.  Purely a cost
 #: knob -- re-chunking never changes the word sequence.
@@ -150,12 +153,12 @@ class BatchDrawResult:
 
     ``keys`` holds, in operation order, one entry per requested draw:
     ``("draw", count)`` contributes ``count`` sampled slot indices and
-    ``("place", size, max_attempts)`` contributes the placed slot index
-    or ``-1`` when every attempt collided.  ``attempts`` counts every
-    weighted draw performed (including the collided attempts of place
-    operations) and ``collisions`` the free-capacity rejections --
-    exactly the counters :class:`~repro.core.selector.CapacitySelector`
-    keeps.
+    ``("place", sizes, max_attempts)`` contributes, per size, the placed
+    slot index or ``-1`` when every attempt collided.  ``attempts``
+    counts every weighted draw performed (including the collided
+    attempts of place operations) and ``collisions`` the free-capacity
+    rejections -- exactly the counters
+    :class:`~repro.core.selector.CapacitySelector` keeps.
     """
 
     keys: np.ndarray
@@ -177,40 +180,36 @@ def total_weight_guard(total: int) -> None:
         )
 
 
-def _fast_place_ops(
-    ops: Sequence[Tuple], free_table: Optional[np.ndarray]
-) -> Optional[List[Tuple]]:
-    """Vectorised validation for the selector's hot all-``place`` streams.
+def _index(value: object, what: str) -> int:
+    """``value`` as a Python int; floats, strings and booleans are refused.
 
-    ``select_batch_slots`` issues one ``("place", size, max_attempts)``
-    tuple of plain ints per replica; validating those in one numpy pass
-    instead of per-op Python keeps request normalisation off the batched
-    File Add profile.  Anything else falls back to the generic loop
-    (returns ``None``).
+    ``int()`` would place ``("place", 3.7, 2)`` as 3 bytes and draw
+    ``("draw", 2.9)`` twice -- a silently different request.
     """
-    if free_table is None or type(ops) is not list or not ops:
-        return None
-    for op in ops:
-        if (
-            type(op) is not tuple
-            or len(op) != 3
-            or op[0] != "place"
-            or type(op[1]) is not int
-            or type(op[2]) is not int
-        ):
-            return None
+    if isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer")
     try:
-        pairs = np.asarray([op[1:] for op in ops], dtype=np.int64)
-    except OverflowError:
-        return None  # out-of-int64 entries take the generic path
-    bad = (pairs[:, 0] < 0) | (pairs[:, 1] < 1)
-    if bool(bad.any()):
-        # First offending op wins, matching the sequential loop.
-        first = int(np.argmax(bad))
-        if pairs[first, 0] < 0:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer") from None
+
+
+def _place_sizes(raw: object) -> np.ndarray:
+    """The sizes of one ``place`` op -- one size or a 1-D run -- as int64."""
+    if isinstance(raw, np.ndarray):
+        if raw.ndim != 1:
+            raise ValueError("'place' sizes must be one-dimensional")
+        if raw.dtype.kind not in "iu":
+            raise ValueError("'place' size must be an integer")
+    else:
+        raw = np.asarray([_index(raw, "'place' size")])
+    if raw.size:
+        if int(raw.min()) < 0:
             raise ValueError("'place' size must be non-negative")
-        raise ValueError("'place' max_attempts must be >= 1")
-    return ops
+        if raw.dtype.kind != "i" and int(raw.max()) > _INT64_MAX:
+            # uint64 above 2**63 or an object array of a huge python int
+            raise ValueError("'place' size must fit in int64")
+    return raw.astype(np.int64, copy=False)
 
 
 def normalize_draw_request(
@@ -222,7 +221,10 @@ def normalize_draw_request(
 
     The returned ``weights`` / ``free`` arrays are private to the kernel
     call (backends mutate them while replaying the operation stream);
-    the caller's inputs are never touched.
+    the caller's inputs are never touched.  Every ``place`` op comes back
+    as ``("place", int64 sizes array, max_attempts)`` whichever arity it
+    arrived in, a run validated in one numpy pass; op scalars must be
+    integers (``operator.index``), so nothing is silently truncated.
     """
     try:
         weight_table = np.array(weights, dtype=np.int64)
@@ -244,10 +246,6 @@ def normalize_draw_request(
         if free_table.shape != weight_table.shape:
             raise ValueError("free must match the weight table's shape")
 
-    fast = _fast_place_ops(ops, free_table)
-    if fast is not None:
-        return weight_table, fast, free_table
-
     normalized: List[Tuple] = []
     for op in ops:
         if not isinstance(op, tuple) or not op:
@@ -256,7 +254,7 @@ def normalize_draw_request(
         if kind == "set":
             if len(op) != 3:
                 raise ValueError(f"'set' expects (slot, weight), got {op!r}")
-            slot, weight = int(op[1]), int(op[2])
+            slot, weight = _index(op[1], "'set' slot"), _index(op[2], "'set' weight")
             if not 0 <= slot < n_slots:
                 raise ValueError(f"'set' slot {slot} out of range [0, {n_slots})")
             if weight < 0:
@@ -272,21 +270,20 @@ def normalize_draw_request(
         elif kind == "draw":
             if len(op) != 2:
                 raise ValueError(f"'draw' expects (count,), got {op!r}")
-            count = int(op[1])
+            count = _index(op[1], "'draw' count")
             if count < 0:
                 raise ValueError("'draw' count must be non-negative")
             normalized.append(("draw", count))
         elif kind == "place":
             if len(op) != 3:
                 raise ValueError(f"'place' expects (size, max_attempts), got {op!r}")
-            size, max_attempts = int(op[1]), int(op[2])
-            if size < 0:
-                raise ValueError("'place' size must be non-negative")
+            sizes = _place_sizes(op[1])
+            max_attempts = _index(op[2], "'place' max_attempts")
             if max_attempts < 1:
                 raise ValueError("'place' max_attempts must be >= 1")
             if free_table is None:
                 raise ValueError("'place' operations require a free table")
-            normalized.append(("place", size, max_attempts))
+            normalized.append(("place", sizes, max_attempts))
         else:
             raise ValueError(f"unknown sampler operation kind {kind!r}")
     return weight_table, normalized, free_table

@@ -613,11 +613,12 @@ class VectorizedKernels(KernelBackend):
             run_end = index
             while run_end < n_ops and op_list[run_end][0] == "place":
                 run_end += 1
-            run_sizes = np.asarray(
-                [op_list[position][1] for position in range(index, run_end)],
-                dtype=np.int64,
+            run = op_list[index:run_end]
+            run_sizes = np.concatenate([op[1] for op in run])
+            run_budgets = np.repeat(
+                [op[2] for op in run], [op[1].size for op in run]
             )
-            placed_run = np.full(run_end - index, -1, dtype=np.int64)
+            placed_run = np.full(run_sizes.size, -1, dtype=np.int64)
             at = 0
             run_len = placed_run.size
             while at < run_len:
@@ -637,9 +638,8 @@ class VectorizedKernels(KernelBackend):
                 # Head draw collides: resolve it alone, honouring its
                 # max_attempts budget exactly as the reference loop does.
                 size = int(run_sizes[at])
-                max_attempts = op_list[index + at][2]
                 placed = -1
-                for _ in range(max_attempts):
+                for _ in range(run_budgets[at]):
                     slot = engine.next_slot()
                     attempts += 1
                     if free_table[slot] >= size:

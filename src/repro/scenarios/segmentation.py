@@ -114,9 +114,8 @@ def _place_units(
     """
     load = sum(unit_sizes) * replicas
     n_sectors = max(min_sectors, math.ceil(2 * load / sector_capacity))
-    ops = [
-        ("place", size, retries + 1) for size in unit_sizes for _ in range(replicas)
-    ]
+    sizes = np.repeat(np.asarray(unit_sizes, dtype=np.int64), replicas)
+    ops = [("place", sizes, retries + 1)]
     result = backend.batch_weighted_draw(
         rng,
         np.ones(n_sectors, dtype=np.int64),

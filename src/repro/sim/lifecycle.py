@@ -38,6 +38,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.core.selector import WeightedSampler
 from repro.crypto.prng import DeterministicPRNG
 from repro.sim.engine import Event, SimulationEngine
@@ -649,7 +651,7 @@ class LifecycleSimulation:
         backend = get_backend(self.config.backend)
         weights = [self.capacity[name] for name in self.provider_names]
         free = [self.capacity[name] for name in self.provider_names]
-        ops = [("place", 1, 3)] * (cfg.files * cfg.replicas)
+        ops = [("place", np.ones(cfg.files * cfg.replicas, dtype=np.int64), 3)]
         keys = backend.batch_weighted_draw(
             sampler_stream(cfg.seed, _PLACEMENT_STREAM), weights, ops, free=free
         ).keys

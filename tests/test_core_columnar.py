@@ -33,6 +33,7 @@ from repro.core.params import ProtocolParams
 from repro.core.pending import PendingList
 from repro.core.protocol import FileInsurerProtocol, ProtocolError
 from repro.crypto.prng import DeterministicPRNG
+from repro.kernels.vectorized import VectorizedKernels
 
 ROOT = b"\x05" * 32
 MB = 1 << 20
@@ -765,6 +766,51 @@ class TestFastPathCounters:
         assert protocol.events.count(EventType.FILE_REFRESH_FAILED) == 0
         assert built == []
 
+    def test_file_add_batch_hands_the_kernel_one_place_run(self):
+        """fill_prove's op sequence at toy shape: each ``file_add_batch``
+        is one kernel request holding one ``place`` op whose sizes are an
+        ``int64`` column -- no per-replica Python object on the way -- and
+        the two place paths still account for every replica."""
+
+        class Recording(VectorizedKernels):
+            requests = []
+
+            def batch_weighted_draw(self, rng, weights, ops, free=None):
+                self.requests.append(ops)
+                return super().batch_weighted_draw(rng, weights, ops, free)
+
+        backend = Recording()
+        protocol = make_protocol(
+            "columnar", providers=200, capacity_mb=1, backend=backend,
+            draw_batch=64, cap_para=100.0, avg_refresh=50.0,
+        )
+        files, batch, size = 2_000, 500, 8 * 1024
+        telemetry.enable()
+        try:
+            with telemetry.capture() as events:
+                for _ in range(files // batch):
+                    ids = protocol.file_add_batch(
+                        "client", [size] * batch, [1] * batch, ROOT
+                    )
+                    protocol.confirm_batch(ids)
+                protocol.advance_time(protocol.pending.peek_time())
+        finally:
+            telemetry.reset()
+        assert protocol.files_stored == files
+        replicas = int(protocol.files.replica_count[:files].sum())
+        assert len(backend.requests) == files // batch
+        for ops in backend.requests:
+            ((kind, sizes, max_attempts),) = ops
+            assert kind == "place" and max_attempts == protocol.selector.max_attempts
+            assert isinstance(sizes, np.ndarray) and sizes.dtype == np.int64
+            assert sizes.shape == (replicas // len(backend.requests),)
+        totals = telemetry.summarize_events(events)["counters"]
+        assert (
+            totals["kernel.place.prefix_accepted"]
+            + totals.get("kernel.place.scalar_fallback", 0)
+            == replicas
+        )
+
     def test_disabled_advance_leaves_the_prefetch_tally_untaken(self):
         protocol = make_protocol("columnar", providers=8, draw_batch=4)
         ids = protocol.file_add_batch("client", [64 * 1024] * 40, [1] * 40, ROOT)
@@ -1125,6 +1171,121 @@ class TestFileConfirmOnRows:
         assert prints["columnar"] == prints["object"]
 
 
+class TestFileAddInColumns:
+    """``file_add_batch`` from its arguments to its return: the admission
+    prefix and the CheckAlloc append are column operations that leave
+    exactly what the per-file rules leave."""
+
+    @pytest.mark.parametrize("draw_batch", [1, 64])
+    def test_mixed_size_batch_is_one_pending_append(self, monkeypatch, draw_batch):
+        rng = np.random.default_rng(3)
+        sizes = rng.integers(1, 96 * 1024, 1_000).tolist()
+        values = rng.integers(1, 3, 1_000).tolist()
+        protocols = {
+            engine: make_protocol(
+                engine, providers=80, backend="vectorized", draw_batch=draw_batch,
+                cap_para=100.0,
+            )
+            for engine in ENGINES
+        }
+        scheduled = []
+        monkeypatch.setattr(
+            ColumnarPending,
+            "schedule",
+            lambda self, *args, **payload: scheduled.append(args),
+        )
+        ids = {
+            engine: protocol.file_add_batch("client", sizes, values, ROOT)
+            for engine, protocol in protocols.items()
+        }
+        assert scheduled == []
+        assert len(ids["columnar"]) == 1_000 and ids["columnar"] == ids["object"]
+        assert all(type(file_id) is int for file_id in ids["columnar"])
+        got, want = identity(protocols["columnar"]), identity(protocols["object"])
+        assert len({task[0] for task in want["state"]["pending"]}) > 500
+        for part in want:
+            assert got[part] == want[part], part
+        assert protocols["columnar"].snapshot() == protocols["object"].snapshot()
+
+    @staticmethod
+    def _admitted(sizes, values, **build):
+        """``admitted`` from both engines' ``file_add_batch``, the column
+        prefix and the scalar loop -- which must all agree."""
+        counts = set()
+        for engine in ENGINES:
+            protocol = make_protocol(engine, backend="vectorized", **build)
+            replicas = [protocol.params.replica_count(value) for value in values]
+            counts.add(protocol._admitted_prefix(sizes, values, replicas))
+            if engine == "columnar":
+                counts.add(
+                    protocol._admitted_prefix_columns(
+                        *(np.asarray(column, dtype=np.int64)
+                          for column in (sizes, values, replicas))
+                    )
+                )
+            ids = protocol.file_add_batch("client", sizes, values, ROOT)
+            assert protocol.events.count(EventType.FILE_UPLOAD_FAILED) == 0
+            counts.add(len(ids))
+        (admitted,) = counts
+        return admitted
+
+    def test_cut_exactly_on_the_value_limit(self):
+        # 2 MiB at capPara 10: Nm_v * minValue = 20.
+        build = dict(providers=2, capacity_mb=1)
+        assert self._admitted([1024] * 20, [1] * 20, **build) == 20
+        assert self._admitted([1024] * 21, [1] * 21, **build) == 20
+        assert self._admitted([1024] * 19 + [1024], [1] * 19 + [2], **build) == 19
+
+    def test_cut_exactly_on_the_replica_byte_budget(self):
+        # 3 MiB / redundancy 2 = 3 * 2**19 bytes = two files of 3 x 2**18.
+        build = dict(providers=3, capacity_mb=1)
+        half = 1 << 18
+        assert self._admitted([half, half], [1, 1], **build) == 2
+        assert self._admitted([half, half + 1], [1, 1], **build) == 1
+        assert self._admitted([half, half, 1], [1, 1, 1], **build) == 2
+
+    @pytest.mark.parametrize(
+        "size, value, limit",
+        [(1024, 21, "value limit exceeded"), (1 << 19, 1, "capacity limit exceeded")],
+    )
+    def test_batch_refused_at_its_first_file_raises_like_file_add(
+        self, size, value, limit
+    ):
+        messages = set()
+        for engine in ENGINES:
+            protocol = make_protocol(engine, providers=2, capacity_mb=1)
+            with pytest.raises(ProtocolError, match=limit) as single:
+                protocol.file_add("client", size, value, ROOT)
+            with pytest.raises(ProtocolError) as batched:
+                protocol.file_add_batch("client", [size, 1024], [value, 1], ROOT)
+            assert len(protocol.files) == 0 and len(protocol.pending) == 0
+            messages |= {str(single.value), str(batched.value)}
+        assert len(messages) == 1
+
+    def test_totals_past_2_to_53_take_the_exact_loop(self, monkeypatch):
+        """Budget 2**60; the second file brings the total to 2**60 + 1,
+        which float64 rounds back onto the budget: a cumsum compared in
+        floats would admit it."""
+        build = dict(
+            providers=2, capacity_mb=1 << 40, min_capacity=1 << 60,
+            size_limit=1 << 60, k=1,
+        )
+        loops = []
+        scalar = FileInsurerProtocol._admitted_prefix
+        monkeypatch.setattr(
+            ColumnarProtocol,
+            "_admitted_prefix",
+            lambda self, *columns: loops.append(1) or scalar(self, *columns),
+        )
+        half = 1 << 59
+        assert float(2 * half + 1) == float(2 * half)
+        assert self._admitted([half, half + 1], [1, 1], **build) == 1
+        assert len(loops) == 3  # called directly, via the columns, via file_add_batch
+        del loops[:]
+        assert self._admitted([1024, 1024], [1, 1], providers=2, capacity_mb=1) == 2
+        assert len(loops) == 1  # only the direct call
+
+
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(
     st.integers(0, 2**32),
@@ -1148,8 +1309,8 @@ def test_batched_countdowns_are_the_scalar_draws(seed, consumed, count, avg_refr
     batch.prng.random_bytes(consumed)
     want = [loop._sample_refresh_countdown() for _ in range(count)]
     got = batch._sample_refresh_countdowns(count)
-    assert got == want
-    assert all(type(value) is int and value >= 1 for value in got)
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert all(value >= 1 for value in want)
     assert batch.prng._counter == loop.prng._counter
     assert batch.prng._buffer == loop.prng._buffer
     assert batch.prng.state_fingerprint() == loop.prng.state_fingerprint()

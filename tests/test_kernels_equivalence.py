@@ -18,6 +18,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.selector import CapacitySelector
+from repro.crypto.prng import DeterministicPRNG
 from repro.kernels import (
     BACKEND_ENV_VAR,
     DEFAULT_BACKEND,
@@ -264,6 +266,17 @@ def _batch_draw(name, weights, ops, free=None, entropy=0):
     )
 
 
+def expand_place_runs(ops):
+    """Every ``place`` run spelled as one scalar ``place`` per size."""
+    expanded = []
+    for op in ops:
+        if op[0] == "place" and isinstance(op[1], np.ndarray):
+            expanded.extend(("place", size, op[2]) for size in op[1].tolist())
+        else:
+            expanded.append(op)
+    return expanded
+
+
 def _assert_batch_identical(weights, ops, free=None, entropy=0):
     reference = _batch_draw("reference", weights, ops, free=free, entropy=entropy)
     vectorized = _batch_draw("vectorized", weights, ops, free=free, entropy=entropy)
@@ -380,6 +393,119 @@ class TestBatchWeightedDrawEquivalence:
                 with pytest.raises(ValueError):
                     _batch_draw(name, weights, ops, **kwargs)
 
+    def test_place_run_equals_its_scalar_expansion(self):
+        """``("place", sizes, m)`` is exactly ``("place", size, m)`` per
+        size, on both backends, wherever the run sits in the stream."""
+        long_run = np.random.default_rng(5).integers(0, 40, 9000)  # > 2 stream chunks
+        cases = [
+            # (weights, free, ops)
+            ([4, 4, 4], [9, 9, 9], [("place", np.empty(0, dtype=np.int64), 3)]),
+            ([4, 4, 4], [9, 9, 9], [("place", np.array([5]), 3)]),
+            ([1, 2, 3], [0, 0, 0], [("place", np.zeros(7, dtype=np.int32), 2)]),
+            ([3] * 50, [6000] * 50, [("place", long_run, 5)]),
+            # the head of the run collides until its budget is spent
+            ([5, 5], [9, 9], [("place", np.array([10, 1, 10, 9, 9, 1]), 4)]),
+            (
+                [10, 0, 7, 1000, 3],
+                [60, 60, 60, 60, 60],
+                [
+                    ("place", np.array([50, 50, 5], dtype=np.uint16), 6),
+                    ("set", 3, 0),
+                    ("place", 8, 2),
+                    ("place", np.array([8, 8]), 3),
+                    ("draw", 9),
+                    ("set", 1, 1 << 33),
+                    ("place", np.array([1, 0, 60, 2]), 1),
+                    ("place", 2, 5),
+                ],
+            ),
+        ]
+        for weights, free, ops in cases:
+            expanded = expand_place_runs(ops)
+            for entropy in (0, 4):
+                run = _assert_batch_identical(weights, ops, free=free, entropy=entropy)
+                scalar = _assert_batch_identical(
+                    weights, expanded, free=free, entropy=entropy
+                )
+                assert run.keys.tolist() == scalar.keys.tolist()
+                assert (run.attempts, run.collisions) == (
+                    scalar.attempts,
+                    scalar.collisions,
+                )
+        exhausted = _batch_draw(
+            "vectorized", [5, 5], [("place", np.array([10, 1]), 4)], free=[9, 9]
+        )
+        assert exhausted.keys[0] == -1 and exhausted.collisions == 4
+
+    @pytest.mark.parametrize(
+        "size, run, max_attempts, message",
+        [
+            (-1, np.array([2, -1, 2]), 3, "'place' size must be non-negative"),
+            (1, np.array([2, 1, 2]), 0, "'place' max_attempts must be >= 1"),
+            (
+                1 << 63,
+                np.array([2, 1 << 63, 2], dtype=np.uint64),
+                3,
+                "'place' size must fit in int64",
+            ),
+            (1.5, np.array([2, 1.5, 2]), 3, "'place' size must be an integer"),
+            (True, np.array([False, True]), 3, "'place' size must be an integer"),
+        ],
+    )
+    def test_place_errors_identical_in_both_arities(
+        self, size, run, max_attempts, message
+    ):
+        """Same text from the scalar and the run form, on either backend,
+        with the request's stream untouched."""
+        for name in BACKENDS:
+            for sizes in (size, run):
+                rng = sampler_stream(0, 0)
+                before = rng.bit_generator.state
+                with pytest.raises(ValueError) as raised:
+                    get_backend(name).batch_weighted_draw(
+                        rng,
+                        [1, 2],
+                        [("draw", 1), ("place", sizes, max_attempts)],
+                        free=[5, 5],
+                    )
+                assert str(raised.value) == message
+                assert rng.bit_generator.state == before
+
+    def test_place_run_shape_and_free_table_errors(self):
+        for name in BACKENDS:
+            with pytest.raises(ValueError, match="one-dimensional"):
+                _batch_draw(name, [1], [("place", np.ones((2, 2), int), 1)], free=[1])
+            for sizes in (1, np.array([1, 1])):
+                with pytest.raises(ValueError, match="require a free table"):
+                    _batch_draw(name, [1, 2], [("place", sizes, 3)])
+
+    @pytest.mark.parametrize(
+        "op, message",
+        [
+            (("place", 3.7, 2), "'place' size must be an integer"),
+            (("place", 3, 2.0), "'place' max_attempts must be an integer"),
+            (("draw", 2.9), "'draw' count must be an integer"),
+            (("draw", True), "'draw' count must be an integer"),
+            (("set", 0.0, 1), "'set' slot must be an integer"),
+            (("set", 0, 1.5), "'set' weight must be an integer"),
+            (("set", 0, "7"), "'set' weight must be an integer"),
+        ],
+    )
+    def test_non_integral_operands_are_refused_not_truncated(self, op, message):
+        """``int()`` used to place 3.7 bytes as 3 and draw 2.9 times as 2."""
+        for name in BACKENDS:
+            rng = sampler_stream(0, 0)
+            before = rng.bit_generator.state
+            with pytest.raises(ValueError) as raised:
+                get_backend(name).batch_weighted_draw(rng, [1, 2], [op], free=[5, 5])
+            assert str(raised.value) == message
+            assert rng.bit_generator.state == before
+        # numpy integers are integers.
+        for name in BACKENDS:
+            ops = [("draw", np.int64(2)), ("place", np.uint8(3), 2)]
+            result = _batch_draw(name, [1, 2], ops, free=[5, 5])
+            assert len(result.keys) == 3
+
     def test_inputs_are_never_mutated(self):
         weights = np.asarray([3, 4, 5], dtype=np.int64)
         free = np.asarray([50, 50, 50], dtype=np.int64)
@@ -402,6 +528,44 @@ class TestBatchWeightedDrawEquivalence:
             sampler_stream(4, 1), weights, [("draw", 64)]
         )
         assert not np.array_equal(a.keys, b.keys)
+
+
+class TestSelectorDrawSequencePinned:
+    """File Add -> refresh prefetch -> File Add at the selector.
+
+    The literals were produced by the tuple-per-replica selector this
+    suite replaced: equal slots mean the run form kept the kernel-call
+    numbering (one dedicated stream per call, in call order) and the
+    words each call consumes.
+    """
+
+    PINNED = {
+        (0, 1): ([3, 2, 4, 5, 3], [1, 5], [4, 1, 2], 12, 2),
+        (1, 4): ([4, 2, 3, 1, 3], [5, 5, 5, 2, 1], [2, 0, 0], 16, 0),
+        (2, 8): ([4, 5, 0, 5, 0], [5, 2, 2, 5, 1, 2, 2, 4, 0], [2, 4, 0], 27, 3),
+    }
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("seed, draw_batch", sorted(PINNED))
+    def test_sequence_matches_the_pinned_parent(self, backend, seed, draw_batch):
+        selector = CapacitySelector(
+            DeterministicPRNG.from_int(seed, domain="pin"),
+            max_attempts=4,
+            backend=backend,
+            draw_batch=draw_batch,
+        )
+        for index in range(6):
+            selector.add_sector(f"s{index}", 100 + 20 * index, free=40)
+        first = selector.select_batch_slots([30, 30, 30, 5, 5]).tolist()
+        prefetched = [selector.random_slot() for _ in range(draw_batch + 1)]
+        second = selector.select_batch_slots(np.array([30, 12, 12])).tolist()
+        assert (
+            first,
+            prefetched,
+            second,
+            selector.samples,
+            selector.collisions,
+        ) == self.PINNED[seed, draw_batch]
 
 
 class TestScenarioBackendThreading:

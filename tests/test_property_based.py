@@ -9,6 +9,7 @@ bit-for-bit, and the cross-backend comparisons never flake.
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_kernels_equivalence import expand_place_runs
 
 from repro.chain.ledger import Ledger
 from repro.core.drep import SectorContentPlan
@@ -259,13 +260,11 @@ def sampler_requests(draw):
         elif kind == "draw":
             ops.append(("draw", draw(st.integers(min_value=0, max_value=64))))
         else:
-            ops.append(
-                (
-                    "place",
-                    draw(st.integers(min_value=0, max_value=256)),
-                    draw(st.integers(min_value=1, max_value=6)),
-                )
-            )
+            size = st.integers(min_value=0, max_value=256)
+            sizes = draw(st.one_of(size, st.lists(size, max_size=12)))
+            if isinstance(sizes, list):  # a place run
+                sizes = np.asarray(sizes, dtype=np.int64)
+            ops.append(("place", sizes, draw(st.integers(min_value=1, max_value=6))))
     return weights, ops, free
 
 
@@ -295,12 +294,27 @@ def test_batch_weighted_draw_backends_bit_identical(batch, entropy):
 
 @DIFF_SETTINGS
 @given(batch=sampler_requests(), entropy=st.integers(min_value=0, max_value=1))
+def test_place_run_is_its_scalar_expansion_on_both_backends(batch, entropy):
+    """One ``place`` op, two arities: a run returns the keys, attempts and
+    collisions -- or the refusal -- of one scalar ``place`` per size."""
+    weights, ops, free = batch
+    for backend in ("reference", "vectorized"):
+        assert _run_kernel_draw(backend, weights, ops, free, entropy) == (
+            _run_kernel_draw(
+                backend, weights, expand_place_runs(ops), free, entropy
+            )
+        )
+
+
+@DIFF_SETTINGS
+@given(batch=sampler_requests(), entropy=st.integers(min_value=0, max_value=1))
 def test_reference_kernel_is_the_fenwick_oracle(batch, entropy):
     """The reference backend must be a *thin wrapper*: replaying the draw
     ops through a hand-driven WeightedSampler on the same uint32 stream
     reproduces its keys exactly."""
     weights, ops, free = batch
     via_kernel = _run_kernel_draw("reference", weights, ops, free, entropy)
+    ops = expand_place_runs(ops)
 
     sampler = WeightedSampler()
     for slot, weight in enumerate(weights):
