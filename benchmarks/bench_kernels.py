@@ -6,12 +6,14 @@ draws (a mixed op stream, and File Add's one long place run) -- on both
 :mod:`repro.kernels` backends at the pinned benchmark
 shapes (defined once in :mod:`kernel_shapes`, shared with the pytest
 gates), verifies the backends agree (identical ``PlacementResult`` /
-identical chosen sector sets / identical drawn-key sequences), and
-writes a machine-readable ``BENCH_kernels.json`` for the CI
-`bench-smoke` job to upload.  Exits non-zero when the vectorized backend
-is not faster than reference on any kernel, or when the refresh or
-sampler speedup misses its acceptance bar; the File Add run's draws/s
-are recorded, not gated.
+identical chosen sector sets in both placement forms / identical
+drawn-key sequences), and writes a machine-readable
+``BENCH_kernels.json`` for the CI `bench-smoke` job to upload.  Exits
+non-zero when the vectorized backend is not faster than reference on any
+kernel, or when the refresh or sampler speedup misses its acceptance
+bar; the File Add run's draws/s and the array-placement attack
+(``greedy_array_placements``, vectorized only -- the rescanning oracle
+does not finish that shape in seconds) are recorded, not gated.
 
 Usage::
 
@@ -39,6 +41,10 @@ from kernel_shapes import (  # noqa: E402
     FILE_ADD_N_SLOTS,
     FILE_ADD_PLACES,
     FILE_ADD_SIZE,
+    GREEDY_ARRAY_BUDGET,
+    GREEDY_ARRAY_N_FILES,
+    GREEDY_ARRAY_N_SECTORS,
+    GREEDY_ARRAY_REPLICAS,
     MIN_REFRESH_SPEEDUP,
     MIN_SAMPLER_SPEEDUP,
     REFRESH_MULTIPLIER,
@@ -51,6 +57,7 @@ from kernel_shapes import (  # noqa: E402
     best_wall,
     run_file_add,
     run_greedy,
+    run_greedy_array_placements,
     run_refresh,
     run_sampler,
 )
@@ -75,9 +82,12 @@ def main(argv=None) -> int:
     assert run_refresh("reference") == run_refresh("vectorized"), (
         "refresh kernels disagree between backends"
     )
-    assert run_greedy("reference") == run_greedy("vectorized"), (
-        "greedy kernels disagree between backends"
-    )
+    assert (
+        run_greedy("reference")
+        == run_greedy("vectorized")
+        == run_greedy("reference", as_array=True)
+        == run_greedy("vectorized", as_array=True)
+    ), "greedy kernels disagree between backends or placement forms"
     assert run_sampler("reference") == run_sampler("vectorized"), (
         "batch_weighted_draw kernels disagree between backends"
     )
@@ -107,6 +117,14 @@ def main(argv=None) -> int:
             FILE_ADD_PLACES / seconds
         )
 
+    attack_seconds = best_wall(run_greedy_array_placements, args.repeats)
+    results["greedy_array_placements"] = {
+        "vectorized_seconds": round(attack_seconds, 6),
+        "vectorized_replicas_per_s": round(
+            GREEDY_ARRAY_N_FILES * GREEDY_ARRAY_REPLICAS / attack_seconds
+        ),
+    }
+
     artifact = {
         "shapes": {
             "refresh": {
@@ -119,6 +137,12 @@ def main(argv=None) -> int:
                 "n_files": ADVERSARY_N_FILES,
                 "replicas": ADVERSARY_REPLICAS,
                 "budget": ADVERSARY_BUDGET,
+            },
+            "greedy_array_placements": {
+                "n_sectors": GREEDY_ARRAY_N_SECTORS,
+                "n_files": GREEDY_ARRAY_N_FILES,
+                "replicas": GREEDY_ARRAY_REPLICAS,
+                "budget": GREEDY_ARRAY_BUDGET,
             },
             "batch_weighted_draw": {
                 "n_slots": SAMPLER_N_SLOTS,
@@ -147,6 +171,9 @@ def main(argv=None) -> int:
         handle.write("\n")
 
     for kernel, row in results.items():
+        if "reference_seconds" not in row:
+            print(f"{kernel}: vectorized {row['vectorized_seconds'] * 1000:.1f}ms")
+            continue
         print(
             f"{kernel}: reference {row['reference_seconds'] * 1000:.1f}ms, "
             f"vectorized {row['vectorized_seconds'] * 1000:.1f}ms "

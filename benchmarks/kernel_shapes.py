@@ -40,6 +40,17 @@ ADVERSARY_N_FILES = 3_000
 ADVERSARY_REPLICAS = 4
 ADVERSARY_BUDGET = 0.4
 
+#: Array-placement shape: one Theorem 3 trial's targeted attack as
+#: ``simulate_loss`` hands it over -- 10^4 files x 10 replicas over 10^4
+#: unit sectors as one 2-D array, half the capacity corrupted.  Beyond
+#: what the rescanning reference finishes in seconds, so it is timed on
+#: the vectorized backend only (the backends are compared at the pinned
+#: shape above, in both placement forms); recorded, never gated.
+GREEDY_ARRAY_N_SECTORS = 10_000
+GREEDY_ARRAY_N_FILES = 10_000
+GREEDY_ARRAY_REPLICAS = 10
+GREEDY_ARRAY_BUDGET = 0.5
+
 #: Weighted-sampler shape: a capacity table at Table-III-ish scale with
 #: draw batches interleaved with weight updates (the segment replays the
 #: vectorized engine must survive), plus a resample-on-full place tail.
@@ -83,11 +94,27 @@ def adversary_workload():
     return capacities, placements, values
 
 
-def run_greedy(backend: str):
-    """One full greedy selection at the pinned shape."""
+def run_greedy(backend: str, as_array: bool = False):
+    """One full greedy selection at the pinned shape, in either placement form."""
     capacities, placements, values = adversary_workload()
+    if as_array:
+        placements = np.array(placements)
     adversary = GreedyCapacityAdversary(seed=1, backend=backend)
     return adversary.choose_sectors(capacities, placements, values, ADVERSARY_BUDGET)
+
+
+def run_greedy_array_placements():
+    """One targeted attack at the array-placement shape (vectorized backend)."""
+    placements = np.random.default_rng(7).integers(
+        0, GREEDY_ARRAY_N_SECTORS, (GREEDY_ARRAY_N_FILES, GREEDY_ARRAY_REPLICAS)
+    )
+    adversary = GreedyCapacityAdversary(seed=1, backend="vectorized")
+    return adversary.attack(
+        np.ones(GREEDY_ARRAY_N_SECTORS),
+        placements,
+        np.ones(GREEDY_ARRAY_N_FILES),
+        GREEDY_ARRAY_BUDGET,
+    )
 
 
 def sampler_workload():

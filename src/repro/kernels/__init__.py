@@ -10,6 +10,8 @@ seam:
   contract (four kernels, bit-equivalence rules);
 * :mod:`repro.kernels.sampling` -- the shared uint32 draw protocol behind
   ``batch_weighted_draw`` (word stream, rejection adapter, validation);
+* :mod:`repro.kernels.placements` -- the shared validation of
+  ``greedy_select``'s two placement forms into CSR columns;
 * :mod:`repro.kernels.reference` -- the original readable loops, kept as
   the correctness oracle;
 * :mod:`repro.kernels.vectorized` -- numpy sorted/grouped-scan
@@ -44,6 +46,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.kernels.base import KernelBackend
+from repro.kernels.placements import Placements, normalize_placements
 from repro.kernels.reference import ReferenceKernels
 from repro.kernels.sampling import BatchDrawResult, sampler_stream
 from repro.kernels.vectorized import VectorizedKernels
@@ -59,6 +62,7 @@ __all__ = [
     "VectorizedKernels",
     "available_backends",
     "get_backend",
+    "normalize_placements",
     "resolve_backend_name",
     "sampler_stream",
 ]
@@ -153,7 +157,7 @@ class InstrumentedBackend(KernelBackend):
     def greedy_select(
         self,
         capacities: "np.ndarray",
-        placements: Sequence[Sequence[int]],
+        placements: Placements,
         values: Sequence[float],
         budget: float,
     ) -> Set[int]:

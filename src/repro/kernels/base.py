@@ -26,10 +26,12 @@ exactly equal, not merely close.
 
 Tie-breaking in :meth:`greedy_select` is part of the contract: candidates
 are scored by ``(finishing_value, replica_count / capacity)`` and ties
-resolve to the lowest sector index.  Exact cross-backend equality of the
-chosen set additionally requires file values whose partial sums are
-exactly representable (integers or small dyadics); the experiments use
-integer-valued files, where equality is exact.
+resolve to the lowest sector index.  ``finishing_value`` is *defined* as
+the sum, in file order starting from ``0.0``, of the values of the hosted
+files with exactly one healthy replica left -- a backend that keeps
+scores between picks must land on that very float (``(a + v) - v != a``),
+so the chosen set is identical for any non-negative file values, not
+only exactly representable ones.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.kernels.placements import Placements
 from repro.kernels.sampling import BatchDrawResult
 
 __all__ = ["KernelBackend"]
@@ -108,7 +111,7 @@ class KernelBackend(ABC):
     def greedy_select(
         self,
         capacities: np.ndarray,
-        placements: Sequence[Sequence[int]],
+        placements: Placements,
         values: Sequence[float],
         budget: float,
     ) -> Set[int]:
@@ -117,9 +120,23 @@ class KernelBackend(ABC):
         Repeatedly corrupts the candidate sector with the best
         ``(finishing_value, replica_count / capacity)`` score that still
         fits the remaining ``budget`` (absolute capacity units), where
-        ``finishing_value`` sums the values of files whose *last* healthy
-        replica lives in the candidate.  Ties resolve to the lowest
-        sector index.  Stops when no candidate fits the budget.
+        ``finishing_value`` sums, in file order, the values of files
+        whose *last* healthy replica lives in the candidate and
+        ``replica_count`` counts the files hosted there (lost ones
+        included).  Ties resolve to the lowest sector index.  Stops when
+        no candidate fits the budget.
+
+        ``placements`` comes in either of two forms, with one meaning:
+        a sequence of per-file sector sequences (ragged and empty rows
+        allowed), or a 2-D integer ``numpy`` array with one row per file
+        -- the form a Monte-Carlo draw already has, taken without
+        building a list per file.  A sector listed twice by one file
+        hosts one replica of it.  Every backend normalises through
+        :func:`~repro.kernels.placements.normalize_placements`, so a
+        malformed request (a non-integer, negative or ``>=
+        len(capacities)`` sector index, ``len(values)`` different from
+        the number of files, a negative capacity or value) raises the
+        same ``ValueError`` on every backend before any sector is chosen.
         """
 
     @abstractmethod

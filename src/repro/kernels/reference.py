@@ -10,11 +10,12 @@ cross-backend equivalence tests treat them as ground truth.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.kernels.base import KernelBackend
+from repro.kernels.placements import Placements, normalize_placements
 from repro.kernels.sampling import (
     BatchDrawResult,
     U32Randint,
@@ -73,22 +74,23 @@ class ReferenceKernels(KernelBackend):
     def greedy_select(
         self,
         capacities: np.ndarray,
-        placements: Sequence[Sequence[int]],
+        placements: Placements,
         values: Sequence[float],
         budget: float,
     ) -> Set[int]:
-        caps = np.asarray(capacities, dtype=float)
+        caps, file_of, sector_of, values_arr = normalize_placements(
+            capacities, placements, values
+        )
         n_sectors = len(caps)
+        file_values = values_arr.tolist()
 
-        # sector -> set of files with a replica there; files keep counting
-        # even once lost, mirroring the original scoring loop.
-        hosted: List[Dict[int, int]] = [dict() for _ in range(n_sectors)]
-        remaining_healthy: List[int] = []
-        for file_index, sectors in enumerate(placements):
-            distinct = set(sectors)
-            remaining_healthy.append(len(distinct))
-            for sector in distinct:
-                hosted[sector][file_index] = hosted[sector].get(file_index, 0) + 1
+        # sector -> files with a replica there, in file order; files keep
+        # counting even once lost, mirroring the original scoring loop.
+        hosted: List[List[int]] = [[] for _ in range(n_sectors)]
+        remaining_healthy = [0] * len(file_values)
+        for file_index, sector in zip(file_of.tolist(), sector_of.tolist()):
+            hosted[sector].append(file_index)
+            remaining_healthy[file_index] += 1
 
         chosen: Set[int] = set()
         spent = 0.0
@@ -106,7 +108,7 @@ class ReferenceKernels(KernelBackend):
                 for file_index in hosted[sector]:
                     replica_count += 1
                     if remaining_healthy[file_index] == 1:
-                        finishing_value += values[file_index]
+                        finishing_value += file_values[file_index]
                 score = (finishing_value, float(replica_count) / max(caps[sector], 1e-12))
                 if score > best_score:
                     best_score = score

@@ -1,6 +1,6 @@
 """Vectorised kernels: numpy sorted/grouped scans, bit-equal to reference.
 
-Three ideas carry the speedups while preserving exact floating-point
+Four ideas carry the speedups while preserving exact floating-point
 equality with :class:`~repro.kernels.reference.ReferenceKernels`:
 
 * **refresh churn** -- a batch of moves is resolved into per-move source
@@ -15,12 +15,13 @@ equality with :class:`~repro.kernels.reference.ReferenceKernels`:
   running per-sector maxima, boundary snapshots and the final usage
   vector are bit-identical to the scalar loop, for any batch split.
 * **greedy selection** -- instead of rescoring every candidate against
-  every hosted file per pick (O(sectors x files/sector)), the
-  ``finishing_value`` array is maintained incrementally: corrupting a
-  sector decrements its files' healthy-replica counts, and only files
-  crossing the 2 -> 1 (now finishable) or 1 -> 0 (lost) boundaries touch
-  the scores of the sectors hosting them.  Each pick is then one masked
-  lexicographic argmax over the sector arrays.
+  every hosted file per pick (O(sectors x files/sector)), the placement
+  is normalised once into CSR columns and the ``finishing_value`` scores
+  are kept between picks: corrupting a sector decrements its files'
+  healthy-replica counts, and only a file crossing 2 -> 1 (now
+  finishable) moves a score -- that of its one healthy host, which is
+  recomputed as the contract's fresh file-order sum.  The next pick pops
+  off a lazy heap keyed ``(-finishing, -secondary, sector)``.
 * **placement** -- ``np.bincount`` accumulates weights in input order,
   i.e. the same addition order as the reference loop, so the batched
   capacity-proportional placement is exact as well.
@@ -35,12 +36,14 @@ equality with :class:`~repro.kernels.reference.ReferenceKernels`:
 
 from __future__ import annotations
 
+import heapq
 from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro import telemetry
 from repro.kernels.base import KernelBackend
+from repro.kernels.placements import Placements, normalize_placements
 from repro.kernels.sampling import (
     BatchDrawResult,
     U32Stream,
@@ -496,77 +499,79 @@ class VectorizedKernels(KernelBackend):
     def greedy_select(
         self,
         capacities: np.ndarray,
-        placements: Sequence[Sequence[int]],
+        placements: Placements,
         values: Sequence[float],
         budget: float,
     ) -> Set[int]:
-        caps = np.asarray(capacities, dtype=float)
-        n_sectors = int(caps.size)
-        values_arr = np.asarray(values, dtype=float)
-        n_files = len(placements)
-
-        # Distinct (file, sector) incidence, as two flat CSR-style views.
-        file_ids: List[int] = []
-        sector_ids: List[int] = []
-        for file_index, sectors in enumerate(placements):
-            for sector in sorted(set(sectors)):
-                file_ids.append(file_index)
-                sector_ids.append(sector)
-        file_of = np.asarray(file_ids, dtype=np.int64)
-        sector_of = np.asarray(sector_ids, dtype=np.int64)
-
-        remaining_healthy = np.bincount(file_of, minlength=n_files).astype(np.int64)
-        replica_count = np.bincount(sector_of, minlength=n_sectors).astype(float)
-
-        by_sector = np.argsort(sector_of, kind="stable")
-        files_by_sector = file_of[by_sector]
-        sector_starts = np.searchsorted(
-            sector_of[by_sector], np.arange(n_sectors + 1)
+        caps, file_of, sector_of, values_arr = normalize_placements(
+            capacities, placements, values
         )
-        # file_of is built in nondecreasing file order, so the by-file CSR
-        # view is just the incidence arrays themselves -- no sort needed.
-        sectors_by_file = sector_of
-        file_starts = np.searchsorted(file_of, np.arange(n_files + 1))
+        n_sectors = int(caps.size)
+        n_files = int(values_arr.size)
 
-        finishing = np.zeros(n_sectors, dtype=float)
-        for file_index in np.flatnonzero(remaining_healthy == 1):
-            hosts = sectors_by_file[
-                file_starts[file_index] : file_starts[file_index + 1]
-            ]
-            finishing[hosts] += values_arr[file_index]
+        replica_count = np.bincount(sector_of, minlength=n_sectors)
+        healthy_hosts = np.bincount(file_of, minlength=n_files)
+        # By-sector CSR view of the incidence; the stable grouping keeps
+        # each sector's files in file order, the order scores sum in.
+        files_by_sector = file_of[self._stable_group_order(sector_of, n_sectors)]
+        starts = np.concatenate(([0], np.cumsum(replica_count))).tolist()
 
+        # bincount adds in input order, i.e. file order within a sector.
+        single = np.repeat(healthy_hosts == 1, healthy_hosts)
+        scores = np.bincount(
+            sector_of[single], weights=values_arr[file_of[single]], minlength=n_sectors
+        )
         # The secondary score is static: lost files keep counting, exactly
         # as in the reference scan.
-        secondary = replica_count / np.maximum(caps, 1e-12)
+        neg_secondary = (-(replica_count / np.maximum(caps, 1e-12))).tolist()
+        heap = list(zip((-scores).tolist(), neg_secondary, range(n_sectors)))
+        heapq.heapify(heap)
 
-        candidate = np.ones(n_sectors, dtype=bool)
+        # The pick loop runs on plain ints and floats: with a few files per
+        # sector, as the scenarios place them, a numpy call per pick costs
+        # more than the loop it would replace (they break even near 20).
+        finishing = scores.tolist()
+        remaining = healthy_hosts.tolist()
+        # Sum of a file's healthy host indices: once a single healthy
+        # replica is left, the sum *is* the sector holding it.
+        host_sum = (
+            np.bincount(file_of, weights=sector_of, minlength=n_files)
+            .astype(np.int64)
+            .tolist()
+        )
+        file_values = values_arr.tolist()
+        sector_caps = caps.tolist()
+        limit = budget + 1e-9
+        smallest = min(sector_caps, default=0.0)
         chosen: Set[int] = set()
         spent = 0.0
-        while True:
-            feasible = candidate & (spent + caps <= budget + 1e-9)
-            if not feasible.any():
-                break
-            primary = np.where(feasible, finishing, -np.inf)
-            best_primary = primary.max()
-            tied = feasible & (primary == best_primary)
-            ranked = np.where(tied, secondary, -np.inf)
-            best = int(np.argmax(ranked))  # first occurrence = lowest index
-            candidate[best] = False
-            chosen.add(best)
-            spent += float(caps[best])
-            for file_index in files_by_sector[
-                sector_starts[best] : sector_starts[best + 1]
-            ]:
-                remaining_healthy[file_index] -= 1
-                left = remaining_healthy[file_index]
-                if left == 1 or left == 0:
-                    hosts = sectors_by_file[
-                        file_starts[file_index] : file_starts[file_index + 1]
-                    ]
-                    if left == 1:  # newly finishable
-                        finishing[hosts] += values_arr[file_index]
-                    else:  # lost: stops contributing anywhere
-                        finishing[hosts] -= values_arr[file_index]
+        while heap and spent + smallest <= limit:  # else nothing fits any more
+            neg_finishing, _, sector = heapq.heappop(heap)
+            if sector in chosen or -neg_finishing != finishing[sector]:
+                continue  # stale: already corrupted, or rescored since the push
+            if spent + sector_caps[sector] > limit:
+                continue  # spent only grows, so it never fits again
+            chosen.add(sector)
+            spent += sector_caps[sector]
+            rescored = set()
+            for file_index in files_by_sector[starts[sector] : starts[sector + 1]].tolist():
+                left = remaining[file_index] - 1
+                remaining[file_index] = left
+                host_sum[file_index] -= sector
+                if left == 1:  # newly finishable, by its one healthy host
+                    rescored.add(host_sum[file_index])
+                # left == 0: the file is lost with this very sector, its
+                # last healthy host, so no candidate's score moves.
+            for host in rescored:
+                # Fresh file-order sum, the contract's definition: a running
+                # += / -= would drift from it on non-dyadic values.
+                fresh = 0.0
+                for file_index in files_by_sector[starts[host] : starts[host + 1]].tolist():
+                    if remaining[file_index] == 1:
+                        fresh += file_values[file_index]
+                if fresh != finishing[host]:
+                    finishing[host] = fresh
+                    heapq.heappush(heap, (-fresh, neg_secondary[host], host))
         return chosen
 
     # ------------------------------------------------------------------

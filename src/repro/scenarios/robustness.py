@@ -7,9 +7,10 @@ network's capacity collapses (``lambda = 0.5``) the lost value is at most
 
 1. evaluates the analytic bound at the paper's exact parameters across a
    sweep of ``lambda``;
-2. Monte-Carlo-simulates random i.i.d. replica placement at a scaled-down
-   ``Ns`` and measures the realised loss ratio under both a random and a
-   greedy (targeted) adversary, confirming the simulated loss sits far
+2. Monte-Carlo-simulates random i.i.d. replica placement -- one array
+   draw per trial, kept as an array through the adversary to the loss
+   ratio -- and measures the realised loss ratio under both a random and
+   a greedy (targeted) adversary, confirming the simulated loss sits far
    below the bound;
 3. contrasts FileInsurer's randomised placement against a clustered
    (Filecoin-deal-style) placement to show why storage randomness is the
@@ -72,9 +73,11 @@ def simulate_loss(
     sectors are corrupted, only how fast they are found.
     """
     rng = np.random.default_rng(seed)
-    placements = [list(rng.integers(0, n_sectors, k)) for _ in range(n_files)]
-    values = [1.0] * n_files
-    capacities = [1.0] * n_sectors
+    # One draw for every replica: the same stream, value for value, as a
+    # draw per file, and the array goes to the adversary as it is.
+    placements = rng.integers(0, n_sectors, (n_files, k))
+    values = np.ones(n_files)
+    capacities = np.ones(n_sectors)
     adversary = (
         GreedyCapacityAdversary(seed=seed, backend=backend)
         if targeted
@@ -103,7 +106,7 @@ def run_placement_contrast(
     values = [1.0] * n_files
     adversary = GreedyCapacityAdversary(seed=seed)
 
-    random_placements = [list(rng.integers(0, n_sectors, k)) for _ in range(n_files)]
+    random_placements = rng.integers(0, n_sectors, (n_files, k))
     random_outcome = adversary.attack(capacities, random_placements, values, lam)
 
     pool = rng.permutation(n_sectors)[: max(k, int(pool_fraction * n_sectors))]
@@ -153,9 +156,8 @@ def _build_trials(params):
 def _aggregate(rows, params):
     """Per-(lambda, adversary) loss statistics next to the Theorem 3 bound.
 
-    The simulation uses a scaled ``Ns`` and a smaller ``k`` so the targeted
-    adversary remains affordable; the bound is evaluated at the *same*
-    scaled parameters so the comparison is apples-to-apples.
+    The bound is evaluated at the *same* ``n_sectors`` and ``k`` the
+    simulation ran at, so the comparison is apples-to-apples.
     """
     summary = summarize(rows, group_by=("lambda", "adversary"), values=("loss",))
     gamma_m_v = params["n_files"] / (params["cap_para"] * params["n_sectors"])

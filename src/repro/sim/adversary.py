@@ -12,11 +12,13 @@ arbitrarily.  Two strategies are provided:
 
 Both operate either on a :class:`FileInsurerProtocol` instance (corrupting
 its sectors) or on a plain placement map, which is what the Monte-Carlo
-robustness experiments use for speed.  The greedy selection loop is one
-of the backend-dispatched simulation kernels (:mod:`repro.kernels`):
+robustness experiments use for speed -- either a sequence of per-file
+sector sequences or, straight from a Monte-Carlo draw, one 2-D integer
+array with a row per file.  The greedy selection loop is one of the
+backend-dispatched simulation kernels (:mod:`repro.kernels`):
 ``reference`` is the readable rescan-per-pick loop, ``vectorized`` keeps
-the finishing-value scores incrementally and picks with one masked
-argmax per corruption -- both choose identical sector sets.
+the finishing-value scores between picks and pops the next sector off a
+lazy heap -- both choose identical sector sets.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import List, Optional, Protocol, Sequence, Set, Tuple, Union
 import numpy as np
 
 from repro.kernels import KernelBackend, get_backend
+from repro.kernels.placements import Placements, checked_placement_array
 
 __all__ = [
     "CorruptionOutcome",
@@ -63,8 +66,15 @@ class CorruptionOutcome:
         return self.lost_value / self.total_value
 
 
+def _ordered_sum(numbers: Sequence[float]) -> float:
+    """Left-to-right float sum, whichever container holds the numbers."""
+    if isinstance(numbers, np.ndarray):
+        return float(np.cumsum(numbers, dtype=float)[-1]) if numbers.size else 0.0
+    return float(sum(numbers))
+
+
 def evaluate_loss(
-    placements: Sequence[Sequence[int]],
+    placements: Placements,
     values: Sequence[float],
     corrupted: Set[int],
     capacities: Sequence[float],
@@ -72,22 +82,34 @@ def evaluate_loss(
     """Compute which files are lost given a set of corrupted sectors.
 
     ``placements[i]`` lists the sector indices hosting the replicas of file
-    ``i``; the file is lost iff every one of them is corrupted.
+    ``i``; the file is lost iff every one of them is corrupted.  A 2-D
+    integer array of placements is answered with one mask lookup, its
+    sums taken in the same file order as the per-file walk.
     """
-    lost_files: List[int] = []
-    lost_value = 0.0
-    for file_index, sectors in enumerate(placements):
-        if sectors and all(sector in corrupted for sector in sectors):
-            lost_files.append(file_index)
-            lost_value += values[file_index]
+    if isinstance(placements, np.ndarray):
+        replicas = checked_placement_array(placements, len(capacities))
+        is_corrupted = np.zeros(len(capacities), dtype=bool)
+        is_corrupted[list(corrupted)] = True
+        lost = np.flatnonzero(is_corrupted[replicas].all(axis=1))
+        if replicas.shape[1] == 0:  # a file without replicas is not lost
+            lost = lost[:0]
+        lost_files = lost.tolist()
+        lost_value = _ordered_sum(np.asarray(values, dtype=float)[lost])
+    else:
+        lost_files = []
+        lost_value = 0.0
+        for file_index, sectors in enumerate(placements):
+            if sectors and all(sector in corrupted for sector in sectors):
+                lost_files.append(file_index)
+                lost_value += values[file_index]
     corrupted_capacity = float(sum(capacities[s] for s in corrupted))
     return CorruptionOutcome(
         corrupted_sectors=tuple(sorted(corrupted)),
         corrupted_capacity=corrupted_capacity,
-        total_capacity=float(sum(capacities)),
+        total_capacity=_ordered_sum(capacities),
         lost_files=tuple(lost_files),
         lost_value=lost_value,
-        total_value=float(sum(values)),
+        total_value=_ordered_sum(values),
     )
 
 
@@ -97,7 +119,7 @@ class AdversaryModel(Protocol):
     def choose_sectors(
         self,
         capacities: Sequence[float],
-        placements: Sequence[Sequence[int]],
+        placements: Placements,
         values: Sequence[float],
         budget_fraction: float,
     ) -> Set[int]:
@@ -113,7 +135,7 @@ class RandomCapacityAdversary:
     def choose_sectors(
         self,
         capacities: Sequence[float],
-        placements: Sequence[Sequence[int]],
+        placements: Placements,
         values: Sequence[float],
         budget_fraction: float,
     ) -> Set[int]:
@@ -125,11 +147,11 @@ class RandomCapacityAdversary:
         order = self._rng.permutation(len(caps))
         chosen: Set[int] = set()
         spent = 0.0
-        for index in order:
-            if spent + caps[index] > budget + 1e-9:
+        for index, size in zip(order.tolist(), caps[order].tolist()):
+            if spent + size > budget + 1e-9:
                 continue
-            chosen.add(int(index))
-            spent += caps[index]
+            chosen.add(index)
+            spent += size
             if spent >= budget - 1e-9:
                 break
         return chosen
@@ -137,7 +159,7 @@ class RandomCapacityAdversary:
     def attack(
         self,
         capacities: Sequence[float],
-        placements: Sequence[Sequence[int]],
+        placements: Placements,
         values: Sequence[float],
         budget_fraction: float,
     ) -> CorruptionOutcome:
@@ -174,7 +196,7 @@ class GreedyCapacityAdversary:
     def choose_sectors(
         self,
         capacities: Sequence[float],
-        placements: Sequence[Sequence[int]],
+        placements: Placements,
         values: Sequence[float],
         budget_fraction: float,
     ) -> Set[int]:
@@ -188,7 +210,7 @@ class GreedyCapacityAdversary:
     def attack(
         self,
         capacities: Sequence[float],
-        placements: Sequence[Sequence[int]],
+        placements: Placements,
         values: Sequence[float],
         budget_fraction: float,
     ) -> CorruptionOutcome:

@@ -264,7 +264,7 @@ def entries_from_artifact(
 
     results = data.get("results")
     if isinstance(results, Mapping) and all(
-        isinstance(row, Mapping) and "reference_seconds" in row
+        isinstance(row, Mapping) and "vectorized_seconds" in row
         for row in results.values()
     ):
         shapes = data.get("shapes") or {}
@@ -276,6 +276,8 @@ def entries_from_artifact(
                 ("reference", "reference_seconds"),
                 ("vectorized", "vectorized_seconds"),
             ):
+                if field not in row:  # a shape beyond the oracle's reach
+                    continue
                 entries.append(
                     make_entry(
                         f"kernel.{kernel}",

@@ -9,14 +9,17 @@ collision counts).  These tests sweep a seed/shape grid over both
 backends and additionally pin the refresh engine's batch-size
 invariance (the PR-4 metrics fix): ``batch_size`` bounds memory only,
 so serial (``batch_size=1``) and batched runs must be byte-identical.
-The hypothesis-generated differential pack lives in
-``tests/test_property_based.py``.
+The hypothesis-generated differential pack of the sampler lives in
+``tests/test_property_based.py``; the greedy adversary's (small instances
+with non-dyadic values, both placement forms) is here, next to its grid.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.selector import CapacitySelector
 from repro.crypto.prng import DeterministicPRNG
@@ -27,6 +30,7 @@ from repro.kernels import (
     KernelError,
     available_backends,
     get_backend,
+    normalize_placements,
     resolve_backend_name,
     sampler_stream,
 )
@@ -219,6 +223,48 @@ def _greedy_workload(seed, n_sectors, n_files, replicas, equal_caps=False):
     return capacities, placements, values
 
 
+def _select(name, capacities, placements, values, budget):
+    return get_backend(name).greedy_select(
+        np.asarray(capacities, dtype=float), placements, values, budget
+    )
+
+
+#: The case hypothesis found on the parent of PR 20: values whose sums
+#: are not exact, so a score kept with ``+= v`` / ``-= v`` drifts from
+#: the fresh file-order sum and a tie breaks the other way.
+NON_DYADIC_CASE = dict(
+    capacities=[1, 1, 2, 1, 2],
+    budget=5.9103422412317945,
+    placements=[
+        [0, 4], [3, 1], [4, 2], [1, 4], [2, 0], [3, 3], [2, 4], [4, 1],
+        [1, 3], [4, 2], [3, 0], [4, 3], [4, 1], [2, 1], [1, 4], [1, 2],
+    ],
+    values=[.7, .3, 1.1, .7, .2, .7, .2, .1, 1.1, .7, .1, .2, .1, .3, .3, 1.1],
+)
+
+
+@st.composite
+def greedy_instances(draw):
+    """Small adversary instances with inexact values and unequal capacities."""
+    n_sectors = draw(st.integers(1, 5))
+    n_files = draw(st.integers(0, 20))
+    sector = st.integers(0, n_sectors - 1)
+    placements = draw(
+        st.lists(st.lists(sector, max_size=3), min_size=n_files, max_size=n_files)
+    )
+    values = draw(
+        st.lists(
+            st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.1]),
+            min_size=n_files, max_size=n_files,
+        )
+    )
+    capacities = draw(
+        st.lists(st.sampled_from([1, 1, 2]), min_size=n_sectors, max_size=n_sectors)
+    )
+    fraction = draw(st.floats(0.0, 1.0))
+    return capacities, placements, values, fraction
+
+
 class TestGreedyKernelEquivalence:
     @pytest.mark.parametrize("seed", (0, 1, 2))
     @pytest.mark.parametrize(
@@ -227,37 +273,150 @@ class TestGreedyKernelEquivalence:
     )
     @pytest.mark.parametrize("budget", (0.2, 0.5))
     def test_choose_sectors_identical(self, seed, shape, budget):
+        """Array form == list form == reference across the grid."""
         n_sectors, n_files, replicas = shape
         capacities, placements, values = _greedy_workload(
             seed, n_sectors, n_files, replicas
         )
         chosen = [
             GreedyCapacityAdversary(seed=seed, backend=name).choose_sectors(
-                capacities, placements, values, budget
+                capacities, form, values, budget
             )
             for name in BACKENDS
+            for form in (placements, np.array(placements))
         ]
-        assert chosen[0] == chosen[1]
+        assert chosen[0] and all(sectors == chosen[0] for sectors in chosen)
 
     def test_attack_outcomes_identical(self):
         capacities, placements, values = _greedy_workload(4, 50, 300, 3, equal_caps=True)
         outcomes = [
             GreedyCapacityAdversary(seed=4, backend=name).attack(
-                capacities, placements, values, 0.4
+                capacities, form, values, 0.4
             )
             for name in BACKENDS
+            for form in (placements, np.array(placements))
         ]
-        assert outcomes[0] == outcomes[1]
+        assert all(outcome == outcomes[0] for outcome in outcomes)
 
     def test_edge_cases_agree(self):
         for name in BACKENDS:
             adversary = GreedyCapacityAdversary(backend=name)
             # Zero budget corrupts nothing on either backend.
             assert adversary.choose_sectors([1.0] * 5, [[0, 1]], [1.0], 0.0) == set()
+            assert adversary.choose_sectors(
+                [1.0] * 5, np.array([[0, 1]]), [1.0], 0.0
+            ) == set()
             # Files with empty placements never finish anything.
             assert adversary.choose_sectors(
                 [1.0] * 3, [[], [0]], [5.0, 1.0], 1.0
             ) == {0, 1, 2}
+            # No files at all, in either form: sectors go by index.
+            assert adversary.choose_sectors([1.0] * 4, [], [], 0.5) == {0, 1}
+            empty = np.empty((0, 3), dtype=np.int64)
+            assert adversary.attack([1.0] * 4, empty, [], 0.5).lost_files == ()
+            # Replica-less rows of an array are no more lost than empty lists.
+            no_replicas = np.empty((2, 0), dtype=np.int64)
+            outcome = adversary.attack([1.0] * 2, no_replicas, [1.0, 1.0], 1.0)
+            assert outcome.corrupted_sectors == (0, 1) and outcome.lost_files == ()
+
+    def test_ragged_rows_and_repeated_sectors(self):
+        """A sector a file lists twice hosts one replica of it."""
+        capacities = [1.0, 2.0, 1.0, 1.0]
+        placements = [[1, 1, 1], [0], [3, 2, 3, 0], [], [2, 2]]
+        values = [5.0, 1.0, 2.0, 9.0, 3.0]
+        assert [
+            _select(name, capacities, placements, values, 3.0) for name in BACKENDS
+        ] == [{1, 2}, {1, 2}]
+        # The same repeats as array rows (padding a row repeats a sector).
+        padded = np.array([[1, 1, 1, 1], [0, 0, 0, 0], [3, 2, 3, 0], [2, 2, 2, 2]])
+        dense_values = [5.0, 1.0, 2.0, 3.0]
+        as_lists = [sorted(set(row)) for row in padded.tolist()]
+        picks = {
+            frozenset(_select(name, capacities, form, dense_values, 3.0))
+            for name in BACKENDS
+            for form in (padded, as_lists)
+        }
+        assert picks == {frozenset({1, 2})}
+
+    def test_non_dyadic_values_break_ties_alike(self):
+        """Regression: scores are fresh file-order sums on every backend."""
+        case = NON_DYADIC_CASE
+        for name in BACKENDS:
+            chosen = _select(
+                name, case["capacities"], case["placements"], case["values"], case["budget"]
+            )
+            assert chosen == {0, 1, 3, 4}, name
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(instance=greedy_instances())
+    def test_property_identical_sets_and_outcomes(self, instance):
+        capacities, placements, values, fraction = instance
+        budget = fraction * float(sum(capacities))
+        reference = _select("reference", capacities, placements, values, budget)
+        assert _select("vectorized", capacities, placements, values, budget) == reference
+        outcomes = [
+            GreedyCapacityAdversary(backend=name).attack(
+                capacities, placements, values, fraction
+            )
+            for name in BACKENDS
+        ]
+        assert outcomes[0] == outcomes[1]
+        # Rectangular instances go through the array form as well.
+        if placements and len(set(map(len, placements))) == 1:
+            array = np.array(placements, dtype=np.int64).reshape(len(placements), -1)
+            for name in BACKENDS:
+                assert _select(name, capacities, array, values, budget) == reference
+                assert (
+                    GreedyCapacityAdversary(backend=name).attack(
+                        capacities, array, values, fraction
+                    )
+                    == outcomes[0]
+                )
+
+    def test_normalized_columns(self):
+        """Distinct (file, sector) pairs sorted by file then sector, both forms."""
+        capacities, values = [1.0] * 5, [1.0, 2.0, 3.0]
+        ragged = [[4, 0, 4], [], [2, 1]]
+        _, file_of, sector_of, _ = normalize_placements(capacities, ragged, values)
+        assert file_of.tolist() == [0, 0, 2, 2] and sector_of.tolist() == [0, 4, 1, 2]
+        array = np.array([[4, 0, 4], [3, 3, 3], [2, 1, 2]], dtype=np.uint16)
+        _, file_of, sector_of, _ = normalize_placements(capacities, array, values)
+        assert file_of.tolist() == [0, 0, 1, 2, 2]
+        assert sector_of.tolist() == [0, 4, 3, 1, 2]
+        assert file_of.dtype == sector_of.dtype == np.int64
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("as_array", (False, True), ids=("lists", "array"))
+    @pytest.mark.parametrize(
+        "placements, values, message",
+        (
+            ([[0, -1], [1, 2]], [1.0, 1.0], "index -1 out of range [0, 3)"),
+            ([[0, 1], [1, 3]], [1.0, 1.0], "index 3 out of range [0, 3)"),
+            ([[0, 0.5], [1, 2]], [1.0, 1.0], "must be integers"),
+            ([[True, False], [True, True]], [1.0, 1.0], "must be integers"),
+            ([[0, 1], [1, 2]], [1.0], "values has 1 entries for 2 placed files"),
+            ([[0, 1], [1, 2]], [1.0, -1.0], "values must be non-negative"),
+        ),
+    )
+    def test_malformed_requests_raise_alike(self, name, as_array, placements, values, message):
+        """One ValueError, before any sector is chosen, on every backend and form."""
+        form = np.array(placements) if as_array else placements
+        with pytest.raises(ValueError) as raised:
+            _select(name, [1.0, 1.0, 1.0], form, values, 2.0)
+        assert message in str(raised.value)
+        # The adversary front door reports it the same way.
+        with pytest.raises(ValueError) as via_attack:
+            GreedyCapacityAdversary(backend=name).attack(
+                [1.0, 1.0, 1.0], form, values, 0.5
+            )
+        assert str(via_attack.value) == str(raised.value)
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_malformed_tables_raise_alike(self, name):
+        with pytest.raises(ValueError, match="capacities must be non-negative"):
+            _select(name, [1.0, -1.0], [[0]], [1.0], 1.0)
+        with pytest.raises(ValueError, match="2-D"):
+            _select(name, [1.0, 1.0], np.array([0, 1]), [1.0, 1.0], 1.0)
 
 
 def _batch_draw(name, weights, ops, free=None, entropy=0):

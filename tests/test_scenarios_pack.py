@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import importlib
 
+import numpy as np
 import pytest
 
+from repro.kernels import ReferenceKernels
 from repro.runner.cli import main
 from repro.runner.executor import derive_trial_seed, run_scenario
 from repro.runner.registry import get_scenario, load_builtin_scenarios, resolve_params
@@ -435,6 +437,51 @@ class TestRobustness:
         ).summary
         random_row = next(row for row in summary if row["adversary"] == "random")
         assert random_row["loss_max"] <= random_row["theorem3_bound"] + 1e-9
+
+    #: (seed, n_sectors, n_files, k, lam, targeted, loss) as the parent of
+    #: PR 20 computed them, one ``rng.integers`` call and one list per file.
+    PINNED_LOSSES = (
+        (0, 300, 300, 2, 0.3, False, 0.08),
+        (0, 300, 300, 2, 0.7, True, 0.87),
+        (1, 300, 300, 3, 0.5, True, 0.5033333333333333),
+        (7, 60, 80, 3, 0.5, True, 0.3625),
+        (7, 60, 80, 3, 0.5, False, 0.1125),
+        (2, 500, 500, 6, 0.5, True, 0.208),
+        (3, 400, 2000, 5, 0.5, True, 0.1195),
+        (3, 400, 2000, 5, 0.3, False, 0.001),
+        (5, 50, 400, 1, 0.5, True, 0.625),
+        (11, 2000, 2000, 10, 0.7, True, 0.244),
+        (11, 2000, 2000, 10, 0.7, False, 0.021),
+        (4, 7, 50, 3, 0.5, True, 0.18),
+    )
+
+    @pytest.mark.parametrize("backend", ("reference", "vectorized"))
+    def test_simulate_loss_values_are_the_parents(self, backend):
+        """The one-array draw is the per-file draws' stream, value for value."""
+        for seed, n_sectors, n_files, k, lam, targeted, loss in self.PINNED_LOSSES:
+            if backend == "reference" and n_sectors > 500:
+                continue  # the oracle rescans; the small shapes cover it
+            assert robustness.simulate_loss(
+                n_sectors, n_files, k, lam, seed=seed, targeted=targeted, backend=backend
+            ) == loss
+
+    def test_trial_hands_the_kernel_one_array(self):
+        """No list per file: the draw reaches ``greedy_select`` as it was made."""
+        seen = []
+
+        class Recording(ReferenceKernels):
+            def greedy_select(self, capacities, placements, values, budget):
+                seen.append((capacities, placements, values))
+                return super().greedy_select(capacities, placements, values, budget)
+
+        loss = robustness.simulate_loss(
+            60, 80, 3, 0.5, seed=7, targeted=True, backend=Recording()
+        )
+        assert loss == 0.3625
+        ((capacities, placements, values),) = seen
+        assert isinstance(placements, np.ndarray)
+        assert placements.shape == (80, 3) and placements.dtype.kind == "i"
+        assert isinstance(values, np.ndarray) and isinstance(capacities, np.ndarray)
 
     def test_random_placement_beats_clustered_under_attack(self):
         contrast = robustness.run_placement_contrast(
