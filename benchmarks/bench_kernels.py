@@ -11,9 +11,11 @@ drawn-key sequences), and writes a machine-readable
 ``BENCH_kernels.json`` for the CI `bench-smoke` job to upload.  Exits
 non-zero when the vectorized backend is not faster than reference on any
 kernel, or when the refresh or sampler speedup misses its acceptance
-bar; the File Add run's draws/s and the array-placement attack
+bar; the File Add run's draws/s, the array-placement attack
 (``greedy_array_placements``, vectorized only -- the rescanning oracle
-does not finish that shape in seconds) are recorded, not gated.
+does not finish that shape in seconds) and the two paper-scale refresh
+shapes (``refresh_paper_ratio``, ``refresh_many_sectors``: vectorized
+moves/s) are recorded, not gated.
 
 Usage::
 
@@ -50,6 +52,8 @@ from kernel_shapes import (  # noqa: E402
     REFRESH_MULTIPLIER,
     REFRESH_N_BACKUPS,
     REFRESH_N_SECTORS,
+    REFRESH_SCALE_N_BACKUPS,
+    REFRESH_SCALE_SHAPES,
     SAMPLER_DRAWS,
     SAMPLER_N_SLOTS,
     SAMPLER_PLACES,
@@ -59,6 +63,7 @@ from kernel_shapes import (  # noqa: E402
     run_greedy,
     run_greedy_array_placements,
     run_refresh,
+    run_refresh_scale,
     run_sampler,
 )
 
@@ -125,12 +130,27 @@ def main(argv=None) -> int:
         ),
     }
 
+    for shape, n_sectors in REFRESH_SCALE_SHAPES.items():
+        seconds = best_wall(lambda: run_refresh_scale(n_sectors), args.repeats)
+        results[shape] = {
+            "vectorized_seconds": round(seconds, 6),
+            "vectorized_moves_per_s": round(REFRESH_SCALE_N_BACKUPS / seconds),
+        }
+
     artifact = {
         "shapes": {
             "refresh": {
                 "n_backups": REFRESH_N_BACKUPS,
                 "n_sectors": REFRESH_N_SECTORS,
                 "refresh_multiplier": REFRESH_MULTIPLIER,
+            },
+            **{
+                shape: {
+                    "n_backups": REFRESH_SCALE_N_BACKUPS,
+                    "n_sectors": n_sectors,
+                    "refresh_multiplier": 1,
+                }
+                for shape, n_sectors in REFRESH_SCALE_SHAPES.items()
             },
             "greedy_adversary": {
                 "n_sectors": ADVERSARY_N_SECTORS,

@@ -32,6 +32,18 @@ REFRESH_DISTRIBUTION = FileSizeDistribution.EXPONENTIAL
 #: reference loop by at least this factor at the pinned shape.
 MIN_REFRESH_SPEEDUP = 5.0
 
+#: Paper-scale refresh shapes: one 10^6-move batch on 10^6 backups, at the
+#: paper's Ncp/Ns = 1000 (few groups: the segment-loop replay) and over
+#: 10^5 sectors (the padded-table replay, which no e2e workload reaches).
+#: They track the absolute rate at paper scale, so they are timed on the
+#: vectorized backend only (the backends are compared at the pinned shape
+#: above); recorded as moves/s, never gated.
+REFRESH_SCALE_N_BACKUPS = 1_000_000
+REFRESH_SCALE_SHAPES = {
+    "refresh_paper_ratio": 1_000,
+    "refresh_many_sectors": 100_000,
+}
+
 #: Greedy-adversary shape: 3000 files x 4 replicas over 600 sectors,
 #: corrupting 40% of capacity -- the robustness scenario's i.i.d.
 #: placement geometry at benchmark scale.
@@ -79,6 +91,16 @@ def run_refresh(backend: str) -> PlacementResult:
         REFRESH_N_BACKUPS,
         REFRESH_N_SECTORS,
         refresh_multiplier=REFRESH_MULTIPLIER,
+    )
+
+
+def run_refresh_scale(n_sectors: int) -> PlacementResult:
+    """One 10^6-move batch at a paper-scale shape (vectorized backend)."""
+    return PlacementExperiment(seed=0, backend="vectorized").run_refresh(
+        REFRESH_DISTRIBUTION,
+        REFRESH_SCALE_N_BACKUPS,
+        n_sectors,
+        refresh_multiplier=1,
     )
 
 

@@ -12,6 +12,8 @@ seam:
   ``batch_weighted_draw`` (word stream, rejection adapter, validation);
 * :mod:`repro.kernels.placements` -- the shared validation of
   ``greedy_select``'s two placement forms into CSR columns;
+* :mod:`repro.kernels.moves` -- the shared validation of one
+  ``refresh_moves`` request;
 * :mod:`repro.kernels.reference` -- the original readable loops, kept as
   the correctness oracle;
 * :mod:`repro.kernels.vectorized` -- numpy sorted/grouped-scan

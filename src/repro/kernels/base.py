@@ -105,6 +105,22 @@ class KernelBackend(ABC):
         bit-identical results.  Per sector, updates must be applied as
         sequential additions in move order -- the invariant that makes
         batched and serial processing bit-identical.
+
+        Every backend validates through
+        :func:`~repro.kernels.moves.normalize_refresh_request` before it
+        touches ``usage`` or ``assignments``: ``chosen`` and ``targets``
+        must be one-dimensional integer arrays of one length with ``0 <=
+        chosen < len(sizes)`` and ``0 <= targets < len(usage)``,
+        ``assignments`` must carry one entry per backup, and
+        ``snapshot_after`` must hold strictly increasing integers in
+        ``[1, len(chosen)]`` (floats and booleans are refused, not
+        truncated).  A malformed request raises the same ``ValueError``
+        on every backend and leaves both arrays as they were, so a
+        backend that applies a batch in pieces never stops half-applied.
+        ``assignments`` itself is trusted state: a standing entry outside
+        ``[0, len(usage))`` is the caller's corruption, reported as
+        ``ValueError`` by the vectorized backend and ``IndexError`` (or a
+        wrapped negative index) by the reference loop.
         """
 
     @abstractmethod

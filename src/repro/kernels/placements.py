@@ -16,34 +16,36 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["Placements", "checked_placement_array", "normalize_placements"]
+__all__ = [
+    "Placements",
+    "checked_indices",
+    "checked_placement_array",
+    "normalize_placements",
+]
 
 #: The two accepted placement forms.
 Placements = Union[Sequence[Sequence[int]], np.ndarray]
 
 
-def _checked_sectors(sectors: np.ndarray, n_sectors: int) -> np.ndarray:
-    """``sectors`` once its entries are integers in ``[0, n_sectors)``."""
-    if sectors.size == 0:
-        return sectors.astype(np.int64)
-    if sectors.dtype.kind not in "iu":  # floats, booleans, objects
+def checked_indices(indices: np.ndarray, upper: int, what: str) -> np.ndarray:
+    """``indices`` once its entries are integers in ``[0, upper)``."""
+    if indices.size == 0:
+        return indices.astype(np.int64)
+    if indices.dtype.kind not in "iu":  # floats, booleans, objects
+        raise ValueError(f"{what} indices must be integers, got dtype {indices.dtype}")
+    low, high = int(indices.min()), int(indices.max())
+    if low < 0 or high >= upper:
         raise ValueError(
-            f"placement sector indices must be integers, got dtype {sectors.dtype}"
+            f"{what} index {low if low < 0 else high} out of range [0, {upper})"
         )
-    low, high = int(sectors.min()), int(sectors.max())
-    if low < 0 or high >= n_sectors:
-        raise ValueError(
-            f"placement sector index {low if low < 0 else high} "
-            f"out of range [0, {n_sectors})"
-        )
-    return sectors
+    return indices
 
 
 def checked_placement_array(placements: np.ndarray, n_sectors: int) -> np.ndarray:
     """The array form, validated: 2-D, integer, every index a real sector."""
     if placements.ndim != 2:
         raise ValueError("a placements array must be 2-D (files x replicas)")
-    return _checked_sectors(placements, n_sectors)
+    return checked_indices(placements, n_sectors, "placement sector")
 
 
 def normalize_placements(
@@ -84,8 +86,10 @@ def normalize_placements(
     else:
         n_files = len(placements)
         lengths = np.fromiter(map(len, placements), dtype=np.int64, count=n_files)
-        flat = _checked_sectors(
-            np.asarray(list(chain.from_iterable(placements))), n_sectors
+        flat = checked_indices(
+            np.asarray(list(chain.from_iterable(placements))),
+            n_sectors,
+            "placement sector",
         )
         # One sort of the combined key orders by (file, sector) at once;
         # equal keys are one file naming one sector again.

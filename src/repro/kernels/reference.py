@@ -15,6 +15,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.kernels.base import KernelBackend
+from repro.kernels.moves import normalize_refresh_request
 from repro.kernels.placements import Placements, normalize_placements
 from repro.kernels.sampling import (
     BatchDrawResult,
@@ -50,6 +51,9 @@ class ReferenceKernels(KernelBackend):
         targets: np.ndarray,
         snapshot_after: Sequence[int] = (),
     ) -> Tuple[float, List[np.ndarray]]:
+        chosen, targets, snapshot_after = normalize_refresh_request(
+            sizes, usage, assignments, chosen, targets, snapshot_after
+        )
         # Slice the move stream at the snapshot boundaries so the inner
         # loop stays the original tight per-move loop, with no bookkeeping.
         snapshots: List[np.ndarray] = []

@@ -4,9 +4,10 @@ Four ideas carry the speedups while preserving exact floating-point
 equality with :class:`~repro.kernels.reference.ReferenceKernels`:
 
 * **refresh churn** -- a batch of moves is resolved into per-move source
-  sectors with one stable argsort over the moved backups (a move's source
-  is the previous move's target, or the standing assignment).  The
-  resulting +/- size events are then grouped by sector and each sector's
+  sectors in cache-sized chunks against the live assignment vector (a
+  move's source is the backup's previous target, or its standing
+  assignment), grouping by one value sort of ``key << bits | position``.
+  The +/- size events are then grouped by sector and each sector's
   additions are replayed with one ``np.cumsum`` seeded by its starting
   usage -- as contiguous segments of a flat work array when groups are
   few, as rows of a zero-padded 2D table when they are many (padding
@@ -43,6 +44,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.kernels.base import KernelBackend
+from repro.kernels.moves import normalize_refresh_request
 from repro.kernels.placements import Placements, normalize_placements
 from repro.kernels.sampling import (
     BatchDrawResult,
@@ -68,6 +70,11 @@ _GROUP_LOOP_MAX = 1024
 #: Candidates decoded per refill of the weighted-draw engine.  Purely a
 #: cost knob: refilling never changes which words a draw consumes.
 _DRAW_CHUNK_CANDIDATES = 512
+
+#: Moves per pass of ``refresh_moves``' source resolution, small enough
+#: that a chunk's gather, key sort and scatter stay cache-resident.  Any
+#: size gives identical results; purely a cost knob, like the two above.
+_SOURCE_CHUNK_MOVES = 4096
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
@@ -267,33 +274,32 @@ class VectorizedKernels(KernelBackend):
     def _index_dtype(n_keys: int) -> np.dtype:
         """Narrowest unsigned dtype holding values in ``[0, n_keys)``.
 
-        numpy's stable sort is a radix sort for <= 16-bit integers and a
-        much slower mergesort above, so shrinking index arrays buys both
-        the sorts and every gather/scatter they feed.
+        Shrinking index arrays buys every gather, scatter and copy they
+        feed (sorting no longer depends on it: see the grouping below).
         """
-        if n_keys <= np.iinfo(np.uint8).max:
-            return np.dtype(np.uint8)
-        if n_keys <= np.iinfo(np.uint16).max:
-            return np.dtype(np.uint16)
-        if n_keys <= np.iinfo(np.uint32).max:
-            return np.dtype(np.uint32)
+        for dtype in (np.uint8, np.uint16, np.uint32):
+            if n_keys <= np.iinfo(dtype).max:
+                return np.dtype(dtype)
         return np.dtype(np.uint64)
 
     @staticmethod
     def _stable_group_order(keys: np.ndarray, n_keys: int) -> np.ndarray:
         """Indices that stably group ``keys`` (values in ``[0, n_keys)``).
 
-        Radix-sorts directly for <= 16-bit keys; above that, sorts the
-        unique combined key ``key * len(keys) + position`` with the
-        default introsort (unique keys make it order-preserving, and it
-        beats a 64-bit mergesort ~4x).
+        Sorts the *values* ``key << pos_bits | position`` in the narrowest
+        of uint32 / uint64 that holds them and masks the positions back
+        out: the combined keys are unique, so any sort is stable, and
+        numpy sorts values 2-4x faster than it argsorts them.
         """
-        if keys.itemsize <= 2:
-            return np.argsort(keys, kind="stable")
-        if n_keys <= np.iinfo(np.uint16).max:
-            return np.argsort(keys.astype(np.uint16), kind="stable")
-        positions = np.arange(keys.size, dtype=np.int64)
-        return np.argsort(keys.astype(np.int64) * keys.size + positions)
+        pos_bits = max(keys.size - 1, 0).bit_length()
+        wide = pos_bits + max(n_keys - 1, 0).bit_length() > 32
+        dtype = np.uint64 if wide else np.uint32
+        combined = keys.astype(dtype)
+        combined <<= dtype(pos_bits)
+        combined |= np.arange(keys.size, dtype=dtype)
+        combined.sort()
+        combined &= dtype((1 << pos_bits) - 1)
+        return combined
 
     def refresh_moves(
         self,
@@ -304,77 +310,85 @@ class VectorizedKernels(KernelBackend):
         targets: np.ndarray,
         snapshot_after: Sequence[int] = (),
     ) -> Tuple[float, List[np.ndarray]]:
+        chosen, targets, bounds = normalize_refresh_request(
+            sizes, usage, assignments, chosen, targets, snapshot_after
+        )
+        n_moves = int(chosen.size)
+        if n_moves == 0:
+            return float("-inf"), [usage.copy() for _ in bounds]
+        n_sectors = int(usage.size)
+
+        # Resolve each move's source sector chunk by chunk against the
+        # *live* assignment vector: the gather reads ``assignments`` as
+        # every earlier chunk left it, and a backup moved again inside the
+        # chunk shows up as an adjacent pair once the chunk is grouped by
+        # backup -- the later move leaves the earlier move's target.  The
+        # chunk's scatter then makes its last targets the standing
+        # assignments (duplicate-index fancy assignment keeps the last
+        # value, and moves are chronological).
+        sources = np.empty(n_moves, dtype=assignments.dtype)
+        for start in range(0, n_moves, _SOURCE_CHUNK_MOVES):
+            chunk = slice(start, start + _SOURCE_CHUNK_MOVES)
+            backups, chunk_targets = chosen[chunk], targets[chunk]
+            chunk_sources = sources[chunk]
+            np.take(assignments, backups, out=chunk_sources)
+            order = self._stable_group_order(backups, sizes.size)
+            grouped = backups[order]
+            again = np.flatnonzero(grouped[1:] == grouped[:-1])
+            chunk_sources[order[again + 1]] = chunk_targets[order[again]]
+            assignments[backups] = chunk_targets
+        if int(sources.max()) >= n_sectors or int(sources.min()) < 0:
+            # The grouping keys below would alias silently on it.
+            raise ValueError(
+                f"assignments holds a sector index outside [0, {n_sectors})"
+            )
+        return self._replay_moves(sizes, usage, chosen, sources, targets, bounds)
+
+    def _replay_moves(
+        self,
+        sizes: np.ndarray,
+        usage: np.ndarray,
+        chosen: np.ndarray,
+        sources: np.ndarray,
+        targets: np.ndarray,
+        snapshot_after: Sequence[int],
+    ) -> Tuple[float, List[np.ndarray]]:
+        """Apply moves whose source sectors are resolved to ``usage``."""
         n_moves = int(chosen.size)
         n_sectors = int(usage.size)
-        if n_moves == 0:
-            return float("-inf"), [usage.copy() for _ in snapshot_after]
-        n_backups = int(sizes.size)
         sector_dtype = self._index_dtype(n_sectors)
-        backup_dtype = self._index_dtype(n_backups)
-        chosen = np.asarray(chosen).astype(backup_dtype, copy=False)
-        targets = np.asarray(targets).astype(sector_dtype, copy=False)
-
-        # Resolve each move's source sector: group moves by backup, in
-        # chronological order within a group; the first move of a group
-        # leaves the standing assignment, later moves leave the previous
-        # move's target.
-        order = self._stable_group_order(chosen, n_backups)
-        sorted_chosen = chosen[order]
-        sorted_targets = targets[order]
-        first = np.empty(n_moves, dtype=bool)
-        first[0] = True
-        first[1:] = sorted_chosen[1:] != sorted_chosen[:-1]
-        sources_sorted = np.empty(n_moves, dtype=sector_dtype)
-        sources_sorted[first] = assignments[sorted_chosen[first]]
-        not_first = ~first
-        sources_sorted[not_first] = sorted_targets[:-1][not_first[1:]]
-        sources = np.empty(n_moves, dtype=sector_dtype)
-        sources[order] = sources_sorted
 
         # Self-moves are no-ops in the reference loop (no usage update at
         # all); dropping them here keeps the per-sector addition sequences
         # identical -- a -size/+size round-trip is not a float no-op.
-        moved = sources != targets
-        orig_move = np.flatnonzero(moved)
-        moved_backups = chosen[orig_move]
-        move_sources = sources[orig_move]
-        move_targets = targets[orig_move]
-        move_sizes = sizes[moved_backups]
-        n_real = int(orig_move.size)
-        if n_real == 0:
-            # Self-moves leave assignments unchanged, so nothing to update.
+        orig_move = np.flatnonzero(sources != targets)
+        if orig_move.size == 0:
             return float("-inf"), [usage.copy() for _ in snapshot_after]
 
         # Two events per move, interleaved chronologically (-size at the
         # source, then +size at the target), then grouped by sector with a
         # stable sort so each group stays in move order.
-        n_events = 2 * n_real
+        n_events = 2 * int(orig_move.size)
         event_sector = np.empty(n_events, dtype=sector_dtype)
-        event_sector[0::2] = move_sources
-        event_sector[1::2] = move_targets
+        event_sector[0::2] = sources[orig_move]
+        event_sector[1::2] = targets[orig_move]
+        move_sizes = sizes[chosen[orig_move]]
         event_delta = np.empty(n_events, dtype=float)
         event_delta[0::2] = -move_sizes
         event_delta[1::2] = move_sizes
 
         # Group geometry comes straight from histograms -- no sorted-run
         # boundary scan needed.  The snapshot boundaries split the
-        # chronological move stream into contiguous slices, so one
-        # per-slice histogram over the (unsorted) source/target arrays
-        # serves double duty: its column sums are the per-sector event
-        # counts, its running row sums are each boundary's events-so-far.
+        # chronological event stream into contiguous slices, so one
+        # per-slice histogram over the (unsorted) event sectors serves
+        # double duty: its column sums are the per-sector event counts,
+        # its running row sums are each boundary's events-so-far.
         slice_edges = [b for b in snapshot_after if b < n_moves]
         slice_edges.append(n_moves)
+        event_edges = (2 * np.searchsorted(orig_move, slice_edges)).tolist()
         histogram = np.zeros((len(slice_edges), n_sectors), dtype=np.int64)
-        previous = 0
-        for slice_index, edge in enumerate(slice_edges):
-            applied = moved[previous:edge]
-            histogram[slice_index] = np.bincount(
-                sources[previous:edge][applied], minlength=n_sectors
-            )
-            histogram[slice_index] += np.bincount(
-                targets[previous:edge][applied], minlength=n_sectors
-            )
-            previous = edge
+        for row, start, stop in zip(histogram, [0] + event_edges, event_edges):
+            row += np.bincount(event_sector[start:stop], minlength=n_sectors)
         cumulative = np.cumsum(histogram, axis=0)
         sector_counts = cumulative[-1]
         group_sectors = np.flatnonzero(sector_counts)
@@ -388,35 +402,28 @@ class VectorizedKernels(KernelBackend):
             and n_moves > 1
         ):
             # Pathological skew in the padded-table regime (many sectors,
-            # most moves hitting few of them): fall back to two sequential
+            # most moves hitting few of them): replay two sequential
             # half-batches.  The per-sector addition order is unchanged,
             # so the result is bit-identical.  The segment-loop regime
             # below the group threshold never pads, so it needs no split.
             half = n_moves // 2
-            first_max, first_snaps = self.refresh_moves(
+            first_max, first_snaps = self._replay_moves(
                 sizes,
                 usage,
-                assignments,
                 chosen[:half],
+                sources[:half],
                 targets[:half],
                 tuple(b for b in snapshot_after if b <= half),
             )
-            second_max, second_snaps = self.refresh_moves(
+            second_max, second_snaps = self._replay_moves(
                 sizes,
                 usage,
-                assignments,
                 chosen[half:],
+                sources[half:],
                 targets[half:],
                 tuple(b - half for b in snapshot_after if b > half),
             )
             return max(first_max, second_max), first_snaps + second_snaps
-
-        # Each backup's standing assignment becomes its last target:
-        # duplicate-index fancy assignment keeps the last value, and the
-        # moves are in chronological order.  This must stay *after* the
-        # split fallback above -- the recursive halves re-derive sources
-        # from the pre-batch assignments.
-        assignments[chosen] = targets
 
         event_order = self._stable_group_order(event_sector, n_sectors)
         delta = np.take(event_delta, event_order)
@@ -442,23 +449,18 @@ class VectorizedKernels(KernelBackend):
         # target values) -- one flat reduction instead of a 2D gather.
         initials = usage[group_sectors]
         if n_groups <= _GROUP_LOOP_MAX:
-            extended = np.empty(n_events + n_groups, dtype=float)
-            extended_starts = group_start + np.arange(n_groups)
-            for g, (segment_start, event_start, count, initial) in enumerate(
-                zip(
-                    extended_starts.tolist(),
-                    group_start.tolist(),
-                    counts.tolist(),
-                    initials.tolist(),
-                )
+            value_base = np.empty(n_events + n_groups, dtype=float)
+            value_starts = group_start + np.arange(n_groups)
+            for segment_start, event_start, count, initial in zip(
+                value_starts.tolist(),
+                group_start.tolist(),
+                counts.tolist(),
+                initials.tolist(),
             ):
-                segment = extended[segment_start : segment_start + count + 1]
+                segment = value_base[segment_start : segment_start + count + 1]
                 segment[0] = initial
                 segment[1:] = delta[event_start : event_start + count]
                 np.cumsum(segment, out=segment)
-            batch_max = float(extended.max())
-            value_base = extended
-            value_starts = extended_starts
         else:
             table = np.zeros((n_groups, width + 1), dtype=float)
             table[:, 0] = initials
@@ -472,23 +474,18 @@ class VectorizedKernels(KernelBackend):
             # In-place accumulate: same left-to-right additions as cumsum,
             # without allocating (and page-faulting) a second table.
             np.add.accumulate(table, axis=1, out=table)
-            batch_max = float(table.max())
             value_base = table.reshape(-1)
             value_starts = np.arange(n_groups, dtype=np.int64) * (width + 1)
+        batch_max = float(value_base.max())
 
         # A snapshot after ``bound`` moves reads, per sector, the running
         # value of its last event before the boundary (offset 0 -- the
         # starting usage -- when it has none yet): exactly the array the
         # reference loop would copy at that point.
         snapshots: List[np.ndarray] = []
-        if snapshot_after:
-            events_before = cumulative[:, group_sectors]
-            for bound_index in range(len(snapshot_after)):
-                snapshot = usage.copy()
-                snapshot[group_sectors] = value_base[
-                    value_starts + events_before[bound_index]
-                ]
-                snapshots.append(snapshot)
+        for events_before in cumulative[: len(snapshot_after), group_sectors]:
+            snapshots.append(usage.copy())
+            snapshots[-1][group_sectors] = value_base[value_starts + events_before]
 
         usage[group_sectors] = value_base[value_starts + counts]
         return batch_max, snapshots

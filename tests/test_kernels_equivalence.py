@@ -210,6 +210,225 @@ class TestPlacementKernelEquivalence:
             )
 
 
+#: Source-resolution chunk sizes every ``refresh_moves`` case runs under
+#: (``None``: the module default).  Results must not depend on it.
+CHUNKS = (1, 2, 3, None)
+
+#: Hand-built ``refresh_moves`` requests over 6 backups on 3 sectors,
+#: ``assignments == [0, 1, 2, 0, 1, 2]``: name -> (chosen, targets,
+#: snapshot_after).
+REFRESH_CASES = {
+    # backup 0 moved three times, backup 1 four times, interleaved
+    "three_and_four_moves_of_one_backup": (
+        [0, 1, 0, 1, 0, 1, 1], [1, 2, 2, 0, 0, 1, 2], (),
+    ),
+    # A -> B -> A: two real moves, not a self-move
+    "there_and_back": ([0, 0], [1, 0], (1,)),
+    # A -> A between real moves: the one move that must not touch usage
+    "one_self_move": ([3, 0, 4], [1, 0, 2], (2,)),
+    # a repeat whose second move is a self-move only via the first's target
+    "self_move_after_a_move": ([0, 0, 0], [2, 2, 1], ()),
+    "snapshot_inside_a_chunk": ([0, 3, 0, 4, 1], [2, 1, 1, 0, 0], (2, 4)),
+}
+
+
+def _refresh_state(n_backups=6, n_sectors=3):
+    """Non-dyadic sizes on a round-robin placement; fresh arrays per call."""
+    sizes = np.array([0.1, 0.2, 0.3, 0.7, 1.1, 0.9, 0.4])[np.arange(n_backups) % 7]
+    assignments = (np.arange(n_backups) % n_sectors).astype(np.uint32)
+    usage = np.bincount(assignments, weights=sizes, minlength=n_sectors)
+    return sizes, usage, assignments
+
+
+def _set_chunk(monkeypatch, chunk):
+    """Patch the vectorized source-resolution chunk; returns the one in effect."""
+    import repro.kernels.vectorized as vectorized_module
+
+    if chunk is not None:
+        monkeypatch.setattr(vectorized_module, "_SOURCE_CHUNK_MOVES", chunk)
+    return vectorized_module._SOURCE_CHUNK_MOVES
+
+
+def _assert_refresh_identical(state, chosen, targets, snapshot_after=()):
+    """One request on both backends from ``state``; returns the reference's
+    ``(batch_max, usage, assignments, snapshots)``."""
+    sizes, usage, assignments = state
+    start_max = float(usage.max())
+    results = {}
+    for name in BACKENDS:
+        live_usage, live_assignments = usage.copy(), assignments.copy()
+        batch_max, snapshots = get_backend(name).refresh_moves(
+            sizes, live_usage, live_assignments,
+            np.asarray(chosen, dtype=np.uint32), np.asarray(targets, dtype=np.uint32),
+            snapshot_after,
+        )
+        results[name] = (batch_max, live_usage, live_assignments, snapshots)
+    reference, vectorized = results["reference"], results["vectorized"]
+    # The batch_max contract: equal once folded into a running maximum
+    # that covers the starting usage; -inf exactly when nothing moved.
+    assert max(start_max, vectorized[0]) == max(start_max, reference[0])
+    assert (vectorized[0] == float("-inf")) == (reference[0] == float("-inf"))
+    assert vectorized[1].tobytes() == reference[1].tobytes()
+    assert vectorized[2].tobytes() == reference[2].tobytes()
+    assert len(vectorized[3]) == len(reference[3]) == len(snapshot_after)
+    for ours, theirs in zip(vectorized[3], reference[3]):
+        assert ours.tobytes() == theirs.tobytes()
+    return reference
+
+
+@st.composite
+def refresh_requests(draw):
+    """Small ``refresh_moves`` requests: repeats are the rule, not the exception."""
+    n_backups = draw(st.integers(1, 50))
+    n_sectors = draw(st.integers(1, 7))
+    n_moves = draw(st.integers(0, 200))
+    chosen = draw(
+        st.lists(st.integers(0, n_backups - 1), min_size=n_moves, max_size=n_moves)
+    )
+    targets = draw(
+        st.lists(st.integers(0, n_sectors - 1), min_size=n_moves, max_size=n_moves)
+    )
+    bounds = draw(st.sets(st.integers(1, n_moves), max_size=6)) if n_moves else set()
+    return n_backups, n_sectors, chosen, targets, tuple(sorted(bounds))
+
+
+class TestRefreshMovesKernelDifferential:
+    """``refresh_moves`` called directly: ``run_refresh``'s uniform draws
+    never put a repeated backup exactly on a chunk edge."""
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("case", sorted(REFRESH_CASES))
+    def test_hand_built_cases(self, monkeypatch, case, chunk):
+        _set_chunk(monkeypatch, chunk)
+        chosen, targets, snapshot_after = REFRESH_CASES[case]
+        _assert_refresh_identical(_refresh_state(), chosen, targets, snapshot_after)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_repeat_across_a_chunk_edge(self, monkeypatch, chunk):
+        """Backup 0 leaves at the last position of one chunk and again at
+        the first of the next: the second move reads the first's scatter."""
+        edge = _set_chunk(monkeypatch, chunk)
+        rng = np.random.default_rng(edge)
+        state = _refresh_state(n_backups=40, n_sectors=5)
+        chosen = rng.integers(1, 40, 2 * edge + 1)
+        targets = rng.integers(0, 5, 2 * edge + 1)
+        chosen[edge - 1] = chosen[edge] = 0
+        targets[edge - 1], targets[edge] = 3, 4  # backup 0 starts in sector 0
+        _, _, assignments, snapshots = _assert_refresh_identical(
+            state, chosen, targets, (edge, edge + 1)
+        )
+        assert assignments[0] == 4
+        # Between the two snapshots only backup 0 moved, from 3 to 4.
+        changed = np.flatnonzero(snapshots[0] != snapshots[1])
+        assert changed.tolist() == [3, 4]
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_only_self_moves_touch_nothing(self, monkeypatch, chunk):
+        _set_chunk(monkeypatch, chunk)
+        state = _refresh_state()
+        batch_max, usage, assignments, snapshots = _assert_refresh_identical(
+            state, [0, 1, 2, 0, 5], [0, 1, 2, 0, 2], (1, 5)
+        )
+        assert batch_max == float("-inf")
+        assert usage.tobytes() == state[1].tobytes()
+        assert assignments.tobytes() == state[2].tobytes()
+        assert all(s.tobytes() == state[1].tobytes() for s in snapshots)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_empty_batch(self, monkeypatch, chunk):
+        _set_chunk(monkeypatch, chunk)
+        batch_max, *_ = _assert_refresh_identical(_refresh_state(), [], [])
+        assert batch_max == float("-inf")
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(request=refresh_requests(), chunk=st.sampled_from(CHUNKS))
+    def test_property_identical_to_reference(self, request, chunk):
+        n_backups, n_sectors, chosen, targets, snapshot_after = request
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _set_chunk(monkeypatch, chunk)
+            _assert_refresh_identical(
+                _refresh_state(n_backups, n_sectors), chosen, targets, snapshot_after
+            )
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize(
+        "chosen, targets, snapshot_after, message",
+        (
+            ([0, 1], [-1, 2], (), "target sector index -1 out of range [0, 3)"),
+            ([0, 1], [1, 3], (), "target sector index 3 out of range [0, 3)"),
+            ([-1, 1], [0, 2], (), "chosen backup index -1 out of range [0, 4)"),
+            ([0, 4], [0, 2], (), "chosen backup index 4 out of range [0, 4)"),
+            ([0, 1], [1.5, 2.0], (), "target sector indices must be integers"),
+            ([0.0, 1.0], [1, 2], (), "chosen backup indices must be integers"),
+            ([True, False], [1, 2], (), "chosen backup indices must be integers"),
+            ([0, 1, 2], [1, 2], (), "of one length, got shapes (3,) and (2,)"),
+            ([[0, 1]], [[1, 2]], (), "must be one-dimensional"),
+            ([0, 1], [1, 2], (2, 1), "strictly increasing integers in [1, 2]"),
+            ([0, 1], [1, 2], (1, 1), "strictly increasing integers in [1, 2]"),
+            ([0, 1], [1, 2], (0,), "strictly increasing integers in [1, 2]"),
+            ([0, 1], [1, 2], (3,), "strictly increasing integers in [1, 2]"),
+            ([0, 1], [1, 2], (1.0,), "strictly increasing integers in [1, 2]"),
+            ([0, 1], [1, 2], (True,), "strictly increasing integers in [1, 2]"),
+        ),
+    )
+    def test_malformed_requests_raise_alike(
+        self, name, chosen, targets, snapshot_after, message
+    ):
+        """One ValueError per case on every backend, nothing touched."""
+        sizes, usage, assignments = _refresh_state(n_backups=4)
+        before = usage.tobytes(), assignments.tobytes()
+        with pytest.raises(ValueError) as raised:
+            get_backend(name).refresh_moves(
+                sizes, usage, assignments,
+                np.asarray(chosen), np.asarray(targets), snapshot_after,
+            )
+        assert message in str(raised.value)
+        assert (usage.tobytes(), assignments.tobytes()) == before
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_mismatched_state_is_refused(self, name):
+        sizes, usage, assignments = _refresh_state(n_backups=4)
+        with pytest.raises(ValueError, match="assignments has 3 entries for 4"):
+            get_backend(name).refresh_moves(
+                sizes, usage, assignments[:3], np.array([0]), np.array([1])
+            )
+
+    def test_corrupt_assignment_is_refused_not_aliased(self):
+        """A standing sector index past the table would alias another
+        sector's grouping key; ``usage`` is checked before it is replayed."""
+        sizes, usage, assignments = _refresh_state(n_backups=4)
+        assignments[2] = 257  # reads as sector 1 once narrowed to uint8
+        before = usage.tobytes()
+        with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+            get_backend("vectorized").refresh_moves(
+                sizes, usage, assignments, np.array([2, 0]), np.array([1, 2])
+            )
+        assert usage.tobytes() == before
+
+    @pytest.mark.parametrize(
+        "dtype, n_keys, size",
+        (
+            (np.uint16, 1_000, 5_000),       # 10 + 13 bits: uint32 keys
+            (np.uint32, 1 << 19, 1 << 13),   # 19 + 13 = 32 bits: the last uint32 shape
+            (np.uint32, (1 << 19) + 1, 1 << 13),  # 20 + 13 = 33 bits: uint64 keys
+            (np.int64, 1 << 19, (1 << 13) + 1),   # 19 + 14 = 33 bits, by the positions
+            (np.int64, 10**9, 3_000),
+            (np.uint16, 7, 1),
+            (np.int64, 1, 0),
+        ),
+    )
+    def test_group_order_is_the_stable_argsort(self, dtype, n_keys, size):
+        from repro.kernels.vectorized import VectorizedKernels
+
+        rng = np.random.default_rng(size)
+        keys = rng.integers(0, n_keys, size).astype(dtype)
+        keys[: size // 2] = keys[size // 2 : 2 * (size // 2)]  # force ties
+        if size:
+            keys[-1] = n_keys - 1  # the widest key present
+        order = VectorizedKernels._stable_group_order(keys, n_keys)
+        assert np.array_equal(order, np.argsort(keys, kind="stable"))
+
+
 def _greedy_workload(seed, n_sectors, n_files, replicas, equal_caps=False):
     rng = np.random.default_rng(seed)
     placements = [
