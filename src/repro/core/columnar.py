@@ -1221,7 +1221,7 @@ class ColumnarProtocol(FileInsurerProtocol):
         ok_entries = np.add.reduceat(present & confirm, starts)
         any_present = np.add.reduceat(present, starts)
         complete = (ok_entries == counts) & (any_present > 0)
-        return [int(file_id) for file_id in candidates[complete]]
+        return candidates[complete].tolist()
 
     def file_confirm(self, provider: str, file_id: int, index: int, sector_id: str) -> None:
         """``File Confirm`` on table rows: same rules, no view constructed."""
@@ -1248,7 +1248,7 @@ class ColumnarProtocol(FileInsurerProtocol):
     # ------------------------------------------------------------------
     @traced("protocol.advance_time", category="protocol")
     def advance_time(self, until: float) -> None:
-        if until < self.now:
+        if not until >= self.now:  # "not >=": refuses NaN too (see the base class)
             raise ValueError("time cannot move backwards")
         kind_codes = self.pending._kind_codes
         kind_alloc = kind_codes[self.TASK_CHECK_ALLOC]
@@ -1261,12 +1261,13 @@ class ColumnarProtocol(FileInsurerProtocol):
                 break
             self.now = max(self.now, next_time)
             _, kinds, a0, a1 = self.pending.pop_due_arrays(self.now)
-            i, n = 0, len(kinds)
-            while i < n:
-                j = i
+            # One comparison finds where the kind changes, so the loop below
+            # pays per run (a handful per cycle), never per task.
+            ends = (np.flatnonzero(kinds[1:] != kinds[:-1]) + 1).tolist()
+            ends.append(len(kinds))  # at least one task is due here
+            i = 0
+            for j in ends:
                 kind = kinds[i]
-                while j < n and kinds[j] == kind:
-                    j += 1
                 if kind == kind_proof:
                     self._check_proof_run(a0[i:j])
                 elif kind == kind_alloc:
@@ -1393,6 +1394,11 @@ class ColumnarProtocol(FileInsurerProtocol):
         host instead of once per replica, so it must be pure within one
         ``advance_time`` -- the purity contract of the vectorised sweeps.
 
+        A *clean* run -- every candidate row live, every distinct host
+        healthy: every healthy cycle -- skips the per-file reductions.
+        They could only answer "swept, every row credited", so the rows
+        are the candidates' blocks and the offsets their replica counts.
+
         Returns ``(vector, proof_rows, offsets)``: the mask, the live rows
         of the swept files in task order, and the ``len + 1`` offsets that
         slice ``proof_rows`` by run position.
@@ -1435,14 +1441,19 @@ class ColumnarProtocol(FileInsurerProtocol):
         standing = distinct[
             self.sectors.state[distinct] != _SECTOR_CODE[SectorState.CORRUPTED]
         ]
+        well = [
+            sector_row
+            for sector_row in standing.tolist()
+            if self.health_oracle(self.sectors.sector_ids[sector_row])
+        ]
+        if len(well) == len(distinct) and bool(live.all()):
+            # Clean run: no reduction below has anything left to decide.
+            vector[positions] = True
+            offsets[positions + 1] = replicas
+            np.cumsum(offsets, out=offsets)
+            return vector, rows, offsets
         healthy = np.zeros(len(self.sectors), dtype=bool)
-        healthy[
-            [
-                sector_row
-                for sector_row in standing.tolist()
-                if self.health_oracle(self.sectors.sector_ids[sector_row])
-            ]
-        ] = True
+        healthy[well] = True
         sick = np.zeros(len(rows), dtype=bool)
         sick[live] = ~healthy[live_hosts]
         swept = (np.add.reduceat(available, starts) > 0) & (

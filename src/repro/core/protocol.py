@@ -156,7 +156,9 @@ class FileInsurerProtocol:
     # ==================================================================
     def advance_time(self, until: float) -> None:
         """Advance the clock to ``until``, executing due Auto tasks in order."""
-        if until < self.now:
+        # Written as "not >=" so a NaN ``until``, for which the loop's exit
+        # test is never true, is refused along with times in the past.
+        if not until >= self.now:
             raise ValueError("time cannot move backwards")
         while True:
             next_time = self.pending.peek_time()

@@ -67,9 +67,11 @@ _MAX_TABLE_CELLS = 16_000_000
 #: padding).  Both layouts are bit-identical; this is purely a cost knob.
 _GROUP_LOOP_MAX = 1024
 
-#: Candidates decoded per refill of the weighted-draw engine.  Purely a
-#: cost knob: refilling never changes which words a draw consumes.
-_DRAW_CHUNK_CANDIDATES = 512
+#: Most candidates one refill of the weighted-draw engine decodes (a
+#: window is sized to the draws it owes, up to this).  Purely a cost knob:
+#: refilling never changes which words a draw consumes.  Measured at 512 /
+#: 2048 / 8192 on the ledger (docs/performance.md, "Proof round").
+_DRAW_CHUNK_CANDIDATES = 8192
 
 #: Moves per pass of ``refresh_moves``' source resolution, small enough
 #: that a chunk's gather, key sort and scatter stay cache-resident.  Any
@@ -99,6 +101,12 @@ class _WeightedDrawEngine:
     the very next word -- exactly where the scalar loop would be.  A
     refill mid-draw may advance past trailing rejected candidates
     because the pending draw is guaranteed to consume them.
+
+    A chunk (window) is sized to the draws its caller still owes, divided
+    by the acceptance rate, so a 64-draw prefetch is one refill and a
+    single draw decodes a handful of candidates; long place runs get
+    ``_DRAW_CHUNK_CANDIDATES`` at a time.  Since chunks are only peeked,
+    their size is a pure cost knob.
     """
 
     def __init__(self, weights: np.ndarray, rng: np.random.Generator) -> None:
@@ -119,6 +127,7 @@ class _WeightedDrawEngine:
                 self._total = sum(weights.tolist())
         self._dirty = True
         self._cum = _EMPTY_I64
+        self._bits = 0
         self._n_words = 1
         self._shift = np.uint64(0)
         # Candidate cache for the current chunk.
@@ -126,11 +135,6 @@ class _WeightedDrawEngine:
         self._used_words = _EMPTY_I64  # words consumed through each of them
         self._pos = 0  # accepted candidates already handed out
         self._chunk_words = 0  # total words the current chunk peeked
-        # Chunks grow geometrically: single-draw calls (refresh target
-        # selection) decode a handful of candidates, long place runs
-        # reach the full chunk within a few refills.  Purely a cost
-        # knob -- chunking never changes which words a draw consumes.
-        self._chunk_candidates = 8
 
     @property
     def total(self) -> int:
@@ -155,20 +159,22 @@ class _WeightedDrawEngine:
         if self._total <= 0:
             raise ValueError("cannot sample from an empty or zero-weight sampler")
         self._cum = np.cumsum(self._weights)
-        bits = self._total.bit_length()
+        self._bits = bits = self._total.bit_length()
         self._n_words = (bits + 31) >> 5
         self._shift = np.uint64(self._n_words * 32 - bits)
         self._dirty = False
 
-    def _refill(self) -> None:
+    def _refill(self, owed: int) -> None:
         # Only reached with a draw pending, so every candidate of the
         # previous chunk -- accepted and trailing rejected alike -- is
         # logically consumed and the whole chunk can be committed.
         if self._chunk_words:
             self._stream.advance(self._chunk_words)
         n_words = self._n_words
-        candidates = self._chunk_candidates
-        self._chunk_candidates = min(candidates * 4, _DRAW_CHUNK_CANDIDATES)
+        # A candidate is accepted with probability total / 2**bits, so the
+        # ``owed`` pending draws expect this many, plus slack for the spread.
+        expected = (owed << self._bits) // self._total
+        candidates = min(expected + (owed >> 3) + 8, _DRAW_CHUNK_CANDIDATES)
         self._chunk_words = candidates * n_words
         words = self._stream.peek(self._chunk_words).astype(np.uint64)
         if n_words == 1:
@@ -186,7 +192,7 @@ class _WeightedDrawEngine:
         if self._dirty:
             self._rebuild()
         while self._pos >= self._slots.size:
-            self._refill()
+            self._refill(1)
         slot = int(self._slots[self._pos])
         self._pos += 1
         return slot
@@ -200,7 +206,7 @@ class _WeightedDrawEngine:
         while filled < count:
             available = self._slots.size - self._pos
             if available == 0:
-                self._refill()
+                self._refill(count - filled)
                 continue
             take = min(available, count - filled)
             out[filled : filled + take] = self._slots[self._pos : self._pos + take]
@@ -219,7 +225,7 @@ class _WeightedDrawEngine:
         if self._dirty:
             self._rebuild()
         while self._pos >= self._slots.size:
-            self._refill()
+            self._refill(count)
         return self._slots[self._pos : self._pos + count]
 
     def consume(self, count: int) -> None:

@@ -11,6 +11,9 @@ allocation table, pending list, aggregates, ledger, event counts).
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,8 @@ from repro import telemetry
 from repro.chain.ledger import Ledger
 from repro.core.allocation import AllocState
 from repro.core.columnar import (
+    _ABSENT,
+    _ALLOC_CODE,
     AllocEntryView,
     ColumnarPending,
     ColumnarProtocol,
@@ -34,6 +39,8 @@ from repro.core.pending import PendingList
 from repro.core.protocol import FileInsurerProtocol, ProtocolError
 from repro.crypto.prng import DeterministicPRNG
 from repro.kernels.vectorized import VectorizedKernels
+
+from proof_sweep_oracle import proof_sweep_mask
 
 ROOT = b"\x05" * 32
 MB = 1 << 20
@@ -56,7 +63,7 @@ def make_protocol(
     for; tests mutate it between ``advance_time`` calls only."""
     params = ProtocolParams.small_test().scaled(**param_overrides)
     ledger = Ledger()
-    protocol = ENGINES[engine](
+    protocol = ENGINES.get(engine, engine)(  # a name, or the class itself
         params=params,
         ledger=ledger,
         prng=DeterministicPRNG.from_int(seed, domain="columnar-diff"),
@@ -900,8 +907,8 @@ def step(protocol):
     protocol.advance_time(protocol.pending.peek_time())
 
 
-def stored(protocol, files, size=64 * 1024):
-    ids = protocol.file_add_batch("client", [size] * files, [1] * files, ROOT)
+def stored(protocol, files, size=64 * 1024, values=None):
+    ids = protocol.file_add_batch("client", [size] * files, values or [1] * files, ROOT)
     protocol.confirm_batch(ids)
     step(protocol)  # CheckAlloc
     assert protocol.files_stored == files
@@ -1323,3 +1330,196 @@ def test_batched_countdowns_are_the_scalar_draws(seed, consumed, count, avg_refr
 def test_appears_once(values, once):
     mask = _appears_once(np.asarray(values, dtype=np.int64))
     assert mask.dtype == bool and mask.tolist() == once
+
+
+# ----------------------------------------------------------------------
+# The proof round: dispatch per run, the clean-run mask, the NaN guard
+# ----------------------------------------------------------------------
+PROOF = FileInsurerProtocol.TASK_CHECK_PROOF
+ALLOC = FileInsurerProtocol.TASK_CHECK_ALLOC
+REFRESH = FileInsurerProtocol.TASK_CHECK_REFRESH
+RENT = FileInsurerProtocol.TASK_RENT_PERIOD
+
+#: Hand-built due sets over 8 stored files, every task at one time:
+#: ``(kind, file_id[, replica index])`` in schedule (= pop) order.
+DUE_SETS = {
+    "one_kind_only": [(PROOF, file_id) for file_id in range(8)],
+    "kinds_alternating_every_task": [
+        (PROOF, 0), (ALLOC, 1), (PROOF, 2), (REFRESH, 3, 0),
+        (PROOF, 4), (ALLOC, 5), (PROOF, 6), (REFRESH, 7, 1),
+    ],
+    "one_rent_period_between_two_proof_runs": [
+        (PROOF, 0), (PROOF, 1), (PROOF, 2), (RENT,), (PROOF, 3), (PROOF, 4),
+    ],
+    "runs_of_one_at_both_ends": [
+        (ALLOC, 0), *[(PROOF, file_id) for file_id in range(1, 7)], (REFRESH, 7, 2),
+    ],
+    "two_rent_periods_last": [(PROOF, 5), (RENT,), (RENT,)],
+    "nothing_due": [],
+}
+
+
+class RecordingProtocol(ColumnarProtocol):
+    """Notes each handler call ``advance_time`` dispatches, then makes it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = []
+
+    def _check_proof_run(self, file_ids):
+        self.calls.append((PROOF, [(file_id,) for file_id in file_ids.tolist()]))
+        super()._check_proof_run(file_ids)
+
+    def _check_alloc_run(self, file_ids):
+        self.calls.append((ALLOC, [(file_id,) for file_id in file_ids.tolist()]))
+        super()._check_alloc_run(file_ids)
+
+    def _check_refresh_run(self, file_ids, indexes):
+        self.calls.append((REFRESH, list(zip(file_ids.tolist(), indexes.tolist()))))
+        super()._check_refresh_run(file_ids, indexes)
+
+    def _auto_rent_period(self):
+        self.calls.append((RENT, [()]))
+        super()._auto_rent_period()
+
+
+class TestAdvanceTimeDispatch:
+    """``advance_time`` finds the runs of equal kind with one array
+    comparison: the handlers must see the ``itertools.groupby`` of the due
+    tasks -- every run, whole, in order -- whatever the run lengths."""
+
+    @staticmethod
+    def _due(engine, tasks):
+        protocol = make_protocol(engine, providers=8, backend="vectorized")
+        stored(protocol, 8)
+        protocol.pending.pop_due(math.inf)  # the due set is the hand-built one
+        at = protocol.now + 1.0
+        for kind, *ids in tasks:
+            protocol.pending.schedule(at, kind, **dict(zip(("file_id", "index"), ids)))
+        return protocol, at
+
+    @pytest.mark.parametrize("case", sorted(DUE_SETS))
+    def test_handlers_see_the_groupby_of_the_due_kinds(self, case):
+        tasks = DUE_SETS[case]
+        recording, at = self._due(RecordingProtocol, tasks)
+        recording.calls.clear()
+        recording.advance_time(at)
+        expected = []
+        for kind, run in itertools.groupby(tasks, key=lambda task: task[0]):
+            ids = [tuple(task[1:]) for task in run]
+            if kind == RENT:  # no batch form: one call per task of the run
+                expected.extend((RENT, [()]) for _ in ids)
+            else:
+                expected.append((kind, ids))
+        assert recording.calls == expected
+        reference, at = self._due("object", tasks)
+        reference.advance_time(at)
+        assert fingerprint(recording) == fingerprint(reference)
+
+    def test_tasks_due_later_reach_no_handler(self):
+        recording, at = self._due(RecordingProtocol, DUE_SETS["one_kind_only"])
+        recording.calls.clear()
+        recording.advance_time(at - 0.5)
+        assert recording.calls == [] and len(recording.pending) == 8
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_advance_time_refuses_nan_before_any_task(engine):
+    """``until < now`` is false for NaN and so is the loop's exit test
+    ``next_time > until``: every CheckProof rescheduling itself, the call
+    never returned."""
+    protocol = make_protocol(engine, providers=8)
+    stored(protocol, 12)
+    before = (protocol.now, len(protocol.pending), fingerprint(protocol))
+    with pytest.raises(ValueError, match="cannot move backwards"):
+        protocol.advance_time(float("nan"))
+    assert (protocol.now, len(protocol.pending), fingerprint(protocol)) == before
+
+
+def _swept_network(sick=frozenset()):
+    """Eight sectors storing ten files of three and six replicas."""
+    protocol = make_protocol("columnar", providers=8, backend="vectorized", sick=sick)
+    return protocol, stored(protocol, 10, values=[1, 2] * 5)
+
+
+def _degrade(protocol, sick, kind, file_id, index):
+    """One defect on replica ``index`` of ``file_id`` (or on its host)."""
+    row = protocol.alloc.block_start[file_id] + index % protocol.files.replica_count[file_id]
+    host = protocol.alloc.prev[row]
+    if kind == "corrupted_replica":
+        protocol.alloc.state[row] = _ALLOC_CODE[AllocState.CORRUPTED]
+    elif kind == "absent_row":
+        protocol.alloc.state[row] = _ABSENT
+    elif kind == "unhosted_row":
+        protocol.alloc.prev[row] = -1
+    elif host >= 0 and kind == "sick_host":
+        sick.add(protocol.sectors.sector_ids[host])
+    elif host >= 0 and kind == "crashed_sector":
+        protocol.crash_sector(protocol.sectors.sector_ids[host])
+
+
+def _assert_mask_is_the_oracle(protocol, run):
+    run = np.asarray(run, dtype=np.int64)
+    got = protocol._proof_sweep_mask(run)
+    want = proof_sweep_mask(protocol, run)
+    for ours, theirs in zip(got, want):
+        assert ours.dtype == theirs.dtype and ours.tolist() == theirs.tolist()
+    return got
+
+
+class TestProofSweepMask:
+    """A run whose rows are all live on healthy hosts skips the mask's
+    reductions; ``(vector, proof_rows, offsets)`` must be what the
+    reductions (``proof_sweep_oracle``) give, on that run and on every
+    run one defect away from it."""
+
+    DEFECTS = (
+        "corrupted_replica", "absent_row", "unhosted_row", "sick_host", "crashed_sector",
+    )
+
+    def test_clean_run_credits_every_row(self):
+        protocol, ids = _swept_network()
+        vector, rows, offsets = _assert_mask_is_the_oracle(protocol, ids)
+        assert vector.all()
+        assert rows.tolist() == protocol.alloc.block_rows(np.asarray(ids)).tolist()
+        assert np.diff(offsets).tolist() == [3, 6] * 5
+
+    @pytest.mark.parametrize("kind", DEFECTS)
+    def test_one_defect_takes_the_reductions(self, kind):
+        sick = set()
+        protocol, ids = _swept_network(sick)
+        _degrade(protocol, sick, kind, ids[3], 4)
+        vector, rows, _ = _assert_mask_is_the_oracle(protocol, ids)
+        # A dead replica is skipped (a crash kills every row the sector
+        # held); a sick host sends its files to the scalar path.
+        assert len(rows) < 45
+        assert vector.all() == (kind != "sick_host")
+
+    @pytest.mark.parametrize(
+        "extra", [[3], [10 ** 6], [-1], [3, 3, 10 ** 6, -1]], ids=str
+    )
+    def test_duplicated_and_unknown_ids(self, extra):
+        protocol, ids = _swept_network()
+        run = ids[:6] + extra + ids[6:]
+        vector, _, _ = _assert_mask_is_the_oracle(protocol, run)
+        # An unknown id counts as a second appearance of file 0: that file
+        # takes the scalar path, which is always right.
+        seen = [file_id if file_id in ids else 0 for file_id in run]
+        assert vector.tolist() == [
+            file_id in ids and seen.count(file_id) == 1 for file_id in run
+        ]
+
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(
+        defects=st.lists(
+            st.tuples(st.sampled_from(DEFECTS), st.integers(0, 9), st.integers(0, 5)),
+            max_size=4,
+        ),
+        run=st.lists(st.integers(-1, 11), max_size=14),
+    )
+    def test_property_any_mix_of_defects(self, defects, run):
+        sick = set()
+        protocol, ids = _swept_network(sick)
+        for kind, position, index in defects:
+            _degrade(protocol, sick, kind, ids[position], index)
+        _assert_mask_is_the_oracle(protocol, run)

@@ -240,13 +240,19 @@ def _refresh_state(n_backups=6, n_sectors=3):
     return sizes, usage, assignments
 
 
-def _set_chunk(monkeypatch, chunk):
-    """Patch the vectorized source-resolution chunk; returns the one in effect."""
+def _set_knob(monkeypatch, name, value):
+    """Patch a cost knob of the vectorized module (``None`` keeps the
+    default); returns the value in effect."""
     import repro.kernels.vectorized as vectorized_module
 
-    if chunk is not None:
-        monkeypatch.setattr(vectorized_module, "_SOURCE_CHUNK_MOVES", chunk)
-    return vectorized_module._SOURCE_CHUNK_MOVES
+    if value is not None:
+        monkeypatch.setattr(vectorized_module, name, value)
+    return getattr(vectorized_module, name)
+
+
+def _set_chunk(monkeypatch, chunk):
+    """The vectorized source-resolution chunk."""
+    return _set_knob(monkeypatch, "_SOURCE_CHUNK_MOVES", chunk)
 
 
 def _assert_refresh_identical(state, chosen, targets, snapshot_after=()):
@@ -906,6 +912,74 @@ class TestBatchWeightedDrawEquivalence:
             sampler_stream(4, 1), weights, [("draw", 64)]
         )
         assert not np.array_equal(a.keys, b.keys)
+
+
+#: Caps on the vectorized engine's candidate window every case below runs
+#: under (``None``: the module default).  Results must not depend on it.
+WINDOW_CAPS = (1, 2, 3, 7, None)
+
+
+class TestDrawWindowEdges:
+    """The vectorized engine decodes candidates a window at a time, sized
+    to the draws it owes: where a window ends -- inside a draw batch,
+    inside a place run's accepted prefix, on a collision's retries, at a
+    weight update -- must not show in keys, attempts or collisions."""
+
+    @pytest.mark.parametrize("cap", WINDOW_CAPS)
+    @pytest.mark.parametrize("entropy", (0, 3))
+    def test_mixed_requests_identical(self, monkeypatch, cap, entropy):
+        _set_knob(monkeypatch, "_DRAW_CHUNK_CANDIDATES", cap)
+        weights = [10, 0, 7, 1000, 3, 250, 250]
+        free = [100, 0, 60, 400, 5, 90, 90]
+        ops = [
+            ("draw", 5),
+            ("place", np.array([30, 30, 30, 5, 5, 60, 60, 60]), 4),
+            ("set", 3, 40),
+            ("draw", 9),
+            ("place", 5, 3),
+            ("place", np.array([90, 1, 1, 1, 200]), 2),
+            ("set", 1, 900),
+            ("draw", 17),
+            ("place", np.array([2] * 40), 6),
+            ("draw", 1),
+        ]
+        result = _assert_batch_identical(weights, ops, free=free, entropy=entropy)
+        assert result.collisions > 0 and -1 in result.keys.tolist()
+
+    @pytest.mark.parametrize("cap", WINDOW_CAPS)
+    def test_two_word_candidates_identical(self, monkeypatch, cap):
+        _set_knob(monkeypatch, "_DRAW_CHUNK_CANDIDATES", cap)
+        weights = [1 << 40, (1 << 41) + 17, 5, 0]
+        ops = [
+            ("draw", 20),
+            ("place", np.array([4, 4, 4, 4, 4]), 3),
+            ("set", 0, (1 << 45) - 3),
+            ("draw", 20),
+        ]
+        _assert_batch_identical(weights, ops, free=[8, 8, 8, 8], entropy=cap or 0)
+
+    @pytest.mark.parametrize("total", ((1 << 24) + 1, (1 << 24) - 500))
+    def test_a_prefetch_is_served_by_at_most_two_refills(self, monkeypatch, total):
+        """A window sized to the 64 draws owed: one refill, or a short
+        second one when acceptance ran low -- never the 8 / 32 / 128
+        ramp.  Totals just above and just below a power of two bracket
+        the acceptance rate (1/2 and 1)."""
+        import repro.kernels.vectorized as vectorized_module
+
+        refills = []
+        refill = vectorized_module._WeightedDrawEngine._refill
+
+        def counted(engine, *owed):
+            refills.append(owed)
+            refill(engine, *owed)
+
+        monkeypatch.setattr(vectorized_module._WeightedDrawEngine, "_refill", counted)
+        weights = np.full(10_000, 1 << 10)
+        weights[0] = total - weights[1:].sum()
+        for entropy in range(25):
+            del refills[:]
+            result = _batch_draw("vectorized", weights, [("draw", 64)], entropy=entropy)
+            assert result.attempts == 64 and 1 <= len(refills) <= 2
 
 
 class TestSelectorDrawSequencePinned:
