@@ -63,13 +63,12 @@ GREEDY_ARRAY_N_FILES = 10_000
 GREEDY_ARRAY_REPLICAS = 10
 GREEDY_ARRAY_BUDGET = 0.5
 
-#: Weighted-sampler shape: a capacity table at Table-III-ish scale with
-#: draw batches interleaved with weight updates (the segment replays the
-#: vectorized engine must survive), plus a resample-on-full place tail.
+#: Weighted-sampler shape: one draw request against a capacity table at
+#: Table-III-ish scale -- the form a refresh-target prefetch or a
+#: retrieval request stream takes.  The other form producers send, a place
+#: run, is the File Add shape below.
 SAMPLER_N_SLOTS = 3_000
 SAMPLER_DRAWS = 48_000
-SAMPLER_SEGMENTS = 12
-SAMPLER_PLACES = 2_000
 
 #: Acceptance bar for the sampler kernel: vectorized batch draws must
 #: beat the Fenwick oracle by at least this factor at the pinned shape.
@@ -77,7 +76,7 @@ MIN_SAMPLER_SPEEDUP = 2.0
 
 #: File Add shape: ``fill_prove``'s replica stream -- 10^5 files x 3
 #: replicas of one size over 10^4 equal sectors -- as one place run.
-#: Recorded as draws/s, never ratio-gated.
+#: Recorded as draws/s; ratio-gated at the sampler bar above.
 FILE_ADD_N_SLOTS = 10_000
 FILE_ADD_PLACES = 300_000
 FILE_ADD_SIZE = 8 * 1024
@@ -140,33 +139,21 @@ def run_greedy_array_placements():
 
 
 def sampler_workload():
-    """The pinned ``batch_weighted_draw`` inputs (weights, ops, free)."""
-    rng = np.random.default_rng(23)
-    weights = rng.integers(1, 1 << 20, SAMPLER_N_SLOTS).astype(np.int64)
-    ops = []
-    per_segment = SAMPLER_DRAWS // SAMPLER_SEGMENTS
-    for _ in range(SAMPLER_SEGMENTS):
-        ops.append(("draw", per_segment))
-        ops.append(
-            ("set", int(rng.integers(0, SAMPLER_N_SLOTS)), int(rng.integers(0, 1 << 20)))
-        )
-    ops.extend(("place", int(size), 4) for size in rng.integers(1, 64, SAMPLER_PLACES))
-    free = np.full(SAMPLER_N_SLOTS, 48, dtype=np.int64)
-    return weights, ops, free
+    """The pinned draw request's ``batch_weighted_draw`` inputs (weights, ops)."""
+    weights = np.random.default_rng(23).integers(1, 1 << 20, SAMPLER_N_SLOTS)
+    return weights, [("draw", SAMPLER_DRAWS)]
 
 
 def run_sampler(backend: str) -> tuple:
-    """One full batched-draw replay at the pinned shape.
+    """One draw request at the pinned shape.
 
     Returns hashable result fields so the artifact gate can assert
     cross-backend equality before timing anything.
     """
     from repro.kernels import get_backend, sampler_stream
 
-    weights, ops, free = sampler_workload()
-    result = get_backend(backend).batch_weighted_draw(
-        sampler_stream(17, 0), weights, ops, free=free
-    )
+    weights, ops = sampler_workload()
+    result = get_backend(backend).batch_weighted_draw(sampler_stream(17, 0), weights, ops)
     return result.keys.tobytes(), result.attempts, result.collisions
 
 

@@ -4,9 +4,9 @@ Decentralized File Storage in Blockchain* (ICDCS 2022).
 The package is organised as:
 
 * :mod:`repro.core` -- the FileInsurer protocol (the paper's contribution).
-* :mod:`repro.crypto` -- Merkle trees, simulated PoRep/PoSt, beacon, PRNG,
+* :mod:`repro.crypto` -- Merkle trees, simulated PoRep/PoSt, PRNG,
   Reed-Solomon erasure coding.
-* :mod:`repro.chain` -- the blockchain substrate hosting the protocol.
+* :mod:`repro.chain` -- the on-chain accounting: token ledger and gas.
 * :mod:`repro.storage` -- the IPFS-like substrate (content store, DHT,
   BitSwap, disks, provider and client actors).
 * :mod:`repro.sim` -- discrete-event simulation, workloads, adversaries and

@@ -1,23 +1,15 @@
-"""Blockchain substrate hosting the FileInsurer DSN.
+"""On-chain accounting for the FileInsurer DSN.
 
 FileInsurer can be deployed as an independent chain or as a contract on an
-existing chain (Section IV).  This package implements the minimal chain the
-protocol needs:
+existing chain (Section IV); either way the paper assumes consensus
+security rather than analysing it, so this package holds only what the
+protocol's economics need from a chain:
 
 * :mod:`repro.chain.ledger` -- token accounts, transfers, escrow, deposits
   and burning, with full conservation-of-value accounting.
 * :mod:`repro.chain.gas` -- gas metering and a simple fee schedule.
-* :mod:`repro.chain.transaction` -- signed-request abstractions for client
-  and provider requests.
-* :mod:`repro.chain.block` -- blocks of transactions bound by hashes.
-* :mod:`repro.chain.blockchain` -- block production with a capacity-weighted
-  leader election driven by WinningPoSt-style tickets (a simplified
-  Expected Consensus, adequate because the paper assumes consensus
-  security).
 """
 
-from repro.chain.block import Block, BlockHeader
-from repro.chain.blockchain import Blockchain, ConsensusConfig
 from repro.chain.gas import GasMeter, GasSchedule, OutOfGasError
 from repro.chain.ledger import (
     Account,
@@ -25,20 +17,13 @@ from repro.chain.ledger import (
     Ledger,
     LedgerError,
 )
-from repro.chain.transaction import Transaction, TransactionReceipt
 
 __all__ = [
     "Account",
-    "Block",
-    "BlockHeader",
-    "Blockchain",
-    "ConsensusConfig",
     "GasMeter",
     "GasSchedule",
     "InsufficientFundsError",
     "Ledger",
     "LedgerError",
     "OutOfGasError",
-    "Transaction",
-    "TransactionReceipt",
 ]

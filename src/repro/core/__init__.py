@@ -5,15 +5,11 @@ The public API of the paper's primary contribution:
 * :class:`~repro.core.params.ProtocolParams` -- every protocol constant.
 * :class:`~repro.core.protocol.FileInsurerProtocol` -- the on-chain state
   machine (File / Sector / Auto protocols, deposits, compensation, fees).
-* :class:`~repro.core.chain_app.FileInsurerChainApp` -- adapter running the
-  protocol as a blockchain application.
 * :mod:`~repro.core.analysis` -- Theorems 1-4 in closed form.
 * :class:`~repro.core.drep.SectorContentPlan` -- the DRep sector content
   model.
 * :class:`~repro.core.large_files.LargeFileCodec` -- erasure segmentation
   of oversized files.
-* :class:`~repro.core.subnetworks.SubnetworkRouter` -- value-level
-  subnetworks.
 """
 
 from repro.core.allocation import AllocEntry, AllocState, AllocationTable
@@ -24,7 +20,6 @@ from repro.core.analysis import (
     theorem3_loss_ratio_bound,
     theorem4_deposit_ratio_bound,
 )
-from repro.core.chain_app import FileInsurerChainApp
 from repro.core.deposit import CompensationShortfallError, InsuranceFund
 from repro.core.drep import DRepCostModel, SectorContentPlan
 from repro.core.events import EventLog, EventType, ProtocolEvent
@@ -36,7 +31,6 @@ from repro.core.pending import PendingList, PendingTask
 from repro.core.protocol import FileInsurerProtocol, ProtocolError, RefreshNotice
 from repro.core.sector import SectorRecord, SectorState
 from repro.core.selector import CapacitySelector, SamplerInvariantError, WeightedSampler
-from repro.core.subnetworks import SubnetworkRouter, ValueLevel
 
 __all__ = [
     "AllocEntry",
@@ -49,7 +43,6 @@ __all__ = [
     "EventType",
     "FeeEngine",
     "FileDescriptor",
-    "FileInsurerChainApp",
     "FileInsurerProtocol",
     "FilePopulation",
     "FileState",
@@ -65,8 +58,6 @@ __all__ = [
     "SectorRecord",
     "SectorState",
     "SegmentedFile",
-    "SubnetworkRouter",
-    "ValueLevel",
     "SamplerInvariantError",
     "WeightedSampler",
     "theorem1_max_storable_size",

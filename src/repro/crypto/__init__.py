@@ -8,11 +8,10 @@ protocol relies on:
 * :mod:`repro.crypto.prng` -- a deterministic, seedable pseudorandom
   generator used to expand a short random beacon into the long stream of
   public random bits the protocol consumes.
-* :mod:`repro.crypto.beacon` -- a simulated unbiased public random beacon.
 * :mod:`repro.crypto.porep` -- a simulated Proof-of-Replication scheme
   (sealing, replica commitments and proof verification).
-* :mod:`repro.crypto.post` -- simulated WindowPoSt / WinningPoSt
-  challenge-response proofs of spacetime.
+* :mod:`repro.crypto.post` -- simulated WindowPoSt challenge-response
+  proofs of spacetime.
 * :mod:`repro.crypto.erasure` -- a Reed-Solomon erasure code over GF(2^8)
   used for the extremely-large-file segmentation of Section VI-C.
 
@@ -25,12 +24,11 @@ the :mod:`repro.crypto.porep` module docstring for the substitution
 rationale.
 """
 
-from repro.crypto.beacon import RandomBeacon
 from repro.crypto.erasure import ReedSolomonCode
 from repro.crypto.hashing import ContentId, hash_bytes, hash_concat
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.crypto.porep import PoRepParams, PoRepProver, PoRepVerifier, SealedReplica
-from repro.crypto.post import PoStChallenge, PoStProof, WindowPoSt, WinningPoSt
+from repro.crypto.post import PoStChallenge, PoStProof, WindowPoSt
 from repro.crypto.prng import DeterministicPRNG, xor_bytes
 
 __all__ = [
@@ -43,11 +41,9 @@ __all__ = [
     "PoRepVerifier",
     "PoStChallenge",
     "PoStProof",
-    "RandomBeacon",
     "ReedSolomonCode",
     "SealedReplica",
     "WindowPoSt",
-    "WinningPoSt",
     "hash_bytes",
     "hash_concat",
     "xor_bytes",

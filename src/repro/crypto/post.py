@@ -1,10 +1,8 @@
-"""Simulated Proof-of-Spacetime (WindowPoSt and WinningPoSt).
+"""Simulated Proof-of-Spacetime (WindowPoSt).
 
-Filecoin uses two PoSt variants: WindowPoSt periodically proves a provider
-still holds its sealed replicas, and WinningPoSt is the lottery ticket for
-Expected Consensus block election.  FileInsurer reuses both: File Prove
-requests carry WindowPoSt-style proofs, and the consensus substrate uses
-WinningPoSt-style tickets.
+Filecoin's WindowPoSt periodically proves a provider still holds its
+sealed replicas; FileInsurer's File Prove requests carry WindowPoSt-style
+proofs.
 
 The simulation issues beacon-derived challenges naming random chunks of a
 sealed replica; the prover answers with those chunks plus Merkle inclusion
@@ -16,14 +14,14 @@ the higher layers rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List
 
 from repro.crypto.hashing import hash_concat
 from repro.crypto.merkle import MerkleProof, MerkleTree, chunk_bytes
 from repro.crypto.porep import ReplicaCommitment, SealedReplica
 from repro.crypto.prng import DeterministicPRNG
 
-__all__ = ["PoStChallenge", "PoStProof", "WindowPoSt", "WinningPoSt"]
+__all__ = ["PoStChallenge", "PoStProof", "WindowPoSt"]
 
 
 @dataclass(frozen=True)
@@ -119,55 +117,3 @@ class WindowPoSt:
             if not merkle_proof.verify(challenge.replica_root):
                 return False
         return True
-
-
-class WinningPoSt:
-    """Consensus lottery tickets derived from held replicas.
-
-    Each epoch every provider draws a ticket per unit of proven capacity;
-    the smallest ticket below the difficulty target wins block election.
-    This is a deliberately simplified stand-in for Filecoin's Expected
-    Consensus, adequate because the paper assumes consensus security.
-    """
-
-    def __init__(self, window_post: Optional[WindowPoSt] = None) -> None:
-        self.window_post = window_post or WindowPoSt()
-
-    def ticket(
-        self, provider_id: bytes, epoch: int, beacon_value: bytes, capacity_units: int
-    ) -> float:
-        """Return the provider's best lottery ticket in ``[0, 1)``.
-
-        The more capacity units (sealed replicas) a provider can prove, the
-        more draws it gets, so election probability is capacity-weighted.
-        """
-        if capacity_units <= 0:
-            return 1.0
-        best = 1.0
-        for unit in range(capacity_units):
-            digest = hash_concat(
-                b"winning-post",
-                provider_id,
-                epoch.to_bytes(8, "big"),
-                beacon_value,
-                unit.to_bytes(8, "big"),
-            )
-            draw = int.from_bytes(digest[:8], "big") / float(1 << 64)
-            best = min(best, draw)
-        return best
-
-    def elect(
-        self,
-        providers: Sequence[tuple],
-        epoch: int,
-        beacon_value: bytes,
-    ) -> Optional[bytes]:
-        """Elect a block producer among ``(provider_id, capacity_units)`` pairs."""
-        best_ticket = None
-        winner = None
-        for provider_id, capacity_units in providers:
-            ticket = self.ticket(provider_id, epoch, beacon_value, capacity_units)
-            if best_ticket is None or ticket < best_ticket:
-                best_ticket = ticket
-                winner = provider_id
-        return winner

@@ -11,10 +11,9 @@ one small, numerically pinned API:
   to a live placement, reporting the running per-sector usage maximum;
 * :meth:`KernelBackend.greedy_select` -- budgeted greedy sector selection
   for the targeted-corruption adversary;
-* :meth:`KernelBackend.batch_weighted_draw` -- a batch of Fenwick-style
-  weighted draws with interleaved weight updates and resample-on-full
-  placement, the engine behind
-  :class:`~repro.core.selector.CapacitySelector`.
+* :meth:`KernelBackend.batch_weighted_draw` -- one request of
+  Fenwick-style weighted draws, plain or with resample-on-full placement,
+  the engine behind :class:`~repro.core.selector.CapacitySelector`.
 
 Backends must be **bit-equivalent**: for identical inputs (including the
 shared RNG draws, which happen *outside* the kernels so every backend
@@ -163,43 +162,45 @@ class KernelBackend(ABC):
         ops: Sequence[Tuple],
         free: Optional[Sequence[int]] = None,
     ) -> BatchDrawResult:
-        """Replay a stream of weighted-draw operations against one table.
+        """Serve one weighted-draw request against one constant table.
 
         ``weights`` is a table of non-negative integer sampling weights
         (slot ``i`` is drawn with probability ``weights[i] / total``;
-        zero-weight slots are never drawn).  ``ops`` is replayed in
-        order:
+        zero-weight slots are never drawn), constant for the call.
+        ``ops`` holds **exactly one** request:
 
-        * ``("set", slot, weight)`` -- point-update a slot's sampling
-          weight (weight ``0`` removes/zeroes the slot);
-        * ``("draw", count)`` -- append ``count`` weighted draws to the
-          result keys;
-        * ``("place", size, max_attempts)`` -- the resample-on-full loop
-          of :meth:`CapacitySelector.select_batch`: draw repeatedly
-          (at most ``max_attempts`` times) until a slot with
-          ``free[slot] >= size`` is hit, then debit ``free[slot] -=
-          size`` and append the slot; append ``-1`` when every attempt
-          collides.  Requires ``free``, a per-slot capacity table the
-          kernel updates privately as it places.  The same op carries a
-          *run*: ``("place", sizes, max_attempts)`` with ``sizes`` a 1-D
-          integer ``numpy`` array is exactly one scalar ``place`` per
-          size, in order, sharing ``max_attempts`` -- how ``File Add``
-          hands over a whole batch's replica column without building a
-          tuple per replica.
+        * ``("draw", count)`` -- ``count`` weighted draws;
+        * ``("place", sizes, max_attempts)`` -- a place *run*, ``sizes`` a
+          1-D integer ``numpy`` array: for every size in order, the
+          resample-on-full loop of :meth:`CapacitySelector.select_batch`
+          -- draw repeatedly (at most ``max_attempts`` times) until a
+          slot with ``free[slot] >= size`` is hit, then debit
+          ``free[slot] -= size`` and yield the slot; yield ``-1`` when
+          every attempt collides.  Requires ``free``, a per-slot capacity
+          table the kernel debits privately as it places.  This is how
+          ``File Add`` hands over a whole batch's replica column without
+          building a tuple per replica.
 
-        Sizes, counts, slots, weights and ``max_attempts`` must be
-        integers (``operator.index``; an integer dtype for a run);
-        floats and booleans raise ``ValueError`` naming the op instead of
-        being truncated, and a size must fit ``int64``.  A malformed
-        request raises before any word of ``rng`` is consumed, with the
-        same text on every backend.
+        Every producer sends one request per call
+        (``tests/test_kernel_traffic.py`` holds them to it), so that is
+        the contract; ``ops`` stays a sequence because proxies around a
+        backend share the signature and report ``len(ops)``.  No request
+        or several, any other kind, a wrong arity or a ``place`` whose
+        sizes are not an array raise one ``ValueError``.
+
+        Tables and sizes must have an integer dtype after ``np.asarray``
+        (floats, strings and booleans raise ``ValueError`` naming the
+        array instead of being truncated) and fit ``int64``; counts and
+        ``max_attempts`` must be integers (``operator.index``).  A
+        malformed request raises before any word of ``rng`` is consumed,
+        with the same text on every backend.
 
         **Draw protocol.**  ``rng`` is a *dedicated* uint32 stream for
         this one call (see
         :func:`~repro.kernels.sampling.sampler_stream`); backends may
-        generate past the words the batch logically consumes, so callers
-        must never reuse the generator.  One draw with total weight
-        ``T`` consumes candidates of ``ceil(T.bit_length() / 32)``
+        generate past the words the request logically consumes, so
+        callers must never reuse the generator.  One draw with total
+        weight ``T`` consumes candidates of ``ceil(T.bit_length() / 32)``
         words each (big-endian, right-shifted to ``T.bit_length()``
         bits) until a candidate below ``T`` is accepted; the accepted
         target selects the smallest slot whose weight prefix-sum exceeds
@@ -210,9 +211,9 @@ class KernelBackend(ABC):
         ``tests/test_kernels_equivalence.py`` and the hypothesis
         differential pack in ``tests/test_property_based.py``.
 
-        Drawing from an empty or all-zero table raises ``ValueError``,
-        as does a total weight at or above
-        :data:`~repro.kernels.sampling.MAX_TOTAL_WEIGHT` (``2**62``),
-        checked at the first draw of each constant-weight segment.
-        Input tables are copied; the caller's arrays are never mutated.
+        A total weight at or above
+        :data:`~repro.kernels.sampling.MAX_TOTAL_WEIGHT` (``2**62``)
+        raises ``ValueError`` at the request; an empty or all-zero table
+        raises it at the first draw the request owes.  The caller's
+        arrays are never mutated.
         """

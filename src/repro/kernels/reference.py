@@ -137,7 +137,7 @@ class ReferenceKernels(KernelBackend):
         # its draws, so a module-level import here would cycle.
         from repro.core.selector import WeightedSampler
 
-        weight_table, op_list, free_table = normalize_draw_request(weights, ops, free)
+        weight_table, request, free_table = normalize_draw_request(weights, ops, free)
         # The oracle really is the Fenwick tree: slots become integer
         # keys and every draw goes through WeightedSampler.sample with
         # the shared U32Randint adapter supplying the draw protocol.
@@ -145,34 +145,30 @@ class ReferenceKernels(KernelBackend):
         for slot, weight in enumerate(weight_table.tolist()):
             sampler.add(slot, weight)
         draws = U32Randint(U32Stream(rng))
-        free_list = free_table.tolist() if free_table is not None else None
+        total_weight_guard(sampler.total_weight)
 
-        keys: List[int] = []
+        if request[0] == "draw":
+            keys = [sampler.sample(draws) for _ in range(request[1])]
+            return BatchDrawResult(
+                keys=np.asarray(keys, dtype=np.int64), attempts=len(keys), collisions=0
+            )
+        # A place run: every size in order, one attempt budget each.
+        _, sizes, max_attempts = request
+        free_list = free_table.tolist()
+        keys = []
         attempts = 0
         collisions = 0
-        for op in op_list:
-            kind = op[0]
-            if kind == "set":
-                sampler.update_weight(op[1], op[2])
-                continue
-            total_weight_guard(sampler.total_weight)
-            if kind == "draw":
-                for _ in range(op[1]):
-                    keys.append(sampler.sample(draws))
-                    attempts += 1
-            else:  # place: every size of the run, with one attempt budget
-                max_attempts = op[2]
-                for size in op[1].tolist():
-                    placed = -1
-                    for _ in range(max_attempts):
-                        slot = sampler.sample(draws)
-                        attempts += 1
-                        if free_list[slot] >= size:
-                            free_list[slot] -= size
-                            placed = slot
-                            break
-                        collisions += 1
-                    keys.append(placed)
+        for size in sizes.tolist():
+            placed = -1
+            for _ in range(max_attempts):
+                slot = sampler.sample(draws)
+                attempts += 1
+                if free_list[slot] >= size:
+                    free_list[slot] -= size
+                    placed = slot
+                    break
+                collisions += 1
+            keys.append(placed)
         return BatchDrawResult(
             keys=np.asarray(keys, dtype=np.int64), attempts=attempts, collisions=collisions
         )

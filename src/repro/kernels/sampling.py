@@ -9,7 +9,7 @@ full contract):
   full-range ``uint32`` draws.  32-bit full-range draws consume the
   underlying bit-generator stream one word at a time, so the word
   sequence is invariant under re-chunking: the reference backend taking
-  two words at a time and the vectorized backend peeking thousands read
+  two words at a time and the vectorized backend taking thousands read
   *the same words in the same order*.
 * :class:`U32Randint` -- the scalar rejection sampler mapping that word
   stream to bounded integers.  It is duck-type compatible with
@@ -28,8 +28,9 @@ full contract):
 from __future__ import annotations
 
 import operator
+import reprlib
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,8 +46,8 @@ __all__ = [
 
 #: Upper bound (exclusive) on the total sampling weight.  The vectorized
 #: backend accumulates weights in ``int64`` and compares candidates in
-#: ``uint64``; both backends raise ``ValueError`` at the first draw whose
-#: total reaches this bound so the contract cannot silently diverge.
+#: ``uint64``; both backends refuse a request whose total reaches this
+#: bound (:func:`total_weight_guard`) so the contract cannot diverge.
 MAX_TOTAL_WEIGHT = 1 << 62
 
 _INT64_MAX = (1 << 63) - 1
@@ -71,13 +72,12 @@ def sampler_stream(entropy: int, *spawn_key: int) -> np.random.Generator:
 
 
 class U32Stream:
-    """Buffered full-range ``uint32`` word stream with lookahead.
+    """Buffered full-range ``uint32`` word stream.
 
-    ``peek`` exposes upcoming words without consuming them and
-    ``advance`` commits consumption; ``take`` combines both.  The
-    reference backend only ever takes a candidate's words; the vectorized
-    backend peeks whole chunks and advances exactly as far as the batch
-    logically consumed, so both see identical words for every candidate.
+    ``take`` consumes the next words, however many at a time: the
+    reference backend takes one candidate's words, the vectorized backend
+    a whole window of candidates, and both see identical words for every
+    candidate.
     """
 
     def __init__(self, rng: np.random.Generator) -> None:
@@ -85,34 +85,19 @@ class U32Stream:
         self._buffer = np.empty(0, dtype=np.uint32)
         self._start = 0
 
-    def _ensure(self, count: int) -> None:
-        available = self._buffer.size - self._start
-        if available >= count:
-            return
-        fresh = self._rng.integers(
-            0, 1 << 32, max(count - available, _STREAM_CHUNK_WORDS), dtype=np.uint32
-        )
-        if available:
-            self._buffer = np.concatenate([self._buffer[self._start :], fresh])
-        else:
-            self._buffer = fresh
-        self._start = 0
-
-    def peek(self, count: int) -> np.ndarray:
-        """The next ``count`` words, without consuming them."""
-        self._ensure(count)
-        return self._buffer[self._start : self._start + count]
-
-    def advance(self, count: int) -> None:
-        """Consume ``count`` previously peeked words."""
-        if count > self._buffer.size - self._start:
-            raise ValueError("cannot advance past the peeked window")
-        self._start += count
-
     def take(self, count: int) -> np.ndarray:
         """Consume and return the next ``count`` words."""
-        words = self.peek(count)
-        self.advance(count)
+        available = self._buffer.size - self._start
+        if available < count:
+            fresh = self._rng.integers(
+                0, 1 << 32, max(count - available, _STREAM_CHUNK_WORDS), dtype=np.uint32
+            )
+            if available:
+                fresh = np.concatenate([self._buffer[self._start :], fresh])
+            self._buffer = fresh
+            self._start = 0
+        words = self._buffer[self._start : self._start + count]
+        self._start += count
         return words
 
 
@@ -151,13 +136,12 @@ class U32Randint:
 class BatchDrawResult:
     """Outcome of one ``batch_weighted_draw`` call.
 
-    ``keys`` holds, in operation order, one entry per requested draw:
-    ``("draw", count)`` contributes ``count`` sampled slot indices and
-    ``("place", sizes, max_attempts)`` contributes, per size, the placed
-    slot index or ``-1`` when every attempt collided.  ``attempts``
-    counts every weighted draw performed (including the collided
-    attempts of place operations) and ``collisions`` the free-capacity
-    rejections -- exactly the counters
+    ``keys`` holds one entry per requested draw: ``("draw", count)``
+    gives ``count`` sampled slot indices and ``("place", sizes,
+    max_attempts)`` gives, per size, the placed slot index or ``-1`` when
+    every attempt collided.  ``attempts`` counts every weighted draw
+    performed (including the collided attempts of a place run) and
+    ``collisions`` the free-capacity rejections -- exactly the counters
     :class:`~repro.core.selector.CapacitySelector` keeps.
     """
 
@@ -169,9 +153,9 @@ class BatchDrawResult:
 def total_weight_guard(total: int) -> None:
     """Reject totals the vectorized arithmetic cannot represent.
 
-    Called by both backends at the first draw of each constant-weight
-    segment, so a weight table pushed past :data:`MAX_TOTAL_WEIGHT`
-    raises the same ``ValueError`` at the same operation everywhere.
+    Called by both backends once per request, before any draw, so a
+    weight table at or past :data:`MAX_TOTAL_WEIGHT` raises the same
+    ``ValueError`` everywhere.
     """
     if total >= MAX_TOTAL_WEIGHT:
         raise ValueError(
@@ -183,8 +167,8 @@ def total_weight_guard(total: int) -> None:
 def _index(value: object, what: str) -> int:
     """``value`` as a Python int; floats, strings and booleans are refused.
 
-    ``int()`` would place ``("place", 3.7, 2)`` as 3 bytes and draw
-    ``("draw", 2.9)`` twice -- a silently different request.
+    ``int()`` would draw ``("draw", 2.9)`` twice -- a silently different
+    request.
     """
     if isinstance(value, bool):
         raise ValueError(f"{what} must be an integer")
@@ -194,96 +178,72 @@ def _index(value: object, what: str) -> int:
         raise ValueError(f"{what} must be an integer") from None
 
 
-def _place_sizes(raw: object) -> np.ndarray:
-    """The sizes of one ``place`` op -- one size or a 1-D run -- as int64."""
-    if isinstance(raw, np.ndarray):
-        if raw.ndim != 1:
-            raise ValueError("'place' sizes must be one-dimensional")
-        if raw.dtype.kind not in "iu":
-            raise ValueError("'place' size must be an integer")
-    else:
-        raw = np.asarray([_index(raw, "'place' size")])
-    if raw.size:
-        if int(raw.min()) < 0:
-            raise ValueError("'place' size must be non-negative")
-        if raw.dtype.kind != "i" and int(raw.max()) > _INT64_MAX:
-            # uint64 above 2**63 or an object array of a huge python int
-            raise ValueError("'place' size must fit in int64")
-    return raw.astype(np.int64, copy=False)
+def _int64_array(raw: object, what: str) -> np.ndarray:
+    """``raw`` as int64, refused rather than truncated or wrapped.
+
+    ``np.array(raw, dtype=np.int64)`` would sample ``[1.9, 0.9, 2.5]`` as
+    ``[1, 0, 2]``, take ``["3", "4"]`` or a boolean mask for a table and
+    wrap a ``uint64`` past ``2**63`` to a negative.
+    """
+    array = np.asarray(raw)
+    if array.size and array.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got dtype {array.dtype}")
+    if array.dtype.kind == "u" and array.size and int(array.max()) > _INT64_MAX:
+        raise ValueError(f"{what} must fit in int64")
+    return array.astype(np.int64, copy=False)
 
 
 def normalize_draw_request(
     weights: Sequence[int],
     ops: Sequence[Tuple],
     free: Optional[Sequence[int]],
-) -> Tuple[np.ndarray, List[Tuple], Optional[np.ndarray]]:
-    """Validate one batch request; returns defensive int64 copies.
+) -> Tuple[np.ndarray, Tuple, Optional[np.ndarray]]:
+    """Validate one call; returns ``(weights, request, free)``.
 
-    The returned ``weights`` / ``free`` arrays are private to the kernel
-    call (backends mutate them while replaying the operation stream);
-    the caller's inputs are never touched.  Every ``place`` op comes back
-    as ``("place", int64 sizes array, max_attempts)`` whichever arity it
-    arrived in, a run validated in one numpy pass; op scalars must be
-    integers (``operator.index``), so nothing is silently truncated.
+    ``ops`` must hold exactly one request, which comes back as
+    ``("draw", count)`` or ``("place", int64 sizes array, max_attempts)``;
+    anything else -- no request or several, a ``"set"`` or unknown kind, a
+    wrong arity, a ``place`` whose sizes are not a numpy array -- raises
+    one ``ValueError``.  Both tables come back as int64, ``free`` as a
+    private copy (the backends debit it as they place; the weight table
+    is only read), so the caller's inputs are never touched.  Arrays must
+    have an integer dtype and scalars must be integers
+    (``operator.index``), so nothing is silently truncated.
     """
-    try:
-        weight_table = np.array(weights, dtype=np.int64)
-    except OverflowError:
-        raise ValueError(
-            f"weights must stay below 2**62, the kernel total bound"
-        ) from None
+    weight_table = _int64_array(weights, "weights")
     if weight_table.ndim != 1:
         raise ValueError("weights must be one-dimensional")
     if weight_table.size and int(weight_table.min()) < 0:
         raise ValueError("weights must be non-negative")
     if weight_table.size and int(weight_table.max()) >= MAX_TOTAL_WEIGHT:
         raise ValueError("weights must stay below 2**62, the kernel total bound")
-    n_slots = int(weight_table.size)
 
     free_table: Optional[np.ndarray] = None
     if free is not None:
-        free_table = np.array(free, dtype=np.int64)
+        free_table = _int64_array(free, "free").copy()
         if free_table.shape != weight_table.shape:
             raise ValueError("free must match the weight table's shape")
 
-    normalized: List[Tuple] = []
-    for op in ops:
-        if not isinstance(op, tuple) or not op:
-            raise ValueError(f"malformed sampler operation {op!r}")
-        kind = op[0]
-        if kind == "set":
-            if len(op) != 3:
-                raise ValueError(f"'set' expects (slot, weight), got {op!r}")
-            slot, weight = _index(op[1], "'set' slot"), _index(op[2], "'set' weight")
-            if not 0 <= slot < n_slots:
-                raise ValueError(f"'set' slot {slot} out of range [0, {n_slots})")
-            if weight < 0:
-                raise ValueError("weights must be non-negative")
-            if weight >= MAX_TOTAL_WEIGHT:
-                # Rejected up front (not at the next draw) so a transient
-                # over-bound weight fails identically on a backend whose
-                # table arithmetic could not even store it.
-                raise ValueError(
-                    "weights must stay below 2**62, the kernel total bound"
-                )
-            normalized.append(("set", slot, weight))
-        elif kind == "draw":
-            if len(op) != 2:
-                raise ValueError(f"'draw' expects (count,), got {op!r}")
-            count = _index(op[1], "'draw' count")
-            if count < 0:
-                raise ValueError("'draw' count must be non-negative")
-            normalized.append(("draw", count))
-        elif kind == "place":
-            if len(op) != 3:
-                raise ValueError(f"'place' expects (size, max_attempts), got {op!r}")
-            sizes = _place_sizes(op[1])
-            max_attempts = _index(op[2], "'place' max_attempts")
-            if max_attempts < 1:
-                raise ValueError("'place' max_attempts must be >= 1")
-            if free_table is None:
-                raise ValueError("'place' operations require a free table")
-            normalized.append(("place", sizes, max_attempts))
-        else:
-            raise ValueError(f"unknown sampler operation kind {kind!r}")
-    return weight_table, normalized, free_table
+    op = ops[0] if len(ops) == 1 else None
+    kind = op[0] if isinstance(op, tuple) and op else None
+    if kind == "draw" and len(op) == 2:
+        count = _index(op[1], "'draw' count")
+        if count < 0:
+            raise ValueError("'draw' count must be non-negative")
+        return weight_table, ("draw", count), free_table
+    if kind == "place" and len(op) == 3 and isinstance(op[1], np.ndarray):
+        sizes = _int64_array(op[1], "'place' sizes")
+        if sizes.ndim != 1:
+            raise ValueError("'place' sizes must be one-dimensional")
+        if sizes.size and int(sizes.min()) < 0:
+            raise ValueError("'place' sizes must be non-negative")
+        max_attempts = _index(op[2], "'place' max_attempts")
+        if max_attempts < 1:
+            raise ValueError("'place' max_attempts must be >= 1")
+        if free_table is None:
+            raise ValueError("'place' operations require a free table")
+        return weight_table, ("place", sizes, max_attempts), free_table
+    raise ValueError(
+        "batch_weighted_draw takes exactly one request, ('draw', count) or "
+        f"('place', integer sizes array, max_attempts); got {reprlib.repr(ops)}"
+    )

@@ -26,13 +26,11 @@ equality with :class:`~repro.kernels.reference.ReferenceKernels`:
 * **placement** -- ``np.bincount`` accumulates weights in input order,
   i.e. the same addition order as the reference loop, so the batched
   capacity-proportional placement is exact as well.
-* **weighted draws** -- within a constant-weight segment the scalar
-  rejection loop is a pure filter over consecutive uint32 candidates, so
-  whole chunks are decoded at once and every accepted target resolves
-  with one ``searchsorted`` into the cumulative weights; weight updates
-  invalidate only the decoded candidates, never the word stream, so the
-  replay stays bit-identical to the Fenwick oracle
-  (:class:`_WeightedDrawEngine`).
+* **weighted draws** -- the weight table is constant for a call, so the
+  scalar rejection loop is a pure filter over consecutive uint32
+  candidates: whole windows are decoded at once and every accepted
+  target resolves with one ``searchsorted`` into the cumulative weights,
+  bit-identical to the Fenwick oracle (:class:`_WeightedDrawEngine`).
 """
 
 from __future__ import annotations
@@ -82,125 +80,82 @@ _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 
 class _WeightedDrawEngine:
-    """Segment-replay engine behind ``batch_weighted_draw``.
+    """Window-decoding engine behind ``batch_weighted_draw``.
 
-    The weight table is constant between ``set`` operations, so each
-    constant-weight *segment* shares one cumulative-weight array and one
-    candidate geometry (words per candidate, shift).  Within a segment
-    the rejection loop of the scalar draw protocol becomes a filter:
-    decode a chunk of consecutive candidates from the word stream at
-    once, keep those below the total, and binary-search all accepted
-    targets into the cumulative weights in one ``searchsorted``.
+    The weight table is constant for the whole call, so its exact total,
+    its cumulative weights and the candidate geometry (words per
+    candidate, shift) are computed once.  The rejection loop of the
+    scalar draw protocol then becomes a filter: take a window of
+    consecutive candidates from the word stream at once, keep those below
+    the total, and binary-search all accepted targets into the cumulative
+    weights in one ``searchsorted``.
 
-    Word accounting preserves bit-identity with the scalar loop: a chunk
-    is *peeked*, not consumed.  Handing out the ``i``-th accepted
-    candidate logically consumes every word through it (rejected
-    candidates in between belong to the draw that skipped past them);
-    when a weight update invalidates the segment, the stream advances
-    only past the last handed-out candidate, so the next segment decodes
-    the very next word -- exactly where the scalar loop would be.  A
-    refill mid-draw may advance past trailing rejected candidates
-    because the pending draw is guaranteed to consume them.
+    Handing out the ``i``-th accepted candidate logically consumes every
+    word through it (rejected candidates in between belong to the draw
+    that skipped past them), so the draws read the words the scalar loop
+    would.  A refill happens only with a draw pending, which is
+    guaranteed to consume whatever trailing rejected candidates the
+    previous window ended on; words taken past the call's last draw go
+    unread, which is why the stream is dedicated to one call.
 
-    A chunk (window) is sized to the draws its caller still owes, divided
-    by the acceptance rate, so a 64-draw prefetch is one refill and a
-    single draw decodes a handful of candidates; long place runs get
-    ``_DRAW_CHUNK_CANDIDATES`` at a time.  Since chunks are only peeked,
-    their size is a pure cost knob.
+    A window is sized to the draws its caller still owes (a 64-draw
+    prefetch is one refill, a long place run gets
+    ``_DRAW_CHUNK_CANDIDATES`` at a time); where it ends never shows in
+    the results, so its size is a pure cost knob.
     """
 
     def __init__(self, weights: np.ndarray, rng: np.random.Generator) -> None:
-        self._weights = weights
         self._stream = U32Stream(rng)
-        # Exact running total (python int): int64 summation could wrap
-        # silently for adversarial tables, and the total drives both the
-        # guard and the candidate geometry.  The C summation is provably
-        # exact when max * size cannot reach 2**63; only adversarial
-        # tables pay for python-int arithmetic.
+        # Exact total (python int): int64 summation could wrap silently
+        # for adversarial tables, and the total drives both the guard and
+        # the candidate geometry.  The C summation is provably exact when
+        # max * size cannot reach 2**63; only adversarial tables pay for
+        # python-int arithmetic.
         if weights.size == 0:
-            self._total = 0
+            total = 0
+        elif int(weights.max()).bit_length() + int(weights.size).bit_length() <= 62:
+            total = int(weights.sum())
         else:
-            peak = int(weights.max())
-            if peak.bit_length() + int(weights.size).bit_length() <= 62:
-                self._total = int(weights.sum())
-            else:
-                self._total = sum(weights.tolist())
-        self._dirty = True
-        self._cum = _EMPTY_I64
-        self._bits = 0
-        self._n_words = 1
-        self._shift = np.uint64(0)
-        # Candidate cache for the current chunk.
-        self._slots = _EMPTY_I64  # accepted candidates, as slot indices
-        self._used_words = _EMPTY_I64  # words consumed through each of them
-        self._pos = 0  # accepted candidates already handed out
-        self._chunk_words = 0  # total words the current chunk peeked
-
-    @property
-    def total(self) -> int:
-        return self._total
-
-    def set_weight(self, slot: int, weight: int) -> None:
-        self._invalidate()
-        self._total += weight - int(self._weights[slot])
-        self._weights[slot] = weight
-        self._dirty = True
-
-    def _invalidate(self) -> None:
-        """Drop the candidate cache, consuming only handed-out candidates."""
-        if self._pos:
-            self._stream.advance(int(self._used_words[self._pos - 1]))
-        self._slots = _EMPTY_I64
-        self._used_words = _EMPTY_I64
-        self._pos = 0
-        self._chunk_words = 0
-
-    def _rebuild(self) -> None:
-        if self._total <= 0:
-            raise ValueError("cannot sample from an empty or zero-weight sampler")
-        self._cum = np.cumsum(self._weights)
-        self._bits = bits = self._total.bit_length()
+            total = sum(weights.tolist())
+        total_weight_guard(total)
+        self._total = total
+        self._cum = np.cumsum(weights)
+        self._bits = bits = total.bit_length()
         self._n_words = (bits + 31) >> 5
         self._shift = np.uint64(self._n_words * 32 - bits)
-        self._dirty = False
+        # Accepted candidates of the current window, as slot indices, and
+        # how many of them are already handed out.
+        self._slots = _EMPTY_I64
+        self._pos = 0
 
     def _refill(self, owed: int) -> None:
         # Only reached with a draw pending, so every candidate of the
-        # previous chunk -- accepted and trailing rejected alike -- is
-        # logically consumed and the whole chunk can be committed.
-        if self._chunk_words:
-            self._stream.advance(self._chunk_words)
+        # previous window -- accepted and trailing rejected alike -- is
+        # logically consumed.
+        if self._total <= 0:
+            raise ValueError("cannot sample from an empty or zero-weight sampler")
         n_words = self._n_words
         # A candidate is accepted with probability total / 2**bits, so the
         # ``owed`` pending draws expect this many, plus slack for the spread.
         expected = (owed << self._bits) // self._total
         candidates = min(expected + (owed >> 3) + 8, _DRAW_CHUNK_CANDIDATES)
-        self._chunk_words = candidates * n_words
-        words = self._stream.peek(self._chunk_words).astype(np.uint64)
+        words = self._stream.take(candidates * n_words).astype(np.uint64)
         if n_words == 1:
             values = words >> self._shift
         else:
             values = ((words[0::2] << np.uint64(32)) | words[1::2]) >> self._shift
-        positions = np.flatnonzero(values < np.uint64(self._total))
-        targets = values[positions].astype(np.int64)
+        targets = values[values < np.uint64(self._total)].astype(np.int64)
         self._slots = np.searchsorted(self._cum, targets, side="right")
-        self._used_words = (positions + 1) * n_words
         self._pos = 0
 
     def next_slot(self) -> int:
         """One weighted draw."""
-        if self._dirty:
-            self._rebuild()
-        while self._pos >= self._slots.size:
-            self._refill(1)
-        slot = int(self._slots[self._pos])
+        slot = int(self.peek_slots(1)[0])
         self._pos += 1
         return slot
 
     def next_slots(self, count: int) -> np.ndarray:
-        """``count`` weighted draws, gathered chunk by chunk."""
-        if self._dirty:
-            self._rebuild()
+        """``count`` weighted draws, gathered window by window."""
         out = np.empty(count, dtype=np.int64)
         filled = 0
         while filled < count:
@@ -222,8 +177,6 @@ class _WeightedDrawEngine:
         vectorised step while keeping stream accounting identical to
         one :meth:`next_slot` call per accepted candidate.
         """
-        if self._dirty:
-            self._rebuild()
         while self._pos >= self._slots.size:
             self._refill(count)
         return self._slots[self._pos : self._pos + count]
@@ -587,83 +540,51 @@ class VectorizedKernels(KernelBackend):
         ops: Sequence[Tuple],
         free: Optional[Sequence[int]] = None,
     ) -> BatchDrawResult:
-        weight_table, op_list, free_table = normalize_draw_request(weights, ops, free)
+        weight_table, request, free_table = normalize_draw_request(weights, ops, free)
         engine = _WeightedDrawEngine(weight_table, rng)
-
-        parts: List[np.ndarray] = []
+        if request[0] == "draw":
+            keys = engine.next_slots(request[1])
+            return BatchDrawResult(keys=keys, attempts=int(keys.size), collisions=0)
+        # A place run sees one constant weight table, so the candidate
+        # stream is fixed up front and whole accepted prefixes commit in one
+        # vectorised step.  Only a draw whose candidate collides falls back
+        # to the scalar retry loop; stream consumption (one candidate per
+        # attempt) stays identical to the reference backend.
+        _, run_sizes, max_attempts = request
+        run_len = run_sizes.size
+        placed_run = np.full(run_len, -1, dtype=np.int64)
         attempts = 0
         collisions = 0
-        prefix_accepted = 0  # placements committed as part of a prefix
-        scalar_fallback = 0  # placements resolved by the retry loop
-        index = 0
-        n_ops = len(op_list)
-        while index < n_ops:
-            op = op_list[index]
-            kind = op[0]
-            if kind == "set":
-                engine.set_weight(op[1], op[2])
-                index += 1
+        scalar_fallback = 0  # placements resolved by the retry loop, not a prefix
+        at = 0
+        while at < run_len:
+            candidates = engine.peek_slots(run_len - at)
+            sizes = run_sizes[at : at + candidates.size]
+            first_bad = _accepted_prefix(free_table, candidates, sizes)
+            if first_bad:
+                accepted = candidates[:first_bad]
+                np.subtract.at(free_table, accepted, sizes[:first_bad])
+                placed_run[at : at + first_bad] = accepted
+                engine.consume(first_bad)
+                attempts += first_bad
+                at += first_bad
                 continue
-            total_weight_guard(engine.total)
-            if kind == "draw":
-                count = op[1]
-                if count:
-                    parts.append(engine.next_slots(count))
-                    attempts += count
-                index += 1
-                continue
-            # A maximal run of consecutive place ops sees a constant weight
-            # table, so the candidate stream is fixed up front and whole
-            # accepted prefixes commit in one vectorised step.  Only a draw
-            # whose candidate collides falls back to the scalar retry loop;
-            # stream consumption (one candidate per attempt) stays identical
-            # to the reference backend.
-            run_end = index
-            while run_end < n_ops and op_list[run_end][0] == "place":
-                run_end += 1
-            run = op_list[index:run_end]
-            run_sizes = np.concatenate([op[1] for op in run])
-            run_budgets = np.repeat(
-                [op[2] for op in run], [op[1].size for op in run]
+            # Head draw collides: resolve it alone, honouring the
+            # max_attempts budget exactly as the reference loop does.
+            size = int(run_sizes[at])
+            for _ in range(max_attempts):
+                slot = engine.next_slot()
+                attempts += 1
+                if free_table[slot] >= size:
+                    free_table[slot] -= size
+                    placed_run[at] = slot
+                    break
+                collisions += 1
+            scalar_fallback += 1
+            at += 1
+        if telemetry.is_enabled() and run_len:
+            telemetry.counter(
+                "kernel.place.prefix_accepted", run_len - scalar_fallback, "kernel"
             )
-            placed_run = np.full(run_sizes.size, -1, dtype=np.int64)
-            at = 0
-            run_len = placed_run.size
-            while at < run_len:
-                candidates = engine.peek_slots(run_len - at)
-                window = candidates.size
-                sizes = run_sizes[at : at + window]
-                first_bad = _accepted_prefix(free_table, candidates, sizes)
-                if first_bad:
-                    accepted = candidates[:first_bad]
-                    np.subtract.at(free_table, accepted, sizes[:first_bad])
-                    placed_run[at : at + first_bad] = accepted
-                    engine.consume(first_bad)
-                    attempts += first_bad
-                    prefix_accepted += first_bad
-                    at += first_bad
-                    continue
-                # Head draw collides: resolve it alone, honouring its
-                # max_attempts budget exactly as the reference loop does.
-                size = int(run_sizes[at])
-                placed = -1
-                for _ in range(run_budgets[at]):
-                    slot = engine.next_slot()
-                    attempts += 1
-                    if free_table[slot] >= size:
-                        free_table[slot] -= size
-                        placed = slot
-                        break
-                    collisions += 1
-                placed_run[at] = placed
-                scalar_fallback += 1
-                at += 1
-            parts.append(placed_run)
-            index = run_end
-        if telemetry.is_enabled() and (prefix_accepted or scalar_fallback):
-            telemetry.counter("kernel.place.prefix_accepted", prefix_accepted, "kernel")
             telemetry.counter("kernel.place.scalar_fallback", scalar_fallback, "kernel")
-        keys = np.concatenate(parts) if parts else _EMPTY_I64.copy()
-        return BatchDrawResult(
-            keys=keys.astype(np.int64, copy=False), attempts=attempts, collisions=collisions
-        )
+        return BatchDrawResult(keys=placed_run, attempts=attempts, collisions=collisions)

@@ -33,6 +33,7 @@ from repro.crypto.prng import DeterministicPRNG
 from repro.kernels import get_backend, sampler_stream
 from repro.runner.aggregate import compact_summary, summarize
 from repro.runner.registry import BACKEND_PARAM, ParamSpec, scenario
+from repro.sim.lifecycle import zipf_weights
 from repro.sim.metrics import MetricSeries
 from repro.sim.network import LatencyModel
 from repro.sim.workload import FileSizeDistribution, WorkloadGenerator
@@ -47,12 +48,6 @@ __all__ = ["run_retrieval_trial"]
 #: Default per-byte deadline (seconds); matches ``ProtocolParams.small_test``
 #: scaled to the toy bandwidths used here.
 _DELAY_PER_SIZE = 5e-5
-
-#: Popularity weights are integer for the ``batch_weighted_draw`` kernel:
-#: rank r gets ``_POPULARITY_UNIT // (r + 1)``, i.e. 1/rank popularity
-#: quantised to about six decimal digits (exact for the first dozens of
-#: ranks, where essentially all of the mass sits).
-_POPULARITY_UNIT = 720_720  # lcm(1..16)
 
 #: Spawn-key constant separating the request-stream draws from any other
 #: sampler stream derived from the same trial seed.
@@ -164,9 +159,7 @@ def run_retrieval_trial(task: Mapping[str, object]) -> Dict[str, object]:
     # weighted draw on the selected kernel backend: bit-identical across
     # backends, deterministic in the trial seed.
     if bool(task["zipf_popularity"]):
-        popularity = [
-            max(1, _POPULARITY_UNIT // (rank + 1)) for rank in range(len(catalog))
-        ]
+        popularity = zipf_weights(len(catalog))
     else:
         popularity = [1] * len(catalog)
     backend = get_backend(str(task["backend"]))

@@ -1,45 +1,8 @@
-"""Tests for the random beacon and the Reed-Solomon erasure code."""
+"""Tests for the Reed-Solomon erasure code."""
 
 import pytest
 
-from repro.crypto.beacon import BeaconOutput, RandomBeacon
 from repro.crypto.erasure import GF256, ReedSolomonCode, Shard
-
-
-class TestBeacon:
-    def test_outputs_deterministic(self):
-        a = RandomBeacon(b"genesis")
-        b = RandomBeacon(b"genesis")
-        assert a.output(10).value == b.output(10).value
-
-    def test_outputs_differ_per_round(self):
-        beacon = RandomBeacon()
-        assert beacon.output(1).value != beacon.output(2).value
-
-    def test_verify_accepts_genuine_and_rejects_forged(self):
-        beacon = RandomBeacon()
-        genuine = beacon.output(5)
-        assert beacon.verify(genuine)
-        forged = BeaconOutput(round=5, value=b"\x00" * 32)
-        assert not beacon.verify(forged)
-
-    def test_negative_round_rejected(self):
-        with pytest.raises(ValueError):
-            RandomBeacon().output(-1)
-
-    def test_prng_expansion_is_domain_separated(self):
-        beacon = RandomBeacon()
-        a = beacon.prng_for_round(3, "sector-selection").random_bytes(16)
-        b = beacon.prng_for_round(3, "refresh").random_bytes(16)
-        assert a != b
-
-    def test_out_of_order_access_consistent(self):
-        beacon = RandomBeacon()
-        late = beacon.output(50).value
-        early = beacon.output(10).value
-        fresh = RandomBeacon()
-        assert fresh.output(10).value == early
-        assert fresh.output(50).value == late
 
 
 class TestGF256:

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.crypto.beacon import RandomBeacon
 from repro.crypto.porep import PoRepParams, PoRepProver, PoRepVerifier
-from repro.crypto.post import WindowPoSt, WinningPoSt
+from repro.crypto.post import WindowPoSt
 
 
 @pytest.fixture
@@ -122,29 +121,3 @@ class TestWindowPoSt:
         replica = prover.setup(b"tiny", b"key")
         challenge = post.make_challenge(replica.commitment, 1, b"beacon")
         assert len(challenge.chunk_indices) == 1
-
-
-class TestWinningPoSt:
-    def test_more_capacity_wins_more_often(self):
-        winning = WinningPoSt()
-        beacon = RandomBeacon()
-        big_wins = 0
-        rounds = 200
-        for epoch in range(rounds):
-            winner = winning.elect(
-                [(b"small", 1), (b"big", 20)], epoch, beacon.output(epoch).value
-            )
-            if winner == b"big":
-                big_wins += 1
-        assert big_wins > rounds * 0.7
-
-    def test_zero_capacity_never_wins_against_positive(self):
-        winning = WinningPoSt()
-        for epoch in range(50):
-            winner = winning.elect([(b"zero", 0), (b"one", 1)], epoch, b"beacon")
-            assert winner == b"one"
-
-    def test_election_deterministic(self):
-        winning = WinningPoSt()
-        providers = [(b"a", 3), (b"b", 5)]
-        assert winning.elect(providers, 9, b"r") == winning.elect(providers, 9, b"r")

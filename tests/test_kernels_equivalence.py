@@ -650,256 +650,237 @@ def _batch_draw(name, weights, ops, free=None, entropy=0):
     )
 
 
-def expand_place_runs(ops):
-    """Every ``place`` run spelled as one scalar ``place`` per size."""
-    expanded = []
-    for op in ops:
-        if op[0] == "place" and isinstance(op[1], np.ndarray):
-            expanded.extend(("place", size, op[2]) for size in op[1].tolist())
-        else:
-            expanded.append(op)
-    return expanded
-
-
 def _assert_batch_identical(weights, ops, free=None, entropy=0):
     reference = _batch_draw("reference", weights, ops, free=free, entropy=entropy)
     vectorized = _batch_draw("vectorized", weights, ops, free=free, entropy=entropy)
     assert np.array_equal(reference.keys, vectorized.keys)
+    assert reference.keys.dtype == vectorized.keys.dtype == np.int64
     assert reference.attempts == vectorized.attempts
     assert reference.collisions == vectorized.collisions
     return reference
 
 
+def _assert_refused_alike(weights, ops, free=None):
+    """The request is refused with one text on both backends, before any
+    word of its stream is consumed; returns the text."""
+    messages = set()
+    for name in BACKENDS:
+        rng = sampler_stream(0, 0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError) as raised:
+            get_backend(name).batch_weighted_draw(rng, weights, ops, free=free)
+        assert rng.bit_generator.state == before
+        messages.add(str(raised.value))
+    assert len(messages) == 1
+    return messages.pop()
+
+
+#: One-word candidates (total < 2**32) and two-word ones (total >= 2**32).
+ONE_WORD = [10, 0, 7, 1000, 3, 250, 250]
+TWO_WORD = [1 << 40, (1 << 41) + 17, 5, 0]
+
+
 class TestBatchWeightedDrawEquivalence:
+    """One request per call -- ``("draw", n)`` or a place run -- against a
+    table that is constant for the call: the only traffic the kernel has
+    (``tests/test_kernel_traffic.py`` holds the producers to it)."""
+
     @pytest.mark.parametrize("entropy", (0, 7, 23))
     @pytest.mark.parametrize(
         "n_slots,n_draws",
-        ((1, 50), (3, 2000), (40, 5000), (500, 3000)),
+        ((1, 50), (3, 0), (3, 1), (40, 64), (40, 5000), (500, 10_000)),
     )
-    def test_draw_batches_identical(self, entropy, n_slots, n_draws):
-        """Seed/shape grid: big draw batches cross multiple candidate-chunk
-        refills of the vectorized engine."""
+    def test_draw_requests_identical(self, entropy, n_slots, n_draws):
+        """Seed/shape grid: the big requests cross several candidate
+        windows of the vectorized engine."""
         rng = np.random.default_rng(entropy + n_slots)
         weights = rng.integers(0, 1 << 16, n_slots).tolist()
         weights[0] = max(weights[0], 1)  # keep the table drawable
-        _assert_batch_identical(weights, [("draw", n_draws)], entropy=entropy)
+        result = _assert_batch_identical(weights, [("draw", n_draws)], entropy=entropy)
+        assert result.attempts == len(result.keys) == n_draws
+        assert result.collisions == 0
 
-    @pytest.mark.parametrize("entropy", (0, 5))
-    def test_interleaved_updates_identical(self, entropy):
-        """Weight updates between draw batches force the vectorized
-        engine's segment replay mid-stream."""
-        weights = [10, 0, 7, 1000, 3]
-        ops = [
-            ("draw", 100),
-            ("set", 3, 0),
-            ("draw", 100),
-            ("set", 1, 1 << 30),
-            ("set", 0, 0),
-            ("draw", 300),
-            ("draw", 0),
-            ("set", 1, 1),
-            ("draw", 64),
-        ]
-        result = _assert_batch_identical(weights, ops, entropy=entropy)
-        keys = result.keys
-        # Removed slots never reappear in later segments.
-        assert not np.any(keys[100:200] == 3)
-        assert not np.any(keys[200:] == 0)
-
-    def test_two_word_candidates_identical(self):
+    @pytest.mark.parametrize("entropy", (0, 1, 2))
+    def test_two_word_candidates_identical(self, entropy):
         """Totals at/above 2**32 consume two uint32 words per candidate."""
-        weights = [1 << 40, (1 << 41) + 17, 5, 0]
-        ops = [("draw", 500), ("set", 0, (1 << 45) - 3), ("draw", 500)]
-        for entropy in (0, 1, 2):
-            _assert_batch_identical(weights, ops, entropy=entropy)
+        result = _assert_batch_identical(TWO_WORD, [("draw", 500)], entropy=entropy)
+        assert not np.any(result.keys == 3)  # the zero-weight slot
+        run = ("place", np.array([4, 4, 4, 4, 4, 9, 1]), 3)
+        _assert_batch_identical(TWO_WORD, [run], free=[8, 8, 8, 8], entropy=entropy)
 
     def test_place_semantics_identical(self):
         """Resample-on-full placement: successes debit the free table,
         exhausted attempts yield -1, collisions are counted."""
-        weights = [10, 10, 10]
-        free = [100, 60, 0]
-        ops = [("place", 60, 8)] * 4 + [("draw", 3)] + [("place", 5, 8)] * 6
-        result = _assert_batch_identical(weights, ops, free=free, entropy=3)
-        placed = np.concatenate([result.keys[:4], result.keys[7:]])
+        run = ("place", np.array([60] * 4 + [5] * 6), 8)
+        result = _assert_batch_identical([10, 10, 10], [run], free=[100, 60, 0], entropy=3)
         # Slot 2 never accepts (zero free capacity) and only one size-60
         # replica fits per remaining slot, so later size-60 places fail.
-        assert not np.any(placed == 2)
+        assert not np.any(result.keys == 2)
         assert sorted(result.keys[:4].tolist()) == [-1, -1, 0, 1]
         assert result.collisions > 0
 
     def test_place_never_succeeds_when_nothing_fits(self):
         for name in BACKENDS:
             result = _batch_draw(
-                name, [5, 5], [("place", 10, 7)], free=[9, 9], entropy=1
+                name, [5, 5], [("place", np.array([10]), 7)], free=[9, 9], entropy=1
             )
             assert result.keys.tolist() == [-1]
             assert result.attempts == 7
             assert result.collisions == 7
 
-    def test_zero_total_raises_on_both(self):
-        for name in BACKENDS:
-            with pytest.raises(ValueError, match="empty or zero-weight"):
-                _batch_draw(name, [0, 0, 0], [("draw", 1)])
-            # ...including when a set op drains the table mid-batch.
-            with pytest.raises(ValueError, match="empty or zero-weight"):
-                _batch_draw(name, [4], [("draw", 2), ("set", 0, 0), ("draw", 1)])
-
-    def test_total_weight_bound_raises_on_both(self):
-        for name in BACKENDS:
-            # A single over-bound weight is rejected at validation, even
-            # transiently (before any draw could trip the total guard).
-            with pytest.raises(ValueError, match="2\\*\\*62"):
-                _batch_draw(name, [1], [("set", 0, MAX_TOTAL_WEIGHT), ("set", 0, 5)])
-            with pytest.raises(ValueError, match="2\\*\\*62"):
-                _batch_draw(name, [MAX_TOTAL_WEIGHT], [("draw", 1)])
-            with pytest.raises(ValueError, match="2\\*\\*62"):
-                _batch_draw(name, [1 << 63], [("draw", 1)])
-            # In-bound weights whose *total* crosses the bound trip the
-            # draw-time guard instead.
-            with pytest.raises(ValueError, match="2\\*\\*62"):
-                _batch_draw(
-                    name, [MAX_TOTAL_WEIGHT // 2, MAX_TOTAL_WEIGHT // 2], [("draw", 1)]
-                )
-
-    def test_malformed_requests_rejected_identically(self):
-        cases = [
-            (([1, 2], [("bogus", 1)]), {}),
-            (([1, 2], [("set", 5, 1)]), {}),
-            (([1, 2], [("set", 0, -1)]), {}),
-            (([1, 2], [("draw", -1)]), {}),
-            (([1, 2], [("place", 1, 0)]), {"free": [1, 1]}),
-            (([1, 2], [("place", 1, 3)]), {}),  # place without a free table
-            (([-1, 2], [("draw", 1)]), {}),
-            (([1, 2], [("draw", 1)]), {"free": [1]}),  # shape mismatch
-        ]
-        for (weights, ops), kwargs in cases:
-            for name in BACKENDS:
-                with pytest.raises(ValueError):
-                    _batch_draw(name, weights, ops, **kwargs)
-
-    def test_place_run_equals_its_scalar_expansion(self):
-        """``("place", sizes, m)`` is exactly ``("place", size, m)`` per
-        size, on both backends, wherever the run sits in the stream."""
-        long_run = np.random.default_rng(5).integers(0, 40, 9000)  # > 2 stream chunks
-        cases = [
-            # (weights, free, ops)
-            ([4, 4, 4], [9, 9, 9], [("place", np.empty(0, dtype=np.int64), 3)]),
-            ([4, 4, 4], [9, 9, 9], [("place", np.array([5]), 3)]),
-            ([1, 2, 3], [0, 0, 0], [("place", np.zeros(7, dtype=np.int32), 2)]),
-            ([3] * 50, [6000] * 50, [("place", long_run, 5)]),
-            # the head of the run collides until its budget is spent
-            ([5, 5], [9, 9], [("place", np.array([10, 1, 10, 9, 9, 1]), 4)]),
+    @pytest.mark.parametrize("entropy", (0, 4))
+    @pytest.mark.parametrize(
+        "weights, free, run",
+        [
+            ([4, 4, 4], [9, 9, 9], ("place", np.empty(0, dtype=np.int64), 3)),
+            ([4, 4, 4], [9, 9, 9], ("place", np.array([5]), 3)),
+            ([1, 2, 3], [0, 0, 0], ("place", np.zeros(7, dtype=np.int32), 2)),
+            (  # longer than two stream chunks
+                [3] * 50,
+                [6000] * 50,
+                ("place", np.random.default_rng(5).integers(0, 40, 9000), 5),
+            ),
+            # heads of the run collide until their budget is spent
+            ([5, 5], [9, 9], ("place", np.array([10, 1, 10, 9, 9, 1]), 4)),
             (
                 [10, 0, 7, 1000, 3],
                 [60, 60, 60, 60, 60],
-                [
-                    ("place", np.array([50, 50, 5], dtype=np.uint16), 6),
-                    ("set", 3, 0),
-                    ("place", 8, 2),
-                    ("place", np.array([8, 8]), 3),
-                    ("draw", 9),
-                    ("set", 1, 1 << 33),
-                    ("place", np.array([1, 0, 60, 2]), 1),
-                    ("place", 2, 5),
-                ],
+                ("place", np.array([50, 50, 5, 8, 8, 1, 0, 60, 2], dtype=np.uint16), 6),
             ),
-        ]
-        for weights, free, ops in cases:
-            expanded = expand_place_runs(ops)
-            for entropy in (0, 4):
-                run = _assert_batch_identical(weights, ops, free=free, entropy=entropy)
-                scalar = _assert_batch_identical(
-                    weights, expanded, free=free, entropy=entropy
-                )
-                assert run.keys.tolist() == scalar.keys.tolist()
-                assert (run.attempts, run.collisions) == (
-                    scalar.attempts,
-                    scalar.collisions,
-                )
-        exhausted = _batch_draw(
-            "vectorized", [5, 5], [("place", np.array([10, 1]), 4)], free=[9, 9]
-        )
-        assert exhausted.keys[0] == -1 and exhausted.collisions == 4
-
-    @pytest.mark.parametrize(
-        "size, run, max_attempts, message",
-        [
-            (-1, np.array([2, -1, 2]), 3, "'place' size must be non-negative"),
-            (1, np.array([2, 1, 2]), 0, "'place' max_attempts must be >= 1"),
-            (
-                1 << 63,
-                np.array([2, 1 << 63, 2], dtype=np.uint64),
-                3,
-                "'place' size must fit in int64",
-            ),
-            (1.5, np.array([2, 1.5, 2]), 3, "'place' size must be an integer"),
-            (True, np.array([False, True]), 3, "'place' size must be an integer"),
         ],
     )
-    def test_place_errors_identical_in_both_arities(
-        self, size, run, max_attempts, message
+    def test_place_runs_identical(self, weights, free, run, entropy):
+        result = _assert_batch_identical(weights, [run], free=free, entropy=entropy)
+        assert len(result.keys) == run[1].size
+        assert result.attempts - result.collisions == np.count_nonzero(result.keys >= 0)
+
+    def test_zero_total_raises_at_the_first_draw(self):
+        run = ("place", np.array([1]), 2)
+        for weights in ([0, 0, 0], []):
+            free = [5] * len(weights)
+            for ops in ([("draw", 1)], [run]):
+                assert "empty or zero-weight" in _assert_refused_alike(weights, ops, free)
+            # A request that owes no draw never samples the empty table.
+            for ops in ([("draw", 0)], [("place", np.empty(0, dtype=np.int64), 2)]):
+                assert _assert_batch_identical(weights, ops, free=free).attempts == 0
+
+    def test_total_weight_bound_raises_at_the_request(self):
+        half = MAX_TOTAL_WEIGHT // 2
+        for weights in (
+            [MAX_TOTAL_WEIGHT],  # one over-bound weight: refused at validation
+            [half, half],  # in-bound weights, over-bound total: the guard
+        ):
+            for count in (1, 0):  # the guard does not wait for a draw
+                assert "2**62" in _assert_refused_alike(weights, [("draw", count)])
+        for weights in ([1 << 63], np.array([1, 1 << 63], dtype=np.uint64)):
+            message = _assert_refused_alike(weights, [("draw", 1)])
+            assert message == "weights must fit in int64"  # not wrapped negative
+        _assert_batch_identical([half, half - 1], [("draw", 40)])  # just under
+
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            [],
+            [("draw", 1), ("draw", 1)],
+            [("place", np.array([1]), 2), ("draw", 1)],
+            [("set", 0, 1)],
+            [("set", 0, 1), ("draw", 1)],
+            [("bogus", 1)],
+            [("place", 1, 2)],  # a bare-integer size
+            [("place", [1, 1], 2)],  # a list is not a sizes array
+            [("draw",)],
+            [("draw", 1, 2)],
+            [("place", np.array([1]))],
+            [["draw", 1]],
+            ["draw"],
+            [None],
+            ("draw", 1),  # a bare request, not a sequence holding one
+        ],
+    )
+    def test_anything_but_one_request_is_refused_with_one_message(self, ops):
+        message = _assert_refused_alike([1, 2], ops, free=[5, 5])
+        assert message.startswith("batch_weighted_draw takes exactly one request")
+
+    @pytest.mark.parametrize(
+        "weights, ops, free, message",
+        [
+            ([1, 2], [("draw", -1)], None, "'draw' count must be non-negative"),
+            ([1, 2], [("draw", 2.9)], None, "'draw' count must be an integer"),
+            ([1, 2], [("draw", True)], None, "'draw' count must be an integer"),
+            ([1, 2], [("draw", "3")], None, "'draw' count must be an integer"),
+            ([-1, 2], [("draw", 1)], None, "weights must be non-negative"),
+            ([[1, 2]], [("draw", 1)], None, "weights must be one-dimensional"),
+            ([1, 2], [("draw", 1)], [1], "free must match the weight table's shape"),
+            ([1, 2], [("draw", 1)], np.array([1, 1 << 63], dtype=np.uint64),
+             "free must fit in int64"),
+            ([1, 2], [("place", np.array([1]), 3)], None,
+             "'place' operations require a free table"),
+            ([1, 2], [("place", np.array([1]), 0)], [5, 5],
+             "'place' max_attempts must be >= 1"),
+            ([1, 2], [("place", np.array([3]), 2.0)], [5, 5],
+             "'place' max_attempts must be an integer"),
+            ([1, 2], [("place", np.array([2, -1, 2]), 3)], [5, 5],
+             "'place' sizes must be non-negative"),
+            ([1, 2], [("place", np.array([2, 1 << 63], dtype=np.uint64), 3)], [5, 5],
+             "'place' sizes must fit in int64"),
+            ([1, 2], [("place", np.array([2, 1.5]), 3)], [5, 5],
+             "'place' sizes must be integers, got dtype float64"),
+            ([1, 2], [("place", np.array([False, True]), 3)], [5, 5],
+             "'place' sizes must be integers, got dtype bool"),
+            ([1, 2], [("place", np.ones((2, 2), int), 1)], [5, 5],
+             "'place' sizes must be one-dimensional"),
+        ],
+    )
+    def test_malformed_operands_are_refused_not_truncated(
+        self, weights, ops, free, message
     ):
-        """Same text from the scalar and the run form, on either backend,
-        with the request's stream untouched."""
-        for name in BACKENDS:
-            for sizes in (size, run):
-                rng = sampler_stream(0, 0)
-                before = rng.bit_generator.state
-                with pytest.raises(ValueError) as raised:
-                    get_backend(name).batch_weighted_draw(
-                        rng,
-                        [1, 2],
-                        [("draw", 1), ("place", sizes, max_attempts)],
-                        free=[5, 5],
-                    )
-                assert str(raised.value) == message
-                assert rng.bit_generator.state == before
-
-    def test_place_run_shape_and_free_table_errors(self):
-        for name in BACKENDS:
-            with pytest.raises(ValueError, match="one-dimensional"):
-                _batch_draw(name, [1], [("place", np.ones((2, 2), int), 1)], free=[1])
-            for sizes in (1, np.array([1, 1])):
-                with pytest.raises(ValueError, match="require a free table"):
-                    _batch_draw(name, [1, 2], [("place", sizes, 3)])
+        """``int()`` used to draw 2.9 times as 2."""
+        assert _assert_refused_alike(weights, ops, free) == message
 
     @pytest.mark.parametrize(
-        "op, message",
+        "table",
         [
-            (("place", 3.7, 2), "'place' size must be an integer"),
-            (("place", 3, 2.0), "'place' max_attempts must be an integer"),
-            (("draw", 2.9), "'draw' count must be an integer"),
-            (("draw", True), "'draw' count must be an integer"),
-            (("set", 0.0, 1), "'set' slot must be an integer"),
-            (("set", 0, 1.5), "'set' weight must be an integer"),
-            (("set", 0, "7"), "'set' weight must be an integer"),
+            [1.9, 0.9, 2.5],  # used to be sampled as [1, 0, 2]
+            np.array([2.0, 1.0, 3.0]),
+            ["3", "4", "5"],
+            [True, False, True],
+            np.array([1, 2.5, 3], dtype=object),
+            [1, None, 3],
         ],
     )
-    def test_non_integral_operands_are_refused_not_truncated(self, op, message):
-        """``int()`` used to place 3.7 bytes as 3 and draw 2.9 times as 2."""
-        for name in BACKENDS:
-            rng = sampler_stream(0, 0)
-            before = rng.bit_generator.state
-            with pytest.raises(ValueError) as raised:
-                get_backend(name).batch_weighted_draw(rng, [1, 2], [op], free=[5, 5])
-            assert str(raised.value) == message
-            assert rng.bit_generator.state == before
+    def test_non_integer_tables_are_refused_not_truncated(self, table):
+        """``np.array(table, dtype=np.int64)`` truncated floats, parsed
+        strings and took a mask for a table; one text per table now."""
+        dtype = np.asarray(table).dtype
+        run = ("place", np.array([1]), 2)
+        for ops in ([("draw", 4)], [run]):
+            assert _assert_refused_alike(table, ops, free=[5, 5, 5]) == (
+                f"weights must be integers, got dtype {dtype}"
+            )
+            assert _assert_refused_alike([3, 4, 5], ops, free=table) == (
+                f"free must be integers, got dtype {dtype}"
+            )
+
+    def test_integer_tables_of_any_width_are_taken_exactly(self):
+        expected = _assert_batch_identical([3, 4, 5], [("draw", 30)])
+        for dtype in (np.uint8, np.int16, np.uint64):
+            result = _assert_batch_identical(np.array([3, 4, 5], dtype=dtype), [("draw", 30)])
+            assert np.array_equal(result.keys, expected.keys)
         # numpy integers are integers.
-        for name in BACKENDS:
-            ops = [("draw", np.int64(2)), ("place", np.uint8(3), 2)]
-            result = _batch_draw(name, [1, 2], ops, free=[5, 5])
-            assert len(result.keys) == 3
+        run = ("place", np.array([3], dtype=np.uint8), np.int32(2))
+        for ops in ([("draw", np.int64(2))], [run]):
+            _assert_batch_identical([1, 2], ops, free=np.array([5, 5], dtype=np.uint16))
 
     def test_inputs_are_never_mutated(self):
         weights = np.asarray([3, 4, 5], dtype=np.int64)
         free = np.asarray([50, 50, 50], dtype=np.int64)
+        sizes = np.asarray([10, 45, 45, 45], dtype=np.int64)
         for name in BACKENDS:
-            _batch_draw(
-                name, weights, [("set", 0, 9), ("place", 10, 4), ("draw", 5)],
-                free=free, entropy=2,
-            )
-            assert weights.tolist() == [3, 4, 5]
-            assert free.tolist() == [50, 50, 50]
+            for ops in ([("draw", 5)], [("place", sizes, 4)]):
+                _batch_draw(name, weights, ops, free=free, entropy=2)
+                assert weights.tolist() == [3, 4, 5]
+                assert free.tolist() == [50, 50, 50]
+                assert sizes.tolist() == [10, 45, 45, 45]
 
     def test_dedicated_streams_differ_by_spawn_key(self):
         """Two calls on different spawn keys draw different sequences --
@@ -921,42 +902,36 @@ WINDOW_CAPS = (1, 2, 3, 7, None)
 
 class TestDrawWindowEdges:
     """The vectorized engine decodes candidates a window at a time, sized
-    to the draws it owes: where a window ends -- inside a draw batch,
-    inside a place run's accepted prefix, on a collision's retries, at a
-    weight update -- must not show in keys, attempts or collisions."""
+    to the draws it owes: where a window ends -- inside a draw request,
+    inside a place run's accepted prefix, on a collision's retries -- must
+    not show in keys, attempts or collisions."""
+
+    @pytest.mark.parametrize("cap", WINDOW_CAPS)
+    @pytest.mark.parametrize("weights", (ONE_WORD, TWO_WORD), ids=("one-word", "two-word"))
+    @pytest.mark.parametrize("count", (0, 1, 64, 10_000))
+    def test_draw_requests_identical(self, monkeypatch, cap, weights, count):
+        _set_knob(monkeypatch, "_DRAW_CHUNK_CANDIDATES", cap)
+        result = _assert_batch_identical(weights, [("draw", count)], entropy=cap or 0)
+        assert result.attempts == count
 
     @pytest.mark.parametrize("cap", WINDOW_CAPS)
     @pytest.mark.parametrize("entropy", (0, 3))
-    def test_mixed_requests_identical(self, monkeypatch, cap, entropy):
+    def test_place_runs_identical(self, monkeypatch, cap, entropy):
         _set_knob(monkeypatch, "_DRAW_CHUNK_CANDIDATES", cap)
-        weights = [10, 0, 7, 1000, 3, 250, 250]
-        free = [100, 0, 60, 400, 5, 90, 90]
-        ops = [
-            ("draw", 5),
-            ("place", np.array([30, 30, 30, 5, 5, 60, 60, 60]), 4),
-            ("set", 3, 40),
-            ("draw", 9),
-            ("place", 5, 3),
-            ("place", np.array([90, 1, 1, 1, 200]), 2),
-            ("set", 1, 900),
-            ("draw", 17),
-            ("place", np.array([2] * 40), 6),
-            ("draw", 1),
-        ]
-        result = _assert_batch_identical(weights, ops, free=free, entropy=entropy)
-        assert result.collisions > 0 and -1 in result.keys.tolist()
-
-    @pytest.mark.parametrize("cap", WINDOW_CAPS)
-    def test_two_word_candidates_identical(self, monkeypatch, cap):
-        _set_knob(monkeypatch, "_DRAW_CHUNK_CANDIDATES", cap)
-        weights = [1 << 40, (1 << 41) + 17, 5, 0]
-        ops = [
-            ("draw", 20),
-            ("place", np.array([4, 4, 4, 4, 4]), 3),
-            ("set", 0, (1 << 45) - 3),
-            ("draw", 20),
-        ]
-        _assert_batch_identical(weights, ops, free=[8, 8, 8, 8], entropy=cap or 0)
+        free = [100, 0, 60, 150, 5, 90, 90]
+        sizes = [30, 30, 30, 5, 5, 60, 60, 60, 90, 1, 1, 1, 200] + [2] * 40
+        for max_attempts in (1, 2, 6):
+            result = _assert_batch_identical(
+                ONE_WORD, [("place", np.array(sizes), max_attempts)],
+                free=free, entropy=entropy,
+            )
+            # collisions, and a budget spent without a fit (nothing holds 200)
+            assert result.collisions > 0 and result.keys[12] == -1
+        result = _assert_batch_identical(
+            TWO_WORD, [("place", np.array([4, 4, 4, 4, 4, 9]), 3)],
+            free=[8, 8, 8, 8], entropy=entropy,
+        )
+        assert result.keys[5] == -1 and result.collisions >= 3
 
     @pytest.mark.parametrize("total", ((1 << 24) + 1, (1 << 24) - 500))
     def test_a_prefetch_is_served_by_at_most_two_refills(self, monkeypatch, total):

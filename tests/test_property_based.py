@@ -1,15 +1,14 @@
 """Property-based tests (hypothesis) on core data structures and invariants.
 
 The sampler-kernel differential pack at the bottom runs with a pinned
-``derandomize=True`` profile so the hypothesis-generated operation
-streams are identical on every run -- CI failures reproduce locally
+``derandomize=True`` profile so the hypothesis-generated requests are
+identical on every run -- CI failures reproduce locally
 bit-for-bit, and the cross-backend comparisons never flake.
 """
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from test_kernels_equivalence import expand_place_runs
 
 from repro.chain.ledger import Ledger
 from repro.core.drep import SectorContentPlan
@@ -218,63 +217,43 @@ def test_large_file_survives_loss_of_half_the_segments(data, size_limit, drop_se
 # Sampler-kernel differential pack: reference vs vectorized, bit for bit
 # ----------------------------------------------------------------------
 @st.composite
-def sampler_requests(draw):
-    """A weight table plus an interleaved add/remove/reweight/draw stream.
+def sampler_requests(draw, kinds=("draw", "place")):
+    """A weight table, one request of one of ``kinds``, and a free table.
 
-    'add' and 'remove' are weight point-updates at the kernel level (a
-    removed slot carries weight 0 and is never drawn), so the stream
-    below exercises exactly the mutations ``CapacitySelector`` performs
-    between draws, plus resample-on-full ``place`` operations when a
-    free table is present.
+    The kernel takes exactly one request per call against a table that is
+    constant for the call: ``("draw", count)`` or a ``place`` run, the
+    resample-on-full loop over a column of sizes.  Zero weights (slots a
+    selector has removed) and all-zero tables are generated too.
     """
     n_slots = draw(st.integers(min_value=1, max_value=12))
-    weights = draw(
+    table = st.lists(
+        st.integers(min_value=0, max_value=1 << 40), min_size=n_slots, max_size=n_slots
+    )
+    weights = draw(table)
+    free = draw(
         st.lists(
-            st.integers(min_value=0, max_value=1 << 40),
-            min_size=n_slots,
-            max_size=n_slots,
+            st.integers(min_value=0, max_value=512), min_size=n_slots, max_size=n_slots
         )
     )
-    with_free = draw(st.booleans())
-    free = None
-    if with_free:
-        free = draw(
-            st.lists(
-                st.integers(min_value=0, max_value=512),
-                min_size=n_slots,
-                max_size=n_slots,
-            )
+    if draw(st.sampled_from(kinds)) == "draw":
+        request = ("draw", draw(st.integers(min_value=0, max_value=64)))
+        if draw(st.booleans()):
+            free = None  # a draw request needs no free table
+    else:
+        sizes = draw(st.lists(st.integers(min_value=0, max_value=256), max_size=24))
+        request = (
+            "place",
+            np.asarray(sizes, dtype=np.int64),
+            draw(st.integers(min_value=1, max_value=6)),
         )
-    kinds = ["set", "draw"] + (["place"] if with_free else [])
-    ops = []
-    for _ in range(draw(st.integers(min_value=1, max_value=16))):
-        kind = draw(st.sampled_from(kinds))
-        if kind == "set":
-            ops.append(
-                (
-                    "set",
-                    draw(st.integers(min_value=0, max_value=n_slots - 1)),
-                    draw(st.integers(min_value=0, max_value=1 << 40)),
-                )
-            )
-        elif kind == "draw":
-            ops.append(("draw", draw(st.integers(min_value=0, max_value=64))))
-        else:
-            size = st.integers(min_value=0, max_value=256)
-            sizes = draw(st.one_of(size, st.lists(size, max_size=12)))
-            if isinstance(sizes, list):  # a place run
-                sizes = np.asarray(sizes, dtype=np.int64)
-            ops.append(("place", sizes, draw(st.integers(min_value=1, max_value=6))))
-    return weights, ops, free
+    return weights, request, free
 
 
-def _run_kernel_draw(backend_name, weights, ops, free, entropy):
-    """Execute one batch on one backend; errors are part of the outcome."""
+def _run_kernel_draw(backend_name, weights, request, free, rng):
+    """Execute one request on one backend; errors are part of the outcome."""
     backend = get_backend(backend_name)
     try:
-        result = backend.batch_weighted_draw(
-            sampler_stream(entropy, 0), weights, ops, free=free
-        )
+        result = backend.batch_weighted_draw(rng, weights, [request], free=free)
     except ValueError as error:
         return ("error", type(error).__name__, str(error))
     return ("ok", result.keys.tolist(), result.attempts, result.collisions)
@@ -284,57 +263,112 @@ def _run_kernel_draw(backend_name, weights, ops, free, entropy):
 @given(batch=sampler_requests(), entropy=st.integers(min_value=0, max_value=2))
 def test_batch_weighted_draw_backends_bit_identical(batch, entropy):
     """The contract itself: identical key sequences, attempt and collision
-    counts -- or the identical refusal -- for every generated operation
-    stream, over a small seed grid."""
-    weights, ops, free = batch
-    reference = _run_kernel_draw("reference", weights, ops, free, entropy)
-    vectorized = _run_kernel_draw("vectorized", weights, ops, free, entropy)
+    counts -- or the identical refusal -- for every generated request,
+    over a small seed grid."""
+    weights, request, free = batch
+    reference, vectorized = (
+        _run_kernel_draw(name, weights, request, free, sampler_stream(entropy, 0))
+        for name in ("reference", "vectorized")
+    )
     assert reference == vectorized
 
 
+class _WordReplay:
+    """Stands in for a call's generator, serving a known word sequence.
+
+    A kernel call may generate past the words it consumes, so replaying
+    one stream across several calls needs the test to position each call
+    itself: it hands every call the shared words from the right offset.
+    """
+
+    def __init__(self, words):
+        self._words = words
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high, dtype) == (0, 1 << 32, np.uint32)
+        served, self._words = self._words[:size], self._words[size:]
+        assert served.size == size, "the replay ran out of words"
+        return served
+
+
+def _words_through(words, total, accepted):
+    """Words the draw protocol reads to accept ``accepted`` candidates."""
+    bits = total.bit_length()
+    n_words = (bits + 31) >> 5
+    at = 0
+    while accepted:
+        value = 0
+        for word in words[at : at + n_words].tolist():
+            value = (value << 32) | word
+        at += n_words
+        accepted -= (value >> (n_words * 32 - bits)) < total
+    return at
+
+
 @DIFF_SETTINGS
-@given(batch=sampler_requests(), entropy=st.integers(min_value=0, max_value=1))
-def test_place_run_is_its_scalar_expansion_on_both_backends(batch, entropy):
-    """One ``place`` op, two arities: a run returns the keys, attempts and
-    collisions -- or the refusal -- of one scalar ``place`` per size."""
-    weights, ops, free = batch
+@given(
+    batch=sampler_requests(kinds=("place",)),
+    entropy=st.integers(min_value=0, max_value=1),
+)
+def test_place_run_is_a_loop_of_one_size_runs_on_both_backends(batch, entropy):
+    """A run returns the keys, attempts and collisions -- or the refusal --
+    of one one-size run per size, each continuing the word stream where
+    the last stopped, against a free table the loop debits itself."""
+    weights, (_, sizes, max_attempts), free = batch
+    words = sampler_stream(entropy, 0).integers(0, 1 << 32, 1 << 14, dtype=np.uint32)
     for backend in ("reference", "vectorized"):
-        assert _run_kernel_draw(backend, weights, ops, free, entropy) == (
-            _run_kernel_draw(
-                backend, weights, expand_place_runs(ops), free, entropy
-            )
+        whole = _run_kernel_draw(
+            backend, weights, ("place", sizes, max_attempts), free, _WordReplay(words)
         )
+        remaining = list(free)
+        keys, attempts, collisions, at = [], 0, 0, 0
+        for size in sizes.tolist():
+            one = _run_kernel_draw(
+                backend,
+                weights,
+                ("place", np.array([size]), max_attempts),
+                remaining,
+                _WordReplay(words[at:]),
+            )
+            if one[0] == "error":
+                assert whole == one
+                return
+            at += _words_through(words[at:], sum(weights), one[2])
+            if one[1][0] >= 0:
+                remaining[one[1][0]] -= size
+            keys += one[1]
+            attempts += one[2]
+            collisions += one[3]
+        assert whole == ("ok", keys, attempts, collisions)
 
 
 @DIFF_SETTINGS
 @given(batch=sampler_requests(), entropy=st.integers(min_value=0, max_value=1))
 def test_reference_kernel_is_the_fenwick_oracle(batch, entropy):
-    """The reference backend must be a *thin wrapper*: replaying the draw
-    ops through a hand-driven WeightedSampler on the same uint32 stream
+    """The reference backend must be a *thin wrapper*: serving the request
+    from a hand-driven WeightedSampler on the same uint32 stream
     reproduces its keys exactly."""
-    weights, ops, free = batch
-    via_kernel = _run_kernel_draw("reference", weights, ops, free, entropy)
-    ops = expand_place_runs(ops)
+    weights, request, free = batch
+    via_kernel = _run_kernel_draw(
+        "reference", weights, request, free, sampler_stream(entropy, 0)
+    )
 
     sampler = WeightedSampler()
     for slot, weight in enumerate(weights):
         sampler.add(slot, weight)
     adapter = U32Randint(U32Stream(sampler_stream(entropy, 0)))
-    remaining_free = list(free) if free is not None else None
     keys = []
     try:
-        for op in ops:
-            if op[0] == "set":
-                sampler.update_weight(op[1], op[2])
-            elif op[0] == "draw":
-                for _ in range(op[1]):
-                    keys.append(sampler.sample(adapter))
-            else:
+        if request[0] == "draw":
+            keys = [sampler.sample(adapter) for _ in range(request[1])]
+        else:
+            remaining_free = list(free)
+            for size in request[1].tolist():
                 placed = -1
-                for _ in range(op[2]):
+                for _ in range(request[2]):
                     slot = sampler.sample(adapter)
-                    if remaining_free[slot] >= op[1]:
-                        remaining_free[slot] -= op[1]
+                    if remaining_free[slot] >= size:
+                        remaining_free[slot] -= size
                         placed = slot
                         break
                 keys.append(placed)
@@ -364,14 +398,15 @@ def test_batch_draw_never_returns_zero_weight_slots(weights, entropy):
 @DIFF_SETTINGS
 @given(entropy=st.integers(min_value=0, max_value=50))
 def test_u32_stream_chunking_is_invariant(entropy):
-    """Re-chunked peeks/takes read the same words -- the property that
-    lets the vectorized backend decode candidates in bulk."""
+    """Re-chunked takes read the same words -- the property that lets the
+    vectorized backend decode candidates in bulk."""
     one = U32Stream(sampler_stream(entropy, 9))
     other = U32Stream(sampler_stream(entropy, 9))
-    a = np.concatenate([one.take(3), one.take(1), one.take(60)])
-    other.peek(64)  # lookahead must not consume
-    b = other.take(64)
+    a = np.concatenate([one.take(3), one.take(1), one.take(5000), one.take(60)])
+    b = np.concatenate([other.take(4097), other.take(967)])
     assert np.array_equal(a, b)
+    raw = sampler_stream(entropy, 9).integers(0, 1 << 32, 5064, dtype=np.uint32)
+    assert np.array_equal(a, raw)
 
 
 # ----------------------------------------------------------------------
