@@ -1,8 +1,5 @@
-"""Benchmarks E8/E9 and design ablations.
+"""Benchmarks E8/E9: the protocol state machine end to end.
 
-* DRep ablation (Fig. 2 / Section III-D): expensive operations (PoRep
-  setups + SNARKs) needed by DRep versus the naive whole-sector re-seal
-  approach under churn.
 * Protocol throughput: File Add placement rate and refresh servicing rate
   of the on-chain state machine (micro-benchmarks of the Fenwick-tree
   selector inside the real protocol).
@@ -15,37 +12,11 @@ from __future__ import annotations
 import pytest
 
 from repro.chain.ledger import Ledger
-from repro.core.drep import SectorContentPlan
 from repro.core.file_descriptor import FileState
 from repro.core.params import ProtocolParams
 from repro.core.protocol import FileInsurerProtocol
 from repro.crypto.prng import DeterministicPRNG
 from repro.sim.scenario import DSNScenario, ScenarioConfig
-
-KIB = 1024
-
-
-def test_drep_vs_whole_sector_reseal(benchmark, record):
-    """DRep needs far fewer SNARKs than resealing the sector per change."""
-
-    def run():
-        plan = SectorContentPlan(capacity=4096 * KIB, capacity_replica_size=64 * KIB)
-        for i in range(60):
-            plan.add_file(f"f{i}", (16 + i % 32) * KIB, sealed_elsewhere=(i % 3 != 0))
-        for i in range(0, 60, 2):
-            plan.remove_file(f"f{i}")
-        return plan
-
-    plan = benchmark.pedantic(run, rounds=1, iterations=1)
-    drep_cost = plan.costs.total_expensive_operations()
-    naive_cost = plan.naive_reseal_cost()
-    assert drep_cost < naive_cost
-    assert plan.costs.snark_proofs < plan.costs.porep_setups
-    record(
-        "DRep ablation: expensive ops (DRep vs whole-sector reseal)",
-        f"{drep_cost} vs {naive_cost}",
-        "DRep supports dynamic content at low cost (Sec. III-D)",
-    )
 
 
 def _build_protocol(providers: int, params: ProtocolParams) -> FileInsurerProtocol:

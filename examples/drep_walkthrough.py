@@ -1,81 +1,57 @@
 """DRep walkthrough: Figure 2 and the cost argument of Section III-D.
 
-Shows a single sector's content evolving under Dynamic Replication:
+Shows a single provider sector's content evolving under Dynamic
+Replication, on a real provider with a disk and simulated PoRep sealing:
 
 * (a) a freshly registered sector is full of Capacity Replicas;
 * (b) storing files evicts CRs but keeps the unsealed space below one CR;
 * (c) removing files regenerates CRs without new SNARKs;
 
-and compares the number of expensive operations (PoRep setups and SNARKs)
-DRep performs against the naive "re-seal the whole sector on every change"
-approach, both on the abstract content plan and on a real provider with a
-disk and simulated PoRep sealing.
+and prints the modelled cost of sealing a file (PoRep setup + SNARK)
+against recovering a replica (setup only), the saving DRep exploits.
 
 Run with ``python examples/drep_walkthrough.py``.
 """
 
 from __future__ import annotations
 
-from repro.core.drep import SectorContentPlan
 from repro.crypto.merkle import MerkleTree
 from repro.crypto.porep import PoRepParams
-from repro.storage.provider import StorageProvider
+from repro.storage.provider import ProviderSector, StorageProvider
 
 KIB = 1024
 
 
-def show_layout(plan: SectorContentPlan, title: str) -> None:
+def show(sector: ProviderSector, title: str) -> None:
     print(f"\n{title}")
-    for slot in plan.layout():
-        bar = "#" * max(1, slot.size // (4 * KIB))
-        print(f"  {slot.kind.value:>17} {slot.label:<10} {slot.size // KIB:>4} KiB {bar}")
-    print(f"  unsealed space: {plan.unsealed_space() // KIB} KiB "
-          f"(invariant holds: {plan.invariant_holds()})")
-
-
-def content_plan_walkthrough() -> None:
-    plan = SectorContentPlan(capacity=96 * KIB, capacity_replica_size=16 * KIB)
-    show_layout(plan, "(a) freshly registered sector: six Capacity Replicas")
-
-    plan.add_file("file-1", 30 * KIB)
-    plan.add_file("file-2", 34 * KIB)
-    show_layout(plan, "(b) after storing two files: two CRs remain")
-
-    plan.remove_file("file-1")
-    show_layout(plan, "(c) after discarding file-1: a CR is regenerated (no new SNARK)")
-
-    print("\ncost accounting so far:")
-    print(f"  PoRep setups: {plan.costs.porep_setups}")
-    print(f"  SNARK proofs: {plan.costs.snark_proofs}")
-    print(f"  naive whole-sector re-seal would need: {plan.naive_reseal_cost()} expensive ops")
-
-
-def physical_provider_walkthrough() -> None:
-    print("\n--- physical provider (simulated PoRep sealing on a disk) ---")
-    porep = PoRepParams(chunk_size=1024, seal_seconds_per_gib=3600.0, snark_seconds=600.0)
-    provider = StorageProvider("prov-demo", disk_capacity=256 * KIB, porep_params=porep)
-    sector = provider.create_sector("demo#0", 128 * KIB, capacity_replica_size=16 * KIB)
-    print(f"sector registered with {sector.capacity_replica_count} capacity replicas")
-
-    data = b"replica payload " * (2 * KIB // 16)
-    root = MerkleTree.from_data(data, 1024).root
-    sector.store_file(root, data)
-    print(f"stored a {len(data)} byte file; CRs now: {sector.capacity_replica_count}, "
-          f"unsealed space: {sector.unsealed_space()} bytes")
-
-    modelled_seal = porep.seal_time(len(data))
-    modelled_recovery = porep.recovery_time(len(data))
-    print(f"modelled sealing cost (setup + SNARK): {modelled_seal:.2f} s")
-    print(f"modelled replica recovery cost (setup only, DRep): {modelled_recovery:.2f} s")
-
-    sector.remove_file(root)
-    print(f"after removing the file the sector refills CRs: {sector.capacity_replica_count} "
-          f"(unsealed space {sector.unsealed_space()} bytes)")
+    print(f"  capacity replicas: {sector.capacity_replica_count} "
+          f"x {sector.capacity_replica_size // KIB} KiB")
+    print(f"  file bytes: {sector.used_by_files // KIB} KiB, "
+          f"unsealed space: {sector.unsealed_space() // KIB} KiB "
+          f"(invariant holds: {sector.unsealed_space() < sector.capacity_replica_size})")
 
 
 def main() -> None:
-    content_plan_walkthrough()
-    physical_provider_walkthrough()
+    porep = PoRepParams(chunk_size=1024, seal_seconds_per_gib=3600.0, snark_seconds=600.0)
+    provider = StorageProvider("prov-demo", disk_capacity=256 * KIB, porep_params=porep)
+    sector = provider.create_sector("demo#0", 96 * KIB, capacity_replica_size=16 * KIB)
+    show(sector, "(a) freshly registered sector: six Capacity Replicas")
+
+    files = {}
+    for fill, (name, size) in enumerate((("file-1", 30 * KIB), ("file-2", 34 * KIB))):
+        data = bytes([fill + 1]) * size
+        root = MerkleTree.from_data(data, 1024).root
+        sector.store_file(root, data)
+        files[name] = (root, data)
+    show(sector, "(b) after storing two files: two CRs remain")
+
+    root, data = files["file-1"]
+    sector.remove_file(root)
+    show(sector, "(c) after discarding file-1: CRs are regenerated (no new SNARK)")
+
+    print("\nmodelled cost of file-1's replica:")
+    print(f"  sealing (setup + SNARK): {porep.seal_time(len(data)):.2f} s")
+    print(f"  recovery (setup only, DRep): {porep.recovery_time(len(data)):.2f} s")
 
 
 if __name__ == "__main__":

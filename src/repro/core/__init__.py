@@ -5,9 +5,10 @@ The public API of the paper's primary contribution:
 * :class:`~repro.core.params.ProtocolParams` -- every protocol constant.
 * :class:`~repro.core.protocol.FileInsurerProtocol` -- the on-chain state
   machine (File / Sector / Auto protocols, deposits, compensation, fees).
+* :class:`~repro.core.pending.PendingList` and
+  :class:`~repro.core.events.EventLog` -- Figure 1's pending list as
+  columns and the per-type event counters, shared by both engines.
 * :mod:`~repro.core.analysis` -- Theorems 1-4 in closed form.
-* :class:`~repro.core.drep.SectorContentPlan` -- the DRep sector content
-  model.
 * :class:`~repro.core.large_files.LargeFileCodec` -- erasure segmentation
   of oversized files.
 """
@@ -21,13 +22,12 @@ from repro.core.analysis import (
     theorem4_deposit_ratio_bound,
 )
 from repro.core.deposit import CompensationShortfallError, InsuranceFund
-from repro.core.drep import DRepCostModel, SectorContentPlan
-from repro.core.events import EventLog, EventType, ProtocolEvent
+from repro.core.events import EventLog, EventType
 from repro.core.fees import FeeEngine
 from repro.core.file_descriptor import FileDescriptor, FileState
 from repro.core.large_files import LargeFileCodec, SegmentedFile
 from repro.core.params import ProtocolParams
-from repro.core.pending import PendingList, PendingTask
+from repro.core.pending import PendingList
 from repro.core.protocol import FileInsurerProtocol, ProtocolError, RefreshNotice
 from repro.core.sector import SectorRecord, SectorState
 from repro.core.selector import CapacitySelector, SamplerInvariantError, WeightedSampler
@@ -38,7 +38,6 @@ __all__ = [
     "AllocationTable",
     "CapacitySelector",
     "CompensationShortfallError",
-    "DRepCostModel",
     "EventLog",
     "EventType",
     "FeeEngine",
@@ -49,12 +48,9 @@ __all__ = [
     "InsuranceFund",
     "LargeFileCodec",
     "PendingList",
-    "PendingTask",
     "ProtocolError",
-    "ProtocolEvent",
     "ProtocolParams",
     "RefreshNotice",
-    "SectorContentPlan",
     "SectorRecord",
     "SectorState",
     "SegmentedFile",

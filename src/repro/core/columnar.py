@@ -1,14 +1,15 @@
 """Columnar (structure-of-arrays) protocol state for million-file runs.
 
 The object-model :class:`~repro.core.protocol.FileInsurerProtocol` keeps
-one Python object per file descriptor, per replica allocation and per
-pending task.  At the scales Theorem 1 talks about (10^6 files across
-10^5 providers) that representation dominates both peak RSS and
-wall-clock, long before the capacity bound itself becomes interesting.
+one Python object per file descriptor and per replica allocation.  At the
+scales Theorem 1 talks about (10^6 files across 10^5 providers) that
+representation dominates both peak RSS and wall-clock, long before the
+capacity bound itself becomes interesting.  (The pending list and the
+event log are already columns and counters in both engines.)
 
 This module keeps the *semantics* of the object model -- it subclasses
-the protocol and leaves every rule untouched -- but swaps the storage
-engine underneath:
+the protocol and leaves every rule untouched -- but swaps the state
+layout underneath:
 
 * :class:`SectorTable`, :class:`FileTable` and
   :class:`ColumnarAllocationTable` hold sector, file and replica state in
@@ -17,15 +18,12 @@ engine underneath:
   (:class:`SectorView`, :class:`FileView`, :class:`AllocEntryView`) that
   read and write the arrays directly, so no per-row Python object
   outlives the statement that touched it;
-* :class:`ColumnarPending` replaces the task heap with sorted column
-  segments (lazily merged), so a million scheduled checkpoints cost a
-  few arrays instead of a million task objects;
-* the event log becomes a :class:`~repro.core.events.CountingEventLog`;
 * the protocol hot paths -- batched ``File Add`` placement, the
-  ``CheckAlloc``, ``CheckProof`` and ``CheckRefresh`` rounds, the
-  ``Auto Refresh`` starts of a proof round -- are overridden with
-  vectorised sweeps over the tables that dispatch into
-  :mod:`repro.kernels`, and ``File Confirm`` with row arithmetic.
+  ``CheckAlloc``, ``CheckProof`` and ``CheckRefresh`` runs
+  ``advance_time`` dispatches, the ``Auto Refresh`` starts of a proof
+  round -- are overridden with vectorised sweeps over the tables that
+  dispatch into :mod:`repro.kernels`, and ``File Confirm`` with row
+  arithmetic.
 
 **Equivalence contract.**  :class:`ColumnarProtocol` must be
 bit-equivalent to the object model: same PRNG consumption order, same
@@ -44,30 +42,23 @@ hypothesis pack enforce this the same way
 
 from __future__ import annotations
 
-import math
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.chain.gas import GasSchedule
-from repro.chain.ledger import Ledger
 from repro.core.allocation import AllocState
-from repro.core.events import CountingEventLog, EventType
+from repro.core.events import EventType
 from repro.core.file_descriptor import FileDescriptor, FileState
-from repro.core.params import ProtocolParams
-from repro.core.pending import PendingTask
+from repro.core.pending import CHECK_ALLOC, CHECK_PROOF, CHECK_REFRESH
 from repro.core.protocol import FileInsurerProtocol, ProtocolError, RefreshNotice
 from repro.core.sector import SectorRecord, SectorState
-from repro.crypto.prng import DeterministicPRNG
-from repro.kernels import KernelBackend
-from repro.telemetry import counter, is_enabled, metrics, traced
+from repro.telemetry import counter, traced
 
 __all__ = [
     "ColumnarProtocol",
     "SectorTable",
     "FileTable",
     "ColumnarAllocationTable",
-    "ColumnarPending",
 ]
 
 # ----------------------------------------------------------------------
@@ -767,247 +758,24 @@ class ColumnarAllocationTable:
 
 
 # ======================================================================
-# Pending list
-# ======================================================================
-class ColumnarPending:
-    """Pending-task queue over sorted column segments.
-
-    Tasks append to column arrays; a sorted order over the live entries
-    is (re)built lazily whenever an unsorted tail entry becomes due.
-    Ties sort by append sequence, matching the heap's ``(time, seq)``
-    key, so execution order is identical to :class:`PendingList`.
-    """
-
-    def __init__(self, kinds: Tuple[str, ...]) -> None:
-        self._kind_codes = {kind: code for code, kind in enumerate(kinds)}
-        self._kind_names = list(kinds)
-        self._time = np.empty(16, dtype=np.float64)
-        self._kind = np.empty(16, dtype=np.int16)
-        self._a0 = np.empty(16, dtype=np.int64)
-        self._a1 = np.empty(16, dtype=np.int64)
-        self._n = 0
-        self._order = np.empty(0, dtype=np.int64)
-        self._order_times = np.empty(0, dtype=np.float64)
-        self._pos = 0
-        self._sorted_upto = 0
-        self._tail_min = math.inf
-
-    def _code(self, kind: str) -> int:
-        code = self._kind_codes.get(kind)
-        if code is None:
-            code = len(self._kind_names)
-            self._kind_codes[kind] = code
-            self._kind_names.append(kind)
-        return code
-
-    def _ensure(self, needed: int) -> None:
-        self._time = _grow(self._time, needed)
-        self._kind = _grow(self._kind, needed)
-        self._a0 = _grow(self._a0, needed)
-        self._a1 = _grow(self._a1, needed)
-
-    # -- scheduling ----------------------------------------------------
-    def schedule(self, time: float, kind: str, **payload: Any) -> None:
-        self._ensure(self._n + 1)
-        self._time[self._n] = time
-        self._kind[self._n] = self._code(kind)
-        self._a0[self._n] = payload.get("file_id", -1)
-        self._a1[self._n] = payload.get("index", -1)
-        self._n += 1
-        self._tail_min = min(self._tail_min, time)
-
-    def schedule_batch(
-        self, time: float, kind: str, file_ids: np.ndarray
-    ) -> None:
-        """Append one task of ``kind`` per file id, all due at ``time``."""
-        count = len(file_ids)
-        if count == 0:
-            return
-        self._ensure(self._n + count)
-        self._time[self._n : self._n + count] = time
-        self._kind[self._n : self._n + count] = self._code(kind)
-        self._a0[self._n : self._n + count] = file_ids
-        self._a1[self._n : self._n + count] = -1
-        self._n += count
-        self._tail_min = min(self._tail_min, time)
-
-    def schedule_columns(
-        self,
-        times: np.ndarray,
-        kinds: np.ndarray,
-        file_ids: np.ndarray,
-        indexes: np.ndarray,
-    ) -> None:
-        """Append one task per row, in row order (``kinds`` holds codes)."""
-        count = len(times)
-        if count == 0:
-            return
-        self._ensure(self._n + count)
-        self._time[self._n : self._n + count] = times
-        self._kind[self._n : self._n + count] = kinds
-        self._a0[self._n : self._n + count] = file_ids
-        self._a1[self._n : self._n + count] = indexes
-        self._n += count
-        self._tail_min = min(self._tail_min, float(times.min()))
-
-    # -- ordering ------------------------------------------------------
-    def _live_indices(self) -> np.ndarray:
-        remaining = self._order[self._pos :]
-        tail = np.arange(self._sorted_upto, self._n, dtype=np.int64)
-        if len(remaining) == 0:
-            return tail
-        if len(tail) == 0:
-            return remaining
-        return np.concatenate([remaining, tail])
-
-    def _resort(self) -> None:
-        """Compact consumed rows and rebuild the sorted order."""
-        live = np.sort(self._live_indices())  # ascending = append order
-        count = len(live)
-        self._time[:count] = self._time[live]
-        self._kind[:count] = self._kind[live]
-        self._a0[:count] = self._a0[live]
-        self._a1[:count] = self._a1[live]
-        self._n = count
-        self._order = np.argsort(
-            self._time[:count], kind="stable"
-        ).astype(np.int64)
-        self._order_times = self._time[self._order]
-        self._pos = 0
-        self._sorted_upto = count
-        self._tail_min = math.inf
-
-    def peek_time(self) -> Optional[float]:
-        head = math.inf
-        if self._pos < len(self._order):
-            head = float(self._order_times[self._pos])
-        head = min(head, self._tail_min)
-        return None if head == math.inf else head
-
-    def pop_due_arrays(
-        self, now: float
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """All tasks due at or before ``now`` as ``(time, kind, a0, a1)``."""
-        if self._tail_min <= now:
-            self._resort()
-        end = int(
-            np.searchsorted(self._order_times, now, side="right")
-        )
-        if end <= self._pos:
-            empty = np.empty(0, dtype=np.int64)
-            return empty.astype(np.float64), empty, empty, empty
-        due = self._order[self._pos : end]
-        self._pos = end
-        return (
-            self._time[due].copy(),
-            self._kind[due].astype(np.int64),
-            self._a0[due].copy(),
-            self._a1[due].copy(),
-        )
-
-    def pop_due(self, now: float) -> List[PendingTask]:
-        """Object-API variant (used by tests and fallback paths)."""
-        times, kinds, a0, a1 = self.pop_due_arrays(now)
-        return [
-            self._materialise(times[i], kinds[i], a0[i], a1[i], i)
-            for i in range(len(times))
-        ]
-
-    def _materialise(
-        self, time: float, kind: int, a0: int, a1: int, sequence: int
-    ) -> PendingTask:
-        payload: Dict[str, Any] = {}
-        if a0 >= 0:
-            payload["file_id"] = int(a0)
-        if a1 >= 0:
-            payload["index"] = int(a1)
-        return PendingTask(
-            time=float(time),
-            kind=self._kind_names[int(kind)],
-            payload=payload,
-            sequence=int(sequence),
-        )
-
-    # -- inspection ----------------------------------------------------
-    def __len__(self) -> int:
-        return (len(self._order) - self._pos) + (self._n - self._sorted_upto)
-
-    def is_empty(self) -> bool:
-        return len(self) == 0
-
-    def count_kind(self, kind: str) -> int:
-        code = self._kind_codes.get(kind)
-        if code is None:
-            return 0
-        live = self._live_indices()
-        return int(np.sum(self._kind[live] == code))
-
-    def tasks(self) -> List[PendingTask]:
-        live = self._live_indices()
-        order = live[np.lexsort((live, self._time[live]))]
-        return [
-            self._materialise(
-                self._time[row], self._kind[row], self._a0[row], self._a1[row], i
-            )
-            for i, row in enumerate(order)
-        ]
-
-
-# ======================================================================
 # The columnar protocol engine
 # ======================================================================
 class ColumnarProtocol(FileInsurerProtocol):
     """:class:`FileInsurerProtocol` over structure-of-arrays state.
 
-    Inherits every protocol rule; swaps the storage engine for columnar
-    tables served through views, and overrides the hot paths (batched
-    File Add placement, the CheckAlloc/CheckProof/CheckRefresh rounds)
-    with vectorised sweeps that leave to the inherited per-file code
-    whatever their preconditions do not cover.  See the module docstring
-    for the equivalence contract.
+    Inherits every protocol rule, the pending list and the event log;
+    swaps the state layout for columnar tables served through views, and
+    overrides the hot paths (batched File Add placement, the
+    CheckAlloc/CheckProof/CheckRefresh runs) with vectorised sweeps that
+    leave to the inherited per-file code whatever their preconditions do
+    not cover.  See the module docstring for the equivalence contract.
     """
 
-    def __init__(
-        self,
-        params: Optional[ProtocolParams] = None,
-        ledger: Optional[Ledger] = None,
-        prng: Optional[DeterministicPRNG] = None,
-        gas_schedule: Optional[GasSchedule] = None,
-        health_oracle: Optional[Callable[[str], bool]] = None,
-        auto_prove: bool = False,
-        charge_fees: bool = True,
-        backend: Optional[Union[str, KernelBackend]] = None,
-        draw_batch: int = 1,
-    ) -> None:
-        super().__init__(
-            params=params,
-            ledger=ledger,
-            prng=prng,
-            gas_schedule=gas_schedule,
-            health_oracle=health_oracle,
-            auto_prove=auto_prove,
-            charge_fees=charge_fees,
-            backend=backend,
-            draw_batch=draw_batch,
-        )
-        # Swap the storage engines.  The base constructor may already have
-        # scheduled the first rent period; replay it into the columnar
-        # queue so timing is unchanged.
-        seeded_tasks = self.pending.tasks()
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
         self.sectors = SectorTable()
         self.files = FileTable()
         self.alloc = ColumnarAllocationTable(self.files, self.sectors)
-        self.pending = ColumnarPending(
-            (
-                self.TASK_CHECK_ALLOC,
-                self.TASK_CHECK_PROOF,
-                self.TASK_CHECK_REFRESH,
-                self.TASK_RENT_PERIOD,
-            )
-        )
-        for task in seeded_tasks:
-            self.pending.schedule(task.time, task.kind, **task.payload)
-        self.events = CountingEventLog()
         #: Sampler slot -> sector table row (vectorised placement lookup)
         #: and its inverse (vectorised release on a selectable sector).
         self._slot_to_row = np.empty(0, dtype=np.int64)
@@ -1103,12 +871,12 @@ class ColumnarProtocol(FileInsurerProtocol):
         self._next_file_id += created
         if created:
             self.alloc._ensure_blocks(int(file_ids[-1]))
-        self.events.emit_many(EventType.FILE_ADD_REQUESTED, created)
+        self.events.emit(EventType.FILE_ADD_REQUESTED, created)
         if truncated:
             # The failed upload keeps its descriptor (state failed) but no
             # allocations or reservations, matching per-file semantics.
             self.files.state[file_ids[-1]] = _FILE_CODE[FileState.FAILED]
-            self.events.emit(EventType.FILE_UPLOAD_FAILED, self.now, "")
+            self.events.emit(EventType.FILE_UPLOAD_FAILED)
 
         if complete > 0:
             ok_ids = file_ids[:complete]
@@ -1141,7 +909,7 @@ class ColumnarProtocol(FileInsurerProtocol):
             )
             self.pending.schedule_columns(
                 deadline_of[size_index],
-                np.full(complete, self.pending._kind_codes[self.TASK_CHECK_ALLOC]),
+                np.full(complete, CHECK_ALLOC),
                 ok_ids,
                 np.full(complete, -1),
             )
@@ -1241,61 +1009,11 @@ class ColumnarProtocol(FileInsurerProtocol):
                 f"allocation of file#{file_id}[{index}] is not awaiting {sector_id}"
             )
         self.alloc.state[row] = _ALLOC_CODE[AllocState.CONFIRM]
-        self._release_traffic_escrow(provider, file_id, index)
+        self._release_traffic_escrow(file_id, index)
 
     # ------------------------------------------------------------------
-    # Time: run-grouped task execution with vectorised sweeps
+    # Time: the runs advance_time dispatches, as vectorised sweeps
     # ------------------------------------------------------------------
-    @traced("protocol.advance_time", category="protocol")
-    def advance_time(self, until: float) -> None:
-        if not until >= self.now:  # "not >=": refuses NaN too (see the base class)
-            raise ValueError("time cannot move backwards")
-        kind_codes = self.pending._kind_codes
-        kind_alloc = kind_codes[self.TASK_CHECK_ALLOC]
-        kind_proof = kind_codes[self.TASK_CHECK_PROOF]
-        kind_refresh = kind_codes[self.TASK_CHECK_REFRESH]
-        kind_rent = kind_codes[self.TASK_RENT_PERIOD]
-        while True:
-            next_time = self.pending.peek_time()
-            if next_time is None or next_time > until:
-                break
-            self.now = max(self.now, next_time)
-            _, kinds, a0, a1 = self.pending.pop_due_arrays(self.now)
-            # One comparison finds where the kind changes, so the loop below
-            # pays per run (a handful per cycle), never per task.
-            ends = (np.flatnonzero(kinds[1:] != kinds[:-1]) + 1).tolist()
-            ends.append(len(kinds))  # at least one task is due here
-            i = 0
-            for j in ends:
-                kind = kinds[i]
-                if kind == kind_proof:
-                    self._check_proof_run(a0[i:j])
-                elif kind == kind_alloc:
-                    self._check_alloc_run(a0[i:j])
-                elif kind == kind_refresh:
-                    self._check_refresh_run(a0[i:j], a1[i:j])
-                elif kind == kind_rent:
-                    for _ in range(i, j):
-                        self._auto_rent_period()
-                else:  # pragma: no cover - defensive
-                    raise ProtocolError(
-                        f"unknown pending task kind "
-                        f"{self.pending._kind_names[int(kind)]!r}"
-                    )
-                i = j
-        self.now = until
-        if metrics.is_enabled():
-            self._record_gauges()
-        if is_enabled():
-            # Refresh-target draws only happen inside CheckProof runs, so
-            # once per advance covers them -- never once per draw.
-            names = ("hits", "refills", "flushed")
-            for name, amount in zip(names, self.selector.take_prefetch_counts()):
-                if amount:
-                    counter(
-                        f"protocol.prefetch.{name}", amount, category="protocol"
-                    )
-
     @traced("protocol.check_alloc_run", category="protocol")
     def _check_alloc_run(self, file_ids: np.ndarray) -> None:
         """A run of same-time CheckAlloc tasks, vectorised when uniform.
@@ -1322,8 +1040,7 @@ class ColumnarProtocol(FileInsurerProtocol):
                 np.all(self.alloc.state[rows] == _ALLOC_CODE[AllocState.CONFIRM])
             )
         if not eligible:
-            for file_id in file_ids:
-                self._auto_check_alloc(int(file_id))
+            super()._check_alloc_run(file_ids)
             return
         self.alloc.prev[rows] = self.alloc.next[rows]
         self.alloc.next[rows] = -1
@@ -1334,9 +1051,9 @@ class ColumnarProtocol(FileInsurerProtocol):
         self.files_stored += len(file_ids)
         self.total_value_stored += int(self.files.value[file_ids].sum())
         self.pending.schedule_batch(
-            self.now + self.params.proof_cycle, self.TASK_CHECK_PROOF, file_ids
+            self.now + self.params.proof_cycle, CHECK_PROOF, file_ids
         )
-        self.events.emit_many(EventType.FILE_STORED, len(file_ids))
+        self.events.emit(EventType.FILE_STORED, len(file_ids))
 
     @traced("protocol.check_proof_run", category="protocol")
     def _check_proof_run(self, file_ids: np.ndarray) -> None:
@@ -1482,18 +1199,17 @@ class ColumnarProtocol(FileInsurerProtocol):
         next_checkpoint = self.now + self.params.proof_cycle
         due = np.nonzero(countdowns <= 0)[0]
         if len(due) == 0:
-            self.pending.schedule_batch(next_checkpoint, self.TASK_CHECK_PROOF, file_ids)
+            self.pending.schedule_batch(next_checkpoint, CHECK_PROOF, file_ids)
             return
         picked, indexes, deadlines = self._start_refreshes(file_ids[due])
         started = due[picked]
-        codes = self.pending._kind_codes
         total = len(file_ids) + len(started)
         refresh = np.zeros(total, dtype=bool)
         refresh[started + np.arange(1, len(started) + 1)] = True
         times = np.full(total, next_checkpoint)
         times[refresh] = deadlines
-        kinds = np.full(total, codes[self.TASK_CHECK_PROOF], dtype=np.int64)
-        kinds[refresh] = codes[self.TASK_CHECK_REFRESH]
+        kinds = np.full(total, CHECK_PROOF, dtype=np.int64)
+        kinds[refresh] = CHECK_REFRESH
         tasks = np.empty(total, dtype=np.int64)
         tasks[~refresh] = file_ids
         tasks[refresh] = file_ids[started]
@@ -1561,7 +1277,7 @@ class ColumnarProtocol(FileInsurerProtocol):
             countdowns.append(resample())
 
         self.files.countdown[file_ids[resampled]] = countdowns
-        self.events.emit_many(EventType.COLLISION_RESAMPLED, collided)
+        self.events.emit(EventType.COLLISION_RESAMPLED, collided)
         started = file_ids[picked]
         index_array = np.asarray(indexes, dtype=np.int64)
         slot_array = np.asarray(slots, dtype=np.int64)
@@ -1597,7 +1313,7 @@ class ColumnarProtocol(FileInsurerProtocol):
                 deadlines,
             )
         )
-        self.events.emit_many(EventType.FILE_REFRESH_STARTED, len(picked))
+        self.events.emit(EventType.FILE_REFRESH_STARTED, len(picked))
         for name, amount in (
             ("protocol.refresh_start.vector_files", len(file_ids)),
             ("protocol.refresh_start.postponed", len(resampled) - collided),
@@ -1692,7 +1408,7 @@ class ColumnarProtocol(FileInsurerProtocol):
         # A normal sector is always selectable, hence has a slot.
         self.selector.debit_slots(self._row_to_slot[released], -sizes)
         self.files.countdown[file_ids] = self._sample_refresh_countdowns(len(file_ids))
-        self.events.emit_many(EventType.FILE_REFRESH_COMPLETED, len(file_ids))
+        self.events.emit(EventType.FILE_REFRESH_COMPLETED, len(file_ids))
 
     # ------------------------------------------------------------------
     # Vectorised aggregate queries

@@ -87,21 +87,18 @@ class ProtocolParams:
             )
         return (value // self.min_value) * self.k
 
-    def sector_deposit(self, capacity: int, max_total_value: int) -> int:
+    def sector_deposit(self, capacity: int) -> int:
         """Deposit pledged when registering a sector of ``capacity`` bytes.
 
         Section IV-B: the sector's share of the network-wide deposit
         ``gamma_deposit * Nm_v * minValue``, proportional to its capacity,
         which reduces to
         ``capacity * gamma_deposit * capPara * minValue / minCapacity``.
-        ``max_total_value`` is ``Nm_v * minValue``; passing it explicitly
-        keeps the two equivalent formulas checkable against each other.
         """
         if capacity <= 0 or capacity % self.min_capacity != 0:
             raise ValueError(
                 "sector capacity must be a positive multiple of min_capacity"
             )
-        del max_total_value  # retained for interface clarity; formula below is closed-form
         per_unit = self.deposit_ratio * self.cap_para * self.min_value
         deposit = per_unit * (capacity / self.min_capacity)
         return max(1, int(round(deposit)))

@@ -34,12 +34,18 @@ from repro.core.events import EventLog, EventType
 from repro.core.fees import FeeEngine, TrafficEscrow
 from repro.core.file_descriptor import FileDescriptor, FileState
 from repro.core.params import ProtocolParams
-from repro.core.pending import PendingList, PendingTask
+from repro.core.pending import (
+    CHECK_ALLOC,
+    CHECK_PROOF,
+    CHECK_REFRESH,
+    RENT_PERIOD,
+    PendingList,
+)
 from repro.core.sector import SectorRecord, SectorState
 from repro.core.selector import CapacitySelector
 from repro.crypto.prng import DeterministicPRNG
 from repro.kernels import KernelBackend
-from repro.telemetry import counter, metrics, traced
+from repro.telemetry import counter, is_enabled, metrics, traced
 
 __all__ = ["FileInsurerProtocol", "ProtocolError", "RefreshNotice"]
 
@@ -66,12 +72,6 @@ class RefreshNotice:
 
 class FileInsurerProtocol:
     """On-chain state machine of the FileInsurer DSN."""
-
-    # Pending-list task kinds.
-    TASK_CHECK_ALLOC = "auto_check_alloc"
-    TASK_CHECK_PROOF = "auto_check_proof"
-    TASK_CHECK_REFRESH = "auto_check_refresh"
-    TASK_RENT_PERIOD = "auto_rent_period"
 
     def __init__(
         self,
@@ -147,15 +147,18 @@ class FileInsurerProtocol:
         self._corruption_events = 0
 
         if self.charge_fees:
-            self.pending.schedule(
-                self.now + self.params.rent_period, self.TASK_RENT_PERIOD
-            )
+            self.pending.schedule(self.now + self.params.rent_period, RENT_PERIOD)
 
     # ==================================================================
     # Time
     # ==================================================================
+    @traced("protocol.advance_time", category="protocol")
     def advance_time(self, until: float) -> None:
-        """Advance the clock to ``until``, executing due Auto tasks in order."""
+        """Advance the clock to ``until``, executing due Auto tasks in order.
+
+        The tasks due at one time go to their handlers by run: every
+        maximal run of one kind is handed over whole, in task order.
+        """
         # Written as "not >=" so a NaN ``until``, for which the loop's exit
         # test is never true, is refused along with times in the past.
         if not until >= self.now:
@@ -165,18 +168,58 @@ class FileInsurerProtocol:
             if next_time is None or next_time > until:
                 break
             self.now = max(self.now, next_time)
-            for task in self.pending.pop_due(self.now):
-                self._execute_task(task)
+            kinds, file_ids, indexes = self.pending.pop_due_arrays(self.now)
+            # One comparison finds where the kind changes, so the loop below
+            # pays per run (a handful per cycle), never per task.
+            ends = (np.flatnonzero(kinds[1:] != kinds[:-1]) + 1).tolist()
+            ends.append(len(kinds))  # at least one task is due here
+            i = 0
+            for j in ends:
+                kind = kinds[i]
+                if kind == CHECK_PROOF:
+                    self._check_proof_run(file_ids[i:j])
+                elif kind == CHECK_ALLOC:
+                    self._check_alloc_run(file_ids[i:j])
+                elif kind == CHECK_REFRESH:
+                    self._check_refresh_run(file_ids[i:j], indexes[i:j])
+                elif kind == RENT_PERIOD:
+                    for _ in range(i, j):
+                        self._auto_rent_period()
+                else:  # pragma: no cover - defensive
+                    raise ProtocolError(f"unknown pending task kind {kind}")
+                i = j
         self.now = until
         if metrics.is_enabled():
             self._record_gauges()
+        if is_enabled():
+            # Refresh-target draws only happen inside CheckProof runs, so
+            # once per advance covers them -- never once per draw.
+            names = ("hits", "refills", "flushed")
+            for name, amount in zip(names, self.selector.take_prefetch_counts()):
+                if amount:
+                    counter(f"protocol.prefetch.{name}", amount, category="protocol")
+
+    def _check_alloc_run(self, file_ids: np.ndarray) -> None:
+        """A run of same-time ``Auto CheckAlloc`` tasks, in task order."""
+        for file_id in file_ids.tolist():
+            self._auto_check_alloc(file_id)
+
+    def _check_proof_run(self, file_ids: np.ndarray) -> None:
+        """A run of same-time ``Auto CheckProof`` tasks, in task order."""
+        for file_id in file_ids.tolist():
+            self._auto_check_proof(file_id)
+
+    def _check_refresh_run(self, file_ids: np.ndarray, indexes: np.ndarray) -> None:
+        """A run of same-time ``Auto CheckRefresh`` tasks, in task order."""
+        for file_id, index in zip(file_ids.tolist(), indexes.tolist()):
+            self._auto_check_refresh(file_id, index)
 
     def _record_gauges(self) -> None:
         """Gauge snapshots at ``self.now`` (observability only, no RNG)."""
         metrics.gauge(
             "protocol.refresh_backlog",
             self.now,
-            float(self.pending.count_kind(self.TASK_CHECK_REFRESH)),
+            float(self.pending.count_kind(CHECK_REFRESH)),
             category="protocol",
         )
         metrics.gauge(
@@ -196,7 +239,7 @@ class FileInsurerProtocol:
 
     def run_until_idle(self, max_time: Optional[float] = None) -> None:
         """Advance time until the pending list drains (or ``max_time``)."""
-        while not self.pending.is_empty():
+        while True:
             next_time = self.pending.peek_time()
             if next_time is None:
                 break
@@ -204,18 +247,6 @@ class FileInsurerProtocol:
                 self.advance_time(max_time)
                 return
             self.advance_time(next_time)
-
-    def _execute_task(self, task: PendingTask) -> None:
-        if task.kind == self.TASK_CHECK_ALLOC:
-            self._auto_check_alloc(task.payload["file_id"])
-        elif task.kind == self.TASK_CHECK_PROOF:
-            self._auto_check_proof(task.payload["file_id"])
-        elif task.kind == self.TASK_CHECK_REFRESH:
-            self._auto_check_refresh(task.payload["file_id"], task.payload["index"])
-        elif task.kind == self.TASK_RENT_PERIOD:
-            self._auto_rent_period()
-        else:  # pragma: no cover - defensive
-            raise ProtocolError(f"unknown pending task kind {task.kind!r}")
 
     # ==================================================================
     # Sector protocol
@@ -236,9 +267,7 @@ class FileInsurerProtocol:
 
         deposit = 0
         if self.charge_fees:
-            deposit = self.params.sector_deposit(
-                capacity, self.params.max_value_capacity(self.total_capacity() + capacity)
-            )
+            deposit = self.params.sector_deposit(capacity)
             try:
                 self.fees.charge_gas(owner, "sector_register")
                 self.fund.pledge(sector_id, owner, deposit)
@@ -259,18 +288,9 @@ class FileInsurerProtocol:
         self.sectors[sector_id] = record
         self._agg_capacity += capacity
         self.selector.add_sector(sector_id, capacity)
-        self.events.emit(
-            EventType.SECTOR_REGISTERED,
-            self.now,
-            sector_id,
-            owner=owner,
-            capacity=capacity,
-            deposit=deposit,
-        )
+        self.events.emit(EventType.SECTOR_REGISTERED)
         if deposit:
-            self.events.emit(
-                EventType.DEPOSIT_PLEDGED, self.now, sector_id, owner=owner, amount=deposit
-            )
+            self.events.emit(EventType.DEPOSIT_PLEDGED)
         return sector_id
 
     def sector_disable(self, owner: str, sector_id: str) -> None:
@@ -284,7 +304,7 @@ class FileInsurerProtocol:
             self.fees.charge_gas(owner, "sector_disable")
         record.state = SectorState.DISABLED
         self.selector.remove_sector(sector_id)
-        self.events.emit(EventType.SECTOR_DISABLED, self.now, sector_id, owner=owner)
+        self.events.emit(EventType.SECTOR_DISABLED)
         self._maybe_remove_sector(record)
 
     # ==================================================================
@@ -421,26 +441,13 @@ class FileInsurerProtocol:
         # plain dict returns the same object; the columnar engine returns
         # a view over its tables).
         descriptor = self.files[file_id]
-        self.events.emit(
-            EventType.FILE_ADD_REQUESTED,
-            self.now,
-            f"file#{file_id}",
-            owner=owner,
-            size=size,
-            value=value,
-            replicas=len(placements),
-        )
+        self.events.emit(EventType.FILE_ADD_REQUESTED)
         for index, sector_id in enumerate(placements):
             if sector_id is None:
                 # Cannot place the replica anywhere: fail the upload.
-                self._remove_file(descriptor, reason="no capacity")
+                self._remove_file(descriptor)
                 descriptor.state = FileState.FAILED
-                self.events.emit(
-                    EventType.FILE_UPLOAD_FAILED,
-                    self.now,
-                    f"file#{file_id}",
-                    reason="no sector with sufficient free capacity",
-                )
+                self.events.emit(EventType.FILE_UPLOAD_FAILED)
                 return file_id
             record = self.sectors[sector_id]
             self._reserve_space(record, size)
@@ -450,7 +457,7 @@ class FileInsurerProtocol:
                 escrow = self.fees.commit_traffic_fee(owner, record.owner, size)
                 self._traffic_escrows[(file_id, index)] = escrow
         deadline = self.now + self.params.transfer_deadline(size)
-        self.pending.schedule(deadline, self.TASK_CHECK_ALLOC, file_id=file_id)
+        self.pending.schedule(deadline, CHECK_ALLOC, file_id)
         return file_id
 
     def _admitted_prefix(
@@ -533,7 +540,7 @@ class FileInsurerProtocol:
         if self.charge_fees:
             self.fees.charge_gas(owner, "file_discard")
         descriptor.state = FileState.DISCARDED
-        self.events.emit(EventType.FILE_DISCARDED, self.now, f"file#{file_id}", owner=owner)
+        self.events.emit(EventType.FILE_DISCARDED)
 
     def file_locations(self, file_id: int) -> List[Optional[str]]:
         """``File Get`` support: current sector of every replica.
@@ -560,20 +567,14 @@ class FileInsurerProtocol:
                 f"allocation of file#{file_id}[{index}] is not awaiting {sector_id}"
             )
         entry.state = AllocState.CONFIRM
-        self._release_traffic_escrow(provider, file_id, index)
+        self._release_traffic_escrow(file_id, index)
 
-    def _release_traffic_escrow(self, provider: str, file_id: int, index: int) -> None:
+    def _release_traffic_escrow(self, file_id: int, index: int) -> None:
         """Pay the confirmed replica's traffic fee out of escrow, if any."""
         escrow = self._traffic_escrows.pop((file_id, index), None)
         if escrow is not None:
             self.fees.release_traffic_fee(escrow)
-            self.events.emit(
-                EventType.TRAFFIC_FEE_PAID,
-                self.now,
-                f"file#{file_id}[{index}]",
-                provider=provider,
-                amount=escrow.amount,
-            )
+            self.events.emit(EventType.TRAFFIC_FEE_PAID)
 
     def file_prove(
         self,
@@ -623,14 +624,9 @@ class FileInsurerProtocol:
             if entry.state not in (AllocState.CONFIRM, AllocState.CORRUPTED)
         ]
         if unconfirmed or descriptor.state == FileState.DISCARDED:
-            reason = "discarded before storage" if descriptor.state == FileState.DISCARDED else (
-                f"{len(unconfirmed)} of {len(entries)} sectors never confirmed"
-            )
-            self._remove_file(descriptor, reason=reason)
+            self._remove_file(descriptor)
             descriptor.state = FileState.FAILED
-            self.events.emit(
-                EventType.FILE_UPLOAD_FAILED, self.now, f"file#{file_id}", reason=reason
-            )
+            self.events.emit(EventType.FILE_UPLOAD_FAILED)
             return
 
         for index, entry in entries:
@@ -648,16 +644,8 @@ class FileInsurerProtocol:
         descriptor.countdown = self._sample_refresh_countdown()
         self.files_stored += 1
         self.total_value_stored += descriptor.value
-        self.pending.schedule(
-            self.now + self.params.proof_cycle, self.TASK_CHECK_PROOF, file_id=file_id
-        )
-        self.events.emit(
-            EventType.FILE_STORED,
-            self.now,
-            f"file#{file_id}",
-            owner=descriptor.owner,
-            sectors=[entry.prev for _, entry in entries],
-        )
+        self.pending.schedule(self.now + self.params.proof_cycle, CHECK_PROOF, file_id)
+        self.events.emit(EventType.FILE_STORED)
 
     def _auto_check_proof(self, file_id: int) -> None:
         """``Auto CheckProof`` (Figure 8)."""
@@ -673,25 +661,13 @@ class FileInsurerProtocol:
                 descriptor.owner, descriptor.size, descriptor.replica_count
             ):
                 descriptor.state = FileState.DISCARDED
-                self.events.emit(
-                    EventType.FILE_DISCARDED,
-                    self.now,
-                    f"file#{file_id}",
-                    owner=descriptor.owner,
-                    reason="insufficient funds",
-                )
+                self.events.emit(EventType.FILE_DISCARDED)
             else:
                 charged = self.fees.charge_cycle(
                     descriptor.owner, descriptor.size, descriptor.replica_count
                 )
                 descriptor.rent_paid += charged
-                self.events.emit(
-                    EventType.RENT_CHARGED,
-                    self.now,
-                    f"file#{file_id}",
-                    owner=descriptor.owner,
-                    amount=charged,
-                )
+                self.events.emit(EventType.RENT_CHARGED)
 
         # 2. Check proof freshness for every replica still hosted somewhere.
         if self.auto_prove and self.health_oracle is not None:
@@ -704,22 +680,20 @@ class FileInsurerProtocol:
                 entry.state = AllocState.CORRUPTED
                 continue
             if entry.last_proof < self.now - self.params.proof_deadline:
-                self._handle_sector_corruption(hosting, reason="proof deadline exceeded")
+                self._handle_sector_corruption(hosting)
             elif entry.last_proof < self.now - self.params.proof_due:
-                self._punish(hosting.owner, self.params.late_proof_penalty, "late proof")
+                self._punish(hosting.owner, self.params.late_proof_penalty)
 
         # 3. Resolve the file's fate.
         if descriptor.state == FileState.DISCARDED:
-            self._remove_file(descriptor, reason="discarded")
+            self._remove_file(descriptor)
             return
         if self.alloc.file_is_lost(file_id):
             self._handle_file_loss(descriptor)
             return
 
         # 4. Schedule the next checkpoint and maybe a refresh.
-        self.pending.schedule(
-            self.now + self.params.proof_cycle, self.TASK_CHECK_PROOF, file_id=file_id
-        )
+        self.pending.schedule(self.now + self.params.proof_cycle, CHECK_PROOF, file_id)
         descriptor.countdown -= 1
         if descriptor.countdown <= 0:
             index = self.prng.randint(0, descriptor.replica_count - 1)
@@ -743,12 +717,7 @@ class FileInsurerProtocol:
         record = self.sectors[target]
         if record.free_capacity < descriptor.size or not record.accepts_new_files:
             # Collision: the paper resamples the countdown and tries later.
-            self.events.emit(
-                EventType.COLLISION_RESAMPLED,
-                self.now,
-                f"file#{file_id}[{index}]",
-                target=target,
-            )
+            self.events.emit(EventType.COLLISION_RESAMPLED)
             descriptor.countdown = self._sample_refresh_countdown()
             return
 
@@ -756,9 +725,7 @@ class FileInsurerProtocol:
         entry.next = target
         entry.state = AllocState.ALLOC
         deadline = self.now + self.params.transfer_deadline(descriptor.size)
-        self.pending.schedule(
-            deadline, self.TASK_CHECK_REFRESH, file_id=file_id, index=index
-        )
+        self.pending.schedule(deadline, CHECK_REFRESH, file_id, index)
         notice = RefreshNotice(
             file_id=file_id,
             replica_index=index,
@@ -768,13 +735,7 @@ class FileInsurerProtocol:
         )
         self.refresh_notices.append(notice)
         counter("protocol.refresh_notices", category="protocol")
-        self.events.emit(
-            EventType.FILE_REFRESH_STARTED,
-            self.now,
-            f"file#{file_id}[{index}]",
-            source=entry.prev,
-            target=target,
-        )
+        self.events.emit(EventType.FILE_REFRESH_STARTED)
 
     def _auto_check_refresh(self, file_id: int, index: int) -> None:
         """``Auto CheckRefresh`` (Figure 9)."""
@@ -799,13 +760,7 @@ class FileInsurerProtocol:
             if old_sector is not None:
                 self._release_replica_from_sector(old_sector, descriptor.size)
             descriptor.countdown = self._sample_refresh_countdown()
-            self.events.emit(
-                EventType.FILE_REFRESH_COMPLETED,
-                self.now,
-                f"file#{file_id}[{index}]",
-                source=old_sector,
-                target=entry.prev,
-            )
+            self.events.emit(EventType.FILE_REFRESH_COMPLETED)
             return
 
         if entry.state == AllocState.CORRUPTED:
@@ -819,27 +774,14 @@ class FileInsurerProtocol:
             self._release_next_reservation(descriptor, entry)
             target_record = self.sectors.get(failed_target)
             if target_record is not None:
-                self._punish(
-                    target_record.owner,
-                    self.params.refresh_failure_penalty,
-                    "refresh target never confirmed",
-                )
+                self._punish(target_record.owner, self.params.refresh_failure_penalty)
         for _, other in self.alloc.entries_for_file(file_id):
             if other.prev is not None and other.state != AllocState.CORRUPTED:
                 hosting = self.sectors.get(other.prev)
                 if hosting is not None:
-                    self._punish(
-                        hosting.owner,
-                        self.params.refresh_failure_penalty,
-                        "replica holder during failed refresh",
-                    )
+                    self._punish(hosting.owner, self.params.refresh_failure_penalty)
         entry.state = AllocState.NORMAL
-        self.events.emit(
-            EventType.FILE_REFRESH_FAILED,
-            self.now,
-            f"file#{file_id}[{index}]",
-            target=failed_target,
-        )
+        self.events.emit(EventType.FILE_REFRESH_FAILED)
         self._auto_refresh(file_id, index)
 
     def _auto_rent_period(self) -> None:
@@ -849,12 +791,9 @@ class FileInsurerProtocol:
             for record in self.sectors.values()
             if record.state in (SectorState.NORMAL, SectorState.DISABLED)
         ]
-        payout = self.fees.rent.distribute(healthy)
-        if payout:
-            self.events.emit(
-                EventType.RENT_DISTRIBUTED, self.now, "rent-period", payout=payout
-            )
-        self.pending.schedule(self.now + self.params.rent_period, self.TASK_RENT_PERIOD)
+        if self.fees.rent.distribute(healthy):
+            self.events.emit(EventType.RENT_DISTRIBUTED)
+        self.pending.schedule(self.now + self.params.rent_period, RENT_PERIOD)
 
     # ==================================================================
     # Corruption handling and compensation
@@ -872,9 +811,9 @@ class FileInsurerProtocol:
         record = self._sector(sector_id)
         if not detected:
             return
-        self._handle_sector_corruption(record, reason="external crash")
+        self._handle_sector_corruption(record)
 
-    def _handle_sector_corruption(self, record: SectorRecord, reason: str) -> None:
+    def _handle_sector_corruption(self, record: SectorRecord) -> None:
         if record.is_corrupted:
             return
         record.state = SectorState.CORRUPTED
@@ -882,20 +821,10 @@ class FileInsurerProtocol:
         self._agg_used -= record.used_capacity
         self._corruption_events += 1
         self.selector.remove_sector(record.sector_id)
-        confiscated = 0
         if self.charge_fees and self.fund.deposit_of(record.sector_id) > 0:
-            confiscated = self.fund.confiscate(record.sector_id)
-            self.events.emit(
-                EventType.DEPOSIT_CONFISCATED,
-                self.now,
-                record.sector_id,
-                owner=record.owner,
-                amount=confiscated,
-                reason=reason,
-            )
-        self.events.emit(
-            EventType.SECTOR_CORRUPTED, self.now, record.sector_id, reason=reason
-        )
+            self.fund.confiscate(record.sector_id)
+            self.events.emit(EventType.DEPOSIT_CONFISCATED)
+        self.events.emit(EventType.SECTOR_CORRUPTED)
         # Every allocation pointing at this sector loses its replica.
         for file_id, index, entry in self.alloc.entries_on_sector(record.sector_id):
             if entry.prev == record.sector_id and entry.state != AllocState.CORRUPTED:
@@ -919,13 +848,7 @@ class FileInsurerProtocol:
         descriptor.state = FileState.LOST
         self.files_lost += 1
         self.total_value_lost += descriptor.value
-        self.events.emit(
-            EventType.FILE_LOST,
-            self.now,
-            f"file#{descriptor.file_id}",
-            owner=descriptor.owner,
-            value=descriptor.value,
-        )
+        self.events.emit(EventType.FILE_LOST)
         if self.charge_fees:
             compensation = descriptor.value * self.params.min_value
             try:
@@ -935,20 +858,13 @@ class FileInsurerProtocol:
                 paid = self.fund.total_compensated - self.total_value_compensated
             descriptor.compensation_received += paid
             self.total_value_compensated += paid
-            self.events.emit(
-                EventType.FILE_COMPENSATED,
-                self.now,
-                f"file#{descriptor.file_id}",
-                owner=descriptor.owner,
-                amount=paid,
-                full=paid >= compensation,
-            )
-        self._remove_file(descriptor, reason="lost")
+            self.events.emit(EventType.FILE_COMPENSATED)
+        self._remove_file(descriptor)
 
     # ==================================================================
     # Internal helpers
     # ==================================================================
-    def _punish(self, owner: str, amount: int, reason: str) -> int:
+    def _punish(self, owner: str, amount: int) -> None:
         """Punish a misbehaving provider by burning part of its balance.
 
         The paper leaves the punishment mechanism abstract ("punish
@@ -956,21 +872,11 @@ class FileInsurerProtocol:
         spendable balance and always record the event so experiments can
         count punishments even when the owner is broke.
         """
-        burned = 0
         if self.charge_fees and amount > 0:
-            available = self.ledger.balance(owner)
-            burned = min(amount, available)
+            burned = min(amount, self.ledger.balance(owner))
             if burned > 0:
                 self.ledger.burn(owner, burned)
-        self.events.emit(
-            EventType.PROVIDER_PUNISHED,
-            self.now,
-            owner,
-            amount=burned,
-            requested=amount,
-            reason=reason,
-        )
-        return burned
+        self.events.emit(EventType.PROVIDER_PUNISHED)
 
     def _credit_automatic_proofs(self, file_id: int) -> None:
         """Credit proofs for healthy sectors when running with a health oracle.
@@ -1054,7 +960,7 @@ class FileInsurerProtocol:
         if entry.state == AllocState.ALLOC or entry.state == AllocState.CONFIRM:
             entry.state = AllocState.NORMAL if entry.prev is not None else AllocState.CORRUPTED
 
-    def _remove_file(self, descriptor: FileDescriptor, reason: str) -> None:
+    def _remove_file(self, descriptor: FileDescriptor) -> None:
         """Remove a file and all of its allocations from the network."""
         for index, entry in self.alloc.entries_for_file(descriptor.file_id):
             escrow = self._traffic_escrows.pop((descriptor.file_id, index), None)
@@ -1066,8 +972,6 @@ class FileInsurerProtocol:
         self.alloc.remove_file(descriptor.file_id)
         if descriptor.state == FileState.NORMAL:
             descriptor.state = FileState.DISCARDED
-        if descriptor.state == FileState.DISCARDED and descriptor.is_active is False:
-            pass  # terminal state already recorded by callers
 
     def _maybe_remove_sector(self, record: SectorRecord) -> None:
         """Remove a drained disabled sector and refund its deposit."""
@@ -1078,15 +982,9 @@ class FileInsurerProtocol:
         self._agg_used -= record.used_capacity
         self.selector.remove_sector(record.sector_id)
         if self.charge_fees and self.fund.deposit_of(record.sector_id) > 0:
-            refunded = self.fund.refund(record.sector_id)
-            self.events.emit(
-                EventType.DEPOSIT_REFUNDED,
-                self.now,
-                record.sector_id,
-                owner=record.owner,
-                amount=refunded,
-            )
-        self.events.emit(EventType.SECTOR_REMOVED, self.now, record.sector_id)
+            self.fund.refund(record.sector_id)
+            self.events.emit(EventType.DEPOSIT_REFUNDED)
+        self.events.emit(EventType.SECTOR_REMOVED)
 
     def _sector(self, sector_id: str) -> SectorRecord:
         record = self.sectors.get(sector_id)

@@ -35,6 +35,7 @@ __all__ = [
     "resolve_params",
     "BACKEND_PARAM",
     "repeated_trials",
+    "require_positive",
 ]
 
 TrialFn = Callable[[Mapping[str, object]], Mapping[str, object]]
@@ -173,6 +174,17 @@ def repeated_trials(params: Mapping[str, object]) -> List[Dict[str, object]]:
     """
     template = {key: value for key, value in params.items() if key != "trials"}
     return [dict(template) for _ in range(int(params["trials"]))]  # type: ignore[call-overload]
+
+
+def require_positive(scenario: str, params: Mapping[str, object], *names: str) -> None:
+    """Refuse a count parameter -- or any element of a tuple of counts --
+    below one, naming it; trial builders call this before any trial runs."""
+    for name in names:
+        value = params[name]
+        if any(count < 1 for count in (value if isinstance(value, tuple) else (value,))):
+            raise ScenarioError(
+                f"scenario {scenario!r} parameter {name!r} must be positive, got {value!r}"
+            )
 
 
 # ----------------------------------------------------------------------

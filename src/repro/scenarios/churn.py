@@ -42,7 +42,13 @@ from typing import Dict, Mapping
 from repro.core.params import ProtocolParams
 from repro.crypto.prng import DeterministicPRNG
 from repro.runner.aggregate import compact_summary, summarize
-from repro.runner.registry import BACKEND_PARAM, ParamSpec, repeated_trials, scenario
+from repro.runner.registry import (
+    BACKEND_PARAM,
+    ParamSpec,
+    repeated_trials,
+    require_positive,
+    scenario,
+)
 from repro.sim.adversary import GreedyCapacityAdversary
 from repro.sim.scenario import DSNScenario, ScenarioConfig
 
@@ -205,6 +211,12 @@ def run_churn_trial(task: Mapping[str, object]) -> Dict[str, object]:
     }
 
 
+def _build_trials(params):
+    """``trials`` repetitions of one deployment, its sizes checked first."""
+    require_positive("churn", params, "providers", "sectors_per_provider", "clients")
+    return repeated_trials(params)
+
+
 def _aggregate(rows, params):
     """Mean churn intensity and recovery quality across repetitions."""
     return compact_summary(
@@ -229,7 +241,7 @@ def _aggregate(rows, params):
 scenario(
     "churn",
     "Provider churn: join/leave/crash over proof cycles with refresh recovery metrics",
-    build_trials=repeated_trials,
+    build_trials=_build_trials,
     params=_SCENARIO_PARAMS,
     aggregate=_aggregate,
     tags=("workload", "end-to-end", "churn"),

@@ -21,7 +21,7 @@ from repro.core.analysis import theorem4_deposit_ratio_bound
 from repro.core.params import ProtocolParams
 from repro.core.protocol import FileInsurerProtocol
 from repro.crypto.prng import DeterministicPRNG
-from repro.runner.registry import BACKEND_PARAM, ParamSpec, scenario
+from repro.runner.registry import BACKEND_PARAM, ParamSpec, require_positive, scenario
 
 __all__ = ["run_bound_sweep", "run_protocol_check"]
 
@@ -143,6 +143,7 @@ _CHECK_ARGS = ("n_providers", "files", "corrupt_fraction", "deposit_ratio", "k",
 
 def _build_trials(params):
     """One independent protocol deployment + crash per check."""
+    require_positive("deposit", params, "n_providers", "files", "k")
     return [{key: params[key] for key in _CHECK_ARGS} for _ in range(params["checks"])]
 
 

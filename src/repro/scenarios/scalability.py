@@ -31,7 +31,7 @@ from repro.core.file_descriptor import FileState
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolError
 from repro.crypto.prng import DeterministicPRNG
-from repro.runner.registry import BACKEND_PARAM, ParamSpec, scenario
+from repro.runner.registry import BACKEND_PARAM, ParamSpec, require_positive, scenario
 
 __all__ = ["synthetic_population", "run_bound_sweep", "run_fill_experiment"]
 
@@ -181,6 +181,7 @@ _SCENARIO_PARAMS = {
 
 def _build_trials(params):
     """One fill-until-failure deployment per network size."""
+    require_positive("scalability", params, "providers", "k", "add_batch", "max_files")
     return [
         {
             "n_providers": int(n_providers),

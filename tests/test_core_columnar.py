@@ -26,7 +26,6 @@ from repro.core.columnar import (
     _ABSENT,
     _ALLOC_CODE,
     AllocEntryView,
-    ColumnarPending,
     ColumnarProtocol,
     FileView,
     SectorView,
@@ -35,7 +34,7 @@ from repro.core.columnar import (
 from repro.core.events import EventType
 from repro.core.file_descriptor import FileState
 from repro.core.params import ProtocolParams
-from repro.core.pending import PendingList
+from repro.core.pending import CHECK_ALLOC, CHECK_PROOF, CHECK_REFRESH, RENT_PERIOD
 from repro.core.protocol import FileInsurerProtocol, ProtocolError
 from repro.crypto.prng import DeterministicPRNG
 from repro.kernels.vectorized import VectorizedKernels
@@ -118,10 +117,6 @@ def fingerprint(protocol):
         )
         for (fid, idx), entry in protocol.alloc.all_entries()
     }
-    pending = [
-        (float(task.time), task.kind, tuple(sorted(task.payload.items())))
-        for task in protocol.pending.tasks()
-    ]
     ledger = {
         account.address: (int(account.balance), int(account.escrowed))
         for account in sorted(protocol.ledger.accounts(), key=lambda a: a.address)
@@ -137,7 +132,7 @@ def fingerprint(protocol):
         "sectors": sectors,
         "files": files,
         "alloc": sorted(alloc.items()),
-        "pending": pending,
+        "pending": protocol.pending.tasks(),
         "ledger": sorted(ledger.items()),
         "events": events,
         "aggregates": aggregates,
@@ -413,92 +408,6 @@ class TestDifferentialScripted:
         single.advance_time(200.0)
         batched.advance_time(200.0)
         assert fingerprint(batched) == fingerprint(single)
-
-
-class TestColumnarPending:
-    """ColumnarPending must replay PendingList's execution order exactly."""
-
-    KINDS = ("auto_check_alloc", "auto_check_proof", "auto_check_refresh",
-             "auto_rent_period")
-
-    def _mirror(self, script):
-        heap, cols = PendingList(), ColumnarPending(self.KINDS)
-        for op in script:
-            if op[0] == "schedule":
-                _, time, kind, payload = op
-                heap.schedule(time, kind, **payload)
-                cols.schedule(time, kind, **payload)
-            elif op[0] == "pop":
-                _, now = op
-                want = [
-                    (t.time, t.kind, t.payload) for t in heap.pop_due(now)
-                ]
-                got = [
-                    (t.time, t.kind, t.payload) for t in cols.pop_due(now)
-                ]
-                assert got == want, f"pop_due({now}) diverged"
-        return heap, cols
-
-    def test_interleaved_schedule_and_pop(self):
-        script = [
-            ("schedule", 5.0, "auto_check_proof", {"file_id": 1}),
-            ("schedule", 1.0, "auto_check_alloc", {"file_id": 0}),
-            ("schedule", 5.0, "auto_check_proof", {"file_id": 2}),
-            ("pop", 1.0),
-            ("schedule", 3.0, "auto_check_refresh", {"file_id": 2, "index": 1}),
-            ("schedule", 5.0, "auto_rent_period", {}),
-            ("pop", 4.0),
-            ("schedule", 4.0, "auto_check_proof", {"file_id": 3}),
-            ("pop", 5.0),
-            ("pop", 10.0),
-        ]
-        heap, cols = self._mirror(script)
-        assert cols.is_empty() and heap.is_empty()
-
-    def test_same_time_tasks_execute_in_schedule_order(self):
-        heap, cols = PendingList(), ColumnarPending(self.KINDS)
-        for fid in (4, 2, 9, 0, 7):
-            heap.schedule(2.5, "auto_check_proof", file_id=fid)
-            cols.schedule(2.5, "auto_check_proof", file_id=fid)
-        want = [t.payload["file_id"] for t in heap.pop_due(3.0)]
-        got = [t.payload["file_id"] for t in cols.pop_due(3.0)]
-        assert got == want == [4, 2, 9, 0, 7]
-
-    def test_schedule_batch_matches_loop(self):
-        loop, batch = ColumnarPending(self.KINDS), ColumnarPending(self.KINDS)
-        for fid in range(6):
-            loop.schedule(7.0, "auto_check_proof", file_id=fid)
-        batch.schedule_batch(7.0, "auto_check_proof", np.arange(6))
-        as_tuples = lambda pending: [
-            (t.time, t.kind, t.payload) for t in pending.pop_due(7.0)
-        ]
-        assert as_tuples(batch) == as_tuples(loop)
-
-    def test_observability_helpers(self):
-        cols = ColumnarPending(self.KINDS)
-        assert cols.peek_time() is None
-        cols.schedule(9.0, "auto_rent_period")
-        cols.schedule(4.0, "auto_check_proof", file_id=3)
-        assert cols.peek_time() == 4.0
-        assert len(cols) == 2
-        assert cols.count_kind("auto_check_proof") == 1
-        assert cols.count_kind("unknown-kind") == 0
-        snapshot = cols.tasks()
-        assert [task.time for task in snapshot] == [4.0, 9.0]
-        cols.pop_due(4.0)
-        assert cols.peek_time() == 9.0
-        assert not cols.is_empty()
-        cols.pop_due(9.0)
-        assert cols.is_empty()
-
-    def test_late_insert_before_sorted_head_is_not_lost(self):
-        cols = ColumnarPending(self.KINDS)
-        cols.schedule(10.0, "auto_check_proof", file_id=0)
-        assert cols.pop_due(5.0) == []  # sorts the queue
-        cols.schedule(1.0, "auto_check_alloc", file_id=1)  # unsorted tail
-        due = cols.pop_due(2.0)
-        assert [(t.time, t.kind) for t in due] == [(1.0, "auto_check_alloc")]
-        assert cols.peek_time() == 10.0
 
 
 class TestAggregateMaintenance:
@@ -962,17 +871,29 @@ class TestRefreshInColumns:
 
         def scenario(protocol, stage):
             stored(protocol, 12, size)
-            in_stretch = 0
+            selector, at_start, in_stretch = protocol.selector, {}, []
+            if type(protocol) is FileInsurerProtocol:
+                # The object engine reserves at every start, so a draw's
+                # target shows the room this step's earlier starts left.
+                draw = selector.random_slot
+
+                def recording_draw():
+                    slot = draw()
+                    target = selector._sampler.key_at(slot)
+                    in_stretch.append(
+                        at_start[target] >= size > protocol.sectors[target].free_capacity
+                    )
+                    return slot
+
+                selector.random_slot = recording_draw
             for _ in range(30):
-                free = {sid: rec.free_capacity for sid, rec in protocol.sectors.items()}
-                seen = len(protocol.events.of_type(EventType.COLLISION_RESAMPLED))
+                at_start.update(
+                    (sid, rec.free_capacity) for sid, rec in protocol.sectors.items()
+                )
                 step(protocol)
                 stage()
-                # Only the object engine keeps the event payloads.
-                for event in protocol.events.of_type(EventType.COLLISION_RESAMPLED)[seen:]:
-                    in_stretch += free[event.details["target"]] >= size
                 confirm_refreshes(protocol)
-            return in_stretch
+            return sum(in_stretch)
 
         # Four 1 MiB sectors hold ten replicas each; 36 of the 40 places
         # are taken, and every file is due at every checkpoint.
@@ -1075,8 +996,8 @@ class TestRefreshInColumns:
                 step(protocol)
                 stage()
                 kinds_at = {}
-                for task in protocol.pending.tasks():
-                    kinds_at.setdefault(task.time, set()).add(task.kind)
+                for time, kind, _, _ in protocol.pending.tasks():
+                    kinds_at.setdefault(time, set()).add(kind)
                 ties += any(len(kinds) > 1 for kinds in kinds_at.values())
                 # Every other swap is never answered: its CheckRefresh
                 # fails and retries in the middle of the tied run.
@@ -1197,9 +1118,9 @@ class TestFileAddInColumns:
         }
         scheduled = []
         monkeypatch.setattr(
-            ColumnarPending,
+            protocols["columnar"].pending,
             "schedule",
-            lambda self, *args, **payload: scheduled.append(args),
+            lambda *args: scheduled.append(args),
         )
         ids = {
             engine: protocol.file_add_batch("client", sizes, values, ROOT)
@@ -1335,10 +1256,7 @@ def test_appears_once(values, once):
 # ----------------------------------------------------------------------
 # The proof round: dispatch per run, the clean-run mask, the NaN guard
 # ----------------------------------------------------------------------
-PROOF = FileInsurerProtocol.TASK_CHECK_PROOF
-ALLOC = FileInsurerProtocol.TASK_CHECK_ALLOC
-REFRESH = FileInsurerProtocol.TASK_CHECK_REFRESH
-RENT = FileInsurerProtocol.TASK_RENT_PERIOD
+PROOF, ALLOC, REFRESH, RENT = CHECK_PROOF, CHECK_ALLOC, CHECK_REFRESH, RENT_PERIOD
 
 #: Hand-built due sets over 8 stored files, every task at one time:
 #: ``(kind, file_id[, replica index])`` in schedule (= pop) order.
@@ -1359,8 +1277,9 @@ DUE_SETS = {
 }
 
 
-class RecordingProtocol(ColumnarProtocol):
-    """Notes each handler call ``advance_time`` dispatches, then makes it."""
+class Recording:
+    """Engine mixin: notes each handler call ``advance_time`` dispatches,
+    then makes it."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -1383,25 +1302,33 @@ class RecordingProtocol(ColumnarProtocol):
         super()._auto_rent_period()
 
 
+RECORDING = {
+    name: type(f"Recording{engine.__name__}", (Recording, engine), {})
+    for name, engine in ENGINES.items()
+}
+
+
 class TestAdvanceTimeDispatch:
-    """``advance_time`` finds the runs of equal kind with one array
-    comparison: the handlers must see the ``itertools.groupby`` of the due
-    tasks -- every run, whole, in order -- whatever the run lengths."""
+    """``advance_time`` -- one loop for both engines -- finds the runs of
+    equal kind with one array comparison: the handlers must see the
+    ``itertools.groupby`` of the due tasks -- every run, whole, in order --
+    whatever the run lengths."""
 
     @staticmethod
     def _due(engine, tasks):
         protocol = make_protocol(engine, providers=8, backend="vectorized")
         stored(protocol, 8)
-        protocol.pending.pop_due(math.inf)  # the due set is the hand-built one
+        protocol.pending.pop_due_arrays(math.inf)  # the due set is the hand-built one
         at = protocol.now + 1.0
         for kind, *ids in tasks:
-            protocol.pending.schedule(at, kind, **dict(zip(("file_id", "index"), ids)))
+            protocol.pending.schedule(at, kind, *ids)
         return protocol, at
 
     @pytest.mark.parametrize("case", sorted(DUE_SETS))
-    def test_handlers_see_the_groupby_of_the_due_kinds(self, case):
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_handlers_see_the_groupby_of_the_due_kinds(self, engine, case):
         tasks = DUE_SETS[case]
-        recording, at = self._due(RecordingProtocol, tasks)
+        recording, at = self._due(RECORDING[engine], tasks)
         recording.calls.clear()
         recording.advance_time(at)
         expected = []
@@ -1416,8 +1343,9 @@ class TestAdvanceTimeDispatch:
         reference.advance_time(at)
         assert fingerprint(recording) == fingerprint(reference)
 
-    def test_tasks_due_later_reach_no_handler(self):
-        recording, at = self._due(RecordingProtocol, DUE_SETS["one_kind_only"])
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_tasks_due_later_reach_no_handler(self, engine):
+        recording, at = self._due(RECORDING[engine], DUE_SETS["one_kind_only"])
         recording.calls.clear()
         recording.advance_time(at - 0.5)
         assert recording.calls == [] and len(recording.pending) == 8

@@ -28,24 +28,24 @@ class TestReplicaCount:
 class TestDeposit:
     def test_deposit_proportional_to_capacity(self):
         params = ProtocolParams(min_capacity=GIB, deposit_ratio=0.01, cap_para=100.0)
-        one = params.sector_deposit(GIB, 0)
-        four = params.sector_deposit(4 * GIB, 0)
+        one = params.sector_deposit(GIB)
+        four = params.sector_deposit(4 * GIB)
         assert four == pytest.approx(4 * one, rel=0.01)
 
     def test_deposit_formula_matches_paper(self):
         # capacity * gamma_deposit * capPara * minValue / minCapacity
         params = ProtocolParams(min_capacity=GIB, deposit_ratio=0.0046, cap_para=1000.0, min_value=10)
         expected = 2 * 0.0046 * 1000.0 * 10
-        assert params.sector_deposit(2 * GIB, 0) == pytest.approx(expected, rel=0.01)
+        assert params.sector_deposit(2 * GIB) == pytest.approx(expected, rel=0.01)
 
     def test_capacity_must_be_multiple_of_min_capacity(self):
         params = ProtocolParams(min_capacity=GIB)
         with pytest.raises(ValueError):
-            params.sector_deposit(GIB + 1, 0)
+            params.sector_deposit(GIB + 1)
 
     def test_deposit_never_zero(self):
         params = ProtocolParams(min_capacity=GIB, deposit_ratio=1e-12)
-        assert params.sector_deposit(GIB, 0) >= 1
+        assert params.sector_deposit(GIB) >= 1
 
 
 class TestFeesAndTimes:

@@ -1,11 +1,24 @@
 """Tests for sector records, file descriptors, allocation table, pending list."""
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.allocation import AllocEntry, AllocState, AllocationTable
 from repro.core.file_descriptor import FileDescriptor, FileState
-from repro.core.pending import PendingList
+from repro.core.pending import (
+    CHECK_ALLOC,
+    CHECK_PROOF,
+    CHECK_REFRESH,
+    RENT_PERIOD,
+    PendingList,
+)
 from repro.core.sector import SectorRecord, SectorState
+
+from pending_oracle import HeapPendingList
 
 
 class TestSectorRecord:
@@ -124,47 +137,131 @@ class TestAllocationTable:
         assert table.replica_locations(1) == ["sA", None]
 
 
+# ----------------------------------------------------------------------
+# Pending list: the columns against the heap they replaced
+# ----------------------------------------------------------------------
+#: Scripts of ``("schedule", time, kind, file_id, index)``,
+#: ``("schedule_batch", time, kind, [file_id, ...])``,
+#: ``("schedule_columns", [(time, kind, file_id, index), ...])`` and
+#: ``("pop", now)`` operations.
+PENDING_SCRIPTS = {
+    "pop_in_time_order": [
+        ("schedule", 5.0, CHECK_PROOF, 1, -1),
+        ("schedule", 1.0, CHECK_ALLOC, 0, -1),
+        ("schedule", 3.0, CHECK_REFRESH, 2, 1),
+        ("pop", 10.0),
+    ],
+    "same_time_in_scheduling_order": [
+        *[("schedule", 2.5, CHECK_PROOF, file_id, -1) for file_id in (4, 2, 9, 0, 7)],
+        ("pop", 3.0),
+    ],
+    "pop_respects_now": [
+        ("pop", 0.0),
+        ("schedule", 1.0, CHECK_ALLOC, 0, -1),
+        ("schedule", 5.0, CHECK_PROOF, 1, -1),
+        ("pop", 2.0),
+    ],
+    "ids_carried": [("schedule", 1.0, CHECK_REFRESH, 7, 2), ("pop", 1.0)],
+    "interleaved_schedule_and_pop": [
+        ("schedule", 5.0, CHECK_PROOF, 1, -1),
+        ("schedule", 1.0, CHECK_ALLOC, 0, -1),
+        ("schedule", 5.0, CHECK_PROOF, 2, -1),
+        ("pop", 1.0),
+        ("schedule", 3.0, CHECK_REFRESH, 2, 1),
+        ("schedule", 5.0, RENT_PERIOD, -1, -1),
+        ("pop", 4.0),
+        ("schedule", 4.0, CHECK_PROOF, 3, -1),
+        ("pop", 5.0),
+        ("pop", 10.0),
+    ],
+    "batch_and_columns_tie_with_single_schedules": [
+        *[("schedule", 7.0, CHECK_PROOF, file_id, -1) for file_id in range(3)],
+        ("schedule_batch", 7.0, CHECK_PROOF, [3, 4, 5]),
+        ("schedule_columns", [(7.0, CHECK_PROOF, 6, -1), (2.0, CHECK_REFRESH, 6, 0)]),
+        ("pop", 7.0),
+    ],
+    "rent_period_then_checkpoint": [
+        ("schedule", 9.0, RENT_PERIOD, -1, -1),
+        ("schedule", 4.0, CHECK_PROOF, 3, -1),
+        ("pop", 4.0),
+        ("pop", 9.0),
+    ],
+    "late_insert_before_sorted_head": [
+        ("schedule", 10.0, CHECK_PROOF, 0, -1),
+        ("pop", 5.0),  # sorts the queue
+        ("schedule", 1.0, CHECK_ALLOC, 1, -1),  # unsorted tail
+        ("pop", 2.0),
+    ],
+}
+
+
+def replay_on_both(script):
+    """Run ``script`` on the columns and on the heap; every pop and, after
+    every operation, every inspection helper must agree.  Returns the pops."""
+    columns, heap = PendingList(), HeapPendingList()
+    pops = []
+    for name, *args in script:
+        if name == "pop":
+            kinds, file_ids, indexes = columns.pop_due_arrays(args[0])
+            got = list(zip(kinds.tolist(), file_ids.tolist(), indexes.tolist()))
+            assert got == heap.pop_due(args[0]), f"pop({args[0]}) diverged"
+            pops.append(got)
+            continue
+        if name == "schedule_batch":
+            time, kind, file_ids = args
+            args = (time, kind, np.asarray(file_ids, dtype=np.int64))
+        elif name == "schedule_columns":
+            (rows,) = args
+            args = tuple(
+                np.asarray([row[column] for row in rows], dtype=dtype)
+                for column, dtype in enumerate((np.float64, np.int64, np.int64, np.int64))
+            )
+        getattr(columns, name)(*args)
+        getattr(heap, name)(*args)
+        assert columns.peek_time() == heap.peek_time()
+        assert len(columns) == len(heap)
+        assert columns.tasks() == heap.tasks()
+        for kind in (CHECK_ALLOC, CHECK_PROOF, CHECK_REFRESH, RENT_PERIOD):
+            assert columns.count_kind(kind) == heap.count_kind(kind)
+    assert columns.tasks() == heap.tasks()
+    return pops
+
+
 class TestPendingList:
-    def test_tasks_pop_in_time_order(self):
-        pending = PendingList()
-        pending.schedule(5.0, "b")
-        pending.schedule(1.0, "a")
-        pending.schedule(3.0, "c")
-        due = pending.pop_due(10.0)
-        assert [task.kind for task in due] == ["a", "c", "b"]
+    @pytest.mark.parametrize("script", sorted(PENDING_SCRIPTS))
+    def test_script_matches_the_heap(self, script):
+        replay_on_both(PENDING_SCRIPTS[script])
 
-    def test_same_time_preserves_scheduling_order(self):
-        pending = PendingList()
-        first = pending.schedule(2.0, "first")
-        second = pending.schedule(2.0, "second")
-        due = pending.pop_due(2.0)
-        assert [task.kind for task in due] == ["first", "second"]
-        assert first.sequence < second.sequence
+    def test_the_oracle_orders_by_time_then_scheduling(self):
+        (due,) = replay_on_both(PENDING_SCRIPTS["pop_in_time_order"])
+        assert [kind for kind, _, _ in due] == [CHECK_ALLOC, CHECK_REFRESH, CHECK_PROOF]
+        (due,) = replay_on_both(PENDING_SCRIPTS["same_time_in_scheduling_order"])
+        assert [file_id for _, file_id, _ in due] == [4, 2, 9, 0, 7]
+        (due,) = replay_on_both(PENDING_SCRIPTS["ids_carried"])
+        assert due == [(CHECK_REFRESH, 7, 2)]
 
-    def test_pop_due_respects_now(self):
+    def test_empty_list(self):
         pending = PendingList()
-        pending.schedule(1.0, "early")
-        pending.schedule(5.0, "late")
-        assert [t.kind for t in pending.pop_due(2.0)] == ["early"]
-        assert len(pending) == 1
+        assert pending.peek_time() is None and len(pending) == 0
+        assert pending.tasks() == []
 
-    def test_peek_time_and_is_empty(self):
-        pending = PendingList()
-        assert pending.peek_time() is None
-        assert pending.is_empty()
-        pending.schedule(4.0, "x")
-        assert pending.peek_time() == 4.0
-        assert not pending.is_empty()
 
-    def test_payload_carried(self):
-        pending = PendingList()
-        pending.schedule(1.0, "task", file_id=7, index=2)
-        task = pending.pop_due(1.0)[0]
-        assert task.payload == {"file_id": 7, "index": 2}
-        assert "task" in task.describe()
+_TIMES = st.sampled_from([0.0, 1.0, 2.0, 2.5, 3.0, 5.0, 7.0])
+_KINDS = st.sampled_from([CHECK_ALLOC, CHECK_PROOF, CHECK_REFRESH, RENT_PERIOD])
+_TASKS = st.tuples(_TIMES, _KINDS, st.integers(-1, 40), st.integers(-1, 5))
+_OPERATIONS = st.one_of(
+    _TASKS.map(lambda task: ("schedule", *task)),
+    st.tuples(_TIMES, _KINDS, st.lists(st.integers(0, 40), max_size=6)).map(
+        lambda batch: ("schedule_batch", *batch)
+    ),
+    st.lists(_TASKS, max_size=6).map(lambda rows: ("schedule_columns", rows)),
+    st.sampled_from([0.5, 1.0, 2.5, 4.0, 7.0, math.inf]).map(lambda now: ("pop", now)),
+)
 
-    def test_tasks_snapshot_ordered(self):
-        pending = PendingList()
-        pending.schedule(3.0, "c")
-        pending.schedule(1.0, "a")
-        assert [t.kind for t in pending.tasks()] == ["a", "c"]
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(_OPERATIONS, max_size=40))
+def test_any_interleaving_matches_the_heap(script):
+    """Same-time ties everywhere (seven distinct times), pops at any time
+    (also before the last one), every scheduling form interleaved."""
+    replay_on_both(script)

@@ -11,7 +11,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.chain.ledger import Ledger
-from repro.core.drep import SectorContentPlan
 from repro.core.large_files import LargeFileCodec
 from repro.core.selector import WeightedSampler
 from repro.crypto.erasure import ReedSolomonCode
@@ -19,6 +18,7 @@ from repro.crypto.merkle import MerkleTree
 from repro.crypto.prng import DeterministicPRNG
 from repro.kernels import get_backend, sampler_stream
 from repro.kernels.sampling import U32Randint, U32Stream
+from repro.storage.provider import StorageProvider
 
 SETTINGS = settings(max_examples=50, suppress_health_check=[HealthCheck.too_slow], deadline=None)
 
@@ -157,23 +157,28 @@ def test_ledger_conservation_under_arbitrary_operation_sequences(operations):
 @SETTINGS
 @given(
     st.lists(
-        st.tuples(st.integers(min_value=1, max_value=40), st.booleans()),
+        st.tuples(st.integers(min_value=4, max_value=40), st.booleans()),
         min_size=1,
         max_size=30,
     )
 )
 def test_drep_unsealed_space_always_below_one_cr(file_operations):
-    plan = SectorContentPlan(capacity=1000, capacity_replica_size=50)
+    sector = StorageProvider("prov", disk_capacity=2000).create_sector(
+        "s0", 1000, capacity_replica_size=50
+    )
     stored = []
     for index, (size, remove_one) in enumerate(file_operations):
-        label = f"f{index}"
-        if size <= plan.free_for_files():
-            plan.add_file(label, size)
-            stored.append(label)
+        root = index.to_bytes(32, "big")
+        if size <= sector.free_capacity:
+            sector.store_file(root, index.to_bytes(4, "big").ljust(size, b"\0"))
+            stored.append(root)
         if remove_one and stored:
-            plan.remove_file(stored.pop())
-        assert plan.invariant_holds()
-        assert plan.file_bytes() + plan.capacity_replica_bytes() + plan.unsealed_space() == 1000
+            sector.remove_file(stored.pop())
+        assert sector.unsealed_space() < 50
+        assert (
+            sector.used_by_files + 50 * sector.capacity_replica_count
+            + sector.unsealed_space() == 1000
+        )
 
 
 # ----------------------------------------------------------------------
@@ -535,10 +540,7 @@ def _protocol_fingerprint(protocol):
              (entry.prev, entry.next, entry.last_proof, entry.state.value))
             for (fid, idx), entry in protocol.alloc.all_entries()
         ),
-        "pending": [
-            (task.time, task.kind, tuple(sorted(task.payload.items())))
-            for task in protocol.pending.tasks()
-        ],
+        "pending": protocol.pending.tasks(),
         "ledger": sorted(
             (account.address, account.balance, account.escrowed)
             for account in protocol.ledger.accounts()

@@ -142,19 +142,22 @@ def test_every_module_is_reached_from_a_program_root():
         "repro.chain.blockchain",
         "repro.chain.transaction",
         "repro.core.chain_app",
+        "repro.core.drep",
         "repro.core.subnetworks",
         "repro.crypto.beacon",
     ],
 )
 def test_the_consensus_subgraph_is_gone_not_aliased(module):
-    """The six modules this walk found unreached: deleted, no re-export."""
+    """The six modules this walk found unreached, and the planning-only
+    copy of the DRep invariant that ``storage/provider.py`` implements:
+    deleted, no re-export."""
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module(module)
 
 
 def test_their_reached_neighbours_import_as_before():
     from repro.chain import GasSchedule, Ledger  # noqa: F401
-    from repro.core import drep, large_files  # noqa: F401
+    from repro.core import large_files  # noqa: F401
     from repro.crypto import WindowPoSt  # noqa: F401
 
     import repro.crypto

@@ -12,7 +12,7 @@ from repro.runner.cli import main
 from repro.runner.executor import derive_trial_seed, run_scenario
 from repro.runner.registry import get_scenario, load_builtin_scenarios, resolve_params
 from repro.runner.results import jsonify
-from repro.scenarios import collision, deposit, robustness, scalability, table3, table4
+from repro.scenarios import churn, collision, deposit, robustness, scalability, table3, table4
 from repro.scenarios.churn import run_churn_trial
 from repro.scenarios.lifecycle_churn import run_lifecycle_churn_trial
 from repro.scenarios.retrieval import run_retrieval_trial
@@ -401,6 +401,42 @@ class TestTable4:
         captured = capsys.readouterr()
         assert "has no protocol 'Bogus'; known: FileInsurer, Filecoin" in captured.err
         assert captured.out == ""
+
+
+class TestSizesAreCheckedBeforeAnyTrial:
+    """A zero size used to crash inside the first trial (and a negative
+    ``max_files`` ran silently); each is refused by name instead."""
+
+    #: What each scenario's trial calls first, so a trial that runs shows.
+    FIRST_CALL = {
+        "scalability": (scalability, "run_fill_experiment"),
+        "deposit": (deposit, "run_protocol_check"),
+        "churn": (churn, "DSNScenario"),
+    }
+
+    @pytest.mark.parametrize(
+        "name, override",
+        [
+            ("scalability", "providers=0"),
+            ("scalability", "k=0"),
+            ("scalability", "max_files=-5"),
+            ("scalability", "add_batch=0"),
+            ("deposit", "files=0"),
+            ("deposit", "n_providers=0"),
+            ("deposit", "k=0"),
+            ("churn", "providers=0"),
+            ("churn", "clients=0"),
+            ("churn", "sectors_per_provider=0"),
+        ],
+    )
+    def test_zero_size_runs_nothing(self, name, override, monkeypatch, capsys):
+        trials = []
+        monkeypatch.setattr(*self.FIRST_CALL[name], lambda *args, **kwargs: trials.append(1))
+        assert main(["run", name, "--quiet", "--set", override]) == 2
+        captured = capsys.readouterr()
+        key = override.partition("=")[0]
+        assert f"scenario {name!r} parameter {key!r} must be positive" in captured.err
+        assert captured.out == "" and trials == []
 
 
 class TestCollision:
