@@ -421,6 +421,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
                         "default": jsonify(param.default),
                         "type": param.type.__name__,
                         "help": param.help,
+                        "domain": jsonify(param.domain),
                     }
                     for key, param in sorted(spec.params.items())
                 },

@@ -18,8 +18,9 @@ pickled by the multiprocessing executor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "ParamSpec",
@@ -35,7 +36,6 @@ __all__ = [
     "resolve_params",
     "BACKEND_PARAM",
     "repeated_trials",
-    "require_positive",
 ]
 
 TrialFn = Callable[[Mapping[str, object]], Mapping[str, object]]
@@ -60,15 +60,19 @@ class DuplicateScenarioError(ScenarioError):
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """One scenario parameter: a default value plus help text.
+    """One scenario parameter: a default value, help text and its domain.
 
     The parameter's type is the type of its default; the CLI coerces
     ``--set`` overrides to that type (comma-separated lists for tuple
-    defaults).
+    defaults).  ``domain`` says what the type does not: an interval such
+    as ``"[1, inf)"``, ``"(0, inf)"`` or ``"[0, 1]"``, or a tuple of the
+    allowed choices; for a tuple parameter it applies to every element.
+    ``None`` leaves the type as the whole domain.
     """
 
     default: object
     help: str = ""
+    domain: Union[str, Tuple[object, ...], None] = None
 
     @property
     def type(self) -> type:
@@ -176,17 +180,6 @@ def repeated_trials(params: Mapping[str, object]) -> List[Dict[str, object]]:
     return [dict(template) for _ in range(int(params["trials"]))]  # type: ignore[call-overload]
 
 
-def require_positive(scenario: str, params: Mapping[str, object], *names: str) -> None:
-    """Refuse a count parameter -- or any element of a tuple of counts --
-    below one, naming it; trial builders call this before any trial runs."""
-    for name in names:
-        value = params[name]
-        if any(count < 1 for count in (value if isinstance(value, tuple) else (value,))):
-            raise ScenarioError(
-                f"scenario {scenario!r} parameter {name!r} must be positive, got {value!r}"
-            )
-
-
 # ----------------------------------------------------------------------
 # Parameter resolution
 # ----------------------------------------------------------------------
@@ -205,48 +198,77 @@ def _coerce_scalar(text: str, target: type) -> object:
     return text
 
 
+def _element_type(default: object) -> type:
+    """A scalar parameter's type, or the element type of a tuple one."""
+    if isinstance(default, tuple):
+        return type(default[0]) if default else float
+    return type(default)
+
+
 def coerce_value(text: str, spec: ParamSpec) -> object:
     """Coerce a ``--set`` string to the parameter's type."""
-    default = spec.default
-    if isinstance(default, tuple):
-        element = type(default[0]) if default else float
+    if isinstance(spec.default, tuple):
         parts = [part for part in text.split(",") if part.strip()]
-        return tuple(_coerce_scalar(part, element) for part in parts)
-    return _coerce_scalar(text, type(default))
+        return tuple(_coerce_scalar(part, _element_type(spec.default)) for part in parts)
+    return _coerce_scalar(text, type(spec.default))
 
 
-def _conform_typed(scenario: str, key: str, default: object, value: object) -> object:
-    """Check an already-typed override against its parameter's default type.
+def _fits(item: object, kind: type, domain: Union[str, Tuple[object, ...], None]) -> bool:
+    """``item`` is a ``kind`` in ``domain``, under the two rules every
+    parameter gets: a float is finite, an int fits in int64."""
+    if isinstance(item, bool) != (kind is bool) or not isinstance(item, kind):
+        return False  # bool subclasses int: neither stands in for the other
+    if kind is float and not math.isfinite(item):  # type: ignore[arg-type]
+        return False
+    if kind is int and not -(2**63) <= item < 2**63:  # type: ignore[operator]
+        return False
+    if domain is None or isinstance(domain, tuple):
+        return domain is None or item in domain
+    low, high = (float(bound) for bound in domain[1:-1].split(","))
+    return (low < item or (domain[0] == "[" and item == low)) and (
+        item < high or (domain[-1] == "]" and item == high)
+    )
 
-    Friendly widenings are applied instead of rejected: int -> float for
-    float-valued parameters (config formats write ``1``, not ``1.0``) and
-    list -> tuple for sequence-valued ones.  Anything else mistyped fails
-    here -- at resolution time, with the parameter named -- rather than
-    deep inside a trial builder after work has started.
+
+_KIND_NAMES = {bool: "a bool", int: "an int64", float: "a finite float", str: "a str"}
+
+
+def _conform(scenario: str, key: str, param: ParamSpec, value: object) -> object:
+    """Coerce one override and check it against its parameter, or raise.
+
+    The one check every entry point reaches (``--set`` strings, Python
+    callers, campaign plans) before any trial is built: the default's
+    type, widening int -> float and list -> tuple; :func:`_fits`' two
+    rules; a non-empty tuple; the ``domain``, per element of a tuple.
     """
-    if isinstance(default, bool):
-        ok = isinstance(value, bool)
-    elif isinstance(default, int):
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    elif isinstance(default, float):
-        if isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-        ok = isinstance(value, float)
-    elif isinstance(default, tuple):
-        if isinstance(value, list):
-            value = tuple(value)
-        ok = isinstance(value, tuple)
-    elif isinstance(default, str):
-        ok = isinstance(value, str)
+    kind = _element_type(param.default)
+    sequence = isinstance(param.default, tuple)
+    checked = value
+    if isinstance(value, str) and not isinstance(param.default, str):
+        try:
+            checked = coerce_value(value, param)
+        except ValueError:
+            checked = None  # refused below like any other mistyped value
+    if isinstance(checked, list):
+        checked = tuple(checked)
+    if sequence:
+        items = checked if isinstance(checked, tuple) else ()
     else:
-        ok = True
-    if not ok:
-        raise ScenarioError(
-            f"scenario {scenario!r} parameter {key!r} expects "
-            f"{type(default).__name__} (default {default!r}), got "
-            f"{type(value).__name__} value {value!r}"
-        )
-    return value
+        items = (checked,)
+    if kind is float:  # config formats write 1, not 1.0
+        items = tuple(float(item) if type(item) is int else item for item in items)
+    if items and all(_fits(item, kind, param.domain) for item in items):
+        return items if sequence else items[0]
+    domain = param.domain
+    if isinstance(domain, tuple):
+        expected = "one of " + ", ".join(map(repr, domain))
+    else:
+        expected = _KIND_NAMES.get(kind, kind.__name__) + (f" in {domain}" if domain else "")
+    if sequence:
+        expected = f"a non-empty tuple, each element {expected}"
+    raise ScenarioError(
+        f"scenario {scenario!r} parameter {key!r} must be {expected}, got {value!r}"
+    )
 
 
 #: The reserved ``backend`` parameter, as every scenario that dispatches
@@ -261,10 +283,11 @@ def resolve_params(
 ) -> Dict[str, object]:
     """Merge overrides into the scenario's defaults, validating names.
 
-    String override values are coerced to the schema type; already-typed
-    values (from Python callers, campaign specs, ...) are type-checked
-    against the default (with int->float and list->tuple widening), so
-    every entry point fails fast on a mistyped value.
+    Every override goes through :func:`_conform` -- string values are
+    coerced to the schema type first, already-typed ones (Python callers,
+    campaign specs) are taken as they are -- so every entry point fails
+    on a mistyped or out-of-domain value, with the parameter named,
+    before any trial is built.
 
     ``backend`` is a *reserved* parameter name: scenarios that dispatch
     into :mod:`repro.kernels` declare it as :data:`BACKEND_PARAM`, and the
@@ -281,17 +304,7 @@ def resolve_params(
             raise ScenarioError(
                 f"scenario {spec.name!r} has no parameter {key!r}; known: {known}"
             )
-        if isinstance(value, str) and not isinstance(spec.params[key].default, str):
-            try:
-                value = coerce_value(value, spec.params[key])
-            except ValueError as error:
-                raise ScenarioError(
-                    f"invalid value {value!r} for parameter {key!r} of scenario "
-                    f"{spec.name!r}: {error}"
-                ) from None
-        resolved[key] = _conform_typed(
-            spec.name, key, spec.params[key].default, value
-        )
+        resolved[key] = _conform(spec.name, key, spec.params[key], value)
     if isinstance(resolved.get("backend"), str):
         from repro.kernels import KernelError, resolve_backend_name
 

@@ -42,13 +42,7 @@ from typing import Dict, Mapping
 from repro.core.params import ProtocolParams
 from repro.crypto.prng import DeterministicPRNG
 from repro.runner.aggregate import compact_summary, summarize
-from repro.runner.registry import (
-    BACKEND_PARAM,
-    ParamSpec,
-    repeated_trials,
-    require_positive,
-    scenario,
-)
+from repro.runner.registry import BACKEND_PARAM, ParamSpec, repeated_trials, scenario
 from repro.sim.adversary import GreedyCapacityAdversary
 from repro.sim.scenario import DSNScenario, ScenarioConfig
 
@@ -64,20 +58,20 @@ _TRIAL_PARAMS = dict(
 )
 
 _SCENARIO_PARAMS = {
-    "providers": ParamSpec(5, "providers deployed at time zero"),
-    "sectors_per_provider": ParamSpec(2, "sectors each provider registers"),
-    "clients": ParamSpec(2, "client actors storing files"),
-    "files": ParamSpec(6, "files stored before churn starts"),
-    "file_kib": ParamSpec(16, "mean file size in KiB"),
-    "cycles": ParamSpec(10, "proof cycles of churn to simulate"),
-    "join_rate": ParamSpec(0.3, "per-cycle probability a new provider joins"),
-    "leave_rate": ParamSpec(0.15, "per-cycle probability a provider leaves gracefully"),
-    "crash_rate": ParamSpec(0.15, "per-cycle probability a provider crashes"),
+    "providers": ParamSpec(5, "providers deployed at time zero", "[1, inf)"),
+    "sectors_per_provider": ParamSpec(2, "sectors each provider registers", "[1, inf)"),
+    "clients": ParamSpec(2, "client actors storing files", "[1, inf)"),
+    "files": ParamSpec(6, "files stored before churn starts", "[0, inf)"),
+    "file_kib": ParamSpec(16, "mean file size in KiB", "[1, inf)"),
+    "cycles": ParamSpec(10, "proof cycles of churn to simulate", "[0, inf)"),
+    "join_rate": ParamSpec(0.3, "per-cycle probability a new provider joins", "[0, 1]"),
+    "leave_rate": ParamSpec(0.15, "per-cycle probability a provider leaves gracefully", "[0, 1]"),
+    "crash_rate": ParamSpec(0.15, "per-cycle probability a provider crashes", "[0, 1]"),
     "adversary_lambda": ParamSpec(
-        0.3, "healthy-capacity fraction the post-churn greedy adversary corrupts"
+        0.3, "healthy-capacity fraction the post-churn greedy adversary corrupts", "[0, 1]"
     ),
     "backend": BACKEND_PARAM,
-    "trials": ParamSpec(3, "independent repetitions"),
+    "trials": ParamSpec(3, "independent repetitions", "[1, inf)"),
 }
 
 
@@ -211,12 +205,6 @@ def run_churn_trial(task: Mapping[str, object]) -> Dict[str, object]:
     }
 
 
-def _build_trials(params):
-    """``trials`` repetitions of one deployment, its sizes checked first."""
-    require_positive("churn", params, "providers", "sectors_per_provider", "clients")
-    return repeated_trials(params)
-
-
 def _aggregate(rows, params):
     """Mean churn intensity and recovery quality across repetitions."""
     return compact_summary(
@@ -241,7 +229,7 @@ def _aggregate(rows, params):
 scenario(
     "churn",
     "Provider churn: join/leave/crash over proof cycles with refresh recovery metrics",
-    build_trials=_build_trials,
+    build_trials=repeated_trials,
     params=_SCENARIO_PARAMS,
     aggregate=_aggregate,
     tags=("workload", "end-to-end", "churn"),

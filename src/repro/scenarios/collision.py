@@ -46,24 +46,23 @@ def run_bound_sweep(
 # Runner scenario: each ratio's trials split into independent batches
 # ----------------------------------------------------------------------
 _SCENARIO_PARAMS = {
-    "ratios": ParamSpec((8, 16, 32, 64), "capacity/size ratios to test"),
-    "n_sectors": ParamSpec(200, "sectors per placement"),
-    "trials": ParamSpec(200, "Monte-Carlo placements per ratio"),
-    "batches": ParamSpec(4, "independent batches each ratio's trials split into"),
+    "ratios": ParamSpec((8, 16, 32, 64), "capacity/size ratios to test", "[1, inf)"),
+    "n_sectors": ParamSpec(200, "sectors per placement", "[1, inf)"),
+    "trials": ParamSpec(200, "Monte-Carlo placements per ratio", "[1, inf)"),
+    "batches": ParamSpec(4, "independent batches each ratio's trials split into", "[1, inf)"),
 }
 
 
 def _build_trials(params):
     """Split every ratio's Monte-Carlo trials into independent batches."""
     total = params["trials"]
-    batches = max(1, min(params["batches"], total))
+    batches = min(params["batches"], total)
     base, remainder = divmod(total, batches)
     sizes = [base + (1 if index < remainder else 0) for index in range(batches)]
     return [
         {"ratio": ratio, "n_sectors": params["n_sectors"], "trials": size}
         for ratio in params["ratios"]
         for size in sizes
-        if size > 0
     ]
 
 

@@ -21,7 +21,7 @@ from repro.core.analysis import theorem4_deposit_ratio_bound
 from repro.core.params import ProtocolParams
 from repro.core.protocol import FileInsurerProtocol
 from repro.crypto.prng import DeterministicPRNG
-from repro.runner.registry import BACKEND_PARAM, ParamSpec, require_positive, scenario
+from repro.runner.registry import BACKEND_PARAM, ParamSpec, scenario
 
 __all__ = ["run_bound_sweep", "run_protocol_check"]
 
@@ -85,9 +85,9 @@ def run_protocol_check(
     client = "client"
     ledger.mint(client, 100_000_000)
 
-    # Keep total replica bytes within the redundant-capacity budget so every
-    # file is admitted: files * k * size <= providers * minCapacity / 2.
-    file_size = max(1, (n_providers * params.min_capacity) // (2 * files * k * 2))
+    # Admit every file: files * k * size <= providers * minCapacity / 2 keeps
+    # the replicas within the redundant-capacity budget, and size <= sizeLimit.
+    file_size = min(params.size_limit, max(1, n_providers * params.min_capacity // (4 * files * k)))
     file_ids = []
     for _ in range(files):
         file_id = protocol.file_add(client, file_size, 1, b"\x00" * 32)
@@ -126,13 +126,13 @@ def run_protocol_check(
 # Runner scenario: independent end-to-end compensation checks
 # ----------------------------------------------------------------------
 _SCENARIO_PARAMS = {
-    "checks": ParamSpec(3, "independent end-to-end compensation checks"),
-    "n_providers": ParamSpec(30, "providers (one sector each)"),
-    "files": ParamSpec(60, "files stored before the crash"),
-    "corrupt_fraction": ParamSpec(0.5, "fraction of sectors crashed"),
-    "deposit_ratio": ParamSpec(0.2, "deposit ratio prescribed for the scaled run"),
-    "k": ParamSpec(4, "replicas per file"),
-    "lambdas": ParamSpec((0.1, 0.25, 0.5, 0.75, 0.9), "bound-sweep lambdas"),
+    "checks": ParamSpec(3, "independent end-to-end compensation checks", "[1, inf)"),
+    "n_providers": ParamSpec(30, "providers (one sector each)", "[1, inf)"),
+    "files": ParamSpec(60, "files stored before the crash", "[1, inf)"),
+    "corrupt_fraction": ParamSpec(0.5, "fraction of sectors crashed", "[0, 1]"),
+    "deposit_ratio": ParamSpec(0.2, "deposit ratio prescribed for the scaled run", "[0, 1]"),
+    "k": ParamSpec(4, "replicas per file", "[1, inf)"),
+    "lambdas": ParamSpec((0.1, 0.25, 0.5, 0.75, 0.9), "bound-sweep lambdas", "(0, 1)"),
     "backend": BACKEND_PARAM,
 }
 
@@ -143,7 +143,6 @@ _CHECK_ARGS = ("n_providers", "files", "corrupt_fraction", "deposit_ratio", "k",
 
 def _build_trials(params):
     """One independent protocol deployment + crash per check."""
-    require_positive("deposit", params, "n_providers", "files", "k")
     return [{key: params[key] for key in _CHECK_ARGS} for _ in range(params["checks"])]
 
 

@@ -53,23 +53,24 @@ from repro.sim.lifecycle import LifecycleConfig, LifecycleSimulation
 __all__ = ["run_lifecycle_churn_trial"]
 
 _SCENARIO_PARAMS = {
-    "providers": ParamSpec(12, "providers active at time zero"),
-    "regions": ParamSpec(3, "failure regions providers are spread across"),
-    "slots_per_provider": ParamSpec(8, "replica slots each provider offers"),
-    "files": ParamSpec(24, "files arriving in the opening Poisson window"),
-    "replicas": ParamSpec(3, "replica target per file"),
-    "horizon_s": ParamSpec(600.0, "simulated seconds to run the deployment"),
-    "mtbf_s": ParamSpec(500.0, "mean time between per-provider failures"),
-    "mttr_s": ParamSpec(60.0, "mean provider crash-to-recovery delay"),
-    "departures": ParamSpec(1, "providers gracefully departing mid-run"),
-    "retrieval_rate": ParamSpec(1.0, "base Poisson retrieval arrivals per second"),
-    "flash_crowds": ParamSpec(1, "flash-crowd burst windows in the horizon"),
-    "flash_multiplier": ParamSpec(8.0, "retrieval-rate multiplier inside a burst"),
-    "regional_failures": ParamSpec(1, "correlated whole-region failure events"),
-    "degrade_timeout_s": ParamSpec(180.0, "degradation deadline a refresh races"),
-    "delay_per_size": ParamSpec(5e-5, "DelayPerSize retrieval deadline (s/byte)"),
+    "providers": ParamSpec(12, "providers active at time zero", "[1, inf)"),
+    "regions": ParamSpec(3, "failure regions providers are spread across", "[1, inf)"),
+    "slots_per_provider": ParamSpec(8, "replica slots each provider offers", "[1, inf)"),
+    "files": ParamSpec(24, "files arriving in the opening Poisson window", "[0, inf)"),
+    "replicas": ParamSpec(3, "replica target per file", "[1, inf)"),
+    # Events grow with horizon x rate: the caps keep one trial to seconds.
+    "horizon_s": ParamSpec(600.0, "simulated seconds to run the deployment", "(0, 3600]"),
+    "mtbf_s": ParamSpec(500.0, "mean time between per-provider failures", "(0, inf)"),
+    "mttr_s": ParamSpec(60.0, "mean provider crash-to-recovery delay", "(0, inf)"),
+    "departures": ParamSpec(1, "providers gracefully departing mid-run", "[0, inf)"),
+    "retrieval_rate": ParamSpec(1.0, "base Poisson retrieval arrivals per second", "[0, 10]"),
+    "flash_crowds": ParamSpec(1, "flash-crowd burst windows in the horizon", "[0, inf)"),
+    "flash_multiplier": ParamSpec(8.0, "retrieval-rate multiplier inside a burst", "[1, 100]"),
+    "regional_failures": ParamSpec(1, "correlated whole-region failure events", "[0, inf)"),
+    "degrade_timeout_s": ParamSpec(180.0, "degradation deadline a refresh races", "(0, inf)"),
+    "delay_per_size": ParamSpec(5e-5, "DelayPerSize retrieval deadline (s/byte)", "(0, inf)"),
     "backend": BACKEND_PARAM,
-    "trials": ParamSpec(3, "independent repetitions"),
+    "trials": ParamSpec(3, "independent repetitions", "[1, inf)"),
 }
 
 

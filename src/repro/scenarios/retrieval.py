@@ -54,19 +54,22 @@ _DELAY_PER_SIZE = 5e-5
 _REQUEST_STREAM = 1
 
 _SCENARIO_PARAMS = {
-    "providers": ParamSpec(8, "provider peers serving blocks"),
-    "clients": ParamSpec(4, "client peers issuing requests"),
-    "files": ParamSpec(12, "files published into the network"),
-    "replicas": ParamSpec(3, "providers hosting each file"),
-    "mean_kib": ParamSpec(32, "mean file size in KiB"),
-    "requests": ParamSpec(60, "requests per trial"),
-    "rates": ParamSpec((2.0, 8.0, 16.0), "request arrival rates (per second) to sweep"),
-    "selfish_fraction": ParamSpec(0.0, "fraction of providers refusing to serve"),
-    "bandwidth_kibps": ParamSpec(64.0, "per-provider service bandwidth (KiB/s)"),
-    "delay_per_size": ParamSpec(_DELAY_PER_SIZE, "deadline seconds per byte (DelayPerSize)"),
+    "providers": ParamSpec(8, "provider peers serving blocks", "[1, inf)"),
+    "clients": ParamSpec(4, "client peers issuing requests", "[1, inf)"),
+    "files": ParamSpec(12, "files published into the network", "[1, inf)"),
+    "replicas": ParamSpec(3, "providers hosting each file", "[1, inf)"),
+    "mean_kib": ParamSpec(32, "mean file size in KiB", "[1, inf)"),
+    "requests": ParamSpec(60, "requests per trial", "[1, inf)"),
+    # A trial draws max(rate, requests) arrivals: the cap keeps it finite.
+    "rates": ParamSpec((2.0, 8.0, 16.0), "request arrival rates (per second) to sweep", "(0, 1e5]"),
+    "selfish_fraction": ParamSpec(0.0, "fraction of providers refusing to serve", "[0, 1]"),
+    "bandwidth_kibps": ParamSpec(64.0, "per-provider service bandwidth (KiB/s)", "(0, inf)"),
+    "delay_per_size": ParamSpec(
+        _DELAY_PER_SIZE, "deadline seconds per byte (DelayPerSize)", "(0, inf)"
+    ),
     "zipf_popularity": ParamSpec(True, "rank-weighted (1/rank) file popularity"),
     "backend": BACKEND_PARAM,
-    "trials": ParamSpec(2, "independent repetitions per rate"),
+    "trials": ParamSpec(2, "independent repetitions per rate", "[1, inf)"),
 }
 
 

@@ -126,12 +126,12 @@ def run_placement_contrast(
 # Runner scenario: parallel Monte-Carlo over (lambda, adversary, trial)
 # ----------------------------------------------------------------------
 _SCENARIO_PARAMS = {
-    "lambdas": ParamSpec((0.3, 0.5, 0.7), "corruption fractions to sweep"),
-    "n_sectors": ParamSpec(2000, "sectors in the scaled network"),
-    "n_files": ParamSpec(2000, "files placed i.i.d. into the sectors"),
-    "k": ParamSpec(10, "replicas per file"),
-    "trials": ParamSpec(5, "Monte-Carlo repetitions per (lambda, adversary)"),
-    "cap_para": ParamSpec(10.0, "capacity parameter for the bound"),
+    "lambdas": ParamSpec((0.3, 0.5, 0.7), "corruption fractions to sweep", "(0, 1)"),
+    "n_sectors": ParamSpec(2000, "sectors in the scaled network", "[1, inf)"),
+    "n_files": ParamSpec(2000, "files placed i.i.d. into the sectors", "[1, inf)"),
+    "k": ParamSpec(10, "replicas per file", "[1, inf)"),
+    "trials": ParamSpec(5, "Monte-Carlo repetitions per (lambda, adversary)", "[1, inf)"),
+    "cap_para": ParamSpec(10.0, "capacity parameter for the bound", "(0, inf)"),
     "backend": BACKEND_PARAM,
 }
 

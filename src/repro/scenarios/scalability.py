@@ -31,7 +31,7 @@ from repro.core.file_descriptor import FileState
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolError
 from repro.crypto.prng import DeterministicPRNG
-from repro.runner.registry import BACKEND_PARAM, ParamSpec, require_positive, scenario
+from repro.runner.registry import BACKEND_PARAM, ParamSpec, scenario
 
 __all__ = ["synthetic_population", "run_bound_sweep", "run_fill_experiment"]
 
@@ -170,18 +170,17 @@ def run_fill_experiment(
 # Runner scenario: fill-until-failure at several network sizes
 # ----------------------------------------------------------------------
 _SCENARIO_PARAMS = {
-    "providers": ParamSpec((10, 20), "network sizes for the fill experiment"),
-    "k": ParamSpec(3, "replicas per file"),
-    "file_size_fraction": ParamSpec(0.02, "file size as a fraction of minCapacity"),
+    "providers": ParamSpec((10, 20), "network sizes for the fill experiment", "[1, inf)"),
+    "k": ParamSpec(3, "replicas per file", "[1, inf)"),
+    "file_size_fraction": ParamSpec(0.02, "file size as a fraction of minCapacity", "(0, 1]"),
     "backend": BACKEND_PARAM,
-    "add_batch": ParamSpec(256, "files per batched File Add"),
-    "max_files": ParamSpec(100_000, "stop each fill after this many stored files"),
+    "add_batch": ParamSpec(256, "files per batched File Add", "[1, inf)"),
+    "max_files": ParamSpec(100_000, "stop each fill after this many stored files", "[1, inf)"),
 }
 
 
 def _build_trials(params):
     """One fill-until-failure deployment per network size."""
-    require_positive("scalability", params, "providers", "k", "add_batch", "max_files")
     return [
         {
             "n_providers": int(n_providers),

@@ -53,21 +53,26 @@ from repro.sim.workload import FileSizeDistribution, WorkloadGenerator
 
 __all__ = ["run_segmentation_trial"]
 
+#: Sampled file sizes are capped at this many sector capacities.
+_MAX_SIZE_RATIO = 8
+
 _SCENARIO_PARAMS = {
     "size_ratios": ParamSpec(
-        (0.5, 1.0, 2.0, 4.0), "mean file size as a multiple of sector capacity"
+        (0.5, 1.0, 2.0, 4.0),
+        "mean file size as a multiple of sector capacity",
+        f"(0, {_MAX_SIZE_RATIO}]",
     ),
     "limit_fractions": ParamSpec(
-        (0.25, 0.5), "sizeLimit as a fraction of sector capacity"
+        (0.25, 0.5), "sizeLimit as a fraction of sector capacity", "(0, 1]"
     ),
-    "sector_kib": ParamSpec(64, "sector capacity in KiB"),
-    "min_sectors": ParamSpec(16, "floor on sectors in the placement simulation"),
-    "n_files": ParamSpec(24, "files sampled per trial"),
-    "replicas": ParamSpec(3, "replicas placed per (segment or whole-file) unit"),
-    "retries": ParamSpec(3, "re-draws allowed when a placement collides"),
-    "value": ParamSpec(4, "value of each sampled file (token units)"),
+    "sector_kib": ParamSpec(64, "sector capacity in KiB", "[1, inf)"),
+    "min_sectors": ParamSpec(16, "floor on sectors in the placement simulation", "[0, inf)"),
+    "n_files": ParamSpec(24, "files sampled per trial", "[1, inf)"),
+    "replicas": ParamSpec(3, "replicas placed per (segment or whole-file) unit", "[1, inf)"),
+    "retries": ParamSpec(3, "re-draws allowed when a placement collides", "[0, inf)"),
+    "value": ParamSpec(4, "value of each sampled file (token units)", "[1, inf)"),
     "backend": BACKEND_PARAM,
-    "trials": ParamSpec(2, "independent repetitions per grid cell"),
+    "trials": ParamSpec(2, "independent repetitions per grid cell", "[1, inf)"),
 }
 
 #: Spawn-key constants separating the two placement arms' draw streams.
@@ -143,7 +148,7 @@ def run_segmentation_trial(task: Mapping[str, object]) -> Dict[str, object]:
             count=int(task["n_files"]),  # type: ignore[arg-type]
             mean_size=mean_size,
             distribution=FileSizeDistribution.EXPONENTIAL,
-            max_size=8 * sector_capacity,
+            max_size=_MAX_SIZE_RATIO * sector_capacity,
         )
     ]
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.runner.registry import BACKEND_PARAM, ParamSpec, ScenarioError, scenario
+from repro.runner.registry import BACKEND_PARAM, ParamSpec, scenario
 from repro.sim.placement import PlacementExperiment
 
 __all__ = ["default_grid", "paper_grid"]
@@ -52,31 +52,23 @@ def default_grid() -> List[Tuple[int, int]]:
 # ----------------------------------------------------------------------
 # Runner scenario: one parallel trial per (mode, grid cell)
 # ----------------------------------------------------------------------
-_SCENARIO_PARAMS = {
-    "modes": ParamSpec(("reallocate", "refresh"), "Table III settings to run"),
-    "scale": ParamSpec("default", "'default' (scaled grid) or 'paper' (full grid)"),
-    "rounds": ParamSpec(100, "reallocation rounds per cell"),
-    "refresh_multiplier": ParamSpec(100, "refreshes per backup in refresh mode"),
-    "max_ncp": ParamSpec(10**8, "drop grid cells with more than this many backups"),
-    "backend": BACKEND_PARAM,
-}
 _GRIDS = {"default": default_grid, "paper": paper_grid}
 _MODES = ("reallocate", "refresh")
+_SCENARIO_PARAMS = {
+    "modes": ParamSpec(_MODES, "Table III settings to run", _MODES),
+    "scale": ParamSpec("default", "'default' (scaled grid) or 'paper' (full grid)", tuple(_GRIDS)),
+    "rounds": ParamSpec(100, "reallocation rounds per cell", "[1, inf)"),
+    "refresh_multiplier": ParamSpec(100, "refreshes per backup in refresh mode", "[1, inf)"),
+    # Below the smallest Ncp of either grid no cell would be left to run.
+    "max_ncp": ParamSpec(
+        10**8, "drop grid cells with more than this many backups", f"[{min(paper_grid())[0]}, inf)"
+    ),
+    "backend": BACKEND_PARAM,
+}
 
 
 def _build_trials(params):
     """One independent trial per (mode, Ncp, Ns) grid cell."""
-    if params["scale"] not in _GRIDS:
-        raise ScenarioError(
-            f"scenario 'table3' parameter 'scale' must be 'default' or 'paper', "
-            f"got {params['scale']!r}"
-        )
-    unknown = [mode for mode in params["modes"] if mode not in _MODES]
-    if unknown:
-        raise ScenarioError(
-            f"scenario 'table3' parameter 'modes' takes 'reallocate' and 'refresh', "
-            f"got {', '.join(map(repr, unknown))}"
-        )
     grid = [
         (n_backups, n_sectors)
         for n_backups, n_sectors in _GRIDS[params["scale"]]()

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.baselines.comparison import ComparisonHarness
-from repro.runner.registry import ParamSpec, ScenarioError, scenario
+from repro.runner.registry import ParamSpec, scenario
 
 __all__ = ["paper_expectations"]
 
@@ -64,14 +64,12 @@ _FLAG_COLUMNS = {
     "Compensation for File Loss": "compensation_for_loss",
 }
 
+_PROTOCOLS = tuple(paper_expectations())
 _SCENARIO_PARAMS = {
-    "protocols": ParamSpec(
-        ("FileInsurer", "Filecoin", "Arweave", "Storj", "Sia"),
-        "protocols to evaluate (paper order)",
-    ),
-    "n_sectors": ParamSpec(200, "sectors per protocol deployment"),
-    "n_files": ParamSpec(500, "files in the shared workload"),
-    "corruption_fraction": ParamSpec(0.3, "fraction of sectors corrupted"),
+    "protocols": ParamSpec(_PROTOCOLS, "protocols to evaluate (paper order)", _PROTOCOLS),
+    "n_sectors": ParamSpec(200, "sectors per protocol deployment", "[1, inf)"),
+    "n_files": ParamSpec(500, "files in the shared workload", "[1, inf)"),
+    "corruption_fraction": ParamSpec(0.3, "fraction of sectors corrupted", "[0, 1]"),
     "harness_seed": ParamSpec(
         -1, "workload seed shared by every protocol (-1: use the run's root seed)"
     ),
@@ -86,13 +84,6 @@ def _build_trials(params):
     makes the Table IV comparison apples-to-apples.  By default it follows
     the run's root seed; setting ``harness_seed`` pins it explicitly.
     """
-    known = paper_expectations()
-    unknown = [name for name in params["protocols"] if name not in known]
-    if unknown:
-        raise ScenarioError(
-            f"scenario 'table4' has no protocol {', '.join(map(repr, unknown))}; "
-            f"known: {', '.join(known)}"
-        )
     return [
         {
             "protocol": name,

@@ -34,6 +34,7 @@ next to the kernel and protocol spans.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
@@ -305,6 +306,10 @@ def poisson_times(
     prng: DeterministicPRNG, rate_per_s: float, horizon_s: float, offset_s: float = 0.0
 ) -> List[float]:
     """Arrival times of a Poisson process over ``[offset, offset+horizon]``."""
+    if not (math.isfinite(rate_per_s) and math.isfinite(horizon_s)):
+        raise ValueError(
+            f"poisson_times needs a finite rate and horizon, got {rate_per_s!r}, {horizon_s!r}"
+        )
     if rate_per_s <= 0 or horizon_s <= 0:
         return []
     times: List[float] = []

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import signal
+
 import pytest
 
 from repro.chain.ledger import Ledger
@@ -81,3 +84,25 @@ def campaign_scenarios():
     yield specs
     for spec in specs:
         unregister(spec.name)
+
+
+@pytest.fixture
+def time_limit():
+    """``with time_limit(seconds):`` raises ``TimeoutError`` inside a block
+    still running after ``seconds`` (SIGALRM), so a regression to a hang
+    fails its test instead of stalling the suite."""
+
+    @contextlib.contextmanager
+    def limit(seconds: float):
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return limit

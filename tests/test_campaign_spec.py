@@ -147,13 +147,24 @@ class TestPlanCampaign:
         parameter must still fail at plan time, before any cell runs."""
         data = _minimal()
         data["scenarios"][0]["params"] = {"trials": 2.5}
-        with pytest.raises(CampaignError, match="expects int"):
+        with pytest.raises(CampaignError, match="'trials' must be an int64"):
             plan_campaign(parse_campaign(data))
 
-    def test_wrong_typed_sweep_value_fails_planning(self, campaign_scenarios):
+    @pytest.mark.parametrize(
+        "scenario, sweep, message",
+        [
+            ("camp-alpha", {"scale": [1, "not-a-number", 3]}, "scale"),
+            # A point outside the declared domain: crash_rate is a probability.
+            ("churn", {"crash_rate": [0.5, 1.5]}, r"'crash_rate' must be .* in \[0, 1\], got 1.5"),
+        ],
+        ids=["wrong-type", "outside-domain"],
+    )
+    def test_wrong_typed_sweep_value_fails_planning(
+        self, campaign_scenarios, scenario, sweep, message
+    ):
         data = _minimal()
-        data["scenarios"][0]["sweep"] = {"scale": [1, "not-a-number", 3]}
-        with pytest.raises(CampaignError, match="scale"):
+        data["scenarios"][0].update(scenario=scenario, sweep=sweep)
+        with pytest.raises(CampaignError, match=message):
             plan_campaign(parse_campaign(data))
 
     def test_int_widens_to_float_for_float_params(self):

@@ -27,8 +27,11 @@ class TestList:
         assert rounds["default"] == 100
         assert rounds["type"] == "int"
         assert rounds["help"]
-        # Tuple defaults serialise as JSON arrays.
+        assert rounds["domain"] == "[1, inf)"
+        # Tuple defaults and choice domains serialise as JSON arrays.
         assert table3["params"]["modes"]["default"] == ["reallocate", "refresh"]
+        assert table3["params"]["modes"]["domain"] == ["reallocate", "refresh"]
+        assert table3["params"]["backend"]["domain"] is None
 
     def test_json_dump_validates_campaign_sweep_params(self, capsys):
         """The dump is the contract campaign specs validate against: every
@@ -99,7 +102,9 @@ class TestRun:
 
     def test_uncoercible_value_is_an_error(self, capsys):
         assert main(["run", "collision", "--set", "trials=abc"]) == 2
-        assert "invalid value 'abc'" in capsys.readouterr().err
+        assert (
+            "scenario 'collision' parameter 'trials' must be an int64 in [1, inf), got 'abc'"
+        ) in capsys.readouterr().err
 
     def test_zero_workers_is_an_error(self, capsys):
         assert main(["run", "collision", "--workers", "0"]) == 2

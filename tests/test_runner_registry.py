@@ -146,12 +146,18 @@ class TestParamResolution:
     def test_mistyped_override_rejected_at_resolution(self):
         """Already-typed values are checked too, so every entry point
         (Python API, campaign specs) fails fast instead of mid-trial."""
-        with pytest.raises(ScenarioError, match="expects int"):
+        with pytest.raises(ScenarioError, match="'count' must be an int64, got 2.5"):
             resolve_params(self._spec(), {"count": 2.5})
-        with pytest.raises(ScenarioError, match="expects float"):
+        with pytest.raises(ScenarioError, match="'rate' must be a finite float"):
             resolve_params(self._spec(), {"rate": (1, 2)})
-        with pytest.raises(ScenarioError, match="expects bool"):
+        with pytest.raises(ScenarioError, match="'fast' must be a bool"):
             resolve_params(self._spec(), {"fast": 1})
+        # Tuple elements are checked too: these used to crash inside a trial.
+        load_builtin_scenarios()
+        with pytest.raises(ScenarioError, match="'rates' must be a non-empty tuple"):
+            resolve_params(get_scenario("retrieval_load"), {"rates": ["fast"]})
+        with pytest.raises(ScenarioError, match="'providers' must be a non-empty tuple"):
+            resolve_params(get_scenario("scalability"), {"providers": [1.5, "x"]})
 
     def test_friendly_widenings(self):
         resolved = resolve_params(self._spec(), {"rate": 1, "grid": [4, 5]})

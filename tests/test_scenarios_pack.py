@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -371,8 +372,12 @@ class TestTable3:
     @pytest.mark.parametrize(
         "override, message",
         [
-            ("scale=Paper", "'scale' must be 'default' or 'paper', got 'Paper'"),
-            ("modes=reallocate,refersh", "takes 'reallocate' and 'refresh', got 'refersh'"),
+            ("scale=Paper", "'scale' must be one of 'default', 'paper', got 'Paper'"),
+            (
+                "modes=reallocate,refersh",
+                "'modes' must be a non-empty tuple, each element one of 'reallocate', "
+                "'refresh', got 'reallocate,refersh'",
+            ),
         ],
     )
     def test_unknown_scale_or_mode_runs_nothing(self, override, message, capsys):
@@ -399,44 +404,89 @@ class TestTable4:
         code = main(["run", "table4", "--quiet", "--set", "protocols=FileInsurer,Bogus"])
         assert code == 2
         captured = capsys.readouterr()
-        assert "has no protocol 'Bogus'; known: FileInsurer, Filecoin" in captured.err
+        assert (
+            "parameter 'protocols' must be a non-empty tuple, each element one of "
+            "'FileInsurer', 'Filecoin', 'Arweave', 'Storj', 'Sia', got 'FileInsurer,Bogus'"
+        ) in captured.err
         assert captured.out == ""
 
 
-class TestSizesAreCheckedBeforeAnyTrial:
-    """A zero size used to crash inside the first trial (and a negative
-    ``max_files`` ran silently); each is refused by name instead."""
+#: CI's workload-smoke shapes for the six scenarios that job runs,
+#: ``collision`` / ``robustness`` those of CI's runner / bench smoke
+#: steps, ``table3`` / ``table4`` the ``TINY`` ones.
+SMOKE = {
+    "churn": "trials=2 cycles=4 files=4",
+    "collision": "trials=8 batches=2 n_sectors=50",
+    "deposit": "checks=2 n_providers=12 files=24",
+    "lifecycle_churn": "trials=2 files=10 horizon_s=200",
+    "retrieval_load": "trials=1 requests=20 rates=2,8",
+    "robustness": "lambdas=0.5 n_sectors=60 n_files=80 k=3 trials=2",
+    "scalability": "providers=8 max_files=400",
+    "segmentation": "trials=1",
+    "table3": "max_ncp=100000 rounds=1 refresh_multiplier=1",
+    "table4": "protocols=FileInsurer,Sia n_sectors=40 n_files=60",
+}
+DOMAIN_CASES = [
+    (name, key)
+    for name in sorted(SMOKE)
+    for key in sorted(get_scenario(name).params)
+    if key != "backend"
+]
 
-    #: What each scenario's trial calls first, so a trial that runs shows.
-    FIRST_CALL = {
-        "scalability": (scalability, "run_fill_experiment"),
-        "deposit": (deposit, "run_protocol_check"),
-        "churn": (churn, "DSNScenario"),
-    }
 
-    @pytest.mark.parametrize(
-        "name, override",
-        [
-            ("scalability", "providers=0"),
-            ("scalability", "k=0"),
-            ("scalability", "max_files=-5"),
-            ("scalability", "add_batch=0"),
-            ("deposit", "files=0"),
-            ("deposit", "n_providers=0"),
-            ("deposit", "k=0"),
-            ("churn", "providers=0"),
-            ("churn", "clients=0"),
-            ("churn", "sectors_per_provider=0"),
-        ],
-    )
-    def test_zero_size_runs_nothing(self, name, override, monkeypatch, capsys):
-        trials = []
-        monkeypatch.setattr(*self.FIRST_CALL[name], lambda *args, **kwargs: trials.append(1))
-        assert main(["run", name, "--quiet", "--set", override]) == 2
-        captured = capsys.readouterr()
-        key = override.partition("=")[0]
-        assert f"scenario {name!r} parameter {key!r} must be positive" in captured.err
-        assert captured.out == "" and trials == []
+def _boundary_values(param):
+    """``(value, verdict)`` pairs: the values every parameter is fed (None:
+    either verdict) plus, from the declared domain, each closed bound and
+    choice ("run") and the nearest value outside each bound ("refuse")."""
+    default = param.default
+    kind = type(default[0]) if isinstance(default, tuple) else type(default)
+    wrong_type = "true" if kind is float else "0.5"
+    universal = ("0", "-1", "nan", "inf", str(2**63), "", wrong_type, "Bogus")
+    cases = dict.fromkeys(universal)
+    domain = param.domain
+    if isinstance(domain, tuple):
+        cases.update((str(choice), "run") for choice in domain)
+    elif domain is not None:
+
+        def text(number):  # "0", not "0.0": one case with the universal "0"
+            return str(int(number)) if float(number).is_integer() else repr(number)
+
+        low, high = (float(bound) for bound in domain[1:-1].split(","))
+        for bound, closed, away in ((low, domain[0] == "[", -1), (high, domain[-1] == "]", 1)):
+            if math.isinf(bound):
+                continue
+            if not closed:
+                cases[text(bound)] = "refuse"
+                continue
+            outside = bound + away if kind is int else math.nextafter(bound, away * math.inf)
+            cases.update({text(bound): "run", text(outside): "refuse"})
+    return cases.items()
+
+
+class TestParameterDomains:
+    """Every parameter's declared domain is checked before any trial: a
+    boundary value either runs the scenario at its smoke shape or exits 2
+    naming the parameter -- never a traceback, a nameless error or a hang."""
+
+    @pytest.mark.parametrize("name, key", DOMAIN_CASES)
+    def test_boundary_values_run_or_are_refused_by_name(self, name, key, capsys, time_limit):
+        spec = get_scenario(name)
+        default = spec.params[key].default
+        assert resolve_params(spec, {key: default})[key] == default, "default out of domain"
+        shape = [arg for pair in SMOKE[name].split() for arg in ("--set", pair)]
+        failures = []
+        for value, verdict in _boundary_values(spec.params[key]):
+            argv = ["run", name, "--quiet", "--workers", "1", *shape, "--set", f"{key}={value}"]
+            try:
+                with time_limit(10):
+                    code = main(argv)
+            except Exception as error:  # every escape is a finding, not a crash of the test
+                code = f"raised {error!r}"
+            out, err = capsys.readouterr()
+            refused = code == 2 and f"parameter {key!r}" in err and out == ""
+            if not (code == 0 and verdict != "refuse" or refused and verdict != "run"):
+                failures.append(f"{key}={value!r}: exit {code}, stderr {err.strip()[-200:]!r}")
+        assert not failures, f"scenario {name!r} parameter {key!r}:\n" + "\n".join(failures)
 
 
 class TestCollision:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -246,10 +247,15 @@ class TestEventGenerators:
         # Rate 2/s over 50s: ~100 arrivals; a 3x band is a safe regression.
         assert 30 < len(a) < 300
 
-    def test_poisson_times_edge_cases(self):
+    def test_poisson_times_edge_cases(self, time_limit):
         prng = DeterministicPRNG.from_int(0, domain="t")
         assert poisson_times(prng, 0.0, 10.0) == []
         assert poisson_times(prng, 1.0, 0.0) == []
+        # Both used to append arrivals until memory ran out.
+        with time_limit(2):
+            for rate, horizon in ((math.nan, 10.0), (1.0, math.inf)):
+                with pytest.raises(ValueError, match="finite rate and horizon"):
+                    poisson_times(prng, rate, horizon)
 
     def test_flash_crowd_windows_fit_horizon(self):
         windows = flash_crowd_windows(
