@@ -59,20 +59,53 @@ class DuplicateScenarioError(ScenarioError):
 
 
 @dataclass(frozen=True)
+class Interval:
+    """An interval domain, parsed once from its notation (``"[1, inf)"``)."""
+
+    text: str
+    low: float
+    high: float
+    closed_low: bool
+    closed_high: bool
+
+    @classmethod
+    def parse(cls, text: str) -> "Interval":
+        low, comma, high = text[1:-1].partition(",")
+        try:
+            if not (comma and text[0] in "[(" and text[-1] in "])"):
+                raise ValueError(text)
+            return cls(text, float(low), float(high), text[0] == "[", text[-1] == "]")
+        except ValueError:
+            raise ValueError(f"domain {text!r} is not an interval such as '[1, inf)'") from None
+
+    def __contains__(self, item: object) -> bool:
+        above_low = self.low < item or self.closed_low and item == self.low  # type: ignore[operator]
+        return above_low and (item < self.high or self.closed_high and item == self.high)  # type: ignore[operator]
+
+    def __str__(self) -> str:
+        return self.text
+
+
+@dataclass(frozen=True)
 class ParamSpec:
     """One scenario parameter: a default value, help text and its domain.
 
     The parameter's type is the type of its default; the CLI coerces
     ``--set`` overrides to that type (comma-separated lists for tuple
     defaults).  ``domain`` says what the type does not: an interval such
-    as ``"[1, inf)"``, ``"(0, inf)"`` or ``"[0, 1]"``, or a tuple of the
-    allowed choices; for a tuple parameter it applies to every element.
-    ``None`` leaves the type as the whole domain.
+    as ``"[1, inf)"``, ``"(0, inf)"`` or ``"[0, 1]"`` (parsed into an
+    :class:`Interval` here, so a malformed one fails where it is
+    declared), or a tuple of the allowed choices; for a tuple parameter it
+    applies to every element.  ``None`` leaves the type as the whole domain.
     """
 
     default: object
     help: str = ""
-    domain: Union[str, Tuple[object, ...], None] = None
+    domain: Union[str, Interval, Tuple[object, ...], None] = None
+
+    def __post_init__(self) -> None:
+        if isinstance(self.domain, str):
+            object.__setattr__(self, "domain", Interval.parse(self.domain))
 
     @property
     def type(self) -> type:
@@ -213,7 +246,7 @@ def coerce_value(text: str, spec: ParamSpec) -> object:
     return _coerce_scalar(text, type(spec.default))
 
 
-def _fits(item: object, kind: type, domain: Union[str, Tuple[object, ...], None]) -> bool:
+def _fits(item: object, kind: type, domain: Union[Interval, Tuple[object, ...], None]) -> bool:
     """``item`` is a ``kind`` in ``domain``, under the two rules every
     parameter gets: a float is finite, an int fits in int64."""
     if isinstance(item, bool) != (kind is bool) or not isinstance(item, kind):
@@ -222,12 +255,7 @@ def _fits(item: object, kind: type, domain: Union[str, Tuple[object, ...], None]
         return False
     if kind is int and not -(2**63) <= item < 2**63:  # type: ignore[operator]
         return False
-    if domain is None or isinstance(domain, tuple):
-        return domain is None or item in domain
-    low, high = (float(bound) for bound in domain[1:-1].split(","))
-    return (low < item or (domain[0] == "[" and item == low)) and (
-        item < high or (domain[-1] == "]" and item == high)
-    )
+    return domain is None or item in domain
 
 
 _KIND_NAMES = {bool: "a bool", int: "an int64", float: "a finite float", str: "a str"}
@@ -249,10 +277,8 @@ def _conform(scenario: str, key: str, param: ParamSpec, value: object) -> object
             checked = coerce_value(value, param)
         except ValueError:
             checked = None  # refused below like any other mistyped value
-    if isinstance(checked, list):
-        checked = tuple(checked)
     if sequence:
-        items = checked if isinstance(checked, tuple) else ()
+        items = tuple(checked) if isinstance(checked, (list, tuple)) else ()
     else:
         items = (checked,)
     if kind is float:  # config formats write 1, not 1.0

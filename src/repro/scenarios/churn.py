@@ -42,7 +42,12 @@ from typing import Dict, Mapping
 from repro.core.params import ProtocolParams
 from repro.crypto.prng import DeterministicPRNG
 from repro.runner.aggregate import compact_summary, summarize
-from repro.runner.registry import BACKEND_PARAM, ParamSpec, repeated_trials, scenario
+from repro.runner.registry import (
+    BACKEND_PARAM,
+    ParamSpec,
+    repeated_trials,
+    scenario,
+)
 from repro.sim.adversary import GreedyCapacityAdversary
 from repro.sim.scenario import DSNScenario, ScenarioConfig
 

@@ -78,16 +78,20 @@ def run_protocol_check(
         auto_prove=True,
         backend=backend,
     )
+    # Every owner affords its sector's deposit at any ratio, plus 10M for gas.
+    balance = params.sector_deposit(params.min_capacity) + 10_000_000
     for index in range(n_providers):
         owner = f"prov-{index}"
-        ledger.mint(owner, 10_000_000)
+        ledger.mint(owner, balance)
         protocol.sector_register(owner, params.min_capacity)
     client = "client"
     ledger.mint(client, 100_000_000)
 
-    # Admit every file: files * k * size <= providers * minCapacity / 2 keeps
-    # the replicas within the redundant-capacity budget, and size <= sizeLimit.
-    file_size = min(params.size_limit, max(1, n_providers * params.min_capacity // (4 * files * k)))
+    # Keep total replica bytes within the redundant-capacity budget so every
+    # file is admitted: files * k * size <= providers * minCapacity / 2,
+    # and size <= sizeLimit.
+    file_size = max(1, (n_providers * params.min_capacity) // (2 * files * k * 2))
+    file_size = min(file_size, params.size_limit)
     file_ids = []
     for _ in range(files):
         file_id = protocol.file_add(client, file_size, 1, b"\x00" * 32)
@@ -130,7 +134,7 @@ _SCENARIO_PARAMS = {
     "n_providers": ParamSpec(30, "providers (one sector each)", "[1, inf)"),
     "files": ParamSpec(60, "files stored before the crash", "[1, inf)"),
     "corrupt_fraction": ParamSpec(0.5, "fraction of sectors crashed", "[0, 1]"),
-    "deposit_ratio": ParamSpec(0.2, "deposit ratio prescribed for the scaled run", "[0, 1]"),
+    "deposit_ratio": ParamSpec(0.2, "deposit ratio prescribed for the scaled run", "[0, inf)"),
     "k": ParamSpec(4, "replicas per file", "[1, inf)"),
     "lambdas": ParamSpec((0.1, 0.25, 0.5, 0.75, 0.9), "bound-sweep lambdas", "(0, 1)"),
     "backend": BACKEND_PARAM,

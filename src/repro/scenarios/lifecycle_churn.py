@@ -58,14 +58,13 @@ _SCENARIO_PARAMS = {
     "slots_per_provider": ParamSpec(8, "replica slots each provider offers", "[1, inf)"),
     "files": ParamSpec(24, "files arriving in the opening Poisson window", "[0, inf)"),
     "replicas": ParamSpec(3, "replica target per file", "[1, inf)"),
-    # Events grow with horizon x rate: the caps keep one trial to seconds.
-    "horizon_s": ParamSpec(600.0, "simulated seconds to run the deployment", "(0, 3600]"),
+    "horizon_s": ParamSpec(600.0, "simulated seconds to run the deployment", "(0, inf)"),
     "mtbf_s": ParamSpec(500.0, "mean time between per-provider failures", "(0, inf)"),
     "mttr_s": ParamSpec(60.0, "mean provider crash-to-recovery delay", "(0, inf)"),
     "departures": ParamSpec(1, "providers gracefully departing mid-run", "[0, inf)"),
-    "retrieval_rate": ParamSpec(1.0, "base Poisson retrieval arrivals per second", "[0, 10]"),
+    "retrieval_rate": ParamSpec(1.0, "base Poisson retrieval arrivals per second", "[0, inf)"),
     "flash_crowds": ParamSpec(1, "flash-crowd burst windows in the horizon", "[0, inf)"),
-    "flash_multiplier": ParamSpec(8.0, "retrieval-rate multiplier inside a burst", "[1, 100]"),
+    "flash_multiplier": ParamSpec(8.0, "retrieval-rate multiplier inside a burst", "[1, inf)"),
     "regional_failures": ParamSpec(1, "correlated whole-region failure events", "[0, inf)"),
     "degrade_timeout_s": ParamSpec(180.0, "degradation deadline a refresh races", "(0, inf)"),
     "delay_per_size": ParamSpec(5e-5, "DelayPerSize retrieval deadline (s/byte)", "(0, inf)"),
@@ -75,27 +74,13 @@ _SCENARIO_PARAMS = {
 
 
 def run_lifecycle_churn_trial(task: Mapping[str, object]) -> Dict[str, object]:
-    """Run one event-driven deployment to the horizon and report its row."""
-    config = LifecycleConfig(
-        providers=int(task["providers"]),  # type: ignore[arg-type]
-        regions=int(task["regions"]),  # type: ignore[arg-type]
-        slots_per_provider=int(task["slots_per_provider"]),  # type: ignore[arg-type]
-        files=int(task["files"]),  # type: ignore[arg-type]
-        replicas=int(task["replicas"]),  # type: ignore[arg-type]
-        horizon_s=float(task["horizon_s"]),  # type: ignore[arg-type]
-        mtbf_s=float(task["mtbf_s"]),  # type: ignore[arg-type]
-        mttr_s=float(task["mttr_s"]),  # type: ignore[arg-type]
-        departures=int(task["departures"]),  # type: ignore[arg-type]
-        retrieval_rate=float(task["retrieval_rate"]),  # type: ignore[arg-type]
-        flash_crowds=int(task["flash_crowds"]),  # type: ignore[arg-type]
-        flash_multiplier=float(task["flash_multiplier"]),  # type: ignore[arg-type]
-        regional_failures=int(task["regional_failures"]),  # type: ignore[arg-type]
-        degrade_timeout_s=float(task["degrade_timeout_s"]),  # type: ignore[arg-type]
-        delay_per_size=float(task["delay_per_size"]),  # type: ignore[arg-type]
-        backend=str(task["backend"]),
-        seed=int(task["seed"]),  # type: ignore[arg-type]
-    )
-    return LifecycleSimulation(config).run()
+    """Run one event-driven deployment to the horizon and report its row.
+
+    Every parameter but ``trials`` is the :class:`LifecycleConfig` field of
+    the same name, already of its type: ``resolve_params`` checked it.
+    """
+    fields = {key: task[key] for key in _SCENARIO_PARAMS if key != "trials"}
+    return LifecycleSimulation(LifecycleConfig(**fields, seed=task["seed"])).run()  # type: ignore[arg-type]
 
 
 def _aggregate(rows, params):

@@ -60,8 +60,7 @@ _SCENARIO_PARAMS = {
     "replicas": ParamSpec(3, "providers hosting each file", "[1, inf)"),
     "mean_kib": ParamSpec(32, "mean file size in KiB", "[1, inf)"),
     "requests": ParamSpec(60, "requests per trial", "[1, inf)"),
-    # A trial draws max(rate, requests) arrivals: the cap keeps it finite.
-    "rates": ParamSpec((2.0, 8.0, 16.0), "request arrival rates (per second) to sweep", "(0, 1e5]"),
+    "rates": ParamSpec((2.0, 8.0, 16.0), "request arrival rates (per second) to sweep", "(0, inf)"),
     "selfish_fraction": ParamSpec(0.0, "fraction of providers refusing to serve", "[0, 1]"),
     "bandwidth_kibps": ParamSpec(64.0, "per-provider service bandwidth (KiB/s)", "(0, inf)"),
     "delay_per_size": ParamSpec(
@@ -154,7 +153,7 @@ def run_retrieval_trial(task: Mapping[str, object]) -> Dict[str, object]:
     rate = float(task["rate_per_s"])  # type: ignore[arg-type]
     request_count = int(task["requests"])  # type: ignore[arg-type]
     horizon = max(1.0, request_count / rate)
-    arrivals = generator.poisson_arrival_times(rate, horizon)[:request_count]
+    arrivals = generator.poisson_arrival_times(rate, horizon, limit=request_count)
     while len(arrivals) < request_count:  # thin tails: keep the count exact
         arrivals.append((arrivals[-1] if arrivals else 0.0) + 1.0 / rate)
 

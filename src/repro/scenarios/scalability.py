@@ -179,17 +179,14 @@ _SCENARIO_PARAMS = {
 }
 
 
+#: The parameters every fill hands to :func:`run_fill_experiment`.
+_FILL_ARGS = ("k", "file_size_fraction", "backend", "add_batch", "max_files")
+
+
 def _build_trials(params):
     """One fill-until-failure deployment per network size."""
     return [
-        {
-            "n_providers": int(n_providers),
-            "k": params["k"],
-            "file_size_fraction": params["file_size_fraction"],
-            "backend": params["backend"],
-            "add_batch": params["add_batch"],
-            "max_files": params["max_files"],
-        }
+        {"n_providers": n_providers, **{key: params[key] for key in _FILL_ARGS}}
         for n_providers in params["providers"]
     ]
 
@@ -220,10 +217,6 @@ def _scalability_trial(task) -> Dict[str, object]:
     """Fill one deployment until allocation fails."""
     return run_fill_experiment(
         n_providers=task["n_providers"],
-        k=task["k"],
-        file_size_fraction=task["file_size_fraction"],
         seed=task["seed"],
-        backend=task["backend"],
-        add_batch=task["add_batch"],
-        max_files=task["max_files"],
+        **{key: task[key] for key in _FILL_ARGS},
     )

@@ -53,17 +53,12 @@ from repro.sim.workload import FileSizeDistribution, WorkloadGenerator
 
 __all__ = ["run_segmentation_trial"]
 
-#: Sampled file sizes are capped at this many sector capacities.
-_MAX_SIZE_RATIO = 8
-
 _SCENARIO_PARAMS = {
     "size_ratios": ParamSpec(
-        (0.5, 1.0, 2.0, 4.0),
-        "mean file size as a multiple of sector capacity",
-        f"(0, {_MAX_SIZE_RATIO}]",
+        (0.5, 1.0, 2.0, 4.0), "mean file size as a multiple of sector capacity", "(0, inf)"
     ),
     "limit_fractions": ParamSpec(
-        (0.25, 0.5), "sizeLimit as a fraction of sector capacity", "(0, 1]"
+        (0.25, 0.5), "sizeLimit as a fraction of sector capacity", "(0, inf)"
     ),
     "sector_kib": ParamSpec(64, "sector capacity in KiB", "[1, inf)"),
     "min_sectors": ParamSpec(16, "floor on sectors in the placement simulation", "[0, inf)"),
@@ -148,7 +143,7 @@ def run_segmentation_trial(task: Mapping[str, object]) -> Dict[str, object]:
             count=int(task["n_files"]),  # type: ignore[arg-type]
             mean_size=mean_size,
             distribution=FileSizeDistribution.EXPONENTIAL,
-            max_size=_MAX_SIZE_RATIO * sector_capacity,
+            max_size=8 * sector_capacity,
         )
     ]
 

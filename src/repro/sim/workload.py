@@ -119,9 +119,10 @@ class WorkloadGenerator:
             raise ValueError("mean_size must be positive")
         unit_sizes = self.backup_sizes(distribution, count)
         mean_of_unit = float(np.mean(unit_sizes)) or 1.0
-        scaled = np.maximum(1, np.round(unit_sizes * (mean_size / mean_of_unit))).astype(int)
-        if max_size is not None:
+        scaled = np.maximum(1, np.round(unit_sizes * (mean_size / mean_of_unit)))
+        if max_size is not None:  # clamped as floats: a huge mean must not wrap int64
             scaled = np.minimum(scaled, max_size)
+        scaled = scaled.astype(int)
         if value_weights is not None:
             weights = np.asarray(value_weights, dtype=float)
             weights = weights / weights.sum()
@@ -150,13 +151,16 @@ class WorkloadGenerator:
     # ------------------------------------------------------------------
     # Arrival processes
     # ------------------------------------------------------------------
-    def poisson_arrival_times(self, rate_per_s: float, horizon_s: float) -> List[float]:
-        """Event times of a Poisson process with ``rate_per_s`` over a horizon."""
+    def poisson_arrival_times(
+        self, rate_per_s: float, horizon_s: float, limit: Optional[int] = None
+    ) -> List[float]:
+        """Event times of a Poisson process with ``rate_per_s`` over a horizon,
+        the first ``limit`` of them when one is given."""
         if rate_per_s <= 0 or horizon_s <= 0:
             return []
         times: List[float] = []
         t = 0.0
-        while True:
+        while limit is None or len(times) < limit:
             t += float(self._rng.exponential(1.0 / rate_per_s))
             if t > horizon_s:
                 break

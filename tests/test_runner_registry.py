@@ -172,3 +172,16 @@ class TestParamResolution:
     def test_bad_boolean_rejected(self):
         with pytest.raises(ValueError):
             coerce_value("maybe", ParamSpec(True))
+
+    def test_interval_domain_parsed_where_declared(self):
+        domain = ParamSpec(1, "a count", "[1, inf)").domain
+        assert (domain.low, domain.high, domain.closed_low, domain.closed_high) == (
+            1.0,
+            float("inf"),
+            True,
+            False,
+        )
+        assert str(domain) == "[1, inf)" and 1 in domain and 0 not in domain
+        for typo in ("[1 inf)", "1, inf", "[1, x)", ""):
+            with pytest.raises(ValueError, match="is not an interval such as"):
+                ParamSpec(1, "a count", typo)

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.analysis import theorem4_deposit_ratio_bound
 from repro.kernels import ReferenceKernels
 from repro.runner.cli import main
 from repro.runner.executor import derive_trial_seed, run_scenario
@@ -437,12 +438,20 @@ DOMAIN_CASES = [
 def _boundary_values(param):
     """``(value, verdict)`` pairs: the values every parameter is fed (None:
     either verdict) plus, from the declared domain, each closed bound and
-    choice ("run") and the nearest value outside each bound ("refuse")."""
+    choice ("run") and the nearest value outside each bound ("refuse").
+
+    2**63 is a finite float, so an unbounded float domain takes it, and it
+    may ask for work no host finishes (``horizon_s=2**63`` simulates 2**63
+    seconds): for a float parameter its verdict is "long", either verdict
+    or still running when a 0.25 s alarm fires (a bad value fails while
+    the trial is set up, well inside that)."""
     default = param.default
     kind = type(default[0]) if isinstance(default, tuple) else type(default)
     wrong_type = "true" if kind is float else "0.5"
     universal = ("0", "-1", "nan", "inf", str(2**63), "", wrong_type, "Bogus")
     cases = dict.fromkeys(universal)
+    if kind is float:
+        cases[str(2**63)] = "long"
     domain = param.domain
     if isinstance(domain, tuple):
         cases.update((str(choice), "run") for choice in domain)
@@ -451,8 +460,10 @@ def _boundary_values(param):
         def text(number):  # "0", not "0.0": one case with the universal "0"
             return str(int(number)) if float(number).is_integer() else repr(number)
 
-        low, high = (float(bound) for bound in domain[1:-1].split(","))
-        for bound, closed, away in ((low, domain[0] == "[", -1), (high, domain[-1] == "]", 1)):
+        for bound, closed, away in (
+            (domain.low, domain.closed_low, -1),
+            (domain.high, domain.closed_high, 1),
+        ):
             if math.isinf(bound):
                 continue
             if not closed:
@@ -466,7 +477,8 @@ def _boundary_values(param):
 class TestParameterDomains:
     """Every parameter's declared domain is checked before any trial: a
     boundary value either runs the scenario at its smoke shape or exits 2
-    naming the parameter -- never a traceback, a nameless error or a hang."""
+    naming the parameter -- never a traceback or a nameless error, and
+    never a hang on a non-finite value."""
 
     @pytest.mark.parametrize("name, key", DOMAIN_CASES)
     def test_boundary_values_run_or_are_refused_by_name(self, name, key, capsys, time_limit):
@@ -478,13 +490,18 @@ class TestParameterDomains:
         for value, verdict in _boundary_values(spec.params[key]):
             argv = ["run", name, "--quiet", "--workers", "1", *shape, "--set", f"{key}={value}"]
             try:
-                with time_limit(10):
+                with time_limit(0.25 if verdict == "long" else 10):
                     code = main(argv)
             except Exception as error:  # every escape is a finding, not a crash of the test
-                code = f"raised {error!r}"
+                long = verdict == "long" and isinstance(error, TimeoutError)
+                code = "still running" if long else f"raised {error!r}"
             out, err = capsys.readouterr()
             refused = code == 2 and f"parameter {key!r}" in err and out == ""
-            if not (code == 0 and verdict != "refuse" or refused and verdict != "run"):
+            if not (
+                code == 0 and verdict != "refuse"
+                or refused and verdict != "run"
+                or code == "still running"
+            ):
                 failures.append(f"{key}={value!r}: exit {code}, stderr {err.strip()[-200:]!r}")
         assert not failures, f"scenario {name!r} parameter {key!r}:\n" + "\n".join(failures)
 
@@ -588,6 +605,16 @@ class TestDeposit:
         assert check["full_compensation"]
         assert check["shortfalls"] == 0
         assert check["confiscated_deposits"] >= check["compensated_value"]
+
+    def test_theorem4_prescription_above_one_runs(self):
+        """The deposit ratio is total deposits over the maximum storable
+        value, not a probability: Theorem 4 prescribes more than 1 for the
+        scenario's own defaults (k=4, capPara=2*60/30, Ns=30, lambda=0.5),
+        and every owner is minted enough to pledge it."""
+        ratio = theorem4_deposit_ratio_bound(lam=0.5, k=4, ns=30, cap_para=4.0)
+        assert ratio == pytest.approx(4.27, abs=0.01)
+        manifest = run_scenario("deposit", {"checks": 1, "deposit_ratio": ratio}, workers=1)
+        assert manifest.rows[0]["full_compensation"]
 
 
 class TestScalability:
