@@ -1,16 +1,17 @@
-"""Kernel benchmark artifact: reference vs vectorized, as JSON.
+"""Kernel benchmark artifact: vectorized kernels vs their oracle, as JSON.
 
 Times the three extracted hot loops -- Table III refresh churn, the
 Section V-C greedy adversary, and ``RandomSector()`` batched weighted
-draws (one draw request, and File Add's one long place run) -- on both
-:mod:`repro.kernels` backends at the pinned benchmark
+draws (one draw request, and File Add's one long place run) -- on the
+:mod:`repro.kernels` vectorized kernels and on the per-item oracle of
+``tests/kernel_oracle.py`` (``reference``) at the pinned benchmark
 shapes (defined once in :mod:`kernel_shapes`, shared with the pytest
-gates), verifies the backends agree (identical ``PlacementResult`` /
+gates), verifies the two agree (identical ``PlacementResult`` /
 identical chosen sector sets in both placement forms / identical
 drawn-key sequences), and writes a machine-readable
 ``BENCH_kernels.json`` for the CI `bench-smoke` job to upload.  Exits
-non-zero when the vectorized backend is not faster than reference on any
-kernel, or when the refresh or sampler speedup (either request form)
+non-zero when the vectorized kernels are not faster than the oracle on
+any kernel, or when the refresh or sampler speedup (either request form)
 misses its acceptance bar; the array-placement attack
 (``greedy_array_placements``, vectorized only -- the rescanning oracle
 does not finish that shape in seconds) and the two paper-scale refresh
@@ -81,7 +82,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # Correctness first: the artifact is meaningless if the backends drift.
+    # Correctness first: the artifact is meaningless if the kernels drift.
     assert run_refresh("reference") == run_refresh("vectorized"), (
         "refresh kernels disagree between backends"
     )

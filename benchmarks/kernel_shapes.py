@@ -6,20 +6,29 @@ CI artifact gate (``bench_kernels.py``) measuring the *same* thing --
 retuning a shape or a bar here retunes all of them together.
 
 Importable both under pytest (which puts ``benchmarks/`` on ``sys.path``)
-and from ``bench_kernels.py`` run as a script.
+and from ``bench_kernels.py`` run as a script.  The ``run_*`` helpers take
+an implementation name: ``"vectorized"``, the program's kernels, or
+``"reference"``, the oracle of ``tests/kernel_oracle.py`` that every
+speedup gate divides by.
 """
 
 from __future__ import annotations
 
 import gc
+import sys
 import time
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
+from repro.kernels import sampler_stream
 from repro.sim.adversary import GreedyCapacityAdversary
 from repro.sim.placement import PlacementExperiment, PlacementResult
 from repro.sim.workload import FileSizeDistribution
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from kernel_oracle import BACKENDS  # noqa: E402
 
 #: Refresh shape: big enough that per-refresh cost dominates setup,
 #: small enough to finish a round in well under a second.
@@ -29,14 +38,14 @@ REFRESH_MULTIPLIER = 10  # => 200_000 refreshes per measured round
 REFRESH_DISTRIBUTION = FileSizeDistribution.EXPONENTIAL
 
 #: Kernel-extraction acceptance bar: vectorized refresh must beat the
-#: reference loop by at least this factor at the pinned shape.
+#: oracle loop by at least this factor at the pinned shape.
 MIN_REFRESH_SPEEDUP = 5.0
 
 #: Paper-scale refresh shapes: one 10^6-move batch on 10^6 backups, at the
 #: paper's Ncp/Ns = 1000 (few groups: the segment-loop replay) and over
 #: 10^5 sectors (the padded-table replay, which no e2e workload reaches).
 #: They track the absolute rate at paper scale, so they are timed on the
-#: vectorized backend only (the backends are compared at the pinned shape
+#: vectorized kernels only (they meet the oracle at the pinned shape
 #: above); recorded as moves/s, never gated.
 REFRESH_SCALE_N_BACKUPS = 1_000_000
 REFRESH_SCALE_SHAPES = {
@@ -55,9 +64,9 @@ ADVERSARY_BUDGET = 0.4
 #: Array-placement shape: one Theorem 3 trial's targeted attack as
 #: ``simulate_loss`` hands it over -- 10^4 files x 10 replicas over 10^4
 #: unit sectors as one 2-D array, half the capacity corrupted.  Beyond
-#: what the rescanning reference finishes in seconds, so it is timed on
-#: the vectorized backend only (the backends are compared at the pinned
-#: shape above, in both placement forms); recorded, never gated.
+#: what the rescanning oracle finishes in seconds, so it is timed on the
+#: vectorized kernels only (they meet the oracle at the pinned shape
+#: above, in both placement forms); recorded, never gated.
 GREEDY_ARRAY_N_SECTORS = 10_000
 GREEDY_ARRAY_N_FILES = 10_000
 GREEDY_ARRAY_REPLICAS = 10
@@ -85,7 +94,7 @@ FILE_ADD_SLOT_CAPACITY = 1 << 20
 
 def run_refresh(backend: str) -> PlacementResult:
     """One measured round of the pinned refresh workload."""
-    return PlacementExperiment(seed=0, backend=backend).run_refresh(
+    return PlacementExperiment(seed=0, backend=BACKENDS[backend]).run_refresh(
         REFRESH_DISTRIBUTION,
         REFRESH_N_BACKUPS,
         REFRESH_N_SECTORS,
@@ -94,8 +103,8 @@ def run_refresh(backend: str) -> PlacementResult:
 
 
 def run_refresh_scale(n_sectors: int) -> PlacementResult:
-    """One 10^6-move batch at a paper-scale shape (vectorized backend)."""
-    return PlacementExperiment(seed=0, backend="vectorized").run_refresh(
+    """One 10^6-move batch at a paper-scale shape (vectorized kernels)."""
+    return PlacementExperiment(seed=0).run_refresh(
         REFRESH_DISTRIBUTION,
         REFRESH_SCALE_N_BACKUPS,
         n_sectors,
@@ -120,16 +129,16 @@ def run_greedy(backend: str, as_array: bool = False):
     capacities, placements, values = adversary_workload()
     if as_array:
         placements = np.array(placements)
-    adversary = GreedyCapacityAdversary(seed=1, backend=backend)
+    adversary = GreedyCapacityAdversary(seed=1, backend=BACKENDS[backend])
     return adversary.choose_sectors(capacities, placements, values, ADVERSARY_BUDGET)
 
 
 def run_greedy_array_placements():
-    """One targeted attack at the array-placement shape (vectorized backend)."""
+    """One targeted attack at the array-placement shape (vectorized kernels)."""
     placements = np.random.default_rng(7).integers(
         0, GREEDY_ARRAY_N_SECTORS, (GREEDY_ARRAY_N_FILES, GREEDY_ARRAY_REPLICAS)
     )
-    adversary = GreedyCapacityAdversary(seed=1, backend="vectorized")
+    adversary = GreedyCapacityAdversary(seed=1)
     return adversary.attack(
         np.ones(GREEDY_ARRAY_N_SECTORS),
         placements,
@@ -148,22 +157,18 @@ def run_sampler(backend: str) -> tuple:
     """One draw request at the pinned shape.
 
     Returns hashable result fields so the artifact gate can assert
-    cross-backend equality before timing anything.
+    oracle equality before timing anything.
     """
-    from repro.kernels import get_backend, sampler_stream
-
     weights, ops = sampler_workload()
-    result = get_backend(backend).batch_weighted_draw(sampler_stream(17, 0), weights, ops)
+    result = BACKENDS[backend].batch_weighted_draw(sampler_stream(17, 0), weights, ops)
     return result.keys.tobytes(), result.attempts, result.collisions
 
 
 def run_file_add(backend: str) -> tuple:
     """The pinned File Add place run: one op, sizes as an int64 column."""
-    from repro.kernels import get_backend, sampler_stream
-
     capacity = np.full(FILE_ADD_N_SLOTS, FILE_ADD_SLOT_CAPACITY, dtype=np.int64)
     sizes = np.full(FILE_ADD_PLACES, FILE_ADD_SIZE, dtype=np.int64)
-    result = get_backend(backend).batch_weighted_draw(
+    result = BACKENDS[backend].batch_weighted_draw(
         sampler_stream(29, 0), capacity, [("place", sizes, 1000)], free=capacity
     )
     return result.keys.tobytes(), result.attempts, result.collisions

@@ -3,19 +3,17 @@
 Section V-C's targeted adversary is the second hot loop extracted into
 :mod:`repro.kernels`.  The ``reference`` oracle rescans every candidate
 sector against every file it hosts on every pick
-(O(picks x sectors x files/sector)); the ``vectorized`` backend keeps
+(O(picks x sectors x files/sector)); the ``vectorized`` kernel keeps
 finishing-value scores between picks and pops the next sector off a lazy
 heap.  The pinned shape (defined once in
 :mod:`kernel_shapes`, shared with ``bench_kernels.py``) mirrors the
-``robustness`` scenario's Monte-Carlo geometry, scaled so the reference
+``robustness`` scenario's Monte-Carlo geometry, scaled so the oracle
 loop stays under a second.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/test_bench_adversary.py -q``.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from kernel_shapes import (
     ADVERSARY_N_FILES,
@@ -30,17 +28,16 @@ from kernel_shapes import (
 )
 
 
-@pytest.mark.parametrize("backend", ["reference", "vectorized"])
-def test_greedy_selection_throughput(benchmark, record, backend):
-    """Wall time of one full greedy selection on each backend."""
-    chosen = benchmark.pedantic(lambda: run_greedy(backend), rounds=3, iterations=1)
+def test_greedy_selection_throughput(benchmark, record):
+    """Wall time of one full greedy selection on the vectorized kernels."""
+    chosen = benchmark.pedantic(lambda: run_greedy("vectorized"), rounds=3, iterations=1)
     assert chosen  # the budget admits at least one sector
     record(
-        f"greedy choose_sectors [{backend}] "
+        "greedy choose_sectors [vectorized] "
         f"({ADVERSARY_N_FILES} files x {ADVERSARY_REPLICAS} replicas, "
         f"{ADVERSARY_N_SECTORS} sectors)",
         f"{benchmark.stats.stats.mean * 1000:.1f} ms",
-        "reference = rescan-per-pick oracle; vectorized = kept scores + lazy heap",
+        "kept scores + lazy heap",
     )
 
 
@@ -64,10 +61,10 @@ def test_array_placement_attack_recorded(benchmark, record):
 
 
 def test_backends_choose_identical_sectors_and_vectorized_is_faster(record):
-    """Cross-backend agreement plus the perf direction of the seam.
+    """Oracle agreement plus the perf direction of the kernel.
 
     The hard >= 5x acceptance gate lives in the refresh benchmark; here
-    the vectorized backend must at least beat the oracle while choosing
+    the vectorized kernel must at least beat the oracle while choosing
     the exact same sector set, whichever form the placements arrive in.
     """
     assert (

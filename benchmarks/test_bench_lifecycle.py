@@ -6,10 +6,10 @@ SimulationEngine`; this gate pins the engine's event throughput at a
 deployment shape busy enough to exercise cancellation (refresh races,
 pre-empted departures) and both kernel batches:
 
-* ``test_lifecycle_event_throughput[reference|vectorized]`` -- the
-  pinned deployment per backend, reported as engine events/second;
+* ``test_lifecycle_event_throughput`` -- the pinned deployment on the
+  vectorized kernels, reported as engine events/second;
 * ``test_lifecycle_rows_identical_across_backends`` -- the identity
-  gate: the pinned row must be bit-identical on both backends;
+  gate: the pinned row must be bit-identical on the kernel oracle;
 * ``test_lifecycle_event_cost_does_not_grow_with_the_network`` -- the
   scaling gate: cost per event at 1 000 providers against 250, which is
   what catches an O(providers) scan coming back into the event path.
@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import time
 
-import pytest
-
+from kernel_shapes import BACKENDS
 from repro.sim.lifecycle import LifecycleConfig, LifecycleSimulation
 
 #: A deployment busy enough to make engine overhead measurable: thousands
@@ -85,19 +84,19 @@ def us_per_event(providers: int) -> float:
 
 
 def run_lifecycle(backend: str):
-    sim = LifecycleSimulation(LifecycleConfig(**BENCH_CONFIG, backend=backend))
+    """The pinned deployment on ``"vectorized"`` or the ``"reference"`` oracle."""
+    sim = LifecycleSimulation(LifecycleConfig(**BENCH_CONFIG, backend=BACKENDS[backend]))
     row = sim.run()
     return row
 
 
-@pytest.mark.parametrize("backend", ["reference", "vectorized"])
-def test_lifecycle_event_throughput(benchmark, backend, record):
-    row = benchmark.pedantic(lambda: run_lifecycle(backend), rounds=3, iterations=1)
+def test_lifecycle_event_throughput(benchmark, record):
+    row = benchmark.pedantic(lambda: run_lifecycle("vectorized"), rounds=3, iterations=1)
     assert row["events_processed"] > 2_000
     assert row["events_cancelled"] > 0  # the cancel races actually ran
     events_per_second = row["events_processed"] / benchmark.stats["min"]
     record(
-        f"lifecycle events/s [{backend}]",
+        "lifecycle events/s [vectorized]",
         f"{events_per_second:,.0f}",
         "n/a (engineering gate)",
     )
@@ -107,9 +106,9 @@ def test_lifecycle_event_throughput(benchmark, backend, record):
 def test_lifecycle_rows_identical_across_backends(record):
     reference = run_lifecycle("reference")
     vectorized = run_lifecycle("vectorized")
-    assert reference == vectorized, "lifecycle rows diverge across backends"
+    assert reference == vectorized, "lifecycle rows diverge from the oracle"
     record(
-        "lifecycle cross-backend identity",
+        "lifecycle oracle identity",
         f"{reference['events_processed']} events, row identical",
         "bit-identical (acceptance gate)",
     )

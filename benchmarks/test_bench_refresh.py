@@ -1,29 +1,24 @@
 """Micro-benchmark: the ``PlacementExperiment.run_refresh`` hot path.
 
 PR 3 pinned this workload as the baseline for the kernel-extraction PR;
-the refresh loop now lives in :mod:`repro.kernels` behind a backend
-seam.  These benchmarks keep the same fixed shape (defined once in
-:mod:`kernel_shapes`, shared with ``bench_kernels.py``) so numbers stay
-comparable across commits, and now measure both backends:
+the refresh loop now lives in :mod:`repro.kernels`.  These benchmarks
+keep the same fixed shape (defined once in :mod:`kernel_shapes`, shared
+with ``bench_kernels.py``) so numbers stay comparable across commits:
 
-* ``test_refresh_loop_throughput[reference|vectorized]`` -- the refresh
-  loop on each backend, reported as refreshes/second;
+* ``test_refresh_loop_throughput`` -- the vectorized refresh loop,
+  reported as refreshes/second;
 * ``test_vectorized_refresh_speedup`` -- the acceptance gate for the
-  kernel layer: the ``vectorized`` backend must run the pinned shape at
+  kernel layer: the vectorized kernels must run the pinned shape at
   least 5x faster than the ``reference`` oracle *while producing an
   identical PlacementResult*;
 * ``test_refresh_vs_reallocate_cost_ratio`` -- the residual per-move tax:
   refresh wall time over reallocate wall time for the same number of
-  placement decisions, per backend.
+  placement decisions, on the kernels and on the oracle.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/test_bench_refresh.py -q``.
 """
 
 from __future__ import annotations
-
-import time
-
-import pytest
 
 from kernel_shapes import (
     MIN_REFRESH_SPEEDUP,
@@ -37,17 +32,16 @@ from kernel_shapes import (
 from repro.sim.placement import PlacementExperiment
 
 
-@pytest.mark.parametrize("backend", ["reference", "vectorized"])
-def test_refresh_loop_throughput(benchmark, record, backend):
-    """Refreshes/second of each kernel backend at the pinned shape."""
-    result = benchmark.pedantic(lambda: run_refresh(backend), rounds=3, iterations=1)
+def test_refresh_loop_throughput(benchmark, record):
+    """Refreshes/second of the vectorized kernels at the pinned shape."""
+    result = benchmark.pedantic(lambda: run_refresh("vectorized"), rounds=3, iterations=1)
     total_refreshes = REFRESH_MULTIPLIER * REFRESH_N_BACKUPS
     assert result.rounds == total_refreshes
     per_second = total_refreshes / benchmark.stats.stats.mean
     record(
-        f"run_refresh throughput [{backend}] ({total_refreshes} refreshes)",
+        f"run_refresh throughput [vectorized] ({total_refreshes} refreshes)",
         f"{per_second:,.0f} refreshes/s",
-        "reference = pre-kernel baseline; vectorized = grouped-scan kernel",
+        "grouped-scan kernel",
     )
 
 
@@ -83,24 +77,33 @@ def test_refresh_vs_reallocate_cost_ratio(record):
     them in ``REFRESH_MULTIPLIER`` bulk bincount rounds, refresh must
     replay every move's effect on a live placement.  A refresh can never
     be as cheap as a bulk bincount, but the vectorized kernel must shrink
-    the per-backend ratio relative to the scalar reference loop -- that
-    shrinkage *is* the extracted headroom.
+    the ratio relative to the scalar oracle loop -- that shrinkage *is*
+    the extracted headroom.  Retries once with more repeats before
+    failing, like the speedup gates.
     """
-    started = time.perf_counter()
-    PlacementExperiment(seed=0).run_reallocate(
-        REFRESH_DISTRIBUTION,
-        REFRESH_N_BACKUPS,
-        REFRESH_N_SECTORS,
-        rounds=REFRESH_MULTIPLIER,
-    )
-    reallocate_wall = max(time.perf_counter() - started, 1e-9)
 
-    ratios = {}
-    for backend in ("reference", "vectorized"):
-        ratios[backend] = best_wall(lambda: run_refresh(backend), 1) / reallocate_wall
+    def wall_ratios(repeats):
+        reallocate_wall = best_wall(
+            lambda: PlacementExperiment(seed=0).run_reallocate(
+                REFRESH_DISTRIBUTION,
+                REFRESH_N_BACKUPS,
+                REFRESH_N_SECTORS,
+                rounds=REFRESH_MULTIPLIER,
+            ),
+            repeats,
+        )
+        return {
+            backend: best_wall(lambda: run_refresh(backend), repeats) / reallocate_wall
+            for backend in ("reference", "vectorized")
+        }
+
+    ratios = wall_ratios(1)
+    if not 1.0 < ratios["vectorized"] < ratios["reference"]:  # pragma: no cover - timing
+        ratios = wall_ratios(3)
+    for backend, ratio in ratios.items():
         record(
             f"run_refresh / run_reallocate wall ratio [{backend}]",
-            f"{ratios[backend]:.1f}x",
+            f"{ratio:.1f}x",
             "same placement-decision count; lower is better",
         )
     assert 1.0 < ratios["vectorized"] < ratios["reference"]

@@ -5,11 +5,11 @@ the end-to-end scenarios once refresh and adversary selection were
 vectorized; this gate pins its kernelisation the same way
 ``test_bench_refresh.py`` pins the refresh loop:
 
-* ``test_sampler_throughput[reference|vectorized]`` -- the pinned draw
-  request on each backend, reported as draws/second;
+* ``test_sampler_throughput`` -- the pinned draw request on the
+  vectorized kernels, reported as draws/second;
 * ``test_vectorized_sampler_speedup`` -- the acceptance gate, on the two
   request forms producers send (the pinned draw request and File Add's
-  place run): the vectorized backend must run each at least
+  place run): the vectorized kernels must run each at least
   ``MIN_SAMPLER_SPEEDUP``x faster than the Fenwick oracle *while
   returning identical key sequences, attempt and collision counts*.
 
@@ -29,14 +29,13 @@ from kernel_shapes import (
 )
 
 
-@pytest.mark.parametrize("backend", ["reference", "vectorized"])
-def test_sampler_throughput(benchmark, backend, record):
-    result = benchmark.pedantic(lambda: run_sampler(backend), rounds=3, iterations=1)
+def test_sampler_throughput(benchmark, record):
+    result = benchmark.pedantic(lambda: run_sampler("vectorized"), rounds=3, iterations=1)
     keys, attempts, collisions = result
     assert attempts == SAMPLER_DRAWS
     draws_per_second = attempts / benchmark.stats["min"]
     record(
-        f"sampler draws/s [{backend}]",
+        "sampler draws/s [vectorized]",
         f"{draws_per_second:,.0f}",
         "n/a (engineering gate)",
     )
@@ -58,7 +57,7 @@ def test_vectorized_sampler_speedup(record, label, run):
     reference, reference_wall = _timed(run, "reference", 1)
     vectorized, vectorized_wall = _timed(run, "vectorized", 3)
     assert reference == vectorized, (
-        f"batch_weighted_draw backends disagree on the pinned {label}"
+        f"batch_weighted_draw disagrees with the oracle on the pinned {label}"
     )
     speedup = reference_wall / vectorized_wall
     if speedup < MIN_SAMPLER_SPEEDUP:  # one retry at higher N before failing

@@ -37,7 +37,7 @@ per-file method in task order, which operates on the views and is
 equivalent by construction.
 The differential suites in ``tests/test_core_columnar.py`` and the
 hypothesis pack enforce this the same way
-``tests/test_kernels_equivalence.py`` pins the kernel backends.
+``tests/test_kernels_equivalence.py`` pins the kernels to their oracle.
 """
 
 from __future__ import annotations

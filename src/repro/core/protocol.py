@@ -89,10 +89,10 @@ class FileInsurerProtocol:
         self.ledger = ledger or Ledger()
         self.prng = prng or DeterministicPRNG.from_int(2022, domain="fileinsurer-protocol")
         self.events = EventLog()
-        #: ``RandomSector()`` draws go through the backend-dispatched
-        #: ``batch_weighted_draw`` kernel (:mod:`repro.kernels`): sector
-        #: choices are deterministic in the protocol seed and bit-identical
-        #: across backends (``backend=None`` resolves like ``"auto"``).
+        #: ``RandomSector()`` draws go through the ``batch_weighted_draw``
+        #: kernel (:mod:`repro.kernels`): sector choices are deterministic
+        #: in the protocol seed and bit-identical on the kernel oracle
+        #: (``backend`` injects one; ``None`` runs the vectorized kernels).
         #: The selector keeps its per-slot free table incrementally (every
         #: reservation/release below reports to it), so no kernel call
         #: scans the sector records; ``draw_batch`` > 1 prefetches that
@@ -102,7 +102,6 @@ class FileInsurerProtocol:
             backend=backend,
             draw_batch=draw_batch,
         )
-        self.backend = self.selector.backend
         self.fund = InsuranceFund(self.ledger)
         self.fees = FeeEngine(self.ledger, self.params, gas_schedule)
         self.pending = PendingList()

@@ -16,6 +16,7 @@ from typing import Dict, Generic, Hashable, List, Optional, Sequence, TypeVar, U
 import numpy as np
 
 from repro.crypto.prng import DeterministicPRNG
+from repro.kernels import KernelBackend, get_backend, sampler_stream
 
 __all__ = ["SamplerInvariantError", "WeightedSampler", "CapacitySelector"]
 
@@ -188,8 +189,8 @@ class WeightedSampler(Generic[K]):
         """Sample a key with probability proportional to its weight.
 
         ``prng`` only needs a ``randint(low, high)`` method; both the
-        protocol's SHA-256 stream and the kernels' uint32 adapter
-        (:class:`repro.kernels.sampling.U32Randint`) qualify.
+        protocol's SHA-256 stream and the kernel oracle's uint32 adapter
+        (``U32Randint`` in ``tests/kernel_oracle.py``) qualify.
         """
         if self._total <= 0:
             raise ValueError("cannot sample from an empty or zero-weight sampler")
@@ -225,10 +226,10 @@ class CapacitySelector:
     Table III experiments bound.  Collisions are counted so experiments can
     report them.
 
-    Every draw goes through the backend-dispatched ``batch_weighted_draw``
-    kernel (:mod:`repro.kernels`) on dedicated per-call uint32 streams
-    whose entropy is derived once from ``prng``, so a deployment is fully
-    reproducible from its seed and *bit-identical across backends*.
+    Every draw goes through the ``batch_weighted_draw`` kernel
+    (:mod:`repro.kernels`) on dedicated per-call uint32 streams whose
+    entropy is derived once from ``prng``, so a deployment is fully
+    reproducible from its seed and *bit-identical on the kernel oracle*.
     :meth:`select_batch` amortises one kernel call over a whole replica
     set.
 
@@ -243,7 +244,7 @@ class CapacitySelector:
     overhead.  The buffer is flushed whenever membership or weights
     change, which keeps every served draw consistent with the live sector
     set; the draw *sequence* is a function of the op stream and
-    ``draw_batch`` only, so it stays bit-identical across backends.
+    ``draw_batch`` only, so it stays bit-identical on the kernel oracle.
     """
 
     #: Stream label under which the draw entropy is derived from the
@@ -254,21 +255,16 @@ class CapacitySelector:
         self,
         prng: DeterministicPRNG,
         max_attempts: int = 1000,
-        backend: Optional[Union[str, "KernelBackend"]] = None,
+        backend: Optional[Union[str, KernelBackend]] = None,
         draw_batch: int = 1,
     ) -> None:
         if draw_batch < 1:
             raise ValueError("draw_batch must be at least 1")
-        # Imported lazily so repro.kernels.reference can import this
-        # module (for the Fenwick oracle) without a cycle.
-        from repro.kernels import get_backend
-
         self.max_attempts = max_attempts
         self._sampler: WeightedSampler[str] = WeightedSampler()
         self.collisions = 0
         self.samples = 0
         self.kernels = get_backend(backend)
-        self.backend: str = self.kernels.name
         self.draw_batch = draw_batch
         #: Per-slot free capacities (int64; -1 for recycled slots, which
         #: carry weight 0 and are never drawn, so the value only has to be
@@ -288,8 +284,6 @@ class CapacitySelector:
 
     def _next_stream(self) -> "np.random.Generator":
         """A fresh dedicated uint32 stream for one kernel call."""
-        from repro.kernels import sampler_stream
-
         stream = sampler_stream(self._entropy, self._draw_calls)
         self._draw_calls += 1
         return stream

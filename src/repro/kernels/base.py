@@ -15,13 +15,15 @@ one small, numerically pinned API:
   Fenwick-style weighted draws, plain or with resample-on-full placement,
   the engine behind :class:`~repro.core.selector.CapacitySelector`.
 
-Backends must be **bit-equivalent**: for identical inputs (including the
-shared RNG draws, which happen *outside* the kernels so every backend
-consumes the same stream) the ``reference`` and ``vectorized`` backends
-return identical floats and identical sector choices.  The contract is
-enforced by ``tests/test_kernels_equivalence.py``; every implementation
-note below about operation *order* exists to keep floating-point results
-exactly equal, not merely close.
+Implementations must be **bit-equivalent**: for identical inputs
+(including the shared RNG draws, which happen *outside* the kernels so
+every implementation consumes the same stream) the program's
+:class:`~repro.kernels.vectorized.VectorizedKernels` and the per-item
+oracle in ``tests/kernel_oracle.py`` return identical floats and
+identical sector choices.  The contract is enforced by
+``tests/test_kernels_equivalence.py``; every implementation note below
+about operation *order* exists to keep floating-point results exactly
+equal, not merely close.
 
 Tie-breaking in :meth:`greedy_select` is part of the contract: candidates
 are scored by ``(finishing_value, replica_count / capacity)`` and ties
@@ -49,7 +51,7 @@ __all__ = ["KernelBackend"]
 class KernelBackend(ABC):
     """Abstract interface of one simulation-kernel implementation."""
 
-    #: Registry name of the backend (``"reference"``, ``"vectorized"``).
+    #: Name of the implementation (``"vectorized"``; the oracle's ``"reference"``).
     name: str = "?"
 
     @abstractmethod
@@ -97,8 +99,8 @@ class KernelBackend(ABC):
         *just after* any non-self move (``-inf`` when every move is a
         self-move or the batch is empty).  Backends may include
         already-dominated candidates -- e.g. the vectorized backend folds
-        in each touched sector's starting level, the reference backend
-        reports ``target_max`` exactly -- because the experiment only
+        in each touched sector's starting level, the oracle reports
+        ``target_max`` exactly -- because the experiment only
         ever folds ``batch_max`` into a running maximum that already
         covers the starting usage, where both conventions accumulate to
         bit-identical results.  Per sector, updates must be applied as
@@ -119,7 +121,7 @@ class KernelBackend(ABC):
         ``assignments`` itself is trusted state: a standing entry outside
         ``[0, len(usage))`` is the caller's corruption, reported as
         ``ValueError`` by the vectorized backend and ``IndexError`` (or a
-        wrapped negative index) by the reference loop.
+        wrapped negative index) by the oracle loop.
         """
 
     @abstractmethod

@@ -1,23 +1,19 @@
 """Shared machinery for the ``batch_weighted_draw`` kernel.
 
-Both backends implement the same *draw protocol* over a dedicated
-``uint32`` word stream, which is what makes their results bit-identical
-(see :meth:`repro.kernels.base.KernelBackend.batch_weighted_draw` for the
-full contract):
+The vectorized kernels and the test oracle implement the same *draw
+protocol* over a dedicated ``uint32`` word stream, which is what makes
+their results bit-identical (see
+:meth:`repro.kernels.base.KernelBackend.batch_weighted_draw` for the full
+contract):
 
 * :class:`U32Stream` -- a buffered view over a ``numpy`` generator's
   full-range ``uint32`` draws.  32-bit full-range draws consume the
   underlying bit-generator stream one word at a time, so the word
-  sequence is invariant under re-chunking: the reference backend taking
-  two words at a time and the vectorized backend taking thousands read
-  *the same words in the same order*.
-* :class:`U32Randint` -- the scalar rejection sampler mapping that word
-  stream to bounded integers.  It is duck-type compatible with
-  :meth:`repro.core.selector.WeightedSampler.sample`'s ``prng`` argument,
-  which is how the reference backend stays a thin wrapper over the real
-  Fenwick loop.
-* :func:`normalize_draw_request` -- one validation path for both
-  backends, so malformed requests fail identically before any word is
+  sequence is invariant under re-chunking: the oracle taking two words
+  at a time and the vectorized kernels taking thousands read *the same
+  words in the same order*.
+* :func:`normalize_draw_request` -- one validation path for every
+  backend, so malformed requests fail identically before any word is
   consumed.
 * :func:`sampler_stream` -- the canonical way callers derive the
   dedicated per-call generator from an integer entropy and a spawn key,
@@ -37,7 +33,6 @@ import numpy as np
 __all__ = [
     "MAX_TOTAL_WEIGHT",
     "BatchDrawResult",
-    "U32Randint",
     "U32Stream",
     "normalize_draw_request",
     "sampler_stream",
@@ -74,10 +69,9 @@ def sampler_stream(entropy: int, *spawn_key: int) -> np.random.Generator:
 class U32Stream:
     """Buffered full-range ``uint32`` word stream.
 
-    ``take`` consumes the next words, however many at a time: the
-    reference backend takes one candidate's words, the vectorized backend
-    a whole window of candidates, and both see identical words for every
-    candidate.
+    ``take`` consumes the next words, however many at a time: the oracle
+    takes one candidate's words, the vectorized kernels a whole window of
+    candidates, and both see identical words for every candidate.
     """
 
     def __init__(self, rng: np.random.Generator) -> None:
@@ -99,37 +93,6 @@ class U32Stream:
         words = self._buffer[self._start : self._start + count]
         self._start += count
         return words
-
-
-class U32Randint:
-    """Scalar bounded draws over a :class:`U32Stream` (the draw protocol).
-
-    ``randint(low, high)`` uses rejection sampling over whole 32-bit
-    words: with ``span = high - low + 1`` and ``bits = span.bit_length()``
-    each candidate consumes ``ceil(bits / 32)`` words, assembled
-    big-endian (first word highest) and right-shifted to keep ``bits``
-    bits; candidates at or above ``span`` are rejected and the next one
-    is consumed.  Duck-type compatible with
-    :meth:`~repro.core.selector.WeightedSampler.sample`.
-    """
-
-    def __init__(self, stream: U32Stream) -> None:
-        self._stream = stream
-
-    def randint(self, low: int, high: int) -> int:
-        if high < low:
-            raise ValueError("high must be >= low")
-        span = high - low + 1
-        bits = span.bit_length()
-        n_words = (bits + 31) >> 5
-        shift = n_words * 32 - bits
-        while True:
-            value = 0
-            for word in self._stream.take(n_words):
-                value = (value << 32) | int(word)
-            value >>= shift
-            if value < span:
-                return low + value
 
 
 @dataclass(frozen=True)

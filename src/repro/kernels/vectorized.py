@@ -1,7 +1,7 @@
-"""Vectorised kernels: numpy sorted/grouped scans, bit-equal to reference.
+"""Vectorised kernels: numpy sorted/grouped scans, bit-equal to the oracle.
 
 Four ideas carry the speedups while preserving exact floating-point
-equality with :class:`~repro.kernels.reference.ReferenceKernels`:
+equality with the per-item loops of ``tests/kernel_oracle.py``:
 
 * **refresh churn** -- a batch of moves is resolved into per-move source
   sectors in cache-sized chunks against the live assignment vector (a
@@ -50,6 +50,7 @@ from repro.kernels.sampling import (
     normalize_draw_request,
     total_weight_guard,
 )
+from repro.telemetry import traced
 
 __all__ = ["VectorizedKernels"]
 
@@ -215,15 +216,22 @@ def _accepted_prefix(
 
 
 class VectorizedKernels(KernelBackend):
-    """numpy implementations of the simulation kernels."""
+    """numpy implementations of the simulation kernels.
+
+    Every kernel records one ``kernel.<name>`` span and a work counter
+    while telemetry is enabled; neither reads an RNG word, so traced and
+    untraced results are bit-identical.
+    """
 
     name = "vectorized"
 
+    @traced("kernel.place_backups", category="kernel")
     def place_backups(
         self, rng: np.random.Generator, sizes: np.ndarray, n_sectors: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         assignments = rng.integers(0, n_sectors, sizes.shape[0])
         usage = np.bincount(assignments, weights=sizes, minlength=n_sectors)
+        telemetry.counter("kernel.place_backups.backups", int(len(sizes)))
         return assignments, usage.astype(float, copy=False)
 
     # ------------------------------------------------------------------
@@ -260,6 +268,7 @@ class VectorizedKernels(KernelBackend):
         combined &= dtype((1 << pos_bits) - 1)
         return combined
 
+    @traced("kernel.refresh_moves", category="kernel")
     def refresh_moves(
         self,
         sizes: np.ndarray,
@@ -273,6 +282,7 @@ class VectorizedKernels(KernelBackend):
             sizes, usage, assignments, chosen, targets, snapshot_after
         )
         n_moves = int(chosen.size)
+        telemetry.counter("kernel.refresh_moves.moves", n_moves)
         if n_moves == 0:
             return float("-inf"), [usage.copy() for _ in bounds]
         n_sectors = int(usage.size)
@@ -317,7 +327,7 @@ class VectorizedKernels(KernelBackend):
         n_sectors = int(usage.size)
         sector_dtype = self._index_dtype(n_sectors)
 
-        # Self-moves are no-ops in the reference loop (no usage update at
+        # Self-moves are no-ops in the oracle loop (no usage update at
         # all); dropping them here keeps the per-sector addition sequences
         # identical -- a -size/+size round-trip is not a float no-op.
         orig_move = np.flatnonzero(sources != targets)
@@ -452,6 +462,7 @@ class VectorizedKernels(KernelBackend):
     # ------------------------------------------------------------------
     # Greedy budgeted selection
     # ------------------------------------------------------------------
+    @traced("kernel.greedy_select", category="kernel")
     def greedy_select(
         self,
         capacities: np.ndarray,
@@ -462,6 +473,7 @@ class VectorizedKernels(KernelBackend):
         caps, file_of, sector_of, values_arr = normalize_placements(
             capacities, placements, values
         )
+        telemetry.counter("kernel.greedy_select.calls")
         n_sectors = int(caps.size)
         n_files = int(values_arr.size)
 
@@ -533,6 +545,7 @@ class VectorizedKernels(KernelBackend):
     # ------------------------------------------------------------------
     # Batched weighted draws
     # ------------------------------------------------------------------
+    @traced("kernel.batch_weighted_draw", category="kernel")
     def batch_weighted_draw(
         self,
         rng: np.random.Generator,
@@ -544,12 +557,13 @@ class VectorizedKernels(KernelBackend):
         engine = _WeightedDrawEngine(weight_table, rng)
         if request[0] == "draw":
             keys = engine.next_slots(request[1])
+            telemetry.counter("kernel.draws", int(keys.size))
             return BatchDrawResult(keys=keys, attempts=int(keys.size), collisions=0)
         # A place run sees one constant weight table, so the candidate
         # stream is fixed up front and whole accepted prefixes commit in one
         # vectorised step.  Only a draw whose candidate collides falls back
         # to the scalar retry loop; stream consumption (one candidate per
-        # attempt) stays identical to the reference backend.
+        # attempt) stays identical to the oracle's.
         _, run_sizes, max_attempts = request
         run_len = run_sizes.size
         placed_run = np.full(run_len, -1, dtype=np.int64)
@@ -570,7 +584,7 @@ class VectorizedKernels(KernelBackend):
                 at += first_bad
                 continue
             # Head draw collides: resolve it alone, honouring the
-            # max_attempts budget exactly as the reference loop does.
+            # max_attempts budget exactly as the oracle loop does.
             size = int(run_sizes[at])
             for _ in range(max_attempts):
                 slot = engine.next_slot()
@@ -582,6 +596,7 @@ class VectorizedKernels(KernelBackend):
                 collisions += 1
             scalar_fallback += 1
             at += 1
+        telemetry.counter("kernel.draws", attempts)
         if telemetry.is_enabled() and run_len:
             telemetry.counter(
                 "kernel.place.prefix_accepted", run_len - scalar_fallback, "kernel"

@@ -11,11 +11,7 @@ list|run|bench|diff|campaign``.
   of the same (scenario, params, seed).
 * ``repro bench <scenario> [--workers N] ...`` -- time the same scenario
   serially and with ``N`` workers, report the speedup, and verify that
-  both runs produced identical per-trial rows.  ``--backend all`` sweeps
-  every registered kernel backend in one invocation instead: one serial
-  run per backend, a comparative wall/speedup table, a cross-backend
-  row-identity check, an optional ``--min-speedup`` gate, and (with
-  ``--out``) one JSON comparison section for CI artifacts.
+  both runs produced identical per-trial rows.
 * ``repro diff <a.json> <b.json>`` -- compare two run manifests: seed and
   parameter provenance plus per-metric deltas with CI-overlap verdicts;
   exits non-zero when the manifests' metric sets do not even match.
@@ -36,11 +32,6 @@ list|run|bench|diff|campaign``.
   content-addressed result store (see :mod:`repro.campaign`);
   ``campaign run --matrix scenario:param=a,b,c`` expands a one-axis
   sweep without a spec file.
-
-``repro run|bench --backend reference|vectorized`` selects the
-simulation-kernel backend (:mod:`repro.kernels`) for scenarios that
-expose a ``backend`` parameter; the resolved name lands in the run
-manifest so ``repro diff`` flags backend drift.
 
 ``repro run <scenario> --trace out.json`` records telemetry spans across
 the executor, kernel, protocol and sim layers and writes a Chrome
@@ -73,11 +64,7 @@ from typing import Dict, List, Optional, Sequence
 from repro import telemetry
 from repro.runner.aggregate import format_table
 from repro.runner.executor import default_workers, run_scenario
-from repro.runner.registry import (
-    ScenarioError,
-    get_scenario,
-    load_builtin_scenarios,
-)
+from repro.runner.registry import ScenarioError, load_builtin_scenarios
 
 __all__ = ["main", "build_parser", "configure_logging"]
 
@@ -117,13 +104,12 @@ examples:
   repro run churn --set cycles=12 --set crash_rate=0.2 --out runs/churn.json
   repro run lifecycle_churn --set flash_crowds=2 --set regional_failures=1
   repro run churn --resume runs/churn.json --out runs/churn.json
-  repro run table3 --backend reference   # kernel backend (hot-loop oracle)
   repro run churn --trace trace.json --out runs/churn.json
   repro run churn --metrics --out runs/churn.json   # histograms + gauges
   repro run churn --profile prof/            # merged cProfile -> .pstats
   repro trace runs/churn.json            # phase breakdown of a traced run
-  repro bench churn --backend all --out BENCH_churn_backends.json
-  repro perf record BENCH_churn_backends.json
+  repro bench churn --set cycles=4 --workers 2
+  repro perf record BENCH_kernels.json
   repro perf report                      # per-bench trend vs rolling median
   repro perf check --max-regression 10   # CI gate: exit 1 on regression
   repro diff runs/a.json runs/b.json
@@ -193,27 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--out", default=None, help="write the run manifest to this JSON path"
         )
-        sub.add_argument(
-            "--backend",
-            default=None,
-            metavar="NAME",
-            help="simulation-kernel backend for scenarios with a 'backend' "
-            "parameter: auto, reference or vectorized (default: auto, i.e. "
-            "$REPRO_KERNEL_BACKEND or vectorized); shorthand for "
-            "--set backend=NAME.  'bench --backend all' sweeps every "
-            "registered backend in one invocation and reports a "
-            "comparative table",
-        )
         if name == "bench":
-            sub.add_argument(
-                "--min-speedup",
-                type=float,
-                default=0.0,
-                metavar="X",
-                help="with --backend all: fail unless the default backend "
-                "is at least X times faster than the reference backend "
-                "(default 0, no gate)",
-            )
             sub.add_argument(
                 "--history",
                 default=None,
@@ -317,9 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument(
                 "artifact",
                 nargs="+",
-                help="bench artifact JSON (BENCH_kernels.json, a "
-                "'bench --backend all' sweep, BENCH_telemetry.json, or a "
-                "run manifest)",
+                help="bench artifact JSON (BENCH_kernels.json, "
+                "BENCH_telemetry.json, or a run manifest)",
             )
         if verb == "check":
             sub.add_argument(
@@ -451,24 +416,11 @@ def _workers_or(args: argparse.Namespace, fallback: int) -> int:
     return workers
 
 
-def _overrides_with_backend(args: argparse.Namespace) -> Dict[str, str]:
-    """``--set`` overrides plus the ``--backend`` shorthand, if given."""
-    overrides = _parse_overrides(args.overrides)
-    if args.backend is not None:
-        if "backend" in overrides and overrides["backend"] != args.backend:
-            raise ScenarioError(
-                f"--backend {args.backend!r} conflicts with "
-                f"--set backend={overrides['backend']!r}"
-            )
-        overrides["backend"] = args.backend
-    return overrides
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.runner.results import RunManifest
 
     load_builtin_scenarios()
-    overrides = _overrides_with_backend(args)
+    overrides = _parse_overrides(args.overrides)
     workers = _workers_or(args, 1)
     resume = None
     if args.resume:
@@ -650,124 +602,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_backends(args: argparse.Namespace) -> int:
-    """``bench <scenario> --backend all``: one sweep over every backend.
-
-    Runs the scenario once per registered kernel backend (serially, so
-    walls are comparable), verifies the per-trial rows are identical
-    across backends, and prints one comparative table.  ``--out`` writes
-    the comparison as a single JSON section (same spirit as the
-    ``BENCH_kernels.json`` artifact); ``--min-speedup X`` turns the
-    default backend's speedup over ``reference`` into a gate.
-    """
-    import json
-
-    from repro.kernels import DEFAULT_BACKEND, available_backends
-
-    overrides = _parse_overrides(args.overrides)
-    if "backend" in overrides:
-        raise ScenarioError(
-            "--backend all conflicts with --set backend="
-            f"{overrides['backend']!r}; drop one of them"
-        )
-    spec = get_scenario(args.scenario)
-    if "backend" not in spec.params:
-        raise ScenarioError(
-            f"scenario {args.scenario!r} has no 'backend' parameter to sweep"
-        )
-
-    walls: Dict[str, float] = {}
-    manifests = {}
-    for name in available_backends():
-        started = time.perf_counter()
-        manifests[name] = run_scenario(
-            args.scenario,
-            overrides={**overrides, "backend": name},
-            workers=1,
-            seed=args.seed,
-        )
-        walls[name] = time.perf_counter() - started
-
-    reference_wall = walls.get("reference")
-    rows: List[Dict[str, object]] = []
-    speedups: Dict[str, float] = {}
-    for name in available_backends():
-        speedup = (
-            reference_wall / walls[name] if reference_wall and walls[name] > 0 else 1.0
-        )
-        speedups[name] = speedup
-        rows.append(
-            {
-                "backend": name,
-                "wall_seconds": round(walls[name], 3),
-                "speedup_vs_reference": round(speedup, 2),
-            }
-        )
-    # Compare the rows alone: the manifests' params legitimately differ
-    # in their (recorded, swept) 'backend' entry.
-    from repro.runner.results import jsonify
-
-    first = available_backends()[0]
-    identical = all(
-        jsonify(manifests[first].rows) == jsonify(manifests[name].rows)
-        for name in available_backends()[1:]
-    )
-
-    trials = manifests[first].trial_count
-    print(
-        f"bench scenario={args.scenario} trials={trials} seed={args.seed} "
-        f"backends={','.join(available_backends())}"
-    )
-    print(format_table(rows))
-    print(f"per-trial rows identical across backends: {identical}")
-
-    gate_ok = True
-    if args.min_speedup > 0:
-        achieved = speedups.get(DEFAULT_BACKEND, 1.0)
-        gate_ok = achieved >= args.min_speedup
-        verdict = "ok" if gate_ok else "FAIL"
-        print(
-            f"speedup gate: {DEFAULT_BACKEND} {achieved:.2f}x vs reference "
-            f"(required {args.min_speedup:.2f}x) -> {verdict}"
-        )
-
-    artifact = {
-        "kind": "scenario_backend_sweep",
-        "scenario": args.scenario,
-        "seed": args.seed,
-        "overrides": overrides,
-        "trials": trials,
-        "backends": {
-            name: {
-                "wall_seconds": round(walls[name], 6),
-                "speedup_vs_reference": round(speedups[name], 3),
-            }
-            for name in available_backends()
-        },
-        "rows_identical": identical,
-        "min_speedup": args.min_speedup,
-    }
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(artifact, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"comparison written to {args.out}")
-
-    from repro.telemetry import history
-
-    _append_bench_history(
-        args,
-        history.entries_from_artifact(artifact, source="repro bench --backend all"),
-        "backend-sweep",
-    )
-    return 0 if identical and gate_ok else 1
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     load_builtin_scenarios()
-    if args.backend == "all":
-        return _cmd_bench_backends(args)
-    overrides = _overrides_with_backend(args)
+    overrides = _parse_overrides(args.overrides)
     workers = _workers_or(args, default_workers())
 
     timings: List[Dict[str, object]] = []

@@ -34,7 +34,6 @@ __all__ = [
     "list_scenarios",
     "load_builtin_scenarios",
     "resolve_params",
-    "BACKEND_PARAM",
     "repeated_trials",
 ]
 
@@ -297,13 +296,6 @@ def _conform(scenario: str, key: str, param: ParamSpec, value: object) -> object
     )
 
 
-#: The reserved ``backend`` parameter, as every scenario that dispatches
-#: into :mod:`repro.kernels` declares it (see :func:`resolve_params`).
-BACKEND_PARAM = ParamSpec(
-    "auto", "simulation-kernel backend (auto, reference or vectorized)"
-)
-
-
 def resolve_params(
     spec: ScenarioSpec, overrides: Optional[Mapping[str, object]] = None
 ) -> Dict[str, object]:
@@ -314,14 +306,6 @@ def resolve_params(
     campaign specs) are taken as they are -- so every entry point fails
     on a mistyped or out-of-domain value, with the parameter named,
     before any trial is built.
-
-    ``backend`` is a *reserved* parameter name: scenarios that dispatch
-    into :mod:`repro.kernels` declare it as :data:`BACKEND_PARAM`, and the
-    resolved dictionary always carries the **concrete** backend name
-    (``"auto"`` defers to ``$REPRO_KERNEL_BACKEND``, else the built-in
-    default).  Run manifests and campaign cache keys therefore record
-    which kernels actually ran, and ``repro diff`` flags backend drift
-    like any other parameter change.
     """
     resolved = spec.default_params()
     for key, value in dict(overrides or {}).items():
@@ -331,13 +315,4 @@ def resolve_params(
                 f"scenario {spec.name!r} has no parameter {key!r}; known: {known}"
             )
         resolved[key] = _conform(spec.name, key, spec.params[key], value)
-    if isinstance(resolved.get("backend"), str):
-        from repro.kernels import KernelError, resolve_backend_name
-
-        try:
-            resolved["backend"] = resolve_backend_name(resolved["backend"])
-        except KernelError as error:
-            raise ScenarioError(
-                f"scenario {spec.name!r} parameter 'backend': {error}"
-            ) from None
     return resolved

@@ -17,18 +17,17 @@ files alive:
   compensation mechanism's response;
 * ``adversarial_loss`` -- Section V-C's robustness lens applied to the
   *post-churn* placement: a :class:`~repro.sim.adversary.GreedyCapacityAdversary`
-  (running on the backend-dispatched :mod:`repro.kernels` greedy kernel)
+  (running on the :mod:`repro.kernels` greedy kernel)
   corrupts an ``adversary_lambda`` fraction of the surviving healthy
   capacity, and the realised value-loss ratio says how much churn has
   eroded the randomness of the placement;
 * event counts (``joins``/``leaves``/``crashes``) so aggregated rows can be
   read against the realised churn intensity.
 
-The trial is backend-dispatched *end to end*: the deployment's
+The trial runs on :mod:`repro.kernels` *end to end*: the deployment's
 ``RandomSector()`` draws (initial placement and refresh targets) run on
-the ``batch_weighted_draw`` kernel of the selected backend, and the
-post-churn stress runs on the greedy kernel -- rows are bit-identical
-across ``backend=reference`` and ``backend=vectorized``.
+the ``batch_weighted_draw`` kernel, and the post-churn stress runs on the
+greedy kernel -- rows are bit-identical on the kernel oracle.
 
 Registered with :mod:`repro.runner` as ``churn``; run it with::
 
@@ -42,12 +41,7 @@ from typing import Dict, Mapping
 from repro.core.params import ProtocolParams
 from repro.crypto.prng import DeterministicPRNG
 from repro.runner.aggregate import compact_summary, summarize
-from repro.runner.registry import (
-    BACKEND_PARAM,
-    ParamSpec,
-    repeated_trials,
-    scenario,
-)
+from repro.runner.registry import ParamSpec, repeated_trials, scenario
 from repro.sim.adversary import GreedyCapacityAdversary
 from repro.sim.scenario import DSNScenario, ScenarioConfig
 
@@ -75,7 +69,6 @@ _SCENARIO_PARAMS = {
     "adversary_lambda": ParamSpec(
         0.3, "healthy-capacity fraction the post-churn greedy adversary corrupts", "[0, 1]"
     ),
-    "backend": BACKEND_PARAM,
     "trials": ParamSpec(3, "independent repetitions", "[1, inf)"),
 }
 
@@ -92,7 +85,6 @@ def run_churn_trial(task: Mapping[str, object]) -> Dict[str, object]:
             sectors_per_provider=int(task["sectors_per_provider"]),  # type: ignore[arg-type]
             client_count=int(task["clients"]),  # type: ignore[arg-type]
             seed=seed,
-            backend=str(task["backend"]),
         )
     )
 
@@ -187,7 +179,7 @@ def run_churn_trial(task: Mapping[str, object]) -> Dict[str, object]:
             values.append(float(descriptor.value))
     adversarial_loss = 0.0
     if placements and sum(capacities) > 0:
-        adversary = GreedyCapacityAdversary(seed=seed, backend=str(task["backend"]))
+        adversary = GreedyCapacityAdversary(seed=seed)
         outcome = adversary.attack(
             capacities, placements, values, float(task["adversary_lambda"])  # type: ignore[arg-type]
         )

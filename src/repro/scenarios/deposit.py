@@ -14,14 +14,14 @@ for full compensation with probability at least ``1 - c``.  This driver:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.chain.ledger import Ledger
 from repro.core.analysis import theorem4_deposit_ratio_bound
 from repro.core.params import ProtocolParams
 from repro.core.protocol import FileInsurerProtocol
 from repro.crypto.prng import DeterministicPRNG
-from repro.runner.registry import BACKEND_PARAM, ParamSpec, scenario
+from repro.runner.registry import ParamSpec, scenario
 
 __all__ = ["run_bound_sweep", "run_protocol_check"]
 
@@ -53,7 +53,6 @@ def run_protocol_check(
     deposit_ratio: float = 0.2,
     k: int = 4,
     seed: int = 1,
-    backend: Optional[str] = None,
 ) -> Dict[str, object]:
     """End-to-end compensation check on the real protocol state machine.
 
@@ -61,10 +60,7 @@ def run_protocol_check(
     a deposit ratio prescribed by Theorem 4 *for the scaled parameters*, so
     full compensation should hold except with tiny probability.  Files are
     added one at a time with fees charged -- the object engine's call
-    pattern, so that is the engine it runs on.  ``backend`` picks the
-    :mod:`repro.kernels` backend for sector draws and does not appear in
-    the result row, so ``repro diff`` can assert row identity across
-    backends.
+    pattern, so that is the engine it runs on.
     """
     params = ProtocolParams.small_test().scaled(
         k=k, deposit_ratio=deposit_ratio, cap_para=float(files) / n_providers * 2
@@ -76,7 +72,6 @@ def run_protocol_check(
         prng=DeterministicPRNG.from_int(seed, domain="deposit-exp"),
         health_oracle=lambda sector_id: True,
         auto_prove=True,
-        backend=backend,
     )
     # Every owner affords its sector's deposit at any ratio, plus 10M for gas.
     balance = params.sector_deposit(params.min_capacity) + 10_000_000
@@ -137,12 +132,11 @@ _SCENARIO_PARAMS = {
     "deposit_ratio": ParamSpec(0.2, "deposit ratio prescribed for the scaled run", "[0, inf)"),
     "k": ParamSpec(4, "replicas per file", "[1, inf)"),
     "lambdas": ParamSpec((0.1, 0.25, 0.5, 0.75, 0.9), "bound-sweep lambdas", "(0, 1)"),
-    "backend": BACKEND_PARAM,
 }
 
 
 #: The parameters every check hands to :func:`run_protocol_check`.
-_CHECK_ARGS = ("n_providers", "files", "corrupt_fraction", "deposit_ratio", "k", "backend")
+_CHECK_ARGS = ("n_providers", "files", "corrupt_fraction", "deposit_ratio", "k")
 
 
 def _build_trials(params):

@@ -21,8 +21,7 @@ impossible sequence is a typed
 :class:`~repro.sim.lifecycle.InvalidTransitionError`, not a silently
 wrong row.  The two bulk draws (capacity-weighted replica placement and
 popularity-weighted retrieval choices) are handed as single batches to
-the backend-dispatched :mod:`repro.kernels` seam, so rows are
-bit-identical across ``backend=reference`` and ``backend=vectorized``.
+:mod:`repro.kernels`, so rows are bit-identical on the kernel oracle.
 
 Reported per trial: lifecycle outcome counts (placed / refreshed / lost,
 crashes / recoveries / departures), retrieval service quality as
@@ -47,7 +46,7 @@ from __future__ import annotations
 from typing import Dict, Mapping
 
 from repro.runner.aggregate import compact_summary, summarize
-from repro.runner.registry import BACKEND_PARAM, ParamSpec, repeated_trials, scenario
+from repro.runner.registry import ParamSpec, repeated_trials, scenario
 from repro.sim.lifecycle import LifecycleConfig, LifecycleSimulation
 
 __all__ = ["run_lifecycle_churn_trial"]
@@ -68,7 +67,6 @@ _SCENARIO_PARAMS = {
     "regional_failures": ParamSpec(1, "correlated whole-region failure events", "[0, inf)"),
     "degrade_timeout_s": ParamSpec(180.0, "degradation deadline a refresh races", "(0, inf)"),
     "delay_per_size": ParamSpec(5e-5, "DelayPerSize retrieval deadline (s/byte)", "(0, inf)"),
-    "backend": BACKEND_PARAM,
     "trials": ParamSpec(3, "independent repetitions", "[1, inf)"),
 }
 

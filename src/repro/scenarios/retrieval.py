@@ -17,8 +17,8 @@ stream from :class:`~repro.sim.workload.WorkloadGenerator`:
   out the load/latency curve and the fraction of requests that violate
   the ``DelayPerSize`` deadline;
 * the request stream's popularity-weighted file choices are one batched
-  ``batch_weighted_draw`` on the backend-dispatched :mod:`repro.kernels`
-  seam (``backend`` parameter), bit-identical across backends.
+  ``batch_weighted_draw`` on :mod:`repro.kernels`, bit-identical on the
+  kernel oracle.
 
 Registered with :mod:`repro.runner` as ``retrieval_load``; run it with::
 
@@ -32,7 +32,7 @@ from typing import Dict, List, Mapping, Tuple
 from repro.crypto.prng import DeterministicPRNG
 from repro.kernels import get_backend, sampler_stream
 from repro.runner.aggregate import compact_summary, summarize
-from repro.runner.registry import BACKEND_PARAM, ParamSpec, scenario
+from repro.runner.registry import ParamSpec, scenario
 from repro.sim.lifecycle import zipf_weights
 from repro.sim.metrics import MetricSeries
 from repro.sim.network import LatencyModel
@@ -67,7 +67,6 @@ _SCENARIO_PARAMS = {
         _DELAY_PER_SIZE, "deadline seconds per byte (DelayPerSize)", "(0, inf)"
     ),
     "zipf_popularity": ParamSpec(True, "rank-weighted (1/rank) file popularity"),
-    "backend": BACKEND_PARAM,
     "trials": ParamSpec(2, "independent repetitions per rate", "[1, inf)"),
 }
 
@@ -158,14 +157,13 @@ def run_retrieval_trial(task: Mapping[str, object]) -> Dict[str, object]:
         arrivals.append((arrivals[-1] if arrivals else 0.0) + 1.0 / rate)
 
     # The whole request stream's file choices come from one batched
-    # weighted draw on the selected kernel backend: bit-identical across
-    # backends, deterministic in the trial seed.
+    # weighted draw: bit-identical on the kernel oracle, deterministic in
+    # the trial seed.
     if bool(task["zipf_popularity"]):
         popularity = zipf_weights(len(catalog))
     else:
         popularity = [1] * len(catalog)
-    backend = get_backend(str(task["backend"]))
-    requested_files = backend.batch_weighted_draw(
+    requested_files = get_backend().batch_weighted_draw(
         sampler_stream(seed, _REQUEST_STREAM),
         popularity,
         [("draw", request_count)],

@@ -19,13 +19,13 @@ network's capacity collapses (``lambda = 0.5``) the lost value is at most
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.core.analysis import expected_lost_value_fraction, theorem3_loss_ratio_bound
 from repro.runner.aggregate import summarize
-from repro.runner.registry import BACKEND_PARAM, ParamSpec, scenario
+from repro.runner.registry import ParamSpec, scenario
 from repro.sim.adversary import GreedyCapacityAdversary, RandomCapacityAdversary
 
 __all__ = ["run_bound_sweep", "simulate_loss", "run_placement_contrast"]
@@ -64,14 +64,8 @@ def simulate_loss(
     lam: float,
     seed: int = 0,
     targeted: bool = False,
-    backend: Optional[str] = None,
 ) -> float:
-    """One Monte-Carlo trial: place files i.i.d., corrupt, return loss ratio.
-
-    ``backend`` picks the greedy-selection kernel for the targeted
-    adversary (see :mod:`repro.kernels`); the choice never changes which
-    sectors are corrupted, only how fast they are found.
-    """
+    """One Monte-Carlo trial: place files i.i.d., corrupt, return loss ratio."""
     rng = np.random.default_rng(seed)
     # One draw for every replica: the same stream, value for value, as a
     # draw per file, and the array goes to the adversary as it is.
@@ -79,7 +73,7 @@ def simulate_loss(
     values = np.ones(n_files)
     capacities = np.ones(n_sectors)
     adversary = (
-        GreedyCapacityAdversary(seed=seed, backend=backend)
+        GreedyCapacityAdversary(seed=seed)
         if targeted
         else RandomCapacityAdversary(seed=seed)
     )
@@ -132,7 +126,9 @@ _SCENARIO_PARAMS = {
     "k": ParamSpec(10, "replicas per file", "[1, inf)"),
     "trials": ParamSpec(5, "Monte-Carlo repetitions per (lambda, adversary)", "[1, inf)"),
     "cap_para": ParamSpec(10.0, "capacity parameter for the bound", "(0, inf)"),
-    "backend": BACKEND_PARAM,
+    # Accepted and ignored: the kernels are not a parameter, but the
+    # end-to-end benchmark's campaign workload still passes this value.
+    "backend": ParamSpec("vectorized", "kernel backend (one choice, ignored)", ("vectorized",)),
 }
 
 
@@ -145,7 +141,6 @@ def _build_trials(params):
             "n_sectors": params["n_sectors"],
             "n_files": params["n_files"],
             "k": params["k"],
-            "backend": params["backend"],
         }
         for lam in params["lambdas"]
         for targeted in (False, True)
@@ -194,7 +189,6 @@ def _robustness_trial(task) -> Dict[str, object]:
         lam=task["lam"],
         seed=task["seed"],
         targeted=task["targeted"],
-        backend=task["backend"],
     )
     return {
         "lambda": task["lam"],

@@ -31,7 +31,7 @@ from repro.core.file_descriptor import FileState
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolError
 from repro.crypto.prng import DeterministicPRNG
-from repro.runner.registry import BACKEND_PARAM, ParamSpec, scenario
+from repro.runner.registry import ParamSpec, scenario
 
 __all__ = ["synthetic_population", "run_bound_sweep", "run_fill_experiment"]
 
@@ -93,7 +93,6 @@ def run_fill_experiment(
     k: int = 3,
     file_size_fraction: float = 0.02,
     seed: int = 3,
-    backend: Optional[str] = None,
     add_batch: int = 256,
     max_files: int = 100_000,
 ) -> Dict[str, object]:
@@ -101,10 +100,7 @@ def run_fill_experiment(
 
     The fill drives batched, fee-free ``File Add`` (``add_batch`` files per
     kernel call) -- the call pattern the columnar engine is built for, so
-    that is the engine it runs on; ``backend`` picks the :mod:`repro.kernels`
-    backend for the sector draws.  The result row never records backend or
-    batch choices, so ``repro diff`` can assert row identity across kernel
-    backends.
+    that is the engine it runs on.
     """
     params = ProtocolParams.small_test().scaled(k=k, cap_para=1000.0)
     ledger = Ledger()
@@ -115,7 +111,6 @@ def run_fill_experiment(
         health_oracle=lambda sector_id: True,
         auto_prove=True,
         charge_fees=False,
-        backend=backend,
     )
     for index in range(n_providers):
         protocol.sector_register(f"prov-{index}", params.min_capacity)
@@ -173,14 +168,13 @@ _SCENARIO_PARAMS = {
     "providers": ParamSpec((10, 20), "network sizes for the fill experiment", "[1, inf)"),
     "k": ParamSpec(3, "replicas per file", "[1, inf)"),
     "file_size_fraction": ParamSpec(0.02, "file size as a fraction of minCapacity", "(0, 1]"),
-    "backend": BACKEND_PARAM,
     "add_batch": ParamSpec(256, "files per batched File Add", "[1, inf)"),
     "max_files": ParamSpec(100_000, "stop each fill after this many stored files", "[1, inf)"),
 }
 
 
 #: The parameters every fill hands to :func:`run_fill_experiment`.
-_FILL_ARGS = ("k", "file_size_fraction", "backend", "add_batch", "max_files")
+_FILL_ARGS = ("k", "file_size_fraction", "add_batch", "max_files")
 
 
 def _build_trials(params):

@@ -26,10 +26,9 @@ and measures, per grid cell:
   framing); and a real split / drop-half / reassemble round-trip through
   :class:`~repro.crypto.erasure.ReedSolomonCode` as an integrity check.
 
-Both placement arms run as single ``batch_weighted_draw`` calls on the
-backend-dispatched :mod:`repro.kernels` seam (``backend`` parameter):
-uniform draws with retry-on-collision ``place`` semantics, bit-identical
-across backends.
+Both placement arms run as single ``batch_weighted_draw`` calls on
+:mod:`repro.kernels`: uniform draws with retry-on-collision ``place``
+semantics, bit-identical on the kernel oracle.
 
 Registered with :mod:`repro.runner` as ``segmentation``; run it with::
 
@@ -46,9 +45,9 @@ import numpy as np
 from repro.core.large_files import LargeFileCodec
 from repro.crypto.erasure import ReedSolomonCode
 from repro.crypto.prng import DeterministicPRNG
-from repro.kernels import KernelBackend, get_backend, sampler_stream
+from repro.kernels import get_backend, sampler_stream
 from repro.runner.aggregate import compact_summary, summarize
-from repro.runner.registry import BACKEND_PARAM, ParamSpec, scenario
+from repro.runner.registry import ParamSpec, scenario
 from repro.sim.workload import FileSizeDistribution, WorkloadGenerator
 
 __all__ = ["run_segmentation_trial"]
@@ -66,7 +65,6 @@ _SCENARIO_PARAMS = {
     "replicas": ParamSpec(3, "replicas placed per (segment or whole-file) unit", "[1, inf)"),
     "retries": ParamSpec(3, "re-draws allowed when a placement collides", "[0, inf)"),
     "value": ParamSpec(4, "value of each sampled file (token units)", "[1, inf)"),
-    "backend": BACKEND_PARAM,
     "trials": ParamSpec(2, "independent repetitions per grid cell", "[1, inf)"),
 }
 
@@ -96,7 +94,6 @@ def _place_units(
     min_sectors: int,
     retries: int,
     rng: "np.random.Generator",
-    backend: KernelBackend,
 ) -> int:
     """Randomly place replica units into capacity-tracked sectors.
 
@@ -106,8 +103,8 @@ def _place_units(
     relative load and failures measure *fit granularity*, not overload.
     Placement mirrors the selector: draw a uniformly random sector, retry
     on a collision (not enough free space), give up after ``retries``
-    re-draws.  The whole arm is a single ``batch_weighted_draw`` call on
-    the selected kernel backend -- equal weights make the draws uniform,
+    re-draws.  The whole arm is a single ``batch_weighted_draw`` call --
+    equal weights make the draws uniform,
     ``("place", ...)`` operations carry the retry-on-collision semantics,
     and the kernel's free-table debits track the filling sectors.
     Returns how many replica placements failed.
@@ -116,7 +113,7 @@ def _place_units(
     n_sectors = max(min_sectors, math.ceil(2 * load / sector_capacity))
     sizes = np.repeat(np.asarray(unit_sizes, dtype=np.int64), replicas)
     ops = [("place", sizes, retries + 1)]
-    result = backend.batch_weighted_draw(
+    result = get_backend().batch_weighted_draw(
         rng,
         np.ones(n_sectors, dtype=np.int64),
         ops,
@@ -181,14 +178,13 @@ def run_segmentation_trial(task: Mapping[str, object]) -> Dict[str, object]:
         data_segments_total += k_data
         total_segments_total += n_total
 
-    backend = get_backend(str(task["backend"]))
     raw_failures = _place_units(
         raw_units, replicas, sector_capacity, min_sectors, retries,
-        sampler_stream(seed, _RAW_ARM), backend,
+        sampler_stream(seed, _RAW_ARM),
     )
     seg_failures = _place_units(
         segment_units, replicas, sector_capacity, min_sectors, retries,
-        sampler_stream(seed, _SEG_ARM), backend,
+        sampler_stream(seed, _SEG_ARM),
     )
     prng = DeterministicPRNG.from_int(seed, domain="segmentation-placement")
 

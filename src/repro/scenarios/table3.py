@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.runner.registry import BACKEND_PARAM, ParamSpec, scenario
+from repro.runner.registry import ParamSpec, scenario
 from repro.sim.placement import PlacementExperiment
 
 __all__ = ["default_grid", "paper_grid"]
@@ -63,7 +63,6 @@ _SCENARIO_PARAMS = {
     "max_ncp": ParamSpec(
         10**8, "drop grid cells with more than this many backups", f"[{min(paper_grid())[0]}, inf)"
     ),
-    "backend": BACKEND_PARAM,
 }
 
 
@@ -81,7 +80,6 @@ def _build_trials(params):
             "ns": n_sectors,
             "rounds": params["rounds"],
             "refresh_multiplier": params["refresh_multiplier"],
-            "backend": params["backend"],
         }
         for mode in params["modes"]
         for n_backups, n_sectors in grid
@@ -117,7 +115,7 @@ def _aggregate(rows, params):
 )
 def _table3_trial(task) -> Dict[str, object]:
     """Run all five size distributions for one grid cell of one setting."""
-    experiment = PlacementExperiment(seed=task["seed"], backend=task["backend"])
+    experiment = PlacementExperiment(seed=task["seed"])
     results = experiment.sweep(
         grid=[(task["ncp"], task["ns"])],
         mode=task["mode"],

@@ -15,10 +15,10 @@ its sectors) or on a plain placement map, which is what the Monte-Carlo
 robustness experiments use for speed -- either a sequence of per-file
 sector sequences or, straight from a Monte-Carlo draw, one 2-D integer
 array with a row per file.  The greedy selection loop is one of the
-backend-dispatched simulation kernels (:mod:`repro.kernels`):
-``reference`` is the readable rescan-per-pick loop, ``vectorized`` keeps
+simulation kernels (:mod:`repro.kernels`): the vectorized kernel keeps
 the finishing-value scores between picks and pops the next sector off a
-lazy heap -- both choose identical sector sets.
+lazy heap, and chooses the same sector sets as the test oracle's readable
+rescan-per-pick loop.
 """
 
 from __future__ import annotations
@@ -179,9 +179,9 @@ class GreedyCapacityAdversary:
     random failures achieve at the same budget.
 
     The selection loop is a :mod:`repro.kernels` kernel: ``backend``
-    picks the implementation (``"reference"`` / ``"vectorized"`` / a
-    :class:`~repro.kernels.KernelBackend`; default the ambient backend),
-    and every backend returns the same sector set for the same inputs.
+    injects a :class:`~repro.kernels.KernelBackend` instance (``None`` or
+    ``"vectorized"`` runs the vectorized kernels), and the oracle returns
+    the same sector set for the same inputs.
     """
 
     def __init__(
@@ -191,7 +191,6 @@ class GreedyCapacityAdversary:
     ) -> None:
         self._rng = np.random.default_rng(seed)
         self.kernels = get_backend(backend)
-        self.backend = self.kernels.name
 
     def choose_sectors(
         self,

@@ -161,8 +161,12 @@ class SimulationEngine:
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run events until the queue drains, ``until`` passes, or a cap hits.
 
-        Returns the number of events processed by this call.
+        Returns the number of events processed by this call.  A NaN
+        ``until``, for which the loop's exit test is never true, raises
+        ``ValueError`` before any event runs.
         """
+        if until is not None and until != until:
+            raise ValueError("cannot run until a NaN time")
         self._stopped = False
         processed, _ = self._run(until, max_events)
         if until is not None and until > self.now:

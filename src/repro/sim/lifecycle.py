@@ -22,8 +22,8 @@ per-provider exponential failure/recovery clocks, graceful departures,
 flash-crowd retrieval bursts and correlated regional failures are all
 engine events, with the two bulk draws (capacity-weighted replica
 placement and popularity-weighted retrieval choices) handed as single
-batches to the backend-dispatched :mod:`repro.kernels` seam -- so rows
-are bit-identical across backends.  Refreshes race degradation deadlines
+batches to :mod:`repro.kernels` -- so rows are bit-identical on the
+kernel oracle.  Refreshes race degradation deadlines
 through :meth:`SimulationEngine.cancel`: whichever lands first cancels
 the other.
 
@@ -650,7 +650,7 @@ class LifecycleSimulation:
 
         # One kernel batch places every replica of every file against the
         # static capacity-weight table, debiting slots as it goes --
-        # bit-identical across backends.
+        # bit-identical on the kernel oracle.
         from repro.kernels import get_backend, sampler_stream
 
         backend = get_backend(self.config.backend)

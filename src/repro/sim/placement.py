@@ -14,10 +14,9 @@ selection, under two settings:
 Total sector capacity equals twice the total backup size (the redundant
 capacity assumption), and here all sectors have equal capacity.
 
-The inner loops live in :mod:`repro.kernels` behind a backend seam: the
-``reference`` backend is the readable per-move loop, the default
-``vectorized`` backend reproduces it bit-for-bit with grouped numpy scans
-(see ``docs/performance.md``).  The engine is deliberately
+The inner loops live in :mod:`repro.kernels`: the vectorized kernels
+reproduce the readable per-move loop of the test oracle bit-for-bit with
+grouped numpy scans (see ``docs/performance.md``).  The engine is deliberately
 batch-size-invariant: refresh moves draw from dedicated RNG streams and
 ``mean_usage`` / ``overflow_rounds`` are sampled on a fixed refresh
 cadence (every ``sample_interval`` moves, default ``Ncp``), so changing
@@ -89,11 +88,10 @@ class PlacementResult:
 class PlacementExperiment:
     """Monte-Carlo replica placement with equal-capacity sectors.
 
-    ``backend`` selects the simulation-kernel implementation: a
-    :class:`~repro.kernels.KernelBackend`, a registered name
-    (``"reference"`` / ``"vectorized"``), or ``None`` / ``"auto"`` for the
-    ambient default (``$REPRO_KERNEL_BACKEND``, else ``vectorized``).
-    Results are identical across backends for identical seeds.
+    ``backend`` injects a :class:`~repro.kernels.KernelBackend` instance
+    (the test oracle, a timing proxy); ``None`` or ``"vectorized"`` runs
+    the vectorized kernels.  Results are identical on the oracle for
+    identical seeds.
     """
 
     def __init__(
@@ -101,7 +99,6 @@ class PlacementExperiment:
     ) -> None:
         self.seed = seed
         self.kernels = get_backend(backend)
-        self.backend = self.kernels.name
         self._rng = np.random.default_rng(seed)
         # Per-call counter mixed into the refresh-move stream keys so
         # successive run_refresh calls on one experiment (e.g. the five

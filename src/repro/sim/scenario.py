@@ -69,10 +69,10 @@ class ScenarioConfig:
     provider_funds: int = 1_000_000
     client_funds: int = 1_000_000
     seed: int = 42
-    #: Simulation-kernel backend for the protocol's sector selection
-    #: (``"reference"`` / ``"vectorized"`` / ``"auto"``; ``None`` resolves
-    #: like ``"auto"``).  The deployment is deterministic in ``seed`` and
-    #: its draws are bit-identical across backends.
+    #: Kernel injection seam for the protocol's sector selection (see
+    #: :func:`repro.kernels.get_backend`; ``None`` runs the vectorized
+    #: kernels).  The deployment is deterministic in ``seed`` and its
+    #: draws are bit-identical on the kernel oracle.
     backend: Optional[str] = None
     latency: LatencyModel = field(
         default_factory=lambda: LatencyModel(

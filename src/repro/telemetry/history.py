@@ -190,8 +190,6 @@ def entries_from_artifact(
 
     * ``BENCH_kernels.json`` (``benchmarks/bench_kernels.py``): one
       entry per (kernel, backend) wall;
-    * ``repro bench <scenario> --backend all --out`` sweeps: one entry
-      per backend wall;
     * ``BENCH_telemetry.json`` (``benchmarks/bench_telemetry.py``):
       traced/untraced walls plus the overhead percentage;
     * ``BENCH_protocol.json``
@@ -242,25 +240,6 @@ def entries_from_artifact(
                 "protocol_columnar_bench artifact carries no engine walls"
             )
         return entries
-
-    if data.get("kind") == "scenario_backend_sweep":
-        scenario = str(data.get("scenario"))
-        shape = {
-            "seed": data.get("seed"),
-            "trials": data.get("trials"),
-            "overrides": data.get("overrides") or {},
-        }
-        backends = data.get("backends") or {}
-        return [
-            make_entry(
-                f"scenario.{scenario}",
-                float(backends[name]["wall_seconds"]),
-                shape=shape,
-                backend=name,
-                **kwargs,
-            )
-            for name in sorted(backends)
-        ]
 
     results = data.get("results")
     if isinstance(results, Mapping) and all(
@@ -329,8 +308,8 @@ def entries_from_artifact(
         ]
 
     raise ValueError(
-        "unrecognised bench artifact: expected a kernel bench, a backend "
-        "sweep, a telemetry bench, or a run manifest"
+        "unrecognised bench artifact: expected a kernel bench, a protocol "
+        "bench, a telemetry bench, or a run manifest"
     )
 
 

@@ -87,6 +87,22 @@ def campaign_scenarios():
 
 
 @pytest.fixture
+def oracle_kernels(monkeypatch):
+    """Run every kernel call on the per-item oracle of ``kernel_oracle``.
+
+    Patches the one instance :func:`repro.kernels.get_backend` hands out,
+    so whole scenarios run on the oracle; fork-started pool workers
+    inherit the patch.  Returns the oracle instance.
+    """
+    import repro.kernels
+    from kernel_oracle import ReferenceKernels
+
+    oracle = ReferenceKernels()
+    monkeypatch.setattr(repro.kernels, "KERNELS", oracle)
+    return oracle
+
+
+@pytest.fixture
 def time_limit():
     """``with time_limit(seconds):`` raises ``TimeoutError`` inside a block
     still running after ``seconds`` (SIGALRM), so a regression to a hang

@@ -1,11 +1,14 @@
-"""Reference kernels: the readable per-item loops, kept as the oracle.
+"""Oracle kernels: the readable per-item loops every differential test trusts.
 
 These are the original inner loops of :mod:`repro.sim.placement` and
 :mod:`repro.sim.adversary`, extracted verbatim (modulo the deterministic
-lowest-index tie-break in the greedy adversary, which both backends now
-share).  They are intentionally *not* optimised: each one states the
-semantics the ``vectorized`` backend must reproduce bit-for-bit, and the
-cross-backend equivalence tests treat them as ground truth.
+lowest-index tie-break in the greedy adversary, which the vectorized
+kernels share).  They are intentionally *not* optimised: each one states
+the semantics :class:`repro.kernels.VectorizedKernels` must reproduce
+bit-for-bit.  The program never runs them; tests hand a
+:class:`ReferenceKernels` instance to a ``backend=`` argument, or patch
+``repro.kernels.KERNELS`` with one (the ``oracle_kernels`` fixture), to
+run a whole scenario on the oracle.
 """
 
 from __future__ import annotations
@@ -14,18 +17,50 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.kernels.base import KernelBackend
+from repro.core.selector import WeightedSampler
+from repro.kernels import KernelBackend, VectorizedKernels
 from repro.kernels.moves import normalize_refresh_request
 from repro.kernels.placements import Placements, normalize_placements
 from repro.kernels.sampling import (
     BatchDrawResult,
-    U32Randint,
     U32Stream,
     normalize_draw_request,
     total_weight_guard,
 )
 
-__all__ = ["ReferenceKernels"]
+__all__ = ["BACKENDS", "ReferenceKernels", "U32Randint"]
+
+
+class U32Randint:
+    """Scalar bounded draws over a :class:`U32Stream` (the draw protocol).
+
+    ``randint(low, high)`` uses rejection sampling over whole 32-bit
+    words: with ``span = high - low + 1`` and ``bits = span.bit_length()``
+    each candidate consumes ``ceil(bits / 32)`` words, assembled
+    big-endian (first word highest) and right-shifted to keep ``bits``
+    bits; candidates at or above ``span`` are rejected and the next one
+    is consumed.  Duck-type compatible with
+    :meth:`~repro.core.selector.WeightedSampler.sample`, which is how the
+    oracle stays a thin wrapper over the real Fenwick loop.
+    """
+
+    def __init__(self, stream: U32Stream) -> None:
+        self._stream = stream
+
+    def randint(self, low: int, high: int) -> int:
+        if high < low:
+            raise ValueError("high must be >= low")
+        span = high - low + 1
+        bits = span.bit_length()
+        n_words = (bits + 31) >> 5
+        shift = n_words * 32 - bits
+        while True:
+            value = 0
+            for word in self._stream.take(n_words):
+                value = (value << 32) | int(word)
+            value >>= shift
+            if value < span:
+                return low + value
 
 
 class ReferenceKernels(KernelBackend):
@@ -103,7 +138,7 @@ class ReferenceKernels(KernelBackend):
             best_sector = None
             best_score = (-1.0, -1.0)
             # Sorted iteration pins the tie-break: the lowest-index sector
-            # among equal scores wins on every backend.
+            # among equal scores wins, as in the vectorized heap.
             for sector in sorted(candidates):
                 if spent + caps[sector] > budget + 1e-9:
                     continue
@@ -133,14 +168,10 @@ class ReferenceKernels(KernelBackend):
         ops: Sequence[Tuple],
         free: Optional[Sequence[int]] = None,
     ) -> BatchDrawResult:
-        # Imported lazily: repro.core.selector imports repro.kernels for
-        # its draws, so a module-level import here would cycle.
-        from repro.core.selector import WeightedSampler
-
         weight_table, request, free_table = normalize_draw_request(weights, ops, free)
         # The oracle really is the Fenwick tree: slots become integer
         # keys and every draw goes through WeightedSampler.sample with
-        # the shared U32Randint adapter supplying the draw protocol.
+        # the U32Randint adapter above supplying the draw protocol.
         sampler: WeightedSampler[int] = WeightedSampler()
         for slot, weight in enumerate(weight_table.tolist()):
             sampler.add(slot, weight)
@@ -172,3 +203,8 @@ class ReferenceKernels(KernelBackend):
         return BatchDrawResult(
             keys=np.asarray(keys, dtype=np.int64), attempts=attempts, collisions=collisions
         )
+
+
+#: The oracle and the program's kernels by name: what the differential
+#: suites compare.
+BACKENDS = {"reference": ReferenceKernels(), "vectorized": VectorizedKernels()}

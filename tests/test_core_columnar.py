@@ -39,19 +39,21 @@ from repro.core.protocol import FileInsurerProtocol, ProtocolError
 from repro.crypto.prng import DeterministicPRNG
 from repro.kernels.vectorized import VectorizedKernels
 
+from kernel_oracle import BACKENDS
 from proof_sweep_oracle import proof_sweep_mask
 
 ROOT = b"\x05" * 32
 MB = 1 << 20
 
 ENGINES = {"object": FileInsurerProtocol, "columnar": ColumnarProtocol}
+ORACLE = BACKENDS["reference"]
 
 
 def make_protocol(
     engine,
     providers=6,
     capacity_mb=10,
-    backend="reference",
+    backend=ORACLE,
     charge_fees=False,
     draw_batch=1,
     seed=11,
@@ -273,7 +275,7 @@ class TestDifferentialScripted:
             for backend in ("reference", "vectorized"):
                 sick = set()
                 protocol = make_protocol(
-                    engine, providers=8, backend=backend, sick=sick
+                    engine, providers=8, backend=BACKENDS[backend], sick=sick
                 )
                 prints[(engine, backend)] = degraded_run(protocol, sick, [])
         baseline = prints[("object", "reference")]
@@ -285,25 +287,25 @@ class TestDifferentialScripted:
     @pytest.mark.parametrize("backend", ["reference", "vectorized"])
     def test_scripted_flow_matches(self, backend):
         reference, columnar = [], []
-        scripted_run(make_protocol("object", backend=backend), reference)
-        scripted_run(make_protocol("columnar", backend=backend), columnar)
+        scripted_run(make_protocol("object", backend=BACKENDS[backend]), reference)
+        scripted_run(make_protocol("columnar", backend=BACKENDS[backend]), columnar)
         for stage, (want, got) in enumerate(zip(reference, columnar)):
             assert got == want, f"engines diverge at stage {stage}"
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_no_backend_named_means_auto(self, engine):
-        """``backend=None`` is the ``"auto"`` kernel backend, not a second
-        draw path."""
-        default, auto = [], []
+    def test_no_backend_named_means_vectorized(self, engine):
+        """``backend=None`` is the one runtime backend, not a second draw
+        path."""
+        default, vectorized = [], []
         scripted_run(make_protocol(engine, backend=None), default)
-        scripted_run(make_protocol(engine, backend="auto"), auto)
-        assert default == auto
+        scripted_run(make_protocol(engine, backend="vectorized"), vectorized)
+        assert default == vectorized
 
     def test_fill_until_refused_matches_on_every_backend(self):
         prints = {
             (engine, backend): fill_until_refused(
                 make_protocol(
-                    engine, providers=8, capacity_mb=1, backend=backend,
+                    engine, providers=8, capacity_mb=1, backend=BACKENDS[backend],
                     cap_para=1000.0,
                 )
             )
@@ -318,7 +320,7 @@ class TestDifferentialScripted:
         prints = {
             (engine, backend): compensation_run(
                 make_protocol(
-                    engine, providers=10, capacity_mb=1, backend=backend,
+                    engine, providers=10, capacity_mb=1, backend=BACKENDS[backend],
                     charge_fees=True, deposit_ratio=0.3, cap_para=4.0,
                 )
             )
@@ -333,11 +335,11 @@ class TestDifferentialScripted:
         """charge_fees forces the generic inherited paths over the views."""
         reference, columnar = [], []
         scripted_run(
-            make_protocol("object", backend="reference", charge_fees=True),
+            make_protocol("object", backend=ORACLE, charge_fees=True),
             reference,
         )
         scripted_run(
-            make_protocol("columnar", backend="reference", charge_fees=True),
+            make_protocol("columnar", backend=ORACLE, charge_fees=True),
             columnar,
         )
         assert columnar == reference
@@ -351,7 +353,7 @@ class TestDifferentialScripted:
             for backend in ("reference", "vectorized"):
                 checkpoints = []
                 scripted_run(
-                    make_protocol(engine, backend=backend, draw_batch=8),
+                    make_protocol(engine, backend=BACKENDS[backend], draw_batch=8),
                     checkpoints,
                 )
                 prints[(engine, backend)] = checkpoints
@@ -370,7 +372,7 @@ class TestDifferentialScripted:
                 health_oracle=lambda sector_id: True,
                 auto_prove=True,
                 charge_fees=False,
-                backend="reference",
+                backend=ORACLE,
             )
             ledger.mint("prov-big", 50_000_000)
             big = protocol.sector_register("prov-big", 8 * MB)
@@ -398,8 +400,8 @@ class TestDifferentialScripted:
 
     def test_batch_of_one_equals_single_file_add(self):
         """B=1 batches consume the same kernel call as per-file File Add."""
-        single = make_protocol("columnar", backend="reference")
-        batched = make_protocol("columnar", backend="reference")
+        single = make_protocol("columnar", backend=ORACLE)
+        batched = make_protocol("columnar", backend=ORACLE)
         for _ in range(8):
             file_id = single.file_add("client", 48 * 1024, 1, ROOT)
             confirm_all(single, file_id)
@@ -416,7 +418,7 @@ class TestAggregateMaintenance:
 
     @pytest.mark.parametrize("engine", ["object", "columnar"])
     def test_aggregates_match_scan_oracles(self, engine):
-        protocol = make_protocol(engine, backend="reference")
+        protocol = make_protocol(engine, backend=ORACLE)
         checkpoints = []
         scripted_run(protocol, checkpoints)
         assert protocol.total_capacity() == protocol.total_capacity_scan()
@@ -441,7 +443,7 @@ class TestAggregateMaintenance:
         """Placement hands the kernel the selector's own columnar free
         table, not one rebuilt by scanning every SectorRecord per call (the
         regression this guards against)."""
-        protocol = make_protocol("columnar", backend="reference")
+        protocol = make_protocol("columnar", backend=ORACLE)
         selector = protocol.selector
         draw = selector.kernels.batch_weighted_draw
         seen = []
@@ -757,7 +759,7 @@ class TestColumnarFacades:
             record.reserve(free + 1)
 
     def test_file_views_roundtrip(self):
-        protocol = make_protocol("columnar", backend="reference")
+        protocol = make_protocol("columnar", backend=ORACLE)
         (file_id,) = protocol.file_add_batch("client", [4096], [2], ROOT)
         descriptor = protocol.files[file_id]
         assert descriptor.owner == "client"
@@ -770,7 +772,7 @@ class TestColumnarFacades:
             protocol.files[file_id + 999]
 
     def test_alloc_facade_queries(self):
-        protocol = make_protocol("columnar", backend="reference")
+        protocol = make_protocol("columnar", backend=ORACLE)
         ids = protocol.file_add_batch("client", [4096] * 3, [1] * 3, ROOT)
         k = protocol.params.k
         for fid in ids:

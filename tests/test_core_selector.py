@@ -2,9 +2,10 @@
 
 import pytest
 
+import repro.kernels
+from kernel_oracle import BACKENDS
 from repro.core.selector import CapacitySelector, SamplerInvariantError, WeightedSampler
 from repro.crypto.prng import DeterministicPRNG
-from repro.kernels import resolve_backend_name
 
 
 @pytest.fixture
@@ -12,11 +13,12 @@ def sampler_prng():
     return DeterministicPRNG.from_int(99, domain="selector-test")
 
 
-def _kernel_selector(backend, seed=99, max_attempts=1000):
+def _kernel_selector(name, seed=99, max_attempts=1000):
+    """A selector on the named implementation (``None``: the default)."""
     return CapacitySelector(
         DeterministicPRNG.from_int(seed, domain="selector-test"),
         max_attempts=max_attempts,
-        backend=backend,
+        backend=None if name is None else BACKENDS[name],
     )
 
 
@@ -147,18 +149,17 @@ class TestSlotViews:
 
 
 class TestCapacitySelectorBackends:
-    BACKENDS = ("reference", "vectorized")
+    NAMES = tuple(BACKENDS)
 
-    def test_backend_name_recorded(self):
-        assert _kernel_selector("reference").backend == "reference"
-        assert _kernel_selector("vectorized").backend == "vectorized"
-        # No backend named: resolved like "auto", never a second draw path.
+    def test_injected_kernels_are_kept(self):
+        assert _kernel_selector("reference").kernels is BACKENDS["reference"]
+        # No backend named: the one runtime instance, never a second draw path.
         default = CapacitySelector(DeterministicPRNG.from_int(0, domain="x"))
-        assert default.backend == resolve_backend_name(None)
+        assert default.kernels is repro.kernels.KERNELS
 
     def test_random_sector_identical_across_backends(self):
         draws = {}
-        for backend in self.BACKENDS:
+        for backend in self.NAMES:
             selector = _kernel_selector(backend)
             selector.add_sector("big", 900)
             selector.add_sector("small", 100)
@@ -189,7 +190,7 @@ class TestCapacitySelectorBackends:
 
     def test_single_placements_identical_and_counts(self):
         outcomes = {}
-        for backend in self.BACKENDS:
+        for backend in self.NAMES:
             selector = _kernel_selector(backend, max_attempts=50)
             selector.add_sector("full", 1000, free=0)
             selector.add_sector("open", 1000, free=500)
@@ -203,7 +204,7 @@ class TestCapacitySelectorBackends:
         assert samples == 20 + collisions
 
     def test_placement_gives_up_after_max_attempts(self):
-        for backend in (None,) + self.BACKENDS:
+        for backend in (None,) + self.NAMES:
             selector = _kernel_selector(backend, max_attempts=50)
             selector.add_sector("full", 1000, free=0)
             assert selector.select_batch([10]) == [None]
@@ -211,13 +212,13 @@ class TestCapacitySelectorBackends:
             assert selector.samples == 50
 
     def test_placement_on_empty_selector(self):
-        for backend in (None,) + self.BACKENDS:
+        for backend in (None,) + self.NAMES:
             assert _kernel_selector(backend).select_batch([1]) == [None]
 
     def test_select_batch_debits_free_space_between_picks(self):
         """The kernel's private free table mirrors the reserve() calls the
         protocol performs after a batched File Add selection."""
-        for backend in self.BACKENDS:
+        for backend in self.NAMES:
             selector = _kernel_selector(backend)
             selector.add_sector("only", 100, free=150)
             batch = selector.select_batch([100, 100])
@@ -228,7 +229,7 @@ class TestCapacitySelectorBackends:
 
     def test_select_batch_identical_across_backends(self):
         outcomes = {}
-        for backend in self.BACKENDS:
+        for backend in self.NAMES:
             selector = _kernel_selector(backend)
             selector.add_sector("a", 600, free=128)
             selector.add_sector("b", 400, free=64)
@@ -242,7 +243,7 @@ class TestCapacitySelectorBackends:
         assert sorted(picks) == ["a", "a", "b"]
 
     def test_removal_excludes_sector_from_kernel_draws(self):
-        for backend in self.BACKENDS:
+        for backend in self.NAMES:
             selector = _kernel_selector(backend)
             selector.add_sector("a", 50)
             selector.add_sector("b", 50)

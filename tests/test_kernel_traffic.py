@@ -75,13 +75,10 @@ def test_selector_sends_one_draw_or_one_place_run():
 
 def test_lifecycle_and_scenarios_send_one_request_per_call(monkeypatch):
     census = Census()
-    monkeypatch.setitem(kernels._BACKENDS, census.name, census)
+    monkeypatch.setattr(kernels, "KERNELS", census)
 
     LifecycleSimulation(
-        LifecycleConfig(
-            providers=6, files=8, horizon_s=120.0, mtbf_s=60.0, mttr_s=20.0,
-            seed=1, backend=census.name,
-        )
+        LifecycleConfig(providers=6, files=8, horizon_s=120.0, mtbf_s=60.0, mttr_s=20.0, seed=1)
     ).run()
     lifecycle_calls = len(census.calls)
     assert lifecycle_calls == 2  # placement, then the retrieval stream
@@ -90,13 +87,13 @@ def test_lifecycle_and_scenarios_send_one_request_per_call(monkeypatch):
     load_builtin_scenarios()
     run_scenario(
         "retrieval_load",
-        {"trials": 1, "requests": 10, "rates": (2.0,), "backend": census.name},
+        {"trials": 1, "requests": 10, "rates": (2.0,)},
     )
     retrieval_calls = census.calls[lifecycle_calls:]
     assert retrieval_calls
     assert_single_requests(retrieval_calls, ("draw",))
 
-    run_scenario("segmentation", {"trials": 1, "backend": census.name})
+    run_scenario("segmentation", {"trials": 1})
     segmentation_calls = census.calls[lifecycle_calls + len(retrieval_calls) :]
     assert segmentation_calls
     assert_single_requests(segmentation_calls, ("place",))

@@ -1,12 +1,12 @@
-"""Cross-backend equivalence gates for the simulation-kernel layer.
+"""Oracle equivalence gates for the simulation-kernel layer.
 
 The :mod:`repro.kernels` contract is *bit*-equivalence: for identical
-seeds and shapes, the ``reference`` oracle loops and the ``vectorized``
-numpy kernels must produce identical ``PlacementResult`` fields,
-identical greedy-adversary sector choices, and identical
-``batch_weighted_draw`` key sequences (with matching attempt and
-collision counts).  These tests sweep a seed/shape grid over both
-backends and additionally pin the refresh engine's batch-size
+seeds and shapes, the per-item oracle loops of ``tests/kernel_oracle.py``
+(``reference``) and the ``vectorized`` numpy kernels must produce
+identical ``PlacementResult`` fields, identical greedy-adversary sector
+choices, and identical ``batch_weighted_draw`` key sequences (with
+matching attempt and collision counts).  These tests sweep a seed/shape
+grid over both implementations and additionally pin the refresh engine's batch-size
 invariance (the PR-4 metrics fix): ``batch_size`` bounds memory only,
 so serial (``batch_size=1``) and batched runs must be byte-identical.
 The hypothesis-generated differential pack of the sampler lives in
@@ -16,22 +16,22 @@ with non-dyadic values, both placement forms) is here, next to its grid.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.kernels
+from kernel_oracle import BACKENDS
 from repro.core.selector import CapacitySelector
 from repro.crypto.prng import DeterministicPRNG
 from repro.kernels import (
-    BACKEND_ENV_VAR,
-    DEFAULT_BACKEND,
     KernelBackend,
-    KernelError,
-    available_backends,
+    VectorizedKernels,
     get_backend,
     normalize_placements,
-    resolve_backend_name,
     sampler_stream,
 )
 from repro.kernels.sampling import MAX_TOTAL_WEIGHT
@@ -39,49 +39,37 @@ from repro.sim.adversary import GreedyCapacityAdversary
 from repro.sim.placement import PlacementExperiment
 from repro.sim.workload import FileSizeDistribution
 
-BACKENDS = ("reference", "vectorized")
-
 #: (n_backups, n_sectors) shapes covering tiny, skewed and the vectorized
 #: kernel's two replay layouts (segment loop below 1024 groups, padded
 #: table above).
 REFRESH_SHAPES = ((300, 3), (500, 7), (2000, 40), (600, 1500))
 
 
-class TestBackendRegistry:
-    def test_available_backends(self):
-        assert available_backends() == ["reference", "vectorized"]
+class TestGetBackend:
+    def test_default_is_vectorized(self):
+        kernels = get_backend()
+        assert type(kernels) is VectorizedKernels
+        assert kernels is get_backend("vectorized") is repro.kernels.KERNELS
 
-    def test_default_is_vectorized(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert DEFAULT_BACKEND == "vectorized"
-        assert get_backend().name == "vectorized"
-        assert resolve_backend_name("auto") == "vectorized"
-        assert resolve_backend_name("") == "vectorized"
-        assert resolve_backend_name(None) == "vectorized"
+    def test_environment_does_not_select_kernels(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "reference")
+        assert type(get_backend()) is VectorizedKernels
 
-    def test_env_variable_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "reference")
-        assert get_backend().name == "reference"
-        assert resolve_backend_name("auto") == "reference"
-        # An explicit name always wins over the environment.
-        assert get_backend("vectorized").name == "vectorized"
-
-    def test_unknown_backend_rejected(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        with pytest.raises(KernelError, match="unknown kernel backend"):
-            get_backend("numba")
-        monkeypatch.setenv(BACKEND_ENV_VAR, "gpu")
-        with pytest.raises(KernelError, match="known backends"):
-            get_backend()
+    @pytest.mark.parametrize("name", ("numba", "reference", "auto", ""))
+    def test_unknown_backend_rejected(self, name):
+        with pytest.raises(ValueError, match="unknown kernel backend.*accepted"):
+            get_backend(name)
 
     def test_instance_passthrough(self):
-        backend = get_backend("reference")
-        assert get_backend(backend) is backend
-        assert isinstance(backend, KernelBackend)
+        oracle = BACKENDS["reference"]
+        assert get_backend(oracle) is oracle
+        assert isinstance(oracle, KernelBackend)
 
-    def test_experiment_records_backend_name(self):
-        assert PlacementExperiment(backend="reference").backend == "reference"
-        assert GreedyCapacityAdversary(backend="vectorized").backend == "vectorized"
+    def test_call_sites_keep_the_injected_instance(self):
+        oracle = BACKENDS["reference"]
+        assert PlacementExperiment(backend=oracle).kernels is oracle
+        assert GreedyCapacityAdversary(backend=oracle).kernels is oracle
+        assert PlacementExperiment().kernels is repro.kernels.KERNELS
 
 
 class TestPlacementKernelEquivalence:
@@ -90,7 +78,7 @@ class TestPlacementKernelEquivalence:
         results = {}
         for name in BACKENDS:
             rng = np.random.default_rng(42)
-            results[name] = get_backend(name).place_backups(rng, sizes, 37)
+            results[name] = BACKENDS[name].place_backups(rng, sizes, 37)
         assert np.array_equal(results["reference"][0], results["vectorized"][0])
         # Bit-identical usage, not merely close: bincount accumulates in
         # input order, exactly like the reference loop.
@@ -99,7 +87,7 @@ class TestPlacementKernelEquivalence:
     @pytest.mark.parametrize("distribution", list(FileSizeDistribution))
     def test_run_reallocate_identical_results(self, distribution):
         results = [
-            PlacementExperiment(seed=5, backend=name).run_reallocate(
+            PlacementExperiment(seed=5, backend=BACKENDS[name]).run_reallocate(
                 distribution, 2000, 25, rounds=3
             )
             for name in BACKENDS
@@ -111,7 +99,7 @@ class TestPlacementKernelEquivalence:
     def test_run_refresh_identical_results(self, shape, seed):
         n_backups, n_sectors = shape
         results = [
-            PlacementExperiment(seed=seed, backend=name).run_refresh(
+            PlacementExperiment(seed=seed, backend=BACKENDS[name]).run_refresh(
                 FileSizeDistribution.EXPONENTIAL,
                 n_backups,
                 n_sectors,
@@ -130,7 +118,7 @@ class TestPlacementKernelEquivalence:
         ``mean_usage``/``overflow_rounds``."""
         reference_result = None
         for batch_size in (1, 13, 400, 10**6):
-            result = PlacementExperiment(seed=3, backend=backend).run_refresh(
+            result = PlacementExperiment(seed=3, backend=BACKENDS[backend]).run_refresh(
                 FileSizeDistribution.UNIFORM_0_1,
                 700,
                 9,
@@ -144,7 +132,7 @@ class TestPlacementKernelEquivalence:
     def test_serial_vs_batched_refresh_identity_across_backends(self):
         """The strongest combined gate: serial reference (one move at a
         time) equals fully-batched vectorized, bit for bit."""
-        serial = PlacementExperiment(seed=9, backend="reference").run_refresh(
+        serial = PlacementExperiment(seed=9, backend=BACKENDS["reference"]).run_refresh(
             FileSizeDistribution.NORMAL_MU_EQ_VAR, 500, 11,
             refresh_multiplier=2, batch_size=1,
         )
@@ -164,7 +152,7 @@ class TestPlacementKernelEquivalence:
         monkeypatch.setattr(vectorized_module, "_GROUP_LOOP_MAX", 0)
         monkeypatch.setattr(vectorized_module, "_MAX_TABLE_CELLS", 8)
         results = [
-            PlacementExperiment(seed=4, backend=name).run_refresh(
+            PlacementExperiment(seed=4, backend=BACKENDS[name]).run_refresh(
                 FileSizeDistribution.EXPONENTIAL, 200, 6, refresh_multiplier=4
             )
             for name in BACKENDS
@@ -175,7 +163,7 @@ class TestPlacementKernelEquivalence:
         """A finer cadence samples more often; both backends agree."""
         results = {}
         for name in BACKENDS:
-            results[name] = PlacementExperiment(seed=2, backend=name).run_refresh(
+            results[name] = PlacementExperiment(seed=2, backend=BACKENDS[name]).run_refresh(
                 FileSizeDistribution.EXPONENTIAL, 400, 5,
                 refresh_multiplier=2, sample_interval=150,
             )
@@ -187,7 +175,7 @@ class TestPlacementKernelEquivalence:
         across backends."""
         per_backend = {}
         for name in BACKENDS:
-            experiment = PlacementExperiment(seed=6, backend=name)
+            experiment = PlacementExperiment(seed=6, backend=BACKENDS[name])
             per_backend[name] = [
                 experiment.run_refresh(
                     FileSizeDistribution.EXPONENTIAL, 800, 10, refresh_multiplier=2
@@ -263,7 +251,7 @@ def _assert_refresh_identical(state, chosen, targets, snapshot_after=()):
     results = {}
     for name in BACKENDS:
         live_usage, live_assignments = usage.copy(), assignments.copy()
-        batch_max, snapshots = get_backend(name).refresh_moves(
+        batch_max, snapshots = BACKENDS[name].refresh_moves(
             sizes, live_usage, live_assignments,
             np.asarray(chosen, dtype=np.uint32), np.asarray(targets, dtype=np.uint32),
             snapshot_after,
@@ -384,7 +372,7 @@ class TestRefreshMovesKernelDifferential:
         sizes, usage, assignments = _refresh_state(n_backups=4)
         before = usage.tobytes(), assignments.tobytes()
         with pytest.raises(ValueError) as raised:
-            get_backend(name).refresh_moves(
+            BACKENDS[name].refresh_moves(
                 sizes, usage, assignments,
                 np.asarray(chosen), np.asarray(targets), snapshot_after,
             )
@@ -395,7 +383,7 @@ class TestRefreshMovesKernelDifferential:
     def test_mismatched_state_is_refused(self, name):
         sizes, usage, assignments = _refresh_state(n_backups=4)
         with pytest.raises(ValueError, match="assignments has 3 entries for 4"):
-            get_backend(name).refresh_moves(
+            BACKENDS[name].refresh_moves(
                 sizes, usage, assignments[:3], np.array([0]), np.array([1])
             )
 
@@ -449,7 +437,7 @@ def _greedy_workload(seed, n_sectors, n_files, replicas, equal_caps=False):
 
 
 def _select(name, capacities, placements, values, budget):
-    return get_backend(name).greedy_select(
+    return BACKENDS[name].greedy_select(
         np.asarray(capacities, dtype=float), placements, values, budget
     )
 
@@ -504,7 +492,7 @@ class TestGreedyKernelEquivalence:
             seed, n_sectors, n_files, replicas
         )
         chosen = [
-            GreedyCapacityAdversary(seed=seed, backend=name).choose_sectors(
+            GreedyCapacityAdversary(seed=seed, backend=BACKENDS[name]).choose_sectors(
                 capacities, form, values, budget
             )
             for name in BACKENDS
@@ -515,7 +503,7 @@ class TestGreedyKernelEquivalence:
     def test_attack_outcomes_identical(self):
         capacities, placements, values = _greedy_workload(4, 50, 300, 3, equal_caps=True)
         outcomes = [
-            GreedyCapacityAdversary(seed=4, backend=name).attack(
+            GreedyCapacityAdversary(seed=4, backend=BACKENDS[name]).attack(
                 capacities, form, values, 0.4
             )
             for name in BACKENDS
@@ -525,7 +513,7 @@ class TestGreedyKernelEquivalence:
 
     def test_edge_cases_agree(self):
         for name in BACKENDS:
-            adversary = GreedyCapacityAdversary(backend=name)
+            adversary = GreedyCapacityAdversary(backend=BACKENDS[name])
             # Zero budget corrupts nothing on either backend.
             assert adversary.choose_sectors([1.0] * 5, [[0, 1]], [1.0], 0.0) == set()
             assert adversary.choose_sectors(
@@ -580,7 +568,7 @@ class TestGreedyKernelEquivalence:
         reference = _select("reference", capacities, placements, values, budget)
         assert _select("vectorized", capacities, placements, values, budget) == reference
         outcomes = [
-            GreedyCapacityAdversary(backend=name).attack(
+            GreedyCapacityAdversary(backend=BACKENDS[name]).attack(
                 capacities, placements, values, fraction
             )
             for name in BACKENDS
@@ -592,7 +580,7 @@ class TestGreedyKernelEquivalence:
             for name in BACKENDS:
                 assert _select(name, capacities, array, values, budget) == reference
                 assert (
-                    GreedyCapacityAdversary(backend=name).attack(
+                    GreedyCapacityAdversary(backend=BACKENDS[name]).attack(
                         capacities, array, values, fraction
                     )
                     == outcomes[0]
@@ -631,7 +619,7 @@ class TestGreedyKernelEquivalence:
         assert message in str(raised.value)
         # The adversary front door reports it the same way.
         with pytest.raises(ValueError) as via_attack:
-            GreedyCapacityAdversary(backend=name).attack(
+            GreedyCapacityAdversary(backend=BACKENDS[name]).attack(
                 [1.0, 1.0, 1.0], form, values, 0.5
             )
         assert str(via_attack.value) == str(raised.value)
@@ -645,7 +633,7 @@ class TestGreedyKernelEquivalence:
 
 
 def _batch_draw(name, weights, ops, free=None, entropy=0):
-    return get_backend(name).batch_weighted_draw(
+    return BACKENDS[name].batch_weighted_draw(
         sampler_stream(entropy, 0), weights, ops, free=free
     )
 
@@ -668,7 +656,7 @@ def _assert_refused_alike(weights, ops, free=None):
         rng = sampler_stream(0, 0)
         before = rng.bit_generator.state
         with pytest.raises(ValueError) as raised:
-            get_backend(name).batch_weighted_draw(rng, weights, ops, free=free)
+            BACKENDS[name].batch_weighted_draw(rng, weights, ops, free=free)
         assert rng.bit_generator.state == before
         messages.add(str(raised.value))
     assert len(messages) == 1
@@ -978,7 +966,7 @@ class TestSelectorDrawSequencePinned:
         selector = CapacitySelector(
             DeterministicPRNG.from_int(seed, domain="pin"),
             max_attempts=4,
-            backend=backend,
+            backend=BACKENDS[backend],
             draw_batch=draw_batch,
         )
         for index in range(6):
@@ -995,25 +983,8 @@ class TestSelectorDrawSequencePinned:
         ) == self.PINNED[seed, draw_batch]
 
 
-class TestScenarioBackendThreading:
-    def test_resolve_params_concretises_auto(self, monkeypatch):
-        from repro.runner.registry import get_scenario, load_builtin_scenarios, resolve_params
-
-        load_builtin_scenarios()
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        for scenario_name in (
-            "table3", "robustness", "churn", "retrieval_load", "segmentation"
-        ):
-            params = resolve_params(get_scenario(scenario_name))
-            assert params["backend"] == "vectorized"
-            params = resolve_params(
-                get_scenario(scenario_name), {"backend": "reference"}
-            )
-            assert params["backend"] == "reference"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "reference")
-        assert resolve_params(get_scenario("table3"))["backend"] == "reference"
-
-    def test_resolve_params_rejects_unknown_backend(self):
+class TestNoBackendParameter:
+    def test_only_robustness_accepts_backend_and_only_vectorized(self):
         from repro.runner.registry import (
             ScenarioError,
             get_scenario,
@@ -1022,30 +993,35 @@ class TestScenarioBackendThreading:
         )
 
         load_builtin_scenarios()
-        with pytest.raises(ScenarioError, match="backend"):
-            resolve_params(get_scenario("table3"), {"backend": "cuda"})
+        robustness = get_scenario("robustness")
+        assert resolve_params(robustness)["backend"] == "vectorized"
+        for value in ("reference", "auto", "cuda"):
+            with pytest.raises(ScenarioError, match="'backend' must be one of 'vectorized'"):
+                resolve_params(robustness, {"backend": value})
+        for name in ("table3", "churn", "retrieval_load", "segmentation"):
+            with pytest.raises(ScenarioError, match="has no parameter 'backend'"):
+                resolve_params(get_scenario(name), {"backend": "vectorized"})
 
-    def test_manifests_record_concrete_backend_and_rows_match(self, monkeypatch):
+    def test_manifest_params_carry_no_backend(self):
         from repro.runner.executor import run_scenario
 
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        overrides = {
-            "lambdas": (0.5,),
-            "n_sectors": 60,
-            "n_files": 80,
-            "k": 3,
-            "trials": 2,
-        }
-        manifests = {
-            name: run_scenario(
-                "robustness", {**overrides, "backend": name}, seed=5
-            )
-            for name in BACKENDS
-        }
-        for name in BACKENDS:
-            assert manifests[name].params["backend"] == name
-        # Identical trial rows: the backend changes speed, never results.
-        assert [
-            {key: value for key, value in row.items()}
-            for row in manifests["reference"].rows
-        ] == [dict(row) for row in manifests["vectorized"].rows]
+        churn = run_scenario("churn", {"trials": 1, "cycles": 1, "files": 2}, seed=5)
+        assert "backend" not in churn.params
+        robustness = run_scenario(
+            "robustness", {"lambdas": (0.5,), "n_sectors": 60, "n_files": 80, "k": 3}, seed=5
+        )
+        assert robustness.params["backend"] == "vectorized"
+
+    def test_resume_from_a_manifest_with_backend_is_refused(self):
+        """A manifest written while seven scenarios still declared
+        ``backend`` carries it in ``params``; resuming from it raises,
+        as any change of parameters does."""
+        from repro.runner.executor import ResumeError, run_scenario
+        from repro.runner.results import RunManifest
+
+        overrides = {"trials": 2, "cycles": 1, "files": 2}
+        manifest = run_scenario("churn", overrides, seed=5)
+        old = RunManifest.from_dict(json.loads(manifest.to_json()))
+        old.params["backend"] = "vectorized"
+        with pytest.raises(ResumeError, match="parameters do not match"):
+            run_scenario("churn", overrides, seed=5, resume=old)

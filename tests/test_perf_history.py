@@ -81,7 +81,9 @@ class TestEntries:
 
 
 class TestArtifactAdapters:
-    def test_backend_sweep_artifact(self):
+    def test_backend_sweep_artifact_is_refused(self):
+        """``bench --backend all`` artifacts are no longer written; an old
+        one is refused instead of recording nothing."""
         artifact = {
             "kind": "scenario_backend_sweep",
             "scenario": "churn",
@@ -89,15 +91,11 @@ class TestArtifactAdapters:
             "overrides": {"trials": "2"},
             "trials": 2,
             "backends": {
-                "reference": {"wall_seconds": 1.5, "speedup_vs_reference": 1.0},
                 "vectorized": {"wall_seconds": 0.5, "speedup_vs_reference": 3.0},
             },
         }
-        entries = history.entries_from_artifact(artifact, version="v1")
-        assert [(e["bench"], e["backend"], e["value"]) for e in entries] == [
-            ("scenario.churn", "reference", 1.5),
-            ("scenario.churn", "vectorized", 0.5),
-        ]
+        with pytest.raises(ValueError, match="unrecognised bench artifact"):
+            history.entries_from_artifact(artifact, version="v1")
 
     def test_kernel_bench_artifact(self):
         artifact = {
@@ -196,31 +194,28 @@ class TestTrendsAndGates:
 
 
 class TestCLI:
-    def _sweep_artifact(self, tmp_path, wall=1.0):
+    def _manifest_artifact(self, tmp_path, wall=1.0):
         artifact = {
-            "kind": "scenario_backend_sweep",
             "scenario": "churn",
+            "params": {"trials": 2},
             "seed": 0,
-            "overrides": {},
-            "trials": 2,
-            "backends": {
-                "reference": {"wall_seconds": wall, "speedup_vs_reference": 1.0}
-            },
+            "duration_seconds": wall,
+            "version": "v1",
         }
-        path = tmp_path / f"BENCH_{wall}.json"
+        path = tmp_path / f"run_{wall}.json"
         path.write_text(json.dumps(artifact))
         return path
 
     def test_record_report_check_round_trip(self, tmp_path, capsys):
         hist = tmp_path / "history.jsonl"
         for wall in (1.0, 1.02):
-            artifact = self._sweep_artifact(tmp_path, wall)
+            artifact = self._manifest_artifact(tmp_path, wall)
             assert main(["perf", "record", str(artifact), "--history", str(hist)]) == 0
         out = capsys.readouterr().out
         assert "recorded 1 entries" in out
         assert main(["perf", "report", "--history", str(hist)]) == 0
         out = capsys.readouterr().out
-        assert "scenario.churn" in out
+        assert "run.churn" in out
         assert main(
             ["perf", "check", "--max-regression", "10", "--history", str(hist)]
         ) == 0
@@ -229,7 +224,7 @@ class TestCLI:
     def test_check_fails_on_regression(self, tmp_path, capsys):
         hist = tmp_path / "history.jsonl"
         for wall in (1.0, 1.0, 5.0):
-            artifact = self._sweep_artifact(tmp_path, wall)
+            artifact = self._manifest_artifact(tmp_path, wall)
             assert main(["perf", "record", str(artifact), "--history", str(hist)]) == 0
         code = main(["perf", "check", "--max-regression", "10", "--history", str(hist)])
         assert code == 1

@@ -10,14 +10,15 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from kernel_oracle import BACKENDS, U32Randint
 from repro.chain.ledger import Ledger
 from repro.core.large_files import LargeFileCodec
 from repro.core.selector import WeightedSampler
 from repro.crypto.erasure import ReedSolomonCode
 from repro.crypto.merkle import MerkleTree
 from repro.crypto.prng import DeterministicPRNG
-from repro.kernels import get_backend, sampler_stream
-from repro.kernels.sampling import U32Randint, U32Stream
+from repro.kernels import sampler_stream
+from repro.kernels.sampling import U32Stream
 from repro.storage.provider import StorageProvider
 
 SETTINGS = settings(max_examples=50, suppress_health_check=[HealthCheck.too_slow], deadline=None)
@@ -256,7 +257,7 @@ def sampler_requests(draw, kinds=("draw", "place")):
 
 def _run_kernel_draw(backend_name, weights, request, free, rng):
     """Execute one request on one backend; errors are part of the outcome."""
-    backend = get_backend(backend_name)
+    backend = BACKENDS[backend_name]
     try:
         result = backend.batch_weighted_draw(rng, weights, [request], free=free)
     except ValueError as error:
@@ -394,7 +395,7 @@ def test_batch_draw_never_returns_zero_weight_slots(weights, entropy):
     if sum(weights) == 0:
         return
     for name in ("reference", "vectorized"):
-        result = get_backend(name).batch_weighted_draw(
+        result = BACKENDS[name].batch_weighted_draw(
             sampler_stream(entropy, 0), weights, [("draw", 40)]
         )
         assert all(weights[int(slot)] > 0 for slot in result.keys)
@@ -581,7 +582,7 @@ def _build_engine_pair(seed, backend, charge_fees):
             health_oracle=_ToggleOracle(),
             auto_prove=True,
             charge_fees=charge_fees,
-            backend=backend,
+            backend=BACKENDS[backend],
         )
         for index in range(4):
             owner = f"prov-{index}"

@@ -31,7 +31,8 @@ class TestList:
         # Tuple defaults and choice domains serialise as JSON arrays.
         assert table3["params"]["modes"]["default"] == ["reallocate", "refresh"]
         assert table3["params"]["modes"]["domain"] == ["reallocate", "refresh"]
-        assert table3["params"]["backend"]["domain"] is None
+        assert "backend" not in table3["params"]
+        assert by_name["robustness"]["params"]["backend"]["domain"] == ["vectorized"]
 
     def test_json_dump_validates_campaign_sweep_params(self, capsys):
         """The dump is the contract campaign specs validate against: every
@@ -133,108 +134,56 @@ class TestBench:
         assert "speedup=" in out
 
 
-class TestBenchBackendAll:
-    _TINY_SEG = [
-        "--set", "size_ratios=0.5", "--set", "limit_fractions=0.25",
-        "--set", "n_files=4", "--set", "trials=1",
+class TestNoBackendFlag:
+    _TINY_ROBUSTNESS = [
+        "--set", "lambdas=0.5", "--set", "n_sectors=50",
+        "--set", "n_files=60", "--set", "k=3", "--set", "trials=1",
     ]
 
-    def test_sweeps_every_backend_in_one_invocation(self, tmp_path, capsys):
-        out_path = tmp_path / "backends.json"
-        code = main(
-            ["bench", "segmentation", "--backend", "all", "--seed", "2",
-             *self._TINY_SEG, "--out", str(out_path)]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "backends=reference,vectorized" in out
-        assert "speedup_vs_reference" in out
-        assert "per-trial rows identical across backends: True" in out
-        artifact = json.loads(out_path.read_text())
-        assert artifact["kind"] == "scenario_backend_sweep"
-        assert set(artifact["backends"]) == {"reference", "vectorized"}
-        for entry in artifact["backends"].values():
-            assert entry["wall_seconds"] > 0
-            assert "speedup_vs_reference" in entry
-        assert artifact["rows_identical"] is True
-        assert artifact["scenario"] == "segmentation"
-        assert artifact["seed"] == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "robustness", "--backend", "vectorized"],
+            ["bench", "segmentation", "--backend", "all"],
+            ["bench", "segmentation", "--min-speedup", "2"],
+        ],
+    )
+    def test_backend_flags_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_min_speedup_gate_can_fail(self, capsys):
-        code = main(
-            ["bench", "segmentation", "--backend", "all", "--min-speedup", "1000",
-             *self._TINY_SEG]
-        )
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "speedup gate" in out
-        assert "FAIL" in out
-
-    def test_all_conflicts_with_set_backend(self, capsys):
-        code = main(
-            ["bench", "segmentation", "--backend", "all",
-             "--set", "backend=reference"]
-        )
+    def test_robustness_backend_accepts_only_vectorized(self, tmp_path, capsys):
+        code = main(["run", "robustness", "--quiet", "--set", "backend=reference"])
         assert code == 2
-        assert "conflicts" in capsys.readouterr().err
-
-    def test_all_on_scenario_without_backend_param(self, capsys):
-        assert main(["bench", "collision", "--backend", "all"]) == 2
-        assert "no 'backend' parameter" in capsys.readouterr().err
-
-    def test_unknown_backend_name_on_bench_is_an_error(self, capsys):
-        assert main(["bench", "segmentation", "--backend", "cuda"]) == 2
-        assert "unknown kernel backend" in capsys.readouterr().err
-
-    def test_run_does_not_accept_all(self, capsys):
-        """'all' is a bench-only sweep; run treats it as a backend name."""
-        assert main(["run", "segmentation", "--backend", "all"]) == 2
-        assert "unknown kernel backend" in capsys.readouterr().err
-
-
-class TestBackendFlag:
-    def test_backend_flag_lands_in_manifest(self, tmp_path, capsys):
+        assert "parameter 'backend' must be one of 'vectorized'" in capsys.readouterr().err
         out_path = tmp_path / "robust.json"
         code = main(
-            [
-                "run", "robustness", "--quiet", "--backend", "reference",
-                "--set", "lambdas=0.5", "--set", "n_sectors=50",
-                "--set", "n_files=60", "--set", "k=3", "--set", "trials=1",
-                "--out", str(out_path),
-            ]
-        )
-        assert code == 0
-        manifest = json.loads(out_path.read_text())
-        assert manifest["params"]["backend"] == "reference"
-
-    def test_auto_resolves_to_concrete_backend(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        out_path = tmp_path / "robust.json"
-        code = main(
-            [
-                "run", "robustness", "--quiet",
-                "--set", "lambdas=0.5", "--set", "n_sectors=50",
-                "--set", "n_files=60", "--set", "k=3", "--set", "trials=1",
-                "--out", str(out_path),
-            ]
+            ["run", "robustness", "--quiet", "--set", "backend=vectorized",
+             *self._TINY_ROBUSTNESS, "--out", str(out_path)]
         )
         assert code == 0
         assert json.loads(out_path.read_text())["params"]["backend"] == "vectorized"
 
-    def test_backend_flag_conflicting_with_set_is_an_error(self, capsys):
-        code = main(
-            ["run", "robustness", "--backend", "reference",
-             "--set", "backend=vectorized"]
-        )
-        assert code == 2
-        assert "conflicts" in capsys.readouterr().err
+    def test_kernel_backend_env_var_is_ignored(self, tmp_path, monkeypatch, capsys):
+        argv = [
+            "run", "table3", "--quiet", "--set", "max_ncp=100000",
+            "--set", "rounds=1", "--set", "refresh_multiplier=1",
+        ]
+        rows = []
+        for env in (None, "reference"):
+            if env is not None:
+                monkeypatch.setenv("REPRO_KERNEL_BACKEND", env)
+            out_path = tmp_path / f"table3_{env}.json"
+            assert main([*argv, "--out", str(out_path)]) == 0
+            manifest = json.loads(out_path.read_text())
+            assert "backend" not in manifest["params"]
+            rows.append(manifest["rows"])
+        assert rows[0] == rows[1]
 
-    def test_unknown_backend_is_an_error(self, capsys):
-        assert main(["run", "robustness", "--backend", "cuda"]) == 2
-        assert "unknown kernel backend" in capsys.readouterr().err
-
-    def test_backend_flag_on_scenario_without_backend_param(self, capsys):
-        assert main(["run", "collision", "--backend", "reference"]) == 2
+    def test_backend_on_scenario_without_it_is_an_error(self, capsys):
+        assert main(["run", "table3", "--set", "backend=vectorized"]) == 2
         assert "no parameter 'backend'" in capsys.readouterr().err
 
 

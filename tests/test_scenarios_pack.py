@@ -4,15 +4,24 @@ from __future__ import annotations
 
 import importlib
 import math
+import os
 
 import numpy as np
 import pytest
 
+import repro.kernels
+from kernel_oracle import ReferenceKernels
 from repro.core.analysis import theorem4_deposit_ratio_bound
-from repro.kernels import ReferenceKernels
 from repro.runner.cli import main
 from repro.runner.executor import derive_trial_seed, run_scenario
-from repro.runner.registry import get_scenario, load_builtin_scenarios, resolve_params
+from repro.runner.registry import (
+    ScenarioSpec,
+    get_scenario,
+    load_builtin_scenarios,
+    register,
+    resolve_params,
+    unregister,
+)
 from repro.runner.results import jsonify
 from repro.scenarios import churn, collision, deposit, robustness, scalability, table3, table4
 from repro.scenarios.churn import run_churn_trial
@@ -111,9 +120,35 @@ TINY = {
     "table3": dict(max_ncp=100_000, rounds=1, refresh_multiplier=1),
     "table4": dict(protocols=("FileInsurer", "Sia"), n_sectors=40, n_files=60),
 }
-#: The scenarios that dispatch into :mod:`repro.kernels`.
+#: The scenarios whose trials call into :mod:`repro.kernels`.
+KERNEL_SCENARIOS = (
+    "churn",
+    "deposit",
+    "lifecycle_churn",
+    "retrieval_load",
+    "robustness",
+    "scalability",
+    "segmentation",
+    "table3",
+)
 load_builtin_scenarios()
-WITH_BACKEND = sorted(name for name in TINY if "backend" in get_scenario(name).params)
+
+
+def _count_kernel_calls(kernels, monkeypatch):
+    """Record the name of every kernel ``kernels`` serves from now on."""
+    calls = []
+    for method in ("place_backups", "refresh_moves", "greedy_select", "batch_weighted_draw"):
+        def counted(*args, _inner=getattr(kernels, method), _name=method, **kwargs):
+            calls.append(_name)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, method, counted)
+    return calls
+
+
+def _kernels_probe_trial(task):
+    """The class of the kernels this trial's process would run."""
+    return {"kernels": type(repro.kernels.get_backend()).__name__}
 
 
 class TestChurn:
@@ -236,36 +271,59 @@ class TestLifecycleChurn:
         assert "latency_p99_s_mean" in manifest.summary[0]
 
 
-class TestBackendAndPoolIdentity:
+class TestOracleAndPoolIdentity:
     """Every registered scenario's rows are byte-identical across serial
-    vs pooled execution, and across kernel backends wherever the scenario
-    declares ``backend``."""
+    vs pooled execution, and on the kernel oracle (``tests/kernel_oracle.py``)
+    wherever the scenario calls into :mod:`repro.kernels`."""
 
-    def test_eight_scenarios_declare_backend(self):
-        assert set(TINY) - set(WITH_BACKEND) == {"collision", "table4"}
+    def test_only_robustness_keeps_a_one_choice_backend(self):
+        assert [name for name in sorted(TINY) if "backend" in get_scenario(name).params] == [
+            "robustness"
+        ]
+        assert get_scenario("robustness").params["backend"].domain == ("vectorized",)
 
-    @pytest.mark.parametrize("name", WITH_BACKEND)
-    def test_trial_rows_identical_across_backends(self, name):
-        trial_fn = get_scenario(name).trial_fn
-        rows = {
-            backend: trial_fn(_task(name, seed_root=4, **TINY[name], backend=backend))
-            for backend in ("reference", "vectorized")
-        }
-        assert rows["reference"] == rows["vectorized"]
+    def test_oracle_fixture_replaces_the_default_kernels(self, oracle_kernels):
+        """The fixture reaches every call site that is handed no kernels,
+        so the differentials below really compare against the oracle."""
+        assert isinstance(oracle_kernels, ReferenceKernels)
+        assert repro.kernels.get_backend() is oracle_kernels
+        assert PlacementExperiment().kernels is oracle_kernels
+        assert robustness.GreedyCapacityAdversary().kernels is oracle_kernels
 
-    @pytest.mark.parametrize("name", WITH_BACKEND)
-    def test_manifest_rows_identical_across_backends(self, name):
-        manifests = {
-            backend: run_scenario(
-                name, dict(TINY[name], backend=backend), workers=1, seed=6
-            )
-            for backend in ("reference", "vectorized")
-        }
-        assert jsonify(manifests["reference"].rows) == jsonify(
-            manifests["vectorized"].rows
+    def test_pooled_workers_inherit_the_oracle(self, oracle_kernels):
+        register(
+            ScenarioSpec(
+                name="kernels-probe",
+                description="reports which kernels a trial process runs",
+                trial_fn=_kernels_probe_trial,
+                build_trials=lambda params: [{}, {}],
+            ),
+            replace=True,
         )
-        for backend, manifest in manifests.items():
-            assert manifest.params["backend"] == backend
+        try:
+            manifest = run_scenario("kernels-probe", workers=2, seed=0)
+        finally:
+            unregister("kernels-probe")
+        assert os.getpid() not in {stat["pid"] for stat in manifest.trial_stats}
+        assert [row["kernels"] for row in manifest.rows] == ["ReferenceKernels"] * 2
+
+    @pytest.mark.parametrize("name", KERNEL_SCENARIOS)
+    def test_trial_rows_identical_on_the_oracle(self, name, request, monkeypatch):
+        spec = get_scenario(name)
+        count = len(spec.build_trials(resolve_params(spec, TINY[name])))
+        tasks = [_task(name, index, seed_root=4, **TINY[name]) for index in range(count)]
+        vectorized = [spec.trial_fn(dict(task)) for task in tasks]
+        calls = _count_kernel_calls(request.getfixturevalue("oracle_kernels"), monkeypatch)
+        assert [spec.trial_fn(dict(task)) for task in tasks] == vectorized
+        assert calls, f"{name} never reached the oracle"
+
+    @pytest.mark.parametrize("name", KERNEL_SCENARIOS)
+    def test_manifest_rows_identical_on_the_oracle(self, name, request):
+        vectorized = run_scenario(name, TINY[name], workers=1, seed=6)
+        request.getfixturevalue("oracle_kernels")
+        oracle = run_scenario(name, TINY[name], workers=1, seed=6)
+        assert jsonify(oracle.rows) == jsonify(vectorized.rows)
+        assert oracle.params == vectorized.params
 
     @pytest.mark.parametrize("name", sorted(TINY))
     def test_serial_and_pooled_runs_identical(self, name):
@@ -274,37 +332,30 @@ class TestBackendAndPoolIdentity:
         assert serial.trial_count >= 2
         assert serial.trial_rows_equal(pooled)
 
-    def test_campaign_backend_sweep_serial_vs_pooled(self, tmp_path):
-        """A campaign sweeping the backend axis: pooled execution matches
-        serial execution cell for cell, and within each run the two
-        backend cells carry identical rows."""
-        from repro.campaign import plan_campaign, run_campaign
+    def test_campaign_on_the_oracle_serial_vs_pooled(self, tmp_path, request):
+        """A campaign over every kernel scenario: on the oracle, pooled
+        execution (fork-started workers inherit the patched kernels)
+        matches serial execution cell for cell, and both match the
+        vectorized kernels."""
+        from repro.campaign import run_campaign
         from repro.campaign.spec import CampaignSpec, ScenarioEntry
         from repro.campaign.store import ResultStore
 
         spec = CampaignSpec(
-            name="backend-sweep",
-            entries=(
-                ScenarioEntry(
-                    scenario="churn",
-                    params=dict(TINY_CHURN),
-                    sweep={"backend": ("reference", "vectorized")},
-                    seeds=(3,),
-                ),
+            name="oracle",
+            entries=tuple(
+                ScenarioEntry(scenario=name, params=dict(TINY[name]), seeds=(3,))
+                for name in KERNEL_SCENARIOS
             ),
         )
-        assert len(plan_campaign(spec)) == 2
-        results = {}
-        for label, workers in (("serial", 1), ("pooled", 2)):
-            store = ResultStore(tmp_path / label)
-            outcome = run_campaign(spec, store, workers=workers)
-            results[label] = {
-                cell.cell.params["backend"]: jsonify(cell.manifest.rows)
-                for cell in outcome.outcomes
-            }
-        assert results["serial"] == results["pooled"]
-        for rows_by_backend in results.values():
-            assert rows_by_backend["reference"] == rows_by_backend["vectorized"]
+        rows = {}
+        for label, workers in (("vectorized", 1), ("oracle-serial", 1), ("oracle-pooled", 2)):
+            if label == "oracle-serial":
+                request.getfixturevalue("oracle_kernels")
+            outcome = run_campaign(spec, ResultStore(tmp_path / label), workers=workers)
+            rows[label] = [jsonify(cell.manifest.rows) for cell in outcome.outcomes]
+        assert len(rows["vectorized"]) == len(KERNEL_SCENARIOS)
+        assert rows["oracle-serial"] == rows["oracle-pooled"] == rows["vectorized"]
 
 
 class TestSegmentation:
@@ -341,8 +392,7 @@ class TestTable3:
         trial_fn = get_scenario("table3").trial_fn
         rows = [
             trial_fn(
-                dict(mode="reallocate", ncp=ncp, ns=10, rounds=3, refresh_multiplier=1,
-                     backend="vectorized", seed=0)
+                dict(mode="reallocate", ncp=ncp, ns=10, rounds=3, refresh_multiplier=1, seed=0)
             )
             for ncp in (2000, 5000)
         ]
@@ -431,7 +481,6 @@ DOMAIN_CASES = [
     (name, key)
     for name in sorted(SMOKE)
     for key in sorted(get_scenario(name).params)
-    if key != "backend"
 ]
 
 
@@ -558,17 +607,19 @@ class TestRobustness:
         (4, 7, 50, 3, 0.5, True, 0.18),
     )
 
-    @pytest.mark.parametrize("backend", ("reference", "vectorized"))
-    def test_simulate_loss_values_are_the_parents(self, backend):
+    @pytest.mark.parametrize("on_oracle", (True, False), ids=("reference", "vectorized"))
+    def test_simulate_loss_values_are_the_parents(self, on_oracle, request):
         """The one-array draw is the per-file draws' stream, value for value."""
+        if on_oracle:
+            request.getfixturevalue("oracle_kernels")
         for seed, n_sectors, n_files, k, lam, targeted, loss in self.PINNED_LOSSES:
-            if backend == "reference" and n_sectors > 500:
+            if on_oracle and n_sectors > 500:
                 continue  # the oracle rescans; the small shapes cover it
             assert robustness.simulate_loss(
-                n_sectors, n_files, k, lam, seed=seed, targeted=targeted, backend=backend
+                n_sectors, n_files, k, lam, seed=seed, targeted=targeted
             ) == loss
 
-    def test_trial_hands_the_kernel_one_array(self):
+    def test_trial_hands_the_kernel_one_array(self, monkeypatch):
         """No list per file: the draw reaches ``greedy_select`` as it was made."""
         seen = []
 
@@ -577,9 +628,8 @@ class TestRobustness:
                 seen.append((capacities, placements, values))
                 return super().greedy_select(capacities, placements, values, budget)
 
-        loss = robustness.simulate_loss(
-            60, 80, 3, 0.5, seed=7, targeted=True, backend=Recording()
-        )
+        monkeypatch.setattr(repro.kernels, "KERNELS", Recording())
+        loss = robustness.simulate_loss(60, 80, 3, 0.5, seed=7, targeted=True)
         assert loss == 0.3625
         ((capacities, placements, values),) = seen
         assert isinstance(placements, np.ndarray)
@@ -632,46 +682,36 @@ class TestScalability:
         assert result["replica_fill_fraction"] <= 0.55
 
 
-class TestBackendThreading:
-    """``backend`` selects the execution path only: result rows stay
-    identical, so ``repro diff`` can gate backend drift in CI.  (Engine
-    identity on the same two shapes is pinned by the scripted fingerprint
-    cases in ``tests/test_core_columnar.py``.)"""
+class TestProtocolScenarioHelpers:
+    """The protocol-driven helpers' rows are identical on the kernel
+    oracle.  (Engine identity on the same two shapes is pinned by the
+    scripted fingerprint cases in ``tests/test_core_columnar.py``.)"""
 
-    def test_fill_rows_identical_across_backends(self):
-        rows = {
-            backend: scalability.run_fill_experiment(
-                n_providers=8, k=3, file_size_fraction=0.05, backend=backend
-            )
-            for backend in ("reference", "vectorized")
-        }
-        assert rows["reference"] == rows["vectorized"]
-        assert "backend" not in rows["reference"]
-        assert rows["reference"]["stored_files"] > 0
+    def test_fill_rows_identical_on_the_oracle(self, request):
+        def fill():
+            return scalability.run_fill_experiment(n_providers=8, k=3, file_size_fraction=0.05)
 
-    def test_fill_batched_driver_respects_max_files(self):
+        vectorized = fill()
+        request.getfixturevalue("oracle_kernels")
+        assert fill() == vectorized
+        assert vectorized["stored_files"] > 0
+
+    def test_fill_batched_driver_respects_max_files(self, oracle_kernels):
         row = scalability.run_fill_experiment(
-            n_providers=8, k=3, file_size_fraction=0.01,
-            backend="reference", add_batch=7, max_files=20,
+            n_providers=8, k=3, file_size_fraction=0.01, add_batch=7, max_files=20,
         )
         assert row["stored_files"] == 20
 
-    def test_deposit_rows_identical_across_backends(self):
-        rows = {
-            backend: deposit.run_protocol_check(
-                n_providers=10,
-                files=20,
-                corrupt_fraction=0.5,
-                deposit_ratio=0.3,
-                k=3,
-                seed=2,
-                backend=backend,
+    def test_deposit_rows_identical_on_the_oracle(self, request):
+        def check():
+            return deposit.run_protocol_check(
+                n_providers=10, files=20, corrupt_fraction=0.5, deposit_ratio=0.3, k=3, seed=2
             )
-            for backend in ("reference", "vectorized")
-        }
-        assert rows["reference"] == rows["vectorized"]
-        assert "backend" not in rows["reference"]
-        assert rows["reference"]["full_compensation"]
+
+        vectorized = check()
+        request.getfixturevalue("oracle_kernels")
+        assert check() == vectorized
+        assert vectorized["full_compensation"]
 
     @pytest.mark.parametrize("name", ["scalability", "deposit"])
     def test_engine_is_not_a_parameter(self, name, capsys):

@@ -235,6 +235,18 @@ class TestSimulationEngine:
             engine.schedule(float("nan"), lambda: None)
         assert engine.pending_count() == 0
 
+    def test_run_until_nan_raises_before_any_event(self):
+        engine = SimulationEngine()
+        ran = []
+        for time in (1.0, 2.0, 3.0):
+            engine.schedule_at(time, lambda time=time: ran.append(time))
+        with pytest.raises(ValueError):
+            engine.run(until=float("nan"))
+        assert ran == []
+        assert engine.events_processed == 0
+        assert engine.pending_count() == 3
+        assert engine.now == 0.0
+
 
 class TestNetwork:
     def test_transfer_time_scales_with_size(self):

@@ -20,6 +20,7 @@ import math
 import numpy as np
 import pytest
 
+from kernel_oracle import BACKENDS
 from repro import telemetry
 from repro.crypto.prng import DeterministicPRNG
 from repro.sim.lifecycle import (
@@ -337,8 +338,8 @@ class TestLifecycleSimulation:
 
     def test_rows_identical_across_backends(self):
         rows = {
-            backend: LifecycleSimulation(lively(backend=backend)).run()
-            for backend in ("reference", "vectorized")
+            name: LifecycleSimulation(lively(backend=kernels)).run()
+            for name, kernels in BACKENDS.items()
         }
         assert rows["reference"] == rows["vectorized"]
 

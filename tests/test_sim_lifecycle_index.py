@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lifecycle_oracles as oracle
+from kernel_oracle import BACKENDS
 from repro.sim.lifecycle import FileLifecycleState, LifecycleConfig, LifecycleSimulation
 
 GOLDEN = json.loads(
@@ -32,10 +33,11 @@ GOLDEN = json.loads(
 )
 
 
-@pytest.mark.parametrize("backend", ["reference", "vectorized"])
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("case", GOLDEN, ids=[case["name"] for case in GOLDEN])
 def test_rows_match_the_rows_recorded_before_the_index(case, backend):
-    row = LifecycleSimulation(LifecycleConfig(**case["config"], backend=backend)).run()
+    config = LifecycleConfig(**case["config"], backend=BACKENDS[backend])
+    row = LifecycleSimulation(config).run()
     assert row == case["row"]
 
 

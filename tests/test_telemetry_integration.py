@@ -5,8 +5,8 @@ must not perturb a single deterministic byte.  Scenario rows are
 produced from seeded PRNG streams no recorder ever touches, so an armed
 run and a plain run of the same (scenario, params, seed) emit
 byte-identical rows -- for each of the three channels and all of them
-together, on both kernel backends, serial, through a private pool and
-through an injected one.  ``TestInertness`` is the one proof of that
+together, on the vectorized kernels and on the kernel oracle, serial,
+through a private pool and through an injected one.  ``TestInertness`` is the one proof of that
 (the sharpest corner is the lifecycle engine's gauge sampling: it runs
 through a ``metrics_probe`` hook on the event loop, never through
 scheduled events, because ``events_processed`` is part of the rows).
@@ -23,10 +23,12 @@ import json
 import os
 import pstats
 
+import numpy as np
 import pytest
 
+import repro.kernels
 from repro import telemetry
-from repro.kernels import BACKEND_ENV_VAR, InstrumentedBackend, get_backend
+from repro.kernels import VectorizedKernels, get_backend, sampler_stream
 from repro.runner.cli import main
 from repro.runner.diff import straggler_rows
 from repro.runner.executor import create_worker_pool, run_scenario
@@ -69,7 +71,7 @@ def run_shape(scenario: str, mode: str = "serial", seed: int = 7) -> RunManifest
 
     The injected pool is forked here, i.e. *before* the caller's armed
     channels could have been inherited any other way than through the
-    trial payload -- and after the caller set the backend variable.
+    trial payload -- and after the caller patched in the kernel oracle.
     """
     load_builtin_scenarios()
     overrides = MATRIX_SHAPES[scenario]
@@ -87,6 +89,17 @@ def run_shape(scenario: str, mode: str = "serial", seed: int = 7) -> RunManifest
         pool.join()
 
 
+def _refresh_two_moves(kernels) -> list:
+    """Two ``refresh_moves`` moves over four unit backups in three sectors;
+    the batch max and the mutated columns."""
+    usage = np.array([4.0, 0.0, 0.0])
+    assignments = np.zeros(4, dtype=np.int64)
+    batch_max, _ = kernels.refresh_moves(
+        np.ones(4), usage, assignments, np.array([0, 1]), np.array([1, 2])
+    )
+    return [batch_max, usage.tolist(), assignments.tolist()]
+
+
 def run_churn(seed: int = 7, workers: int = 1) -> RunManifest:
     load_builtin_scenarios()
     return run_scenario("churn", overrides=CHURN_PARAMS, workers=workers, seed=seed)
@@ -96,16 +109,17 @@ class TestInertness:
     """Rows byte-identical with every channel on vs off, everywhere."""
 
     @pytest.mark.parametrize("mode", ["serial", "private_pool", "injected_pool"])
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("kernels", ["reference", "vectorized"])
     @pytest.mark.parametrize(
         "armed", [("spans",), ("metrics",), ("profile",), ALL_CHANNELS], ids="+".join
     )
     @pytest.mark.parametrize("scenario", sorted(MATRIX_SHAPES))
     def test_rows_byte_identical_on_vs_off(
-        self, monkeypatch, scenario, armed, backend, mode
+        self, request, scenario, armed, kernels, mode
     ):
-        monkeypatch.setenv(BACKEND_ENV_VAR, backend)
-        plain = self.plain_run(scenario, backend)
+        if kernels == "reference":
+            request.getfixturevalue("oracle_kernels")
+        plain = self.plain_run(scenario, kernels)
         assert plain.telemetry is None and plain.metrics is None
         telemetry.arm(armed)
         recorded_run = run_shape(scenario, mode)
@@ -134,7 +148,10 @@ class TestInertness:
                 entry["category"] for entry in recorded_run.telemetry["spans"].values()
             }
             layers = {"churn": {"protocol"}, "lifecycle_churn": set()}[scenario]
-            assert {"executor", "kernel"} | layers <= categories
+            if kernels == "vectorized":  # the oracle records no spans
+                layers |= {"kernel"}
+                assert "kernel.draws" in recorded_run.telemetry["counters"]
+            assert {"executor"} | layers <= categories
         else:
             assert recorded_run.telemetry is None
         if "metrics" in armed:
@@ -149,10 +166,10 @@ class TestInertness:
     _plain_runs: dict = {}
 
     @classmethod
-    def plain_run(cls, scenario: str, backend: str) -> RunManifest:
+    def plain_run(cls, scenario: str, kernels: str) -> RunManifest:
         """The serial, nothing-armed run every matrix cell compares to
-        (call with ``backend`` already in the environment)."""
-        key = (scenario, backend)
+        (call with ``kernels`` already patched in)."""
+        key = (scenario, kernels)
         if key not in cls._plain_runs:
             assert telemetry.armed() == ()
             cls._plain_runs[key] = run_shape(scenario)
@@ -219,23 +236,82 @@ class TestInjectedPoolArming:
         ]
 
 
-class TestBackendInstrumentation:
-    def test_get_backend_wraps_only_while_enabled(self):
-        bare = get_backend()
-        assert not isinstance(bare, InstrumentedBackend)
+class TestKernelInstrumentation:
+    def test_get_backend_is_the_one_instance_enabled_or_not(self):
+        kernels = get_backend()
+        assert type(kernels) is VectorizedKernels
+        assert kernels is repro.kernels.KERNELS is get_backend("vectorized")
         telemetry.enable()
-        assert isinstance(get_backend(), InstrumentedBackend)
-        assert isinstance(get_backend("reference"), InstrumentedBackend)
-        # Explicit instances pass through untouched (kernel tests rely on
-        # probing concrete backend classes).
-        assert get_backend(bare) is bare
+        assert get_backend() is kernels
+        # Explicit instances pass through untouched (the oracle and the
+        # benchmarks' timing proxies are injected this way).
+        other = VectorizedKernels()
+        assert get_backend(other) is other
+        for name in ("reference", "auto", ""):
+            with pytest.raises(ValueError, match="accepted: None, 'vectorized'"):
+                get_backend(name)
 
-    def test_kernel_spans_and_counters_recorded(self):
-        telemetry.enable()
-        run_churn()
-        names = {event["name"] for event in telemetry.events()}
+    #: One small call per kernel, its work counter and the counter's value.
+    #: Each call returns plain lists, so traced and untraced results compare
+    #: with ``==``.
+    KERNEL_CALLS = {
+        "place_backups": (
+            lambda k: [
+                part.tolist()
+                for part in k.place_backups(np.random.default_rng(0), np.ones(5), 3)
+            ],
+            "kernel.place_backups.backups",
+            5,
+        ),
+        "refresh_moves": (
+            lambda k: _refresh_two_moves(k),
+            "kernel.refresh_moves.moves",
+            2,
+        ),
+        "greedy_select": (
+            lambda k: sorted(
+                k.greedy_select(np.ones(3), [[0, 1], [1, 2]], [1.0, 2.0], 1.0)
+            ),
+            "kernel.greedy_select.calls",
+            1,
+        ),
+        "batch_weighted_draw": (
+            lambda k: k.batch_weighted_draw(
+                sampler_stream(0, 0), [1, 2, 3], [("draw", 4)]
+            ).keys.tolist(),
+            "kernel.draws",
+            4,
+        ),
+    }
+
+    @pytest.mark.parametrize("kernel", sorted(KERNEL_CALLS))
+    def test_each_kernel_records_its_span_and_counter(self, kernel):
+        """Every kernel method is traced: one ``kernel.<name>`` span with
+        no backend argument, its work counter, and the untraced result."""
+        call, counter, value = self.KERNEL_CALLS[kernel]
+        kernels = get_backend()
+        plain = call(kernels)
+        assert telemetry.drain() == []
+        telemetry.arm(("spans",))
+        assert call(kernels) == plain
+        events = telemetry.drain()
+        spans = [event for event in events if event["ph"] == "X"]
+        assert [(span["name"], span["cat"]) for span in spans] == [
+            (f"kernel.{kernel}", "kernel")
+        ]
+        assert spans[0]["args"] == {}
+        counted = [event for event in events if event["name"] == counter]
+        assert [event["args"]["value"] for event in counted] == [value]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_kernel_spans_and_counters_recorded(self, workers):
+        plain = run_churn(workers=workers)
+        telemetry.arm(("spans",))
+        traced = run_churn(workers=workers)
+        names = {event["name"] for event in telemetry.drain()}
         assert "kernel.batch_weighted_draw" in names
         assert "kernel.draws" in names
+        assert traced.trial_rows_equal(plain)
 
 
 class TestTrialStats:

@@ -1,7 +1,7 @@
 """Metrics channel: sample shapes, bucket math, summaries, CLI surface.
 
 Inertness (rows byte-identical with the channel on or off, serial and
-pooled, both kernel backends) is proven once for all three channels in
+pooled, vectorized kernels and kernel oracle) is proven once for all three channels in
 ``tests/test_telemetry_integration.py::TestInertness``; the recorder
 state machine once in ``tests/test_telemetry.py::TestChannel``.
 """
