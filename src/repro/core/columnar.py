@@ -829,8 +829,11 @@ class ColumnarProtocol(FileInsurerProtocol):
                 f"file size {size} exceeds size_limit={self.params.size_limit}; "
                 "use repro.core.large_files to segment it first"
             )
-        if bool(np.any(value_arr <= 0)):
-            raise ProtocolError("file value must be positive")
+        min_value = self.params.min_value
+        if bool(np.any((value_arr <= 0) | (value_arr % min_value != 0))):
+            raise ProtocolError(
+                f"file value must be a positive multiple of min_value={min_value}"
+            )
         if len(size_arr) == 0:
             return []
         # Replica counts depend only on the value; resolve each distinct

@@ -313,26 +313,12 @@ class FileInsurerProtocol:
     def file_add(self, owner: str, size: int, value: int, merkle_root: bytes) -> int:
         """``File Add``: allocate ``cp`` sectors for a new file.
 
-        Returns the file id.  The client must afterwards transmit the file
-        to the owners of the selected sectors before the transfer deadline;
-        the providers acknowledge with :meth:`file_confirm`.
+        The one-file :meth:`file_add_batch`, so the two refuse a request
+        alike.  Returns the file id.  The client must afterwards transmit
+        the file to the owners of the selected sectors before the transfer
+        deadline; the providers acknowledge with :meth:`file_confirm`.
         """
-        if size <= 0:
-            raise ProtocolError("file size must be positive")
-        if size > self.params.size_limit:
-            raise ProtocolError(
-                f"file size {size} exceeds size_limit={self.params.size_limit}; "
-                "use repro.core.large_files to segment it first"
-            )
-        replica_count = self.params.replica_count(value)
-        self._check_admission(size, value, replica_count)
-        if self.charge_fees:
-            self.fees.charge_gas(owner, "file_add")
-
-        return self._place_file(
-            owner, size, value, merkle_root,
-            self.selector.select_batch([size] * replica_count),
-        )
+        return self.file_add_batch(owner, [size], [value], merkle_root)[0]
 
     @traced("protocol.file_add_batch", category="protocol")
     def file_add_batch(
@@ -348,18 +334,21 @@ class FileInsurerProtocol:
         storage engines (object and columnar), so their states stay
         bit-identical:
 
-        * every file is validated up front (any malformed size/value
-          rejects the whole batch before any state change);
+        * every file is validated up front: a size or value the protocol
+          does not accept rejects the whole batch with
+          :class:`ProtocolError` before any state change;
         * the admission limits are applied to the *prefix*: files are
           admitted in order, each assuming its predecessors were fully
           placed; the first file that would exceed a limit truncates the
           batch there (if that is the very first file, the batch raises
-          exactly like per-file ``File Add`` would);
-        * gas for the admitted prefix is charged first and all replica
-          placements run as a single ``batch_weighted_draw`` call; per-file
-          bookkeeping then replays in order and stops after the first file
-          whose placement failed (its descriptor is kept in state
-          ``failed``, matching per-file semantics).
+          :class:`ProtocolError`);
+        * gas for the admitted prefix is charged first -- a client who
+          cannot pay for the first file gets the ledger's
+          :class:`InsufficientFundsError`, as every other request does --
+          and all replica placements run as a single
+          ``batch_weighted_draw`` call; per-file bookkeeping then replays
+          in order and stops after the first file whose placement failed
+          (its descriptor is kept in state ``failed``).
 
         Returns the ids of every descriptor created; the last id may name
         a failed upload, which callers treat as the fill stopping point.
@@ -377,8 +366,11 @@ class FileInsurerProtocol:
                     "use repro.core.large_files to segment it first"
                 )
         for value in values:
-            if value <= 0:
-                raise ProtocolError("file value must be positive")
+            if value <= 0 or value % self.params.min_value:
+                raise ProtocolError(
+                    "file value must be a positive multiple of "
+                    f"min_value={self.params.min_value}"
+                )
         if not sizes:
             return []
         replica_counts = [self.params.replica_count(value) for value in values]
@@ -388,11 +380,9 @@ class FileInsurerProtocol:
             for index in range(admitted):
                 try:
                     self.fees.charge_gas(owner, "file_add")
-                except InsufficientFundsError as exc:
+                except InsufficientFundsError:
                     if index == 0:
-                        raise ProtocolError(
-                            f"cannot cover File Add gas: {exc}"
-                        ) from exc
+                        raise
                     gas_ok = index
                     break
         expanded = [

@@ -73,9 +73,16 @@ class Interval:
         try:
             if not (comma and text[0] in "[(" and text[-1] in "])"):
                 raise ValueError(text)
-            return cls(text, float(low), float(high), text[0] == "[", text[-1] == "]")
+            interval = cls(text, float(low), float(high), text[0] == "[", text[-1] == "]")
         except ValueError:
             raise ValueError(f"domain {text!r} is not an interval such as '[1, inf)'") from None
+        # Written as "not <=" so a NaN bound, which admits nothing, is empty too.
+        if not interval.low <= interval.high or (
+            interval.low == interval.high
+            and not (interval.closed_low and interval.closed_high)
+        ):
+            raise ValueError(f"domain {text!r} is empty")
+        return interval
 
     def __contains__(self, item: object) -> bool:
         above_low = self.low < item or self.closed_low and item == self.low  # type: ignore[operator]
@@ -96,6 +103,7 @@ class ParamSpec:
     :class:`Interval` here, so a malformed one fails where it is
     declared), or a tuple of the allowed choices; for a tuple parameter it
     applies to every element.  ``None`` leaves the type as the whole domain.
+    The default itself must lie in the domain.
     """
 
     default: object
@@ -105,6 +113,15 @@ class ParamSpec:
     def __post_init__(self) -> None:
         if isinstance(self.domain, str):
             object.__setattr__(self, "domain", Interval.parse(self.domain))
+        kind = _element_type(self.default)
+        items = self.default if isinstance(self.default, tuple) else (self.default,)
+        if not items or not all(
+            _fits(item, kind, self.domain) for item in _widened(items, kind)
+        ):
+            raise ValueError(
+                f"default {self.default!r} is outside the parameter's own domain"
+                f" {self.domain}"
+            )
 
     @property
     def type(self) -> type:
@@ -245,6 +262,13 @@ def coerce_value(text: str, spec: ParamSpec) -> object:
     return _coerce_scalar(text, type(spec.default))
 
 
+def _widened(items: Tuple[object, ...], kind: type) -> Tuple[object, ...]:
+    """Config formats write 1, not 1.0: an int stands in for a float."""
+    if kind is float:
+        return tuple(float(item) if type(item) is int else item for item in items)
+    return items
+
+
 def _fits(item: object, kind: type, domain: Union[Interval, Tuple[object, ...], None]) -> bool:
     """``item`` is a ``kind`` in ``domain``, under the two rules every
     parameter gets: a float is finite, an int fits in int64."""
@@ -280,8 +304,7 @@ def _conform(scenario: str, key: str, param: ParamSpec, value: object) -> object
         items = tuple(checked) if isinstance(checked, (list, tuple)) else ()
     else:
         items = (checked,)
-    if kind is float:  # config formats write 1, not 1.0
-        items = tuple(float(item) if type(item) is int else item for item in items)
+    items = _widened(items, kind)
     if items and all(_fits(item, kind, param.domain) for item in items):
         return items if sequence else items[0]
     domain = param.domain

@@ -9,7 +9,7 @@ from repro.core.file_descriptor import FileState
 from repro.core.params import ProtocolParams
 from repro.core.protocol import FileInsurerProtocol, ProtocolError
 from repro.core.sector import SectorState
-from repro.chain.ledger import Ledger
+from repro.chain.ledger import InsufficientFundsError, Ledger
 from repro.crypto.prng import DeterministicPRNG
 
 ROOT = b"\x07" * 32
@@ -467,3 +467,52 @@ class TestTimeAndQueries:
             protocol.crash_sector(sector_id)
         protocol.advance_time(protocol.now + protocol.params.rent_period + 1)
         assert protocol.ledger.check_conservation()
+
+
+# ----------------------------------------------------------------------
+# One refusal per cause, whichever entry point and engine
+# ----------------------------------------------------------------------
+_REFUSAL_PARAMS = ProtocolParams.small_test().scaled(min_value=2)
+_REFUSALS = {
+    "empty file": ({"size": 0}, ProtocolError),
+    "over size_limit": ({"size": _REFUSAL_PARAMS.size_limit + 1}, ProtocolError),
+    "zero value": ({"value": 0}, ProtocolError),
+    "negative value": ({"value": -2}, ProtocolError),
+    "value off the min_value grid": ({"value": 3}, ProtocolError),
+    "gas beyond the balance": ({"owner": "poor"}, InsufficientFundsError),
+}
+_ENGINES = {
+    "object": (FileInsurerProtocol, True),
+    "columnar": (ColumnarProtocol, True),
+    "columnar placement-only": (ColumnarProtocol, False),
+}
+
+
+@pytest.mark.parametrize(
+    "cause, entry, engine",
+    [
+        (cause, entry, engine)
+        for cause in _REFUSALS
+        for entry in ("file_add", "file_add_batch")
+        for engine, (_, charge_fees) in _ENGINES.items()
+        if charge_fees or _REFUSALS[cause][1] is not InsufficientFundsError
+    ],
+)
+def test_each_refusal_has_one_error_type(cause, entry, engine):
+    """``file_add`` is the one-file ``file_add_batch``: a size or value the
+    protocol does not accept raises ``ProtocolError`` and unaffordable gas
+    ``InsufficientFundsError``, through both entry points on both engines,
+    and leaves no file behind."""
+    request, error = _REFUSALS[cause]
+    cls, charge_fees = _ENGINES[engine]
+    protocol = make_protocol(params=_REFUSAL_PARAMS, charge_fees=charge_fees, engine=cls)
+    protocol.ledger.mint("poor", 1)
+    owner = request.get("owner", "client")
+    size = request.get("size", 4096)
+    value = request.get("value", 2)
+    with pytest.raises(error):
+        if entry == "file_add":
+            protocol.file_add(owner, size, value, ROOT)
+        else:
+            protocol.file_add_batch(owner, [size], [value], ROOT)
+    assert len(protocol.files) == 0

@@ -6,6 +6,7 @@ import pytest
 
 from repro.runner.registry import (
     DuplicateScenarioError,
+    Interval,
     ParamSpec,
     ScenarioError,
     ScenarioSpec,
@@ -185,3 +186,28 @@ class TestParamResolution:
         for typo in ("[1 inf)", "1, inf", "[1, x)", ""):
             with pytest.raises(ValueError, match="is not an interval such as"):
                 ParamSpec(1, "a count", typo)
+
+    def test_a_default_outside_its_own_domain_is_refused_where_declared(self):
+        """``ParamSpec(0, "", "[1, inf)")`` used to resolve to 0 by default
+        while ``--set n=0`` was refused."""
+        for default, domain in (
+            (0, "[1, inf)"),
+            (1.0, "(0, 1)"),
+            ((2, 0), "[1, inf)"),
+            ("c", ("a", "b")),
+            (float("inf"), None),
+            ((), None),
+        ):
+            with pytest.raises(ValueError, match="outside the parameter's own domain"):
+                ParamSpec(default, "a parameter", domain)
+
+    def test_empty_intervals_are_refused(self):
+        for text in ("[5, 1]", "(1, 1]", "[1, 1)", "(1, 1)", "[nan, 1]"):
+            with pytest.raises(ValueError, match="is empty"):
+                Interval.parse(text)
+        assert 1 in Interval.parse("[1, 1]")
+
+    def test_every_declared_default_resolves_to_itself(self):
+        for spec in load_builtin_scenarios():
+            defaults = spec.default_params()
+            assert resolve_params(spec, defaults) == defaults, spec.name
