@@ -4,7 +4,7 @@ Decentralized File Storage in Blockchain* (ICDCS 2022).
 The package is organised as:
 
 * :mod:`repro.core` -- the FileInsurer protocol (the paper's contribution).
-* :mod:`repro.crypto` -- Merkle trees, simulated PoRep/PoSt, PRNG,
+* :mod:`repro.crypto` -- Merkle roots, simulated PoRep sealing, PRNG,
   Reed-Solomon erasure coding.
 * :mod:`repro.chain` -- the on-chain accounting: token ledger and gas.
 * :mod:`repro.storage` -- the IPFS-like substrate (content store, DHT,

@@ -10,7 +10,7 @@ disappears, the data is gone and nobody is compensated.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.baselines.base import BaselineDSN, StoredFile
 
@@ -21,20 +21,10 @@ class ArweaveModel(BaselineDSN):
     """Arweave: probabilistic wide replication driven by Proof of Access."""
 
     name = "Arweave"
-
-    def __init__(
-        self,
-        n_sectors: int,
-        sector_capacity: float,
-        seed: int = 0,
-        replication_fraction: float = 0.15,
-        min_replicas: int = 2,
-    ) -> None:
-        super().__init__(n_sectors, sector_capacity, seed)
-        if not 0 < replication_fraction <= 1:
-            raise ValueError("replication_fraction must lie in (0, 1]")
-        self.replication_fraction = replication_fraction
-        self.min_replicas = min_replicas
+    #: Each file lands on this fraction of all miners, and on at least
+    #: ``min_replicas`` of them.
+    replication_fraction = 0.15
+    min_replicas = 2
 
     def _place(self, size: float, value: float) -> Tuple[Sequence[int], int, float]:
         count = max(self.min_replicas, int(round(self.replication_fraction * self.n_sectors)))

@@ -18,13 +18,13 @@ and *empirically*:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Type
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.baselines.arweave import ArweaveModel
-from repro.baselines.base import BaselineDSN, LossReport
+from repro.baselines.base import BaselineDSN
 from repro.baselines.filecoin import FilecoinModel
 from repro.baselines.fileinsurer_model import FileInsurerModel
 from repro.baselines.sia import SiaModel
@@ -86,16 +86,12 @@ class ComparisonHarness:
         n_files: int = 500,
         corruption_fraction: float = 0.3,
         seed: int = 0,
-        fileinsurer_k: int = 10,
-        sia_sybil_fraction: float = 0.1,
     ) -> None:
         self.n_sectors = n_sectors
         self.sector_capacity = sector_capacity
         self.n_files = n_files
         self.corruption_fraction = corruption_fraction
         self.seed = seed
-        self.fileinsurer_k = fileinsurer_k
-        self.sia_sybil_fraction = sia_sybil_fraction
         self._rng = np.random.default_rng(seed)
 
     # ------------------------------------------------------------------
@@ -103,19 +99,7 @@ class ComparisonHarness:
     # ------------------------------------------------------------------
     def build_model(self, name: str) -> BaselineDSN:
         """Instantiate one protocol model with harness-wide parameters."""
-        if name == "FileInsurer":
-            return FileInsurerModel(
-                self.n_sectors, self.sector_capacity, seed=self.seed, k=self.fileinsurer_k
-            )
-        if name == "Sia":
-            return SiaModel(
-                self.n_sectors,
-                self.sector_capacity,
-                seed=self.seed,
-                sybil_collusion_fraction=self.sia_sybil_fraction,
-            )
-        factory = _DEFAULT_MODELS[name]
-        return factory(self.n_sectors, self.sector_capacity, seed=self.seed)
+        return _DEFAULT_MODELS[name](self.n_sectors, self.sector_capacity, seed=self.seed)
 
     def workload(self) -> List[tuple]:
         """The shared file batch: exponential sizes, unit values."""

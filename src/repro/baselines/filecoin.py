@@ -10,9 +10,8 @@ limited.  Replicas are PoRep-sealed, so Sybil attacks are prevented.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
-import numpy as np
 
 from repro.baselines.base import BaselineDSN, StoredFile
 
@@ -23,29 +22,24 @@ class FilecoinModel(BaselineDSN):
     """Filecoin: deal-based placement, deposits burnt on faults."""
 
     name = "Filecoin"
+    replicas_per_file = 3
+    #: Clients cluster their deals on a "popular" subset of miners
+    #: (cheapest / best connected), this fraction of all miners, which is
+    #: what breaks provable robustness: an adversary corrupting that subset
+    #: destroys a disproportionate share of files.
+    preferred_pool_fraction = 0.2
+    #: Fraction of a lost file's value effectively recovered by the client
+    #: (protocol-level slashing does not flow to clients; the small
+    #: non-zero value models off-protocol goodwill refunds, matching the
+    #: paper's "provides only limited compensation").
+    burnt_refund_fraction = 0.05
 
-    def __init__(
-        self,
-        n_sectors: int,
-        sector_capacity: float,
-        seed: int = 0,
-        replicas_per_file: int = 3,
-        preferred_pool_fraction: float = 0.2,
-        burnt_refund_fraction: float = 0.05,
-    ) -> None:
+    def __init__(self, n_sectors: int, sector_capacity: float, seed: int = 0) -> None:
         super().__init__(n_sectors, sector_capacity, seed)
-        self.replicas_per_file = replicas_per_file
-        #: Clients cluster their deals on a "popular" subset of miners
-        #: (cheapest / best connected), which is what breaks provable
-        #: robustness: an adversary corrupting that subset destroys a
-        #: disproportionate share of files.
-        pool_size = max(replicas_per_file, int(preferred_pool_fraction * n_sectors))
+        pool_size = max(
+            self.replicas_per_file, int(self.preferred_pool_fraction * n_sectors)
+        )
         self.preferred_pool = list(self.rng.permutation(n_sectors)[:pool_size])
-        #: Fraction of a lost file's value effectively recovered by the
-        #: client (protocol-level slashing does not flow to clients; the
-        #: small non-zero default models off-protocol goodwill refunds,
-        #: matching the paper's "provides only limited compensation").
-        self.burnt_refund_fraction = burnt_refund_fraction
 
     def _place(self, size: float, value: float) -> Tuple[Sequence[int], int, float]:
         count = min(self.replicas_per_file, len(self.preferred_pool))
@@ -61,7 +55,7 @@ class FilecoinModel(BaselineDSN):
 
     @property
     def prevents_sybil_attacks(self) -> bool:
-        """PoRep + WindowPoSt bind replicas to miners."""
+        """PoRep and proofs of spacetime bind replicas to miners."""
         return True
 
     @property

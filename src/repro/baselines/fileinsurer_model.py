@@ -22,22 +22,10 @@ class FileInsurerModel(BaselineDSN):
     """FileInsurer: random replica placement + insurance deposits."""
 
     name = "FileInsurer"
-
-    def __init__(
-        self,
-        n_sectors: int,
-        sector_capacity: float,
-        seed: int = 0,
-        k: int = 20,
-        deposit_ratio: float = 0.0046,
-        cap_para: float = 1000.0,
-    ) -> None:
-        super().__init__(n_sectors, sector_capacity, seed)
-        if k <= 0:
-            raise ValueError("k must be positive")
-        self.k = k
-        self.deposit_ratio = deposit_ratio
-        self.cap_para = cap_para
+    #: Replicas per unit of value, as the ``table4`` comparison runs it.
+    k = 10
+    deposit_ratio = 0.0046
+    cap_para = 1000.0
 
     # ------------------------------------------------------------------
     # Placement: capacity-proportional i.i.d. replica locations

@@ -11,7 +11,7 @@ the contract, not paid to the renter as insurance.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.baselines.base import BaselineDSN, StoredFile
 
@@ -22,26 +22,21 @@ class SiaModel(BaselineDSN):
     """Sia: renter-selected contracts, proofs not bound to host identity."""
 
     name = "Sia"
+    hosts_per_contract = 3
+    #: Renters overwhelmingly contract the cheapest / highest-uptime hosts,
+    #: concentrating data on a pool of this fraction of all hosts.
+    preferred_pool_fraction = 0.1
+    #: Fraction of host identities that are Sybils of one operator; their
+    #: "independent" copies are really a single physical copy.
+    sybil_collusion_fraction = 0.1
 
-    def __init__(
-        self,
-        n_sectors: int,
-        sector_capacity: float,
-        seed: int = 0,
-        hosts_per_contract: int = 3,
-        preferred_pool_fraction: float = 0.1,
-        sybil_collusion_fraction: float = 0.0,
-    ) -> None:
+    def __init__(self, n_sectors: int, sector_capacity: float, seed: int = 0) -> None:
         super().__init__(n_sectors, sector_capacity, seed)
-        self.hosts_per_contract = hosts_per_contract
-        pool_size = max(hosts_per_contract, int(preferred_pool_fraction * n_sectors))
-        #: Renters overwhelmingly contract the cheapest / highest-uptime
-        #: hosts, concentrating data on a small pool.
+        pool_size = max(
+            self.hosts_per_contract, int(self.preferred_pool_fraction * n_sectors)
+        )
         self.preferred_pool = list(self.rng.permutation(n_sectors)[:pool_size])
-        #: Fraction of host identities that are Sybils of one operator;
-        #: their "independent" copies are really a single physical copy.
-        self.sybil_collusion_fraction = sybil_collusion_fraction
-        sybil_count = int(sybil_collusion_fraction * n_sectors)
+        sybil_count = int(self.sybil_collusion_fraction * n_sectors)
         self.sybil_group = set(int(s) for s in self.rng.permutation(n_sectors)[:sybil_count])
 
     def _place(self, size: float, value: float) -> Tuple[Sequence[int], int, float]:

@@ -9,7 +9,7 @@ bind shards to nodes, preventing Sybil storage inflation.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.baselines.base import BaselineDSN, StoredFile
 
@@ -20,20 +20,9 @@ class StorjModel(BaselineDSN):
     """Storj: (m of n) erasure-coded shards on distinct random nodes."""
 
     name = "Storj"
-
-    def __init__(
-        self,
-        n_sectors: int,
-        sector_capacity: float,
-        seed: int = 0,
-        data_shards: int = 4,
-        total_shards: int = 8,
-    ) -> None:
-        super().__init__(n_sectors, sector_capacity, seed)
-        if not 0 < data_shards <= total_shards:
-            raise ValueError("need 0 < data_shards <= total_shards")
-        self.data_shards = data_shards
-        self.total_shards = total_shards
+    #: Any ``data_shards`` of a file's ``total_shards`` reconstruct it.
+    data_shards = 4
+    total_shards = 8
 
     def _place(self, size: float, value: float) -> Tuple[Sequence[int], int, float]:
         count = min(self.total_shards, self.n_sectors)

@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Mapping, Sequence, Tuple, Union
 
 __all__ = [
     "CampaignError",
@@ -73,13 +73,6 @@ class ScenarioEntry:
     sweep: Mapping[str, Tuple[object, ...]] = field(default_factory=dict)
     seeds: Tuple[int, ...] = (0,)
 
-    def cell_count(self) -> int:
-        """Number of (sweep point, seed) cells this entry expands to."""
-        count = len(self.seeds)
-        for values in self.sweep.values():
-            count *= len(values)
-        return count
-
 
 @dataclass(frozen=True)
 class CampaignSpec:
@@ -90,9 +83,6 @@ class CampaignSpec:
     description: str = ""
     seed: int = 0
     store: str = ""
-
-    def cell_count(self) -> int:
-        return sum(entry.cell_count() for entry in self.entries)
 
 
 def _require_mapping(value: object, where: str) -> Mapping[str, object]:
@@ -151,6 +141,7 @@ def _parse_entry(
 
 def parse_campaign(data: Mapping[str, object], source: str = "<memory>") -> CampaignSpec:
     """Build a :class:`CampaignSpec` from a decoded TOML/JSON document."""
+    data = _require_mapping(data, f"{source}: the campaign document")
     header = _require_mapping(data.get("campaign", {}), f"{source}: [campaign]")
     unknown = set(header) - {"name", "description", "seed", "store"}
     if unknown:

@@ -7,10 +7,10 @@ protocol's economics need from a chain:
 
 * :mod:`repro.chain.ledger` -- token accounts, transfers, escrow, deposits
   and burning, with full conservation-of-value accounting.
-* :mod:`repro.chain.gas` -- gas metering and a simple fee schedule.
+* :mod:`repro.chain.gas` -- a simple gas fee schedule.
 """
 
-from repro.chain.gas import GasMeter, GasSchedule, OutOfGasError
+from repro.chain.gas import GasSchedule
 from repro.chain.ledger import (
     Account,
     InsufficientFundsError,
@@ -20,10 +20,8 @@ from repro.chain.ledger import (
 
 __all__ = [
     "Account",
-    "GasMeter",
     "GasSchedule",
     "InsufficientFundsError",
     "Ledger",
     "LedgerError",
-    "OutOfGasError",
 ]

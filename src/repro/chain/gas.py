@@ -1,4 +1,4 @@
-"""Gas metering and the fee schedule for on-chain operations.
+"""The gas fee schedule for on-chain operations.
 
 Section IV-A of the paper: every request to the network pays a gas fee, and
 the *prepaid* gas fee covers the Auto tasks (CheckAlloc, CheckProof,
@@ -9,14 +9,9 @@ bound on gas used -- this module provides those bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
 
-__all__ = ["GasSchedule", "GasMeter", "OutOfGasError"]
-
-
-class OutOfGasError(Exception):
-    """Raised when an operation exceeds its gas allowance."""
+__all__ = ["GasSchedule"]
 
 
 @dataclass(frozen=True)
@@ -65,44 +60,3 @@ class GasSchedule:
             raise ValueError("replica_count must be positive")
         per_cycle = self.auto_check_proof + self.auto_refresh + self.auto_check_refresh
         return per_cycle * self.gas_price
-
-
-class GasMeter:
-    """Tracks gas consumption within one request or pending-list task."""
-
-    def __init__(self, limit: int, schedule: GasSchedule | None = None) -> None:
-        if limit <= 0:
-            raise ValueError("gas limit must be positive")
-        self.limit = limit
-        self.used = 0
-        self.schedule = schedule or GasSchedule()
-        self._by_operation: Dict[str, int] = {}
-
-    def charge(self, operation: str, multiplier: int = 1) -> int:
-        """Charge the scheduled cost of ``operation`` (times ``multiplier``)."""
-        if multiplier <= 0:
-            raise ValueError("multiplier must be positive")
-        amount = self.schedule.cost(operation) * multiplier
-        return self.charge_units(amount, operation)
-
-    def charge_units(self, amount: int, label: str = "raw") -> int:
-        """Charge ``amount`` raw gas units."""
-        if amount < 0:
-            raise ValueError("gas amounts are non-negative")
-        if self.used + amount > self.limit:
-            raise OutOfGasError(
-                f"operation {label!r} needs {amount} gas, only "
-                f"{self.limit - self.used} of {self.limit} remains"
-            )
-        self.used += amount
-        self._by_operation[label] = self._by_operation.get(label, 0) + amount
-        return amount
-
-    @property
-    def remaining(self) -> int:
-        """Gas units still available."""
-        return self.limit - self.used
-
-    def breakdown(self) -> Dict[str, int]:
-        """Gas used per operation label."""
-        return dict(self._by_operation)

@@ -15,8 +15,8 @@ every operation (minting is the only exception and is explicit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 __all__ = ["Account", "Ledger", "LedgerError", "InsufficientFundsError"]
 
@@ -89,10 +89,6 @@ class Ledger:
         """Escrowed balance of ``address`` (0 for unknown accounts)."""
         account = self._accounts.get(address)
         return account.escrowed if account else 0
-
-    def accounts(self) -> Iterator[Account]:
-        """Iterate over all accounts."""
-        return iter(self._accounts.values())
 
     # ------------------------------------------------------------------
     # Supply operations
@@ -170,22 +166,12 @@ class Ledger:
     # ------------------------------------------------------------------
     # Invariants and introspection
     # ------------------------------------------------------------------
-    @property
-    def total_burned(self) -> int:
-        """Total tokens destroyed so far."""
-        return self._burned
-
-    @property
-    def total_minted(self) -> int:
-        """Total tokens created so far."""
-        return self._minted
-
     def total_supply(self) -> int:
         """Sum of all balances and escrows (excludes burned tokens)."""
         return sum(account.total for account in self._accounts.values())
 
     def check_conservation(self) -> bool:
-        """Verify minted == circulating + burned.  Used by tests."""
+        """Verify minted == circulating + burned."""
         return self._minted == self.total_supply() + self._burned
 
     @staticmethod

@@ -14,9 +14,9 @@ Entry states follow the paper exactly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["AllocState", "AllocEntry", "AllocationTable"]
 
@@ -43,11 +43,6 @@ class AllocEntry:
     def current_sector(self) -> Optional[str]:
         """The sector currently responsible for storing the replica."""
         return self.prev
-
-    @property
-    def is_available(self) -> bool:
-        """True unless the hosting sector is corrupted."""
-        return self.state != AllocState.CORRUPTED
 
 
 class AllocationTable:
@@ -106,10 +101,6 @@ class AllocationTable:
             for key, entry in self._entries.items()
             if entry.prev == sector_id or entry.next == sector_id
         ]
-
-    def all_entries(self) -> Iterator[Tuple[Tuple[int, int], AllocEntry]]:
-        """Iterate over every ``((file_id, index), entry)`` pair."""
-        return iter(self._entries.items())
 
     def file_is_lost(self, file_id: int) -> bool:
         """True if every allocation of ``file_id`` is corrupted.

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Tuple
 
 __all__ = [
     "FilePopulation",
@@ -51,12 +51,6 @@ class FilePopulation:
             raise ValueError("sizes and values must have equal length")
         if any(s <= 0 for s in self.sizes) or any(v <= 0 for v in self.values):
             raise ValueError("sizes and values must be positive")
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Tuple[int, int]]) -> "FilePopulation":
-        """Build from an iterable of ``(size, value)`` pairs."""
-        sizes, values = zip(*pairs) if pairs else ((), ())
-        return cls(sizes=tuple(sizes), values=tuple(values))
 
     @property
     def total_size(self) -> int:

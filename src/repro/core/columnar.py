@@ -143,10 +143,6 @@ class SectorView:
     def deposit(self) -> int:
         return int(self._table.deposit[self._row])
 
-    @property
-    def registered_at(self) -> float:
-        return float(self._table.registered_at[self._row])
-
     # -- mutable columns ----------------------------------------------
     @property
     def free_capacity(self) -> int:
@@ -226,7 +222,6 @@ class SectorTable:
         self.capacity = np.empty(0, dtype=np.int64)
         self.free = np.empty(0, dtype=np.int64)
         self.deposit = np.empty(0, dtype=np.int64)
-        self.registered_at = np.empty(0, dtype=np.float64)
         self.stored = np.empty(0, dtype=np.int64)
         self.state = np.empty(0, dtype=np.int8)
         self._rows: Dict[str, int] = {}
@@ -245,13 +240,11 @@ class SectorTable:
         self.capacity = _grow(self.capacity, row + 1)
         self.free = _grow(self.free, row + 1)
         self.deposit = _grow(self.deposit, row + 1)
-        self.registered_at = _grow(self.registered_at, row + 1)
         self.stored = _grow(self.stored, row + 1)
         self.state = _grow(self.state, row + 1)
         self.capacity[row] = record.capacity
         self.free[row] = record.free_capacity
         self.deposit[row] = record.deposit
-        self.registered_at[row] = record.registered_at
         self.stored[row] = record.stored_replicas
         self.state[row] = _SECTOR_CODE[record.state]
         self._rows[sector_id] = row
@@ -325,10 +318,6 @@ class FileView:
         return int(self._table.replica_count[self._row])
 
     @property
-    def created_at(self) -> float:
-        return float(self._table.created_at[self._row])
-
-    @property
     def countdown(self) -> int:
         return int(self._table.countdown[self._row])
 
@@ -365,10 +354,6 @@ class FileView:
     def is_active(self) -> bool:
         return self.state in (FileState.PENDING, FileState.NORMAL)
 
-    @property
-    def needs_storage(self) -> bool:
-        return self.state == FileState.NORMAL
-
     def describe(self) -> str:
         return (
             f"file#{self.file_id} owner={self.owner} size={self.size} "
@@ -395,7 +380,6 @@ class FileTable:
         self.replica_count = np.empty(0, dtype=np.int32)
         self.state = np.empty(0, dtype=np.int8)
         self.countdown = np.empty(0, dtype=np.int64)
-        self.created_at = np.empty(0, dtype=np.float64)
         self.rent_paid = np.empty(0, dtype=np.int64)
         self.compensation = np.empty(0, dtype=np.int64)
         self._n = 0
@@ -406,7 +390,6 @@ class FileTable:
         self.replica_count = _grow(self.replica_count, needed)
         self.state = _grow(self.state, needed)
         self.countdown = _grow(self.countdown, needed)
-        self.created_at = _grow(self.created_at, needed)
         self.rent_paid = _grow(self.rent_paid, needed)
         self.compensation = _grow(self.compensation, needed)
 
@@ -424,7 +407,6 @@ class FileTable:
         self.replica_count[file_id] = descriptor.replica_count
         self.state[file_id] = _FILE_CODE[descriptor.state]
         self.countdown[file_id] = descriptor.countdown
-        self.created_at[file_id] = descriptor.created_at
         self.rent_paid[file_id] = descriptor.rent_paid
         self.compensation[file_id] = descriptor.compensation_received
         self._n += 1
@@ -436,7 +418,6 @@ class FileTable:
         values: np.ndarray,
         replica_counts: np.ndarray,
         merkle_root: bytes,
-        created_at: float,
     ) -> np.ndarray:
         """Bulk-append pending descriptors; returns the assigned ids."""
         count = len(sizes)
@@ -450,7 +431,6 @@ class FileTable:
         self.replica_count[rows] = replica_counts
         self.state[rows] = _FILE_CODE[FileState.PENDING]
         self.countdown[rows] = -1
-        self.created_at[rows] = created_at
         self.rent_paid[rows] = 0
         self.compensation[rows] = 0
         self._n += count
@@ -543,10 +523,6 @@ class AllocEntryView:
     @property
     def current_sector(self) -> Optional[str]:
         return self.prev
-
-    @property
-    def is_available(self) -> bool:
-        return self._table.state[self._row] != _ALLOC_CODE[AllocState.CORRUPTED]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -732,11 +708,6 @@ class ColumnarAllocationTable:
             out.append((file_id, index, AllocEntryView(self, int(hit))))
         return out
 
-    def all_entries(self) -> Iterator[Tuple[Tuple[int, int], AllocEntryView]]:
-        for file_id in range(len(self.files)):
-            for index, entry in self.entries_for_file(file_id):
-                yield (file_id, index), entry
-
     def file_is_lost(self, file_id: int) -> bool:
         block = self._block(file_id)
         if block is None:
@@ -869,7 +840,6 @@ class ColumnarProtocol(FileInsurerProtocol):
             value_arr[:created],
             replica_counts[:created],
             merkle_root,
-            self.now,
         )
         self._next_file_id += created
         if created:

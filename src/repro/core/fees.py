@@ -15,11 +15,11 @@ Section IV-A.  Three fee flows:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.chain.gas import GasSchedule
-from repro.chain.ledger import InsufficientFundsError, Ledger
+from repro.chain.ledger import Ledger
 from repro.core.params import ProtocolParams
 
 __all__ = ["TrafficEscrow", "RentAccounting", "FeeEngine"]
@@ -48,7 +48,6 @@ class RentAccounting:
         self.collected_this_period = 0
         self.total_collected = 0
         self.total_distributed = 0
-        self.distribution_history: List[Dict[str, int]] = []
 
     def charge(self, client: str, amount: int) -> None:
         """Charge ``client`` rent into the rent pool (raises if unaffordable)."""
@@ -57,10 +56,6 @@ class RentAccounting:
         self.ledger.transfer(client, RENT_ACCOUNT, amount)
         self.collected_this_period += amount
         self.total_collected += amount
-
-    def can_afford(self, client: str, amount: int) -> bool:
-        """True if ``client`` can pay ``amount`` right now."""
-        return self.ledger.balance(client) >= amount
 
     def distribute(self, healthy_sectors: List[Tuple[str, str, int]]) -> Dict[str, int]:
         """Distribute the period's rent to sector owners by capacity share.
@@ -74,7 +69,6 @@ class RentAccounting:
         total_capacity = sum(capacity for _, _, capacity in healthy_sectors)
         if pot <= 0 or total_capacity <= 0:
             self.collected_this_period = 0
-            self.distribution_history.append(payout)
             return payout
         for _, owner, capacity in healthy_sectors:
             share = (pot * capacity) // total_capacity
@@ -85,24 +79,17 @@ class RentAccounting:
             self.ledger.transfer(RENT_ACCOUNT, owner, amount)
             self.total_distributed += amount
         self.collected_this_period = 0
-        self.distribution_history.append(payout)
         return payout
 
 
 class FeeEngine:
     """Facade over all client-facing fees used by the protocol."""
 
-    def __init__(
-        self,
-        ledger: Ledger,
-        params: ProtocolParams,
-        gas_schedule: Optional[GasSchedule] = None,
-    ) -> None:
+    def __init__(self, ledger: Ledger, params: ProtocolParams) -> None:
         self.ledger = ledger
         self.params = params
-        self.gas_schedule = gas_schedule or GasSchedule()
+        self.gas_schedule = GasSchedule()
         self.rent = RentAccounting(ledger, params)
-        self._traffic_escrows: List[TrafficEscrow] = []
         self.total_traffic_fees = 0
         self.total_gas_fees = 0
 
@@ -147,7 +134,6 @@ class FeeEngine:
         escrow = TrafficEscrow(payer=payer, provider=provider, amount=amount)
         if amount > 0:
             self.ledger.lock(payer, amount)
-        self._traffic_escrows.append(escrow)
         return escrow
 
     def release_traffic_fee(self, escrow: TrafficEscrow) -> None:

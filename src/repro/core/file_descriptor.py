@@ -8,9 +8,8 @@ the experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 __all__ = ["FileState", "FileDescriptor"]
 
@@ -42,7 +41,6 @@ class FileDescriptor:
     replica_count: int
     countdown: int = -1
     state: FileState = FileState.PENDING
-    created_at: float = 0.0
     #: Total rent charged to the owner so far (for fee accounting tests).
     rent_paid: int = 0
     #: Compensation received if the file was lost.
@@ -63,11 +61,6 @@ class FileDescriptor:
     def is_active(self) -> bool:
         """True while the network still maintains this file."""
         return self.state in (FileState.PENDING, FileState.NORMAL)
-
-    @property
-    def needs_storage(self) -> bool:
-        """Figure 1: state ``normal`` means this file needs to be stored."""
-        return self.state == FileState.NORMAL
 
     def describe(self) -> str:
         """Human readable summary."""

@@ -15,8 +15,8 @@ covers the whole file's value in expectation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 from repro.crypto.erasure import ReedSolomonCode, Shard
 from repro.crypto.merkle import MerkleTree
@@ -48,10 +48,6 @@ class SegmentedFile:
     data_segments: int
     total_segments: int
     segments: Tuple[FileSegment, ...]
-
-    def minimum_segments_needed(self) -> int:
-        """How many segments suffice to reconstruct the original file."""
-        return self.data_segments
 
 
 class LargeFileCodec:
@@ -130,7 +126,3 @@ class LargeFileCodec:
         if MerkleTree.from_data(data, self.chunk_size).root != segmented.original_root:
             raise ValueError("reassembled data fails the Merkle root check")
         return data
-
-    def can_recover(self, segmented: SegmentedFile, available_indices: Sequence[int]) -> bool:
-        """True if the listed segment indices are enough to recover the file."""
-        return len(set(available_indices)) >= segmented.data_segments

@@ -10,8 +10,7 @@ configuration is always explicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
 
 __all__ = ["ProtocolParams", "GIB"]
 
@@ -133,11 +132,6 @@ class ProtocolParams:
     def scaled(self, **overrides) -> "ProtocolParams":
         """Return a copy with selected fields overridden (for experiments)."""
         return replace(self, **overrides)
-
-    @classmethod
-    def paper_defaults(cls) -> "ProtocolParams":
-        """Parameters matching the paper's concrete examples."""
-        return cls()
 
     @classmethod
     def small_test(cls) -> "ProtocolParams":

@@ -21,12 +21,11 @@ experiments drive this class directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.chain.gas import GasSchedule
 from repro.chain.ledger import InsufficientFundsError, Ledger
 from repro.core.allocation import AllocEntry, AllocState, AllocationTable
 from repro.core.deposit import CompensationShortfallError, InsuranceFund
@@ -78,7 +77,6 @@ class FileInsurerProtocol:
         params: Optional[ProtocolParams] = None,
         ledger: Optional[Ledger] = None,
         prng: Optional[DeterministicPRNG] = None,
-        gas_schedule: Optional[GasSchedule] = None,
         health_oracle: Optional[Callable[[str], bool]] = None,
         auto_prove: bool = False,
         charge_fees: bool = True,
@@ -103,7 +101,7 @@ class FileInsurerProtocol:
             draw_batch=draw_batch,
         )
         self.fund = InsuranceFund(self.ledger)
-        self.fees = FeeEngine(self.ledger, self.params, gas_schedule)
+        self.fees = FeeEngine(self.ledger, self.params)
         self.pending = PendingList()
         self.alloc = AllocationTable()
 
@@ -135,9 +133,8 @@ class FileInsurerProtocol:
         # Running admission aggregates: total_capacity() and
         # stored_replica_bytes() are on the File Add hot path (every
         # admission check reads both), so they are maintained
-        # incrementally instead of scanning every sector record.  The
-        # *_scan variants recompute them the original way; the regression
-        # suite pins the two against each other.
+        # incrementally instead of scanning every sector record; the
+        # regression suite pins them against a scan of the records.
         self._agg_capacity = 0
         self._agg_used = 0
         #: Sector corruptions seen so far: the epoch of every sector and
@@ -282,7 +279,6 @@ class FileInsurerProtocol:
             capacity=capacity,
             free_capacity=capacity,
             deposit=deposit,
-            registered_at=self.now,
         )
         self.sectors[sector_id] = record
         self._agg_capacity += capacity
@@ -424,7 +420,6 @@ class FileInsurerProtocol:
             value=value,
             merkle_root=merkle_root,
             replica_count=len(placements),
-            created_at=self.now,
         )
         # Re-fetch so mutations below go through the storage engine (a
         # plain dict returns the same object; the columnar engine returns
@@ -571,15 +566,13 @@ class FileInsurerProtocol:
         file_id: int,
         index: int,
         sector_id: str,
-        proof_time: Optional[float] = None,
-        proof_valid: bool = True,
     ) -> None:
-        """``File Prove``: record a storage proof for one replica.
+        """``File Prove``: record a storage proof for one replica, now.
 
-        ``proof_valid`` stands in for the WindowPoSt verification outcome;
-        the simulation layer verifies real proofs and passes the result
-        here, while protocol-level tests can exercise the invalid path
-        directly.
+        No layer produces or verifies a real proof of spacetime: a call is
+        an accepted proof.  Experiments that run the proof rounds hand the
+        protocol a health oracle (``auto_prove``), which stands in for the
+        proofs of every healthy sector.
         """
         record = self._sector(sector_id)
         if record.owner != provider:
@@ -591,12 +584,7 @@ class FileInsurerProtocol:
             raise ProtocolError(
                 f"sector {sector_id} is not the current host of file#{file_id}[{index}]"
             )
-        if not proof_valid:
-            raise ProtocolError("invalid storage proof")
-        when = self.now if proof_time is None else proof_time
-        if when > self.now:
-            raise ProtocolError("proof timestamp lies in the future")
-        entry.last_proof = max(entry.last_proof, when)
+        entry.last_proof = max(entry.last_proof, self.now)
 
     # ==================================================================
     # Auto tasks
@@ -787,20 +775,15 @@ class FileInsurerProtocol:
     # ==================================================================
     # Corruption handling and compensation
     # ==================================================================
-    def crash_sector(self, sector_id: str, detected: bool = True) -> None:
+    def crash_sector(self, sector_id: str) -> None:
         """Simulate the collapse of a sector.
 
-        With ``detected=True`` (default) the network reacts immediately as
-        it would after the proof deadline: the deposit is confiscated and
-        every hosted replica is marked corrupted.  With ``detected=False``
-        only the physical loss is modelled; detection happens later through
-        missed proofs (requires the simulation to stop submitting proofs
-        for this sector).
+        The network reacts immediately as it would after the proof
+        deadline: the deposit is confiscated and every hosted replica is
+        marked corrupted.  (A collapse the network only detects through
+        missed proofs is a sector the health oracle reports sick.)
         """
-        record = self._sector(sector_id)
-        if not detected:
-            return
-        self._handle_sector_corruption(record)
+        self._handle_sector_corruption(self._sector(sector_id))
 
     def _handle_sector_corruption(self, record: SectorRecord) -> None:
         if record.is_corrupted:
@@ -988,24 +971,16 @@ class FileInsurerProtocol:
         return descriptor
 
     # ==================================================================
-    # Aggregate queries (used by analysis, experiments and the chain app)
+    # Aggregate queries (used by analysis and experiments)
     # ==================================================================
     def total_capacity(self) -> int:
         """Total capacity of all non-removed, non-corrupted sectors.
 
         O(1): maintained incrementally by sector registration, corruption
-        and removal (see :meth:`total_capacity_scan` for the original
-        full-scan definition, kept as the regression oracle).
+        and removal; ``tests/test_core_columnar.py`` checks it against a
+        scan of the sector records.
         """
         return self._agg_capacity
-
-    def total_capacity_scan(self) -> int:
-        """:meth:`total_capacity` recomputed by scanning every record."""
-        return sum(
-            record.capacity
-            for record in self.sectors.values()
-            if record.state in (SectorState.NORMAL, SectorState.DISABLED)
-        )
 
     def weighted_sector_count(self) -> float:
         """``Ns``: total capacity measured in units of ``min_capacity``."""
@@ -1024,17 +999,9 @@ class FileInsurerProtocol:
         """Total bytes of replicas currently reserved in sectors.
 
         O(1): maintained incrementally by every reservation/release and by
-        sector corruption/removal (see :meth:`stored_replica_bytes_scan`).
+        sector corruption/removal (checked like :meth:`total_capacity`).
         """
         return self._agg_used
-
-    def stored_replica_bytes_scan(self) -> int:
-        """:meth:`stored_replica_bytes` recomputed by scanning records."""
-        return sum(
-            record.used_capacity
-            for record in self.sectors.values()
-            if record.state in (SectorState.NORMAL, SectorState.DISABLED)
-        )
 
     def value_loss_ratio(self) -> float:
         """``gamma_lost``: lost value over total value ever stored."""

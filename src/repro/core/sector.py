@@ -9,9 +9,8 @@ protocol can decide when a disabled sector may be removed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 __all__ = ["SectorState", "SectorRecord"]
 
@@ -39,7 +38,6 @@ class SectorRecord:
     free_capacity: int
     state: SectorState = SectorState.NORMAL
     deposit: int = 0
-    registered_at: float = 0.0
     #: Number of replica allocations currently pointing at this sector
     #: (either as ``prev`` or as an in-flight ``next``).
     stored_replicas: int = 0

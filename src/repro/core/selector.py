@@ -337,12 +337,6 @@ class CapacitySelector:
         """
         np.subtract.at(self._free, slots, amounts)
 
-    def tracked_free(self, sector_id: str) -> int:
-        """Free capacity of a selectable sector (-1 if absent)."""
-        if not self._sampler.contains(sector_id):
-            return -1
-        return int(self._free[self._sampler.slot_of(sector_id)])
-
     def slot_of(self, sector_id: str) -> int:
         """Sampler slot of a selectable sector (KeyError if absent).
 

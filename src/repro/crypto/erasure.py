@@ -16,7 +16,7 @@ blocks and the remaining ``n - k`` shards are parity evaluations.  Any
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -204,14 +204,3 @@ class ReedSolomonCode:
         if len(payload) != length:
             raise ValueError("decoded data shorter than framed length")
         return payload
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def can_recover(self, available_indices: Sequence[int]) -> bool:
-        """True if the given distinct shard indices suffice for recovery."""
-        return len(set(available_indices)) >= self.data_shards
-
-    def storage_overhead(self) -> float:
-        """Ratio of stored bytes to raw bytes (ignoring framing)."""
-        return self.total_shards / self.data_shards

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-__all__ = ["ContentId", "hash_bytes", "hash_concat", "hash_ints", "derive_key"]
+__all__ = ["ContentId", "hash_bytes", "hash_concat", "derive_key"]
 
 _DIGEST_SIZE = 32
 
@@ -30,18 +30,6 @@ def hash_concat(*parts: bytes) -> bytes:
     for part in parts:
         hasher.update(len(part).to_bytes(8, "big"))
         hasher.update(part)
-    return hasher.digest()
-
-
-def hash_ints(*values: int) -> bytes:
-    """Hash a sequence of non-negative integers deterministically."""
-    hasher = hashlib.sha256()
-    for value in values:
-        if value < 0:
-            raise ValueError("hash_ints only accepts non-negative integers")
-        encoded = value.to_bytes((value.bit_length() + 7) // 8 or 1, "big")
-        hasher.update(len(encoded).to_bytes(2, "big"))
-        hasher.update(encoded)
     return hasher.digest()
 
 
@@ -74,11 +62,6 @@ class ContentId:
     def of(cls, data: bytes) -> "ContentId":
         """Compute the content id of ``data``."""
         return cls(hash_bytes(data))
-
-    @classmethod
-    def from_hex(cls, text: str) -> "ContentId":
-        """Parse a content id from its hexadecimal representation."""
-        return cls(bytes.fromhex(text))
 
     @property
     def hex(self) -> str:

@@ -13,32 +13,24 @@ protocol-level properties FileInsurer uses are:
 4. the verifier only needs the replica commitment (a Merkle root), not the
    replica itself.
 
-We reproduce those properties with a keyed pseudorandom stream cipher as
-the sealing transform and a hash/Merkle commitment scheme as the "SNARK".
-The simulated proof is checked by recomputing the commitment relation,
-which only a prover holding the actual replica (or the raw data plus the
-key) can satisfy.  An explicit cost model records how long real sealing and
-proving would take, so higher layers can charge realistic time.
+We reproduce the sealing with a keyed pseudorandom stream cipher and the
+commitments with Merkle roots.  No proof is produced or verified: the
+protocol's health oracle stands in for storage proofs.  An explicit cost
+model records how long real sealing and proving would take, so higher
+layers can charge realistic time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from repro.crypto.hashing import ContentId, derive_key, hash_concat
-from repro.crypto.merkle import MerkleTree, chunk_bytes
+from repro.crypto.hashing import hash_concat
+from repro.crypto.merkle import MerkleTree
 from repro.crypto.prng import DeterministicPRNG, xor_bytes
 
-__all__ = [
-    "PoRepParams",
-    "SealedReplica",
-    "ReplicaCommitment",
-    "PoRepProof",
-    "PoRepProver",
-    "PoRepVerifier",
-]
+__all__ = ["PoRepParams", "SealedReplica", "ReplicaCommitment", "PoRepProver"]
 
 
 @dataclass(frozen=True)
@@ -55,7 +47,6 @@ class PoRepParams:
     chunk_size: int = 1024
     seal_seconds_per_gib: float = 3600.0
     snark_seconds: float = 600.0
-    verify_seconds: float = 0.01
 
     def seal_time(self, size_bytes: int) -> float:
         """Modelled wall-clock seconds to seal ``size_bytes`` of data."""
@@ -94,23 +85,6 @@ class SealedReplica:
         """Size in bytes of the sealed replica (equals the raw size)."""
         return len(self.data)
 
-    @property
-    def replica_id(self) -> ContentId:
-        """Content id of the sealed bytes."""
-        return ContentId.of(self.data)
-
-
-@dataclass(frozen=True)
-class PoRepProof:
-    """Simulated SNARK proving a replica encodes committed data under a key."""
-
-    commitment: ReplicaCommitment
-    binding: bytes
-
-    def is_well_formed(self) -> bool:
-        """Cheap structural check (stand-in for SNARK syntax validation)."""
-        return len(self.binding) == 32
-
 
 def _keystream(key: bytes, length: int) -> bytes:
     return DeterministicPRNG(key, domain="porep-seal").random_bytes(length)
@@ -123,7 +97,7 @@ def _zero_data_root(size: int, chunk_size: int) -> bytes:
 
 
 class PoRepProver:
-    """Provider-side PoRep operations: setup (sealing), proving, unsealing."""
+    """Provider-side PoRep operations: setup (sealing) and unsealing."""
 
     def __init__(self, params: Optional[PoRepParams] = None) -> None:
         self.params = params or PoRepParams()
@@ -154,16 +128,6 @@ class PoRepProver:
         """Recover the raw data from a sealed replica."""
         return xor_bytes(replica.data, _keystream(encryption_key, len(replica.data)))
 
-    def prove(self, replica: SealedReplica, encryption_key: bytes) -> PoRepProof:
-        """Produce the (simulated) SNARK binding replica, data and key."""
-        binding = hash_concat(
-            b"porep-proof",
-            replica.commitment.data_root,
-            replica.commitment.replica_root,
-            encryption_key,
-        )
-        return PoRepProof(commitment=replica.commitment, binding=binding)
-
     def capacity_replica(self, size: int, encryption_key: bytes) -> SealedReplica:
         """Seal an all-zeros region of ``size`` bytes (a Capacity Replica).
 
@@ -178,36 +142,3 @@ class PoRepProver:
             encryption_key,
         )
 
-
-class PoRepVerifier:
-    """Network-side verification of PoRep proofs.
-
-    Real verification checks a SNARK against ``comm_d``/``comm_r``.  The
-    simulation recomputes the binding hash given the claimed key id; a
-    prover who never sealed the data cannot produce a binding that matches
-    both roots, so the acceptance condition is equivalent for our purposes.
-    """
-
-    def __init__(self, params: Optional[PoRepParams] = None) -> None:
-        self.params = params or PoRepParams()
-
-    def verify(self, proof: PoRepProof, encryption_key: bytes) -> bool:
-        """Verify ``proof`` against the encryption key it claims to use."""
-        if not proof.is_well_formed():
-            return False
-        if proof.commitment.encryption_key_id != hash_concat(b"porep-key", encryption_key):
-            return False
-        expected = hash_concat(
-            b"porep-proof",
-            proof.commitment.data_root,
-            proof.commitment.replica_root,
-            encryption_key,
-        )
-        return expected == proof.binding
-
-    def verify_commitment_against_data(
-        self, commitment: ReplicaCommitment, data: bytes
-    ) -> bool:
-        """Check that ``commitment.data_root`` really commits to ``data``."""
-        root = MerkleTree.from_data(data, self.params.chunk_size).root
-        return root == commitment.data_root and commitment.size == len(data)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Iterator, Optional, Sequence, TypeVar
+from typing import Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -166,19 +166,6 @@ class DeterministicPRNG:
         while len(chosen) < count:
             chosen.add(self.randint(0, population - 1))
         return sorted(chosen)
-
-    def weighted_index(self, weights: Sequence[float]) -> int:
-        """Return an index sampled proportionally to ``weights``."""
-        total = float(sum(weights))
-        if total <= 0:
-            raise ValueError("weights must sum to a positive value")
-        target = self.random() * total
-        running = 0.0
-        for index, weight in enumerate(weights):
-            running += weight
-            if target < running:
-                return index
-        return len(weights) - 1
 
     # ------------------------------------------------------------------
     # Derivation

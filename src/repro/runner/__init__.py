@@ -45,7 +45,6 @@ from repro.runner.executor import (
     derive_trial_seed,
     match_resume_rows,
     run_scenario,
-    run_trials,
 )
 from repro.runner.registry import (
     DuplicateScenarioError,
@@ -81,7 +80,6 @@ __all__ = [
     "match_resume_rows",
     "register",
     "run_scenario",
-    "run_trials",
     "scenario",
     "summarize",
     "summary_rows",

@@ -12,7 +12,7 @@ the paper-style tables the experiment drivers already print.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.sim.metrics import format_table
 
@@ -20,6 +20,9 @@ __all__ = ["StreamingAggregator", "summarize", "compact_summary", "format_table"
 
 #: Two-sided 95% normal quantile used for the confidence half-width.
 _Z95 = 1.959963984540054
+
+#: Decimal places :func:`summarize` rounds float statistics to.
+_DIGITS = 6
 
 
 class StreamingAggregator:
@@ -46,26 +49,6 @@ class StreamingAggregator:
         """Fold many samples; returns self for chaining."""
         for value in values:
             self.push(value)
-        return self
-
-    def merge(self, other: "StreamingAggregator") -> "StreamingAggregator":
-        """Fold another aggregator's moments in (parallel reduction)."""
-        if other._count == 0:
-            return self
-        if self._count == 0:
-            self._count = other._count
-            self._mean = other._mean
-            self._m2 = other._m2
-            self._min = other._min
-            self._max = other._max
-            return self
-        total = self._count + other._count
-        delta = other._mean - self._mean
-        self._m2 += other._m2 + delta * delta * self._count * other._count / total
-        self._mean += delta * other._count / total
-        self._count = total
-        self._min = min(self._min, other._min)
-        self._max = max(self._max, other._max)
         return self
 
     @property
@@ -121,13 +104,13 @@ def summarize(
     rows: Sequence[Mapping[str, object]],
     group_by: Sequence[str],
     values: Sequence[str],
-    digits: Optional[int] = 6,
 ) -> List[Dict[str, object]]:
     """Group ``rows`` by key columns and reduce value columns.
 
     Returns one row per group (in first-seen order) with
-    ``<value>_mean/stddev/ci95/min/max`` columns for every value column.
-    Rows missing a value column simply do not contribute to it.
+    ``<value>_mean/stddev/ci95/min/max`` columns for every value column,
+    floats rounded to six decimals.  Rows missing a value column simply do
+    not contribute to it.
     """
     groups: Dict[Tuple[object, ...], Dict[str, StreamingAggregator]] = {}
     order: List[Tuple[object, ...]] = []
@@ -146,8 +129,8 @@ def summarize(
         for value in values:
             aggregator = groups[key][value]
             for stat, number in aggregator.as_row(prefix=value).items():
-                if digits is not None and isinstance(number, float):
-                    number = round(number, digits)
+                if isinstance(number, float):
+                    number = round(number, _DIGITS)
                 summary[stat] = number
         out.append(summary)
     return out

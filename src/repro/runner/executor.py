@@ -51,7 +51,6 @@ __all__ = [
     "create_worker_pool",
     "TrialBatch",
     "execute_trials",
-    "run_trials",
     "run_scenario",
     "default_workers",
     "match_resume_rows",
@@ -84,11 +83,11 @@ def default_workers() -> int:
 
 
 def create_worker_pool(workers: int) -> multiprocessing.pool.Pool:
-    """Create a worker pool suitable for :func:`run_trials`'s ``pool=``.
+    """Create a worker pool suitable for :func:`execute_trials`'s ``pool=``.
 
     Uses the fork start method where available so already-imported scenario
     modules (and thus the registry) are inherited by the children.  Callers
-    own the pool: one pool can serve many :func:`run_trials` /
+    own the pool: one pool can serve many :func:`execute_trials` /
     :func:`run_scenario` calls (the campaign orchestrator shares one pool
     across every cell of a sweep) and must close it when done.
     """
@@ -286,20 +285,6 @@ def execute_trials(
     return batch
 
 
-def run_trials(
-    spec: ScenarioSpec,
-    trials: Sequence[Mapping[str, object]],
-    workers: int = 1,
-    seed: int = 0,
-    cached_rows: Optional[Mapping[int, Mapping[str, object]]] = None,
-    pool: Optional[multiprocessing.pool.Pool] = None,
-) -> List[Dict[str, object]]:
-    """Rows-only form of :func:`execute_trials` (the original interface)."""
-    return execute_trials(
-        spec, trials, workers=workers, seed=seed, cached_rows=cached_rows, pool=pool
-    ).rows
-
-
 def run_scenario(
     name_or_spec: Union[str, ScenarioSpec],
     overrides: Optional[Mapping[str, object]] = None,
@@ -316,7 +301,7 @@ def run_scenario(
     to an uninterrupted run's.
 
     ``pool`` forwards an externally owned worker pool to
-    :func:`run_trials` so many scenarios can share one set of workers
+    :func:`execute_trials` so many scenarios can share one set of workers
     (the campaign orchestrator's path); the caller closes it.
 
     What the armed telemetry channels (:mod:`repro.telemetry`) record

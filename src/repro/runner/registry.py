@@ -207,11 +207,6 @@ def list_scenarios() -> List[ScenarioSpec]:
     return [_REGISTRY[name] for name in sorted(_REGISTRY)]
 
 
-def unregister(name: str) -> None:
-    """Remove a scenario (primarily for tests)."""
-    _REGISTRY.pop(name, None)
-
-
 def load_builtin_scenarios() -> List[ScenarioSpec]:
     """Import :mod:`repro.scenarios` so the ten built-in scenarios self-register."""
     import repro.scenarios  # noqa: F401  (import populates the registry)

@@ -18,7 +18,7 @@ import subprocess
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
 __all__ = ["RunManifest", "jsonify", "repo_version"]
 
@@ -152,13 +152,30 @@ class RunManifest:
         missing = {"scenario", "params", "seed", "workers"} - set(fields)
         if missing:
             raise ValueError(f"manifest missing required fields: {sorted(missing)}")
+        if not isinstance(fields["params"], dict):
+            raise ValueError(
+                "manifest field 'params' must be an object, got "
+                f"{type(fields['params']).__name__}"
+            )
         for key in ("rows", "summary", "trial_stats"):
-            if key in fields and not isinstance(fields[key], list):
+            entries = fields.get(key, [])
+            if not isinstance(entries, list):
                 raise ValueError(
                     f"manifest field {key!r} must be a list, got "
-                    f"{type(fields[key]).__name__}"
+                    f"{type(entries).__name__}"
                 )
-        fields.setdefault("trial_count", len(data.get("rows", [])))
+            # A JSON object decodes to a dict.  One set of entry types per
+            # list, not a check per entry, keeps a warm result-store read
+            # cheap.
+            if not set(map(type, entries)) <= {dict}:
+                raise ValueError(f"manifest field {key!r} must hold only objects")
+        for key in ("seed", "workers", "trial_count"):
+            value = fields.get(key, 0)
+            if type(value) is not int:  # bool, an int subclass, is refused too
+                raise ValueError(
+                    f"manifest field {key!r} must be an integer, got {value!r}"
+                )
+        fields.setdefault("trial_count", len(fields.get("rows", [])))
         fields.setdefault("duration_seconds", 0.0)
         return cls(**fields)
 

@@ -19,7 +19,7 @@ plus the concrete robustness/deposit examples).  This package provides:
   protocol, physical providers and clients together.
 """
 
-from repro.sim.adversary import AdversaryModel, CorruptionOutcome, GreedyCapacityAdversary, RandomCapacityAdversary
+from repro.sim.adversary import CorruptionOutcome, GreedyCapacityAdversary, RandomCapacityAdversary
 from repro.sim.engine import Event, SimulationEngine
 from repro.sim.lifecycle import (
     FileLifecycleEvent,
@@ -33,14 +33,13 @@ from repro.sim.lifecycle import (
     ProviderLifecycleState,
     ProviderMachine,
 )
-from repro.sim.metrics import MetricSeries, MetricsCollector, linear_percentile
+from repro.sim.metrics import MetricSeries, linear_percentile
 from repro.sim.network import LatencyModel, NetworkMessage, SimulatedNetwork
 from repro.sim.placement import PlacementExperiment, PlacementResult
 from repro.sim.scenario import DSNScenario, ScenarioConfig
 from repro.sim.workload import FileSizeDistribution, WorkloadGenerator
 
 __all__ = [
-    "AdversaryModel",
     "CorruptionOutcome",
     "DSNScenario",
     "Event",
@@ -55,7 +54,6 @@ __all__ = [
     "LifecycleRegistry",
     "LifecycleSimulation",
     "MetricSeries",
-    "MetricsCollector",
     "NetworkMessage",
     "PlacementExperiment",
     "PlacementResult",

@@ -24,7 +24,7 @@ rescan-per-pick loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Protocol, Sequence, Set, Tuple, Union
+from typing import Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from repro.kernels.placements import Placements, checked_placement_array
 
 __all__ = [
     "CorruptionOutcome",
-    "AdversaryModel",
     "RandomCapacityAdversary",
     "GreedyCapacityAdversary",
     "evaluate_loss",
@@ -111,19 +110,6 @@ def evaluate_loss(
         lost_value=lost_value,
         total_value=_ordered_sum(values),
     )
-
-
-class AdversaryModel(Protocol):
-    """Interface of a capacity-budgeted adversary."""
-
-    def choose_sectors(
-        self,
-        capacities: Sequence[float],
-        placements: Placements,
-        values: Sequence[float],
-        budget_fraction: float,
-    ) -> Set[int]:
-        """Select sector indices to corrupt within the capacity budget."""
 
 
 class RandomCapacityAdversary:

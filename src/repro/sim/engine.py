@@ -4,7 +4,10 @@ Events are ``(time, priority, sequence)``-ordered callbacks.  The engine is
 deliberately small: the FileInsurer protocol has its own pending list for
 consensus-level tasks, so this engine only coordinates the *off-chain*
 world (file transfers, proof submission, provider churn, adversary
-actions) around it.
+actions) around it.  Callbacks are scheduled at absolute times and one
+loop, :meth:`SimulationEngine.run`, processes them up to an optional
+horizon; a run is bounded by time only (there is no single-step, stop or
+event-count control).
 
 Scheduled events can be *cancelled* (:meth:`SimulationEngine.cancel`):
 cancellation is lazy -- the event stays in the heap as a tombstone and is
@@ -19,7 +22,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
 from repro.telemetry import counter
 
@@ -34,7 +37,6 @@ class Event:
     priority: int
     sequence: int
     callback: Callable[[], None] = field(compare=False)
-    label: str = field(compare=False, default="")
 
 
 class SimulationEngine:
@@ -52,36 +54,18 @@ class SimulationEngine:
         self.now = 0.0
         self.events_processed = 0
         self.events_cancelled = 0
-        self._stopped = False
         #: Observability hook: when set, called as ``probe(now)`` after
-        #: every event processed, by :meth:`run` or :meth:`step` (they
-        #: share one loop).  The lifecycle layer points it at a gauge
-        #: snapshotter while :mod:`repro.telemetry.metrics` is recording;
-        #: it must never schedule events or touch seeded RNG streams
-        #: (``events_processed`` is part of the rows).
+        #: every event :meth:`run` processes.  The lifecycle layer points
+        #: it at a gauge snapshotter while :mod:`repro.telemetry.metrics`
+        #: is recording; it must never schedule events or touch seeded RNG
+        #: streams (``events_processed`` is part of the rows).
         self.metrics_probe: Optional[Callable[[float], None]] = None
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[[], None],
-        priority: int = 0,
-        label: str = "",
-    ) -> Event:
-        """Schedule ``callback`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
-        return self.schedule_at(self.now + delay, callback, priority=priority, label=label)
-
     def schedule_at(
-        self,
-        time: float,
-        callback: Callable[[], None],
-        priority: int = 0,
-        label: str = "",
+        self, time: float, callback: Callable[[], None], priority: int = 0
     ) -> Event:
         """Schedule ``callback`` at an absolute simulation time."""
         # Written as "not >=" so a NaN time, which would silently corrupt
@@ -89,7 +73,7 @@ class SimulationEngine:
         if not time >= self.now:
             raise ValueError("cannot schedule an event in the past")
         sequence = next(self._sequence)
-        event = Event(time, priority, sequence, callback, label)
+        event = Event(time, priority, sequence, callback)
         heapq.heappush(self._queue, (time, priority, sequence, event))
         self._pending.add(sequence)
         return event
@@ -112,22 +96,21 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _run(
-        self, until: Optional[float], max_events: Optional[int]
-    ) -> Tuple[int, Optional[Event]]:
-        """The one event loop behind :meth:`step` and :meth:`run`.
+    def run(self, until: Optional[float] = None) -> int:
+        """Run live events in order until the queue drains or ``until`` passes.
 
-        Runs live events in order until the queue drains, the next one
-        lies past ``until``, ``max_events`` have run or :meth:`stop` is
-        called; returns how many ran and the last of them.  Tombstones
-        are reclaimed as they surface, without advancing the clock or
-        counting as processed.
+        Returns the number of events processed by this call; the clock
+        then stands at ``until`` (if given and later).  Tombstones are
+        reclaimed as they surface, without advancing the clock or counting
+        as processed.  A NaN ``until``, for which the loop's exit test is
+        never true, raises ``ValueError`` before any event runs.
         """
+        if until is not None and until != until:
+            raise ValueError("cannot run until a NaN time")
         queue = self._queue
         pending = self._pending
         heappop = heapq.heappop
         processed = 0
-        last: Optional[Event] = None
         while queue:
             time, _, sequence, event = queue[0]
             if sequence not in pending:
@@ -135,60 +118,16 @@ class SimulationEngine:
                 continue
             if until is not None and time > until:
                 break
-            if max_events is not None and processed >= max_events:
-                break
             heappop(queue)
             pending.discard(sequence)
             self.now = time
             event.callback()
             self.events_processed += 1
             processed += 1
-            last = event
             if self.metrics_probe is not None:
                 self.metrics_probe(self.now)
-            if self._stopped:
-                break
-        return processed, last
-
-    def step(self) -> Optional[Event]:
-        """Run the next live event; returns it, or None if none remain.
-
-        Cancelled events are skipped (and reclaimed) without advancing
-        the clock or counting as processed.
-        """
-        return self._run(None, 1)[1]
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
-        """Run events until the queue drains, ``until`` passes, or a cap hits.
-
-        Returns the number of events processed by this call.  A NaN
-        ``until``, for which the loop's exit test is never true, raises
-        ``ValueError`` before any event runs.
-        """
-        if until is not None and until != until:
-            raise ValueError("cannot run until a NaN time")
-        self._stopped = False
-        processed, _ = self._run(until, max_events)
         if until is not None and until > self.now:
             self.now = until
         if processed:
             counter("sim.events", processed, category="sim")
         return processed
-
-    def stop(self) -> None:
-        """Ask :meth:`run` to stop after the current event."""
-        self._stopped = True
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def pending_count(self) -> int:
-        """Number of live (non-cancelled) events still queued."""
-        return len(self._pending)
-
-    def next_event_time(self) -> Optional[float]:
-        """Time of the next live event, or None if nothing is queued."""
-        queue = self._queue
-        while queue and queue[0][2] not in self._pending:
-            heapq.heappop(queue)
-        return queue[0][0] if queue else None

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -226,11 +226,6 @@ class LifecycleMachine:
         if not self.can_apply(event):
             return None
         return self.apply(event, time=time)
-
-    @classmethod
-    def valid_events(cls, state: Enum) -> List[Enum]:
-        """All events with a defined transition out of ``state``."""
-        return [event for (from_state, event) in cls.TRANSITIONS if from_state == state]
 
 
 class FileMachine(LifecycleMachine):
@@ -534,7 +529,6 @@ class LifecycleSimulation:
                     when,
                     lambda n=name: self._on_departure(n),
                     priority=PRIORITY_PROVIDER,
-                    label=f"depart:{name}",
                 )
 
     def _arm_crash_clock(self, name: str, now: float) -> None:
@@ -546,7 +540,6 @@ class LifecycleSimulation:
             now + delay,
             lambda: self._on_crash(name),
             priority=PRIORITY_PROVIDER,
-            label=f"crash:{name}",
         )
 
     def _on_crash(self, name: str) -> None:
@@ -574,7 +567,6 @@ class LifecycleSimulation:
             now + self._prng.expovariate(self.config.mttr_s),
             lambda: self._on_recovery(name),
             priority=PRIORITY_PROVIDER,
-            label=f"recover:{name}",
         )
 
     def _on_recovery(self, name: str) -> None:
@@ -616,7 +608,6 @@ class LifecycleSimulation:
                 when,
                 lambda r=region: self._on_regional_failure(r),
                 priority=PRIORITY_PROVIDER,
-                label=f"regional-failure:{region}",
             )
 
     def _on_regional_failure(self, region: int) -> None:
@@ -671,7 +662,6 @@ class LifecycleSimulation:
                 arrivals[file_id],
                 lambda f=file_id: self._on_file_arrival(f),
                 priority=PRIORITY_FILE,
-                label=f"file-arrival:{file_id}",
             )
 
     def _on_file_arrival(self, file_id: int) -> None:
@@ -696,7 +686,6 @@ class LifecycleSimulation:
             now + transfer,
             lambda f=file_id: self._on_placement_confirmed(f),
             priority=PRIORITY_FILE,
-            label=f"placement:{file_id}",
         )
 
     def _on_placement_confirmed(self, file_id: int) -> None:
@@ -748,14 +737,12 @@ class LifecycleSimulation:
                 now + self.config.detection_delay_s,
                 lambda f=file_id: self._on_refresh_start(f),
                 priority=PRIORITY_FILE,
-                label=f"refresh-start:{file_id}",
             )
         if file_id not in self._loss_deadline:
             self._loss_deadline[file_id] = self.engine.schedule_at(
                 now + self.config.degrade_timeout_s,
                 lambda f=file_id: self._on_loss_deadline(f),
                 priority=PRIORITY_FILE,
-                label=f"loss-deadline:{file_id}",
             )
 
     def _on_refresh_start(self, file_id: int) -> None:
@@ -773,7 +760,6 @@ class LifecycleSimulation:
                 now + self.config.refresh_retry_s,
                 lambda f=file_id: self._on_refresh_start(f),
                 priority=PRIORITY_FILE,
-                label=f"refresh-retry:{file_id}",
             )
             return
         self._reserve_slot(target)
@@ -783,7 +769,6 @@ class LifecycleSimulation:
             now + transfer,
             lambda f=file_id, p=target: self._on_refresh_complete(f, p),
             priority=PRIORITY_FILE,
-            label=f"refresh-complete:{file_id}",
         )
         self._refresh_complete[file_id] = (event, target)
 
@@ -791,10 +776,11 @@ class LifecycleSimulation:
         """Free-slot-weighted draw over healthy providers not yet hosting.
 
         The file's current holders are zeroed in the sampler for the
-        length of the draw.  The draw is the one ``weighted_index`` makes
-        over the candidates' free slots -- a single ``random() * total``
-        -- and lands on the same provider: the prefix sums are integers,
-        so ``target < prefix`` and ``int(target) < prefix`` agree.
+        length of the draw.  The draw is the one the scan oracle in
+        ``tests/lifecycle_oracles.py`` makes over the candidates' free
+        slots -- a single ``random() * total`` -- and lands on the same
+        provider: the prefix sums are integers, so ``target < prefix`` and
+        ``int(target) < prefix`` agree.
         """
         weights = self._refresh_weights
         holders = [
@@ -805,7 +791,7 @@ class LifecycleSimulation:
         total = weights.total_weight
         target = None
         if total > 0:
-            # min() is weighted_index's "last candidate" fallback, should
+            # min() is the scan's "last candidate" fallback, should
             # the float product ever round up to the total.
             offset = min(int(self._prng.random() * total), total - 1)
             target = weights.key_at_offset(offset)
@@ -842,7 +828,6 @@ class LifecycleSimulation:
                 now,
                 lambda f=file_id: self._on_refresh_start(f),
                 priority=PRIORITY_FILE,
-                label=f"refresh-continue:{file_id}",
             )
 
     def _abort_inbound_refresh(self, file_id: int, now: float) -> None:
@@ -862,7 +847,6 @@ class LifecycleSimulation:
                 now + self.config.refresh_retry_s,
                 lambda f=file_id: self._on_refresh_start(f),
                 priority=PRIORITY_FILE,
-                label=f"refresh-retry:{file_id}",
             )
 
     def _on_loss_deadline(self, file_id: int) -> None:
@@ -930,7 +914,6 @@ class LifecycleSimulation:
                 when,
                 lambda f=int(keys[index]), b=flash: self._on_retrieval(f, b),
                 priority=PRIORITY_RETRIEVAL,
-                label="retrieval",
             )
 
     def _on_retrieval(self, file_id: int, flash: bool) -> None:

@@ -1,6 +1,6 @@
 """Metric collection for simulations and experiments.
 
-A tiny, dependency-free metrics layer: named time series of numeric
+A tiny, dependency-free metrics layer: a named time series of numeric
 samples with summary statistics, plus a table formatter the experiment
 drivers use to print paper-style rows.
 """
@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
-__all__ = ["MetricSeries", "MetricsCollector", "format_table", "linear_percentile"]
+__all__ = ["MetricSeries", "format_table", "linear_percentile"]
 
 
 def linear_percentile(values: Iterable[float], q: float) -> float:
@@ -66,24 +66,6 @@ class MetricSeries:
         values = self.values()
         return sum(values) / len(values) if values else 0.0
 
-    def maximum(self) -> float:
-        """Largest sample (0.0 for an empty series)."""
-        values = self.values()
-        return max(values) if values else 0.0
-
-    def minimum(self) -> float:
-        """Smallest sample (0.0 for an empty series)."""
-        values = self.values()
-        return min(values) if values else 0.0
-
-    def stddev(self) -> float:
-        """Population standard deviation (0.0 for fewer than two samples)."""
-        values = self.values()
-        if len(values) < 2:
-            return 0.0
-        mean = self.mean()
-        return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
-
     def percentile(self, q: float) -> float:
         """q-th percentile (0 <= q <= 100) using nearest-rank."""
         if not 0 <= q <= 100:
@@ -95,45 +77,14 @@ class MetricSeries:
         return values[rank - 1]
 
 
-class MetricsCollector:
-    """A registry of named metric series."""
+def format_table(rows: Sequence[Mapping[str, object]]) -> str:
+    """Format dictionaries as a fixed-width text table (paper-style output).
 
-    def __init__(self) -> None:
-        self._series: Dict[str, MetricSeries] = {}
-
-    def series(self, name: str) -> MetricSeries:
-        """Return (creating if needed) the series called ``name``."""
-        if name not in self._series:
-            self._series[name] = MetricSeries(name=name)
-        return self._series[name]
-
-    def record(self, name: str, time: float, value: float) -> None:
-        """Record one sample into ``name``."""
-        self.series(name).record(time, value)
-
-    def names(self) -> List[str]:
-        """All series names."""
-        return sorted(self._series)
-
-    def summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-series summary statistics."""
-        return {
-            name: {
-                "count": float(series.count()),
-                "mean": series.mean(),
-                "min": series.minimum(),
-                "max": series.maximum(),
-                "stddev": series.stddev(),
-            }
-            for name, series in self._series.items()
-        }
-
-
-def format_table(rows: Sequence[Mapping[str, object]], columns: Optional[Sequence[str]] = None) -> str:
-    """Format dictionaries as a fixed-width text table (paper-style output)."""
+    The columns are the first row's keys.
+    """
     if not rows:
         return "(no rows)"
-    chosen = list(columns) if columns else list(rows[0].keys())
+    chosen = list(rows[0].keys())
     widths = {column: len(str(column)) for column in chosen}
     for row in rows:
         for column in chosen:

@@ -4,14 +4,13 @@ File transfers in FileInsurer are bounded by ``DelayPerSize * f.size``; a
 transfer that exceeds the bound counts as failed (the provider never
 confirms).  This module models point-to-point transfers with per-link
 latency and bandwidth so the scenario harness can decide whether a transfer
-beats its deadline, and keeps per-node traffic counters for the traffic-fee
-accounting.
+beats its deadline, and counts the bytes moved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.crypto.prng import DeterministicPRNG
 
@@ -51,7 +50,6 @@ class NetworkMessage:
     size: int
     sent_at: float
     delivered_at: float
-    label: str = ""
 
     @property
     def duration(self) -> float:
@@ -69,9 +67,7 @@ class SimulatedNetwork:
     ) -> None:
         self.latency = latency or LatencyModel()
         self.prng = DeterministicPRNG.from_int(seed, domain="network-jitter")
-        self.messages: list[NetworkMessage] = []
-        self.bytes_sent: Dict[str, int] = {}
-        self.bytes_received: Dict[str, int] = {}
+        self.bytes_transferred = 0
         #: Nodes listed here drop every transfer (partitioned / offline).
         self.offline: set[str] = set()
 
@@ -93,7 +89,7 @@ class SimulatedNetwork:
     # Transfers
     # ------------------------------------------------------------------
     def transfer(
-        self, sender: str, receiver: str, size: int, now: float, label: str = ""
+        self, sender: str, receiver: str, size: int, now: float
     ) -> Optional[NetworkMessage]:
         """Attempt a transfer; returns the message or None if either end is offline."""
         if not self.is_online(sender) or not self.is_online(receiver):
@@ -105,11 +101,8 @@ class SimulatedNetwork:
             size=size,
             sent_at=now,
             delivered_at=now + duration,
-            label=label,
         )
-        self.messages.append(message)
-        self.bytes_sent[sender] = self.bytes_sent.get(sender, 0) + size
-        self.bytes_received[receiver] = self.bytes_received.get(receiver, 0) + size
+        self.bytes_transferred += size
         return message
 
     def meets_deadline(self, message: Optional[NetworkMessage], deadline: float) -> bool:
@@ -121,12 +114,4 @@ class SimulatedNetwork:
     # ------------------------------------------------------------------
     def total_bytes_transferred(self) -> int:
         """Sum of all delivered transfer sizes."""
-        return sum(message.size for message in self.messages)
-
-    def traffic_summary(self) -> Dict[str, Tuple[int, int]]:
-        """Per-node ``(bytes_sent, bytes_received)``."""
-        nodes = set(self.bytes_sent) | set(self.bytes_received)
-        return {
-            node: (self.bytes_sent.get(node, 0), self.bytes_received.get(node, 0))
-            for node in sorted(nodes)
-        }
+        return self.bytes_transferred

@@ -19,9 +19,8 @@ reproduce the readable per-move loop of the test oracle bit-for-bit with
 grouped numpy scans (see ``docs/performance.md``).  The engine is deliberately
 batch-size-invariant: refresh moves draw from dedicated RNG streams and
 ``mean_usage`` / ``overflow_rounds`` are sampled on a fixed refresh
-cadence (every ``sample_interval`` moves, default ``Ncp``), so changing
-``batch_size`` changes memory use and wall time but never a reported
-number.
+cadence (every ``Ncp`` moves), so changing :data:`BATCH_SIZE` changes
+memory use and wall time but never a reported number.
 """
 
 from __future__ import annotations
@@ -42,6 +41,9 @@ __all__ = ["PlacementResult", "PlacementExperiment"]
 _CHOSEN_STREAM = 1
 _TARGET_STREAM = 2
 
+#: Refresh moves drawn and applied per kernel call; bounds memory only.
+BATCH_SIZE = 1_000_000
+
 
 def _draw_dtype(upper: int) -> np.dtype:
     """Narrowest *chunk-invariant* dtype for uniform draws in ``[0, upper)``.
@@ -51,7 +53,7 @@ def _draw_dtype(upper: int) -> np.dtype:
     state, so splitting one draw of ``n`` values into several smaller
     draws yields the same values.  8- and 16-bit draws use a call-local
     buffer and are *not* split-invariant -- never use them here, or
-    ``batch_size`` would change the refresh stream.
+    :data:`BATCH_SIZE` would change the refresh stream.
     """
     if upper - 1 <= np.iinfo(np.uint32).max:
         return np.dtype(np.uint32)
@@ -158,8 +160,6 @@ class PlacementExperiment:
         n_backups: int,
         n_sectors: int,
         refresh_multiplier: int = 100,
-        batch_size: int = 1_000_000,
-        sample_interval: Optional[int] = None,
     ) -> PlacementResult:
         """Setting 2: place once, then refresh ``refresh_multiplier * Ncp`` backups.
 
@@ -169,20 +169,14 @@ class PlacementExperiment:
         whole churn.
 
         ``mean_usage`` and ``overflow_rounds`` are sampled every
-        ``sample_interval`` refreshes (default ``n_backups``, i.e. once
-        per paper "round") plus once after the initial placement.
-        ``batch_size`` only bounds memory: the backup-choice and
-        target-sector draws come from dedicated RNG streams and the
-        kernels apply moves as sequential per-sector additions, so every
-        reported number is invariant under re-batching -- a serial run
-        (``batch_size=1``) reproduces a batched run bit-for-bit.
+        ``n_backups`` refreshes (once per paper "round") plus once after
+        the initial placement.  :data:`BATCH_SIZE` only bounds memory: the
+        backup-choice and target-sector draws come from dedicated RNG
+        streams and the kernels apply moves as sequential per-sector
+        additions, so every reported number is invariant under
+        re-batching -- a serial run (batches of one move) reproduces a
+        batched run bit-for-bit.
         """
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if sample_interval is None:
-            sample_interval = n_backups
-        if sample_interval < 1:
-            raise ValueError("sample_interval must be >= 1")
         workload = WorkloadGenerator(seed=self.seed)
         sizes = workload.backup_sizes(distribution, n_backups)
         capacity = self._sector_capacity(sizes, n_sectors)
@@ -210,23 +204,23 @@ class PlacementExperiment:
         )
         # Narrow draw dtypes speed up both the draws and every kernel
         # gather; the streams stay chunk-invariant within a dtype, which
-        # depends only on (n_backups, n_sectors), never on batch_size.
+        # depends only on (n_backups, n_sectors), never on BATCH_SIZE.
         chosen_dtype = _draw_dtype(n_backups)
         target_dtype = _draw_dtype(n_sectors)
 
         total_refreshes = refresh_multiplier * n_backups
         done = 0
         while done < total_refreshes:
-            chunk = min(batch_size, total_refreshes - done)
+            chunk = min(BATCH_SIZE, total_refreshes - done)
             chosen = chosen_rng.integers(0, n_backups, chunk, dtype=chosen_dtype)
             targets = target_rng.integers(0, n_sectors, chunk, dtype=target_dtype)
             # Sample boundaries falling inside this batch: every multiple
             # of the cadence, plus the very end of a partial last interval.
             bounds = list(
                 range(
-                    (done // sample_interval + 1) * sample_interval - done,
+                    (done // n_backups + 1) * n_backups - done,
                     chunk + 1,
-                    sample_interval,
+                    n_backups,
                 )
             )
             if done + chunk == total_refreshes and (not bounds or bounds[-1] != chunk):
@@ -259,16 +253,15 @@ class PlacementExperiment:
     def sweep(
         self,
         grid: Sequence[tuple],
-        distributions: Optional[Sequence[FileSizeDistribution]] = None,
         mode: str = "reallocate",
         rounds: int = 100,
         refresh_multiplier: int = 100,
-        sample_interval: Optional[int] = None,
     ) -> List[PlacementResult]:
-        """Run one mode over a ``(Ncp, Ns)`` grid for several distributions."""
+        """Run one mode over a ``(Ncp, Ns)`` grid for the paper's five
+        size distributions."""
         if mode not in ("reallocate", "refresh"):
             raise ValueError("mode must be 'reallocate' or 'refresh'")
-        chosen = list(distributions or FileSizeDistribution.paper_order())
+        chosen = list(FileSizeDistribution.paper_order())
         results: List[PlacementResult] = []
         for n_backups, n_sectors in grid:
             for distribution in chosen:
@@ -283,7 +276,6 @@ class PlacementExperiment:
                             n_backups,
                             n_sectors,
                             refresh_multiplier=refresh_multiplier,
-                            sample_interval=sample_interval,
                         )
                     )
         return results

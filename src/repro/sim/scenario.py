@@ -4,7 +4,7 @@ Wires every substrate together into a runnable deployment:
 
 * a token :class:`Ledger` funding clients and providers;
 * the :class:`FileInsurerProtocol` state machine (on-chain view);
-* physical :class:`StorageProvider` actors with disks, sealing and proofs;
+* physical :class:`StorageProvider` actors with disks and sealing;
 * :class:`StorageClient` actors preparing and verifying files;
 * a :class:`SimulatedNetwork` bounding transfer times against the
   protocol's ``DelayPerSize`` deadline.
@@ -145,11 +145,11 @@ class DSNScenario:
         self.sector_map[sector_id] = (provider_name, physical)
         return sector_id
 
-    def add_provider(self, name: str, sectors: int = 1, funds: Optional[int] = None) -> None:
+    def add_provider(self, name: str, sectors: int = 1) -> None:
         """Add a brand-new provider mid-run (provider churn)."""
         if name in self.providers:
             raise ValueError(f"provider {name!r} already exists")
-        self.ledger.mint(name, funds if funds is not None else self.config.provider_funds)
+        self.ledger.mint(name, self.config.provider_funds)
         disk_capacity = sectors * self.config.sector_capacity
         self.providers[name] = StorageProvider(name, disk_capacity=disk_capacity)
         self.lifecycle.provider(name).apply(
@@ -173,9 +173,7 @@ class DSNScenario:
     # ------------------------------------------------------------------
     # Client operations
     # ------------------------------------------------------------------
-    def store_file(
-        self, client_name: str, name: str, data: bytes, value: int, encrypt: bool = False
-    ) -> int:
+    def store_file(self, client_name: str, name: str, data: bytes, value: int) -> int:
         """Store a file end to end: File Add, physical transfers, confirms.
 
         Returns the file id.  The allocation is finalised when time advances
@@ -183,7 +181,7 @@ class DSNScenario:
         :meth:`run_cycles` or :meth:`settle_uploads` afterwards.
         """
         client = self.clients[client_name]
-        prepared = client.prepare_file(name, data, value, encrypt=encrypt)
+        prepared = client.prepare_file(name, data, value)
         file_id = self.protocol.file_add(
             client_name, prepared.size, prepared.value, prepared.merkle_root
         )
@@ -197,7 +195,6 @@ class DSNScenario:
         self.engine.schedule_at(
             max(deadline, self.engine.now),
             lambda f=file_id: self._settle_placement(f),
-            label=f"placement-check:{file_id}",
         )
         return file_id
 
@@ -231,7 +228,6 @@ class DSNScenario:
                 provider_name,
                 descriptor.size,
                 now=self.protocol.now,
-                label=f"file#{file_id}[{index}]",
             )
             if not self.network.meets_deadline(message, deadline):
                 continue
@@ -252,10 +248,6 @@ class DSNScenario:
         next_time = self.protocol.pending.peek_time()
         if next_time is not None and next_time > self.protocol.now:
             self.advance_to(next_time)
-
-    def discard_file(self, client_name: str, file_id: int) -> None:
-        """Client discards a stored file."""
-        self.protocol.file_discard(client_name, file_id)
 
     def retrieve_file(self, client_name: str, file_id: int) -> bytes:
         """Retrieve a file from any healthy provider and verify its root.
@@ -280,8 +272,7 @@ class DSNScenario:
                 continue
             payload = physical.read_raw_file(descriptor.merkle_root)
             self.network.transfer(
-                provider_name, client_name, len(payload), now=self.protocol.now,
-                label=f"retrieve file#{file_id}",
+                provider_name, client_name, len(payload), now=self.protocol.now
             )
             if not client.verify_retrieved(descriptor.merkle_root, payload):
                 continue
@@ -291,12 +282,11 @@ class DSNScenario:
     # ------------------------------------------------------------------
     # Failures
     # ------------------------------------------------------------------
-    def crash_provider(self, provider_name: str, immediate_detection: bool = False) -> None:
+    def crash_provider(self, provider_name: str) -> None:
         """Corrupt a provider's disk.
 
-        With ``immediate_detection`` the protocol reacts at once (deposits
-        confiscated); otherwise the loss surfaces when proofs stop arriving
-        and the proof deadline passes, exactly as in the paper.
+        The loss surfaces when proofs stop arriving and the proof deadline
+        passes, exactly as in the paper.
         """
         provider = self.providers[provider_name]
         provider.crash()
@@ -310,14 +300,7 @@ class DSNScenario:
             self.engine.schedule_at(
                 self.engine.now,
                 lambda f=file_id: self._degrade_file(f),
-                label=f"degrade:{file_id}",
             )
-        if immediate_detection:
-            for sector_id, (owner, _) in list(self.sector_map.items()):
-                if owner == provider_name:
-                    record = self.protocol.sectors.get(sector_id)
-                    if record is not None and not record.is_corrupted:
-                        self.protocol.crash_sector(sector_id)
 
     def _files_on_provider(self, provider_name: str) -> List[int]:
         """File ids with at least one replica mapped onto the provider."""
@@ -405,7 +388,6 @@ class DSNScenario:
             target_provider_name,
             descriptor.size,
             now=self.protocol.now,
-            label=f"refresh file#{notice.file_id}[{notice.replica_index}]",
         )
         if not self.network.meets_deadline(message, notice.deadline):
             return

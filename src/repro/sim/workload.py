@@ -19,9 +19,9 @@ sizes and values for the end-to-end scenario workloads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -103,15 +103,13 @@ class WorkloadGenerator:
         count: int,
         mean_size: int,
         distribution: FileSizeDistribution = FileSizeDistribution.EXPONENTIAL,
-        value_choices: Sequence[int] = (1,),
-        value_weights: Optional[Sequence[float]] = None,
         max_size: Optional[int] = None,
     ) -> List[FileRequest]:
         """Generate ``count`` file requests with integer byte sizes.
 
         Sizes follow the chosen distribution scaled to ``mean_size`` bytes
-        (clamped to at least one byte and at most ``max_size``); values are
-        drawn from ``value_choices`` with optional weights.
+        (clamped to at least one byte and at most ``max_size``); every
+        request has value 1.
         """
         if count <= 0:
             return []
@@ -122,31 +120,7 @@ class WorkloadGenerator:
         scaled = np.maximum(1, np.round(unit_sizes * (mean_size / mean_of_unit)))
         if max_size is not None:  # clamped as floats: a huge mean must not wrap int64
             scaled = np.minimum(scaled, max_size)
-        scaled = scaled.astype(int)
-        if value_weights is not None:
-            weights = np.asarray(value_weights, dtype=float)
-            weights = weights / weights.sum()
-        else:
-            weights = None
-        values = self._rng.choice(np.asarray(value_choices), size=count, p=weights)
-        return [FileRequest(size=int(s), value=int(v)) for s, v in zip(scaled, values)]
-
-    # ------------------------------------------------------------------
-    # Sector populations
-    # ------------------------------------------------------------------
-    def sector_capacities(
-        self,
-        count: int,
-        min_capacity: int,
-        max_multiple: int = 4,
-    ) -> List[int]:
-        """Capacities for ``count`` sectors as random multiples of ``min_capacity``."""
-        if count <= 0:
-            return []
-        if max_multiple < 1:
-            raise ValueError("max_multiple must be at least 1")
-        multiples = self._rng.integers(1, max_multiple + 1, count)
-        return [int(m) * min_capacity for m in multiples]
+        return [FileRequest(size=int(s), value=1) for s in scaled.astype(int)]
 
     # ------------------------------------------------------------------
     # Arrival processes

@@ -4,31 +4,20 @@ Retrieval in FileInsurer happens off-chain through IPFS's BitSwap protocol
 (Sections III-E, VI-F): a client announces a want-list, peers that hold the
 wanted blocks respond, and transferred bytes are accounted so the traffic
 fee and the Retrieval Market can settle.  This module provides that
-exchange over the in-process peer registry, including per-peer transfer
-ledgers used by the fee mechanism and by the selfish-provider experiments
-(Section VI-E).
+exchange over the in-process peer registry, including the per-peer byte
+counters the retrieval-market scenario reads and the selfish providers of
+Section VI-E.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.crypto.hashing import ContentId
 from repro.storage.content_store import BlockNotFoundError, ContentStore
 from repro.storage.dht import DHTNetwork, DHTNode
 
-__all__ = ["BitSwapNode", "BitSwapNetwork", "TransferRecord"]
-
-
-@dataclass
-class TransferRecord:
-    """Bytes exchanged between a pair of peers."""
-
-    sender: str
-    receiver: str
-    cid: ContentId
-    size: int
+__all__ = ["BitSwapNode", "BitSwapNetwork"]
 
 
 class BitSwapNode:
@@ -51,12 +40,11 @@ class BitSwapNode:
         self.serves_retrievals = serves_retrievals
         self.bytes_sent = 0
         self.bytes_received = 0
-        self.want_list: Set[ContentId] = set()
 
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
-    def handle_want(self, cid: ContentId, requester: str) -> Optional[bytes]:
+    def handle_want(self, cid: ContentId) -> Optional[bytes]:
         """Serve a wanted block if held and willing."""
         if not self.serves_retrievals:
             return None
@@ -64,7 +52,6 @@ class BitSwapNode:
             return None
         data = self.store.get(cid)
         self.bytes_sent += len(data)
-        self.network.record_transfer(self.name, requester, cid, len(data))
         return data
 
     # ------------------------------------------------------------------
@@ -74,7 +61,6 @@ class BitSwapNode:
         """Fetch one block, locating providers through the DHT if needed."""
         if self.store.has(cid):
             return self.store.get(cid)
-        self.want_list.add(cid)
         candidates: List[str] = list(hint_peers or [])
         if self.dht_node is not None:
             candidates.extend(sorted(self.dht_node.find_providers(cid)))
@@ -84,48 +70,37 @@ class BitSwapNode:
             peer = self.network.peer(peer_name)
             if peer is None:
                 continue
-            data = peer.handle_want(cid, self.name)
+            data = peer.handle_want(cid)
             if data is None:
                 continue
             self.store.put_verified(cid, data)
             self.bytes_received += len(data)
-            self.want_list.discard(cid)
             return data
         raise BlockNotFoundError(cid)
 
-    def fetch_many(self, cids: List[ContentId], hint_peers: Optional[List[str]] = None) -> int:
-        """Fetch a list of blocks; returns total bytes received."""
-        total = 0
-        for cid in cids:
-            total += len(self.fetch_block(cid, hint_peers=hint_peers))
-        return total
-
 
 class BitSwapNetwork:
-    """In-process registry of BitSwap peers plus a transfer ledger."""
+    """In-process registry of BitSwap peers."""
 
     def __init__(self, dht: Optional[DHTNetwork] = None) -> None:
         self.dht = dht
         self._peers: Dict[str, BitSwapNode] = {}
-        self.transfers: List[TransferRecord] = []
 
     def create_peer(
         self,
         name: str,
-        store: Optional[ContentStore] = None,
-        with_dht: bool = True,
         bootstrap: Optional[str] = None,
         serves_retrievals: bool = True,
     ) -> BitSwapNode:
-        """Create a peer, optionally joining it to the DHT."""
+        """Create a peer, joining it to the DHT if the network has one."""
         if name in self._peers:
             raise ValueError(f"peer {name!r} already exists")
         dht_node = None
-        if with_dht and self.dht is not None:
+        if self.dht is not None:
             dht_node = self.dht.create_node(name, bootstrap=bootstrap)
         peer = BitSwapNode(
             name=name,
-            store=store or ContentStore(),
+            store=ContentStore(),
             network=self,
             dht_node=dht_node,
             serves_retrievals=serves_retrievals,
@@ -133,30 +108,6 @@ class BitSwapNetwork:
         self._peers[name] = peer
         return peer
 
-    def remove_peer(self, name: str) -> None:
-        """Remove a peer (and its DHT presence)."""
-        self._peers.pop(name, None)
-        if self.dht is not None and name in self.dht.names():
-            self.dht.remove_node(name)
-
     def peer(self, name: str) -> Optional[BitSwapNode]:
         """Look up a peer by name."""
         return self._peers.get(name)
-
-    def peers(self) -> List[str]:
-        """All peer names."""
-        return sorted(self._peers)
-
-    def record_transfer(self, sender: str, receiver: str, cid: ContentId, size: int) -> None:
-        """Record a completed block transfer (used for traffic-fee settlement)."""
-        self.transfers.append(
-            TransferRecord(sender=sender, receiver=receiver, cid=cid, size=size)
-        )
-
-    def bytes_between(self, sender: str, receiver: str) -> int:
-        """Total bytes ``sender`` has served to ``receiver``."""
-        return sum(
-            record.size
-            for record in self.transfers
-            if record.sender == sender and record.receiver == receiver
-        )

@@ -4,16 +4,16 @@ IPFS represents a file as a DAG whose leaves are fixed-size chunks and
 whose internal nodes list the content ids of their children.  FileInsurer
 stores the hashes and locations of files on chain, so anyone can rebuild
 the DAG and address files through IPFS paths (Section VI-F).  This module
-builds DAGs into a :class:`ContentStore` and reassembles files from one.
+builds DAGs into a :class:`ContentStore` and lists the blocks of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
-from repro.crypto.hashing import ContentId, hash_concat
-from repro.storage.content_store import BlockNotFoundError, ContentStore
+from repro.crypto.hashing import ContentId
+from repro.storage.content_store import ContentStore
 
 __all__ = ["DagNode", "MerkleDag"]
 
@@ -54,7 +54,7 @@ class DagNode:
 
 
 class MerkleDag:
-    """Builds and reads chunked Merkle DAGs in a content store."""
+    """Builds chunked Merkle DAGs in a content store."""
 
     def __init__(
         self,
@@ -105,21 +105,6 @@ class MerkleDag:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def read_file(self, root: ContentId) -> bytes:
-        """Reassemble the file under ``root`` from the store."""
-        block = self.store.get(root)
-        if block.startswith(_LEAF_TAG):
-            return block[1:]
-        node = DagNode.decode(block)
-        return b"".join(self.read_file(child) for child in node.children)
-
-    def file_size(self, root: ContentId) -> int:
-        """Total size recorded in the root node (leaf roots return length)."""
-        block = self.store.get(root)
-        if block.startswith(_LEAF_TAG):
-            return len(block) - 1
-        return DagNode.decode(block).total_size
-
     def collect_cids(self, root: ContentId) -> List[ContentId]:
         """All content ids reachable from ``root`` (root first)."""
         block = self.store.get(root)
@@ -129,11 +114,3 @@ class MerkleDag:
             for child in node.children:
                 result.extend(self.collect_cids(child))
         return result
-
-    def verify(self, root: ContentId) -> bool:
-        """Check that the whole DAG under ``root`` is present and intact."""
-        try:
-            self.read_file(root)
-        except (BlockNotFoundError, ValueError):  # missing / malformed node
-            return False
-        return True

@@ -10,8 +10,7 @@ algorithm so routing behaviour (O(log n) hops) is faithful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.crypto.hashing import ContentId, hash_bytes
 
@@ -19,7 +18,8 @@ __all__ = ["DHTNode", "DHTNetwork"]
 
 ID_BITS = 256
 DEFAULT_BUCKET_SIZE = 20
-DEFAULT_ALPHA = 3
+#: Lookup concurrency: how many of the closest unqueried nodes each round asks.
+ALPHA = 3
 
 
 def node_id_from_name(name: str) -> int:
@@ -68,19 +68,11 @@ class _RoutingTable:
             bucket.pop(0)
             bucket.append(node_id)
 
-    def remove(self, node_id: int) -> None:
-        bucket = self._buckets[self._bucket_index(node_id)]
-        if node_id in bucket:
-            bucket.remove(node_id)
-
     def closest(self, target: int, count: int) -> List[int]:
         """The ``count`` known node ids closest to ``target``."""
         known = [node_id for bucket in self._buckets for node_id in bucket]
         known.sort(key=lambda node_id: xor_distance(node_id, target))
         return known[:count]
-
-    def all_nodes(self) -> List[int]:
-        return [node_id for bucket in self._buckets for node_id in bucket]
 
 
 class DHTNode:
@@ -117,15 +109,6 @@ class DHTNode:
         self.routing_table.add(caller_id)
         return set(self._provider_records.get(key, set()))
 
-    def rpc_remove_provider(self, key: int, provider_name: str, caller_id: int) -> None:
-        """Drop a provider record (file discarded / provider gone)."""
-        self.routing_table.add(caller_id)
-        records = self._provider_records.get(key)
-        if records:
-            records.discard(provider_name)
-            if not records:
-                del self._provider_records[key]
-
     # ------------------------------------------------------------------
     # Client operations
     # ------------------------------------------------------------------
@@ -136,14 +119,14 @@ class DHTNode:
         peer.routing_table.add(self.node_id)
         self.iterative_find_node(self.node_id)
 
-    def iterative_find_node(self, target: int, alpha: int = DEFAULT_ALPHA) -> List[int]:
+    def iterative_find_node(self, target: int) -> List[int]:
         """Iterative Kademlia lookup of the nodes closest to ``target``."""
-        shortlist = self.routing_table.closest(target, alpha) or [self.node_id]
+        shortlist = self.routing_table.closest(target, ALPHA) or [self.node_id]
         queried: Set[int] = set()
         closest_seen = sorted(shortlist, key=lambda n: xor_distance(n, target))
         self.lookup_hops = 0
         while True:
-            unqueried = [n for n in closest_seen if n not in queried][:alpha]
+            unqueried = [n for n in closest_seen if n not in queried][:ALPHA]
             if not unqueried:
                 break
             self.lookup_hops += 1
@@ -167,14 +150,6 @@ class DHTNode:
             peer = self.network.node_by_id(node_id)
             if peer is not None:
                 peer.rpc_store_provider(key, self.name, self.node_id)
-
-    def stop_providing(self, cid: ContentId) -> None:
-        """Withdraw this node's provider record for ``cid``."""
-        key = key_from_cid(cid)
-        for node_id in self._closest_live_nodes(key):
-            peer = self.network.node_by_id(node_id)
-            if peer is not None:
-                peer.rpc_remove_provider(key, self.name, self.node_id)
 
     def find_providers(self, cid: ContentId) -> Set[str]:
         """Find peer names providing ``cid``."""
@@ -214,14 +189,6 @@ class DHTNetwork:
             node.bootstrap(bootstrap)
         return node
 
-    def remove_node(self, name: str) -> None:
-        """Remove a node (provider churn)."""
-        node = self._nodes.pop(name, None)
-        if node is not None:
-            self._by_id.pop(node.node_id, None)
-            for other in self._nodes.values():
-                other.routing_table.remove(node.node_id)
-
     def node(self, name: str) -> DHTNode:
         """Look up a node by name."""
         return self._nodes[name]
@@ -229,10 +196,6 @@ class DHTNetwork:
     def node_by_id(self, node_id: int) -> Optional[DHTNode]:
         """Look up a node by its 256-bit id."""
         return self._by_id.get(node_id)
-
-    def names(self) -> List[str]:
-        """All registered node names."""
-        return sorted(self._nodes)
 
     def __len__(self) -> int:
         return len(self._nodes)

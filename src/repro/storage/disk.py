@@ -1,35 +1,24 @@
 """Physical disk model with corruption injection.
 
 The unit the adversary attacks.  A disk holds named regions of bytes (one
-region per sealed replica or Capacity Replica); corrupting the disk -- or
-any single region of it -- makes every proof over its contents fail, which
-matches the paper's definition: *a sector is collapsed as long as any bit
-in this sector is lost*.
+region per sealed replica or Capacity Replica); corrupting the disk makes
+every read of its contents fail, which matches the paper's definition: *a
+sector is collapsed as long as any bit in this sector is lost*.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from typing import Dict
 
 __all__ = ["Disk", "DiskCorruptedError", "DiskFullError"]
 
 
 class DiskCorruptedError(Exception):
-    """Raised when reading from a corrupted disk or region."""
+    """Raised when reading from a corrupted disk."""
 
 
 class DiskFullError(Exception):
     """Raised when a write would exceed the disk capacity."""
-
-
-@dataclass
-class _Region:
-    """A named contiguous region on the disk."""
-
-    name: str
-    data: bytes
-    corrupted: bool = False
 
 
 class Disk:
@@ -40,7 +29,7 @@ class Disk:
             raise ValueError("disk capacity must be positive")
         self.disk_id = disk_id
         self.capacity = capacity
-        self._regions: Dict[str, _Region] = {}
+        self._regions: Dict[str, bytes] = {}
         self._corrupted = False
 
     # ------------------------------------------------------------------
@@ -49,7 +38,7 @@ class Disk:
     @property
     def used(self) -> int:
         """Bytes currently written."""
-        return sum(len(region.data) for region in self._regions.values())
+        return sum(len(data) for data in self._regions.values())
 
     @property
     def free(self) -> int:
@@ -61,37 +50,25 @@ class Disk:
     # ------------------------------------------------------------------
     def write(self, name: str, data: bytes) -> None:
         """Write (or overwrite) a named region."""
-        existing = len(self._regions[name].data) if name in self._regions else 0
+        existing = len(self._regions[name]) if name in self._regions else 0
         if self.used - existing + len(data) > self.capacity:
             raise DiskFullError(
                 f"disk {self.disk_id}: writing {len(data)} bytes exceeds capacity"
             )
-        self._regions[name] = _Region(name=name, data=data)
+        self._regions[name] = data
 
     def read(self, name: str) -> bytes:
-        """Read a region; raises if the disk or region is corrupted."""
+        """Read a region; raises if the disk is corrupted."""
         if self._corrupted:
             raise DiskCorruptedError(f"disk {self.disk_id} is corrupted")
-        region = self._regions.get(name)
-        if region is None:
+        data = self._regions.get(name)
+        if data is None:
             raise KeyError(f"disk {self.disk_id} has no region {name!r}")
-        if region.corrupted:
-            raise DiskCorruptedError(
-                f"region {name!r} on disk {self.disk_id} is corrupted"
-            )
-        return region.data
+        return data
 
     def delete(self, name: str) -> bool:
         """Remove a region; returns whether it existed."""
         return self._regions.pop(name, None) is not None
-
-    def has(self, name: str) -> bool:
-        """True if the region exists (corrupted or not)."""
-        return name in self._regions
-
-    def regions(self) -> Iterator[str]:
-        """Iterate over region names."""
-        return iter(sorted(self._regions))
 
     # ------------------------------------------------------------------
     # Corruption
@@ -100,17 +77,10 @@ class Disk:
         """Corrupt the whole disk (adversary or hardware failure)."""
         self._corrupted = True
 
-    def corrupt_region(self, name: str) -> None:
-        """Corrupt a single region -- enough to collapse the hosting sector."""
-        region = self._regions.get(name)
-        if region is None:
-            raise KeyError(f"disk {self.disk_id} has no region {name!r}")
-        region.corrupted = True
-
     @property
     def is_corrupted(self) -> bool:
-        """True if the whole disk, or any region on it, is corrupted."""
-        return self._corrupted or any(r.corrupted for r in self._regions.values())
+        """True once the disk is corrupted."""
+        return self._corrupted
 
     def healthy(self) -> bool:
         """Convenience inverse of :attr:`is_corrupted`."""

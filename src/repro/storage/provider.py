@@ -1,11 +1,12 @@
-"""Storage provider actor: disks, sectors, sealing, proving and swapping.
+"""Storage provider actor: disks, sectors, sealing and swapping.
 
 A provider rents out disk space divided into sectors (each an integer
 multiple of ``minCapacity``), seals every stored file into a replica with
 PoRep under a provider-specific key, keeps the free space of each sector
-filled with Capacity Replicas (DRep, Section III-D), answers WindowPoSt
-challenges, and swaps replicas in and out when the network refreshes
-storage locations.
+filled with Capacity Replicas (DRep, Section III-D), and swaps replicas in
+and out when the network refreshes storage locations.  No storage proof
+(proof of spacetime) is produced: the protocol's health oracle stands in
+for it.
 
 This is the *physical* half of a provider.  The on-chain half (deposits,
 allocation entries, punishments) lives in :mod:`repro.core.protocol`; the
@@ -14,13 +15,12 @@ simulation scenario wires the two together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.crypto.hashing import ContentId, derive_key
 from repro.crypto.porep import PoRepParams, PoRepProver, SealedReplica
-from repro.crypto.post import PoStChallenge, PoStProof, WindowPoSt
-from repro.storage.disk import Disk, DiskCorruptedError
+from repro.storage.disk import Disk
 
 __all__ = ["ProviderSector", "StorageProvider", "SectorFullError"]
 
@@ -185,10 +185,6 @@ class ProviderSector:
         """True if the sector holds a replica for ``file_root``."""
         return file_root in self._files
 
-    def stored_file_roots(self) -> List[bytes]:
-        """Roots of all file replicas currently held."""
-        return list(self._files)
-
     def read_raw_file(self, file_root: bytes) -> bytes:
         """Unseal and return the raw file bytes (used for swap transfers)."""
         stored = self._require(file_root)
@@ -196,27 +192,6 @@ class ProviderSector:
         key = self.provider.sealing_key(self.sector_id, stored.region)
         replica = SealedReplica(data=sealed_bytes, commitment=stored.replica.commitment)
         return self.provider.porep.unseal(replica, key)
-
-    # ------------------------------------------------------------------
-    # Proofs
-    # ------------------------------------------------------------------
-    def prove_file(self, file_root: bytes, challenge: PoStChallenge) -> PoStProof:
-        """Answer a WindowPoSt challenge for one file replica.
-
-        Reads the replica bytes from disk, so a corrupted disk raises
-        :class:`DiskCorruptedError` and no proof can be produced -- the
-        behaviour the protocol's punishment logic depends on.
-        """
-        stored = self._require(file_root)
-        sealed_bytes = self.provider.disk.read(stored.region)
-        replica = SealedReplica(data=sealed_bytes, commitment=stored.replica.commitment)
-        return self.provider.window_post.prove(
-            replica, challenge, self.provider.name.encode("utf-8")
-        )
-
-    def commitment_for(self, file_root: bytes):
-        """Replica commitment for ``file_root`` (needed to build challenges)."""
-        return self._require(file_root).replica.commitment
 
     def _require(self, file_root: bytes) -> _StoredReplica:
         stored = self._files.get(file_root)
@@ -235,14 +210,11 @@ class StorageProvider:
         name: str,
         disk_capacity: int,
         porep_params: Optional[PoRepParams] = None,
-        window_post: Optional[WindowPoSt] = None,
-        secret_seed: Optional[bytes] = None,
     ) -> None:
         self.name = name
         self.disk = Disk(disk_id=f"{name}/disk", capacity=disk_capacity)
         self.porep = PoRepProver(porep_params)
-        self.window_post = window_post or WindowPoSt()
-        self._secret_seed = secret_seed or derive_key(b"provider-secret", name)
+        self._secret_seed = derive_key(b"provider-secret", name)
         self._sectors: Dict[str, ProviderSector] = {}
 
     # ------------------------------------------------------------------

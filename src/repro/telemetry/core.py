@@ -47,7 +47,6 @@ from typing import (
     Iterator,
     List,
     Mapping,
-    Optional,
     Tuple,
 )
 
@@ -268,15 +267,14 @@ def emit_span(
     begin: float,
     end: float,
     category: str = "app",
-    pid: Optional[int] = None,
-    tid: Optional[int] = None,
     **args: Any,
 ) -> None:
     """Record a span from explicit ``perf_counter`` endpoints.
 
     For phases whose start was observed before the recording scope
     existed -- e.g. a trial's queue wait, timed from the parent's enqueue
-    timestamp inside the worker.
+    timestamp inside the worker.  The span belongs to the calling process
+    and thread, like every other span.
     """
     if not SPANS.enabled:
         return
@@ -287,8 +285,8 @@ def emit_span(
             "ph": "X",
             "ts": begin * 1e6,
             "dur": max(0.0, end - begin) * 1e6,
-            "pid": os.getpid() if pid is None else pid,
-            "tid": threading.get_ident() if tid is None else tid,
+            "pid": os.getpid(),
+            "tid": threading.get_ident(),
             "args": args,
         }
     )

@@ -76,14 +76,14 @@ def campaign_scenarios():
     """
     from campaign_testlib import campaign_test_specs
 
-    from repro.runner.registry import register, unregister
+    from repro.runner.registry import _REGISTRY, register
 
     specs = campaign_test_specs()
     for spec in specs:
         register(spec, replace=True)
     yield specs
     for spec in specs:
-        unregister(spec.name)
+        _REGISTRY.pop(spec.name, None)
 
 
 @pytest.fixture

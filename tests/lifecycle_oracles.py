@@ -8,10 +8,24 @@ differential test (``test_sim_lifecycle_index.py``) compares against.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.crypto.prng import DeterministicPRNG
 from repro.sim.lifecycle import LifecycleSimulation, ProviderLifecycleState
+
+
+def weighted_index(prng: DeterministicPRNG, weights: Sequence[float]) -> int:
+    """Return an index sampled proportionally to ``weights``."""
+    total = float(sum(weights))
+    if total <= 0:
+        raise ValueError("weights must sum to a positive value")
+    target = prng.random() * total
+    running = 0.0
+    for index, weight in enumerate(weights):
+        running += weight
+        if target < running:
+            return index
+    return len(weights) - 1
 
 
 def refresh_weight(sim: LifecycleSimulation, provider: str) -> int:
@@ -35,4 +49,4 @@ def pick_refresh_target(
     if not candidates:
         return None
     free = [sim.capacity[name] - sim.used[name] for name in candidates]
-    return candidates[prng.weighted_index(free)]
+    return candidates[weighted_index(prng, free)]

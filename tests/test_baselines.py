@@ -19,25 +19,25 @@ def load(model, n_files=200, size=1.0, value=1.0):
 
 class TestFileInsurerModel:
     def test_replica_count_scales_with_value(self):
-        model = FileInsurerModel(50, 1000.0, k=5)
+        model = FileInsurerModel(50, 1000.0)
         low = model.store_file(1.0, 1.0)
         high = model.store_file(1.0, 3.0)
-        assert len(low.placements) == 5
-        assert len(high.placements) == 15
+        assert len(low.placements) == 10
+        assert len(high.placements) == 30
 
     def test_full_compensation_flag_and_amount(self):
-        model = load(FileInsurerModel(50, 1000.0, k=5))
+        model = load(FileInsurerModel(50, 1000.0))
         model.corrupt_fraction(1.0)
         report = model.report()
         assert model.full_compensation
         assert report.compensation_ratio == pytest.approx(1.0)
 
     def test_random_placement_spreads_load(self):
-        model = load(FileInsurerModel(100, 10_000.0, k=5), n_files=500)
+        model = load(FileInsurerModel(100, 10_000.0), n_files=500)
         assert model.max_capacity_usage() < 1.0
 
     def test_survives_moderate_targeted_corruption(self):
-        model = load(FileInsurerModel(100, 10_000.0, k=8), n_files=300)
+        model = load(FileInsurerModel(100, 10_000.0), n_files=300)
         model.corrupt_fraction(0.3, targeted=True)
         assert model.report().value_loss_ratio < 0.05
 
@@ -49,7 +49,7 @@ class TestFilecoinModel:
         assert used_sectors <= set(model.preferred_pool)
 
     def test_targeted_attack_on_pool_is_catastrophic(self):
-        model = load(FilecoinModel(100, 10_000.0, preferred_pool_fraction=0.2))
+        model = load(FilecoinModel(100, 10_000.0))
         model.corrupt_fraction(0.3, targeted=True)
         assert model.report().value_loss_ratio > 0.5
 
@@ -63,7 +63,7 @@ class TestFilecoinModel:
 
 class TestStorjModel:
     def test_erasure_tolerates_partial_shard_loss(self):
-        model = StorjModel(40, 1000.0, data_shards=4, total_shards=8)
+        model = StorjModel(40, 1000.0)
         stored = model.store_file(4.0, 1.0)
         # Lose up to (total - data) shards: file still recoverable.
         model.corrupt_sectors(stored.placements[:4])
@@ -72,7 +72,7 @@ class TestStorjModel:
         assert model.file_is_lost(stored)
 
     def test_shard_size_is_fraction_of_file(self):
-        model = StorjModel(40, 1000.0, data_shards=4, total_shards=8)
+        model = StorjModel(40, 1000.0)
         model.store_file(8.0, 1.0)
         assert model.used.sum() == pytest.approx(8.0 / 4 * 8)
 
@@ -83,8 +83,9 @@ class TestStorjModel:
 
 
 class TestSiaModel:
-    def test_sybil_identities_collapse_together(self):
-        model = SiaModel(50, 1000.0, hosts_per_contract=3, sybil_collusion_fraction=0.3, seed=5)
+    def test_sybil_identities_collapse_together(self, monkeypatch):
+        monkeypatch.setattr(SiaModel, "sybil_collusion_fraction", 0.3)
+        model = SiaModel(50, 1000.0, seed=5)
         stored = [model.store_file(1.0, 1.0) for _ in range(100)]
         # Corrupt a single sybil identity: every file whose surviving copies
         # were all on sybil identities is gone.
@@ -92,7 +93,8 @@ class TestSiaModel:
         model.corrupt_sectors([sybil])
         lost_with_sybil = len(model.lost_files())
         # Same corruption in a sybil-free deployment loses nothing (3 replicas).
-        clean = SiaModel(50, 1000.0, hosts_per_contract=3, sybil_collusion_fraction=0.0, seed=5)
+        monkeypatch.setattr(SiaModel, "sybil_collusion_fraction", 0.0)
+        clean = SiaModel(50, 1000.0, seed=5)
         for _ in range(100):
             clean.store_file(1.0, 1.0)
         clean.corrupt_sectors([sybil])
@@ -109,12 +111,12 @@ class TestSiaModel:
 
 class TestArweaveModel:
     def test_wide_replication(self):
-        model = ArweaveModel(100, 100_000.0, replication_fraction=0.2)
+        model = ArweaveModel(100, 100_000.0)
         stored = model.store_file(1.0, 1.0)
-        assert len(stored.placements) == 20
+        assert len(stored.placements) == 15
 
     def test_survives_random_corruption_below_replication(self):
-        model = load(ArweaveModel(100, 100_000.0, replication_fraction=0.2), n_files=100)
+        model = load(ArweaveModel(100, 100_000.0), n_files=100)
         model.corrupt_fraction(0.5)
         assert model.report().lost_files == 0
 
@@ -126,8 +128,6 @@ class TestBaselineCommon:
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             FileInsurerModel(0, 100.0)
-        with pytest.raises(ValueError):
-            StorjModel(10, 100.0, data_shards=5, total_shards=4)
 
     def test_invalid_file_rejected(self):
         model = FileInsurerModel(10, 100.0)

@@ -41,12 +41,6 @@ class TestParseCampaign:
         assert entry.params["weights"] == (1, 2, (3, 4))
         assert entry.sweep["modes"] == (("a",), ("b",))
 
-    def test_cell_count(self):
-        data = _minimal()
-        data["scenarios"][0]["sweep"] = {"a": [1, 2, 3], "b": [1, 2]}
-        data["scenarios"][0]["seeds"] = [0, 1]
-        assert parse_campaign(data).cell_count() == 12
-
     @pytest.mark.parametrize(
         "mutate, message",
         [
@@ -107,6 +101,19 @@ class TestLoadCampaign:
         path.write_text("{nope")
         with pytest.raises(CampaignError, match="not valid JSON"):
             load_campaign(path)
+
+    @pytest.mark.parametrize("document", ["[1, 2]", "3", "null"])
+    def test_non_object_document_is_refused_by_name(self, tmp_path, capsys, document):
+        from repro.runner.cli import main
+
+        path = tmp_path / "spec.json"
+        path.write_text(document)
+        with pytest.raises(CampaignError, match="the campaign document must be a table"):
+            load_campaign(path)
+        store = tmp_path / "store"
+        assert main(["campaign", "run", str(path), "--store", str(store)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
 
     def test_shipped_example_parses_and_plans(self):
         spec = load_campaign("examples/table3_campaign.toml")
@@ -199,7 +206,7 @@ class TestMatrixCampaign:
 
         spec = matrix_campaign("table3:rounds=20,50", seed=3)
         assert spec.name == "matrix-table3-rounds"
-        assert spec.cell_count() == 2
+        assert len(plan_campaign(spec)) == 2
         (entry,) = spec.entries
         assert entry.scenario == "table3"
         assert entry.sweep == {"rounds": ("20", "50")}

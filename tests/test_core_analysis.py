@@ -1,6 +1,5 @@
 """Tests for the closed-form Theorems 1-4."""
 
-import math
 
 import pytest
 
@@ -25,10 +24,6 @@ class TestFilePopulation:
         assert population.total_size == 30
         assert population.total_value == 4
         assert population.size_value_product == 10 + 60
-
-    def test_from_pairs(self):
-        population = FilePopulation.from_pairs([(10, 1), (20, 3)])
-        assert population.total_size == 30
 
     def test_validation(self):
         with pytest.raises(ValueError):

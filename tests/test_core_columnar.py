@@ -36,6 +36,7 @@ from repro.core.file_descriptor import FileState
 from repro.core.params import ProtocolParams
 from repro.core.pending import CHECK_ALLOC, CHECK_PROOF, CHECK_REFRESH, RENT_PERIOD
 from repro.core.protocol import FileInsurerProtocol, ProtocolError
+from repro.core.sector import SectorState
 from repro.crypto.prng import DeterministicPRNG
 from repro.kernels.vectorized import VectorizedKernels
 
@@ -91,7 +92,6 @@ def fingerprint(protocol):
             int(rec.free_capacity),
             int(rec.deposit),
             rec.state.value,
-            float(rec.registered_at),
             int(rec.stored_replicas),
         )
         for sid, rec in sorted(protocol.sectors.items())
@@ -104,7 +104,6 @@ def fingerprint(protocol):
             int(desc.replica_count),
             int(desc.countdown),
             desc.state.value,
-            float(desc.created_at),
             int(desc.rent_paid),
             int(desc.compensation_received),
         )
@@ -117,11 +116,12 @@ def fingerprint(protocol):
             float(entry.last_proof),
             entry.state.value,
         )
-        for (fid, idx), entry in protocol.alloc.all_entries()
+        for fid in protocol.files
+        for idx, entry in protocol.alloc.entries_for_file(fid)
     }
     ledger = {
         account.address: (int(account.balance), int(account.escrowed))
-        for account in sorted(protocol.ledger.accounts(), key=lambda a: a.address)
+        for account in sorted(protocol.ledger._accounts.values(), key=lambda a: a.address)
     }
     events = {
         event_type.value: protocol.events.count(event_type)
@@ -421,11 +421,13 @@ class TestAggregateMaintenance:
         protocol = make_protocol(engine, backend=ORACLE)
         checkpoints = []
         scripted_run(protocol, checkpoints)
-        assert protocol.total_capacity() == protocol.total_capacity_scan()
-        assert (
-            protocol.stored_replica_bytes()
-            == protocol.stored_replica_bytes_scan()
-        )
+        live = [
+            record
+            for record in protocol.sectors.values()
+            if record.state in (SectorState.NORMAL, SectorState.DISABLED)
+        ]
+        assert protocol.total_capacity() == sum(r.capacity for r in live)
+        assert protocol.stored_replica_bytes() == sum(r.used_capacity for r in live)
 
     @pytest.mark.parametrize("engine", ["object", "columnar"])
     def test_tracked_free_matches_records(self, engine):
@@ -434,9 +436,9 @@ class TestAggregateMaintenance:
         scripted_run(protocol, checkpoints)
         for sector_id, record in protocol.sectors.items():
             if record.accepts_new_files:
+                selector = protocol.selector
                 assert (
-                    protocol.selector.tracked_free(sector_id)
-                    == record.free_capacity
+                    selector._free[selector.slot_of(sector_id)] == record.free_capacity
                 ), sector_id
 
     def test_kernel_placement_never_scans_sector_records(self):

@@ -5,7 +5,6 @@ import pytest
 from repro.chain.ledger import InsufficientFundsError, Ledger
 from repro.core.deposit import CompensationShortfallError, InsuranceFund
 from repro.core.fees import FeeEngine, RentAccounting
-from repro.core.params import ProtocolParams
 
 
 @pytest.fixture
@@ -108,12 +107,6 @@ class TestRentAccounting:
         rent.charge("client", 10)
         payout = rent.distribute([("s0", "a", 3), ("s1", "b", 3), ("s2", "c", 3)])
         assert sum(payout.values()) <= 10
-
-    def test_can_afford(self, ledger, params):
-        rent = RentAccounting(ledger, params)
-        ledger.mint("client", 10)
-        assert rent.can_afford("client", 10)
-        assert not rent.can_afford("client", 11)
 
 
 class TestFeeEngine:

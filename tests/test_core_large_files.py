@@ -51,12 +51,6 @@ class TestLargeFileCodec:
             assert segment.size <= 64 + 16  # limit plus the length framing overhead
             assert len(segment.merkle_root) == 32
 
-    def test_can_recover_predicate(self):
-        codec = LargeFileCodec(size_limit=64, k=4)
-        segmented = codec.split(b"z" * 200, value=4)
-        assert codec.can_recover(segmented, range(segmented.data_segments))
-        assert not codec.can_recover(segmented, range(segmented.data_segments - 1))
-
     def test_empty_file_rejected(self):
         codec = LargeFileCodec(size_limit=64, k=4)
         with pytest.raises(ValueError):

@@ -78,7 +78,7 @@ class TestPresets:
         assert params.capacity_replica_size < params.min_capacity
 
     def test_paper_defaults_match_section_v(self):
-        params = ProtocolParams.paper_defaults()
+        params = ProtocolParams()
         assert params.k == 20
         assert params.cap_para == 1000.0
         assert params.security_c == 1e-18

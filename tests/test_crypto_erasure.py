@@ -65,16 +65,6 @@ class TestReedSolomon:
         shards = code.encode(b"")
         assert code.decode(shards[2:]) == b""
 
-    def test_can_recover_predicate(self):
-        code = ReedSolomonCode(3, 2)
-        assert code.can_recover([0, 1, 2])
-        assert code.can_recover([0, 3, 4])
-        assert not code.can_recover([0, 1])
-        assert not code.can_recover([0, 0, 0])
-
-    def test_storage_overhead(self):
-        assert ReedSolomonCode(4, 4).storage_overhead() == pytest.approx(2.0)
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             ReedSolomonCode(0, 2)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crypto.hashing import ContentId, derive_key, hash_bytes, hash_concat, hash_ints
+from repro.crypto.hashing import ContentId, derive_key, hash_bytes, hash_concat
 
 
 class TestHashBytes:
@@ -27,19 +27,6 @@ class TestHashConcat:
         assert hash_concat(b"a", b"b") != hash_concat(b"b", b"a")
 
 
-class TestHashInts:
-    def test_deterministic(self):
-        assert hash_ints(1, 2, 3) == hash_ints(1, 2, 3)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            hash_ints(-1)
-
-    def test_boundary_values_distinct(self):
-        assert hash_ints(255, 1) != hash_ints(255, 0)
-        assert hash_ints(0) != hash_ints(1)
-
-
 class TestDeriveKey:
     def test_label_separation(self):
         seed = b"seed"
@@ -51,10 +38,6 @@ class TestDeriveKey:
 
 
 class TestContentId:
-    def test_of_roundtrip_hex(self):
-        cid = ContentId.of(b"hello")
-        assert ContentId.from_hex(cid.hex) == cid
-
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             ContentId(b"short")

@@ -1,8 +1,9 @@
-"""Tests for Merkle trees and inclusion proofs."""
+"""Tests for Merkle roots."""
 
 import pytest
 
-from repro.crypto.merkle import MerkleProof, MerkleTree, chunk_bytes, merkle_root
+from repro.crypto.hashing import hash_concat
+from repro.crypto.merkle import MerkleTree, chunk_bytes
 
 
 class TestChunkBytes:
@@ -23,10 +24,8 @@ class TestChunkBytes:
 
 
 class TestMerkleTree:
-    def test_single_leaf_root_differs_from_leaf_hash_prefixing(self):
-        tree = MerkleTree([b"only"])
-        assert tree.root == tree.leaf_hash(0)
-        assert tree.leaf_count == 1
+    def test_single_leaf_root_is_the_prefixed_leaf_hash(self):
+        assert MerkleTree([b"only"]).root == hash_concat(b"\x00", b"only")
 
     def test_root_changes_with_content(self):
         assert MerkleTree([b"a", b"b"]).root != MerkleTree([b"a", b"c"]).root
@@ -41,36 +40,3 @@ class TestMerkleTree:
     def test_from_data_matches_manual_chunks(self):
         data = bytes(range(200))
         assert MerkleTree.from_data(data, 64).root == MerkleTree(chunk_bytes(data, 64)).root
-
-    @pytest.mark.parametrize("leaf_count", [1, 2, 3, 4, 5, 8, 13, 16, 31])
-    def test_all_proofs_verify(self, leaf_count):
-        leaves = [bytes([i]) * 10 for i in range(leaf_count)]
-        tree = MerkleTree(leaves)
-        for index in range(leaf_count):
-            proof = tree.prove(index)
-            assert proof.verify(tree.root)
-
-    def test_proof_fails_against_wrong_root(self):
-        tree = MerkleTree([b"a", b"b", b"c"])
-        other = MerkleTree([b"a", b"b", b"d"])
-        proof = tree.prove(2)
-        assert not proof.verify(other.root)
-
-    def test_tampered_proof_path_fails(self):
-        tree = MerkleTree([b"a", b"b", b"c", b"d"])
-        proof = tree.prove(1)
-        tampered = MerkleProof(
-            leaf_index=proof.leaf_index,
-            leaf_hash=proof.leaf_hash,
-            path=tuple(bytes(32) for _ in proof.path),
-            directions=proof.directions,
-        )
-        assert not tampered.verify(tree.root)
-
-    def test_prove_out_of_range(self):
-        tree = MerkleTree([b"a"])
-        with pytest.raises(IndexError):
-            tree.prove(1)
-
-    def test_merkle_root_helper(self):
-        assert merkle_root([b"a", b"b"]) == MerkleTree([b"a", b"b"]).root

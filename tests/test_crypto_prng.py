@@ -1,9 +1,9 @@
 """Tests for the deterministic PRNG."""
 
-import math
 
 import pytest
 
+from lifecycle_oracles import weighted_index
 from repro.crypto.prng import DeterministicPRNG
 
 
@@ -93,13 +93,13 @@ class TestDistributions:
         prng = DeterministicPRNG(b"seed")
         counts = [0, 0]
         for _ in range(2000):
-            counts[prng.weighted_index([1.0, 9.0])] += 1
+            counts[weighted_index(prng, [1.0, 9.0])] += 1
         assert counts[1] > counts[0] * 4
 
     def test_weighted_index_rejects_zero_total(self):
         prng = DeterministicPRNG(b"seed")
         with pytest.raises(ValueError):
-            prng.weighted_index([0.0, 0.0])
+            weighted_index(prng, [0.0, 0.0])
 
 
 class TestSequences:

@@ -43,15 +43,6 @@ class TestStoreAndRetrieve:
         scenario.settle_uploads()
         assert scenario.retrieve_file("client-0", file_id) == data
 
-    def test_encrypted_file_roundtrip(self):
-        scenario = make_scenario()
-        secret = b"do not read this" * 30
-        file_id = scenario.store_file("client-0", "secret", secret, value=1, encrypt=True)
-        scenario.settle_uploads()
-        payload = scenario.retrieve_file("client-0", file_id)
-        assert payload != secret
-        assert scenario.clients["client-0"].decrypt(payload) == secret
-
     def test_multiple_files_multiple_clients(self):
         scenario = make_scenario(clients=2)
         ids = []
@@ -67,7 +58,7 @@ class TestStoreAndRetrieve:
         data = b"temporary" * 100
         file_id = scenario.store_file("client-0", "tmp", data, value=1)
         scenario.settle_uploads()
-        scenario.discard_file("client-0", file_id)
+        scenario.protocol.file_discard("client-0", file_id)
         scenario.run_cycles(2)
         assert scenario.protocol.files[file_id].state == FileState.DISCARDED
         assert len(scenario.protocol.alloc.entries_for_file(file_id)) == 0
@@ -175,7 +166,7 @@ class TestCrashAndCompensation:
             if s is not None
         }
         for provider in hosts:
-            scenario.crash_provider(provider, immediate_detection=False)
+            scenario.crash_provider(provider)
         # Detection needs the proof deadline to pass plus a checkpoint.
         cycles = int(scenario.config.params.proof_deadline // scenario.config.params.proof_cycle) + 3
         scenario.run_cycles(cycles)

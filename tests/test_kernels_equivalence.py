@@ -7,8 +7,9 @@ identical ``PlacementResult`` fields, identical greedy-adversary sector
 choices, and identical ``batch_weighted_draw`` key sequences (with
 matching attempt and collision counts).  These tests sweep a seed/shape
 grid over both implementations and additionally pin the refresh engine's batch-size
-invariance (the PR-4 metrics fix): ``batch_size`` bounds memory only,
-so serial (``batch_size=1``) and batched runs must be byte-identical.
+invariance (the PR-4 metrics fix): ``placement.BATCH_SIZE`` bounds memory
+only, so serial (one move per batch) and batched runs must be
+byte-identical.
 The hypothesis-generated differential pack of the sampler lives in
 ``tests/test_property_based.py``; the greedy adversary's (small instances
 with non-dyadic values, both placement forms) is here, next to its grid.
@@ -36,6 +37,7 @@ from repro.kernels import (
 )
 from repro.kernels.sampling import MAX_TOTAL_WEIGHT
 from repro.sim.adversary import GreedyCapacityAdversary
+import repro.sim.placement as placement_module
 from repro.sim.placement import PlacementExperiment
 from repro.sim.workload import FileSizeDistribution
 
@@ -112,33 +114,32 @@ class TestPlacementKernelEquivalence:
         assert results[0] == results[1]
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_refresh_batch_size_invariance(self, backend):
+    def test_refresh_batch_size_invariance(self, backend, monkeypatch):
         """Regression gate for the PR-4 metrics fix: re-batching must not
         change any reported number, including the once-per-batch-sampled
         ``mean_usage``/``overflow_rounds``."""
         reference_result = None
         for batch_size in (1, 13, 400, 10**6):
+            monkeypatch.setattr(placement_module, "BATCH_SIZE", batch_size)
             result = PlacementExperiment(seed=3, backend=BACKENDS[backend]).run_refresh(
                 FileSizeDistribution.UNIFORM_0_1,
                 700,
                 9,
                 refresh_multiplier=3,
-                batch_size=batch_size,
             )
             if reference_result is None:
                 reference_result = result
             assert result == reference_result, f"batch_size={batch_size} drifted"
 
-    def test_serial_vs_batched_refresh_identity_across_backends(self):
+    def test_serial_vs_batched_refresh_identity_across_backends(self, monkeypatch):
         """The strongest combined gate: serial reference (one move at a
         time) equals fully-batched vectorized, bit for bit."""
-        serial = PlacementExperiment(seed=9, backend=BACKENDS["reference"]).run_refresh(
-            FileSizeDistribution.NORMAL_MU_EQ_VAR, 500, 11,
-            refresh_multiplier=2, batch_size=1,
-        )
         batched = PlacementExperiment(seed=9, backend="vectorized").run_refresh(
-            FileSizeDistribution.NORMAL_MU_EQ_VAR, 500, 11,
-            refresh_multiplier=2, batch_size=10**6,
+            FileSizeDistribution.NORMAL_MU_EQ_VAR, 500, 11, refresh_multiplier=2,
+        )
+        monkeypatch.setattr(placement_module, "BATCH_SIZE", 1)
+        serial = PlacementExperiment(seed=9, backend=BACKENDS["reference"]).run_refresh(
+            FileSizeDistribution.NORMAL_MU_EQ_VAR, 500, 11, refresh_multiplier=2,
         )
         assert serial == batched
 
@@ -159,16 +160,6 @@ class TestPlacementKernelEquivalence:
         ]
         assert results[0] == results[1]
 
-    def test_sample_interval_controls_sampling(self):
-        """A finer cadence samples more often; both backends agree."""
-        results = {}
-        for name in BACKENDS:
-            results[name] = PlacementExperiment(seed=2, backend=BACKENDS[name]).run_refresh(
-                FileSizeDistribution.EXPONENTIAL, 400, 5,
-                refresh_multiplier=2, sample_interval=150,
-            )
-        assert results["reference"] == results["vectorized"]
-
     def test_successive_refresh_calls_draw_independent_streams(self):
         """Five distributions swept on one experiment must not replay one
         churn realization; and the per-call streams must still agree
@@ -185,17 +176,6 @@ class TestPlacementKernelEquivalence:
         first_call, second_call = per_backend["reference"]
         assert first_call.max_usage != second_call.max_usage
         assert per_backend["reference"] == per_backend["vectorized"]
-
-    def test_refresh_rejects_bad_knobs(self):
-        experiment = PlacementExperiment(seed=0)
-        with pytest.raises(ValueError):
-            experiment.run_refresh(
-                FileSizeDistribution.EXPONENTIAL, 100, 4, batch_size=0
-            )
-        with pytest.raises(ValueError):
-            experiment.run_refresh(
-                FileSizeDistribution.EXPONENTIAL, 100, 4, sample_interval=0
-            )
 
 
 #: Source-resolution chunk sizes every ``refresh_moves`` case runs under

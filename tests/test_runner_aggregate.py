@@ -42,29 +42,6 @@ class TestStreamingAggregator:
         assert single.stddev() == 0.0
         assert single.ci95_halfwidth() == 0.0
 
-    def test_merge_equals_single_pass(self):
-        left_values = [1.0, 5.0, 2.5]
-        right_values = [7.0, -3.0, 0.5, 9.0]
-        merged = (
-            StreamingAggregator()
-            .extend(left_values)
-            .merge(StreamingAggregator().extend(right_values))
-        )
-        single = StreamingAggregator().extend(left_values + right_values)
-        assert merged.count == single.count
-        assert merged.mean == pytest.approx(single.mean)
-        assert merged.variance() == pytest.approx(single.variance())
-        assert merged.minimum == single.minimum
-        assert merged.maximum == single.maximum
-
-    def test_merge_with_empty(self):
-        values = [2.0, 4.0]
-        merged = StreamingAggregator().extend(values).merge(StreamingAggregator())
-        assert merged.count == 2
-        assert merged.mean == pytest.approx(3.0)
-        other = StreamingAggregator().merge(StreamingAggregator().extend(values))
-        assert other.mean == pytest.approx(3.0)
-
     def test_as_row_prefixing(self):
         row = StreamingAggregator().extend([1.0, 3.0]).as_row(prefix="loss")
         assert row["loss_n"] == 2

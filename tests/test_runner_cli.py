@@ -250,3 +250,48 @@ class TestCampaignMatrix:
         )
         assert code == 2
         assert "--seed only applies" in capsys.readouterr().err
+
+
+_SMOKE = ["--set", "trials=2", "--set", "batches=2", "--set", "n_sectors=50"]
+
+
+@pytest.fixture(scope="module")
+def good_manifest(tmp_path_factory):
+    path = tmp_path_factory.mktemp("manifests") / "good.json"
+    assert main(["run", "collision", "--quiet", "--seed", "3", *_SMOKE, "--out", str(path)]) == 0
+    return path
+
+
+class TestMalformedManifests:
+    """``RunManifest.from_dict`` refuses every wrong shape with ValueError,
+    so ``repro diff`` and ``repro run --resume`` print ``error: ...``
+    instead of crashing in code that trusts the shape."""
+
+    SHAPES = {
+        "params-array": ("params", [1, 2]),
+        "params-scalar": ("params", 5),
+        "row-not-object": ("rows", [1]),
+        "summary-entry-not-object": ("summary", ["x"]),
+        "seed-float": ("seed", 3.5),
+        "seed-bool": ("seed", True),
+        "workers-string": ("workers", "1"),
+        "trial-count-float": ("trial_count", 2.0),
+    }
+
+    @pytest.mark.parametrize("command", ["diff", "resume"])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_refused_with_an_error_line(self, good_manifest, tmp_path, capsys, shape, command):
+        key, value = self.SHAPES[shape]
+        data = json.loads(good_manifest.read_text())
+        data[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        capsys.readouterr()
+        if command == "diff":
+            argv = ["diff", str(good_manifest), str(bad)]
+        else:
+            argv = ["run", "collision", "--quiet", "--seed", "3", *_SMOKE, "--resume", str(bad)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code != 0
+        assert err.startswith("error: "), err

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.runner.executor import derive_trial_seed, run_scenario, run_trials
+from repro.runner.executor import derive_trial_seed, execute_trials, run_scenario
 from repro.runner.registry import (
     ParamSpec,
     ScenarioSpec,
     load_builtin_scenarios,
     register,
-    unregister,
+    _REGISTRY,
 )
 
 
@@ -39,7 +39,7 @@ def echo_scenario():
         replace=True,
     )
     yield spec
-    unregister("temp-echo")
+    _REGISTRY.pop("temp-echo", None)
 
 
 class TestSeedDerivation:
@@ -65,25 +65,25 @@ class TestSeedDerivation:
 
 class TestRunTrials:
     def test_serial_results_in_trial_order(self, echo_scenario):
-        rows = run_trials(echo_scenario, _build_echo_trials({"n": 4}), seed=5)
+        rows = execute_trials(echo_scenario, _build_echo_trials({"n": 4}), seed=5).rows
         assert [row["trial"] for row in rows] == [0, 1, 2, 3]
         assert [row["x"] for row in rows] == [0, 1, 2, 3]
 
     def test_parallel_equals_serial(self, echo_scenario):
         trials = _build_echo_trials({"n": 8})
-        serial = run_trials(echo_scenario, trials, workers=1, seed=11)
-        parallel = run_trials(echo_scenario, trials, workers=3, seed=11)
+        serial = execute_trials(echo_scenario, trials, workers=1, seed=11).rows
+        parallel = execute_trials(echo_scenario, trials, workers=3, seed=11).rows
         assert serial == parallel
 
     def test_different_root_seeds_differ(self, echo_scenario):
         trials = _build_echo_trials({"n": 4})
-        assert run_trials(echo_scenario, trials, seed=1) != run_trials(
+        assert execute_trials(echo_scenario, trials, seed=1).rows != execute_trials(
             echo_scenario, trials, seed=2
-        )
+        ).rows
 
     def test_zero_workers_rejected(self, echo_scenario):
         with pytest.raises(ValueError):
-            run_trials(echo_scenario, [{}], workers=0)
+            execute_trials(echo_scenario, [{}], workers=0).rows
 
 
 class TestRunScenario:

@@ -18,7 +18,7 @@ from repro.runner.registry import (
     register,
     resolve_params,
     scenario,
-    unregister,
+    _REGISTRY,
 )
 
 
@@ -46,7 +46,7 @@ def temp_scenario():
     """Register a throwaway scenario and clean it up afterwards."""
     spec = register(_make_spec("temp-scenario"), replace=True)
     yield spec
-    unregister("temp-scenario")
+    _REGISTRY.pop("temp-scenario", None)
 
 
 class TestRegistration:
@@ -85,7 +85,7 @@ class TestRegistration:
             assert spec.params["n"].default == 3
             assert trial({"seed": 0}) == {"ok": True}
         finally:
-            unregister("temp-decorated")
+            _REGISTRY.pop("temp-decorated", None)
 
     def test_list_scenarios_sorted(self, temp_scenario):
         names = [spec.name for spec in list_scenarios()]

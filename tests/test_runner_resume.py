@@ -12,7 +12,7 @@ from repro.runner.executor import (
     match_resume_rows,
     run_scenario,
 )
-from repro.runner.registry import ParamSpec, ScenarioSpec, register, unregister
+from repro.runner.registry import _REGISTRY, ParamSpec, ScenarioSpec, register
 from repro.runner.results import RunManifest
 
 CALL_LOG: list = []
@@ -42,7 +42,7 @@ def counting_scenario():
         replace=True,
     )
     yield spec
-    unregister("temp-resume")
+    _REGISTRY.pop("temp-resume", None)
 
 
 def _roundtrip(manifest: RunManifest) -> RunManifest:

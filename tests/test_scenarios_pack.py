@@ -20,7 +20,7 @@ from repro.runner.registry import (
     load_builtin_scenarios,
     register,
     resolve_params,
-    unregister,
+    _REGISTRY,
 )
 from repro.runner.results import jsonify
 from repro.scenarios import churn, collision, deposit, robustness, scalability, table3, table4
@@ -303,7 +303,7 @@ class TestOracleAndPoolIdentity:
         try:
             manifest = run_scenario("kernels-probe", workers=2, seed=0)
         finally:
-            unregister("kernels-probe")
+            _REGISTRY.pop("kernels-probe", None)
         assert os.getpid() not in {stat["pid"] for stat in manifest.trial_stats}
         assert [row["kernels"] for row in manifest.rows] == ["ReferenceKernels"] * 2
 
@@ -406,14 +406,11 @@ class TestTable3:
         assert all(result.max_usage < table3.PAPER_MAX_USAGE for result in results)
 
     def test_refresh_mode_runs(self):
-        results = PlacementExperiment(seed=0).sweep(
-            grid=[(5000, 10)],
-            distributions=[FileSizeDistribution.UNIFORM_1_2],
-            mode="refresh",
-            refresh_multiplier=3,
+        result = PlacementExperiment(seed=0).run_refresh(
+            FileSizeDistribution.UNIFORM_1_2, 5000, 10, refresh_multiplier=3
         )
-        assert results[0].mode == "refresh"
-        assert results[0].max_usage < 1.0
+        assert result.mode == "refresh"
+        assert result.max_usage < 1.0
 
     def test_grids_have_paper_ratios(self):
         for n_backups, n_sectors in table3.default_grid():

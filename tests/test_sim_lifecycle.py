@@ -185,13 +185,16 @@ class TestMachineSemantics:
         assert record is not None and record.to_state is FileLifecycleState.DEGRADED
 
     def test_valid_events_matches_table(self):
-        assert set(FileMachine.valid_events(FileLifecycleState.REFRESHING)) == {
+        def valid_events(state):
+            return [event for (source, event) in FileMachine.TRANSITIONS if source == state]
+
+        assert set(valid_events(FileLifecycleState.REFRESHING)) == {
             FileLifecycleEvent.REPLICA_DEGRADED,
             FileLifecycleEvent.REFRESH_COMPLETED,
             FileLifecycleEvent.REFRESH_FAILED,
             FileLifecycleEvent.ALL_REPLICAS_LOST,
         }
-        assert FileMachine.valid_events(FileLifecycleState.LOST) == []
+        assert valid_events(FileLifecycleState.LOST) == []
 
     def test_error_message_names_machine_state_and_event(self):
         with pytest.raises(InvalidTransitionError, match="provider 'p9'.*'departed'"):
@@ -449,7 +452,7 @@ class TestScenarioLifecycleIntegration:
             if sector_id is not None
         )
         owner, _ = deployment.sector_map[victim]
-        deployment.crash_provider(owner, immediate_detection=True)
+        deployment.crash_provider(owner)
         deployment.run_cycles(3)
         machine = deployment.lifecycle.file(file_id)
         counts = deployment.lifecycle.transition_counts()

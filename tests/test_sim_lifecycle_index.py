@@ -8,9 +8,10 @@ from it in O(log providers).  Two gates pin that to the scan it replaced
 * golden rows recorded before the index existed
   (``data/lifecycle_golden_rows.json``) must come back equal on both
   kernel backends;
-* a differential walk: the simulation is driven one ``engine.step()`` at
-  a time and after *every* event each sampler weight, the total and the
-  draw itself (on a cloned PRNG) must agree with the oracle.
+* a differential walk: the simulation runs to its horizon with a probe on
+  the engine's per-event hook, and after *every* event each sampler
+  weight, the total and the draw itself (on a cloned PRNG) must agree with
+  the oracle.
 """
 
 from __future__ import annotations
@@ -77,16 +78,13 @@ def assert_weights_match_oracle(sim: LifecycleSimulation) -> None:
 
 
 def walk(config: LifecycleConfig) -> Counter:
-    """Step the whole deployment, checking the index after every event."""
+    """Run the whole deployment, checking the index after every event."""
     sim = LifecycleSimulation(config)
     assert_weights_match_oracle(sim)
     outcomes: Counter = Counter()
     refreshing = (FileLifecycleState.DEGRADED, FileLifecycleState.REFRESHING)
-    while True:
-        upcoming = sim.engine.next_event_time()
-        if upcoming is None or upcoming > config.horizon_s:
-            return outcomes
-        sim.engine.step()
+
+    def check(now: float) -> None:
         # The files a refresh could be drawing for right now, one file
         # picked round-robin whatever its state, and one never placed.
         probes = {f for f, m in sim.registry.files.items() if m.state in refreshing}
@@ -95,6 +93,10 @@ def walk(config: LifecycleConfig) -> Counter:
         for file_id in sorted(probes):
             outcomes[assert_draw_matches_oracle(sim, file_id)] += 1
         assert_weights_match_oracle(sim)
+
+    sim.engine.metrics_probe = check
+    sim.engine.run(until=config.horizon_s)
+    return outcomes
 
 
 def test_walk_reaches_full_networks_and_live_draws():

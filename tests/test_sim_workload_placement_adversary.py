@@ -53,22 +53,12 @@ class TestWorkloadRequests:
         requests = generator.file_requests(2000, mean_size=10_000)
         mean = sum(r.size for r in requests) / len(requests)
         assert 8000 < mean < 12000
-        assert all(r.size >= 1 and r.value >= 1 for r in requests)
-
-    def test_file_requests_value_choices(self):
-        generator = WorkloadGenerator(seed=4)
-        requests = generator.file_requests(500, mean_size=100, value_choices=(2, 4))
-        assert set(r.value for r in requests) <= {2, 4}
+        assert all(r.size >= 1 and r.value == 1 for r in requests)
 
     def test_file_requests_max_size(self):
         generator = WorkloadGenerator(seed=4)
         requests = generator.file_requests(500, mean_size=100, max_size=150)
         assert max(r.size for r in requests) <= 150
-
-    def test_sector_capacities_multiples(self):
-        generator = WorkloadGenerator(seed=5)
-        capacities = generator.sector_capacities(100, min_capacity=64, max_multiple=4)
-        assert all(c % 64 == 0 and 64 <= c <= 256 for c in capacities)
 
     def test_poisson_arrivals_sorted_and_bounded(self):
         generator = WorkloadGenerator(seed=6)
@@ -108,14 +98,10 @@ class TestPlacementExperiment:
 
     def test_sweep_covers_grid_and_distributions(self):
         experiment = PlacementExperiment(seed=2)
-        results = experiment.sweep(
-            grid=[(1000, 10), (2000, 10)],
-            distributions=[FileSizeDistribution.UNIFORM_0_1, FileSizeDistribution.EXPONENTIAL],
-            mode="reallocate",
-            rounds=3,
-        )
-        assert len(results) == 4
+        results = experiment.sweep(grid=[(1000, 10), (2000, 10)], mode="reallocate", rounds=3)
+        assert len(results) == 2 * len(FileSizeDistribution.paper_order())
         assert {r.n_backups for r in results} == {1000, 2000}
+        assert [r.distribution for r in results[:5]] == list(FileSizeDistribution.paper_order())
 
     def test_sweep_rejects_bad_mode(self):
         with pytest.raises(ValueError):

@@ -19,6 +19,8 @@ The recorder's contract has four legs, each pinned here:
 from __future__ import annotations
 
 import json
+import os
+import threading
 import time
 
 import pytest
@@ -188,11 +190,11 @@ class TestRecorder:
 
     def test_emit_span_uses_explicit_endpoints_and_identity(self):
         telemetry.enable()
-        telemetry.emit_span("queue", 2.0, 2.5, category="exec", pid=99, tid=7, n=1)
+        telemetry.emit_span("queue", 2.0, 2.5, category="exec", n=1)
         (event,) = telemetry.events()
         assert event["ts"] == pytest.approx(2.0e6)
         assert event["dur"] == pytest.approx(0.5e6)
-        assert (event["pid"], event["tid"]) == (99, 7)
+        assert (event["pid"], event["tid"]) == (os.getpid(), threading.get_ident())
         assert event["args"] == {"n": 1}
 
     def test_emit_span_clamps_negative_durations(self):

@@ -36,7 +36,7 @@ from repro.runner.registry import (
     ScenarioSpec,
     load_builtin_scenarios,
     register,
-    unregister,
+    _REGISTRY,
 )
 from repro.runner.results import RunManifest
 from repro.telemetry import CHANNELS, load_chrome_trace, metrics
@@ -487,7 +487,7 @@ class TestCLI:
                      "--profile", str(tmp_path / "prof")]
                 )
         finally:
-            unregister("exploding")
+            _REGISTRY.pop("exploding", None)
         assert telemetry.armed() == ()
         assert all(channel.pending() == [] for channel in CHANNELS.values())
         assert not (tmp_path / "t.json").exists()
