@@ -4,7 +4,7 @@ Times the three extracted hot loops -- Table III refresh churn, the
 Section V-C greedy adversary, and ``RandomSector()`` batched weighted
 draws (one draw request, and File Add's one long place run) -- on the
 :mod:`repro.kernels` vectorized kernels and on the per-item oracle of
-``tests/kernel_oracle.py`` (``reference``) at the pinned benchmark
+``tests/oracles/kernel_oracle.py`` (``reference``) at the pinned benchmark
 shapes (defined once in :mod:`kernel_shapes`, shared with the pytest
 gates), verifies the two agree (identical ``PlacementResult`` /
 identical chosen sector sets in both placement forms / identical

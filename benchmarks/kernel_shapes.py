@@ -8,7 +8,7 @@ retuning a shape or a bar here retunes all of them together.
 Importable both under pytest (which puts ``benchmarks/`` on ``sys.path``)
 and from ``bench_kernels.py`` run as a script.  The ``run_*`` helpers take
 an implementation name: ``"vectorized"``, the program's kernels, or
-``"reference"``, the oracle of ``tests/kernel_oracle.py`` that every
+``"reference"``, the oracle of ``tests/oracles/kernel_oracle.py`` that every
 speedup gate divides by.
 """
 
@@ -28,7 +28,7 @@ from repro.sim.placement import PlacementExperiment, PlacementResult
 from repro.sim.workload import FileSizeDistribution
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from kernel_oracle import BACKENDS  # noqa: E402
+from oracles.kernel_oracle import BACKENDS  # noqa: E402
 
 #: Refresh shape: big enough that per-refresh cost dominates setup,
 #: small enough to finish a round in well under a second.

@@ -4,7 +4,7 @@ PoRep sealing, the ``DeterministicPRNG`` keystream and Reed-Solomon each
 run as one buffer operation; this file pins their throughput at the sizes
 ``fullstack_churn`` moves (64 KiB replicas, 16 KiB erasure-coded payloads)
 and asserts, on every measured output, byte equality with the per-byte /
-per-block / per-column loops kept in ``tests/byte_path_oracles.py``.
+per-block / per-column loops kept in ``tests/oracles/byte_path_oracles.py``.
 
 There is no ratio gate against the oracle: the end-to-end ledger
 (``benchmarks/e2e``, workload ``fullstack_churn``) is the gate; the MiB/s
@@ -25,7 +25,7 @@ from repro.crypto.porep import PoRepProver
 from repro.crypto.prng import DeterministicPRNG
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-import byte_path_oracles as oracle  # noqa: E402
+import oracles.byte_path_oracles as oracle  # noqa: E402
 
 MIB = 1 << 20
 REPLICA_SIZE = 64 * 1024

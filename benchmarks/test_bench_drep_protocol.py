@@ -12,16 +12,16 @@ from __future__ import annotations
 import pytest
 
 from repro.chain.ledger import Ledger
+from repro.core.columnar import ColumnarProtocol
 from repro.core.file_descriptor import FileState
 from repro.core.params import ProtocolParams
-from repro.core.protocol import FileInsurerProtocol
 from repro.crypto.prng import DeterministicPRNG
 from repro.sim.scenario import DSNScenario, ScenarioConfig
 
 
-def _build_protocol(providers: int, params: ProtocolParams) -> FileInsurerProtocol:
+def _build_protocol(providers: int, params: ProtocolParams) -> ColumnarProtocol:
     ledger = Ledger()
-    protocol = FileInsurerProtocol(
+    protocol = ColumnarProtocol(
         params=params,
         ledger=ledger,
         prng=DeterministicPRNG.from_int(11, domain="bench-protocol"),

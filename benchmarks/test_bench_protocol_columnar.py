@@ -1,9 +1,9 @@
-"""Benchmark: columnar protocol core vs the object engine.
+"""Benchmark: the columnar protocol engine vs the object-per-record spec.
 
 Records the speedup of the structure-of-arrays engine: batched ``File
 Add`` placement and the masked proof-round sweep -- on a healthy network
-and again after 2 % of the sectors crashed -- against the object
-engine's per-file paths at the pinned deployment shape (10^5 files over
+and again after 2 % of the sectors crashed -- against the per-file
+paths of the spec in ``tests/oracles/protocol.py`` (the "object" engine) at the pinned deployment shape (10^5 files over
 10^4 providers; set ``REPRO_BENCH_XL=1`` for the paper-scale 10^6 files /
 10^5 providers trial).  The object engine is measured on a capped slice
 of the same deployment -- its per-file cost is flat, so the per-file
@@ -34,13 +34,17 @@ import json
 import os
 import platform
 import resource
+import sys
 import time
+from pathlib import Path
 
 from repro.chain.ledger import Ledger
 from repro.core.columnar import ColumnarProtocol
 from repro.core.params import ProtocolParams
-from repro.core.protocol import FileInsurerProtocol
 from repro.crypto.prng import DeterministicPRNG
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles.protocol import FileInsurerProtocol  # noqa: E402
 
 ROOT = b"\x09" * 32
 MB = 1 << 20

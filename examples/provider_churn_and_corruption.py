@@ -25,8 +25,8 @@ from repro.core.analysis import (
     theorem3_loss_ratio_bound,
     theorem4_deposit_ratio_bound,
 )
+from repro.core.columnar import ColumnarProtocol
 from repro.core.params import ProtocolParams
-from repro.core.protocol import FileInsurerProtocol
 from repro.core.sector import SectorState
 from repro.crypto.prng import DeterministicPRNG
 
@@ -43,7 +43,7 @@ def main() -> None:
     )
     params = ProtocolParams.small_test().scaled(k=K, cap_para=cap_para, deposit_ratio=deposit_ratio)
     ledger = Ledger()
-    protocol = FileInsurerProtocol(
+    protocol = ColumnarProtocol(
         params=params,
         ledger=ledger,
         prng=DeterministicPRNG.from_int(99, domain="churn-example"),

@@ -4,7 +4,7 @@ This lightweight model mirrors the full protocol's behaviour at the level
 Table IV compares: ``k * value`` replicas per file placed i.i.d. by
 capacity-proportional sampling, deposits proportional to capacity, and
 full compensation for lost files out of confiscated deposits.  The full
-state machine in :mod:`repro.core.protocol` is exercised elsewhere; the
+state machine in :mod:`repro.core.columnar` is exercised elsewhere; the
 comparison uses this model so all five protocols are evaluated on exactly
 the same footing (same file batch, same adversary, same sector count).
 """

@@ -3,17 +3,18 @@
 The public API of the paper's primary contribution:
 
 * :class:`~repro.core.params.ProtocolParams` -- every protocol constant.
-* :class:`~repro.core.protocol.FileInsurerProtocol` -- the on-chain state
-  machine (File / Sector / Auto protocols, deposits, compensation, fees).
+* :class:`~repro.core.columnar.ColumnarProtocol` -- the on-chain state
+  machine (File / Sector / Auto protocols, deposits, compensation, fees)
+  over columnar state.
 * :class:`~repro.core.pending.PendingList` and
   :class:`~repro.core.events.EventLog` -- Figure 1's pending list as
-  columns and the per-type event counters, shared by both engines.
+  columns and the per-type event counters.
 * :mod:`~repro.core.analysis` -- Theorems 1-4 in closed form.
 * :class:`~repro.core.large_files.LargeFileCodec` -- erasure segmentation
   of oversized files.
 """
 
-from repro.core.allocation import AllocEntry, AllocState, AllocationTable
+from repro.core.allocation import AllocState
 from repro.core.analysis import (
     FilePopulation,
     theorem1_max_storable_size,
@@ -21,28 +22,26 @@ from repro.core.analysis import (
     theorem3_loss_ratio_bound,
     theorem4_deposit_ratio_bound,
 )
+from repro.core.columnar import ColumnarProtocol
 from repro.core.deposit import CompensationShortfallError, InsuranceFund
 from repro.core.events import EventLog, EventType
 from repro.core.fees import FeeEngine
-from repro.core.file_descriptor import FileDescriptor, FileState
+from repro.core.file_descriptor import FileState
 from repro.core.large_files import LargeFileCodec, SegmentedFile
 from repro.core.params import ProtocolParams
 from repro.core.pending import PendingList
-from repro.core.protocol import FileInsurerProtocol, ProtocolError, RefreshNotice
-from repro.core.sector import SectorRecord, SectorState
+from repro.core.protocol import ProtocolError, RefreshNotice
+from repro.core.sector import SectorState
 from repro.core.selector import CapacitySelector, SamplerInvariantError, WeightedSampler
 
 __all__ = [
-    "AllocEntry",
     "AllocState",
-    "AllocationTable",
     "CapacitySelector",
+    "ColumnarProtocol",
     "CompensationShortfallError",
     "EventLog",
     "EventType",
     "FeeEngine",
-    "FileDescriptor",
-    "FileInsurerProtocol",
     "FilePopulation",
     "FileState",
     "InsuranceFund",
@@ -51,7 +50,6 @@ __all__ = [
     "ProtocolError",
     "ProtocolParams",
     "RefreshNotice",
-    "SectorRecord",
     "SectorState",
     "SegmentedFile",
     "SamplerInvariantError",

@@ -1,58 +1,81 @@
-"""Columnar (structure-of-arrays) protocol state for million-file runs.
+"""The FileInsurer protocol engine: Figures 4-9 over structure-of-arrays state.
 
-The object-model :class:`~repro.core.protocol.FileInsurerProtocol` keeps
-one Python object per file descriptor and per replica allocation.  At the
-scales Theorem 1 talks about (10^6 files across 10^5 providers) that
-representation dominates both peak RSS and wall-clock, long before the
-capacity bound itself becomes interesting.  (The pending list and the
-event log are already columns and counters in both engines.)
+Implements the on-chain behaviour of the paper:
 
-This module keeps the *semantics* of the object model -- it subclasses
-the protocol and leaves every rule untouched -- but swaps the state
-layout underneath:
+* the **File** protocol (client side: Add / Discard / Get; provider side:
+  Confirm / Prove);
+* the **Sector** protocol (Register / Disable);
+* the **Auto** tasks (CheckAlloc, CheckProof, Refresh, CheckRefresh) driven
+  by the pending list, plus periodic rent distribution;
+* deposits, confiscation and full compensation (the insurance scheme);
+* the fee mechanism (traffic fee, storage rent, prepaid gas).
 
-* :class:`SectorTable`, :class:`FileTable` and
-  :class:`ColumnarAllocationTable` hold sector, file and replica state in
-  numpy ``int64``/``float64``/``int8`` columns; the dict/dataclass API
-  the protocol code uses is served by transient *views*
-  (:class:`SectorView`, :class:`FileView`, :class:`AllocEntryView`) that
-  read and write the arrays directly, so no per-row Python object
-  outlives the statement that touched it;
-* the protocol hot paths -- batched ``File Add`` placement, the
-  ``CheckAlloc``, ``CheckProof`` and ``CheckRefresh`` runs
-  ``advance_time`` dispatches, the ``Auto Refresh`` starts of a proof
-  round -- are overridden with vectorised sweeps over the tables that
-  dispatch into :mod:`repro.kernels`, and ``File Confirm`` with row
-  arithmetic.
+:class:`ColumnarProtocol` is a pure state machine over simulated time:
+callers submit requests and advance the clock with
+:meth:`~ColumnarProtocol.advance_time`, which executes due pending-list
+tasks in deterministic order.  Physical storage (disks, sealing, proofs)
+lives in :mod:`repro.storage`; :mod:`repro.sim.scenario` wires the two
+together, while protocol-level experiments drive this class directly.
 
-**Equivalence contract.**  :class:`ColumnarProtocol` must be
-bit-equivalent to the object model: same PRNG consumption order, same
+**State layout.**  At the scales Theorem 1 talks about (10^6 files across
+10^5 providers) one Python object per file descriptor and per replica
+would dominate peak RSS and wall-clock, so sector, file and replica state
+live in numpy columns (:class:`SectorTable`, :class:`FileTable`,
+:class:`ColumnarAllocationTable`).  The engine reads and writes them by
+row index:
+
+* a per-file rule is a *row form* -- it touches the rows of its file and
+  builds no per-row object;
+* a run of same-time tasks whose preconditions the columns prove uniform
+  -- batched ``File Add`` placement, the ``CheckAlloc``, ``CheckProof``
+  and ``CheckRefresh`` runs, the ``Auto Refresh`` starts of a proof round
+  -- is one vectorised sweep that dispatches into :mod:`repro.kernels`.
+
+Read-only views (:class:`SectorView`, :class:`FileView`,
+:class:`AllocEntryView`) serve the dict/record API callers read the state
+through; the engine itself builds none.
+
+**Equivalence contract.**  The readable Figure 1 spec -- one object per
+record, one method per rule -- is ``tests/oracles/protocol.py``.  This
+engine must be bit-equivalent to it: same PRNG consumption order, same
 kernel-call sequence, same ledger operations in the same order, same
-per-row state.  The vectorised sweeps therefore only take over the
-files and tasks for which the columns prove the object model would have
-performed the same independent transitions (no fees in the sweep; a
-normal, not-lost file whose live replicas all sit on healthy sectors; a
-confirmed refresh); every other file of the same run takes the inherited
-per-file method in task order, which operates on the views and is
-equivalent by construction.
-The differential suites in ``tests/test_core_columnar.py`` and the
-hypothesis pack enforce this the same way
+per-row state.  The vectorised sweeps therefore only take over the files
+and tasks for which the columns prove the spec would have performed the
+same independent transitions (no rent in the proof sweep; a normal,
+not-lost file whose live replicas all sit on healthy sectors; a confirmed
+refresh); every other file of the same run takes the per-file row form in
+task order.  The differential suites in ``tests/test_core_columnar.py``
+and the hypothesis pack enforce this the same way
 ``tests/test_kernels_equivalence.py`` pins the kernels to their oracle.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+import math
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
+from repro.chain.ledger import InsufficientFundsError, Ledger
 from repro.core.allocation import AllocState
-from repro.core.events import EventType
-from repro.core.file_descriptor import FileDescriptor, FileState
-from repro.core.pending import CHECK_ALLOC, CHECK_PROOF, CHECK_REFRESH
-from repro.core.protocol import FileInsurerProtocol, ProtocolError, RefreshNotice
-from repro.core.sector import SectorRecord, SectorState
-from repro.telemetry import counter, traced
+from repro.core.deposit import CompensationShortfallError, InsuranceFund
+from repro.core.events import EventLog, EventType
+from repro.core.fees import FeeEngine, TrafficEscrow
+from repro.core.file_descriptor import FileState
+from repro.core.params import ProtocolParams
+from repro.core.pending import (
+    CHECK_ALLOC,
+    CHECK_PROOF,
+    CHECK_REFRESH,
+    RENT_PERIOD,
+    PendingList,
+)
+from repro.core.protocol import ProtocolError, RefreshNotice
+from repro.core.sector import SectorState
+from repro.core.selector import CapacitySelector
+from repro.crypto.prng import DeterministicPRNG
+from repro.kernels import KernelBackend
+from repro.telemetry import counter, is_enabled, metrics, traced
 
 __all__ = [
     "ColumnarProtocol",
@@ -70,7 +93,7 @@ _SECTOR_STATES = (
     SectorState.CORRUPTED,
     SectorState.REMOVED,
 )
-_SECTOR_CODE = {state: code for code, state in enumerate(_SECTOR_STATES)}
+_S_NORMAL, _S_DISABLED, _S_CORRUPTED, _S_REMOVED = range(len(_SECTOR_STATES))
 
 _FILE_STATES = (
     FileState.PENDING,
@@ -80,6 +103,7 @@ _FILE_STATES = (
     FileState.FAILED,
 )
 _FILE_CODE = {state: code for code, state in enumerate(_FILE_STATES)}
+_F_PENDING, _F_NORMAL, _F_DISCARDED, _F_LOST, _F_FAILED = range(len(_FILE_STATES))
 
 #: Allocation-entry codes; ``-1`` marks an absent (never set / removed) row.
 _ALLOC_STATES = (
@@ -88,7 +112,7 @@ _ALLOC_STATES = (
     AllocState.NORMAL,
     AllocState.CORRUPTED,
 )
-_ALLOC_CODE = {state: code for code, state in enumerate(_ALLOC_STATES)}
+_A_ALLOC, _A_CONFIRM, _A_NORMAL, _A_CORRUPTED = range(len(_ALLOC_STATES))
 _ABSENT = -1
 
 #: Integers below this bound convert to float64 without rounding.
@@ -113,12 +137,9 @@ def _appears_once(values: np.ndarray) -> np.ndarray:
 # Sector table
 # ======================================================================
 class SectorView:
-    """Read/write proxy over one :class:`SectorTable` row.
-
-    Mirrors :class:`~repro.core.sector.SectorRecord` exactly, including
-    the reserve/release guard rails, so inherited protocol code cannot
-    tell the difference.
-    """
+    """Read-only proxy over one :class:`SectorTable` row (a sector record:
+    Figure 1's ``(owner, id, capacity, freeCap, state)`` plus the pledged
+    deposit and the replicas pointing at it)."""
 
     __slots__ = ("_table", "_row")
 
@@ -126,7 +147,6 @@ class SectorView:
         self._table = table
         self._row = row
 
-    # -- identity ------------------------------------------------------
     @property
     def sector_id(self) -> str:
         return self._table.sector_ids[self._row]
@@ -141,73 +161,23 @@ class SectorView:
 
     @property
     def deposit(self) -> int:
-        return int(self._table.deposit[self._row])
+        return self._table.deposit[self._row]
 
-    # -- mutable columns ----------------------------------------------
     @property
     def free_capacity(self) -> int:
         return int(self._table.free[self._row])
-
-    @free_capacity.setter
-    def free_capacity(self, value: int) -> None:
-        self._table.free[self._row] = int(value)
-
-    @property
-    def stored_replicas(self) -> int:
-        return int(self._table.stored[self._row])
-
-    @stored_replicas.setter
-    def stored_replicas(self, value: int) -> None:
-        self._table.stored[self._row] = int(value)
 
     @property
     def state(self) -> SectorState:
         return _SECTOR_STATES[self._table.state[self._row]]
 
-    @state.setter
-    def state(self, value: SectorState) -> None:
-        self._table.state[self._row] = _SECTOR_CODE[value]
-
-    # -- SectorRecord behaviour ---------------------------------------
-    @property
-    def used_capacity(self) -> int:
-        return self.capacity - self.free_capacity
-
-    def reserve(self, size: int) -> None:
-        if size < 0:
-            raise ValueError("size must be non-negative")
-        if size > self.free_capacity:
-            raise ValueError(
-                f"sector {self.sector_id}: cannot reserve {size} bytes, "
-                f"only {self.free_capacity} free"
-            )
-        self._table.free[self._row] -= size
-        self._table.stored[self._row] += 1
-
-    def release(self, size: int) -> None:
-        if size < 0:
-            raise ValueError("size must be non-negative")
-        if self.free_capacity + size > self.capacity:
-            raise ValueError(
-                f"sector {self.sector_id}: releasing {size} bytes would exceed capacity"
-            )
-        self._table.free[self._row] += size
-        self._table.stored[self._row] = max(0, self.stored_replicas - 1)
-
     @property
     def accepts_new_files(self) -> bool:
-        return self._table.state[self._row] == _SECTOR_CODE[SectorState.NORMAL]
+        return self._table.state[self._row] == _S_NORMAL
 
     @property
     def is_corrupted(self) -> bool:
-        return self._table.state[self._row] == _SECTOR_CODE[SectorState.CORRUPTED]
-
-    @property
-    def is_drained(self) -> bool:
-        return (
-            self._table.state[self._row] == _SECTOR_CODE[SectorState.DISABLED]
-            and self.stored_replicas == 0
-        )
+        return self._table.state[self._row] == _S_CORRUPTED
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SectorView({self.sector_id}, state={self.state.value})"
@@ -221,43 +191,41 @@ class SectorTable:
         self.owners: List[str] = []
         self.capacity = np.empty(0, dtype=np.int64)
         self.free = np.empty(0, dtype=np.int64)
-        self.deposit = np.empty(0, dtype=np.int64)
         self.stored = np.empty(0, dtype=np.int64)
         self.state = np.empty(0, dtype=np.int8)
+        #: Pledged deposits as Python ints: a deposit is the capacity times
+        #: the deposit ratio, which no fixed-width column bounds.
+        self.deposit: List[int] = []
         self._rows: Dict[str, int] = {}
+
+    def append(self, sector_id: str, owner: str, capacity: int, deposit: int) -> int:
+        """Add a normal, empty sector; returns its row."""
+        row = len(self.sector_ids)
+        self.sector_ids.append(sector_id)
+        self.owners.append(owner)
+        self.deposit.append(deposit)
+        self.capacity = _grow(self.capacity, row + 1)
+        self.free = _grow(self.free, row + 1)
+        self.stored = _grow(self.stored, row + 1)
+        self.state = _grow(self.state, row + 1)
+        self.capacity[row] = capacity
+        self.free[row] = capacity
+        self.stored[row] = 0
+        self.state[row] = _S_NORMAL
+        self._rows[sector_id] = row
+        return row
 
     def row_of(self, sector_id: str) -> int:
         """Table row of a sector id (KeyError if unknown)."""
         return self._rows[sector_id]
 
     # -- dict facade ---------------------------------------------------
-    def __setitem__(self, sector_id: str, record: SectorRecord) -> None:
-        if sector_id in self._rows:
-            raise KeyError(f"sector {sector_id!r} already ingested")
-        row = len(self.sector_ids)
-        self.sector_ids.append(sector_id)
-        self.owners.append(record.owner)
-        self.capacity = _grow(self.capacity, row + 1)
-        self.free = _grow(self.free, row + 1)
-        self.deposit = _grow(self.deposit, row + 1)
-        self.stored = _grow(self.stored, row + 1)
-        self.state = _grow(self.state, row + 1)
-        self.capacity[row] = record.capacity
-        self.free[row] = record.free_capacity
-        self.deposit[row] = record.deposit
-        self.stored[row] = record.stored_replicas
-        self.state[row] = _SECTOR_CODE[record.state]
-        self._rows[sector_id] = row
-
     def __getitem__(self, sector_id: str) -> SectorView:
         return SectorView(self, self._rows[sector_id])
 
     def get(self, sector_id: str) -> Optional[SectorView]:
         row = self._rows.get(sector_id)
         return None if row is None else SectorView(self, row)
-
-    def view(self, row: int) -> SectorView:
-        return SectorView(self, row)
 
     def __contains__(self, sector_id: str) -> bool:
         return sector_id in self._rows
@@ -285,7 +253,9 @@ class SectorTable:
 # File table
 # ======================================================================
 class FileView:
-    """Read/write proxy over one :class:`FileTable` row (a descriptor)."""
+    """Read-only proxy over one :class:`FileTable` row (a descriptor:
+    Figure 1's ``(size, value, merkleRoot, cp, cntdown, state)`` plus the
+    owner, the id and the rent / compensation totals)."""
 
     __slots__ = ("_table", "_row")
 
@@ -321,47 +291,25 @@ class FileView:
     def countdown(self) -> int:
         return int(self._table.countdown[self._row])
 
-    @countdown.setter
-    def countdown(self, value: int) -> None:
-        self._table.countdown[self._row] = int(value)
-
     @property
     def state(self) -> FileState:
         return _FILE_STATES[self._table.state[self._row]]
-
-    @state.setter
-    def state(self, value: FileState) -> None:
-        self._table.state[self._row] = _FILE_CODE[value]
 
     @property
     def rent_paid(self) -> int:
         return int(self._table.rent_paid[self._row])
 
-    @rent_paid.setter
-    def rent_paid(self, value: int) -> None:
-        self._table.rent_paid[self._row] = int(value)
-
     @property
     def compensation_received(self) -> int:
         return int(self._table.compensation[self._row])
 
-    @compensation_received.setter
-    def compensation_received(self, value: int) -> None:
-        self._table.compensation[self._row] = int(value)
-
-    # -- FileDescriptor predicates ------------------------------------
     @property
     def is_active(self) -> bool:
-        return self.state in (FileState.PENDING, FileState.NORMAL)
-
-    def describe(self) -> str:
-        return (
-            f"file#{self.file_id} owner={self.owner} size={self.size} "
-            f"value={self.value} cp={self.replica_count} state={self.state.value}"
-        )
+        """True while the network still maintains this file."""
+        return self._table.state[self._row] in (_F_PENDING, _F_NORMAL)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FileView({self.describe()})"
+        return f"FileView(file#{self.file_id}, state={self.state.value})"
 
 
 class FileTable:
@@ -384,33 +332,6 @@ class FileTable:
         self.compensation = np.empty(0, dtype=np.int64)
         self._n = 0
 
-    def _ensure(self, needed: int) -> None:
-        self.size = _grow(self.size, needed)
-        self.value = _grow(self.value, needed)
-        self.replica_count = _grow(self.replica_count, needed)
-        self.state = _grow(self.state, needed)
-        self.countdown = _grow(self.countdown, needed)
-        self.rent_paid = _grow(self.rent_paid, needed)
-        self.compensation = _grow(self.compensation, needed)
-
-    # -- dict facade ---------------------------------------------------
-    def __setitem__(self, file_id: int, descriptor: FileDescriptor) -> None:
-        if file_id != self._n:
-            raise KeyError(
-                f"file ids are assigned sequentially; expected {self._n}, got {file_id}"
-            )
-        self._ensure(self._n + 1)
-        self.owners.append(descriptor.owner)
-        self.merkle_roots.append(descriptor.merkle_root)
-        self.size[file_id] = descriptor.size
-        self.value[file_id] = descriptor.value
-        self.replica_count[file_id] = descriptor.replica_count
-        self.state[file_id] = _FILE_CODE[descriptor.state]
-        self.countdown[file_id] = descriptor.countdown
-        self.rent_paid[file_id] = descriptor.rent_paid
-        self.compensation[file_id] = descriptor.compensation_received
-        self._n += 1
-
     def append_batch(
         self,
         owner: str,
@@ -422,29 +343,40 @@ class FileTable:
         """Bulk-append pending descriptors; returns the assigned ids."""
         count = len(sizes)
         start = self._n
-        self._ensure(start + count)
+        for name in (
+            "size", "value", "replica_count", "state", "countdown", "rent_paid",
+            "compensation",
+        ):
+            setattr(self, name, _grow(getattr(self, name), start + count))
         self.owners.extend([owner] * count)
         self.merkle_roots.extend([merkle_root] * count)
         rows = np.arange(start, start + count)
         self.size[rows] = sizes
         self.value[rows] = values
         self.replica_count[rows] = replica_counts
-        self.state[rows] = _FILE_CODE[FileState.PENDING]
+        self.state[rows] = _F_PENDING
         self.countdown[rows] = -1
         self.rent_paid[rows] = 0
         self.compensation[rows] = 0
         self._n += count
         return rows
 
+    def state_of(self, file_id: int) -> Optional[FileState]:
+        """State of a file, ``None`` for an unknown id (builds no view)."""
+        return _FILE_STATES[self.state.item(file_id)] if file_id in self else None
+
+    def with_state(self, state: FileState) -> List[int]:
+        """Ids of the files in ``state``, ascending."""
+        return np.flatnonzero(self.state[: self._n] == _FILE_CODE[state]).tolist()
+
+    # -- dict facade ---------------------------------------------------
     def __getitem__(self, file_id: int) -> FileView:
-        if not 0 <= file_id < self._n:
+        if file_id not in self:
             raise KeyError(file_id)
-        return FileView(self, file_id)
+        return FileView(self, int(file_id))
 
     def get(self, file_id: int) -> Optional[FileView]:
-        if not isinstance(file_id, (int, np.integer)) or not 0 <= file_id < self._n:
-            return None
-        return FileView(self, int(file_id))
+        return FileView(self, int(file_id)) if file_id in self else None
 
     def __contains__(self, file_id: int) -> bool:
         return isinstance(file_id, (int, np.integer)) and 0 <= file_id < self._n
@@ -469,11 +401,10 @@ class FileTable:
 # Allocation table
 # ======================================================================
 class AllocEntryView:
-    """Read/write proxy over one replica row.
+    """Read-only proxy over one replica row (Figure 1's ``allocEntry``).
 
     ``prev``/``next`` are stored as sector table rows (``-1`` for None)
-    and translated to/from sector id strings at the view boundary, so the
-    inherited protocol code keeps speaking sector ids.
+    and translated to sector id strings at the view boundary.
     """
 
     __slots__ = ("_table", "_row")
@@ -482,47 +413,24 @@ class AllocEntryView:
         self._table = table
         self._row = row
 
-    def _translate_out(self, value: int) -> Optional[str]:
-        return None if value < 0 else self._table.sectors.sector_ids[value]
-
-    def _translate_in(self, sector_id: Optional[str]) -> int:
-        return -1 if sector_id is None else self._table.sectors.row_of(sector_id)
+    def _sector_id(self, row: int) -> Optional[str]:
+        return None if row < 0 else self._table.sectors.sector_ids[row]
 
     @property
     def prev(self) -> Optional[str]:
-        return self._translate_out(int(self._table.prev[self._row]))
-
-    @prev.setter
-    def prev(self, sector_id: Optional[str]) -> None:
-        self._table.prev[self._row] = self._translate_in(sector_id)
+        return self._sector_id(int(self._table.prev[self._row]))
 
     @property
     def next(self) -> Optional[str]:
-        return self._translate_out(int(self._table.next[self._row]))
-
-    @next.setter
-    def next(self, sector_id: Optional[str]) -> None:
-        self._table.next[self._row] = self._translate_in(sector_id)
+        return self._sector_id(int(self._table.next[self._row]))
 
     @property
     def last_proof(self) -> float:
         return float(self._table.last_proof[self._row])
 
-    @last_proof.setter
-    def last_proof(self, value: float) -> None:
-        self._table.last_proof[self._row] = float(value)
-
     @property
     def state(self) -> AllocState:
         return _ALLOC_STATES[self._table.state[self._row]]
-
-    @state.setter
-    def state(self, value: AllocState) -> None:
-        self._table.state[self._row] = _ALLOC_CODE[value]
-
-    @property
-    def current_sector(self) -> Optional[str]:
-        return self.prev
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -535,10 +443,9 @@ class ColumnarAllocationTable:
     """Replica allocations as contiguous per-file row blocks.
 
     A file's ``replica_count`` rows are allocated as one contiguous block
-    the first time an entry is set (File Add writes index 0 first), so
-    ``entries_for_file`` is a slice and ``entries_on_sector`` a single
-    vectorised comparison.  Absent rows -- never set, or cleared by
-    ``remove_file`` -- carry state code ``-1``.
+    when File Add places it, so a file's entries are a slice and the
+    entries on a sector one vectorised comparison.  Absent rows -- never
+    set, or cleared by ``remove_file`` -- carry state code ``-1``.
     """
 
     def __init__(self, files: FileTable, sectors: SectorTable) -> None:
@@ -558,38 +465,8 @@ class ColumnarAllocationTable:
         if len(self.block_start) <= file_id:
             self.block_start = _grow(self.block_start, file_id + 1, fill=-1)
 
-    def _ensure_rows(self, needed: int) -> None:
-        self.prev = _grow(self.prev, needed, fill=-1)
-        self.next = _grow(self.next, needed, fill=-1)
-        self.last_proof = _grow(self.last_proof, needed, fill=-1.0)
-        self.state = _grow(self.state, needed, fill=_ABSENT)
-
-    def _block(self, file_id: int) -> Optional[Tuple[int, int]]:
-        if file_id >= len(self.block_start):
-            return None
-        start = int(self.block_start[file_id])
-        if start < 0:
-            return None
-        return start, int(self.files.replica_count[file_id])
-
-    def allocate_block(self, file_id: int) -> int:
-        """Reserve the file's contiguous rows; returns the start row."""
-        self._ensure_blocks(file_id)
-        if self.block_start[file_id] >= 0:
-            raise KeyError(f"file#{file_id} already has an allocation block")
-        count = int(self.files.replica_count[file_id])
-        start = self._rows
-        self._ensure_rows(start + count)
-        self.prev[start : start + count] = -1
-        self.next[start : start + count] = -1
-        self.last_proof[start : start + count] = -1.0
-        self.state[start : start + count] = _ABSENT
-        self.block_start[file_id] = start
-        self._rows += count
-        return start
-
     def allocate_blocks(self, file_ids: np.ndarray) -> None:
-        """Batch :meth:`allocate_block`: one contiguous span, file order."""
+        """Reserve every file's contiguous rows: one span, file order."""
         if len(file_ids) == 0:
             return
         self._ensure_blocks(int(file_ids.max()))
@@ -601,13 +478,17 @@ class ColumnarAllocationTable:
         counts = self.files.replica_count[file_ids].astype(np.int64)
         total = int(counts.sum())
         start = self._rows
-        self._ensure_rows(start + total)
-        self.prev[start : start + total] = -1
-        self.next[start : start + total] = -1
-        self.last_proof[start : start + total] = -1.0
-        self.state[start : start + total] = _ABSENT
+        needed = start + total
+        self.prev = _grow(self.prev, needed, fill=-1)
+        self.next = _grow(self.next, needed, fill=-1)
+        self.last_proof = _grow(self.last_proof, needed, fill=-1.0)
+        self.state = _grow(self.state, needed, fill=_ABSENT)
+        self.prev[start:needed] = -1
+        self.next[start:needed] = -1
+        self.last_proof[start:needed] = -1.0
+        self.state[start:needed] = _ABSENT
         self.block_start[file_ids] = start + np.cumsum(counts) - counts
-        self._rows += total
+        self._rows = needed
 
     def block_rows(self, file_ids: np.ndarray) -> np.ndarray:
         """Concatenated row indices of the files' blocks (vectorised)."""
@@ -620,133 +501,178 @@ class ColumnarAllocationTable:
         ramp = np.arange(total, dtype=np.int64) - offsets
         return np.repeat(starts, counts) + ramp
 
-    # -- AllocationTable API ------------------------------------------
-    def set(self, file_id: int, index: int, entry) -> None:
-        block = self._block(file_id)
-        if block is None:
-            self.allocate_block(file_id)
-            block = self._block(file_id)
-        start, count = block
-        if not 0 <= index < count:
-            raise IndexError(
-                f"replica index {index} out of range for file#{file_id} ({count})"
-            )
-        row = start + index
-        if self.state[row] == _ABSENT:
-            self._live += 1
-        self.prev[row] = -1 if entry.prev is None else self.sectors.row_of(entry.prev)
-        self.next[row] = -1 if entry.next is None else self.sectors.row_of(entry.next)
-        self.last_proof[row] = entry.last_proof
-        self.state[row] = _ALLOC_CODE[entry.state]
-
-    def get(self, file_id: int, index: int) -> AllocEntryView:
-        entry = self.try_get(file_id, index)
-        if entry is None:
-            raise KeyError((file_id, index))
-        return entry
+    def span(self, file_id: int) -> range:
+        """The rows of the file's block (empty if it has none)."""
+        if 0 <= file_id < len(self.block_start):
+            start = self.block_start.item(file_id)
+            if start >= 0:
+                return range(start, start + self.files.replica_count.item(file_id))
+        return range(0)
 
     def row_of(self, file_id: int, index: int) -> int:
         """Table row of a present replica entry, ``-1`` if there is none."""
-        if not 0 <= file_id < len(self.block_start):
+        span = self.span(file_id)
+        if not 0 <= index < len(span):
             return -1
-        start = int(self.block_start[file_id])
-        if start < 0 or not 0 <= index < self.files.replica_count[file_id]:
-            return -1
-        row = start + index
-        return -1 if self.state[row] == _ABSENT else row
+        row = span[index]
+        return -1 if self.state.item(row) == _ABSENT else row
 
-    def try_get(self, file_id: int, index: int) -> Optional[AllocEntryView]:
-        row = self.row_of(file_id, index)
-        return None if row < 0 else AllocEntryView(self, row)
-
-    def has(self, file_id: int, index: int) -> bool:
-        return self.try_get(file_id, index) is not None
-
-    def remove_file(self, file_id: int) -> int:
-        block = self._block(file_id)
-        if block is None:
-            return 0
-        start, count = block
-        present = int(np.sum(self.state[start : start + count] != _ABSENT))
-        self.state[start : start + count] = _ABSENT
+    def remove_file(self, file_id: int) -> None:
+        """Drop every allocation of ``file_id``."""
+        span = self.span(file_id)
+        if not span:
+            return
+        rows = slice(span.start, span.stop)
+        self._live -= int(np.count_nonzero(self.state[rows] != _ABSENT))
+        self.state[rows] = _ABSENT
         self.block_start[file_id] = -1
-        self._live -= present
-        return present
 
+    # -- queries -------------------------------------------------------
     def entries_for_file(self, file_id: int) -> List[Tuple[int, AllocEntryView]]:
-        block = self._block(file_id)
-        if block is None:
-            return []
-        start, count = block
+        """All present ``(index, entry)`` pairs of one file, by index."""
         return [
-            (index, AllocEntryView(self, start + index))
-            for index in range(count)
-            if self.state[start + index] != _ABSENT
+            (index, AllocEntryView(self, row))
+            for index, row in enumerate(self.span(file_id))
+            if self.state.item(row) != _ABSENT
         ]
 
-    def entries_on_sector(self, sector_id: str) -> List[Tuple[int, int, AllocEntryView]]:
-        row = self.sectors._rows.get(sector_id)
-        if row is None:
-            return []
-        prev = self.prev[: self._rows]
-        nxt = self.next[: self._rows]
-        present = self.state[: self._rows] != _ABSENT
-        hits = np.nonzero(((prev == row) | (nxt == row)) & present)[0]
+    def file_is_lost(self, file_id: int) -> bool:
+        """True if the file has entries and every one is corrupted: a file
+        is missing iff all sectors storing it are corrupted."""
+        span = self.span(file_id)
+        states = [
+            state
+            for state in self.state[span.start : span.stop].tolist()
+            if state != _ABSENT
+        ]
+        return bool(states) and all(state == _A_CORRUPTED for state in states)
+
+    def replica_locations(self, file_id: int) -> List[Optional[str]]:
+        """Current sector of each replica (``None`` while allocating)."""
+        span = self.span(file_id)
+        ids = self.sectors.sector_ids
+        return [
+            None if host < 0 else ids[host]
+            for host, state in zip(
+                self.prev[span.start : span.stop].tolist(),
+                self.state[span.start : span.stop].tolist(),
+            )
+            if state != _ABSENT
+        ]
+
+    def awaiting(self, file_id: int) -> List[Tuple[int, str]]:
+        """``(index, sector id)`` of every replica allocated to a sector
+        that has not confirmed it yet."""
+        span = self.span(file_id)
+        ids = self.sectors.sector_ids
+        return [
+            (index, ids[target])
+            for index, (target, state) in enumerate(
+                zip(
+                    self.next[span.start : span.stop].tolist(),
+                    self.state[span.start : span.stop].tolist(),
+                )
+            )
+            if state == _A_ALLOC and target >= 0
+        ]
+
+    def files_hosted_on(self, sector_ids: List[str]) -> Set[int]:
+        """Ids of the files with a replica currently on one of the sectors."""
+        hosts = [self.sectors.row_of(sector_id) for sector_id in sector_ids]
+        n = self._rows
+        hits = np.flatnonzero(np.isin(self.prev[:n], hosts) & (self.state[:n] != _ABSENT))
         if len(hits) == 0:
-            return []
+            return set()
         # Present rows always belong to a live block, and live block
         # starts are strictly increasing in file id (blocks are allocated
         # in file order), so a binary search over the live starts maps
-        # each hit row back to its owning file.
+        # each row back to its owning file.
         starts = self.block_start[: len(self.files)]
-        live = np.nonzero(starts >= 0)[0]
-        positions = np.searchsorted(starts[live], hits, side="right") - 1
-        out: List[Tuple[int, int, AllocEntryView]] = []
-        for hit, position in zip(hits, positions):
-            file_id = int(live[position])
-            index = int(hit) - int(starts[file_id])
-            out.append((file_id, index, AllocEntryView(self, int(hit))))
-        return out
-
-    def file_is_lost(self, file_id: int) -> bool:
-        block = self._block(file_id)
-        if block is None:
-            return False
-        start, count = block
-        states = self.state[start : start + count]
-        present = states != _ABSENT
-        if not present.any():
-            return False
-        return bool(np.all(states[present] == _ALLOC_CODE[AllocState.CORRUPTED]))
-
-    def replica_locations(self, file_id: int) -> List[Optional[str]]:
-        return [
-            entry.current_sector for _, entry in self.entries_for_file(file_id)
-        ]
+        live = np.flatnonzero(starts >= 0)
+        owners = live[np.searchsorted(starts[live], hits, side="right") - 1]
+        return set(owners.tolist())
 
     def __len__(self) -> int:
         return self._live
 
 
 # ======================================================================
-# The columnar protocol engine
+# The protocol engine
 # ======================================================================
-class ColumnarProtocol(FileInsurerProtocol):
-    """:class:`FileInsurerProtocol` over structure-of-arrays state.
+class ColumnarProtocol:
+    """On-chain state machine of the FileInsurer DSN over columnar state.
 
-    Inherits every protocol rule, the pending list and the event log;
-    swaps the state layout for columnar tables served through views, and
-    overrides the hot paths (batched File Add placement, the
-    CheckAlloc/CheckProof/CheckRefresh runs) with vectorised sweeps that
-    leave to the inherited per-file code whatever their preconditions do
-    not cover.  See the module docstring for the equivalence contract.
+    See the module docstring for the state layout and the equivalence
+    contract with the spec in ``tests/oracles/protocol.py``.
     """
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(
+        self,
+        params: Optional[ProtocolParams] = None,
+        ledger: Optional[Ledger] = None,
+        prng: Optional[DeterministicPRNG] = None,
+        health_oracle: Optional[Callable[[str], bool]] = None,
+        auto_prove: bool = False,
+        charge_fees: bool = True,
+        backend: Optional[Union[str, KernelBackend]] = None,
+        draw_batch: int = 1,
+    ) -> None:
+        self.params = params or ProtocolParams.small_test()
+        self.ledger = ledger or Ledger()
+        self.prng = prng or DeterministicPRNG.from_int(2022, domain="fileinsurer-protocol")
+        self.events = EventLog()
+        #: ``RandomSector()`` draws go through the ``batch_weighted_draw``
+        #: kernel (:mod:`repro.kernels`): sector choices are deterministic
+        #: in the protocol seed and bit-identical on the kernel oracle
+        #: (``backend`` injects one; ``None`` runs the vectorized kernels).
+        #: The selector keeps its per-slot free table incrementally (every
+        #: reservation/release below reports to it), so no kernel call
+        #: scans the sector table; ``draw_batch`` > 1 prefetches that many
+        #: plain refresh-target draws per kernel call.
+        self.selector = CapacitySelector(
+            self.prng.spawn("sector-selection"),
+            backend=backend,
+            draw_batch=draw_batch,
+        )
+        self.fund = InsuranceFund(self.ledger)
+        self.fees = FeeEngine(self.ledger, self.params)
+        self.pending = PendingList()
         self.sectors = SectorTable()
         self.files = FileTable()
         self.alloc = ColumnarAllocationTable(self.files, self.sectors)
+
+        #: When set (and ``auto_prove`` is True) the protocol asks this
+        #: oracle whether a sector's physical storage is healthy and, if so,
+        #: credits its proofs automatically each checkpoint.  Used by
+        #: protocol-level experiments that do not simulate physical proofs.
+        self.health_oracle = health_oracle
+        self.auto_prove = auto_prove
+        #: Protocol-level experiments that only study placement can disable
+        #: fee charging so clients do not need funded accounts.
+        self.charge_fees = charge_fees
+
+        self.now = 0.0
+        self._sector_counter: Dict[str, int] = {}
+        self._traffic_escrows: Dict[Tuple[int, int], TrafficEscrow] = {}
+        self.refresh_notices: List[RefreshNotice] = []
+
+        # Aggregate statistics used by analysis and experiments.
+        self.total_value_stored = 0
+        self.total_value_lost = 0
+        self.total_value_compensated = 0
+        self.files_lost = 0
+        self.files_stored = 0
+
+        # Running admission aggregates: total_capacity() and
+        # stored_replica_bytes() are on the File Add hot path, so they are
+        # maintained incrementally instead of scanning the sector table;
+        # the regression suite pins them against a scan.
+        self._agg_capacity = 0
+        self._agg_used = 0
+        #: Sector corruptions seen so far: the epoch of every sector and
+        #: allocation state a vectorised sweep derived (the proof sweep
+        #: re-derives its mask whenever this moves mid-run).
+        self._corruption_events = 0
         #: Sampler slot -> sector table row (vectorised placement lookup)
         #: and its inverse (vectorised release on a selectable sector).
         self._slot_to_row = np.empty(0, dtype=np.int64)
@@ -754,22 +680,163 @@ class ColumnarProtocol(FileInsurerProtocol):
         #: Cache of ``params.replica_count`` per distinct value.
         self._replica_count_cache: Dict[int, int] = {}
 
-    # ------------------------------------------------------------------
+        if self.charge_fees:
+            self.pending.schedule(self.now + self.params.rent_period, RENT_PERIOD)
+
+    # ==================================================================
+    # Time
+    # ==================================================================
+    @traced("protocol.advance_time", category="protocol")
+    def advance_time(self, until: float) -> None:
+        """Advance the clock to ``until``, executing due Auto tasks in order.
+
+        The tasks due at one time go to their handlers by run: every
+        maximal run of one kind is handed over whole, in task order.
+        """
+        # Written as "not >=" so a NaN ``until``, for which the loop's exit
+        # test is never true, is refused along with times in the past.
+        if not until >= self.now:
+            raise ValueError("time cannot move backwards")
+        while True:
+            next_time = self.pending.peek_time()
+            if next_time is None or next_time > until:
+                break
+            self.now = max(self.now, next_time)
+            kinds, file_ids, indexes = self.pending.pop_due_arrays(self.now)
+            # One comparison finds where the kind changes, so the loop below
+            # pays per run (a handful per cycle), never per task.
+            ends = (np.flatnonzero(kinds[1:] != kinds[:-1]) + 1).tolist()
+            ends.append(len(kinds))  # at least one task is due here
+            i = 0
+            for j in ends:
+                kind = kinds[i]
+                if kind == CHECK_PROOF:
+                    self._check_proof_run(file_ids[i:j])
+                elif kind == CHECK_ALLOC:
+                    self._check_alloc_run(file_ids[i:j])
+                elif kind == CHECK_REFRESH:
+                    self._check_refresh_run(file_ids[i:j], indexes[i:j])
+                elif kind == RENT_PERIOD:
+                    for _ in range(i, j):
+                        self._auto_rent_period()
+                else:  # pragma: no cover - defensive
+                    raise ProtocolError(f"unknown pending task kind {kind}")
+                i = j
+        self.now = until
+        if metrics.is_enabled():
+            self._record_gauges()
+        if is_enabled():
+            # Refresh-target draws only happen inside CheckProof runs, so
+            # once per advance covers them -- never once per draw.
+            names = ("hits", "refills", "flushed")
+            for name, amount in zip(names, self.selector.take_prefetch_counts()):
+                if amount:
+                    counter(f"protocol.prefetch.{name}", amount, category="protocol")
+
+    def _record_gauges(self) -> None:
+        """Gauge snapshots at ``self.now`` (observability only, no RNG)."""
+        metrics.gauge(
+            "protocol.refresh_backlog",
+            self.now,
+            float(self.pending.count_kind(CHECK_REFRESH)),
+            category="protocol",
+        )
+        metrics.gauge(
+            "protocol.pending_tasks", self.now, float(len(self.pending)),
+            category="protocol",
+        )
+        metrics.gauge(
+            "protocol.total_deposit",
+            self.now,
+            float(
+                self.fund.total_pledged
+                - self.fund.total_refunded
+                - self.fund.total_confiscated
+            ),
+            category="protocol",
+        )
+
+    def run_until_idle(self, max_time: Optional[float] = None) -> None:
+        """Advance time until the pending list drains (or ``max_time``)."""
+        while True:
+            next_time = self.pending.peek_time()
+            if next_time is None:
+                break
+            if max_time is not None and next_time > max_time:
+                self.advance_time(max_time)
+                return
+            self.advance_time(next_time)
+
+    # ==================================================================
     # Sector protocol
-    # ------------------------------------------------------------------
+    # ==================================================================
     def sector_register(self, owner: str, capacity: int) -> str:
-        sector_id = super().sector_register(owner, capacity)
+        """``Sector Register``: pledge a deposit and add the sector.
+
+        Returns the new sector id.  The deposit is proportional to the
+        sector capacity (Section IV-B) and is locked in escrow.
+        """
+        if capacity <= 0 or capacity % self.params.min_capacity != 0:
+            raise ProtocolError(
+                "sector capacity must be a positive multiple of min_capacity"
+            )
+        count = self._sector_counter.get(owner, 0)
+        self._sector_counter[owner] = count + 1
+        sector_id = f"{owner}#{count}"
+
+        deposit = 0
+        if self.charge_fees:
+            deposit = self.params.sector_deposit(capacity)
+            try:
+                self.fees.charge_gas(owner, "sector_register")
+                self.fund.pledge(sector_id, owner, deposit)
+            except InsufficientFundsError as exc:
+                self._sector_counter[owner] = count
+                raise ProtocolError(
+                    f"cannot cover gas and a deposit of {deposit}: {exc}"
+                ) from exc
+
+        row = self.sectors.append(sector_id, owner, capacity, deposit)
+        self._agg_capacity += capacity
+        self.selector.add_sector(sector_id, capacity)
         slot = self.selector.slot_of(sector_id)
         self._slot_to_row = _grow(self._slot_to_row, slot + 1, fill=-1)
-        row = self.sectors.row_of(sector_id)
         self._slot_to_row[slot] = row
         self._row_to_slot = _grow(self._row_to_slot, row + 1, fill=-1)
         self._row_to_slot[row] = slot
+        self.events.emit(EventType.SECTOR_REGISTERED)
+        if deposit:
+            self.events.emit(EventType.DEPOSIT_PLEDGED)
         return sector_id
 
-    # ------------------------------------------------------------------
-    # Batched File Add (vectorised fast path)
-    # ------------------------------------------------------------------
+    def sector_disable(self, owner: str, sector_id: str) -> None:
+        """``Sector Disable``: the sector stops accepting new files."""
+        row = self._sector_row(sector_id)
+        if self.sectors.owners[row] != owner:
+            raise ProtocolError(f"{owner} does not own sector {sector_id}")
+        if self.sectors.state.item(row) != _S_NORMAL:
+            raise ProtocolError(f"sector {sector_id} is not in normal state")
+        if self.charge_fees:
+            self.fees.charge_gas(owner, "sector_disable")
+        self.sectors.state[row] = _S_DISABLED
+        self.selector.remove_sector(sector_id)
+        self.events.emit(EventType.SECTOR_DISABLED)
+        self._maybe_remove_sector(row)
+
+    # ==================================================================
+    # File protocol -- client requests
+    # ==================================================================
+    @traced("protocol.file_add", category="protocol")
+    def file_add(self, owner: str, size: int, value: int, merkle_root: bytes) -> int:
+        """``File Add``: allocate ``cp`` sectors for a new file.
+
+        The one-file :meth:`file_add_batch`, so the two refuse a request
+        alike.  Returns the file id.  The client must afterwards transmit
+        the file to the owners of the selected sectors before the transfer
+        deadline; the providers acknowledge with :meth:`file_confirm`.
+        """
+        return self.file_add_batch(owner, [size], [value], merkle_root)[0]
+
     @traced("protocol.file_add_batch", category="protocol")
     def file_add_batch(
         self,
@@ -778,17 +845,34 @@ class ColumnarProtocol(FileInsurerProtocol):
         values: List[int],
         merkle_root: bytes,
     ) -> List[int]:
-        # The vectorised sweep covers the placement-only regime (no fee
-        # bookkeeping per replica); everything else inherits the generic
-        # batch, which produces identical state through the views.
-        if self.charge_fees:
-            return super().file_add_batch(owner, sizes, values, merkle_root)
+        """Batched ``File Add``: admit and place many files per kernel call.
+
+        * every file is validated up front: a size or value the protocol
+          does not accept rejects the whole batch with
+          :class:`ProtocolError` before any state change;
+        * the admission limits are applied to the *prefix*: files are
+          admitted in order, each assuming its predecessors were fully
+          placed; the first file that would exceed a limit truncates the
+          batch there (if that is the very first file, the batch raises
+          :class:`ProtocolError`);
+        * gas for the admitted prefix is charged first -- a client who
+          cannot pay for the first file gets the ledger's
+          :class:`InsufficientFundsError`, as every other request does --
+          and all replica placements run as a single
+          ``batch_weighted_draw`` call; the batch then stops after the
+          first file whose placement failed (its descriptor is kept in
+          state ``failed``, with no allocations);
+        * with fees on, each placed replica escrows its traffic fee, in
+          ``(file, replica)`` order.
+
+        Returns the ids of every descriptor created; the last id may name
+        a failed upload, which callers treat as the fill stopping point.
+        """
         if len(sizes) != len(values):
             raise ProtocolError("file_add_batch: sizes and values must align")
         size_arr = np.asarray(sizes, dtype=np.int64)
         value_arr = np.asarray(values, dtype=np.int64)
-        # Validation order (first offending entry wins) matches the base
-        # batch exactly: sizes first, then values.
+        # Validation order (first offending entry wins): sizes, then values.
         bad_sizes = np.nonzero(
             (size_arr <= 0) | (size_arr > self.params.size_limit)
         )[0]
@@ -815,6 +899,15 @@ class ColumnarProtocol(FileInsurerProtocol):
             dtype=np.int64,
         )[value_index]
         admitted = self._admitted_prefix_columns(size_arr, value_arr, replica_counts)
+        if self.charge_fees:
+            for index in range(admitted):
+                try:
+                    self.fees.charge_gas(owner, "file_add")
+                except InsufficientFundsError:
+                    if index == 0:
+                        raise
+                    admitted = index
+                    break
         size_arr = size_arr[:admitted]
         value_arr = value_arr[:admitted]
         replica_counts = replica_counts[:admitted]
@@ -841,14 +934,13 @@ class ColumnarProtocol(FileInsurerProtocol):
             replica_counts[:created],
             merkle_root,
         )
-        self._next_file_id += created
         if created:
             self.alloc._ensure_blocks(int(file_ids[-1]))
         self.events.emit(EventType.FILE_ADD_REQUESTED, created)
         if truncated:
             # The failed upload keeps its descriptor (state failed) but no
-            # allocations or reservations, matching per-file semantics.
-            self.files.state[file_ids[-1]] = _FILE_CODE[FileState.FAILED]
+            # allocations or reservations.
+            self.files.state[file_ids[-1]] = _F_FAILED
             self.events.emit(EventType.FILE_UPLOAD_FAILED)
 
         if complete > 0:
@@ -861,10 +953,8 @@ class ColumnarProtocol(FileInsurerProtocol):
             # next = selected sector, awaiting File Confirm.
             self.alloc.allocate_blocks(ok_ids)
             rows = self.alloc.block_rows(ok_ids)
-            self.alloc.prev[rows] = -1
             self.alloc.next[rows] = ok_rows
-            self.alloc.last_proof[rows] = -1.0
-            self.alloc.state[rows] = _ALLOC_CODE[AllocState.ALLOC]
+            self.alloc.state[rows] = _A_ALLOC
             self.alloc._live += len(rows)
             # Sector reservations, aggregates and the selector's
             # free table -- one vectorised debit each.
@@ -872,16 +962,25 @@ class ColumnarProtocol(FileInsurerProtocol):
             np.add.at(self.sectors.stored, ok_rows, 1)
             self._agg_used += int(ok_sizes.sum())
             self.selector.debit_slots(ok_slots, ok_sizes)
-            # One CheckAlloc per stored file, one append in file order.
-            # Transfer deadlines depend only on the file size: compute one
-            # per distinct size.
-            distinct, size_index = np.unique(size_arr[:complete], return_inverse=True)
-            transfer_deadline = self.params.transfer_deadline
-            deadline_of = np.array(
-                [self.now + transfer_deadline(size) for size in distinct.tolist()]
-            )
+            if self.charge_fees:
+                indexes = np.arange(replica_span) - np.repeat(
+                    starts[:complete], replica_counts[:complete]
+                )
+                owners = self.sectors.owners
+                for file_id, index, sector_row, size in zip(
+                    np.repeat(ok_ids, replica_counts[:complete]).tolist(),
+                    indexes.tolist(),
+                    ok_rows.tolist(),
+                    ok_sizes.tolist(),
+                ):
+                    self._traffic_escrows[(file_id, index)] = (
+                        self.fees.commit_traffic_fee(owner, owners[sector_row], size)
+                    )
+            # One CheckAlloc per stored file, one append in file order.  The
+            # deadline is linear in the size, so a column of sizes gives the
+            # column of per-file deadlines, float for float.
             self.pending.schedule_columns(
-                deadline_of[size_index],
+                self.now + self.params.transfer_deadline(size_arr[:complete]),
                 np.full(complete, CHECK_ALLOC),
                 ok_ids,
                 np.full(complete, -1),
@@ -923,6 +1022,51 @@ class ColumnarProtocol(FileInsurerProtocol):
             sizes.tolist(), values.tolist(), replica_counts.tolist()
         )
 
+    def _admitted_prefix(
+        self, sizes: List[int], values: List[int], replica_counts: List[int]
+    ) -> int:
+        """Longest batch prefix the admission limits accept.
+
+        Each file is checked assuming its predecessors in the batch were
+        fully placed (the batch stops at the first placement failure, so
+        a file never observes a partially placed predecessor).  Raises
+        when even the first file is refused, naming the limit.
+        """
+        total_capacity = self.total_capacity()
+        if total_capacity <= 0:
+            raise ProtocolError("no registered capacity in the network")
+        # Two restrictions back Theorem 1 and the storage-randomness
+        # analysis: the total value stored may not exceed Nm_v * minValue,
+        # and total replica bytes may not exceed 1/redundancy_factor of the
+        # total capacity (the redundant-capacity assumption).
+        max_value = self.params.max_value_capacity(total_capacity)
+        replica_budget = total_capacity / self.params.redundancy_factor
+        base_value = self.total_value_stored - self.total_value_lost
+        base_bytes = self.stored_replica_bytes()
+        admitted = 0
+        cumulative_value = 0
+        cumulative_bytes = 0
+        for size, value, replica_count in zip(sizes, values, replica_counts):
+            if base_value + cumulative_value + value > max_value:
+                if admitted == 0:
+                    raise ProtocolError(
+                        f"value limit exceeded: storing {value} would bring the "
+                        f"total to {base_value + value} > Nm_v*minValue = {max_value}"
+                    )
+                break
+            if base_bytes + cumulative_bytes + size * replica_count > replica_budget:
+                if admitted == 0:
+                    raise ProtocolError(
+                        f"capacity limit exceeded: {base_bytes + size * replica_count} "
+                        "replica bytes would exceed the redundant-capacity budget "
+                        f"of {replica_budget:.0f}"
+                    )
+                break
+            cumulative_value += value
+            cumulative_bytes += size * replica_count
+            admitted += 1
+        return admitted
+
     def _replica_count_of(self, value: int) -> int:
         cached = self._replica_count_cache.get(value)
         if cached is None:
@@ -932,8 +1076,14 @@ class ColumnarProtocol(FileInsurerProtocol):
 
     @traced("protocol.confirm_batch", category="protocol")
     def confirm_batch(self, file_ids: List[int]) -> List[int]:
-        if self.charge_fees:
-            return super().confirm_batch(file_ids)
+        """Confirm every awaiting replica of ``file_ids`` on behalf of its
+        selected sector's owner.
+
+        The same per-entry ``File Confirm`` transitions providers would
+        submit individually, in ``(file, index)`` order (traffic fees are
+        paid out of escrow in that order).  Returns the ids whose replicas
+        are now all confirmed.
+        """
         fids = np.asarray(file_ids, dtype=np.int64)
         fids = fids[(fids >= 0) & (fids < len(self.files))]
         if len(fids) == 0:
@@ -941,52 +1091,319 @@ class ColumnarProtocol(FileInsurerProtocol):
         has_block = np.zeros(len(fids), dtype=bool)
         in_range = fids < len(self.alloc.block_start)
         has_block[in_range] = self.alloc.block_start[fids[in_range]] >= 0
-        pending_mask = (
-            self.files.state[fids] == _FILE_CODE[FileState.PENDING]
-        ) & has_block
-        candidates = fids[pending_mask]
+        candidates = fids[(self.files.state[fids] == _F_PENDING) & has_block]
         if len(candidates) == 0:
             return []
         rows = self.alloc.block_rows(candidates)
-        states = self.alloc.state[rows]
-        awaiting = (states == _ALLOC_CODE[AllocState.ALLOC]) & (
-            self.alloc.next[rows] >= 0
-        )
-        self.alloc.state[rows[awaiting]] = _ALLOC_CODE[AllocState.CONFIRM]
-        # A file counts as confirmed when every present entry is CONFIRM.
-        states = self.alloc.state[rows]
+        awaiting = (self.alloc.state[rows] == _A_ALLOC) & (self.alloc.next[rows] >= 0)
+        self.alloc.state[rows[awaiting]] = _A_CONFIRM
         counts = self.files.replica_count[candidates].astype(np.int64)
         starts = np.cumsum(counts) - counts
+        if self._traffic_escrows:
+            indexes = np.arange(len(rows)) - np.repeat(starts, counts)
+            for file_id, index in zip(
+                np.repeat(candidates, counts)[awaiting].tolist(),
+                indexes[awaiting].tolist(),
+            ):
+                self._release_traffic_escrow(file_id, index)
+        # A file counts as confirmed when every present entry is CONFIRM.
+        states = self.alloc.state[rows]
         present = states != _ABSENT
-        confirm = states == _ALLOC_CODE[AllocState.CONFIRM]
-        ok_entries = np.add.reduceat(present & confirm, starts)
+        ok_entries = np.add.reduceat(present & (states == _A_CONFIRM), starts)
         any_present = np.add.reduceat(present, starts)
         complete = (ok_entries == counts) & (any_present > 0)
         return candidates[complete].tolist()
 
+    def file_discard(self, owner: str, file_id: int) -> None:
+        """``File Discard``: mark the file as discarded.
+
+        The file is physically removed at the next ``Auto CheckProof``
+        (matching Figure 8); discarding an already-lost file is an error.
+        """
+        self._check_file(file_id)
+        if self.files.owners[file_id] != owner:
+            raise ProtocolError(f"{owner} does not own file#{file_id}")
+        if self.files.state.item(file_id) not in (_F_PENDING, _F_NORMAL):
+            raise ProtocolError(f"file#{file_id} is not active")
+        if self.charge_fees:
+            self.fees.charge_gas(owner, "file_discard")
+        self.files.state[file_id] = _F_DISCARDED
+        self.events.emit(EventType.FILE_DISCARDED)
+
+    def file_locations(self, file_id: int) -> List[Optional[str]]:
+        """``File Get`` support: current sector of every replica.
+
+        Retrieval itself happens off-chain (Retrieval Market / BitSwap); the
+        chain only serves the location and hash information.
+        """
+        self._check_file(file_id)
+        return self.alloc.replica_locations(file_id)
+
+    # ==================================================================
+    # File protocol -- provider requests
+    # ==================================================================
     def file_confirm(self, provider: str, file_id: int, index: int, sector_id: str) -> None:
-        """``File Confirm`` on table rows: same rules, no view constructed."""
-        sector_row = self.sectors._rows.get(sector_id)
-        if sector_row is None:
-            raise ProtocolError(f"unknown sector {sector_id}")
+        """``File Confirm``: a sector acknowledges receipt of a replica."""
+        sector_row = self._sector_row(sector_id)
         if self.sectors.owners[sector_row] != provider:
             raise ProtocolError(f"{provider} does not own sector {sector_id}")
         row = self.alloc.row_of(file_id, index)
         if row < 0:
             raise ProtocolError(f"no allocation for file#{file_id} replica {index}")
         if (
-            self.alloc.next[row] != sector_row
-            or self.alloc.state[row] != _ALLOC_CODE[AllocState.ALLOC]
+            self.alloc.next.item(row) != sector_row
+            or self.alloc.state.item(row) != _A_ALLOC
         ):
             raise ProtocolError(
                 f"allocation of file#{file_id}[{index}] is not awaiting {sector_id}"
             )
-        self.alloc.state[row] = _ALLOC_CODE[AllocState.CONFIRM]
+        self.alloc.state[row] = _A_CONFIRM
         self._release_traffic_escrow(file_id, index)
 
-    # ------------------------------------------------------------------
-    # Time: the runs advance_time dispatches, as vectorised sweeps
-    # ------------------------------------------------------------------
+    def _release_traffic_escrow(self, file_id: int, index: int) -> None:
+        """Pay the confirmed replica's traffic fee out of escrow, if any."""
+        escrow = self._traffic_escrows.pop((file_id, index), None)
+        if escrow is not None:
+            self.fees.release_traffic_fee(escrow)
+            self.events.emit(EventType.TRAFFIC_FEE_PAID)
+
+    def file_prove(self, provider: str, file_id: int, index: int, sector_id: str) -> None:
+        """``File Prove``: record a storage proof for one replica, now.
+
+        No layer produces or verifies a real proof of spacetime: a call is
+        an accepted proof.  Experiments that run the proof rounds hand the
+        protocol a health oracle (``auto_prove``), which stands in for the
+        proofs of every healthy sector.
+        """
+        sector_row = self._sector_row(sector_id)
+        if self.sectors.owners[sector_row] != provider:
+            raise ProtocolError(f"{provider} does not own sector {sector_id}")
+        row = self.alloc.row_of(file_id, index)
+        if row < 0:
+            raise ProtocolError(f"no allocation for file#{file_id} replica {index}")
+        if self.alloc.prev.item(row) != sector_row:
+            raise ProtocolError(
+                f"sector {sector_id} is not the current host of file#{file_id}[{index}]"
+            )
+        self.alloc.last_proof[row] = max(self.alloc.last_proof.item(row), self.now)
+
+    # ==================================================================
+    # Auto tasks, one file at a time (row forms)
+    # ==================================================================
+    def _auto_check_alloc(self, file_id: int) -> None:
+        """``Auto CheckAlloc`` (Figure 7)."""
+        files, alloc = self.files, self.alloc
+        if file_id not in files:
+            return
+        state = files.state.item(file_id)
+        if state != _F_PENDING and state != _F_DISCARDED:
+            return
+        rows = [row for row in alloc.span(file_id) if alloc.state.item(row) != _ABSENT]
+        settled = all(alloc.state.item(row) in (_A_CONFIRM, _A_CORRUPTED) for row in rows)
+        if not settled or state == _F_DISCARDED:
+            self._remove_file(file_id)
+            files.state[file_id] = _F_FAILED
+            self.events.emit(EventType.FILE_UPLOAD_FAILED)
+            return
+        for row in rows:
+            if alloc.state.item(row) == _A_CONFIRM:
+                alloc.prev[row] = alloc.next.item(row)
+                alloc.last_proof[row] = self.now
+                alloc.state[row] = _A_NORMAL
+            else:  # corrupted during the transfer window
+                alloc.prev[row] = -1
+                alloc.last_proof[row] = -1.0
+            alloc.next[row] = -1
+        files.state[file_id] = _F_NORMAL
+        files.countdown[file_id] = self._sample_refresh_countdown()
+        self.files_stored += 1
+        self.total_value_stored += files.value.item(file_id)
+        self.pending.schedule(self.now + self.params.proof_cycle, CHECK_PROOF, file_id)
+        self.events.emit(EventType.FILE_STORED)
+
+    def _auto_check_proof(self, file_id: int) -> None:
+        """``Auto CheckProof`` (Figure 8)."""
+        files, alloc, sectors = self.files, self.alloc, self.sectors
+        if file_id not in files:
+            return
+        state = files.state.item(file_id)
+        if state == _F_LOST or state == _F_FAILED:
+            return
+
+        # 1. Charge the client for the next cycle (or force-discard).
+        if self.charge_fees and state == _F_NORMAL:
+            owner = files.owners[file_id]
+            size = files.size.item(file_id)
+            replicas = files.replica_count.item(file_id)
+            if not self.fees.can_afford_cycle(owner, size, replicas):
+                files.state[file_id] = state = _F_DISCARDED
+                self.events.emit(EventType.FILE_DISCARDED)
+            else:
+                files.rent_paid[file_id] += self.fees.charge_cycle(owner, size, replicas)
+                self.events.emit(EventType.RENT_CHARGED)
+
+        # 2. Check proof freshness for every replica still hosted somewhere.
+        if self.auto_prove and self.health_oracle is not None:
+            self._credit_automatic_proofs(file_id)
+        missed = self.now - self.params.proof_deadline
+        late = self.now - self.params.proof_due
+        for row in alloc.span(file_id):
+            entry_state = alloc.state.item(row)
+            host = alloc.prev.item(row)
+            if entry_state == _ABSENT or entry_state == _A_CORRUPTED or host < 0:
+                continue
+            if sectors.state.item(host) == _S_CORRUPTED:
+                alloc.state[row] = _A_CORRUPTED
+                continue
+            last_proof = alloc.last_proof.item(row)
+            if last_proof < missed:
+                self._handle_sector_corruption(host)
+            elif last_proof < late:
+                self._punish(sectors.owners[host], self.params.late_proof_penalty)
+
+        # 3. Resolve the file's fate.
+        if state == _F_DISCARDED:
+            self._remove_file(file_id)
+            return
+        if alloc.file_is_lost(file_id):
+            self._handle_file_loss(file_id)
+            return
+
+        # 4. Schedule the next checkpoint and maybe a refresh.
+        self.pending.schedule(self.now + self.params.proof_cycle, CHECK_PROOF, file_id)
+        countdown = files.countdown.item(file_id) - 1
+        files.countdown[file_id] = countdown
+        if countdown <= 0:
+            index = self.prng.randint(0, files.replica_count.item(file_id) - 1)
+            self._auto_refresh(file_id, index)
+
+    def _credit_automatic_proofs(self, file_id: int) -> None:
+        """Credit proofs for healthy sectors when running with a health oracle.
+
+        Matches File Prove semantics: the current host (``prev``) must keep
+        proving even while a refresh swap is in flight (entry state
+        ``alloc``/``confirm``), so any non-corrupted entry with a host is
+        credited.
+        """
+        alloc, sectors, oracle = self.alloc, self.sectors, self.health_oracle
+        for row in alloc.span(file_id):
+            entry_state = alloc.state.item(row)
+            host = alloc.prev.item(row)
+            if entry_state == _ABSENT or entry_state == _A_CORRUPTED or host < 0:
+                continue
+            if sectors.state.item(host) == _S_CORRUPTED:
+                continue
+            if oracle(sectors.sector_ids[host]):
+                alloc.last_proof[row] = self.now
+
+    @traced("protocol.refresh", category="protocol")
+    def _auto_refresh(self, file_id: int, index: int) -> None:
+        """``Auto Refresh`` (Figure 9): move one replica to a random sector."""
+        files, alloc, sectors = self.files, self.alloc, self.sectors
+        if files.state.item(file_id) != _F_NORMAL:
+            return
+        row = alloc.row_of(file_id, index)
+        if row < 0 or alloc.state.item(row) != _A_NORMAL or len(self.selector) == 0:
+            # Replica unavailable (corrupted) or mid-transfer, or nowhere
+            # to go: postpone.
+            files.countdown[file_id] = self._sample_refresh_countdown()
+            return
+        target = self._slot_to_row.item(self.selector.random_slot())
+        size = files.size.item(file_id)
+        free = sectors.free.item(target) - size
+        if free < 0 or sectors.state.item(target) != _S_NORMAL:
+            # Collision: the paper resamples the countdown and tries later.
+            self.events.emit(EventType.COLLISION_RESAMPLED)
+            files.countdown[file_id] = self._sample_refresh_countdown()
+            return
+
+        sectors.free[target] = free
+        sectors.stored[target] += 1
+        self._agg_used += size
+        sector_ids = sectors.sector_ids
+        self.selector.set_free(sector_ids[target], free)
+        alloc.next[row] = target
+        alloc.state[row] = _A_ALLOC
+        deadline = self.now + self.params.transfer_deadline(size)
+        self.pending.schedule(deadline, CHECK_REFRESH, file_id, index)
+        source = alloc.prev.item(row)
+        self.refresh_notices.append(
+            RefreshNotice(
+                file_id,
+                index,
+                None if source < 0 else sector_ids[source],
+                sector_ids[target],
+                deadline,
+            )
+        )
+        counter("protocol.refresh_notices", category="protocol")
+        self.events.emit(EventType.FILE_REFRESH_STARTED)
+
+    def _auto_check_refresh(self, file_id: int, index: int) -> None:
+        """``Auto CheckRefresh`` (Figure 9)."""
+        files, alloc = self.files, self.alloc
+        if file_id not in files:
+            return
+        row = alloc.row_of(file_id, index)
+        if row < 0:
+            return
+        if files.state.item(file_id) != _F_NORMAL:
+            # File discarded or lost while the swap was in flight; release
+            # the reservation made on the target sector.
+            self._release_next_reservation(file_id, row)
+            return
+
+        entry_state = alloc.state.item(row)
+        if entry_state == _A_CONFIRM:
+            old_host = alloc.prev.item(row)
+            alloc.prev[row] = alloc.next.item(row)
+            alloc.next[row] = -1
+            alloc.last_proof[row] = self.now
+            alloc.state[row] = _A_NORMAL
+            if old_host >= 0:
+                self._release_replica_from_sector(old_host, files.size.item(file_id))
+            files.countdown[file_id] = self._sample_refresh_countdown()
+            self.events.emit(EventType.FILE_REFRESH_COMPLETED)
+            return
+
+        if entry_state == _A_CORRUPTED:
+            # Either end collapsed mid-swap; nothing to punish, CheckProof
+            # will account for the loss.
+            return
+
+        # The swap was not confirmed in time: punish the parties and retry.
+        owners = self.sectors.owners
+        penalty = self.params.refresh_failure_penalty
+        failed_target = alloc.next.item(row)
+        if failed_target >= 0:
+            self._release_next_reservation(file_id, row)
+            self._punish(owners[failed_target], penalty)
+        for other in alloc.span(file_id):
+            other_state = alloc.state.item(other)
+            host = alloc.prev.item(other)
+            if other_state != _ABSENT and other_state != _A_CORRUPTED and host >= 0:
+                self._punish(owners[host], penalty)
+        alloc.state[row] = _A_NORMAL
+        self.events.emit(EventType.FILE_REFRESH_FAILED)
+        self._auto_refresh(file_id, index)
+
+    def _auto_rent_period(self) -> None:
+        """Distribute the period's rent to healthy sectors and reschedule."""
+        sectors = self.sectors
+        states = sectors.state[: len(sectors)]
+        live = np.flatnonzero((states == _S_NORMAL) | (states == _S_DISABLED))
+        healthy = [
+            (sectors.sector_ids[row], sectors.owners[row], capacity)
+            for row, capacity in zip(live.tolist(), sectors.capacity[live].tolist())
+        ]
+        if self.fees.rent.distribute(healthy):
+            self.events.emit(EventType.RENT_DISTRIBUTED)
+        self.pending.schedule(self.now + self.params.rent_period, RENT_PERIOD)
+
+
+    # ==================================================================
+    # Auto tasks, a same-time run at a time (vectorised sweeps)
+    # ==================================================================
     @traced("protocol.check_alloc_run", category="protocol")
     def _check_alloc_run(self, file_ids: np.ndarray) -> None:
         """A run of same-time CheckAlloc tasks, vectorised when uniform.
@@ -1002,24 +1419,23 @@ class ColumnarProtocol(FileInsurerProtocol):
             and bool(np.all(file_ids < len(self.files)))
             and bool(np.all(file_ids < len(self.alloc.block_start)))
             and bool(np.all(_appears_once(file_ids)))
-            and bool(
-                np.all(self.files.state[file_ids] == _FILE_CODE[FileState.PENDING])
-            )
+            and bool(np.all(self.files.state[file_ids] == _F_PENDING))
             and bool(np.all(self.alloc.block_start[file_ids] >= 0))
         )
         if eligible:
             rows = self.alloc.block_rows(file_ids)
             eligible = len(rows) > 0 and bool(
-                np.all(self.alloc.state[rows] == _ALLOC_CODE[AllocState.CONFIRM])
+                np.all(self.alloc.state[rows] == _A_CONFIRM)
             )
         if not eligible:
-            super()._check_alloc_run(file_ids)
+            for file_id in file_ids.tolist():
+                self._auto_check_alloc(file_id)
             return
         self.alloc.prev[rows] = self.alloc.next[rows]
         self.alloc.next[rows] = -1
         self.alloc.last_proof[rows] = self.now
-        self.alloc.state[rows] = _ALLOC_CODE[AllocState.NORMAL]
-        self.files.state[file_ids] = _FILE_CODE[FileState.NORMAL]
+        self.alloc.state[rows] = _A_NORMAL
+        self.files.state[file_ids] = _F_NORMAL
         self.files.countdown[file_ids] = self._sample_refresh_countdowns(len(file_ids))
         self.files_stored += len(file_ids)
         self.total_value_stored += int(self.files.value[file_ids].sum())
@@ -1035,13 +1451,18 @@ class ColumnarProtocol(FileInsurerProtocol):
         The run is processed in task order as alternating *[vector
         stretch] [one scalar file]*: files :meth:`_proof_sweep_mask` clears
         are swept with column writes, every other file goes through the
-        inherited :meth:`_auto_check_proof`.  Only that scalar call can
+        per-file :meth:`_auto_check_proof`.  Only that scalar call can
         corrupt a sector (``proof deadline exceeded``), so the mask of the
         remaining tail is re-derived exactly when ``_corruption_events``
-        -- an epoch counter -- moved during it.
+        -- an epoch counter -- moved during it.  Without automatic proofs,
+        or with rent to charge per cycle, no file qualifies for the sweep
+        and the run is per-file from the start.
         """
-        scalar_files = 0
-        start, total = 0, len(file_ids)
+        scalar_files, start, total = 0, 0, len(file_ids)
+        if self.charge_fees or not self.auto_prove or self.health_oracle is None:
+            for file_id in file_ids.tolist():
+                self._auto_check_proof(file_id)
+            scalar_files = start = total
         while start < total:
             tail = file_ids[start:]
             vector, proof_rows, offsets = self._proof_sweep_mask(tail)
@@ -1109,7 +1530,7 @@ class ColumnarProtocol(FileInsurerProtocol):
         ids = np.where(known, file_ids, 0)
         candidate = (
             known
-            & (self.files.state[ids] == _FILE_CODE[FileState.NORMAL])
+            & (self.files.state[ids] == _F_NORMAL)
             & (self.alloc.block_start[ids] >= 0)
             & _appears_once(ids)
         )
@@ -1123,13 +1544,13 @@ class ColumnarProtocol(FileInsurerProtocol):
         states = self.alloc.state[rows]
         hosts = self.alloc.prev[rows]
         available = (states != _ABSENT) & (
-            states != _ALLOC_CODE[AllocState.CORRUPTED]
+            states != _A_CORRUPTED
         )
         live = available & (hosts >= 0)
         live_hosts = hosts[live]
         distinct = np.nonzero(np.bincount(live_hosts, minlength=len(self.sectors)))[0]
         standing = distinct[
-            self.sectors.state[distinct] != _SECTOR_CODE[SectorState.CORRUPTED]
+            self.sectors.state[distinct] != _S_CORRUPTED
         ]
         well = [
             sector_row
@@ -1218,8 +1639,8 @@ class ColumnarProtocol(FileInsurerProtocol):
         slot_to_row = self._slot_to_row
         free = self.sectors.free
         sector_state = self.sectors.state
-        normal_replica = _ALLOC_CODE[AllocState.NORMAL]
-        normal_sector = _SECTOR_CODE[SectorState.NORMAL]
+        normal_replica = _A_NORMAL
+        normal_sector = _S_NORMAL
         room: Dict[int, int] = {}  # target row -> bytes free after this stretch's reservations
         picked: List[int] = []
         indexes: List[int] = []
@@ -1258,7 +1679,7 @@ class ColumnarProtocol(FileInsurerProtocol):
         targets = slot_to_row[slot_array]
         sizes = self.files.size[started]
         self.alloc.next[rows] = targets
-        self.alloc.state[rows] = _ALLOC_CODE[AllocState.ALLOC]
+        self.alloc.state[rows] = _A_ALLOC
         np.subtract.at(free, targets, sizes)
         np.add.at(self.sectors.stored, targets, 1)
         self._agg_used += int(sizes.sum())
@@ -1308,20 +1729,25 @@ class ColumnarProtocol(FileInsurerProtocol):
         task in the run (so its new countdown is one column write),
         ``CONFIRM`` entry, old host not ``DISABLED`` (draining a disabled
         sector may remove it and refund its deposit) -- are applied with
-        column writes; every other task takes the inherited
+        column writes; every other task takes the per-file
         :meth:`_auto_check_refresh` in task order.  No task can change
         another task's eligibility (each touches only its own row, and
         nothing here disables a sector), so one mask serves the whole run.
+
+        A run of one task has nothing to batch and takes the row form: the
+        mask costs a dozen array operations, several times the one task
+        (``fullstack_churn``'s runs are nearly all single tasks,
+        ``fill_prove``'s thousands long).
         """
         total = len(file_ids)
         vector = np.zeros(total, dtype=bool)
         rows = np.zeros(total, dtype=np.int64)
         limit = min(len(self.files), len(self.alloc.block_start))
-        if limit and self.alloc._rows:
+        if total > 1 and limit and self.alloc._rows:
             known = (file_ids >= 0) & (file_ids < limit) & (indexes >= 0)
             ids = np.where(known, file_ids, 0)
             known &= (
-                (self.files.state[ids] == _FILE_CODE[FileState.NORMAL])
+                (self.files.state[ids] == _F_NORMAL)
                 & (self.alloc.block_start[ids] >= 0)
                 & (indexes < self.files.replica_count[ids])
             )
@@ -1329,13 +1755,13 @@ class ColumnarProtocol(FileInsurerProtocol):
             old = self.alloc.prev[rows]
             vector = (
                 known
-                & (self.alloc.state[rows] == _ALLOC_CODE[AllocState.CONFIRM])
+                & (self.alloc.state[rows] == _A_CONFIRM)
                 & (self.alloc.next[rows] >= 0)
                 & (
                     (old < 0)
                     | (
                         self.sectors.state[np.maximum(old, 0)]
-                        != _SECTOR_CODE[SectorState.DISABLED]
+                        != _S_DISABLED
                     )
                 )
                 & _appears_once(ids)
@@ -1366,11 +1792,11 @@ class ColumnarProtocol(FileInsurerProtocol):
         self.alloc.prev[rows] = self.alloc.next[rows]
         self.alloc.next[rows] = -1
         self.alloc.last_proof[rows] = self.now
-        self.alloc.state[rows] = _ALLOC_CODE[AllocState.NORMAL]
+        self.alloc.state[rows] = _A_NORMAL
         # Release the old hosts; corrupted or removed ones keep no books.
         releasing = old >= 0
         releasing[releasing] = (
-            self.sectors.state[old[releasing]] == _SECTOR_CODE[SectorState.NORMAL]
+            self.sectors.state[old[releasing]] == _S_NORMAL
         )
         released = old[releasing]
         sizes = self.files.size[file_ids[releasing]]
@@ -1383,28 +1809,210 @@ class ColumnarProtocol(FileInsurerProtocol):
         self.files.countdown[file_ids] = self._sample_refresh_countdowns(len(file_ids))
         self.events.emit(EventType.FILE_REFRESH_COMPLETED, len(file_ids))
 
-    # ------------------------------------------------------------------
-    # Vectorised aggregate queries
-    # ------------------------------------------------------------------
+
+    # ==================================================================
+    # Corruption handling and compensation
+    # ==================================================================
+    def crash_sector(self, sector_id: str) -> None:
+        """Simulate the collapse of a sector.
+
+        The network reacts immediately as it would after the proof
+        deadline: the deposit is confiscated and every hosted replica is
+        marked corrupted.  (A collapse the network only detects through
+        missed proofs is a sector the health oracle reports sick.)
+        """
+        self._handle_sector_corruption(self._sector_row(sector_id))
+
+    def _handle_sector_corruption(self, row: int) -> None:
+        sectors = self.sectors
+        if sectors.state.item(row) == _S_CORRUPTED:
+            return
+        sector_id = sectors.sector_ids[row]
+        sectors.state[row] = _S_CORRUPTED
+        capacity = sectors.capacity.item(row)
+        self._agg_capacity -= capacity
+        self._agg_used -= capacity - sectors.free.item(row)
+        self._corruption_events += 1
+        self.selector.remove_sector(sector_id)
+        if self.charge_fees and self.fund.deposit_of(sector_id) > 0:
+            self.fund.confiscate(sector_id)
+            self.events.emit(EventType.DEPOSIT_CONFISCATED)
+        self.events.emit(EventType.SECTOR_CORRUPTED)
+        # Every allocation pointing at this sector loses its replica.  Each
+        # row's transitions depend on that row alone, so they are column
+        # writes over all rows at once.
+        n = self.alloc._rows
+        prev, nxt, state = self.alloc.prev[:n], self.alloc.next[:n], self.alloc.state[:n]
+        state[(prev == row) & (state != _ABSENT) & (state != _A_CORRUPTED)] = _A_CORRUPTED
+        # The *target* of an allocation collapsed.  For an initial
+        # allocation (no prev) the replica is gone; for an in-flight
+        # refresh the predecessor still stores it, so the entry simply
+        # falls back to normal on its current host.
+        targets = np.flatnonzero((nxt == row) & ((state == _A_ALLOC) | (state == _A_CONFIRM)))
+        nxt[targets] = -1
+        hosts = prev[targets]
+        standing = (hosts >= 0) & (sectors.state[np.maximum(hosts, 0)] != _S_CORRUPTED)
+        state[targets] = np.where(standing, _A_NORMAL, _A_CORRUPTED)
+
+    def _handle_file_loss(self, file_id: int) -> None:
+        files = self.files
+        files.state[file_id] = _F_LOST
+        value = files.value.item(file_id)
+        self.files_lost += 1
+        self.total_value_lost += value
+        self.events.emit(EventType.FILE_LOST)
+        if self.charge_fees:
+            compensation = value * self.params.min_value
+            try:
+                paid = self.fund.compensate(files.owners[file_id], compensation)
+            except CompensationShortfallError:
+                # The fund already paid whatever the pool could cover.
+                paid = self.fund.total_compensated - self.total_value_compensated
+            files.compensation[file_id] += paid
+            self.total_value_compensated += paid
+            self.events.emit(EventType.FILE_COMPENSATED)
+        self._remove_file(file_id)
+
+    # ==================================================================
+    # Internal helpers
+    # ==================================================================
+    def _punish(self, owner: str, amount: int) -> None:
+        """Punish a misbehaving provider by burning part of its balance.
+
+        The paper leaves the punishment mechanism abstract ("punish
+        e.prev"); we burn up to ``amount`` tokens from the owner's
+        spendable balance and always record the event so experiments can
+        count punishments even when the owner is broke.
+        """
+        if self.charge_fees and amount > 0:
+            burned = min(amount, self.ledger.balance(owner))
+            if burned > 0:
+                self.ledger.burn(owner, burned)
+        self.events.emit(EventType.PROVIDER_PUNISHED)
+
+    def _sample_refresh_countdown(self) -> int:
+        """``SampleExp(AvgRefresh)`` rounded up to at least one checkpoint."""
+        return max(1, int(math.ceil(self.prng.expovariate(self.params.avg_refresh))))
+
+    def _sample_refresh_countdowns(self, count: int) -> np.ndarray:
+        """``count`` :meth:`_sample_refresh_countdown` draws, one stream read."""
+        samples = self.prng.expovariates(self.params.avg_refresh, count)
+        return np.maximum(np.ceil(samples), 1.0).astype(np.int64)
+
+    def _release_replica_from_sector(self, row: int, size: int) -> None:
+        """Give a replica's space back to its sector (corrupted and removed
+        sectors keep no books), removing a drained disabled sector."""
+        sectors = self.sectors
+        state = sectors.state.item(row)
+        if state == _S_CORRUPTED or state == _S_REMOVED:
+            return
+        free = sectors.free.item(row) + size
+        sectors.free[row] = free
+        sectors.stored[row] = max(0, sectors.stored.item(row) - 1)
+        self._agg_used -= size
+        self.selector.set_free(sectors.sector_ids[row], free)
+        self._maybe_remove_sector(row)
+
+    def _release_next_reservation(self, file_id: int, row: int) -> None:
+        alloc = self.alloc
+        target = alloc.next.item(row)
+        if target < 0:
+            return
+        self._release_replica_from_sector(target, self.files.size.item(file_id))
+        alloc.next[row] = -1
+        if alloc.state.item(row) in (_A_ALLOC, _A_CONFIRM):
+            alloc.state[row] = _A_NORMAL if alloc.prev.item(row) >= 0 else _A_CORRUPTED
+
+    def _remove_file(self, file_id: int) -> None:
+        """Remove a file and all of its allocations from the network."""
+        files, alloc = self.files, self.alloc
+        size = files.size.item(file_id)
+        for index, row in enumerate(alloc.span(file_id)):
+            if alloc.state.item(row) == _ABSENT:
+                continue
+            escrow = self._traffic_escrows.pop((file_id, index), None)
+            if escrow is not None:
+                self.fees.refund_traffic_fee(escrow)
+            host, target = alloc.prev.item(row), alloc.next.item(row)
+            if host >= 0:
+                self._release_replica_from_sector(host, size)
+            if target >= 0 and target != host:
+                self._release_replica_from_sector(target, size)
+        alloc.remove_file(file_id)
+        if files.state.item(file_id) == _F_NORMAL:
+            files.state[file_id] = _F_DISCARDED
+
+    def _maybe_remove_sector(self, row: int) -> None:
+        """Remove a drained disabled sector and refund its deposit."""
+        sectors = self.sectors
+        if sectors.state.item(row) != _S_DISABLED or sectors.stored.item(row) != 0:
+            return
+        sectors.state[row] = _S_REMOVED
+        capacity = sectors.capacity.item(row)
+        self._agg_capacity -= capacity
+        self._agg_used -= capacity - sectors.free.item(row)
+        sector_id = sectors.sector_ids[row]
+        self.selector.remove_sector(sector_id)
+        if self.charge_fees and self.fund.deposit_of(sector_id) > 0:
+            self.fund.refund(sector_id)
+            self.events.emit(EventType.DEPOSIT_REFUNDED)
+        self.events.emit(EventType.SECTOR_REMOVED)
+
+    def _sector_row(self, sector_id: str) -> int:
+        if sector_id not in self.sectors:
+            raise ProtocolError(f"unknown sector {sector_id}")
+        return self.sectors.row_of(sector_id)
+
+    def _check_file(self, file_id: int) -> None:
+        if file_id not in self.files:
+            raise ProtocolError(f"unknown file#{file_id}")
+
+    # ==================================================================
+    # Aggregate queries (used by analysis and experiments)
+    # ==================================================================
+    def total_capacity(self) -> int:
+        """Total capacity of all non-removed, non-corrupted sectors.
+
+        O(1): maintained incrementally by sector registration, corruption
+        and removal; ``tests/test_core_columnar.py`` checks it against a
+        scan of the sector table.
+        """
+        return self._agg_capacity
+
+    def weighted_sector_count(self) -> float:
+        """``Ns``: total capacity measured in units of ``min_capacity``."""
+        return self.total_capacity() / self.params.min_capacity
+
     def weighted_value_count(self) -> float:
+        """``Nv``: total stored value measured in units of ``min_value``."""
         n = len(self.files)
-        normal = self.files.state[:n] == _FILE_CODE[FileState.NORMAL]
-        total = int(self.files.value[:n][normal].sum()) if n else 0
-        return total / self.params.min_value
+        normal = self.files.state[:n] == _F_NORMAL
+        return int(self.files.value[:n][normal].sum()) / self.params.min_value
+
+    def stored_replica_bytes(self) -> int:
+        """Total bytes of replicas currently reserved in sectors.
+
+        O(1): maintained incrementally by every reservation/release and by
+        sector corruption/removal (checked like :meth:`total_capacity`).
+        """
+        return self._agg_used
+
+    def value_loss_ratio(self) -> float:
+        """``gamma_lost``: lost value over total value ever stored."""
+        if self.total_value_stored == 0:
+            return 0.0
+        return self.total_value_lost / self.total_value_stored
 
     def active_files(self) -> List[FileView]:
-        n = len(self.files)
-        normal = np.nonzero(self.files.state[:n] == _FILE_CODE[FileState.NORMAL])[0]
-        return [FileView(self.files, int(row)) for row in normal]
+        """Descriptors of files currently stored (state ``normal``)."""
+        return [FileView(self.files, row) for row in self.files.with_state(FileState.NORMAL)]
 
     def snapshot(self) -> Dict[str, float]:
+        """A summary dictionary for experiment reports."""
         n = len(self.sectors)
-        normal = int(
-            np.sum(self.sectors.state[:n] == _SECTOR_CODE[SectorState.NORMAL])
-        ) if n else 0
         return {
             "time": self.now,
-            "sectors": float(normal),
+            "sectors": float(np.count_nonzero(self.sectors.state[:n] == _S_NORMAL)),
             "total_capacity": float(self.total_capacity()),
             "files_stored": float(self.files_stored),
             "files_lost": float(self.files_lost),

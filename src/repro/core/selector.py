@@ -177,10 +177,6 @@ class WeightedSampler(Generic[K]):
             self._weights_array = np.asarray(self._weights, dtype=np.int64)
         return self._weights_array
 
-    def key_at(self, slot: int) -> Optional[K]:
-        """Key stored in ``slot`` (``None`` for a recycled slot)."""
-        return self._keys[slot]
-
     def slot_of(self, key: K) -> int:
         """Slot currently holding ``key`` (KeyError if absent)."""
         return self._slots[key]
@@ -190,7 +186,7 @@ class WeightedSampler(Generic[K]):
 
         ``prng`` only needs a ``randint(low, high)`` method; both the
         protocol's SHA-256 stream and the kernel oracle's uint32 adapter
-        (``U32Randint`` in ``tests/kernel_oracle.py``) qualify.
+        (``U32Randint`` in ``tests/oracles/kernel_oracle.py``) qualify.
         """
         if self._total <= 0:
             raise ValueError("cannot sample from an empty or zero-weight sampler")
@@ -230,15 +226,15 @@ class CapacitySelector:
     (:mod:`repro.kernels`) on dedicated per-call uint32 streams whose
     entropy is derived once from ``prng``, so a deployment is fully
     reproducible from its seed and *bit-identical on the kernel oracle*.
-    :meth:`select_batch` amortises one kernel call over a whole replica
-    set.
+    :meth:`select_batch_slots` amortises one kernel call over a whole
+    replica set.
 
     The per-slot free table the kernels accept placements against is a
     columnar ``int64`` array maintained incrementally: the caller reports
     every reservation/release via :meth:`set_free` / :meth:`debit_slots`,
     so no call scans the sector records.
 
-    Plain :meth:`random_sector` draws are served from a buffer filled
+    Plain :meth:`random_slot` draws are served from a buffer filled
     ``draw_batch`` at a time by a single kernel call, so refresh-target
     selection stops paying the per-draw stream-derivation + cumsum
     overhead.  The buffer is flushed whenever membership or weights
@@ -384,14 +380,10 @@ class CapacitySelector:
             self._draw_buffer.reverse()
         return self._draw_buffer.pop()
 
-    def random_sector(self) -> str:
-        """:meth:`random_slot`, as the sector id the slot holds."""
-        return self._sampler.key_at(self.random_slot())
-
     def take_prefetch_counts(self) -> tuple[int, ...]:
         """Plain-draw prefetch ``(hits, refills, flushed)`` since the last call.
 
-        Of the draws :meth:`random_sector` served, ``refills`` needed a
+        Of the draws :meth:`random_slot` served, ``refills`` needed a
         kernel call and ``hits`` came out of an already filled buffer;
         ``flushed`` prefetched draws were discarded by a membership change
         before they could be served.
@@ -404,12 +396,21 @@ class CapacitySelector:
         return tuple(now - before for now, before in zip(totals, taken))
 
     def select_batch_slots(self, sizes: Sequence[int]) -> np.ndarray:
-        """Place a replica set, returning raw slot ids.
+        """Place a whole replica set with one kernel call; returns slot ids.
 
-        The slot-level variant of :meth:`select_batch` used by the
-        columnar protocol engine, which maps slots to sector table rows
-        with its own vectorised lookup instead of materialising one key
-        string per replica.  Failed placements come back as ``-1``.
+        Each entry is the resample-on-full loop of Figure 4: draw (at most
+        ``max_attempts`` times) until a sector with ``size`` free is hit.
+        The kernel debits its private copy of the free table after every
+        successful placement, exactly mirroring the reservation the caller
+        performs afterwards, so one batch equals placing the entries one
+        at a time.  Entries that exhaust ``max_attempts`` -- which the
+        paper notes "almost never happens" under the redundant-capacity
+        assumption -- come back as ``-1``.  The protocol engine maps slots
+        to sector table rows with its own vectorised lookup.
+
+        Statistics caveat: the batch always runs to completion, so
+        ``samples``/``collisions`` cover every entry even when the caller
+        (like ``File Add``) aborts at the first failure.
         """
         if len(sizes) == 0:
             return np.empty(0, dtype=np.int64)
@@ -426,25 +427,3 @@ class CapacitySelector:
         self.samples += result.attempts
         self.collisions += result.collisions
         return np.asarray(result.keys, dtype=np.int64)
-
-    def select_batch(self, sizes: Sequence[int]) -> List[Optional[str]]:
-        """Place a whole replica set with one kernel call.
-
-        Each entry is the resample-on-full loop of Figure 4: draw (at most
-        ``max_attempts`` times) until a sector with ``size`` free is hit.
-        The kernel debits its private copy of the free table after every
-        successful placement, exactly mirroring the ``record.reserve`` the
-        caller performs afterwards, so one batch equals placing the
-        entries one at a time.  Entries that exhaust ``max_attempts`` --
-        which the paper notes "almost never happens" under the
-        redundant-capacity assumption -- come back as ``None``.
-
-        Statistics caveat: the batch always runs to completion, so
-        ``samples``/``collisions`` cover every entry even when the caller
-        (like ``File Add``) aborts at the first ``None``.  The counters
-        stay deterministic and backend-identical either way.
-        """
-        return [
-            None if slot < 0 else self._sampler.key_at(int(slot))
-            for slot in self.select_batch_slots(sizes)
-        ]

@@ -17,7 +17,7 @@ carves those loops out of :mod:`repro.sim` behind one small contract:
   implementations, the one backend the program runs.
 
 The readable per-item loops the vectorized kernels must reproduce
-bit-for-bit live in ``tests/kernel_oracle.py``, the oracle of every
+bit-for-bit live in ``tests/oracles/kernel_oracle.py``, the oracle of every
 differential suite.  Call sites take a ``backend=`` argument only as an
 injection seam: :func:`get_backend` passes a :class:`KernelBackend`
 instance through untouched, which is how tests run a scenario on the

@@ -19,7 +19,7 @@ Implementations must be **bit-equivalent**: for identical inputs
 (including the shared RNG draws, which happen *outside* the kernels so
 every implementation consumes the same stream) the program's
 :class:`~repro.kernels.vectorized.VectorizedKernels` and the per-item
-oracle in ``tests/kernel_oracle.py`` return identical floats and
+oracle in ``tests/oracles/kernel_oracle.py`` return identical floats and
 identical sector choices.  The contract is enforced by
 ``tests/test_kernels_equivalence.py``; every implementation note below
 about operation *order* exists to keep floating-point results exactly
@@ -174,7 +174,7 @@ class KernelBackend(ABC):
         * ``("draw", count)`` -- ``count`` weighted draws;
         * ``("place", sizes, max_attempts)`` -- a place *run*, ``sizes`` a
           1-D integer ``numpy`` array: for every size in order, the
-          resample-on-full loop of :meth:`CapacitySelector.select_batch`
+          resample-on-full loop of :meth:`CapacitySelector.select_batch_slots`
           -- draw repeatedly (at most ``max_attempts`` times) until a
           slot with ``free[slot] >= size`` is hit, then debit
           ``free[slot] -= size`` and yield the slot; yield ``-1`` when

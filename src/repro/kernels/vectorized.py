@@ -1,7 +1,7 @@
 """Vectorised kernels: numpy sorted/grouped scans, bit-equal to the oracle.
 
 Four ideas carry the speedups while preserving exact floating-point
-equality with the per-item loops of ``tests/kernel_oracle.py``:
+equality with the per-item loops of ``tests/oracles/kernel_oracle.py``:
 
 * **refresh churn** -- a batch of moves is resolved into per-move source
   sectors in cache-sized chunks against the live assignment vector (a

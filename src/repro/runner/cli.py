@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 import time
@@ -735,6 +736,11 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     target = _history_target(args)
     if target is None:
         raise ScenarioError("repro perf needs a history file; --history none given")
+    if args.verb == "check" and not math.isfinite(args.max_regression):
+        # No delta compares above NaN or inf: such a gate could never fail.
+        raise ScenarioError(
+            f"--max-regression must be a finite percentage, got {args.max_regression:g}"
+        )
 
     if args.verb == "record":
         recorded = 0

@@ -175,6 +175,18 @@ class RunManifest:
                 raise ValueError(
                     f"manifest field {key!r} must be an integer, got {value!r}"
                 )
+        duration = fields.get("duration_seconds", 0.0)
+        if type(duration) not in (int, float):
+            raise ValueError(
+                f"manifest field 'duration_seconds' must be a number, got {duration!r}"
+            )
+        for key in ("telemetry", "metrics"):
+            value = fields.get(key)
+            if value is not None and not isinstance(value, dict):
+                raise ValueError(
+                    f"manifest field {key!r} must be an object or null, got "
+                    f"{type(value).__name__}"
+                )
         fields.setdefault("trial_count", len(fields.get("rows", [])))
         fields.setdefault("duration_seconds", 0.0)
         return cls(**fields)

@@ -18,8 +18,8 @@ from typing import Dict, List, Sequence
 
 from repro.chain.ledger import Ledger
 from repro.core.analysis import theorem4_deposit_ratio_bound
+from repro.core.columnar import ColumnarProtocol
 from repro.core.params import ProtocolParams
-from repro.core.protocol import FileInsurerProtocol
 from repro.crypto.prng import DeterministicPRNG
 from repro.runner.registry import ParamSpec, scenario
 
@@ -59,14 +59,13 @@ def run_protocol_check(
     Uses a small deployment (one sector per provider, equal capacities) and
     a deposit ratio prescribed by Theorem 4 *for the scaled parameters*, so
     full compensation should hold except with tiny probability.  Files are
-    added one at a time with fees charged -- the object engine's call
-    pattern, so that is the engine it runs on.
+    added one at a time with fees charged.
     """
     params = ProtocolParams.small_test().scaled(
         k=k, deposit_ratio=deposit_ratio, cap_para=float(files) / n_providers * 2
     )
     ledger = Ledger()
-    protocol = FileInsurerProtocol(
+    protocol = ColumnarProtocol(
         params=params,
         ledger=ledger,
         prng=DeterministicPRNG.from_int(seed, domain="deposit-exp"),

@@ -10,11 +10,11 @@ arbitrarily.  Two strategies are provided:
   replicas of the fewest-replicated files first, a strong heuristic for
   maximising destroyed value under a capacity budget.
 
-Both operate either on a :class:`FileInsurerProtocol` instance (corrupting
-its sectors) or on a plain placement map, which is what the Monte-Carlo
+Both operate on a plain placement map, which is what the Monte-Carlo
 robustness experiments use for speed -- either a sequence of per-file
 sector sequences or, straight from a Monte-Carlo draw, one 2-D integer
-array with a row per file.  The greedy selection loop is one of the
+array with a row per file; callers holding a protocol engine hand over
+its replica locations (``ColumnarProtocol.file_locations``).  The greedy selection loop is one of the
 simulation kernels (:mod:`repro.kernels`): the vectorized kernel keeps
 the finishing-value scores between picks and pops the next sector off a
 lazy heap, and chooses the same sector sets as the test oracle's readable

@@ -777,7 +777,7 @@ class LifecycleSimulation:
 
         The file's current holders are zeroed in the sampler for the
         length of the draw.  The draw is the one the scan oracle in
-        ``tests/lifecycle_oracles.py`` makes over the candidates' free
+        ``tests/oracles/lifecycle_oracles.py`` makes over the candidates' free
         slots -- a single ``random() * total`` -- and lands on the same
         provider: the prefix sums are integers, so ``target < prefix`` and
         ``int(target) < prefix`` agree.

@@ -3,7 +3,7 @@
 Wires every substrate together into a runnable deployment:
 
 * a token :class:`Ledger` funding clients and providers;
-* the :class:`FileInsurerProtocol` state machine (on-chain view);
+* the :class:`ColumnarProtocol` state machine (on-chain view);
 * physical :class:`StorageProvider` actors with disks and sealing;
 * :class:`StorageClient` actors preparing and verifying files;
 * a :class:`SimulatedNetwork` bounding transfer times against the
@@ -32,10 +32,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.chain.ledger import Ledger
-from repro.core.allocation import AllocState
+from repro.core.columnar import ColumnarProtocol
 from repro.core.file_descriptor import FileState
 from repro.core.params import ProtocolParams
-from repro.core.protocol import FileInsurerProtocol, RefreshNotice
+from repro.core.protocol import RefreshNotice
 from repro.crypto.prng import DeterministicPRNG
 from repro.sim.engine import SimulationEngine
 from repro.sim.lifecycle import (
@@ -94,7 +94,7 @@ class DSNScenario:
         params = self.config.params
         self.ledger = Ledger()
         self.network = SimulatedNetwork(latency=self.config.latency, seed=self.config.seed)
-        self.protocol = FileInsurerProtocol(
+        self.protocol = ColumnarProtocol(
             params=params,
             ledger=self.ledger,
             prng=DeterministicPRNG.from_int(self.config.seed, domain="scenario-protocol"),
@@ -203,11 +203,8 @@ class DSNScenario:
         machine = self.lifecycle.file(file_id)
         if machine.state is not FileLifecycleState.PENDING:
             return
-        descriptor = self.protocol.files.get(file_id)
-        placed = (
-            descriptor is not None
-            and descriptor.state == FileState.NORMAL
-            and any(s is not None for s in self.protocol.file_locations(file_id))
+        placed = self.protocol.files.state_of(file_id) is FileState.NORMAL and any(
+            s is not None for s in self.protocol.file_locations(file_id)
         )
         if placed:
             machine.apply(FileLifecycleEvent.PLACEMENT_CONFIRMED, time=self.engine.now)
@@ -215,20 +212,13 @@ class DSNScenario:
             machine.apply(FileLifecycleEvent.PLACEMENT_FAILED, time=self.engine.now)
 
     def _deliver_initial_replicas(self, file_id: int, prepared: PreparedFile) -> None:
-        descriptor = self.protocol.files[file_id]
-        deadline = self.protocol.now + self.config.params.transfer_deadline(descriptor.size)
-        for index, entry in self.protocol.alloc.entries_for_file(file_id):
-            if entry.state != AllocState.ALLOC or entry.next is None:
-                continue
-            sector_id = entry.next
+        files = self.protocol.files
+        owner, size = files.owners[file_id], files.size.item(file_id)
+        deadline = self.protocol.now + self.config.params.transfer_deadline(size)
+        for index, sector_id in self.protocol.alloc.awaiting(file_id):
             provider_name, physical = self.sector_map[sector_id]
             provider = self.providers[provider_name]
-            message = self.network.transfer(
-                descriptor.owner,
-                provider_name,
-                descriptor.size,
-                now=self.protocol.now,
-            )
+            message = self.network.transfer(owner, provider_name, size, now=self.protocol.now)
             if not self.network.meets_deadline(message, deadline):
                 continue
             if not provider.is_healthy():
@@ -257,9 +247,9 @@ class DSNScenario:
         Merkle root.
         """
         client = self.clients[client_name]
-        descriptor = self.protocol.files.get(file_id)
-        if descriptor is None:
+        if file_id not in self.protocol.files:
             raise KeyError(f"unknown file#{file_id}")
+        merkle_root = self.protocol.files.merkle_roots[file_id]
         for sector_id in self.protocol.file_locations(file_id):
             if sector_id is None:
                 continue
@@ -268,13 +258,13 @@ class DSNScenario:
                 continue
             provider_name, physical = mapped
             provider = self.providers[provider_name]
-            if not provider.is_healthy() or not physical.holds_file(descriptor.merkle_root):
+            if not provider.is_healthy() or not physical.holds_file(merkle_root):
                 continue
-            payload = physical.read_raw_file(descriptor.merkle_root)
+            payload = physical.read_raw_file(merkle_root)
             self.network.transfer(
                 provider_name, client_name, len(payload), now=self.protocol.now
             )
-            if not client.verify_retrieved(descriptor.merkle_root, payload):
+            if not client.verify_retrieved(merkle_root, payload):
                 continue
             return payload
         raise LookupError(f"no healthy replica of file#{file_id} could be retrieved")
@@ -304,17 +294,14 @@ class DSNScenario:
 
     def _files_on_provider(self, provider_name: str) -> List[int]:
         """File ids with at least one replica mapped onto the provider."""
-        owned_sectors = {
-            sector_id
-            for sector_id, (owner, _) in self.sector_map.items()
-            if owner == provider_name
-        }
-        found = []
-        for file_id in self._file_payloads:
-            locations = set(self.protocol.file_locations(file_id))
-            if locations & owned_sectors:
-                found.append(file_id)
-        return found
+        hosted = self.protocol.alloc.files_hosted_on(
+            [
+                sector_id
+                for sector_id, (owner, _) in self.sector_map.items()
+                if owner == provider_name
+            ]
+        )
+        return [file_id for file_id in self._file_payloads if file_id in hosted]
 
     def _degrade_file(self, file_id: int) -> None:
         """Engine event: a replica holder failed; degrade the lifecycle."""
@@ -335,9 +322,7 @@ class DSNScenario:
 
     def _sync_lost_files(self) -> None:
         """Fold on-chain losses into the lifecycle machines."""
-        for file_id, descriptor in self.protocol.files.items():
-            if descriptor.state != FileState.LOST:
-                continue
+        for file_id in self.protocol.files.with_state(FileState.LOST):
             machine = self.lifecycle.file(file_id)
             if machine.state is FileLifecycleState.LOST:
                 continue
@@ -365,11 +350,12 @@ class DSNScenario:
             self._service_refresh(notice)
 
     def _service_refresh(self, notice: RefreshNotice) -> None:
-        descriptor = self.protocol.files.get(notice.file_id)
-        if descriptor is None or descriptor.state != FileState.NORMAL:
+        files = self.protocol.files
+        if files.state_of(notice.file_id) is not FileState.NORMAL:
             return
-        entry = self.protocol.alloc.try_get(notice.file_id, notice.replica_index)
-        if entry is None or entry.next != notice.target_sector or entry.state != AllocState.ALLOC:
+        if (notice.replica_index, notice.target_sector) not in self.protocol.alloc.awaiting(
+            notice.file_id
+        ):
             return
         target_mapped = self.sector_map.get(notice.target_sector)
         if target_mapped is None:
@@ -379,21 +365,21 @@ class DSNScenario:
         if not target_provider.is_healthy():
             return
 
-        raw = self._obtain_raw_bytes(descriptor.merkle_root, notice)
+        merkle_root = files.merkle_roots[notice.file_id]
+        raw = self._obtain_raw_bytes(merkle_root, notice)
         if raw is None:
             return
-        source = notice.source_sector or "network"
         message = self.network.transfer(
-            source if notice.source_sector else descriptor.owner,
+            notice.source_sector or files.owners[notice.file_id],
             target_provider_name,
-            descriptor.size,
+            files.size.item(notice.file_id),
             now=self.protocol.now,
         )
         if not self.network.meets_deadline(message, notice.deadline):
             return
-        if not target_sector.holds_file(descriptor.merkle_root):
+        if not target_sector.holds_file(merkle_root):
             try:
-                target_sector.store_file(descriptor.merkle_root, raw)
+                target_sector.store_file(merkle_root, raw)
             except _STORAGE_REFUSED:
                 # Physical storage refused the replica; the swap simply is
                 # not confirmed and CheckRefresh retries elsewhere.
@@ -419,7 +405,7 @@ class DSNScenario:
             source_mapped = self.sector_map.get(notice.source_sector)
             if source_mapped is not None:
                 _, source_sector = source_mapped
-                source_sector.remove_file(descriptor.merkle_root)
+                source_sector.remove_file(merkle_root)
 
     def _obtain_raw_bytes(self, merkle_root: bytes, notice: RefreshNotice) -> Optional[bytes]:
         """Fetch the raw file for a swap: from the predecessor, any healthy

@@ -9,7 +9,7 @@ and out when the network refreshes storage locations.  No storage proof
 for it.
 
 This is the *physical* half of a provider.  The on-chain half (deposits,
-allocation entries, punishments) lives in :mod:`repro.core.protocol`; the
+allocation entries, punishments) lives in :mod:`repro.core.columnar`; the
 simulation scenario wires the two together.
 """
 

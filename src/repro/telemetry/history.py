@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import platform
 import time
@@ -112,7 +113,14 @@ def make_entry(
     recorded_unix: Optional[float] = None,
     source: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """One finished history entry, series key included."""
+    """One finished history entry, series key included.
+
+    A value that is not a finite number is refused: a NaN or infinite
+    wall never compares above a baseline, so its series could never
+    regress.
+    """
+    if not math.isfinite(value):
+        raise ValueError(f"bench {bench!r}: value must be a finite number, got {value!r}")
     if host is None:
         host = host_fingerprint()
     if version is None:
@@ -150,7 +158,8 @@ def append_entries(
 
 
 def load_history(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Entries in file (= recording) order; malformed lines are skipped."""
+    """Entries in file (= recording) order; malformed lines -- a value that
+    is not a finite number among them -- are skipped."""
     target = Path(path)
     if not target.exists():
         return []
@@ -171,6 +180,7 @@ def load_history(path: Union[str, Path]) -> List[Dict[str, Any]]:
             and isinstance(entry.get("series"), str)
             and isinstance(value, (int, float))
             and not isinstance(value, bool)
+            and math.isfinite(value)
         ):
             entries.append(entry)
     return entries

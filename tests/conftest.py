@@ -9,7 +9,7 @@ import pytest
 
 from repro.chain.ledger import Ledger
 from repro.core.params import ProtocolParams
-from repro.core.protocol import FileInsurerProtocol
+from repro.core.columnar import ColumnarProtocol
 from repro.crypto.prng import DeterministicPRNG
 
 
@@ -32,13 +32,13 @@ def prng() -> DeterministicPRNG:
 
 
 @pytest.fixture
-def funded_protocol(params, ledger) -> FileInsurerProtocol:
+def funded_protocol(params, ledger) -> ColumnarProtocol:
     """A protocol instance with three funded providers and one funded client.
 
     Providers own one sector each; proofs are auto-credited (all sectors
     healthy unless a test overrides the oracle).
     """
-    protocol = FileInsurerProtocol(
+    protocol = ColumnarProtocol(
         params=params,
         ledger=ledger,
         prng=DeterministicPRNG.from_int(7, domain="test-protocol"),
@@ -53,7 +53,7 @@ def funded_protocol(params, ledger) -> FileInsurerProtocol:
     return protocol
 
 
-def confirm_all(protocol: FileInsurerProtocol, file_id: int) -> None:
+def confirm_all(protocol: ColumnarProtocol, file_id: int) -> None:
     """Helper: every selected sector confirms receipt of the file."""
     for index, entry in protocol.alloc.entries_for_file(file_id):
         if entry.next is not None:
@@ -95,7 +95,7 @@ def oracle_kernels(monkeypatch):
     inherit the patch.  Returns the oracle instance.
     """
     import repro.kernels
-    from kernel_oracle import ReferenceKernels
+    from oracles.kernel_oracle import ReferenceKernels
 
     oracle = ReferenceKernels()
     monkeypatch.setattr(repro.kernels, "KERNELS", oracle)

@@ -11,17 +11,14 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.core.allocation import AllocState
 from repro.core.columnar import (
+    _A_CORRUPTED,
     _ABSENT,
-    _ALLOC_CODE,
-    _FILE_CODE,
-    _SECTOR_CODE,
+    _F_NORMAL,
+    _S_CORRUPTED,
     ColumnarProtocol,
     _appears_once,
 )
-from repro.core.file_descriptor import FileState
-from repro.core.sector import SectorState
 
 
 def proof_sweep_mask(
@@ -44,7 +41,7 @@ def proof_sweep_mask(
     ids = np.where(known, file_ids, 0)
     candidate = (
         known
-        & (self.files.state[ids] == _FILE_CODE[FileState.NORMAL])
+        & (self.files.state[ids] == _F_NORMAL)
         & (self.alloc.block_start[ids] >= 0)
         & _appears_once(ids)
     )
@@ -58,13 +55,13 @@ def proof_sweep_mask(
     states = self.alloc.state[rows]
     hosts = self.alloc.prev[rows]
     available = (states != _ABSENT) & (
-        states != _ALLOC_CODE[AllocState.CORRUPTED]
+        states != _A_CORRUPTED
     )
     live = available & (hosts >= 0)
     live_hosts = hosts[live]
     distinct = np.nonzero(np.bincount(live_hosts, minlength=len(self.sectors)))[0]
     standing = distinct[
-        self.sectors.state[distinct] != _SECTOR_CODE[SectorState.CORRUPTED]
+        self.sectors.state[distinct] != _S_CORRUPTED
     ]
     healthy = np.zeros(len(self.sectors), dtype=bool)
     healthy[

@@ -1,8 +1,9 @@
 """Differential tests for the columnar protocol engine.
 
 :class:`repro.core.columnar.ColumnarProtocol` promises *bit-identical*
-protocol state with the object engine for every operation stream.  These
-tests drive both engines through the same scripted scenarios -- batched
+protocol state with the Figure 1 spec (``tests/oracles/protocol.py``, the
+"object" engine) for every operation stream.  These tests drive both
+through the same scripted scenarios -- batched
 fills, proof cycles with refreshes, crashes, discards, fee-charging runs,
 placement failures, a degraded network (lost files, sick sectors, refreshes
 dying in flight) -- and compare full state fingerprints (sectors, files,
@@ -23,8 +24,8 @@ from repro import telemetry
 from repro.chain.ledger import Ledger
 from repro.core.allocation import AllocState
 from repro.core.columnar import (
+    _A_CORRUPTED,
     _ABSENT,
-    _ALLOC_CODE,
     AllocEntryView,
     ColumnarProtocol,
     FileView,
@@ -35,13 +36,14 @@ from repro.core.events import EventType
 from repro.core.file_descriptor import FileState
 from repro.core.params import ProtocolParams
 from repro.core.pending import CHECK_ALLOC, CHECK_PROOF, CHECK_REFRESH, RENT_PERIOD
-from repro.core.protocol import FileInsurerProtocol, ProtocolError
+from repro.core.protocol import ProtocolError
 from repro.core.sector import SectorState
 from repro.crypto.prng import DeterministicPRNG
 from repro.kernels.vectorized import VectorizedKernels
 
-from kernel_oracle import BACKENDS
-from proof_sweep_oracle import proof_sweep_mask
+from oracles.kernel_oracle import BACKENDS
+from oracles.protocol import FileInsurerProtocol, fingerprint
+from oracles.proof_sweep_oracle import proof_sweep_mask
 
 ROOT = b"\x05" * 32
 MB = 1 << 20
@@ -81,64 +83,6 @@ def make_protocol(
         protocol.sector_register(owner, capacity_mb * MB)
     ledger.mint("client", 500_000_000)
     return protocol
-
-
-def fingerprint(protocol):
-    """Canonical structure of everything consensus-visible."""
-    sectors = {
-        sid: (
-            rec.owner,
-            int(rec.capacity),
-            int(rec.free_capacity),
-            int(rec.deposit),
-            rec.state.value,
-            int(rec.stored_replicas),
-        )
-        for sid, rec in sorted(protocol.sectors.items())
-    }
-    files = {
-        fid: (
-            desc.owner,
-            int(desc.size),
-            int(desc.value),
-            int(desc.replica_count),
-            int(desc.countdown),
-            desc.state.value,
-            int(desc.rent_paid),
-            int(desc.compensation_received),
-        )
-        for fid, desc in sorted(protocol.files.items())
-    }
-    alloc = {
-        (int(fid), int(idx)): (
-            entry.prev,
-            entry.next,
-            float(entry.last_proof),
-            entry.state.value,
-        )
-        for fid in protocol.files
-        for idx, entry in protocol.alloc.entries_for_file(fid)
-    }
-    ledger = {
-        account.address: (int(account.balance), int(account.escrowed))
-        for account in sorted(protocol.ledger._accounts.values(), key=lambda a: a.address)
-    }
-    events = {
-        event_type.value: protocol.events.count(event_type)
-        for event_type in EventType
-    }
-    aggregates = dict(protocol.snapshot())
-    aggregates["total_value_lost"] = protocol.total_value_lost
-    aggregates["stored_replica_bytes"] = protocol.stored_replica_bytes()
-    return {
-        "sectors": sectors,
-        "files": files,
-        "alloc": sorted(alloc.items()),
-        "pending": protocol.pending.tasks(),
-        "ledger": sorted(ledger.items()),
-        "events": events,
-        "aggregates": aggregates,
-    }
 
 
 def confirm_all(protocol, file_id):
@@ -209,7 +153,9 @@ def confirm_refreshes(protocol, every=1):
     every ``every``-th one: the other providers stay silent)."""
     confirmed, awaiting = [], 0
     for notice in protocol.refresh_notices:
-        entry = protocol.alloc.try_get(notice.file_id, notice.replica_index)
+        entry = dict(protocol.alloc.entries_for_file(notice.file_id)).get(
+            notice.replica_index
+        )
         if (
             entry is not None
             and entry.state == AllocState.ALLOC
@@ -427,7 +373,7 @@ class TestAggregateMaintenance:
             if record.state in (SectorState.NORMAL, SectorState.DISABLED)
         ]
         assert protocol.total_capacity() == sum(r.capacity for r in live)
-        assert protocol.stored_replica_bytes() == sum(r.used_capacity for r in live)
+        assert protocol.stored_replica_bytes() == sum(r.capacity - r.free_capacity for r in live)
 
     @pytest.mark.parametrize("engine", ["object", "columnar"])
     def test_tracked_free_matches_records(self, engine):
@@ -545,6 +491,29 @@ class TestMaskedSweepVisibility:
         assert totals["protocol.refresh_check.vector_tasks"] == len(confirmed)
         assert totals["protocol.refresh_check.scalar_tasks"] == 0
         assert protocol.events.count(EventType.FILE_REFRESH_COMPLETED) == len(confirmed)
+
+    @pytest.mark.parametrize("run", [1, 2, 5])
+    def test_a_refresh_run_of_one_task_takes_the_row_form(self, run):
+        """Where the sweep starts: the refresh mask costs a dozen array
+        operations whatever the run length, several times the row form of
+        one task, and a run of one has nothing to batch -- so a run of one
+        task completes in the row form (``fullstack_churn``'s runs are
+        nearly all single tasks) and a run of two or more in the columns
+        (``fill_prove``'s and ``refresh_storm``'s are thousands long).
+        Either way the state is the spec's."""
+        prints, totals = {}, {}
+        for engine in ENGINES:
+            protocol = make_protocol(engine, avg_refresh=0.01)
+            stored(protocol, run)
+            step(protocol)  # the first checkpoint starts a refresh of every file
+            assert len(confirm_refreshes(protocol)) == run
+            totals[engine] = traced_advance(protocol, protocol.refresh_notices[0].deadline)
+            assert protocol.events.count(EventType.FILE_REFRESH_COMPLETED) == run
+            prints[engine] = fingerprint(protocol)
+        assert prints["columnar"] == prints["object"]
+        swept = totals["columnar"].get("protocol.refresh_check.vector_tasks", 0)
+        assert swept == (0 if run == 1 else run)
+        assert totals["columnar"].get("protocol.refresh_check.scalar_tasks", 0) == run - swept
 
     def test_refresh_starts_split_like_the_sweep(self):
         """Every file is due at every checkpoint (avg_refresh -> countdown
@@ -742,9 +711,9 @@ class TestFastPathCounters:
 
 
 class TestColumnarFacades:
-    """The SoA tables must honour the dict/object APIs cold paths use."""
+    """The SoA tables must honour the dict/record APIs callers read."""
 
-    def test_sector_views_roundtrip(self):
+    def test_sector_views_read_the_live_columns(self):
         protocol = make_protocol("columnar", providers=3)
         sector_id = sorted(protocol.sectors)[0]
         record = protocol.sectors[sector_id]
@@ -753,12 +722,11 @@ class TestColumnarFacades:
         assert len(protocol.sectors) == 3
         assert set(protocol.sectors.keys()) == set(protocol.sectors)
         free = record.free_capacity
-        record.reserve(1024)
-        assert protocol.sectors[sector_id].free_capacity == free - 1024
-        record.release(1024)
-        assert protocol.sectors[sector_id].free_capacity == free
-        with pytest.raises(ValueError):
-            record.reserve(free + 1)
+        row = protocol.sectors.row_of(sector_id)
+        protocol.sectors.free[row] -= 1024
+        assert record.free_capacity == free - 1024
+        with pytest.raises(AttributeError):
+            record.free_capacity = free
 
     def test_file_views_roundtrip(self):
         protocol = make_protocol("columnar", backend=ORACLE)
@@ -783,11 +751,9 @@ class TestColumnarFacades:
             locations = protocol.alloc.replica_locations(fid)
             assert len(locations) == k
         assert len(protocol.alloc) == len(ids) * k
-        hosted = sum(
-            len(protocol.alloc.entries_on_sector(sid))
-            for sid in protocol.sectors
-        )
-        assert hosted == len(ids) * k
+        assert protocol.alloc.awaiting(ids[0]) == [
+            (index, entry.next) for index, entry in protocol.alloc.entries_for_file(ids[0])
+        ]
         assert not protocol.alloc.file_is_lost(ids[0])
 
 
@@ -883,7 +849,7 @@ class TestRefreshInColumns:
 
                 def recording_draw():
                     slot = draw()
-                    target = selector._sampler.key_at(slot)
+                    target = selector._sampler._keys[slot]
                     in_stretch.append(
                         at_start[target] >= size > protocol.sectors[target].free_capacity
                     )
@@ -989,7 +955,10 @@ class TestRefreshInColumns:
 
     def test_refresh_deadline_on_the_next_checkpoint_keeps_append_order(self):
         """transfer_deadline == proof_cycle: CheckRefresh and the next
-        CheckProof tasks tie on time, so the append order decides."""
+        CheckProof tasks tie on time, so the append order decides.  The
+        order interleaves each refreshing file's CheckRefresh right after
+        its CheckProof, so every CheckRefresh run is one task: the row
+        form, never the sweep."""
         size = 60 * 1024
 
         def scenario(protocol, stage):
@@ -1013,7 +982,8 @@ class TestRefreshInColumns:
         ):
             assert ties > 0
             assert columnar.events.count(EventType.FILE_REFRESH_FAILED) > 0
-            assert summary["counters"]["protocol.refresh_check.vector_tasks"] > 0
+            assert summary["counters"]["protocol.refresh_check.vector_tasks"] == 0
+            assert summary["counters"]["protocol.refresh_check.scalar_tasks"] > 0
 
     def test_stretches_cut_by_scalar_files_after_a_crash(self):
         def scenario(protocol, stage):
@@ -1203,7 +1173,7 @@ class TestFileAddInColumns:
             size_limit=1 << 60, k=1,
         )
         loops = []
-        scalar = FileInsurerProtocol._admitted_prefix
+        scalar = ColumnarProtocol._admitted_prefix
         monkeypatch.setattr(
             ColumnarProtocol,
             "_admitted_prefix",
@@ -1379,7 +1349,7 @@ def _degrade(protocol, sick, kind, file_id, index):
     row = protocol.alloc.block_start[file_id] + index % protocol.files.replica_count[file_id]
     host = protocol.alloc.prev[row]
     if kind == "corrupted_replica":
-        protocol.alloc.state[row] = _ALLOC_CODE[AllocState.CORRUPTED]
+        protocol.alloc.state[row] = _A_CORRUPTED
     elif kind == "absent_row":
         protocol.alloc.state[row] = _ABSENT
     elif kind == "unhosted_row":

@@ -7,17 +7,19 @@ from repro.core.columnar import ColumnarProtocol
 from repro.core.events import EventType
 from repro.core.file_descriptor import FileState
 from repro.core.params import ProtocolParams
-from repro.core.protocol import FileInsurerProtocol, ProtocolError
+from repro.core.protocol import ProtocolError
 from repro.core.sector import SectorState
 from repro.chain.ledger import InsufficientFundsError, Ledger
 from repro.crypto.prng import DeterministicPRNG
+
+from oracles.protocol import FileInsurerProtocol
 
 ROOT = b"\x07" * 32
 
 
 def make_protocol(
     params=None, providers=3, health=None, charge_fees=True, seed=7,
-    engine=FileInsurerProtocol,
+    engine=ColumnarProtocol,
 ):
     params = params or ProtocolParams.small_test()
     ledger = Ledger()
@@ -63,6 +65,21 @@ class TestSectorRegister:
         assert record.deposit > 0
         assert protocol.ledger.escrowed("alice") == record.deposit
         assert protocol.selector.contains(sector_id)
+
+    def test_a_deposit_beyond_int64_is_kept_exactly(self):
+        """Deposits scale with the deposit ratio, which no column width
+        bounds: a deposit past 2**63 is pledged, read back and confiscated
+        as the exact integer."""
+        params = ProtocolParams.small_test().scaled(deposit_ratio=2.0**63)
+        deposit = params.sector_deposit(params.min_capacity)
+        assert deposit >= 2**63
+        protocol = make_protocol(params=params, providers=0)
+        protocol.ledger.mint("whale", deposit + 1_000_000)
+        sector_id = protocol.sector_register("whale", params.min_capacity)
+        assert protocol.sectors[sector_id].deposit == deposit
+        assert protocol.ledger.escrowed("whale") == deposit
+        protocol.crash_sector(sector_id)
+        assert protocol.fund.total_confiscated == deposit
 
     def test_sector_ids_unique_per_owner(self):
         protocol = make_protocol(providers=0)
@@ -418,7 +435,9 @@ class TestRefresh:
             for _, entry in protocol.alloc.entries_for_file(file_id)
             if entry.next is not None
         )
-        reserved = sum(record.used_capacity for record in protocol.sectors.values())
+        reserved = sum(
+            record.capacity - record.free_capacity for record in protocol.sectors.values()
+        )
         assert reserved == descriptor.size * (descriptor.replica_count + in_flight)
 
 

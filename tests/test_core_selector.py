@@ -3,7 +3,8 @@
 import pytest
 
 import repro.kernels
-from kernel_oracle import BACKENDS
+from oracles.kernel_oracle import BACKENDS
+from oracles.protocol import random_sector, select_batch
 from repro.core.selector import CapacitySelector, SamplerInvariantError, WeightedSampler
 from repro.crypto.prng import DeterministicPRNG
 
@@ -144,8 +145,7 @@ class TestSlotViews:
         sampler.remove("a")
         assert sampler.slot_count == 2
         assert sampler.slot_weights().tolist() == [0, 7]
-        assert sampler.key_at(0) is None
-        assert sampler.key_at(1) == "b"
+        assert sampler.slot_of("b") == 1 and sampler.keys() == ["b"]
 
 
 class TestCapacitySelectorBackends:
@@ -163,7 +163,7 @@ class TestCapacitySelectorBackends:
             selector = _kernel_selector(backend)
             selector.add_sector("big", 900)
             selector.add_sector("small", 100)
-            draws[backend] = [selector.random_sector() for _ in range(200)]
+            draws[backend] = [random_sector(selector) for _ in range(200)]
         assert draws["reference"] == draws["vectorized"]
         assert draws["reference"].count("big") > draws["reference"].count("small") * 4
 
@@ -184,7 +184,7 @@ class TestCapacitySelectorBackends:
         for served in range(1, 11):
             slot = by_slot.random_slot()
             assert type(slot) is int
-            assert by_name.random_sector() == ("big", "small")[slot]
+            assert random_sector(by_name) == ("big", "small")[slot]
             assert by_slot._draw_calls == by_name._draw_calls == -(-served // 4)
             assert len(by_slot._draw_buffer) == -served % 4
 
@@ -196,7 +196,7 @@ class TestCapacitySelectorBackends:
             selector.add_sector("open", 1000, free=500)
             # The caller never reports a reservation, so "open" keeps its
             # 500 free across the twenty one-replica calls.
-            chosen = [selector.select_batch([100])[0] for _ in range(20)]
+            chosen = [select_batch(selector, [100])[0] for _ in range(20)]
             outcomes[backend] = (chosen, selector.samples, selector.collisions)
         assert outcomes["reference"] == outcomes["vectorized"]
         chosen, samples, collisions = outcomes["reference"]
@@ -207,13 +207,13 @@ class TestCapacitySelectorBackends:
         for backend in (None,) + self.NAMES:
             selector = _kernel_selector(backend, max_attempts=50)
             selector.add_sector("full", 1000, free=0)
-            assert selector.select_batch([10]) == [None]
+            assert select_batch(selector, [10]) == [None]
             assert selector.collisions == 50
             assert selector.samples == 50
 
     def test_placement_on_empty_selector(self):
         for backend in (None,) + self.NAMES:
-            assert _kernel_selector(backend).select_batch([1]) == [None]
+            assert select_batch(_kernel_selector(backend), [1]) == [None]
 
     def test_select_batch_debits_free_space_between_picks(self):
         """The kernel's private free table mirrors the reserve() calls the
@@ -221,7 +221,7 @@ class TestCapacitySelectorBackends:
         for backend in self.NAMES:
             selector = _kernel_selector(backend)
             selector.add_sector("only", 100, free=150)
-            batch = selector.select_batch([100, 100])
+            batch = select_batch(selector, [100, 100])
             # The first replica fits; the second must collide out even
             # though the selector's own table still says 150.
             assert batch == ["only", None]
@@ -233,7 +233,7 @@ class TestCapacitySelectorBackends:
             selector = _kernel_selector(backend)
             selector.add_sector("a", 600, free=128)
             selector.add_sector("b", 400, free=64)
-            picks = selector.select_batch([64, 64, 64])
+            picks = select_batch(selector, [64, 64, 64])
             outcomes[backend] = (picks, selector.samples, selector.collisions)
         assert outcomes["reference"] == outcomes["vectorized"]
         picks = outcomes["reference"][0]
@@ -248,7 +248,7 @@ class TestCapacitySelectorBackends:
             selector.add_sector("a", 50)
             selector.add_sector("b", 50)
             selector.remove_sector("a")
-            assert all(selector.random_sector() == "b" for _ in range(50))
+            assert all(random_sector(selector) == "b" for _ in range(50))
 
 
 class TestCapacitySelector:
@@ -258,7 +258,7 @@ class TestCapacitySelector:
         selector.add_sector("small", 100)
         counts = {"big": 0, "small": 0}
         for _ in range(2000):
-            counts[selector.random_sector()] += 1
+            counts[random_sector(selector)] += 1
         assert counts["big"] > counts["small"] * 4
 
     def test_placement_skips_full_sectors(self, sampler_prng):
@@ -266,7 +266,7 @@ class TestCapacitySelector:
         selector.add_sector("full", 500)
         selector.add_sector("empty", 500)
         selector.set_free("full", 0)
-        assert selector.select_batch([100]) == ["empty"]
+        assert select_batch(selector, [100]) == ["empty"]
         assert selector.samples == 1 + selector.collisions
 
     def test_set_free_ignores_unselectable_sectors(self, sampler_prng):

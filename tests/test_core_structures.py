@@ -1,4 +1,5 @@
-"""Tests for sector records, file descriptors, allocation table, pending list."""
+"""Tests for the spec's records (sector, file descriptor, allocation
+table in ``tests/oracles/protocol.py``) and the pending list."""
 
 import math
 
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.allocation import AllocEntry, AllocState, AllocationTable
-from repro.core.file_descriptor import FileDescriptor, FileState
+from repro.core.allocation import AllocState
+from repro.core.file_descriptor import FileState
 from repro.core.pending import (
     CHECK_ALLOC,
     CHECK_PROOF,
@@ -16,9 +17,10 @@ from repro.core.pending import (
     RENT_PERIOD,
     PendingList,
 )
-from repro.core.sector import SectorRecord, SectorState
+from repro.core.sector import SectorState
 
-from pending_oracle import HeapPendingList
+from oracles.pending_oracle import HeapPendingList
+from oracles.protocol import AllocationTable, AllocEntry, FileDescriptor, SectorRecord
 
 
 class TestSectorRecord:

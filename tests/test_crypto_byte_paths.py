@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import byte_path_oracles as oracle
+import oracles.byte_path_oracles as oracle
 from repro.crypto.erasure import ReedSolomonCode, Shard
 from repro.crypto.hashing import hash_concat
 from repro.crypto.merkle import MerkleTree

@@ -3,7 +3,7 @@
 
 import pytest
 
-from lifecycle_oracles import weighted_index
+from oracles.lifecycle_oracles import weighted_index
 from repro.crypto.prng import DeterministicPRNG
 
 

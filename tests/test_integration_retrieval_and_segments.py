@@ -5,10 +5,10 @@ providers (Section VI-E) and large-file segmentation through the protocol
 import pytest
 
 from repro.chain.ledger import Ledger
+from repro.core.columnar import ColumnarProtocol
 from repro.core.file_descriptor import FileState
 from repro.core.large_files import LargeFileCodec
 from repro.core.params import ProtocolParams
-from repro.core.protocol import FileInsurerProtocol
 from repro.crypto.hashing import ContentId
 from repro.crypto.prng import DeterministicPRNG
 from repro.storage.bitswap import BitSwapNetwork
@@ -77,7 +77,7 @@ class TestLargeFileThroughProtocol:
 
     def make_protocol(self, providers=6, k=3):
         params = ProtocolParams.small_test().scaled(k=k, cap_para=1000.0)
-        protocol = FileInsurerProtocol(
+        protocol = ColumnarProtocol(
             params=params,
             ledger=Ledger(),
             prng=DeterministicPRNG.from_int(21, domain="segment-int"),
@@ -135,7 +135,7 @@ class TestDeterminism:
         outcomes = []
         for _ in range(2):
             params = ProtocolParams.small_test()
-            protocol = FileInsurerProtocol(
+            protocol = ColumnarProtocol(
                 params=params,
                 ledger=Ledger(),
                 prng=DeterministicPRNG.from_int(5, domain="determinism"),

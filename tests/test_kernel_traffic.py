@@ -21,6 +21,8 @@ from repro.runner import run_scenario
 from repro.runner.registry import load_builtin_scenarios
 from repro.sim.lifecycle import LifecycleConfig, LifecycleSimulation
 
+from oracles.protocol import select_batch
+
 
 class Census(VectorizedKernels):
     """The vectorized backend, recording every draw call's arguments."""
@@ -68,7 +70,7 @@ def test_selector_sends_one_draw_or_one_place_run():
     selector.select_batch_slots([30, 30, 30, 5, 5])
     for _ in range(9):  # one more than a prefetch: two draw calls
         selector.random_slot()
-    selector.select_batch([12, 12])
+    select_batch(selector, [12, 12])
     assert len(census.calls) == 4
     assert_single_requests(census.calls, ("draw", "place"))
 

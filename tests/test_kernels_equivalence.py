@@ -1,7 +1,7 @@
 """Oracle equivalence gates for the simulation-kernel layer.
 
 The :mod:`repro.kernels` contract is *bit*-equivalence: for identical
-seeds and shapes, the per-item oracle loops of ``tests/kernel_oracle.py``
+seeds and shapes, the per-item oracle loops of ``tests/oracles/kernel_oracle.py``
 (``reference``) and the ``vectorized`` numpy kernels must produce
 identical ``PlacementResult`` fields, identical greedy-adversary sector
 choices, and identical ``batch_weighted_draw`` key sequences (with
@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.kernels
-from kernel_oracle import BACKENDS
+from oracles.kernel_oracle import BACKENDS
 from repro.core.selector import CapacitySelector
 from repro.crypto.prng import DeterministicPRNG
 from repro.kernels import (

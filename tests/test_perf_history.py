@@ -70,6 +70,23 @@ class TestEntries:
         )
         assert [e["value"] for e in history.load_history(path)] == [1.0]
 
+    def test_load_skips_non_finite_values(self, tmp_path):
+        """``json.dumps`` writes a NaN wall as a bare ``NaN``; such a series
+        could never regress, so the line is skipped like any malformed one."""
+        path = tmp_path / "history.jsonl"
+        good = entry(1.0)
+        lines = [json.dumps(good)] + [
+            json.dumps({**good, "value": bad}) for bad in (float("nan"), float("inf"))
+        ]
+        assert "NaN" in lines[1]
+        path.write_text("\n".join(lines) + "\n")
+        assert [e["value"] for e in history.load_history(path)] == [1.0]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_make_entry_refuses_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            entry(bad)
+
     def test_missing_file_loads_empty(self, tmp_path):
         assert history.load_history(tmp_path / "absent.jsonl") == []
 
@@ -229,6 +246,21 @@ class TestCLI:
         code = main(["perf", "check", "--max-regression", "10", "--history", str(hist)])
         assert code == 1
         assert "REGRESSIONS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("gate", ["nan", "inf"])
+    def test_check_refuses_a_gate_that_cannot_fail(self, tmp_path, capsys, gate):
+        """No delta compares above NaN or inf, so such a gate could never
+        fail: it is refused, even on a history the 10 % gate fails."""
+        hist = tmp_path / "history.jsonl"
+        for wall in (1.0, 1.0, 5.0):
+            artifact = self._manifest_artifact(tmp_path, wall)
+            assert main(["perf", "record", str(artifact), "--history", str(hist)]) == 0
+        capsys.readouterr()
+        code = main(["perf", "check", "--max-regression", gate, "--history", str(hist)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: --max-regression must be a finite")
+        assert "no regressions" not in captured.out
 
     def test_empty_history_reports_and_passes(self, tmp_path, capsys):
         hist = tmp_path / "empty.jsonl"

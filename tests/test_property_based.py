@@ -10,7 +10,8 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kernel_oracle import BACKENDS, U32Randint
+from oracles.kernel_oracle import BACKENDS, U32Randint
+from oracles.protocol import FileInsurerProtocol, fingerprint
 from repro.chain.ledger import Ledger
 from repro.core.large_files import LargeFileCodec
 from repro.core.selector import WeightedSampler
@@ -509,45 +510,9 @@ def test_lifecycle_invariants_hold_under_generated_dynamics(
 
 
 # ----------------------------------------------------------------------
-# Columnar protocol engine: differential equivalence with the object
-# engine under hypothesis-generated operation streams
+# Columnar protocol engine: differential equivalence with the Figure 1
+# spec (tests/oracles/protocol.py) under hypothesis-generated op streams
 # ----------------------------------------------------------------------
-def _protocol_fingerprint(protocol):
-    """Everything consensus-visible, as one comparable structure."""
-    from repro.core.events import EventType
-
-    return {
-        "sectors": {
-            sid: (rec.owner, rec.capacity, rec.free_capacity, rec.deposit,
-                  rec.state.value, rec.stored_replicas)
-            for sid, rec in sorted(protocol.sectors.items())
-        },
-        "files": {
-            fid: (desc.owner, desc.size, desc.value, desc.replica_count,
-                  desc.countdown, desc.state.value,
-                  desc.rent_paid, desc.compensation_received)
-            for fid, desc in sorted(protocol.files.items())
-        },
-        "alloc": sorted(
-            ((int(fid), int(idx)),
-             (entry.prev, entry.next, entry.last_proof, entry.state.value))
-            for fid in protocol.files
-            for idx, entry in protocol.alloc.entries_for_file(fid)
-        ),
-        "pending": protocol.pending.tasks(),
-        "ledger": sorted(
-            (account.address, account.balance, account.escrowed)
-            for account in protocol.ledger._accounts.values()
-        ),
-        "events": {et.value: protocol.events.count(et) for et in EventType},
-        "aggregates": (
-            protocol.snapshot(),
-            protocol.total_value_lost,
-            protocol.stored_replica_bytes(),
-        ),
-    }
-
-
 class _ToggleOracle:
     """Health oracle over a mutable sick set.  Ops flip the set between
     ``advance_time`` calls only, so it is pure within each sweep -- the
@@ -563,7 +528,6 @@ class _ToggleOracle:
 def _build_engine_pair(seed, backend, charge_fees):
     from repro.core.columnar import ColumnarProtocol
     from repro.core.params import ProtocolParams
-    from repro.core.protocol import FileInsurerProtocol
 
     pair = []
     for cls in (FileInsurerProtocol, ColumnarProtocol):
@@ -648,7 +612,9 @@ def _apply_protocol_op(protocol, op):
         elif op[0] == "confirm_refreshes":
             # The target providers' part of every refresh still in flight.
             for notice in protocol.refresh_notices:
-                entry = protocol.alloc.try_get(notice.file_id, notice.replica_index)
+                entry = dict(protocol.alloc.entries_for_file(notice.file_id)).get(
+                    notice.replica_index
+                )
                 if (
                     entry is not None
                     and entry.state == AllocState.ALLOC
@@ -687,7 +653,7 @@ def test_columnar_engine_matches_object_engine(ops, seed, backend, charge_fees):
         refused_ref = _apply_protocol_op(reference, op)
         refused_col = _apply_protocol_op(columnar, op)
         assert refused_col == refused_ref, op
-    assert _protocol_fingerprint(columnar) == _protocol_fingerprint(reference)
+    assert fingerprint(columnar) == fingerprint(reference)
 
 
 @DIFF_SETTINGS
@@ -708,7 +674,7 @@ def test_columnar_engine_matches_across_kernel_backends(ops, seed):
             for backend, protocol in protocols.items()
         }
         assert refusals["vectorized"] == refusals["reference"], op
-    assert _protocol_fingerprint(protocols["vectorized"]) == _protocol_fingerprint(
+    assert fingerprint(protocols["vectorized"]) == fingerprint(
         protocols["reference"]
     )
 
@@ -733,4 +699,4 @@ def test_columnar_engine_matches_through_degraded_sweeps(ops, seed, backend):
         refused_ref = _apply_protocol_op(reference, op)
         refused_col = _apply_protocol_op(columnar, op)
         assert refused_col == refused_ref, op
-        assert _protocol_fingerprint(columnar) == _protocol_fingerprint(reference), op
+        assert fingerprint(columnar) == fingerprint(reference), op

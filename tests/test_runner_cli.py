@@ -256,16 +256,22 @@ _SMOKE = ["--set", "trials=2", "--set", "batches=2", "--set", "n_sectors=50"]
 
 
 @pytest.fixture(scope="module")
-def good_manifest(tmp_path_factory):
-    path = tmp_path_factory.mktemp("manifests") / "good.json"
-    assert main(["run", "collision", "--quiet", "--seed", "3", *_SMOKE, "--out", str(path)]) == 0
+def traced_manifest(tmp_path_factory):
+    """A manifest carrying telemetry and metrics summaries."""
+    folder = tmp_path_factory.mktemp("traced")
+    path = folder / "traced.json"
+    assert main(
+        ["run", "collision", "--quiet", "--seed", "3", *_SMOKE, "--trace",
+         str(folder / "trace.json"), "--metrics", "--out", str(path)]
+    ) == 0
     return path
 
 
 class TestMalformedManifests:
     """``RunManifest.from_dict`` refuses every wrong shape with ValueError,
-    so ``repro diff`` and ``repro run --resume`` print ``error: ...``
-    instead of crashing in code that trusts the shape."""
+    so ``repro diff``, ``repro run --resume`` and ``repro trace`` print
+    ``error: ...`` naming the field instead of crashing in code that
+    trusts the shape, and a result store quarantines such an entry."""
 
     SHAPES = {
         "params-array": ("params", [1, 2]),
@@ -276,22 +282,48 @@ class TestMalformedManifests:
         "seed-bool": ("seed", True),
         "workers-string": ("workers", "1"),
         "trial-count-float": ("trial_count", 2.0),
+        "duration-string": ("duration_seconds", "x"),
+        "telemetry-scalar": ("telemetry", 7),
+        "metrics-array": ("metrics", [1]),
     }
 
-    @pytest.mark.parametrize("command", ["diff", "resume"])
+    @pytest.mark.parametrize("command", ["diff", "resume", "trace"])
     @pytest.mark.parametrize("shape", sorted(SHAPES))
-    def test_refused_with_an_error_line(self, good_manifest, tmp_path, capsys, shape, command):
+    def test_refused_with_an_error_line(
+        self, traced_manifest, tmp_path, capsys, shape, command
+    ):
         key, value = self.SHAPES[shape]
-        data = json.loads(good_manifest.read_text())
+        data = json.loads(traced_manifest.read_text())
         data[key] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
         capsys.readouterr()
         if command == "diff":
-            argv = ["diff", str(good_manifest), str(bad)]
+            argv = ["diff", str(traced_manifest), str(bad)]
+        elif command == "trace":
+            argv = ["trace", str(bad)]
         else:
             argv = ["run", "collision", "--quiet", "--seed", "3", *_SMOKE, "--resume", str(bad)]
         code = main(argv)
         err = capsys.readouterr().err
         assert code != 0
         assert err.startswith("error: "), err
+        assert f"manifest field {key!r}" in err, err
+
+    @pytest.mark.usefixtures("campaign_scenarios")
+    @pytest.mark.parametrize("shape", ["duration-string", "telemetry-scalar", "metrics-array"])
+    def test_poisoned_store_entry_is_quarantined_and_rerun(self, tmp_path, capsys, shape):
+        from repro.campaign.store import ResultStore
+
+        key, value = self.SHAPES[shape]
+        store_dir = tmp_path / "store"
+        argv = ["campaign", "run", "--matrix", "camp-alpha:scale=1,2", "--store", str(store_dir)]
+        assert main(argv) == 0
+        (entry, *_) = sorted(ResultStore(store_dir).entries())
+        data = json.loads(entry.read_text())
+        data[key] = value
+        entry.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert "cache_hits=1/2" in capsys.readouterr().out
+        assert ResultStore(store_dir).stats() == {"stored": 2, "quarantined": 1}

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import repro.kernels
-from kernel_oracle import ReferenceKernels
+from oracles.kernel_oracle import ReferenceKernels
 from repro.core.analysis import theorem4_deposit_ratio_bound
 from repro.runner.cli import main
 from repro.runner.executor import derive_trial_seed, run_scenario
@@ -273,7 +273,7 @@ class TestLifecycleChurn:
 
 class TestOracleAndPoolIdentity:
     """Every registered scenario's rows are byte-identical across serial
-    vs pooled execution, and on the kernel oracle (``tests/kernel_oracle.py``)
+    vs pooled execution, and on the kernel oracle (``tests/oracles/kernel_oracle.py``)
     wherever the scenario calls into :mod:`repro.kernels`."""
 
     def test_only_robustness_keeps_a_one_choice_backend(self):

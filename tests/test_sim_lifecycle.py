@@ -20,7 +20,7 @@ import math
 import numpy as np
 import pytest
 
-from kernel_oracle import BACKENDS
+from oracles.kernel_oracle import BACKENDS
 from repro import telemetry
 from repro.crypto.prng import DeterministicPRNG
 from repro.sim.lifecycle import (

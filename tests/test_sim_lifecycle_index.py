@@ -25,8 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import lifecycle_oracles as oracle
-from kernel_oracle import BACKENDS
+import oracles.lifecycle_oracles as oracle
+from oracles.kernel_oracle import BACKENDS
 from repro.sim.lifecycle import FileLifecycleState, LifecycleConfig, LifecycleSimulation
 
 GOLDEN = json.loads(
