@@ -1,7 +1,8 @@
 """DRep walkthrough: Figure 2 and the cost argument of Section III-D.
 
 Shows a single provider sector's content evolving under Dynamic
-Replication, on a real provider with a disk and simulated PoRep sealing:
+Replication, on a real provider with a disk (the sector stores raw bytes;
+sealing is a modelled cost):
 
 * (a) a freshly registered sector is full of Capacity Replicas;
 * (b) storing files evicts CRs but keeps the unsealed space below one CR;
@@ -33,7 +34,7 @@ def show(sector: ProviderSector, title: str) -> None:
 
 def main() -> None:
     porep = PoRepParams(chunk_size=1024, seal_seconds_per_gib=3600.0, snark_seconds=600.0)
-    provider = StorageProvider("prov-demo", disk_capacity=256 * KIB, porep_params=porep)
+    provider = StorageProvider("prov-demo", disk_capacity=256 * KIB)
     sector = provider.create_sector("demo#0", 96 * KIB, capacity_replica_size=16 * KIB)
     show(sector, "(a) freshly registered sector: six Capacity Replicas")
 

@@ -13,7 +13,7 @@ Implements the on-chain behaviour of the paper:
 :class:`ColumnarProtocol` is a pure state machine over simulated time:
 callers submit requests and advance the clock with
 :meth:`~ColumnarProtocol.advance_time`, which executes due pending-list
-tasks in deterministic order.  Physical storage (disks, sealing, proofs)
+tasks in deterministic order.  Physical storage (disks, sectors, replicas)
 lives in :mod:`repro.storage`; :mod:`repro.sim.scenario` wires the two
 together, while protocol-level experiments drive this class directly.
 

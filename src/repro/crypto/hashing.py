@@ -1,7 +1,7 @@
 """Content identifiers and hashing helpers.
 
-Everything stored in the DSN -- raw files, sealed replicas, Merkle nodes,
-blocks and transactions -- is addressed by the SHA-256 digest of its
+Everything stored in the DSN -- raw files, Merkle nodes, blocks and
+transactions -- is addressed by the SHA-256 digest of its
 canonical byte representation, mirroring how IPFS and Filecoin use CIDs.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-__all__ = ["ContentId", "hash_bytes", "hash_concat", "derive_key"]
+__all__ = ["ContentId", "hash_bytes", "hash_concat"]
 
 _DIGEST_SIZE = 32
 
@@ -31,15 +31,6 @@ def hash_concat(*parts: bytes) -> bytes:
         hasher.update(len(part).to_bytes(8, "big"))
         hasher.update(part)
     return hasher.digest()
-
-
-def derive_key(seed: bytes, label: str, index: int = 0) -> bytes:
-    """Derive a sub-key from ``seed`` bound to ``label`` and ``index``.
-
-    Used by the PoRep simulation to derive per-provider sealing keys and by
-    the beacon expansion to derive independent pseudorandom streams.
-    """
-    return hash_concat(seed, label.encode("utf-8"), index.to_bytes(8, "big"))
 
 
 @dataclass(frozen=True, order=True)

@@ -1,23 +1,18 @@
-"""Simulated Proof-of-Replication (PoRep).
+"""Simulated Proof-of-Replication (PoRep): a cost model and a sealing probe.
 
 Filecoin's PoRep turns a file ``D`` into a provider-specific replica
 ``R = PoRep.setup(D, ek)`` and proves, via a SNARK over the encoding graph,
-that the replica is a genuine encoding of ``D`` under key ``ek``.  The
-protocol-level properties FileInsurer uses are:
+that the replica is a genuine encoding of ``D`` under key ``ek``.  What
+FileInsurer's DRep argument (Section III-D) takes from it is the cost:
+sealing is slow and needs a SNARK, while re-deriving a replica from the raw
+file skips the SNARK.  :class:`PoRepParams` models exactly that clock.
 
-1. replicas are bound to an encryption key (so one provider cannot serve
-   another provider's replica, defeating Sybil attacks);
-2. the replica can be decoded back to the raw file, and re-encoded from the
-   raw file if it is lost (this is what makes DRep cheap);
-3. sealing is slow and sequential while verification is fast;
-4. the verifier only needs the replica commitment (a Merkle root), not the
-   replica itself.
-
-We reproduce the sealing with a keyed pseudorandom stream cipher and the
-commitments with Merkle roots.  No proof is produced or verified: the
-protocol's health oracle stands in for storage proofs.  An explicit cost
-model records how long real sealing and proving would take, so higher
-layers can charge realistic time.
+Sealing is a modelled cost, not a transform of stored bytes: a provider
+sector stores raw file bytes and size-only Capacity Replicas
+(:mod:`repro.storage.provider`), because nothing reads a sealed replica.
+:class:`PoRepProver` keeps the keyed stream-cipher sealing and the Merkle
+commitments only as the target of the e2e ledger's ``crypto.*`` probes; no
+scenario, example or CLI path calls it.
 """
 
 from __future__ import annotations
@@ -97,7 +92,7 @@ def _zero_data_root(size: int, chunk_size: int) -> bytes:
 
 
 class PoRepProver:
-    """Provider-side PoRep operations: setup (sealing) and unsealing."""
+    """Provider-side PoRep sealing: replicas and their commitments."""
 
     def __init__(self, params: Optional[PoRepParams] = None) -> None:
         self.params = params or PoRepParams()
@@ -105,9 +100,9 @@ class PoRepProver:
     def setup(self, data: bytes, encryption_key: bytes) -> SealedReplica:
         """Seal ``data`` under ``encryption_key`` and return the replica.
 
-        The sealing transform is a keyed XOR stream -- invertible (property
-        2), key-dependent (property 1) and deterministic so a lost replica
-        can be recomputed bit-for-bit from the raw data (DRep recovery).
+        The sealing transform is a keyed XOR stream -- invertible,
+        key-dependent and deterministic, so a lost replica can be recomputed
+        bit-for-bit from the raw data (DRep recovery).
         """
         sealed = xor_bytes(data, _keystream(encryption_key, len(data)))
         data_root = MerkleTree.from_data(data, self.params.chunk_size).root
@@ -123,10 +118,6 @@ class PoRepProver:
             size=len(sealed),
         )
         return SealedReplica(data=sealed, commitment=commitment)
-
-    def unseal(self, replica: SealedReplica, encryption_key: bytes) -> bytes:
-        """Recover the raw data from a sealed replica."""
-        return xor_bytes(replica.data, _keystream(encryption_key, len(replica.data)))
 
     def capacity_replica(self, size: int, encryption_key: bytes) -> SealedReplica:
         """Seal an all-zeros region of ``size`` bytes (a Capacity Replica).

@@ -48,8 +48,9 @@ from repro.sim.scenario import DSNScenario, ScenarioConfig
 __all__ = ["run_churn_trial"]
 
 #: Scaled-down protocol constants so one trial stays in the sub-second
-#: range: 256 KiB sectors with 64 KiB capacity replicas keep DRep sealing
-#: cheap while preserving every ratio the protocol logic depends on.
+#: range: 256 KiB sectors with 64 KiB capacity replicas keep the DRep
+#: bookkeeping small while preserving every ratio the protocol logic
+#: depends on.
 _TRIAL_PARAMS = dict(
     min_capacity=256 << 10,
     capacity_replica_size=64 << 10,

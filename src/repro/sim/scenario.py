@@ -4,7 +4,7 @@ Wires every substrate together into a runnable deployment:
 
 * a token :class:`Ledger` funding clients and providers;
 * the :class:`ColumnarProtocol` state machine (on-chain view);
-* physical :class:`StorageProvider` actors with disks and sealing;
+* physical :class:`StorageProvider` actors with disks and Capacity Replicas;
 * :class:`StorageClient` actors preparing and verifying files;
 * a :class:`SimulatedNetwork` bounding transfer times against the
   protocol's ``DelayPerSize`` deadline.

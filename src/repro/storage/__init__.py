@@ -2,7 +2,7 @@
 
 FileInsurer runs on top of IPFS (Section II-A, VI-F): files are content
 addressed, chunked into Merkle DAGs, located through a DHT and exchanged
-through BitSwap.  Providers hold sealed replicas on physical disks that can
+through BitSwap.  Providers hold file replicas on physical disks that can
 be corrupted.  This package implements each of those pieces:
 
 * :mod:`repro.storage.content_store` -- content-addressed block store.
@@ -14,7 +14,7 @@ be corrupted.  This package implements each of those pieces:
 * :mod:`repro.storage.disk` -- the physical disk model with corruption
   injection, the unit the adversary attacks.
 * :mod:`repro.storage.provider` -- a storage provider actor: sectors on
-  disks, sealing, proving, swapping replicas.
+  disks, Capacity Replicas (DRep), swapping replicas.
 * :mod:`repro.storage.client` -- a client actor: uploads, discards,
   retrieval with integrity checking.
 """

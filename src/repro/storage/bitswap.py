@@ -39,7 +39,6 @@ class BitSwapNode:
         #: blocks and pass proofs but refuse to serve retrieval requests.
         self.serves_retrievals = serves_retrievals
         self.bytes_sent = 0
-        self.bytes_received = 0
 
     # ------------------------------------------------------------------
     # Serving
@@ -74,7 +73,6 @@ class BitSwapNode:
             if data is None:
                 continue
             self.store.put_verified(cid, data)
-            self.bytes_received += len(data)
             return data
         raise BlockNotFoundError(cid)
 

@@ -1,7 +1,7 @@
 """Physical disk model with corruption injection.
 
 The unit the adversary attacks.  A disk holds named regions of bytes (one
-region per sealed replica or Capacity Replica); corrupting the disk makes
+region per file replica or Capacity Replica); corrupting the disk makes
 every read of its contents fail, which matches the paper's definition: *a
 sector is collapsed as long as any bit in this sector is lost*.
 """

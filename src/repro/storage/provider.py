@@ -1,12 +1,15 @@
-"""Storage provider actor: disks, sectors, sealing and swapping.
+"""Storage provider actor: disks, sectors and swapping.
 
 A provider rents out disk space divided into sectors (each an integer
-multiple of ``minCapacity``), seals every stored file into a replica with
-PoRep under a provider-specific key, keeps the free space of each sector
-filled with Capacity Replicas (DRep, Section III-D), and swaps replicas in
-and out when the network refreshes storage locations.  No storage proof
-(proof of spacetime) is produced: the protocol's health oracle stands in
-for it.
+multiple of ``minCapacity``), stores every file replica as its raw bytes,
+keeps the free space of each sector filled with Capacity Replicas (DRep,
+Section III-D), and swaps replicas in and out when the network refreshes
+storage locations.  Sealing is a modelled cost
+(:class:`repro.crypto.porep.PoRepParams`), not a transform of the stored
+bytes: nothing reads a sealed replica, so a file region holds the file and
+a Capacity Replica is a zero-filled region the disk counts by size.  No
+storage proof (proof of spacetime) is produced: the protocol's health
+oracle stands in for it.
 
 This is the *physical* half of a provider.  The on-chain half (deposits,
 allocation entries, punishments) lives in :mod:`repro.core.columnar`; the
@@ -16,10 +19,8 @@ simulation scenario wires the two together.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.crypto.hashing import ContentId, derive_key
-from repro.crypto.porep import PoRepParams, PoRepProver, SealedReplica
 from repro.storage.disk import Disk
 
 __all__ = ["ProviderSector", "StorageProvider", "SectorFullError"]
@@ -34,10 +35,7 @@ class _StoredReplica:
     """Book-keeping for one replica held in a sector."""
 
     region: str
-    replica: SealedReplica
-    file_root: bytes
     size: int
-    is_capacity_replica: bool
 
 
 class ProviderSector:
@@ -105,8 +103,8 @@ class ProviderSector:
 
         Returns how many CRs were (re)generated.  Regeneration does not need
         a fresh SNARK because CR roots were verified at registration
-        (Section III-D), so the cost charged by the simulation is only the
-        sealing time.
+        (Section III-D); its modelled cost is
+        :meth:`~repro.crypto.porep.PoRepParams.recovery_time`.
         """
         created = 0
         while (
@@ -115,19 +113,9 @@ class ProviderSector:
         ):
             region = f"{self.sector_id}/cr/{self._next_cr_index}"
             self._next_cr_index += 1
-            replica = self.provider.porep.capacity_replica(
-                self.capacity_replica_size,
-                self.provider.sealing_key(self.sector_id, region),
-            )
-            self.provider.disk.write(region, replica.data)
+            self.provider.disk.write(region, bytes(self.capacity_replica_size))
             self._capacity_replicas.append(
-                _StoredReplica(
-                    region=region,
-                    replica=replica,
-                    file_root=replica.commitment.data_root,
-                    size=self.capacity_replica_size,
-                    is_capacity_replica=True,
-                )
+                _StoredReplica(region=region, size=self.capacity_replica_size)
             )
             self._cr_bytes += self.capacity_replica_size
             created += 1
@@ -145,31 +133,26 @@ class ProviderSector:
     # ------------------------------------------------------------------
     # File replicas
     # ------------------------------------------------------------------
-    def store_file(self, file_root: bytes, data: bytes) -> SealedReplica:
-        """Seal ``data`` and store the replica in this sector."""
+    def store_file(self, file_root: bytes, data: bytes) -> None:
+        """Store ``data`` as the replica of ``file_root`` in this sector.
+
+        Re-storing a root overwrites its region, so the old bytes never
+        linger on the disk.
+        """
         if len(data) > self.free_capacity:
             raise SectorFullError(
                 f"sector {self.sector_id}: {len(data)} bytes exceed free capacity "
                 f"{self.free_capacity}"
             )
-        region = f"{self.sector_id}/file/{ContentId.of(data).short(16)}"
-        key = self.provider.sealing_key(self.sector_id, region)
-        replica = self.provider.porep.setup(data, key)
+        region = f"{self.sector_id}/file/{file_root.hex()}"
         self._evict_capacity_replicas(len(data))
-        self.provider.disk.write(region, replica.data)
+        self.provider.disk.write(region, data)
         replaced = self._files.get(file_root)
         if replaced is not None:
             self._file_bytes -= replaced.size
         self._file_bytes += len(data)
-        self._files[file_root] = _StoredReplica(
-            region=region,
-            replica=replica,
-            file_root=file_root,
-            size=len(data),
-            is_capacity_replica=False,
-        )
+        self._files[file_root] = _StoredReplica(region=region, size=len(data))
         self.refill_capacity_replicas()
-        return replica
 
     def remove_file(self, file_root: bytes) -> bool:
         """Remove the replica of the file with ``file_root`` (discard/swap-out)."""
@@ -186,43 +169,22 @@ class ProviderSector:
         return file_root in self._files
 
     def read_raw_file(self, file_root: bytes) -> bytes:
-        """Unseal and return the raw file bytes (used for swap transfers)."""
-        stored = self._require(file_root)
-        sealed_bytes = self.provider.disk.read(stored.region)
-        key = self.provider.sealing_key(self.sector_id, stored.region)
-        replica = SealedReplica(data=sealed_bytes, commitment=stored.replica.commitment)
-        return self.provider.porep.unseal(replica, key)
-
-    def _require(self, file_root: bytes) -> _StoredReplica:
+        """Return the raw file bytes (retrieval and swap transfers)."""
         stored = self._files.get(file_root)
         if stored is None:
             raise KeyError(
                 f"sector {self.sector_id} holds no replica for root {file_root.hex()[:16]}"
             )
-        return stored
+        return self.provider.disk.read(stored.region)
 
 
 class StorageProvider:
     """A provider actor owning one disk and any number of sectors on it."""
 
-    def __init__(
-        self,
-        name: str,
-        disk_capacity: int,
-        porep_params: Optional[PoRepParams] = None,
-    ) -> None:
+    def __init__(self, name: str, disk_capacity: int) -> None:
         self.name = name
         self.disk = Disk(disk_id=f"{name}/disk", capacity=disk_capacity)
-        self.porep = PoRepProver(porep_params)
-        self._secret_seed = derive_key(b"provider-secret", name)
         self._sectors: Dict[str, ProviderSector] = {}
-
-    # ------------------------------------------------------------------
-    # Keys
-    # ------------------------------------------------------------------
-    def sealing_key(self, sector_id: str, region: str) -> bytes:
-        """Provider- and region-specific sealing key (Sybil resistance)."""
-        return derive_key(self._secret_seed, f"{sector_id}:{region}")
 
     # ------------------------------------------------------------------
     # Sectors

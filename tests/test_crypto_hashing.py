@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crypto.hashing import ContentId, derive_key, hash_bytes, hash_concat
+from repro.crypto.hashing import ContentId, hash_bytes, hash_concat
 
 
 class TestHashBytes:
@@ -25,16 +25,6 @@ class TestHashConcat:
 
     def test_order_matters(self):
         assert hash_concat(b"a", b"b") != hash_concat(b"b", b"a")
-
-
-class TestDeriveKey:
-    def test_label_separation(self):
-        seed = b"seed"
-        assert derive_key(seed, "a") != derive_key(seed, "b")
-
-    def test_index_separation(self):
-        seed = b"seed"
-        assert derive_key(seed, "a", 0) != derive_key(seed, "a", 1)
 
 
 class TestContentId:

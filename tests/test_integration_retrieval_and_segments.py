@@ -47,7 +47,8 @@ class TestRetrievalMarket:
         # The client fetches every block of the DAG via BitSwap.
         for cid in dag.collect_cids(root):
             assert client.fetch_block(cid) == holder.store.get(cid)
-        assert client.bytes_received >= len(data)
+            assert client.store.has(cid)
+        assert holder.bytes_sent >= len(data)
 
     def test_selfish_provider_does_not_serve_but_others_do(self):
         bitswap, providers, client = self.build_market(selfish={"prov-1"})

@@ -1,10 +1,17 @@
 """Integration tests: the end-to-end DSN scenario (chain + protocol + disks)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.core.events import EventType
 from repro.core.file_descriptor import FileState
 from repro.core.params import ProtocolParams
+from repro.crypto import prng
+from repro.crypto.porep import PoRepProver
+from repro.runner.executor import run_scenario
+from repro.runner.registry import load_builtin_scenarios
 from repro.sim.scenario import DSNScenario, ScenarioConfig
 from repro.storage.provider import ProviderSector, SectorFullError
 
@@ -208,3 +215,41 @@ class TestChurn:
         scenario.settle_uploads()
         summary = scenario.summary()
         assert {"files_stored", "healthy_providers", "bytes_transferred"} <= set(summary)
+
+
+class TestNoProgramPathSeals:
+    """Sectors store raw bytes: with sealing made to raise, a deployment and
+    ``repro run churn`` still run, and their rows match the ones recorded
+    while sectors still sealed every replica and Capacity Replica
+    (``data/sealing_free_golden.json``)."""
+
+    GOLDEN = json.loads((Path(__file__).parent / "data" / "sealing_free_golden.json").read_text())
+
+    @pytest.fixture(autouse=True)
+    def sealing_raises(self, monkeypatch):
+        def sealed(*args, **kwargs):
+            raise AssertionError("a program path sealed bytes")
+
+        monkeypatch.setattr(PoRepProver, "setup", sealed)
+        monkeypatch.setattr(PoRepProver, "capacity_replica", sealed)
+        monkeypatch.setattr(prng, "xor_bytes", sealed)
+
+    def test_deployment_crash_refresh_and_retrieval(self):
+        scenario = make_scenario(providers=5, avg_refresh=2.0)
+        payloads = {}
+        for index in range(3):
+            data = bytes([index + 1]) * (400 + 100 * index)
+            payloads[scenario.store_file("client-0", f"f{index}", data, value=1)] = data
+        scenario.settle_uploads()
+        scenario.crash_provider("provider-0")
+        scenario.run_cycles(25)
+        assert scenario.protocol.events.count(EventType.FILE_REFRESH_COMPLETED) >= 1
+        for file_id, data in payloads.items():
+            assert scenario.protocol.files[file_id].state == FileState.NORMAL
+            assert scenario.retrieve_file("client-0", file_id) == data
+        assert scenario.summary() == self.GOLDEN["scenario_summary"]
+
+    def test_churn_run_at_its_smoke_shape(self):
+        load_builtin_scenarios()
+        manifest = run_scenario("churn", {"trials": 2, "cycles": 4, "files": 4}, seed=0)
+        assert manifest.rows == self.GOLDEN["churn_rows"]

@@ -95,14 +95,16 @@ class TestBitSwap:
         cid = holder.store.put(b"12345678")
         fetcher.fetch_block(cid, hint_peers=["holder"])
         assert holder.bytes_sent == 8
-        assert fetcher.bytes_received == 8
+        assert fetcher.store.get(cid) == b"12345678"
 
     def test_local_block_not_refetched(self):
         network = BitSwapNetwork()
         peer = network.create_peer("solo")
+        other = network.create_peer("other")
         cid = peer.store.put(b"mine")
-        assert peer.fetch_block(cid) == b"mine"
-        assert peer.bytes_received == 0
+        other.store.put(b"mine")
+        assert peer.fetch_block(cid, hint_peers=["other"]) == b"mine"
+        assert other.bytes_sent == 0
 
     def test_duplicate_peer_rejected(self):
         network = BitSwapNetwork()

@@ -116,6 +116,12 @@ class TestProviderSectors:
             check()
         sector.store_file(roots[0], blobs[0])  # re-storing replaces, not double counts
         check()
+        # New bytes under a stored root overwrite its region: nothing stale
+        # stays on the disk to block the CR refill.
+        sector.store_file(roots[0], b"b" * (20 * KIB))
+        check()
+        assert sector.unsealed_space() < sector.capacity_replica_size
+        assert sector.read_raw_file(roots[0]) == b"b" * (20 * KIB)
         for root in (roots[2], roots[0], roots[0]):
             sector.remove_file(root)
             check()
@@ -157,11 +163,6 @@ class TestProviderProofs:
         assert not provider.is_healthy()
         with pytest.raises(DiskCorruptedError):
             sector.read_raw_file(root)
-
-    def test_sealing_keys_differ_across_providers(self):
-        a = make_provider("a")
-        b = make_provider("b")
-        assert a.sealing_key("s0", "r") != b.sealing_key("s0", "r")
 
 
 class TestStorageClient:
