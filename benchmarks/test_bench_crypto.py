@@ -68,6 +68,22 @@ def test_seal_throughput(benchmark, record):
     assert replica.commitment.replica_root == MerkleTree.from_data(sealed).root
 
 
+def test_unseal_throughput(benchmark, record):
+    # The keyed XOR stream is its own inverse: sealing the replica again
+    # under the same key recovers the raw bytes (DRep recovery).
+    prover = PoRepProver()
+    replica = prover.setup(DATA, KEY)
+    raw = measure(
+        benchmark,
+        record,
+        "unseal 64 KiB",
+        lambda: prover.setup(replica.data, KEY).data,
+        REPLICA_SIZE,
+    )
+    assert raw == DATA
+    assert raw == oracle.xor(replica.data, oracle.keystream(KEY, "porep-seal", REPLICA_SIZE))
+
+
 def test_capacity_replica_throughput(benchmark, record):
     prover = PoRepProver()
     replica = measure(

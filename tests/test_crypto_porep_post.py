@@ -11,6 +11,13 @@ def prover():
 
 
 class TestPoRepSealing:
+    def test_seal_unseal_roundtrip(self, prover):
+        # Sealing is a keyed XOR stream, so sealing the replica again under
+        # the same key unseals it.
+        data = b"the raw file contents" * 10
+        replica = prover.setup(data, b"key-1")
+        assert prover.setup(replica.data, b"key-1").data == data
+
     def test_sealed_bytes_differ_from_raw(self, prover):
         data = b"the raw file contents" * 10
         replica = prover.setup(data, b"key-1")
@@ -27,6 +34,11 @@ class TestPoRepSealing:
     def test_same_key_is_deterministic(self, prover):
         data = b"same data" * 20
         assert prover.setup(data, b"key").data == prover.setup(data, b"key").data
+
+    def test_unseal_with_wrong_key_garbles(self, prover):
+        data = b"secret" * 30
+        replica = prover.setup(data, b"key-1")
+        assert prover.setup(replica.data, b"key-2").data != data
 
     def test_capacity_replica_is_sealed_zeros(self, prover):
         cr = prover.capacity_replica(128, b"cr-key")

@@ -127,6 +127,31 @@ class TestProviderSectors:
             check()
         assert sector.used_by_files == 3 * KIB
 
+    def test_capacity_replicas_are_zero_filled_regions(self):
+        provider = make_provider()
+        sector = provider.create_sector("s0", 64 * KIB, capacity_replica_size=16 * KIB)
+        assert sector.capacity_replica_count == 4
+        for stored in sector._capacity_replicas:
+            assert provider.disk.read(stored.region) == bytes(16 * KIB)
+
+    def test_equal_bytes_under_two_roots_keep_two_regions(self):
+        provider = make_provider()
+        sector = provider.create_sector("s0", 128 * KIB, capacity_replica_size=16 * KIB)
+        data = b"same payload" * 100
+        roots = (b"\x01" * 32, b"\x02" * 32)
+        for root in roots:
+            sector.store_file(root, data)
+        assert sector.used_by_files == 2 * len(data)
+        assert sector.remove_file(roots[0])
+        assert not sector.holds_file(roots[0])
+        assert sector.read_raw_file(roots[1]) == data
+
+    def test_read_unknown_root_raises(self):
+        provider = make_provider()
+        sector = provider.create_sector("s0", 64 * KIB, capacity_replica_size=16 * KIB)
+        with pytest.raises(KeyError):
+            sector.read_raw_file(b"\x03" * 32)
+
     def test_sector_capacity_enforced(self):
         provider = make_provider()
         sector = provider.create_sector("s0", 64 * KIB, capacity_replica_size=16 * KIB)
