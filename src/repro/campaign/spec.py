@@ -28,7 +28,8 @@ parameter names to lists of values and expands to the cartesian product
 Trial counts are ordinary scenario parameters (most scenarios expose a
 ``trials`` param), so they ride through ``params`` or ``sweep`` like any
 other knob.  TOML arrays become tuples, matching the registry's
-tuple-valued parameter defaults.
+tuple-valued parameter defaults.  The document's shape is declared once,
+as the field table :data:`CAMPAIGN`.
 """
 
 from __future__ import annotations
@@ -36,10 +37,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Mapping, Sequence, Tuple, Union
+from typing import Mapping, Tuple, Union
+
+from repro.schema import ANY, INT, NON_EMPTY, STR, Field, list_of, load, map_of, table
 
 __all__ = [
     "CampaignError",
+    "CAMPAIGN",
     "ScenarioEntry",
     "CampaignSpec",
     "matrix_campaign",
@@ -85,90 +89,66 @@ class CampaignSpec:
     store: str = ""
 
 
-def _require_mapping(value: object, where: str) -> Mapping[str, object]:
-    if not isinstance(value, Mapping):
-        raise CampaignError(f"{where} must be a table/object, got {type(value).__name__}")
-    return value
+_SEED, _NAME = INT.within("[0, inf)"), STR.within(NON_EMPTY)
+
+#: A campaign document; TOML calls its objects tables.
+CAMPAIGN = table(
+    Field("campaign", table(
+        Field("name", _NAME, required=True),
+        *(Field(key, STR) for key in ("description", "store")),
+        Field("seed", _SEED),
+        closed=True, name="table",
+    ), required=True),
+    Field("scenarios", list_of(table(
+        Field("scenario", _NAME, required=True),
+        Field("params", table(name="table")),
+        Field("sweep", map_of(list_of(ANY).within(NON_EMPTY))),
+        Field("seed", _SEED),
+        Field("seeds", list_of(_SEED).within(NON_EMPTY)),
+        closed=True, name="table",
+    ))),
+    name="table",
+)
 
 
-def _parse_entry(
-    raw: Mapping[str, object], index: int, default_seed: int
-) -> ScenarioEntry:
-    where = f"scenarios[{index}]"
-    unknown = set(raw) - {"scenario", "params", "sweep", "seed", "seeds"}
-    if unknown:
-        raise CampaignError(f"{where} has unknown keys: {sorted(unknown)}")
-    name = raw.get("scenario")
-    if not isinstance(name, str) or not name:
-        raise CampaignError(f"{where} needs a non-empty 'scenario' name")
-
-    params = {
-        key: _tupled(value)
-        for key, value in _require_mapping(
-            raw.get("params", {}), f"{where}.params"
-        ).items()
-    }
-
-    sweep: Dict[str, Tuple[object, ...]] = {}
-    for key, values in _require_mapping(raw.get("sweep", {}), f"{where}.sweep").items():
-        if not isinstance(values, (list, tuple)) or not values:
-            raise CampaignError(
-                f"{where}.sweep.{key} must be a non-empty list of values"
-            )
-        sweep[key] = tuple(_tupled(value) for value in values)
-        if key in params:
-            raise CampaignError(
-                f"{where} sets parameter {key!r} in both 'params' and 'sweep'"
-            )
-
+def _entry(raw: Mapping[str, object], where: str, default_seed: int) -> ScenarioEntry:
+    """One checked ``[[scenarios]]`` table as a :class:`ScenarioEntry`."""
     if "seed" in raw and "seeds" in raw:
         raise CampaignError(f"{where} sets both 'seed' and 'seeds'")
-    if "seeds" in raw:
-        seeds_raw = raw["seeds"]
-        if not isinstance(seeds_raw, (list, tuple)) or not seeds_raw:
-            raise CampaignError(f"{where}.seeds must be a non-empty list of integers")
-        seeds = tuple(seeds_raw)
-    elif "seed" in raw:
-        seeds = (raw["seed"],)
-    else:
-        seeds = (default_seed,)
-    for seed in seeds:
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise CampaignError(f"{where} seed {seed!r} must be a non-negative integer")
-
-    return ScenarioEntry(scenario=name, params=params, sweep=sweep, seeds=seeds)
+    params = {key: _tupled(value) for key, value in raw.get("params", {}).items()}
+    sweep = {
+        key: tuple(_tupled(value) for value in values)
+        for key, values in raw.get("sweep", {}).items()
+    }
+    both = sorted(params.keys() & sweep.keys())
+    if both:
+        raise CampaignError(f"{where} sets parameter {both[0]!r} in both 'params' and 'sweep'")
+    seeds = tuple(raw["seeds"]) if "seeds" in raw else (raw.get("seed", default_seed),)
+    return ScenarioEntry(scenario=raw["scenario"], params=params, sweep=sweep, seeds=seeds)
 
 
 def parse_campaign(data: Mapping[str, object], source: str = "<memory>") -> CampaignSpec:
-    """Build a :class:`CampaignSpec` from a decoded TOML/JSON document."""
-    data = _require_mapping(data, f"{source}: the campaign document")
-    header = _require_mapping(data.get("campaign", {}), f"{source}: [campaign]")
-    unknown = set(header) - {"name", "description", "seed", "store"}
-    if unknown:
-        raise CampaignError(f"{source}: [campaign] has unknown keys: {sorted(unknown)}")
-    name = header.get("name")
-    if not isinstance(name, str) or not name:
-        raise CampaignError(f"{source}: [campaign] needs a non-empty 'name'")
-    default_seed = header.get("seed", 0)
-    if not isinstance(default_seed, int) or isinstance(default_seed, bool) or default_seed < 0:
-        raise CampaignError(f"{source}: [campaign] seed must be a non-negative integer")
+    """Build a :class:`CampaignSpec` from a decoded TOML/JSON document.
 
-    raw_entries = data.get("scenarios", [])
-    if not isinstance(raw_entries, Sequence) or isinstance(raw_entries, (str, bytes)):
-        raise CampaignError(f"{source}: 'scenarios' must be an array of tables")
-    if not raw_entries:
+    Raises :class:`CampaignError` naming the field for anything
+    :data:`CAMPAIGN` refuses, and for the rules spanning fields: at least
+    one ``[[scenarios]]`` entry, ``seed`` xor ``seeds``, and no parameter
+    both fixed and swept.
+    """
+    document = load(CAMPAIGN, data, f"{source}: the campaign document", CampaignError)
+    header = document["campaign"]
+    if not document.get("scenarios"):
         raise CampaignError(f"{source}: campaign declares no [[scenarios]] entries")
-    entries = tuple(
-        _parse_entry(_require_mapping(raw, f"{source}: scenarios[{index}]"), index, default_seed)
-        for index, raw in enumerate(raw_entries)
-    )
-
+    default_seed = header.get("seed", 0)
     return CampaignSpec(
-        name=name,
-        entries=entries,
-        description=str(header.get("description", "")),
+        name=header["name"],
+        entries=tuple(
+            _entry(raw, f"{source}: scenarios[{index}]", default_seed)
+            for index, raw in enumerate(document["scenarios"])
+        ),
+        description=header.get("description", ""),
         seed=default_seed,
-        store=str(header.get("store", "")),
+        store=header.get("store", ""),
     )
 
 
@@ -208,25 +188,19 @@ def matrix_campaign(matrix: str, seed: int = 0) -> CampaignSpec:
 def load_campaign(path: Union[str, Path]) -> CampaignSpec:
     """Load a campaign spec from a ``.toml`` or ``.json`` file."""
     target = Path(path)
+    syntax = "JSON" if target.suffix.lower() == ".json" else "TOML"
     try:
         text = target.read_text(encoding="utf-8")
+        if syntax == "JSON":
+            data = json.loads(text)
+        else:
+            import tomllib
+
+            data = tomllib.loads(text)
+    except ModuleNotFoundError:  # pragma: no cover - Python < 3.11
+        raise CampaignError(f"TOML specs need Python >= 3.11; rewrite {target} as JSON") from None
     except OSError as error:
         raise CampaignError(f"cannot read campaign spec {target}: {error}") from None
-    if target.suffix.lower() == ".json":
-        try:
-            data = json.loads(text)
-        except ValueError as error:
-            raise CampaignError(f"{target} is not valid JSON: {error}") from None
-    else:
-        try:
-            import tomllib
-        except ModuleNotFoundError:  # pragma: no cover - Python < 3.11
-            raise CampaignError(
-                f"TOML campaign specs need Python >= 3.11 (tomllib); "
-                f"rewrite {target} as JSON with the same shape"
-            ) from None
-        try:
-            data = tomllib.loads(text)
-        except tomllib.TOMLDecodeError as error:
-            raise CampaignError(f"{target} is not valid TOML: {error}") from None
+    except ValueError as error:  # tomllib.TOMLDecodeError is a ValueError
+        raise CampaignError(f"{target} is not valid {syntax}: {error}") from None
     return parse_campaign(data, source=str(target))

@@ -130,9 +130,8 @@ class ResultStore:
         try:
             manifest = RunManifest.load(path)
         except (ValueError, OSError):
-            # Bad JSON, missing fields, or well-formed JSON of the wrong
-            # shape (from_dict normalises shape errors to ValueError) --
-            # the entry cannot be trusted, but the campaign must not crash.
+            # Bad JSON, or JSON the manifest table refuses: the entry cannot
+            # be trusted, but the campaign must not crash.
             if quarantine:
                 self._quarantine(path)
             return None

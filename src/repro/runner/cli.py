@@ -743,24 +743,17 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         )
 
     if args.verb == "record":
-        recorded = 0
+        # Every artifact is checked before any is appended: a refusal
+        # records nothing.
+        recorded = []
         for artifact in args.artifact:
             try:
-                with open(artifact, "r", encoding="utf-8") as handle:
-                    data = json.load(handle)
+                data = json.loads(Path(artifact).read_text(encoding="utf-8"))
+                recorded += history.entries_from_artifact(data, source=Path(artifact).name)
             except (OSError, ValueError) as error:
-                raise ScenarioError(
-                    f"cannot load bench artifact {artifact!r}: {error}"
-                ) from None
-            try:
-                entries = history.entries_from_artifact(
-                    data, source=Path(artifact).name
-                )
-            except ValueError as error:
                 raise ScenarioError(f"{artifact}: {error}") from None
-            history.append_entries(target, entries)
-            recorded += len(entries)
-        print(f"recorded {recorded} entries -> {target}")
+        history.append_entries(target, recorded)
+        print(f"recorded {len(recorded)} entries -> {target}")
         return 0
 
     entries = history.load_history(target)

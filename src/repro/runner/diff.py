@@ -19,6 +19,7 @@ JSON paths.
 
 from __future__ import annotations
 
+import json
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.runner.aggregate import StreamingAggregator
@@ -194,13 +195,14 @@ def diff_manifests(
         only_b = [stem for stem in only_b if stem in requested]
         missing = sorted(requested - stems_a - stems_b)
 
-    indexed_b: Dict[Tuple[object, ...], Mapping[str, object]] = {
-        tuple(row.get(column) for column in group_columns): row for row in rows_b
-    }
+    def group_key(row: Mapping[str, object]) -> str:
+        # JSON text, so a list-valued key column (a tuple parameter) matches too.
+        return json.dumps([row.get(column) for column in group_columns], default=str)
+
+    indexed_b = {group_key(row): row for row in rows_b}
     metric_rows: List[Dict[str, object]] = []
     for row_a in rows_a:
-        key = tuple(row_a.get(column) for column in group_columns)
-        row_b = indexed_b.get(key)
+        row_b = indexed_b.get(group_key(row_a))
         if row_b is None:
             continue
         for stem in stems:
@@ -208,7 +210,7 @@ def diff_manifests(
             mean_b = _numeric(row_b.get(f"{stem}_mean"))
             if mean_a is None or mean_b is None:
                 continue
-            entry: Dict[str, object] = dict(zip(group_columns, key))
+            entry: Dict[str, object] = {column: row_a.get(column) for column in group_columns}
             entry["metric"] = stem
             entry["a_mean"] = round(mean_a, 6)
             entry["b_mean"] = round(mean_b, 6)

@@ -342,7 +342,17 @@ def run_scenario(
             with telemetry.span(
                 "executor.aggregate", category="executor", scenario=spec.name
             ):
-                summary = [dict(row) for row in spec.aggregate(batch.rows, params)]
+                try:
+                    summary = [dict(row) for row in spec.aggregate(batch.rows, params)]
+                except (TypeError, ValueError) as error:
+                    # Fresh rows always aggregate; a resumed row whose
+                    # provenance checks out but whose values were edited
+                    # does not.
+                    if not cached_rows:
+                        raise
+                    raise ResumeError(
+                        f"resume manifest rows do not aggregate: {error}"
+                    ) from None
     telemetry.extend_channels(recorded)
     duration = time.perf_counter() - started
 

@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.schema import Interval
+
 __all__ = [
     "ParamSpec",
     "ScenarioSpec",
@@ -55,41 +57,6 @@ class UnknownScenarioError(ScenarioError, LookupError):
 
 class DuplicateScenarioError(ScenarioError):
     """Raised when registering a name that already exists (and replace=False)."""
-
-
-@dataclass(frozen=True)
-class Interval:
-    """An interval domain, parsed once from its notation (``"[1, inf)"``)."""
-
-    text: str
-    low: float
-    high: float
-    closed_low: bool
-    closed_high: bool
-
-    @classmethod
-    def parse(cls, text: str) -> "Interval":
-        low, comma, high = text[1:-1].partition(",")
-        try:
-            if not (comma and text[0] in "[(" and text[-1] in "])"):
-                raise ValueError(text)
-            interval = cls(text, float(low), float(high), text[0] == "[", text[-1] == "]")
-        except ValueError:
-            raise ValueError(f"domain {text!r} is not an interval such as '[1, inf)'") from None
-        # Written as "not <=" so a NaN bound, which admits nothing, is empty too.
-        if not interval.low <= interval.high or (
-            interval.low == interval.high
-            and not (interval.closed_low and interval.closed_high)
-        ):
-            raise ValueError(f"domain {text!r} is empty")
-        return interval
-
-    def __contains__(self, item: object) -> bool:
-        above_low = self.low < item or self.closed_low and item == self.low  # type: ignore[operator]
-        return above_low and (item < self.high or self.closed_high and item == self.high)  # type: ignore[operator]
-
-    def __str__(self) -> str:
-        return self.text
 
 
 @dataclass(frozen=True)

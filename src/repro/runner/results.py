@@ -20,9 +20,28 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
-__all__ = ["RunManifest", "jsonify", "repo_version"]
+from repro.schema import INT, NUMBER, OBJECT, STR, Field, list_of, load, table
+from repro.telemetry import metrics, summary
+
+__all__ = ["RunManifest", "MANIFEST", "jsonify", "repo_version"]
 
 MANIFEST_FORMAT = 1
+
+#: A run manifest's fields (``docs/manifests.md`` documents each).
+MANIFEST = table(
+    Field("scenario", STR, required=True),
+    Field("params", OBJECT, required=True),
+    *(Field(key, INT, required=True) for key in ("seed", "workers")),
+    Field("trial_count", INT),
+    Field("duration_seconds", NUMBER),
+    *(Field(key, list_of(OBJECT)) for key in ("rows", "summary")),
+    Field("version", STR),
+    Field("created_unix", NUMBER),
+    Field("format", INT),
+    Field("trial_stats", list_of(OBJECT)),
+    Field("telemetry", summary.SUMMARY.or_null()),
+    Field("metrics", metrics.SUMMARY.or_null()),
+)
 
 
 def jsonify(value: Any) -> Any:
@@ -74,7 +93,7 @@ def repo_version() -> str:
 
 @dataclass
 class RunManifest:
-    """One completed scenario run."""
+    """One completed scenario run; :data:`MANIFEST` declares its JSON form."""
 
     scenario: str
     params: Dict[str, Any]
@@ -123,71 +142,14 @@ class RunManifest:
     def from_dict(cls, data: Mapping[str, Any]) -> "RunManifest":
         """Rebuild a manifest from its dictionary form.
 
-        Raises :class:`ValueError` for *any* malformed input -- including
-        well-formed JSON of the wrong shape (a top-level array, a scalar
-        ``rows``, ...) -- so callers need exactly one exception type to
-        treat a manifest as unloadable.
+        Raises :class:`ValueError` naming the field for *any* input that
+        does not fit :data:`MANIFEST` -- a top-level array, a scalar
+        ``rows``, a span without a numeric ``total_ms`` -- so callers need
+        exactly one exception type to treat a manifest as unloadable.
+        Keys the table does not declare are ignored.
         """
-        if not isinstance(data, Mapping):
-            raise ValueError(
-                f"manifest must be a JSON object, got {type(data).__name__}"
-            )
-        known = {
-            "scenario",
-            "params",
-            "seed",
-            "workers",
-            "trial_count",
-            "duration_seconds",
-            "rows",
-            "summary",
-            "version",
-            "created_unix",
-            "format",
-            "trial_stats",
-            "telemetry",
-            "metrics",
-        }
-        fields = {key: data[key] for key in known if key in data}
-        missing = {"scenario", "params", "seed", "workers"} - set(fields)
-        if missing:
-            raise ValueError(f"manifest missing required fields: {sorted(missing)}")
-        if not isinstance(fields["params"], dict):
-            raise ValueError(
-                "manifest field 'params' must be an object, got "
-                f"{type(fields['params']).__name__}"
-            )
-        for key in ("rows", "summary", "trial_stats"):
-            entries = fields.get(key, [])
-            if not isinstance(entries, list):
-                raise ValueError(
-                    f"manifest field {key!r} must be a list, got "
-                    f"{type(entries).__name__}"
-                )
-            # A JSON object decodes to a dict.  One set of entry types per
-            # list, not a check per entry, keeps a warm result-store read
-            # cheap.
-            if not set(map(type, entries)) <= {dict}:
-                raise ValueError(f"manifest field {key!r} must hold only objects")
-        for key in ("seed", "workers", "trial_count"):
-            value = fields.get(key, 0)
-            if type(value) is not int:  # bool, an int subclass, is refused too
-                raise ValueError(
-                    f"manifest field {key!r} must be an integer, got {value!r}"
-                )
-        duration = fields.get("duration_seconds", 0.0)
-        if type(duration) not in (int, float):
-            raise ValueError(
-                f"manifest field 'duration_seconds' must be a number, got {duration!r}"
-            )
-        for key in ("telemetry", "metrics"):
-            value = fields.get(key)
-            if value is not None and not isinstance(value, dict):
-                raise ValueError(
-                    f"manifest field {key!r} must be an object or null, got "
-                    f"{type(value).__name__}"
-                )
-        fields.setdefault("trial_count", len(fields.get("rows", [])))
+        fields = load(MANIFEST, data, "manifest")
+        fields.setdefault("trial_count", len(fields.get("rows", ())))
         fields.setdefault("duration_seconds", 0.0)
         return cls(**fields)
 

@@ -33,6 +33,8 @@ from pathlib import Path
 from statistics import median
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
+from repro.schema import INT, NUMBER, OBJECT, STR, Field, load, map_of, table
+
 __all__ = [
     "HISTORY_FORMAT",
     "HISTORY_ENV_VAR",
@@ -45,6 +47,8 @@ __all__ = [
     "append_entries",
     "load_history",
     "entries_from_artifact",
+    "ENTRY",
+    "PROTOCOL_ARTIFACT", "KERNEL_ARTIFACT", "TELEMETRY_ARTIFACT", "RUN_ARTIFACT",
     "trend_rows",
     "regressions",
 ]
@@ -60,6 +64,46 @@ DEFAULT_HISTORY_PATH = "runs/perf-history.jsonl"
 
 #: A series' baseline is the median of its last this-many prior entries.
 BASELINE_WINDOW = 5
+
+#: One history line, as :func:`make_entry` writes it.
+ENTRY = table(
+    *(Field(key, STR, required=True) for key in ("bench", "series")),
+    Field("value", NUMBER, required=True),
+    *(Field(key, STR) for key in ("unit", "version", "host", "source")),
+    Field("backend", STR.or_null()),
+    Field("shape", OBJECT.or_null()),
+    Field("format", INT),
+    Field("recorded_unix", NUMBER),
+)
+
+#: The bench artifacts ``repro perf record`` understands, each told apart
+#: by a key (see :func:`entries_from_artifact`).
+_ARTIFACT = table(Field("kind", STR))
+_WALLS = ("add", "proof", "degraded")
+PROTOCOL_ARTIFACT = table(
+    *(Field(key, INT) for key in ("providers", "k", "add_batch")),
+    *(
+        Field(engine, table(Field("files", INT), *(Field(f"{w}_wall_s", NUMBER) for w in _WALLS)))
+        for engine in ("columnar", "object")
+    ),
+)
+KERNEL_ARTIFACT = table(
+    Field("shapes", map_of(OBJECT)),
+    Field("results", map_of(table(
+        Field("reference_seconds", NUMBER), Field("vectorized_seconds", NUMBER, required=True),
+    )), required=True),
+)
+TELEMETRY_ARTIFACT = table(
+    Field("scenario", STR), Field("params", OBJECT), Field("seed", INT),
+    *(Field(f"{mode}_wall_s", NUMBER, required=True) for mode in ("untraced", "traced")),
+)
+RUN_ARTIFACT = table(
+    Field("scenario", STR, required=True),
+    Field("params", table(Field("backend", STR))),  # the series' backend, if the scenario has one
+    Field("seed", INT),
+    Field("duration_seconds", NUMBER, required=True),
+    Field("version", STR),
+)
 
 
 def default_history_path() -> Path:
@@ -158,31 +202,22 @@ def append_entries(
 
 
 def load_history(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Entries in file (= recording) order; malformed lines -- a value that
-    is not a finite number among them -- are skipped."""
+    """Entries in file (= recording) order; a line that is not JSON or
+    that :data:`ENTRY` refuses -- a value that is not a finite number
+    among them -- is skipped."""
     target = Path(path)
     if not target.exists():
         return []
     entries: List[Dict[str, Any]] = []
     for line in target.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
+        if not line.strip():
             continue
         try:
             entry = json.loads(line)
+            load(ENTRY, entry, "history line")
         except ValueError:
             continue
-        if not isinstance(entry, dict):
-            continue
-        value = entry.get("value")
-        if (
-            isinstance(entry.get("bench"), str)
-            and isinstance(entry.get("series"), str)
-            and isinstance(value, (int, float))
-            and not isinstance(value, bool)
-            and math.isfinite(value)
-        ):
-            entries.append(entry)
+        entries.append(entry)
     return entries
 
 
@@ -196,127 +231,80 @@ def entries_from_artifact(
 ) -> List[Dict[str, Any]]:
     """Convert a known bench artifact into history entries.
 
-    Recognises every artifact the repo produces:
-
-    * ``BENCH_kernels.json`` (``benchmarks/bench_kernels.py``): one
-      entry per (kernel, backend) wall;
-    * ``BENCH_telemetry.json`` (``benchmarks/bench_telemetry.py``):
-      traced/untraced walls plus the overhead percentage;
-    * ``BENCH_protocol.json``
-      (``benchmarks/test_bench_protocol_columnar.py``): per-engine File
-      Add and proof-round walls, normalised to seconds per 1000 files;
-    * a plain run manifest (``repro bench/run ... --out``): the run's
-      ``duration_seconds``.
-
-    Raises :class:`ValueError` for anything else -- a typo'd path must
+    Recognises every artifact the repo produces by the key that tells it
+    apart, and checks it against its table: ``BENCH_protocol.json``
+    (``"kind": "protocol_columnar_bench"``, ``PROTOCOL_ARTIFACT``),
+    ``BENCH_kernels.json`` (``results``), ``BENCH_telemetry.json``
+    (``untraced_wall_s`` / ``traced_wall_s``) and a run manifest
+    (``duration_seconds``).  Raises :class:`ValueError` naming the field
+    for a malformed artifact, and for anything else -- a typo'd path must
     not silently record nothing.
     """
     kwargs = {"version": version, "source": source}
-
+    load(_ARTIFACT, data, "bench artifact")
     if data.get("kind") == "protocol_columnar_bench":
-        # ``benchmarks/test_bench_protocol_columnar.py``: File Add
-        # throughput and proof-round wall (healthy, and after 2 % of the
-        # sectors crashed) per engine.  Walls are
-        # normalised to seconds per 1000 files so the columnar full run
-        # and the object capped slice land on comparable scales.
-        deployment = {
-            "providers": data.get("providers"),
-            "k": data.get("k"),
-            "add_batch": data.get("add_batch"),
-        }
+        # Per engine, File Add and proof-round walls (healthy, and after 2 %
+        # of the sectors crashed) in seconds per 1000 files, so the
+        # columnar full run and the object capped slice compare.
+        load(PROTOCOL_ARTIFACT, data, "bench artifact")
+        deployment = {key: data.get(key) for key in ("providers", "k", "add_batch")}
         entries = []
         for engine in ("columnar", "object"):
-            row = data.get(engine) or {}
-            shape = dict(deployment, files=row.get("files"))
-            for bench, field in (
-                ("protocol.file_add", "add_wall_s"),
-                ("protocol.proof_round", "proof_wall_s"),
-                ("protocol.degraded_round", "degraded_wall_s"),
-            ):
-                files = row.get("files") or 0
-                if field in row and files:
+            row = data.get(engine, {})
+            files = row.get("files") or 0
+            for bench, wall in zip(("file_add", "proof_round", "degraded_round"), _WALLS):
+                if f"{wall}_wall_s" in row and files:
                     entries.append(
                         make_entry(
-                            bench,
-                            1000.0 * float(row[field]) / float(files),
+                            f"protocol.{bench}",
+                            1000.0 * row[f"{wall}_wall_s"] / files,
                             unit="s/kfile",
-                            shape=shape,
+                            shape=dict(deployment, files=files),
                             backend=engine,
                             **kwargs,
                         )
                     )
         if not entries:
-            raise ValueError(
-                "protocol_columnar_bench artifact carries no engine walls"
+            raise ValueError("protocol_columnar_bench artifact carries no engine walls")
+        return entries
+    if "results" in data:
+        load(KERNEL_ARTIFACT, data, "bench artifact")
+        return [
+            make_entry(
+                f"kernel.{kernel}",
+                row[f"{backend}_seconds"],
+                shape=data.get("shapes", {}).get(kernel),
+                backend=backend,
+                **kwargs,
             )
-        return entries
-
-    results = data.get("results")
-    if isinstance(results, Mapping) and all(
-        isinstance(row, Mapping) and "vectorized_seconds" in row
-        for row in results.values()
-    ):
-        shapes = data.get("shapes") or {}
-        entries = []
-        for kernel in sorted(results):
-            row = results[kernel]
-            shape = shapes.get(kernel)
-            for backend, field in (
-                ("reference", "reference_seconds"),
-                ("vectorized", "vectorized_seconds"),
-            ):
-                if field not in row:  # a shape beyond the oracle's reach
-                    continue
-                entries.append(
-                    make_entry(
-                        f"kernel.{kernel}",
-                        float(row[field]),
-                        shape=shape,
-                        backend=backend,
-                        **kwargs,
-                    )
-                )
-        return entries
-
-    if "untraced_wall_s" in data and "traced_wall_s" in data:
+            for kernel, row in sorted(data["results"].items())
+            for backend in ("reference", "vectorized")
+            if f"{backend}_seconds" in row  # a shape beyond the oracle's reach has no reference
+        ]
+    if "untraced_wall_s" in data or "traced_wall_s" in data:
+        load(TELEMETRY_ARTIFACT, data, "bench artifact")
         shape = {
             "scenario": data.get("scenario"),
-            "params": data.get("params") or {},
+            "params": data.get("params", {}),
             "seed": data.get("seed"),
         }
         return [
-            make_entry(
-                "telemetry.untraced",
-                float(data["untraced_wall_s"]),
-                shape=shape,
-                **kwargs,
-            ),
-            make_entry(
-                "telemetry.traced",
-                float(data["traced_wall_s"]),
-                shape=shape,
-                **kwargs,
-            ),
+            make_entry(f"telemetry.{mode}", data[f"{mode}_wall_s"], shape=shape, **kwargs)
+            for mode in ("untraced", "traced")
         ]
-
-    if "scenario" in data and "duration_seconds" in data:
-        params = data.get("params") or {}
-        backend = params.get("backend") if isinstance(params, Mapping) else None
-        shape = {
-            "params": dict(params) if isinstance(params, Mapping) else params,
-            "seed": data.get("seed"),
-        }
+    if "duration_seconds" in data:
+        load(RUN_ARTIFACT, data, "bench artifact")
+        params = data.get("params", {})
         return [
             make_entry(
                 f"run.{data['scenario']}",
-                float(data["duration_seconds"]),
-                shape=shape,
-                backend=backend if isinstance(backend, str) else None,
+                data["duration_seconds"],
+                shape={"params": params, "seed": data.get("seed")},
+                backend=params.get("backend"),
                 version=version or data.get("version"),
                 source=source,
             )
         ]
-
     raise ValueError(
         "unrecognised bench artifact: expected a kernel bench, a protocol "
         "bench, a telemetry bench, or a run manifest"

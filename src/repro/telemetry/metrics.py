@@ -22,6 +22,7 @@ import os
 from bisect import bisect_left
 from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
+from repro.schema import INT, NUMBER, STR, Field, list_of, map_of, table
 from repro.telemetry.core import METRICS
 
 __all__ = [
@@ -40,11 +41,26 @@ __all__ = [
     "bucket_index",
     "bucket_bounds",
     "summarize_metrics",
+    "SUMMARY",
     "histogram_table",
     "series_table",
 ]
 
 METRICS_FORMAT = 1
+
+#: :func:`summarize_metrics`' result, a run manifest's ``metrics`` field.
+SUMMARY = table(
+    Field("format", INT),
+    Field("pids", list_of(INT)),
+    Field("histograms", map_of(table(
+        Field("category", STR), Field("count", INT), Field("buckets", map_of(INT)),
+        *(Field(stat, NUMBER) for stat in ("sum", "min", "max", "mean", "p50", "p99")),
+    ))),
+    Field("series", map_of(table(Field("category", STR), Field("points", list_of(table(
+        Field("t", NUMBER), Field("n", INT),
+        *(Field(stat, NUMBER, required=True) for stat in ("mean", "min", "max")),
+    )))))),
+)
 
 #: Shared histogram bucket upper bounds: powers of two from 2^-20
 #: (~1 microsecond when the unit is seconds) to 2^20 (~12 days).  Bucket

@@ -18,8 +18,11 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Union
 
+from repro.schema import INT, NUMBER, STR, Field, list_of, map_of, table
+
 __all__ = [
     "SUMMARY_FORMAT",
+    "SUMMARY",
     "summarize_events",
     "phase_table",
     "counter_table",
@@ -27,6 +30,17 @@ __all__ = [
 ]
 
 SUMMARY_FORMAT = 1
+
+#: :func:`summarize_events`' result, a run manifest's ``telemetry`` field.
+SUMMARY = table(
+    Field("format", INT),
+    Field("pids", list_of(INT)),
+    Field("counters", map_of(NUMBER)),
+    Field("spans", map_of(table(
+        Field("category", STR), Field("count", INT),
+        *(Field(stat, NUMBER) for stat in ("total_ms", "mean_ms", "max_ms")),
+    ))),
+)
 
 
 def summarize_events(events: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:

@@ -11,10 +11,10 @@ JSON object -- the shape ``chrome://tracing`` and `Perfetto
 * ``displayTimeUnit`` -- milliseconds;
 * ``otherData`` -- run provenance (scenario, seed, version ...).
 
-:func:`load_chrome_trace` re-reads and structurally validates an exported
-artifact; the trace-schema round-trip test and the CI ``trace-smoke`` job
-both go through it, so a malformed export fails loudly rather than
-silently producing a file Perfetto rejects.
+:func:`load_chrome_trace` re-reads an exported artifact and checks it
+against :data:`TRACE`; the trace-schema round-trip test and the CI
+``trace-smoke`` job both go through it, so a malformed export fails
+loudly rather than silently producing a file Perfetto rejects.
 """
 
 from __future__ import annotations
@@ -23,10 +23,24 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
-__all__ = ["to_chrome_trace", "write_chrome_trace", "load_chrome_trace"]
+from repro.schema import INT, NUMBER, OBJECT, STR, Field, list_of, load, table
 
-#: Keys every exported event must carry.
-_REQUIRED_KEYS = ("name", "ph", "ts", "pid", "tid")
+__all__ = ["TRACE", "to_chrome_trace", "write_chrome_trace", "load_chrome_trace"]
+
+#: A trace file as the exporter writes it.
+TRACE = table(
+    Field("traceEvents", list_of(table(
+        *(Field(key, STR, required=True) for key in ("name", "ph")),
+        *(Field(key, INT, required=True) for key in ("pid", "tid")),
+        Field("ts", NUMBER, required=True),
+        Field("dur", NUMBER),
+        Field("cat", STR),
+        Field("args", OBJECT),
+    )), required=True),
+    Field("displayTimeUnit", STR),
+    Field("otherData", OBJECT),
+    name="JSON object",
+)
 
 #: Event phases the exporter emits (complete span, counter, metadata).
 _KNOWN_PHASES = ("X", "C", "M")
@@ -84,39 +98,22 @@ def write_chrome_trace(
     return target
 
 
-def _validate_event(event: Any, index: int) -> None:
-    if not isinstance(event, Mapping):
-        raise ValueError(f"traceEvents[{index}] is not an object")
-    for key in _REQUIRED_KEYS:
-        if key not in event:
-            raise ValueError(f"traceEvents[{index}] is missing {key!r}")
-    phase = event["ph"]
-    if phase not in _KNOWN_PHASES:
-        raise ValueError(
-            f"traceEvents[{index}] has unknown phase {phase!r}; "
-            f"expected one of {_KNOWN_PHASES}"
-        )
-    if phase == "X" and "dur" not in event:
-        raise ValueError(f"traceEvents[{index}] is a complete event without 'dur'")
-    for key in ("ts", "dur"):
-        if key in event and not isinstance(event[key], (int, float)):
-            raise ValueError(f"traceEvents[{index}][{key!r}] is not a number")
-
-
 def load_chrome_trace(path: Union[str, Path]) -> Dict[str, Any]:
     """Load and structurally validate a trace written by this module.
 
-    Raises :class:`ValueError` for any shape Perfetto/``chrome://tracing``
-    would reject: a non-object top level, a missing or non-list
-    ``traceEvents``, events without the required keys, unknown phases, or
-    complete events without a duration.
+    Raises :class:`ValueError` naming the field for any shape
+    Perfetto/``chrome://tracing`` would reject: anything :data:`TRACE`
+    refuses, an unknown phase, or a complete event without a duration.
     """
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
-        raise ValueError("trace file must be a JSON object")
-    trace_events = data.get("traceEvents")
-    if not isinstance(trace_events, list):
-        raise ValueError("trace file must carry a 'traceEvents' list")
-    for index, event in enumerate(trace_events):
-        _validate_event(event, index)
+    load(TRACE, data, "trace file")
+    for index, event in enumerate(data["traceEvents"]):
+        phase = event["ph"]
+        if phase not in _KNOWN_PHASES:
+            raise ValueError(
+                f"traceEvents[{index}] has unknown phase {phase!r}; "
+                f"expected one of {_KNOWN_PHASES}"
+            )
+        if phase == "X" and "dur" not in event:
+            raise ValueError(f"traceEvents[{index}] is a complete event without 'dur'")
     return data

@@ -52,6 +52,11 @@ class TestParseCampaign:
             (lambda d: d["scenarios"][0].update(bogus=1), "unknown keys"),
             (lambda d: d["scenarios"][0].update(sweep={"x": []}), "non-empty list"),
             (lambda d: d["scenarios"][0].update(seed=1, seeds=[2]), "both 'seed' and 'seeds'"),
+            (lambda d: d["campaign"].update(store=["a"]), "'campaign.store' is not a string"),
+            (
+                lambda d: d["campaign"].update(description={"d": 1}),
+                "'campaign.description' is not a string",
+            ),
             (
                 lambda d: d["scenarios"][0].update(
                     params={"x": 1}, sweep={"x": [1, 2]}

@@ -277,6 +277,55 @@ class TestCLI:
         assert main(["perf", "record", str(bad), "--history", str(hist)]) == 2
         assert not hist.exists()
 
+    MALFORMED = {
+        "top-level-array": ([{"scenario": "x", "duration_seconds": 1.0}], "must be an object"),
+        "top-level-string": ("BENCH", "must be an object"),
+        "kernel-shapes-array": (
+            {"shapes": [1], "results": {"k": {"vectorized_seconds": 0.1}}},
+            "field 'shapes'",
+        ),
+        "protocol-row-array": (
+            {"kind": "protocol_columnar_bench", "columnar": [1]},
+            "field 'columnar'",
+        ),
+        "kernel-wall-null": (
+            {"results": {"k": {"vectorized_seconds": None}}},
+            "results['k'].vectorized_seconds",
+        ),
+        "manifest-duration-null": (
+            {"scenario": "x", "params": {}, "seed": 0, "duration_seconds": None},
+            "field 'duration_seconds'",
+        ),
+        "manifest-scenario-array": (
+            {"scenario": [1], "params": {}, "seed": 0, "duration_seconds": 1.0},
+            "field 'scenario'",
+        ),
+        "manifest-params-string": (
+            {"scenario": "x", "params": "x", "seed": 0, "duration_seconds": 1.0},
+            "field 'params'",
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(MALFORMED))
+    def test_record_refuses_malformed_artifacts(self, tmp_path, capsys, shape):
+        artifact, where = self.MALFORMED[shape]
+        path = tmp_path / "BENCH.json"
+        path.write_text(json.dumps(artifact))
+        hist = tmp_path / "history.jsonl"
+        capsys.readouterr()
+        assert main(["perf", "record", str(path), "--history", str(hist)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and where in err, err
+        assert not hist.exists()
+
+    def test_record_checks_every_artifact_before_appending(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps({"scenario": "x", "duration_seconds": 1.0}))
+        bad.write_text(json.dumps({"scenario": "x", "duration_seconds": None}))
+        hist = tmp_path / "history.jsonl"
+        assert main(["perf", "record", str(good), str(bad), "--history", str(hist)]) == 2
+        assert not hist.exists()
+
     def test_history_none_disables_perf_verbs(self, tmp_path, capsys):
         assert main(["perf", "report", "--history", "none"]) == 2
         assert "history" in capsys.readouterr().err

@@ -327,3 +327,65 @@ class TestMalformedManifests:
         assert main(argv) == 0
         assert "cache_hits=1/2" in capsys.readouterr().out
         assert ResultStore(store_dir).stats() == {"stored": 2, "quarantined": 1}
+
+
+class TestMalformedSummaries:
+    """The nested ``telemetry`` and ``metrics`` summaries are field tables
+    too, so ``RunManifest.load`` refuses a malformed one by its dotted
+    path: ``repro trace`` (plain and ``--json``) and ``repro diff`` exit 2
+    instead of crashing in the table printers, and a store read
+    quarantines the entry."""
+
+    SHAPES = {
+        "spans-int": ("telemetry", "spans", 3),
+        "spans-string": ("telemetry", "spans", "x"),
+        "spans-array": ("telemetry", "spans", [1]),
+        "span-null": ("telemetry", "spans", {"trial.run": None}),
+        "span-array": ("telemetry", "spans", {"trial.run": [1]}),
+        "span-total-null": ("telemetry", "spans", {"trial.run": {"count": 1, "total_ms": None}}),
+        "counters-array": ("telemetry", "counters", [1]),
+        "histograms-array": ("metrics", "histograms", [1]),
+        "series-string": ("metrics", "series", "x"),
+    }
+
+    def _poisoned(self, data, shape):
+        summary, key, value = self.SHAPES[shape]
+        data[summary][key] = value
+        return f"manifest field '{summary}.{key}"
+
+    @pytest.mark.parametrize("command", ["trace", "trace-json", "diff"])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_refused_by_dotted_path(self, traced_manifest, tmp_path, capsys, shape, command):
+        data = json.loads(traced_manifest.read_text())
+        where = self._poisoned(data, shape)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        argv = {
+            "trace": ["trace", str(bad)],
+            "trace-json": ["trace", "--json", str(bad)],
+            "diff": ["diff", str(traced_manifest), str(bad)],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, err
+        assert where in err.replace('"', "'"), err
+
+    @pytest.mark.usefixtures("campaign_scenarios")
+    @pytest.mark.parametrize("shape", ["span-total-null", "series-string"])
+    def test_poisoned_store_entry_is_quarantined(self, traced_manifest, tmp_path, capsys, shape):
+        from repro.campaign.store import ResultStore
+
+        store_dir = tmp_path / "store"
+        argv = ["campaign", "run", "--matrix", "camp-alpha:scale=1", "--store", str(store_dir)]
+        assert main(argv) == 0
+        (entry,) = ResultStore(store_dir).entries()
+        data = json.loads(entry.read_text())
+        traced = json.loads(traced_manifest.read_text())
+        data["telemetry"], data["metrics"] = traced["telemetry"], traced["metrics"]
+        self._poisoned(data, shape)
+        entry.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert "cache_hits=0/1" in capsys.readouterr().out
+        assert ResultStore(store_dir).stats() == {"stored": 1, "quarantined": 1}

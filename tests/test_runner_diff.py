@@ -70,6 +70,15 @@ class TestDiffManifests:
         (row,) = diff_manifests(a, b)["metrics"]
         assert row["ci_overlap"] is False
 
+    def test_list_valued_group_key_matches_instead_of_crashing(self):
+        """A tuple parameter as a group column reads back as a JSON list."""
+        a = _manifest(summary=[_summary_row([1, 2], 0.1, 0.0)])
+        b = _manifest(summary=[_summary_row((1, 2), 0.2, 0.0)])
+        b = RunManifest.from_dict(json.loads(b.to_json()))
+        (row,) = diff_manifests(a, b)["metrics"]
+        assert row["group"] == [1, 2] and row["delta"] == pytest.approx(0.1)
+        assert diff_manifests(a, _manifest(summary=[_summary_row([3], 0.2, 0.0)]))["metrics"] == []
+
     def test_metrics_matched_by_group_key(self):
         a = _manifest(summary=[_summary_row("x", 0.1, 0.0), _summary_row("y", 0.2, 0.0)])
         b = _manifest(summary=[_summary_row("y", 0.25, 0.0)])

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.runner.results import RunManifest, jsonify, repo_version
+from repro.runner.results import MANIFEST, RunManifest, jsonify, repo_version
 
 
 def _manifest(**kwargs) -> RunManifest:
@@ -120,3 +123,13 @@ def test_manifests_ask_git_for_the_version_once(monkeypatch):
     versions = {_manifest().version for _ in range(5)}
     assert versions == {repo_version()}
     assert len(calls) == 1
+
+
+def test_docs_schema_table_is_the_declared_manifest_table():
+    """``docs/manifests.md``'s field column, the manifest's field table and
+    the dataclass name the same fields, in the same order."""
+    text = (Path(__file__).parents[1] / "docs" / "manifests.md").read_text(encoding="utf-8")
+    documented = re.findall(r"^\| `(\w+)` +\|", text, flags=re.MULTILINE)
+    declared = [field.name for field in MANIFEST.fields]
+    assert sorted(documented) == sorted(declared)
+    assert declared == [field.name for field in dataclasses.fields(RunManifest)]

@@ -217,3 +217,20 @@ class TestResumeCli:
         )
         assert code == 2
         assert "root seed" in capsys.readouterr().err
+
+    @pytest.mark.usefixtures("campaign_scenarios")
+    def test_cli_resume_with_an_edited_row_value_is_an_error(self, tmp_path, capsys):
+        """The row's provenance checks out, but its value no longer
+        aggregates: a refusal, not a traceback from the aggregator."""
+        from repro.runner.cli import main
+
+        argv = ["run", "camp-alpha", "--quiet", "--seed", "4"]
+        ref_path = tmp_path / "ref.json"
+        assert main(argv + ["--out", str(ref_path)]) == 0
+        edited = json.loads(ref_path.read_text())
+        edited["rows"][0]["value"] = [1]
+        ref_path.write_text(json.dumps(edited))
+        capsys.readouterr()
+        assert main(argv + ["--resume", str(ref_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: resume manifest rows do not aggregate"), err
