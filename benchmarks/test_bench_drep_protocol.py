@@ -1,52 +1,41 @@
 """Benchmarks E8/E9: the protocol state machine end to end.
 
-* Protocol throughput: File Add placement rate and refresh servicing rate
-  of the on-chain state machine (micro-benchmarks of the Fenwick-tree
-  selector inside the real protocol).
+* Protocol throughput: File Add placement rate (a micro-benchmark of the
+  Fenwick-tree selector inside the real protocol) and the Auto CheckProof
+  cycle over 200 stored files, no refresh starting inside the timed cycles.
 * End-to-end lifecycle (Fig. 3): one file through Add -> CheckAlloc ->
   proof cycles -> refresh -> crash -> compensation in the full scenario.
 """
 
 from __future__ import annotations
 
-import pytest
+import sys
+from pathlib import Path
 
-from repro.chain.ledger import Ledger
-from repro.core.columnar import ColumnarProtocol
+from repro.core.events import EventType
 from repro.core.file_descriptor import FileState
-from repro.core.params import ProtocolParams
-from repro.crypto.prng import DeterministicPRNG
 from repro.sim.scenario import DSNScenario, ScenarioConfig
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles.harness import deploy  # noqa: E402
 
-def _build_protocol(providers: int, params: ProtocolParams) -> ColumnarProtocol:
-    ledger = Ledger()
-    protocol = ColumnarProtocol(
-        params=params,
-        ledger=ledger,
-        prng=DeterministicPRNG.from_int(11, domain="bench-protocol"),
-        health_oracle=lambda sector_id: True,
-        auto_prove=True,
-        charge_fees=False,
-    )
-    for index in range(providers):
-        protocol.sector_register(f"prov-{index}", params.min_capacity)
-    return protocol
+ROOT = b"\x00" * 32
+
+#: 1 MiB sectors, ``cap_para`` far above the file count, vectorized kernels.
+SHAPE = dict(capacity_mb=1, backend="vectorized", cap_para=1000.0)
 
 
 def test_file_add_placement_throughput(benchmark, record):
     """File Add placements per second with 200 sectors (Fenwick selector)."""
-    params = ProtocolParams.small_test().scaled(k=3, cap_para=1000.0)
-    size = 1024
 
     def fresh_protocol():
         # Every round starts empty: rounds sharing one deployment fill it
         # until File Add refuses with "capacity limit exceeded".
-        return (_build_protocol(200, params),), {}
+        return (deploy(providers=200, **SHAPE),), {}
 
     def add_batch(protocol):
         for _ in range(100):
-            protocol.file_add("client", size, 1, b"\x00" * 32)
+            protocol.file_add("client", 1024, 1, ROOT)
 
     benchmark.pedantic(add_batch, setup=fresh_protocol, rounds=20)
     record(
@@ -57,19 +46,22 @@ def test_file_add_placement_throughput(benchmark, record):
 
 
 def test_proof_cycle_processing_rate(benchmark, record):
-    """Auto CheckProof processing rate for 200 stored files."""
-    params = ProtocolParams.small_test().scaled(k=3, cap_para=1000.0)
-    protocol = _build_protocol(100, params)
-    for _ in range(200):
-        file_id = protocol.file_add("client", 512, 1, b"\x00" * 32)
-        for index, entry in protocol.alloc.entries_for_file(file_id):
-            protocol.file_confirm(protocol.sectors[entry.next].owner, file_id, index, entry.next)
-    protocol.run_until_idle(max_time=protocol.now + 1.0)
+    """Auto CheckProof processing rate for 200 stored files.
+
+    The mean refresh countdown is 10**6 proof cycles, so no file starts a
+    refresh inside the timed cycles: each one is the CheckProof sweep
+    alone, not refreshes failing and restarting (nobody confirms them).
+    """
+    protocol = deploy(providers=100, avg_refresh=1e6, **SHAPE)
+    protocol.confirm_batch(protocol.file_add_batch("client", [512] * 200, [1] * 200, ROOT))
+    protocol.advance_time(protocol.pending.peek_time())  # CheckAlloc
+    assert protocol.files_stored == 200
 
     def one_cycle():
-        protocol.advance_time(protocol.now + params.proof_cycle)
+        protocol.advance_time(protocol.now + protocol.params.proof_cycle)
 
     benchmark.pedantic(one_cycle, rounds=5, iterations=1)
+    assert protocol.events.count(EventType.FILE_REFRESH_STARTED) == 0
     record(
         "Auto CheckProof cycle for 200 files",
         f"{benchmark.stats['mean'] * 1000:.1f} ms per checkpoint",

@@ -47,6 +47,10 @@ BENCH_CONFIG = dict(
 #: O(n) cancellation sneaking back in).
 MIN_EVENTS_PER_SECOND = 2_000
 
+#: Timing rounds of the throughput floor; the gate takes the fastest and
+#: stops early once it is met, so only a miss pays for every round.
+THROUGHPUT_ROUNDS = 5
+
 
 #: The ``lifecycle_events`` shape of ``benchmarks/e2e`` with the provider
 #: count left open: 12 files per provider keeps the load per provider --
@@ -90,11 +94,17 @@ def run_lifecycle(backend: str):
     return row
 
 
-def test_lifecycle_event_throughput(benchmark, record):
-    row = benchmark.pedantic(lambda: run_lifecycle("vectorized"), rounds=3, iterations=1)
+def test_lifecycle_event_throughput(record):
+    events_per_second = 0.0
+    for _ in range(THROUGHPUT_ROUNDS):
+        started = time.perf_counter()
+        row = run_lifecycle("vectorized")
+        wall = time.perf_counter() - started
+        events_per_second = max(events_per_second, row["events_processed"] / wall)
+        if events_per_second >= MIN_EVENTS_PER_SECOND:
+            break
     assert row["events_processed"] > 2_000
     assert row["events_cancelled"] > 0  # the cancel races actually ran
-    events_per_second = row["events_processed"] / benchmark.stats["min"]
     record(
         "lifecycle events/s [vectorized]",
         f"{events_per_second:,.0f}",

@@ -38,16 +38,10 @@ import sys
 import time
 from pathlib import Path
 
-from repro.chain.ledger import Ledger
-from repro.core.columnar import ColumnarProtocol
-from repro.core.params import ProtocolParams
-from repro.crypto.prng import DeterministicPRNG
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from oracles.protocol import FileInsurerProtocol  # noqa: E402
+from oracles.harness import deploy  # noqa: E402
 
 ROOT = b"\x09" * 32
-MB = 1 << 20
 
 #: Pinned shapes.  ``object_cap`` bounds the object-engine slice: its
 #: per-file cost is flat, so a few thousand files give a stable per-file
@@ -66,37 +60,20 @@ ROUNDS = 3
 #: The degraded round crashes every ``CRASH_STRIDE``-th sector (2 %).
 CRASH_STRIDE = 50
 
-ENGINES = {"object": FileInsurerProtocol, "columnar": ColumnarProtocol}
-
-
-def build_protocol(engine: str, providers: int, seed: int = 17):
-    #: avg_refresh is the *mean* countdown (SampleExp(AvgRefresh)): 50
-    #: proof cycles between refreshes, so the proof round measures the
-    #: sweep itself, not the per-file refresh fallback; cap_para 100
-    #: keeps the value cap clear of the file count.
-    params = ProtocolParams.small_test().scaled(cap_para=100.0, avg_refresh=50.0)
-    protocol = ENGINES[engine](
-        params=params,
-        ledger=Ledger(),
-        prng=DeterministicPRNG.from_int(seed, domain="protocol-bench"),
-        health_oracle=lambda sector_id: True,
-        auto_prove=True,
-        charge_fees=False,
-        backend="vectorized",
-        # Prefetch refresh-target draws: the draw sequence depends on
-        # draw_batch, so both engines use the same value and stay
-        # state-identical.
-        draw_batch=64,
-    )
-    for index in range(providers):
-        protocol.sector_register(f"prov-{index}", params.min_capacity)
-    return protocol
-
 
 def run_engine(engine: str, providers: int, files: int):
     """Fill ``files`` files, run one proof round, crash 2 % of the sectors
     and run another; returns the walls and the deterministic ``outcome``."""
-    protocol = build_protocol(engine, providers)
+    # avg_refresh is the *mean* countdown (SampleExp(AvgRefresh)): 50
+    # proof cycles between refreshes, so the proof round measures the
+    # sweep itself, not the per-file refresh fallback; cap_para 100
+    # keeps the value cap clear of the file count.  Refresh-target draws
+    # are prefetched: the draw sequence depends on draw_batch, so both
+    # engines use the same value and stay state-identical.
+    protocol = deploy(
+        engine, providers=providers, capacity_mb=1, backend="vectorized",
+        draw_batch=64, seed=17, cap_para=100.0, avg_refresh=50.0,
+    )
     started = time.perf_counter()
     added = 0
     while added < files:

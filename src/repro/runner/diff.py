@@ -20,6 +20,7 @@ JSON paths.
 from __future__ import annotations
 
 import json
+import math
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.runner.aggregate import StreamingAggregator
@@ -155,8 +156,10 @@ def diff_manifests(
     ``straggler_factor`` sets the wall-vs-median multiple above which a
     trial is flagged (``repro diff --straggler-factor``, default 3).
     """
-    if straggler_factor <= 0:
-        raise ValueError("straggler_factor must be positive")
+    if not (straggler_factor > 0 and math.isfinite(straggler_factor)):
+        raise ValueError(
+            f"straggler_factor must be a finite positive number, got {straggler_factor:g}"
+        )
     provenance: List[Dict[str, object]] = []
     for field in ("scenario", "seed", "version", "workers", "trial_count", "format"):
         value_a = getattr(a, field)

@@ -9,8 +9,6 @@ import pytest
 
 from repro.chain.ledger import Ledger
 from repro.core.params import ProtocolParams
-from repro.core.columnar import ColumnarProtocol
-from repro.crypto.prng import DeterministicPRNG
 
 
 @pytest.fixture
@@ -23,48 +21,6 @@ def params() -> ProtocolParams:
 def ledger() -> Ledger:
     """A fresh ledger."""
     return Ledger()
-
-
-@pytest.fixture
-def prng() -> DeterministicPRNG:
-    """A deterministic PRNG with a fixed seed."""
-    return DeterministicPRNG.from_int(12345)
-
-
-@pytest.fixture
-def funded_protocol(params, ledger) -> ColumnarProtocol:
-    """A protocol instance with three funded providers and one funded client.
-
-    Providers own one sector each; proofs are auto-credited (all sectors
-    healthy unless a test overrides the oracle).
-    """
-    protocol = ColumnarProtocol(
-        params=params,
-        ledger=ledger,
-        prng=DeterministicPRNG.from_int(7, domain="test-protocol"),
-        health_oracle=lambda sector_id: True,
-        auto_prove=True,
-    )
-    for index in range(3):
-        owner = f"prov-{index}"
-        ledger.mint(owner, 1_000_000)
-        protocol.sector_register(owner, params.min_capacity)
-    ledger.mint("client", 1_000_000)
-    return protocol
-
-
-def confirm_all(protocol: ColumnarProtocol, file_id: int) -> None:
-    """Helper: every selected sector confirms receipt of the file."""
-    for index, entry in protocol.alloc.entries_for_file(file_id):
-        if entry.next is not None:
-            owner = protocol.sectors[entry.next].owner
-            protocol.file_confirm(owner, file_id, index, entry.next)
-
-
-@pytest.fixture
-def confirm_all_helper():
-    """Expose :func:`confirm_all` to tests as a fixture."""
-    return confirm_all
 
 
 @pytest.fixture

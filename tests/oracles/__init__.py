@@ -2,6 +2,16 @@
 
 * ``protocol`` -- the Figure 1 spec of the protocol state machine, one
   object per record, which every engine differential compares against;
+* ``harness`` -- the one engine-differential harness: ``deploy`` builds a
+  funded deployment on either engine, ``apply`` runs one op (``batch``,
+  ``add``, ``advance``, ``step``, ``crash``, ``sick`` / ``heal`` /
+  ``crash_silent``, ``crash_target``, ``discard``, ``disable``,
+  ``confirm_refreshes``) and returns its refusal, ``replay`` runs an op
+  list no op of which may be refused, and ``agree`` replays an op list on
+  every ``(engine, backend, draw_batch)`` variant, asserting equal
+  refusals (none, unless the caller allows them) and an equal identity
+  (fingerprint, refresh notices, sampler tallies, PRNG state) after every
+  staged op;
 * ``kernel_oracle`` -- the per-item loops of the simulation kernels;
 * ``pending_oracle`` -- the heap the columnar pending list replaced;
 * ``proof_sweep_oracle`` -- the proof-sweep mask's general reductions;

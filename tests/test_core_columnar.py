@@ -2,12 +2,13 @@
 
 :class:`repro.core.columnar.ColumnarProtocol` promises *bit-identical*
 protocol state with the Figure 1 spec (``tests/oracles/protocol.py``, the
-"object" engine) for every operation stream.  These tests drive both
-through the same scripted scenarios -- batched
+"object" engine) for every operation stream.  These tests replay the same
+op lists (``tests/oracles/harness.py``) on both -- batched
 fills, proof cycles with refreshes, crashes, discards, fee-charging runs,
 placement failures, a degraded network (lost files, sick sectors, refreshes
-dying in flight) -- and compare full state fingerprints (sectors, files,
-allocation table, pending list, aggregates, ledger, event counts).
+dying in flight) -- and compare full state identities (sectors, files,
+allocation table, pending list, aggregates, ledger, event counts, refresh
+notices, sampler tallies, PRNG state).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.chain.ledger import Ledger
 from repro.core.allocation import AllocState
 from repro.core.columnar import (
     _A_CORRUPTED,
@@ -34,328 +34,150 @@ from repro.core.columnar import (
 )
 from repro.core.events import EventType
 from repro.core.file_descriptor import FileState
-from repro.core.params import ProtocolParams
 from repro.core.pending import CHECK_ALLOC, CHECK_PROOF, CHECK_REFRESH, RENT_PERIOD
 from repro.core.protocol import ProtocolError
 from repro.core.sector import SectorState
-from repro.crypto.prng import DeterministicPRNG
 from repro.kernels.vectorized import VectorizedKernels
 
-from oracles.kernel_oracle import BACKENDS
+from oracles.harness import ENGINES, MB, ROOT, agree, deploy, grid, identity, replay
 from oracles.protocol import FileInsurerProtocol, fingerprint
 from oracles.proof_sweep_oracle import proof_sweep_mask
 
-ROOT = b"\x05" * 32
-MB = 1 << 20
+KIB = 1 << 10
+BOTH_BACKENDS = ("reference", "vectorized")
 
-ENGINES = {"object": FileInsurerProtocol, "columnar": ColumnarProtocol}
-ORACLE = BACKENDS["reference"]
+#: The reference workload: fill, proof cycles with refreshes, a crash, a
+#: discard -- 300 s between stages.
+SCRIPTED = [
+    ("batch", [64 * KIB] * 30, 1),
+    ("advance", 300.0),
+    *[("add", 32 * KIB, 2)] * 5,
+    ("advance", 300.0),
+    ("crash", 0),
+    ("advance", 300.0),
+    ("discard", 3),
+    ("advance", 300.0),
+]
 
-
-def make_protocol(
-    engine,
-    providers=6,
-    capacity_mb=10,
-    backend=ORACLE,
-    charge_fees=False,
-    draw_batch=1,
-    seed=11,
-    sick=frozenset(),
-    **param_overrides,
-):
-    """``sick`` is the set of sector ids the health oracle stops vouching
-    for; tests mutate it between ``advance_time`` calls only."""
-    params = ProtocolParams.small_test().scaled(**param_overrides)
-    ledger = Ledger()
-    protocol = ENGINES.get(engine, engine)(  # a name, or the class itself
-        params=params,
-        ledger=ledger,
-        prng=DeterministicPRNG.from_int(seed, domain="columnar-diff"),
-        health_oracle=lambda sector_id: sector_id not in sick,
-        auto_prove=True,
-        charge_fees=charge_fees,
-        backend=backend,
-        draw_batch=draw_batch,
-    )
-    for index in range(providers):
-        owner = f"prov-{index}"
-        ledger.mint(owner, 50_000_000)
-        protocol.sector_register(owner, capacity_mb * MB)
-    ledger.mint("client", 500_000_000)
-    return protocol
-
-
-def confirm_all(protocol, file_id):
-    for index, entry in protocol.alloc.entries_for_file(file_id):
-        if entry.next is not None:
-            owner = protocol.sectors[entry.next].owner
-            protocol.file_confirm(owner, file_id, index, entry.next)
-
-
-def scripted_run(protocol, checkpoints):
-    """The reference workload: fill, proof cycles, crash, discard.
-
-    Appends a fingerprint to ``checkpoints`` after each stage so engine
-    divergence is pinned to the stage that introduced it.
-    """
-    ids = protocol.file_add_batch("client", [64 * 1024] * 30, [1] * 30, ROOT)
-    protocol.confirm_batch(ids)
-    checkpoints.append(fingerprint(protocol))
-    # Proof cycles + refreshes.
-    protocol.advance_time(300.0)
-    checkpoints.append(fingerprint(protocol))
-    for _ in range(5):
-        file_id = protocol.file_add("client", 32 * 1024, 2, ROOT)
-        confirm_all(protocol, file_id)
-    protocol.advance_time(600.0)
-    checkpoints.append(fingerprint(protocol))
-    protocol.crash_sector(sorted(protocol.sectors)[0])
-    protocol.advance_time(900.0)
-    checkpoints.append(fingerprint(protocol))
-    protocol.file_discard("client", ids[3])
-    protocol.advance_time(1200.0)
-    checkpoints.append(fingerprint(protocol))
-    return checkpoints
-
-
-def fill_until_refused(protocol):
-    """The ``scalability`` shape: batched fee-free File Add until the
-    network refuses (admission raises or truncates the batch)."""
-    size = protocol.params.min_capacity // 20
-    stored = 0
-    while True:
-        try:
-            ids = protocol.file_add_batch("client", [size] * 16, [1] * 16, ROOT)
-        except ProtocolError:
-            break
-        stored += len(protocol.confirm_batch(ids))
-        if len(ids) < 16 or protocol.files[ids[-1]].state == FileState.FAILED:
-            break
-    assert stored > 0
-    return fingerprint(protocol)
-
-
-def compensation_run(protocol):
-    """The ``deposit`` shape: fee-charged File Add one file at a time, half
-    the sectors crash, CheckProof compensates the owners of lost files."""
-    for _ in range(20):
-        confirm_all(protocol, protocol.file_add("client", 8 * 1024, 1, ROOT))
-    protocol.run_until_idle(max_time=protocol.now + 10.0)
-    for sector_id in sorted(protocol.sectors)[:5]:
-        protocol.crash_sector(sector_id)
-    protocol.advance_time(protocol.now + 2 * protocol.params.proof_cycle)
-    assert 0 < protocol.total_value_lost <= protocol.total_value_compensated
-    return fingerprint(protocol)
-
-
-def confirm_refreshes(protocol, every=1):
-    """The target providers' part of every refresh still in flight (of
-    every ``every``-th one: the other providers stay silent)."""
-    confirmed, awaiting = [], 0
-    for notice in protocol.refresh_notices:
-        entry = dict(protocol.alloc.entries_for_file(notice.file_id)).get(
-            notice.replica_index
-        )
-        if (
-            entry is not None
-            and entry.state == AllocState.ALLOC
-            and entry.next == notice.target_sector
-        ):
-            awaiting += 1
-            if (awaiting - 1) % every:
-                continue
-            owner = protocol.sectors[notice.target_sector].owner
-            protocol.file_confirm(
-                owner, notice.file_id, notice.replica_index, notice.target_sector
-            )
-            confirmed.append(notice)
-    return confirmed
-
-
-def degraded_run(protocol, sick, checkpoints):
-    """The degraded regime, stage by stage: half the sectors crash (files
-    are lost), one survivor stops proving (late-proof punishment, then
-    `proof deadline exceeded` in the middle of a CheckProof run), and
-    confirmed refreshes complete while another one loses its target in
-    flight."""
-    stage = lambda: checkpoints.append(fingerprint(protocol))
-    ids = protocol.file_add_batch("client", [64 * 1024] * 30, [1] * 30, ROOT)
-    protocol.confirm_batch(ids)
-    protocol.advance_time(130.0)
-    stage()
-    sectors = sorted(protocol.sectors)
-    for sector_id in sectors[:4]:
-        protocol.crash_sector(sector_id)
-    stage()
-    protocol.advance_time(190.0)
-    assert protocol.files_lost > 0
-    stage()
-    # One proof cycle per stage, the providers confirming every refresh,
-    # while a survivor stays silent past proof_due, then proof_deadline.
-    sick.add(sectors[4])
-    punished = protocol.events.count(EventType.PROVIDER_PUNISHED)
-    for _ in range(7):
-        confirm_refreshes(protocol)
-        protocol.advance_time(protocol.now + 60.0)
-        stage()
-    assert protocol.events.count(EventType.PROVIDER_PUNISHED) > punished
-    assert protocol.sectors[sectors[4]].is_corrupted
+#: The degraded regime (8 sectors): half the sectors crash (files are
+#: lost), one survivor stops proving (late-proof punishment, then `proof
+#: deadline exceeded` in the middle of a CheckProof run), and confirmed
+#: refreshes complete while another one loses its target in flight.
+DEGRADED = [
+    ("batch", [64 * KIB] * 30, 1),
+    ("advance", 130.0),
+    *[("crash", index) for index in range(4)],
+    ("advance", 60.0),
+    ("sick", 4),
+    # One proof cycle per stage, the providers confirming every refresh.
+    *[("confirm_refreshes",), ("advance", 60.0)] * 7,
     # A confirmed refresh whose target dies before CheckRefresh.
-    in_flight = confirm_refreshes(protocol)
-    assert in_flight
-    protocol.crash_sector(in_flight[0].target_sector)
-    stage()
-    protocol.advance_time(protocol.now + 120.0)
-    stage()
-    return checkpoints
+    ("confirm_refreshes",),
+    ("crash_target",),
+    ("advance", 120.0),
+]
 
 
 class TestDifferentialScripted:
-    """Same op stream on both engines => byte-identical state."""
+    """Same op list on every engine and backend => identical state."""
 
     def test_degraded_flow_matches_on_every_backend(self):
-        """Both engines on both kernel backends, fingerprinted after every
-        stage of the degraded regime (the masked sweep's reason to exist)."""
-        prints = {}
-        for engine in ENGINES:
-            for backend in ("reference", "vectorized"):
-                sick = set()
-                protocol = make_protocol(
-                    engine, providers=8, backend=BACKENDS[backend], sick=sick
-                )
-                prints[(engine, backend)] = degraded_run(protocol, sick, [])
-        baseline = prints[("object", "reference")]
-        for key, checkpoints in prints.items():
-            assert len(checkpoints) == len(baseline), key
-            for stage, (want, got) in enumerate(zip(baseline, checkpoints)):
-                assert got == want, f"{key} diverges at stage {stage}"
+        """Both engines on both kernel backends, compared after every op of
+        the degraded regime (the masked sweep's reason to exist).  It always
+        loses files, so it catches a per-file CheckProof that never declares
+        a lost file lost; the degraded property catches that only when its
+        derandomized examples happen to lose a file."""
+        runs = agree(DEGRADED, grid(backends=BOTH_BACKENDS), providers=8)
+        run = runs["object", "reference", 1]
+        protocol, events = run.protocol, EventType.PROVIDER_PUNISHED.value
+        sick_at = DEGRADED.index(("sick", 4))
+        assert run.identities[sick_at]["state"]["aggregates"]["files_lost"] > 0
+        assert (
+            run.identities[-1]["state"]["events"][events]
+            > run.identities[sick_at]["state"]["events"][events]
+        )
+        assert protocol.sectors[sorted(protocol.sectors)[4]].is_corrupted
+        # Four crashes, one deadline breach, one refresh target in flight.
+        assert sum(record.is_corrupted for record in protocol.sectors.values()) == 6
 
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("backend", BOTH_BACKENDS)
     def test_scripted_flow_matches(self, backend):
-        reference, columnar = [], []
-        scripted_run(make_protocol("object", backend=BACKENDS[backend]), reference)
-        scripted_run(make_protocol("columnar", backend=BACKENDS[backend]), columnar)
-        for stage, (want, got) in enumerate(zip(reference, columnar)):
-            assert got == want, f"engines diverge at stage {stage}"
+        agree(SCRIPTED, grid(backends=(backend,)))
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_no_backend_named_means_vectorized(self, engine):
         """``backend=None`` is the one runtime backend, not a second draw
         path."""
-        default, vectorized = [], []
-        scripted_run(make_protocol(engine, backend=None), default)
-        scripted_run(make_protocol(engine, backend="vectorized"), vectorized)
-        assert default == vectorized
+        agree(SCRIPTED, [(engine, None, 1), (engine, "vectorized", 1)])
 
     def test_fill_until_refused_matches_on_every_backend(self):
-        prints = {
-            (engine, backend): fill_until_refused(
-                make_protocol(
-                    engine, providers=8, capacity_mb=1, backend=BACKENDS[backend],
-                    cap_para=1000.0,
-                )
-            )
-            for engine in ENGINES
-            for backend in ("reference", "vectorized")
-        }
-        baseline = prints[("object", "reference")]
-        for key, print_ in prints.items():
-            assert print_ == baseline, key
+        """The ``scalability`` shape: batched fee-free File Add until the
+        network refuses (admission truncates a batch, then raises)."""
+        size = (1 << 20) // 20
+        runs = agree(
+            [("batch", [size] * 16, 1)] * 4, grid(backends=BOTH_BACKENDS),
+            refusable=True, providers=8, capacity_mb=1, cap_para=1000.0,
+        )
+        run = runs["object", "reference", 1]
+        assert run.refusals[0] is None and run.refusals[-1] is not None
+        assert 16 < len(run.protocol.files) < 32
 
     def test_compensation_after_crash_matches_on_every_backend(self):
-        prints = {
-            (engine, backend): compensation_run(
-                make_protocol(
-                    engine, providers=10, capacity_mb=1, backend=BACKENDS[backend],
-                    charge_fees=True, deposit_ratio=0.3, cap_para=4.0,
-                )
-            )
-            for engine in ENGINES
-            for backend in ("reference", "vectorized")
-        }
-        baseline = prints[("object", "reference")]
-        for key, print_ in prints.items():
-            assert print_ == baseline, key
+        """The ``deposit`` shape: fee-charged File Add one file at a time,
+        half the sectors crash, CheckProof compensates the owners of lost
+        files.  Unlike the hypothesis properties, it catches a loss that
+        compensates nothing."""
+        ops = [
+            *[("add", 8 * KIB)] * 20,
+            ("advance", 10.0),
+            *[("crash", index) for index in range(5)],
+            ("advance", 120.0),
+        ]
+        runs = agree(
+            ops, grid(backends=BOTH_BACKENDS), providers=10, capacity_mb=1,
+            charge_fees=True, deposit_ratio=0.3, cap_para=4.0,
+        )
+        protocol = runs["object", "reference", 1].protocol
+        assert 0 < protocol.total_value_lost <= protocol.total_value_compensated
 
     def test_fee_charging_run_matches(self):
-        """charge_fees forces the generic inherited paths over the views."""
-        reference, columnar = [], []
-        scripted_run(
-            make_protocol("object", backend=ORACLE, charge_fees=True),
-            reference,
-        )
-        scripted_run(
-            make_protocol("columnar", backend=ORACLE, charge_fees=True),
-            columnar,
-        )
-        assert columnar == reference
+        """Rent, gas and traffic fees on every op.  Unlike the hypothesis
+        properties, it catches a rent period that never runs, rent that is
+        never distributed and a ``file_discard`` that charges no gas."""
+        agree(SCRIPTED, grid(), charge_fees=True)
 
     def test_draw_batch_prefetch_matches(self):
-        """The draw sequence is a function of the op stream and draw_batch
+        """The draw sequence is a function of the op list and draw_batch
         only: at equal draw_batch both engines and both kernel backends
-        agree bit-for-bit."""
-        prints = {}
-        for engine in ENGINES:
-            for backend in ("reference", "vectorized"):
-                checkpoints = []
-                scripted_run(
-                    make_protocol(engine, backend=BACKENDS[backend], draw_batch=8),
-                    checkpoints,
-                )
-                prints[(engine, backend)] = checkpoints
-        baseline = prints[("object", "reference")]
-        for key, checkpoints in prints.items():
-            assert checkpoints == baseline, f"{key} diverged"
+        agree bit-for-bit.  The only differential that compares kernel
+        backends on requests of several draws, it catches a vectorized
+        kernel that hands a window of draws out in the wrong order."""
+        agree(SCRIPTED, grid(backends=BOTH_BACKENDS, draw_batches=(8,)))
 
     def test_placement_failure_truncates_identically(self):
-        def build(engine):
-            params = ProtocolParams.small_test()
-            ledger = Ledger()
-            protocol = ENGINES[engine](
-                params=params,
-                ledger=ledger,
-                prng=DeterministicPRNG.from_int(5, domain="columnar-fail"),
-                health_oracle=lambda sector_id: True,
-                auto_prove=True,
-                charge_fees=False,
-                backend=ORACLE,
-            )
-            ledger.mint("prov-big", 50_000_000)
-            big = protocol.sector_register("prov-big", 8 * MB)
-            ledger.mint("prov-small", 50_000_000)
-            protocol.sector_register("prov-small", 1 * MB)
-            # Anchor one replica on the big sector so disabling it does not
-            # remove it (and with it most of the admission budget).
-            anchor = protocol.file_add("client2", 16 * 1024, 1, ROOT)
-            confirm_all(protocol, anchor)
-            protocol.ledger.mint("client", 500_000_000)
-            protocol.sector_disable("prov-big", big)
-            return protocol
+        """The hypothesis properties truncate a batch on a placement failure
+        only by chance (one derandomized example set does, another does
+        not); this flow always does, and catches a truncated upload that
+        is not marked failed."""
 
-        results = {}
-        for engine in ENGINES:
-            protocol = build(engine)
-            ids = protocol.file_add_batch(
-                "client", [256 * 1024] * 5, [1] * 5, ROOT
-            )
-            results[engine] = (ids, fingerprint(protocol))
-        assert results["columnar"] == results["object"]
-        ids, print_ = results["object"]
-        states = [print_["files"][fid][5] for fid in ids]
-        assert FileState.FAILED.value in states  # the batch really truncated
+        def two_sectors(protocol):
+            for owner, size_mb in (("prov-big", 8), ("prov-small", 1)):
+                protocol.ledger.mint(owner, 50_000_000)
+                protocol.sector_register(owner, size_mb * MB)
+
+        # Anchor one replica on the big sector so disabling it does not
+        # remove it (and with it most of the admission budget).
+        ops = [("add", 16 * KIB), ("disable", 0), ("batch", [256 * KIB] * 5, 1)]
+        runs = agree(ops, grid(), providers=0, seed=5, prepare=two_sectors)
+        files = runs["object", "reference", 1].identities[-1]["state"]["files"]
+        assert FileState.FAILED.value in {file[5] for file in files.values()}
 
     def test_batch_of_one_equals_single_file_add(self):
         """B=1 batches consume the same kernel call as per-file File Add."""
-        single = make_protocol("columnar", backend=ORACLE)
-        batched = make_protocol("columnar", backend=ORACLE)
-        for _ in range(8):
-            file_id = single.file_add("client", 48 * 1024, 1, ROOT)
-            confirm_all(single, file_id)
-            (bid,) = batched.file_add_batch("client", [48 * 1024], [1], ROOT)
-            batched.confirm_batch([bid])
-        single.advance_time(200.0)
-        batched.advance_time(200.0)
-        assert fingerprint(batched) == fingerprint(single)
+        single, batched = deploy(), deploy()
+        replay(single, [("add", 48 * KIB)] * 8 + [("advance", 200.0)])
+        replay(batched, [("batch", [48 * KIB], 1)] * 8 + [("advance", 200.0)])
+        assert identity(batched) == identity(single)
 
 
 class TestAggregateMaintenance:
@@ -364,9 +186,8 @@ class TestAggregateMaintenance:
 
     @pytest.mark.parametrize("engine", ["object", "columnar"])
     def test_aggregates_match_scan_oracles(self, engine):
-        protocol = make_protocol(engine, backend=ORACLE)
-        checkpoints = []
-        scripted_run(protocol, checkpoints)
+        protocol = deploy(engine)
+        replay(protocol, SCRIPTED)
         live = [
             record
             for record in protocol.sectors.values()
@@ -377,9 +198,8 @@ class TestAggregateMaintenance:
 
     @pytest.mark.parametrize("engine", ["object", "columnar"])
     def test_tracked_free_matches_records(self, engine):
-        protocol = make_protocol(engine, backend="vectorized")
-        checkpoints = []
-        scripted_run(protocol, checkpoints)
+        protocol = deploy(engine, backend="vectorized")
+        replay(protocol, SCRIPTED)
         for sector_id, record in protocol.sectors.items():
             if record.accepts_new_files:
                 selector = protocol.selector
@@ -391,7 +211,7 @@ class TestAggregateMaintenance:
         """Placement hands the kernel the selector's own columnar free
         table, not one rebuilt by scanning every SectorRecord per call (the
         regression this guards against)."""
-        protocol = make_protocol("columnar", backend=ORACLE)
+        protocol = deploy()
         selector = protocol.selector
         draw = selector.kernels.batch_weighted_draw
         seen = []
@@ -431,22 +251,19 @@ class TestMaskedSweepVisibility:
     one corrupted sector used to send every later sweep down the per-file
     path)."""
 
-    def _stored(self, sick, files=40, **overrides):
-        protocol = make_protocol(
-            "columnar", providers=8, backend="vectorized", sick=sick, **overrides
-        )
+    def _stored(self, files=40, **overrides):
+        protocol = deploy(providers=8, backend="vectorized", **overrides)
         ids = protocol.file_add_batch("client", [64 * 1024] * files, [1] * files, ROOT)
         protocol.confirm_batch(ids)
         protocol.advance_time(130.0)
         return protocol, ids
 
     def test_post_crash_sweep_is_scalar_only_for_lost_and_sick_hosted_files(self):
-        sick = set()
-        protocol, ids = self._stored(sick)
+        protocol, ids = self._stored()
         sectors = sorted(protocol.sectors)
         for sector_id in sectors[:4]:
             protocol.crash_sector(sector_id)
-        sick.add(sectors[4])
+        protocol.health_oracle.sick.add(sectors[4])
         expected = 0
         for file_id in ids:
             hosts = [
@@ -466,10 +283,9 @@ class TestMaskedSweepVisibility:
         hosts; the epoch moved, so the rest of the run is re-masked and
         its other files -- their rows there now corrupted, the remaining
         hosts healthy -- go back to the columns."""
-        sick = set()
-        protocol, ids = self._stored(sick)
+        protocol, ids = self._stored()
         silent = sorted(protocol.sectors)[0]
-        sick.add(silent)
+        protocol.health_oracle.sick.add(silent)
         hosted = sum(
             silent in protocol.alloc.replica_locations(file_id) for file_id in ids
         )
@@ -483,10 +299,11 @@ class TestMaskedSweepVisibility:
         assert totals["protocol.proof_sweep.vector_files"] == len(ids) - 1
 
     def test_confirmed_refreshes_complete_in_the_columns(self):
-        protocol, _ = self._stored(set())
+        protocol, _ = self._stored()
         while not protocol.refresh_notices:
             protocol.advance_time(protocol.now + 60.0)
-        confirmed = confirm_refreshes(protocol)
+        replay(protocol, [("confirm_refreshes",)])
+        confirmed = list(protocol.refresh_notices)
         totals = traced_advance(protocol, max(n.deadline for n in confirmed))
         assert totals["protocol.refresh_check.vector_tasks"] == len(confirmed)
         assert totals["protocol.refresh_check.scalar_tasks"] == 0
@@ -503,10 +320,11 @@ class TestMaskedSweepVisibility:
         Either way the state is the spec's."""
         prints, totals = {}, {}
         for engine in ENGINES:
-            protocol = make_protocol(engine, avg_refresh=0.01)
+            protocol = deploy(engine, avg_refresh=0.01)
             stored(protocol, run)
-            step(protocol)  # the first checkpoint starts a refresh of every file
-            assert len(confirm_refreshes(protocol)) == run
+            replay(protocol, [("step",)])  # the first checkpoint starts a refresh of every file
+            assert len(protocol.refresh_notices) == run
+            replay(protocol, [("confirm_refreshes",)])
             totals[engine] = traced_advance(protocol, protocol.refresh_notices[0].deadline)
             assert protocol.events.count(EventType.FILE_REFRESH_COMPLETED) == run
             prints[engine] = fingerprint(protocol)
@@ -520,9 +338,8 @@ class TestMaskedSweepVisibility:
         1): the swept files start their refreshes in the columns, counted
         once per stretch, and only the files of the silent sector -- scalar
         in the sweep -- go through per-file ``_auto_refresh`` and its span."""
-        sick = set()
-        protocol, ids = self._stored(sick, avg_refresh=0.01)
-        sick.add(sorted(protocol.sectors)[0])
+        protocol, ids = self._stored(avg_refresh=0.01)
+        protocol.health_oracle.sick.add(sorted(protocol.sectors)[0])
         before = len(protocol.refresh_notices)
         summary = telemetry.summarize_events(
             traced_events(protocol, protocol.now + 60.0)
@@ -545,9 +362,7 @@ class TestFastPathCounters:
     selector's prefetched refresh-target draws."""
 
     def test_batch_spans_and_fast_path_counters(self):
-        protocol = make_protocol(
-            "columnar", providers=8, backend="vectorized", draw_batch=8
-        )
+        protocol = deploy(providers=8, backend="vectorized", draw_batch=8)
         telemetry.enable()
         try:
             with telemetry.capture() as events:
@@ -594,13 +409,11 @@ class TestFastPathCounters:
         """One stretch, however many files refresh in it: one counter event
         per name (``protocol.refresh_notices`` carrying its amount) and no
         per-file ``protocol.refresh`` span."""
-        protocol = make_protocol(
-            "columnar", providers=8, backend="vectorized", draw_batch=8,
+        protocol = deploy(
+            providers=8, backend="vectorized", draw_batch=8,
             avg_refresh=0.01, cap_para=100.0,
         )
-        ids = protocol.file_add_batch("client", [64 * 1024] * files, [1] * files, ROOT)
-        protocol.confirm_batch(ids)
-        protocol.advance_time(protocol.pending.peek_time())  # CheckAlloc: stored
+        stored(protocol, files)
         events = traced_events(protocol, protocol.pending.peek_time())
         names = [event["name"] for event in events]
         assert "protocol.refresh" not in names
@@ -624,13 +437,11 @@ class TestFastPathCounters:
     def test_healthy_refresh_cycle_constructs_no_view(self, monkeypatch):
         """refresh_storm's healthy op sequence -- one proof cycle, then
         ``file_confirm`` of every live notice -- stays on table rows."""
-        protocol = make_protocol(
-            "columnar", providers=20, backend="vectorized", draw_batch=64,
+        protocol = deploy(
+            providers=20, backend="vectorized", draw_batch=64,
             avg_refresh=4.0, cap_para=100.0,
         )
-        ids = protocol.file_add_batch("client", [64 * 1024] * 200, [1] * 200, ROOT)
-        protocol.confirm_batch(ids)
-        protocol.advance_time(protocol.pending.peek_time())
+        stored(protocol, 200)
         built = []
         for view in (SectorView, FileView, AllocEntryView):
             def counting(self, table, row, _init=view.__init__, _name=view.__name__):
@@ -669,8 +480,8 @@ class TestFastPathCounters:
                 return super().batch_weighted_draw(rng, weights, ops, free)
 
         backend = Recording()
-        protocol = make_protocol(
-            "columnar", providers=200, capacity_mb=1, backend=backend,
+        protocol = deploy(
+            providers=200, capacity_mb=1, backend=backend,
             draw_batch=64, cap_para=100.0, avg_refresh=50.0,
         )
         files, batch, size = 2_000, 500, 8 * 1024
@@ -701,10 +512,8 @@ class TestFastPathCounters:
         )
 
     def test_disabled_advance_leaves_the_prefetch_tally_untaken(self):
-        protocol = make_protocol("columnar", providers=8, draw_batch=4)
-        ids = protocol.file_add_batch("client", [64 * 1024] * 40, [1] * 40, ROOT)
-        protocol.confirm_batch(ids)
-        protocol.advance_time(400.0)
+        protocol = deploy(providers=8, draw_batch=4)
+        replay(protocol, [("batch", [64 * KIB] * 40, 1), ("advance", 400.0)])
         _, refills, flushed = protocol.selector.take_prefetch_counts()
         assert refills > 0 and flushed == 0
         assert protocol.selector.take_prefetch_counts() == (0, 0, 0)
@@ -714,7 +523,7 @@ class TestColumnarFacades:
     """The SoA tables must honour the dict/record APIs callers read."""
 
     def test_sector_views_read_the_live_columns(self):
-        protocol = make_protocol("columnar", providers=3)
+        protocol = deploy(providers=3)
         sector_id = sorted(protocol.sectors)[0]
         record = protocol.sectors[sector_id]
         assert record.sector_id == sector_id
@@ -729,7 +538,7 @@ class TestColumnarFacades:
             record.free_capacity = free
 
     def test_file_views_roundtrip(self):
-        protocol = make_protocol("columnar", backend=ORACLE)
+        protocol = deploy()
         (file_id,) = protocol.file_add_batch("client", [4096], [2], ROOT)
         descriptor = protocol.files[file_id]
         assert descriptor.owner == "client"
@@ -742,7 +551,7 @@ class TestColumnarFacades:
             protocol.files[file_id + 999]
 
     def test_alloc_facade_queries(self):
-        protocol = make_protocol("columnar", backend=ORACLE)
+        protocol = deploy()
         ids = protocol.file_add_batch("client", [4096] * 3, [1] * 3, ROOT)
         k = protocol.params.k
         for fid in ids:
@@ -763,73 +572,36 @@ class TestColumnarFacades:
 DRAW_BATCHES = (1, 8, 64)
 
 
-def identity(protocol):
-    """What the batched refresh start must leave exactly as the per-file
-    path does: the state, the notices in order, where the next sampler
-    draw comes from, and both random streams."""
-    selector = protocol.selector
-    return {
-        "state": fingerprint(protocol),
-        "notices": list(protocol.refresh_notices),
-        "sampler": (
-            selector._draw_calls,
-            selector.samples,
-            selector.collisions,
-            list(selector._draw_buffer),
-        ),
-        "prng": protocol.prng.state_fingerprint(),
-    }
-
-
-def step(protocol):
-    """Execute exactly the tasks of the next pending time."""
-    protocol.advance_time(protocol.pending.peek_time())
-
-
 def stored(protocol, files, size=64 * 1024, values=None):
     ids = protocol.file_add_batch("client", [size] * files, values or [1] * files, ROOT)
     protocol.confirm_batch(ids)
-    step(protocol)  # CheckAlloc
+    replay(protocol, [("step",)])  # CheckAlloc
     assert protocol.files_stored == files
     return ids
 
 
-def on_both_engines(scenario, **build):
-    """Run ``scenario(protocol, stage)`` on both engines at every
-    ``draw_batch``; the identities staged along the way must be equal.
+def store(files, size=64 * KIB):
+    """The ops of :func:`stored`: one File Add batch, then its CheckAlloc."""
+    return [("batch", [size] * files, 1), ("step",)]
 
-    Yields ``(draw_batch, object outcome, columnar outcome, columnar
-    telemetry summary)`` for the case-specific assertions, an outcome
-    being ``(protocol, scenario's return value)``.
+
+def after_steps(ops, run):
+    """The identities staged after the ``step`` ops of ``run``."""
+    return [stage for op, stage in zip(ops, run.identities) if op == ("step",)]
+
+
+def on_both_engines(ops, prepare=None, **shape):
+    """:func:`agree`, traced, on both engines at every ``draw_batch``, of an
+    op list no engine refuses any op of.
+
+    Yields ``(draw_batch, object run, columnar run)`` for the
+    case-specific assertions.
     """
     for draw_batch in DRAW_BATCHES:
-        outcomes, stages, traces = {}, {}, {}
-        telemetry.enable()
-        try:
-            for engine in ENGINES:
-                protocol = make_protocol(
-                    engine, backend="vectorized", draw_batch=draw_batch, **build
-                )
-                stages[engine] = []
-                with telemetry.capture() as traces[engine]:
-                    result = scenario(
-                        protocol, lambda: stages[engine].append(identity(protocol))
-                    )
-                outcomes[engine] = (protocol, result)
-        finally:
-            telemetry.reset()
-        assert len(stages["columnar"]) == len(stages["object"]) > 0
-        for number, (want, got) in enumerate(zip(stages["object"], stages["columnar"])):
-            for part in want:
-                assert got[part] == want[part], (
-                    f"draw_batch={draw_batch}: {part} diverges at stage {number}"
-                )
-        yield (
-            draw_batch,
-            outcomes["object"],
-            outcomes["columnar"],
-            telemetry.summarize_events(traces["columnar"]),
-        )
+        variants = grid(backends=("vectorized",), draw_batches=(draw_batch,))
+        runs = agree(ops, variants, traced=True, prepare=prepare, **shape)
+        reference, columnar = runs.values()
+        yield draw_batch, reference, columnar
 
 
 class TestRefreshInColumns:
@@ -838,43 +610,44 @@ class TestRefreshInColumns:
 
     def test_second_refresh_of_a_stretch_collides_on_a_sector_the_first_filled(self):
         size = 100 * 1024
+        in_stretch = []
 
-        def scenario(protocol, stage):
-            stored(protocol, 12, size)
-            selector, at_start, in_stretch = protocol.selector, {}, []
-            if type(protocol) is FileInsurerProtocol:
-                # The object engine reserves at every start, so a draw's
-                # target shows the room this step's earlier starts left.
-                draw = selector.random_slot
+        def record_stretches(protocol):
+            """The object engine reserves at every start, so a draw's target
+            shows the room this step's earlier starts left."""
+            if type(protocol) is not FileInsurerProtocol:
+                return
+            selector, at_start = protocol.selector, {}
+            advance, draw = protocol.advance_time, selector.random_slot
 
-                def recording_draw():
-                    slot = draw()
-                    target = selector._sampler._keys[slot]
-                    in_stretch.append(
-                        at_start[target] >= size > protocol.sectors[target].free_capacity
-                    )
-                    return slot
-
-                selector.random_slot = recording_draw
-            for _ in range(30):
+            def recording_advance(until):
                 at_start.update(
                     (sid, rec.free_capacity) for sid, rec in protocol.sectors.items()
                 )
-                step(protocol)
-                stage()
-                confirm_refreshes(protocol)
-            return sum(in_stretch)
+                advance(until)
+
+            def recording_draw():
+                slot = draw()
+                target = selector._sampler._keys[slot]
+                in_stretch.append(
+                    at_start[target] >= size > protocol.sectors[target].free_capacity
+                )
+                return slot
+
+            protocol.advance_time, selector.random_slot = recording_advance, recording_draw
 
         # Four 1 MiB sectors hold ten replicas each; 36 of the 40 places
         # are taken, and every file is due at every checkpoint.
-        for _, (_, in_stretch), (columnar, _), summary in on_both_engines(
-            scenario, providers=4, capacity_mb=1, redundancy_factor=1.0,
-            cap_para=100.0, avg_refresh=0.01,
+        ops = [*store(12, size), *[("step",), ("confirm_refreshes",)] * 30]
+        for _, _, columnar in on_both_engines(
+            ops, prepare=record_stretches, providers=4, capacity_mb=1,
+            redundancy_factor=1.0, cap_para=100.0, avg_refresh=0.01,
         ):
-            assert in_stretch > 0  # room at the start of the step, none at the draw
-            assert "protocol.refresh" not in summary["spans"]
-            assert summary["counters"]["protocol.refresh_start.collided"] == (
-                columnar.events.count(EventType.COLLISION_RESAMPLED)
+            assert any(in_stretch)  # room at the start of the step, none at the draw
+            in_stretch.clear()
+            assert "protocol.refresh" not in columnar.summary["spans"]
+            assert columnar.summary["counters"]["protocol.refresh_start.collided"] == (
+                columnar.protocol.events.count(EventType.COLLISION_RESAMPLED)
             )
 
     @pytest.mark.parametrize("blocker", ["alloc", "confirm", "corrupted"])
@@ -884,45 +657,31 @@ class TestRefreshInColumns:
         # file is due again; a 1 KiB one is long over, and only the
         # replicas of the crashed sector are unavailable.
         size = 1024 if blocker == "corrupted" else 64 * 1024
-
-        def scenario(protocol, stage):
-            stored(protocol, 20, size)
-            if blocker == "corrupted":
-                protocol.crash_sector(sorted(protocol.sectors)[0])
-            for _ in range(12):
-                step(protocol)
-                stage()
-                if blocker != "alloc":
-                    confirm_refreshes(protocol)
-
-        for _, _, (columnar, _), summary in on_both_engines(
-            scenario, providers=6, avg_refresh=0.01
-        ):
-            totals = summary["counters"]
-            assert columnar.files_lost == 0
+        cycle = [("step",)] if blocker == "alloc" else [("step",), ("confirm_refreshes",)]
+        ops = [
+            *store(20, size),
+            *[("crash", 0)] * (blocker == "corrupted"),
+            *cycle * 12,
+        ]
+        for _, _, columnar in on_both_engines(ops, providers=6, avg_refresh=0.01):
+            totals, events = columnar.summary["counters"], columnar.protocol.events
+            assert columnar.protocol.files_lost == 0
             assert totals["protocol.refresh_start.postponed"] > 0
             # A draw was consumed for the started and the collided only.
             assert (
                 totals.get("protocol.prefetch.hits", 0) + totals["protocol.prefetch.refills"]
-                == columnar.events.count(EventType.FILE_REFRESH_STARTED)
-                + columnar.events.count(EventType.COLLISION_RESAMPLED)
+                == events.count(EventType.FILE_REFRESH_STARTED)
+                + events.count(EventType.COLLISION_RESAMPLED)
             )
 
     def test_empty_selector_postpones_every_due_file(self):
-        def scenario(protocol, stage):
-            stored(protocol, 20)
-            for sector_id, record in list(protocol.sectors.items()):
-                protocol.sector_disable(record.owner, sector_id)
-            assert len(protocol.selector) == 0
-            draws = protocol.selector._draw_calls
-            for _ in range(3):
-                step(protocol)
-                stage()
-            assert protocol.selector._draw_calls == draws
-            assert protocol.refresh_notices == []
-
-        for _, _, _, summary in on_both_engines(scenario, providers=4, avg_refresh=0.01):
-            totals = summary["counters"]
+        ops = [*store(20), *[("disable", index) for index in range(4)], *[("step",)] * 3]
+        for _, _, columnar in on_both_engines(ops, providers=4, avg_refresh=0.01):
+            assert len(columnar.protocol.selector) == 0
+            disabled, last = columnar.identities[len(ops) - 4], columnar.identities[-1]
+            assert last["sampler"][0] == disabled["sampler"][0]  # no draw
+            assert last["notices"] == []
+            totals = columnar.summary["counters"]
             assert (
                 totals["protocol.refresh_start.postponed"]
                 == totals["protocol.refresh_start.vector_files"]
@@ -932,26 +691,16 @@ class TestRefreshInColumns:
     def test_file_add_between_sweeps_sees_the_same_prefetch_state(self):
         """File Add shares the sampler's kernel-call numbering: a refill
         made ahead of need would renumber its stream."""
-
-        def scenario(protocol, stage):
-            stored(protocol, 30)
-            partly_consumed = 0
-            for _ in range(8):
-                step(protocol)
-                stage()
-                confirm_refreshes(protocol)
-                buffered = len(protocol.selector._draw_buffer)
-                partly_consumed += 0 < buffered < protocol.selector.draw_batch
-                protocol.confirm_batch(
-                    protocol.file_add_batch("client", [32 * 1024] * 2, [1] * 2, ROOT)
-                )
-                stage()
-            return partly_consumed
-
-        for draw_batch, _, (_, partly_consumed), _ in on_both_engines(
-            scenario, providers=8, avg_refresh=2.0
-        ):
-            assert partly_consumed > 0 or draw_batch == 1
+        ops = [
+            *store(30),
+            *[("step",), ("confirm_refreshes",), ("batch", [32 * KIB] * 2, 1)] * 8,
+        ]
+        for draw_batch, _, columnar in on_both_engines(ops, providers=8, avg_refresh=2.0):
+            partly_consumed = [
+                0 < len(stage["sampler"][3]) < draw_batch
+                for stage in after_steps(ops, columnar)
+            ]
+            assert any(partly_consumed) or draw_batch == 1
 
     def test_refresh_deadline_on_the_next_checkpoint_keeps_append_order(self):
         """transfer_deadline == proof_cycle: CheckRefresh and the next
@@ -960,53 +709,35 @@ class TestRefreshInColumns:
         its CheckProof, so every CheckRefresh run is one task: the row
         form, never the sweep."""
         size = 60 * 1024
-
-        def scenario(protocol, stage):
-            assert protocol.params.transfer_deadline(size) == protocol.params.proof_cycle
-            stored(protocol, 20, size)
+        # Every other swap is never answered: its CheckRefresh fails and
+        # retries in the middle of the tied run.
+        ops = [*store(20, size), *[("step",), ("confirm_refreshes", 2)] * 10]
+        for _, _, columnar in on_both_engines(
+            ops, providers=10, avg_refresh=1.0, delay_per_size=2.0**-10
+        ):
+            params = columnar.protocol.params
+            assert params.transfer_deadline(size) == params.proof_cycle
             ties = 0
-            for _ in range(10):
-                step(protocol)
-                stage()
+            for stage in after_steps(ops, columnar):
                 kinds_at = {}
-                for time, kind, _, _ in protocol.pending.tasks():
+                for time, kind, _, _ in stage["state"]["pending"]:
                     kinds_at.setdefault(time, set()).add(kind)
                 ties += any(len(kinds) > 1 for kinds in kinds_at.values())
-                # Every other swap is never answered: its CheckRefresh
-                # fails and retries in the middle of the tied run.
-                confirm_refreshes(protocol, every=2)
-            return ties
-
-        for _, _, (columnar, ties), summary in on_both_engines(
-            scenario, providers=10, avg_refresh=1.0, delay_per_size=2.0**-10
-        ):
             assert ties > 0
-            assert columnar.events.count(EventType.FILE_REFRESH_FAILED) > 0
-            assert summary["counters"]["protocol.refresh_check.vector_tasks"] == 0
-            assert summary["counters"]["protocol.refresh_check.scalar_tasks"] > 0
+            assert columnar.protocol.events.count(EventType.FILE_REFRESH_FAILED) > 0
+            totals = columnar.summary["counters"]
+            assert totals["protocol.refresh_check.vector_tasks"] == 0
+            assert totals["protocol.refresh_check.scalar_tasks"] > 0
 
     def test_stretches_cut_by_scalar_files_after_a_crash(self):
-        def scenario(protocol, stage):
-            stored(protocol, 40)
-            step(protocol)
-            confirm_refreshes(protocol)
-            stage()
-            for sector_id in sorted(protocol.sectors)[:4]:
-                protocol.crash_sector(sector_id)
-            stage()
-            for _ in range(10):
-                step(protocol)
-                stage()
-                confirm_refreshes(protocol)
-
-        for _, _, (columnar, _), summary in on_both_engines(
-            scenario, providers=8, avg_refresh=1.0
-        ):
-            totals = summary["counters"]
-            assert 0 < columnar.files_lost < 40
+        cycle = [("step",), ("confirm_refreshes",)]
+        ops = [*store(40), *cycle, *[("crash", index) for index in range(4)], *cycle * 10]
+        for _, _, columnar in on_both_engines(ops, providers=8, avg_refresh=1.0):
+            totals, protocol = columnar.summary["counters"], columnar.protocol
+            assert 0 < protocol.files_lost < 40
             assert totals["protocol.proof_sweep.scalar_files"] > 0
             assert totals["protocol.refresh_start.vector_files"] > 0
-            assert totals["protocol.refresh_notices"] == len(columnar.refresh_notices)
+            assert totals["protocol.refresh_notices"] == len(protocol.refresh_notices)
 
 
 class TestFileConfirmOnRows:
@@ -1014,9 +745,9 @@ class TestFileConfirmOnRows:
     refuses, in the same words, and a refusal changes nothing."""
 
     def _awaiting(self, engine):
-        protocol = make_protocol(engine, providers=6, avg_refresh=0.01)
+        protocol = deploy(engine, providers=6, avg_refresh=0.01)
         stored(protocol, 10)
-        step(protocol)  # first checkpoint: refreshes start
+        replay(protocol, [("step",)])  # first checkpoint: refreshes start
         notice = protocol.refresh_notices[0]
         return protocol, notice, protocol.sectors[notice.target_sector].owner
 
@@ -1063,10 +794,12 @@ class TestFileConfirmOnRows:
         """The fee-charging File Add holds one escrow per replica."""
         prints = {}
         for engine in ENGINES:
-            protocol = make_protocol(engine, charge_fees=True)
+            protocol = deploy(engine, charge_fees=True)
             file_id = protocol.file_add("client", 32 * 1024, 1, ROOT)
             assert len(protocol._traffic_escrows) == 3
-            confirm_all(protocol, file_id)
+            for index, entry in protocol.alloc.entries_for_file(file_id):
+                owner = protocol.sectors[entry.next].owner
+                protocol.file_confirm(owner, file_id, index, entry.next)
             assert protocol._traffic_escrows == {}
             assert protocol.events.count(EventType.TRAFFIC_FEE_PAID) == 3
             prints[engine] = fingerprint(protocol)
@@ -1084,7 +817,7 @@ class TestFileAddInColumns:
         sizes = rng.integers(1, 96 * 1024, 1_000).tolist()
         values = rng.integers(1, 3, 1_000).tolist()
         protocols = {
-            engine: make_protocol(
+            engine: deploy(
                 engine, providers=80, backend="vectorized", draw_batch=draw_batch,
                 cap_para=100.0,
             )
@@ -1115,7 +848,7 @@ class TestFileAddInColumns:
         prefix and the scalar loop -- which must all agree."""
         counts = set()
         for engine in ENGINES:
-            protocol = make_protocol(engine, backend="vectorized", **build)
+            protocol = deploy(engine, backend="vectorized", **build)
             replicas = [protocol.params.replica_count(value) for value in values]
             counts.add(protocol._admitted_prefix(sizes, values, replicas))
             if engine == "columnar":
@@ -1155,7 +888,7 @@ class TestFileAddInColumns:
     ):
         messages = set()
         for engine in ENGINES:
-            protocol = make_protocol(engine, providers=2, capacity_mb=1)
+            protocol = deploy(engine, providers=2, capacity_mb=1)
             with pytest.raises(ProtocolError, match=limit) as single:
                 protocol.file_add("client", size, value, ROOT)
             with pytest.raises(ProtocolError) as batched:
@@ -1200,12 +933,7 @@ def test_batched_countdowns_are_the_scalar_draws(seed, consumed, count, avg_refr
     same block counter, same leftover buffer -- from an empty or a
     non-empty leftover, across 32-byte block boundaries."""
     loop, batch = (
-        ColumnarProtocol(
-            params=ProtocolParams.small_test().scaled(avg_refresh=avg_refresh),
-            prng=DeterministicPRNG.from_int(seed, domain="countdowns"),
-            charge_fees=False,
-        )
-        for _ in range(2)
+        deploy(providers=0, seed=seed, avg_refresh=avg_refresh) for _ in range(2)
     )
     loop.prng.random_bytes(consumed)
     batch.prng.random_bytes(consumed)
@@ -1290,7 +1018,7 @@ class TestAdvanceTimeDispatch:
 
     @staticmethod
     def _due(engine, tasks):
-        protocol = make_protocol(engine, providers=8, backend="vectorized")
+        protocol = deploy(engine, providers=8, backend="vectorized")
         stored(protocol, 8)
         protocol.pending.pop_due_arrays(math.inf)  # the due set is the hand-built one
         at = protocol.now + 1.0
@@ -1330,7 +1058,7 @@ def test_advance_time_refuses_nan_before_any_task(engine):
     """``until < now`` is false for NaN and so is the loop's exit test
     ``next_time > until``: every CheckProof rescheduling itself, the call
     never returned."""
-    protocol = make_protocol(engine, providers=8)
+    protocol = deploy(engine, providers=8)
     stored(protocol, 12)
     before = (protocol.now, len(protocol.pending), fingerprint(protocol))
     with pytest.raises(ValueError, match="cannot move backwards"):
@@ -1338,13 +1066,13 @@ def test_advance_time_refuses_nan_before_any_task(engine):
     assert (protocol.now, len(protocol.pending), fingerprint(protocol)) == before
 
 
-def _swept_network(sick=frozenset()):
+def _swept_network():
     """Eight sectors storing ten files of three and six replicas."""
-    protocol = make_protocol("columnar", providers=8, backend="vectorized", sick=sick)
+    protocol = deploy(providers=8, backend="vectorized")
     return protocol, stored(protocol, 10, values=[1, 2] * 5)
 
 
-def _degrade(protocol, sick, kind, file_id, index):
+def _degrade(protocol, kind, file_id, index):
     """One defect on replica ``index`` of ``file_id`` (or on its host)."""
     row = protocol.alloc.block_start[file_id] + index % protocol.files.replica_count[file_id]
     host = protocol.alloc.prev[row]
@@ -1355,7 +1083,7 @@ def _degrade(protocol, sick, kind, file_id, index):
     elif kind == "unhosted_row":
         protocol.alloc.prev[row] = -1
     elif host >= 0 and kind == "sick_host":
-        sick.add(protocol.sectors.sector_ids[host])
+        protocol.health_oracle.sick.add(protocol.sectors.sector_ids[host])
     elif host >= 0 and kind == "crashed_sector":
         protocol.crash_sector(protocol.sectors.sector_ids[host])
 
@@ -1388,9 +1116,8 @@ class TestProofSweepMask:
 
     @pytest.mark.parametrize("kind", DEFECTS)
     def test_one_defect_takes_the_reductions(self, kind):
-        sick = set()
-        protocol, ids = _swept_network(sick)
-        _degrade(protocol, sick, kind, ids[3], 4)
+        protocol, ids = _swept_network()
+        _degrade(protocol, kind, ids[3], 4)
         vector, rows, _ = _assert_mask_is_the_oracle(protocol, ids)
         # A dead replica is skipped (a crash kills every row the sector
         # held); a sick host sends its files to the scalar path.
@@ -1420,8 +1147,7 @@ class TestProofSweepMask:
         run=st.lists(st.integers(-1, 11), max_size=14),
     )
     def test_property_any_mix_of_defects(self, defects, run):
-        sick = set()
-        protocol, ids = _swept_network(sick)
+        protocol, ids = _swept_network()
         for kind, position, index in defects:
-            _degrade(protocol, sick, kind, ids[position], index)
+            _degrade(protocol, kind, ids[position], index)
         _assert_mask_is_the_oracle(protocol, run)

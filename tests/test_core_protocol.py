@@ -1,5 +1,7 @@
 """Tests for the FileInsurer protocol state machine (Figures 4-9)."""
 
+from functools import partial
+
 import pytest
 
 from repro.core.allocation import AllocState
@@ -9,54 +11,35 @@ from repro.core.file_descriptor import FileState
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolError
 from repro.core.sector import SectorState
-from repro.chain.ledger import InsufficientFundsError, Ledger
-from repro.crypto.prng import DeterministicPRNG
+from repro.chain.ledger import InsufficientFundsError
 
+from oracles.harness import deploy, replay
 from oracles.protocol import FileInsurerProtocol
 
 ROOT = b"\x07" * 32
 
 
-def make_protocol(
-    params=None, providers=3, health=None, charge_fees=True, seed=7,
-    engine=ColumnarProtocol,
-):
-    params = params or ProtocolParams.small_test()
-    ledger = Ledger()
-    protocol = engine(
-        params=params,
-        ledger=ledger,
-        prng=DeterministicPRNG.from_int(seed, domain="proto-test"),
-        health_oracle=health or (lambda sector_id: True),
-        auto_prove=True,
-        charge_fees=charge_fees,
-    )
-    for index in range(providers):
-        owner = f"prov-{index}"
-        ledger.mint(owner, 1_000_000)
-        protocol.sector_register(owner, params.min_capacity)
-    ledger.mint("client", 1_000_000)
+#: The shape of these tests: three funded 1 MiB sectors, fees charged.
+deployment = partial(
+    deploy, providers=3, capacity_mb=1, charge_fees=True, backend="vectorized", seed=7
+)
+
+
+def all_sick(protocol):
+    """No sector proves from now on."""
+    protocol.health_oracle.sick.update(protocol.sectors)
     return protocol
 
 
-def confirm_all(protocol, file_id):
-    for index, entry in protocol.alloc.entries_for_file(file_id):
-        if entry.next is not None:
-            owner = protocol.sectors[entry.next].owner
-            protocol.file_confirm(owner, file_id, index, entry.next)
-
-
-def store_file(protocol, size=4096, value=1, owner="client"):
-    file_id = protocol.file_add(owner, size, value, ROOT)
-    confirm_all(protocol, file_id)
-    deadline = protocol.pending.peek_time()
-    protocol.advance_time(deadline)
-    return file_id
+def store_file(protocol, size=4096, value=1):
+    """File Add, every replica confirmed, then CheckAlloc: a stored file."""
+    replay(protocol, [("add", size, value), ("step",)])
+    return len(protocol.files) - 1
 
 
 class TestSectorRegister:
     def test_register_creates_record_and_locks_deposit(self):
-        protocol = make_protocol(providers=0)
+        protocol = deployment(providers=0)
         protocol.ledger.mint("alice", 1_000_000)
         sector_id = protocol.sector_register("alice", protocol.params.min_capacity)
         record = protocol.sectors[sector_id]
@@ -70,10 +53,10 @@ class TestSectorRegister:
         """Deposits scale with the deposit ratio, which no column width
         bounds: a deposit past 2**63 is pledged, read back and confiscated
         as the exact integer."""
-        params = ProtocolParams.small_test().scaled(deposit_ratio=2.0**63)
+        protocol = deployment(providers=0, deposit_ratio=2.0**63)
+        params = protocol.params
         deposit = params.sector_deposit(params.min_capacity)
         assert deposit >= 2**63
-        protocol = make_protocol(params=params, providers=0)
         protocol.ledger.mint("whale", deposit + 1_000_000)
         sector_id = protocol.sector_register("whale", params.min_capacity)
         assert protocol.sectors[sector_id].deposit == deposit
@@ -82,31 +65,31 @@ class TestSectorRegister:
         assert protocol.fund.total_confiscated == deposit
 
     def test_sector_ids_unique_per_owner(self):
-        protocol = make_protocol(providers=0)
+        protocol = deployment(providers=0)
         protocol.ledger.mint("alice", 10_000_000)
         a = protocol.sector_register("alice", protocol.params.min_capacity)
         b = protocol.sector_register("alice", protocol.params.min_capacity)
         assert a != b
 
     def test_capacity_must_be_multiple_of_min(self):
-        protocol = make_protocol()
+        protocol = deployment()
         with pytest.raises(ProtocolError):
             protocol.sector_register("prov-0", protocol.params.min_capacity + 1)
 
     def test_register_without_funds_fails(self):
-        protocol = make_protocol(providers=0)
+        protocol = deployment(providers=0)
         protocol.ledger.mint("broke", 1)
         with pytest.raises(ProtocolError):
             protocol.sector_register("broke", protocol.params.min_capacity)
 
     def test_disable_requires_owner(self):
-        protocol = make_protocol()
+        protocol = deployment()
         sector_id = next(iter(protocol.sectors))
         with pytest.raises(ProtocolError):
             protocol.sector_disable("not-the-owner", sector_id)
 
     def test_disable_empty_sector_removes_and_refunds(self):
-        protocol = make_protocol()
+        protocol = deployment()
         sector_id = next(iter(protocol.sectors))
         owner = protocol.sectors[sector_id].owner
         deposit = protocol.sectors[sector_id].deposit
@@ -121,7 +104,7 @@ class TestSectorRegister:
 
 class TestFileAdd:
     def test_file_add_creates_descriptor_and_allocations(self):
-        protocol = make_protocol()
+        protocol = deployment()
         file_id = protocol.file_add("client", 4096, 1, ROOT)
         descriptor = protocol.files[file_id]
         assert descriptor.replica_count == protocol.params.k
@@ -131,12 +114,12 @@ class TestFileAdd:
         assert all(entry.next is not None for _, entry in entries)
 
     def test_replica_count_scales_with_value(self):
-        protocol = make_protocol()
+        protocol = deployment()
         file_id = protocol.file_add("client", 4096, 2, ROOT)
         assert protocol.files[file_id].replica_count == 2 * protocol.params.k
 
     def test_allocations_reserve_sector_space(self):
-        protocol = make_protocol()
+        protocol = deployment()
         free_before = {s: r.free_capacity for s, r in protocol.sectors.items()}
         file_id = protocol.file_add("client", 4096, 1, ROOT)
         reserved = sum(
@@ -145,27 +128,25 @@ class TestFileAdd:
         assert reserved == 4096 * protocol.files[file_id].replica_count
 
     def test_zero_size_rejected(self):
-        protocol = make_protocol()
+        protocol = deployment()
         with pytest.raises(ProtocolError):
             protocol.file_add("client", 0, 1, ROOT)
 
     def test_oversized_file_rejected(self):
-        protocol = make_protocol()
+        protocol = deployment()
         with pytest.raises(ProtocolError):
             protocol.file_add("client", protocol.params.size_limit + 1, 1, ROOT)
 
     def test_value_cap_enforced(self):
-        params = ProtocolParams.small_test().scaled(cap_para=0.5, k=1)
-        protocol = make_protocol(params=params, providers=2)
+        protocol = deployment(providers=2, cap_para=0.5, k=1)
         # max value = 0.5 * 2 = 1 value unit
         store_file(protocol, size=1024, value=1)
         with pytest.raises(ProtocolError):
             protocol.file_add("client", 1024, 1, ROOT)
 
     def test_redundant_capacity_budget_enforced(self):
-        params = ProtocolParams.small_test().scaled(k=2, cap_para=1000.0)
-        protocol = make_protocol(params=params, providers=2)
-        huge = params.min_capacity // 2
+        protocol = deployment(providers=2, k=2, cap_para=1000.0)
+        huge = protocol.params.min_capacity // 2
         protocol.file_add("client", huge, 1, ROOT)
         with pytest.raises(ProtocolError):
             protocol.file_add("client", huge, 1, ROOT)
@@ -173,7 +154,7 @@ class TestFileAdd:
 
 class TestCheckAlloc:
     def test_confirmed_file_becomes_normal(self):
-        protocol = make_protocol()
+        protocol = deployment()
         file_id = store_file(protocol)
         descriptor = protocol.files[file_id]
         assert descriptor.state == FileState.NORMAL
@@ -183,7 +164,7 @@ class TestCheckAlloc:
         assert protocol.events.count(EventType.FILE_STORED) == 1
 
     def test_unconfirmed_file_fails_and_releases_space(self):
-        protocol = make_protocol()
+        protocol = deployment()
         file_id = protocol.file_add("client", 4096, 1, ROOT)
         # nobody confirms
         protocol.advance_time(protocol.pending.peek_time())
@@ -195,7 +176,7 @@ class TestCheckAlloc:
         assert total_free == total_capacity
 
     def test_partially_confirmed_file_fails(self):
-        protocol = make_protocol()
+        protocol = deployment()
         file_id = protocol.file_add("client", 4096, 1, ROOT)
         entries = protocol.alloc.entries_for_file(file_id)
         index, entry = entries[0]
@@ -205,18 +186,20 @@ class TestCheckAlloc:
         assert protocol.files[file_id].state == FileState.FAILED
 
     def test_traffic_fee_paid_only_on_confirm(self):
-        protocol = make_protocol()
+        protocol = deployment()
         file_id = protocol.file_add("client", 4096, 1, ROOT)
         escrowed = protocol.ledger.escrowed("client")
         assert escrowed > 0
-        confirm_all(protocol, file_id)
+        for index, entry in protocol.alloc.entries_for_file(file_id):
+            owner = protocol.sectors[entry.next].owner
+            protocol.file_confirm(owner, file_id, index, entry.next)
         assert protocol.ledger.escrowed("client") == 0
         assert protocol.events.count(EventType.TRAFFIC_FEE_PAID) == protocol.params.k
 
 
 class TestFileConfirmAndProve:
     def test_confirm_requires_matching_sector(self):
-        protocol = make_protocol()
+        protocol = deployment()
         file_id = protocol.file_add("client", 4096, 1, ROOT)
         entries = protocol.alloc.entries_for_file(file_id)
         index, entry = entries[0]
@@ -226,14 +209,14 @@ class TestFileConfirmAndProve:
             protocol.file_confirm(owner, file_id, index, wrong_sector)
 
     def test_confirm_requires_sector_owner(self):
-        protocol = make_protocol()
+        protocol = deployment()
         file_id = protocol.file_add("client", 4096, 1, ROOT)
         index, entry = protocol.alloc.entries_for_file(file_id)[0]
         with pytest.raises(ProtocolError):
             protocol.file_confirm("someone-else", file_id, index, entry.next)
 
     def test_prove_updates_last_proof(self):
-        protocol = make_protocol()
+        protocol = deployment()
         file_id = store_file(protocol)
         index, entry = protocol.alloc.entries_for_file(file_id)[0]
         owner = protocol.sectors[entry.prev].owner
@@ -242,7 +225,7 @@ class TestFileConfirmAndProve:
         assert entry.last_proof == protocol.now
 
     def test_prove_from_non_host_rejected(self):
-        protocol = make_protocol()
+        protocol = deployment()
         file_id = store_file(protocol)
         index, entry = protocol.alloc.entries_for_file(file_id)[0]
         other = next(s for s in protocol.sectors if s != entry.prev)
@@ -252,7 +235,7 @@ class TestFileConfirmAndProve:
 
 class TestCheckProofAndRent:
     def test_rent_charged_each_cycle(self):
-        protocol = make_protocol()
+        protocol = deployment()
         file_id = store_file(protocol)
         balance_before = protocol.ledger.balance("client")
         protocol.advance_time(protocol.now + 3 * protocol.params.proof_cycle)
@@ -261,7 +244,7 @@ class TestCheckProofAndRent:
         assert protocol.files[file_id].rent_paid > 0
 
     def test_broke_client_file_discarded(self):
-        protocol = make_protocol()
+        protocol = deployment()
         file_id = store_file(protocol)
         # Drain the client's balance so the next cycle cannot be paid.
         balance = protocol.ledger.balance("client")
@@ -272,7 +255,7 @@ class TestCheckProofAndRent:
         assert len(protocol.alloc.entries_for_file(file_id)) == 0
 
     def test_rent_distributed_to_providers(self):
-        protocol = make_protocol()
+        protocol = deployment()
         store_file(protocol)
         protocol.advance_time(protocol.now + protocol.params.rent_period + 1)
         assert protocol.fees.rent.total_collected > 0
@@ -282,7 +265,7 @@ class TestCheckProofAndRent:
 
     def test_missed_proofs_lead_to_corruption_and_loss(self):
         # Health oracle says sectors are unhealthy -> no automatic proofs.
-        protocol = make_protocol(health=lambda sector_id: False)
+        protocol = all_sick(deployment())
         file_id = store_file(protocol)
         protocol.advance_time(
             protocol.now + protocol.params.proof_deadline + 2 * protocol.params.proof_cycle
@@ -292,20 +275,17 @@ class TestCheckProofAndRent:
         assert protocol.events.count(EventType.DEPOSIT_CONFISCATED) >= 1
 
     def test_late_proofs_punished_but_not_fatal(self):
-        params = ProtocolParams.small_test().scaled(
-            proof_cycle=60.0, proof_due=30.0, proof_deadline=100_000.0
-        )
-        healthy = {"flag": False}
-        protocol = make_protocol(params=params, health=lambda sector_id: healthy["flag"])
+        overrides = dict(proof_cycle=60.0, proof_due=30.0, proof_deadline=100_000.0)
+        protocol = all_sick(deployment(**overrides))
         file_id = store_file(protocol)
-        protocol.advance_time(protocol.now + 3 * params.proof_cycle)
+        protocol.advance_time(protocol.now + 3 * protocol.params.proof_cycle)
         assert protocol.events.count(EventType.PROVIDER_PUNISHED) >= 1
         assert protocol.files[file_id].state == FileState.NORMAL
 
 
 class TestDiscardAndLoss:
     def test_discard_removes_file_at_next_checkpoint(self):
-        protocol = make_protocol()
+        protocol = deployment()
         file_id = store_file(protocol)
         protocol.file_discard("client", file_id)
         assert protocol.files[file_id].state == FileState.DISCARDED
@@ -316,13 +296,13 @@ class TestDiscardAndLoss:
         assert total_free == total_capacity
 
     def test_discard_requires_owner(self):
-        protocol = make_protocol()
+        protocol = deployment()
         file_id = store_file(protocol)
         with pytest.raises(ProtocolError):
             protocol.file_discard("mallory", file_id)
 
     def test_crash_all_hosts_compensates_owner_fully(self):
-        protocol = make_protocol()
+        protocol = deployment()
         file_id = store_file(protocol, value=1)
         balance_before = protocol.ledger.balance("client")
         hosting = {entry.prev for _, entry in protocol.alloc.entries_for_file(file_id)}
@@ -336,7 +316,7 @@ class TestDiscardAndLoss:
         assert protocol.events.count(EventType.FILE_COMPENSATED) == 1
 
     def test_partial_crash_keeps_file_alive(self):
-        protocol = make_protocol(providers=4)
+        protocol = deployment(providers=4)
         file_id = store_file(protocol)
         hosting = sorted({entry.prev for _, entry in protocol.alloc.entries_for_file(file_id)})
         if len(hosting) > 1:
@@ -345,7 +325,7 @@ class TestDiscardAndLoss:
         assert protocol.files[file_id].state == FileState.NORMAL
 
     def test_corrupted_sector_removed_from_selection(self):
-        protocol = make_protocol()
+        protocol = deployment()
         sector_id = next(iter(protocol.sectors))
         protocol.crash_sector(sector_id)
         assert not protocol.selector.contains(sector_id)
@@ -354,23 +334,18 @@ class TestDiscardAndLoss:
 
 class TestRefresh:
     def test_refresh_eventually_moves_replicas(self):
-        params = ProtocolParams.small_test().scaled(avg_refresh=1.0)
-        protocol = make_protocol(params=params, providers=4)
+        protocol = deployment(providers=4, avg_refresh=1.0)
+        params = protocol.params
         file_id = store_file(protocol)
-        for _ in range(12):
-            protocol.advance_time(protocol.now + params.proof_cycle)
-            # Confirm any pending refresh targets so swaps complete.
-            for index, entry in protocol.alloc.entries_for_file(file_id):
-                if entry.state == AllocState.ALLOC and entry.next is not None:
-                    owner = protocol.sectors[entry.next].owner
-                    protocol.file_confirm(owner, file_id, index, entry.next)
+        # The providers confirm every refresh, so the swaps complete.
+        replay(protocol, [("advance", params.proof_cycle), ("confirm_refreshes",)] * 12)
         assert protocol.events.count(EventType.FILE_REFRESH_STARTED) >= 1
         assert protocol.events.count(EventType.FILE_REFRESH_COMPLETED) >= 1
         assert protocol.files[file_id].state == FileState.NORMAL
 
     def test_failed_refresh_punishes_and_retries(self):
-        params = ProtocolParams.small_test().scaled(avg_refresh=1.0)
-        protocol = make_protocol(params=params, providers=4)
+        protocol = deployment(providers=4, avg_refresh=1.0)
+        params = protocol.params
         file_id = store_file(protocol)
         # Never confirm refresh swaps: every CheckRefresh should punish and retry.
         for _ in range(10):
@@ -384,8 +359,8 @@ class TestRefresh:
         """A stored file advanced until one replica is mid-refresh (state
         ALLOC with a target).  RandomSector() may re-draw the replica's
         current sector, so the caller says which kind of swap it wants."""
-        params = ProtocolParams.small_test().scaled(avg_refresh=1.0)
-        protocol = make_protocol(params=params, providers=4, engine=engine)
+        protocol = deployment(providers=4, engine=engine, avg_refresh=1.0)
+        params = protocol.params
         file_id = store_file(protocol)
         for _ in range(60):
             protocol.advance_time(protocol.now + params.proof_cycle)
@@ -417,16 +392,11 @@ class TestRefresh:
         assert entry.state == AllocState.CORRUPTED
 
     def test_refresh_releases_space_on_old_sector(self):
-        params = ProtocolParams.small_test().scaled(avg_refresh=1.0)
-        protocol = make_protocol(params=params, providers=4)
+        protocol = deployment(providers=4, avg_refresh=1.0)
+        params = protocol.params
         file_id = store_file(protocol, size=8192)
         descriptor = protocol.files[file_id]
-        for _ in range(15):
-            protocol.advance_time(protocol.now + params.proof_cycle)
-            for index, entry in protocol.alloc.entries_for_file(file_id):
-                if entry.state == AllocState.ALLOC and entry.next is not None:
-                    owner = protocol.sectors[entry.next].owner
-                    protocol.file_confirm(owner, file_id, index, entry.next)
+        replay(protocol, [("advance", params.proof_cycle), ("confirm_refreshes",)] * 15)
         # Total reserved space must equal replicas * size plus one extra
         # reservation per swap still in flight (the target sector holds its
         # space until CheckRefresh resolves) -- i.e. no space leaks.
@@ -443,18 +413,18 @@ class TestRefresh:
 
 class TestTimeAndQueries:
     def test_time_cannot_go_backwards(self):
-        protocol = make_protocol()
+        protocol = deployment()
         protocol.advance_time(10.0)
         with pytest.raises(ValueError):
             protocol.advance_time(5.0)
 
     def test_file_locations_unknown_file(self):
-        protocol = make_protocol()
+        protocol = deployment()
         with pytest.raises(ProtocolError):
             protocol.file_locations(999)
 
     def test_snapshot_and_aggregates(self):
-        protocol = make_protocol()
+        protocol = deployment()
         store_file(protocol)
         snapshot = protocol.snapshot()
         assert snapshot["files_stored"] == 1.0
@@ -463,7 +433,7 @@ class TestTimeAndQueries:
         assert protocol.value_loss_ratio() == 0.0
 
     def test_ledger_conservation_through_full_lifecycle(self):
-        protocol = make_protocol()
+        protocol = deployment()
         file_id = store_file(protocol)
         hosting = {entry.prev for _, entry in protocol.alloc.entries_for_file(file_id)}
         for sector_id in hosting:
@@ -508,7 +478,7 @@ def test_each_refusal_has_one_error_type(cause, entry, engine):
     and leaves no file behind."""
     request, error = _REFUSALS[cause]
     cls, charge_fees = _ENGINES[engine]
-    protocol = make_protocol(params=_REFUSAL_PARAMS, charge_fees=charge_fees, engine=cls)
+    protocol = deployment(cls, charge_fees=charge_fees, min_value=_REFUSAL_PARAMS.min_value)
     protocol.ledger.mint("poor", 1)
     owner = request.get("owner", "client")
     size = request.get("size", 4096)

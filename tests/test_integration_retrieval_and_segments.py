@@ -4,17 +4,15 @@ providers (Section VI-E) and large-file segmentation through the protocol
 
 import pytest
 
-from repro.chain.ledger import Ledger
-from repro.core.columnar import ColumnarProtocol
 from repro.core.file_descriptor import FileState
 from repro.core.large_files import LargeFileCodec
-from repro.core.params import ProtocolParams
 from repro.crypto.hashing import ContentId
-from repro.crypto.prng import DeterministicPRNG
 from repro.storage.bitswap import BitSwapNetwork
 from repro.storage.content_store import BlockNotFoundError
 from repro.storage.dag import MerkleDag
 from repro.storage.dht import DHTNetwork
+
+from oracles.harness import apply, deploy
 
 
 class TestRetrievalMarket:
@@ -76,23 +74,12 @@ class TestRetrievalMarket:
 class TestLargeFileThroughProtocol:
     """Section VI-C: oversized files enter the DSN as erasure-coded segments."""
 
-    def make_protocol(self, providers=6, k=3):
-        params = ProtocolParams.small_test().scaled(k=k, cap_para=1000.0)
-        protocol = ColumnarProtocol(
-            params=params,
-            ledger=Ledger(),
-            prng=DeterministicPRNG.from_int(21, domain="segment-int"),
-            health_oracle=lambda sector_id: True,
-            auto_prove=True,
-            charge_fees=False,
-        )
-        for index in range(providers):
-            protocol.sector_register(f"prov-{index}", params.min_capacity)
-        return protocol, params
-
     def test_oversized_file_rejected_then_stored_as_segments(self):
         # Enough sectors that all segment replicas fit the redundancy budget.
-        protocol, params = self.make_protocol(providers=24)
+        protocol = deploy(
+            providers=24, capacity_mb=1, backend="vectorized", seed=21, cap_para=1000.0
+        )
+        params = protocol.params
         oversized = params.size_limit + 1024
         payload = b"L" * oversized
         with pytest.raises(Exception):
@@ -102,13 +89,8 @@ class TestLargeFileThroughProtocol:
         segmented = codec.split(payload, value=4)
         segment_ids = []
         for segment in segmented.segments:
-            file_id = protocol.file_add(
-                "client", segment.size, segment.value, segment.merkle_root
-            )
-            for index, entry in protocol.alloc.entries_for_file(file_id):
-                owner = protocol.sectors[entry.next].owner
-                protocol.file_confirm(owner, file_id, index, entry.next)
-            segment_ids.append(file_id)
+            assert apply(protocol, ("add", segment.size, segment.value)) is None
+            segment_ids.append(len(protocol.files) - 1)
         protocol.run_until_idle(max_time=protocol.now + 1000.0)
         states = [protocol.files[i].state for i in segment_ids]
         assert all(state == FileState.NORMAL for state in states)
@@ -119,8 +101,7 @@ class TestLargeFileThroughProtocol:
         assert codec.reassemble(segmented, surviving) == payload
 
     def test_segment_values_preserve_compensation_economics(self):
-        protocol, params = self.make_protocol()
-        codec = LargeFileCodec(size_limit=1 << 16, k=params.k)
+        codec = LargeFileCodec(size_limit=1 << 16, k=3)
         value = 6
         segmented = codec.split(b"E" * (1 << 18), value=value)
         # Per-segment value is 2*value/k, so losing the whole file (all
@@ -135,17 +116,7 @@ class TestDeterminism:
     def test_identical_seeds_identical_histories(self):
         outcomes = []
         for _ in range(2):
-            params = ProtocolParams.small_test()
-            protocol = ColumnarProtocol(
-                params=params,
-                ledger=Ledger(),
-                prng=DeterministicPRNG.from_int(5, domain="determinism"),
-                health_oracle=lambda sector_id: True,
-                auto_prove=True,
-                charge_fees=False,
-            )
-            for index in range(4):
-                protocol.sector_register(f"prov-{index}", params.min_capacity)
+            protocol = deploy(providers=4, capacity_mb=1, backend="vectorized", seed=5)
             placements = []
             for _ in range(10):
                 file_id = protocol.file_add("client", 2048, 1, b"\x01" * 32)

@@ -10,8 +10,8 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles.harness import agree, grid
 from oracles.kernel_oracle import BACKENDS, U32Randint
-from oracles.protocol import FileInsurerProtocol, fingerprint
 from repro.chain.ledger import Ledger
 from repro.core.large_files import LargeFileCodec
 from repro.core.selector import WeightedSampler
@@ -513,43 +513,7 @@ def test_lifecycle_invariants_hold_under_generated_dynamics(
 # Columnar protocol engine: differential equivalence with the Figure 1
 # spec (tests/oracles/protocol.py) under hypothesis-generated op streams
 # ----------------------------------------------------------------------
-class _ToggleOracle:
-    """Health oracle over a mutable sick set.  Ops flip the set between
-    ``advance_time`` calls only, so it is pure within each sweep -- the
-    contract the columnar engine's once-per-host consultation relies on."""
-
-    def __init__(self):
-        self.sick = set()
-
-    def __call__(self, sector_id):
-        return sector_id not in self.sick
-
-
-def _build_engine_pair(seed, backend, charge_fees):
-    from repro.core.columnar import ColumnarProtocol
-    from repro.core.params import ProtocolParams
-
-    pair = []
-    for cls in (FileInsurerProtocol, ColumnarProtocol):
-        ledger = Ledger()
-        protocol = cls(
-            params=ProtocolParams.small_test(),
-            ledger=ledger,
-            prng=DeterministicPRNG.from_int(seed, domain="columnar-hyp"),
-            health_oracle=_ToggleOracle(),
-            auto_prove=True,
-            charge_fees=charge_fees,
-            backend=BACKENDS[backend],
-        )
-        for index in range(4):
-            owner = f"prov-{index}"
-            ledger.mint(owner, 50_000_000)
-            protocol.sector_register(owner, 4 * (1 << 20))
-        ledger.mint("client", 500_000_000)
-        pair.append(protocol)
-    return pair
-
-
+_SIZE = st.integers(min_value=1, max_value=16).map(lambda units: units * 16 * 1024)
 _HYP_ADVANCE = st.tuples(
     st.just("advance"), st.sampled_from([30.0, 65.0, 140.0, 400.0])
 )
@@ -564,78 +528,18 @@ _HYP_FAULT = st.tuples(
 _HYP_OP = st.one_of(
     st.tuples(
         st.just("batch"),
-        st.lists(st.integers(min_value=1, max_value=16), min_size=1, max_size=5),
+        st.lists(_SIZE, min_size=1, max_size=5),
         st.integers(min_value=1, max_value=3),
     ),
-    st.tuples(st.just("add"), st.integers(min_value=1, max_value=16)),
+    st.tuples(st.just("add"), _SIZE),
     _HYP_ADVANCE,
     _HYP_FAULT,
     st.tuples(st.just("discard"), st.integers(min_value=0, max_value=40)),
     st.tuples(st.just("disable"), st.integers(min_value=0, max_value=3)),
     st.just(("confirm_refreshes",)),
 )
-
-
-def _apply_protocol_op(protocol, op):
-    """Run one generated op; returns the error message if it was refused."""
-    from repro.core.allocation import AllocState
-    from repro.core.protocol import ProtocolError
-
-    root = b"\x06" * 32
-    try:
-        if op[0] == "batch":
-            sizes = [units * 16 * 1024 for units in op[1]]
-            ids = protocol.file_add_batch("client", sizes, [op[2]] * len(sizes), root)
-            protocol.confirm_batch(ids)
-        elif op[0] == "add":
-            file_id = protocol.file_add("client", op[1] * 16 * 1024, 1, root)
-            for index, entry in protocol.alloc.entries_for_file(file_id):
-                if entry.next is not None:
-                    owner = protocol.sectors[entry.next].owner
-                    protocol.file_confirm(owner, file_id, index, entry.next)
-        elif op[0] == "advance":
-            protocol.advance_time(protocol.now + op[1])
-        elif op[0] == "crash":
-            targets = sorted(protocol.sectors)
-            target = targets[op[1] % len(targets)]
-            if not protocol.sectors[target].is_corrupted:
-                protocol.crash_sector(target)
-        elif op[0] in ("sick", "heal", "crash_silent"):
-            targets = sorted(protocol.sectors)
-            target = targets[op[1] % len(targets)]
-            # A silent crash is a sick sector: the network only learns of
-            # it through the proofs it then misses.
-            if op[0] == "heal":
-                protocol.health_oracle.sick.discard(target)
-            else:
-                protocol.health_oracle.sick.add(target)
-        elif op[0] == "confirm_refreshes":
-            # The target providers' part of every refresh still in flight.
-            for notice in protocol.refresh_notices:
-                entry = dict(protocol.alloc.entries_for_file(notice.file_id)).get(
-                    notice.replica_index
-                )
-                if (
-                    entry is not None
-                    and entry.state == AllocState.ALLOC
-                    and entry.next == notice.target_sector
-                ):
-                    protocol.file_confirm(
-                        protocol.sectors[notice.target_sector].owner,
-                        notice.file_id,
-                        notice.replica_index,
-                        notice.target_sector,
-                    )
-        elif op[0] == "discard":
-            if op[1] in protocol.files:
-                protocol.file_discard("client", op[1])
-        elif op[0] == "disable":
-            targets = sorted(protocol.sectors)
-            target = targets[op[1] % len(targets)]
-            protocol.sector_disable(protocol.sectors[target].owner, target)
-    except ProtocolError as error:
-        return str(error)
-    return None
+#: Four 4 MiB sectors: small enough for generated ops to fill and refuse.
+_HYP_SHAPE = dict(providers=4, capacity_mb=4)
 
 
 @DIFF_SETTINGS
@@ -648,12 +552,10 @@ def _apply_protocol_op(protocol, op):
 def test_columnar_engine_matches_object_engine(ops, seed, backend, charge_fees):
     """Any generated op stream leaves both engines in byte-identical state,
     refusing exactly the same operations with the same messages."""
-    reference, columnar = _build_engine_pair(seed, backend, charge_fees)
-    for op in ops:
-        refused_ref = _apply_protocol_op(reference, op)
-        refused_col = _apply_protocol_op(columnar, op)
-        assert refused_col == refused_ref, op
-    assert fingerprint(columnar) == fingerprint(reference)
+    agree(
+        ops, grid(backends=(backend,)), stages=[len(ops) - 1], refusable=True,
+        seed=seed, charge_fees=charge_fees, **_HYP_SHAPE,
+    )
 
 
 @DIFF_SETTINGS
@@ -664,18 +566,9 @@ def test_columnar_engine_matches_object_engine(ops, seed, backend, charge_fees):
 def test_columnar_engine_matches_across_kernel_backends(ops, seed):
     """The columnar engine itself is backend-independent: reference and
     vectorized kernels replay the same op stream to identical state."""
-    protocols = {
-        backend: _build_engine_pair(seed, backend, False)[1]
-        for backend in ("reference", "vectorized")
-    }
-    for op in ops:
-        refusals = {
-            backend: _apply_protocol_op(protocol, op)
-            for backend, protocol in protocols.items()
-        }
-        assert refusals["vectorized"] == refusals["reference"], op
-    assert fingerprint(protocols["vectorized"]) == fingerprint(
-        protocols["reference"]
+    agree(
+        ops, grid(engines=("columnar",), backends=("reference", "vectorized")),
+        stages=[len(ops) - 1], refusable=True, seed=seed, **_HYP_SHAPE,
     )
 
 
@@ -694,9 +587,8 @@ def test_columnar_engine_matches_through_degraded_sweeps(ops, seed, backend):
     mid-run (the epoch re-mask), lost files and refreshes whose source or
     target dies in flight; state -- including ``last_proof`` of rows
     corrupted mid-run -- must stay byte-identical to the object engine."""
-    reference, columnar = _build_engine_pair(seed, backend, False)
-    for op in [("batch", [1] * 8, 1), ("advance", 65.0)] + ops:
-        refused_ref = _apply_protocol_op(reference, op)
-        refused_col = _apply_protocol_op(columnar, op)
-        assert refused_col == refused_ref, op
-        assert fingerprint(columnar) == fingerprint(reference), op
+    stored = [("batch", [16 * 1024] * 8, 1), ("advance", 65.0)]
+    agree(
+        stored + ops, grid(backends=(backend,)), refusable=True, seed=seed,
+        **_HYP_SHAPE,
+    )

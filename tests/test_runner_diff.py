@@ -296,10 +296,10 @@ class TestStragglerFactor:
 
     def test_non_positive_factor_rejected(self):
         manifest = self._stats_manifest([0.1])
-        with pytest.raises(ValueError):
-            diff_manifests(manifest, manifest, straggler_factor=0.0)
-        with pytest.raises(ValueError):
-            diff_manifests(manifest, manifest, straggler_factor=-1.0)
+        # NaN and infinity can never flag a straggler either.
+        for factor in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite positive"):
+                diff_manifests(manifest, manifest, straggler_factor=factor)
 
     def test_format_diff_names_the_factor(self):
         manifest = self._stats_manifest([0.1, 0.1, 0.1, 0.25])
@@ -323,5 +323,7 @@ class TestStragglerFactor:
 
         path = tmp_path / "m.json"
         path.write_text(self._stats_manifest([0.1]).to_json())
-        assert main(["diff", str(path), str(path), "--straggler-factor", "0"]) == 2
-        assert "positive" in capsys.readouterr().err
+        for factor in ("0", "nan", "inf"):
+            assert main(["diff", str(path), str(path), "--straggler-factor", factor]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "positive" in err
