@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.crypto.prng import DeterministicPRNG
 from repro.kernels import KernelBackend, get_backend, sampler_stream
+from repro.kernels.sampling import DrawTable
 
 __all__ = ["SamplerInvariantError", "WeightedSampler", "CapacitySelector"]
 
@@ -170,11 +171,15 @@ class WeightedSampler(Generic[K]):
         """Per-slot weights as ``int64`` -- the ``batch_weighted_draw`` table.
 
         Recycled slots carry weight 0 and are therefore never drawn.  The
-        array is cached across draws (membership changes invalidate it)
-        and must not be mutated by callers; the kernels copy their inputs.
+        array is cached across draws and read-only: add, remove and
+        :meth:`update_weight` replace it rather than write to it, which is
+        what lets :class:`CapacitySelector` keep a
+        :class:`~repro.kernels.sampling.DrawTable` per array.
         """
         if self._weights_array is None:
-            self._weights_array = np.asarray(self._weights, dtype=np.int64)
+            array = np.asarray(self._weights, dtype=np.int64)
+            array.flags.writeable = False
+            self._weights_array = array
         return self._weights_array
 
     def slot_of(self, key: K) -> int:
@@ -234,13 +239,18 @@ class CapacitySelector:
     every reservation/release via :meth:`set_free` / :meth:`debit_slots`,
     so no call scans the sector records.
 
+    The kernels get the weights as a :class:`~repro.kernels.sampling.DrawTable`
+    the selector keeps across calls and rebuilds only when the sampler
+    hands out a new weight array (on add, remove or a weight change), so
+    no call re-validates the table or recomputes its cumulative sums.
+
     Plain :meth:`random_slot` draws are served from a buffer filled
     ``draw_batch`` at a time by a single kernel call, so refresh-target
-    selection stops paying the per-draw stream-derivation + cumsum
-    overhead.  The buffer is flushed whenever membership or weights
-    change, which keeps every served draw consistent with the live sector
-    set; the draw *sequence* is a function of the op stream and
-    ``draw_batch`` only, so it stays bit-identical on the kernel oracle.
+    selection stops paying the per-draw stream-derivation overhead.  The
+    buffer is flushed whenever membership or weights change, which keeps
+    every served draw consistent with the live sector set; the draw
+    *sequence* is a function of the op stream and ``draw_batch`` only, so
+    it stays bit-identical on the kernel oracle.
     """
 
     #: Stream label under which the draw entropy is derived from the
@@ -277,6 +287,14 @@ class CapacitySelector:
             prng.spawn(self._KERNEL_ENTROPY_LABEL).random_bytes(16), "big"
         )
         self._draw_calls = 0
+        self._table: Optional[DrawTable] = None
+
+    def _draw_table(self) -> DrawTable:
+        """The kernel table of the current weights, rebuilt per weight array."""
+        weights = self._sampler.slot_weights()
+        if self._table is None or self._table.weights is not weights:
+            self._table = DrawTable(weights)
+        return self._table
 
     def _next_stream(self) -> "np.random.Generator":
         """A fresh dedicated uint32 stream for one kernel call."""
@@ -362,8 +380,8 @@ class CapacitySelector:
 
         Draws are prefetched ``draw_batch`` at a time from a single kernel
         call and served from a buffer that membership changes flush, so a
-        burst of refresh targets costs one stream derivation + cumsum
-        instead of one per draw.  The buffer is refilled only when a draw
+        burst of refresh targets costs one stream derivation instead of
+        one per draw.  The buffer is refilled only when a draw
         finds it empty, never ahead of one: refills share the kernel-call
         numbering of :meth:`select_batch_slots`, so *when* they happen is
         part of the draw sequence.
@@ -371,7 +389,7 @@ class CapacitySelector:
         if not self._draw_buffer:
             result = self.kernels.batch_weighted_draw(
                 self._next_stream(),
-                self._sampler.slot_weights(),
+                self._draw_table(),
                 [("draw", self.draw_batch)],
             )
             self.samples += result.attempts
@@ -418,7 +436,7 @@ class CapacitySelector:
             return np.full(len(sizes), -1, dtype=np.int64)
         result = self.kernels.batch_weighted_draw(
             self._next_stream(),
-            self._sampler.slot_weights(),
+            self._draw_table(),
             # One place run: the sizes travel as a column, never as tuples.
             [("place", np.asarray(sizes), self.max_attempts)],
             # The kernels take a defensive copy, so the live table is safe.

@@ -8,7 +8,7 @@ carves those loops out of :mod:`repro.sim` behind one small contract:
 * :mod:`repro.kernels.base` -- the :class:`~repro.kernels.base.KernelBackend`
   contract (four kernels, bit-equivalence rules);
 * :mod:`repro.kernels.sampling` -- the shared uint32 draw protocol behind
-  ``batch_weighted_draw`` (word stream, validation);
+  ``batch_weighted_draw`` (word stream, draw table, validation);
 * :mod:`repro.kernels.placements` -- the shared validation of
   ``greedy_select``'s two placement forms into CSR columns;
 * :mod:`repro.kernels.moves` -- the shared validation of one

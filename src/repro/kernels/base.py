@@ -38,12 +38,12 @@ only exactly representable ones.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.kernels.placements import Placements
-from repro.kernels.sampling import BatchDrawResult
+from repro.kernels.sampling import BatchDrawResult, DrawTable
 
 __all__ = ["KernelBackend"]
 
@@ -160,7 +160,7 @@ class KernelBackend(ABC):
     def batch_weighted_draw(
         self,
         rng: np.random.Generator,
-        weights: Sequence[int],
+        weights: Union[DrawTable, Sequence[int]],
         ops: Sequence[Tuple],
         free: Optional[Sequence[int]] = None,
     ) -> BatchDrawResult:
@@ -168,7 +168,13 @@ class KernelBackend(ABC):
 
         ``weights`` is a table of non-negative integer sampling weights
         (slot ``i`` is drawn with probability ``weights[i] / total``;
-        zero-weight slots are never drawn), constant for the call.
+        zero-weight slots are never drawn), constant for the call.  It may
+        come as a :class:`~repro.kernels.sampling.DrawTable`, validated
+        when it was built and carrying its total, cumulative weights and
+        guide index, which a caller drawing repeatedly from one weight
+        version keeps across calls
+        (:class:`~repro.core.selector.CapacitySelector` does); a raw table
+        is validated into one per call, with the same messages.
         ``ops`` holds **exactly one** request:
 
         * ``("draw", count)`` -- ``count`` weighted draws;
@@ -197,11 +203,13 @@ class KernelBackend(ABC):
         malformed request raises before any word of ``rng`` is consumed,
         with the same text on every backend.
 
-        **Draw protocol.**  ``rng`` is a *dedicated* uint32 stream for
+        **Draw protocol.**  ``rng`` is a *dedicated* PCG64 generator for
         this one call (see
-        :func:`~repro.kernels.sampling.sampler_stream`); backends may
-        generate past the words the request logically consumes, so
-        callers must never reuse the generator.  One draw with total
+        :func:`~repro.kernels.sampling.sampler_stream`), read as the
+        uint32 words of :class:`~repro.kernels.sampling.U32Stream`; any
+        other bit generator raises ``ValueError``.  Backends may generate
+        past the words the request logically consumes, so callers must
+        never reuse the generator.  One draw with total
         weight ``T`` consumes candidates of ``ceil(T.bit_length() / 32)``
         words each (big-endian, right-shifted to ``T.bit_length()``
         bits) until a candidate below ``T`` is accepted; the accepted

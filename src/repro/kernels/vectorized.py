@@ -29,14 +29,15 @@ equality with the per-item loops of ``tests/oracles/kernel_oracle.py``:
 * **weighted draws** -- the weight table is constant for a call, so the
   scalar rejection loop is a pure filter over consecutive uint32
   candidates: whole windows are decoded at once and every accepted
-  target resolves with one ``searchsorted`` into the cumulative weights,
-  bit-identical to the Fenwick oracle (:class:`_WeightedDrawEngine`).
+  target resolves through the :class:`~repro.kernels.sampling.DrawTable`'s
+  guide index into the cumulative weights, bit-identical to the Fenwick
+  oracle (:class:`_WeightedDrawEngine`).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -46,9 +47,9 @@ from repro.kernels.moves import normalize_refresh_request
 from repro.kernels.placements import Placements, normalize_placements
 from repro.kernels.sampling import (
     BatchDrawResult,
+    DrawTable,
     U32Stream,
     normalize_draw_request,
-    total_weight_guard,
 )
 from repro.telemetry import traced
 
@@ -83,13 +84,13 @@ _EMPTY_I64 = np.empty(0, dtype=np.int64)
 class _WeightedDrawEngine:
     """Window-decoding engine behind ``batch_weighted_draw``.
 
-    The weight table is constant for the whole call, so its exact total,
-    its cumulative weights and the candidate geometry (words per
-    candidate, shift) are computed once.  The rejection loop of the
-    scalar draw protocol then becomes a filter: take a window of
-    consecutive candidates from the word stream at once, keep those below
-    the total, and binary-search all accepted targets into the cumulative
-    weights in one ``searchsorted``.
+    The weight table is constant for the whole call and arrives as a
+    :class:`~repro.kernels.sampling.DrawTable` carrying its exact total,
+    cumulative weights and candidate geometry (words per candidate,
+    shift).  The rejection loop of the scalar draw protocol then becomes a
+    filter: take a window of consecutive candidates from the word stream
+    at once, keep those below the total, and resolve all accepted targets
+    into slots in one :meth:`~repro.kernels.sampling.DrawTable.slots_of`.
 
     Handing out the ``i``-th accepted candidate logically consumes every
     word through it (rejected candidates in between belong to the draw
@@ -105,25 +106,9 @@ class _WeightedDrawEngine:
     the results, so its size is a pure cost knob.
     """
 
-    def __init__(self, weights: np.ndarray, rng: np.random.Generator) -> None:
+    def __init__(self, table: DrawTable, rng: np.random.Generator) -> None:
         self._stream = U32Stream(rng)
-        # Exact total (python int): int64 summation could wrap silently
-        # for adversarial tables, and the total drives both the guard and
-        # the candidate geometry.  The C summation is provably exact when
-        # max * size cannot reach 2**63; only adversarial tables pay for
-        # python-int arithmetic.
-        if weights.size == 0:
-            total = 0
-        elif int(weights.max()).bit_length() + int(weights.size).bit_length() <= 62:
-            total = int(weights.sum())
-        else:
-            total = sum(weights.tolist())
-        total_weight_guard(total)
-        self._total = total
-        self._cum = np.cumsum(weights)
-        self._bits = bits = total.bit_length()
-        self._n_words = (bits + 31) >> 5
-        self._shift = np.uint64(self._n_words * 32 - bits)
+        self._table = table
         # Accepted candidates of the current window, as slot indices, and
         # how many of them are already handed out.
         self._slots = _EMPTY_I64
@@ -133,20 +118,22 @@ class _WeightedDrawEngine:
         # Only reached with a draw pending, so every candidate of the
         # previous window -- accepted and trailing rejected alike -- is
         # logically consumed.
-        if self._total <= 0:
+        table = self._table
+        total = table.total
+        if total <= 0:
             raise ValueError("cannot sample from an empty or zero-weight sampler")
-        n_words = self._n_words
+        n_words = table.n_words
         # A candidate is accepted with probability total / 2**bits, so the
         # ``owed`` pending draws expect this many, plus slack for the spread.
-        expected = (owed << self._bits) // self._total
+        expected = (owed << table.bits) // total
         candidates = min(expected + (owed >> 3) + 8, _DRAW_CHUNK_CANDIDATES)
         words = self._stream.take(candidates * n_words).astype(np.uint64)
         if n_words == 1:
-            values = words >> self._shift
+            values = words >> table.shift
         else:
-            values = ((words[0::2] << np.uint64(32)) | words[1::2]) >> self._shift
-        targets = values[values < np.uint64(self._total)].astype(np.int64)
-        self._slots = np.searchsorted(self._cum, targets, side="right")
+            values = ((words[0::2] << np.uint64(32)) | words[1::2]) >> table.shift
+        targets = values[values < np.uint64(total)].astype(np.int64)
+        self._slots = table.slots_of(targets)
         self._pos = 0
 
     def next_slot(self) -> int:
@@ -197,8 +184,10 @@ def _accepted_prefix(
     the all-accept assumption, which is exact up to the first rejection:
     draws before it really do all accept, so their per-slot prior demand
     is the true one.  Returns ``slots.size`` when every draw accepts.
+    Slots are grouped by the value sort of
+    :meth:`VectorizedKernels._stable_group_order`, not a stable argsort.
     """
-    order = np.argsort(slots, kind="stable")
+    order = VectorizedKernels._stable_group_order(slots, free_table.size)
     slot_sorted = slots[order]
     size_sorted = sizes[order]
     csum = np.cumsum(size_sorted)
@@ -549,12 +538,12 @@ class VectorizedKernels(KernelBackend):
     def batch_weighted_draw(
         self,
         rng: np.random.Generator,
-        weights: Sequence[int],
+        weights: Union[DrawTable, Sequence[int]],
         ops: Sequence[Tuple],
         free: Optional[Sequence[int]] = None,
     ) -> BatchDrawResult:
-        weight_table, request, free_table = normalize_draw_request(weights, ops, free)
-        engine = _WeightedDrawEngine(weight_table, rng)
+        table, request, free_table = normalize_draw_request(weights, ops, free)
+        engine = _WeightedDrawEngine(table, rng)
         if request[0] == "draw":
             keys = engine.next_slots(request[1])
             telemetry.counter("kernel.draws", int(keys.size))

@@ -25,7 +25,6 @@ from repro.kernels.sampling import (
     BatchDrawResult,
     U32Stream,
     normalize_draw_request,
-    total_weight_guard,
 )
 
 __all__ = ["BACKENDS", "ReferenceKernels", "U32Randint"]
@@ -168,15 +167,15 @@ class ReferenceKernels(KernelBackend):
         ops: Sequence[Tuple],
         free: Optional[Sequence[int]] = None,
     ) -> BatchDrawResult:
-        weight_table, request, free_table = normalize_draw_request(weights, ops, free)
+        table, request, free_table = normalize_draw_request(weights, ops, free)
         # The oracle really is the Fenwick tree: slots become integer
         # keys and every draw goes through WeightedSampler.sample with
-        # the U32Randint adapter above supplying the draw protocol.
+        # the U32Randint adapter above supplying the draw protocol.  Of
+        # the DrawTable it reads the validated weights only.
         sampler: WeightedSampler[int] = WeightedSampler()
-        for slot, weight in enumerate(weight_table.tolist()):
+        for slot, weight in enumerate(table.weights.tolist()):
             sampler.add(slot, weight)
         draws = U32Randint(U32Stream(rng))
-        total_weight_guard(sampler.total_weight)
 
         if request[0] == "draw":
             keys = [sampler.sample(draws) for _ in range(request[1])]

@@ -85,8 +85,8 @@ class TestDifferentialScripted:
         """Both engines on both kernel backends, compared after every op of
         the degraded regime (the masked sweep's reason to exist).  It always
         loses files, so it catches a per-file CheckProof that never declares
-        a lost file lost; the degraded property catches that only when its
-        derandomized examples happen to lose a file."""
+        a lost file lost; the degraded property catches that too, through
+        its pinned file-losing example."""
         runs = agree(DEGRADED, grid(backends=BOTH_BACKENDS), providers=8)
         run = runs["object", "reference", 1]
         protocol, events = run.protocol, EventType.PROVIDER_PUNISHED.value
@@ -142,8 +142,10 @@ class TestDifferentialScripted:
 
     def test_fee_charging_run_matches(self):
         """Rent, gas and traffic fees on every op.  Unlike the hypothesis
-        properties, it catches a rent period that never runs, rent that is
-        never distributed and a ``file_discard`` that charges no gas."""
+        properties, it catches a ``file_discard`` that charges no gas; a
+        rent period that never runs, or rent never distributed, the
+        object-engine property catches too, through its pinned rent-period
+        example."""
         agree(SCRIPTED, grid(), charge_fees=True)
 
     def test_draw_batch_prefetch_matches(self):
@@ -155,10 +157,10 @@ class TestDifferentialScripted:
         agree(SCRIPTED, grid(backends=BOTH_BACKENDS, draw_batches=(8,)))
 
     def test_placement_failure_truncates_identically(self):
-        """The hypothesis properties truncate a batch on a placement failure
-        only by chance (one derandomized example set does, another does
-        not); this flow always does, and catches a truncated upload that
-        is not marked failed."""
+        """A truncated upload that is not marked failed fails this flow,
+        on a deployment of two unequal sectors, and the object-engine and
+        cross-backend properties, through their pinned truncating
+        example on the properties' four equal sectors."""
 
         def two_sectors(protocol):
             for owner, size_mb in (("prov-big", 8), ("prov-small", 1)):

@@ -2,11 +2,14 @@
 
 import pytest
 
+import repro.core.selector as selector_module
 import repro.kernels
+from oracles.harness import deploy, replay
 from oracles.kernel_oracle import BACKENDS
 from oracles.protocol import random_sector, select_batch
 from repro.core.selector import CapacitySelector, SamplerInvariantError, WeightedSampler
 from repro.crypto.prng import DeterministicPRNG
+from repro.kernels.sampling import DrawTable
 
 
 @pytest.fixture
@@ -146,6 +149,49 @@ class TestSlotViews:
         assert sampler.slot_count == 2
         assert sampler.slot_weights().tolist() == [0, 7]
         assert sampler.slot_of("b") == 1 and sampler.keys() == ["b"]
+
+    def test_cached_weights_are_read_only(self):
+        """The selector keeps a DrawTable per cached array, so an in-place
+        write would leave its prefix sums stale; it raises instead."""
+        sampler = WeightedSampler()
+        sampler.add("a", 5)
+        with pytest.raises(ValueError):
+            sampler.slot_weights()[0] = 1
+        assert sampler.slot_weights().tolist() == [5]
+
+
+class TestDrawTableReuse:
+    def test_fill_then_prove_builds_one_table_per_weight_version(self, monkeypatch):
+        """File Add batches, proof rounds drawing refresh targets, a crash,
+        more rounds: every weight array the sampler hands out gets exactly
+        one DrawTable, however many kernel calls it serves."""
+        built, versions = [], []
+
+        class Counted(DrawTable):
+            def __init__(self, weights):
+                super().__init__(weights)
+                built.append(weights)
+
+        slot_weights = WeightedSampler.slot_weights
+
+        def recorded(sampler):
+            weights = slot_weights(sampler)
+            if not any(weights is seen for seen in versions):
+                versions.append(weights)
+            return weights
+
+        monkeypatch.setattr(selector_module, "DrawTable", Counted)
+        monkeypatch.setattr(WeightedSampler, "slot_weights", recorded)
+        protocol = deploy(backend="vectorized", draw_batch=8)
+        replay(
+            protocol,
+            [("batch", [64 << 10] * 30, 1), ("advance", 300.0), ("crash", 0),
+             ("advance", 300.0), ("batch", [64 << 10] * 10, 1), ("advance", 300.0)],
+        )
+        assert len(versions) >= 2
+        assert len(built) == len(versions)
+        assert all(table is version for table, version in zip(built, versions))
+        assert protocol.selector._draw_calls > 2 * len(built)
 
 
 class TestCapacitySelectorBackends:

@@ -17,6 +17,7 @@ from repro import kernels
 from repro.core.selector import CapacitySelector
 from repro.crypto.prng import DeterministicPRNG
 from repro.kernels import VectorizedKernels
+from repro.kernels.sampling import DrawTable
 from repro.runner import run_scenario
 from repro.runner.registry import load_builtin_scenarios
 from repro.sim.lifecycle import LifecycleConfig, LifecycleSimulation
@@ -38,7 +39,8 @@ class Census(VectorizedKernels):
 
 
 def assert_single_requests(calls, kinds):
-    """Every call holds one request, of the two shapes, over int tables."""
+    """Every call holds one request, of the two shapes, over int tables
+    (a weight table may come as a ``DrawTable``; its weights are read)."""
     assert sorted({ops[0][0] for _, ops, _ in calls}) == sorted(kinds)
     for weights, ops, free in calls:
         assert isinstance(ops, (list, tuple)) and len(ops) == 1
@@ -53,6 +55,8 @@ def assert_single_requests(calls, kinds):
             assert isinstance(sizes, np.ndarray) and sizes.ndim == 1
             assert sizes.dtype.kind in "iu"
             assert free is not None
+        if isinstance(weights, DrawTable):
+            weights = weights.weights
         for table in (weights, free):
             assert table is None or np.asarray(table).dtype.kind in "iu"
 

@@ -745,6 +745,16 @@ class TestBatchWeightedDrawEquivalence:
             assert message == "weights must fit in int64"  # not wrapped negative
         _assert_batch_identical([half, half - 1], [("draw", 40)])  # just under
 
+    def test_a_stream_that_is_not_pcg64_is_refused(self):
+        """The pinned draw sequences are PCG64's raw words; another bit
+        generator is refused alike, before any of its words is read."""
+        for name in BACKENDS:
+            rng = np.random.Generator(np.random.Philox(0))
+            with pytest.raises(ValueError, match="must be a PCG64 generator, got Philox"):
+                BACKENDS[name].batch_weighted_draw(rng, [1, 2], [("draw", 1)])
+            first = np.random.Philox(0).random_raw(4)
+            assert np.array_equal(rng.bit_generator.random_raw(4), first)
+
     @pytest.mark.parametrize(
         "ops",
         [

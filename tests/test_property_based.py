@@ -7,19 +7,20 @@ bit-for-bit, and the cross-backend comparisons never flake.
 """
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from oracles.harness import agree, grid
 from oracles.kernel_oracle import BACKENDS, U32Randint
 from repro.chain.ledger import Ledger
 from repro.core.large_files import LargeFileCodec
-from repro.core.selector import WeightedSampler
+from repro.core.selector import CapacitySelector, WeightedSampler
 from repro.crypto.erasure import ReedSolomonCode
 from repro.crypto.merkle import MerkleTree
 from repro.crypto.prng import DeterministicPRNG
 from repro.kernels import sampler_stream
-from repro.kernels.sampling import U32Stream
+from repro.kernels.sampling import DrawTable, U32Stream
 from repro.storage.provider import StorageProvider
 
 SETTINGS = settings(max_examples=50, suppress_health_check=[HealthCheck.too_slow], deadline=None)
@@ -272,22 +273,29 @@ def test_batch_weighted_draw_backends_bit_identical(batch, entropy):
     assert reference == vectorized
 
 
-class _WordReplay:
-    """Stands in for a call's generator, serving a known word sequence.
+class _WordReplay(np.random.PCG64):
+    """A PCG64 whose raw outputs replay a known word sequence.
 
     A kernel call may generate past the words it consumes, so replaying
     one stream across several calls needs the test to position each call
-    itself: it hands every call the shared words from the right offset.
+    itself: it hands every call the shared words from the right offset,
+    packed two to a raw output, low word first, as ``U32Stream`` splits
+    them.
     """
 
     def __init__(self, words):
+        super().__init__(0)
         self._words = words
 
-    def integers(self, low, high, size, dtype):
-        assert (low, high, dtype) == (0, 1 << 32, np.uint32)
-        served, self._words = self._words[:size], self._words[size:]
-        assert served.size == size, "the replay ran out of words"
-        return served
+    def random_raw(self, size=None, output=True):
+        served, self._words = self._words[: 2 * size], self._words[2 * size :]
+        assert served.size == 2 * size, "the replay ran out of words"
+        return served.astype("<u4").view("<u8")
+
+
+def _replay(words):
+    """A generator over :class:`_WordReplay`, the form a kernel call takes."""
+    return np.random.Generator(_WordReplay(words))
 
 
 def _words_through(words, total, accepted):
@@ -317,7 +325,7 @@ def test_place_run_is_a_loop_of_one_size_runs_on_both_backends(batch, entropy):
     words = sampler_stream(entropy, 0).integers(0, 1 << 32, 1 << 14, dtype=np.uint32)
     for backend in ("reference", "vectorized"):
         whole = _run_kernel_draw(
-            backend, weights, ("place", sizes, max_attempts), free, _WordReplay(words)
+            backend, weights, ("place", sizes, max_attempts), free, _replay(words)
         )
         remaining = list(free)
         keys, attempts, collisions, at = [], 0, 0, 0
@@ -327,7 +335,7 @@ def test_place_run_is_a_loop_of_one_size_runs_on_both_backends(batch, entropy):
                 weights,
                 ("place", np.array([size]), max_attempts),
                 remaining,
-                _WordReplay(words[at:]),
+                _replay(words[at:]),
             )
             if one[0] == "error":
                 assert whole == one
@@ -398,14 +406,149 @@ def test_batch_draw_never_returns_zero_weight_slots(weights, entropy):
 @given(entropy=st.integers(min_value=0, max_value=50))
 def test_u32_stream_chunking_is_invariant(entropy):
     """Re-chunked takes read the same words -- the property that lets the
-    vectorized backend decode candidates in bulk."""
+    vectorized backend decode candidates in bulk -- and the words are the
+    PCG64 raw outputs split low half first, which is also what
+    ``Generator.integers(0, 2**32, dtype=uint32)`` returns."""
     one = U32Stream(sampler_stream(entropy, 9))
     other = U32Stream(sampler_stream(entropy, 9))
     a = np.concatenate([one.take(3), one.take(1), one.take(5000), one.take(60)])
     b = np.concatenate([other.take(4097), other.take(967)])
     assert np.array_equal(a, b)
-    raw = sampler_stream(entropy, 9).integers(0, 1 << 32, 5064, dtype=np.uint32)
-    assert np.array_equal(a, raw)
+    raw = sampler_stream(entropy, 9).bit_generator.random_raw(2532)
+    split = np.empty(5064, dtype=np.uint32)
+    split[0::2] = raw & np.uint64(0xFFFFFFFF)
+    split[1::2] = raw >> np.uint64(32)
+    assert np.array_equal(a, split)
+    integers = sampler_stream(entropy, 9).integers(0, 1 << 32, 5064, dtype=np.uint32)
+    assert np.array_equal(a, integers)
+
+
+@st.composite
+def guide_tables(draw):
+    """Weight tables the guide index must resolve exactly: runs of zero
+    weights, optionally one weight topping the total up to just below or
+    above ``2**32`` or just below ``2**62`` (one weight >> the rest)."""
+    runs = draw(
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=1000), st.integers(1, 6)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    scale = draw(st.sampled_from([1, 1 << 22, 1 << 40]))
+    weights = [weight * scale for weight, length in runs for _ in range(length)]
+    top = draw(st.sampled_from([None, (1 << 32) - 1, (1 << 32) + 1, (1 << 62) - 1]))
+    if top is not None and top > sum(weights):
+        weights[draw(st.integers(0, len(weights) - 1))] += top - sum(weights)
+    if sum(weights) == 0:
+        weights[-1] = 1
+    return weights
+
+
+@DIFF_SETTINGS
+@given(weights=guide_tables(), extra=st.lists(st.integers(min_value=0), max_size=8))
+@example(weights=[5], extra=[])
+@example(weights=[0, 0, (1 << 62) - 4, 0, 0, 1, 1, 1], extra=[])
+@example(weights=[1] * 40 + [(1 << 32) - 40] + [0] * 9, extra=[])
+def test_guide_index_resolves_like_searchsorted(weights, extra):
+    """``DrawTable.slots_of`` is ``searchsorted(cum, t, side="right")`` at
+    0, T - 1, every prefix boundary +-1 and arbitrary targets, before and
+    after its guide index is built."""
+    table = DrawTable(weights)
+    total = table.total
+    cum = np.cumsum(np.asarray(weights, dtype=np.int64))
+    targets = [0, total - 1, *(value % total for value in extra)]
+    for boundary in cum.tolist():
+        targets += [boundary - 1, boundary, boundary + 1]
+    targets = np.asarray([t for t in targets if 0 <= t < total], dtype=np.int64)
+    want = np.searchsorted(cum, targets, side="right")
+    # One target on a fresh table of many slots skips the guide; the full
+    # set builds it.
+    assert table.slots_of(targets[:1]).tolist() == want[:1].tolist()
+    assert table.slots_of(targets).tolist() == want.tolist()
+    assert table.slots_of(targets[::-1]).tolist() == want[::-1].tolist()
+
+
+class _LiveWeightOracle:
+    """The reference kernel fed the sampler's live weights as a plain list,
+    not the table the selector keeps, so a stale table cannot agree."""
+
+    def __init__(self, selector):
+        self._selector = selector
+
+    def batch_weighted_draw(self, rng, weights, ops, free=None):
+        live = self._selector._sampler.slot_weights().tolist()
+        return BACKENDS["reference"].batch_weighted_draw(rng, live, ops, free)
+
+
+_SELECTOR_OP = st.one_of(
+    st.tuples(st.just("add"), st.integers(min_value=0, max_value=1 << 40)),
+    st.tuples(st.just("remove"), st.integers(min_value=0, max_value=7)),
+    st.tuples(
+        st.just("update"),
+        st.integers(min_value=0, max_value=7),
+        st.integers(min_value=0, max_value=1 << 40),
+    ),
+    st.just(("draw",)),
+    st.tuples(
+        st.just("place"), st.lists(st.integers(min_value=0, max_value=96), max_size=6)
+    ),
+)
+
+
+def _selector_run(vectorized, weights, ops, draw_batch):
+    """Outcomes of ``ops`` on a selector holding sectors of ``weights``;
+    errors are outcomes too."""
+    selector = CapacitySelector(
+        DeterministicPRNG.from_int(7, domain="draw-table"),
+        max_attempts=3,
+        backend=BACKENDS["vectorized"],
+        draw_batch=draw_batch,
+    )
+    if not vectorized:
+        selector.kernels = _LiveWeightOracle(selector)
+    sampler, outcomes = selector._sampler, []
+    for weight in weights:
+        selector.add_sector(f"s{len(sampler)}", weight, free=64)
+    added = len(weights)
+    for op in ops:
+        live = sorted(sampler.keys())
+        try:
+            if op[0] == "add":
+                selector.add_sector(f"s{added}", op[1], free=64)
+                added += 1
+            elif op[0] == "remove" and live:
+                selector.remove_sector(live[op[1] % len(live)])
+            elif op[0] == "update" and live:
+                sampler.update_weight(live[op[1] % len(live)], op[2])
+            elif op[0] == "draw":
+                outcomes.append(selector.random_slot())
+            elif op[0] == "place":
+                outcomes.append(selector.select_batch_slots(op[1]).tolist())
+        except ValueError as error:
+            outcomes.append(str(error))
+    return outcomes, selector.samples, selector.collisions
+
+
+@DIFF_SETTINGS
+@given(
+    weights=st.lists(st.integers(min_value=0, max_value=1 << 40), min_size=1, max_size=5),
+    ops=st.lists(_SELECTOR_OP, min_size=1, max_size=30),
+    draw_batch=st.sampled_from([1, 3]),
+)
+@example(
+    weights=[100],
+    ops=[("draw",), ("add", 1 << 30), ("draw",), ("update", 0, 0), ("draw",),
+         ("remove", 1), ("place", [5, 5])],
+    draw_batch=1,
+)
+def test_selector_table_follows_weight_changes(weights, ops, draw_batch):
+    """Adds, removes and weight updates interleaved with draws: the
+    vectorized selector, drawing against the DrawTable it keeps, gives the
+    sequence of the reference kernel drawing against the live weights."""
+    assert _selector_run(True, weights, ops, draw_batch) == _selector_run(
+        False, weights, ops, draw_batch
+    )
 
 
 # ----------------------------------------------------------------------
@@ -541,6 +684,23 @@ _HYP_OP = st.one_of(
 #: Four 4 MiB sectors: small enough for generated ops to fill and refuse.
 _HYP_SHAPE = dict(providers=4, capacity_mb=4)
 
+#: Pinned examples, so these regimes do not ride on the derandomized
+#: draw (test_pinned_examples_reach_their_regimes holds them to it).  A
+#: fee-charging deployment that runs a rent period:
+_RENT_PERIOD = [("batch", [64 * 1024] * 3, 1), ("advance", 400.0), ("advance", 400.0)]
+#: Three sectors disabled while holding a replica each, then a batch too
+#: big for the one left: placement fails and the batch is truncated.
+_TRUNCATED_BATCH = [
+    *[("add", 16 * 1024)] * 3,
+    *[("disable", index) for index in range(3)],
+    ("batch", [256 * 1024] * 5, 3),
+]
+#: The degraded property's prefix: a stored, fee-free deployment.
+_STORED = [("batch", [16 * 1024] * 8, 1), ("advance", 65.0)]
+#: After that prefix: three of four sectors
+#: crash and the next CheckProof run declares files lost.
+_LOSE_FILES = [("crash", 0), ("crash", 1), ("crash", 2), ("advance", 140.0)]
+
 
 @DIFF_SETTINGS
 @given(
@@ -549,6 +709,8 @@ _HYP_SHAPE = dict(providers=4, capacity_mb=4)
     backend=st.sampled_from(["reference", "vectorized"]),
     charge_fees=st.booleans(),
 )
+@example(ops=_RENT_PERIOD, seed=0, backend="vectorized", charge_fees=True)
+@example(ops=_TRUNCATED_BATCH, seed=0, backend="reference", charge_fees=False)
 def test_columnar_engine_matches_object_engine(ops, seed, backend, charge_fees):
     """Any generated op stream leaves both engines in byte-identical state,
     refusing exactly the same operations with the same messages."""
@@ -563,6 +725,7 @@ def test_columnar_engine_matches_object_engine(ops, seed, backend, charge_fees):
     ops=st.lists(_HYP_OP, min_size=1, max_size=10),
     seed=st.integers(min_value=0, max_value=7),
 )
+@example(ops=_TRUNCATED_BATCH, seed=1)
 def test_columnar_engine_matches_across_kernel_backends(ops, seed):
     """The columnar engine itself is backend-independent: reference and
     vectorized kernels replay the same op stream to identical state."""
@@ -580,6 +743,7 @@ def test_columnar_engine_matches_across_kernel_backends(ops, seed):
     seed=st.integers(min_value=0, max_value=7),
     backend=st.sampled_from(["reference", "vectorized"]),
 )
+@example(ops=_LOSE_FILES, seed=0, backend="vectorized")
 def test_columnar_engine_matches_through_degraded_sweeps(ops, seed, backend):
     """The regime the masked proof sweep exists for: a stored, fee-free
     deployment whose sectors then fall sick, crash or heal between sweeps.
@@ -587,8 +751,28 @@ def test_columnar_engine_matches_through_degraded_sweeps(ops, seed, backend):
     mid-run (the epoch re-mask), lost files and refreshes whose source or
     target dies in flight; state -- including ``last_proof`` of rows
     corrupted mid-run -- must stay byte-identical to the object engine."""
-    stored = [("batch", [16 * 1024] * 8, 1), ("advance", 65.0)]
     agree(
-        stored + ops, grid(backends=(backend,)), refusable=True, seed=seed,
+        _STORED + ops, grid(backends=(backend,)), refusable=True, seed=seed,
         **_HYP_SHAPE,
     )
+
+
+@pytest.mark.parametrize(
+    "ops, charge_fees, reached",
+    [
+        (_RENT_PERIOD, True, "rent_distributed"),
+        (_TRUNCATED_BATCH, False, "file_upload_failed"),
+        (_STORED + _LOSE_FILES, False, "file_lost"),
+    ],
+    ids=("rent-period", "truncated-batch", "lose-files"),
+)
+def test_pinned_examples_reach_their_regimes(ops, charge_fees, reached):
+    """Each pinned example reaches what it is pinned for, on every seed the
+    examples use, so editing the engine cannot quietly make it miss."""
+    for seed in (0, 1):
+        runs = agree(
+            ops, grid(backends=("vectorized",)), refusable=True, seed=seed,
+            charge_fees=charge_fees, **_HYP_SHAPE,
+        )
+        run = runs["columnar", "vectorized", 1]
+        assert run.identities[-1]["state"]["events"][reached] > 0
