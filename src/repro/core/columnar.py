@@ -73,7 +73,7 @@ from repro.core.pending import (
 from repro.core.protocol import ProtocolError, RefreshNotice
 from repro.core.sector import SectorState
 from repro.core.selector import CapacitySelector
-from repro.crypto.prng import DeterministicPRNG
+from repro.crypto.prng import DeterministicPRNG, exponentials
 from repro.kernels import KernelBackend
 from repro.telemetry import counter, is_enabled, metrics, traced
 
@@ -126,6 +126,11 @@ def _grow(array: np.ndarray, needed: int, fill: Any = 0) -> np.ndarray:
     grown = np.full(max(needed, 2 * len(array), 16), fill, dtype=array.dtype)
     grown[: len(array)] = array
     return grown
+
+
+def _refresh_countdowns(samples: List[float]) -> np.ndarray:
+    """``SampleExp(AvgRefresh)`` draws rounded up to at least one checkpoint."""
+    return np.maximum(np.ceil(samples), 1.0).astype(np.int64)
 
 
 def _appears_once(values: np.ndarray) -> np.ndarray:
@@ -511,11 +516,13 @@ class ColumnarAllocationTable:
 
     def row_of(self, file_id: int, index: int) -> int:
         """Table row of a present replica entry, ``-1`` if there is none."""
-        span = self.span(file_id)
-        if not 0 <= index < len(span):
-            return -1
-        row = span[index]
-        return -1 if self.state.item(row) == _ABSENT else row
+        if 0 <= file_id < len(self.block_start) and index >= 0:
+            start = self.block_start.item(file_id)
+            if start >= 0 and index < self.files.replica_count.item(file_id):
+                row = start + index
+                if self.state.item(row) != _ABSENT:
+                    return row
+        return -1
 
     def remove_file(self, file_id: int) -> None:
         """Drop every allocation of ``file_id``."""
@@ -1628,11 +1635,16 @@ class ColumnarProtocol:
         decided is then written at once.  The mask guarantees ``NORMAL``
         files that appear once, so every file owns the rows it touches.
 
+        The PRNG stream is read as one window: a replica index is
+        ``randint``'s rejection sampling done on the window's bytes, a new
+        countdown reserves the next 7 bytes and all of them are decoded
+        after the loop, and the unread tail goes back to the generator,
+        which ends in the state per-file reads would leave.
+
         Returns the started refreshes: positions in ``file_ids``, replica
         indexes, CheckRefresh deadlines.
         """
-        randint = self.prng.randint
-        resample = self._sample_refresh_countdown
+        prng = self.prng
         random_slot = self.selector.random_slot
         selectable = len(self.selector) > 0
         replica_state = self.alloc.state
@@ -1641,36 +1653,68 @@ class ColumnarProtocol:
         sector_state = self.sectors.state
         normal_replica = _A_NORMAL
         normal_sector = _S_NORMAL
+        replica_counts = self.files.replica_count[file_ids].tolist()
+        # A replica index is ``randint`` over ``[0, replicas)``: it reads
+        # ``width`` bytes, keeps their top ``replicas.bit_length()`` bits
+        # and rejects an index past the last.
+        draw_shape: Dict[int, Tuple[int, int]] = {}
+        for replicas in set(replica_counts):
+            bits = replicas.bit_length()
+            width = (bits + 7) // 8
+            draw_shape[replicas] = (width, 8 * width - bits)
+        # Four bytes per due file (an index draw takes one or two, a
+        # countdown seven); a stretch that needs more reads another chunk.
+        chunk = 4 * len(file_ids) + 64
+        window = prng.random_bytes(chunk)
+        end = len(window)
+        cursor = 0
         room: Dict[int, int] = {}  # target row -> bytes free after this stretch's reservations
         picked: List[int] = []
         indexes: List[int] = []
         slots: List[int] = []
         resampled: List[int] = []
-        countdowns: List[int] = []
+        countdown_offsets: List[int] = []
         collided = 0
-        for position, (replicas, block, size) in enumerate(
-            zip(
-                self.files.replica_count[file_ids].tolist(),
-                self.alloc.block_start[file_ids].tolist(),
-                self.files.size[file_ids].tolist(),
-            )
-        ):
-            index = randint(0, replicas - 1)
-            if selectable and replica_state[block + index] == normal_replica:
-                slot = random_slot()
-                target = slot_to_row.item(slot)
-                left = room[target] if target in room else free.item(target)
-                if left >= size and sector_state[target] == normal_sector:
-                    room[target] = left - size
-                    picked.append(position)
-                    indexes.append(index)
-                    slots.append(slot)
-                    continue
-                collided += 1
-            resampled.append(position)
-            countdowns.append(resample())
+        try:
+            for position, (replicas, block, size) in enumerate(
+                zip(
+                    replica_counts,
+                    self.alloc.block_start[file_ids].tolist(),
+                    self.files.size[file_ids].tolist(),
+                )
+            ):
+                width, shift = draw_shape[replicas]
+                while True:
+                    if cursor + width + 7 > end:  # room for a countdown after the index
+                        window += prng.random_bytes(chunk)
+                        end = len(window)
+                    if width == 1:
+                        index = window[cursor] >> shift
+                    else:
+                        index = int.from_bytes(window[cursor : cursor + width], "big") >> shift
+                    cursor += width
+                    if index < replicas:
+                        break
+                if selectable and replica_state.item(block + index) == normal_replica:
+                    slot = random_slot()
+                    target = slot_to_row.item(slot)
+                    left = room[target] if target in room else free.item(target)
+                    if left >= size and sector_state.item(target) == normal_sector:
+                        room[target] = left - size
+                        picked.append(position)
+                        indexes.append(index)
+                        slots.append(slot)
+                        continue
+                    collided += 1
+                resampled.append(position)
+                countdown_offsets.append(cursor)
+                cursor += 7
+        finally:
+            prng.unread(end - cursor)
 
-        self.files.countdown[file_ids[resampled]] = countdowns
+        self.files.countdown[file_ids[resampled]] = _refresh_countdowns(
+            exponentials(window, countdown_offsets, self.params.avg_refresh)
+        )
         self.events.emit(EventType.COLLISION_RESAMPLED, collided)
         started = file_ids[picked]
         index_array = np.asarray(indexes, dtype=np.int64)
@@ -1691,19 +1735,17 @@ class ColumnarProtocol:
         }
         deadlines = [deadline_of[size] for size in size_list]
         sector_ids = self.sectors.sector_ids
+        sources = [
+            None if source < 0 else sector_ids[source]
+            for source in self.alloc.prev[rows].tolist()
+        ]
         self.refresh_notices.extend(
-            RefreshNotice(
-                file_id,
-                index,
-                None if source < 0 else sector_ids[source],
-                sector_ids[target],
-                deadline,
-            )
-            for file_id, index, source, target, deadline in zip(
+            map(
+                RefreshNotice,
                 started.tolist(),
                 indexes,
-                self.alloc.prev[rows].tolist(),
-                targets.tolist(),
+                sources,
+                [sector_ids[target] for target in targets.tolist()],
                 deadlines,
             )
         )
@@ -1896,8 +1938,7 @@ class ColumnarProtocol:
 
     def _sample_refresh_countdowns(self, count: int) -> np.ndarray:
         """``count`` :meth:`_sample_refresh_countdown` draws, one stream read."""
-        samples = self.prng.expovariates(self.params.avg_refresh, count)
-        return np.maximum(np.ceil(samples), 1.0).astype(np.int64)
+        return _refresh_countdowns(self.prng.expovariates(self.params.avg_refresh, count))
 
     def _release_replica_from_sector(self, row: int, size: int) -> None:
         """Give a replica's space back to its sector (corrupted and removed
@@ -1959,9 +2000,10 @@ class ColumnarProtocol:
         self.events.emit(EventType.SECTOR_REMOVED)
 
     def _sector_row(self, sector_id: str) -> int:
-        if sector_id not in self.sectors:
-            raise ProtocolError(f"unknown sector {sector_id}")
-        return self.sectors.row_of(sector_id)
+        try:
+            return self.sectors.row_of(sector_id)
+        except KeyError:
+            raise ProtocolError(f"unknown sector {sector_id}") from None
 
     def _check_file(self, file_id: int) -> None:
         if file_id not in self.files:

@@ -8,8 +8,7 @@ values it hands out: the error a refused request raises and the notice
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 __all__ = ["ProtocolError", "RefreshNotice"]
 
@@ -18,8 +17,7 @@ class ProtocolError(Exception):
     """Raised when a request violates the protocol rules."""
 
 
-@dataclass(frozen=True)
-class RefreshNotice:
+class RefreshNotice(NamedTuple):
     """Notification that a replica must be swapped between sectors.
 
     Emitted by ``Auto Refresh`` so the simulation layer can perform the

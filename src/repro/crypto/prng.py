@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.crypto.hashing import hash_concat
 
-__all__ = ["DeterministicPRNG", "xor_bytes"]
+__all__ = ["DeterministicPRNG", "exponentials", "xor_bytes"]
 
 T = TypeVar("T")
 
@@ -32,6 +32,25 @@ def xor_bytes(data: bytes, stream: bytes) -> bytes:
     return np.bitwise_xor(
         np.frombuffer(data, dtype=np.uint8), np.frombuffer(stream, dtype=np.uint8)
     ).tobytes()
+
+
+def exponentials(data: bytes, offsets: Sequence[int], mean: float) -> list[float]:
+    """The ``SampleExp(mean)`` draws the 7-byte words of ``data`` at ``offsets`` decode to.
+
+    Each word is what :meth:`DeterministicPRNG.expovariate` reads: its top
+    53 bits over ``2**53`` are the uniform ``u`` and the draw is ``-mean *
+    log(1 - u)``.  The logarithm stays ``math.log`` per element --
+    ``np.log`` does not round like libm.
+    """
+    if mean <= 0:
+        raise ValueError("mean must be positive")
+    words = np.zeros((len(offsets), 8), dtype=np.uint8)
+    words[:, 1:] = np.frombuffer(data, dtype=np.uint8)[
+        np.asarray(offsets, dtype=np.int64)[:, None] + np.arange(7)
+    ]
+    uniform = (words.view(">u8").ravel() >> 3) / float(1 << 53)
+    log = math.log
+    return [-mean * log(u) for u in (1.0 - uniform).tolist()]
 
 
 class DeterministicPRNG:
@@ -82,6 +101,30 @@ class DeterministicPRNG:
         out, self._buffer = buffer[:length], buffer[length:]
         return out
 
+    def unread(self, count: int) -> None:
+        """Push the last ``count`` bytes read back onto the stream.
+
+        The next read returns them again, and the state -- counter and
+        buffer, so :meth:`state_fingerprint` too -- is exactly that of a
+        generator that never read them.  A reader may so take a window of
+        the stream up front and hand back what it did not use.
+        """
+        block_size = self._prefix.digest_size
+        read = self._counter * block_size - len(self._buffer)
+        if not 0 <= count <= read:
+            raise ValueError(f"cannot unread {count} of the {read} bytes read")
+        if count == 0:
+            return
+        position = read - count
+        counter = -(-position // block_size)
+        kept = counter * block_size - position
+        buffer = b""
+        if kept:
+            block = self._prefix.copy()
+            block.update((counter - 1).to_bytes(8, "big"))
+            buffer = block.digest()[-kept:]
+        self._counter, self._buffer = counter, buffer
+
     # ------------------------------------------------------------------
     # Integers and floats
     # ------------------------------------------------------------------
@@ -129,19 +172,12 @@ class DeterministicPRNG:
         """``count`` successive :meth:`expovariate` draws from one stream read.
 
         Equal, value for value and in the state it leaves behind, to
-        calling :meth:`expovariate` ``count`` times: each draw is the top
-        53 bits of the next 7 stream bytes.  The logarithm stays
-        ``math.log`` per element -- ``np.log`` does not round like libm.
+        calling :meth:`expovariate` ``count`` times (see
+        :func:`exponentials`).
         """
         if mean <= 0:
             raise ValueError("mean must be positive")
-        words = np.zeros((count, 8), dtype=np.uint8)
-        words[:, 1:] = np.frombuffer(
-            self.random_bytes(7 * count), dtype=np.uint8
-        ).reshape(count, 7)
-        uniform = (words.view(">u8").ravel() >> 3) / float(1 << 53)
-        log = math.log
-        return [-mean * log(u) for u in (1.0 - uniform).tolist()]
+        return exponentials(self.random_bytes(7 * count), np.arange(0, 7 * count, 7), mean)
 
     # ------------------------------------------------------------------
     # Sequences

@@ -37,6 +37,7 @@ from repro.core.file_descriptor import FileState
 from repro.core.pending import CHECK_ALLOC, CHECK_PROOF, CHECK_REFRESH, RENT_PERIOD
 from repro.core.protocol import ProtocolError
 from repro.core.sector import SectorState
+from repro.crypto.prng import DeterministicPRNG
 from repro.kernels.vectorized import VectorizedKernels
 
 from oracles.harness import ENGINES, MB, ROOT, agree, deploy, grid, identity, replay
@@ -606,6 +607,16 @@ def on_both_engines(ops, prepare=None, **shape):
         yield draw_batch, reference, columnar
 
 
+class CountingPRNG(DeterministicPRNG):
+    """Counts the reads of the stream."""
+
+    reads = 0
+
+    def random_bytes(self, length: int) -> bytes:
+        self.reads += 1
+        return super().random_bytes(length)
+
+
 class TestRefreshInColumns:
     """Sequential decisions, columnar effects: each case is one the batched
     start could get wrong while every ordinary run still matched."""
@@ -730,6 +741,71 @@ class TestRefreshInColumns:
             totals = columnar.summary["counters"]
             assert totals["protocol.refresh_check.vector_tasks"] == 0
             assert totals["protocol.refresh_check.scalar_tasks"] > 0
+
+    def test_stretch_of_replica_counts_straddling_one_draw_byte(self):
+        """255 replicas draw their index from one stream byte, 256 from
+        two; both files come due in one stretch, beside a one-replica
+        file whose replica is still in transfer when it is due again
+        (postponed), on sectors nine tenths full (collided).  The identity
+        includes the PRNG fingerprint and the countdowns, so a window or a
+        countdown word read one byte off, or a tail pushed back short,
+        diverges from per-file reads."""
+        size = 64 * KIB  # a 65.5 s transfer outlasts the 60 s proof cycle
+        ops = [
+            ("add", size, 255),
+            ("add", size, 256),
+            ("add", size, 1),
+            *[("step",), ("confirm_refreshes",)] * 16,
+        ]
+        stretches = []
+
+        def record_stretches(protocol):
+            if type(protocol) is ColumnarProtocol:
+                start = protocol._start_refreshes
+
+                def recording_start(file_ids):
+                    stretches.append(set(file_ids.tolist()))
+                    return start(file_ids)
+
+                protocol._start_refreshes = recording_start
+
+        for _, _, columnar in on_both_engines(
+            ops, prepare=record_stretches, providers=36, capacity_mb=1, k=1,
+            redundancy_factor=1.0, cap_para=1000.0, avg_refresh=1.0,
+        ):
+            protocol, totals = columnar.protocol, columnar.summary["counters"]
+            assert protocol.files.replica_count[:3].tolist() == [255, 256, 1]
+            assert any({0, 1} <= due for due in stretches)
+            stretches.clear()
+            assert "protocol.refresh" not in columnar.summary["spans"]
+            assert totals["protocol.refresh_start.postponed"] > 0
+            assert totals["protocol.refresh_start.collided"] > 0
+            assert {notice.file_id for notice in protocol.refresh_notices} == {0, 1, 2}
+
+    def test_a_stretch_reads_the_stream_a_bounded_number_of_times(self):
+        """One window per stretch: a per-file ``randint`` or countdown
+        resample would read the stream once per due file or more."""
+
+        def counted(**arguments):
+            prng = CountingPRNG.from_int(11, domain="columnar-diff")
+            return ColumnarProtocol(**{**arguments, "prng": prng})
+
+        protocol = deploy(counted, avg_refresh=0.01, cap_para=1000.0)
+        replay(protocol, store(1200, KIB))
+        stretches = []
+        start = protocol._start_refreshes
+
+        def counting_start(file_ids):
+            before = protocol.prng.reads
+            started = start(file_ids)
+            stretches.append((len(file_ids), protocol.prng.reads - before))
+            return started
+
+        protocol._start_refreshes = counting_start
+        replay(protocol, [("step",)])
+        assert stretches == [(1200, stretches[0][1])]
+        assert 1 <= stretches[0][1] <= 3
+        assert protocol.events.count(EventType.FILE_REFRESH_STARTED) > 1000
 
     def test_stretches_cut_by_scalar_files_after_a_crash(self):
         cycle = [("step",), ("confirm_refreshes",)]

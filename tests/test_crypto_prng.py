@@ -2,6 +2,8 @@
 
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from oracles.lifecycle_oracles import weighted_index
 from repro.crypto.prng import DeterministicPRNG
@@ -146,3 +148,37 @@ class TestMisc:
         before = prng.state_fingerprint()
         prng.random_bytes(10)
         assert prng.state_fingerprint() != before
+
+
+class TestUnread:
+    """A reader may take a window of the stream and push its unread tail
+    back: the generator must end exactly where the shorter read leaves it."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        reads=st.lists(st.integers(min_value=0, max_value=80), min_size=1, max_size=4),
+        pushed_back=st.integers(min_value=0, max_value=80),
+    )
+    @example(reads=[32], pushed_back=32)  # back to the start of a block
+    @example(reads=[64], pushed_back=31)  # into the block before the last
+    @example(reads=[33], pushed_back=1)  # off a one-byte block tail
+    @example(reads=[5, 59], pushed_back=0)
+    def test_pushback_equals_the_shorter_read(self, reads, pushed_back):
+        read = sum(reads)
+        assume(pushed_back <= read)
+        windowed, plain = DeterministicPRNG(b"seed"), DeterministicPRNG(b"seed")
+        for length in reads:
+            windowed.random_bytes(length)
+        windowed.unread(pushed_back)
+        plain.random_bytes(read - pushed_back)
+        assert windowed.state_fingerprint() == plain.state_fingerprint()
+        assert windowed.random_bytes(100) == plain.random_bytes(100)
+
+    @pytest.mark.parametrize("count", [-1, 11])
+    def test_cannot_push_back_more_than_was_read(self, count):
+        prng = DeterministicPRNG(b"seed")
+        prng.random_bytes(10)
+        before = prng.state_fingerprint()
+        with pytest.raises(ValueError, match="cannot unread"):
+            prng.unread(count)
+        assert prng.state_fingerprint() == before

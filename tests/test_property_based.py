@@ -695,6 +695,9 @@ _TRUNCATED_BATCH = [
     *[("disable", index) for index in range(3)],
     ("batch", [256 * 1024] * 5, 3),
 ]
+#: A fee-charging deployment whose client discards a stored file: only
+#: the gas of ``file_discard`` tells the ledgers apart.
+_DISCARD = [("batch", [64 * 1024] * 3, 1), ("advance", 65.0), ("discard", 1)]
 #: The degraded property's prefix: a stored, fee-free deployment.
 _STORED = [("batch", [16 * 1024] * 8, 1), ("advance", 65.0)]
 #: After that prefix: three of four sectors
@@ -711,6 +714,8 @@ _LOSE_FILES = [("crash", 0), ("crash", 1), ("crash", 2), ("advance", 140.0)]
 )
 @example(ops=_RENT_PERIOD, seed=0, backend="vectorized", charge_fees=True)
 @example(ops=_TRUNCATED_BATCH, seed=0, backend="reference", charge_fees=False)
+@example(ops=_DISCARD, seed=0, backend="vectorized", charge_fees=True)
+@example(ops=_STORED + _LOSE_FILES, seed=0, backend="reference", charge_fees=True)
 def test_columnar_engine_matches_object_engine(ops, seed, backend, charge_fees):
     """Any generated op stream leaves both engines in byte-identical state,
     refusing exactly the same operations with the same messages."""
@@ -763,8 +768,10 @@ def test_columnar_engine_matches_through_degraded_sweeps(ops, seed, backend):
         (_RENT_PERIOD, True, "rent_distributed"),
         (_TRUNCATED_BATCH, False, "file_upload_failed"),
         (_STORED + _LOSE_FILES, False, "file_lost"),
+        (_DISCARD, True, "file_discarded"),
+        (_STORED + _LOSE_FILES, True, "file_compensated"),
     ],
-    ids=("rent-period", "truncated-batch", "lose-files"),
+    ids=("rent-period", "truncated-batch", "lose-files", "discard", "compensate"),
 )
 def test_pinned_examples_reach_their_regimes(ops, charge_fees, reached):
     """Each pinned example reaches what it is pinned for, on every seed the
