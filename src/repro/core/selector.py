@@ -11,7 +11,7 @@ experiments (hundreds of millions of placements) feasible.
 
 from __future__ import annotations
 
-from typing import Dict, Generic, Hashable, List, Optional, Sequence, TypeVar, Union
+from typing import Dict, Generic, Hashable, Iterable, List, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -70,19 +70,27 @@ class WeightedSampler(Generic[K]):
             self._tree[index] += delta
             index += index & (-index)
 
+    def _prefix(self, slot: int) -> int:
+        """Total weight of the slots before ``slot``."""
+        tree = self._tree
+        total = 0
+        while slot:
+            total += tree[slot]
+            slot &= slot - 1
+        return total
+
     def _find_slot(self, target: int) -> int:
         """Find the smallest slot whose prefix sum exceeds ``target``."""
+        tree = self._tree
+        size = len(tree)
         index = 0
-        bit = 1
-        while bit * 2 < len(self._tree):
-            bit *= 2
-        remaining = target
-        while bit > 0:
+        bit = 1 << (size - 1).bit_length() >> 1  # highest power of two below size
+        while bit:
             nxt = index + bit
-            if nxt < len(self._tree) and self._tree[nxt] <= remaining:
+            if nxt < size and tree[nxt] <= target:
                 index = nxt
-                remaining -= self._tree[nxt]
-            bit //= 2
+                target -= tree[nxt]
+            bit >>= 1
         return index  # 0-based slot
 
     def _grow(self) -> int:
@@ -216,6 +224,26 @@ class WeightedSampler(Generic[K]):
                 slot=slot, target=offset, weight=self._weights[slot], total=self._total
             )
         return key
+
+    def key_at_offset_excluding(self, offset: int, excluded: Iterable[K]) -> K:
+        """:meth:`key_at_offset` on the weight line with ``excluded`` cut out.
+
+        The excluded keys' stretches are taken out and the rest close up,
+        so ``offset`` must lie in ``[0, total_weight - their weights)``.
+        The answer is what zeroing them, calling :meth:`key_at_offset` and
+        restoring them gives, but nothing is written: ``offset`` is pushed
+        past each excluded slot, in slot order, that starts at or before it.
+        """
+        weights = self._weights
+        slots = sorted({self._slots[key] for key in excluded})
+        reduced = self._total - sum([weights[slot] for slot in slots])
+        if not 0 <= offset < reduced:
+            raise ValueError(f"offset {offset} outside the weight line [0, {reduced})")
+        for slot in slots:
+            if offset < self._prefix(slot):
+                break
+            offset += weights[slot]
+        return self.key_at_offset(offset)
 
 
 class CapacitySelector:

@@ -152,8 +152,17 @@ class DeterministicPRNG:
                 return low + candidate
 
     def random(self) -> float:
-        """Return a uniform float in ``[0, 1)`` with 53 bits of precision."""
-        return self.random_uint(53) / float(1 << 53)
+        """Return a uniform float in ``[0, 1)`` with 53 bits of precision.
+
+        The value is ``random_uint(53) / 2**53``; a buffered word is read in
+        place instead of through the ``random_bytes`` call chain.
+        """
+        word = self._buffer[:7]
+        if len(word) == 7:
+            self._buffer = self._buffer[7:]
+        else:
+            word = self.random_bytes(7)
+        return (int.from_bytes(word, "big") >> 3) / 2.0**53
 
     def expovariate(self, mean: float) -> float:
         """Sample an exponential distribution with the given *mean*.

@@ -21,32 +21,31 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Callable, List, NamedTuple, Optional, Set
 
 from repro.telemetry import counter
 
 __all__ = ["Event", "SimulationEngine"]
 
 
-@dataclass(frozen=True, order=True)
-class Event:
-    """One scheduled simulation event."""
+class Event(NamedTuple):
+    """One scheduled simulation event, and its own heap entry.
+
+    ``sequence`` is unique, so tuple comparison -- done in C -- settles
+    every ordering before it could reach ``callback``.
+    """
 
     time: float
     priority: int
     sequence: int
-    callback: Callable[[], None] = field(compare=False)
+    callback: Callable[[], None]
 
 
 class SimulationEngine:
     """Priority-queue driven event loop over simulated time."""
 
     def __init__(self) -> None:
-        #: Heap of ``(time, priority, sequence, event)``.  ``sequence`` is
-        #: unique, so tuple comparison -- done in C -- settles every
-        #: ordering before it could reach the event itself.
-        self._queue: List[Tuple[float, int, int, Event]] = []
+        self._queue: List[Event] = []
         self._sequence = itertools.count()
         #: Sequences of live events; a heap entry whose sequence is not in
         #: here is a tombstone left behind by :meth:`cancel`.
@@ -74,7 +73,7 @@ class SimulationEngine:
             raise ValueError("cannot schedule an event in the past")
         sequence = next(self._sequence)
         event = Event(time, priority, sequence, callback)
-        heapq.heappush(self._queue, (time, priority, sequence, event))
+        heapq.heappush(self._queue, event)
         self._pending.add(sequence)
         return event
 
@@ -112,7 +111,7 @@ class SimulationEngine:
         heappop = heapq.heappop
         processed = 0
         while queue:
-            time, _, sequence, event = queue[0]
+            time, _, sequence, callback = queue[0]
             if sequence not in pending:
                 heappop(queue)
                 continue
@@ -121,7 +120,7 @@ class SimulationEngine:
             heappop(queue)
             pending.discard(sequence)
             self.now = time
-            event.callback()
+            callback()
             self.events_processed += 1
             processed += 1
             if self.metrics_probe is not None:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -164,8 +164,7 @@ class InvalidTransitionError(Exception):
         )
 
 
-@dataclass(frozen=True)
-class TransitionRecord:
+class TransitionRecord(NamedTuple):
     """One applied transition, for histories and audits."""
 
     time: float
@@ -203,18 +202,18 @@ class LifecycleMachine:
         """True if ``event`` is valid in the current state."""
         return (self.state, event) in self.TRANSITIONS
 
-    def peek(self, event: Enum) -> Enum:
-        """The state ``event`` would lead to, or raise without applying."""
+    def apply(self, event: Enum, time: float = 0.0) -> TransitionRecord:
+        """Apply ``event``, record the transition, bump its counter.
+
+        An invalid ``event`` raises :class:`InvalidTransitionError` and
+        changes nothing.
+        """
         try:
-            return self.TRANSITIONS[(self.state, event)]
+            to_state = self.TRANSITIONS[(self.state, event)]
         except KeyError:
             raise InvalidTransitionError(
                 self.MACHINE, self.subject, self.state, event
             ) from None
-
-    def apply(self, event: Enum, time: float = 0.0) -> TransitionRecord:
-        """Apply ``event``, record the transition, bump its counter."""
-        to_state = self.peek(event)
         record = TransitionRecord(time, self.MACHINE, self.subject, self.state, event, to_state)
         self.state = to_state
         self.history.append(record)
@@ -775,31 +774,24 @@ class LifecycleSimulation:
     def _pick_refresh_target(self, file_id: int) -> Optional[str]:
         """Free-slot-weighted draw over healthy providers not yet hosting.
 
-        The file's current holders are zeroed in the sampler for the
-        length of the draw.  The draw is the one the scan oracle in
-        ``tests/oracles/lifecycle_oracles.py`` makes over the candidates' free
-        slots -- a single ``random() * total`` -- and lands on the same
-        provider: the prefix sums are integers, so ``target < prefix`` and
-        ``int(target) < prefix`` agree.
+        The file's current holders are cut out of the sampler's weight
+        line for the draw, without writing the sampler.  The draw is the
+        one the scan oracle in ``tests/oracles/lifecycle_oracles.py`` makes
+        over the candidates' free slots -- a single ``random() * total``
+        -- and lands on the same provider: the prefix sums are integers,
+        so ``target < prefix`` and ``int(target) < prefix`` agree.
         """
         weights = self._refresh_weights
-        holders = [
-            (name, weights.weight(name)) for name in self.replicas_of.get(file_id, ())
-        ]
-        for name, _ in holders:
-            weights.update_weight(name, 0)
-        total = weights.total_weight
-        target = None
-        if total > 0:
-            # min() is the scan's "last candidate" fallback, should
-            # the float product ever round up to the total.
-            offset = min(int(self._prng.random() * total), total - 1)
-            target = weights.key_at_offset(offset)
-        for name, weight in holders:
-            weights.update_weight(name, weight)
-        outcome = "none" if target is None else "picked"
-        counter(f"lifecycle.refresh_target.{outcome}", category="lifecycle")
-        return target
+        holders = self.replicas_of.get(file_id, ())
+        total = weights.total_weight - sum([weights.weight(name) for name in holders])
+        if total <= 0:
+            counter("lifecycle.refresh_target.none", category="lifecycle")
+            return None
+        # min() is the scan's "last candidate" fallback, should
+        # the float product ever round up to the total.
+        offset = min(int(self._prng.random() * total), total - 1)
+        counter("lifecycle.refresh_target.picked", category="lifecycle")
+        return weights.key_at_offset_excluding(offset, holders)
 
     def _on_refresh_complete(self, file_id: int, target: str) -> None:
         now = self.engine.now

@@ -1,6 +1,10 @@
 """Tests for the Fenwick-tree weighted sampler and the capacity selector."""
 
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.selector as selector_module
 import repro.kernels
@@ -100,6 +104,45 @@ class TestWeightedSampler:
         for offset in (-1, 3):
             with pytest.raises(ValueError):
                 sampler.key_at_offset(offset)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_excluding_is_zero_lookup_restore_without_a_write(self, data):
+        """Every offset of the reduced line lands where zeroing the excluded
+        keys, looking the offset up and restoring them lands; the sampler
+        is not written.  Removed keys and re-added ones put slot order out
+        of key order."""
+        weights = data.draw(st.lists(st.integers(0, 6), min_size=1, max_size=12))
+        sampler = WeightedSampler()
+        for index, weight in enumerate(weights):
+            sampler.add(f"k{index}", weight)
+        for key in data.draw(st.lists(st.sampled_from(sampler.keys()), unique=True)):
+            sampler.remove(key)
+        for index, weight in enumerate(data.draw(st.lists(st.integers(0, 6), max_size=4))):
+            sampler.add(f"n{index}", weight)
+        present = sampler.keys()
+        excluded = data.draw(st.sets(st.sampled_from(present)) if present else st.just(set()))
+        oracle = copy.deepcopy(sampler)
+        for key in excluded:
+            oracle.update_weight(key, 0)
+        reduced = oracle.total_weight
+        tree, slot_weights, total = list(sampler._tree), sampler.slot_weights(), sampler.total_weight
+        for offset in range(reduced):
+            assert sampler.key_at_offset_excluding(offset, excluded) == oracle.key_at_offset(offset)
+        for offset in (-1, reduced):
+            with pytest.raises(ValueError, match="outside the weight line"):
+                sampler.key_at_offset_excluding(offset, excluded)
+        assert sampler._tree == tree and sampler.total_weight == total
+        assert sampler.slot_weights() is slot_weights
+        assert slot_weights.tolist() == sampler._weights
+
+    def test_excluding_skips_adjacent_and_zero_weight_slots(self):
+        sampler = WeightedSampler()
+        for key, weight in [("a", 2), ("b", 3), ("c", 0), ("d", 1), ("e", 2)]:
+            sampler.add(key, weight)
+        line = [sampler.key_at_offset_excluding(o, {"b", "c", "d"}) for o in range(4)]
+        assert line == list("aaee")
+        assert [sampler.key_at_offset_excluding(o, ()) for o in range(8)] == list("aabbbdee")
 
     def test_large_population_uniformity(self, sampler_prng):
         sampler = WeightedSampler()

@@ -182,3 +182,44 @@ class TestUnread:
         with pytest.raises(ValueError, match="cannot unread"):
             prng.unread(count)
         assert prng.state_fingerprint() == before
+
+
+_READS = st.one_of(
+    st.just(("random", 0)),
+    st.tuples(st.just("bytes"), st.integers(min_value=0, max_value=40)),
+    st.tuples(st.just("randint"), st.integers(min_value=0, max_value=1 << 20)),
+    st.tuples(st.just("unread"), st.integers(min_value=0, max_value=40)),
+)
+
+
+class TestRandomFastPath:
+    """``random()`` reads a buffered word in place; it must equal a twin
+    that reads every float as ``random_uint(53) / 2**53``, value for value
+    and state for state, across 32-byte block boundaries."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(reads=st.lists(_READS, min_size=1, max_size=40))
+    @example(reads=[("bytes", 25), ("random", 0), ("random", 0)])  # word ends a block
+    @example(reads=[("bytes", 26), ("random", 0)])  # word straddles two blocks
+    @example(reads=[("random", 0)] * 10)
+    @example(reads=[("bytes", 40), ("unread", 10), ("random", 0), ("randint", 9)])
+    def test_fast_path_equals_the_uint_read(self, reads):
+        fast, twin = DeterministicPRNG(b"seed"), DeterministicPRNG(b"seed")
+        for kind, argument in reads:
+            if kind == "random":
+                assert fast.random() == twin.random_uint(53) / 2**53
+            elif kind == "bytes":
+                assert fast.random_bytes(argument) == twin.random_bytes(argument)
+            elif kind == "randint":
+                assert fast.randint(0, argument) == twin.randint(0, argument)
+            else:
+                refused = []
+                for prng in (fast, twin):
+                    try:
+                        prng.unread(argument)
+                        refused.append(False)
+                    except ValueError:
+                        refused.append(True)
+                assert refused[0] == refused[1]
+            assert fast.state_fingerprint() == twin.state_fingerprint()
+        assert fast.random_bytes(64) == twin.random_bytes(64)

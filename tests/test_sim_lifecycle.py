@@ -165,16 +165,16 @@ class TestMachineSemantics:
         for previous, current in zip(machine.history, machine.history[1:]):
             assert current.from_state is previous.to_state
 
-    def test_peek_and_can_apply_do_not_mutate(self):
+    def test_can_apply_and_a_refused_apply_do_not_mutate(self):
         machine = FileMachine("f")
         assert machine.can_apply(FileLifecycleEvent.PLACEMENT_CONFIRMED)
         assert not machine.can_apply(FileLifecycleEvent.REFRESH_COMPLETED)
-        assert (
-            machine.peek(FileLifecycleEvent.PLACEMENT_CONFIRMED)
-            is FileLifecycleState.PLACED
-        )
+        with pytest.raises(InvalidTransitionError):
+            machine.apply(FileLifecycleEvent.REFRESH_COMPLETED)
         assert machine.state is FileLifecycleState.PENDING
         assert machine.history == []
+        record = machine.apply(FileLifecycleEvent.PLACEMENT_CONFIRMED)
+        assert record.to_state is machine.state is FileLifecycleState.PLACED
 
     def test_apply_if_valid_is_a_guarded_noop(self):
         machine = FileMachine("f", state=FileLifecycleState.LOST)
@@ -419,6 +419,25 @@ class TestLifecycleSimulation:
             LifecycleSimulation(lively(providers=0))
         with pytest.raises(ValueError):
             LifecycleSimulation(lively(replicas=0))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a lost file's surviving holders leave hosted_files but keep "
+        "their slots in used (_on_loss_deadline), so the provider's refresh "
+        "weight reads 0 while it has free slots; the fix moves pinned rows",
+    )
+    def test_used_slots_are_hosted_plus_inbound_after_a_run(self):
+        sim = LifecycleSimulation(
+            LifecycleConfig(
+                providers=20, slots_per_provider=6, files=60, mtbf_s=150,
+                mttr_s=300, degrade_timeout_s=30, detection_delay_s=10,
+                departures=2, seed=4,
+            )
+        )
+        sim.run()
+        for name in sim.provider_names:
+            held = len(sim.hosted_files[name]) + len(sim._inbound_refresh[name])
+            assert sim.used[name] == held, name
 
 
 # ----------------------------------------------------------------------
