@@ -73,7 +73,7 @@ from repro.core.pending import (
 from repro.core.protocol import ProtocolError, RefreshNotice
 from repro.core.sector import SectorState
 from repro.core.selector import CapacitySelector
-from repro.crypto.prng import DeterministicPRNG, exponentials
+from repro.crypto.prng import DeterministicPRNG, exp_countdowns
 from repro.kernels import KernelBackend
 from repro.telemetry import counter, is_enabled, metrics, traced
 
@@ -126,11 +126,6 @@ def _grow(array: np.ndarray, needed: int, fill: Any = 0) -> np.ndarray:
     grown = np.full(max(needed, 2 * len(array), 16), fill, dtype=array.dtype)
     grown[: len(array)] = array
     return grown
-
-
-def _refresh_countdowns(samples: List[float]) -> np.ndarray:
-    """``SampleExp(AvgRefresh)`` draws rounded up to at least one checkpoint."""
-    return np.maximum(np.ceil(samples), 1.0).astype(np.int64)
 
 
 def _appears_once(values: np.ndarray) -> np.ndarray:
@@ -1712,8 +1707,8 @@ class ColumnarProtocol:
         finally:
             prng.unread(end - cursor)
 
-        self.files.countdown[file_ids[resampled]] = _refresh_countdowns(
-            exponentials(window, countdown_offsets, self.params.avg_refresh)
+        self.files.countdown[file_ids[resampled]] = exp_countdowns(
+            window, self.params.avg_refresh, countdown_offsets
         )
         self.events.emit(EventType.COLLISION_RESAMPLED, collided)
         started = file_ids[picked]
@@ -1938,7 +1933,7 @@ class ColumnarProtocol:
 
     def _sample_refresh_countdowns(self, count: int) -> np.ndarray:
         """``count`` :meth:`_sample_refresh_countdown` draws, one stream read."""
-        return _refresh_countdowns(self.prng.expovariates(self.params.avg_refresh, count))
+        return exp_countdowns(self.prng.random_bytes(7 * count), self.params.avg_refresh)
 
     def _release_replica_from_sector(self, row: int, size: int) -> None:
         """Give a replica's space back to its sector (corrupted and removed

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Iterator, Sequence, TypeVar
+from typing import Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
 from repro.crypto.hashing import hash_concat
 
-__all__ = ["DeterministicPRNG", "exponentials", "xor_bytes"]
+__all__ = ["DeterministicPRNG", "exp_countdowns", "xor_bytes"]
 
 T = TypeVar("T")
 
@@ -34,23 +34,35 @@ def xor_bytes(data: bytes, stream: bytes) -> bytes:
     ).tobytes()
 
 
-def exponentials(data: bytes, offsets: Sequence[int], mean: float) -> list[float]:
-    """The ``SampleExp(mean)`` draws the 7-byte words of ``data`` at ``offsets`` decode to.
+def exp_countdowns(data: bytes, mean: float, offsets: Optional[Sequence[int]] = None) -> np.ndarray:
+    """``max(1, ceil(SampleExp(mean)))`` per 7-byte word of ``data``, as an int64 column.
 
-    Each word is what :meth:`DeterministicPRNG.expovariate` reads: its top
-    53 bits over ``2**53`` are the uniform ``u`` and the draw is ``-mean *
-    log(1 - u)``.  The logarithm stays ``math.log`` per element --
-    ``np.log`` does not round like libm.
+    The words are ``data``'s consecutive ones, or those starting at
+    ``offsets``; each decodes as in :meth:`DeterministicPRNG.expovariate`
+    (top 53 bits over ``2**53`` are ``u``, the draw is ``-mean * log(1 -
+    u)``), so the column equals ``max(1, ceil(expovariate(mean)))`` word for
+    word.  ``np.log`` need not round like libm, but only ``ceil`` reads the
+    draw: a draw ``x`` within ``1e-9 * max(x, 1)`` of an integer is
+    recomputed with ``math.log``.  That band is about 10**6 times the widest
+    gap between the two logs (at most 4 ulp, a test guards it), so no other
+    draw can round up differently.
     """
     if mean <= 0:
         raise ValueError("mean must be positive")
-    words = np.zeros((len(offsets), 8), dtype=np.uint8)
-    words[:, 1:] = np.frombuffer(data, dtype=np.uint8)[
-        np.asarray(offsets, dtype=np.int64)[:, None] + np.arange(7)
-    ]
-    uniform = (words.view(">u8").ravel() >> 3) / float(1 << 53)
-    log = math.log
-    return [-mean * log(u) for u in (1.0 - uniform).tolist()]
+    size = len(data)
+    padded = data + b"\0"  # a word is read as 8 big-endian bytes: its 7 and the next
+    if offsets is None:
+        if size % 7:
+            raise ValueError(f"{size} bytes do not split into 7-byte words")
+        words = np.ndarray((size // 7,), ">u8", padded, strides=(7,))
+    else:
+        starts = np.asarray(offsets, dtype=np.int64)
+        words = np.ndarray((max(size - 6, 0),), ">u8", padded, strides=(1,))[starts]
+    uniforms = (words >> 11) / 2.0**53
+    draws = -mean * np.log(1.0 - uniforms)
+    near = np.flatnonzero(np.abs(draws - np.rint(draws)) <= 1e-9 * np.maximum(draws, 1.0))
+    draws[near] = [-mean * math.log(1.0 - u) for u in uniforms[near].tolist()]
+    return np.maximum(np.ceil(draws), 1.0).astype(np.int64)
 
 
 class DeterministicPRNG:
@@ -176,17 +188,6 @@ class DeterministicPRNG:
         u = self.random()
         # Guard against log(0); random() < 1 so 1-u > 0 always holds.
         return -mean * math.log(1.0 - u)
-
-    def expovariates(self, mean: float, count: int) -> list[float]:
-        """``count`` successive :meth:`expovariate` draws from one stream read.
-
-        Equal, value for value and in the state it leaves behind, to
-        calling :meth:`expovariate` ``count`` times (see
-        :func:`exponentials`).
-        """
-        if mean <= 0:
-            raise ValueError("mean must be positive")
-        return exponentials(self.random_bytes(7 * count), np.arange(0, 7 * count, 7), mean)
 
     # ------------------------------------------------------------------
     # Sequences

@@ -1,12 +1,14 @@
 """Tests for the deterministic PRNG."""
 
+import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles.lifecycle_oracles import weighted_index
-from repro.crypto.prng import DeterministicPRNG
+from repro.crypto.prng import DeterministicPRNG, exp_countdowns
 
 
 class TestDeterminism:
@@ -72,23 +74,33 @@ class TestDistributions:
         with pytest.raises(ValueError):
             prng.expovariate(0)
 
-    @pytest.mark.parametrize("consumed", [0, 3, 31, 32])
+    @pytest.mark.parametrize("consumed", [0, 1, 6, 7, 31, 32, 33])
     @pytest.mark.parametrize("count", [0, 1, 5, 1000])
-    def test_expovariates_is_the_scalar_draw_repeated(self, consumed, count):
+    def test_countdown_decoder_is_the_scalar_draw_repeated(self, consumed, count):
         loop, batch = DeterministicPRNG(b"seed"), DeterministicPRNG(b"seed")
         loop.random_bytes(consumed)
         batch.random_bytes(consumed)
-        assert batch.expovariates(2.5, count) == [
-            loop.expovariate(2.5) for _ in range(count)
-        ]
+        want = [max(1, math.ceil(loop.expovariate(2.5))) for _ in range(count)]
+        data = batch.random_bytes(7 * count)
+        got = exp_countdowns(data, 2.5)
+        assert got.dtype == np.int64 and got.tolist() == want
         assert batch.state_fingerprint() == loop.state_fingerprint()
+        # The same words read at offsets, behind three bytes of another read.
+        offsets = range(3, 3 + 7 * count, 7)
+        assert exp_countdowns(b"\xff" * 3 + data, 2.5, offsets).tolist() == want
 
-    def test_expovariates_rejects_bad_arguments(self):
+    def test_countdown_decoder_rejects_bad_arguments(self):
         prng = DeterministicPRNG(b"seed")
-        with pytest.raises(ValueError):
-            prng.expovariates(0, 3)
-        with pytest.raises(ValueError):
-            prng.expovariates(1.0, -1)
+        for mean in (0, -2.5):
+            with pytest.raises(ValueError, match="mean must be positive"):
+                exp_countdowns(bytes(21), mean)
+        with pytest.raises(ValueError):  # a negative count reads nothing
+            exp_countdowns(prng.random_bytes(7 * -1), 1.0)
+        with pytest.raises(ValueError, match="7-byte words"):
+            exp_countdowns(bytes(20), 1.0)
+        for offsets in ([14], [0, 14]):  # a word ending past the data
+            with pytest.raises(IndexError):
+                exp_countdowns(bytes(20), 1.0, offsets)
         assert prng.state_fingerprint() == DeterministicPRNG(b"seed").state_fingerprint()
 
     def test_weighted_index_respects_weights(self):
@@ -223,3 +235,64 @@ class TestRandomFastPath:
                 assert refused[0] == refused[1]
             assert fast.state_fingerprint() == twin.state_fingerprint()
         assert fast.random_bytes(64) == twin.random_bytes(64)
+
+
+def _word_bytes(words: np.ndarray) -> bytes:
+    """The 7-byte stream words whose top 53 bits are ``words``."""
+    shifted = (words.astype(np.uint64) << np.uint64(3)).astype(">u8")
+    return shifted.view(np.uint8).reshape(-1, 8)[:, 1:].tobytes()
+
+
+class _GivenUniforms(DeterministicPRNG):
+    """A generator whose ``random()`` returns ``words / 2**53`` in turn."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        super().__init__(b"seed")
+        self.random = iter((words / 2.0**53).tolist()).__next__
+
+
+def _log_off_by(ulps: int):
+    """``np.log`` moved ``ulps`` ulp towards +inf (positive) or -inf."""
+    log = np.log
+
+    def shifted(values):
+        out = log(values)
+        for _ in range(abs(ulps)):
+            out = np.nextafter(out, math.copysign(math.inf, ulps))
+        return out
+
+    return shifted
+
+
+class TestCountdownBoundaries:
+    """Words whose draw lands next to an integer, where ``ceil`` turns."""
+
+    @pytest.fixture(scope="class", params=[1.0, 4.0, 50.0], ids=lambda mean: f"mean={mean:g}")
+    def scan(self, request):
+        mean = request.param
+        centres = [
+            math.floor((1.0 - math.exp(-k / mean)) * 2**53) for k in range(1, 201)
+        ]
+        words = np.unique(
+            np.clip(np.add.outer(centres, np.arange(-2000, 2001)), 0, 2**53 - 1)
+        )
+        source = _GivenUniforms(words)
+        want = [max(1, math.ceil(source.expovariate(mean))) for _ in range(len(words))]
+        return mean, _word_bytes(words), want
+
+    @pytest.mark.parametrize("ulps", [0, 4, -4])
+    def test_decoder_equals_the_scalar_rule_next_to_every_integer(self, scan, ulps, monkeypatch):
+        """Also with an ``np.log`` 4 ulp off either way: the band recomputes
+        every draw such a log could round up differently."""
+        mean, data, want = scan
+        if ulps:
+            monkeypatch.setattr(np, "log", _log_off_by(ulps))
+        assert exp_countdowns(data, mean).tolist() == want
+
+    def test_np_log_is_within_four_ulp_of_libm(self):
+        """The decoder's band assumes it; a numpy with a worse ``log``
+        fails here instead of shifting a countdown."""
+        values = 1.0 - np.random.default_rng(0).random(100_000)  # in (0, 1]
+        libm = np.array([math.log(value) for value in values.tolist()])
+        gap = np.abs(np.log(values) - libm) / np.spacing(np.abs(libm))
+        assert gap.max() <= 4
