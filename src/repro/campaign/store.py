@@ -172,11 +172,9 @@ class ResultStore:
         """
         key = self.key_for(manifest.scenario, manifest.params, manifest.seed)
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         # Write-then-rename so a crash mid-write cannot leave a torn
         # manifest under a valid key.
-        scratch = path.with_suffix(".json.tmp")
-        scratch.write_text(manifest.to_json() + "\n", encoding="utf-8")
+        scratch = manifest.save(path.with_suffix(".json.tmp"))
         os.replace(scratch, path)
         return path
 

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
-from repro.schema import INT, NUMBER, OBJECT, STR, Field, list_of, load, table
+from repro.schema import INT, NUMBER, OBJECT, STR, Field, list_of, load, table, write_json
 from repro.telemetry import metrics, summary
 
 __all__ = ["RunManifest", "MANIFEST", "jsonify", "repo_version"]
@@ -133,10 +133,7 @@ class RunManifest:
 
     def save(self, path: Union[str, Path]) -> Path:
         """Write the manifest to ``path`` and return it."""
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(self.to_json() + "\n", encoding="utf-8")
-        return target
+        return write_json(path, self.to_dict(), indent=2)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunManifest":

@@ -1,4 +1,5 @@
-"""Artifact shapes declared once: field tables and the one loader that walks them.
+"""Artifact shapes declared once: field tables, the one loader that walks
+them, and the one writer.
 
 Every JSON document the program reads back -- a run manifest, a campaign
 spec, a perf-history line or bench artifact, a Chrome trace -- declares
@@ -6,18 +7,21 @@ its shape as a :func:`table` of :class:`Field` s.  :func:`load` raises one
 error naming the dotted path of the first value that does not fit.  A
 list or map of a plain kind is checked with one set of element types,
 not per element: a warm result-store read loads a manifest per campaign
-cell.  This module imports nothing from ``repro``.
+cell.  :func:`write_json` writes every JSON file the program writes whole.
+This module imports nothing from ``repro``.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Any, Dict, NamedTuple, Optional, Tuple, Type, Union
 
 __all__ = [
     "Interval", "NON_EMPTY", "Kind", "Field", "STR", "INT", "NUMBER", "OBJECT", "ANY",
-    "list_of", "map_of", "table", "load",
+    "list_of", "map_of", "table", "load", "write_json",
 ]
 
 
@@ -206,3 +210,14 @@ def _walk(kind: Kind, data: Any, path: str, label: str, error) -> Dict[str, Any]
 
 
 _ABSENT = object()
+
+
+def write_json(path: Union[str, Path], document: Any, indent: int) -> Path:
+    """Write ``document`` as stable JSON (sorted keys, ``indent``, one final
+    newline), creating the parent directory; returns the path."""
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(
+        json.dumps(document, indent=indent, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    return target

@@ -14,11 +14,10 @@ cross-backend) exactly like ``duration_seconds``.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Union
 
-from repro.schema import INT, NUMBER, STR, Field, list_of, map_of, table
+from repro.schema import INT, NUMBER, STR, Field, list_of, map_of, table, write_json
 
 __all__ = [
     "SUMMARY_FORMAT",
@@ -117,10 +116,4 @@ def counter_table(summary: Mapping[str, Any]) -> List[Dict[str, object]]:
 
 def write_summary(path: Union[str, Path], summary: Mapping[str, Any]) -> Path:
     """Write a summary as stable JSON and return its path."""
-    target = Path(path)
-    if target.parent != Path(""):
-        target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(
-        json.dumps(dict(summary), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return target
+    return write_json(path, dict(summary), indent=2)

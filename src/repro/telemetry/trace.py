@@ -23,7 +23,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
-from repro.schema import INT, NUMBER, OBJECT, STR, Field, list_of, load, table
+from repro.schema import INT, NUMBER, OBJECT, STR, Field, list_of, load, table, write_json
 
 __all__ = ["TRACE", "to_chrome_trace", "write_chrome_trace", "load_chrome_trace"]
 
@@ -88,14 +88,7 @@ def write_chrome_trace(
     metadata: Optional[Mapping[str, Any]] = None,
 ) -> Path:
     """Write ``events`` as a Chrome trace file and return its path."""
-    target = Path(path)
-    if target.parent != Path(""):
-        target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(
-        json.dumps(to_chrome_trace(events, metadata), indent=1, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return target
+    return write_json(path, to_chrome_trace(events, metadata), indent=1)
 
 
 def load_chrome_trace(path: Union[str, Path]) -> Dict[str, Any]:

@@ -7,11 +7,10 @@
   ``add``, ``advance``, ``step``, ``crash``, ``sick`` / ``heal`` /
   ``crash_silent``, ``crash_target``, ``discard``, ``disable``,
   ``confirm_refreshes``) and returns its refusal, ``replay`` runs an op
-  list no op of which may be refused, and ``agree`` replays an op list on
-  every ``(engine, backend, draw_batch)`` variant, asserting equal
-  refusals (none, unless the caller allows them) and an equal identity
-  (fingerprint, refresh notices, sampler tallies, PRNG state) after every
-  staged op;
+  list no op of which may be refused, and ``identity`` (fingerprint,
+  refresh notices, sampler tallies, PRNG state) is what engines must agree
+  on.  The differential is ``tests/test_engine_machine.py``'s state
+  machine, one rule per op; a new one is a rule or a start there;
 * ``kernel_oracle`` -- the per-item loops of the simulation kernels;
 * ``pending_oracle`` -- the heap the columnar pending list replaced;
 * ``proof_sweep_oracle`` -- the proof-sweep mask's general reductions;

@@ -1,12 +1,16 @@
 """The engine-differential harness: one deployment builder, one op
-interpreter, and one replay that makes engines agree.
+interpreter, and the identity engines must agree on.
 
 * :func:`deploy` builds a funded deployment on either engine;
 * :func:`apply` runs one op on it and returns the refusal message, if any;
 * :func:`replay` runs an op list none of whose ops may be refused;
-* :func:`agree` replays one op list on every ``(engine, backend,
-  draw_batch)`` variant and asserts, after every staged op, equal refusals
-  and an equal :func:`identity`.
+* :func:`identity` is what two engines must agree on after every op.
+
+The engine differential is the state machine of
+``tests/test_engine_machine.py``: one rule per op below, each rule one
+:func:`apply` per engine, and starts that replay fixed op lists.  A new
+differential is a rule or a start there, not a new test function or a
+second interpreter.
 
 The op vocabulary (sizes in bytes; a sector index ``i`` names the
 ``i``-th sector id in sorted order, modulo the sector count):
@@ -30,9 +34,8 @@ The op vocabulary (sizes in bytes; a sector index ``i`` names the
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Optional
 
-from repro import telemetry
 from repro.chain.ledger import Ledger
 from repro.core.allocation import AllocState
 from repro.core.columnar import ColumnarProtocol
@@ -46,8 +49,6 @@ from oracles.protocol import FileInsurerProtocol, fingerprint
 ENGINES = {"object": FileInsurerProtocol, "columnar": ColumnarProtocol}
 ROOT = b"\x05" * 32
 MB = 1 << 20
-
-Variant = Tuple[str, object, int]
 
 
 class Health:
@@ -69,7 +70,7 @@ def deploy(
     engine="columnar",
     *,
     providers: int = 6,
-    capacity_mb: int = 10,
+    capacity_mb=10,
     charge_fees: bool = False,
     draw_batch: int = 1,
     backend="reference",
@@ -77,8 +78,8 @@ def deploy(
     **overrides,
 ):
     """``providers`` funded owners with one ``capacity_mb`` MiB sector each
-    and a funded ``client``, on ``ProtocolParams.small_test()`` scaled by
-    ``overrides``.
+    (one owner per size if ``capacity_mb`` is a tuple of sizes) and a funded
+    ``client``, on ``ProtocolParams.small_test()`` scaled by ``overrides``.
 
     ``engine`` is a name of :data:`ENGINES` or a protocol class;
     ``backend`` a name of ``BACKENDS``, a kernel instance or ``None`` (the
@@ -96,10 +97,12 @@ def deploy(
         backend=BACKENDS.get(backend, backend),
         draw_batch=draw_batch,
     )
-    for index in range(providers):
+    if not isinstance(capacity_mb, tuple):
+        capacity_mb = (capacity_mb,) * providers
+    for index, size_mb in enumerate(capacity_mb):
         owner = f"prov-{index}"
         ledger.mint(owner, 50_000_000)
-        protocol.sector_register(owner, capacity_mb * MB)
+        protocol.sector_register(owner, size_mb * MB)
     ledger.mint("client", 500_000_000)
     return protocol
 
@@ -194,82 +197,3 @@ def identity(protocol) -> Dict[str, object]:
         ),
         "prng": protocol.prng.state_fingerprint(),
     }
-
-
-def grid(
-    engines: Iterable[str] = tuple(ENGINES),
-    backends: Iterable[object] = ("reference",),
-    draw_batches: Iterable[int] = (1,),
-) -> List[Variant]:
-    """Every ``(engine, backend, draw_batch)`` combination."""
-    return list(itertools.product(engines, backends, draw_batches))
-
-
-class Run(NamedTuple):
-    """One variant's replay: the protocol it ends in, one refusal (or
-    ``None``) per op, the identity after each staged op, and -- when
-    traced -- the telemetry summary of the replay."""
-
-    protocol: object
-    refusals: List[Optional[str]]
-    identities: List[Dict[str, object]]
-    summary: Optional[dict]
-
-
-def agree(
-    ops,
-    variants: Iterable[Variant],
-    stages: Optional[Iterable[int]] = None,
-    *,
-    refusable: bool = False,
-    traced: bool = False,
-    prepare: Optional[Callable[[object], None]] = None,
-    **shape,
-) -> Dict[Variant, Run]:
-    """Replay ``ops`` on a :func:`deploy` of ``shape`` per variant.
-
-    ``stages`` are the op positions after which the identity is taken
-    (every op when ``None``); every variant's refusals and staged
-    identities must equal the first variant's, and unless ``refusable``
-    the first variant refuses no op.  ``prepare`` runs on each
-    fresh deployment before the first op; ``traced`` records each replay's
-    telemetry.
-    """
-    ops = list(ops)
-    staged = set(range(len(ops)) if stages is None else stages)
-    runs: Dict[Variant, Run] = {}
-    for variant in variants:
-        engine, backend, draw_batch = variant
-        protocol = deploy(engine, backend=backend, draw_batch=draw_batch, **shape)
-        if prepare is not None:
-            prepare(protocol)
-        refusals, identities = [], []
-        if traced:
-            telemetry.enable()
-        try:
-            with telemetry.capture() as events:
-                for position, op in enumerate(ops):
-                    refusals.append(apply(protocol, op))
-                    if position in staged:
-                        identities.append(identity(protocol))
-        finally:
-            if traced:
-                telemetry.reset()
-        summary = telemetry.summarize_events(events) if traced else None
-        run = runs[variant] = Run(protocol, refusals, identities, summary)
-        baseline_variant, baseline = next(iter(runs.items()))
-        assert refusable or not any(baseline.refusals), (
-            f"{baseline_variant} refuses {baseline.refusals}"
-        )
-        for position, (want, got) in enumerate(zip(baseline.refusals, run.refusals)):
-            assert got == want, (
-                f"{variant} refuses op {position} {ops[position]!r} unlike "
-                f"{baseline_variant}: {got!r} != {want!r}"
-            )
-        for number, (want, got) in enumerate(zip(baseline.identities, run.identities)):
-            for part in want:
-                assert got[part] == want[part], (
-                    f"{variant} diverges from {baseline_variant} in {part} "
-                    f"at stage {number}"
-                )
-    return runs

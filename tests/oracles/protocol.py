@@ -9,9 +9,9 @@ This is the engine the program ran before it kept one protocol state
 layout.  :class:`repro.core.columnar.ColumnarProtocol` must leave exactly
 the state this spec leaves for every operation stream -- same PRNG
 consumption, same kernel calls, same ledger operations in the same order
--- and every engine differential (``test_core_columnar.py``, the
-``test_columnar_engine_matches_*`` properties, the columnar benchmark)
-compares against it.  It shares with the program only what is not state
+-- and every engine differential (the state machine of
+``test_engine_machine.py``, ``test_core_columnar.py``, the columnar
+benchmark) compares against it.  It shares with the program only what is not state
 layout: the pending list, the event log, the selector, fees, deposits and
 the ledger.
 """

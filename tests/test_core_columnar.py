@@ -1,14 +1,11 @@
-"""Differential tests for the columnar protocol engine.
+"""What the columnar protocol engine shows beyond its state.
 
-:class:`repro.core.columnar.ColumnarProtocol` promises *bit-identical*
-protocol state with the Figure 1 spec (``tests/oracles/protocol.py``, the
-"object" engine) for every operation stream.  These tests replay the same
-op lists (``tests/oracles/harness.py``) on both -- batched
-fills, proof cycles with refreshes, crashes, discards, fee-charging runs,
-placement failures, a degraded network (lost files, sick sectors, refreshes
-dying in flight) -- and compare full state identities (sectors, files,
-allocation table, pending list, aggregates, ledger, event counts, refresh
-notices, sampler tallies, PRNG state).
+The engine differential -- :class:`repro.core.columnar.ColumnarProtocol`
+leaving the Figure 1 spec's state after every op stream -- is the state
+machine of ``tests/test_engine_machine.py``.  The tests here pin what that
+machine does not see: which path a run took (the ``protocol.*`` counter
+splits, spans, views built, stream reads), the table facades, the
+admission prefix, the dispatch of ``advance_time`` and the proof-sweep mask.
 """
 
 from __future__ import annotations
@@ -40,12 +37,12 @@ from repro.core.sector import SectorState
 from repro.crypto.prng import DeterministicPRNG
 from repro.kernels.vectorized import VectorizedKernels
 
-from oracles.harness import ENGINES, MB, ROOT, agree, deploy, grid, identity, replay
-from oracles.protocol import FileInsurerProtocol, fingerprint
+from oracles.harness import ENGINES, ROOT, deploy, identity, replay
+from oracles.protocol import fingerprint
 from oracles.proof_sweep_oracle import proof_sweep_mask
+from test_engine_machine import STARTS
 
 KIB = 1 << 10
-BOTH_BACKENDS = ("reference", "vectorized")
 
 #: The reference workload: fill, proof cycles with refreshes, a crash, a
 #: discard -- 300 s between stages.
@@ -59,128 +56,6 @@ SCRIPTED = [
     ("discard", 3),
     ("advance", 300.0),
 ]
-
-#: The degraded regime (8 sectors): half the sectors crash (files are
-#: lost), one survivor stops proving (late-proof punishment, then `proof
-#: deadline exceeded` in the middle of a CheckProof run), and confirmed
-#: refreshes complete while another one loses its target in flight.
-DEGRADED = [
-    ("batch", [64 * KIB] * 30, 1),
-    ("advance", 130.0),
-    *[("crash", index) for index in range(4)],
-    ("advance", 60.0),
-    ("sick", 4),
-    # One proof cycle per stage, the providers confirming every refresh.
-    *[("confirm_refreshes",), ("advance", 60.0)] * 7,
-    # A confirmed refresh whose target dies before CheckRefresh.
-    ("confirm_refreshes",),
-    ("crash_target",),
-    ("advance", 120.0),
-]
-
-
-class TestDifferentialScripted:
-    """Same op list on every engine and backend => identical state."""
-
-    def test_degraded_flow_matches_on_every_backend(self):
-        """Both engines on both kernel backends, compared after every op of
-        the degraded regime (the masked sweep's reason to exist).  It always
-        loses files, so it catches a per-file CheckProof that never declares
-        a lost file lost; the degraded property catches that too, through
-        its pinned file-losing example."""
-        runs = agree(DEGRADED, grid(backends=BOTH_BACKENDS), providers=8)
-        run = runs["object", "reference", 1]
-        protocol, events = run.protocol, EventType.PROVIDER_PUNISHED.value
-        sick_at = DEGRADED.index(("sick", 4))
-        assert run.identities[sick_at]["state"]["aggregates"]["files_lost"] > 0
-        assert (
-            run.identities[-1]["state"]["events"][events]
-            > run.identities[sick_at]["state"]["events"][events]
-        )
-        assert protocol.sectors[sorted(protocol.sectors)[4]].is_corrupted
-        # Four crashes, one deadline breach, one refresh target in flight.
-        assert sum(record.is_corrupted for record in protocol.sectors.values()) == 6
-
-    @pytest.mark.parametrize("backend", BOTH_BACKENDS)
-    def test_scripted_flow_matches(self, backend):
-        agree(SCRIPTED, grid(backends=(backend,)))
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_no_backend_named_means_vectorized(self, engine):
-        """``backend=None`` is the one runtime backend, not a second draw
-        path."""
-        agree(SCRIPTED, [(engine, None, 1), (engine, "vectorized", 1)])
-
-    def test_fill_until_refused_matches_on_every_backend(self):
-        """The ``scalability`` shape: batched fee-free File Add until the
-        network refuses (admission truncates a batch, then raises)."""
-        size = (1 << 20) // 20
-        runs = agree(
-            [("batch", [size] * 16, 1)] * 4, grid(backends=BOTH_BACKENDS),
-            refusable=True, providers=8, capacity_mb=1, cap_para=1000.0,
-        )
-        run = runs["object", "reference", 1]
-        assert run.refusals[0] is None and run.refusals[-1] is not None
-        assert 16 < len(run.protocol.files) < 32
-
-    def test_compensation_after_crash_matches_on_every_backend(self):
-        """The ``deposit`` shape: fee-charged File Add one file at a time,
-        half the sectors crash, CheckProof compensates the owners of lost
-        files.  Unlike the hypothesis properties, it catches a loss that
-        compensates nothing."""
-        ops = [
-            *[("add", 8 * KIB)] * 20,
-            ("advance", 10.0),
-            *[("crash", index) for index in range(5)],
-            ("advance", 120.0),
-        ]
-        runs = agree(
-            ops, grid(backends=BOTH_BACKENDS), providers=10, capacity_mb=1,
-            charge_fees=True, deposit_ratio=0.3, cap_para=4.0,
-        )
-        protocol = runs["object", "reference", 1].protocol
-        assert 0 < protocol.total_value_lost <= protocol.total_value_compensated
-
-    def test_fee_charging_run_matches(self):
-        """Rent, gas and traffic fees on every op.  Unlike the hypothesis
-        properties, it catches a ``file_discard`` that charges no gas; a
-        rent period that never runs, or rent never distributed, the
-        object-engine property catches too, through its pinned rent-period
-        example."""
-        agree(SCRIPTED, grid(), charge_fees=True)
-
-    def test_draw_batch_prefetch_matches(self):
-        """The draw sequence is a function of the op list and draw_batch
-        only: at equal draw_batch both engines and both kernel backends
-        agree bit-for-bit.  The only differential that compares kernel
-        backends on requests of several draws, it catches a vectorized
-        kernel that hands a window of draws out in the wrong order."""
-        agree(SCRIPTED, grid(backends=BOTH_BACKENDS, draw_batches=(8,)))
-
-    def test_placement_failure_truncates_identically(self):
-        """A truncated upload that is not marked failed fails this flow,
-        on a deployment of two unequal sectors, and the object-engine and
-        cross-backend properties, through their pinned truncating
-        example on the properties' four equal sectors."""
-
-        def two_sectors(protocol):
-            for owner, size_mb in (("prov-big", 8), ("prov-small", 1)):
-                protocol.ledger.mint(owner, 50_000_000)
-                protocol.sector_register(owner, size_mb * MB)
-
-        # Anchor one replica on the big sector so disabling it does not
-        # remove it (and with it most of the admission budget).
-        ops = [("add", 16 * KIB), ("disable", 0), ("batch", [256 * KIB] * 5, 1)]
-        runs = agree(ops, grid(), providers=0, seed=5, prepare=two_sectors)
-        files = runs["object", "reference", 1].identities[-1]["state"]["files"]
-        assert FileState.FAILED.value in {file[5] for file in files.values()}
-
-    def test_batch_of_one_equals_single_file_add(self):
-        """B=1 batches consume the same kernel call as per-file File Add."""
-        single, batched = deploy(), deploy()
-        replay(single, [("add", 48 * KIB)] * 8 + [("advance", 200.0)])
-        replay(batched, [("batch", [48 * KIB], 1)] * 8 + [("advance", 200.0)])
-        assert identity(batched) == identity(single)
 
 
 class TestAggregateMaintenance:
@@ -320,21 +195,18 @@ class TestMaskedSweepVisibility:
         task completes in the row form (``fullstack_churn``'s runs are
         nearly all single tasks) and a run of two or more in the columns
         (``fill_prove``'s and ``refresh_storm``'s are thousands long).
-        Either way the state is the spec's."""
-        prints, totals = {}, {}
-        for engine in ENGINES:
-            protocol = deploy(engine, avg_refresh=0.01)
-            stored(protocol, run)
-            replay(protocol, [("step",)])  # the first checkpoint starts a refresh of every file
-            assert len(protocol.refresh_notices) == run
-            replay(protocol, [("confirm_refreshes",)])
-            totals[engine] = traced_advance(protocol, protocol.refresh_notices[0].deadline)
-            assert protocol.events.count(EventType.FILE_REFRESH_COMPLETED) == run
-            prints[engine] = fingerprint(protocol)
-        assert prints["columnar"] == prints["object"]
-        swept = totals["columnar"].get("protocol.refresh_check.vector_tasks", 0)
+        Either way the state is the spec's (the engine machine's
+        ``tied_deadlines`` start runs only runs of one)."""
+        protocol = deploy(avg_refresh=0.01)
+        stored(protocol, run)
+        replay(protocol, [("step",)])  # the first checkpoint starts a refresh of every file
+        assert len(protocol.refresh_notices) == run
+        replay(protocol, [("confirm_refreshes",)])
+        totals = traced_advance(protocol, protocol.refresh_notices[0].deadline)
+        assert protocol.events.count(EventType.FILE_REFRESH_COMPLETED) == run
+        swept = totals.get("protocol.refresh_check.vector_tasks", 0)
         assert swept == (0 if run == 1 else run)
-        assert totals["columnar"].get("protocol.refresh_check.scalar_tasks", 0) == run - swept
+        assert totals.get("protocol.refresh_check.scalar_tasks", 0) == run - swept
 
     def test_refresh_starts_split_like_the_sweep(self):
         """Every file is due at every checkpoint (avg_refresh -> countdown
@@ -570,7 +442,7 @@ class TestColumnarFacades:
 
 
 # ----------------------------------------------------------------------
-# Refresh in columns: the identity contract of the batched refresh start
+# Refresh in columns: what the batched refresh start reaches and reports
 # ----------------------------------------------------------------------
 DRAW_BATCHES = (1, 8, 64)
 
@@ -583,28 +455,26 @@ def stored(protocol, files, size=64 * 1024, values=None):
     return ids
 
 
-def store(files, size=64 * KIB):
-    """The ops of :func:`stored`: one File Add batch, then its CheckAlloc."""
-    return [("batch", [size] * files, 1), ("step",)]
-
-
-def after_steps(ops, run):
-    """The identities staged after the ``step`` ops of ``run``."""
-    return [stage for op, stage in zip(ops, run.identities) if op == ("step",)]
-
-
-def on_both_engines(ops, prepare=None, **shape):
-    """:func:`agree`, traced, on both engines at every ``draw_batch``, of an
-    op list no engine refuses any op of.
-
-    Yields ``(draw_batch, object run, columnar run)`` for the
-    case-specific assertions.
-    """
-    for draw_batch in DRAW_BATCHES:
-        variants = grid(backends=("vectorized",), draw_batches=(draw_batch,))
-        runs = agree(ops, variants, traced=True, prepare=prepare, **shape)
-        reference, columnar = runs.values()
-        yield draw_batch, reference, columnar
+def traced_start(name, draw_batch=1, prepare=None):
+    """The columnar engine replaying the op list of the engine machine's
+    start ``name`` (the machine holds its state to the spec's), traced:
+    the protocol, its identity after every ``step`` and the telemetry
+    summary."""
+    shape, _, ops = STARTS[name]
+    protocol = deploy(backend="vectorized", draw_batch=draw_batch, **shape)
+    if prepare is not None:
+        prepare(protocol)
+    stages = []
+    telemetry.enable()
+    try:
+        with telemetry.capture() as events:
+            for op in ops:
+                replay(protocol, [op])
+                if op == ("step",):
+                    stages.append(identity(protocol))
+    finally:
+        telemetry.reset()
+    return protocol, stages, telemetry.summarize_events(events)
 
 
 class CountingPRNG(DeterministicPRNG):
@@ -618,67 +488,49 @@ class CountingPRNG(DeterministicPRNG):
 
 
 class TestRefreshInColumns:
-    """Sequential decisions, columnar effects: each case is one the batched
-    start could get wrong while every ordinary run still matched."""
+    """Sequential decisions, columnar effects: each case is a start of the
+    engine machine that the batched refresh start could get wrong while
+    every ordinary run still matched.  Here: the start reaches its case,
+    and the run reports it, at every ``draw_batch``."""
 
     def test_second_refresh_of_a_stretch_collides_on_a_sector_the_first_filled(self):
-        size = 100 * 1024
-        in_stretch = []
-
-        def record_stretches(protocol):
-            """The object engine reserves at every start, so a draw's target
-            shows the room this step's earlier starts left."""
-            if type(protocol) is not FileInsurerProtocol:
-                return
-            selector, at_start = protocol.selector, {}
-            advance, draw = protocol.advance_time, selector.random_slot
+        shape, _, ops = STARTS["collisions"]
+        for draw_batch in DRAW_BATCHES:
+            spec = deploy("object", backend="vectorized", draw_batch=draw_batch, **shape)
+            selector, at_start, in_stretch = spec.selector, {}, []
+            advance, draw = spec.advance_time, selector.random_slot
 
             def recording_advance(until):
-                at_start.update(
-                    (sid, rec.free_capacity) for sid, rec in protocol.sectors.items()
-                )
+                at_start.update((sid, rec.free_capacity) for sid, rec in spec.sectors.items())
                 advance(until)
 
             def recording_draw():
+                """The spec reserves at every start, so a draw's target
+                shows the room this step's earlier starts left."""
                 slot = draw()
                 target = selector._sampler._keys[slot]
-                in_stretch.append(
-                    at_start[target] >= size > protocol.sectors[target].free_capacity
-                )
+                in_stretch.append(at_start[target] >= 100 * KIB > spec.sectors[target].free_capacity)
                 return slot
 
-            protocol.advance_time, selector.random_slot = recording_advance, recording_draw
-
-        # Four 1 MiB sectors hold ten replicas each; 36 of the 40 places
-        # are taken, and every file is due at every checkpoint.
-        ops = [*store(12, size), *[("step",), ("confirm_refreshes",)] * 30]
-        for _, _, columnar in on_both_engines(
-            ops, prepare=record_stretches, providers=4, capacity_mb=1,
-            redundancy_factor=1.0, cap_para=100.0, avg_refresh=0.01,
-        ):
+            spec.advance_time, selector.random_slot = recording_advance, recording_draw
+            replay(spec, ops)
             assert any(in_stretch)  # room at the start of the step, none at the draw
-            in_stretch.clear()
-            assert "protocol.refresh" not in columnar.summary["spans"]
-            assert columnar.summary["counters"]["protocol.refresh_start.collided"] == (
-                columnar.protocol.events.count(EventType.COLLISION_RESAMPLED)
+            protocol, _, summary = traced_start("collisions", draw_batch)
+            assert "protocol.refresh" not in summary["spans"]
+            assert summary["counters"]["protocol.refresh_start.collided"] == (
+                protocol.events.count(EventType.COLLISION_RESAMPLED)
             )
 
     @pytest.mark.parametrize("blocker", ["alloc", "confirm", "corrupted"])
     def test_unavailable_replica_postpones_without_a_draw(self, blocker):
-        # A 64 KiB transfer outlasts a proof cycle, so a refresh is still in
-        # flight (ALLOC, or CONFIRM once the provider answered) when its
-        # file is due again; a 1 KiB one is long over, and only the
-        # replicas of the crashed sector are unavailable.
-        size = 1024 if blocker == "corrupted" else 64 * 1024
-        cycle = [("step",)] if blocker == "alloc" else [("step",), ("confirm_refreshes",)]
-        ops = [
-            *store(20, size),
-            *[("crash", 0)] * (blocker == "corrupted"),
-            *cycle * 12,
-        ]
-        for _, _, columnar in on_both_engines(ops, providers=6, avg_refresh=0.01):
-            totals, events = columnar.summary["counters"], columnar.protocol.events
-            assert columnar.protocol.files_lost == 0
+        """A 64 KiB transfer outlasts a proof cycle, so a refresh is still
+        in flight (ALLOC, or CONFIRM once the provider answered) when its
+        file is due again; a 1 KiB one is long over, and only the replicas
+        of the crashed sector are unavailable."""
+        for draw_batch in DRAW_BATCHES:
+            protocol, _, summary = traced_start(f"blocked_{blocker}", draw_batch)
+            totals, events = summary["counters"], protocol.events
+            assert protocol.files_lost == 0
             assert totals["protocol.refresh_start.postponed"] > 0
             # A draw was consumed for the started and the collided only.
             assert (
@@ -688,96 +540,68 @@ class TestRefreshInColumns:
             )
 
     def test_empty_selector_postpones_every_due_file(self):
-        ops = [*store(20), *[("disable", index) for index in range(4)], *[("step",)] * 3]
-        for _, _, columnar in on_both_engines(ops, providers=4, avg_refresh=0.01):
-            assert len(columnar.protocol.selector) == 0
-            disabled, last = columnar.identities[len(ops) - 4], columnar.identities[-1]
-            assert last["sampler"][0] == disabled["sampler"][0]  # no draw
+        for draw_batch in DRAW_BATCHES:
+            protocol, stages, summary = traced_start("empty_selector", draw_batch)
+            assert len(protocol.selector) == 0
+            allocated, last = stages[0], stages[-1]
+            assert last["sampler"][0] == allocated["sampler"][0]  # no draw
             assert last["notices"] == []
-            totals = columnar.summary["counters"]
+            totals = summary["counters"]
             assert (
                 totals["protocol.refresh_start.postponed"]
                 == totals["protocol.refresh_start.vector_files"]
                 == 3 * 20
             )
 
-    def test_file_add_between_sweeps_sees_the_same_prefetch_state(self):
-        """File Add shares the sampler's kernel-call numbering: a refill
-        made ahead of need would renumber its stream."""
-        ops = [
-            *store(30),
-            *[("step",), ("confirm_refreshes",), ("batch", [32 * KIB] * 2, 1)] * 8,
-        ]
-        for draw_batch, _, columnar in on_both_engines(ops, providers=8, avg_refresh=2.0):
-            partly_consumed = [
-                0 < len(stage["sampler"][3]) < draw_batch
-                for stage in after_steps(ops, columnar)
-            ]
-            assert any(partly_consumed) or draw_batch == 1
-
     def test_refresh_deadline_on_the_next_checkpoint_keeps_append_order(self):
         """transfer_deadline == proof_cycle: CheckRefresh and the next
         CheckProof tasks tie on time, so the append order decides.  The
         order interleaves each refreshing file's CheckRefresh right after
         its CheckProof, so every CheckRefresh run is one task: the row
-        form, never the sweep."""
-        size = 60 * 1024
-        # Every other swap is never answered: its CheckRefresh fails and
-        # retries in the middle of the tied run.
-        ops = [*store(20, size), *[("step",), ("confirm_refreshes", 2)] * 10]
-        for _, _, columnar in on_both_engines(
-            ops, providers=10, avg_refresh=1.0, delay_per_size=2.0**-10
-        ):
-            params = columnar.protocol.params
-            assert params.transfer_deadline(size) == params.proof_cycle
+        form, never the sweep.  Every other swap is never answered: its
+        CheckRefresh fails and retries in the middle of the tied run."""
+        for draw_batch in DRAW_BATCHES:
+            protocol, stages, summary = traced_start("tied_deadlines", draw_batch)
+            params = protocol.params
+            assert params.transfer_deadline(60 * KIB) == params.proof_cycle
             ties = 0
-            for stage in after_steps(ops, columnar):
+            for stage in stages:
                 kinds_at = {}
                 for time, kind, _, _ in stage["state"]["pending"]:
                     kinds_at.setdefault(time, set()).add(kind)
                 ties += any(len(kinds) > 1 for kinds in kinds_at.values())
             assert ties > 0
-            assert columnar.protocol.events.count(EventType.FILE_REFRESH_FAILED) > 0
-            totals = columnar.summary["counters"]
+            assert protocol.events.count(EventType.FILE_REFRESH_FAILED) > 0
+            totals = summary["counters"]
             assert totals["protocol.refresh_check.vector_tasks"] == 0
             assert totals["protocol.refresh_check.scalar_tasks"] > 0
 
     def test_stretch_of_replica_counts_straddling_one_draw_byte(self):
         """255 replicas draw their index from one stream byte, 256 from
         two; both files come due in one stretch, beside a one-replica
-        file whose replica is still in transfer when it is due again
+        file whose 64 KiB replica is still in transfer when it is due again
         (postponed), on sectors nine tenths full (collided).  The identity
-        includes the PRNG fingerprint and the countdowns, so a window or a
-        countdown word read one byte off, or a tail pushed back short,
-        diverges from per-file reads."""
-        size = 64 * KIB  # a 65.5 s transfer outlasts the 60 s proof cycle
-        ops = [
-            ("add", size, 255),
-            ("add", size, 256),
-            ("add", size, 1),
-            *[("step",), ("confirm_refreshes",)] * 16,
-        ]
+        the machine compares includes the PRNG fingerprint and the
+        countdowns, so a window or a countdown word read one byte off, or a
+        tail pushed back short, diverges from per-file reads."""
         stretches = []
 
         def record_stretches(protocol):
-            if type(protocol) is ColumnarProtocol:
-                start = protocol._start_refreshes
+            start = protocol._start_refreshes
 
-                def recording_start(file_ids):
-                    stretches.append(set(file_ids.tolist()))
-                    return start(file_ids)
+            def recording_start(file_ids):
+                stretches.append(set(file_ids.tolist()))
+                return start(file_ids)
 
-                protocol._start_refreshes = recording_start
+            protocol._start_refreshes = recording_start
 
-        for _, _, columnar in on_both_engines(
-            ops, prepare=record_stretches, providers=36, capacity_mb=1, k=1,
-            redundancy_factor=1.0, cap_para=1000.0, avg_refresh=1.0,
-        ):
-            protocol, totals = columnar.protocol, columnar.summary["counters"]
+        for draw_batch in DRAW_BATCHES:
+            protocol, _, summary = traced_start("draw_byte", draw_batch, record_stretches)
+            totals = summary["counters"]
             assert protocol.files.replica_count[:3].tolist() == [255, 256, 1]
             assert any({0, 1} <= due for due in stretches)
             stretches.clear()
-            assert "protocol.refresh" not in columnar.summary["spans"]
+            assert "protocol.refresh" not in summary["spans"]
             assert totals["protocol.refresh_start.postponed"] > 0
             assert totals["protocol.refresh_start.collided"] > 0
             assert {notice.file_id for notice in protocol.refresh_notices} == {0, 1, 2}
@@ -791,7 +615,7 @@ class TestRefreshInColumns:
             return ColumnarProtocol(**{**arguments, "prng": prng})
 
         protocol = deploy(counted, avg_refresh=0.01, cap_para=1000.0)
-        replay(protocol, store(1200, KIB))
+        replay(protocol, [("batch", [KIB] * 1200, 1), ("step",)])
         stretches = []
         start = protocol._start_refreshes
 
@@ -806,16 +630,6 @@ class TestRefreshInColumns:
         assert stretches == [(1200, stretches[0][1])]
         assert 1 <= stretches[0][1] <= 3
         assert protocol.events.count(EventType.FILE_REFRESH_STARTED) > 1000
-
-    def test_stretches_cut_by_scalar_files_after_a_crash(self):
-        cycle = [("step",), ("confirm_refreshes",)]
-        ops = [*store(40), *cycle, *[("crash", index) for index in range(4)], *cycle * 10]
-        for _, _, columnar in on_both_engines(ops, providers=8, avg_refresh=1.0):
-            totals, protocol = columnar.summary["counters"], columnar.protocol
-            assert 0 < protocol.files_lost < 40
-            assert totals["protocol.proof_sweep.scalar_files"] > 0
-            assert totals["protocol.refresh_start.vector_files"] > 0
-            assert totals["protocol.refresh_notices"] == len(protocol.refresh_notices)
 
 
 class TestFileConfirmOnRows:
@@ -869,8 +683,8 @@ class TestFileConfirmOnRows:
         assert len({messages[("object", case)] for case in cases}) >= 4
 
     def test_confirm_releases_the_traffic_escrow(self):
-        """The fee-charging File Add holds one escrow per replica."""
-        prints = {}
+        """The fee-charging File Add holds one escrow per replica (that the
+        engines leave one state is the engine machine's ``add`` rule)."""
         for engine in ENGINES:
             protocol = deploy(engine, charge_fees=True)
             file_id = protocol.file_add("client", 32 * 1024, 1, ROOT)
@@ -880,8 +694,6 @@ class TestFileConfirmOnRows:
                 protocol.file_confirm(owner, file_id, index, entry.next)
             assert protocol._traffic_escrows == {}
             assert protocol.events.count(EventType.TRAFFIC_FEE_PAID) == 3
-            prints[engine] = fingerprint(protocol)
-        assert prints["columnar"] == prints["object"]
 
 
 class TestFileAddInColumns:

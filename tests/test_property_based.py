@@ -7,11 +7,9 @@ bit-for-bit, and the cross-backend comparisons never flake.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from oracles.harness import agree, grid
 from oracles.kernel_oracle import BACKENDS, U32Randint
 from repro.chain.ledger import Ledger
 from repro.core.large_files import LargeFileCodec
@@ -650,136 +648,3 @@ def test_lifecycle_invariants_hold_under_generated_dynamics(
             # LOST is entered once, as the final transition, ever.
             assert lost_hits == [len(machine.history) - 1]
             assert machine.state is FileLifecycleState.LOST
-
-
-# ----------------------------------------------------------------------
-# Columnar protocol engine: differential equivalence with the Figure 1
-# spec (tests/oracles/protocol.py) under hypothesis-generated op streams
-# ----------------------------------------------------------------------
-_SIZE = st.integers(min_value=1, max_value=16).map(lambda units: units * 16 * 1024)
-_HYP_ADVANCE = st.tuples(
-    st.just("advance"), st.sampled_from([30.0, 65.0, 140.0, 400.0])
-)
-#: Sector faults.  Beyond the detected crash: a sector that stops proving
-#: ("sick": late-proof punishment, then `proof deadline exceeded`
-#: corruption in the middle of a CheckProof run), proves again ("heal"),
-#: or collapses without the network noticing ("crash_silent").
-_HYP_FAULT = st.tuples(
-    st.sampled_from(["crash", "sick", "heal", "crash_silent"]),
-    st.integers(min_value=0, max_value=3),
-)
-_HYP_OP = st.one_of(
-    st.tuples(
-        st.just("batch"),
-        st.lists(_SIZE, min_size=1, max_size=5),
-        st.integers(min_value=1, max_value=3),
-    ),
-    st.tuples(st.just("add"), _SIZE),
-    _HYP_ADVANCE,
-    _HYP_FAULT,
-    st.tuples(st.just("discard"), st.integers(min_value=0, max_value=40)),
-    st.tuples(st.just("disable"), st.integers(min_value=0, max_value=3)),
-    st.just(("confirm_refreshes",)),
-)
-#: Four 4 MiB sectors: small enough for generated ops to fill and refuse.
-_HYP_SHAPE = dict(providers=4, capacity_mb=4)
-
-#: Pinned examples, so these regimes do not ride on the derandomized
-#: draw (test_pinned_examples_reach_their_regimes holds them to it).  A
-#: fee-charging deployment that runs a rent period:
-_RENT_PERIOD = [("batch", [64 * 1024] * 3, 1), ("advance", 400.0), ("advance", 400.0)]
-#: Three sectors disabled while holding a replica each, then a batch too
-#: big for the one left: placement fails and the batch is truncated.
-_TRUNCATED_BATCH = [
-    *[("add", 16 * 1024)] * 3,
-    *[("disable", index) for index in range(3)],
-    ("batch", [256 * 1024] * 5, 3),
-]
-#: A fee-charging deployment whose client discards a stored file: only
-#: the gas of ``file_discard`` tells the ledgers apart.
-_DISCARD = [("batch", [64 * 1024] * 3, 1), ("advance", 65.0), ("discard", 1)]
-#: The degraded property's prefix: a stored, fee-free deployment.
-_STORED = [("batch", [16 * 1024] * 8, 1), ("advance", 65.0)]
-#: After that prefix: three of four sectors
-#: crash and the next CheckProof run declares files lost.
-_LOSE_FILES = [("crash", 0), ("crash", 1), ("crash", 2), ("advance", 140.0)]
-
-
-@DIFF_SETTINGS
-@given(
-    ops=st.lists(_HYP_OP, min_size=1, max_size=12),
-    seed=st.integers(min_value=0, max_value=7),
-    backend=st.sampled_from(["reference", "vectorized"]),
-    charge_fees=st.booleans(),
-)
-@example(ops=_RENT_PERIOD, seed=0, backend="vectorized", charge_fees=True)
-@example(ops=_TRUNCATED_BATCH, seed=0, backend="reference", charge_fees=False)
-@example(ops=_DISCARD, seed=0, backend="vectorized", charge_fees=True)
-@example(ops=_STORED + _LOSE_FILES, seed=0, backend="reference", charge_fees=True)
-def test_columnar_engine_matches_object_engine(ops, seed, backend, charge_fees):
-    """Any generated op stream leaves both engines in byte-identical state,
-    refusing exactly the same operations with the same messages."""
-    agree(
-        ops, grid(backends=(backend,)), stages=[len(ops) - 1], refusable=True,
-        seed=seed, charge_fees=charge_fees, **_HYP_SHAPE,
-    )
-
-
-@DIFF_SETTINGS
-@given(
-    ops=st.lists(_HYP_OP, min_size=1, max_size=10),
-    seed=st.integers(min_value=0, max_value=7),
-)
-@example(ops=_TRUNCATED_BATCH, seed=1)
-def test_columnar_engine_matches_across_kernel_backends(ops, seed):
-    """The columnar engine itself is backend-independent: reference and
-    vectorized kernels replay the same op stream to identical state."""
-    agree(
-        ops, grid(engines=("columnar",), backends=("reference", "vectorized")),
-        stages=[len(ops) - 1], refusable=True, seed=seed, **_HYP_SHAPE,
-    )
-
-
-@settings(DIFF_SETTINGS, max_examples=100)
-@given(
-    ops=st.lists(
-        st.one_of(_HYP_ADVANCE, _HYP_FAULT, _HYP_OP), min_size=2, max_size=14
-    ),
-    seed=st.integers(min_value=0, max_value=7),
-    backend=st.sampled_from(["reference", "vectorized"]),
-)
-@example(ops=_LOSE_FILES, seed=0, backend="vectorized")
-def test_columnar_engine_matches_through_degraded_sweeps(ops, seed, backend):
-    """The regime the masked proof sweep exists for: a stored, fee-free
-    deployment whose sectors then fall sick, crash or heal between sweeps.
-    Fault-heavy streams reach late-proof punishment, deadline corruption
-    mid-run (the epoch re-mask), lost files and refreshes whose source or
-    target dies in flight; state -- including ``last_proof`` of rows
-    corrupted mid-run -- must stay byte-identical to the object engine."""
-    agree(
-        _STORED + ops, grid(backends=(backend,)), refusable=True, seed=seed,
-        **_HYP_SHAPE,
-    )
-
-
-@pytest.mark.parametrize(
-    "ops, charge_fees, reached",
-    [
-        (_RENT_PERIOD, True, "rent_distributed"),
-        (_TRUNCATED_BATCH, False, "file_upload_failed"),
-        (_STORED + _LOSE_FILES, False, "file_lost"),
-        (_DISCARD, True, "file_discarded"),
-        (_STORED + _LOSE_FILES, True, "file_compensated"),
-    ],
-    ids=("rent-period", "truncated-batch", "lose-files", "discard", "compensate"),
-)
-def test_pinned_examples_reach_their_regimes(ops, charge_fees, reached):
-    """Each pinned example reaches what it is pinned for, on every seed the
-    examples use, so editing the engine cannot quietly make it miss."""
-    for seed in (0, 1):
-        runs = agree(
-            ops, grid(backends=("vectorized",)), refusable=True, seed=seed,
-            charge_fees=charge_fees, **_HYP_SHAPE,
-        )
-        run = runs["columnar", "vectorized", 1]
-        assert run.identities[-1]["state"]["events"][reached] > 0
