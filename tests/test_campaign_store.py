@@ -151,6 +151,14 @@ class TestStoreLayout:
         path = store.put(_manifest())
         assert list(store.entries()) == [path]
 
+    def test_stored_bytes_equal_a_saved_manifest(self, store, tmp_path):
+        manifest = _manifest()
+        path = store.put(manifest)
+        saved = manifest.save(tmp_path / "saved.json")
+        assert path.read_bytes() == saved.read_bytes()
+        # The write-then-rename leaves no scratch file beside the entry.
+        assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
+
     def test_default_version_extends_repo_version(self, tmp_path):
         from repro.campaign.store import store_version
         from repro.runner.results import repo_version

@@ -66,6 +66,11 @@ class TestRoundTrip:
         assert loaded.version == manifest.version
         assert loaded.trial_rows_equal(manifest)
 
+    def test_saved_bytes_are_the_stable_json_text(self, tmp_path):
+        manifest = _manifest()
+        path = manifest.save(tmp_path / "demo.json")
+        assert path.read_bytes() == (manifest.to_json() + "\n").encode("utf-8")
+
     def test_json_is_stable_and_diffable(self):
         manifest = _manifest()
         assert manifest.to_json() == manifest.to_json()

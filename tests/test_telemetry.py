@@ -257,6 +257,16 @@ class TestTraceSchema:
         assert span["name"] == "alpha"
         assert span["args"] == {"k": 1}
 
+    def test_written_bytes_are_sorted_one_space_json(self, tmp_path, monkeypatch):
+        events = self._record_sample()
+        metadata = {"seed": 5, "scenario": "unit"}
+        # A bare file name writes into the working directory.
+        monkeypatch.chdir(tmp_path)
+        path = write_chrome_trace("trace.json", events, metadata=metadata)
+        expected = json.dumps(to_chrome_trace(events, metadata), indent=1, sort_keys=True)
+        assert (tmp_path / "trace.json").read_bytes() == (expected + "\n").encode("utf-8")
+        assert path.read_bytes() == (tmp_path / "trace.json").read_bytes()
+
     def test_metadata_labels_first_pid_runner(self):
         events = [
             {"name": "a", "cat": "t", "ph": "X", "ts": 0, "dur": 1, "pid": 10, "tid": 1, "args": {}},
