@@ -139,7 +139,7 @@ def _appears_once(values: np.ndarray) -> np.ndarray:
 class SectorView:
     """Read-only proxy over one :class:`SectorTable` row (a sector record:
     Figure 1's ``(owner, id, capacity, freeCap, state)`` plus the pledged
-    deposit and the replicas pointing at it)."""
+    deposit)."""
 
     __slots__ = ("_table", "_row")
 
@@ -184,14 +184,20 @@ class SectorView:
 
 
 class SectorTable:
-    """Structure-of-arrays sector store with a dict-of-records facade."""
+    """Structure-of-arrays sector store with a dict-of-records facade.
+
+    ``capacity``, ``free`` and ``state`` are the only record of sector
+    capacity: the selector reads ``free`` at each placement, the network
+    totals are scans over it, and a disabled sector is drained exactly
+    when ``free == capacity`` (every reservation and release moves the
+    free bytes by a positive file size).
+    """
 
     def __init__(self) -> None:
         self.sector_ids: List[str] = []
         self.owners: List[str] = []
         self.capacity = np.empty(0, dtype=np.int64)
         self.free = np.empty(0, dtype=np.int64)
-        self.stored = np.empty(0, dtype=np.int64)
         self.state = np.empty(0, dtype=np.int8)
         #: Pledged deposits as Python ints: a deposit is the capacity times
         #: the deposit ratio, which no fixed-width column bounds.
@@ -206,11 +212,9 @@ class SectorTable:
         self.deposit.append(deposit)
         self.capacity = _grow(self.capacity, row + 1)
         self.free = _grow(self.free, row + 1)
-        self.stored = _grow(self.stored, row + 1)
         self.state = _grow(self.state, row + 1)
         self.capacity[row] = capacity
         self.free[row] = capacity
-        self.stored[row] = 0
         self.state[row] = _S_NORMAL
         self._rows[sector_id] = row
         return row
@@ -627,10 +631,9 @@ class ColumnarProtocol:
         #: kernel (:mod:`repro.kernels`): sector choices are deterministic
         #: in the protocol seed and bit-identical on the kernel oracle
         #: (``backend`` injects one; ``None`` runs the vectorized kernels).
-        #: The selector keeps its per-slot free table incrementally (every
-        #: reservation/release below reports to it), so no kernel call
-        #: scans the sector table; ``draw_batch`` > 1 prefetches that many
-        #: plain refresh-target draws per kernel call.
+        #: A placement hands it ``sectors.free`` gathered in slot order;
+        #: ``draw_batch`` > 1 prefetches that many plain refresh-target
+        #: draws per kernel call.
         self.selector = CapacitySelector(
             self.prng.spawn("sector-selection"),
             backend=backend,
@@ -665,20 +668,13 @@ class ColumnarProtocol:
         self.files_lost = 0
         self.files_stored = 0
 
-        # Running admission aggregates: total_capacity() and
-        # stored_replica_bytes() are on the File Add hot path, so they are
-        # maintained incrementally instead of scanning the sector table;
-        # the regression suite pins them against a scan.
-        self._agg_capacity = 0
-        self._agg_used = 0
         #: Sector corruptions seen so far: the epoch of every sector and
         #: allocation state a vectorised sweep derived (the proof sweep
         #: re-derives its mask whenever this moves mid-run).
         self._corruption_events = 0
-        #: Sampler slot -> sector table row (vectorised placement lookup)
-        #: and its inverse (vectorised release on a selectable sector).
+        #: Sampler slot -> sector table row (a recycled slot keeps its last
+        #: sector's row, or -1; it has weight 0 and is never drawn).
         self._slot_to_row = np.empty(0, dtype=np.int64)
-        self._row_to_slot = np.empty(0, dtype=np.int64)
         #: Cache of ``params.replica_count`` per distinct value.
         self._replica_count_cache: Dict[int, int] = {}
 
@@ -799,13 +795,10 @@ class ColumnarProtocol:
                 ) from exc
 
         row = self.sectors.append(sector_id, owner, capacity, deposit)
-        self._agg_capacity += capacity
         self.selector.add_sector(sector_id, capacity)
         slot = self.selector.slot_of(sector_id)
         self._slot_to_row = _grow(self._slot_to_row, slot + 1, fill=-1)
         self._slot_to_row[slot] = row
-        self._row_to_slot = _grow(self._row_to_slot, row + 1, fill=-1)
-        self._row_to_slot[row] = slot
         self.events.emit(EventType.SECTOR_REGISTERED)
         if deposit:
             self.events.emit(EventType.DEPOSIT_PLEDGED)
@@ -915,7 +908,10 @@ class ColumnarProtocol:
         replica_counts = replica_counts[:admitted]
 
         expanded_sizes = np.repeat(size_arr, replica_counts)
-        slots = self.selector.select_batch_slots(expanded_sizes)
+        slots = self.selector.select_batch_slots(
+            expanded_sizes,
+            self.sectors.free[self._slot_to_row[: self.selector.slot_count]],
+        )
         placed = slots >= 0
         ends = np.cumsum(replica_counts)
         starts = ends - replica_counts
@@ -948,8 +944,7 @@ class ColumnarProtocol:
         if complete > 0:
             ok_ids = file_ids[:complete]
             replica_span = int(ends[complete - 1])
-            ok_slots = slots[:replica_span]
-            ok_rows = self._slot_to_row[ok_slots]
+            ok_rows = self._slot_to_row[slots[:replica_span]]
             ok_sizes = expanded_sizes[:replica_span]
             # Allocation blocks: contiguous rows per file, state ALLOC,
             # next = selected sector, awaiting File Confirm.
@@ -958,12 +953,8 @@ class ColumnarProtocol:
             self.alloc.next[rows] = ok_rows
             self.alloc.state[rows] = _A_ALLOC
             self.alloc._live += len(rows)
-            # Sector reservations, aggregates and the selector's
-            # free table -- one vectorised debit each.
+            # Sector reservations: one vectorised debit.
             np.subtract.at(self.sectors.free, ok_rows, ok_sizes)
-            np.add.at(self.sectors.stored, ok_rows, 1)
-            self._agg_used += int(ok_sizes.sum())
-            self.selector.debit_slots(ok_slots, ok_sizes)
             if self.charge_fees:
                 indexes = np.arange(replica_span) - np.repeat(
                     starts[:complete], replica_counts[:complete]
@@ -1000,9 +991,9 @@ class ColumnarProtocol:
         Larger totals, and a batch refused at its first file (which raises
         per-file ``File Add``'s message), take the scalar loop.
         """
-        total_capacity = self.total_capacity()
+        total_capacity, free_bytes = self._live_totals()
         base_value = self.total_value_stored - self.total_value_lost
-        base_bytes = self.stored_replica_bytes()
+        base_bytes = total_capacity - free_bytes
         count = len(sizes)
         largest_replica_set = int(sizes.max()) * int(replica_counts.max())
         if (
@@ -1320,10 +1311,7 @@ class ColumnarProtocol:
             return
 
         sectors.free[target] = free
-        sectors.stored[target] += 1
-        self._agg_used += size
         sector_ids = sectors.sector_ids
-        self.selector.set_free(sector_ids[target], free)
         alloc.next[row] = target
         alloc.state[row] = _A_ALLOC
         deadline = self.now + self.params.transfer_deadline(size)
@@ -1666,7 +1654,7 @@ class ColumnarProtocol:
         room: Dict[int, int] = {}  # target row -> bytes free after this stretch's reservations
         picked: List[int] = []
         indexes: List[int] = []
-        slots: List[int] = []
+        target_rows: List[int] = []
         resampled: List[int] = []
         countdown_offsets: List[int] = []
         collided = 0
@@ -1691,14 +1679,13 @@ class ColumnarProtocol:
                     if index < replicas:
                         break
                 if selectable and replica_state.item(block + index) == normal_replica:
-                    slot = random_slot()
-                    target = slot_to_row.item(slot)
+                    target = slot_to_row.item(random_slot())
                     left = room[target] if target in room else free.item(target)
                     if left >= size and sector_state.item(target) == normal_sector:
                         room[target] = left - size
                         picked.append(position)
                         indexes.append(index)
-                        slots.append(slot)
+                        target_rows.append(target)
                         continue
                     collided += 1
                 resampled.append(position)
@@ -1713,16 +1700,12 @@ class ColumnarProtocol:
         self.events.emit(EventType.COLLISION_RESAMPLED, collided)
         started = file_ids[picked]
         index_array = np.asarray(indexes, dtype=np.int64)
-        slot_array = np.asarray(slots, dtype=np.int64)
         rows = self.alloc.block_start[started] + index_array
-        targets = slot_to_row[slot_array]
+        targets = np.asarray(target_rows, dtype=np.int64)
         sizes = self.files.size[started]
         self.alloc.next[rows] = targets
         self.alloc.state[rows] = _A_ALLOC
         np.subtract.at(free, targets, sizes)
-        np.add.at(self.sectors.stored, targets, 1)
-        self._agg_used += int(sizes.sum())
-        self.selector.debit_slots(slot_array, sizes)
         size_list = sizes.tolist()
         deadline_of = {
             size: self.now + self.params.transfer_deadline(size)
@@ -1740,7 +1723,7 @@ class ColumnarProtocol:
                 started.tolist(),
                 indexes,
                 sources,
-                [sector_ids[target] for target in targets.tolist()],
+                [sector_ids[target] for target in target_rows],
                 deadlines,
             )
         )
@@ -1838,11 +1821,6 @@ class ColumnarProtocol:
         released = old[releasing]
         sizes = self.files.size[file_ids[releasing]]
         np.add.at(self.sectors.free, released, sizes)
-        np.subtract.at(self.sectors.stored, released, 1)
-        self.sectors.stored[released] = np.maximum(self.sectors.stored[released], 0)
-        self._agg_used -= int(sizes.sum())
-        # A normal sector is always selectable, hence has a slot.
-        self.selector.debit_slots(self._row_to_slot[released], -sizes)
         self.files.countdown[file_ids] = self._sample_refresh_countdowns(len(file_ids))
         self.events.emit(EventType.FILE_REFRESH_COMPLETED, len(file_ids))
 
@@ -1862,13 +1840,11 @@ class ColumnarProtocol:
 
     def _handle_sector_corruption(self, row: int) -> None:
         sectors = self.sectors
-        if sectors.state.item(row) == _S_CORRUPTED:
-            return
+        state = sectors.state.item(row)
+        if state == _S_CORRUPTED or state == _S_REMOVED:
+            return  # it holds no replica and no deposit any more
         sector_id = sectors.sector_ids[row]
         sectors.state[row] = _S_CORRUPTED
-        capacity = sectors.capacity.item(row)
-        self._agg_capacity -= capacity
-        self._agg_used -= capacity - sectors.free.item(row)
         self._corruption_events += 1
         self.selector.remove_sector(sector_id)
         if self.charge_fees and self.fund.deposit_of(sector_id) > 0:
@@ -1942,11 +1918,7 @@ class ColumnarProtocol:
         state = sectors.state.item(row)
         if state == _S_CORRUPTED or state == _S_REMOVED:
             return
-        free = sectors.free.item(row) + size
-        sectors.free[row] = free
-        sectors.stored[row] = max(0, sectors.stored.item(row) - 1)
-        self._agg_used -= size
-        self.selector.set_free(sectors.sector_ids[row], free)
+        sectors.free[row] += size
         self._maybe_remove_sector(row)
 
     def _release_next_reservation(self, file_id: int, row: int) -> None:
@@ -1981,12 +1953,12 @@ class ColumnarProtocol:
     def _maybe_remove_sector(self, row: int) -> None:
         """Remove a drained disabled sector and refund its deposit."""
         sectors = self.sectors
-        if sectors.state.item(row) != _S_DISABLED or sectors.stored.item(row) != 0:
+        if (
+            sectors.state.item(row) != _S_DISABLED
+            or sectors.free.item(row) != sectors.capacity.item(row)
+        ):
             return
         sectors.state[row] = _S_REMOVED
-        capacity = sectors.capacity.item(row)
-        self._agg_capacity -= capacity
-        self._agg_used -= capacity - sectors.free.item(row)
         sector_id = sectors.sector_ids[row]
         self.selector.remove_sector(sector_id)
         if self.charge_fees and self.fund.deposit_of(sector_id) > 0:
@@ -2007,14 +1979,22 @@ class ColumnarProtocol:
     # ==================================================================
     # Aggregate queries (used by analysis and experiments)
     # ==================================================================
-    def total_capacity(self) -> int:
-        """Total capacity of all non-removed, non-corrupted sectors.
+    def _live_totals(self) -> Tuple[int, int]:
+        """Capacity and free bytes summed over the normal and disabled
+        sectors, exactly."""
+        n = len(self.sectors)
+        live = self.sectors.state[:n] <= _S_DISABLED  # the two lowest codes
+        capacity = self.sectors.capacity[:n][live]
+        free = self.sectors.free[:n][live]
+        # The int64 sums cannot wrap while max * count stays below 2**62
+        # (DrawTable's rule); 0 <= free <= capacity, so one bound serves both.
+        if int(capacity.max(initial=0)).bit_length() + capacity.size.bit_length() <= 62:
+            return int(capacity.sum()), int(free.sum())
+        return sum(capacity.tolist()), sum(free.tolist())
 
-        O(1): maintained incrementally by sector registration, corruption
-        and removal; ``tests/test_core_columnar.py`` checks it against a
-        scan of the sector table.
-        """
-        return self._agg_capacity
+    def total_capacity(self) -> int:
+        """Total capacity of all non-removed, non-corrupted sectors."""
+        return self._live_totals()[0]
 
     def weighted_sector_count(self) -> float:
         """``Ns``: total capacity measured in units of ``min_capacity``."""
@@ -2027,12 +2007,10 @@ class ColumnarProtocol:
         return int(self.files.value[:n][normal].sum()) / self.params.min_value
 
     def stored_replica_bytes(self) -> int:
-        """Total bytes of replicas currently reserved in sectors.
-
-        O(1): maintained incrementally by every reservation/release and by
-        sector corruption/removal (checked like :meth:`total_capacity`).
-        """
-        return self._agg_used
+        """Total bytes of replicas reserved in non-removed, non-corrupted
+        sectors."""
+        capacity, free = self._live_totals()
+        return capacity - free
 
     def value_loss_ratio(self) -> float:
         """``gamma_lost``: lost value over total value ever stored."""

@@ -262,10 +262,9 @@ class CapacitySelector:
     :meth:`select_batch_slots` amortises one kernel call over a whole
     replica set.
 
-    The per-slot free table the kernels accept placements against is a
-    columnar ``int64`` array maintained incrementally: the caller reports
-    every reservation/release via :meth:`set_free` / :meth:`debit_slots`,
-    so no call scans the sector records.
+    The selector keeps no free capacities: the caller owns them and hands
+    :meth:`select_batch_slots` its free column in slot order, the table the
+    kernels accept placements against.
 
     The kernels get the weights as a :class:`~repro.kernels.sampling.DrawTable`
     the selector keeps across calls and rebuilds only when the sampler
@@ -300,10 +299,6 @@ class CapacitySelector:
         self.samples = 0
         self.kernels = get_backend(backend)
         self.draw_batch = draw_batch
-        #: Per-slot free capacities (int64; -1 for recycled slots, which
-        #: carry weight 0 and are never drawn, so the value only has to be
-        #: *some* rejection).
-        self._free = np.empty(0, dtype=np.int64)
         #: Prefetched plain-draw slots, served in draw order via pop().
         self._draw_buffer: List[int] = []
         #: Kernel calls that filled the buffer, prefetched draws a flush
@@ -333,51 +328,20 @@ class CapacitySelector:
     # ------------------------------------------------------------------
     # Membership management (driven by the protocol)
     # ------------------------------------------------------------------
-    def add_sector(
-        self, sector_id: str, capacity: int, free: Optional[int] = None
-    ) -> None:
-        """Make a sector eligible for selection.
-
-        Its free capacity starts at ``free`` (default: the full
-        ``capacity``).
-        """
+    def add_sector(self, sector_id: str, capacity: int) -> None:
+        """Make a sector eligible for selection."""
         self._sampler.add(sector_id, capacity)
         self._flush_draws()
-        slot = self._sampler.slot_of(sector_id)
-        if len(self._free) <= slot:
-            grown = np.full(max(slot + 1, 2 * len(self._free)), -1, dtype=np.int64)
-            grown[: len(self._free)] = self._free
-            self._free = grown
-        self._free[slot] = capacity if free is None else int(free)
 
     def remove_sector(self, sector_id: str) -> None:
         """Remove a sector (disabled, corrupted or deregistered)."""
         if self._sampler.contains(sector_id):
-            self._free[self._sampler.slot_of(sector_id)] = -1
             self._sampler.remove(sector_id)
             self._flush_draws()
 
     def _flush_draws(self) -> None:
         self._flushed += len(self._draw_buffer)
         self._draw_buffer.clear()
-
-    def set_free(self, sector_id: str, free: int) -> None:
-        """Update a sector's free capacity.
-
-        Callers invoke this after every reservation or release on a
-        selectable sector; sectors outside the sampler are ignored (they
-        can no longer be drawn, so their free space is irrelevant).
-        """
-        if self._sampler.contains(sector_id):
-            self._free[self._sampler.slot_of(sector_id)] = int(free)
-
-    def debit_slots(self, slots: np.ndarray, amounts: np.ndarray) -> None:
-        """Vectorised free-table debit: ``free[slots] -= amounts``.
-
-        Used by the columnar protocol engine to mirror a whole batch of
-        replica reservations in one call; duplicate slots accumulate.
-        """
-        np.subtract.at(self._free, slots, amounts)
 
     def slot_of(self, sector_id: str) -> int:
         """Sampler slot of a selectable sector (KeyError if absent).
@@ -388,14 +352,15 @@ class CapacitySelector:
         """
         return self._sampler.slot_of(sector_id)
 
+    @property
+    def slot_count(self) -> int:
+        """Selectable sectors plus recycled slots: the length of the free
+        column :meth:`select_batch_slots` takes."""
+        return self._sampler.slot_count
+
     def contains(self, sector_id: str) -> bool:
         """True if the sector is currently selectable."""
         return self._sampler.contains(sector_id)
-
-    @property
-    def total_capacity(self) -> int:
-        """Total capacity of selectable sectors."""
-        return self._sampler.total_weight
 
     def __len__(self) -> int:
         return len(self._sampler)
@@ -441,18 +406,21 @@ class CapacitySelector:
         taken, self._prefetch_taken = self._prefetch_taken, totals
         return tuple(now - before for now, before in zip(totals, taken))
 
-    def select_batch_slots(self, sizes: Sequence[int]) -> np.ndarray:
+    def select_batch_slots(self, sizes: Sequence[int], free: Sequence[int]) -> np.ndarray:
         """Place a whole replica set with one kernel call; returns slot ids.
 
-        Each entry is the resample-on-full loop of Figure 4: draw (at most
+        ``free`` holds each slot's free capacity, :attr:`slot_count`
+        entries in slot order; a recycled slot has weight 0 and is never
+        drawn, so its entry may be anything.  Each entry of ``sizes`` is
+        the resample-on-full loop of Figure 4: draw (at most
         ``max_attempts`` times) until a sector with ``size`` free is hit.
-        The kernel debits its private copy of the free table after every
-        successful placement, exactly mirroring the reservation the caller
-        performs afterwards, so one batch equals placing the entries one
-        at a time.  Entries that exhaust ``max_attempts`` -- which the
-        paper notes "almost never happens" under the redundant-capacity
-        assumption -- come back as ``-1``.  The protocol engine maps slots
-        to sector table rows with its own vectorised lookup.
+        The kernel debits its private copy of ``free`` after every
+        successful placement, exactly as the caller reserves afterwards,
+        so one batch equals placing the entries one at a time.  Entries
+        that exhaust ``max_attempts`` -- which the paper notes "almost
+        never happens" under the redundant-capacity assumption -- come
+        back as ``-1``.  The protocol engine maps slots to sector table
+        rows with its own vectorised lookup.
 
         Statistics caveat: the batch always runs to completion, so
         ``samples``/``collisions`` cover every entry even when the caller
@@ -467,8 +435,8 @@ class CapacitySelector:
             self._draw_table(),
             # One place run: the sizes travel as a column, never as tuples.
             [("place", np.asarray(sizes), self.max_attempts)],
-            # The kernels take a defensive copy, so the live table is safe.
-            free=self._free[: self._sampler.slot_count],
+            # The kernels debit a copy, so the caller's column is left alone.
+            free=free,
         )
         self.samples += result.attempts
         self.collisions += result.collisions

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import signal
+import time
 
 import pytest
 
@@ -62,7 +63,9 @@ def oracle_kernels(monkeypatch):
 def time_limit():
     """``with time_limit(seconds):`` raises ``TimeoutError`` inside a block
     still running after ``seconds`` (SIGALRM), so a regression to a hang
-    fails its test instead of stalling the suite."""
+    fails its test instead of stalling the suite.  A block that ends on its
+    own after ``seconds`` raises it too: the alarm's exception is lost when
+    it lands where Python only reports it (a gc callback, a ``__del__``)."""
 
     @contextlib.contextmanager
     def limit(seconds: float):
@@ -70,11 +73,15 @@ def time_limit():
             raise TimeoutError(f"still running after {seconds} s")
 
         previous = signal.signal(signal.SIGALRM, expire)
+        started = time.monotonic()
         signal.setitimer(signal.ITIMER_REAL, seconds)
         try:
             yield
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
+        elapsed = time.monotonic() - started
+        if elapsed > seconds:
+            raise TimeoutError(f"ran {elapsed:.3f} s, past its {seconds} s")
 
     return limit

@@ -62,7 +62,7 @@ __all__ = [
 @dataclass
 class SectorRecord:
     """``sector : (owner, id, capacity, freeCap, state)``, plus the pledged
-    deposit and how many replicas point at it (as ``prev`` or ``next``)."""
+    deposit."""
 
     owner: str
     sector_id: str
@@ -70,7 +70,6 @@ class SectorRecord:
     free_capacity: int
     state: SectorState = SectorState.NORMAL
     deposit: int = 0
-    stored_replicas: int = 0
 
     def __post_init__(self) -> None:
         if self.capacity <= 0:
@@ -91,7 +90,6 @@ class SectorRecord:
                 f"only {self.free_capacity} free"
             )
         self.free_capacity -= size
-        self.stored_replicas += 1
 
     def release(self, size: int) -> None:
         if size < 0:
@@ -101,7 +99,6 @@ class SectorRecord:
                 f"sector {self.sector_id}: releasing {size} bytes would exceed capacity"
             )
         self.free_capacity += size
-        self.stored_replicas = max(0, self.stored_replicas - 1)
 
     @property
     def accepts_new_files(self) -> bool:
@@ -113,7 +110,9 @@ class SectorRecord:
 
     @property
     def is_drained(self) -> bool:
-        return self.state == SectorState.DISABLED and self.stored_replicas == 0
+        # Replicas are positive sizes, so no free byte is missing exactly
+        # when none is reserved.
+        return self.state == SectorState.DISABLED and self.free_capacity == self.capacity
 
 
 @dataclass
@@ -217,11 +216,15 @@ class AllocationTable:
         return len(self._entries)
 
 
-def select_batch(selector: CapacitySelector, sizes: List[int]) -> List[Optional[str]]:
-    """Figure 4's placement of a replica set, as sector ids (``None``: every
-    attempt collided)."""
+def select_batch(
+    selector: CapacitySelector, sizes: List[int], free: Dict[str, int]
+) -> List[Optional[str]]:
+    """Figure 4's placement of a replica set against the free capacities
+    ``free`` (sector id -> bytes), as sector ids (``None``: every attempt
+    collided)."""
     keys = selector._sampler._keys
-    return [None if slot < 0 else keys[slot] for slot in selector.select_batch_slots(sizes)]
+    column = [0 if key is None else free[key] for key in keys]
+    return [None if slot < 0 else keys[slot] for slot in selector.select_batch_slots(sizes, column)]
 
 
 def random_sector(selector: CapacitySelector) -> str:
@@ -273,10 +276,6 @@ class FileInsurerProtocol:
         self.total_value_compensated = 0
         self.files_lost = 0
         self.files_stored = 0
-        # Kept incrementally, as the program engine keeps them: a scan of
-        # the records would differ once a removed sector is crashed.
-        self._agg_capacity = 0
-        self._agg_used = 0
 
         if self.charge_fees:
             self.pending.schedule(self.now + self.params.rent_period, RENT_PERIOD)
@@ -364,7 +363,6 @@ class FileInsurerProtocol:
             free_capacity=capacity,
             deposit=deposit,
         )
-        self._agg_capacity += capacity
         self.selector.add_sector(sector_id, capacity)
         self.events.emit(EventType.SECTOR_REGISTERED)
         if deposit:
@@ -436,7 +434,8 @@ class FileInsurerProtocol:
                     gas_ok = index
                     break
         expanded = [sizes[i] for i in range(gas_ok) for _ in range(replica_counts[i])]
-        placements = select_batch(self.selector, expanded)
+        free = {sector_id: record.free_capacity for sector_id, record in self.sectors.items()}
+        placements = select_batch(self.selector, expanded, free)
         ids: List[int] = []
         cursor = 0
         for i in range(gas_ok):
@@ -475,7 +474,7 @@ class FileInsurerProtocol:
                 self.events.emit(EventType.FILE_UPLOAD_FAILED)
                 return file_id
             record = self.sectors[sector_id]
-            self._reserve_space(record, size)
+            record.reserve(size)
             self.alloc.set(file_id, index, AllocEntry(next=sector_id))
             if self.charge_fees:
                 escrow = self.fees.commit_traffic_fee(owner, record.owner, size)
@@ -700,7 +699,7 @@ class FileInsurerProtocol:
             self.events.emit(EventType.COLLISION_RESAMPLED)
             descriptor.countdown = self._sample_refresh_countdown()
             return
-        self._reserve_space(record, descriptor.size)
+        record.reserve(descriptor.size)
         entry.next = target
         entry.state = AllocState.ALLOC
         deadline = self.now + self.params.transfer_deadline(descriptor.size)
@@ -748,8 +747,7 @@ class FileInsurerProtocol:
         """Distribute the period's rent to healthy sectors and reschedule."""
         healthy = [
             (record.sector_id, record.owner, record.capacity)
-            for record in self.sectors.values()
-            if record.state in (SectorState.NORMAL, SectorState.DISABLED)
+            for record in self._live_sectors()
         ]
         if self.fees.rent.distribute(healthy):
             self.events.emit(EventType.RENT_DISTRIBUTED)
@@ -763,11 +761,9 @@ class FileInsurerProtocol:
         self._handle_sector_corruption(self._sector(sector_id))
 
     def _handle_sector_corruption(self, record: SectorRecord) -> None:
-        if record.is_corrupted:
+        if record.is_corrupted or record.state == SectorState.REMOVED:
             return
         record.state = SectorState.CORRUPTED
-        self._agg_capacity -= record.capacity
-        self._agg_used -= record.used_capacity
         self.selector.remove_sector(record.sector_id)
         if self.charge_fees and self.fund.deposit_of(record.sector_id) > 0:
             self.fund.confiscate(record.sector_id)
@@ -831,18 +827,11 @@ class FileInsurerProtocol:
         """``SampleExp(AvgRefresh)`` rounded up to at least one checkpoint."""
         return max(1, int(math.ceil(self.prng.expovariate(self.params.avg_refresh))))
 
-    def _reserve_space(self, record: SectorRecord, size: int) -> None:
-        record.reserve(size)
-        self._agg_used += size
-        self.selector.set_free(record.sector_id, record.free_capacity)
-
     def _release_replica_from_sector(self, sector_id: str, size: int) -> None:
         record = self.sectors[sector_id]
         if record.is_corrupted or record.state == SectorState.REMOVED:
             return
         record.release(size)
-        self._agg_used -= size
-        self.selector.set_free(record.sector_id, record.free_capacity)
         self._maybe_remove_sector(record)
 
     def _release_next_reservation(self, descriptor: FileDescriptor, entry: AllocEntry) -> None:
@@ -871,8 +860,6 @@ class FileInsurerProtocol:
         if not record.is_drained:
             return
         record.state = SectorState.REMOVED
-        self._agg_capacity -= record.capacity
-        self._agg_used -= record.used_capacity
         self.selector.remove_sector(record.sector_id)
         if self.charge_fees and self.fund.deposit_of(record.sector_id) > 0:
             self.fund.refund(record.sector_id)
@@ -894,8 +881,15 @@ class FileInsurerProtocol:
     # ==================================================================
     # Aggregate queries
     # ==================================================================
+    def _live_sectors(self) -> List[SectorRecord]:
+        return [
+            record
+            for record in self.sectors.values()
+            if record.state in (SectorState.NORMAL, SectorState.DISABLED)
+        ]
+
     def total_capacity(self) -> int:
-        return self._agg_capacity
+        return sum(record.capacity for record in self._live_sectors())
 
     def weighted_sector_count(self) -> float:
         return self.total_capacity() / self.params.min_capacity
@@ -905,7 +899,7 @@ class FileInsurerProtocol:
         return total / self.params.min_value
 
     def stored_replica_bytes(self) -> int:
-        return self._agg_used
+        return sum(record.used_capacity for record in self._live_sectors())
 
     def value_loss_ratio(self) -> float:
         if self.total_value_stored == 0:
@@ -936,12 +930,6 @@ class FileInsurerProtocol:
 # ======================================================================
 def fingerprint(protocol):
     """Canonical structure of everything consensus-visible."""
-
-    def stored_replicas(sector_id, record):
-        if isinstance(record, SectorRecord):
-            return record.stored_replicas
-        return int(protocol.sectors.stored[protocol.sectors.row_of(sector_id)])
-
     sectors = {
         sid: (
             rec.owner,
@@ -949,7 +937,6 @@ def fingerprint(protocol):
             int(rec.free_capacity),
             int(rec.deposit),
             rec.state.value,
-            stored_replicas(sid, rec),
         )
         for sid, rec in sorted(protocol.sectors.items())
     }

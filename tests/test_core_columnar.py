@@ -5,7 +5,7 @@ leaving the Figure 1 spec's state after every op stream -- is the state
 machine of ``tests/test_engine_machine.py``.  The tests here pin what that
 machine does not see: which path a run took (the ``protocol.*`` counter
 splits, spans, views built, stream reads), the table facades, the
-admission prefix, the dispatch of ``advance_time`` and the proof-sweep mask.
+admission prefix, the free column a placement hands the kernel, the dispatch of ``advance_time`` and the proof-sweep mask.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.core.events import EventType
 from repro.core.file_descriptor import FileState
 from repro.core.pending import CHECK_ALLOC, CHECK_PROOF, CHECK_REFRESH, RENT_PERIOD
 from repro.core.protocol import ProtocolError
-from repro.core.sector import SectorState
 from repro.crypto.prng import DeterministicPRNG
 from repro.kernels.vectorized import VectorizedKernels
 
@@ -43,67 +42,6 @@ from oracles.proof_sweep_oracle import proof_sweep_mask
 from test_engine_machine import STARTS
 
 KIB = 1 << 10
-
-#: The reference workload: fill, proof cycles with refreshes, a crash, a
-#: discard -- 300 s between stages.
-SCRIPTED = [
-    ("batch", [64 * KIB] * 30, 1),
-    ("advance", 300.0),
-    *[("add", 32 * KIB, 2)] * 5,
-    ("advance", 300.0),
-    ("crash", 0),
-    ("advance", 300.0),
-    ("discard", 3),
-    ("advance", 300.0),
-]
-
-
-class TestAggregateMaintenance:
-    """O(1) aggregates and the selector's free table never drift from the
-    sector records (no placement scans them)."""
-
-    @pytest.mark.parametrize("engine", ["object", "columnar"])
-    def test_aggregates_match_scan_oracles(self, engine):
-        protocol = deploy(engine)
-        replay(protocol, SCRIPTED)
-        live = [
-            record
-            for record in protocol.sectors.values()
-            if record.state in (SectorState.NORMAL, SectorState.DISABLED)
-        ]
-        assert protocol.total_capacity() == sum(r.capacity for r in live)
-        assert protocol.stored_replica_bytes() == sum(r.capacity - r.free_capacity for r in live)
-
-    @pytest.mark.parametrize("engine", ["object", "columnar"])
-    def test_tracked_free_matches_records(self, engine):
-        protocol = deploy(engine, backend="vectorized")
-        replay(protocol, SCRIPTED)
-        for sector_id, record in protocol.sectors.items():
-            if record.accepts_new_files:
-                selector = protocol.selector
-                assert (
-                    selector._free[selector.slot_of(sector_id)] == record.free_capacity
-                ), sector_id
-
-    def test_kernel_placement_never_scans_sector_records(self):
-        """Placement hands the kernel the selector's own columnar free
-        table, not one rebuilt by scanning every SectorRecord per call (the
-        regression this guards against)."""
-        protocol = deploy()
-        selector = protocol.selector
-        draw = selector.kernels.batch_weighted_draw
-        seen = []
-
-        class SpyKernels:
-            def batch_weighted_draw(self, rng, weights, ops, free=None):
-                seen.append(free)
-                return draw(rng, weights, ops, free=free)
-
-        selector.kernels = SpyKernels()
-        ids = protocol.file_add_batch("client", [64 * 1024] * 20, [1] * 20, ROOT)
-        assert len(ids) == 20
-        assert seen and all(np.shares_memory(free, selector._free) for free in seen)
-
 
 def traced_events(protocol, until):
     """``advance_time`` with telemetry on; returns the raw events."""
@@ -754,6 +692,37 @@ class TestFileAddInColumns:
         (admitted,) = counts
         return admitted
 
+    def test_placement_hands_the_kernel_the_free_column(self):
+        """Each placement gives the kernel every selectable sector's free
+        capacity at its slot, as the sector table holds it at the call:
+        after the earlier batch's reservations, and around the slot a
+        removed sector left."""
+        protocol = deploy()
+        selector = protocol.selector
+        draw = selector.kernels.batch_weighted_draw
+        seen = []
+
+        class SpyKernels:
+            def batch_weighted_draw(self, rng, weights, ops, free=None):
+                if free is not None:
+                    want = {
+                        selector.slot_of(sector_id): record.free_capacity
+                        for sector_id, record in protocol.sectors.items()
+                        if selector.contains(sector_id)
+                    }
+                    seen.append((list(free), want))
+                return draw(rng, weights, ops, free=free)
+
+        selector.kernels = SpyKernels()
+        replay(protocol, [("disable", 0), ("disable", 1), ("batch", [64 * KIB] * 20, 1)])
+        protocol.sector_register("prov-0", 10 << 20)  # takes one freed slot
+        replay(protocol, [("batch", [64 * KIB] * 10, 1)])
+        assert len(seen) == 2 and len(seen[1][0]) == selector.slot_count == 6
+        assert len(seen[1][1]) == 5  # one slot is a hole, never drawn
+        assert seen[1][1] != seen[0][1]  # the first batch's reservations show
+        for free, want in seen:
+            assert {slot: free[slot] for slot in want} == want
+
     def test_cut_exactly_on_the_value_limit(self):
         # 2 MiB at capPara 10: Nm_v * minValue = 20.
         build = dict(providers=2, capacity_mb=1)
@@ -809,6 +778,16 @@ class TestFileAddInColumns:
         del loops[:]
         assert self._admitted([1024, 1024], [1, 1], providers=2, capacity_mb=1) == 2
         assert len(loops) == 1  # only the direct call
+
+
+    def test_network_totals_past_int64_are_exact(self):
+        """Three sectors of 2**62 bytes: the total leaves int64 and stays
+        the spec's Python-int sum."""
+        totals = set()
+        for engine in ENGINES:
+            protocol = deploy(engine, providers=3, capacity_mb=1 << 42, min_capacity=1 << 62)
+            totals.add((protocol.total_capacity(), protocol.stored_replica_bytes()))
+        assert totals == {(3 << 62, 0)}
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)

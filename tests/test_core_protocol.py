@@ -14,7 +14,8 @@ from repro.core.sector import SectorState
 from repro.chain.ledger import InsufficientFundsError
 
 from oracles.harness import deploy, replay
-from oracles.protocol import FileInsurerProtocol
+from oracles.protocol import FileInsurerProtocol, fingerprint
+from test_engine_machine import STARTS
 
 ROOT = b"\x07" * 32
 
@@ -100,6 +101,21 @@ class TestSectorRegister:
         assert protocol.ledger.escrowed(owner) == 0  # deposit released
         assert protocol.events.count(EventType.DEPOSIT_REFUNDED) == 1
         assert not protocol.selector.contains(sector_id)
+
+    @pytest.mark.parametrize("engine", [FileInsurerProtocol, ColumnarProtocol])
+    def test_disabled_sector_is_removed_with_its_last_replica(self, engine):
+        """Drained means no byte reserved: the disabled host of two files
+        stays until the second file's replica leaves it."""
+        protocol = deployment(engine, avg_refresh=1e6)
+        files = [store_file(protocol), store_file(protocol)]
+        hosts = [{entry.prev for _, entry in protocol.alloc.entries_for_file(f)} for f in files]
+        sector_id = sorted(hosts[0] & hosts[1])[0]
+        protocol.sector_disable(protocol.sectors[sector_id].owner, sector_id)
+        for file_id, state in zip(files, (SectorState.DISABLED, SectorState.REMOVED)):
+            protocol.file_discard("client", file_id)
+            protocol.advance_time(protocol.now + protocol.params.proof_cycle + 1)
+            assert protocol.sectors[sector_id].state == state
+        assert protocol.events.count(EventType.DEPOSIT_REFUNDED) == 1
 
 
 class TestFileAdd:
@@ -330,6 +346,21 @@ class TestDiscardAndLoss:
         protocol.crash_sector(sector_id)
         assert not protocol.selector.contains(sector_id)
         assert protocol.sectors[sector_id].state == SectorState.CORRUPTED
+
+    @pytest.mark.parametrize("engine", [FileInsurerProtocol, ColumnarProtocol])
+    def test_crash_of_a_removed_sector_changes_nothing(self, engine):
+        """A drained sector was removed with its deposit refunded: it holds
+        nothing a collapse could take, and counts in no total."""
+        shape, fees, ops = STARTS["truncated_batch"]
+        protocol = deploy(engine, charge_fees=fees, **{**shape, "seed": 3})
+        replay(protocol, ops)
+        removed = sorted(protocol.sectors)[0]
+        assert protocol.sectors[removed].state == SectorState.REMOVED
+        before = fingerprint(protocol)
+        replay(protocol, [("crash", 0)])
+        assert protocol.sectors[removed].state == SectorState.REMOVED
+        assert protocol.events.count(EventType.SECTOR_CORRUPTED) == 0
+        assert fingerprint(protocol) == before
 
 
 class TestRefresh:

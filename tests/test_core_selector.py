@@ -281,11 +281,12 @@ class TestCapacitySelectorBackends:
         outcomes = {}
         for backend in self.NAMES:
             selector = _kernel_selector(backend, max_attempts=50)
-            selector.add_sector("full", 1000, free=0)
-            selector.add_sector("open", 1000, free=500)
-            # The caller never reports a reservation, so "open" keeps its
-            # 500 free across the twenty one-replica calls.
-            chosen = [select_batch(selector, [100])[0] for _ in range(20)]
+            selector.add_sector("full", 1000)
+            selector.add_sector("open", 1000)
+            # The caller reserves nothing, so "open" keeps its 500 free
+            # across the twenty one-replica calls.
+            free = {"full": 0, "open": 500}
+            chosen = [select_batch(selector, [100], free)[0] for _ in range(20)]
             outcomes[backend] = (chosen, selector.samples, selector.collisions)
         assert outcomes["reference"] == outcomes["vectorized"]
         chosen, samples, collisions = outcomes["reference"]
@@ -295,34 +296,35 @@ class TestCapacitySelectorBackends:
     def test_placement_gives_up_after_max_attempts(self):
         for backend in (None,) + self.NAMES:
             selector = _kernel_selector(backend, max_attempts=50)
-            selector.add_sector("full", 1000, free=0)
-            assert select_batch(selector, [10]) == [None]
+            selector.add_sector("full", 1000)
+            assert select_batch(selector, [10], {"full": 0}) == [None]
             assert selector.collisions == 50
             assert selector.samples == 50
 
     def test_placement_on_empty_selector(self):
         for backend in (None,) + self.NAMES:
-            assert select_batch(_kernel_selector(backend), [1]) == [None]
+            assert select_batch(_kernel_selector(backend), [1], {}) == [None]
 
     def test_select_batch_debits_free_space_between_picks(self):
-        """The kernel's private free table mirrors the reserve() calls the
-        protocol performs after a batched File Add selection."""
+        """The kernel debits a private copy of the free column after each
+        pick, as the protocol reserves after a batched File Add selection."""
         for backend in self.NAMES:
             selector = _kernel_selector(backend)
-            selector.add_sector("only", 100, free=150)
-            batch = select_batch(selector, [100, 100])
+            selector.add_sector("only", 100)
+            free = [150]
+            batch = selector.select_batch_slots([100, 100], free).tolist()
             # The first replica fits; the second must collide out even
-            # though the selector's own table still says 150.
-            assert batch == ["only", None]
-            assert selector._free[selector.slot_of("only")] == 150
+            # though the caller's column still says 150.
+            assert batch == [0, -1]
+            assert free == [150]
 
     def test_select_batch_identical_across_backends(self):
         outcomes = {}
         for backend in self.NAMES:
             selector = _kernel_selector(backend)
-            selector.add_sector("a", 600, free=128)
-            selector.add_sector("b", 400, free=64)
-            picks = select_batch(selector, [64, 64, 64])
+            selector.add_sector("a", 600)
+            selector.add_sector("b", 400)
+            picks = select_batch(selector, [64, 64, 64], {"a": 128, "b": 64})
             outcomes[backend] = (picks, selector.samples, selector.collisions)
         assert outcomes["reference"] == outcomes["vectorized"]
         picks = outcomes["reference"][0]
@@ -354,15 +356,8 @@ class TestCapacitySelector:
         selector = CapacitySelector(sampler_prng)
         selector.add_sector("full", 500)
         selector.add_sector("empty", 500)
-        selector.set_free("full", 0)
-        assert select_batch(selector, [100]) == ["empty"]
+        assert select_batch(selector, [100], {"full": 0, "empty": 500}) == ["empty"]
         assert selector.samples == 1 + selector.collisions
-
-    def test_set_free_ignores_unselectable_sectors(self, sampler_prng):
-        selector = CapacitySelector(sampler_prng)
-        selector.set_free("gone", 10**6)
-        with pytest.raises(KeyError):
-            selector.slot_of("gone")
 
     def test_remove_sector_idempotent(self, sampler_prng):
         selector = CapacitySelector(sampler_prng)
@@ -370,4 +365,3 @@ class TestCapacitySelector:
         selector.remove_sector("a")
         selector.remove_sector("a")
         assert len(selector) == 0
-        assert selector.total_capacity == 0

@@ -29,10 +29,8 @@ class TestSectorRecord:
         record.reserve(40)
         assert record.free_capacity == 60
         assert record.used_capacity == 40
-        assert record.stored_replicas == 1
         record.release(40)
         assert record.free_capacity == 100
-        assert record.stored_replicas == 0
 
     def test_reserve_beyond_free_rejected(self):
         record = SectorRecord(owner="p", sector_id="p#0", capacity=100, free_capacity=10)
@@ -50,7 +48,7 @@ class TestSectorRecord:
         record.state = SectorState.DISABLED
         assert not record.accepts_new_files
         assert record.is_drained
-        record.stored_replicas = 2
+        record.reserve(1)
         assert not record.is_drained
 
     def test_invalid_construction(self):

@@ -6,6 +6,10 @@ after every op stream.  :class:`EngineMachine` deploys both from a start,
 then each rule is one ``oracles.harness.apply`` per engine.  After every op
 the engines refuse alike and have an equal ``identity``, and a refused op
 leaves that identity as it was: it persists nothing and announces nothing.
+Each engine also keeps two sector invariants after every op: a normal or
+disabled sector has ``0 <= free <= capacity`` (so it is drained exactly
+when ``free == capacity``), and a removed or corrupted sector never changes
+state.
 A new engine differential is a rule or a start here, not a new test.
 """
 
@@ -15,6 +19,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule, run_state_machine_as_test
+
+from repro.core.sector import SectorState
 
 from oracles.harness import apply, deploy, identity
 
@@ -100,6 +106,19 @@ SIZE = st.integers(1, 16).map(lambda units: units * 16 * KIB)
 SECTOR = st.integers(0, 9)
 
 
+def sector_states(protocol):
+    """Each sector's state; every normal or disabled one must have
+    ``0 <= free <= capacity``."""
+    states = {}
+    for sector_id, record in protocol.sectors.items():
+        if record.state in (SectorState.NORMAL, SectorState.DISABLED):
+            assert 0 <= record.free_capacity <= record.capacity, (
+                f"{sector_id}: {record.free_capacity} free of {record.capacity}"
+            )
+        states[sector_id] = record.state
+    return states
+
+
 def _op(kind, **arguments):
     """The rule applying op ``kind`` with its drawn ``arguments``, in order."""
     return rule(**arguments)(
@@ -136,6 +155,7 @@ class EngineMachine(RuleBasedStateMachine):
 
         columnar._check_proof_run = recording
         self.last = identity(columnar)
+        self.states = [sector_states(engine) for engine in self.engines]
         for op in ops:
             self.run(op)
 
@@ -148,6 +168,12 @@ class EngineMachine(RuleBasedStateMachine):
             assert got[part] == want[part], f"{op!r}: the engines' {part} diverge"
         assert refusals[0] is None or want == self.last, f"refused {op!r} left a trace"
         self.last = want
+        states = [sector_states(engine) for engine in self.engines]
+        for before, after in zip(self.states, states):
+            for sector_id, state in before.items():
+                if state in (SectorState.REMOVED, SectorState.CORRUPTED):
+                    assert after[sector_id] == state, f"{op!r} moved {sector_id} off {state.value}"
+        self.states = states
         reached.update(name for name, count in want["state"]["events"].items() if count)
 
     batch = _op("batch", sizes=st.lists(SIZE, min_size=1, max_size=5), value=st.integers(1, 3))

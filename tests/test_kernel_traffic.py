@@ -70,11 +70,11 @@ def test_selector_sends_one_draw_or_one_place_run():
         draw_batch=8,
     )
     for index in range(6):
-        selector.add_sector(f"s{index}", 100 + 20 * index, free=40)
-    selector.select_batch_slots([30, 30, 30, 5, 5])
+        selector.add_sector(f"s{index}", 100 + 20 * index)
+    selector.select_batch_slots([30, 30, 30, 5, 5], np.full(6, 40))
     for _ in range(9):  # one more than a prefetch: two draw calls
         selector.random_slot()
-    select_batch(selector, [12, 12])
+    select_batch(selector, [12, 12], {f"s{index}": 40 for index in range(6)})
     assert len(census.calls) == 4
     assert_single_requests(census.calls, ("draw", "place"))
 

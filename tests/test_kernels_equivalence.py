@@ -960,10 +960,11 @@ class TestSelectorDrawSequencePinned:
             draw_batch=draw_batch,
         )
         for index in range(6):
-            selector.add_sector(f"s{index}", 100 + 20 * index, free=40)
-        first = selector.select_batch_slots([30, 30, 30, 5, 5]).tolist()
+            selector.add_sector(f"s{index}", 100 + 20 * index)
+        free = np.full(6, 40)
+        first = selector.select_batch_slots([30, 30, 30, 5, 5], free).tolist()
         prefetched = [selector.random_slot() for _ in range(draw_batch + 1)]
-        second = selector.select_batch_slots(np.array([30, 12, 12])).tolist()
+        second = selector.select_batch_slots(np.array([30, 12, 12]), free).tolist()
         assert (
             first,
             prefetched,

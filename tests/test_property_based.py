@@ -507,13 +507,13 @@ def _selector_run(vectorized, weights, ops, draw_batch):
         selector.kernels = _LiveWeightOracle(selector)
     sampler, outcomes = selector._sampler, []
     for weight in weights:
-        selector.add_sector(f"s{len(sampler)}", weight, free=64)
+        selector.add_sector(f"s{len(sampler)}", weight)
     added = len(weights)
     for op in ops:
         live = sorted(sampler.keys())
         try:
             if op[0] == "add":
-                selector.add_sector(f"s{added}", op[1], free=64)
+                selector.add_sector(f"s{added}", op[1])
                 added += 1
             elif op[0] == "remove" and live:
                 selector.remove_sector(live[op[1] % len(live)])
@@ -522,7 +522,8 @@ def _selector_run(vectorized, weights, ops, draw_batch):
             elif op[0] == "draw":
                 outcomes.append(selector.random_slot())
             elif op[0] == "place":
-                outcomes.append(selector.select_batch_slots(op[1]).tolist())
+                free = np.full(selector.slot_count, 64)  # holes are never drawn
+                outcomes.append(selector.select_batch_slots(op[1], free).tolist())
         except ValueError as error:
             outcomes.append(str(error))
     return outcomes, selector.samples, selector.collisions

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -550,6 +551,19 @@ class TestParameterDomains:
             ):
                 failures.append(f"{key}={value!r}: exit {code}, stderr {err.strip()[-200:]!r}")
         assert not failures, f"scenario {name!r} parameter {key!r}:\n" + "\n".join(failures)
+
+
+    def test_time_limit_fails_a_block_that_lost_its_alarm(self, time_limit):
+        """The alarm's ``TimeoutError`` can be swallowed (inside a gc
+        callback); the block then ends late, and that fails it too."""
+        with pytest.raises(TimeoutError, match="past its 0.05 s"):
+            with time_limit(0.05):
+                try:
+                    time.sleep(0.2)
+                except TimeoutError:
+                    time.sleep(0.05)  # lost where only a warning reports it
+        with time_limit(5):
+            pass
 
 
 class TestCollision:
