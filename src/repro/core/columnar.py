@@ -26,10 +26,11 @@ row index:
 
 * a per-file rule is a *row form* -- it touches the rows of its file and
   builds no per-row object;
-* a run of same-time tasks whose preconditions the columns prove uniform
-  -- batched ``File Add`` placement, the ``CheckAlloc``, ``CheckProof``
-  and ``CheckRefresh`` runs, the ``Auto Refresh`` starts of a proof round
-  -- is one vectorised sweep that dispatches into :mod:`repro.kernels`.
+* a rule applied to many files at once -- batched ``File Add`` admission
+  and placement, the ``CheckAlloc``, ``CheckProof`` and ``CheckRefresh``
+  runs, the ``Auto Refresh`` starts of a proof round -- is one vectorised
+  sweep over the columns (placements and refresh targets are drawn by
+  :mod:`repro.kernels`).
 
 Read-only views (:class:`SectorView`, :class:`FileView`,
 :class:`AllocEntryView`) serve the dict/record API callers read the state
@@ -39,13 +40,16 @@ through; the engine itself builds none.
 record, one method per rule -- is ``tests/oracles/protocol.py``.  This
 engine must be bit-equivalent to it: same PRNG consumption order, same
 kernel-call sequence, same ledger operations in the same order, same
-per-row state.  The vectorised sweeps therefore only take over the files
-and tasks for which the columns prove the spec would have performed the
-same independent transitions (no rent in the proof sweep; a normal,
-not-lost file whose live replicas all sit on healthy sectors; a confirmed
-refresh); every other file of the same run takes the per-file row form in
-task order.  The differential suites in ``tests/test_core_columnar.py``
-and the hypothesis pack enforce this the same way
+per-row state.  File Add admission and CheckAlloc have one form each, over
+the columns: a CheckAlloc run stores its settled uploads with column
+writes and removes the others one at a time, in task order.  The
+CheckProof and CheckRefresh sweeps only take over the files and tasks for
+which the columns prove the spec would have performed the same
+independent transitions (no rent in the proof sweep; a normal, not-lost
+file whose live replicas all sit on healthy sectors; a confirmed
+refresh); every other file of such a run takes the per-file row form in
+task order.  The engine differential, the state machine of
+``tests/test_engine_machine.py``, enforces this the same way
 ``tests/test_kernels_equivalence.py`` pins the kernels to their oracle.
 """
 
@@ -75,6 +79,7 @@ from repro.core.sector import SectorState
 from repro.core.selector import CapacitySelector
 from repro.crypto.prng import DeterministicPRNG, exp_countdowns
 from repro.kernels import KernelBackend
+from repro.kernels.sampling import MAX_TOTAL_WEIGHT
 from repro.telemetry import counter, is_enabled, metrics, traced
 
 __all__ = [
@@ -462,7 +467,6 @@ class ColumnarAllocationTable:
         #: Block start per file id (-1 while unallocated).
         self.block_start = np.empty(0, dtype=np.int64)
         self._rows = 0
-        self._live = 0
 
     # -- block management ---------------------------------------------
     def _ensure_blocks(self, file_id: int) -> None:
@@ -528,9 +532,7 @@ class ColumnarAllocationTable:
         span = self.span(file_id)
         if not span:
             return
-        rows = slice(span.start, span.stop)
-        self._live -= int(np.count_nonzero(self.state[rows] != _ABSENT))
-        self.state[rows] = _ABSENT
+        self.state[span.start : span.stop] = _ABSENT
         self.block_start[file_id] = -1
 
     # -- queries -------------------------------------------------------
@@ -599,7 +601,7 @@ class ColumnarAllocationTable:
         return set(owners.tolist())
 
     def __len__(self) -> int:
-        return self._live
+        return int(np.count_nonzero(self.state[: self._rows] != _ABSENT))
 
 
 # ======================================================================
@@ -778,6 +780,12 @@ class ColumnarProtocol:
             raise ProtocolError(
                 "sector capacity must be a positive multiple of min_capacity"
             )
+        selectable = self.selector.total_weight + capacity
+        if selectable >= MAX_TOTAL_WEIGHT:
+            raise ProtocolError(
+                f"sector capacity {capacity} would bring the selectable total to "
+                f"{selectable}, at or past the sampler's bound of 2**62"
+            )
         count = self._sector_counter.get(owner, 0)
         self._sector_counter[owner] = count + 1
         sector_id = f"{owner}#{count}"
@@ -893,7 +901,7 @@ class ColumnarProtocol:
             [self._replica_count_of(int(value)) for value in unique_values],
             dtype=np.int64,
         )[value_index]
-        admitted = self._admitted_prefix_columns(size_arr, value_arr, replica_counts)
+        admitted = self._admitted_prefix(size_arr, value_arr, replica_counts)
         if self.charge_fees:
             for index in range(admitted):
                 try:
@@ -952,7 +960,6 @@ class ColumnarProtocol:
             rows = self.alloc.block_rows(ok_ids)
             self.alloc.next[rows] = ok_rows
             self.alloc.state[rows] = _A_ALLOC
-            self.alloc._live += len(rows)
             # Sector reservations: one vectorised debit.
             np.subtract.at(self.sectors.free, ok_rows, ok_sizes)
             if self.charge_fees:
@@ -980,85 +987,51 @@ class ColumnarProtocol:
             )
         return file_ids.tolist()
 
-    def _admitted_prefix_columns(
-        self, sizes: np.ndarray, values: np.ndarray, replica_counts: np.ndarray
-    ) -> int:
-        """:meth:`_admitted_prefix` as two cumulative-sum comparisons.
-
-        Exact while every running total stays below 2**53 -- no int64 sum
-        wraps and the int64 -> float64 step of the byte-budget comparison
-        loses nothing, so each comparison is the Python int / float one.
-        Larger totals, and a batch refused at its first file (which raises
-        per-file ``File Add``'s message), take the scalar loop.
-        """
-        total_capacity, free_bytes = self._live_totals()
-        base_value = self.total_value_stored - self.total_value_lost
-        base_bytes = total_capacity - free_bytes
-        count = len(sizes)
-        largest_replica_set = int(sizes.max()) * int(replica_counts.max())
-        if (
-            total_capacity > 0
-            and base_value + int(values.max()) * count < _EXACT_FLOAT_INT
-            and base_bytes + largest_replica_set * count < _EXACT_FLOAT_INT
-        ):
-            max_value = min(
-                self.params.max_value_capacity(total_capacity), _EXACT_FLOAT_INT
-            )
-            replica_budget = total_capacity / self.params.redundancy_factor
-            refused = (base_value + np.cumsum(values) > max_value) | (
-                base_bytes + np.cumsum(sizes * replica_counts) > replica_budget
-            )
-            admitted = int(np.argmax(refused)) if refused.any() else count
-            if admitted:
-                return admitted
-        return self._admitted_prefix(
-            sizes.tolist(), values.tolist(), replica_counts.tolist()
-        )
-
     def _admitted_prefix(
-        self, sizes: List[int], values: List[int], replica_counts: List[int]
+        self, sizes: np.ndarray, values: np.ndarray, replica_counts: np.ndarray
     ) -> int:
         """Longest batch prefix the admission limits accept.
 
-        Each file is checked assuming its predecessors in the batch were
-        fully placed (the batch stops at the first placement failure, so
-        a file never observes a partially placed predecessor).  Raises
-        when even the first file is refused, naming the limit.
+        Theorem 1's value limit (``Nm_v * minValue``) and the
+        redundant-capacity byte budget (``1/redundancy_factor`` of the total
+        capacity), each file checked as if its predecessors in the batch
+        were fully placed: two cumulative sums.  They are int64 while every
+        running total stays below 2**53 (no sum wraps, and the byte budget's
+        float comparison is exact), Python ints past that.  Raises when even
+        the first file is refused, naming the limit.
         """
-        total_capacity = self.total_capacity()
+        total_capacity, free_bytes = self._live_totals()
         if total_capacity <= 0:
             raise ProtocolError("no registered capacity in the network")
-        # Two restrictions back Theorem 1 and the storage-randomness
-        # analysis: the total value stored may not exceed Nm_v * minValue,
-        # and total replica bytes may not exceed 1/redundancy_factor of the
-        # total capacity (the redundant-capacity assumption).
         max_value = self.params.max_value_capacity(total_capacity)
         replica_budget = total_capacity / self.params.redundancy_factor
         base_value = self.total_value_stored - self.total_value_lost
-        base_bytes = self.stored_replica_bytes()
-        admitted = 0
-        cumulative_value = 0
-        cumulative_bytes = 0
-        for size, value, replica_count in zip(sizes, values, replica_counts):
-            if base_value + cumulative_value + value > max_value:
-                if admitted == 0:
-                    raise ProtocolError(
-                        f"value limit exceeded: storing {value} would bring the "
-                        f"total to {base_value + value} > Nm_v*minValue = {max_value}"
-                    )
-                break
-            if base_bytes + cumulative_bytes + size * replica_count > replica_budget:
-                if admitted == 0:
-                    raise ProtocolError(
-                        f"capacity limit exceeded: {base_bytes + size * replica_count} "
-                        "replica bytes would exceed the redundant-capacity budget "
-                        f"of {replica_budget:.0f}"
-                    )
-                break
-            cumulative_value += value
-            cumulative_bytes += size * replica_count
-            admitted += 1
-        return admitted
+        base_bytes = total_capacity - free_bytes
+        count = len(sizes)
+        value_limit = min(max_value, _EXACT_FLOAT_INT)
+        if (
+            base_value + int(values.max()) * count >= _EXACT_FLOAT_INT
+            or base_bytes + int(sizes.max()) * int(replica_counts.max()) * count
+            >= _EXACT_FLOAT_INT
+        ):
+            sizes, values, replica_counts = (
+                column.astype(object) for column in (sizes, values, replica_counts)
+            )
+            value_limit = max_value
+        value_totals = base_value + np.cumsum(values)
+        byte_totals = base_bytes + np.cumsum(sizes * replica_counts)
+        refused = (value_totals > value_limit) | (byte_totals > replica_budget)
+        if not refused[0]:
+            return int(np.argmax(refused)) if refused.any() else count
+        if value_totals[0] > value_limit:
+            raise ProtocolError(
+                f"value limit exceeded: storing {int(values[0])} would bring the "
+                f"total to {int(value_totals[0])} > Nm_v*minValue = {max_value}"
+            )
+        raise ProtocolError(
+            f"capacity limit exceeded: {int(byte_totals[0])} replica bytes would "
+            f"exceed the redundant-capacity budget of {replica_budget:.0f}"
+        )
 
     def _replica_count_of(self, value: int) -> int:
         cached = self._replica_count_cache.get(value)
@@ -1183,37 +1156,6 @@ class ColumnarProtocol:
     # ==================================================================
     # Auto tasks, one file at a time (row forms)
     # ==================================================================
-    def _auto_check_alloc(self, file_id: int) -> None:
-        """``Auto CheckAlloc`` (Figure 7)."""
-        files, alloc = self.files, self.alloc
-        if file_id not in files:
-            return
-        state = files.state.item(file_id)
-        if state != _F_PENDING and state != _F_DISCARDED:
-            return
-        rows = [row for row in alloc.span(file_id) if alloc.state.item(row) != _ABSENT]
-        settled = all(alloc.state.item(row) in (_A_CONFIRM, _A_CORRUPTED) for row in rows)
-        if not settled or state == _F_DISCARDED:
-            self._remove_file(file_id)
-            files.state[file_id] = _F_FAILED
-            self.events.emit(EventType.FILE_UPLOAD_FAILED)
-            return
-        for row in rows:
-            if alloc.state.item(row) == _A_CONFIRM:
-                alloc.prev[row] = alloc.next.item(row)
-                alloc.last_proof[row] = self.now
-                alloc.state[row] = _A_NORMAL
-            else:  # corrupted during the transfer window
-                alloc.prev[row] = -1
-                alloc.last_proof[row] = -1.0
-            alloc.next[row] = -1
-        files.state[file_id] = _F_NORMAL
-        files.countdown[file_id] = self._sample_refresh_countdown()
-        self.files_stored += 1
-        self.total_value_stored += files.value.item(file_id)
-        self.pending.schedule(self.now + self.params.proof_cycle, CHECK_PROOF, file_id)
-        self.events.emit(EventType.FILE_STORED)
-
     def _auto_check_proof(self, file_id: int) -> None:
         """``Auto CheckProof`` (Figure 8)."""
         files, alloc, sectors = self.files, self.alloc, self.sectors
@@ -1396,43 +1338,53 @@ class ColumnarProtocol:
     # ==================================================================
     @traced("protocol.check_alloc_run", category="protocol")
     def _check_alloc_run(self, file_ids: np.ndarray) -> None:
-        """A run of same-time CheckAlloc tasks, vectorised when uniform.
+        """``Auto CheckAlloc`` (Figure 7) for a run of same-time tasks.
 
-        Fast path: every file is still pending with a live block whose
-        entries are all confirmed -- the common case after a batched fill.
-        The refresh countdowns are one batched draw, in task order (the
-        PRNG stream is part of the equivalence contract).
+        Only files still ``PENDING`` or ``DISCARDED`` act.  A pending file
+        with no present row ``ALLOC`` or ``NORMAL`` is *stored* in columns:
+        confirmed rows get their host and a proof at ``now``; a row
+        corrupted in transfer never had a host (its ``prev`` and
+        ``last_proof`` are still -1) and only loses its target; the
+        countdowns are one draw in task order, the checkpoints one append.
+        Every other file *failed* and is removed in task order, which keeps
+        the ledger refunds in the spec's order.  A run never names a file
+        twice (``file_add_batch`` schedules one CheckAlloc per created file
+        and ``allocate_blocks`` refuses a second block), so it is not
+        deduplicated.
         """
-        eligible = (
-            len(file_ids) > 0
-            and bool(np.all(file_ids >= 0))
-            and bool(np.all(file_ids < len(self.files)))
-            and bool(np.all(file_ids < len(self.alloc.block_start)))
-            and bool(np.all(_appears_once(file_ids)))
-            and bool(np.all(self.files.state[file_ids] == _F_PENDING))
-            and bool(np.all(self.alloc.block_start[file_ids] >= 0))
-        )
-        if eligible:
-            rows = self.alloc.block_rows(file_ids)
-            eligible = len(rows) > 0 and bool(
-                np.all(self.alloc.state[rows] == _A_CONFIRM)
-            )
-        if not eligible:
-            for file_id in file_ids.tolist():
-                self._auto_check_alloc(file_id)
+        files, alloc = self.files, self.alloc
+        states = files.state[file_ids]
+        is_pending = states == _F_PENDING
+        failing = states == _F_DISCARDED
+        pending = file_ids[is_pending]
+        if len(pending):
+            rows = alloc.block_rows(pending)
+            row_states = alloc.state[rows]
+            unsettled = (row_states == _A_ALLOC) | (row_states == _A_NORMAL)
+            if unsettled.any():  # else every pending file is stored
+                counts = files.replica_count[pending].astype(np.int64)
+                failing[is_pending] = np.add.reduceat(unsettled, np.cumsum(counts) - counts) > 0
+                kept = np.repeat(~failing[is_pending], counts)
+                rows, row_states = rows[kept], row_states[kept]
+        failed = file_ids[failing].tolist()
+        for file_id in failed:
+            self._remove_file(file_id)
+            files.state[file_id] = _F_FAILED
+        self.events.emit(EventType.FILE_UPLOAD_FAILED, len(failed))
+        stored = pending[~failing[is_pending]]
+        if len(stored) == 0:
             return
-        self.alloc.prev[rows] = self.alloc.next[rows]
-        self.alloc.next[rows] = -1
-        self.alloc.last_proof[rows] = self.now
-        self.alloc.state[rows] = _A_NORMAL
-        self.files.state[file_ids] = _F_NORMAL
-        self.files.countdown[file_ids] = self._sample_refresh_countdowns(len(file_ids))
-        self.files_stored += len(file_ids)
-        self.total_value_stored += int(self.files.value[file_ids].sum())
-        self.pending.schedule_batch(
-            self.now + self.params.proof_cycle, CHECK_PROOF, file_ids
-        )
-        self.events.emit(EventType.FILE_STORED, len(file_ids))
+        confirmed = rows[row_states == _A_CONFIRM]
+        alloc.prev[confirmed] = alloc.next[confirmed]
+        alloc.last_proof[confirmed] = self.now
+        alloc.state[confirmed] = _A_NORMAL
+        alloc.next[rows] = -1
+        files.state[stored] = _F_NORMAL
+        files.countdown[stored] = self._sample_refresh_countdowns(len(stored))
+        self.files_stored += len(stored)
+        self.total_value_stored += int(files.value[stored].sum())
+        self.pending.schedule_batch(self.now + self.params.proof_cycle, CHECK_PROOF, stored)
+        self.events.emit(EventType.FILE_STORED, len(stored))
 
     @traced("protocol.check_proof_run", category="protocol")
     def _check_proof_run(self, file_ids: np.ndarray) -> None:
@@ -2005,12 +1957,6 @@ class ColumnarProtocol:
         n = len(self.files)
         normal = self.files.state[:n] == _F_NORMAL
         return int(self.files.value[:n][normal].sum()) / self.params.min_value
-
-    def stored_replica_bytes(self) -> int:
-        """Total bytes of replicas reserved in non-removed, non-corrupted
-        sectors."""
-        capacity, free = self._live_totals()
-        return capacity - free
 
     def value_loss_ratio(self) -> float:
         """``gamma_lost``: lost value over total value ever stored."""

@@ -365,6 +365,11 @@ class CapacitySelector:
     def __len__(self) -> int:
         return len(self._sampler)
 
+    @property
+    def total_weight(self) -> int:
+        """Summed capacity of the selectable sectors: every draw's total."""
+        return self._sampler._total  # one attribute read: every registration asks
+
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------

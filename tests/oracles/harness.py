@@ -15,7 +15,9 @@ second interpreter.
 The op vocabulary (sizes in bytes; a sector index ``i`` names the
 ``i``-th sector id in sorted order, modulo the sector count):
 
-* ``("batch", sizes, value)`` -- one ``file_add_batch``, then ``confirm_batch``;
+* ``("batch", sizes, value[, every])`` -- one ``file_add_batch``, then
+  ``confirm_batch`` of every ``every``-th id (default 1: all of them; the
+  other uploads stay unconfirmed and fail at their CheckAlloc);
 * ``("add", size[, value])`` -- ``file_add``, every replica confirmed;
 * ``("advance", seconds)`` -- the clock moves ``seconds`` on;
 * ``("step",)`` -- exactly the tasks of the next pending time run;
@@ -118,9 +120,9 @@ def apply(protocol, op) -> Optional[str]:
     kind, *args = op
     try:
         if kind == "batch":
-            sizes, value = args
+            sizes, value, every = (*args, 1)[:3]
             ids = protocol.file_add_batch("client", list(sizes), [value] * len(sizes), ROOT)
-            protocol.confirm_batch(ids)
+            protocol.confirm_batch(ids[::every])
         elif kind == "add":
             size, value = (*args, 1)[:2]
             file_id = protocol.file_add("client", size, value, ROOT)

@@ -43,6 +43,7 @@ from repro.core.sector import SectorState
 from repro.core.selector import CapacitySelector
 from repro.crypto.prng import DeterministicPRNG
 from repro.kernels import KernelBackend
+from repro.kernels.sampling import MAX_TOTAL_WEIGHT
 
 __all__ = [
     "AllocEntry",
@@ -341,6 +342,12 @@ class FileInsurerProtocol:
         if capacity <= 0 or capacity % self.params.min_capacity != 0:
             raise ProtocolError(
                 "sector capacity must be a positive multiple of min_capacity"
+            )
+        selectable = self.selector.total_weight + capacity
+        if selectable >= MAX_TOTAL_WEIGHT:
+            raise ProtocolError(
+                f"sector capacity {capacity} would bring the selectable total to "
+                f"{selectable}, at or past the sampler's bound of 2**62"
             )
         count = self._sector_counter.get(owner, 0)
         self._sector_counter[owner] = count + 1
@@ -973,7 +980,6 @@ def fingerprint(protocol):
     }
     aggregates = dict(protocol.snapshot())
     aggregates["total_value_lost"] = protocol.total_value_lost
-    aggregates["stored_replica_bytes"] = protocol.stored_replica_bytes()
     return {
         "sectors": sectors,
         "files": files,

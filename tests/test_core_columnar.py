@@ -672,20 +672,16 @@ class TestFileAddInColumns:
 
     @staticmethod
     def _admitted(sizes, values, **build):
-        """``admitted`` from both engines' ``file_add_batch``, the column
-        prefix and the scalar loop -- which must all agree."""
+        """``admitted`` from each engine's admission prefix (the spec's
+        loop, the engine's columns) and ``file_add_batch`` -- which must
+        all agree."""
         counts = set()
         for engine in ENGINES:
             protocol = deploy(engine, backend="vectorized", **build)
-            replicas = [protocol.params.replica_count(value) for value in values]
-            counts.add(protocol._admitted_prefix(sizes, values, replicas))
+            columns = (sizes, values, [protocol.params.replica_count(v) for v in values])
             if engine == "columnar":
-                counts.add(
-                    protocol._admitted_prefix_columns(
-                        *(np.asarray(column, dtype=np.int64)
-                          for column in (sizes, values, replicas))
-                    )
-                )
+                columns = [np.asarray(column, dtype=np.int64) for column in columns]
+            counts.add(protocol._admitted_prefix(*columns))
             ids = protocol.file_add_batch("client", sizes, values, ROOT)
             assert protocol.events.count(EventType.FILE_UPLOAD_FAILED) == 0
             counts.add(len(ids))
@@ -756,7 +752,7 @@ class TestFileAddInColumns:
             messages |= {str(single.value), str(batched.value)}
         assert len(messages) == 1
 
-    def test_totals_past_2_to_53_take_the_exact_loop(self, monkeypatch):
+    def test_totals_past_2_to_53_compare_exactly(self):
         """Budget 2**60; the second file brings the total to 2**60 + 1,
         which float64 rounds back onto the budget: a cumsum compared in
         floats would admit it."""
@@ -764,30 +760,26 @@ class TestFileAddInColumns:
             providers=2, capacity_mb=1 << 40, min_capacity=1 << 60,
             size_limit=1 << 60, k=1,
         )
-        loops = []
-        scalar = ColumnarProtocol._admitted_prefix
-        monkeypatch.setattr(
-            ColumnarProtocol,
-            "_admitted_prefix",
-            lambda self, *columns: loops.append(1) or scalar(self, *columns),
-        )
         half = 1 << 59
         assert float(2 * half + 1) == float(2 * half)
         assert self._admitted([half, half + 1], [1, 1], **build) == 1
-        assert len(loops) == 3  # called directly, via the columns, via file_add_batch
-        del loops[:]
+        assert self._admitted([half, half], [1, 1], **build) == 2
         assert self._admitted([1024, 1024], [1, 1], providers=2, capacity_mb=1) == 2
-        assert len(loops) == 1  # only the direct call
-
 
     def test_network_totals_past_int64_are_exact(self):
-        """Three sectors of 2**62 bytes: the total leaves int64 and stays
-        the spec's Python-int sum."""
-        totals = set()
+        """Five sectors of 2**61 bytes, each disabled once it holds a file
+        (the sampler bound caps only the selectable total): the live total
+        leaves int64 and stays the spec's Python-int sum."""
+        states = []
         for engine in ENGINES:
-            protocol = deploy(engine, providers=3, capacity_mb=1 << 42, min_capacity=1 << 62)
-            totals.add((protocol.total_capacity(), protocol.stored_replica_bytes()))
-        assert totals == {(3 << 62, 0)}
+            protocol = deploy(engine, providers=0, min_capacity=1 << 61, k=1)
+            for owner in ("a", "b", "c", "d", "e"):
+                sector_id = protocol.sector_register(owner, 1 << 61)
+                replay(protocol, [("add", 64 * KIB), ("step",)])
+                protocol.sector_disable(owner, sector_id)
+            assert protocol.total_capacity() == 5 << 61 > 1 << 63
+            states.append(fingerprint(protocol))
+        assert states[0] == states[1]
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)

@@ -117,6 +117,22 @@ class TestSectorRegister:
             assert protocol.sectors[sector_id].state == state
         assert protocol.events.count(EventType.DEPOSIT_REFUNDED) == 1
 
+    @pytest.mark.parametrize("engine", [FileInsurerProtocol, ColumnarProtocol])
+    def test_registration_at_the_sampler_bound_is_refused(self, engine):
+        """A sector that would lift the selectable total to 2**62 is refused
+        before any gas or deposit is taken; disabled sectors do not count."""
+        protocol = deployment(engine, providers=0, min_capacity=1 << 40)
+        protocol.ledger.mint("prov", 1 << 62)
+        first = protocol.sector_register("prov", 1 << 61)
+        before = fingerprint(protocol)
+        with pytest.raises(ProtocolError, match=r"bound of 2\*\*62"):
+            protocol.sector_register("prov", 1 << 61)
+        assert fingerprint(protocol) == before
+        assert protocol.sector_register("prov", (1 << 61) - (1 << 40)) == "prov#1"
+        protocol.file_add("client", 4096, 1, ROOT)
+        protocol.sector_disable("prov", first)
+        assert protocol.sector_register("prov", 1 << 61) == "prov#2"
+
 
 class TestFileAdd:
     def test_file_add_creates_descriptor_and_allocations(self):

@@ -20,11 +20,13 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule, run_state_machine_as_test
 
+from repro.core.events import EventType
 from repro.core.sector import SectorState
 
 from oracles.harness import apply, deploy, identity
 
 KIB = 1 << 10
+FAILED = EventType.FILE_UPLOAD_FAILED
 FOUR, EIGHT = dict(providers=4, capacity_mb=4), dict(providers=8)
 EVERY_CYCLE = dict(avg_refresh=0.01, seed=11)
 CYCLE = [("step",), ("confirm_refreshes",)]
@@ -84,14 +86,18 @@ STARTS = {
         dict(providers=10, avg_refresh=1.0, delay_per_size=2.0**-10, seed=11), None,
         [("batch", [60 * KIB] * 20, 1), ("step",), *[("step",), ("confirm_refreshes", 2)] * 4],
     ),
+    # Half of one batch is never confirmed: one CheckAlloc run stores
+    # some files and fails the others.
+    "unconfirmed_uploads": (FOUR, None, [("batch", [64 * KIB] * 6, 1, 2), ("step",)]),
     "draw_byte": (
         dict(providers=36, capacity_mb=1, k=1, redundancy_factor=1.0, cap_para=1000.0,
              avg_refresh=1.0, seed=11),
         None, [*[("add", 64 * KIB, value) for value in (255, 256, 1)], *CYCLE * 8],
     ),
 }
-#: What a start is there to reach, within its examples: event types, and a
-#: sector corrupted inside a CheckProof run (the sweep's re-mask).
+#: What a start is there to reach, within its examples: event types, a
+#: sector corrupted inside a CheckProof run (the sweep's re-mask), and a
+#: CheckAlloc run that both stores and fails files.
 REACH = {
     "rent_period": {"rent_distributed"},
     "truncated_batch": {"file_upload_failed"},
@@ -99,6 +105,7 @@ REACH = {
     "lose_files": {"file_lost", "file_compensated"},
     "degraded": {"file_lost", "file_refresh_failed", "corrupted_mid_run"},
     "collisions": {"collision_resampled"},
+    "unconfirmed_uploads": {"mixed_check_alloc_run"},
 }
 reached: set = set()
 
@@ -154,6 +161,15 @@ class EngineMachine(RuleBasedStateMachine):
                 reached.add("corrupted_mid_run")
 
         columnar._check_proof_run = recording
+        check_alloc_run = columnar._check_alloc_run
+
+        def recording_alloc(file_ids):
+            stored, failed = columnar.files_stored, columnar.events.count(FAILED)
+            check_alloc_run(file_ids)
+            if columnar.files_stored > stored and columnar.events.count(FAILED) > failed:
+                reached.add("mixed_check_alloc_run")
+
+        columnar._check_alloc_run = recording_alloc
         self.last = identity(columnar)
         self.states = [sector_states(engine) for engine in self.engines]
         for op in ops:
@@ -176,7 +192,10 @@ class EngineMachine(RuleBasedStateMachine):
         self.states = states
         reached.update(name for name, count in want["state"]["events"].items() if count)
 
-    batch = _op("batch", sizes=st.lists(SIZE, min_size=1, max_size=5), value=st.integers(1, 3))
+    batch = _op(
+        "batch", sizes=st.lists(SIZE, min_size=1, max_size=5), value=st.integers(1, 3),
+        every=st.sampled_from([1, 2, 3]),
+    )
     add = _op("add", size=SIZE, value=st.sampled_from([1, 2, 3, 255, 256]))
     advance = _op("advance", seconds=st.sampled_from([30.0, 65.0, 140.0]))
     step = _op("step")
