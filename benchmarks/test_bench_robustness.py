@@ -9,6 +9,12 @@ clustered placement) that explains *why* FileInsurer is robust.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.analysis import expected_lost_value_fraction, theorem3_loss_ratio_bound
@@ -98,4 +104,44 @@ def test_storage_randomness_ablation(benchmark, record):
         "Ablation: targeted loss random vs clustered placement",
         f"{contrast['loss_random_placement']:.3f} vs {contrast['loss_clustered_placement']:.3f}",
         "randomness is what provides robustness (Sec. V-B2)",
+    )
+
+
+#: One paper-scale trial in a fresh interpreter: its loss ratios (random,
+#: targeted) and the child's own peak RSS in MB.
+_PAPER_SCALE_TRIAL = """
+import json, resource
+from repro.scenarios.robustness import simulate_loss
+losses = [
+    round(simulate_loss(100_000, 1_000_000, 10, 0.5, seed=0, targeted=targeted), 6)
+    for targeted in (False, True)
+]
+print(json.dumps([losses, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024]))
+"""
+
+
+@pytest.mark.skipif(
+    not os.environ.get("REPRO_BENCH_XL"),
+    reason="paper-scale trial (~300 MB): set REPRO_BENCH_XL=1, as CI bench-smoke does",
+)
+def test_paper_scale_trial_memory(record):
+    """10^5 sectors x 10^6 files x k = 10 at lambda = 0.5, random then
+    targeted, seed 0: the pinned loss ratios, in at most 300 MB of peak
+    RSS (int32 placement columns; ``greedy_select`` tracks hosts by XOR
+    and groups by one value sort)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    child = subprocess.run(
+        [sys.executable, "-c", _PAPER_SCALE_TRIAL],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    losses, peak_mb = json.loads(child.stdout)
+    assert losses == [0.001035, 0.013244]
+    assert peak_mb <= 300
+    record(
+        "Paper-scale trial (1e5 sectors, 1e6 files, k=10, lambda=0.5): loss, peak RSS",
+        f"{losses[0]}/{losses[1]}, {peak_mb:.0f} MB",
+        "ROADMAP target <= 300 MB",
     )

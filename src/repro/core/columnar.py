@@ -21,8 +21,12 @@ together, while protocol-level experiments drive this class directly.
 10^5 providers) one Python object per file descriptor and per replica
 would dominate peak RSS and wall-clock, so sector, file and replica state
 live in numpy columns (:class:`SectorTable`, :class:`FileTable`,
-:class:`ColumnarAllocationTable`).  The engine reads and writes them by
-row index:
+:class:`ColumnarAllocationTable`).  The long index columns -- the
+allocation table's ``prev`` / ``next`` / ``block_start`` and the pending
+list's file ids and replica indices -- are int32, and every table refuses
+to grow past 2**31 - 1 rows so that they cannot wrap; columns that hold a
+value (sizes, values, capacity, countdowns, rent, times) stay int64 /
+float64.  The engine reads and writes them by row index:
 
 * a per-file rule is a *row form* -- it touches the rows of its file and
   builds no per-row object;
@@ -73,6 +77,7 @@ from repro.core.pending import (
     CHECK_REFRESH,
     RENT_PERIOD,
     PendingList,
+    grown_rows,
 )
 from repro.core.protocol import ProtocolError, RefreshNotice
 from repro.core.sector import SectorState
@@ -125,10 +130,15 @@ _EXACT_FLOAT_INT = 1 << 53
 
 
 def _grow(array: np.ndarray, needed: int, fill: Any = 0) -> np.ndarray:
-    """Return ``array`` grown (amortised doubling) to hold ``needed`` rows."""
+    """Return ``array`` grown (amortised doubling) to hold ``needed`` rows.
+
+    Past 2**31 - 1 rows it raises ``ValueError`` before allocating
+    (:func:`~repro.core.pending.grown_rows`, the bound of the int32 index
+    columns).
+    """
     if len(array) >= needed:
         return array
-    grown = np.full(max(needed, 2 * len(array), 16), fill, dtype=array.dtype)
+    grown = np.full(grown_rows(len(array), needed), fill, dtype=array.dtype)
     grown[: len(array)] = array
     return grown
 
@@ -455,17 +465,22 @@ class ColumnarAllocationTable:
     when File Add places it, so a file's entries are a slice and the
     entries on a sector one vectorised comparison.  Absent rows -- never
     set, or cleared by ``remove_file`` -- carry state code ``-1``.
+
+    The index columns -- ``prev`` / ``next`` (sector rows) and
+    ``block_start`` (a row per file id) -- are int32, while ``last_proof``
+    keeps float64; ``_grow`` refuses any table of more than 2**31 - 1
+    rows, so every stored index fits.
     """
 
     def __init__(self, files: FileTable, sectors: SectorTable) -> None:
         self.files = files
         self.sectors = sectors
-        self.prev = np.empty(0, dtype=np.int64)
-        self.next = np.empty(0, dtype=np.int64)
+        self.prev = np.empty(0, dtype=np.int32)
+        self.next = np.empty(0, dtype=np.int32)
         self.last_proof = np.empty(0, dtype=np.float64)
         self.state = np.empty(0, dtype=np.int8)
         #: Block start per file id (-1 while unallocated).
-        self.block_start = np.empty(0, dtype=np.int64)
+        self.block_start = np.empty(0, dtype=np.int32)
         self._rows = 0
 
     # -- block management ---------------------------------------------
@@ -500,14 +515,15 @@ class ColumnarAllocationTable:
 
     def block_rows(self, file_ids: np.ndarray) -> np.ndarray:
         """Concatenated row indices of the files' blocks (vectorised)."""
-        starts = self.block_start[file_ids]
         counts = self.files.replica_count[file_ids].astype(np.int64)
         total = int(counts.sum())
         if total == 0:
             return np.empty(0, dtype=np.int64)
-        offsets = np.repeat(np.cumsum(counts) - counts, counts)
-        ramp = np.arange(total, dtype=np.int64) - offsets
-        return np.repeat(starts, counts) + ramp
+        # Output position p of a block that starts at output offset o holds
+        # row ``start + (p - o)``: one repeat of ``start - o``, one ramp.
+        rows = np.repeat(self.block_start[file_ids] - (np.cumsum(counts) - counts), counts)
+        rows += np.arange(total, dtype=np.int64)
+        return rows
 
     def span(self, file_id: int) -> range:
         """The rows of the file's block (empty if it has none)."""

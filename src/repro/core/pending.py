@@ -11,6 +11,10 @@ file id, replica index (``-1`` where unused) -- appended in scheduling
 order.  A sorted order over the live rows is (re)built lazily whenever an
 unsorted tail row becomes due, ties by append position: a million
 scheduled checkpoints cost a few arrays, not a million task objects.
+
+File ids and replica indices are int32 columns (times stay float64).  The
+list refuses to grow past :data:`MAX_ROWS` = 2**31 - 1 rows, the bound the
+protocol's tables share, which keeps every id that reaches it in range.
 """
 
 from __future__ import annotations
@@ -20,10 +24,34 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["PendingList", "CHECK_ALLOC", "CHECK_PROOF", "CHECK_REFRESH", "RENT_PERIOD"]
+__all__ = [
+    "PendingList",
+    "CHECK_ALLOC",
+    "CHECK_PROOF",
+    "CHECK_REFRESH",
+    "RENT_PERIOD",
+    "MAX_ROWS",
+    "grown_rows",
+]
 
 #: The task kinds, as the ``kind`` column stores them.
 CHECK_ALLOC, CHECK_PROOF, CHECK_REFRESH, RENT_PERIOD = range(4)
+
+#: Most rows a table may hold: row, file and sector indices are int32
+#: columns, and numpy's int64 -> int32 assignment wraps without a check.
+MAX_ROWS = 2**31 - 1
+
+
+def grown_rows(current: int, needed: int) -> int:
+    """Rows to allocate when a table of ``current`` rows must hold
+    ``needed``: amortised doubling (at least 16), never past
+    :data:`MAX_ROWS`; more than :data:`MAX_ROWS` raises ``ValueError``."""
+    if needed > MAX_ROWS:
+        raise ValueError(
+            f"{needed} rows requested; int32 index columns hold at most "
+            f"2**31 - 1 = {MAX_ROWS} rows"
+        )
+    return min(max(needed, 2 * current, 16), MAX_ROWS)
 
 
 class PendingList:
@@ -32,8 +60,8 @@ class PendingList:
     def __init__(self) -> None:
         self._time = np.empty(16, dtype=np.float64)
         self._kind = np.empty(16, dtype=np.int16)
-        self._file = np.empty(16, dtype=np.int64)
-        self._index = np.empty(16, dtype=np.int64)
+        self._file = np.empty(16, dtype=np.int32)
+        self._index = np.empty(16, dtype=np.int32)
         self._n = 0
         self._order = np.empty(0, dtype=np.int64)
         self._order_times = np.empty(0, dtype=np.float64)
@@ -45,7 +73,7 @@ class PendingList:
         """Room for ``count`` more rows; returns their slice."""
         start = self._n
         if start + count > len(self._time):
-            size = max(start + count, 2 * len(self._time))
+            size = grown_rows(len(self._time), start + count)
             for name in ("_time", "_kind", "_file", "_index"):
                 column = getattr(self, name)
                 grown = np.empty(size, dtype=column.dtype)
@@ -110,7 +138,7 @@ class PendingList:
         for column in (self._time, self._kind, self._file, self._index):
             column[:count] = column[live]
         self._n = count
-        self._order = np.argsort(self._time[:count], kind="stable").astype(np.int64)
+        self._order = np.argsort(self._time[:count], kind="stable")
         self._order_times = self._time[self._order]
         self._pos = 0
         self._sorted_upto = count

@@ -152,8 +152,9 @@ class KernelBackend(ABC):
         :func:`~repro.kernels.placements.normalize_placements`, so a
         malformed request (a non-integer, negative or ``>=
         len(capacities)`` sector index, ``len(values)`` different from
-        the number of files, a negative capacity or value) raises the
-        same ``ValueError`` on every backend before any sector is chosen.
+        the number of files, a negative capacity or value, 2**31 or more
+        files or sectors) raises the same ``ValueError`` on every backend
+        before any sector is chosen.
         """
 
     @abstractmethod

@@ -468,9 +468,6 @@ class VectorizedKernels(KernelBackend):
 
         replica_count = np.bincount(sector_of, minlength=n_sectors)
         healthy_hosts = np.bincount(file_of, minlength=n_files)
-        # By-sector CSR view of the incidence; the stable grouping keeps
-        # each sector's files in file order, the order scores sum in.
-        files_by_sector = file_of[self._stable_group_order(sector_of, n_sectors)]
         starts = np.concatenate(([0], np.cumsum(replica_count))).tolist()
 
         # bincount adds in input order, i.e. file order within a sector.
@@ -478,6 +475,32 @@ class VectorizedKernels(KernelBackend):
         scores = np.bincount(
             sector_of[single], weights=values_arr[file_of[single]], minlength=n_sectors
         )
+        # XOR of a file's healthy host indices: once a single healthy
+        # replica is left, the XOR *is* the sector holding it.  file_of is
+        # sorted, so a file's hosts are one run of sector_of, reduced in
+        # int32 (a float bincount would copy both columns wide).
+        host_xor = np.zeros(n_files, dtype=np.int32)
+        hosted = np.flatnonzero(healthy_hosts)
+        if hosted.size:
+            run_start = (np.cumsum(healthy_hosts) - healthy_hosts)[hosted]
+            host_xor[hosted] = np.bitwise_xor.reduceat(sector_of, run_start)
+
+        # By-sector CSR view of the incidence, each sector's files in file
+        # order (the order scores sum in): the distinct values ``sector <<
+        # file_bits | file`` sorted, with their file bits kept -- one value
+        # sort, no argsort and no gather.  The incidence columns are
+        # dropped as soon as the keys hold them.
+        file_bits = max(n_files - 1, 0).bit_length()
+        wide = file_bits + max(n_sectors - 1, 0).bit_length() > 32
+        key = np.uint64 if wide else np.uint32
+        grouped = sector_of.astype(key)
+        grouped <<= key(file_bits)
+        grouped |= file_of.view(np.uint32)
+        del file_of, sector_of, single
+        grouped.sort()
+        grouped &= key((1 << file_bits) - 1)
+        files_by_sector = grouped.astype(np.int32)
+        del grouped
         # The secondary score is static: lost files keep counting, exactly
         # as in the reference scan.
         neg_secondary = (-(replica_count / np.maximum(caps, 1e-12))).tolist()
@@ -489,13 +512,7 @@ class VectorizedKernels(KernelBackend):
         # more than the loop it would replace (they break even near 20).
         finishing = scores.tolist()
         remaining = healthy_hosts.tolist()
-        # Sum of a file's healthy host indices: once a single healthy
-        # replica is left, the sum *is* the sector holding it.
-        host_sum = (
-            np.bincount(file_of, weights=sector_of, minlength=n_files)
-            .astype(np.int64)
-            .tolist()
-        )
+        host_xor = host_xor.tolist()
         file_values = values_arr.tolist()
         sector_caps = caps.tolist()
         limit = budget + 1e-9
@@ -514,9 +531,9 @@ class VectorizedKernels(KernelBackend):
             for file_index in files_by_sector[starts[sector] : starts[sector + 1]].tolist():
                 left = remaining[file_index] - 1
                 remaining[file_index] = left
-                host_sum[file_index] -= sector
+                host_xor[file_index] ^= sector
                 if left == 1:  # newly finishable, by its one healthy host
-                    rescored.add(host_sum[file_index])
+                    rescored.add(host_xor[file_index])
                 # left == 0: the file is lost with this very sector, its
                 # last healthy host, so no candidate's score moves.
             for host in rescored:

@@ -68,8 +68,9 @@ def simulate_loss(
     """One Monte-Carlo trial: place files i.i.d., corrupt, return loss ratio."""
     rng = np.random.default_rng(seed)
     # One draw for every replica: the same stream, value for value, as a
-    # draw per file, and the array goes to the adversary as it is.
-    placements = rng.integers(0, n_sectors, (n_files, k))
+    # draw per file.  The draw is int64 (the stream depends on the dtype);
+    # the array the adversary gets is its int32 copy, half the bytes.
+    placements = rng.integers(0, n_sectors, (n_files, k)).astype(np.int32)
     values = np.ones(n_files)
     capacities = np.ones(n_sectors)
     adversary = (

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
+from repro.core import pending as pending_module
 from repro.core.allocation import AllocState
 from repro.core.columnar import (
     _A_CORRUPTED,
@@ -28,6 +29,7 @@ from repro.core.columnar import (
     FileView,
     SectorView,
     _appears_once,
+    _grow,
 )
 from repro.core.events import EventType
 from repro.core.file_descriptor import FileState
@@ -925,6 +927,33 @@ def test_advance_time_refuses_nan_before_any_task(engine):
     with pytest.raises(ValueError, match="cannot move backwards"):
         protocol.advance_time(float("nan"))
     assert (protocol.now, len(protocol.pending), fingerprint(protocol)) == before
+
+
+class TestIndexColumns:
+    """Index columns are int32; a table refuses to outgrow them rather than
+    let numpy's unchecked int64 -> int32 assignment wrap an index."""
+
+    def test_the_index_columns_are_int32_after_a_proof_cycle(self):
+        protocol = deploy(providers=8, backend="vectorized", avg_refresh=0.01)
+        stored(protocol, 12)
+        protocol.advance_time(protocol.now + protocol.params.proof_cycle)
+        # The cycle started refreshes: every column has been written to.
+        assert protocol.pending.count_kind(CHECK_REFRESH) > 0
+        alloc, pending = protocol.alloc, protocol.pending
+        for column in (alloc.prev, alloc.next, alloc.block_start, pending._file, pending._index):
+            assert column.dtype == np.int32
+
+    def test_grow_refuses_past_int32_rows_before_allocating(self):
+        column = np.arange(16, dtype=np.int32)
+        with pytest.raises(ValueError, match=r"2\*\*31 - 1"):
+            _grow(column, 2**31)
+        assert column.dtype == np.int32 and column.tolist() == list(range(16))
+
+    def test_grow_doubles_no_further_than_the_bound(self, monkeypatch):
+        monkeypatch.setattr(pending_module, "MAX_ROWS", 20)
+        assert len(_grow(np.zeros(16, dtype=np.int32), 17)) == 20
+        with pytest.raises(ValueError, match="21 rows requested"):
+            _grow(np.zeros(20, dtype=np.int32), 21)
 
 
 def _swept_network():

@@ -244,6 +244,17 @@ class TestPendingList:
         assert pending.peek_time() is None and len(pending) == 0
         assert pending.tasks() == []
 
+    def test_append_refuses_past_int32_rows_before_allocating(self):
+        pending = PendingList()
+        pending.schedule(1.0, CHECK_REFRESH, 7, 300)
+        names = ("_time", "_kind", "_file", "_index")
+        before = [getattr(pending, name).copy() for name in names]
+        with pytest.raises(ValueError, match=r"2\*\*31 - 1"):
+            pending._append(2**31 - 1)  # one row more than the bound
+        for name, column in zip(names, before):
+            assert np.array_equal(getattr(pending, name), column)
+        assert pending.tasks() == [(1.0, CHECK_REFRESH, 7, 300)]
+
 
 _TIMES = st.sampled_from([0.0, 1.0, 2.0, 2.5, 3.0, 5.0, 7.0])
 _KINDS = st.sampled_from([CHECK_ALLOC, CHECK_PROOF, CHECK_REFRESH, RENT_PERIOD])

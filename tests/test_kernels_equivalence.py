@@ -576,7 +576,16 @@ class TestGreedyKernelEquivalence:
         _, file_of, sector_of, _ = normalize_placements(capacities, array, values)
         assert file_of.tolist() == [0, 0, 1, 2, 2]
         assert sector_of.tolist() == [0, 4, 3, 1, 2]
-        assert file_of.dtype == sector_of.dtype == np.int64
+        assert file_of.dtype == sector_of.dtype == np.int32
+
+    def test_a_request_past_int32_indices_is_refused(self):
+        """2**31 files cannot be indexed by the int32 columns: refused
+        before any column is built (the broadcast views own one row)."""
+        files = 2**31
+        placements = np.broadcast_to(np.zeros((1, 1), dtype=np.int32), (files, 1))
+        values = np.broadcast_to(np.ones(1), (files,))
+        with pytest.raises(ValueError, match=r"2\*\*31 - 1"):
+            normalize_placements([1.0], placements, values)
 
     @pytest.mark.parametrize("name", BACKENDS)
     @pytest.mark.parametrize("as_array", (False, True), ids=("lists", "array"))
