@@ -73,13 +73,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--repeats", type=int, default=3, help="best-of-N wall per backend (default 3)"
     )
-    parser.add_argument(
-        "--history",
-        default=None,
-        metavar="JSONL",
-        help="perf-history file to append the walls to (default: "
-        "$REPRO_PERF_HISTORY or runs/perf-history.jsonl; 'none' disables)",
-    )
     args = parser.parse_args(argv)
 
     # Correctness first: the artifact is meaningless if the kernels drift.
@@ -197,20 +190,6 @@ def main(argv=None) -> int:
             f"-> {row['speedup']}x"
         )
     print(f"artifact written to {args.out}")
-
-    # Append the walls to the persistent perf history so `repro perf
-    # report|check` can trend them across runs.  Best-effort: a read-only
-    # checkout must not fail the bench.
-    from repro.telemetry import history
-
-    if args.history is None or args.history.strip().lower() != "none":
-        target = args.history or history.default_history_path()
-        try:
-            entries = history.entries_from_artifact(artifact, source=args.out)
-            history.append_entries(target, entries)
-            print(f"perf history: {len(entries)} entries appended to {target}")
-        except OSError as error:
-            print(f"warning: perf history not recorded ({error})", file=sys.stderr)
 
     failed = []
     if results["refresh"]["speedup"] < MIN_REFRESH_SPEEDUP:

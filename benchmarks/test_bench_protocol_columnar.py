@@ -18,7 +18,7 @@ module asserts is that the two engines, driven through the same script
 at the same shape, end in the same state.
 
 The module doubles as the ``BENCH_protocol.json`` artifact writer for the
-bench-smoke CI job (``repro perf record`` understands the artifact)::
+bench-smoke CI job::
 
     PYTHONPATH=src python benchmarks/test_bench_protocol_columnar.py --out BENCH_protocol.json
 
@@ -168,7 +168,6 @@ def run_bench(scale: str = "default"):
         ),
     }
     return {
-        "kind": "protocol_columnar_bench",
         "scale": scale,
         "providers": shape["providers"],
         "k": 3,
@@ -213,42 +212,9 @@ def test_columnar_speedups_recorded(record):
 def test_engines_reach_the_same_outcome_at_the_same_shape():
     """Same script, same shape, both engines: same stored/lost files,
     refresh notices, sampler draws and pending tasks."""
-    artifact = _small_artifact()
-    assert artifact["columnar"]["outcome"] == artifact["object"]["outcome"]
-    assert artifact["columnar"]["outcome"]["files_stored"] == 1_000
-
-
-def test_artifact_feeds_perf_history(tmp_path):
-    """The artifact round-trips through ``repro perf record``'s adapter."""
-    from repro.telemetry import history
-
-    artifact = _small_artifact()
-    entries = history.entries_from_artifact(artifact, version="bench")
-    names = {(entry["bench"], entry["backend"]) for entry in entries}
-    assert names == {
-        ("protocol.file_add", "columnar"),
-        ("protocol.proof_round", "columnar"),
-        ("protocol.degraded_round", "columnar"),
-        ("protocol.file_add", "object"),
-        ("protocol.proof_round", "object"),
-        ("protocol.degraded_round", "object"),
-    }
-    target = tmp_path / "history.jsonl"
-    history.append_entries(target, entries)
-    assert len(history.load_history(target)) == len(entries)
-
-
-def _small_artifact():
-    """A miniature artifact for the adapter test (seconds, not minutes)."""
-    return {
-        "kind": "protocol_columnar_bench",
-        "scale": "small",
-        "providers": 200,
-        "k": 3,
-        "add_batch": ADD_BATCH,
-        "columnar": run_engine("columnar", 200, 1_000),
-        "object": run_engine("object", 200, 1_000),
-    }
+    outcome = run_engine("columnar", 200, 1_000)["outcome"]
+    assert outcome == run_engine("object", 200, 1_000)["outcome"]
+    assert outcome["files_stored"] == 1_000
 
 
 # ----------------------------------------------------------------------

@@ -1909,10 +1909,12 @@ class ColumnarProtocol:
             escrow = self._traffic_escrows.pop((file_id, index), None)
             if escrow is not None:
                 self.fees.refund_traffic_fee(escrow)
+            # A refresh may have drawn the replica's own host as its target:
+            # that host then holds the size twice and gives it back twice.
             host, target = alloc.prev.item(row), alloc.next.item(row)
             if host >= 0:
                 self._release_replica_from_sector(host, size)
-            if target >= 0 and target != host:
+            if target >= 0:
                 self._release_replica_from_sector(target, size)
         alloc.remove_file(file_id)
         if files.state.item(file_id) == _F_NORMAL:

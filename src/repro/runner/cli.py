@@ -20,13 +20,11 @@ list|run|bench|diff|campaign``.
   counter tables of a run executed with ``--trace`` (see
   ``docs/observability.md``); ``--json`` emits the same breakdown
   machine-readably.
-* ``repro perf record|report|check`` -- the persistent perf-history
-  store (:mod:`repro.telemetry.history`): append ``BENCH_*.json``
-  artifacts or run manifests to an append-only JSONL file, print
-  per-series trends against a rolling-median baseline, and gate
-  regressions in CI (``check --max-regression PCT`` exits 1).
-  ``repro bench`` appends its walls automatically (``--history none``
-  opts out).
+* ``repro perf report|check [LEDGER]`` -- read the committed perf
+  ledger ``BENCH_e2e.json`` (:mod:`repro.telemetry.ledger`): ``report``
+  prints every PR's parent and change medians per workload and
+  end-to-end metric; ``check`` exits 1 when the last measured pair moved
+  a metric past its ``BENCHMARK.json`` bound.
 * ``repro campaign run|status|report <spec.toml>`` -- declarative
   multi-scenario sweeps through one shared worker pool, backed by the
   content-addressed result store (see :mod:`repro.campaign`);
@@ -55,7 +53,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import os
 import sys
 import time
@@ -110,9 +107,8 @@ examples:
   repro run churn --profile prof/            # merged cProfile -> .pstats
   repro trace runs/churn.json            # phase breakdown of a traced run
   repro bench churn --set cycles=4 --workers 2
-  repro perf record BENCH_kernels.json
-  repro perf report                      # per-bench trend vs rolling median
-  repro perf check --max-regression 10   # CI gate: exit 1 on regression
+  repro perf report                      # BENCH_e2e.json medians, PR by PR
+  repro perf check                       # exit 1: last pair out of bounds
   repro diff runs/a.json runs/b.json
   repro --log-level info run churn       # or REPRO_LOG=info
   repro campaign run examples/table3_campaign.toml --workers 4
@@ -180,15 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--out", default=None, help="write the run manifest to this JSON path"
         )
-        if name == "bench":
-            sub.add_argument(
-                "--history",
-                default=None,
-                metavar="JSONL",
-                help="perf-history file to append this bench's walls to "
-                "(default: $REPRO_PERF_HISTORY or runs/perf-history.jsonl; "
-                "'none' disables the append)",
-            )
         if name == "run":
             sub.add_argument(
                 "--quiet",
@@ -269,40 +256,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     perf = commands.add_parser(
-        "perf",
-        help="persistent perf history: record bench artifacts, print "
-        "trends, gate regressions",
+        "perf", help="the committed perf ledger: print the trajectory, gate the last pair"
     )
     perf_verbs = perf.add_subparsers(dest="verb", required=True)
     for verb, help_text in (
-        ("record", "append BENCH_*.json artifacts (or run manifests) to the history"),
-        ("report", "per-series trend table vs a rolling-median baseline"),
-        ("check", "exit 1 when any series regressed past --max-regression"),
+        ("report", "parent and change medians of every PR, per workload and metric"),
+        ("check", "exit 1 when the last measured pair moved a metric past its "
+         "BENCHMARK.json bound"),
     ):
         sub = perf_verbs.add_parser(verb, help=help_text)
-        if verb == "record":
-            sub.add_argument(
-                "artifact",
-                nargs="+",
-                help="bench artifact JSON (BENCH_kernels.json, "
-                "BENCH_telemetry.json, or a run manifest)",
-            )
-        if verb == "check":
-            sub.add_argument(
-                "--max-regression",
-                type=float,
-                default=10.0,
-                metavar="PCT",
-                help="fail when a series' latest value exceeds its "
-                "rolling-median baseline by more than PCT percent "
-                "(default 10)",
-            )
         sub.add_argument(
-            "--history",
-            default=None,
-            metavar="JSONL",
-            help="history file (default: $REPRO_PERF_HISTORY or "
-            "runs/perf-history.jsonl)",
+            "ledger",
+            nargs="?",
+            default="BENCH_e2e.json",
+            help="the ledger (default BENCH_e2e.json); check reads the "
+            "BENCHMARK.json beside it",
         )
 
     campaign = commands.add_parser(
@@ -643,30 +611,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.out:
         parallel.save(args.out)
         print(f"manifest written to {args.out}")
-
-    from repro.telemetry import history
-
-    shape = {"overrides": overrides, "seed": args.seed}
-    entries = [
-        history.make_entry(
-            f"scenario.{args.scenario}",
-            serial_wall,
-            shape=shape,
-            backend="serial",
-            source="repro bench",
-        )
-    ]
-    if workers > 1:
-        entries.append(
-            history.make_entry(
-                f"scenario.{args.scenario}",
-                parallel_wall,
-                shape={**shape, "workers": workers},
-                backend="parallel",
-                source="repro bench",
-            )
-        )
-    _append_bench_history(args, entries, "bench")
     return 0 if identical else 1
 
 
@@ -698,91 +642,24 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return 0 if diff["comparable"] and metrics_ok else 1
 
 
-def _history_target(args: argparse.Namespace):
-    """The perf-history path for ``--history``, or ``None`` when disabled."""
-    from repro.telemetry import history
-
-    if args.history is not None:
-        if args.history.strip().lower() == "none":
-            return None
-        return Path(args.history)
-    return history.default_history_path()
-
-
-def _append_bench_history(args: argparse.Namespace, entries, label: str) -> None:
-    """Best-effort append of bench walls to the perf history.
-
-    A bench must never fail because the history file is unwritable (a
-    read-only CI checkout, say) -- the wall numbers were already printed.
-    """
-    from repro.telemetry import history
-
-    target = _history_target(args)
-    if target is None or not entries:
-        return
-    try:
-        path = history.append_entries(target, entries)
-    except OSError as error:
-        print(f"warning: perf history not recorded ({error})", file=sys.stderr)
-        return
-    print(f"perf history: {len(entries)} {label} entries appended to {path}")
-
-
 def _cmd_perf(args: argparse.Namespace) -> int:
-    import json
+    from repro.telemetry import ledger
 
-    from repro.telemetry import history
-
-    target = _history_target(args)
-    if target is None:
-        raise ScenarioError("repro perf needs a history file; --history none given")
-    if args.verb == "check" and not math.isfinite(args.max_regression):
-        # No delta compares above NaN or inf: such a gate could never fail.
-        raise ScenarioError(
-            f"--max-regression must be a finite percentage, got {args.max_regression:g}"
-        )
-
-    if args.verb == "record":
-        # Every artifact is checked before any is appended: a refusal
-        # records nothing.
-        recorded = []
-        for artifact in args.artifact:
-            try:
-                data = json.loads(Path(artifact).read_text(encoding="utf-8"))
-                recorded += history.entries_from_artifact(data, source=Path(artifact).name)
-            except (OSError, ValueError) as error:
-                raise ScenarioError(f"{artifact}: {error}") from None
-        history.append_entries(target, recorded)
-        print(f"recorded {len(recorded)} entries -> {target}")
-        return 0
-
-    entries = history.load_history(target)
-    if not entries:
-        print(
-            f"perf history {target} is empty; record a bench first "
-            "(repro bench ... or repro perf record BENCH_*.json)",
-            file=sys.stderr,
-        )
-        return 0  # an empty history is not a regression
-
+    entries = ledger.load_ledger(args.ledger)
     if args.verb == "report":
-        rows = history.trend_rows(entries)
-        print(f"perf history: {len(entries)} entries, {len(rows)} series ({target})")
-        print(format_table(rows))
+        print(f"perf ledger {args.ledger}: {len(entries)} entries")
+        print(format_table(ledger.trajectory(entries)))
         return 0
-
-    # check: gate the latest value of every series against its baseline.
-    flagged = history.regressions(entries, args.max_regression)
-    rows = history.trend_rows(entries)
-    print(
-        f"perf check: {len(rows)} series, gate +{args.max_regression:g}% "
-        f"vs rolling-median baseline ({target})"
-    )
-    if flagged:
+    bounds = ledger.load_bounds(Path(args.ledger).parent / "BENCHMARK.json")
+    pr, rows = ledger.gate(entries, bounds)
+    print(f"perf check: PR {pr} change vs parent ({args.ledger})")
+    print(format_table(rows))
+    regressed = [row for row in rows if row["verdict"] != "ok"]
+    if regressed:
         print("\nREGRESSIONS")
-        print(format_table(flagged))
+        print(format_table(regressed))
         return 1
-    print("no regressions")
+    print("every metric within its bound")
     return 0
 
 

@@ -2,7 +2,7 @@
 them, and the one writer.
 
 Every JSON document the program reads back -- a run manifest, a campaign
-spec, a perf-history line or bench artifact, a Chrome trace -- declares
+spec, a perf-ledger entry, a Chrome trace -- declares
 its shape as a :func:`table` of :class:`Field` s.  :func:`load` raises one
 error naming the dotted path of the first value that does not fit.  A
 list or map of a plain kind is checked with one set of element types,

@@ -23,10 +23,11 @@ the protocol and the campaign orchestrator:
   (retrieval latency, refresh lag, replica counts) and gauge time-series
   sampled at sim-time checkpoints (``repro run --metrics``), recorded on
   the ``metrics`` channel.
-* :mod:`repro.telemetry.history` -- the append-only JSONL perf-history
-  store behind ``repro perf record|report|check``: bench walls keyed by
-  (bench, shape, backend, host), trended against a rolling-median
-  baseline.
+* :mod:`repro.telemetry.ledger` -- the reader of the committed perf
+  ledger ``BENCH_e2e.json`` behind ``repro perf report|check``: every
+  PR's parent and change medians per workload and end-to-end metric,
+  and the gate of the last measured pair against ``BENCHMARK.json``'s
+  bounds.
 * :mod:`repro.telemetry.profile` -- per-trial cProfile hooks
   (``repro run --profile <dir>``): stats tables recorded on the
   ``profile`` channel and merged into one ``.pstats``.
@@ -36,7 +37,7 @@ See ``docs/observability.md`` for the span inventory and workflows.
 
 from __future__ import annotations
 
-from repro.telemetry import history, metrics, profile
+from repro.telemetry import metrics, profile
 from repro.telemetry.core import (
     CHANNELS,
     Channel,
@@ -88,7 +89,6 @@ __all__ = [
     "events",
     "extend",
     "extend_channels",
-    "history",
     "is_enabled",
     "load_chrome_trace",
     "metrics",

@@ -855,7 +855,7 @@ class FileInsurerProtocol:
             escrow = self._traffic_escrows.pop((descriptor.file_id, index), None)
             if escrow is not None:
                 self.fees.refund_traffic_fee(escrow)
-            for sector_id in dict.fromkeys((entry.prev, entry.next)):
+            for sector_id in (entry.prev, entry.next):  # a self-target holds the size twice
                 if sector_id is not None:
                     self._release_replica_from_sector(sector_id, descriptor.size)
         self.alloc.remove_file(descriptor.file_id)

@@ -1,8 +1,9 @@
 """Every artifact reader refuses a malformed artifact cleanly.
 
 One derandomized hypothesis property per artifact kind -- a run manifest
-(with its ``telemetry`` and ``metrics`` summaries), a campaign document, a
-perf-history line, the four bench artifacts and a Chrome trace.  Each
+(with its ``telemetry`` and ``metrics`` summaries), a campaign document,
+the perf ledger and the ``BENCHMARK.json`` beside it, and a Chrome
+trace.  Each
 takes a valid artifact, mutates one place in it (drops it, retypes it,
 NaNs it, nests it, or swaps a container for a scalar) and runs every
 reader of that kind through ``repro.runner.cli.main`` in-process.  The
@@ -29,7 +30,7 @@ from repro.campaign.store import ResultStore
 from repro.runner.aggregate import summarize
 from repro.runner.cli import main
 from repro.runner.results import RunManifest
-from repro.telemetry import history, metrics
+from repro.telemetry import metrics
 
 SEED = 3
 
@@ -142,34 +143,28 @@ CAMPAIGN = {
     ],
 }
 
-HISTORY_LINE = history.make_entry(
-    "b", 1.0, shape={"n": 1}, backend="x", version="v", host="h", recorded_unix=0.0,
-    source="s",
-)
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
-BENCH_ARTIFACTS = {
-    "kernel": {
-        "shapes": {"refresh": {"n_sectors": 100}},
-        "results": {
-            "refresh": {"reference_seconds": 0.2, "vectorized_seconds": 0.05},
-            "scale_1m": {"vectorized_seconds": 0.3},
+#: One measured pair over every workload and end-to-end metric.
+LEDGER = [
+    {
+        "pr": 1,
+        "side": side,
+        "ledger": {
+            "host": {"nproc": 2},
+            "workloads": {
+                workload["name"]: {
+                    "end_to_end": {
+                        metric["name"]: {"median": median} for metric in BENCHMARK["end_to_end"]
+                    }
+                }
+                for workload in BENCHMARK["workloads"]
+            },
         },
-    },
-    "telemetry": {
-        "scenario": "churn", "params": {"trials": 2}, "seed": 0,
-        "untraced_wall_s": 1.0, "traced_wall_s": 1.04,
-    },
-    "protocol": {
-        "kind": "protocol_columnar_bench", "providers": 200, "k": 3, "add_batch": 64,
-        "columnar": {"files": 1000, "add_wall_s": 0.1, "proof_wall_s": 0.2,
-                     "degraded_wall_s": 0.3},
-        "object": {"files": 100, "add_wall_s": 0.5},
-    },
-    "run": {
-        "scenario": "robustness", "params": {"backend": "vectorized", "trials": 4},
-        "seed": 7, "duration_seconds": 2.25, "version": "v",
-    },
-}
+    }
+    for side, median in (("parent", 100.0), ("change", 90.0))
+]
 
 
 # -- the properties -----------------------------------------------------------
@@ -186,7 +181,7 @@ def test_manifest_readers(traced_run, data):
         run_cli("trace", bad, allowed=(0, 1))
         run_cli("trace", "--json", bad, allowed=(0, 1))
         run_cli("diff", good, bad, allowed=(0, 1))
-        run_cli("perf", "record", bad, "--history", root / "h.jsonl")
+        run_cli("perf", "report", bad)
         run_cli("run", "camp-alpha", "--quiet", "--seed", SEED, "--set", "scale=1",
                 "--resume", bad)
         # A store holding the mutant in the cell's slot: a hit, or a
@@ -211,31 +206,20 @@ def test_campaign_readers(data):
         run_cli("campaign", "status", spec, "--store", root / "store")
 
 
+@pytest.mark.parametrize("mutated", ["ledger", "benchmark"])
 @PROPERTY
 @given(data=st.data())
-def test_history_readers(data):
-    mutant = data.draw(mutants(HISTORY_LINE))
-    with tempfile.TemporaryDirectory() as scratch:
-        target = Path(scratch) / "h.jsonl"
-        target.write_text(
-            json.dumps(HISTORY_LINE) + "\n" + json.dumps(mutant) + "\n", encoding="utf-8"
-        )
-        run_cli("perf", "report", "--history", target)
-        run_cli("perf", "check", "--history", target, allowed=(0, 1))
-
-
-@pytest.mark.parametrize("kind", sorted(BENCH_ARTIFACTS))
-@PROPERTY
-@given(data=st.data())
-def test_bench_artifact_readers(kind, data):
-    mutant = data.draw(mutants(BENCH_ARTIFACTS[kind]))
+def test_ledger_readers(mutated, data):
+    """``repro perf report`` / ``check`` on a ledger, or the
+    ``BENCHMARK.json`` beside it, mutated in one place."""
+    documents = {"ledger": LEDGER, "benchmark": BENCHMARK}
+    documents[mutated] = data.draw(mutants(documents[mutated]))
     with tempfile.TemporaryDirectory() as scratch:
         root = Path(scratch)
-        artifact = write(root / "BENCH.json", mutant)
-        target = root / "h.jsonl"
-        if run_cli("perf", "record", artifact, "--history", target) == 2:
-            assert not target.exists()
-        run_cli("perf", "check", "--history", target, allowed=(0, 1))
+        write(root / "BENCHMARK.json", documents["benchmark"])
+        path = write(root / "BENCH_e2e.json", documents["ledger"])
+        run_cli("perf", "report", path)
+        run_cli("perf", "check", path, allowed=(0, 1))
 
 
 @PROPERTY
@@ -252,4 +236,4 @@ def test_chrome_trace_readers(traced_run, data):
         except ValueError:
             pass
         run_cli("trace", path)
-        run_cli("perf", "record", path, "--history", Path(scratch) / "h.jsonl")
+        run_cli("perf", "report", path)

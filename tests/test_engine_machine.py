@@ -6,10 +6,11 @@ after every op stream.  :class:`EngineMachine` deploys both from a start,
 then each rule is one ``oracles.harness.apply`` per engine.  After every op
 the engines refuse alike and have an equal ``identity``, and a refused op
 leaves that identity as it was: it persists nothing and announces nothing.
-Each engine also keeps two sector invariants after every op: a normal or
-disabled sector has ``0 <= free <= capacity`` (so it is drained exactly
-when ``free == capacity``), and a removed or corrupted sector never changes
-state.
+Each engine also keeps three sector invariants after every op: a normal
+or disabled sector has ``0 <= free <= capacity`` (so it is drained exactly
+when ``free == capacity``) and holds ``capacity - free`` bytes exactly for
+the replicas it hosts plus those it has reserved, and a removed or
+corrupted sector never changes state.
 A new engine differential is a rule or a start here, not a new test.
 """
 
@@ -89,6 +90,14 @@ STARTS = {
     # Half of one batch is never confirmed: one CheckAlloc run stores
     # some files and fails the others.
     "unconfirmed_uploads": (FOUR, None, [("batch", [64 * KIB] * 6, 1, 2), ("step",)]),
+    # Two sectors: every refresh of the seed's three files draws its own
+    # host as the target, and the files are discarded while those swaps
+    # are in flight, so their removal gives the host's bytes back twice.
+    "self_target_removal": (
+        dict(providers=2, capacity_mb=4, avg_refresh=0.01, seed=1), None,
+        [("batch", [64 * KIB] * 3, 1), ("step",), ("step",),
+         *[("discard", file_id) for file_id in range(3)], ("step",)],
+    ),
     "draw_byte": (
         dict(providers=36, capacity_mb=1, k=1, redundancy_factor=1.0, cap_para=1000.0,
              avg_refresh=1.0, seed=11),
@@ -96,8 +105,9 @@ STARTS = {
     ),
 }
 #: What a start is there to reach, within its examples: event types, a
-#: sector corrupted inside a CheckProof run (the sweep's re-mask), and a
-#: CheckAlloc run that both stores and fails files.
+#: sector corrupted inside a CheckProof run (the sweep's re-mask), a
+#: CheckAlloc run that both stores and fails files, and a file removed
+#: while one of its refreshes targets the normal sector already hosting it.
 REACH = {
     "rent_period": {"rent_distributed"},
     "truncated_batch": {"file_upload_failed"},
@@ -106,6 +116,7 @@ REACH = {
     "degraded": {"file_lost", "file_refresh_failed", "corrupted_mid_run"},
     "collisions": {"collision_resampled"},
     "unconfirmed_uploads": {"mixed_check_alloc_run"},
+    "self_target_removal": {"self_target_removal"},
 }
 reached: set = set()
 
@@ -124,6 +135,21 @@ def sector_states(protocol):
             )
         states[sector_id] = record.state
     return states
+
+
+def check_held_bytes(state):
+    """Every normal or disabled sector of the fingerprint ``state`` holds
+    ``capacity - free`` bytes: its hosted plus its reserved replicas."""
+    held = {}
+    for (file_id, _), (host, target, _, _) in state["alloc"]:
+        for sector_id in (host, target):
+            held[sector_id] = held.get(sector_id, 0) + state["files"][file_id][1]
+    for sector_id, (_, capacity, free, _, sector_state) in state["sectors"].items():
+        if sector_state in (SectorState.NORMAL.value, SectorState.DISABLED.value):
+            assert capacity - free == held.get(sector_id, 0), (
+                f"{sector_id}: {capacity - free} bytes used, replicas hold "
+                f"{held.get(sector_id, 0)}"
+            )
 
 
 def _op(kind, **arguments):
@@ -170,6 +196,18 @@ class EngineMachine(RuleBasedStateMachine):
                 reached.add("mixed_check_alloc_run")
 
         columnar._check_alloc_run = recording_alloc
+        spec = self.engines[0]
+        remove_file = spec._remove_file
+
+        def recording_removal(descriptor):
+            for _, entry in spec.alloc.entries_for_file(descriptor.file_id):
+                if entry.prev is not None and entry.next == entry.prev and (
+                    spec.sectors[entry.prev].state is SectorState.NORMAL
+                ):
+                    reached.add("self_target_removal")
+            remove_file(descriptor)
+
+        spec._remove_file = recording_removal
         self.last = identity(columnar)
         self.states = [sector_states(engine) for engine in self.engines]
         for op in ops:
@@ -184,6 +222,8 @@ class EngineMachine(RuleBasedStateMachine):
             assert got[part] == want[part], f"{op!r}: the engines' {part} diverge"
         assert refusals[0] is None or want == self.last, f"refused {op!r} left a trace"
         self.last = want
+        check_held_bytes(want["state"])
+        check_held_bytes(got["state"])
         states = [sector_states(engine) for engine in self.engines]
         for before, after in zip(self.states, states):
             for sector_id, state in before.items():
