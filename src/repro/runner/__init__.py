@@ -19,9 +19,10 @@ as parallelizable, resumable *scenarios*:
 * :mod:`repro.runner.cli` -- the ``python -m repro list|run|bench|diff``
   front door (also installed as the ``repro`` console script).
 
-Interrupted runs resume: pass ``resume=`` (a prior manifest or its path)
-to :func:`run_scenario` -- or ``--resume`` on the CLI -- and only the
-trials missing from the manifest execute.
+Finished trials are skipped: pass ``resume=`` (a manifest of the same
+run, or its path) to :func:`run_scenario` -- or ``--resume`` on the CLI --
+and only the trials missing from the manifest execute.  The manifest is
+written once, after the last trial, so a killed run leaves none.
 
 Whole *grids* of runs -- many parameter cells per scenario, many
 scenarios per figure -- are orchestrated one level up by

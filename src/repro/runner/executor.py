@@ -13,12 +13,13 @@ returned in trial order (``Pool.map`` preserves input order), so a run
 with ``--workers 4`` emits byte-identical per-trial rows to the same run
 with ``--workers 1``.
 
-The same determinism makes runs *resumable*: because a trial's identity is
-fully captured by ``(scenario, params, root seed, trial index)`` and its
-row records the derived child seed, an interrupted run's manifest can be
-handed back via ``resume=`` and only the missing trials execute -- the
-merged row set is byte-identical to an uninterrupted run's
-(:func:`match_resume_rows` enforces the provenance checks).
+The same determinism lets a run skip trials it already has: because a
+trial's identity is fully captured by ``(scenario, params, root seed, trial
+index)`` and its row records the derived child seed, a manifest of the same
+run can be handed back via ``resume=`` and only the trials whose rows it
+lacks execute -- the merged row set is byte-identical to a fresh run's
+(:func:`match_resume_rows` enforces the provenance checks).  The manifest
+exists only once every trial has run, so a killed run has none to hand back.
 """
 
 from __future__ import annotations

@@ -14,9 +14,8 @@ actually rest on -- and a fixed cadence cannot express:
   :meth:`~repro.sim.engine.SimulationEngine.cancel` -- whichever event
   lands first cancels the other.
 
-Every transition runs through the explicit
-:class:`~repro.sim.lifecycle.FileMachine` /
-:class:`~repro.sim.lifecycle.ProviderMachine` state machines, so an
+Every transition is looked up in the declared file / provider transition
+tables through :class:`~repro.sim.lifecycle.Lifecycle`, so an
 impossible sequence is a typed
 :class:`~repro.sim.lifecycle.InvalidTransitionError`, not a silently
 wrong row.  The two bulk draws (capacity-weighted replica placement and

@@ -12,8 +12,8 @@ plus the concrete robustness/deposit examples).  This package provides:
 * :mod:`repro.sim.adversary` -- adversary models corrupting a fraction of
   capacity (targeted and random).
 * :mod:`repro.sim.metrics` -- metric collection helpers.
-* :mod:`repro.sim.lifecycle` -- explicit file/provider lifecycle state
-  machines and the event-driven deployment director behind the
+* :mod:`repro.sim.lifecycle` -- the file/provider lifecycle transition
+  tables and the event-driven deployment director behind the
   ``lifecycle_churn`` scenario.
 * :mod:`repro.sim.scenario` -- an end-to-end harness wiring the chain, the
   protocol, physical providers and clients together.
@@ -24,14 +24,12 @@ from repro.sim.engine import Event, SimulationEngine
 from repro.sim.lifecycle import (
     FileLifecycleEvent,
     FileLifecycleState,
-    FileMachine,
     InvalidTransitionError,
+    Lifecycle,
     LifecycleConfig,
-    LifecycleRegistry,
     LifecycleSimulation,
     ProviderLifecycleEvent,
     ProviderLifecycleState,
-    ProviderMachine,
 )
 from repro.sim.metrics import MetricSeries, linear_percentile
 from repro.sim.network import LatencyModel, NetworkMessage, SimulatedNetwork
@@ -45,13 +43,12 @@ __all__ = [
     "Event",
     "FileLifecycleEvent",
     "FileLifecycleState",
-    "FileMachine",
     "FileSizeDistribution",
     "GreedyCapacityAdversary",
     "InvalidTransitionError",
     "LatencyModel",
+    "Lifecycle",
     "LifecycleConfig",
-    "LifecycleRegistry",
     "LifecycleSimulation",
     "MetricSeries",
     "NetworkMessage",
@@ -59,7 +56,6 @@ __all__ = [
     "PlacementResult",
     "ProviderLifecycleEvent",
     "ProviderLifecycleState",
-    "ProviderMachine",
     "RandomCapacityAdversary",
     "ScenarioConfig",
     "SimulatedNetwork",

@@ -5,16 +5,18 @@ bursts, correlated provider failures, refreshes racing degradation -- are
 expressed here as two small, rigorously checkable state machines plus an
 event-driven director:
 
-* :class:`FileMachine` -- ``pending -> placed -> degraded -> refreshing ->
-  refreshed / lost``.  ``lost`` is terminal.
-* :class:`ProviderMachine` -- ``joined -> active -> crashed -> recovered ->
-  departed``.  ``departed`` is terminal.
+* files -- ``pending -> placed -> degraded -> refreshing -> refreshed /
+  lost``.  ``lost`` is terminal.
+* providers -- ``joined -> active -> crashed -> recovered -> departed``.
+  ``departed`` is terminal.
 
 Every transition is an explicit ``(state, event) -> state`` entry in
-:data:`FILE_TRANSITIONS` / :data:`PROVIDER_TRANSITIONS`; applying an event
-outside the table raises a typed :class:`InvalidTransitionError`.  The
-tables are module-level data so the test pack can assert *every* pair
-exhaustively (``tests/test_sim_lifecycle.py``).
+:data:`FILE_TRANSITIONS` / :data:`PROVIDER_TRANSITIONS`.  One
+:class:`Lifecycle` per subject kind holds each subject's state and steps it
+through its table; applying an event outside the table raises a typed
+:class:`InvalidTransitionError`.  The tables are module-level data so the
+test pack can assert *every* pair exhaustively
+(``tests/test_sim_lifecycle.py``).
 
 :class:`LifecycleSimulation` schedules the whole deployment on
 :class:`~repro.sim.engine.SimulationEngine`: Poisson file arrivals,
@@ -35,9 +37,10 @@ next to the kernel and protocol spans.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Mapping, NamedTuple, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -52,15 +55,12 @@ __all__ = [
     "PROVIDER_TRANSITIONS",
     "FileLifecycleEvent",
     "FileLifecycleState",
-    "FileMachine",
     "InvalidTransitionError",
+    "Lifecycle",
     "LifecycleConfig",
-    "LifecycleRegistry",
     "LifecycleSimulation",
     "ProviderLifecycleEvent",
     "ProviderLifecycleState",
-    "ProviderMachine",
-    "TransitionRecord",
     "flash_crowd_windows",
     "poisson_times",
     "zipf_weights",
@@ -164,133 +164,83 @@ class InvalidTransitionError(Exception):
         )
 
 
-class TransitionRecord(NamedTuple):
-    """One applied transition, for histories and audits."""
+class Lifecycle:
+    """One machine's state per subject, stepped through its declared table.
 
-    time: float
-    machine: str
-    subject: object
-    from_state: Enum
-    event: Enum
-    to_state: Enum
+    ``table`` is the machine's ``(state, event) -> state`` relation and
+    stays its only copy.  A subject is tracked once it is registered or an
+    event is applied to it; reading an untracked subject answers
+    ``initial`` and tracks nothing.  Applied events are counted per event,
+    so memory grows with subjects, not with transitions.
+    """
 
+    __slots__ = ("machine", "table", "initial", "states", "_applied", "_counters")
 
-class LifecycleMachine:
-    """Table-driven state machine with typed invalid-transition failures."""
+    def __init__(
+        self, machine: str, table: Mapping[Tuple[Enum, Enum], Enum], initial: Enum
+    ) -> None:
+        self.machine = machine
+        self.table = table
+        self.initial = initial
+        self.states: Dict[Hashable, Enum] = {}
+        events = dict.fromkeys(event for _, event in table)
+        self._applied: Dict[Enum, int] = dict.fromkeys(events, 0)
+        #: Telemetry counter name per event, spelled out once per machine
+        #: instead of once per applied transition.
+        self._counters = {event: f"lifecycle.{machine}.{event.value}" for event in events}
 
-    MACHINE: str = ""
-    TRANSITIONS: Mapping[Tuple[Enum, Enum], Enum] = {}
-    INITIAL: Enum
-    TERMINAL: frozenset = frozenset()
-    #: Telemetry counter name per event, spelled out once per machine
-    #: class instead of once per applied transition.
-    COUNTERS: Mapping[Enum, str] = {}
+    @classmethod
+    def of_files(cls) -> "Lifecycle":
+        """``pending -> placed -> degraded -> refreshing -> refreshed / lost``."""
+        return cls("file", FILE_TRANSITIONS, FileLifecycleState.PENDING)
 
-    __slots__ = ("subject", "state", "history")
+    @classmethod
+    def of_providers(cls) -> "Lifecycle":
+        """``joined -> active -> crashed -> recovered -> departed``."""
+        return cls("provider", PROVIDER_TRANSITIONS, ProviderLifecycleState.JOINED)
 
-    def __init__(self, subject: object, state: Optional[Enum] = None) -> None:
-        self.subject = subject
-        self.state = state if state is not None else self.INITIAL
-        self.history: List[TransitionRecord] = []
+    def state(self, subject: Hashable) -> Enum:
+        """The subject's state, ``initial`` while it is untracked."""
+        return self.states.get(subject, self.initial)
 
-    @property
-    def is_terminal(self) -> bool:
-        """True once no event can ever apply again."""
-        return self.state in self.TERMINAL
+    def register(self, subject: Hashable) -> None:
+        """Track ``subject`` from ``initial``; a tracked subject keeps its state."""
+        self.states.setdefault(subject, self.initial)
 
-    def can_apply(self, event: Enum) -> bool:
-        """True if ``event`` is valid in the current state."""
-        return (self.state, event) in self.TRANSITIONS
+    def can_apply(self, subject: Hashable, event: Enum) -> bool:
+        """True if ``event`` is valid in the subject's current state."""
+        return (self.states.get(subject, self.initial), event) in self.table
 
-    def apply(self, event: Enum, time: float = 0.0) -> TransitionRecord:
-        """Apply ``event``, record the transition, bump its counter.
+    def apply(self, subject: Hashable, event: Enum) -> Enum:
+        """Apply ``event``, count it, bump its counter; return the new state.
 
         An invalid ``event`` raises :class:`InvalidTransitionError` and
         changes nothing.
         """
+        state = self.states.get(subject, self.initial)
         try:
-            to_state = self.TRANSITIONS[(self.state, event)]
+            to_state = self.table[state, event]
         except KeyError:
-            raise InvalidTransitionError(
-                self.MACHINE, self.subject, self.state, event
-            ) from None
-        record = TransitionRecord(time, self.MACHINE, self.subject, self.state, event, to_state)
-        self.state = to_state
-        self.history.append(record)
-        counter(self.COUNTERS[event], category="lifecycle")
-        return record
+            raise InvalidTransitionError(self.machine, subject, state, event) from None
+        self.states[subject] = to_state
+        self._applied[event] += 1
+        counter(self._counters[event], category="lifecycle")
+        return to_state
 
-    def apply_if_valid(self, event: Enum, time: float = 0.0) -> Optional[TransitionRecord]:
+    def apply_if_valid(self, subject: Hashable, event: Enum) -> Optional[Enum]:
         """Apply ``event`` when valid; return None (no-op) otherwise."""
-        if not self.can_apply(event):
+        if not self.can_apply(subject, event):
             return None
-        return self.apply(event, time=time)
-
-
-class FileMachine(LifecycleMachine):
-    """File lifecycle: ``pending -> placed -> degraded -> refreshing ->
-    refreshed / lost``."""
-
-    MACHINE = "file"
-    TRANSITIONS = FILE_TRANSITIONS
-    INITIAL = FileLifecycleState.PENDING
-    COUNTERS = {event: f"lifecycle.file.{event.value}" for event in FileLifecycleEvent}
-    TERMINAL = frozenset({FileLifecycleState.LOST})
-
-
-class ProviderMachine(LifecycleMachine):
-    """Provider lifecycle: ``joined -> active -> crashed -> recovered ->
-    departed``."""
-
-    MACHINE = "provider"
-    TRANSITIONS = PROVIDER_TRANSITIONS
-    INITIAL = ProviderLifecycleState.JOINED
-    COUNTERS = {event: f"lifecycle.provider.{event.value}" for event in ProviderLifecycleEvent}
-    TERMINAL = frozenset({ProviderLifecycleState.DEPARTED})
-
-
-class LifecycleRegistry:
-    """A population of file and provider machines with shared accounting.
-
-    :class:`~repro.sim.scenario.DSNScenario` holds one of these so the
-    fully wired deployment exposes the same queryable lifecycle view as
-    the event-driven :class:`LifecycleSimulation`.
-    """
-
-    def __init__(self) -> None:
-        self.files: Dict[int, FileMachine] = {}
-        self.providers: Dict[str, ProviderMachine] = {}
-
-    def file(self, file_id: int) -> FileMachine:
-        """The file's machine, created in ``PENDING`` on first use."""
-        machine = self.files.get(file_id)
-        if machine is None:
-            machine = self.files[file_id] = FileMachine(file_id)
-        return machine
-
-    def provider(self, name: str) -> ProviderMachine:
-        """The provider's machine, created in ``JOINED`` on first use."""
-        machine = self.providers.get(name)
-        if machine is None:
-            machine = self.providers[name] = ProviderMachine(name)
-        return machine
+        return self.apply(subject, event)
 
     def transition_counts(self) -> Dict[str, int]:
-        """``"<machine>.<event>" -> times applied`` across the population."""
-        counts: Dict[str, int] = {}
-        for machine in list(self.files.values()) + list(self.providers.values()):
-            for record in machine.history:
-                key = f"{record.machine}.{record.event.value}"
-                counts[key] = counts.get(key, 0) + 1
-        return counts
+        """``"<machine>.<event>" -> times applied``, for events applied at all."""
+        return {f"{self.machine}.{event.value}": n for event, n in self._applied.items() if n}
 
     def state_counts(self) -> Dict[str, int]:
-        """``"<machine>.<state>" -> machines currently in that state``."""
-        counts: Dict[str, int] = {}
-        for machine in list(self.files.values()) + list(self.providers.values()):
-            key = f"{machine.MACHINE}.{machine.state.value}"
-            counts[key] = counts.get(key, 0) + 1
-        return counts
+        """``"<machine>.<state>" -> tracked subjects currently in that state``."""
+        counts = Counter(self.states.values())
+        return {f"{self.machine}.{state.value}": n for state, n in counts.items()}
 
 
 # ----------------------------------------------------------------------
@@ -403,7 +353,7 @@ class LifecycleConfig:
 
 
 class LifecycleSimulation:
-    """Files and providers as state machines on the discrete-event engine.
+    """Files and providers as lifecycles on the discrete-event engine.
 
     Construction precomputes every exogenous event stream (file arrivals,
     failure clocks, departures, regional failures, retrieval arrivals
@@ -418,7 +368,8 @@ class LifecycleSimulation:
         if self.config.replicas <= 0:
             raise ValueError("replicas must be positive")
         self.engine = SimulationEngine()
-        self.registry = LifecycleRegistry()
+        self.file_lifecycle = Lifecycle.of_files()
+        self.provider_lifecycle = Lifecycle.of_providers()
         self._prng = DeterministicPRNG.from_int(self.config.seed, domain="lifecycle-sim")
         self._jitter = DeterministicPRNG.from_int(self.config.seed, domain="lifecycle-jitter")
 
@@ -499,7 +450,7 @@ class LifecycleSimulation:
 
         Called wherever ``used`` or the provider's state changes.
         """
-        active = self.registry.provider(provider).state is ProviderLifecycleState.ACTIVE
+        active = self.provider_lifecycle.state(provider) is ProviderLifecycleState.ACTIVE
         self._refresh_weights.update_weight(
             provider, self.capacity[provider] - self.used[provider] if active else 0
         )
@@ -518,8 +469,7 @@ class LifecycleSimulation:
                 )
             )
         for name in self.provider_names:
-            machine = self.registry.provider(name)
-            machine.apply(ProviderLifecycleEvent.ACTIVATED, time=0.0)
+            self.provider_lifecycle.apply(name, ProviderLifecycleEvent.ACTIVATED)
             self._sync_refresh_weight(name)
             self._arm_crash_clock(name, 0.0)
             if name in departing:
@@ -542,11 +492,9 @@ class LifecycleSimulation:
         )
 
     def _on_crash(self, name: str) -> None:
-        machine = self.registry.provider(name)
-        if not machine.can_apply(ProviderLifecycleEvent.CRASHED):
+        if self.provider_lifecycle.apply_if_valid(name, ProviderLifecycleEvent.CRASHED) is None:
             return
         now = self.engine.now
-        machine.apply(ProviderLifecycleEvent.CRASHED, time=now)
         self._crash_clock.pop(name, None)
         pending_departure = self._departure_event.pop(name, None)
         if pending_departure is not None:
@@ -569,21 +517,18 @@ class LifecycleSimulation:
         )
 
     def _on_recovery(self, name: str) -> None:
-        machine = self.registry.provider(name)
-        if not machine.can_apply(ProviderLifecycleEvent.RECOVERED):
+        providers = self.provider_lifecycle
+        if providers.apply_if_valid(name, ProviderLifecycleEvent.RECOVERED) is None:
             return
         now = self.engine.now
-        machine.apply(ProviderLifecycleEvent.RECOVERED, time=now)
-        machine.apply(ProviderLifecycleEvent.ACTIVATED, time=now)
+        providers.apply(name, ProviderLifecycleEvent.ACTIVATED)
         self._sync_refresh_weight(name)
         self._arm_crash_clock(name, now)
 
     def _on_departure(self, name: str) -> None:
-        machine = self.registry.provider(name)
-        if not machine.can_apply(ProviderLifecycleEvent.DEPARTED):
+        if self.provider_lifecycle.apply_if_valid(name, ProviderLifecycleEvent.DEPARTED) is None:
             return
         now = self.engine.now
-        machine.apply(ProviderLifecycleEvent.DEPARTED, time=now)
         self._departure_event.pop(name, None)
         clock = self._crash_clock.pop(name, None)
         if clock is not None:
@@ -614,7 +559,7 @@ class LifecycleSimulation:
         for name in self.provider_names:
             if self.region_of[name] != region:
                 continue
-            if self.registry.provider(name).can_apply(ProviderLifecycleEvent.CRASHED):
+            if self.provider_lifecycle.can_apply(name, ProviderLifecycleEvent.CRASHED):
                 clock = self._crash_clock.pop(name, None)
                 if clock is not None:
                     self.engine.cancel(clock)
@@ -665,15 +610,15 @@ class LifecycleSimulation:
 
     def _on_file_arrival(self, file_id: int) -> None:
         now = self.engine.now
-        machine = self.registry.file(file_id)
+        self.file_lifecycle.register(file_id)
         targets = [
             name
             for name in self._placed_providers[file_id]
-            if self.registry.provider(name).state is ProviderLifecycleState.ACTIVE
+            if self.provider_lifecycle.state(name) is ProviderLifecycleState.ACTIVE
             and self.used[name] < self.capacity[name]
         ]
         if not targets:
-            machine.apply(FileLifecycleEvent.PLACEMENT_FAILED, time=now)
+            self.file_lifecycle.apply(file_id, FileLifecycleEvent.PLACEMENT_FAILED)
             self.placement_failures += 1
             return
         self.replicas_of[file_id] = set(targets)
@@ -688,43 +633,40 @@ class LifecycleSimulation:
         )
 
     def _on_placement_confirmed(self, file_id: int) -> None:
-        now = self.engine.now
-        machine = self.registry.file(file_id)
-        if machine.state is not FileLifecycleState.PENDING:
+        files = self.file_lifecycle
+        if files.state(file_id) is not FileLifecycleState.PENDING:
             return
         if not self.replicas_of.get(file_id):
-            machine.apply(FileLifecycleEvent.PLACEMENT_FAILED, time=now)
+            files.apply(file_id, FileLifecycleEvent.PLACEMENT_FAILED)
             self.placement_failures += 1
             return
-        machine.apply(FileLifecycleEvent.PLACEMENT_CONFIRMED, time=now)
+        files.apply(file_id, FileLifecycleEvent.PLACEMENT_CONFIRMED)
         if len(self.replicas_of[file_id]) < self.config.replicas:
             # Placement collisions left the file under-replicated: it
             # starts life degraded and the refresh loop tops it up.
-            machine.apply(FileLifecycleEvent.REPLICA_DEGRADED, time=now)
-            self._start_degradation_episode(file_id, now)
+            files.apply(file_id, FileLifecycleEvent.REPLICA_DEGRADED)
+            self._start_degradation_episode(file_id, self.engine.now)
 
     # ------------------------------------------------------------------
     # Degradation and refresh (the cancel race)
     # ------------------------------------------------------------------
     def _on_replica_lost(self, file_id: int, now: float) -> None:
-        machine = self.registry.file(file_id)
-        if machine.state in (FileLifecycleState.LOST,):
+        files = self.file_lifecycle
+        state = files.state(file_id)
+        if state is FileLifecycleState.LOST:
             return
-        if machine.state is FileLifecycleState.PENDING:
+        if state is FileLifecycleState.PENDING:
             # The upload had not confirmed yet; the confirmation event
             # will observe the emptied replica set and fail placement.
             return
+        was_quiet = state in (FileLifecycleState.PLACED, FileLifecycleState.REFRESHED)
         if not self.replicas_of.get(file_id):
-            if machine.state in (FileLifecycleState.PLACED, FileLifecycleState.REFRESHED):
-                machine.apply(FileLifecycleEvent.REPLICA_DEGRADED, time=now)
-            machine.apply(FileLifecycleEvent.ALL_REPLICAS_LOST, time=now)
+            if was_quiet:
+                files.apply(file_id, FileLifecycleEvent.REPLICA_DEGRADED)
+            files.apply(file_id, FileLifecycleEvent.ALL_REPLICAS_LOST)
             self._drop_pending_file_events(file_id)
             return
-        was_quiet = machine.state in (
-            FileLifecycleState.PLACED,
-            FileLifecycleState.REFRESHED,
-        )
-        machine.apply(FileLifecycleEvent.REPLICA_DEGRADED, time=now)
+        files.apply(file_id, FileLifecycleEvent.REPLICA_DEGRADED)
         if was_quiet:
             self._start_degradation_episode(file_id, now)
 
@@ -747,13 +689,13 @@ class LifecycleSimulation:
     def _on_refresh_start(self, file_id: int) -> None:
         now = self.engine.now
         self._refresh_start.pop(file_id, None)
-        machine = self.registry.file(file_id)
-        if machine.state is not FileLifecycleState.DEGRADED:
+        files = self.file_lifecycle
+        if files.state(file_id) is not FileLifecycleState.DEGRADED:
             return
-        machine.apply(FileLifecycleEvent.REFRESH_STARTED, time=now)
+        files.apply(file_id, FileLifecycleEvent.REFRESH_STARTED)
         target = self._pick_refresh_target(file_id)
         if target is None:
-            machine.apply(FileLifecycleEvent.REFRESH_FAILED, time=now)
+            files.apply(file_id, FileLifecycleEvent.REFRESH_FAILED)
             self.refresh_failures += 1
             self._refresh_start[file_id] = self.engine.schedule_at(
                 now + self.config.refresh_retry_s,
@@ -797,10 +739,10 @@ class LifecycleSimulation:
         now = self.engine.now
         self._refresh_complete.pop(file_id, None)
         self._inbound_refresh[target].discard(file_id)
-        machine = self.registry.file(file_id)
-        if machine.state is not FileLifecycleState.REFRESHING:
+        files = self.file_lifecycle
+        if files.state(file_id) is not FileLifecycleState.REFRESHING:
             return
-        machine.apply(FileLifecycleEvent.REFRESH_COMPLETED, time=now)
+        files.apply(file_id, FileLifecycleEvent.REFRESH_COMPLETED)
         self.replicas_of[file_id].add(target)
         self.hosted_files[target].add(file_id)
         if len(self.replicas_of[file_id]) >= self.config.replicas:
@@ -815,7 +757,7 @@ class LifecycleSimulation:
                     "lifecycle.refresh_lag_s", now - since, category="lifecycle"
                 )
         else:
-            machine.apply(FileLifecycleEvent.REPLICA_DEGRADED, time=now)
+            files.apply(file_id, FileLifecycleEvent.REPLICA_DEGRADED)
             self._refresh_start[file_id] = self.engine.schedule_at(
                 now,
                 lambda f=file_id: self._on_refresh_start(f),
@@ -829,10 +771,10 @@ class LifecycleSimulation:
             return
         event, _target = pending
         self.engine.cancel(event)
-        machine = self.registry.file(file_id)
-        if machine.state is not FileLifecycleState.REFRESHING:
+        files = self.file_lifecycle
+        if files.state(file_id) is not FileLifecycleState.REFRESHING:
             return
-        machine.apply(FileLifecycleEvent.REFRESH_FAILED, time=now)
+        files.apply(file_id, FileLifecycleEvent.REFRESH_FAILED)
         self.refresh_failures += 1
         if file_id not in self._refresh_start:
             self._refresh_start[file_id] = self.engine.schedule_at(
@@ -842,12 +784,9 @@ class LifecycleSimulation:
             )
 
     def _on_loss_deadline(self, file_id: int) -> None:
-        now = self.engine.now
         self._loss_deadline.pop(file_id, None)
-        machine = self.registry.file(file_id)
-        if machine.state not in (FileLifecycleState.DEGRADED, FileLifecycleState.REFRESHING):
+        if self.file_lifecycle.apply_if_valid(file_id, FileLifecycleEvent.ALL_REPLICAS_LOST) is None:
             return
-        machine.apply(FileLifecycleEvent.ALL_REPLICAS_LOST, time=now)
         self._drop_pending_file_events(file_id)
         for name in sorted(self.replicas_of.get(file_id, set())):
             self.hosted_files[name].discard(file_id)
@@ -913,14 +852,17 @@ class LifecycleSimulation:
         self.retrievals += 1
         if flash:
             self.flash_retrievals += 1
-        machine = self.registry.file(file_id)
-        if machine.state in (FileLifecycleState.PENDING, FileLifecycleState.LOST):
+        # A read: a file requested before it arrives stays untracked.
+        if self.file_lifecycle.state(file_id) in (
+            FileLifecycleState.PENDING,
+            FileLifecycleState.LOST,
+        ):
             self.unserved += 1
             return
         holders = [
             name
             for name in sorted(self.replicas_of.get(file_id, set()))
-            if self.registry.provider(name).state is ProviderLifecycleState.ACTIVE
+            if self.provider_lifecycle.state(name) is ProviderLifecycleState.ACTIVE
         ]
         if not holders:
             self.unserved += 1
@@ -967,18 +909,18 @@ class LifecycleSimulation:
 
     def _record_gauges(self, now: float) -> None:
         """One gauge sample per tracked series at simulated time ``now``."""
-        states = self.registry.state_counts()
+        files = self.file_lifecycle.state_counts()
         for state in FileLifecycleState:
             metrics.gauge(
                 f"lifecycle.files.{state.value}",
                 now,
-                float(states.get(f"file.{state.value}", 0)),
+                float(files.get(f"file.{state.value}", 0)),
                 category="lifecycle",
             )
         metrics.gauge(
             "lifecycle.active_providers",
             now,
-            float(states.get("provider.active", 0)),
+            float(self.provider_lifecycle.state_counts().get("provider.active", 0)),
             category="lifecycle",
         )
         metrics.gauge(
@@ -992,13 +934,14 @@ class LifecycleSimulation:
         """Metrics row: lifecycle outcomes + latency percentiles."""
         from repro.sim.metrics import linear_percentile
 
-        counts = self.registry.transition_counts()
-        states = self.registry.state_counts()
+        counts = {
+            **self.file_lifecycle.transition_counts(),
+            **self.provider_lifecycle.transition_counts(),
+        }
+        states = self.file_lifecycle.state_counts()
         surviving = sum(
-            1
-            for machine in self.registry.files.values()
-            if machine.state
-            in (
+            states.get(f"file.{state.value}", 0)
+            for state in (
                 FileLifecycleState.PLACED,
                 FileLifecycleState.DEGRADED,
                 FileLifecycleState.REFRESHING,

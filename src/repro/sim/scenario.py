@@ -16,9 +16,10 @@ health oracle.  Examples and integration tests drive deployments through
 this class; the robustness experiments use it with an adversary crashing
 providers mid-run.
 
-Alongside the physical layer, every deployment now carries an auditable
-lifecycle view (:mod:`repro.sim.lifecycle`): each file and provider has
-an explicit state machine, transitions are scheduled as events on the
+Alongside the physical layer, every deployment carries a lifecycle view
+(:mod:`repro.sim.lifecycle`): one :class:`~repro.sim.lifecycle.Lifecycle`
+for files and one for providers step each subject through its declared
+transition table, transitions are scheduled as events on the
 deployment's :class:`~repro.sim.engine.SimulationEngine` (drained as
 :meth:`advance_to` moves time), and the transition totals surface in
 :meth:`summary`.  The purely event-driven heavy-traffic variant lives in
@@ -41,7 +42,7 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.lifecycle import (
     FileLifecycleEvent,
     FileLifecycleState,
-    LifecycleRegistry,
+    Lifecycle,
     ProviderLifecycleEvent,
 )
 from repro.sim.network import LatencyModel, SimulatedNetwork
@@ -55,6 +56,9 @@ __all__ = ["ScenarioConfig", "DSNScenario"]
 #: What ``store_file`` raises when physical storage *refuses* a replica;
 #: anything else is a bug and propagates.
 _STORAGE_REFUSED = (SectorFullError, DiskFullError, DiskCorruptedError)
+
+#: File lifecycle states a replica event leaves alone.
+_PENDING_OR_LOST = (FileLifecycleState.PENDING, FileLifecycleState.LOST)
 
 
 @dataclass(frozen=True)
@@ -102,9 +106,10 @@ class DSNScenario:
             auto_prove=True,
             backend=self.config.backend,
         )
-        #: Event engine + lifecycle audit trail over the deployment.
+        #: Event engine + lifecycle states over the deployment.
         self.engine = SimulationEngine()
-        self.lifecycle = LifecycleRegistry()
+        self.file_lifecycle = Lifecycle.of_files()
+        self.provider_lifecycle = Lifecycle.of_providers()
         self.providers: Dict[str, StorageProvider] = {}
         self.clients: Dict[str, StorageClient] = {}
         #: On-chain sector id -> (provider name, physical sector).
@@ -125,9 +130,7 @@ class DSNScenario:
             disk_capacity = config.sectors_per_provider * config.sector_capacity
             provider = StorageProvider(name, disk_capacity=disk_capacity)
             self.providers[name] = provider
-            self.lifecycle.provider(name).apply(
-                ProviderLifecycleEvent.ACTIVATED, time=self.protocol.now
-            )
+            self.provider_lifecycle.apply(name, ProviderLifecycleEvent.ACTIVATED)
             for _ in range(config.sectors_per_provider):
                 self.register_sector(name, config.sector_capacity)
         for index in range(config.client_count):
@@ -152,9 +155,7 @@ class DSNScenario:
         self.ledger.mint(name, self.config.provider_funds)
         disk_capacity = sectors * self.config.sector_capacity
         self.providers[name] = StorageProvider(name, disk_capacity=disk_capacity)
-        self.lifecycle.provider(name).apply(
-            ProviderLifecycleEvent.ACTIVATED, time=self.protocol.now
-        )
+        self.provider_lifecycle.apply(name, ProviderLifecycleEvent.ACTIVATED)
         for _ in range(sectors):
             self.register_sector(name, self.config.sector_capacity)
 
@@ -190,7 +191,7 @@ class DSNScenario:
         # Lifecycle: the file starts PENDING; an engine event at the
         # transfer deadline settles it to PLACED or LOST from whatever
         # CheckAlloc decided by then.
-        self.lifecycle.file(file_id)
+        self.file_lifecycle.register(file_id)
         deadline = self.protocol.now + self.config.params.transfer_deadline(prepared.size)
         self.engine.schedule_at(
             max(deadline, self.engine.now),
@@ -200,16 +201,15 @@ class DSNScenario:
 
     def _settle_placement(self, file_id: int) -> None:
         """Engine event: resolve a PENDING file's lifecycle from chain state."""
-        machine = self.lifecycle.file(file_id)
-        if machine.state is not FileLifecycleState.PENDING:
+        if self.file_lifecycle.state(file_id) is not FileLifecycleState.PENDING:
             return
         placed = self.protocol.files.state_of(file_id) is FileState.NORMAL and any(
             s is not None for s in self.protocol.file_locations(file_id)
         )
         if placed:
-            machine.apply(FileLifecycleEvent.PLACEMENT_CONFIRMED, time=self.engine.now)
+            self.file_lifecycle.apply(file_id, FileLifecycleEvent.PLACEMENT_CONFIRMED)
         else:
-            machine.apply(FileLifecycleEvent.PLACEMENT_FAILED, time=self.engine.now)
+            self.file_lifecycle.apply(file_id, FileLifecycleEvent.PLACEMENT_FAILED)
 
     def _deliver_initial_replicas(self, file_id: int, prepared: PreparedFile) -> None:
         files = self.protocol.files
@@ -281,9 +281,7 @@ class DSNScenario:
         provider = self.providers[provider_name]
         provider.crash()
         self.network.set_offline(provider_name, True)
-        self.lifecycle.provider(provider_name).apply_if_valid(
-            ProviderLifecycleEvent.CRASHED, time=self.protocol.now
-        )
+        self.provider_lifecycle.apply_if_valid(provider_name, ProviderLifecycleEvent.CRASHED)
         # Files with a replica on the crashed provider degrade when the
         # engine next moves time (detection is not instantaneous).
         for file_id in sorted(self._files_on_provider(provider_name)):
@@ -305,10 +303,9 @@ class DSNScenario:
 
     def _degrade_file(self, file_id: int) -> None:
         """Engine event: a replica holder failed; degrade the lifecycle."""
-        machine = self.lifecycle.file(file_id)
-        if machine.is_terminal or machine.state is FileLifecycleState.PENDING:
+        if self.file_lifecycle.state(file_id) in _PENDING_OR_LOST:
             return
-        machine.apply_if_valid(FileLifecycleEvent.REPLICA_DEGRADED, time=self.engine.now)
+        self.file_lifecycle.apply_if_valid(file_id, FileLifecycleEvent.REPLICA_DEGRADED)
 
     # ------------------------------------------------------------------
     # Time
@@ -321,18 +318,18 @@ class DSNScenario:
         self._sync_lost_files()
 
     def _sync_lost_files(self) -> None:
-        """Fold on-chain losses into the lifecycle machines."""
+        """Fold on-chain losses into the file lifecycle."""
+        files = self.file_lifecycle
         for file_id in self.protocol.files.with_state(FileState.LOST):
-            machine = self.lifecycle.file(file_id)
-            if machine.state is FileLifecycleState.LOST:
+            state = files.state(file_id)
+            if state is FileLifecycleState.LOST:
                 continue
-            now = self.engine.now
-            if machine.state is FileLifecycleState.PENDING:
-                machine.apply(FileLifecycleEvent.PLACEMENT_FAILED, time=now)
+            if state is FileLifecycleState.PENDING:
+                files.apply(file_id, FileLifecycleEvent.PLACEMENT_FAILED)
                 continue
-            if machine.state in (FileLifecycleState.PLACED, FileLifecycleState.REFRESHED):
-                machine.apply(FileLifecycleEvent.REPLICA_DEGRADED, time=now)
-            machine.apply(FileLifecycleEvent.ALL_REPLICAS_LOST, time=now)
+            if state in (FileLifecycleState.PLACED, FileLifecycleState.REFRESHED):
+                files.apply(file_id, FileLifecycleEvent.REPLICA_DEGRADED)
+            files.apply(file_id, FileLifecycleEvent.ALL_REPLICAS_LOST)
 
     def run_cycles(self, cycles: int) -> None:
         """Advance time by whole proof cycles, servicing swaps in between."""
@@ -388,17 +385,18 @@ class DSNScenario:
         self.protocol.file_confirm(
             target_provider_name, notice.file_id, notice.replica_index, notice.target_sector
         )
-        # Lifecycle: a serviced swap is a completed refresh.  The machine
-        # may not have observed the degradation yet (losses can surface
-        # through proof deadlines rather than crash_provider), so walk it
-        # through the guarded chain degraded -> refreshing -> refreshed.
-        machine = self.lifecycle.file(notice.file_id)
-        if not machine.is_terminal and machine.state is not FileLifecycleState.PENDING:
-            machine.apply_if_valid(FileLifecycleEvent.REPLICA_DEGRADED, time=self.engine.now)
-            machine.apply_if_valid(FileLifecycleEvent.REFRESH_STARTED, time=self.engine.now)
-            machine.apply_if_valid(
-                FileLifecycleEvent.REFRESH_COMPLETED, time=self.engine.now
-            )
+        # Lifecycle: a serviced swap is a completed refresh.  The file's
+        # lifecycle may not have observed the degradation yet (losses can
+        # surface through proof deadlines rather than crash_provider), so
+        # walk it through the guarded chain degraded -> refreshing -> refreshed.
+        files = self.file_lifecycle
+        if files.state(notice.file_id) not in _PENDING_OR_LOST:
+            for event in (
+                FileLifecycleEvent.REPLICA_DEGRADED,
+                FileLifecycleEvent.REFRESH_STARTED,
+                FileLifecycleEvent.REFRESH_COMPLETED,
+            ):
+                files.apply_if_valid(notice.file_id, event)
         # Remove the replica from the predecessor once the swap is confirmed
         # (the old sector keeps it only until the network completes the move).
         if notice.source_sector is not None:
@@ -441,10 +439,12 @@ class DSNScenario:
         )
         result["providers"] = float(len(self.providers))
         result["bytes_transferred"] = float(self.network.total_bytes_transferred())
-        transitions = self.lifecycle.transition_counts()
-        result["lifecycle_transitions"] = float(sum(transitions.values()))
-        result["lifecycle_refreshes"] = float(transitions.get("file.refresh_completed", 0))
+        files = self.file_lifecycle.transition_counts()
+        result["lifecycle_transitions"] = float(
+            sum(files.values()) + sum(self.provider_lifecycle.transition_counts().values())
+        )
+        result["lifecycle_refreshes"] = float(files.get("file.refresh_completed", 0))
         result["lifecycle_files_lost"] = float(
-            self.lifecycle.state_counts().get("file.lost", 0)
+            self.file_lifecycle.state_counts().get("file.lost", 0)
         )
         return result

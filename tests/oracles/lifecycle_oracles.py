@@ -30,7 +30,7 @@ def weighted_index(prng: DeterministicPRNG, weights: Sequence[float]) -> int:
 
 def refresh_weight(sim: LifecycleSimulation, provider: str) -> int:
     """Free slots of an ``ACTIVE`` provider, 0 for any other state."""
-    if sim.registry.provider(provider).state is not ProviderLifecycleState.ACTIVE:
+    if sim.provider_lifecycle.state(provider) is not ProviderLifecycleState.ACTIVE:
         return 0
     return sim.capacity[provider] - sim.used[provider]
 
@@ -42,7 +42,7 @@ def pick_refresh_target(
     candidates = [
         name
         for name in sim.provider_names
-        if sim.registry.provider(name).state is ProviderLifecycleState.ACTIVE
+        if sim.provider_lifecycle.state(name) is ProviderLifecycleState.ACTIVE
         and sim.used[name] < sim.capacity[name]
         and name not in sim.replicas_of.get(file_id, set())
     ]

@@ -6,11 +6,12 @@ after every op stream.  :class:`EngineMachine` deploys both from a start,
 then each rule is one ``oracles.harness.apply`` per engine.  After every op
 the engines refuse alike and have an equal ``identity``, and a refused op
 leaves that identity as it was: it persists nothing and announces nothing.
-Each engine also keeps three sector invariants after every op: a normal
-or disabled sector has ``0 <= free <= capacity`` (so it is drained exactly
+Each engine also keeps two sector invariants after every op: a normal or
+disabled sector has ``0 <= free <= capacity`` (so it is drained exactly
 when ``free == capacity``) and holds ``capacity - free`` bytes exactly for
-the replicas it hosts plus those it has reserved, and a removed or
-corrupted sector never changes state.
+the replicas it hosts plus those it has reserved.  And every file and
+sector state change an op makes follows the protocol's own transition
+table, :data:`FILE_EDGES` / :data:`SECTOR_EDGES`.
 A new engine differential is a rule or a start here, not a new test.
 """
 
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule, run_state_machine_as_test
 
 from repro.core.events import EventType
+from repro.core.file_descriptor import FileState
 from repro.core.sector import SectorState
 
 from oracles.harness import apply, deploy, identity
@@ -124,28 +126,59 @@ SIZE = st.integers(1, 16).map(lambda units: units * 16 * KIB)
 SECTOR = st.integers(0, 9)
 
 
-def sector_states(protocol):
-    """Each sector's state; every normal or disabled one must have
-    ``0 <= free <= capacity``."""
-    states = {}
-    for sector_id, record in protocol.sectors.items():
-        if record.state in (SectorState.NORMAL, SectorState.DISABLED):
-            assert 0 <= record.free_capacity <= record.capacity, (
-                f"{sector_id}: {record.free_capacity} free of {record.capacity}"
-            )
-        states[sector_id] = record.state
-    return states
+def paths(*edges):
+    """The ``(before, after)`` pairs a path of ``edges`` joins, staying put
+    included: one op can take a file or sector along several edges."""
+    pairs = {(state, state) for state in type(edges[0][0])} | set(edges)
+    while True:
+        longer = {(a, d) for a, b in pairs for c, d in pairs if b == c}
+        if longer <= pairs:
+            return pairs
+        pairs |= longer
+
+
+#: The protocol's file and sector transition tables, as ``(before, after)``
+#: edges.  LOST, FAILED, CORRUPTED and REMOVED have no edge out.
+FILE_EDGES = paths(
+    (FileState.PENDING, FileState.NORMAL),
+    (FileState.PENDING, FileState.FAILED),
+    (FileState.PENDING, FileState.DISCARDED),
+    (FileState.NORMAL, FileState.DISCARDED),
+    (FileState.NORMAL, FileState.LOST),
+    # Discarded while PENDING, a file still fails at its CheckAlloc, in both engines.
+    (FileState.DISCARDED, FileState.FAILED),
+)
+SECTOR_EDGES = paths(
+    (SectorState.NORMAL, SectorState.DISABLED),
+    (SectorState.NORMAL, SectorState.CORRUPTED),
+    (SectorState.DISABLED, SectorState.CORRUPTED),
+    (SectorState.DISABLED, SectorState.REMOVED),
+)
+
+
+def check_edges(before, after, op):
+    """Every file and sector of fingerprint ``before`` is, in ``after``,
+    where it was or a path of declared edges away."""
+    for part, column, states, edges in (
+        ("files", 5, FileState, FILE_EDGES),
+        ("sectors", 4, SectorState, SECTOR_EDGES),
+    ):
+        for key, record in before[part].items():
+            moved = states(record[column]), states(after[part][key][column])
+            assert moved in edges, f"{op!r} moved {part} {key}: {moved[0].value} -> {moved[1].value}"
 
 
 def check_held_bytes(state):
-    """Every normal or disabled sector of the fingerprint ``state`` holds
-    ``capacity - free`` bytes: its hosted plus its reserved replicas."""
+    """Every normal or disabled sector of the fingerprint ``state`` has
+    ``0 <= free <= capacity`` and holds ``capacity - free`` bytes: its
+    hosted plus its reserved replicas."""
     held = {}
     for (file_id, _), (host, target, _, _) in state["alloc"]:
         for sector_id in (host, target):
             held[sector_id] = held.get(sector_id, 0) + state["files"][file_id][1]
     for sector_id, (_, capacity, free, _, sector_state) in state["sectors"].items():
         if sector_state in (SectorState.NORMAL.value, SectorState.DISABLED.value):
+            assert 0 <= free <= capacity, f"{sector_id}: {free} free of {capacity}"
             assert capacity - free == held.get(sector_id, 0), (
                 f"{sector_id}: {capacity - free} bytes used, replicas hold "
                 f"{held.get(sector_id, 0)}"
@@ -209,7 +242,9 @@ class EngineMachine(RuleBasedStateMachine):
 
         spec._remove_file = recording_removal
         self.last = identity(columnar)
-        self.states = [sector_states(engine) for engine in self.engines]
+        self.fingerprints = [identity(engine)["state"] for engine in self.engines]
+        for fingerprint in self.fingerprints:
+            check_held_bytes(fingerprint)
         for op in ops:
             self.run(op)
 
@@ -222,14 +257,11 @@ class EngineMachine(RuleBasedStateMachine):
             assert got[part] == want[part], f"{op!r}: the engines' {part} diverge"
         assert refusals[0] is None or want == self.last, f"refused {op!r} left a trace"
         self.last = want
-        check_held_bytes(want["state"])
-        check_held_bytes(got["state"])
-        states = [sector_states(engine) for engine in self.engines]
-        for before, after in zip(self.states, states):
-            for sector_id, state in before.items():
-                if state in (SectorState.REMOVED, SectorState.CORRUPTED):
-                    assert after[sector_id] == state, f"{op!r} moved {sector_id} off {state.value}"
-        self.states = states
+        fingerprints = [want["state"], got["state"]]
+        for before, after in zip(self.fingerprints, fingerprints):
+            check_held_bytes(after)
+            check_edges(before, after, op)
+        self.fingerprints = fingerprints
         reached.update(name for name, count in want["state"]["events"].items() if count)
 
     batch = _op(

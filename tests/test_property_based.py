@@ -603,9 +603,11 @@ def test_engine_executes_in_time_priority_sequence_order(schedule, cancel_mask):
 def test_lifecycle_invariants_hold_under_generated_dynamics(
     seed, mtbf, timeout, regional
 ):
-    """Whatever the failure dynamics: a lost file never transitions again,
-    provider capacity never goes negative, histories are valid chains."""
+    """Whatever the failure dynamics: provider capacity never goes negative,
+    every state a run ends in is reachable through its table, and a lost
+    file refuses every event."""
     from repro.sim.lifecycle import (
+        FileLifecycleEvent,
         FileLifecycleState,
         LifecycleConfig,
         LifecycleSimulation,
@@ -631,21 +633,15 @@ def test_lifecycle_invariants_hold_under_generated_dynamics(
     assert row["min_free_slots"] >= 0
     for name in sim.provider_names:
         assert 0 <= sim.used[name] <= sim.capacity[name]
-    for machine in list(sim.registry.files.values()) + list(
-        sim.registry.providers.values()
-    ):
-        for previous, current in zip(machine.history, machine.history[1:]):
-            assert current.from_state is previous.to_state
-            assert current.time >= previous.time
-        for record in machine.history:
-            assert machine.TRANSITIONS[(record.from_state, record.event)] is record.to_state
-    for machine in sim.registry.files.values():
-        lost_hits = [
-            i
-            for i, record in enumerate(machine.history)
-            if record.to_state is FileLifecycleState.LOST
-        ]
-        if lost_hits:
-            # LOST is entered once, as the final transition, ever.
-            assert lost_hits == [len(machine.history) - 1]
-            assert machine.state is FileLifecycleState.LOST
+    for lifecycle in (sim.file_lifecycle, sim.provider_lifecycle):
+        reachable = {lifecycle.initial}
+        while True:
+            more = {after for (before, _), after in lifecycle.table.items() if before in reachable}
+            if more <= reachable:
+                break
+            reachable |= more
+        assert set(lifecycle.states.values()) <= reachable
+    for file_id, state in sim.file_lifecycle.states.items():
+        if state is FileLifecycleState.LOST:
+            for event in FileLifecycleEvent:
+                assert not sim.file_lifecycle.can_apply(file_id, event)

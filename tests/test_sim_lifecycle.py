@@ -1,10 +1,10 @@
-"""Lifecycle state machines and the event-driven deployment director.
+"""Lifecycle transition tables and the event-driven deployment director.
 
 The heart of this pack is the *exhaustive* transition-validity matrix:
-every single ``(state, event)`` pair of both machines is parametrized and
+every single ``(state, event)`` pair of both tables is parametrized and
 asserts either the documented next state or a typed
 :class:`InvalidTransitionError` -- no pair is left unasserted.  Around it
-sit machine-semantics tests, event-generator determinism, the numpy
+sit :class:`Lifecycle` semantics tests, event-generator determinism, the numpy
 percentile oracle, the :class:`LifecycleSimulation` behaviour pack
 (including the refresh-vs-degradation cancel race and cross-backend row
 identity with every generator enabled) and the ``DSNScenario`` lifecycle
@@ -28,14 +28,12 @@ from repro.sim.lifecycle import (
     PROVIDER_TRANSITIONS,
     FileLifecycleEvent,
     FileLifecycleState,
-    FileMachine,
     InvalidTransitionError,
+    Lifecycle,
     LifecycleConfig,
-    LifecycleRegistry,
     LifecycleSimulation,
     ProviderLifecycleEvent,
     ProviderLifecycleState,
-    ProviderMachine,
     flash_crowd_windows,
     poisson_times,
     zipf_weights,
@@ -69,6 +67,11 @@ def lively(**overrides) -> LifecycleConfig:
 # ----------------------------------------------------------------------
 # Exhaustive transition-validity matrix (satellite: no pair unasserted)
 # ----------------------------------------------------------------------
+def in_state(lifecycle: Lifecycle, subject, state) -> Lifecycle:
+    lifecycle.states[subject] = state
+    return lifecycle
+
+
 class TestFileTransitionMatrix:
     @pytest.mark.parametrize(
         "state,event",
@@ -76,19 +79,18 @@ class TestFileTransitionMatrix:
         ids=lambda value: value.value,
     )
     def test_every_pair_is_documented_or_rejected(self, state, event):
-        machine = FileMachine("file", state=state)
+        files = in_state(Lifecycle.of_files(), "file", state)
         if (state, event) in FILE_TRANSITIONS:
-            record = machine.apply(event, time=1.5)
-            assert machine.state is FILE_TRANSITIONS[(state, event)]
-            assert record.from_state is state
-            assert record.to_state is machine.state
-            assert record.time == 1.5
+            assert files.apply("file", event) is FILE_TRANSITIONS[(state, event)]
+            assert files.state("file") is FILE_TRANSITIONS[(state, event)]
+            assert files.transition_counts() == {f"file.{event.value}": 1}
         else:
             with pytest.raises(InvalidTransitionError) as excinfo:
-                machine.apply(event)
-            assert machine.state is state  # rejected events do not move it
-            assert machine.history == []
+                files.apply("file", event)
+            assert files.state("file") is state  # rejected events do not move it
+            assert files.transition_counts() == {}
             assert excinfo.value.machine == "file"
+            assert excinfo.value.subject == "file"
             assert excinfo.value.state is state
             assert excinfo.value.event is event
 
@@ -98,9 +100,10 @@ class TestFileTransitionMatrix:
         assert len(list(itertools.product(FileLifecycleState, FileLifecycleEvent))) == 42
 
     def test_lost_is_terminal_no_event_escapes(self):
+        files = in_state(Lifecycle.of_files(), "f", FileLifecycleState.LOST)
         for event in FileLifecycleEvent:
             assert (FileLifecycleState.LOST, event) not in FILE_TRANSITIONS
-        assert FileMachine("f", state=FileLifecycleState.LOST).is_terminal
+            assert not files.can_apply("f", event)
 
 
 class TestProviderTransitionMatrix:
@@ -110,14 +113,14 @@ class TestProviderTransitionMatrix:
         ids=lambda value: value.value,
     )
     def test_every_pair_is_documented_or_rejected(self, state, event):
-        machine = ProviderMachine("p", state=state)
+        providers = in_state(Lifecycle.of_providers(), "p", state)
         if (state, event) in PROVIDER_TRANSITIONS:
-            machine.apply(event, time=2.0)
-            assert machine.state is PROVIDER_TRANSITIONS[(state, event)]
+            providers.apply("p", event)
+            assert providers.state("p") is PROVIDER_TRANSITIONS[(state, event)]
         else:
             with pytest.raises(InvalidTransitionError):
-                machine.apply(event)
-            assert machine.state is state
+                providers.apply("p", event)
+            assert providers.state("p") is state
 
     def test_expected_valid_pair_count(self):
         # 5 states x 4 events = 20 pairs, of which exactly 8 are legal.
@@ -137,56 +140,77 @@ class TestProviderTransitionMatrix:
 
 
 # ----------------------------------------------------------------------
-# Machine semantics
+# Lifecycle semantics
 # ----------------------------------------------------------------------
-class TestMachineSemantics:
-    def test_happy_path_history(self):
-        machine = FileMachine(7)
-        machine.apply(FileLifecycleEvent.PLACEMENT_CONFIRMED, time=1.0)
-        machine.apply(FileLifecycleEvent.REPLICA_DEGRADED, time=2.0)
-        machine.apply(FileLifecycleEvent.REFRESH_STARTED, time=3.0)
-        machine.apply(FileLifecycleEvent.REFRESH_COMPLETED, time=4.0)
-        assert machine.state is FileLifecycleState.REFRESHED
-        assert [r.to_state for r in machine.history] == [
+class TestLifecycleSemantics:
+    def test_happy_path_chain(self):
+        files = Lifecycle.of_files()
+        steps = [
+            FileLifecycleEvent.PLACEMENT_CONFIRMED,
+            FileLifecycleEvent.REPLICA_DEGRADED,
+            FileLifecycleEvent.REFRESH_STARTED,
+            FileLifecycleEvent.REFRESH_COMPLETED,
+        ]
+        assert [files.apply(7, event) for event in steps] == [
             FileLifecycleState.PLACED,
             FileLifecycleState.DEGRADED,
             FileLifecycleState.REFRESHING,
             FileLifecycleState.REFRESHED,
         ]
-        assert [r.time for r in machine.history] == [1.0, 2.0, 3.0, 4.0]
-        assert all(r.subject == 7 for r in machine.history)
+        assert files.state(7) is FileLifecycleState.REFRESHED
+        assert files.states == {7: FileLifecycleState.REFRESHED}
 
-    def test_history_chains_states_contiguously(self):
-        machine = ProviderMachine("p")
-        machine.apply(ProviderLifecycleEvent.ACTIVATED)
-        machine.apply(ProviderLifecycleEvent.CRASHED)
-        machine.apply(ProviderLifecycleEvent.RECOVERED)
-        machine.apply(ProviderLifecycleEvent.ACTIVATED)
-        for previous, current in zip(machine.history, machine.history[1:]):
-            assert current.from_state is previous.to_state
+    def test_provider_chain_follows_the_table(self):
+        providers = Lifecycle.of_providers()
+        state = providers.state("p")
+        for event in (
+            ProviderLifecycleEvent.ACTIVATED,
+            ProviderLifecycleEvent.CRASHED,
+            ProviderLifecycleEvent.RECOVERED,
+            ProviderLifecycleEvent.ACTIVATED,
+        ):
+            moved = providers.apply("p", event)
+            assert moved is PROVIDER_TRANSITIONS[(state, event)]
+            state = moved
+        assert providers.state("p") is ProviderLifecycleState.ACTIVE
+        assert providers.transition_counts() == {
+            "provider.activated": 2,
+            "provider.crashed": 1,
+            "provider.recovered": 1,
+        }
 
     def test_can_apply_and_a_refused_apply_do_not_mutate(self):
-        machine = FileMachine("f")
-        assert machine.can_apply(FileLifecycleEvent.PLACEMENT_CONFIRMED)
-        assert not machine.can_apply(FileLifecycleEvent.REFRESH_COMPLETED)
+        files = Lifecycle.of_files()
+        assert files.can_apply("f", FileLifecycleEvent.PLACEMENT_CONFIRMED)
+        assert not files.can_apply("f", FileLifecycleEvent.REFRESH_COMPLETED)
         with pytest.raises(InvalidTransitionError):
-            machine.apply(FileLifecycleEvent.REFRESH_COMPLETED)
-        assert machine.state is FileLifecycleState.PENDING
-        assert machine.history == []
-        record = machine.apply(FileLifecycleEvent.PLACEMENT_CONFIRMED)
-        assert record.to_state is machine.state is FileLifecycleState.PLACED
+            files.apply("f", FileLifecycleEvent.REFRESH_COMPLETED)
+        assert files.states == {}
+        assert files.transition_counts() == {}
+        assert files.apply("f", FileLifecycleEvent.PLACEMENT_CONFIRMED) is FileLifecycleState.PLACED
+        assert files.state("f") is FileLifecycleState.PLACED
 
     def test_apply_if_valid_is_a_guarded_noop(self):
-        machine = FileMachine("f", state=FileLifecycleState.LOST)
-        assert machine.apply_if_valid(FileLifecycleEvent.REPLICA_DEGRADED) is None
-        assert machine.history == []
-        live = FileMachine("g", state=FileLifecycleState.PLACED)
-        record = live.apply_if_valid(FileLifecycleEvent.REPLICA_DEGRADED, time=5.0)
-        assert record is not None and record.to_state is FileLifecycleState.DEGRADED
+        files = in_state(Lifecycle.of_files(), "f", FileLifecycleState.LOST)
+        assert files.apply_if_valid("f", FileLifecycleEvent.REPLICA_DEGRADED) is None
+        assert files.transition_counts() == {}
+        in_state(files, "g", FileLifecycleState.PLACED)
+        moved = files.apply_if_valid("g", FileLifecycleEvent.REPLICA_DEGRADED)
+        assert moved is files.state("g") is FileLifecycleState.DEGRADED
+
+    def test_reading_a_state_does_not_track_the_subject(self):
+        files = Lifecycle.of_files()
+        assert files.state(3) is FileLifecycleState.PENDING
+        assert not files.can_apply(3, FileLifecycleEvent.REFRESH_STARTED)
+        assert files.states == {} and files.state_counts() == {}
+        files.register(3)
+        files.apply(3, FileLifecycleEvent.PLACEMENT_CONFIRMED)
+        files.register(3)  # registering a tracked subject keeps its state
+        assert files.state_counts() == {"file.placed": 1}
 
     def test_valid_events_matches_table(self):
         def valid_events(state):
-            return [event for (source, event) in FileMachine.TRANSITIONS if source == state]
+            return [event for (source, event) in FILE_TRANSITIONS if source == state]
 
         assert set(valid_events(FileLifecycleState.REFRESHING)) == {
             FileLifecycleEvent.REPLICA_DEGRADED,
@@ -197,18 +221,17 @@ class TestMachineSemantics:
         assert valid_events(FileLifecycleState.LOST) == []
 
     def test_error_message_names_machine_state_and_event(self):
+        providers = in_state(Lifecycle.of_providers(), "p9", ProviderLifecycleState.CRASHED)
         with pytest.raises(InvalidTransitionError, match="provider 'p9'.*'departed'"):
-            ProviderMachine(
-                "p9", state=ProviderLifecycleState.CRASHED
-            ).apply(ProviderLifecycleEvent.DEPARTED)
+            providers.apply("p9", ProviderLifecycleEvent.DEPARTED)
 
     def test_transitions_emit_lifecycle_counters(self):
         telemetry.enable()
         try:
             with telemetry.capture() as events:
-                machine = FileMachine("f")
-                machine.apply(FileLifecycleEvent.PLACEMENT_CONFIRMED)
-                machine.apply(FileLifecycleEvent.REPLICA_DEGRADED)
+                files = Lifecycle.of_files()
+                files.apply("f", FileLifecycleEvent.PLACEMENT_CONFIRMED)
+                files.apply("f", FileLifecycleEvent.REPLICA_DEGRADED)
             names = [e["name"] for e in events]
             assert names == [
                 "lifecycle.file.placement_confirmed",
@@ -219,23 +242,20 @@ class TestMachineSemantics:
             telemetry.disable()
             telemetry.drain()
 
-
-class TestRegistry:
-    def test_machines_are_created_once_and_counted(self):
-        registry = LifecycleRegistry()
-        registry.file(1).apply(FileLifecycleEvent.PLACEMENT_CONFIRMED)
-        registry.file(1).apply(FileLifecycleEvent.REPLICA_DEGRADED)
-        registry.provider("p").apply(ProviderLifecycleEvent.ACTIVATED)
-        assert registry.file(1) is registry.files[1]
-        assert registry.transition_counts() == {
+    def test_transitions_and_states_are_counted(self):
+        files, providers = Lifecycle.of_files(), Lifecycle.of_providers()
+        files.apply(1, FileLifecycleEvent.PLACEMENT_CONFIRMED)
+        files.apply(1, FileLifecycleEvent.REPLICA_DEGRADED)
+        files.apply(2, FileLifecycleEvent.PLACEMENT_FAILED)
+        providers.apply("p", ProviderLifecycleEvent.ACTIVATED)
+        assert files.transition_counts() == {
             "file.placement_confirmed": 1,
+            "file.placement_failed": 1,
             "file.replica_degraded": 1,
-            "provider.activated": 1,
         }
-        assert registry.state_counts() == {
-            "file.degraded": 1,
-            "provider.active": 1,
-        }
+        assert providers.transition_counts() == {"provider.activated": 1}
+        assert files.state_counts() == {"file.degraded": 1, "file.lost": 1}
+        assert providers.state_counts() == {"provider.active": 1}
 
 
 # ----------------------------------------------------------------------
@@ -365,34 +385,66 @@ class TestLifecycleSimulation:
         assert row["refresh_failures"] == 0
         assert row["miss_rate"] <= 1.0
 
-    def test_machine_histories_are_valid_chains(self):
+    def test_applied_transitions_chain_through_the_tables(self):
         sim = LifecycleSimulation(lively())
+        steps = []
+
+        class Recording(Lifecycle):
+            __slots__ = ()
+
+            def apply(self, subject, event):
+                before = self.state(subject)
+                after = super().apply(subject, event)
+                steps.append((self.machine, subject, before, event, after, sim.engine.now))
+                return after
+
+        sim.file_lifecycle = Recording("file", FILE_TRANSITIONS, FileLifecycleState.PENDING)
+        sim.provider_lifecycle = Recording(
+            "provider", PROVIDER_TRANSITIONS, ProviderLifecycleState.JOINED
+        )
+        tables = {"file": FILE_TRANSITIONS, "provider": PROVIDER_TRANSITIONS}
+        initial = {"file": FileLifecycleState.PENDING, "provider": ProviderLifecycleState.JOINED}
         sim.run()
-        for machine in list(sim.registry.files.values()) + list(
-            sim.registry.providers.values()
-        ):
-            table = machine.TRANSITIONS
-            for previous, current in zip(machine.history, machine.history[1:]):
-                assert current.from_state is previous.to_state
-                assert current.time >= previous.time
-            for record in machine.history:
-                assert table[(record.from_state, record.event)] is record.to_state
+        assert steps
+        last = {}
+        for machine, subject, before, event, after, now in steps:
+            assert tables[machine][(before, event)] is after
+            previous_state, previous_time = last.get((machine, subject), (initial[machine], 0.0))
+            assert before is previous_state
+            assert now >= previous_time
+            last[(machine, subject)] = (after, now)
+        lifecycles = {"file": sim.file_lifecycle, "provider": sim.provider_lifecycle}
+        for (machine, subject), (state, _) in last.items():
+            assert lifecycles[machine].state(subject) is state
+        tally = collections.Counter(f"{machine}.{event.value}" for machine, _, _, event, _, _ in steps)
+        assert {
+            **sim.file_lifecycle.transition_counts(),
+            **sim.provider_lifecycle.transition_counts(),
+        } == dict(tally)
 
     def test_lost_files_never_transition_again(self):
-        sim = LifecycleSimulation(lively(mtbf_s=60.0, degrade_timeout_s=30.0))
-        sim.run()
-        lost = [
-            m
-            for m in sim.registry.files.values()
-            if m.state is FileLifecycleState.LOST
-        ]
+        config = lively(mtbf_s=60.0, degrade_timeout_s=30.0)
+        sim = LifecycleSimulation(config)
+        states = sim.file_lifecycle.states
+        lost = set()
+
+        def check(now: float) -> None:
+            # After every event: each file seen LOST is still LOST.
+            assert all(states[file_id] is FileLifecycleState.LOST for file_id in lost)
+            lost.update(f for f, state in states.items() if state is FileLifecycleState.LOST)
+
+        sim.engine.metrics_probe = check
+        sim.engine.run(until=config.horizon_s)
+        check(sim.engine.now)
         assert lost, "this shape is violent enough to lose at least one file"
-        for machine in lost:
-            assert machine.history[-1].to_state is FileLifecycleState.LOST
-            assert (
-                sum(1 for r in machine.history if r.to_state is FileLifecycleState.LOST)
-                == 1
-            )
+
+    def test_a_retrieval_before_arrival_leaves_the_file_untracked(self):
+        sim = LifecycleSimulation(lively())
+        sim._on_retrieval(0, flash=False)  # file 0 has not arrived yet
+        assert 0 not in sim.file_lifecycle.states
+        assert (sim.retrievals, sim.unserved) == (1, 1)
+        sim.run()
+        assert len(sim.file_lifecycle.states) == sim.config.files
 
     def test_traced_run_records_lifecycle_counters_and_stays_inert(self):
         plain = LifecycleSimulation(lively()).run()
@@ -451,16 +503,14 @@ class TestScenarioLifecycleIntegration:
         return DSNScenario(ScenarioConfig(provider_count=4, seed=13))
 
     def test_providers_activate_on_build(self, deployment):
-        states = deployment.lifecycle.state_counts()
+        states = deployment.provider_lifecycle.state_counts()
         assert states["provider.active"] == 4
 
     def test_settled_upload_places_the_file(self, deployment):
         file_id = deployment.store_file("client-0", "a", b"x" * 2048, value=2)
-        assert (
-            deployment.lifecycle.file(file_id).state is FileLifecycleState.PENDING
-        )
+        assert deployment.file_lifecycle.states[file_id] is FileLifecycleState.PENDING
         deployment.settle_uploads()
-        assert deployment.lifecycle.file(file_id).state is FileLifecycleState.PLACED
+        assert deployment.file_lifecycle.state(file_id) is FileLifecycleState.PLACED
 
     def test_crash_degrades_hosted_files_and_refresh_completes(self, deployment):
         file_id = deployment.store_file("client-0", "a", b"x" * 2048, value=2)
@@ -473,15 +523,13 @@ class TestScenarioLifecycleIntegration:
         owner, _ = deployment.sector_map[victim]
         deployment.crash_provider(owner)
         deployment.run_cycles(3)
-        machine = deployment.lifecycle.file(file_id)
-        counts = deployment.lifecycle.transition_counts()
+        counts = deployment.file_lifecycle.transition_counts()
         assert counts.get("file.replica_degraded", 0) >= 1
-        assert machine.state in (
+        assert deployment.file_lifecycle.state(file_id) in (
             FileLifecycleState.REFRESHED,
             FileLifecycleState.DEGRADED,
         )
-        provider_machine = deployment.lifecycle.provider(owner)
-        assert provider_machine.state is ProviderLifecycleState.CRASHED
+        assert deployment.provider_lifecycle.state(owner) is ProviderLifecycleState.CRASHED
         summary = deployment.summary()
         assert summary["lifecycle_transitions"] >= 3.0
 

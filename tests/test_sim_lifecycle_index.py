@@ -87,7 +87,7 @@ def walk(config: LifecycleConfig) -> Counter:
     def check(now: float) -> None:
         # The files a refresh could be drawing for right now, one file
         # picked round-robin whatever its state, and one never placed.
-        probes = {f for f, m in sim.registry.files.items() if m.state in refreshing}
+        probes = {f for f, state in sim.file_lifecycle.states.items() if state in refreshing}
         probes.add(sim.engine.events_processed % max(1, config.files))
         probes.add(config.files)
         for file_id in sorted(probes):
